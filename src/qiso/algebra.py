@@ -118,15 +118,9 @@ class AlgElement:
                 out = max(out, float(np.linalg.norm(m, 2)))
         return out
 
-    def is_projection(self, tol: float = 1e-9) -> bool:
-        return ((self * self) - self).norm() <= tol and (self.star() - self).norm() <= tol
-
     def min_eig(self) -> float:
         """Smallest eigenvalue over blocks; meaningful for self-adjoint elements."""
         return min(float(np.linalg.eigvalsh(m)[0]) for m in self.data)
-
-    def max_eig(self) -> float:
-        return max(float(np.linalg.eigvalsh(m)[-1]) for m in self.data)
 
 
 def hermitian_max_eig(mat: np.ndarray) -> float:
@@ -161,32 +155,38 @@ def _det_fraction(M) -> Fraction:
 def exact_psd(elem: AlgElement) -> bool:
     """Exact semidefiniteness test for elements with rational entries.
 
-    Complex Hermitian blocks embed into real symmetric ones of doubled
-    size; a symmetric matrix is PSD iff all principal minors are >= 0.
     Floats are converted exactly (every float is a binary rational), so
     this decides positivity of the stored matrices with no tolerance.
     """
-    for mat in elem.data:
-        b = mat.shape[0]
-        if np.allclose(mat.imag, 0.0, atol=0.0):
-            real = [[Fraction(float(mat[i, j].real)) for j in range(b)]
-                    for i in range(b)]
-        else:
-            real = [[Fraction(0)] * (2 * b) for _ in range(2 * b)]
-            for i in range(b):
-                for j in range(b):
-                    re = Fraction(float(mat[i, j].real))
-                    im = Fraction(float(mat[i, j].imag))
-                    real[i][j] = re
-                    real[b + i][b + j] = re
-                    real[i][b + j] = -im
-                    real[b + i][j] = im
-        m = len(real)
-        for size in range(1, m + 1):
-            for subset in itertools.combinations(range(m), size):
-                minor = [[real[i][j] for j in subset] for i in subset]
-                if _det_fraction(minor) < 0:
-                    return False
+    return all(exact_psd_pairs([[(Fraction(float(v.real)), Fraction(float(v.imag)))
+                                 for v in row] for row in mat])
+               for mat in elem.data)
+
+
+def exact_psd_pairs(pairs) -> bool:
+    """PSD test for a Hermitian matrix given as (re, im) Fraction pairs.
+
+    A complex Hermitian matrix embeds into a real symmetric one of doubled
+    size; a symmetric matrix is PSD iff all principal minors are >= 0.
+    """
+    m = len(pairs)
+    if all(im == 0 for row in pairs for _, im in row):
+        real = [[re for re, _ in row] for row in pairs]
+    else:
+        real = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
+        for i in range(m):
+            for j in range(m):
+                re, im = pairs[i][j]
+                real[i][j] = re
+                real[m + i][m + j] = re
+                real[i][m + j] = -im
+                real[m + i][j] = im
+    size = len(real)
+    for k in range(1, size + 1):
+        for subset in itertools.combinations(range(size), k):
+            minor = [[real[i][j] for j in subset] for i in subset]
+            if _det_fraction(minor) < 0:
+                return False
     return True
 
 

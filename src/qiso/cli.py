@@ -21,6 +21,10 @@ EXIT_FAILED = 3
 EXIT_GUARD = 4
 
 
+class InvalidInput(QisoError):
+    """An input file that parses but is not what the command needs."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qiso",
@@ -268,11 +272,25 @@ def _winf(args, space, mu, nu) -> int:
 def _check(args) -> int:
     from . import fileio
     from . import isometry as iso
+    from .coaction import verify_coaction
+    from .quantum_group import verify_quantum_group
     action = fileio.load_coaction(args.coaction, tol=args.tol)
+    # The checks assume a Hopf algebra and a magic unitary; faithfulness
+    # is not a hypothesis of any of them.
+    reports = (verify_quantum_group(action.group),
+               verify_coaction(action, args.tol, check_faithful=False))
+    failing = {k: float(v) for rep in reports
+               for k, v in rep.failing(args.tol).items()}
+    if failing:
+        raise InvalidInput(f"{args.coaction} is not a magic-unitary coaction "
+                           f"of a quantum group; failing residuals {failing}")
     p = float("inf") if args.p == "inf" else (
         int(args.p) if args.p.isdigit() else float(args.p))
     if args.state:
         psi = fileio.load_state(args.state, action.group.algebra)
+        if not psi.is_state(args.tol):
+            raise InvalidInput(f"{args.state} is not a state: its densities "
+                               f"must be positive with total trace 1")
         if args.condition == "d":
             verdict = iso.check_D_state(action, psi, tol=args.tol)
         elif args.condition == "lip":

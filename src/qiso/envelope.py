@@ -76,14 +76,6 @@ def kappa_block_map(qg: QuantumGroup, tol: float = 1e-9) -> Dict[int, FrozenSet[
     return out
 
 
-def _block_of_index(alg: FinDimCStarAlgebra, idx: int) -> int:
-    for k in range(len(alg.blocks)):
-        off = alg.offsets[k]
-        if off <= idx < off + alg.blocks[k] ** 2:
-            return k
-    raise IndexError(idx)
-
-
 def _delta_violations(qg: QuantumGroup, included: FrozenSet[int],
                       tol: float) -> List[Tuple[int, int]]:
     """Surviving block pairs (k, l) where Delta of some ideal element has a

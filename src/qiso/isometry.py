@@ -10,16 +10,15 @@ Conditions checked per state or universally over all states of the algebra:
 Universal quantification over states is resolved exactly: the sup of
 psi(a) over states of a block algebra is the largest block eigenvalue, so
 each universal condition reduces to finitely many extremal-eigenvalue
-bounds over polytope vertices (finite p), or to positivity of finitely
-many self-adjoint elements indexed by subsets (the coupling-support
-conditions).  In rational mode positivity is decided by exact principal
+bounds over polytope vertices (finite p), or to the vanishing of the
+pairwise products u_xj u_yk off the (sub)level set (the coupling-support
+conditions).  In rational mode near-ties are re-decided by exact principal
 minors on the rationalized blocks; float mode uses Hermitian eigensolvers
 with one tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,10 +26,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (AlgElement, StateFunctional, exact_psd, extreme_state,
-                      hermitian_max_eig)
+from .algebra import (AlgElement, StateFunctional, exact_psd_pairs,
+                      extreme_state, hermitian_max_eig)
 from .coaction import CoAction, a_element, act_on_function, act_on_point
-from .errors import QisoError, SizeGuardExceeded
+from .errors import QisoError
 from .metric import (ball, level_set, lipschitz_constant, sublevel_set)
 from .scalars import RATIONAL
 from .transport import (ProbVector, enumerate_boxed_dual_vertices,
@@ -122,41 +121,7 @@ def _lambda_max_leq(mat: np.ndarray, bound, tol: float, exact: bool) -> Tuple[bo
     shifted = [[((b - re) if i == j else -re, -im)
                 for j, (re, im) in enumerate(row)]
                for i, row in enumerate(entries)]
-    return _psd_pairs(shifted), margin
-
-
-def _lambda_min_geq0(elem: AlgElement, tol: float, exact: bool) -> Tuple[bool, float]:
-    """Decide elem >= 0 (as an operator); returns (verdict, float min eig)."""
-    lam = elem.min_eig()
-    if not exact or abs(lam) > _BORDERLINE:
-        return lam >= -tol, lam
-    if all(_exact_entries(m) is not None for m in elem.data):
-        return exact_psd(elem), lam
-    return lam >= -tol, lam
-
-
-def _psd_pairs(pairs) -> bool:
-    """PSD test for a Hermitian matrix given as (re, im) Fraction pairs."""
-    from .algebra import _det_fraction
-    m = len(pairs)
-    if all(im == 0 for row in pairs for _, im in row):
-        real = [[re for re, _ in row] for row in pairs]
-    else:
-        real = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
-        for i in range(m):
-            for j in range(m):
-                re, im = pairs[i][j]
-                real[i][j] = re
-                real[m + i][m + j] = re
-                real[i][m + j] = -im
-                real[m + i][j] = im
-    size = len(real)
-    for k in range(1, size + 1):
-        for subset in itertools.combinations(range(size), k):
-            minor = [[real[i][j] for j in subset] for i in subset]
-            if _det_fraction(minor) < 0:
-                return False
-    return True
+    return exact_psd_pairs(shifted), margin
 
 
 def _pairs(n: int):
@@ -445,35 +410,42 @@ def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
 
 
 def _support_universal(action: CoAction, tag: str, level_only: bool,
-                       tol: float, mode: str,
-                       max_points: int = 20) -> IsometryVerdict:
-    """For all x, y and every subset S, the element a_{y;T} - a_{x;S} with
-    T = p12^Y(S) must be positive, where Y is the (sub)level set of d(x,y).
-    Positivity under every state is extremal-eigenvalue positivity."""
+                       tol: float, mode: str) -> IsometryVerdict:
+    """Every state admits a coupling of (x <| psi, y <| psi) on Y, the
+    (sub)level set of d(x,y), iff u_xj u_yk = 0 for every (j, k) outside Y.
+
+    Over all states at once, the marriage theorem's subset condition is
+    the operator inequality a_{x;S} <= a_{y;N(S)} for every S.  Both sides
+    are projections, since each row of u is an orthogonal family of
+    projections summing to 1, so the inequality says a_{x;S} u_yk = 0 for
+    every k outside N(S); that holds for all S iff it holds for singletons
+    (Banica 2005).  Each product is decided blockwise as
+    lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk."""
     space = action.space
     n = space.n
-    if n > max_points:
-        raise SizeGuardExceeded(f"subset exhaustion guarded at n <= {max_points}")
     exact = _use_exact(action, mode)
-    worst = None
+    stacks = [_block_stack(action, b)
+              for b in range(len(action.group.algebra.blocks))]
+    live = [[[j for j in range(n) if stack[x, j].any()] for x in range(n)]
+            for stack in stacks]
+    worst = 0.0
     for x, y in _pairs(n):
         Y = (level_set if level_only else sublevel_set)(space, space.dist[x][y])
-        for size in range(n + 1):
-            for S in itertools.combinations(range(n), size):
-                T = frozenset(j for i in S for j in range(n) if (i, j) in Y)
-                elem = a_element(action, y, T) - a_element(action, x, S)
-                ok, lam = _lambda_min_geq0(elem, tol, exact)
-                if worst is None or lam < worst[0]:
-                    worst = (lam, (x, y), S)
-                if not ok:
-                    k = int(np.argmin([np.linalg.eigvalsh(m)[0]
-                                       for m in elem.data]))
-                    return IsometryVerdict(tag, False, witness={
-                        "pair": (x, y), "subset": list(S),
-                        "min_eigenvalue": lam, "block": k,
-                        "state": _eigen_state(action, k, -elem.data[k])})
-    return IsometryVerdict(tag, True,
-                           certificate={"min_eigenvalue": worst[0] if worst else 0.0})
+        for b, stack in enumerate(stacks):
+            for j in live[b][x]:
+                P = stack[x, j]
+                for k in live[b][y]:
+                    if (j, k) in Y:
+                        continue
+                    mat = P @ stack[y, k] @ P
+                    ok, margin = _lambda_max_leq(mat, 0, tol, exact)
+                    worst = max(worst, margin)
+                    if not ok:
+                        return IsometryVerdict(tag, False, witness={
+                            "pair": (x, y), "points": (j, k), "block": b,
+                            "residual": margin,
+                            "state": _eigen_state(action, b, mat)})
+    return IsometryVerdict(tag, True, certificate={"max_residual": worst})
 
 
 def check_winf_universal(action: CoAction, tol: float = 1e-9,

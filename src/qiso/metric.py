@@ -73,10 +73,6 @@ class PairSet:
         return PairSet(tuple(tuple(a or b for a, b in zip(ra, rb))
                              for ra, rb in zip(self.member, other.member)))
 
-    def issubset(self, other: "PairSet") -> bool:
-        return all(not a or b for ra, rb in zip(self.member, other.member)
-                   for a, b in zip(ra, rb))
-
     @staticmethod
     def from_pairs(n: int, pairs) -> "PairSet":
         grid = [[False] * n for _ in range(n)]

@@ -136,11 +136,6 @@ def dense_to_coeff(algebra: FinDimCStarAlgebra, D: np.ndarray) -> np.ndarray:
     return M
 
 
-def tensor_op_norm(algebra: FinDimCStarAlgebra, M: np.ndarray) -> float:
-    """Operator norm of an element of A (x) A given by coefficients."""
-    return float(np.linalg.norm(coeff_to_dense(algebra, M), 2))
-
-
 # ---------------------------------------------------------------------------
 # verification
 

@@ -27,19 +27,6 @@ def is_rational(x: Scalar) -> bool:
     return isinstance(x, (Fraction, int))
 
 
-def mode_of(x: Scalar) -> str:
-    return RATIONAL if is_rational(x) else FLOAT
-
-
-def close(a: Scalar, b: Scalar, tol: Scalar) -> bool:
-    return abs(a - b) <= tol
-
-
-def leq(a: Scalar, b: Scalar, tol: Scalar) -> bool:
-    """a <= b up to tolerance."""
-    return a - b <= tol
-
-
 def parse_scalar(value, mode: str = RATIONAL) -> Scalar:
     """Read a JSON scalar: a number, or a rational written as "p/q"."""
     if isinstance(value, str):
@@ -48,10 +35,8 @@ def parse_scalar(value, mode: str = RATIONAL) -> Scalar:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"not a scalar: {value!r}")
     if mode == RATIONAL:
-        if isinstance(value, float) and not float(value).is_integer():
-            # Floats in rational input files are accepted verbatim; they are
-            # exact binary rationals by definition.
-            return Fraction(value)
+        # Floats in rational input files are accepted verbatim; they are
+        # exact binary rationals by definition.
         return Fraction(value)
     return float(value)
 
@@ -62,8 +47,4 @@ def format_scalar(x: Scalar):
         return str(x) if x.denominator != 1 else int(x)
     if isinstance(x, int):
         return x
-    return float(x)
-
-
-def as_float(x: Scalar) -> float:
     return float(x)

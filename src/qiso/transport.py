@@ -289,71 +289,6 @@ def solve_transport(mu: ProbVector, nu: ProbVector, cost) -> TransportResult:
                            duals=DualPotentials(f, g, objective))
 
 
-def transport_bruteforce(mu: ProbVector, nu: ProbVector, cost) -> Scalar:
-    """Independent oracle: scan every basic solution of the transportation
-    polytope (all spanning trees of K_{n,n}, flows by leaf elimination) and
-    return the cheapest feasible one.  Exponential; n <= 4 intended.
-    """
-    n = mu.n
-    if n > 5:
-        raise SizeGuardExceeded("bruteforce oracle is for n <= 5")
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    best = None
-    for combo in itertools.combinations(range(n * n), 2 * n - 1):
-        # spanning-tree test on the 2n node bipartite graph, integers only
-        parent = list(range(2 * n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for e in combo:
-            i, j = cells[e]
-            ri, rj = find(i), find(n + j)
-            if ri == rj:
-                acyclic = False
-                break
-            parent[ri] = rj
-        if not acyclic or len({find(v) for v in range(2 * n)}) != 1:
-            continue
-        # Flows by leaf elimination: every edge runs row -> column, so the
-        # flow on a leaf's unique edge is exactly the leaf's residual mass.
-        adjacency = {v: [] for v in range(2 * n)}
-        for e in combo:
-            i, j = cells[e]
-            adjacency[i].append((n + j, e))
-            adjacency[n + j].append((i, e))
-        residual = list(mu.mass) + list(nu.mass)
-        degree = [len(adjacency[v]) for v in range(2 * n)]
-        used = set()
-        leaves = [v for v in range(2 * n) if degree[v] == 1]
-        amount = {}
-        while leaves:
-            v = leaves.pop()
-            if degree[v] != 1:
-                continue
-            w, e = next((w, e) for w, e in adjacency[v] if e not in used)
-            amount[e] = residual[v]
-            residual[w] -= residual[v]
-            residual[v] = 0
-            used.add(e)
-            degree[v] -= 1
-            degree[w] -= 1
-            if degree[w] == 1:
-                leaves.append(w)
-        if len(amount) != 2 * n - 1 or any(v < 0 for v in amount.values()):
-            continue
-        val = sum(cost[cells[e][0]][cells[e][1]] * v for e, v in amount.items())
-        if best is None or val < best:
-            best = val
-    if best is None:
-        raise InfeasibleMarginals("no basic feasible solution found")
-    return best
-
-
 def transport_with_power(space: FiniteMetricSpace, mu: ProbVector,
                          nu: ProbVector, p) -> TransportResult:
     """solve_transport with cost d^p; the result's value is W_p^p, exact
@@ -736,50 +671,4 @@ def enumerate_boxed_dual_vertices(space: FiniteMetricSpace, p,
             comp[ru] = ru
 
     grow(0)
-    return list(seen.values())
-
-
-def boxed_dual_vertices_bruteforce(space: FiniteMetricSpace,
-                                   p) -> List[DualPotentials]:
-    """Literal active-set oracle for the same sliced boxed polytope:
-    choose dim-many constraints from the full list, solve, test feasibility.
-    Exponential in n^2; intended for n <= 3 cross-checks only."""
-    n = space.n
-    if n > 3:
-        raise SizeGuardExceeded("bruteforce dual enumeration is for n <= 3")
-    eps = tol_for(space.mode, space.tol)
-    cost = _power_cost(space, p)
-    zero = cost[0][0] * 0
-    C = max(max(row) for row in cost)
-    nvars = 2 * n - 1
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [zero] * nvars
-            row[i] = row[i] + 1
-            if j < n - 1:
-                row[n + j] = row[n + j] + 1
-            rows.append((row, cost[i][j]))
-    for v in range(nvars):
-        row = [zero] * nvars
-        row[v] = row[v] + 1
-        rows.append((row, 2 * C))
-        row2 = [zero] * nvars
-        row2[v] = row2[v] - 1
-        rows.append((row2, 2 * C))
-
-    seen = {}
-    for combo in itertools.combinations(range(len(rows)), nvars):
-        A = [rows[k][0] for k in combo]
-        b = [rows[k][1] for k in combo]
-        sol = _solve_linear(A, b)
-        if sol is None:
-            continue
-        if any(sum(c * x for c, x in zip(row, sol)) - rhs > eps
-               for row, rhs in rows):
-            continue
-        f = tuple(sol[:n])
-        g = tuple(sol[n:]) + (zero,)
-        key = (f, g) if not eps else tuple(round(float(v), 9) for v in sol)
-        seen.setdefault(key, DualPotentials(f, g))
     return list(seen.values())

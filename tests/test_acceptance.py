@@ -24,8 +24,10 @@ from qiso.metric import PairSet, random_metric_space
 from qiso.quantum_group import verify_quantum_group
 from qiso.reports import instance_descriptors, build_instance, SearchConfig
 from qiso.transport import (ProbVector, kantorovich_w1, prob_vector,
-                            solve_transport, transport_bruteforce,
-                            transport_with_power, wasserstein_inf)
+                            solve_transport, transport_with_power,
+                            wasserstein_inf)
+
+from oracles import transport_bruteforce
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):

@@ -15,7 +15,8 @@ from qiso.fileio import (distribution_to_dict, load_coaction, load_distribution,
                          quantum_group_to_dict, save_coaction,
                          save_quantum_group, save_space, space_from_dict,
                          space_to_dict, state_from_dict, state_to_dict)
-from qiso.algebra import random_state
+from qiso.algebra import StateFunctional, random_state
+from qiso.coaction import CoAction
 from qiso.metric import validate_metric
 from qiso.quantum_group import verify_quantum_group
 from qiso.scalars import format_scalar, parse_scalar
@@ -204,6 +205,35 @@ def test_cli_check_state(tmp_path, capsys):
     code, doc = run_cli(capsys, "check", str(path), "--condition", "lip",
                         "--p", "1", "--state", str(spath))
     assert code == 0 and doc["holds"]
+
+
+@pytest.mark.parametrize("argv", [("--condition", "d"), ("--condition", "winf"),
+                                  ("--condition", "thm-main"),
+                                  ("--condition", "lip", "--p", "2")])
+def test_cli_check_rejects_non_magic_unitary(tmp_path, capsys, argv):
+    act = dihedral_projection_action(four_point_blocks(), 4)
+    u = [list(row) for row in act.u]
+    u[0][0] = 2 * u[0][0]
+    path = tmp_path / "doubled.json"
+    save_coaction(str(path), CoAction(act.group, act.space, u))
+    code = main(["check", str(path), *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert "entries_idempotent" in err and "row_sums" in err
+
+
+def test_cli_check_rejects_non_state(tmp_path, capsys):
+    act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
+    path = tmp_path / "act.json"
+    save_coaction(str(path), act)
+    eps = act.group.counit_state()
+    doubled = StateFunctional(eps.owner,
+                              tuple(2 * rho for rho in eps.densities))
+    spath = tmp_path / "doubled-state.json"
+    spath.write_text(json.dumps(state_to_dict(doubled)))
+    code = main(["check", str(path), "--condition", "d", "--state", str(spath)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out and "not a state" in err
 
 
 def test_cli_catalog_and_emit(tmp_path, capsys):

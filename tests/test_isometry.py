@@ -7,6 +7,7 @@ from qiso.algebra import extreme_state, random_state
 from qiso.catalog import (cycle_metric, dihedral_projection_action,
                           equilateral_metric, four_point_blocks,
                           four_point_asymmetric, permutation_action,
+                          random_permutation_action, random_quantum_action,
                           standard_actions, three_point_isosceles,
                           trivial_action)
 from qiso.isometry import (HypothesisViolated, check_ball_identity, check_D,
@@ -16,6 +17,9 @@ from qiso.isometry import (HypothesisViolated, check_ball_identity, check_D,
                            check_lip_p_universal, check_lip_seminorm_state,
                            check_orthogonality, check_theorem_main,
                            check_winf_universal, sample_orthogonality_inputs)
+from qiso.metric import random_metric_space
+
+from oracles import support_universal_bruteforce
 
 
 def classical_isometries(action):
@@ -160,6 +164,63 @@ def test_theorem_main_implies_winf():
         tm = check_theorem_main(entry.action).holds
         wi = check_winf_universal(entry.action).holds
         assert (not tm) or wi
+
+
+def _support_population():
+    """The catalog plus 200 seeded random actions on at most 5 points."""
+    out = [entry.action for entry in standard_actions()]
+    for seed in range(200):
+        if seed % 4 == 3:
+            out.append(random_quantum_action(seed))
+        else:
+            model = ("shortest-path-graph", "euclidean-sample")[seed % 2]
+            space = random_metric_space(3 + seed % 3, seed, model)
+            out.append(random_permutation_action(space, seed))
+    return out
+
+
+def test_support_criterion_matches_subset_oracle():
+    """The pairwise orthogonality criterion gives the subset exhaustion's
+    verdict, and each failure's witness state fails the per-state check."""
+    mismatches = []
+    checked = {True: 0, False: 0}
+    for action in _support_population():
+        for mode in ("auto", "float"):
+            for level_only, fn in ((True, check_theorem_main),
+                                   (False, check_winf_universal)):
+                verdict = fn(action, mode=mode)
+                oracle = support_universal_bruteforce(action, "oracle", level_only,
+                                                      1e-9, mode)
+                checked[verdict.holds] += 1
+                if verdict.holds != oracle.holds:
+                    mismatches.append((action.name, mode, level_only))
+                if verdict.holds:
+                    continue
+                psi = verdict.witness["state"]
+                if level_only:
+                    assert not check_level_coupling_state(action, psi).holds
+                else:
+                    assert not check_lip_p_state(action, psi, float("inf")).holds
+    assert not mismatches
+    assert checked[True] and checked[False]
+
+
+def test_support_criterion_has_no_size_guard():
+    """The criterion is polynomial, so 21 points (2^21 subsets) are fine."""
+    n = 21
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple((-i) % n for i in range(n))
+    swap = (1, 0) + tuple(range(2, n))
+    dihedral = permutation_action(cycle_metric(n), [rotation, reflection])
+    broken = permutation_action(cycle_metric(n), [swap])
+    d = broken.space.dist
+    for fn, outside in ((check_theorem_main, lambda r, s: r != s),
+                        (check_winf_universal, lambda r, s: r > s)):
+        assert fn(dihedral).holds
+        verdict = fn(broken)
+        assert not verdict.holds
+        (x, y), (j, k) = verdict.witness["pair"], verdict.witness["points"]
+        assert outside(d[j][k], d[x][y])
 
 
 def test_level_coupling_per_state_classical():

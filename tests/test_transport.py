@@ -7,13 +7,14 @@ import pytest
 
 from qiso.metric import PairSet, random_metric_space, validate_metric
 from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
-                            boxed_dual_vertices_bruteforce,
                             enumerate_boxed_dual_vertices,
                             enumerate_lipschitz_vertices, feasible_coupling_on,
                             kantorovich_w1, prob_vector, solve_transport,
-                            transport_bruteforce, transport_with_power,
-                            wasserstein_inf, wasserstein_p)
+                            transport_with_power, wasserstein_inf,
+                            wasserstein_p)
 from qiso.errors import SizeGuardExceeded
+
+from oracles import boxed_dual_vertices_bruteforce, transport_bruteforce
 
 TWO = validate_metric([[F(0), F(1)], [F(1), F(0)]])
 THREE = validate_metric([[F(0), F(1), F(2)], [F(1), F(0), F(2)], [F(2), F(2), F(0)]])
