@@ -223,7 +223,7 @@ def _dispatch(args) -> int:
     if args.command == "envelope":
         from .envelope import envelope
         from .fileio import quantum_group_to_dict
-        action = fileio.load_coaction(args.coaction, tol=args.tol)
+        action = _load_coaction(args)
         env = envelope(action, tol=args.tol)
         _emit(args, {
             "original_dimension": action.group.dim,
@@ -269,14 +269,15 @@ def _winf(args, space, mu, nu) -> int:
     return EXIT_OK
 
 
-def _check(args) -> int:
+def _load_coaction(args):
+    """Load args.coaction, rejecting a file that is not a magic-unitary
+    coaction of a quantum group.  The isometry checks and the envelope
+    assume a Hopf algebra and a magic unitary; faithfulness is not a
+    hypothesis of any of them."""
     from . import fileio
-    from . import isometry as iso
     from .coaction import verify_coaction
     from .quantum_group import verify_quantum_group
     action = fileio.load_coaction(args.coaction, tol=args.tol)
-    # The checks assume a Hopf algebra and a magic unitary; faithfulness
-    # is not a hypothesis of any of them.
     reports = (verify_quantum_group(action.group),
                verify_coaction(action, args.tol, check_faithful=False))
     failing = {k: float(v) for rep in reports
@@ -284,6 +285,13 @@ def _check(args) -> int:
     if failing:
         raise InvalidInput(f"{args.coaction} is not a magic-unitary coaction "
                            f"of a quantum group; failing residuals {failing}")
+    return action
+
+
+def _check(args) -> int:
+    from . import fileio
+    from . import isometry as iso
+    action = _load_coaction(args)
     p = float("inf") if args.p == "inf" else (
         int(args.p) if args.p.isdigit() else float(args.p))
     if args.state:

@@ -1,16 +1,19 @@
 """Optimal transport on finite spaces with primal/dual certificates.
 
 The workhorse is a primal network simplex for uncapacitated min-cost flow
-(spanning-tree bases, Bland's rule), run with exact rational pivots when the
-data is rational.  Transportation plans, Kantorovich potentials, coupling
-feasibility on a restricted support (via max-flow/min-cut), the bottleneck
-distance, and exhaustive vertex enumeration of the two dual polytopes all
-live here.
+(spanning-tree bases kept as parent/depth arrays, Bland's rule).  Rational
+data is scaled to integers once, by the lcm of its denominators, and
+pivoted exactly in plain ints; the answers are scaled back at the end.
+Transportation plans, Kantorovich potentials, coupling feasibility on a
+restricted support (via max-flow/min-cut, on the same integer scaling),
+the bottleneck distance, and exhaustive vertex enumeration of the two dual
+polytopes all live here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,6 +134,13 @@ class TransportResult:
 _MAX_PIVOTS = 200_000
 
 
+def _integer_scale(values) -> Tuple[List[int], int]:
+    """Integers k and the least s > 0 with values[i] == k[i] / s, for
+    rational (int or Fraction) values."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
                   demand: Sequence[Scalar], tol: float = 1e-9):
     """Primal network simplex for uncapacitated min-cost flow.
@@ -141,119 +151,146 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     equality on arcs carrying flow.  Starts from an all-artificial basis
     rooted at a virtual node; Bland's rule (lowest arc index enters, lowest
     index leaves among ties) prevents cycling under exact pivots.
+
+    Rational data is scaled once to integers (costs by the lcm of their
+    denominators, demands by theirs), so every pivot adds and compares
+    plain ints; the results are scaled back at the end.  The spanning tree
+    is kept as parent/parent-arc/depth arrays with child sets: a pivot
+    walks the cycle up to the lowest common ancestor, re-roots the subtree
+    cut off by the leaving arc at the entering arc's endpoint, and
+    recomputes potentials in that subtree only, each from its parent's, so
+    that float potentials equal those of a rebuild from the root.
     """
     rational = all(is_rational(c) for _, _, c in arcs) and \
         all(is_rational(b) for b in demand)
     eps = tol_for(RATIONAL if rational else "float", tol)
-    piv_eps = Fraction(0) if rational else 1e-12
 
     total = sum(demand)
     if abs(total) > eps:
         raise InfeasibleMarginals(f"demands sum to {total}, not 0")
 
-    root = num_nodes
-    big = sum(abs(c) for _, _, c in arcs) + 1
+    m = len(arcs)
+    tail = [u for u, _, _ in arcs]
+    head = [v for _, v, _ in arcs]
     if rational:
-        big = Fraction(big)
-    work_arcs = list(arcs)
-    basis = []
-    flows = {}
+        # big is the unscaled big-M, sum |c| + 1, times cs: every reduced
+        # cost is the unscaled one times cs, so every pivot is unchanged.
+        cost, cs = _integer_scale([c for _, _, c in arcs])
+        supply, ds = _integer_scale(demand)
+        big = sum(abs(c) for c in cost) + cs
+        piv_eps = 0
+    else:
+        cost = [c for _, _, c in arcs]
+        supply = list(demand)
+        big = sum(abs(c) for c in cost) + 1
+        piv_eps = 1e-12
+    zero = big * 0
+
+    root = num_nodes
+    flow = [zero] * m
+    basic = [False] * m
+    parent = [root] * (num_nodes + 1)
+    parc = [-1] * (num_nodes + 1)
+    depth = [1] * (num_nodes + 1)
+    depth[root] = 0
+    children = [set() for _ in range(num_nodes + 1)]
+    children[root].update(range(num_nodes))
+    pi = [zero] * (num_nodes + 1)
     for v in range(num_nodes):
-        b = demand[v]
+        b = supply[v]
         if b >= 0:
-            work_arcs.append((root, v, big))
+            tail.append(root)
+            head.append(v)
+            pi[v] = pi[root] + big
         else:
-            work_arcs.append((v, root, big))
-        idx = len(work_arcs) - 1
-        basis.append(idx)
-        flows[idx] = abs(b)
-
-    n_all = num_nodes + 1
-
-    def tree_adjacency():
-        adj = {v: [] for v in range(n_all)}
-        for a in basis:
-            u, v, _ = work_arcs[a]
-            adj[u].append((v, a, 1))   # +1: arc points away from u
-            adj[v].append((u, a, -1))
-        return adj
-
-    def potentials(adj):
-        pi = [None] * n_all
-        pi[root] = big * 0  # zero of the right scalar type
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, a, sign in adj[u]:
-                if pi[v] is None:
-                    c = work_arcs[a][2]
-                    pi[v] = pi[u] + c if sign > 0 else pi[u] - c
-                    queue.append(v)
-        return pi
+            tail.append(v)
+            head.append(root)
+            pi[v] = pi[root] - big
+        cost.append(big)
+        flow.append(abs(b))
+        basic.append(True)
+        parc[v] = m + v
+    work = list(zip(tail, head, cost))
 
     for _ in range(_MAX_PIVOTS):
-        adj = tree_adjacency()
-        pi = potentials(adj)
         entering = -1
-        for a, (u, v, c) in enumerate(work_arcs):
-            if a in flows:
-                continue
-            if c + pi[u] - pi[v] < -piv_eps:
+        for a, (u, v, c) in enumerate(work):
+            if c + pi[u] - pi[v] < -piv_eps and not basic[a]:
                 entering = a
                 break
         if entering < 0:
             break
-        eu, ev, _ = work_arcs[entering]
-        # tree path ev -> eu; cycle orientation follows the entering arc
-        parent = {ev: None}
-        queue = deque([ev])
-        while eu not in parent:
-            u = queue.popleft()
-            for v, a, sign in adj[u]:
-                if v not in parent:
-                    parent[v] = (u, a, sign)
-                    queue.append(v)
-        # The BFS ran from ev toward eu, so each recorded parent edge is
-        # traversed u -> child in the same direction the cycle flow runs
-        # (entering eu -> ev, then tree walk ev -> ... -> eu).  sign > 0
-        # means the arc is oriented with the cycle and gains theta; sign < 0
-        # means it opposes the cycle and loses theta.
-        path = []
-        node = eu
-        while parent[node] is not None:
-            u, a, sign = parent[node]
-            path.append((a, sign))
-            node = u
-        theta = None
-        leaving = -1
-        for a, sign in path:
-            if sign < 0:
-                if theta is None or flows[a] < theta or \
-                        (flows[a] == theta and a < leaving):
-                    theta = flows[a]
-                    leaving = a
+        eu, ev = tail[entering], head[entering]
+        # The cycle runs eu -> ev over the entering arc, then back along
+        # the tree path ev -> lca -> eu.  A tree arc oriented with it gains
+        # theta, one against it loses theta; the leaving arc is the losing
+        # arc of least flow, lowest index among ties.  q is the child
+        # endpoint of the leaving arc; the subtree under q holds w_in.
+        gain, lose = [], []
+        leaving, q, w_in = -1, -1, -1
+        u, v = eu, ev
+        while u != v:
+            if depth[u] > depth[v]:
+                a = parc[u]          # walked parent[u] -> u
+                if head[a] == u:
+                    gain.append(a)
+                else:
+                    lose.append(a)
+                    if leaving < 0 or (flow[a], a) < (flow[leaving], leaving):
+                        leaving, q, w_in = a, u, eu
+                u = parent[u]
+            else:
+                a = parc[v]          # walked v -> parent[v]
+                if tail[a] == v:
+                    gain.append(a)
+                else:
+                    lose.append(a)
+                    if leaving < 0 or (flow[a], a) < (flow[leaving], leaving):
+                        leaving, q, w_in = a, v, ev
+                v = parent[v]
         if leaving < 0:
             raise UnboundedFlow("negative-cost cycle with no reverse arc")
+        theta = flow[leaving]
         if theta < 0:  # float fuzz on a degenerate basis
             theta = 0 * theta
-        flows[entering] = theta
-        for a, sign in path:
-            flows[a] = flows[a] + theta if sign > 0 else flows[a] - theta
-        basis.remove(leaving)
-        basis.append(entering)
-        del flows[leaving]
+        flow[entering] = theta
+        for a in gain:
+            flow[a] += theta
+        for a in lose:
+            flow[a] -= theta
+        flow[leaving] = zero
+        basic[leaving] = False
+        basic[entering] = True
+
+        # Re-root the subtree under q at w_in, hanging it from the other
+        # endpoint of the entering arc, then refresh depth and potentials
+        # below w_in from each node's new parent.
+        children[parent[q]].discard(q)
+        x, p, a = w_in, (ev if w_in == eu else eu), entering
+        while x != q:
+            nxt, na = parent[x], parc[x]
+            children[nxt].discard(x)
+            parent[x], parc[x] = p, a
+            children[p].add(x)
+            x, p, a = nxt, x, na
+        parent[q], parc[q] = p, a
+        children[p].add(q)
+        stack = [w_in]
+        while stack:
+            x = stack.pop()
+            p, a = parent[x], parc[x]
+            depth[x] = depth[p] + 1
+            pi[x] = pi[p] + cost[a] if tail[a] == p else pi[p] - cost[a]
+            stack.extend(children[x])
     else:
         raise QisoError("network simplex failed to terminate")
 
-    for a in basis:
-        u, v, _ = work_arcs[a]
-        if (u == root or v == root) and flows[a] > eps:
-            raise InfeasibleMarginals("artificial arc carries flow at optimum")
-    adj = tree_adjacency()
-    pi = potentials(adj)
-    out = [flows.get(a, None) for a in range(len(arcs))]
-    zero = big * 0
-    return [zero if f is None else f for f in out], pi[:num_nodes]
+    if any(basic[a] and flow[a] > eps for a in range(m, m + num_nodes)):
+        raise InfeasibleMarginals("artificial arc carries flow at optimum")
+    if rational:
+        return ([Fraction(f, ds) for f in flow[:m]],
+                [Fraction(p, cs) for p in pi[:num_nodes]])
+    return flow[:m], pi[:num_nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +326,20 @@ def solve_transport(mu: ProbVector, nu: ProbVector, cost) -> TransportResult:
                            duals=DualPotentials(f, g, objective))
 
 
+def _power_cost(space, p):
+    """The cost matrix d^p: exact for a positive integer p, float otherwise."""
+    if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
+        return [[v ** int(p) for v in row] for row in space.dist]
+    return [[float(v) ** float(p) for v in row] for row in space.dist]
+
+
 def transport_with_power(space: FiniteMetricSpace, mu: ProbVector,
                          nu: ProbVector, p) -> TransportResult:
     """solve_transport with cost d^p; the result's value is W_p^p, exact
     when the space and marginals are rational and p is a positive integer."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
-        cost = [[v ** int(p) for v in row] for row in space.dist]
-    else:
-        cost = [[float(v) ** float(p) for v in row] for row in space.dist]
-    return solve_transport(mu, nu, cost)
+    return solve_transport(mu, nu, _power_cost(space, p))
 
 
 def wasserstein_p(space: FiniteMetricSpace, mu: ProbVector, nu: ProbVector,
@@ -351,79 +391,86 @@ def feasible_coupling_on(mu: ProbVector, nu: ProbVector, Y: PairSet,
     Max-flow: source->i with capacity mu_i, j->sink with capacity nu_j,
     uncapacitated arcs on Y; a coupling exists iff the max flow is 1.  On
     failure the source side of a min cut yields S with nu(p12^Y(S)) < mu(S).
+    Rational marginals are scaled once to integers by the lcm of their
+    denominators, so the augmentations run on plain ints.
     """
     n = mu.n
     if nu.n != n or Y.n != n:
         raise DimensionMismatch("marginals and pair set sizes differ")
-    eps = tol_for(_mode_of(mu.mass, nu.mass), tol)
+    mode = _mode_of(mu.mass, nu.mass)
+    eps = tol_for(mode, tol)
     if abs(sum(mu.mass) - sum(nu.mass)) > eps:
         raise InfeasibleMarginals("marginal masses differ")
 
+    rational = mode == RATIONAL
+    if rational:
+        mass, scale = _integer_scale(mu.mass + nu.mass)
+        eps = 0  # an int, so that the loop compares ints only
+    else:
+        mass, scale = list(mu.mass + nu.mass), 1
+    zero = 0 * mass[0]
     source, sink = 2 * n, 2 * n + 1
-    two = Fraction(2) if eps == 0 else 2.0
-    cap = {}
-    for i in range(n):
-        cap[(source, i)] = mu.mass[i]
-    for j in range(n):
-        cap[(n + j, sink)] = nu.mass[j]
-    for i, j in Y.pairs():
-        cap[(i, n + j)] = two
-
-    adj = {v: [] for v in range(2 * n + 2)}
-    for (u, v) in cap:
-        adj[u].append(v)
-        adj[v].append(u)
-    flow = {e: 0 * mu.mass[0] for e in cap}
-
-    def residual(u, v):
-        r = 0 * mu.mass[0]
-        if (u, v) in cap:
-            r += cap[(u, v)] - flow[(u, v)]
-        if (v, u) in cap:
-            r += flow[(v, u)]
-        return r
+    ends = [(source, i) for i in range(n)] + \
+        [(n + j, sink) for j in range(n)] + \
+        [(i, n + j) for i, j in Y.pairs()]
+    cap = mass + [2 * scale] * (len(ends) - 2 * n)
+    flow = [zero] * len(ends)
+    # adj[u] lists (v, arc, forward): residual cap - flow forward, flow back
+    adj = [[] for _ in range(2 * n + 2)]
+    for a, (u, v) in enumerate(ends):
+        adj[u].append((v, a, True))
+        adj[v].append((u, a, False))
 
     def bfs():
-        parent = {source: None}
+        """Shortest augmenting path as (arc, forward) pairs, or None, and
+        the predecessor table of the nodes reached."""
+        pred = [None] * (2 * n + 2)
+        pred[source] = (source, -1, True)
         queue = deque([source])
         while queue:
             u = queue.popleft()
             if u == sink:
                 break
-            for v in adj[u]:
-                if v not in parent and residual(u, v) > eps:
-                    parent[v] = u
+            for v, a, fwd in adj[u]:
+                if pred[v] is None and \
+                        (cap[a] - flow[a] if fwd else flow[a]) > eps:
+                    pred[v] = (u, a, fwd)
                     queue.append(v)
-        if sink not in parent:
-            return None, parent
+        if pred[sink] is None:
+            return None, pred
         path = []
         node = sink
-        while parent[node] is not None:
-            path.append((parent[node], node))
-            node = parent[node]
-        return list(reversed(path)), parent
+        while node != source:
+            node, a, fwd = pred[node]
+            path.append((a, fwd))
+        return path, pred
 
     while True:
         path, reach = bfs()
         if path is None:
             break
-        bottleneck = min(residual(u, v) for u, v in path)
-        for u, v in path:
-            if (u, v) in cap and cap[(u, v)] - flow[(u, v)] >= bottleneck:
-                flow[(u, v)] += bottleneck
+        bottleneck = min(cap[a] - flow[a] if fwd else flow[a]
+                         for a, fwd in path)
+        for a, fwd in path:
+            if fwd:
+                flow[a] += bottleneck
             else:
-                flow[(v, u)] -= bottleneck
+                flow[a] -= bottleneck
 
-    value = sum(flow[(source, i)] for i in range(n))
-    if abs(value - 1) <= max(eps * n, eps):
+    value = sum(flow[:n])
+    if rational:
+        feasible = value == scale
+    else:
+        feasible = abs(value - 1) <= max(eps * n, eps)
+    if feasible:
         plan = [[0 * mu.mass[0]] * n for _ in range(n)]
-        for i, j in Y.pairs():
-            plan[i][j] = flow[(i, n + j)]
+        for a in range(2 * n, len(ends)):
+            i, j = ends[a]
+            plan[i][j - n] = Fraction(flow[a], scale) if rational else flow[a]
         return CouplingFeasibility(True, Coupling(
             tuple(tuple(row) for row in plan), mu, nu), None)
 
-    _, reach = bfs()
-    S = frozenset(i for i in range(n) if i in reach)
+    S = frozenset(i for i in range(n) if reach[i] is not None)
     neighborhood = frozenset(j for i in S for j in range(n) if (i, j) in Y)
     return CouplingFeasibility(False, None, S,
                                mu_S=mu(S), nu_neighborhood=nu(neighborhood))
@@ -539,12 +586,6 @@ def enumerate_lipschitz_vertices(space: FiniteMetricSpace,
     return list(seen.values())
 
 
-def _power_cost(space, p):
-    if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
-        return [[v ** int(p) for v in row] for row in space.dist]
-    return [[float(v) ** float(p) for v in row] for row in space.dist]
-
-
 def enumerate_boxed_dual_vertices(space: FiniteMetricSpace, p,
                                   max_points: int = 8) -> List[DualPotentials]:
     """Vertices of the boxed, normalized Kantorovich dual polytope
@@ -576,9 +617,8 @@ def enumerate_boxed_dual_vertices(space: FiniteMetricSpace, p,
         # Rescale to plain integers: the enumeration only adds, subtracts
         # and compares, so scaling by the common denominator is exact and
         # an order of magnitude faster than Fraction arithmetic.
-        import math
-        scale = math.lcm(*(Fraction(v).denominator for row in cost for v in row))
-        work = [[int(v * scale) for v in row] for row in cost]
+        flat, scale = _integer_scale([v for row in cost for v in row])
+        work = [flat[i * n:(i + 1) * n] for i in range(n)]
         eps = 0
     else:
         scale = 1

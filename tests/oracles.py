@@ -1,10 +1,16 @@
-"""Brute-force oracles that the test suite compares qiso's procedures with.
+"""Reference procedures that the test suite compares qiso's with.
 
-Each one decides its question by exhaustive enumeration, independently of
-the algorithm it checks, and is exponential in the number of points:
+Each one decides its question independently of the algorithm it checks;
+all but `min_cost_flow_reference` do so by exhaustive enumeration and are
+exponential in the number of points:
 
 - transport_bruteforce: every basic solution of the transportation
   polytope, against the network simplex;
+- min_cost_flow_reference: the network simplex as first written, in the
+  data's own scalars (Fraction pivots) with the tree adjacency and the
+  potentials rebuilt on every pivot; not exponential, but independent of
+  the integer-scaled, incrementally maintained tree of `min_cost_flow`,
+  which must return the same flows and potentials;
 - boxed_dual_vertices_bruteforce: every active set of the boxed dual
   polytope, against the forest enumerator;
 - support_universal_bruteforce: positivity of a_{y;N(S)} - a_{x;S} for
@@ -13,19 +19,22 @@ the algorithm it checks, and is exponential in the number of points:
 """
 
 import itertools
-from typing import List, Tuple
+from collections import deque
+from fractions import Fraction
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from qiso.algebra import AlgElement, exact_psd
 from qiso.coaction import CoAction, a_element
-from qiso.errors import SizeGuardExceeded
+from qiso.errors import QisoError, SizeGuardExceeded
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, _eigen_state,
                            _exact_entries, _pairs, _use_exact)
 from qiso.metric import FiniteMetricSpace, level_set, sublevel_set
-from qiso.scalars import Scalar, tol_for
-from qiso.transport import (DualPotentials, InfeasibleMarginals, ProbVector,
-                            _power_cost, _solve_linear)
+from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
+from qiso.transport import (_MAX_PIVOTS, DualPotentials, InfeasibleMarginals,
+                            ProbVector, UnboundedFlow, _power_cost,
+                            _solve_linear)
 
 
 def transport_bruteforce(mu: ProbVector, nu: ProbVector, cost) -> Scalar:
@@ -91,6 +100,132 @@ def transport_bruteforce(mu: ProbVector, nu: ProbVector, cost) -> Scalar:
     if best is None:
         raise InfeasibleMarginals("no basic feasible solution found")
     return best
+
+
+def min_cost_flow_reference(num_nodes: int,
+                            arcs: List[Tuple[int, int, Scalar]],
+                            demand: Sequence[Scalar], tol: float = 1e-9):
+    """Primal network simplex for uncapacitated min-cost flow.
+
+    demand[v] is the required net inflow at v (negative for supply); the
+    demands must balance.  Returns (flows per arc, node potentials).  The
+    potentials satisfy pi[v] - pi[u] <= cost(u,v) on every arc, with
+    equality on arcs carrying flow.  Starts from an all-artificial basis
+    rooted at a virtual node; Bland's rule (lowest arc index enters, lowest
+    index leaves among ties) prevents cycling under exact pivots.
+    """
+    rational = all(is_rational(c) for _, _, c in arcs) and \
+        all(is_rational(b) for b in demand)
+    eps = tol_for(RATIONAL if rational else "float", tol)
+    piv_eps = Fraction(0) if rational else 1e-12
+
+    total = sum(demand)
+    if abs(total) > eps:
+        raise InfeasibleMarginals(f"demands sum to {total}, not 0")
+
+    root = num_nodes
+    big = sum(abs(c) for _, _, c in arcs) + 1
+    if rational:
+        big = Fraction(big)
+    work_arcs = list(arcs)
+    basis = []
+    flows = {}
+    for v in range(num_nodes):
+        b = demand[v]
+        if b >= 0:
+            work_arcs.append((root, v, big))
+        else:
+            work_arcs.append((v, root, big))
+        idx = len(work_arcs) - 1
+        basis.append(idx)
+        flows[idx] = abs(b)
+
+    n_all = num_nodes + 1
+
+    def tree_adjacency():
+        adj = {v: [] for v in range(n_all)}
+        for a in basis:
+            u, v, _ = work_arcs[a]
+            adj[u].append((v, a, 1))   # +1: arc points away from u
+            adj[v].append((u, a, -1))
+        return adj
+
+    def potentials(adj):
+        pi = [None] * n_all
+        pi[root] = big * 0  # zero of the right scalar type
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v, a, sign in adj[u]:
+                if pi[v] is None:
+                    c = work_arcs[a][2]
+                    pi[v] = pi[u] + c if sign > 0 else pi[u] - c
+                    queue.append(v)
+        return pi
+
+    for _ in range(_MAX_PIVOTS):
+        adj = tree_adjacency()
+        pi = potentials(adj)
+        entering = -1
+        for a, (u, v, c) in enumerate(work_arcs):
+            if a in flows:
+                continue
+            if c + pi[u] - pi[v] < -piv_eps:
+                entering = a
+                break
+        if entering < 0:
+            break
+        eu, ev, _ = work_arcs[entering]
+        # tree path ev -> eu; cycle orientation follows the entering arc
+        parent = {ev: None}
+        queue = deque([ev])
+        while eu not in parent:
+            u = queue.popleft()
+            for v, a, sign in adj[u]:
+                if v not in parent:
+                    parent[v] = (u, a, sign)
+                    queue.append(v)
+        # The BFS ran from ev toward eu, so each recorded parent edge is
+        # traversed u -> child in the same direction the cycle flow runs
+        # (entering eu -> ev, then tree walk ev -> ... -> eu).  sign > 0
+        # means the arc is oriented with the cycle and gains theta; sign < 0
+        # means it opposes the cycle and loses theta.
+        path = []
+        node = eu
+        while parent[node] is not None:
+            u, a, sign = parent[node]
+            path.append((a, sign))
+            node = u
+        theta = None
+        leaving = -1
+        for a, sign in path:
+            if sign < 0:
+                if theta is None or flows[a] < theta or \
+                        (flows[a] == theta and a < leaving):
+                    theta = flows[a]
+                    leaving = a
+        if leaving < 0:
+            raise UnboundedFlow("negative-cost cycle with no reverse arc")
+        if theta < 0:  # float fuzz on a degenerate basis
+            theta = 0 * theta
+        flows[entering] = theta
+        for a, sign in path:
+            flows[a] = flows[a] + theta if sign > 0 else flows[a] - theta
+        basis.remove(leaving)
+        basis.append(entering)
+        del flows[leaving]
+    else:
+        raise QisoError("network simplex failed to terminate")
+
+    for a in basis:
+        u, v, _ = work_arcs[a]
+        if (u == root or v == root) and flows[a] > eps:
+            raise InfeasibleMarginals("artificial arc carries flow at optimum")
+    adj = tree_adjacency()
+    pi = potentials(adj)
+    out = [flows.get(a, None) for a in range(len(arcs))]
+    zero = big * 0
+    return [zero if f is None else f for f in out], pi[:num_nodes]
 
 
 def boxed_dual_vertices_bruteforce(space: FiniteMetricSpace,

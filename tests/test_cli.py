@@ -207,16 +207,29 @@ def test_cli_check_state(tmp_path, capsys):
     assert code == 0 and doc["holds"]
 
 
-@pytest.mark.parametrize("argv", [("--condition", "d"), ("--condition", "winf"),
-                                  ("--condition", "thm-main"),
-                                  ("--condition", "lip", "--p", "2")])
-def test_cli_check_rejects_non_magic_unitary(tmp_path, capsys, argv):
+def doubled_entry_coaction(tmp_path) -> str:
+    """A coaction file whose u[0][0] is doubled: no longer a projection,
+    and its row no longer sums to 1."""
     act = dihedral_projection_action(four_point_blocks(), 4)
     u = [list(row) for row in act.u]
     u[0][0] = 2 * u[0][0]
     path = tmp_path / "doubled.json"
     save_coaction(str(path), CoAction(act.group, act.space, u))
-    code = main(["check", str(path), *argv])
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("--condition", "d"), ("--condition", "winf"),
+                                  ("--condition", "thm-main"),
+                                  ("--condition", "lip", "--p", "2")])
+def test_cli_check_rejects_non_magic_unitary(tmp_path, capsys, argv):
+    code = main(["check", doubled_entry_coaction(tmp_path), *argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert "entries_idempotent" in err and "row_sums" in err
+
+
+def test_cli_envelope_rejects_non_magic_unitary(tmp_path, capsys):
+    code = main(["envelope", doubled_entry_coaction(tmp_path)])
     out, err = capsys.readouterr()
     assert code == 2 and not out
     assert "entries_idempotent" in err and "row_sums" in err

@@ -1,5 +1,7 @@
 """Isometry condition checks, cross-validated against classical oracles."""
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,16 @@ from qiso.catalog import (cycle_metric, dihedral_projection_action,
                           random_permutation_action, random_quantum_action,
                           standard_actions, three_point_isosceles,
                           trivial_action)
-from qiso.isometry import (HypothesisViolated, check_ball_identity, check_D,
-                           check_D_commutant, check_D_state,
-                           check_injectivity, check_level_coupling_state,
-                           check_lip1_universal, check_lip_p_state,
-                           check_lip_p_universal, check_lip_seminorm_state,
-                           check_orthogonality, check_theorem_main,
-                           check_winf_universal, sample_orthogonality_inputs)
-from qiso.metric import random_metric_space
+from qiso.isometry import (HypothesisViolated, boxed_vertices_cached,
+                           check_ball_identity, check_D, check_D_commutant,
+                           check_D_state, check_injectivity,
+                           check_level_coupling_state, check_lip1_universal,
+                           check_lip_p_state, check_lip_p_universal,
+                           check_lip_seminorm_state, check_orthogonality,
+                           check_theorem_main, check_winf_universal,
+                           lipschitz_vertices_cached,
+                           sample_orthogonality_inputs)
+from qiso.metric import random_metric_space, validate_metric
 
 from oracles import support_universal_bruteforce
 
@@ -284,3 +288,20 @@ def test_finite_dimensional_equivalence():
     # at finite dimension (D) and universal (Lip_1) coincide
     for entry in standard_actions():
         assert check_D(entry.action).holds == check_lip1_universal(entry.action).holds
+
+
+def test_vertex_cache_keeps_modes_apart():
+    """Fraction(13, 8) == 13/8 and both hash alike, so a cache keyed by the
+    distances alone would hand the float space the rational vertices."""
+    d = F(13, 8)
+    exact = validate_metric([[F(0), d], [d, F(0)]])
+    fl = validate_metric([[0.0, float(d)], [float(d), 0.0]], mode="float")
+    for lookup in (lipschitz_vertices_cached,
+                   lambda sp: boxed_vertices_cached(sp, 2)):
+        va, vb = lookup(exact), lookup(fl)
+        assert va is not vb
+        assert lookup(exact) is va and lookup(fl) is vb
+    assert all(isinstance(v, F) for f in lipschitz_vertices_cached(exact)
+               for v in f)
+    assert all(isinstance(v, float) for f in lipschitz_vertices_cached(fl)
+               for v in f)

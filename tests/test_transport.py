@@ -5,16 +5,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from qiso import transport
 from qiso.metric import PairSet, random_metric_space, validate_metric
 from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
                             enumerate_boxed_dual_vertices,
                             enumerate_lipschitz_vertices, feasible_coupling_on,
-                            kantorovich_w1, prob_vector, solve_transport,
+                            kantorovich_w1, min_cost_flow, prob_vector,
+                            solve_transport,
                             transport_with_power, wasserstein_inf,
                             wasserstein_p)
 from qiso.errors import SizeGuardExceeded
 
-from oracles import boxed_dual_vertices_bruteforce, transport_bruteforce
+from oracles import (boxed_dual_vertices_bruteforce, min_cost_flow_reference,
+                     transport_bruteforce)
 
 TWO = validate_metric([[F(0), F(1)], [F(1), F(0)]])
 THREE = validate_metric([[F(0), F(1), F(2)], [F(1), F(0), F(2)], [F(2), F(2), F(0)]])
@@ -87,6 +90,53 @@ def test_solver_matches_bruteforce_oracle():
         mu, nu = rand_prob(rng, n, 4), rand_prob(rng, n, 4)
         cost = rand_cost(rng, n)
         assert solve_transport(mu, nu, cost).value == transport_bruteforce(mu, nu, cost)
+
+
+def coprime_prob(rng, n):
+    """Masses with denominators 7, 11 and 13 mixed, so that the common
+    denominator is their product."""
+    mass = [F(rng.randint(0, 3), rng.choice((7, 11, 13))) for _ in range(n - 1)]
+    while sum(mass) > 1:
+        mass[rng.randrange(n - 1)] /= 2
+    return prob_vector(mass + [1 - sum(mass)])
+
+
+def test_min_cost_flow_matches_reference(monkeypatch):
+    """The integer-scaled simplex on a maintained tree returns exactly the
+    flows and potentials of the Fraction-pivoting reference, on 200 seeded
+    rational problems routed through solve_transport and kantorovich_w1."""
+    calls = []
+
+    def both(num_nodes, arcs, demand, tol=1e-9):
+        got = min_cost_flow(num_nodes, arcs, demand, tol)
+        assert got == min_cost_flow_reference(num_nodes, arcs, demand, tol)
+        assert all(isinstance(v, F) for part in got for v in part)
+        calls.append(num_nodes)
+        return got
+
+    monkeypatch.setattr(transport, "min_cost_flow", both)
+    rng = random.Random(9)
+    for k in range(200):
+        n = rng.randint(2, 6)
+        factor = F(rng.randint(1, 5), rng.choice((1, 7, 11, 13)))
+        base = random_metric_space(n, rng.randint(0, 9999))
+        sp = validate_metric([[v * factor for v in row] for row in base.dist])
+        kind = k % 4
+        if kind == 0:
+            mu = ProbVector.dirac(n, rng.randrange(n))
+            nu = ProbVector.dirac(n, rng.randrange(n))
+        elif kind == 1:
+            mu = nu = coprime_prob(rng, n)
+        elif kind == 2:
+            mu, nu = coprime_prob(rng, n), coprime_prob(rng, n)
+        else:
+            mu, nu = rand_prob(rng, n), coprime_prob(rng, n)
+        if k % 2:
+            solve_transport(mu, nu, rand_cost(rng, n, denom=13))
+        else:
+            transport_with_power(sp, mu, nu, 1 + k % 3)
+        kantorovich_w1(sp, mu, nu)
+    assert len(calls) == 400
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +282,76 @@ def test_winf_dominates_all_wp():
             assert w <= float(r) + 1e-9
             assert w >= prev - 1e-9  # increasing toward the bottleneck
             prev = w
+
+
+def integer_problem(n, seed):
+    """A metric on n points and two marginals k_i / N, as integer data
+    (distances times their common denominator L) and as float data."""
+    rng = random.Random(seed)
+    sp = random_metric_space(n, seed)
+    L = max(v.denominator for row in sp.dist for v in row)
+    dist = [[int(v * L) for v in row] for row in sp.dist]
+    N = 8 * n
+    ks = []
+    for _ in range(2):
+        k = [1] * n
+        for _ in range(N - n):
+            k[rng.randrange(n)] += 1
+        ks.append(k)
+    fl = validate_metric([[float(v) for v in row] for row in sp.dist],
+                         mode="float")
+    mu, nu = (prob_vector([c / N for c in k]) for k in ks)
+    return dist, L, ks, N, fl, mu, nu
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 16, 24])
+def test_float_transport_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    for seed in range(3):
+        dist, L, (kmu, knu), N, fl, mu, nu = integer_problem(n, 100 * n + seed)
+        for p in (1, 2):
+            G = nx.DiGraph()
+            for i in range(n):
+                G.add_node(("x", i), demand=-kmu[i])
+                G.add_node(("y", i), demand=knu[i])
+            for i in range(n):
+                for j in range(n):
+                    G.add_edge(("x", i), ("y", j), weight=dist[i][j] ** p)
+            cost, _ = nx.network_simplex(G)
+            ours = transport_with_power(fl, mu, nu, p).value
+            assert isinstance(ours, float)
+            assert ours == pytest.approx(cost / (N * L ** p), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 16, 24])
+def test_float_coupling_feasibility_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(n)
+    outcomes = set()
+    for seed in range(6):
+        _, _, (kmu, knu), N, _, mu, nu = integer_problem(n, 200 * n + seed)
+        density = rng.choice((0.1, 0.2, 0.4, 0.7))
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if rng.random() < density]
+        G = nx.DiGraph()
+        for i in range(n):
+            G.add_edge("s", ("x", i), capacity=kmu[i])
+            G.add_edge(("y", i), "t", capacity=knu[i])
+        for i, j in pairs:
+            G.add_edge(("x", i), ("y", j))  # no capacity: uncapacitated
+        G.add_nodes_from(("s", "t"))
+        feasible = nx.maximum_flow_value(G, "s", "t") == N
+        Y = PairSet.from_pairs(n, pairs)
+        res = feasible_coupling_on(mu, nu, Y)
+        assert res.feasible == feasible
+        outcomes.add(feasible)
+        if feasible:
+            Coupling(res.coupling.plan, mu, nu).check_marginals()
+            assert all((i, j) in Y for i, j in res.coupling.support())
+        else:
+            assert res.nu_neighborhood < res.mu_S - 1e-9
+    if n > 2:
+        assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------
