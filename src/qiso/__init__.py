@@ -10,8 +10,7 @@ from .metric import (FiniteMetricSpace, PairSet, ball, level_set,
                      lipschitz_constant, random_metric_space, sublevel_set,
                      validate_metric)
 from .transport import (Coupling, DualPotentials, ProbVector, TransportResult,
-                        enumerate_boxed_dual_vertices,
-                        enumerate_lipschitz_vertices, feasible_coupling_on,
+                        enumerate_dual_vertices, feasible_coupling_on,
                         kantorovich_w1, prob_vector, solve_transport,
                         wasserstein_inf, wasserstein_p)
 from .hall import (HallInstance, HallVerdict, decide_hall, hall_condition,

@@ -8,7 +8,7 @@ entries flattened, which keeps conversions trivial.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
@@ -132,26 +132,6 @@ def hermitian_max_eig(mat: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # exact positivity for rational self-adjoint blocks
 
-def _det_fraction(M) -> Fraction:
-    """Fraction-exact determinant by Gaussian elimination."""
-    M = [row[:] for row in M]
-    m = len(M)
-    det = Fraction(1)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if M[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det *= M[col][col]
-        for r in range(col + 1, m):
-            factor = M[r][col] / M[col][col]
-            for c in range(col, m):
-                M[r][c] -= factor * M[col][c]
-    return det
-
-
 def exact_psd(elem: AlgElement) -> bool:
     """Exact semidefiniteness test for elements with rational entries.
 
@@ -167,7 +147,11 @@ def exact_psd_pairs(pairs) -> bool:
     """PSD test for a Hermitian matrix given as (re, im) Fraction pairs.
 
     A complex Hermitian matrix embeds into a real symmetric one of doubled
-    size; a symmetric matrix is PSD iff all principal minors are >= 0.
+    size, which is scaled to integers and reduced by fraction-free
+    symmetric elimination (Bareiss 1968): a negative pivot means not PSD;
+    a zero pivot needs a zero row, which is dropped; otherwise the rest is
+    replaced by its Schur complement times the pivot, divided exactly by
+    the previous pivot.  Each step keeps PSD-ness both ways.
     """
     m = len(pairs)
     if all(im == 0 for row in pairs for _, im in row):
@@ -181,12 +165,19 @@ def exact_psd_pairs(pairs) -> bool:
                 real[m + i][m + j] = re
                 real[i][m + j] = -im
                 real[m + i][j] = im
-    size = len(real)
-    for k in range(1, size + 1):
-        for subset in itertools.combinations(range(size), k):
-            minor = [[real[i][j] for j in subset] for i in subset]
-            if _det_fraction(minor) < 0:
-                return False
+    scale = math.lcm(*(Fraction(v).denominator for row in real for v in row))
+    M = [[int(v * scale) for v in row] for row in real]
+    prev = 1
+    while M:
+        pivot, head = M[0][0], M[0]
+        if pivot < 0 or (pivot == 0 and any(head)):
+            return False
+        if pivot:
+            M = [[(pivot * v - row[0] * h) // prev
+                  for v, h in zip(row[1:], head[1:])] for row in M[1:]]
+            prev = pivot
+        else:
+            M = [row[1:] for row in M[1:]]
     return True
 
 

@@ -10,11 +10,14 @@ Conditions checked per state or universally over all states of the algebra:
 Universal quantification over states is resolved exactly: the sup of
 psi(a) over states of a block algebra is the largest block eigenvalue, so
 each universal condition reduces to finitely many extremal-eigenvalue
-bounds over polytope vertices (finite p), or to the vanishing of the
-pairwise products u_xj u_yk off the (sub)level set (the coupling-support
-conditions).  In rational mode near-ties are re-decided by exact principal
-minors on the rationalized blocks; float mode uses Hermitian eigensolvers
-with one tolerance.
+bounds over the vertices of the Kantorovich dual polyhedron (finite p,
+from `transport.enumerate_dual_vertices`; at p = 1 their f's are the
+vertices of the Lipschitz polytope), or to the vanishing of the pairwise
+products u_xj u_yk off the (sub)level set (the coupling-support
+conditions).  In rational mode near-ties are re-decided by exact
+fraction-free elimination on the rationalized blocks; float mode uses
+Hermitian eigensolvers with one tolerance.  The (D) residuals are
+compared with the tolerance times the largest distance.
 """
 
 from __future__ import annotations
@@ -32,10 +35,8 @@ from .coaction import CoAction, a_element, act_on_function, act_on_point
 from .errors import QisoError
 from .metric import (ball, level_set, lipschitz_constant, sublevel_set)
 from .scalars import RATIONAL
-from .transport import (ProbVector, enumerate_boxed_dual_vertices,
-                        enumerate_lipschitz_vertices, prob_vector,
-                        transport_with_power, wasserstein_inf,
-                        wasserstein_p)
+from .transport import (ProbVector, enumerate_dual_vertices, prob_vector,
+                        transport_with_power, wasserstein_inf, wasserstein_p)
 
 
 class KappaConventionMismatch(QisoError):
@@ -61,23 +62,6 @@ class IsometryVerdict:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-_VERTEX_CACHE: Dict[tuple, list] = {}
-
-
-def lipschitz_vertices_cached(space):
-    key = (space.key(), "lip")
-    if key not in _VERTEX_CACHE:
-        _VERTEX_CACHE[key] = enumerate_lipschitz_vertices(space)
-    return _VERTEX_CACHE[key]
-
-
-def boxed_vertices_cached(space, p):
-    key = (space.key(), "dual", p)
-    if key not in _VERTEX_CACHE:
-        _VERTEX_CACHE[key] = enumerate_boxed_dual_vertices(space, p)
-    return _VERTEX_CACHE[key]
-
-
 def _rationalize(x: float, max_den: int = 4096) -> Optional[Fraction]:
     """The exact small-denominator rational equal to x, if there is one."""
     f = Fraction(x).limit_denominator(max_den)
@@ -100,15 +84,15 @@ def _exact_entries(mat: np.ndarray) -> Optional[list]:
     return out
 
 
-_BORDERLINE = 1e-6  # only near-ties are re-decided by exact minors
+_BORDERLINE = 1e-6  # only near-ties are re-decided exactly
 
 
 def _lambda_max_leq(mat: np.ndarray, bound, tol: float, exact: bool) -> Tuple[bool, float]:
     """Decide lambda_max(mat) <= bound; returns (verdict, float margin).
 
     Away from the boundary the float eigenvalue is decisive; inside the
-    borderline window, rational mode re-decides by exact principal minors
-    of bound - mat (falling back to the tolerance when some entry is not
+    borderline window, rational mode re-decides by an exact PSD test of
+    bound - mat (falling back to the tolerance when some entry is not
     a recognizable rational)."""
     lam = hermitian_max_eig(mat)
     margin = lam - float(bound)
@@ -156,18 +140,25 @@ def commutator_defects(action: CoAction) -> Dict[Tuple[int, int], AlgElement]:
     return out
 
 
+def _defect_verdict(tag: str, residuals, space, tol: float) -> IsometryVerdict:
+    """The verdict on the largest of the ((x, y), residual) pairs.  The
+    residuals scale with the metric, so tol is taken relative to the
+    largest distance and the verdict does not depend on its units."""
+    worst, worst_pair = 0.0, None
+    for pair, r in residuals:
+        if r > worst:
+            worst, worst_pair = r, pair
+    if worst <= tol * float(max(map(max, space.dist))):
+        return IsometryVerdict(tag, True, certificate={"max_residual": worst})
+    return IsometryVerdict(tag, False,
+                           witness={"pair": worst_pair, "residual": worst})
+
+
 def check_D(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
     """Compare rho(d_y)(x) with kappa(rho(d_x)(y)) in norm, all pairs."""
-    worst = 0.0
-    worst_pair = None
-    for (x, y), c in sorted(commutator_defects(action).items()):
-        r = c.norm()
-        if r > worst:
-            worst, worst_pair = r, (x, y)
-    if worst <= tol:
-        return IsometryVerdict("D", True, certificate={"max_residual": worst})
-    return IsometryVerdict("D", False,
-                           witness={"pair": worst_pair, "residual": worst})
+    return _defect_verdict("D", ((xy, c.norm()) for xy, c in
+                                 sorted(commutator_defects(action).items())),
+                           action.space, tol)
 
 
 def check_D_commutant(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
@@ -181,22 +172,18 @@ def check_D_commutant(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
                 raise KappaConventionMismatch(
                     f"kappa(u[{i}][{j}]) != u[{j}][{i}]")
     d = action.space.dist
-    worst = 0.0
-    worst_pair = None
-    for x in range(n):
-        for y in range(n):
-            ud = qg.algebra.zero()
-            du = qg.algebra.zero()
-            for j in range(n):
-                ud = ud + action.u[x][j] * float(d[j][y])
-                du = du + float(d[x][j]) * action.u[j][y]
-            r = (ud - du).norm()
-            if r > worst:
-                worst, worst_pair = r, (x, y)
-    if worst <= tol:
-        return IsometryVerdict("D", True, certificate={"max_residual": worst})
-    return IsometryVerdict("D", False,
-                           witness={"pair": worst_pair, "residual": worst})
+
+    def residuals():
+        for x in range(n):
+            for y in range(n):
+                ud = qg.algebra.zero()
+                du = qg.algebra.zero()
+                for j in range(n):
+                    ud = ud + action.u[x][j] * float(d[j][y])
+                    du = du + float(d[x][j]) * action.u[j][y]
+                yield (x, y), (ud - du).norm()
+
+    return _defect_verdict("D", residuals(), action.space, tol)
 
 
 def check_ball_identity(action: CoAction, tol: float = 1e-9) -> float:
@@ -225,16 +212,9 @@ def check_D_state(action: CoAction, psi: StateFunctional,
                   tol: float = 1e-9) -> IsometryVerdict:
     """Membership of psi in the (D)-isometric functionals: psi kills every
     defect element, i.e. (x <| psi)(d_y) = (y <| bar psi)(d_x)."""
-    worst = None
-    for (x, y), c in sorted(commutator_defects(action).items()):
-        r = abs(psi.value(c))
-        if worst is None or r > worst[0]:
-            worst = (r, (x, y))
-    if worst[0] <= tol:
-        return IsometryVerdict("D(state)", True,
-                               certificate={"max_residual": worst[0]})
-    return IsometryVerdict("D(state)", False,
-                           witness={"pair": worst[1], "residual": worst[0]})
+    return _defect_verdict("D(state)", ((xy, abs(psi.value(c))) for xy, c in
+                                        sorted(commutator_defects(action).items())),
+                           action.space, tol)
 
 
 def check_lip_p_state(action: CoAction, psi: StateFunctional, p,
@@ -267,7 +247,8 @@ def check_lip_seminorm_state(action: CoAction, psi: StateFunctional,
     rng = random.Random(seed)
     fns = [tuple(rng.uniform(-1.0, 1.0) for _ in range(space.n))
            for _ in range(samples)]
-    fns += [tuple(float(v) for v in f) for f in lipschitz_vertices_cached(space)]
+    fns += [tuple(float(v) for v in vert.f)
+            for vert in enumerate_dual_vertices(space, 1)]
     for f in fns:
         lf = lipschitz_constant(space, f)
         lg = lipschitz_constant(space, act_on_function(action, psi, f))
@@ -289,11 +270,12 @@ def _block_stack(action: CoAction, k: int) -> np.ndarray:
 
 def check_lip1_universal(action: CoAction, tol: float = 1e-9,
                          mode: str = "auto") -> IsometryVerdict:
-    """For every pair and every vertex f of the Lipschitz polytope, the
-    largest eigenvalue of sum_j f_j (u_xj - u_yj) must stay below d(x,y)."""
+    """For every pair and every vertex f of the Lipschitz polytope (the f's
+    of the dual vertices at p = 1), the largest eigenvalue of
+    sum_j f_j (u_xj - u_yj) must stay below d(x,y)."""
     space = action.space
     exact = _use_exact(action, mode)
-    vertices = lipschitz_vertices_cached(space)
+    vertices = [vert.f for vert in enumerate_dual_vertices(space, 1)]
     blocks = action.group.algebra.blocks
     stacks = [_block_stack(action, k) for k in range(len(blocks))]
     worst = None
@@ -342,10 +324,10 @@ def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
     the state space sits on pure states, which live on single blocks.  A
     1x1 block carries exactly one state (its character): solve that
     transport problem outright.  A larger block is handled through the
-    boxed dual polytope: for each vertex (f, g) the sup over block states
-    of psi(sum f_j u_xj + sum g_j u_yj) is the top block eigenvalue, and
-    the sup over the dual polytope of that convex objective is attained at
-    one of the enumerated vertices.
+    Kantorovich dual polyhedron: for each vertex (f, g) the sup over block
+    states of psi(sum f_j u_xj + sum g_j u_yj) is the top block
+    eigenvalue, and the sup over the polyhedron of that convex, monotone,
+    shift-invariant objective is attained at one of its vertices.
     """
     if p == float("inf") or p == "inf":
         return check_winf_universal(action, tol=tol, mode=mode)
@@ -357,7 +339,7 @@ def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
     blocks = action.group.algebra.blocks
     stacks = [_block_stack(action, k) for k in range(len(blocks))]
     big_blocks = [k for k, b in enumerate(blocks) if b > 1]
-    vertices = boxed_vertices_cached(space, p) if big_blocks else []
+    vertices = enumerate_dual_vertices(space, p) if big_blocks else []
     worst = None
 
     for x, y in _pairs(space.n):

@@ -23,7 +23,6 @@ from .catalog import (random_permutation_action, random_quantum_action,
                       standard_actions)
 from .coaction import CoAction, verify_coaction
 from .envelope import envelope
-from .errors import SizeGuardExceeded
 from .fileio import coaction_to_dicts
 from .isometry import (check_D, check_D_commutant, check_injectivity,
                        check_lip1_universal, check_lip_p_state,
@@ -120,29 +119,20 @@ def build_instance(desc: dict) -> CoAction:
 
 
 def _condition_flags(action: CoAction, p_list, tol: float) -> dict:
-    """All universal verdicts; None with a guard note if an exact procedure
-    hit its size guard (never conflated with a sampled pass)."""
-    flags: Dict[str, Optional[bool]] = {}
-    guards = []
-
-    def run(tag, fn):
-        try:
-            flags[tag] = bool(fn().holds)
-        except SizeGuardExceeded:
-            flags[tag] = None
-            guards.append(tag)
-
-    run("D", lambda: check_D(action, tol))
-    run("main", lambda: check_theorem_main(action, tol))
-    run("Lip_inf", lambda: check_winf_universal(action, tol))
+    """All universal verdicts."""
+    flags: Dict[str, Optional[bool]] = {
+        "D": bool(check_D(action, tol).holds),
+        "main": bool(check_theorem_main(action, tol).holds),
+        "Lip_inf": bool(check_winf_universal(action, tol).holds),
+    }
     for p in p_list:
         if p in ("inf", float("inf")):
             continue
         if p == 1:
-            run("Lip_1", lambda: check_lip1_universal(action, tol))
+            flags["Lip_1"] = bool(check_lip1_universal(action, tol).holds)
         else:
-            run(f"Lip_{p}", lambda p=p: check_lip_p_universal(action, p, tol))
-    return {"flags": flags, "guards": guards}
+            flags[f"Lip_{p}"] = bool(check_lip_p_universal(action, p, tol).holds)
+    return flags
 
 
 def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10,
@@ -154,9 +144,8 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
            "name": desc.get("name") or action.name}
     rec["quantum_group_residual"] = verify_quantum_group(action.group).worst()
     rec["coaction_residual"] = verify_coaction(action).worst()
-    cond = _condition_flags(action, p_list, tol)
-    rec["conditions"] = cond["flags"]
-    rec["guards"] = cond["guards"]
+    rec["conditions"] = _condition_flags(action, p_list, tol)
+    rec["guards"] = []
     try:
         commutant = check_D_commutant(action, tol)
         rec["conditions"]["D_commutant"] = bool(commutant.holds)

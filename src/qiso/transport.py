@@ -6,20 +6,20 @@ data is scaled to integers once, by the lcm of its denominators, and
 pivoted exactly in plain ints; the answers are scaled back at the end.
 Transportation plans, Kantorovich potentials, coupling feasibility on a
 restricted support (via max-flow/min-cut, on the same integer scaling),
-the bottleneck distance, and exhaustive vertex enumeration of the two dual
-polytopes all live here.
+the bottleneck distance, and the vertices of the Kantorovich dual
+polyhedron (a pivot search over the spanning trees of K_{n,n}, one
+enumerator for every p) all live here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, QisoError, SizeGuardExceeded
+from .errors import DimensionMismatch, QisoError
 from .metric import FiniteMetricSpace, PairSet
 from .scalars import RATIONAL, Scalar, is_rational, tol_for
 
@@ -513,202 +513,130 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     return WInfResult(values[lo], witness.coupling, lower)
 
 
+
+
 # ---------------------------------------------------------------------------
-# dual polytope vertex enumeration
+# dual polyhedron vertex enumeration
 
 
-def _solve_linear(A, b):
-    """Gaussian elimination; None if singular.  Exact on Fractions."""
-    m = len(A)
-    M = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    exact = all(is_rational(v) for row in M for v in row)
-    piv_eps = 0 if exact else 1e-11
-    for col in range(m):
-        pivot = None
-        best = piv_eps
-        for r in range(col, m):
-            if abs(M[r][col]) > best:
-                pivot, best = r, abs(M[r][col])
-            if exact and pivot is not None:
-                break
-        if pivot is None:
-            return None
-        M[col], M[pivot] = M[pivot], M[col]
-        pv = M[col][col]
-        for r in range(m):
-            if r != col and M[r][col] != 0:
-                factor = M[r][col] / pv
-                for c in range(col, m + 1):
-                    M[r][c] -= factor * M[col][c]
-    return [M[r][m] / M[r][r] for r in range(m)]
+def enumerate_dual_vertices(space: FiniteMetricSpace, p) -> List[DualPotentials]:
+    """All vertices of the normalized Kantorovich dual polyhedron
 
+        {(f, g) : f_i + g_j <= d(i,j)^p,  g_{n-1} = 0}.
 
-def enumerate_lipschitz_vertices(space: FiniteMetricSpace,
-                                 max_points: int = 8) -> List[Tuple[Scalar, ...]]:
-    """All vertices of {f : |f_i - f_j| <= d(i,j), f_{n-1} = 0}.
+    An objective that is convex, entrywise monotone in (f, g) and invariant
+    under the shift (f - t, g + t) attains its sup over the polyhedron at
+    one of these vertices: a ray direction r has r_f_i + r_g_j <= 0 for all
+    i, j, and moving along it never increases such an objective.  At p = 1
+    the vertices are the pairs (f, -f), f a vertex of the Lipschitz
+    polytope {|f_i - f_j| <= d(i,j), f_{n-1} = 0}.
 
-    Exhaustive active-set enumeration: each vertex of the (n-1)-dimensional
-    polytope is cut out by n-1 of the n(n-1) difference constraints.  The
-    vertex set is closed under negation.  Guarded: n <= max_points.
+    A vertex is the potential of a feasible spanning tree of K_{n,n} on the
+    nodes f_0..f_{n-1}, g_0..g_{n-1}, rooted at g_{n-1} = 0: f_i + g_j =
+    c_ij on its edges and every other slack is >= 0.  Perturbing c_ij by
+    eps^(i n + j + 1) gives every vertex of the perturbed polyhedron
+    exactly one tree, and those trees are searched breadth-first by pivots
+    (Avis-Fukuda 1992): drop a tree edge, let A be the side of the cut
+    without the root, and enter the edge of least slack that crosses the
+    cut in the other orientation; a drop with no such edge runs along a
+    ray.  A slack is the pair (value, eps coefficients), compared
+    lexicographically.  There are always C(2n-2, n-1) such trees, the
+    maximal cells of the triangulation of the product of two simplices
+    that the perturbed cost induces (Develin-Sturmfels 2004, "Tropical
+    convexity").  Each tree's unperturbed potentials are a vertex, kept
+    once.
+
+    Rational data runs in ints scaled by the lcm of its denominators and
+    comes back as Fractions; float data treats slacks within the space's
+    tolerance as ties.
     """
     n = space.n
-    if n < 2:
-        raise DimensionMismatch("need n >= 2")
-    if n > max_points:
-        raise SizeGuardExceeded(f"vertex enumeration guarded at n <= {max_points}")
-    eps = tol_for(space.mode, space.tol)
-    m = n - 1  # free coordinates f_0 .. f_{n-2}
-    constraints = []  # (coeff vector over free coords, rhs) for f_i - f_j <= d_ij
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = [0] * m
-            if i < m:
-                row[i] += 1
-            if j < m:
-                row[j] -= 1
-            constraints.append((row, space.dist[i][j]))
-
-    seen = {}
-    for combo in itertools.combinations(range(len(constraints)), m):
-        A = [constraints[k][0] for k in combo]
-        b = [constraints[k][1] for k in combo]
-        sol = _solve_linear(A, b)
-        if sol is None:
-            continue
-        if any(sum(c * x for c, x in zip(row, sol)) - rhs > eps
-               for row, rhs in constraints):
-            continue
-        f = tuple(sol) + (space.dist[0][0] * 0,)
-        key = f if not eps else tuple(round(float(v), 9) for v in f)
-        seen.setdefault(key, f)
-    return list(seen.values())
-
-
-def enumerate_boxed_dual_vertices(space: FiniteMetricSpace, p,
-                                  max_points: int = 8) -> List[DualPotentials]:
-    """Vertices of the boxed, normalized Kantorovich dual polytope
-
-        {(f, g) : f_i + g_j <= d(i,j)^p,  g_{n-1} = 0,  -2C <= f, g <= 2C}
-
-    with C = max d^p.  Any objective that is convex, entrywise monotone in
-    (f, g), and invariant under the shift (f - t, g + t) attains its sup
-    over the full unbounded dual polytope at one of these vertices: the
-    double c-transform of any feasible pair dominates it, lands in the box,
-    and can be shifted into the slice without changing the objective.
-
-    Enumeration is structural instead of choose(2n)-of-all-constraints: at
-    a vertex the tight pair constraints f_i + g_j = c_ij form a forest on
-    the f/g variables, and each tree component is pinned by exactly one
-    active bound (a box wall, or the g_{n-1} = 0 column collapsing
-    f_i + 0 <= c_{i,n-1} to a unary pin).  Cross-checked against literal
-    active-set enumeration in the test suite.
-    """
-    n = space.n
-    if n > max_points:
-        raise SizeGuardExceeded(f"vertex enumeration guarded at n <= {max_points}")
-    eps = tol_for(space.mode, space.tol)
-    cost = _power_cost(space, p)
-    zero = cost[0][0] * 0
-    exact = space.mode == RATIONAL and all(
-        is_rational(v) for row in cost for v in row)
+    flat = [v for row in _power_cost(space, p) for v in row]
+    exact = space.mode == RATIONAL and all(is_rational(v) for v in flat)
     if exact:
-        # Rescale to plain integers: the enumeration only adds, subtracts
-        # and compares, so scaling by the common denominator is exact and
-        # an order of magnitude faster than Fraction arithmetic.
-        flat, scale = _integer_scale([v for row in cost for v in row])
-        work = [flat[i * n:(i + 1) * n] for i in range(n)]
-        eps = 0
+        work, scale = _integer_scale(flat)
+        eps, zero = 0, 0
     else:
-        scale = 1
-        work = [[float(v) for v in row] for row in cost]
-        eps = float(eps) or space.tol
-    C = max(max(row) for row in work)
-    lo, hi = -2 * C, 2 * C
+        work = [float(v) for v in flat]
+        eps, zero = space.tol, 0.0
+    # Node i is f_i and node n + j is g_j; edge k = i n + j joins them.
+    root = 2 * n - 1
 
-    # Variables: f_0..f_{n-1} are 0..n-1, g_0..g_{n-2} are n..2n-2.
-    nvars = 2 * n - 1
-    edges = [(i, n + j, work[i][j]) for i in range(n) for j in range(n - 1)]
-    pins = {v: [lo, hi] for v in range(nvars)}
-    for i in range(n):
-        pins[i].append(work[i][n - 1])  # f_i + g_{n-1} = c tight, g_{n-1} = 0
+    def pivots(tree):
+        """The tree's potentials and the trees one pivot away."""
+        adj = [[] for _ in range(2 * n)]
+        for k in tree:
+            i, j = divmod(k, n)
+            adj[i].append((n + j, k))
+            adj[n + j].append((i, k))
+        val = [None] * (2 * n)
+        parent = [-1] * (2 * n)
+        pedge = [-1] * (2 * n)
+        order = []           # preorder: every subtree is a contiguous run
+        val[root] = zero
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w, k in adj[u]:
+                if val[w] is None:
+                    val[w] = work[k] - val[u]
+                    parent[w], pedge[w] = u, k
+                    stack.append(w)
+        size = [1] * (2 * n)
+        for u in reversed(order[1:]):
+            size[parent[u]] += size[u]
+        rows = []            # eps coefficients per node, built on a tie
 
-    def feasible(vals):
-        for v in vals:
-            if v < lo - eps or v > hi + eps:
-                return False
-        for i in range(n):
-            fi = vals[i]
-            for j in range(n - 1):
-                if fi + vals[n + j] - work[i][j] > eps:
-                    return False
-            if fi - work[i][n - 1] > eps:
-                return False
-        return True
+        def eps_slack(k):
+            if not rows:
+                rows.extend([None] * (2 * n))
+                rows[root] = [0] * (n * n)
+                for u in order[1:]:
+                    row = [-c for c in rows[parent[u]]]
+                    row[pedge[u]] += 1
+                    rows[u] = row
+            i, j = divmod(k, n)
+            coeffs = [-a - b for a, b in zip(rows[i], rows[n + j])]
+            coeffs[k] += 1
+            return coeffs
 
-    seen = {}
+        out = []
+        for pos, w in enumerate(order[1:], 1):
+            side = set(order[pos:pos + size[w]])     # A, the subtree of w
+            f_in = pedge[w] // n in side
+            crossing = [i * n + j for i in range(n) if (i in side) != f_in
+                        for j in range(n) if (n + j in side) == f_in]
+            if not crossing:
+                continue            # the drop runs along a ray
+            slack = [work[k] - val[k // n] - val[n + k % n] for k in crossing]
+            low = min(slack)
+            tied = [k for k, s in zip(crossing, slack) if s <= low + eps]
+            enter = tied[0] if len(tied) == 1 else min(tied, key=eps_slack)
+            out.append(tree - {pedge[w]} | {enter})
+        return val, out
 
-    def record(vals):
-        if exact:
-            out = [Fraction(v, scale) for v in vals]
-        else:
-            out = vals
-        f = tuple(out[:n])
-        g = tuple(out[n:]) + (zero,)
-        key = tuple(vals) if exact else tuple(round(float(v), 9) for v in vals)
-        seen.setdefault(key, DualPotentials(f, g))
-
-    # Enumerate forests over the bipartite tight-pair graph with an
-    # incremental union-find (rolled back on backtrack), then try every
-    # way of pinning one variable per tree component.
-    comp = list(range(nvars))
-
-    def find(x):
-        while comp[x] != x:
-            x = comp[x]
-        return x
-
-    adj = {v: [] for v in range(nvars)}
-
-    def visit_forest():
-        groups = {}
-        for v in range(nvars):
-            groups.setdefault(find(v), []).append(v)
-        options = [[(v, val) for v in grp for val in pins[v]]
-                   for grp in groups.values()]
-        for pick in itertools.product(*options):
-            vals = [None] * nvars
-            ok = True
-            for v0, val in pick:
-                stack = [(v0, val)]
-                while stack:
-                    v, x = stack.pop()
-                    if vals[v] is not None:
-                        ok = ok and abs(vals[v] - x) <= eps
-                        continue
-                    vals[v] = x
-                    for w, c in adj[v]:
-                        stack.append((w, c - x))  # f + g = c determines the mate
-                if not ok:
-                    break
-            if ok and feasible(vals):
-                record(vals)
-
-    def grow(start):
-        visit_forest()
-        for e in range(start, len(edges)):
-            u, v, c = edges[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue
-            comp[ru] = rv
-            adj[u].append((v, c))
-            adj[v].append((u, c))
-            grow(e + 1)
-            adj[u].pop()
-            adj[v].pop()
-            comp[ru] = ru
-
-    grow(0)
-    return list(seen.values())
+    # Start: g_{n-1} joined to every f_i, and every other g_j to an f_i
+    # minimizing c_ij - c_{i,n-1}; among ties the largest i, whose
+    # perturbation is the least.
+    start = [i * n + n - 1 for i in range(n)]
+    for j in range(n - 1):
+        reduced = [work[i * n + j] - work[i * n + n - 1] for i in range(n)]
+        low = min(reduced)
+        start.append(max(i for i, r in enumerate(reduced) if r <= low + eps) * n + j)
+    first = frozenset(start)
+    seen = {first}
+    queue = deque([first])
+    vertices = {}
+    while queue:
+        val, nxt = pivots(queue.popleft())
+        key = tuple(val) if exact else tuple(round(v, 9) for v in val)
+        if key not in vertices:
+            if exact:
+                val = [Fraction(v, scale) for v in val]
+            vertices[key] = DualPotentials(tuple(val[:n]), tuple(val[n:]))
+        for tree in nxt:
+            if tree not in seen:
+                seen.add(tree)
+                queue.append(tree)
+    return list(vertices.values())

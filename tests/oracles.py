@@ -11,8 +11,16 @@ exponential in the number of points:
   potentials rebuilt on every pivot; not exponential, but independent of
   the integer-scaled, incrementally maintained tree of `min_cost_flow`,
   which must return the same flows and potentials;
+- enumerate_lipschitz_vertices: every active set of the Lipschitz
+  polytope, and enumerate_boxed_dual_vertices: every tight-pair forest
+  of the boxed dual polytope, with every way of pinning its components
+  (both as first written, with `_solve_linear`), against the spanning-tree
+  pivot search of `enumerate_dual_vertices`;
 - boxed_dual_vertices_bruteforce: every active set of the boxed dual
-  polytope, against the forest enumerator;
+  polytope, against the forest enumerator and the pivot search;
+- psd_by_principal_minors: the sign of every principal minor (2^(2b) of
+  them for a b x b complex block), against the fraction-free symmetric
+  elimination of `exact_psd_pairs`;
 - support_universal_bruteforce: positivity of a_{y;N(S)} - a_{x;S} for
   every pair and every subset S, against the pairwise orthogonality
   criterion of `check_theorem_main` and `check_winf_universal`.
@@ -27,14 +35,14 @@ import numpy as np
 
 from qiso.algebra import AlgElement, exact_psd
 from qiso.coaction import CoAction, a_element
-from qiso.errors import QisoError, SizeGuardExceeded
+from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, _eigen_state,
                            _exact_entries, _pairs, _use_exact)
 from qiso.metric import FiniteMetricSpace, level_set, sublevel_set
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, DualPotentials, InfeasibleMarginals,
-                            ProbVector, UnboundedFlow, _power_cost,
-                            _solve_linear)
+                            ProbVector, UnboundedFlow, _integer_scale,
+                            _power_cost)
 
 
 def transport_bruteforce(mu: ProbVector, nu: ProbVector, cost) -> Scalar:
@@ -228,6 +236,203 @@ def min_cost_flow_reference(num_nodes: int,
     return [zero if f is None else f for f in out], pi[:num_nodes]
 
 
+def _solve_linear(A, b):
+    """Gaussian elimination; None if singular.  Exact on Fractions."""
+    m = len(A)
+    M = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    exact = all(is_rational(v) for row in M for v in row)
+    piv_eps = 0 if exact else 1e-11
+    for col in range(m):
+        pivot = None
+        best = piv_eps
+        for r in range(col, m):
+            if abs(M[r][col]) > best:
+                pivot, best = r, abs(M[r][col])
+            if exact and pivot is not None:
+                break
+        if pivot is None:
+            return None
+        M[col], M[pivot] = M[pivot], M[col]
+        pv = M[col][col]
+        for r in range(m):
+            if r != col and M[r][col] != 0:
+                factor = M[r][col] / pv
+                for c in range(col, m + 1):
+                    M[r][c] -= factor * M[col][c]
+    return [M[r][m] / M[r][r] for r in range(m)]
+
+
+def enumerate_lipschitz_vertices(space: FiniteMetricSpace,
+                                 max_points: int = 8) -> List[Tuple[Scalar, ...]]:
+    """All vertices of {f : |f_i - f_j| <= d(i,j), f_{n-1} = 0}.
+
+    Exhaustive active-set enumeration: each vertex of the (n-1)-dimensional
+    polytope is cut out by n-1 of the n(n-1) difference constraints.  The
+    vertex set is closed under negation.  Guarded: n <= max_points.
+    """
+    n = space.n
+    if n < 2:
+        raise DimensionMismatch("need n >= 2")
+    if n > max_points:
+        raise SizeGuardExceeded(f"vertex enumeration guarded at n <= {max_points}")
+    eps = tol_for(space.mode, space.tol)
+    m = n - 1  # free coordinates f_0 .. f_{n-2}
+    constraints = []  # (coeff vector over free coords, rhs) for f_i - f_j <= d_ij
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            row = [0] * m
+            if i < m:
+                row[i] += 1
+            if j < m:
+                row[j] -= 1
+            constraints.append((row, space.dist[i][j]))
+
+    seen = {}
+    for combo in itertools.combinations(range(len(constraints)), m):
+        A = [constraints[k][0] for k in combo]
+        b = [constraints[k][1] for k in combo]
+        sol = _solve_linear(A, b)
+        if sol is None:
+            continue
+        if any(sum(c * x for c, x in zip(row, sol)) - rhs > eps
+               for row, rhs in constraints):
+            continue
+        f = tuple(sol) + (space.dist[0][0] * 0,)
+        key = f if not eps else tuple(round(float(v), 9) for v in f)
+        seen.setdefault(key, f)
+    return list(seen.values())
+
+
+def enumerate_boxed_dual_vertices(space: FiniteMetricSpace, p,
+                                  max_points: int = 8) -> List[DualPotentials]:
+    """Vertices of the boxed, normalized Kantorovich dual polytope
+
+        {(f, g) : f_i + g_j <= d(i,j)^p,  g_{n-1} = 0,  -2C <= f, g <= 2C}
+
+    with C = max d^p.  Any objective that is convex, entrywise monotone in
+    (f, g), and invariant under the shift (f - t, g + t) attains its sup
+    over the full unbounded dual polytope at one of these vertices: the
+    double c-transform of any feasible pair dominates it, lands in the box,
+    and can be shifted into the slice without changing the objective.
+
+    Enumeration is structural instead of choose(2n)-of-all-constraints: at
+    a vertex the tight pair constraints f_i + g_j = c_ij form a forest on
+    the f/g variables, and each tree component is pinned by exactly one
+    active bound (a box wall, or the g_{n-1} = 0 column collapsing
+    f_i + 0 <= c_{i,n-1} to a unary pin).  Cross-checked against literal
+    active-set enumeration in the test suite.
+    """
+    n = space.n
+    if n > max_points:
+        raise SizeGuardExceeded(f"vertex enumeration guarded at n <= {max_points}")
+    eps = tol_for(space.mode, space.tol)
+    cost = _power_cost(space, p)
+    zero = cost[0][0] * 0
+    exact = space.mode == RATIONAL and all(
+        is_rational(v) for row in cost for v in row)
+    if exact:
+        # Rescale to plain integers: the enumeration only adds, subtracts
+        # and compares, so scaling by the common denominator is exact and
+        # an order of magnitude faster than Fraction arithmetic.
+        flat, scale = _integer_scale([v for row in cost for v in row])
+        work = [flat[i * n:(i + 1) * n] for i in range(n)]
+        eps = 0
+    else:
+        scale = 1
+        work = [[float(v) for v in row] for row in cost]
+        eps = float(eps) or space.tol
+    C = max(max(row) for row in work)
+    lo, hi = -2 * C, 2 * C
+
+    # Variables: f_0..f_{n-1} are 0..n-1, g_0..g_{n-2} are n..2n-2.
+    nvars = 2 * n - 1
+    edges = [(i, n + j, work[i][j]) for i in range(n) for j in range(n - 1)]
+    pins = {v: [lo, hi] for v in range(nvars)}
+    for i in range(n):
+        pins[i].append(work[i][n - 1])  # f_i + g_{n-1} = c tight, g_{n-1} = 0
+
+    def feasible(vals):
+        for v in vals:
+            if v < lo - eps or v > hi + eps:
+                return False
+        for i in range(n):
+            fi = vals[i]
+            for j in range(n - 1):
+                if fi + vals[n + j] - work[i][j] > eps:
+                    return False
+            if fi - work[i][n - 1] > eps:
+                return False
+        return True
+
+    seen = {}
+
+    def record(vals):
+        if exact:
+            out = [Fraction(v, scale) for v in vals]
+        else:
+            out = vals
+        f = tuple(out[:n])
+        g = tuple(out[n:]) + (zero,)
+        key = tuple(vals) if exact else tuple(round(float(v), 9) for v in vals)
+        seen.setdefault(key, DualPotentials(f, g))
+
+    # Enumerate forests over the bipartite tight-pair graph with an
+    # incremental union-find (rolled back on backtrack), then try every
+    # way of pinning one variable per tree component.
+    comp = list(range(nvars))
+
+    def find(x):
+        while comp[x] != x:
+            x = comp[x]
+        return x
+
+    adj = {v: [] for v in range(nvars)}
+
+    def visit_forest():
+        groups = {}
+        for v in range(nvars):
+            groups.setdefault(find(v), []).append(v)
+        options = [[(v, val) for v in grp for val in pins[v]]
+                   for grp in groups.values()]
+        for pick in itertools.product(*options):
+            vals = [None] * nvars
+            ok = True
+            for v0, val in pick:
+                stack = [(v0, val)]
+                while stack:
+                    v, x = stack.pop()
+                    if vals[v] is not None:
+                        ok = ok and abs(vals[v] - x) <= eps
+                        continue
+                    vals[v] = x
+                    for w, c in adj[v]:
+                        stack.append((w, c - x))  # f + g = c determines the mate
+                if not ok:
+                    break
+            if ok and feasible(vals):
+                record(vals)
+
+    def grow(start):
+        visit_forest()
+        for e in range(start, len(edges)):
+            u, v, c = edges[e]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                continue
+            comp[ru] = rv
+            adj[u].append((v, c))
+            adj[v].append((u, c))
+            grow(e + 1)
+            adj[u].pop()
+            adj[v].pop()
+            comp[ru] = ru
+
+    grow(0)
+    return list(seen.values())
+
+
 def boxed_dual_vertices_bruteforce(space: FiniteMetricSpace,
                                    p) -> List[DualPotentials]:
     """Literal active-set oracle for the same sliced boxed polytope:
@@ -272,6 +477,53 @@ def boxed_dual_vertices_bruteforce(space: FiniteMetricSpace,
         key = (f, g) if not eps else tuple(round(float(v), 9) for v in sol)
         seen.setdefault(key, DualPotentials(f, g))
     return list(seen.values())
+
+
+def _det_fraction(M) -> Fraction:
+    """Fraction-exact determinant by Gaussian elimination."""
+    M = [row[:] for row in M]
+    m = len(M)
+    det = Fraction(1)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if M[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = -det
+        det *= M[col][col]
+        for r in range(col + 1, m):
+            factor = M[r][col] / M[col][col]
+            for c in range(col, m):
+                M[r][c] -= factor * M[col][c]
+    return det
+
+
+def psd_by_principal_minors(pairs) -> bool:
+    """PSD test for a Hermitian matrix given as (re, im) Fraction pairs.
+
+    A complex Hermitian matrix embeds into a real symmetric one of doubled
+    size; a symmetric matrix is PSD iff all principal minors are >= 0.
+    """
+    m = len(pairs)
+    if all(im == 0 for row in pairs for _, im in row):
+        real = [[re for re, _ in row] for row in pairs]
+    else:
+        real = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
+        for i in range(m):
+            for j in range(m):
+                re, im = pairs[i][j]
+                real[i][j] = re
+                real[m + i][m + j] = re
+                real[i][m + j] = -im
+                real[m + i][j] = im
+    size = len(real)
+    for k in range(1, size + 1):
+        for subset in itertools.combinations(range(size), k):
+            minor = [[real[i][j] for j in subset] for i in subset]
+            if _det_fraction(minor) < 0:
+                return False
+    return True
 
 
 def _lambda_min_geq0(elem: AlgElement, tol: float, exact: bool) -> Tuple[bool, float]:

@@ -8,6 +8,7 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -27,7 +28,7 @@ from qiso.transport import (ProbVector, kantorovich_w1, prob_vector,
                             solve_transport, transport_with_power,
                             wasserstein_inf)
 
-from oracles import transport_bruteforce
+from oracles import enumerate_boxed_dual_vertices, transport_bruteforce
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):
@@ -182,19 +183,33 @@ def test_c06_theorem_main_reproduced():
 
 @pytest.fixture(scope="module")
 def population_flags():
-    """Catalog + 200 random actions with all universal verdicts."""
+    """Catalog + 200 random actions with all universal verdicts.
+
+    The Lip_1 dual route sweeps the boxed dual vertices of the forest
+    enumerator in tests/oracles.py, so that c08 compares two independent
+    vertex enumerations."""
     config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
                           seed=777)
+    forest_vertices = {}
+
+    def forest(space, p):
+        key = (space.key(), p)
+        if key not in forest_vertices:
+            forest_vertices[key] = enumerate_boxed_dual_vertices(space, p)
+        return forest_vertices[key]
+
     rows = []
     for desc in instance_descriptors(config):
         action = build_instance(desc)
         assert verify_quantum_group(action.group).passed(1e-9)
         assert verify_coaction(action).passed(1e-9)
+        with mock.patch("qiso.isometry.enumerate_dual_vertices", forest):
+            dual_route = check_lip_p_universal(action, 1).holds
         flags = {
             "name": desc.get("name", str(desc.get("seed"))),
             "D": check_D(action).holds,
             "Lip_1": check_lip1_universal(action).holds,
-            "Lip_1_dual_route": check_lip_p_universal(action, 1).holds,
+            "Lip_1_dual_route": dual_route,
             "Lip_2": check_lip_p_universal(action, 2).holds,
             "Lip_3": check_lip_p_universal(action, 3).holds,
             "Lip_inf": check_winf_universal(action).holds,

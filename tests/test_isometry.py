@@ -12,15 +12,13 @@ from qiso.catalog import (cycle_metric, dihedral_projection_action,
                           random_permutation_action, random_quantum_action,
                           standard_actions, three_point_isosceles,
                           trivial_action)
-from qiso.isometry import (HypothesisViolated, boxed_vertices_cached,
-                           check_ball_identity, check_D, check_D_commutant,
-                           check_D_state, check_injectivity,
-                           check_level_coupling_state, check_lip1_universal,
-                           check_lip_p_state, check_lip_p_universal,
-                           check_lip_seminorm_state, check_orthogonality,
-                           check_theorem_main, check_winf_universal,
-                           lipschitz_vertices_cached,
-                           sample_orthogonality_inputs)
+from qiso.isometry import (HypothesisViolated, check_ball_identity, check_D,
+                           check_D_commutant, check_D_state,
+                           check_injectivity, check_level_coupling_state,
+                           check_lip1_universal, check_lip_p_state,
+                           check_lip_p_universal, check_lip_seminorm_state,
+                           check_orthogonality, check_theorem_main,
+                           check_winf_universal, sample_orthogonality_inputs)
 from qiso.metric import random_metric_space, validate_metric
 
 from oracles import support_universal_bruteforce
@@ -61,6 +59,29 @@ def test_check_D_s3_fails_with_witness():
     assert not verdict.holds
     assert verdict.witness["residual"] > 0.5
     assert tuple(verdict.witness["pair"]) in {(x, y) for x in range(3) for y in range(3)}
+
+
+def test_check_D_does_not_depend_on_units():
+    """Scaling the metric by 10^9 or 10^-9 keeps every (D) verdict: the
+    tolerance is relative to the largest distance."""
+    from qiso.coaction import CoAction
+    actions = {e.name: e.action for e in standard_actions()}
+    seen = set()
+    for name in ("dual-d4-blocks", "dual-d4-asymmetric"):
+        action = actions[name]
+        expected = check_D(action).holds
+        seen.add(expected)
+        psi = random_state(action.group.algebra, 3)
+        expected_state = check_D_state(action, psi).holds
+        for scale in (F(10) ** 9, F(10) ** -9):
+            space = validate_metric([[v * scale for v in row]
+                                     for row in action.space.dist])
+            scaled = CoAction(action.group, space, action.u, name=name)
+            assert check_D(scaled).holds == expected, (name, scale)
+            assert check_D_commutant(scaled).holds == expected, (name, scale)
+            assert check_D_state(scaled, psi).holds == expected_state, \
+                (name, scale)
+    assert seen == {True, False}
 
 
 def test_commutant_form_agrees_everywhere():
@@ -288,20 +309,3 @@ def test_finite_dimensional_equivalence():
     # at finite dimension (D) and universal (Lip_1) coincide
     for entry in standard_actions():
         assert check_D(entry.action).holds == check_lip1_universal(entry.action).holds
-
-
-def test_vertex_cache_keeps_modes_apart():
-    """Fraction(13, 8) == 13/8 and both hash alike, so a cache keyed by the
-    distances alone would hand the float space the rational vertices."""
-    d = F(13, 8)
-    exact = validate_metric([[F(0), d], [d, F(0)]])
-    fl = validate_metric([[0.0, float(d)], [float(d), 0.0]], mode="float")
-    for lookup in (lipschitz_vertices_cached,
-                   lambda sp: boxed_vertices_cached(sp, 2)):
-        va, vb = lookup(exact), lookup(fl)
-        assert va is not vb
-        assert lookup(exact) is va and lookup(fl) is vb
-    assert all(isinstance(v, F) for f in lipschitz_vertices_cached(exact)
-               for v in f)
-    assert all(isinstance(v, float) for f in lipschitz_vertices_cached(fl)
-               for v in f)

@@ -124,15 +124,13 @@ def test_search_with_process_pool_matches_sequential():
 
 
 def test_cli_size_guard_exit_code(tmp_path, capsys):
-    from qiso.catalog import permutation_action
+    """The subset exhaustion of `qiso hall` is guarded at 20 points."""
     from qiso.cli import main
-    from qiso.fileio import save_coaction
-    from qiso.metric import random_metric_space
-    big = random_metric_space(9, 1)
-    action = permutation_action(big, [tuple(range(1, 9)) + (0,)])
+    n = 21
     path = tmp_path / "big.json"
-    save_coaction(str(path), action)
-    code = main(["check", str(path), "--condition", "lip", "--p", "1"])
+    path.write_text(json.dumps({"mu": [f"1/{n}"] * n, "nu": [f"1/{n}"] * n,
+                                "pairs": [[i, i] for i in range(n)]}))
+    code = main(["hall", str(path)])
     capsys.readouterr()
     assert code == 4
 

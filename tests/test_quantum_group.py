@@ -1,16 +1,21 @@
 """Block algebras, states, Hopf verification, Haar states, convolution."""
 
+import random
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
 from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
-                          StateFunctional, exact_psd, extreme_state,
-                          random_state)
+                          StateFunctional, exact_psd, exact_psd_pairs,
+                          extreme_state, random_state)
 from qiso.catalog import (dihedral_group_algebra, standard_groups)
 from qiso.quantum_group import (InconsistentIrreps, NotAGroup, close_generators,
                                 compose, function_algebra_of_group,
                                 group_algebra, haar_state, invert,
                                 verify_quantum_group)
+
+from oracles import psd_by_principal_minors
 
 
 def test_algebra_shapes_and_unit():
@@ -33,6 +38,57 @@ def test_exact_psd():
     assert exact_psd(herm)
     edge = AlgElement(alg, (np.array([[1.0, 1.0], [1.0, 1.0]]),))
     assert exact_psd(edge)  # boundary case decided exactly
+
+
+def hermitian_from_vectors(vectors, signs):
+    """sum_k signs[k] v_k v_k^* as (re, im) Fraction pairs, for vectors of
+    (re, im) pairs."""
+    b = len(vectors[0])
+    return [[(sum(s * (v[i][0] * v[j][0] + v[i][1] * v[j][1])
+                  for v, s in zip(vectors, signs)),
+              sum(s * (v[i][1] * v[j][0] - v[i][0] * v[j][1])
+                  for v, s in zip(vectors, signs)))
+             for j in range(b)] for i in range(b)]
+
+
+def test_exact_psd_matches_principal_minors():
+    """Elimination and principal minors agree on seeded rational Hermitian
+    matrices, b <= 4, real and complex: full-rank and singular PSD ones,
+    ones with a negative term v v^* (at most one negative eigenvalue), and
+    ones where elimination meets a zero pivot on a nonzero row."""
+    rng = random.Random(12)
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+
+    kinds = ("full", "singular", "negative", "zero-pivot")
+    verdicts = {kind: set() for kind in kinds}
+    for trial in range(400):
+        b = 1 + trial % 4
+        complex_ = trial % 8 >= 4
+        kind = kinds[trial % 4 if b > 1 else trial % 3]
+        rank = {"full": b, "singular": rng.randint(0, b - 1),
+                "negative": b + 1, "zero-pivot": 1}[kind]
+        vectors = [[(entry(), entry() if complex_ else F(0))
+                    for _ in range(b)] for _ in range(max(rank, 1))]
+        signs = [0] if rank == 0 else [1] * rank
+        if kind == "negative":
+            signs[rng.randrange(rank)] = F(-1, rng.randint(1, 6))
+        pairs = hermitian_from_vectors(vectors, signs)
+        if kind == "zero-pivot":
+            # a rank-one block leaves a zero Schur complement, and the
+            # added pair makes a zero pivot sit on a nonzero row
+            i, j = (0, 1) if b == 2 else (b - 2, b - 1)
+            re, im = F(rng.randint(1, 4), 3), F(rng.randint(-2, 2), 3) * complex_
+            pairs[i][j] = (pairs[i][j][0] + re, pairs[i][j][1] + im)
+            pairs[j][i] = (pairs[j][i][0] + re, pairs[j][i][1] - im)
+            if b == 2:
+                pairs[0][0] = (F(0), F(0))
+        verdict = exact_psd_pairs(pairs)
+        assert verdict == psd_by_principal_minors(pairs), pairs
+        verdicts[kind].add(verdict)
+    assert verdicts == {"full": {True}, "singular": {True},
+                        "negative": {True, False}, "zero-pivot": {False}}
 
 
 def test_state_roundtrip_and_sampling():

@@ -127,17 +127,6 @@ def test_implication_tallies_flag_violations():
     assert t["violations"][0]["stronger"] == "D"
 
 
-def test_size_guard_marks_undecided():
-    from qiso.reports import _condition_flags
-    from qiso.catalog import permutation_action
-    from qiso.metric import random_metric_space
-    big = random_metric_space(9, 0)
-    action = permutation_action(big, [tuple(range(1, 9)) + (0,)])
-    out = _condition_flags(action, (1,), 1e-9)
-    assert out["flags"]["Lip_1"] is None
-    assert "Lip_1" in out["guards"]
-
-
 def test_time_budget_skips_instances():
     cfg = SearchConfig(kind="sublevel", catalog=["cyclic-3"],
                        random_actions=10, seed=3, time_budget=1e-9)

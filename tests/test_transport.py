@@ -8,15 +8,15 @@ import pytest
 from qiso import transport
 from qiso.metric import PairSet, random_metric_space, validate_metric
 from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
-                            enumerate_boxed_dual_vertices,
-                            enumerate_lipschitz_vertices, feasible_coupling_on,
-                            kantorovich_w1, min_cost_flow, prob_vector,
-                            solve_transport,
+                            _power_cost, enumerate_dual_vertices,
+                            feasible_coupling_on, kantorovich_w1,
+                            min_cost_flow, prob_vector, solve_transport,
                             transport_with_power, wasserstein_inf,
                             wasserstein_p)
-from qiso.errors import SizeGuardExceeded
 
-from oracles import (boxed_dual_vertices_bruteforce, min_cost_flow_reference,
+from oracles import (_solve_linear, boxed_dual_vertices_bruteforce,
+                     enumerate_boxed_dual_vertices,
+                     enumerate_lipschitz_vertices, min_cost_flow_reference,
                      transport_bruteforce)
 
 TWO = validate_metric([[F(0), F(1)], [F(1), F(0)]])
@@ -358,25 +358,43 @@ def test_float_coupling_feasibility_matches_networkx(n):
 # vertex enumeration
 
 
+def lipschitz_vertex_sets(sp):
+    """The Lipschitz vertices by the active-set oracle and as the f's of
+    the dual vertices at p = 1."""
+    return (enumerate_lipschitz_vertices(sp),
+            [v.f for v in enumerate_dual_vertices(sp, 1)])
+
+
+def c_concave(sp, p, verts):
+    """The pairs with f = g^c and g = f^c: the vertices of the unboxed dual
+    polyhedron among those of the boxed polytope."""
+    c = _power_cost(sp, p)
+    n = sp.n
+    return {(v.f, v.g) for v in verts
+            if all(v.f[i] == min(c[i][j] - v.g[j] for j in range(n))
+                   for i in range(n))
+            and all(v.g[j] == min(c[i][j] - v.f[i] for i in range(n))
+                    for j in range(n))}
+
+
 def test_lipschitz_vertices_two_point():
-    verts = enumerate_lipschitz_vertices(TWO)
-    assert sorted(verts) == [(F(-1), F(0)), (F(1), F(0))]
+    for verts in lipschitz_vertex_sets(TWO):
+        assert sorted(verts) == [(F(-1), F(0)), (F(1), F(0))]
 
 
 def test_lipschitz_vertices_feasible_and_negation_closed():
+    from qiso.metric import lipschitz_constant
     for sp in (THREE, random_metric_space(4, 9)):
-        verts = enumerate_lipschitz_vertices(sp)
-        from qiso.metric import lipschitz_constant
-        keys = {tuple(v) for v in verts}
-        for f in verts:
-            assert lipschitz_constant(sp, f) <= 1
-            assert tuple(-x for x in f) in keys
+        for verts in lipschitz_vertex_sets(sp):
+            keys = {tuple(v) for v in verts}
+            for f in verts:
+                assert lipschitz_constant(sp, f) <= 1
+                assert tuple(-x for x in f) in keys
 
 
 def test_lipschitz_vertex_count_matches_bruteforce():
     # independent oracle: solve every (n-1)-subset of constraints directly
     import itertools
-    from qiso.transport import _solve_linear
     sp = THREE
     n = 3
     cons = []
@@ -397,40 +415,136 @@ def test_lipschitz_vertex_count_matches_bruteforce():
             continue
         if all(sum(c * x for c, x in zip(row, sol)) <= rhs for row, rhs in cons):
             found.add(tuple(sol) + (F(0),))
-    assert found == {tuple(v) for v in enumerate_lipschitz_vertices(sp)}
+    for verts in lipschitz_vertex_sets(sp):
+        assert found == {tuple(v) for v in verts}
 
 
-def test_size_guard():
-    big = random_metric_space(9, 0)
-    with pytest.raises(SizeGuardExceeded):
-        enumerate_lipschitz_vertices(big)
-    with pytest.raises(SizeGuardExceeded):
-        enumerate_boxed_dual_vertices(big, 1)
+def test_dual_vertices_match_active_set_lipschitz_vertices():
+    """At p = 1 the dual vertices are (f, -f) over the Lipschitz vertices."""
+    from qiso.catalog import cycle_metric
+    spaces = [TWO, THREE, cycle_metric(4), cycle_metric(5)] + \
+        [random_metric_space(n, seed) for n in (4, 5) for seed in range(3)]
+    for sp in spaces:
+        verts = enumerate_dual_vertices(sp, 1)
+        assert all(v.g == tuple(-x for x in v.f) for v in verts)
+        assert {v.f for v in verts} == \
+            {tuple(f) for f in enumerate_lipschitz_vertices(sp)}
+
+
+def test_dual_vertices_have_no_size_guard():
+    """C8 is searched in full: at most C(14, 7) = 3432 trees, each vertex
+    dual feasible with g_{n-1} = 0 and each node on a tight edge."""
+    from qiso.catalog import cycle_metric
+    sp = cycle_metric(8)
+    c = _power_cost(sp, 2)
+    verts = enumerate_dual_vertices(sp, 2)
+    assert 0 < len(verts) <= 3432
+    for v in verts:
+        assert v.g[7] == 0
+        assert all(v.f[i] + v.g[j] <= c[i][j] for i in range(8) for j in range(8))
+        assert all(min(c[i][j] - v.g[j] for j in range(8)) == v.f[i]
+                   for i in range(8))
+
+
+def test_dual_vertex_search_visits_one_tree_per_cell(monkeypatch):
+    """The lexicographic perturbation makes the search visit exactly
+    C(2n-2, n-1) trees, also on costs with many ties; broken arbitrarily,
+    the ties let it wander over every degenerate tree of a vertex."""
+    from collections import deque
+    from math import comb
+
+    from qiso.catalog import cycle_metric, equilateral_metric
+    visited = []
+
+    class CountingQueue(deque):
+        def popleft(self):
+            visited.append(1)
+            return super().popleft()
+
+    monkeypatch.setattr(transport, "deque", CountingQueue)
+    spaces = [cycle_metric(6), equilateral_metric(5), random_metric_space(6, 1),
+              random_metric_space(5, 2, mode="float")]
+    for sp in spaces:
+        for p in (1, 2):
+            visited.clear()
+            enumerate_dual_vertices(sp, p)
+            assert len(visited) == comb(2 * sp.n - 2, sp.n - 1), (sp.dist, p)
+
+
+def test_dual_vertices_keep_modes_apart():
+    """Rational spaces give Fraction potentials, float spaces floats, and
+    the two modes give the same vertices."""
+    d = F(13, 8)
+    exact = validate_metric([[F(0), d], [d, F(0)]])
+    fl = validate_metric([[0.0, float(d)], [float(d), 0.0]], mode="float")
+    for p in (1, 2):
+        va, vb = enumerate_dual_vertices(exact, p), enumerate_dual_vertices(fl, p)
+        assert all(isinstance(x, F) for v in va for x in v.f + v.g)
+        assert all(isinstance(x, float) for v in vb for x in v.f + v.g)
+        assert {tuple(float(x) for x in v.f + v.g) for v in va} == \
+            {v.f + v.g for v in vb}
+    from qiso.catalog import four_point_asymmetric
+    for sp in (four_point_asymmetric(), random_metric_space(5, 4)):
+        fl = validate_metric([[float(v) for v in row] for row in sp.dist],
+                             mode="float")
+        for p in (1, 2, 3):
+            va = enumerate_dual_vertices(sp, p)
+            vb = enumerate_dual_vertices(fl, p)
+            assert {tuple(round(float(x), 9) for x in v.f + v.g) for v in va} == \
+                {tuple(round(x, 9) for x in v.f + v.g) for v in vb}
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_boxed_dual_vertices_feasible(p):
     cost = [[v ** p for v in row] for row in THREE.dist]
-    for vert in enumerate_boxed_dual_vertices(THREE, p):
-        for i in range(3):
-            for j in range(3):
-                assert vert.f[i] + vert.g[j] <= cost[i][j]
-        assert vert.g[2] == 0
+    for verts in (enumerate_boxed_dual_vertices(THREE, p),
+                  enumerate_dual_vertices(THREE, p)):
+        for vert in verts:
+            for i in range(3):
+                for j in range(3):
+                    assert vert.f[i] + vert.g[j] <= cost[i][j]
+            assert vert.g[2] == 0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_boxed_dual_matches_bruteforce_active_sets(p):
-    for sp in (TWO, THREE):
+    for sp in (TWO, THREE) + tuple(random_metric_space(3, s) for s in range(2)):
         fast = {(v.f, v.g) for v in enumerate_boxed_dual_vertices(sp, p)}
-        brute = {(v.f, v.g) for v in boxed_dual_vertices_bruteforce(sp, p)}
-        assert fast == brute
+        brute = boxed_dual_vertices_bruteforce(sp, p)
+        assert fast == {(v.f, v.g) for v in brute}
+        assert {(v.f, v.g) for v in enumerate_dual_vertices(sp, p)} == \
+            c_concave(sp, p, brute)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_dual_vertices_match_forest_enumerator(p):
+    """The unboxed vertices are the c-concave boxed vertices, on the
+    4-point catalog spaces and seeded random ones."""
+    from qiso.catalog import (cycle_metric, four_cycle_broken_diagonal,
+                              four_point_asymmetric, four_point_blocks,
+                              rectangle_metric)
+    spaces = [cycle_metric(4), four_point_asymmetric(), four_point_blocks(),
+              rectangle_metric(), four_cycle_broken_diagonal()] + \
+        [random_metric_space(4, seed) for seed in range(2)]
+    for sp in spaces:
+        assert {(v.f, v.g) for v in enumerate_dual_vertices(sp, p)} == \
+            c_concave(sp, p, enumerate_boxed_dual_vertices(sp, p))
 
 
 def test_boxed_dual_strong_duality_crosscheck():
+    """max over the vertices of mu(f) + nu(g) is W_p^p, exactly, for both
+    enumerators, and up to n = 7 for the pivot search: the sufficiency the
+    lambda_max sweep of Lip_p relies on."""
     rng = random.Random(8)
-    for sp, p in ((TWO, 1), (THREE, 2), (random_metric_space(4, 4), 3)):
-        verts = enumerate_boxed_dual_vertices(sp, p)
+    cases = [(TWO, 1), (THREE, 2), (random_metric_space(4, 4), 3)] + \
+        [(random_metric_space(n, 50 + n), p) for n in range(5, 8)
+         for p in (1, 2, 3)]
+    enumerators = (enumerate_boxed_dual_vertices, enumerate_dual_vertices)
+    for sp, p in cases:
+        vertex_sets = [enumerate_vertices(sp, p)
+                       for enumerate_vertices in enumerators[sp.n > 4:]]
         for _ in range(8):
             mu, nu = rand_prob(rng, sp.n), rand_prob(rng, sp.n)
-            best = max(mu.pair(v.f) + nu.pair(v.g) for v in verts)
-            assert best == transport_with_power(sp, mu, nu, p).value
+            value = transport_with_power(sp, mu, nu, p).value
+            for verts in vertex_sets:
+                assert max(mu.pair(v.f) + nu.pair(v.g) for v in verts) == value
