@@ -35,8 +35,9 @@ from .coaction import CoAction, a_element, act_on_function, act_on_point
 from .errors import QisoError
 from .metric import (ball, level_set, lipschitz_constant, sublevel_set)
 from .scalars import RATIONAL
-from .transport import (ProbVector, enumerate_dual_vertices, prob_vector,
-                        transport_with_power, wasserstein_inf, wasserstein_p)
+from .transport import (ProbVector, _power_cost, enumerate_dual_vertices,
+                        prob_vector, solve_transport, transport_with_power,
+                        wasserstein_inf)
 
 
 class KappaConventionMismatch(QisoError):
@@ -219,17 +220,28 @@ def check_D_state(action: CoAction, psi: StateFunctional,
 
 def check_lip_p_state(action: CoAction, psi: StateFunctional, p,
                       tol: float = 1e-9) -> IsometryVerdict:
-    """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs, one state."""
+    """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs, one state.
+
+    Each x <| psi is computed once.  Its masses are floats, so every
+    transport problem here runs in floats; for finite p the cost matrix
+    float(d^p) is built once, which is the cost the simplex would convert
+    the exact d^p to on every call.
+    """
     space = action.space
     tag = f"Lip_{p}(state)"
+    images = [act_on_point(action, x, psi, tol=tol) for x in range(space.n)]
+    finite = not (p == float("inf") or p == "inf")
+    if finite:
+        if p < 1:
+            raise ValueError("p must be >= 1")
+        cost = [[float(c) for c in row] for row in _power_cost(space, p)]
     worst = None
     for x, y in _pairs(space.n):
-        mu = act_on_point(action, x, psi, tol=tol)
-        nu = act_on_point(action, y, psi, tol=tol)
-        if p == float("inf") or p == "inf":
-            w = float(wasserstein_inf(space, mu, nu).r)
+        mu, nu = images[x], images[y]
+        if finite:
+            w = float(solve_transport(mu, nu, cost).value) ** (1.0 / p)
         else:
-            w = float(wasserstein_p(space, mu, nu, p))
+            w = float(wasserstein_inf(space, mu, nu).r)
         margin = w - float(space.dist[x][y])
         if worst is None or margin > worst[0]:
             worst = (margin, (x, y), w)
@@ -448,11 +460,10 @@ def check_level_coupling_state(action: CoAction, psi: StateFunctional,
     solver on each pair."""
     from .hall import HallInstance, decide_hall
     space = action.space
+    images = [act_on_point(action, x, psi, tol=tol) for x in range(space.n)]
     for x, y in _pairs(space.n):
-        mu = act_on_point(action, x, psi, tol=tol)
-        nu = act_on_point(action, y, psi, tol=tol)
         Y = level_set(space, space.dist[x][y])
-        verdict = decide_hall(HallInstance(mu, nu, Y))
+        verdict = decide_hall(HallInstance(images[x], images[y], Y))
         if not verdict.feasible:
             return IsometryVerdict("main(state)", False, witness={
                 "pair": (x, y), "violating_subset": sorted(verdict.violator)})

@@ -250,6 +250,21 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
     return report
 
 
+def _collect_hits(extra=lambda rec: {}):
+    """A collect callback for the conjecture searches: keep every record,
+    and dossier each hit as its descriptor, its coaction document and the
+    keys extra(rec) adds."""
+    def collect(report, rec):
+        report.instances.append(rec)
+        if rec.get("hit"):
+            action = build_instance(rec["descriptor"])
+            group_doc, space_doc, act_doc = coaction_to_dicts(action)
+            act_doc["group"], act_doc["space"] = group_doc, space_doc
+            report.dossiers.append({"descriptor": rec["descriptor"],
+                                    "coaction": act_doc, **extra(rec)})
+    return collect
+
+
 def _sublevel_worker_record(desc: dict) -> dict:
     action = build_instance(desc)
     rec = {"descriptor": desc, "name": desc.get("name") or action.name}
@@ -262,16 +277,7 @@ def _sublevel_worker_record(desc: dict) -> dict:
 def search_conjecture_sublevel(config: SearchConfig) -> RunReport:
     """Look for sublevel-coupling-universal actions that fail (D); a hit
     would be a counterexample dossier, never an assertion."""
-    def collect(report, rec):
-        report.instances.append(rec)
-        if rec.get("hit"):
-            action = build_instance(rec["descriptor"])
-            group_doc, space_doc, act_doc = coaction_to_dicts(action)
-            act_doc["group"], act_doc["space"] = group_doc, space_doc
-            report.dossiers.append({"descriptor": rec["descriptor"],
-                                    "coaction": act_doc})
-
-    report = _run_instances(config, _sublevel_worker_record, collect)
+    report = _run_instances(config, _sublevel_worker_record, _collect_hits())
     tallies = {"checked": len(report.instances),
                "hits": sum(1 for r in report.instances if r.get("hit")),
                "holds_both": sum(1 for r in report.instances
@@ -380,19 +386,9 @@ def search_conjecture_span(config: SearchConfig) -> RunReport:
     worker = functools.partial(_span_record, p=p,
                                state_samples=config.state_samples,
                                seed=config.seed)
-
-    def collect(report, rec):
-        report.instances.append(rec)
-        if rec.get("hit"):
-            action = build_instance(rec["descriptor"])
-            group_doc, space_doc, act_doc = coaction_to_dicts(action)
-            act_doc["group"], act_doc["space"] = group_doc, space_doc
-            report.dossiers.append({"descriptor": rec["descriptor"],
-                                    "coaction": act_doc,
-                                    "p": rec["p"],
-                                    "failures": rec["in_span_failures"],
-                                    "failing_states": rec["failing_in_span_states"]})
-
+    collect = _collect_hits(lambda rec: {
+        "p": rec["p"], "failures": rec["in_span_failures"],
+        "failing_states": rec["failing_in_span_states"]})
     report = _run_instances(config, worker, collect)
     report.implication_matrix = {
         "checked": len(report.instances),

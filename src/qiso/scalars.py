@@ -3,8 +3,11 @@
 Every quantity in the metric/transport/feasibility layers is either a
 ``fractions.Fraction`` (rational mode: comparisons are exact, tolerance 0)
 or a ``float`` (float mode: comparisons use a single run-wide tolerance,
-default 1e-9).  Mixing modes inside one computation is not supported; the
-mode is fixed by the inputs.
+default 1e-9).  The mode is fixed by the inputs: a computation is exact
+only when every input is rational.  One float input makes it float, so
+float marginals on a rational space (the masses x <| psi of a state, say)
+give a float transport computation, whose rational costs are converted to
+float once, on entry to the simplex.
 """
 
 from __future__ import annotations

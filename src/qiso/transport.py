@@ -152,9 +152,12 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     rooted at a virtual node; Bland's rule (lowest arc index enters, lowest
     index leaves among ties) prevents cycling under exact pivots.
 
-    Rational data is scaled once to integers (costs by the lcm of their
-    denominators, demands by theirs), so every pivot adds and compares
-    plain ints; the results are scaled back at the end.  The spanning tree
+    Rational data (every cost and demand an int or a Fraction) is scaled
+    once to integers (costs by the lcm of their denominators, demands by
+    theirs), so every pivot adds and compares plain ints; the results are
+    scaled back to Fractions at the end.  Otherwise every cost and demand
+    is converted to float once, on entry, so rational costs with float
+    demands pivot in floats and return floats only.  The spanning tree
     is kept as parent/parent-arc/depth arrays with child sets: a pivot
     walks the cycle up to the lowest common ancestor, re-roots the subtree
     cut off by the leaving arc at the entering arc's endpoint, and
@@ -180,8 +183,8 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
         big = sum(abs(c) for c in cost) + cs
         piv_eps = 0
     else:
-        cost = [c for _, _, c in arcs]
-        supply = list(demand)
+        cost = [float(c) for _, _, c in arcs]
+        supply = [float(b) for b in demand]
         big = sum(abs(c) for c in cost) + 1
         piv_eps = 1e-12
     zero = big * 0

@@ -12,6 +12,9 @@ from qiso.catalog import (cycle_metric, dihedral_projection_action,
                           random_permutation_action, random_quantum_action,
                           standard_actions, three_point_isosceles,
                           trivial_action)
+from qiso import isometry
+from qiso.coaction import act_on_point
+from qiso.hall import HallInstance, decide_hall
 from qiso.isometry import (HypothesisViolated, check_ball_identity, check_D,
                            check_D_commutant, check_D_state,
                            check_injectivity, check_level_coupling_state,
@@ -19,7 +22,8 @@ from qiso.isometry import (HypothesisViolated, check_ball_identity, check_D,
                            check_lip_p_universal, check_lip_seminorm_state,
                            check_orthogonality, check_theorem_main,
                            check_winf_universal, sample_orthogonality_inputs)
-from qiso.metric import random_metric_space, validate_metric
+from qiso.metric import level_set, random_metric_space, validate_metric
+from qiso.transport import wasserstein_inf, wasserstein_p
 
 from oracles import support_universal_bruteforce
 
@@ -246,6 +250,77 @@ def test_support_criterion_has_no_size_guard():
         assert not verdict.holds
         (x, y), (j, k) = verdict.witness["pair"], verdict.witness["points"]
         assert outside(d[j][k], d[x][y])
+
+
+def _pairs_recomputed(action, psi, tol):
+    """Both marginals of every ordered pair, each recomputed for the pair."""
+    n = action.n
+    return [((x, y), act_on_point(action, x, psi, tol=tol),
+             act_on_point(action, y, psi, tol=tol))
+            for x in range(n) for y in range(n) if x != y]
+
+
+def _lip_p_state_per_pair(action, psi, p, tol):
+    """check_lip_p_state's (holds, certificate, witness), with x <| psi
+    recomputed for every pair and W_p from wasserstein_p/wasserstein_inf."""
+    space = action.space
+    worst = None
+    for (x, y), mu, nu in _pairs_recomputed(action, psi, tol):
+        if p == float("inf"):
+            w = float(wasserstein_inf(space, mu, nu).r)
+        else:
+            w = float(wasserstein_p(space, mu, nu, p))
+        margin = w - float(space.dist[x][y])
+        if worst is None or margin > worst[0]:
+            worst = (margin, (x, y), w)
+    if worst[0] <= tol:
+        return True, {"max_margin": worst[0]}, None
+    return False, None, {"pair": worst[1], "wasserstein": worst[2],
+                         "margin": worst[0]}
+
+
+def _level_coupling_per_pair(action, psi, tol):
+    """check_level_coupling_state's (holds, witness), pair by pair."""
+    for (x, y), mu, nu in _pairs_recomputed(action, psi, tol):
+        Y = level_set(action.space, action.space.dist[x][y])
+        verdict = decide_hall(HallInstance(mu, nu, Y))
+        if not verdict.feasible:
+            return False, {"pair": (x, y),
+                           "violating_subset": sorted(verdict.violator)}
+    return True, None
+
+
+def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
+    """The per-state checks compute each x <| psi once (n calls of
+    act_on_point per check) and return exactly the verdicts, certificates
+    and witnesses of recomputing both marginals for every pair, on the
+    catalog x 5 random states x p in {1, 2, 3, inf}."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return act_on_point(*args, **kwargs)
+
+    monkeypatch.setattr(isometry, "act_on_point", counted)
+    seen = {True: 0, False: 0}
+    for entry in standard_actions():
+        action = entry.action
+        for k in range(5):
+            psi = random_state(action.group.algebra, 37 * k + 3)
+            for p in (1, 2, 3, float("inf")):
+                del calls[:]
+                v = check_lip_p_state(action, psi, p, tol=1e-8)
+                assert calls == list(range(action.n))
+                assert (v.holds, v.certificate, v.witness) == \
+                    _lip_p_state_per_pair(action, psi, p, 1e-8), (entry.name, k, p)
+                seen[v.holds] += 1
+            del calls[:]
+            v = check_level_coupling_state(action, psi)
+            assert calls == list(range(action.n))
+            assert (v.holds, v.witness) == \
+                _level_coupling_per_pair(action, psi, 1e-9), (entry.name, k)
+            seen[v.holds] += 1
+    assert seen[True] and seen[False]
 
 
 def test_level_coupling_per_state_classical():

@@ -139,6 +139,49 @@ def test_min_cost_flow_matches_reference(monkeypatch):
     assert len(calls) == 400
 
 
+def float_prob(rng, n):
+    w = [rng.random() + 0.05 for _ in range(n)]
+    s = sum(w)
+    return prob_vector([x / s for x in w])
+
+
+def test_mixed_mode_runs_in_floats(monkeypatch):
+    """Rational costs with float marginals run the simplex in floats: every
+    flow and potential is a float and equals (==) those of the same
+    problem with the costs converted to float beforehand, on 100 seeded
+    problems routed through solve_transport and kantorovich_w1."""
+    flows, pi = min_cost_flow(4, [(0, 2, F(1, 3)), (0, 3, F(2)),
+                                  (1, 2, F(5, 4)), (1, 3, F(1, 2))],
+                              [-0.3, -0.7, 0.4, 0.6])
+    assert all(isinstance(v, float) for v in flows + pi)
+
+    calls = []
+
+    def spy(num_nodes, arcs, demand, tol=1e-9):
+        got = min_cost_flow(num_nodes, arcs, demand, tol)
+        assert all(isinstance(v, float) for part in got for v in part)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(transport, "min_cost_flow", spy)
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        sp = random_metric_space(n, rng.randint(0, 9999))
+        fl = validate_metric([[float(v) for v in row] for row in sp.dist],
+                             mode="float")
+        mu, nu = float_prob(rng, n), float_prob(rng, n)
+        cost = rand_cost(rng, n, denom=13)
+        exact = solve_transport(mu, nu, cost)
+        conv = solve_transport(mu, nu, [[float(c) for c in row] for row in cost])
+        assert calls[-2] == calls[-1]
+        assert (exact.value, exact.plan.plan, exact.duals) == \
+            (conv.value, conv.plan.plan, conv.duals)
+        assert kantorovich_w1(sp, mu, nu) == kantorovich_w1(fl, mu, nu)
+        assert calls[-2] == calls[-1]
+    assert len(calls) == 400
+
+
 # ---------------------------------------------------------------------------
 # wasserstein_p and kantorovich
 
