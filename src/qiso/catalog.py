@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -240,38 +240,47 @@ class CatalogAction:
     action: CoAction
 
 
+# name -> constructor of the named coaction; each builds only its own entry
+CATALOG: Dict[str, Callable[[str], CoAction]] = {
+    "trivial-3": lambda name: trivial_action(three_point_isosceles()),
+    "cyclic-3": lambda name: permutation_action(
+        cycle_metric(3), [(1, 2, 0)], name=name),
+    "cyclic-4": lambda name: permutation_action(
+        cycle_metric(4), [(1, 2, 3, 0)], name=name),
+    "cyclic-5": lambda name: permutation_action(
+        cycle_metric(5), [(1, 2, 3, 4, 0)], name=name),
+    "s3-equilateral": lambda name: permutation_action(
+        equilateral_metric(3), [(1, 2, 0), (1, 0, 2)], name=name),
+    "s3-isosceles": lambda name: permutation_action(
+        three_point_isosceles(), [(1, 2, 0), (1, 0, 2)], name=name),
+    "d4-square": lambda name: permutation_action(
+        cycle_metric(4), [(1, 2, 3, 0), (0, 3, 2, 1)], name=name),
+    "z4-broken-diagonal": lambda name: permutation_action(
+        four_cycle_broken_diagonal(), [(1, 2, 3, 0)], name=name),
+    "klein-rectangle": lambda name: permutation_action(
+        rectangle_metric(), [(1, 0, 3, 2), (2, 3, 0, 1)], name=name),
+    "dual-d4-blocks": lambda name: dihedral_projection_action(
+        four_point_blocks(), 4, name=name),
+    "dual-d4-mixed": lambda name: dihedral_projection_action(
+        four_point_blocks(a=Fraction(1), b=Fraction(3, 2), c=Fraction(2)), 4,
+        name=name),
+    "dual-d4-asymmetric": lambda name: dihedral_projection_action(
+        four_point_asymmetric(), 4, name=name),
+    "dual-d3-blocks": lambda name: dihedral_projection_action(
+        four_point_blocks(b=Fraction(2)), 3, name=name),
+}
+
+
+def catalog_action(name: str) -> CoAction:
+    """The named catalog coaction, built alone."""
+    if name not in CATALOG:
+        raise KeyError(f"no catalog entry named {name!r}")
+    return CATALOG[name](name)
+
+
 def standard_actions() -> List[CatalogAction]:
     """Named coactions used across the verification and search suites."""
-    tri = three_point_isosceles()
-    entries = [
-        CatalogAction("trivial-3", trivial_action(tri)),
-        CatalogAction("cyclic-3", permutation_action(
-            cycle_metric(3), [(1, 2, 0)], name="cyclic-3")),
-        CatalogAction("cyclic-4", permutation_action(
-            cycle_metric(4), [(1, 2, 3, 0)], name="cyclic-4")),
-        CatalogAction("cyclic-5", permutation_action(
-            cycle_metric(5), [(1, 2, 3, 4, 0)], name="cyclic-5")),
-        CatalogAction("s3-equilateral", permutation_action(
-            equilateral_metric(3), [(1, 2, 0), (1, 0, 2)], name="s3-equilateral")),
-        CatalogAction("s3-isosceles", permutation_action(
-            tri, [(1, 2, 0), (1, 0, 2)], name="s3-isosceles")),
-        CatalogAction("d4-square", permutation_action(
-            cycle_metric(4), [(1, 2, 3, 0), (0, 3, 2, 1)], name="d4-square")),
-        CatalogAction("z4-broken-diagonal", permutation_action(
-            four_cycle_broken_diagonal(), [(1, 2, 3, 0)], name="z4-broken-diagonal")),
-        CatalogAction("klein-rectangle", permutation_action(
-            rectangle_metric(), [(1, 0, 3, 2), (2, 3, 0, 1)], name="klein-rectangle")),
-        CatalogAction("dual-d4-blocks", dihedral_projection_action(
-            four_point_blocks(), 4, name="dual-d4-blocks")),
-        CatalogAction("dual-d4-mixed", dihedral_projection_action(
-            four_point_blocks(a=Fraction(1), b=Fraction(3, 2), c=Fraction(2)), 4,
-            name="dual-d4-mixed")),
-        CatalogAction("dual-d4-asymmetric", dihedral_projection_action(
-            four_point_asymmetric(), 4, name="dual-d4-asymmetric")),
-        CatalogAction("dual-d3-blocks", dihedral_projection_action(
-            four_point_blocks(b=Fraction(2)), 3, name="dual-d3-blocks")),
-    ]
-    return entries
+    return [CatalogAction(name, catalog_action(name)) for name in CATALOG]
 
 
 def standard_groups() -> List[QuantumGroup]:
@@ -287,7 +296,7 @@ def verified_catalog(tol: float = 1e-9) -> List[CatalogAction]:
     """The standard actions, gated by their verifiers."""
     out = []
     for entry in standard_actions():
-        qrep = verify_quantum_group(entry.action.group, tol=max(tol, 1e-10))
+        qrep = verify_quantum_group(entry.action.group)
         crep = verify_coaction(entry.action, tol=tol)
         if not qrep.passed(max(tol, 1e-10)) or not crep.passed(tol):
             raise CatalogEntryInvalid(

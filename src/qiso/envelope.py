@@ -210,8 +210,7 @@ class EnvelopeResult:
         return self.quotient.dim
 
 
-def envelope(action: CoAction, tol: float = 1e-9,
-             verify: bool = True) -> EnvelopeResult:
+def envelope(action: CoAction, tol: float = 1e-9) -> EnvelopeResult:
     """Defects -> generated ideal -> Hopf saturation -> verified quotient."""
     qg = action.group
     defects = commutator_elements(action)
@@ -219,15 +218,12 @@ def envelope(action: CoAction, tol: float = 1e-9,
     ideal, added = hopf_saturate(qg, ideal0, tol)
     quotient, survivors = quotient_quantum_group(qg, ideal)
     induced = induced_action(action, quotient, survivors)
-    reports: Dict[str, QGReport] = {}
-    if verify:
-        reports["quantum_group"] = verify_quantum_group(quotient)
-        reports["coaction"] = verify_coaction(induced, tol=tol,
-                                              check_faithful=False)
-        verdict = check_D(induced, tol=tol)
-        if not verdict.holds:
-            raise QisoError("induced action is not (D)-isometric; "
-                            "envelope construction is broken")
+    reports: Dict[str, QGReport] = {
+        "quantum_group": verify_quantum_group(quotient),
+        "coaction": verify_coaction(induced, tol=tol, check_faithful=False)}
+    if not check_D(induced, tol=tol).holds:
+        raise QisoError("induced action is not (D)-isometric; "
+                        "envelope construction is broken")
     return EnvelopeResult(ideal=ideal, quotient=quotient, survivors=survivors,
                           induced=induced, iterations=added, reports=reports)
 

@@ -225,7 +225,9 @@ def check_lip_p_state(action: CoAction, psi: StateFunctional, p,
     Each x <| psi is computed once.  Its masses are floats, so every
     transport problem here runs in floats; for finite p the cost matrix
     float(d^p) is built once, which is the cost the simplex would convert
-    the exact d^p to on every call.
+    the exact d^p to on every call.  The margins W_p - d(x,y) scale with
+    the metric, so tol is taken relative to the largest distance, as for
+    (D), and the verdict does not depend on the metric's units.
     """
     space = action.space
     tag = f"Lip_{p}(state)"
@@ -245,7 +247,7 @@ def check_lip_p_state(action: CoAction, psi: StateFunctional, p,
         margin = w - float(space.dist[x][y])
         if worst is None or margin > worst[0]:
             worst = (margin, (x, y), w)
-    if worst[0] <= tol:
+    if worst[0] <= tol * float(max(map(max, space.dist))):
         return IsometryVerdict(tag, True, certificate={"max_margin": worst[0]})
     return IsometryVerdict(tag, False, witness={
         "pair": worst[1], "wasserstein": worst[2], "margin": worst[0]})

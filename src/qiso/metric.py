@@ -201,8 +201,8 @@ def level_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
 
 def sublevel_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
     """{(i,j) : d(i,j) <= r}."""
-    tol = tol_for(space.mode, space.tol)
-    return PairSet(tuple(tuple(v <= r + tol for v in row) for row in space.dist))
+    bound = r + tol_for(space.mode, space.tol)
+    return PairSet(tuple(tuple(v <= bound for v in row) for row in space.dist))
 
 
 def random_metric_space(n: int, seed: int, model: str = "shortest-path-graph",

@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .algebra import StateFunctional, random_state
-from .catalog import (random_permutation_action, random_quantum_action,
-                      standard_actions)
+from .catalog import (CATALOG, catalog_action, random_permutation_action,
+                      random_quantum_action)
 from .coaction import CoAction, verify_coaction
 from .envelope import envelope
 from .fileio import coaction_to_dicts
@@ -85,9 +85,9 @@ class RunReport:
 def instance_descriptors(config: SearchConfig) -> List[dict]:
     names = None if config.catalog is None else set(config.catalog)
     out = []
-    for entry in standard_actions():
-        if names is None or entry.name in names:
-            out.append({"source": "catalog", "name": entry.name})
+    for name in CATALOG:
+        if names is None or name in names:
+            out.append({"source": "catalog", "name": name})
     for k in range(config.random_actions):
         seed = config.seed * 100003 + k
         if k % 3 == 2:
@@ -102,10 +102,7 @@ def instance_descriptors(config: SearchConfig) -> List[dict]:
 
 def build_instance(desc: dict) -> CoAction:
     if desc["source"] == "catalog":
-        for entry in standard_actions():
-            if entry.name == desc["name"]:
-                return entry.action
-        raise KeyError(f"no catalog entry named {desc['name']!r}")
+        return catalog_action(desc["name"])
     if desc["source"] == "random-perm":
         space = random_metric_space(desc["n"], desc["seed"], desc["model"])
         return random_permutation_action(space, desc["seed"])
@@ -136,7 +133,7 @@ def _condition_flags(action: CoAction, p_list, tol: float) -> dict:
 
 
 def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10,
-                    tol: float = 1e-9, deep: bool = True) -> dict:
+                    tol: float = 1e-9) -> dict:
     """Everything the verification run records about one action."""
     t0 = time.perf_counter()
     action = build_instance(desc)
@@ -153,11 +150,10 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
         rec["conditions"]["D_commutant"] = None
         rec["guards"].append("D_commutant:kappa-convention")
     rec["injective"] = bool(check_injectivity(action))
-    if deep:
-        env = envelope(action, tol=tol)
-        rec["envelope"] = {"dimension": env.dimension,
-                           "iterations": env.iterations,
-                           "killed_blocks": sorted(env.ideal.included_blocks)}
+    env = envelope(action, tol=tol)
+    rec["envelope"] = {"dimension": env.dimension,
+                       "iterations": env.iterations,
+                       "killed_blocks": sorted(env.ideal.included_blocks)}
     # sampled per-state consistency
     sampled = {f"Lip_{p}": True for p in p_list}
     worst_state_margin = None

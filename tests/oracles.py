@@ -23,7 +23,12 @@ exponential in the number of points:
   elimination of `exact_psd_pairs`;
 - support_universal_bruteforce: positivity of a_{y;N(S)} - a_{x;S} for
   every pair and every subset S, against the pairwise orthogonality
-  criterion of `check_theorem_main` and `check_winf_universal`.
+  criterion of `check_theorem_main` and `check_winf_universal`;
+- verify_quantum_group_dense: every Hopf axiom on A (x) A assembled as
+  one dense block-diagonal matrix of side (sum n_k)^2, with products of
+  AlgElements and one SVD per operator norm; not exponential, but
+  independent of the product table and the block-by-block norms of
+  `verify_quantum_group`, which must report the same residuals.
 """
 
 import itertools
@@ -33,12 +38,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from qiso.algebra import AlgElement, exact_psd
+from qiso.algebra import AlgElement, FinDimCStarAlgebra, exact_psd
 from qiso.coaction import CoAction, a_element
 from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, _eigen_state,
                            _exact_entries, _pairs, _use_exact)
 from qiso.metric import FiniteMetricSpace, level_set, sublevel_set
+from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, DualPotentials, InfeasibleMarginals,
                             ProbVector, UnboundedFlow, _integer_scale,
@@ -566,3 +572,177 @@ def support_universal_bruteforce(action: CoAction, tag: str, level_only: bool,
                         "state": _eigen_state(action, k, -elem.data[k])})
     return IsometryVerdict(tag, True,
                            certificate={"min_eigenvalue": worst[0] if worst else 0.0})
+
+
+# ---------------------------------------------------------------------------
+# Hopf axioms on the dense tensor square (verify_quantum_group as first
+# written, before it took its norms block by block)
+
+def _pair_layout(algebra: FinDimCStarAlgebra):
+    layout = []
+    pos = 0
+    for k, nk in enumerate(algebra.blocks):
+        for l, nl in enumerate(algebra.blocks):
+            layout.append((k, l, pos, nk, nl))
+            pos += nk * nl
+    return layout, pos
+
+
+def coeff_to_dense(algebra: FinDimCStarAlgebra, M: np.ndarray) -> np.ndarray:
+    """Coefficient matrix over basis (x) basis -> block-diagonal matrix of
+    the product algebra (+)_{k,l} M_{n_k n_l}."""
+    layout, N = _pair_layout(algebra)
+    off = algebra.offsets
+    out = np.zeros((N, N), dtype=complex)
+    for k, l, pos, nk, nl in layout:
+        sub = M[off[k]:off[k] + nk * nk, off[l]:off[l] + nl * nl]
+        four = sub.reshape(nk, nk, nl, nl).transpose(0, 2, 1, 3)
+        out[pos:pos + nk * nl, pos:pos + nk * nl] = four.reshape(nk * nl, nk * nl)
+    return out
+
+
+def dense_to_coeff(algebra: FinDimCStarAlgebra, D: np.ndarray) -> np.ndarray:
+    layout, _ = _pair_layout(algebra)
+    off = algebra.offsets
+    dim = algebra.dim
+    M = np.zeros((dim, dim), dtype=complex)
+    for k, l, pos, nk, nl in layout:
+        four = D[pos:pos + nk * nl, pos:pos + nk * nl].reshape(nk, nl, nk, nl)
+        M[off[k]:off[k] + nk * nk, off[l]:off[l] + nl * nl] = \
+            four.transpose(0, 2, 1, 3).reshape(nk * nk, nl * nl)
+    return M
+
+
+def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
+                               check_cancellation: bool = True) -> QGReport:
+    """Check every axiom; the report lists the max violation per axiom."""
+    alg = qg.algebra
+    dim = alg.dim
+    basis = [alg.basis_element(a) for a in range(dim)]
+    kbasis = [alg.from_vec(qg.kappa[:, a]) for a in range(dim)]
+    unit = alg.unit()
+    unit_vec = unit.vec()
+    rep = QGReport()
+
+    dense_delta = [coeff_to_dense(alg, qg.apply_delta(b)) for b in basis]
+
+    def dense_of(elem: AlgElement) -> np.ndarray:
+        out = np.zeros_like(dense_delta[0])
+        for c, D in zip(elem.vec(), dense_delta):
+            if c != 0:
+                out += c * D
+        return out
+
+    # Delta is a unital *-homomorphism
+    unit_tensor = coeff_to_dense(alg, np.outer(unit_vec, unit_vec))
+    rep.residuals["delta_unital"] = float(np.linalg.norm(
+        dense_of(unit) - unit_tensor, 2))
+
+    star_res = 0.0
+    for a in range(dim):
+        lhs = dense_of(basis[a].star())
+        rhs = dense_of(basis[a]).conj().T
+        star_res = max(star_res, float(np.linalg.norm(lhs - rhs, 2)))
+    rep.residuals["delta_star"] = star_res
+
+    commutative = all(b == 1 for b in alg.blocks)
+    if commutative:
+        # all tensor blocks are scalars: products in A (x) A are Hadamard
+        # products of coefficient matrices, and e_a e_b = delta_ab e_a
+        prods = np.einsum("xya,xyb->abxy", qg.delta, qg.delta)
+        target = np.zeros_like(prods)
+        for a in range(dim):
+            target[a, a] = qg.delta[:, :, a]
+        rep.residuals["delta_multiplicative"] = float(np.abs(prods - target).max())
+    else:
+        mult_res = 0.0
+        for a in range(dim):
+            Da = dense_delta[a]
+            for b in range(dim):
+                prod = basis[a] * basis[b]
+                lhs = dense_of(prod)
+                mult_res = max(mult_res, float(np.linalg.norm(
+                    lhs - Da @ dense_delta[b], 2)))
+        rep.residuals["delta_multiplicative"] = mult_res
+
+    # coassociativity on coefficients: contract the leg being re-expanded
+    D3 = qg.delta
+    left = np.einsum("bga,rsb->rsga", D3, D3)   # (Delta (x) id) Delta
+    right = np.einsum("bga,rsg->brsa", D3, D3)  # (id (x) Delta) Delta
+    rep.residuals["coassociativity"] = float(np.abs(left - right).max())
+
+    # cancellation: spans {(a (x) 1) Delta(b)} and {(1 (x) a) Delta(b)} full
+    if check_cancellation and commutative:
+        # (e_a (x) 1) . Delta(b) keeps row a of the coefficient matrix, so
+        # vectors with different a have disjoint support and the total rank
+        # splits as a sum of per-slice ranks
+        left_rank = sum(np.linalg.matrix_rank(qg.delta[a, :, :], tol=1e-8)
+                        for a in range(dim))
+        right_rank = sum(np.linalg.matrix_rank(qg.delta[:, a, :], tol=1e-8)
+                         for a in range(dim))
+        rep.residuals["cancellation_left"] = float(dim * dim - left_rank)
+        rep.residuals["cancellation_right"] = float(dim * dim - right_rank)
+    elif check_cancellation:
+        for tag, left_leg in (("cancellation_left", True),
+                              ("cancellation_right", False)):
+            cols = []
+            for a in range(dim):
+                avec = np.zeros(dim, dtype=complex)
+                avec[a] = 1.0
+                mult = np.outer(avec, unit_vec) if left_leg else np.outer(unit_vec, avec)
+                dense_mult = coeff_to_dense(alg, mult)
+                for b in range(dim):
+                    cols.append(dense_to_coeff(
+                        alg, dense_mult @ dense_delta[b]).ravel())
+            mat = np.array(cols)
+            rank = np.linalg.matrix_rank(mat, tol=1e-8)
+            rep.residuals[tag] = float(dim * dim - rank)
+
+    # counit axioms
+    left_c = np.einsum("b,bga->ga", qg.epsilon, D3)
+    right_c = np.einsum("g,bga->ba", qg.epsilon, D3)
+    eye = np.eye(dim)
+    rep.residuals["counit_left"] = float(np.abs(left_c - eye).max())
+    rep.residuals["counit_right"] = float(np.abs(right_c - eye).max())
+    eps_mult = 0.0
+    for a in range(dim):
+        for b in range(dim):
+            prod = basis[a] * basis[b]
+            eps_mult = max(eps_mult, abs(qg.counit(prod)
+                                         - qg.counit(basis[a]) * qg.counit(basis[b])))
+    rep.residuals["counit_multiplicative"] = eps_mult
+    rep.residuals["counit_unital"] = abs(qg.counit(unit) - 1.0)
+
+    # antipode axioms: m(kappa (x) id)Delta = eps(.)1 = m(id (x) kappa)Delta
+    anti_l = anti_r = 0.0
+    for a in range(dim):
+        M = qg.apply_delta(basis[a])
+        acc_l = alg.zero()
+        acc_r = alg.zero()
+        for b in range(dim):
+            row = M[b, :]
+            if np.any(row):
+                acc_l = acc_l + kbasis[b] * alg.from_vec(row)
+            col = M[:, b]
+            if np.any(col):
+                acc_r = acc_r + alg.from_vec(col) * kbasis[b]
+        target = qg.counit(basis[a]) * unit
+        anti_l = max(anti_l, (acc_l - target).norm())
+        anti_r = max(anti_r, (acc_r - target).norm())
+    rep.residuals["antipode_left"] = anti_l
+    rep.residuals["antipode_right"] = anti_r
+
+    # Kac type: involutive, *-preserving, multiplication-reversing
+    rep.residuals["kappa_involutive"] = float(np.abs(qg.kappa @ qg.kappa - eye).max())
+    kac_star = 0.0
+    anti_mult = 0.0
+    for a in range(dim):
+        kac_star = max(kac_star, (qg.apply_kappa(basis[a].star())
+                                  - kbasis[a].star()).norm())
+        for b in range(dim):
+            lhs = qg.apply_kappa(basis[a] * basis[b])
+            anti_mult = max(anti_mult, (lhs - kbasis[b] * kbasis[a]).norm())
+    rep.residuals["kappa_star"] = kac_star
+    rep.residuals["kappa_antimultiplicative"] = anti_mult
+    rep.residuals["kappa_unital"] = (qg.apply_kappa(unit) - unit).norm()
+    return rep

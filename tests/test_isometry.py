@@ -88,6 +88,23 @@ def test_check_D_does_not_depend_on_units():
     assert seen == {True, False}
 
 
+def test_lip_p_state_does_not_depend_on_units():
+    """Scaling the metric by 10^9 keeps the per-state Lip_p verdicts: one
+    ulp of W_1 = 2e9 is 2.4e-7, far above an absolute tol of 1e-8, so the
+    tolerance must be relative to the largest distance."""
+    from qiso.catalog import catalog_action
+    from qiso.coaction import CoAction
+    for name, ps in (("dual-d4-blocks", (1,)), ("dual-d3-blocks", (1, 2))):
+        action = catalog_action(name)
+        psi = random_state(action.group.algebra, 5)
+        space = validate_metric([[v * F(10) ** 9 for v in row]
+                                 for row in action.space.dist])
+        scaled = CoAction(action.group, space, action.u, name=name)
+        for p in ps:
+            assert check_lip_p_state(action, psi, p, tol=1e-8).holds, (name, p)
+            assert check_lip_p_state(scaled, psi, p, tol=1e-8).holds, (name, p)
+
+
 def test_commutant_form_agrees_everywhere():
     for entry in standard_actions():
         assert check_D(entry.action).holds == check_D_commutant(entry.action).holds

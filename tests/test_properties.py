@@ -67,7 +67,7 @@ def test_haar_invariance_hundred_random_states():
 def test_commutative_cancellation_shortcut_matches_dense_path():
     # same span computed two ways: per-slice ranks vs literal column stacking
     qg, _ = from_permutation_group(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
-    from qiso.quantum_group import coeff_to_dense, dense_to_coeff
+    from oracles import coeff_to_dense, dense_to_coeff
     alg = qg.algebra
     dim = alg.dim
     unit_vec = alg.unit().vec()

@@ -9,13 +9,14 @@ import pytest
 from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
                           StateFunctional, exact_psd, exact_psd_pairs,
                           extreme_state, random_state)
-from qiso.catalog import (dihedral_group_algebra, standard_groups)
-from qiso.quantum_group import (InconsistentIrreps, NotAGroup, close_generators,
-                                compose, function_algebra_of_group,
-                                group_algebra, haar_state, invert,
-                                verify_quantum_group)
+from qiso.catalog import (dihedral_group_algebra, dihedral_perms,
+                          standard_actions, standard_groups)
+from qiso.quantum_group import (InconsistentIrreps, NotAGroup, QuantumGroup,
+                                close_generators, compose,
+                                function_algebra_of_group, group_algebra,
+                                haar_state, invert, verify_quantum_group)
 
-from oracles import psd_by_principal_minors
+from oracles import psd_by_principal_minors, verify_quantum_group_dense
 
 
 def test_algebra_shapes_and_unit():
@@ -121,6 +122,48 @@ def test_function_algebra_verifies():
         qg = function_algebra_of_group(close_generators(len(gens[0]), gens))
         assert qg.dim == order
         assert verify_quantum_group(qg).passed(1e-10)
+
+
+def _assert_same_residuals(qg, label):
+    blockwise = verify_quantum_group(qg).residuals
+    dense = verify_quantum_group_dense(qg).residuals
+    assert list(blockwise) == list(dense), label
+    for key, value in dense.items():
+        if key.startswith("cancellation"):
+            assert blockwise[key] == value, (label, key)
+        else:
+            assert abs(blockwise[key] - value) <= 1e-12, (label, key)
+
+
+def test_blockwise_verifier_matches_dense_reference():
+    """The block-by-block verifier reports the dense tensor-square
+    verifier's residuals: on commutative and noncommutative groups up to
+    dim 24, and on 300 seeded single-entry faults in delta, epsilon and
+    kappa of sizes 1e-3, 0.1 and 1."""
+    small = [e.action.group for e in standard_actions()] + standard_groups()
+    groups = small + \
+        [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+         for m in range(4, 9)] + \
+        [dihedral_group_algebra(m) for m in range(3, 11)] + \
+        [function_algebra_of_group(close_generators(
+            4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")]
+    for qg in groups:
+        _assert_same_residuals(qg, qg.name)
+    rng = random.Random(707)
+    for fault in range(300):
+        qg = rng.choice(small)
+        delta, epsilon, kappa = qg.delta.copy(), qg.epsilon.copy(), qg.kappa.copy()
+        dim = qg.dim
+        size = rng.choice((1e-3, 0.1, 1.0)) * rng.choice((1, -1, 1j))
+        target = rng.choice(("delta", "epsilon", "kappa"))
+        if target == "delta":
+            delta[rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)] += size
+        elif target == "epsilon":
+            epsilon[rng.randrange(dim)] += size
+        else:
+            kappa[rng.randrange(dim), rng.randrange(dim)] += size
+        mutated = QuantumGroup(qg.algebra, delta, epsilon, kappa)
+        _assert_same_residuals(mutated, (fault, qg.name, target, size))
 
 
 def test_corrupted_delta_is_detected():

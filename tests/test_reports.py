@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qiso.reports import (RunReport, SearchConfig, emit_report,
@@ -29,6 +30,31 @@ def test_catalog_run_shape():
     for r in rep.instances:
         assert r["state_consistency"]
         assert r["quantum_group_residual"] < 1e-9
+
+
+def test_build_instance_builds_only_the_named_entry(monkeypatch):
+    """A catalog descriptor builds its own entry and no other: the same
+    space, structure maps and magic unitary as in standard_actions(), with
+    one call to a catalog constructor."""
+    from qiso import catalog
+    from qiso.reports import build_instance
+    reference = {e.name: e.action for e in catalog.standard_actions()}
+    calls = []
+    for ctor in ("permutation_action", "dihedral_projection_action"):
+        real = getattr(catalog, ctor)
+        monkeypatch.setattr(catalog, ctor, lambda *a, _real=real, **k:
+                            calls.append(1) or _real(*a, **k))
+    for name, want in reference.items():
+        calls.clear()
+        got = build_instance({"source": "catalog", "name": name})
+        assert len(calls) == 1, name
+        assert got.space.dist == want.space.dist, name
+        assert np.array_equal(got.group.delta, want.group.delta), name
+        assert all((a.vec() == b.vec()).all()
+                   for row_a, row_b in zip(got.u, want.u)
+                   for a, b in zip(row_a, row_b)), name
+    with pytest.raises(KeyError):
+        build_instance({"source": "catalog", "name": "no-such-entry"})
 
 
 def test_determinism():
