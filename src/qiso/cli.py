@@ -311,10 +311,7 @@ def _check(args) -> int:
         if args.condition == "d":
             verdict = iso.check_D(action, tol=args.tol)
         elif args.condition == "lip":
-            if p == 1:
-                verdict = iso.check_lip1_universal(action, tol=args.tol)
-            else:
-                verdict = iso.check_lip_p_universal(action, p, tol=args.tol)
+            verdict = iso.check_lip_p_universal(action, p, tol=args.tol)
         elif args.condition == "winf":
             verdict = iso.check_winf_universal(action, tol=args.tol)
         else:

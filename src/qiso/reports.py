@@ -25,9 +25,9 @@ from .coaction import CoAction, verify_coaction
 from .envelope import envelope
 from .fileio import coaction_to_dicts
 from .isometry import (check_D, check_D_commutant, check_injectivity,
-                       check_lip1_universal, check_lip_p_state,
-                       check_lip_p_universal, check_theorem_main,
-                       check_winf_universal, KappaConventionMismatch)
+                       check_lip_p_state, check_lip_p_universal,
+                       check_theorem_main, check_winf_universal,
+                       KappaConventionMismatch)
 from .metric import random_metric_space
 from .quantum_group import verify_quantum_group
 
@@ -125,10 +125,7 @@ def _condition_flags(action: CoAction, p_list, tol: float) -> dict:
     for p in p_list:
         if p in ("inf", float("inf")):
             continue
-        if p == 1:
-            flags["Lip_1"] = bool(check_lip1_universal(action, tol).holds)
-        else:
-            flags[f"Lip_{p}"] = bool(check_lip_p_universal(action, p, tol).holds)
+        flags[f"Lip_{p}"] = bool(check_lip_p_universal(action, p, tol).holds)
     return flags
 
 

@@ -7,8 +7,8 @@ pivoted exactly in plain ints; the answers are scaled back at the end.
 Transportation plans, Kantorovich potentials, coupling feasibility on a
 restricted support (via max-flow/min-cut, on the same integer scaling),
 the bottleneck distance, and the vertices of the Kantorovich dual
-polyhedron (a pivot search over the spanning trees of K_{n,n}, one
-enumerator for every p) all live here.
+polyhedron between two sets of points (a pivot search over the spanning
+trees of K_{m,n}, one enumerator for every p) all live here.
 """
 
 from __future__ import annotations
@@ -522,28 +522,31 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
 # dual polyhedron vertex enumeration
 
 
-def enumerate_dual_vertices(space: FiniteMetricSpace, p) -> List[DualPotentials]:
+def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
+                            cols=None) -> List[DualPotentials]:
     """All vertices of the normalized Kantorovich dual polyhedron
 
-        {(f, g) : f_i + g_j <= d(i,j)^p,  g_{n-1} = 0}.
+        {(f, g) : f_a + g_b <= d(rows[a], cols[b])^p,  g_{n-1} = 0}
 
-    An objective that is convex, entrywise monotone in (f, g) and invariant
-    under the shift (f - t, g + t) attains its sup over the polyhedron at
-    one of these vertices: a ray direction r has r_f_i + r_g_j <= 0 for all
-    i, j, and moving along it never increases such an objective.  At p = 1
-    the vertices are the pairs (f, -f), f a vertex of the Lipschitz
-    polytope {|f_i - f_j| <= d(i,j), f_{n-1} = 0}.
+    of the transport problem between the points `rows` (m of them) and
+    `cols` (n of them); both default to the whole space.  An objective that
+    is convex, entrywise monotone in (f, g) and invariant under the shift
+    (f - t, g + t) attains its sup over the polyhedron at one of these
+    vertices: a ray direction r has r_f_a + r_g_b <= 0 for all a, b, and
+    moving along it never increases such an objective.  On the whole space
+    at p = 1 the vertices are the pairs (f, -f), f a vertex of the
+    Lipschitz polytope {|f_i - f_j| <= d(i,j), f_{n-1} = 0}.
 
-    A vertex is the potential of a feasible spanning tree of K_{n,n} on the
-    nodes f_0..f_{n-1}, g_0..g_{n-1}, rooted at g_{n-1} = 0: f_i + g_j =
-    c_ij on its edges and every other slack is >= 0.  Perturbing c_ij by
-    eps^(i n + j + 1) gives every vertex of the perturbed polyhedron
+    A vertex is the potential of a feasible spanning tree of K_{m,n} on the
+    nodes f_0..f_{m-1}, g_0..g_{n-1}, rooted at g_{n-1} = 0: f_a + g_b =
+    c_ab on its edges and every other slack is >= 0.  Perturbing c_ab by
+    eps^(a n + b + 1) gives every vertex of the perturbed polyhedron
     exactly one tree, and those trees are searched breadth-first by pivots
     (Avis-Fukuda 1992): drop a tree edge, let A be the side of the cut
     without the root, and enter the edge of least slack that crosses the
     cut in the other orientation; a drop with no such edge runs along a
     ray.  A slack is the pair (value, eps coefficients), compared
-    lexicographically.  There are always C(2n-2, n-1) such trees, the
+    lexicographically.  There are always C(m+n-2, m-1) such trees, the
     maximal cells of the triangulation of the product of two simplices
     that the perturbed cost induces (Develin-Sturmfels 2004, "Tropical
     convexity").  Each tree's unperturbed potentials are a vertex, kept
@@ -553,8 +556,11 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p) -> List[DualPotentials]
     comes back as Fractions; float data treats slacks within the space's
     tolerance as ties.
     """
-    n = space.n
-    flat = [v for row in _power_cost(space, p) for v in row]
+    power = _power_cost(space, p)
+    rows = range(space.n) if rows is None else rows
+    cols = range(space.n) if cols is None else cols
+    m, n = len(rows), len(cols)
+    flat = [power[i][j] for i in rows for j in cols]
     exact = space.mode == RATIONAL and all(is_rational(v) for v in flat)
     if exact:
         work, scale = _integer_scale(flat)
@@ -562,19 +568,19 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p) -> List[DualPotentials]
     else:
         work = [float(v) for v in flat]
         eps, zero = space.tol, 0.0
-    # Node i is f_i and node n + j is g_j; edge k = i n + j joins them.
-    root = 2 * n - 1
+    # Node a is f_a and node m + b is g_b; edge k = a n + b joins them.
+    root = m + n - 1
 
     def pivots(tree):
         """The tree's potentials and the trees one pivot away."""
-        adj = [[] for _ in range(2 * n)]
+        adj = [[] for _ in range(m + n)]
         for k in tree:
-            i, j = divmod(k, n)
-            adj[i].append((n + j, k))
-            adj[n + j].append((i, k))
-        val = [None] * (2 * n)
-        parent = [-1] * (2 * n)
-        pedge = [-1] * (2 * n)
+            a, b = divmod(k, n)
+            adj[a].append((m + b, k))
+            adj[m + b].append((a, k))
+        val = [None] * (m + n)
+        parent = [-1] * (m + n)
+        pedge = [-1] * (m + n)
         order = []           # preorder: every subtree is a contiguous run
         val[root] = zero
         stack = [root]
@@ -586,21 +592,21 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p) -> List[DualPotentials]
                     val[w] = work[k] - val[u]
                     parent[w], pedge[w] = u, k
                     stack.append(w)
-        size = [1] * (2 * n)
+        size = [1] * (m + n)
         for u in reversed(order[1:]):
             size[parent[u]] += size[u]
-        rows = []            # eps coefficients per node, built on a tie
+        coef = []            # eps coefficients per node, built on a tie
 
         def eps_slack(k):
-            if not rows:
-                rows.extend([None] * (2 * n))
-                rows[root] = [0] * (n * n)
+            if not coef:
+                coef.extend([None] * (m + n))
+                coef[root] = [0] * (m * n)
                 for u in order[1:]:
-                    row = [-c for c in rows[parent[u]]]
+                    row = [-c for c in coef[parent[u]]]
                     row[pedge[u]] += 1
-                    rows[u] = row
-            i, j = divmod(k, n)
-            coeffs = [-a - b for a, b in zip(rows[i], rows[n + j])]
+                    coef[u] = row
+            a, b = divmod(k, n)
+            coeffs = [-s - t for s, t in zip(coef[a], coef[m + b])]
             coeffs[k] += 1
             return coeffs
 
@@ -608,25 +614,25 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p) -> List[DualPotentials]
         for pos, w in enumerate(order[1:], 1):
             side = set(order[pos:pos + size[w]])     # A, the subtree of w
             f_in = pedge[w] // n in side
-            crossing = [i * n + j for i in range(n) if (i in side) != f_in
-                        for j in range(n) if (n + j in side) == f_in]
+            crossing = [a * n + b for a in range(m) if (a in side) != f_in
+                        for b in range(n) if (m + b in side) == f_in]
             if not crossing:
                 continue            # the drop runs along a ray
-            slack = [work[k] - val[k // n] - val[n + k % n] for k in crossing]
+            slack = [work[k] - val[k // n] - val[m + k % n] for k in crossing]
             low = min(slack)
             tied = [k for k, s in zip(crossing, slack) if s <= low + eps]
             enter = tied[0] if len(tied) == 1 else min(tied, key=eps_slack)
             out.append(tree - {pedge[w]} | {enter})
         return val, out
 
-    # Start: g_{n-1} joined to every f_i, and every other g_j to an f_i
-    # minimizing c_ij - c_{i,n-1}; among ties the largest i, whose
+    # Start: g_{n-1} joined to every f_a, and every other g_b to an f_a
+    # minimizing c_ab - c_{a,n-1}; among ties the largest a, whose
     # perturbation is the least.
-    start = [i * n + n - 1 for i in range(n)]
-    for j in range(n - 1):
-        reduced = [work[i * n + j] - work[i * n + n - 1] for i in range(n)]
+    start = [a * n + n - 1 for a in range(m)]
+    for b in range(n - 1):
+        reduced = [work[a * n + b] - work[a * n + n - 1] for a in range(m)]
         low = min(reduced)
-        start.append(max(i for i, r in enumerate(reduced) if r <= low + eps) * n + j)
+        start.append(max(a for a, r in enumerate(reduced) if r <= low + eps) * n + b)
     first = frozenset(start)
     seen = {first}
     queue = deque([first])
@@ -637,7 +643,7 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p) -> List[DualPotentials]
         if key not in vertices:
             if exact:
                 val = [Fraction(v, scale) for v in val]
-            vertices[key] = DualPotentials(tuple(val[:n]), tuple(val[n:]))
+            vertices[key] = DualPotentials(tuple(val[:m]), tuple(val[m:]))
         for tree in nxt:
             if tree not in seen:
                 seen.add(tree)

@@ -18,6 +18,12 @@ exponential in the number of points:
   pivot search of `enumerate_dual_vertices`;
 - boxed_dual_vertices_bruteforce: every active set of the boxed dual
   polytope, against the forest enumerator and the pivot search;
+- dual_vertices_by_spanning_trees: every spanning tree of K_{m,n} and its
+  potentials, against the pivot search on a rectangular restriction;
+- lip_p_universal_full_sweep: universal Lip_p as first decided, with one
+  transport problem per character and the full-space dual vertices swept
+  on every larger block, against the per-support route of
+  `check_lip_p_universal`;
 - psd_by_principal_minors: the sign of every principal minor (2^(2b) of
   them for a b x b complex block), against the fraction-free symmetric
   elimination of `exact_psd_pairs`;
@@ -34,21 +40,24 @@ exponential in the number of points:
 import itertools
 from collections import deque
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from qiso.algebra import AlgElement, FinDimCStarAlgebra, exact_psd
+from qiso.algebra import (AlgElement, FinDimCStarAlgebra, exact_psd,
+                          exact_psd_pairs, extreme_state, hermitian_max_eig)
 from qiso.coaction import CoAction, a_element
 from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
-from qiso.isometry import (_BORDERLINE, IsometryVerdict, _eigen_state,
-                           _exact_entries, _pairs, _use_exact)
+from qiso.isometry import (_BORDERLINE, IsometryVerdict, _block_stack,
+                           _eigen_state, _exact_entries, _pairs,
+                           _rationalize, _use_exact, check_winf_universal)
 from qiso.metric import FiniteMetricSpace, level_set, sublevel_set
 from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, DualPotentials, InfeasibleMarginals,
                             ProbVector, UnboundedFlow, _integer_scale,
-                            _power_cost)
+                            _power_cost, enumerate_dual_vertices,
+                            prob_vector, transport_with_power)
 
 
 def transport_bruteforce(mu: ProbVector, nu: ProbVector, cost) -> Scalar:
@@ -485,6 +494,48 @@ def boxed_dual_vertices_bruteforce(space: FiniteMetricSpace,
     return list(seen.values())
 
 
+def dual_vertices_by_spanning_trees(cost, tol: float = 0.0) -> set:
+    """Independent oracle: the vertices (f, g) of {f_a + g_b <= cost[a][b],
+    g_{n-1} = 0} for an m x n cost, from every spanning tree of K_{m,n}
+    (every acyclic set of m + n - 1 edges): the tree's potentials, with
+    f_a + g_b = cost[a][b] on its edges, are a vertex when every slack is
+    >= -tol.  Exponential; m, n <= 4 intended."""
+    m, n = len(cost), len(cost[0])
+    zero = cost[0][0] * 0
+    out = set()
+    for tree in itertools.combinations(
+            [(a, b) for a in range(m) for b in range(n)], m + n - 1):
+        comp = list(range(m + n))
+
+        def find(u):
+            while comp[u] != u:
+                u = comp[u]
+            return u
+
+        acyclic = True
+        for a, b in tree:
+            ra, rb = find(a), find(m + b)
+            if ra == rb:
+                acyclic = False
+                break
+            comp[ra] = rb
+        if not acyclic:
+            continue
+        val = {m + n - 1: zero}
+        while len(val) < m + n:
+            for a, b in tree:
+                if a in val and m + b not in val:
+                    val[m + b] = cost[a][b] - val[a]
+                elif m + b in val and a not in val:
+                    val[a] = cost[a][b] - val[m + b]
+        f = tuple(val[a] for a in range(m))
+        g = tuple(val[m + b] for b in range(n))
+        if all(cost[a][b] - f[a] - g[b] >= -tol
+               for a in range(m) for b in range(n)):
+            out.add((f, g))
+    return out
+
+
 def _det_fraction(M) -> Fraction:
     """Fraction-exact determinant by Gaussian elimination."""
     M = [row[:] for row in M]
@@ -746,3 +797,102 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
     rep.residuals["kappa_antimultiplicative"] = anti_mult
     rep.residuals["kappa_unital"] = (qg.apply_kappa(unit) - unit).norm()
     return rep
+
+
+def _lambda_max_leq(mat: np.ndarray, bound, tol: float, exact: bool) -> Tuple[bool, float]:
+    """Decide lambda_max(mat) <= bound; returns (verdict, float margin).
+
+    Away from the boundary the float eigenvalue is decisive; inside the
+    borderline window, rational mode re-decides by an exact PSD test of
+    bound - mat (falling back to the tolerance when some entry is not
+    a recognizable rational)."""
+    lam = hermitian_max_eig(mat)
+    margin = lam - float(bound)
+    if not exact or abs(margin) > _BORDERLINE:
+        return margin <= tol, margin
+    entries = _exact_entries(mat)
+    if entries is None:
+        return margin <= tol, margin
+    b = Fraction(bound)
+    shifted = [[((b - re) if i == j else -re, -im)
+                for j, (re, im) in enumerate(row)]
+               for i, row in enumerate(entries)]
+    return exact_psd_pairs(shifted), margin
+
+
+def _exact_prob(mass) -> Optional[ProbVector]:
+    fracs = [_rationalize(float(m)) for m in mass]
+    if any(f is None for f in fracs) or sum(fracs) != 1:
+        return None
+    return ProbVector(tuple(fracs))
+
+
+def lip_p_universal_full_sweep(action: CoAction, p, tol: float = 1e-9,
+                               mode: str = "auto") -> IsometryVerdict:
+    """Exact universal (Lip_p) decision, blockwise.
+
+    The map psi -> W_p^p(x <| psi, y <| psi) is convex, so its sup over
+    the state space sits on pure states, which live on single blocks.  A
+    1x1 block carries exactly one state (its character): solve that
+    transport problem outright.  A larger block is handled through the
+    Kantorovich dual polyhedron: for each vertex (f, g) the sup over block
+    states of psi(sum f_j u_xj + sum g_j u_yj) is the top block
+    eigenvalue, and the sup over the polyhedron of that convex, monotone,
+    shift-invariant objective is attained at one of its vertices.
+    """
+    if p == float("inf") or p == "inf":
+        return check_winf_universal(action, tol=tol, mode=mode)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    space = action.space
+    exact = _use_exact(action, mode) and float(p).is_integer()
+    tag = f"Lip_{p}(universal)"
+    blocks = action.group.algebra.blocks
+    stacks = [_block_stack(action, k) for k in range(len(blocks))]
+    big_blocks = [k for k, b in enumerate(blocks) if b > 1]
+    vertices = enumerate_dual_vertices(space, p) if big_blocks else []
+    worst = None
+
+    for x, y in _pairs(space.n):
+        d_xy = space.dist[x][y]
+        bound_pow = d_xy ** int(p) if exact else float(d_xy) ** float(p)
+        # 1x1 blocks: one state each
+        for k, b in enumerate(blocks):
+            if b != 1:
+                continue
+            chi = extreme_state(action.group.algebra, k, np.array([1.0 + 0j]))
+            mu_f = [float(chi.value(action.u[x][j]).real) for j in range(space.n)]
+            nu_f = [float(chi.value(action.u[y][j]).real) for j in range(space.n)]
+            mu = _exact_prob(mu_f) if exact else None
+            nu = _exact_prob(nu_f) if exact else None
+            if mu is None or nu is None:
+                mu, nu = prob_vector(mu_f, tol), prob_vector(nu_f, tol)
+            value = transport_with_power(space, mu, nu, p).value
+            margin = float(value) ** (1 / float(p)) - float(d_xy)
+            ok = (value <= bound_pow) if exact and isinstance(value, Fraction) \
+                else margin <= tol
+            if worst is None or margin > worst[0]:
+                worst = (margin, (x, y), k)
+            if not ok:
+                return IsometryVerdict(tag, False, witness={
+                    "pair": (x, y), "block": k, "kind": "character",
+                    "wasserstein_power": float(value), "margin": margin})
+        # bigger blocks: vertex sweep with blockwise lambda_max
+        for k in big_blocks:
+            for vert in vertices:
+                fv = np.array([float(v) for v in vert.f])
+                gv = np.array([float(v) for v in vert.g])
+                mat = np.einsum("j,jab->ab", fv, stacks[k][x]) + \
+                    np.einsum("j,jab->ab", gv, stacks[k][y])
+                ok, margin_pow = _lambda_max_leq(mat, bound_pow, tol, exact)
+                if worst is None or margin_pow > worst[0]:
+                    worst = (margin_pow, (x, y), k)
+                if not ok:
+                    state = _eigen_state(action, k, mat)
+                    return IsometryVerdict(tag, False, witness={
+                        "pair": (x, y), "block": k, "kind": "dual-vertex",
+                        "vertex": ([str(v) for v in vert.f],
+                                   [str(v) for v in vert.g]),
+                        "margin": margin_pow, "state": state})
+    return IsometryVerdict(tag, True,
+                           certificate={"max_margin": worst[0] if worst else 0.0})

@@ -18,9 +18,9 @@ from qiso.envelope import (annihilator_convolution_check, envelope,
                            verify_universal_property)
 from qiso.hall import HallInstance, decide_hall, hall_condition, perfect_matching
 from qiso.isometry import (check_D, check_D_commutant, check_injectivity,
-                           check_lip1_universal, check_lip_p_universal,
-                           check_orthogonality, check_theorem_main,
-                           check_winf_universal, sample_orthogonality_inputs)
+                           check_lip_p_universal, check_orthogonality,
+                           check_theorem_main, check_winf_universal,
+                           sample_orthogonality_inputs)
 from qiso.metric import PairSet, random_metric_space
 from qiso.quantum_group import verify_quantum_group
 from qiso.reports import instance_descriptors, build_instance, SearchConfig
@@ -28,7 +28,8 @@ from qiso.transport import (ProbVector, kantorovich_w1, prob_vector,
                             solve_transport, transport_with_power,
                             wasserstein_inf)
 
-from oracles import enumerate_boxed_dual_vertices, transport_bruteforce
+from oracles import (enumerate_boxed_dual_vertices,
+                     lip_p_universal_full_sweep, transport_bruteforce)
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):
@@ -185,9 +186,11 @@ def test_c06_theorem_main_reproduced():
 def population_flags():
     """Catalog + 200 random actions with all universal verdicts.
 
-    The Lip_1 dual route sweeps the boxed dual vertices of the forest
-    enumerator in tests/oracles.py, so that c08 compares two independent
-    vertex enumerations."""
+    Lip_1 is decided by `check_lip_p_universal` on each block's supports.
+    The Lip_1 dual route is the full-space sweep of tests/oracles.py with
+    the boxed dual vertices of its forest enumerator, so that c08 compares
+    two computations that differ in the reduction, the vertex enumeration
+    and the treatment of characters."""
     config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
                           seed=777)
     forest_vertices = {}
@@ -203,12 +206,12 @@ def population_flags():
         action = build_instance(desc)
         assert verify_quantum_group(action.group).passed(1e-9)
         assert verify_coaction(action).passed(1e-9)
-        with mock.patch("qiso.isometry.enumerate_dual_vertices", forest):
-            dual_route = check_lip_p_universal(action, 1).holds
+        with mock.patch("oracles.enumerate_dual_vertices", forest):
+            dual_route = lip_p_universal_full_sweep(action, 1).holds
         flags = {
             "name": desc.get("name", str(desc.get("seed"))),
             "D": check_D(action).holds,
-            "Lip_1": check_lip1_universal(action).holds,
+            "Lip_1": check_lip_p_universal(action, 1).holds,
             "Lip_1_dual_route": dual_route,
             "Lip_2": check_lip_p_universal(action, 2).holds,
             "Lip_3": check_lip_p_universal(action, 3).holds,

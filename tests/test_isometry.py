@@ -25,7 +25,7 @@ from qiso.isometry import (HypothesisViolated, check_ball_identity, check_D,
 from qiso.metric import level_set, random_metric_space, validate_metric
 from qiso.transport import wasserstein_inf, wasserstein_p
 
-from oracles import support_universal_bruteforce
+from oracles import lip_p_universal_full_sweep, support_universal_bruteforce
 
 
 def classical_isometries(action):
@@ -171,10 +171,103 @@ def test_lip_p_universal_equals_classical_oracle(p):
 
 
 def test_lip_p_universal_p1_equals_lip1_universal():
+    """The Lip_1 name gives the full-space sweep's verdict at p = 1."""
     for entry in standard_actions():
         a = check_lip1_universal(entry.action).holds
-        b = check_lip_p_universal(entry.action, 1).holds
+        b = lip_p_universal_full_sweep(entry.action, 1).holds
         assert a == b, entry.name
+
+
+def reflection_pairs_action(space, m, shifts):
+    """A two-projection action of the group algebra of D_m on 2k points:
+    pair (2i, 2i+1) is swapped by the projection p_i = (1 + r_i)/2 of the
+    reflection r_i: j -> shifts[i] - j (mod m)."""
+    from qiso.catalog import dihedral_group_algebra, group_element
+    from qiso.coaction import CoAction
+    qg = dihedral_group_algebra(m)
+    unit, zero = qg.algebra.unit(), qg.algebra.zero()
+    n = space.n
+    u = [[zero] * n for _ in range(n)]
+    for i, s in enumerate(shifts):
+        p = 0.5 * (unit + group_element(qg, tuple((s - j) % m for j in range(m))))
+        a, b = 2 * i, 2 * i + 1
+        u[a][a] = u[b][b] = p
+        u[a][b] = u[b][a] = unit - p
+    return CoAction(qg, space, tuple(map(tuple, u)), name=f"D{m}-pairs")
+
+
+def block_metric(k, asymmetric):
+    """2k points in pairs at distance 1; across pairs 2, or, when
+    asymmetric, 3 between points of unequal parity."""
+    return validate_metric([[F(0) if x == y else F(1) if x // 2 == y // 2
+                             else F(3) if asymmetric and (x - y) % 2 else F(2)
+                             for y in range(2 * k)] for x in range(2 * k)])
+
+
+def test_lip_p_universal_matches_full_sweep():
+    """The per-support route gives the verdicts of the full-space sweep on
+    the catalog and on 6-point two-projection actions of D5 and D7, and
+    each failure's witness state fails the per-state check."""
+    from qiso.coaction import verify_coaction
+    actions = [entry.action for entry in standard_actions()]
+    for m in (5, 7):
+        for asymmetric in (False, True):
+            action = reflection_pairs_action(block_metric(3, asymmetric), m,
+                                             (0, 1, 2))
+            assert verify_coaction(action).passed(1e-9)
+            actions.append(action)
+    seen = {kind: set() for kind in ("character", "dual-vertex")}
+    for action in actions:
+        for mode in ("auto", "float"):
+            for p in (1, 2, 3):
+                verdict = check_lip_p_universal(action, p, mode=mode)
+                oracle = lip_p_universal_full_sweep(action, p, mode=mode)
+                assert verdict.holds == oracle.holds, (action.name, mode, p)
+                if verdict.holds:
+                    continue
+                w = verdict.witness
+                seen[w["kind"]].add(action.name)
+                assert w["margin"] > 0
+                assert not check_lip_p_state(action, w["state"], p).holds
+                if w["kind"] == "dual-vertex":
+                    size = action.group.algebra.blocks[w["block"]]
+                    assert all(len(L) <= size for L in w["supports"])
+    assert seen["character"] and "D5-pairs" in seen["dual-vertex"]
+
+
+def test_lip_p_universal_on_characters_enumerates_nothing(monkeypatch):
+    """On C(D16) every block is a character, so universal Lip_p on the
+    16-cycle is decided with no dual-vertex enumeration at all."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dual vertices enumerated on a character")
+
+    monkeypatch.setattr(isometry, "enumerate_dual_vertices", refuse)
+    n = 16
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple((-i) % n for i in range(n))
+    action = permutation_action(cycle_metric(n), [rotation, reflection])
+    assert check_lip1_universal(action).holds
+    for p in (1, 2, 3):
+        assert check_lip_p_universal(action, p).holds
+        assert check_lip_p_universal(action, p, mode="float").holds
+
+
+def test_lip_p_universal_does_not_depend_on_units():
+    """Scaling the metric by 10^9 or 10^-9 keeps every universal Lip_p
+    verdict: the tolerance and the borderline window are relative to the
+    largest d^p (at 10^9, Lip_3 compares eigenvalues near 10^27)."""
+    from qiso.catalog import catalog_action
+    from qiso.coaction import CoAction
+    for name in ("dual-d4-blocks", "dual-d4-mixed", "dual-d3-blocks"):
+        action = catalog_action(name)
+        expected = {p: check_lip_p_universal(action, p).holds for p in (1, 2, 3)}
+        for scale in (F(10) ** 9, F(10) ** -9):
+            space = validate_metric([[v * scale for v in row]
+                                     for row in action.space.dist])
+            scaled = CoAction(action.group, space, action.u, name=name)
+            for p in (1, 2, 3):
+                assert check_lip_p_universal(scaled, p).holds == expected[p], \
+                    (name, scale, p)
 
 
 def test_winf_universal_examples():

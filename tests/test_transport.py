@@ -15,6 +15,7 @@ from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
                             wasserstein_p)
 
 from oracles import (_solve_linear, boxed_dual_vertices_bruteforce,
+                     dual_vertices_by_spanning_trees,
                      enumerate_boxed_dual_vertices,
                      enumerate_lipschitz_vertices, min_cost_flow_reference,
                      transport_bruteforce)
@@ -512,6 +513,41 @@ def test_dual_vertex_search_visits_one_tree_per_cell(monkeypatch):
             visited.clear()
             enumerate_dual_vertices(sp, p)
             assert len(visited) == comb(2 * sp.n - 2, sp.n - 1), (sp.dist, p)
+    # m x n restrictions: C(m + n - 2, m - 1) trees
+    restrictions = [((0, 1, 2), (3, 4)), ((1,), (0, 2, 4)), ((0, 2, 3, 4), (1,)),
+                    ((0, 1, 2, 3), (2, 3, 4)), ((4, 3), (0, 1, 2, 3, 4))]
+    for sp in spaces:
+        for rows, cols in restrictions:
+            for p in (1, 2):
+                visited.clear()
+                enumerate_dual_vertices(sp, p, rows, cols)
+                assert len(visited) == comb(len(rows) + len(cols) - 2,
+                                            len(rows) - 1), (sp.dist, rows, cols, p)
+
+
+def test_restricted_dual_vertices_match_spanning_tree_oracle():
+    """On a rows x cols restriction (m, n <= 4, overlapping or not) the
+    pivot search finds exactly the potentials of the feasible spanning
+    trees of K_{m,n}, on seeded rational and float costs."""
+    rng = random.Random(12)
+    cases = 0
+    for seed in range(12):
+        mode = ("rational", "float")[seed % 2]
+        sp = random_metric_space(6, 300 + seed, mode=mode)
+        for p in (1, 2, 3):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows, cols = rng.sample(range(6), m), rng.sample(range(6), n)
+            cost = [[_power_cost(sp, p)[i][j] for j in cols] for i in rows]
+            verts = enumerate_dual_vertices(sp, p, rows, cols)
+            found = {(v.f, v.g) for v in verts}
+            assert len(found) == len(verts)
+            oracle = dual_vertices_by_spanning_trees(cost, tol=sp.tol)
+            if mode == "float":
+                found = {tuple(round(x, 9) for x in v.f + v.g) for v in verts}
+                oracle = {tuple(round(x, 9) for x in f + g) for f, g in oracle}
+            assert found == oracle, (seed, p, rows, cols)
+            cases += m != n
+    assert cases
 
 
 def test_dual_vertices_keep_modes_apart():
