@@ -22,9 +22,9 @@ from .coaction import (CoAction, a_element, act_on_function, act_on_point,
                        orbits, verify_coaction)
 from .isometry import (IsometryVerdict, check_D, check_D_commutant,
                        check_injectivity, check_lip1_universal,
-                       check_lip_p_state, check_lip_p_universal,
-                       check_orthogonality, check_theorem_main,
-                       check_winf_universal)
+                       check_lip_p_state, check_lip_p_state_sweep,
+                       check_lip_p_universal, check_orthogonality,
+                       check_theorem_main, check_winf_universal)
 from .envelope import (BlockIdeal, EnvelopeResult, annihilator_convolution_check,
                        envelope, generated_ideal, hopf_saturate,
                        verify_universal_property)

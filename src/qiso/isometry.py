@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -221,39 +221,75 @@ def check_D_state(action: CoAction, psi: StateFunctional,
                            action.space, tol)
 
 
-def check_lip_p_state(action: CoAction, psi: StateFunctional, p,
-                      tol: float = 1e-9) -> IsometryVerdict:
-    """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs, one state.
+def _state_pairs(space):
+    """The pairs (x, y) a per-state check visits, in x-major order: x < y
+    when d is exactly symmetric, every ordered pair otherwise.
 
-    Each x <| psi is computed once.  Its masses are floats, so every
-    transport problem here runs in floats; for finite p the cost matrix
-    float(d^p) is built once, which is the cost the simplex would convert
-    the exact d^p to on every call.  The margins W_p - d(x,y) scale with
-    the metric, so tol is taken relative to the largest distance, as for
-    (D), and the verdict does not depend on the metric's units.
+    When d(x, y) == d(y, x) for all points, transposing a coupling of
+    (mu, nu) gives a coupling of (nu, mu) of the same cost and on the
+    transposed, equal, (sub)level set, so the pair (y, x) repeats (x, y).
+    A float space validated with an asymmetry within tol keeps both."""
+    dist = space.dist
+    n = space.n
+    symmetric = all(dist[x][y] == dist[y][x]
+                    for x in range(n) for y in range(x + 1, n))
+    return [(x, y) for x in range(n) for y in range(n)
+            if (x < y if symmetric else x != y)]
+
+
+def check_lip_p_state_sweep(action: CoAction, psi: StateFunctional, ps,
+                            tol: float = 1e-9) -> List[IsometryVerdict]:
+    """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs, one state, one
+    verdict per p in ps (each a number >= 1, or inf).
+
+    Each x <| psi is computed once, for every p.  Its masses are floats,
+    so every transport problem here runs in floats; for finite p the cost
+    matrix float(d^p) is built once, which is the cost the simplex would
+    convert the exact d^p to on every call.  The pairs are those of
+    `_state_pairs`: x < y only when d is exactly symmetric, since then
+    W_p(mu, nu) = W_p(nu, mu) for every p by transposing the coupling, and
+    the witness pair is then (x, y) with x < y.  The margins W_p - d(x,y)
+    scale with the metric, so tol is taken relative to the largest
+    distance, as for (D), and the verdict does not depend on the metric's
+    units.
     """
     space = action.space
-    tag = f"Lip_{p}(state)"
+    finite = [not (p == float("inf") or p == "inf") for p in ps]
+    if any(fin and p < 1 for p, fin in zip(ps, finite)):
+        raise ValueError("p must be >= 1")
     images = [act_on_point(action, x, psi, tol=tol) for x in range(space.n)]
-    finite = not (p == float("inf") or p == "inf")
-    if finite:
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        cost = [[float(c) for c in row] for row in _power_cost(space, p)]
-    worst = None
-    for x, y in _pairs(space.n):
-        mu, nu = images[x], images[y]
-        if finite:
-            w = float(solve_transport(mu, nu, cost).value) ** (1.0 / p)
+    pairs = _state_pairs(space)
+    bound = tol * float(max(map(max, space.dist)))
+    out = []
+    for p, fin in zip(ps, finite):
+        if fin:
+            cost = [[float(c) for c in row] for row in _power_cost(space, p)]
+        worst = None
+        for x, y in pairs:
+            mu, nu = images[x], images[y]
+            if fin:
+                w = float(solve_transport(mu, nu, cost).value) ** (1.0 / p)
+            else:
+                w = float(wasserstein_inf(space, mu, nu).r)
+            margin = w - float(space.dist[x][y])
+            if worst is None or margin > worst[0]:
+                worst = (margin, (x, y), w)
+        tag = f"Lip_{p}(state)"
+        if worst[0] <= bound:
+            out.append(IsometryVerdict(tag, True,
+                                       certificate={"max_margin": worst[0]}))
         else:
-            w = float(wasserstein_inf(space, mu, nu).r)
-        margin = w - float(space.dist[x][y])
-        if worst is None or margin > worst[0]:
-            worst = (margin, (x, y), w)
-    if worst[0] <= tol * float(max(map(max, space.dist))):
-        return IsometryVerdict(tag, True, certificate={"max_margin": worst[0]})
-    return IsometryVerdict(tag, False, witness={
-        "pair": worst[1], "wasserstein": worst[2], "margin": worst[0]})
+            out.append(IsometryVerdict(tag, False, witness={
+                "pair": worst[1], "wasserstein": worst[2], "margin": worst[0]}))
+    return out
+
+
+def check_lip_p_state(action: CoAction, psi: StateFunctional, p,
+                      tol: float = 1e-9) -> IsometryVerdict:
+    """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs, one state: the
+    one-p call of `check_lip_p_state_sweep`, whose pair convention it
+    shares (x < y only on an exactly symmetric d)."""
+    return check_lip_p_state_sweep(action, psi, [p], tol=tol)[0]
 
 
 def check_lip_seminorm_state(action: CoAction, psi: StateFunctional,
@@ -456,11 +492,13 @@ def check_theorem_main(action: CoAction, tol: float = 1e-9,
 def check_level_coupling_state(action: CoAction, psi: StateFunctional,
                                tol: float = 1e-9) -> IsometryVerdict:
     """Per-state version of the level-set coupling, via the feasibility
-    solver on each pair."""
+    solver on each pair of `_state_pairs`.  On an exactly symmetric d the
+    level set is symmetric, so (y, x) repeats (x, y), and the first failing
+    pair in x-major order over all ordered pairs has x < y anyway."""
     from .hall import HallInstance, decide_hall
     space = action.space
     images = [act_on_point(action, x, psi, tol=tol) for x in range(space.n)]
-    for x, y in _pairs(space.n):
+    for x, y in _state_pairs(space):
         Y = level_set(space, space.dist[x][y])
         verdict = decide_hall(HallInstance(images[x], images[y], Y))
         if not verdict.feasible:

@@ -112,6 +112,13 @@ class FiniteMetricSpace:
         return tuple(sorted(set(v for row in self.dist for v in row)))
 
     @cached_property
+    def distance_ranks(self) -> Tuple[Tuple[int, ...], ...]:
+        """The index of each d(i, j) among the realized distances, so that
+        d(i, j) <= realized_distances[k] iff distance_ranks[i][j] <= k."""
+        index = {v: k for k, v in enumerate(self.realized_distances)}
+        return tuple(tuple(index[v] for v in row) for row in self.dist)
+
+    @cached_property
     def max_distance(self) -> Scalar:
         return self.realized_distances[-1]
 

@@ -138,6 +138,18 @@ def _opnorm(mats: np.ndarray) -> float:
     return float(np.linalg.norm(mats, 2, axis=(-2, -1)).max())
 
 
+def _star_index(alg) -> np.ndarray:
+    """The permutation of basis indices that * induces: (E^k_ij)* = E^k_ji,
+    so the coefficients of x* are x.conj()[star]."""
+    return np.concatenate([off + np.arange(n * n).reshape(n, n).T.ravel()
+                           for off, n in zip(alg.offsets, alg.blocks)])
+
+
+def _kappa_star_residual(groups, star, kappa: np.ndarray) -> float:
+    """max_a ||kappa(e_a*) - kappa(e_a)*||, zero iff kappa commutes with *."""
+    return _element_norm(groups, (kappa[:, star] - kappa[star].conj()).T)
+
+
 def _element_norm(groups, X: np.ndarray) -> float:
     """The largest operator norm of the elements X[..., a] of A."""
     return max(_opnorm(X[..., idx]) for idx in groups.values())
@@ -184,8 +196,7 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     dim = alg.dim
     groups = _blocks_by_size(alg)
     left, right, into = _product_table(alg)
-    star = np.concatenate([off + np.arange(n * n).reshape(n, n).T.ravel()
-                           for off, n in zip(alg.offsets, alg.blocks)])
+    star = _star_index(alg)
     unit = qg.unit_vec()
     delta, epsilon, kappa = qg.delta, qg.epsilon, qg.kappa
     by_a = delta.transpose(2, 0, 1)  # by_a[a]: coefficient matrix of Delta(e_a)
@@ -246,7 +257,7 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
 
     # Kac type: involutive, *-preserving, multiplication-reversing
     res["kappa_involutive"] = float(np.abs(kappa @ kappa - eye).max())
-    res["kappa_star"] = _element_norm(groups, (kappa[:, star] - kappa[star].conj()).T)
+    res["kappa_star"] = _kappa_star_residual(groups, star, kappa)
     of_product = np.zeros((dim, dim, dim), dtype=complex)  # kappa(e_a e_b)
     of_product[left, right] = kappa.T[into]
     reversed_product = _multiply(   # kappa(e_b) kappa(e_a)
@@ -258,13 +269,14 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
 
 
 def require_kac(qg: QuantumGroup, tol: float = 1e-9) -> None:
-    eye = np.eye(qg.dim)
-    if np.abs(qg.kappa @ qg.kappa - eye).max() > tol:
+    """Raise KacViolation unless kappa is involutive and commutes with *,
+    by the residuals `verify_quantum_group` reports for the two."""
+    if np.abs(qg.kappa @ qg.kappa - np.eye(qg.dim)).max() > tol:
         raise KacViolation("antipode is not involutive")
-    for a in range(qg.dim):
-        b = qg.algebra.basis_element(a)
-        if (qg.apply_kappa(b.star()) - qg.apply_kappa(b).star()).norm() > tol:
-            raise KacViolation("antipode does not commute with *")
+    alg = qg.algebra
+    if _kappa_star_residual(_blocks_by_size(alg), _star_index(alg),
+                            qg.kappa) > tol:
+        raise KacViolation("antipode does not commute with *")
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ from .coaction import CoAction, verify_coaction
 from .envelope import envelope
 from .fileio import coaction_to_dicts
 from .isometry import (check_D, check_D_commutant, check_injectivity,
-                       check_lip_p_state, check_lip_p_universal,
-                       check_theorem_main, check_winf_universal,
-                       KappaConventionMismatch)
+                       check_lip_p_state, check_lip_p_state_sweep,
+                       check_lip_p_universal, check_theorem_main,
+                       check_winf_universal, KappaConventionMismatch)
 from .metric import random_metric_space
 from .quantum_group import verify_quantum_group
 
@@ -156,9 +156,9 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
     worst_state_margin = None
     for k in range(state_samples):
         psi = random_state(action.group.algebra, desc.get("seed", 0) * 977 + k)
-        for p in p_list:
-            v = check_lip_p_state(action, psi, float("inf") if p == "inf" else p,
-                                  tol=max(tol, 1e-8))
+        verdicts = check_lip_p_state_sweep(action, psi, p_list,
+                                           tol=max(tol, 1e-8))
+        for p, v in zip(p_list, verdicts):
             if not v.holds:
                 sampled[f"Lip_{p}"] = False
                 m = v.witness["margin"]

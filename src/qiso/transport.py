@@ -14,6 +14,7 @@ trees of K_{m,n}, one enumerator for every p) all live here.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -491,18 +492,24 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     """The least r admitting a coupling supported on {d <= r}.
 
     Feasibility is a step function of r jumping only at realized distances,
-    so the search runs over the sorted realized values (any r between two
-    realized values has the same feasibility as the lower one).
+    so the search bisects over the sorted realized values (any r between
+    two realized values has the same feasibility as the lower one).  The
+    probe at values[k] keeps the pairs of `space.distance_ranks` at most
+    `top`, the last index whose value is <= values[k] + tol: integer
+    comparisons that select exactly the pairs of sublevel_set(space,
+    values[k]), float near-ties within tol included.
     """
-    from .metric import sublevel_set
-
     values = space.realized_distances
+    ranks = space.distance_ranks
+    tol = tol_for(space.mode, space.tol)
     lo, hi = 0, len(values) - 1  # values[-1] is always feasible
     cache = {}
 
     def feas(k):
         if k not in cache:
-            cache[k] = feasible_coupling_on(mu, nu, sublevel_set(space, values[k]))
+            top = bisect_right(values, values[k] + tol) - 1
+            Y = PairSet(tuple(tuple(r <= top for r in row) for row in ranks))
+            cache[k] = feasible_coupling_on(mu, nu, Y)
         return cache[k]
 
     while lo < hi:
@@ -514,8 +521,6 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     witness = feas(lo)
     lower = feas(lo - 1).violator if lo > 0 else None
     return WInfResult(values[lo], witness.coupling, lower)
-
-
 
 
 # ---------------------------------------------------------------------------

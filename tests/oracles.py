@@ -34,7 +34,11 @@ exponential in the number of points:
   one dense block-diagonal matrix of side (sum n_k)^2, with products of
   AlgElements and one SVD per operator norm; not exponential, but
   independent of the product table and the block-by-block norms of
-  `verify_quantum_group`, which must report the same residuals.
+  `verify_quantum_group`, which must report the same residuals;
+- wasserstein_inf_linear_scan: the first realized distance r, in
+  increasing order, whose sublevel set carries a coupling; not
+  exponential, but independent of the distance ranks and the bisection
+  of `wasserstein_inf`, which must return the same r, plan and violator.
 """
 
 import itertools
@@ -56,8 +60,9 @@ from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, DualPotentials, InfeasibleMarginals,
                             ProbVector, UnboundedFlow, _integer_scale,
-                            _power_cost, enumerate_dual_vertices,
-                            prob_vector, transport_with_power)
+                            WInfResult, _power_cost, enumerate_dual_vertices,
+                            feasible_coupling_on, prob_vector,
+                            transport_with_power)
 
 
 def transport_bruteforce(mu: ProbVector, nu: ProbVector, cost) -> Scalar:
@@ -896,3 +901,21 @@ def lip_p_universal_full_sweep(action: CoAction, p, tol: float = 1e-9,
                         "margin": margin_pow, "state": state})
     return IsometryVerdict(tag, True,
                            certificate={"max_margin": worst[0] if worst else 0.0})
+
+
+# ---------------------------------------------------------------------------
+# W_inf by a linear scan of the sublevel sets
+
+
+def wasserstein_inf_linear_scan(space: FiniteMetricSpace, mu: ProbVector,
+                                nu: ProbVector) -> WInfResult:
+    """The least realized r with a (mu, nu)-coupling on sublevel_set(space,
+    r), trying every r in increasing order; the violator is the one of the
+    r just below, as in `wasserstein_inf`."""
+    below = None
+    for r in space.realized_distances:
+        res = feasible_coupling_on(mu, nu, sublevel_set(space, r))
+        if res.feasible:
+            return WInfResult(r, res.coupling, below)
+        below = res.violator
+    raise AssertionError("the largest distance always carries a coupling")

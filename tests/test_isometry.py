@@ -362,20 +362,34 @@ def test_support_criterion_has_no_size_guard():
         assert outside(d[j][k], d[x][y])
 
 
-def _pairs_recomputed(action, psi, tol):
-    """Both marginals of every ordered pair, each recomputed for the pair."""
-    n = action.n
+def _ordered_pairs(n):
+    return [(x, y) for x in range(n) for y in range(n) if x != y]
+
+
+def _sweep_pairs(space):
+    """The pairs the per-state checks visit: x < y when d is exactly
+    symmetric, every ordered pair otherwise."""
+    n, d = space.n, space.dist
+    if all(d[x][y] == d[y][x] for x, y in _ordered_pairs(n)):
+        return [(x, y) for x in range(n) for y in range(x + 1, n)]
+    return _ordered_pairs(n)
+
+
+def _pairs_recomputed(action, psi, tol, pairs):
+    """Both marginals of every pair in `pairs`, each recomputed for the pair."""
     return [((x, y), act_on_point(action, x, psi, tol=tol),
-             act_on_point(action, y, psi, tol=tol))
-            for x in range(n) for y in range(n) if x != y]
+             act_on_point(action, y, psi, tol=tol)) for x, y in pairs]
 
 
-def _lip_p_state_per_pair(action, psi, p, tol):
+def _lip_p_state_per_pair(action, psi, p, tol, pairs=None):
     """check_lip_p_state's (holds, certificate, witness), with x <| psi
-    recomputed for every pair and W_p from wasserstein_p/wasserstein_inf."""
+    recomputed for every pair and W_p from wasserstein_p/wasserstein_inf,
+    over `pairs` (by default the pairs of `_sweep_pairs`)."""
     space = action.space
+    if pairs is None:
+        pairs = _sweep_pairs(space)
     worst = None
-    for (x, y), mu, nu in _pairs_recomputed(action, psi, tol):
+    for (x, y), mu, nu in _pairs_recomputed(action, psi, tol, pairs):
         if p == float("inf"):
             w = float(wasserstein_inf(space, mu, nu).r)
         else:
@@ -390,8 +404,10 @@ def _lip_p_state_per_pair(action, psi, p, tol):
 
 
 def _level_coupling_per_pair(action, psi, tol):
-    """check_level_coupling_state's (holds, witness), pair by pair."""
-    for (x, y), mu, nu in _pairs_recomputed(action, psi, tol):
+    """check_level_coupling_state's (holds, witness), over every ordered
+    pair: the first failing one in x-major order has x < y on a symmetric d."""
+    for (x, y), mu, nu in _pairs_recomputed(action, psi, tol,
+                                            _ordered_pairs(action.n)):
         Y = level_set(action.space, action.space.dist[x][y])
         verdict = decide_hall(HallInstance(mu, nu, Y))
         if not verdict.feasible:
@@ -403,8 +419,10 @@ def _level_coupling_per_pair(action, psi, tol):
 def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
     """The per-state checks compute each x <| psi once (n calls of
     act_on_point per check) and return exactly the verdicts, certificates
-    and witnesses of recomputing both marginals for every pair, on the
-    catalog x 5 random states x p in {1, 2, 3, inf}."""
+    and witnesses of recomputing both marginals for every pair they visit
+    (x < y on the catalog's symmetric metrics), on the catalog x 5 random
+    states x p in {1, 2, 3, inf}.  The level-coupling oracle visits every
+    ordered pair and still agrees exactly."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -431,6 +449,105 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
                 _level_coupling_per_pair(action, psi, 1e-9), (entry.name, k)
             seen[v.holds] += 1
     assert seen[True] and seen[False]
+
+
+def test_unordered_sweep_matches_ordered_sweep():
+    """Visiting x < y only gives the verdicts of the ordered sweep on the
+    catalog x 5 random states x p in {1, 2, 3, inf}: W_p(mu, nu) and
+    W_p(nu, mu) agree within 1e-12 relative, and the margins within
+    1e-12 x max d^p (the simplex is not bitwise symmetric)."""
+    seen = {True: 0, False: 0}
+    for entry in standard_actions():
+        action = entry.action
+        space = action.space
+        assert _sweep_pairs(space) == [(x, y) for x, y in _ordered_pairs(action.n)
+                                       if x < y]
+        for k in range(5):
+            psi = random_state(action.group.algebra, 37 * k + 3)
+            images = [act_on_point(action, x, psi, tol=1e-8)
+                      for x in range(action.n)]
+            verdicts = isometry.check_lip_p_state_sweep(
+                action, psi, (1, 2, 3, float("inf")), tol=1e-8)
+            for p, v in zip((1, 2, 3, float("inf")), verdicts):
+                if p == float("inf"):
+                    w = {(x, y): float(wasserstein_inf(space, images[x],
+                                                       images[y]).r)
+                         for x, y in _ordered_pairs(action.n)}
+                    slack = 1e-12 * float(space.max_distance)
+                else:
+                    w = {(x, y): float(wasserstein_p(space, images[x],
+                                                     images[y], p))
+                         for x, y in _ordered_pairs(action.n)}
+                    slack = 1e-12 * float(space.max_distance) ** p
+                for (x, y), wxy in w.items():
+                    assert abs(wxy - w[y, x]) <= 1e-12 * max(wxy, w[y, x])
+                margins = {xy: wxy - float(space.dist[xy[0]][xy[1]])
+                           for xy, wxy in w.items()}
+                ordered_worst = max(margins.values())
+                assert v.holds == (ordered_worst <= 1e-8 * float(space.max_distance))
+                seen[v.holds] += 1
+                if v.holds:
+                    assert abs(v.certificate["max_margin"] - ordered_worst) <= slack
+                else:
+                    x, y = v.witness["pair"]
+                    assert x < y
+                    assert abs(v.witness["margin"] - ordered_worst) <= slack
+                    assert abs(v.witness["wasserstein"] - w[x, y]) <= slack
+    assert seen[True] and seen[False]
+
+
+def test_verify_instance_computes_each_image_once(monkeypatch):
+    """One verify_instance call computes x <| psi once per point and
+    sampled state, for all four p together."""
+    from qiso.reports import verify_instance
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return act_on_point(*args, **kwargs)
+
+    monkeypatch.setattr(isometry, "act_on_point", counted)
+    rec = verify_instance({"source": "catalog", "name": "cyclic-5"},
+                          state_samples=3)
+    assert set(rec["sampled_states_hold"]) == {"Lip_1", "Lip_2", "Lip_3", "Lip_inf"}
+    assert len(calls) == 5 * 3
+
+
+def test_near_symmetric_float_space_keeps_ordered_pairs(monkeypatch):
+    """A float metric accepted with d(0,1) - d(1,0) = 5e-10 (within tol) is
+    swept over every ordered pair, and matches the ordered per-pair
+    oracles exactly."""
+    d01 = 1.0 + 5e-10
+    space = validate_metric([[0.0, 1.0, 1.5, 2.0],
+                             [d01, 0.0, 1.0, 1.5],
+                             [1.5, 1.0, 0.0, 1.0],
+                             [2.0, 1.5, 1.0, 0.0]], mode="float")
+    assert space.dist[0][1] != space.dist[1][0]
+    action = permutation_action(space, [(1, 2, 3, 0), (3, 2, 1, 0)])
+    ordered = _ordered_pairs(4)
+    assert _sweep_pairs(space) == ordered
+    solves = []
+    solve = isometry.solve_transport
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    seen = {True: 0, False: 0}
+    for k in range(4):
+        psi = random_state(action.group.algebra, 11 * k + 1)
+        for p in (1, 2, 3, float("inf")):
+            del solves[:]
+            with monkeypatch.context() as m:
+                m.setattr(isometry, "solve_transport", counted)
+                v = check_lip_p_state(action, psi, p, tol=1e-8)
+            assert len(solves) == (0 if p == float("inf") else len(ordered))
+            assert (v.holds, v.certificate, v.witness) == \
+                _lip_p_state_per_pair(action, psi, p, 1e-8, ordered), (k, p)
+            seen[v.holds] += 1
+        v = check_level_coupling_state(action, psi)
+        assert (v.holds, v.witness) == _level_coupling_per_pair(action, psi, 1e-9)
+    assert seen[False]
 
 
 def test_level_coupling_per_state_classical():

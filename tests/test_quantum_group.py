@@ -289,3 +289,22 @@ def test_kac_violation_rejected_at_load():
     with pytest.raises(KacViolation):
         quantum_group_from_dict(doc)
     assert quantum_group_from_dict(doc, enforce_kac=False) is not None
+
+
+def test_kac_star_violation_rejected_at_load():
+    """kappa(e_a) = i e_b, kappa(e_b) = -i e_a on a pair of inverse group
+    elements of Z3 is still involutive, but no longer commutes with *:
+    kappa(e_a*) = i e_b while kappa(e_a)* = -i e_b.  The catalog groups
+    load unchanged."""
+    from qiso.catalog import standard_actions, standard_groups
+    from qiso.fileio import quantum_group_from_dict, quantum_group_to_dict
+    from qiso.quantum_group import KacViolation
+    qg = function_algebra_of_group(close_generators(3, [(1, 2, 0)]))
+    a, b = [a for a in range(qg.dim) if qg.kappa[a, a] == 0]
+    doc = quantum_group_to_dict(qg)
+    doc["kappa"][b][a], doc["kappa"][a][b] = [0.0, 1.0], [0.0, -1.0]
+    with pytest.raises(KacViolation, match="does not commute with"):
+        quantum_group_from_dict(doc)
+    assert quantum_group_from_dict(doc, enforce_kac=False) is not None
+    for group in standard_groups() + [e.action.group for e in standard_actions()]:
+        assert quantum_group_from_dict(quantum_group_to_dict(group)) is not None

@@ -18,7 +18,7 @@ from oracles import (_solve_linear, boxed_dual_vertices_bruteforce,
                      dual_vertices_by_spanning_trees,
                      enumerate_boxed_dual_vertices,
                      enumerate_lipschitz_vertices, min_cost_flow_reference,
-                     transport_bruteforce)
+                     transport_bruteforce, wasserstein_inf_linear_scan)
 
 TWO = validate_metric([[F(0), F(1)], [F(1), F(0)]])
 THREE = validate_metric([[F(0), F(1), F(2)], [F(1), F(0), F(2)], [F(2), F(2), F(0)]])
@@ -311,6 +311,55 @@ def test_winf_examples():
         for y in range(3):
             d = wasserstein_inf(THREE, ProbVector.dirac(3, x), ProbVector.dirac(3, y))
             assert d.r == THREE.dist[x][y]
+
+
+def _near_tie_space(n, rng):
+    """A float shortest-path metric with one symmetric pair, whose distance
+    another pair shares, moved up by 4e-10: two realized distances then
+    lie within tol of each other."""
+    while True:
+        base = random_metric_space(n, rng.randint(0, 9999), mode="float")
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        shared = [(i, j) for i, j in pairs
+                  if sum(base.dist[a][b] == base.dist[i][j] for a, b in pairs) > 1]
+        if shared:
+            break
+    i, j = rng.choice(shared)
+    dist = [list(row) for row in base.dist]
+    dist[i][j] = dist[j][i] = dist[i][j] + 4e-10
+    return validate_metric(dist, mode="float")
+
+
+def test_winf_ranks_match_linear_scan():
+    """The bisection on distance ranks returns the r, plan and lower
+    violator of scanning the sublevel sets in increasing order, on seeded
+    rational and float spaces with n <= 8, rational and float marginals,
+    and float spaces with realized distances closer than tol."""
+    rng = random.Random(29)
+    for trial in range(60):
+        n = rng.randint(2, 8)
+        kind = trial % 3
+        if kind == 0:
+            sp = random_metric_space(n, rng.randint(0, 9999))
+        elif kind == 1:
+            sp = random_metric_space(n, rng.randint(0, 9999), "euclidean-sample")
+        else:
+            sp = _near_tie_space(max(n, 3), rng)
+            values = sp.realized_distances
+            assert any(b - a <= sp.tol for a, b in zip(values, values[1:]))
+        m = sp.n
+        for _ in range(3):
+            if kind == 0 and rng.random() < 0.5:
+                mu, nu = rand_prob(rng, m), rand_prob(rng, m)
+            else:
+                mu, nu = (prob_vector([w / sum(ws) for w in ws]) for ws in
+                          ([rng.choice((0.0, rng.random())) + 1e-3
+                            for _ in range(m)] for _ in range(2)))
+            got = wasserstein_inf(sp, mu, nu)
+            want = wasserstein_inf_linear_scan(sp, mu, nu)
+            assert got.r == want.r
+            assert got.plan == want.plan
+            assert got.lower_violator == want.lower_violator
 
 
 def test_winf_dominates_all_wp():
