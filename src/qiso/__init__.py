@@ -13,8 +13,8 @@ from .transport import (Coupling, DualPotentials, ProbVector, TransportResult,
                         enumerate_dual_vertices, feasible_coupling_on,
                         kantorovich_w1, prob_vector, solve_transport,
                         wasserstein_inf, wasserstein_p)
-from .hall import (HallInstance, HallVerdict, decide_hall, hall_condition,
-                   neighborhood, perfect_matching)
+from .hall import (HallInstance, decide_hall, hall_condition, neighborhood,
+                   perfect_matching)
 from .algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
                       extreme_state, random_state)
 from .quantum_group import (QuantumGroup, haar_state, verify_quantum_group)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +44,14 @@ class FinDimCStarAlgebra:
             out.append(acc)
             acc += b * b
         return tuple(out)
+
+    @cached_property
+    def blocks_by_size(self) -> Dict[int, np.ndarray]:
+        """{n: basis indices of the blocks of size n, as a (K, n, n) array}."""
+        groups: Dict[int, list] = {}
+        for off, n in zip(self.offsets, self.blocks):
+            groups.setdefault(n, []).append(off + np.arange(n * n).reshape(n, n))
+        return {n: np.array(idx) for n, idx in groups.items()}
 
     def index_of(self, k: int, i: int, j: int) -> int:
         """Basis index of the matrix unit E_ij in block k."""
@@ -121,6 +130,22 @@ class AlgElement:
     def min_eig(self) -> float:
         """Smallest eigenvalue over blocks; meaningful for self-adjoint elements."""
         return min(float(np.linalg.eigvalsh(m)[0]) for m in self.data)
+
+
+def operator_norms(mats: np.ndarray) -> np.ndarray:
+    """The spectral norms of a stack of square matrices (..., m, m); a 1x1
+    matrix takes abs, as `AlgElement.norm` does."""
+    if mats.shape[-1] == 1:
+        return np.abs(mats[..., 0, 0])
+    return np.linalg.norm(mats, 2, axis=(-2, -1))
+
+
+def element_norms(algebra: FinDimCStarAlgebra, X: np.ndarray) -> np.ndarray:
+    """The operator norms of the elements X[..., a] of the algebra (their
+    coefficient vectors on the last axis): the largest spectral norm over
+    blocks, taken one stack of equal-sized blocks at a time."""
+    return np.max([operator_norms(X[..., idx]).max(axis=-1)
+                   for idx in algebra.blocks_by_size.values()], axis=0)
 
 
 def hermitian_max_eig(mat: np.ndarray) -> float:

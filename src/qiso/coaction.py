@@ -1,18 +1,22 @@
 """Magic-unitary coactions of finite quantum groups on finite metric spaces.
 
 The coaction rho: C(X) -> C(X) (x) A is stored through its magic unitary
-u = (u_ij), convention rho(e_j) = sum_i e_i (x) u_ij.  States act on points
-from the right (x <| psi is the distribution j -> psi(u_xj)) and on
-functions from the left ((psi |> f)(x) = sum_j f_j psi(u_xj))."""
+u = (u_ij), convention rho(e_j) = sum_i e_i (x) u_ij, and through one
+coefficient tensor built from it: coeffs[i, j] is u_ij's coefficient
+vector over the matrix-unit basis of A.  The axioms, condition (D) and
+the state actions are linear in the u_ij, so they are array expressions
+in that tensor; products of entries use its per-block views.  States act
+on points from the right (x <| psi is the distribution j -> psi(u_xj))
+and on functions from the left ((psi |> f)(x) = sum_j f_j psi(u_xj))."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, List, Tuple
 
 import numpy as np
 
-from .algebra import AlgElement, StateFunctional
+from .algebra import AlgElement, StateFunctional, element_norms, operator_norms
 from .errors import QisoError, ShapeMismatch
 from .metric import FiniteMetricSpace
 from .quantum_group import QGReport, QuantumGroup
@@ -29,12 +33,21 @@ class CoAction:
     space: FiniteMetricSpace
     u: Tuple[Tuple[AlgElement, ...], ...]
     name: str = ""
+    # coeffs[i, j]: u_ij over the matrix-unit basis, shape (n, n, dim);
+    # stacks[k]: its (n, n, b_k, b_k) view on block k.  Both read-only.
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    stacks: List[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.space.n
         if len(self.u) != n or any(len(row) != n for row in self.u):
             raise ShapeMismatch("magic unitary size differs from the space")
         self.u = tuple(tuple(row) for row in self.u)
+        alg = self.group.algebra
+        self.coeffs = np.array([[e.vec() for e in row] for row in self.u])
+        self.coeffs.flags.writeable = False
+        self.stacks = [self.coeffs[..., off:off + b * b].reshape(n, n, b, b)
+                       for off, b in zip(alg.offsets, alg.blocks)]
 
     @property
     def n(self) -> int:
@@ -43,7 +56,8 @@ class CoAction:
 
 def verify_coaction(action: CoAction, tol: float = 1e-9,
                     check_faithful: bool = True) -> QGReport:
-    """All magic-unitary and coaction axioms as residuals.
+    """All magic-unitary and coaction axioms as residuals, each but
+    faithfulness an array expression in the coefficient tensor.
 
     Faithfulness is tested by saturating the linear span of products of
     u-entries: the action is faithful iff the span reaches the whole
@@ -51,46 +65,22 @@ def verify_coaction(action: CoAction, tol: float = 1e-9,
     deficit (0.0 when faithful)."""
     qg = action.group
     alg = qg.algebra
-    n = action.n
+    U = action.coeffs
+    unit = qg.unit_vec()
     rep = QGReport()
-
-    proj = star = 0.0
-    for row in action.u:
-        for e in row:
-            proj = max(proj, ((e * e) - e).norm())
-            star = max(star, (e.star() - e).norm())
-    rep.residuals["entries_idempotent"] = proj
-    rep.residuals["entries_selfadjoint"] = star
-
-    unit = alg.unit()
-    row_res = col_res = 0.0
-    for i in range(n):
-        rsum = alg.zero()
-        csum = alg.zero()
-        for j in range(n):
-            rsum = rsum + action.u[i][j]
-            csum = csum + action.u[j][i]
-        row_res = max(row_res, (rsum - unit).norm())
-        col_res = max(col_res, (csum - unit).norm())
-    rep.residuals["row_sums"] = row_res
-    rep.residuals["column_sums"] = col_res
-
-    coassoc = 0.0
-    vecs = [[action.u[i][j].vec() for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = qg.apply_delta(action.u[i][j])
-            rhs = np.zeros_like(lhs)
-            for k in range(n):
-                rhs += np.outer(vecs[i][k], vecs[k][j])
-            coassoc = max(coassoc, float(np.abs(lhs - rhs).max()))
-    rep.residuals["coaction_square"] = coassoc
-
-    counit = 0.0
-    for i in range(n):
-        for j in range(n):
-            counit = max(counit, abs(qg.counit(action.u[i][j]) - (1.0 if i == j else 0.0)))
-    rep.residuals["counit_compatibility"] = counit
+    rep.residuals["entries_idempotent"] = max(
+        float(operator_norms(S @ S - S).max()) for S in action.stacks)
+    rep.residuals["entries_selfadjoint"] = max(
+        float(operator_norms(S.conj().swapaxes(-1, -2) - S).max())
+        for S in action.stacks)
+    rep.residuals["row_sums"] = float(element_norms(alg, U.sum(axis=1) - unit).max())
+    rep.residuals["column_sums"] = float(element_norms(alg, U.sum(axis=0) - unit).max())
+    # Delta(u_ij) = sum_k u_ik (x) u_kj on coefficients
+    rep.residuals["coaction_square"] = float(np.abs(
+        np.einsum("bga,ija->ijbg", qg.delta, U, optimize=True)
+        - np.einsum("ikb,kjg->ijbg", U, U, optimize=True)).max())
+    rep.residuals["counit_compatibility"] = float(np.abs(
+        U @ qg.epsilon - np.eye(action.n)).max())
 
     if check_faithful:
         rep.residuals["faithfulness_deficit"] = float(generation_deficit(action, tol))
@@ -132,19 +122,16 @@ def generation_deficit(action: CoAction, tol: float = 1e-9) -> int:
 def act_on_point(action: CoAction, x: int, psi: StateFunctional,
                  tol: float = 1e-9) -> ProbVector:
     """x <| psi: the distribution with mass psi(u_xj) at j."""
-    mass = [psi.value(action.u[x][j]).real for j in range(action.n)]
-    return prob_vector(mass, tol=tol)
+    return prob_vector((action.coeffs[x] @ psi.as_vector()).real.tolist(),
+                       tol=tol)
 
 
 def act_on_function(action: CoAction, psi: StateFunctional, f) -> Tuple[float, ...]:
     """psi |> f = (id (x) psi) rho(f); satisfies (psi|>f)(x) = (x <| psi)(f)."""
     if len(f) != action.n:
         raise ShapeMismatch("function length differs from the space")
-    out = []
-    for x in range(action.n):
-        out.append(sum(float(v) * psi.value(action.u[x][j]).real
-                       for j, v in enumerate(f)))
-    return tuple(out)
+    values = (action.coeffs @ psi.as_vector()).real
+    return tuple((values @ np.array([float(v) for v in f])).tolist())
 
 
 def a_element(action: CoAction, x: int, S) -> AlgElement:
@@ -158,8 +145,8 @@ def a_element(action: CoAction, x: int, S) -> AlgElement:
 def orbits(action: CoAction, tol: float = 1e-9) -> List[FrozenSet[int]]:
     """O_x = {j : u_xj != 0}; verified to be a partition of the points."""
     n = action.n
-    sets = [frozenset(j for j in range(n) if action.u[x][j].norm() > tol)
-            for x in range(n)]
+    live = element_norms(action.group.algebra, action.coeffs) > tol
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in live]
     for x in range(n):
         if x not in sets[x]:
             raise NotAPartition(f"{x} not in its own orbit")

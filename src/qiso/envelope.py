@@ -1,6 +1,7 @@
 """The largest quantum-group quotient acting (D)-isometrically.
 
-Pipeline: the defect elements of condition (D) generate a two-sided ideal
+Pipeline: the defect elements of condition (D), the coefficient vectors
+of `isometry.commutator_defects`, generate a two-sided ideal
 (a set of blocks, by block simplicity); the ideal is saturated into the
 smallest Hopf ideal containing it (closure under the antipode block
 permutation plus the comultiplication condition Delta(I) <= I(x)A + A(x)I,
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,38 +43,28 @@ class BlockIdeal:
         return len(self.included_blocks)
 
 
-def commutator_elements(action: CoAction) -> List[AlgElement]:
-    """The n^2 defect elements of condition (D), in pair order."""
-    defects = commutator_defects(action)
-    return [defects[key] for key in sorted(defects)]
-
-
-def generated_ideal(qg: QuantumGroup, generators: Sequence[AlgElement],
+def generated_ideal(qg: QuantumGroup, generators: np.ndarray,
                     tol: float = 1e-9) -> BlockIdeal:
     """Blocks where some generator does not vanish; by simplicity of each
-    block this is exactly the two-sided ideal the generators generate."""
-    included = set()
-    for g in generators:
-        for k, mat in enumerate(g.data):
-            if np.abs(mat).max() > tol:
-                included.add(k)
-    return BlockIdeal(frozenset(included))
+    block this is exactly the two-sided ideal the generators generate.
+    The generators are coefficient vectors on the last axis, such as the
+    (n, n, dim) defect tensor of condition (D)."""
+    alg = qg.algebra
+    peak = np.abs(np.asarray(generators)).reshape(-1, alg.dim).max(
+        axis=0, initial=0.0)
+    return BlockIdeal(frozenset(
+        k for k, (off, b) in enumerate(zip(alg.offsets, alg.blocks))
+        if peak[off:off + b * b].max() > tol))
 
 
 def kappa_block_map(qg: QuantumGroup, tol: float = 1e-9) -> Dict[int, FrozenSet[int]]:
-    """Which blocks the antipode sends each block into."""
-    out = {}
+    """Which blocks the antipode sends each block into: the images of
+    block k's matrix units are kappa's columns there."""
     alg = qg.algebra
-    for k, b in enumerate(alg.blocks):
-        hit = set()
-        for i in range(b):
-            for j in range(b):
-                img = qg.apply_kappa(alg.basis_element(alg.index_of(k, i, j)))
-                for l, mat in enumerate(img.data):
-                    if np.abs(mat).max() > tol:
-                        hit.add(l)
-        out[k] = frozenset(hit)
-    return out
+    spans = [slice(off, off + b * b) for off, b in zip(alg.offsets, alg.blocks)]
+    return {k: frozenset(l for l, rows in enumerate(spans)
+                         if np.abs(qg.kappa[rows, cols]).max() > tol)
+            for k, cols in enumerate(spans)}
 
 
 def _delta_violations(qg: QuantumGroup, included: FrozenSet[int],
@@ -213,8 +204,7 @@ class EnvelopeResult:
 def envelope(action: CoAction, tol: float = 1e-9) -> EnvelopeResult:
     """Defects -> generated ideal -> Hopf saturation -> verified quotient."""
     qg = action.group
-    defects = commutator_elements(action)
-    ideal0 = generated_ideal(qg, defects, tol)
+    ideal0 = generated_ideal(qg, commutator_defects(action), tol)
     ideal, added = hopf_saturate(qg, ideal0, tol)
     quotient, survivors = quotient_quantum_group(qg, ideal)
     induced = induced_action(action, quotient, survivors)

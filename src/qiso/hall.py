@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 from .errors import DimensionMismatch, QisoError, SizeGuardExceeded
 from .metric import PairSet
-from .transport import Coupling, ProbVector, feasible_coupling_on
+from .transport import CouplingFeasibility, ProbVector, feasible_coupling_on
 
 
 class NonSquareBipartition(QisoError):
@@ -32,15 +32,6 @@ class HallInstance:
     def __post_init__(self):
         if not (self.mu.n == self.nu.n == self.Y.n):
             raise DimensionMismatch("marginals and pair set sizes differ")
-
-
-@dataclass(frozen=True)
-class HallVerdict:
-    feasible: bool
-    coupling: Optional[Coupling]
-    violator: Optional[frozenset]
-    mu_S: Optional[object] = None
-    nu_neighborhood: Optional[object] = None
 
 
 def neighborhood(Y: PairSet, S, direction: str = "forward") -> frozenset:
@@ -68,11 +59,9 @@ def hall_condition(instance: HallInstance,
     return True, None
 
 
-def decide_hall(instance: HallInstance) -> HallVerdict:
+def decide_hall(instance: HallInstance) -> CouplingFeasibility:
     """Coupling-or-certificate form, delegated to the max-flow solver."""
-    result = feasible_coupling_on(instance.mu, instance.nu, instance.Y)
-    return HallVerdict(result.feasible, result.coupling, result.violator,
-                       result.mu_S, result.nu_neighborhood)
+    return feasible_coupling_on(instance.mu, instance.nu, instance.Y)
 
 
 def perfect_matching(adjacency):

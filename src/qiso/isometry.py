@@ -7,6 +7,12 @@ Conditions checked per state or universally over all states of the algebra:
   Lip_inf   a coupling of (x <| psi, y <| psi) lives on {d <= d(x,y)}
   main      a coupling lives on the level set {d = d(x,y)}
 
+(D) and its commutant form are linear in the u_xj: their defects are
+einsums over the coaction's coefficient tensor, and their norms are
+taken block by block.  Every pairwise check visits the pairs of
+`_state_pairs`: x < y on an exactly symmetric d, every ordered pair
+otherwise.
+
 Universal quantification over states is resolved exactly, block by
 block: the sup of psi(a) over states of a block is its largest
 eigenvalue.  For finite p (p = 1 included) a 1x1 block is a character,
@@ -27,11 +33,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (AlgElement, StateFunctional, exact_psd_pairs,
+from .algebra import (StateFunctional, element_norms, exact_psd_pairs,
                       extreme_state, hermitian_max_eig)
 from .coaction import CoAction, a_element, act_on_function, act_on_point
 from .errors import QisoError
@@ -112,8 +118,24 @@ def _lambda_max_leq(mat: np.ndarray, bound, tol: float, scale: float,
     return exact_psd_pairs(shifted), margin
 
 
-def _pairs(n: int):
-    return [(x, y) for x in range(n) for y in range(n) if x != y]
+def _state_pairs(space):
+    """The pairs (x, y) that every pairwise check visits, in x-major
+    order: x < y when d is exactly symmetric, every ordered pair otherwise.
+
+    When d(x, y) == d(y, x) for all points the pair (y, x) repeats (x, y):
+    transposing a coupling of (mu, nu) gives a coupling of (nu, mu) of the
+    same cost on the transposed, equal, (sub)level set; ||u_xj u_yk|| =
+    ||u_yk u_xj||; and the dual vertices on (L_y, L_x) are those on
+    (L_x, L_y) with f and g swapped, up to a shift.  The first failing
+    ordered pair then has x < y, so the witnesses are those of the ordered
+    sweep.  A float space validated with an asymmetry within tol keeps
+    every ordered pair."""
+    dist = space.dist
+    n = space.n
+    symmetric = all(dist[x][y] == dist[y][x]
+                    for x in range(n) for y in range(x + 1, n))
+    return [(x, y) for x in range(n) for y in range(n)
+            if (x < y if symmetric else x != y)]
 
 
 def _use_exact(action: CoAction, mode: str) -> bool:
@@ -126,68 +148,49 @@ def _use_exact(action: CoAction, mode: str) -> bool:
 # condition (D)
 
 
-def commutator_defects(action: CoAction) -> Dict[Tuple[int, int], AlgElement]:
-    """The defect elements c_xy = sum_j d(y,j) u_xj - sum_j d(x,j) kappa(u_yj);
-    all zero exactly when condition (D) holds."""
-    qg = action.group
-    d = action.space.dist
-    n = action.n
-    out = {}
-    for x in range(n):
-        for y in range(n):
-            lhs = qg.algebra.zero()
-            rhs = qg.algebra.zero()
-            for j in range(n):
-                lhs = lhs + float(d[y][j]) * action.u[x][j]
-                rhs = rhs + float(d[x][j]) * qg.apply_kappa(action.u[y][j])
-            out[(x, y)] = lhs - rhs
-    return out
+def commutator_defects(action: CoAction) -> np.ndarray:
+    """The defect elements c_xy = sum_j d(y,j) u_xj - sum_j d(x,j) kappa(u_yj)
+    as an (n, n, dim) tensor of coefficient vectors; all zero exactly when
+    condition (D) holds."""
+    d = np.array(action.space.dist, dtype=float)
+    U = action.coeffs
+    return np.einsum("yj,xja->xya", d, U) - \
+        np.einsum("xj,yja->xya", d, U @ action.group.kappa.T)
 
 
-def _defect_verdict(tag: str, residuals, space, tol: float) -> IsometryVerdict:
-    """The verdict on the largest of the ((x, y), residual) pairs.  The
-    residuals scale with the metric, so tol is taken relative to the
-    largest distance and the verdict does not depend on its units."""
-    worst, worst_pair = 0.0, None
-    for pair, r in residuals:
-        if r > worst:
-            worst, worst_pair = r, pair
+def _defect_verdict(tag: str, residuals: np.ndarray, space,
+                    tol: float) -> IsometryVerdict:
+    """The verdict on the largest of the (n, n) residuals, the first in
+    x-major order on ties.  The residuals scale with the metric, so tol is
+    taken relative to the largest distance and the verdict does not depend
+    on its units."""
+    worst = float(residuals.max())
     if worst <= tol * float(max(map(max, space.dist))):
         return IsometryVerdict(tag, True, certificate={"max_residual": worst})
-    return IsometryVerdict(tag, False,
-                           witness={"pair": worst_pair, "residual": worst})
+    pair = divmod(int(np.argmax(residuals)), space.n)
+    return IsometryVerdict(tag, False, witness={"pair": pair, "residual": worst})
 
 
 def check_D(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
     """Compare rho(d_y)(x) with kappa(rho(d_x)(y)) in norm, all pairs."""
-    return _defect_verdict("D", ((xy, c.norm()) for xy, c in
-                                 sorted(commutator_defects(action).items())),
+    return _defect_verdict("D", element_norms(action.group.algebra,
+                                              commutator_defects(action)),
                            action.space, tol)
 
 
 def check_D_commutant(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
     """Equivalent form when kappa(u_ij) = u_ji: the magic unitary commutes
     with the scalar distance matrix."""
-    qg = action.group
-    n = action.n
-    for i in range(n):
-        for j in range(n):
-            if (qg.apply_kappa(action.u[i][j]) - action.u[j][i]).norm() > tol:
-                raise KappaConventionMismatch(
-                    f"kappa(u[{i}][{j}]) != u[{j}][{i}]")
-    d = action.space.dist
-
-    def residuals():
-        for x in range(n):
-            for y in range(n):
-                ud = qg.algebra.zero()
-                du = qg.algebra.zero()
-                for j in range(n):
-                    ud = ud + action.u[x][j] * float(d[j][y])
-                    du = du + float(d[x][j]) * action.u[j][y]
-                yield (x, y), (ud - du).norm()
-
-    return _defect_verdict("D", residuals(), action.space, tol)
+    alg = action.group.algebra
+    U = action.coeffs
+    mismatch = np.argwhere(element_norms(
+        alg, U @ action.group.kappa.T - U.swapaxes(0, 1)) > tol)
+    if len(mismatch):
+        i, j = mismatch[0]
+        raise KappaConventionMismatch(f"kappa(u[{i}][{j}]) != u[{j}][{i}]")
+    d = np.array(action.space.dist, dtype=float)
+    residual = np.einsum("xja,jy->xya", U, d) - np.einsum("xj,jya->xya", d, U)
+    return _defect_verdict("D", element_norms(alg, residual), action.space, tol)
 
 
 def check_ball_identity(action: CoAction, tol: float = 1e-9) -> float:
@@ -216,25 +219,9 @@ def check_D_state(action: CoAction, psi: StateFunctional,
                   tol: float = 1e-9) -> IsometryVerdict:
     """Membership of psi in the (D)-isometric functionals: psi kills every
     defect element, i.e. (x <| psi)(d_y) = (y <| bar psi)(d_x)."""
-    return _defect_verdict("D(state)", ((xy, abs(psi.value(c))) for xy, c in
-                                        sorted(commutator_defects(action).items())),
+    return _defect_verdict("D(state)",
+                           np.abs(commutator_defects(action) @ psi.as_vector()),
                            action.space, tol)
-
-
-def _state_pairs(space):
-    """The pairs (x, y) a per-state check visits, in x-major order: x < y
-    when d is exactly symmetric, every ordered pair otherwise.
-
-    When d(x, y) == d(y, x) for all points, transposing a coupling of
-    (mu, nu) gives a coupling of (nu, mu) of the same cost and on the
-    transposed, equal, (sub)level set, so the pair (y, x) repeats (x, y).
-    A float space validated with an asymmetry within tol keeps both."""
-    dist = space.dist
-    n = space.n
-    symmetric = all(dist[x][y] == dist[y][x]
-                    for x in range(n) for y in range(x + 1, n))
-    return [(x, y) for x in range(n) for y in range(n)
-            if (x < y if symmetric else x != y)]
 
 
 def check_lip_p_state_sweep(action: CoAction, psi: StateFunctional, ps,
@@ -314,13 +301,6 @@ def check_lip_seminorm_state(action: CoAction, psi: StateFunctional,
 # universal conditions, finite p
 
 
-def _block_stack(action: CoAction, k: int) -> np.ndarray:
-    """u entries of block k as an (n, n, b, b) array."""
-    n = action.n
-    return np.array([[action.u[i][j].data[k] for j in range(n)]
-                     for i in range(n)])
-
-
 def _eigen_state(action: CoAction, k: int, mat: np.ndarray) -> StateFunctional:
     """The vector state on block k induced by the top eigenvector."""
     if mat.shape == (1, 1):
@@ -345,7 +325,8 @@ def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
     d(x,y)^p for every vertex (f, g) of the dual polyhedron of the cost d^p
     on L_x x L_y (both sums of projections are 1 on the block, so the
     objective is shift-invariant); those are found once per support pair,
-    from at most C(2b_k - 2, b_k - 1) trees whatever n is.
+    from at most C(2b_k - 2, b_k - 1) trees whatever n is.  The pairs are
+    those of `_state_pairs`.
 
     Margins are in units of d^p (d(sigma x, sigma y)^p or the eigenvalue,
     minus d(x,y)^p) and the tolerance is relative to the largest d^p.  In
@@ -363,8 +344,7 @@ def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
     exact = rational and float(p).is_integer()
     tag = f"Lip_{p}(universal)"
     scale = float(max(map(max, dist))) ** float(p)
-    stacks = [_block_stack(action, k)
-              for k in range(len(action.group.algebra.blocks))]
+    stacks = action.stacks
     supports = [[tuple(np.flatnonzero(row > 0.5).tolist()) for row in
                  np.einsum("xjaa->xj", stack).real] for stack in stacks]
     vertices = {}        # (L_x, L_y) -> dual vertices, with float (f, g)
@@ -386,7 +366,7 @@ def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
         return [[tuple(sum(c * m[r][s][t] for c, m in terms) for t in (0, 1))
                  for s in range(size)] for r in range(size)]
 
-    for x, y in _pairs(space.n):
+    for x, y in _state_pairs(space):
         d_xy = dist[x][y]
         bound_pow = d_xy ** int(p) if exact else float(d_xy) ** float(p)
         for k, stack in enumerate(stacks):
@@ -448,16 +428,16 @@ def _support_universal(action: CoAction, tag: str, level_only: bool,
     projections summing to 1, so the inequality says a_{x;S} u_yk = 0 for
     every k outside N(S); that holds for all S iff it holds for singletons
     (Banica 2005).  Each product is decided blockwise as
-    lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk."""
+    lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, over the
+    pairs of `_state_pairs`."""
     space = action.space
     n = space.n
     exact = _use_exact(action, mode)
-    stacks = [_block_stack(action, b)
-              for b in range(len(action.group.algebra.blocks))]
+    stacks = action.stacks
     live = [[[j for j in range(n) if stack[x, j].any()] for x in range(n)]
             for stack in stacks]
     worst = 0.0
-    for x, y in _pairs(n):
+    for x, y in _state_pairs(space):
         Y = (level_set if level_only else sublevel_set)(space, space.dist[x][y])
         for b, stack in enumerate(stacks):
             for j in live[b][x]:
@@ -555,8 +535,5 @@ def sample_orthogonality_inputs(action: CoAction, count: int, seed: int):
 def check_injectivity(action: CoAction, tol: float = 1e-9) -> bool:
     """rho is one-to-one iff f -> (sum_j f_j u_xj)_x has full rank n."""
     n = action.n
-    cols = []
-    for j in range(n):
-        cols.append(np.concatenate([action.u[x][j].vec() for x in range(n)]))
-    rank = np.linalg.matrix_rank(np.column_stack(cols), tol=tol)
-    return int(rank) == n
+    cols = action.coeffs.transpose(0, 2, 1).reshape(-1, n)
+    return int(np.linalg.matrix_rank(cols, tol=tol)) == n

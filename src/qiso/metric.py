@@ -122,14 +122,6 @@ class FiniteMetricSpace:
     def max_distance(self) -> Scalar:
         return self.realized_distances[-1]
 
-    def key(self):
-        """Hashable identity used for memoizing per-space computations.
-
-        The mode and tolerance are part of it: Fraction(1) and 1.0 are equal
-        and hash alike, so the distances alone would hand a float space
-        the results computed for its rational twin."""
-        return (self.mode, self.tol, self.dist)
-
 
 def validate_metric(matrix, tolerance: Scalar = None, labels=None,
                     mode: str = None) -> FiniteMetricSpace:

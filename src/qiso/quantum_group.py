@@ -15,7 +15,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import AlgElement, FinDimCStarAlgebra, StateFunctional
+from .algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
+                      element_norms, operator_norms)
 from .errors import QisoError, ShapeMismatch
 
 
@@ -123,19 +124,9 @@ def _multiply(into: np.ndarray, terms: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _blocks_by_size(alg: FinDimCStarAlgebra) -> Dict[int, np.ndarray]:
-    """{n: basis indices of the blocks of size n, as a (K, n, n) array}."""
-    groups: Dict[int, list] = {}
-    for off, n in zip(alg.offsets, alg.blocks):
-        groups.setdefault(n, []).append(off + np.arange(n * n).reshape(n, n))
-    return {n: np.array(idx) for n, idx in groups.items()}
-
-
 def _opnorm(mats: np.ndarray) -> float:
     """The largest spectral norm in a stack of square matrices."""
-    if mats.shape[-1] == 1:
-        return float(np.abs(mats).max())
-    return float(np.linalg.norm(mats, 2, axis=(-2, -1)).max())
+    return float(operator_norms(mats).max())
 
 
 def _star_index(alg) -> np.ndarray:
@@ -145,14 +136,14 @@ def _star_index(alg) -> np.ndarray:
                            for off, n in zip(alg.offsets, alg.blocks)])
 
 
-def _kappa_star_residual(groups, star, kappa: np.ndarray) -> float:
+def _kappa_star_residual(alg, star, kappa: np.ndarray) -> float:
     """max_a ||kappa(e_a*) - kappa(e_a)*||, zero iff kappa commutes with *."""
-    return _element_norm(groups, (kappa[:, star] - kappa[star].conj()).T)
+    return _element_norm(alg, (kappa[:, star] - kappa[star].conj()).T)
 
 
-def _element_norm(groups, X: np.ndarray) -> float:
+def _element_norm(alg, X: np.ndarray) -> float:
     """The largest operator norm of the elements X[..., a] of A."""
-    return max(_opnorm(X[..., idx]) for idx in groups.values())
+    return float(element_norms(alg, X).max())
 
 
 def _tensor_blocks(groups, X: np.ndarray):
@@ -194,7 +185,7 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     """
     alg = qg.algebra
     dim = alg.dim
-    groups = _blocks_by_size(alg)
+    groups = alg.blocks_by_size
     left, right, into = _product_table(alg)
     star = _star_index(alg)
     unit = qg.unit_vec()
@@ -251,20 +242,20 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     kappa_left = np.einsum("cb,bga->cga", kappa, delta)
     kappa_right = np.einsum("cg,bga->bca", kappa, delta)
     res["antipode_left"] = _element_norm(
-        groups, _multiply(into, kappa_left[left, right], dim) - target)
+        alg, _multiply(into, kappa_left[left, right], dim) - target)
     res["antipode_right"] = _element_norm(
-        groups, _multiply(into, kappa_right[left, right], dim) - target)
+        alg, _multiply(into, kappa_right[left, right], dim) - target)
 
     # Kac type: involutive, *-preserving, multiplication-reversing
     res["kappa_involutive"] = float(np.abs(kappa @ kappa - eye).max())
-    res["kappa_star"] = _kappa_star_residual(groups, star, kappa)
+    res["kappa_star"] = _kappa_star_residual(alg, star, kappa)
     of_product = np.zeros((dim, dim, dim), dtype=complex)  # kappa(e_a e_b)
     of_product[left, right] = kappa.T[into]
     reversed_product = _multiply(   # kappa(e_b) kappa(e_a)
         into, kappa[left][:, None, :] * kappa[right][:, :, None], dim)
     res["kappa_antimultiplicative"] = _element_norm(
-        groups, of_product - reversed_product)
-    res["kappa_unital"] = _element_norm(groups, kappa @ unit - unit)
+        alg, of_product - reversed_product)
+    res["kappa_unital"] = _element_norm(alg, kappa @ unit - unit)
     return QGReport(res)
 
 
@@ -274,8 +265,7 @@ def require_kac(qg: QuantumGroup, tol: float = 1e-9) -> None:
     if np.abs(qg.kappa @ qg.kappa - np.eye(qg.dim)).max() > tol:
         raise KacViolation("antipode is not involutive")
     alg = qg.algebra
-    if _kappa_star_residual(_blocks_by_size(alg), _star_index(alg),
-                            qg.kappa) > tol:
+    if _kappa_star_residual(alg, _star_index(alg), qg.kappa) > tol:
         raise KacViolation("antipode does not commute with *")
 
 

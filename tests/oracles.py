@@ -38,23 +38,36 @@ exponential in the number of points:
 - wasserstein_inf_linear_scan: the first realized distance r, in
   increasing order, whose sublevel set carries a coupling; not
   exponential, but independent of the distance ranks and the bisection
-  of `wasserstein_inf`, which must return the same r, plan and violator.
+  of `wasserstein_inf`, which must return the same r, plan and violator;
+- commutator_defects_by_entry, check_D_by_entry, check_D_state_by_entry,
+  check_D_commutant_by_entry and verify_coaction_by_entry: condition (D),
+  its commutant form and the coaction axioms as first written, one
+  AlgElement sum, product and norm per entry of u; not exponential, but
+  independent of the coefficient tensor, the einsums and the stacked
+  block norms of `isometry` and `coaction`, which must report the same
+  defects, verdicts and residuals;
+- with_ordered_pairs: a pairwise universal check run over every ordered
+  pair, as before it visited x < y only on an exactly symmetric d.
+
+The oracles keep their own ordered-pair loop and block stacks, built
+from the AlgElement entries of u.
 """
 
 import itertools
 from collections import deque
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
 from qiso.algebra import (AlgElement, FinDimCStarAlgebra, exact_psd,
                           exact_psd_pairs, extreme_state, hermitian_max_eig)
-from qiso.coaction import CoAction, a_element
+from qiso.coaction import CoAction, a_element, generation_deficit
 from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
-from qiso.isometry import (_BORDERLINE, IsometryVerdict, _block_stack,
-                           _eigen_state, _exact_entries, _pairs,
-                           _rationalize, _use_exact, check_winf_universal)
+from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
+                           _eigen_state, _exact_entries, _rationalize,
+                           _use_exact, check_winf_universal)
 from qiso.metric import FiniteMetricSpace, level_set, sublevel_set
 from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
@@ -63,6 +76,17 @@ from qiso.transport import (_MAX_PIVOTS, DualPotentials, InfeasibleMarginals,
                             WInfResult, _power_cost, enumerate_dual_vertices,
                             feasible_coupling_on, prob_vector,
                             transport_with_power)
+
+
+def _ordered_pairs(n: int):
+    return [(x, y) for x in range(n) for y in range(n) if x != y]
+
+
+def _block_stack(action: CoAction, k: int) -> np.ndarray:
+    """u entries of block k as an (n, n, b, b) array."""
+    n = action.n
+    return np.array([[action.u[i][j].data[k] for j in range(n)]
+                     for i in range(n)])
 
 
 def transport_bruteforce(mu: ProbVector, nu: ProbVector, cost) -> Scalar:
@@ -610,7 +634,7 @@ def support_universal_bruteforce(action: CoAction, tag: str, level_only: bool,
         raise SizeGuardExceeded(f"subset exhaustion guarded at n <= {max_points}")
     exact = _use_exact(action, mode)
     worst = None
-    for x, y in _pairs(n):
+    for x, y in _ordered_pairs(n):
         Y = (level_set if level_only else sublevel_set)(space, space.dist[x][y])
         for size in range(n + 1):
             for S in itertools.combinations(range(n), size):
@@ -858,7 +882,7 @@ def lip_p_universal_full_sweep(action: CoAction, p, tol: float = 1e-9,
     vertices = enumerate_dual_vertices(space, p) if big_blocks else []
     worst = None
 
-    for x, y in _pairs(space.n):
+    for x, y in _ordered_pairs(space.n):
         d_xy = space.dist[x][y]
         bound_pow = d_xy ** int(p) if exact else float(d_xy) ** float(p)
         # 1x1 blocks: one state each
@@ -919,3 +943,148 @@ def wasserstein_inf_linear_scan(space: FiniteMetricSpace, mu: ProbVector,
             return WInfResult(r, res.coupling, below)
         below = res.violator
     raise AssertionError("the largest distance always carries a coupling")
+
+
+# ---------------------------------------------------------------------------
+# condition (D) and the coaction axioms entry by entry (as first written,
+# before they were einsums over the coefficient tensor)
+
+
+def commutator_defects_by_entry(action: CoAction) -> Dict[Tuple[int, int], AlgElement]:
+    """The defect elements c_xy = sum_j d(y,j) u_xj - sum_j d(x,j) kappa(u_yj);
+    all zero exactly when condition (D) holds."""
+    qg = action.group
+    d = action.space.dist
+    n = action.n
+    out = {}
+    for x in range(n):
+        for y in range(n):
+            lhs = qg.algebra.zero()
+            rhs = qg.algebra.zero()
+            for j in range(n):
+                lhs = lhs + float(d[y][j]) * action.u[x][j]
+                rhs = rhs + float(d[x][j]) * qg.apply_kappa(action.u[y][j])
+            out[(x, y)] = lhs - rhs
+    return out
+
+
+def _defect_verdict(tag: str, residuals, space, tol: float) -> IsometryVerdict:
+    """The verdict on the largest of the ((x, y), residual) pairs.  The
+    residuals scale with the metric, so tol is taken relative to the
+    largest distance and the verdict does not depend on its units."""
+    worst, worst_pair = 0.0, None
+    for pair, r in residuals:
+        if r > worst:
+            worst, worst_pair = r, pair
+    if worst <= tol * float(max(map(max, space.dist))):
+        return IsometryVerdict(tag, True, certificate={"max_residual": worst})
+    return IsometryVerdict(tag, False,
+                           witness={"pair": worst_pair, "residual": worst})
+
+
+def check_D_by_entry(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
+    """Compare rho(d_y)(x) with kappa(rho(d_x)(y)) in norm, all pairs."""
+    return _defect_verdict("D", ((xy, c.norm()) for xy, c in
+                                 sorted(commutator_defects_by_entry(action).items())),
+                           action.space, tol)
+
+
+def check_D_state_by_entry(action: CoAction, psi, tol: float = 1e-9) -> IsometryVerdict:
+    """Membership of psi in the (D)-isometric functionals: psi kills every
+    defect element, i.e. (x <| psi)(d_y) = (y <| bar psi)(d_x)."""
+    return _defect_verdict("D(state)", ((xy, abs(psi.value(c))) for xy, c in
+                                        sorted(commutator_defects_by_entry(action).items())),
+                           action.space, tol)
+
+
+def check_D_commutant_by_entry(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
+    """Equivalent form when kappa(u_ij) = u_ji: the magic unitary commutes
+    with the scalar distance matrix."""
+    qg = action.group
+    n = action.n
+    for i in range(n):
+        for j in range(n):
+            if (qg.apply_kappa(action.u[i][j]) - action.u[j][i]).norm() > tol:
+                raise KappaConventionMismatch(
+                    f"kappa(u[{i}][{j}]) != u[{j}][{i}]")
+    d = action.space.dist
+
+    def residuals():
+        for x in range(n):
+            for y in range(n):
+                ud = qg.algebra.zero()
+                du = qg.algebra.zero()
+                for j in range(n):
+                    ud = ud + action.u[x][j] * float(d[j][y])
+                    du = du + float(d[x][j]) * action.u[j][y]
+                yield (x, y), (ud - du).norm()
+
+    return _defect_verdict("D", residuals(), action.space, tol)
+
+
+def verify_coaction_by_entry(action: CoAction, tol: float = 1e-9,
+                             check_faithful: bool = True) -> QGReport:
+    """All magic-unitary and coaction axioms as residuals.
+
+    Faithfulness is tested by saturating the linear span of products of
+    u-entries: the action is faithful iff the span reaches the whole
+    algebra.  The faithfulness entry of the report is the dimension
+    deficit (0.0 when faithful)."""
+    qg = action.group
+    alg = qg.algebra
+    n = action.n
+    rep = QGReport()
+
+    proj = star = 0.0
+    for row in action.u:
+        for e in row:
+            proj = max(proj, ((e * e) - e).norm())
+            star = max(star, (e.star() - e).norm())
+    rep.residuals["entries_idempotent"] = proj
+    rep.residuals["entries_selfadjoint"] = star
+
+    unit = alg.unit()
+    row_res = col_res = 0.0
+    for i in range(n):
+        rsum = alg.zero()
+        csum = alg.zero()
+        for j in range(n):
+            rsum = rsum + action.u[i][j]
+            csum = csum + action.u[j][i]
+        row_res = max(row_res, (rsum - unit).norm())
+        col_res = max(col_res, (csum - unit).norm())
+    rep.residuals["row_sums"] = row_res
+    rep.residuals["column_sums"] = col_res
+
+    coassoc = 0.0
+    vecs = [[action.u[i][j].vec() for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = qg.apply_delta(action.u[i][j])
+            rhs = np.zeros_like(lhs)
+            for k in range(n):
+                rhs += np.outer(vecs[i][k], vecs[k][j])
+            coassoc = max(coassoc, float(np.abs(lhs - rhs).max()))
+    rep.residuals["coaction_square"] = coassoc
+
+    counit = 0.0
+    for i in range(n):
+        for j in range(n):
+            counit = max(counit, abs(qg.counit(action.u[i][j]) - (1.0 if i == j else 0.0)))
+    rep.residuals["counit_compatibility"] = counit
+
+    if check_faithful:
+        rep.residuals["faithfulness_deficit"] = float(generation_deficit(action, tol))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# the pairwise universal checks over every ordered pair
+
+
+def with_ordered_pairs(check, action: CoAction, *args, **kwargs) -> IsometryVerdict:
+    """`check(action, ...)` with every ordered pair x != y visited in
+    x-major order, whatever the symmetry of d."""
+    with mock.patch("qiso.isometry._state_pairs",
+                    lambda space: _ordered_pairs(space.n)):
+        return check(action, *args, **kwargs)

@@ -196,7 +196,9 @@ def population_flags():
     forest_vertices = {}
 
     def forest(space, p):
-        key = (space.key(), p)
+        # mode and tol too: Fraction(1) == 1.0, so the distances alone
+        # would hand a float space its rational twin's vertices
+        key = (space.mode, space.tol, space.dist, p)
         if key not in forest_vertices:
             forest_vertices[key] = enumerate_boxed_dual_vertices(space, p)
         return forest_vertices[key]

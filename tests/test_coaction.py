@@ -1,16 +1,26 @@
 """Coaction verification, the two state actions, quantum indicators, orbits."""
 
+import random
+
 import numpy as np
 
-from qiso.algebra import random_state
+from qiso.algebra import element_norms, random_state
 from qiso.catalog import (cycle_metric, dihedral_projection_action,
                           equilateral_metric, four_point_blocks,
-                          permutation_action, three_point_isosceles,
+                          permutation_action, random_quantum_action,
+                          standard_actions, three_point_isosceles,
                           trivial_action)
 from qiso.coaction import (a_element, act_on_function, act_on_point,
                            orbits, verify_coaction)
+from qiso.isometry import (KappaConventionMismatch, check_D,
+                           check_D_commutant, check_D_state,
+                           commutator_defects)
 from qiso.quantum_group import close_generators, function_algebra_of_group
 from qiso.coaction import CoAction
+
+from oracles import (check_D_by_entry, check_D_commutant_by_entry,
+                     check_D_state_by_entry, commutator_defects_by_entry,
+                     verify_coaction_by_entry)
 
 
 def test_classical_action_verifies_and_is_faithful():
@@ -123,3 +133,90 @@ def test_row_projections_in_a_row_are_orthogonal():
                 for k in range(act.n):
                     if j != k:
                         assert (act.u[i][j] * act.u[i][k]).norm() < 1e-10
+
+
+def _seeded_faults(bases, count, seed):
+    """`count` actions, each one base action with one coefficient of one
+    entry u_ij moved by 1e-3, 0.1 or 1, times 1, -1 or i."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        action = rng.choice(bases)
+        i, j = rng.randrange(action.n), rng.randrange(action.n)
+        vec = action.u[i][j].vec()
+        vec[rng.randrange(len(vec))] += rng.choice((1e-3, 0.1, 1.0)) * \
+            rng.choice((1, -1, 1j))
+        u = [list(row) for row in action.u]
+        u[i][j] = action.group.algebra.from_vec(vec)
+        out.append(CoAction(action.group, action.space,
+                            tuple(map(tuple, u))))
+    return out
+
+
+def _row_copied(action):
+    """The action with row 0 of u replaced by row 1: the rows still sum
+    to 1, the columns do not."""
+    u = [list(row) for row in action.u]
+    u[0] = u[1]
+    return CoAction(action.group, action.space, tuple(map(tuple, u)))
+
+
+def _verdict(check, *args):
+    try:
+        v = check(*args)
+    except KappaConventionMismatch as err:
+        return "mismatch", str(err)
+    return v.holds, (v.certificate or v.witness)
+
+
+def test_tensor_forms_match_entry_references():
+    """(D), its commutant form and the coaction axioms computed from the
+    coefficient tensor equal the entry-by-entry references: on the
+    catalog, 20 random quantum actions, 200 seeded faults in u and each
+    base action with a row of u copied over another, the same residual
+    keys in order within 1e-12, defects and their norms within 1e-12, and
+    the same verdicts (or KappaConventionMismatch on the same first
+    entry) for check_D, check_D_state and check_D_commutant."""
+    bases = [e.action for e in standard_actions()] + \
+        [random_quantum_action(seed) for seed in range(20)]
+    seen = {"check_D": set(), "check_D_state": set(), "check_D_commutant": set()}
+    for k, action in enumerate(bases + _seeded_faults(bases, 200, 1212)
+                               + [_row_copied(a) for a in bases]):
+        alg = action.group.algebra
+        tensor = verify_coaction(action).residuals
+        by_entry = verify_coaction_by_entry(action).residuals
+        assert list(tensor) == list(by_entry), k
+        for key, value in by_entry.items():
+            assert abs(tensor[key] - value) <= 1e-12, (k, key)
+        defects = commutator_defects(action)
+        norms = element_norms(alg, defects)
+        psi = random_state(alg, k)
+        at_pair = {"check_D": {}, "check_D_state": {}}
+        for (x, y), c in commutator_defects_by_entry(action).items():
+            assert np.abs(defects[x, y] - c.vec()).max() <= 1e-12, (k, x, y)
+            assert abs(norms[x, y] - c.norm()) <= 1e-12, (k, x, y)
+            at_pair["check_D"][x, y] = c.norm()
+            at_pair["check_D_state"][x, y] = abs(psi.value(c))
+        for check, reference, args in (
+                (check_D, check_D_by_entry, ()),
+                (check_D_state, check_D_state_by_entry, (psi,)),
+                (check_D_commutant, check_D_commutant_by_entry, ())):
+            name = check.__name__
+            got = _verdict(check, action, *args)
+            want = _verdict(reference, action, *args)
+            assert got[0] == want[0], (k, name)
+            seen[name].add(got[0])
+            if got[0] == "mismatch":
+                assert got[1] == want[1], k  # the first failing (i, j)
+            elif got[0] is True:
+                assert abs(got[1]["max_residual"]
+                           - want[1]["max_residual"]) <= 1e-12, (k, name)
+            elif got[0] is False:
+                # ties between pairs may break either way in the last bit,
+                # so the witness pair is checked by its own residual
+                assert abs(got[1]["residual"] - want[1]["residual"]) <= 1e-12, (k, name)
+                if name in at_pair:
+                    assert abs(at_pair[name][got[1]["pair"]]
+                               - got[1]["residual"]) <= 1e-12, (k, name)
+    assert seen["check_D"] == seen["check_D_state"] == {True, False}
+    assert seen["check_D_commutant"] == {True, False, "mismatch"}

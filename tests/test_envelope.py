@@ -9,11 +9,10 @@ from qiso.catalog import (dihedral_projection_action, four_point_asymmetric,
                           three_point_isosceles)
 from qiso.coaction import verify_coaction
 from qiso.envelope import (BlockIdeal, SaturationReachedFullAlgebra,
-                           annihilator_convolution_check, commutator_elements,
-                           envelope, generated_ideal, hopf_saturate,
-                           is_hopf_ideal, kappa_block_map,
-                           verify_universal_property)
-from qiso.isometry import check_D
+                           annihilator_convolution_check, envelope,
+                           generated_ideal, hopf_saturate, is_hopf_ideal,
+                           kappa_block_map, verify_universal_property)
+from qiso.isometry import check_D, commutator_defects
 from qiso.quantum_group import verify_quantum_group
 
 
@@ -30,18 +29,21 @@ def classical_isometries(action):
 
 def test_commutator_elements_vanish_iff_D():
     for entry in standard_actions():
-        cs = commutator_elements(entry.action)
-        assert len(cs) == entry.action.n ** 2
-        all_zero = all(c.norm() < 1e-10 for c in cs)
-        assert all_zero == check_D(entry.action).holds, entry.name
+        action = entry.action
+        cs = commutator_defects(action)
+        assert cs.shape == (action.n, action.n, action.group.dim)
+        alg = action.group.algebra
+        all_zero = all(alg.from_vec(c).norm() < 1e-10
+                       for c in cs.reshape(-1, alg.dim))
+        assert all_zero == check_D(action).holds, entry.name
 
 
 def test_generated_ideal_block_support():
     qg = S3_FULL.group
-    zero = qg.algebra.zero()
+    zero = qg.algebra.zero().vec()
     assert len(generated_ideal(qg, [zero])) == 0
-    assert len(generated_ideal(qg, [qg.algebra.unit()])) == len(qg.algebra.blocks)
-    one_block = qg.algebra.basis_element(2)
+    assert len(generated_ideal(qg, [qg.unit_vec()])) == len(qg.algebra.blocks)
+    one_block = qg.algebra.basis_element(2).vec()
     assert generated_ideal(qg, [one_block]).included_blocks == {2}
 
 
@@ -175,11 +177,13 @@ def test_annihilator_convolution_closure():
 def test_defect_element_identities():
     """kappa sends the (x,y) defect to minus the (y,x) defect, and the
     counit kills every defect; both drive the envelope construction."""
-    from qiso.isometry import commutator_defects
     for action in (S3_FULL,
                    dihedral_projection_action(four_point_asymmetric(), 4)):
         qg = action.group
         defects = commutator_defects(action)
-        for (x, y), c in defects.items():
-            assert (qg.apply_kappa(c) + defects[(y, x)]).norm() < 1e-9
-            assert abs(qg.counit(c)) < 1e-10
+        for x in range(action.n):
+            for y in range(action.n):
+                c = qg.algebra.from_vec(defects[x, y])
+                assert (qg.apply_kappa(c)
+                        + qg.algebra.from_vec(defects[y, x])).norm() < 1e-9
+                assert abs(qg.counit(c)) < 1e-10

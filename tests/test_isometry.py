@@ -23,9 +23,11 @@ from qiso.isometry import (HypothesisViolated, check_ball_identity, check_D,
                            check_orthogonality, check_theorem_main,
                            check_winf_universal, sample_orthogonality_inputs)
 from qiso.metric import level_set, random_metric_space, validate_metric
+from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import wasserstein_inf, wasserstein_p
 
-from oracles import lip_p_universal_full_sweep, support_universal_bruteforce
+from oracles import (lip_p_universal_full_sweep, support_universal_bruteforce,
+                     with_ordered_pairs)
 
 
 def classical_isometries(action):
@@ -513,17 +515,24 @@ def test_verify_instance_computes_each_image_once(monkeypatch):
     assert len(calls) == 5 * 3
 
 
-def test_near_symmetric_float_space_keeps_ordered_pairs(monkeypatch):
-    """A float metric accepted with d(0,1) - d(1,0) = 5e-10 (within tol) is
-    swept over every ordered pair, and matches the ordered per-pair
-    oracles exactly."""
+def _near_symmetric_action():
+    """C(D4) on a float metric accepted with d(0,1) - d(1,0) = 5e-10,
+    within tol."""
     d01 = 1.0 + 5e-10
     space = validate_metric([[0.0, 1.0, 1.5, 2.0],
                              [d01, 0.0, 1.0, 1.5],
                              [1.5, 1.0, 0.0, 1.0],
                              [2.0, 1.5, 1.0, 0.0]], mode="float")
     assert space.dist[0][1] != space.dist[1][0]
-    action = permutation_action(space, [(1, 2, 3, 0), (3, 2, 1, 0)])
+    return permutation_action(space, [(1, 2, 3, 0), (3, 2, 1, 0)])
+
+
+def test_near_symmetric_float_space_keeps_ordered_pairs(monkeypatch):
+    """A float metric accepted with d(0,1) - d(1,0) = 5e-10 (within tol) is
+    swept over every ordered pair, and matches the ordered per-pair
+    oracles exactly."""
+    action = _near_symmetric_action()
+    space = action.space
     ordered = _ordered_pairs(4)
     assert _sweep_pairs(space) == ordered
     solves = []
@@ -548,6 +557,37 @@ def test_near_symmetric_float_space_keeps_ordered_pairs(monkeypatch):
         v = check_level_coupling_state(action, psi)
         assert (v.holds, v.witness) == _level_coupling_per_pair(action, psi, 1e-9)
     assert seen[False]
+
+
+def test_universal_pair_convention_matches_ordered_pairs():
+    """The pairwise universal checks (main, Lip_inf, Lip_p for p = 1, 2, 3)
+    visit x < y only on an exactly symmetric d.  On the c07 population
+    (catalog + 200 random actions), the 6-point two-projection actions of
+    D5 and D7 (whose Lip_p failures are dual-vertex ones) and a
+    near-symmetric float space, their verdicts and failing witnesses
+    (pair, points or supports, block, kind) equal those of the sweep over
+    every ordered pair."""
+    config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
+                          seed=777)
+    actions = [build_instance(desc) for desc in instance_descriptors(config)]
+    actions += [reflection_pairs_action(block_metric(3, asymmetric), m,
+                                        (0, 1, 2))
+                for m in (5, 7) for asymmetric in (False, True)]
+    actions.append(_near_symmetric_action())
+    checks = [(check_theorem_main, ()), (check_winf_universal, ())] + \
+        [(check_lip_p_universal, (p,)) for p in (1, 2, 3)]
+    keys = ("pair", "points", "supports", "block", "kind")
+    kinds = set()
+    for action in actions:
+        for check, args in checks:
+            v = check(action, *args)
+            o = with_ordered_pairs(check, action, *args)
+            assert v.holds == o.holds, (action.name, check.__name__, args)
+            if not v.holds:
+                kinds.add(v.witness.get("kind", "points"))
+                assert {k: v.witness.get(k) for k in keys} == \
+                    {k: o.witness.get(k) for k in keys}, (action.name, args)
+    assert kinds == {"points", "character", "dual-vertex"}
 
 
 def test_level_coupling_per_state_classical():

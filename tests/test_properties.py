@@ -64,34 +64,6 @@ def test_haar_invariance_hundred_random_states():
             assert np.abs(qg.convolve(psi, h).as_vector() - hvec).max() < 1e-9
 
 
-def test_commutative_cancellation_shortcut_matches_dense_path():
-    # same span computed two ways: per-slice ranks vs literal column stacking
-    qg, _ = from_permutation_group(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
-    from oracles import coeff_to_dense, dense_to_coeff
-    alg = qg.algebra
-    dim = alg.dim
-    unit_vec = alg.unit().vec()
-    dense_delta = [coeff_to_dense(alg, qg.apply_delta(alg.basis_element(b)))
-                   for b in range(dim)]
-    cols = []
-    for a in range(dim):
-        avec = np.zeros(dim, dtype=complex)
-        avec[a] = 1.0
-        dense_mult = coeff_to_dense(alg, np.outer(avec, unit_vec))
-        for b in range(dim):
-            cols.append(dense_to_coeff(alg, dense_mult @ dense_delta[b]).ravel())
-    literal = np.linalg.matrix_rank(np.array(cols), tol=1e-8)
-    shortcut = sum(np.linalg.matrix_rank(qg.delta[a, :, :], tol=1e-8)
-                   for a in range(dim))
-    assert literal == shortcut == dim * dim
-    # and both see the deficiency when a column of Delta is wiped
-    crippled = qg.delta.copy()
-    crippled[:, :, 0] = 0.0
-    short2 = sum(np.linalg.matrix_rank(crippled[a, :, :], tol=1e-8)
-                 for a in range(dim))
-    assert short2 < dim * dim
-
-
 def test_sublevel_dossier_replays():
     # force a dossier by pretending a hit, then reload its inline coaction
     from qiso.reports import build_instance

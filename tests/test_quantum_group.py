@@ -138,7 +138,8 @@ def _assert_same_residuals(qg, label):
 def test_blockwise_verifier_matches_dense_reference():
     """The block-by-block verifier reports the dense tensor-square
     verifier's residuals: on commutative and noncommutative groups up to
-    dim 24, and on 300 seeded single-entry faults in delta, epsilon and
+    dim 24, on C(S3) with column 0 of Delta wiped (a cancellation rank
+    deficit), and on 300 seeded single-entry faults in delta, epsilon and
     kappa of sizes 1e-3, 0.1 and 1."""
     small = [e.action.group for e in standard_actions()] + standard_groups()
     groups = small + \
@@ -149,6 +150,16 @@ def test_blockwise_verifier_matches_dense_reference():
             4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")]
     for qg in groups:
         _assert_same_residuals(qg, qg.name)
+    # a wiped column of Delta shows in the cancellation ranks
+    s3 = function_algebra_of_group(close_generators(
+        3, [(1, 2, 0), (1, 0, 2)]), name="C(S3)")
+    wiped = s3.delta.copy()
+    wiped[:, :, 0] = 0.0
+    wiped = QuantumGroup(s3.algebra, wiped, s3.epsilon, s3.kappa)
+    _assert_same_residuals(s3, "C(S3)")
+    _assert_same_residuals(wiped, "C(S3), Delta column 0 wiped")
+    assert verify_quantum_group(s3).residuals["cancellation_left"] == 0
+    assert verify_quantum_group(wiped).residuals["cancellation_left"] > 0
     rng = random.Random(707)
     for fault in range(300):
         qg = rng.choice(small)
