@@ -18,8 +18,8 @@ from .hall import (HallInstance, decide_hall, hall_condition, neighborhood,
 from .algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
                       extreme_state, random_state)
 from .quantum_group import (QuantumGroup, haar_state, verify_quantum_group)
-from .coaction import (CoAction, a_element, act_on_function, act_on_point,
-                       orbits, verify_coaction)
+from .coaction import (CoAction, act_on_function, act_on_point, orbits,
+                       verify_coaction)
 from .isometry import (IsometryVerdict, check_D, check_D_commutant,
                        check_injectivity, check_lip1_universal,
                        check_lip_p_state, check_lip_p_state_sweep,

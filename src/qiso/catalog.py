@@ -242,7 +242,7 @@ class CatalogAction:
 
 # name -> constructor of the named coaction; each builds only its own entry
 CATALOG: Dict[str, Callable[[str], CoAction]] = {
-    "trivial-3": lambda name: trivial_action(three_point_isosceles()),
+    "trivial-3": lambda name: trivial_action(three_point_isosceles(), name=name),
     "cyclic-3": lambda name: permutation_action(
         cycle_metric(3), [(1, 2, 0)], name=name),
     "cyclic-4": lambda name: permutation_action(
@@ -337,10 +337,9 @@ def random_permutation_action(space: FiniteMetricSpace, seed: int,
 
 
 # (a, b, c, c2) for the 4-point block metric: d(0,1)=a, d(2,3)=b, upper
-# cross distances c, lower cross distances c2.  A small pool keeps the
-# per-space dual-vertex enumerations shared across a random sweep; entries
-# with c != c2 break the two-projection symmetry, so condition (D)
-# genuinely varies.
+# cross distances c, lower cross distances c2.  Random quantum actions draw
+# their metric from this fixed list; entries with c != c2 break the
+# two-projection symmetry, so condition (D) genuinely varies.
 _QUANTUM_METRIC_POOL = [
     (Fraction(1), Fraction(1), Fraction(2), Fraction(2)),
     (Fraction(1), Fraction(2), Fraction(2), Fraction(2)),

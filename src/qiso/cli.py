@@ -38,10 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="arithmetic mode for parsing distributions")
         parser.add_argument("--tol", type=float,
                             default=default if suppress else 1e-9)
-        parser.add_argument("--seed", type=int,
-                            default=default if suppress else 0)
-        parser.add_argument("--jobs", type=int,
-                            default=default if suppress else 1)
+        parser.add_argument("--seed", type=int, default=default)
+        parser.add_argument("--jobs", type=int, default=default)
         parser.add_argument("--out", default=default,
                             help="write the JSON result here instead of stdout")
 
@@ -85,9 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--condition", required=True,
                    choices=["d", "lip", "winf", "thm-main"])
     c.add_argument("--p", default="1", help="p for --condition lip (number or inf)")
-    mode = c.add_mutually_exclusive_group()
-    mode.add_argument("--universal", action="store_true", default=True)
-    mode.add_argument("--state", help="state file: check this state only")
+    c.add_argument("--state", help="state file: check this state only "
+                                    "(default: all states)")
 
     e = sub.add_parser("envelope", help="largest (D)-isometric quotient",
                        parents=[common])
@@ -249,9 +246,10 @@ def _dispatch(args) -> int:
             config.kind = args.kind
         if args.random is not None:
             config.random_actions = args.random
-        if args.seed:
+        if args.seed is not None:
             config.seed = args.seed
-        config.jobs = args.jobs
+        if args.jobs is not None:
+            config.jobs = args.jobs
         report = run_search(config)
         _emit(args, emit_report(report, fmt=args.format))
         return EXIT_OK
@@ -340,19 +338,12 @@ def _catalog(args) -> int:
         _emit(args, {"written": args.emit})
         return EXIT_OK
     if args.verify:
-        rows = []
-        for entry in verified_catalog(tol=args.tol):
-            qg = entry.action.group
-            rows.append({"name": entry.name, "dim": qg.dim,
-                         "blocks": list(qg.algebra.blocks),
-                         "qg_residual": verify_quantum_group(qg).worst(),
-                         "haar_reduced": haar_state(qg).reduced})
-        for qg in standard_groups():
-            rows.append({"name": qg.name, "dim": qg.dim,
-                         "blocks": list(qg.algebra.blocks),
-                         "qg_residual": verify_quantum_group(qg).worst(),
-                         "haar_reduced": haar_state(qg).reduced})
-        _emit(args, {"entries": rows})
+        named = [(e.name, e.action.group) for e in verified_catalog(tol=args.tol)]
+        named += [(qg.name, qg) for qg in standard_groups()]
+        _emit(args, {"entries": [
+            {"name": name, "dim": qg.dim, "blocks": list(qg.algebra.blocks),
+             "qg_residual": verify_quantum_group(qg).worst(),
+             "haar_reduced": haar_state(qg).reduced} for name, qg in named]})
         return EXIT_OK
     rows = [{"name": e.name, "points": e.action.n, "dim": e.action.group.dim,
              "blocks": list(e.action.group.algebra.blocks)}

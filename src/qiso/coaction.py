@@ -56,13 +56,13 @@ class CoAction:
 
 def verify_coaction(action: CoAction, tol: float = 1e-9,
                     check_faithful: bool = True) -> QGReport:
-    """All magic-unitary and coaction axioms as residuals, each but
-    faithfulness an array expression in the coefficient tensor.
+    """All magic-unitary and coaction axioms as residuals, each an array
+    expression in the coefficient tensor.
 
     Faithfulness is tested by saturating the linear span of products of
     u-entries: the action is faithful iff the span reaches the whole
     algebra.  The faithfulness entry of the report is the dimension
-    deficit (0.0 when faithful)."""
+    deficit of `generation_deficit` (0.0 when faithful)."""
     qg = action.group
     alg = qg.algebra
     U = action.coeffs
@@ -88,35 +88,24 @@ def verify_coaction(action: CoAction, tol: float = 1e-9,
 
 
 def generation_deficit(action: CoAction, tol: float = 1e-9) -> int:
-    """dim A minus the dimension of the algebra generated by the u-entries."""
+    """dim A minus the dimension of the algebra generated by the u-entries:
+    an orthonormal basis of the span of the unit and the entries is
+    multiplied by every entry, block by block, and re-ranked by SVD (cut
+    at max(tol, 1e-10)) until the rank stops growing."""
     alg = action.group.algebra
-    elems = [alg.unit()] + [e for row in action.u for e in row]
-    basis_vecs: List[np.ndarray] = []
-
-    def absorb(vec) -> bool:
-        v = vec.astype(complex)
-        for b in basis_vecs:
-            v = v - (b.conj() @ v) * b
-        nv = np.linalg.norm(v)
-        if nv > max(tol, 1e-10):
-            basis_vecs.append(v / nv)
-            return True
-        return False
-
-    frontier = []
-    for e in elems:
-        if absorb(e.vec()):
-            frontier.append(e)
-    while frontier and len(basis_vecs) < alg.dim:
-        new_frontier = []
-        for a in frontier:
-            for row in action.u:
-                for e in row:
-                    prod = a * e
-                    if absorb(prod.vec()):
-                        new_frontier.append(prod)
-        frontier = new_frontier
-    return alg.dim - len(basis_vecs)
+    n2 = action.n * action.n
+    vecs = np.vstack([action.group.unit_vec(), action.coeffs.reshape(n2, alg.dim)])
+    rank = None
+    while True:
+        _, s, vh = np.linalg.svd(vecs, full_matrices=False)
+        basis = vh[s > max(tol, 1e-10)]
+        if len(basis) in (rank, alg.dim):
+            return alg.dim - len(basis)
+        rank = len(basis)
+        vecs = np.vstack([basis, np.hstack([
+            (basis[:, off:off + b * b].reshape(-1, 1, b, b)
+             @ stack.reshape(1, n2, b, b)).reshape(-1, b * b)
+            for off, b, stack in zip(alg.offsets, alg.blocks, action.stacks)])])
 
 
 def act_on_point(action: CoAction, x: int, psi: StateFunctional,
@@ -132,14 +121,6 @@ def act_on_function(action: CoAction, psi: StateFunctional, f) -> Tuple[float, .
         raise ShapeMismatch("function length differs from the space")
     values = (action.coeffs @ psi.as_vector()).real
     return tuple((values @ np.array([float(v) for v in f])).tolist())
-
-
-def a_element(action: CoAction, x: int, S) -> AlgElement:
-    """The quantum indicator of "x lands in S": sum_{j in S} u_xj."""
-    acc = action.group.algebra.zero()
-    for j in S:
-        acc = acc + action.u[x][j]
-    return acc
 
 
 def orbits(action: CoAction, tol: float = 1e-9) -> List[FrozenSet[int]]:

@@ -38,11 +38,11 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .algebra import (StateFunctional, element_norms, exact_psd_pairs,
-                      extreme_state, hermitian_max_eig)
-from .coaction import CoAction, a_element, act_on_function, act_on_point
+                      extreme_state, hermitian_max_eig, operator_norms)
+from .coaction import CoAction, act_on_point
 from .errors import QisoError
-from .metric import (ball, level_set, lipschitz_constant, sublevel_set)
-from .scalars import RATIONAL
+from .metric import level_set
+from .scalars import RATIONAL, tol_for
 from .transport import (_power_cost, enumerate_dual_vertices,
                         solve_transport, wasserstein_inf)
 
@@ -138,6 +138,13 @@ def _state_pairs(space):
             if (x < y if symmetric else x != y)]
 
 
+def _block_supports(action: CoAction) -> List[List[Tuple[int, ...]]]:
+    """supports[k][x]: the j, in increasing order, whose projection u_xj
+    has trace >= 1 on block k; the others vanish there."""
+    return [[tuple(np.flatnonzero(row > 0.5).tolist()) for row in
+             np.einsum("xjaa->xj", stack).real] for stack in action.stacks]
+
+
 def _use_exact(action: CoAction, mode: str) -> bool:
     if mode == "float":
         return False
@@ -191,24 +198,6 @@ def check_D_commutant(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
     d = np.array(action.space.dist, dtype=float)
     residual = np.einsum("xja,jy->xya", U, d) - np.einsum("xj,jya->xya", d, U)
     return _defect_verdict("D", element_norms(alg, residual), action.space, tol)
-
-
-def check_ball_identity(action: CoAction, tol: float = 1e-9) -> float:
-    """Max residual of a_{x;B(y,I)} = kappa(a_{y;B(x,I)}) over all pairs and
-    all realized closed balls and realized intervals I."""
-    space = action.space
-    qg = action.group
-    radii = space.realized_distances
-    intervals = [(radii[0], r) for r in radii] + \
-        [(r1, r2) for r1 in radii for r2 in radii if 0 < r1 <= r2]
-    worst = 0.0
-    for x in range(space.n):
-        for y in range(space.n):
-            for I in intervals:
-                lhs = a_element(action, x, ball(space, y, I))
-                rhs = qg.apply_kappa(a_element(action, y, ball(space, x, I)))
-                worst = max(worst, (lhs - rhs).norm())
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +268,6 @@ def check_lip_p_state(action: CoAction, psi: StateFunctional, p,
     return check_lip_p_state_sweep(action, psi, [p], tol=tol)[0]
 
 
-def check_lip_seminorm_state(action: CoAction, psi: StateFunctional,
-                             samples: int = 50, seed: int = 0,
-                             tol: float = 1e-9) -> bool:
-    """L(psi |> f) <= L(f) on random functions and all polytope vertices."""
-    space = action.space
-    rng = random.Random(seed)
-    fns = [tuple(rng.uniform(-1.0, 1.0) for _ in range(space.n))
-           for _ in range(samples)]
-    fns += [tuple(float(v) for v in vert.f)
-            for vert in enumerate_dual_vertices(space, 1)]
-    for f in fns:
-        lf = lipschitz_constant(space, f)
-        lg = lipschitz_constant(space, act_on_function(action, psi, f))
-        if float(lg) > float(lf) + tol:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # universal conditions, finite p
 
@@ -345,8 +316,7 @@ def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
     tag = f"Lip_{p}(universal)"
     scale = float(max(map(max, dist))) ** float(p)
     stacks = action.stacks
-    supports = [[tuple(np.flatnonzero(row > 0.5).tolist()) for row in
-                 np.einsum("xjaa->xj", stack).real] for stack in stacks]
+    supports = _block_supports(action)
     vertices = {}        # (L_x, L_y) -> dual vertices, with float (f, g)
     exact_u = {}         # (k, i, j) -> u_ij on block k as (re, im) pairs
     worst = None
@@ -429,21 +399,22 @@ def _support_universal(action: CoAction, tag: str, level_only: bool,
     every k outside N(S); that holds for all S iff it holds for singletons
     (Banica 2005).  Each product is decided blockwise as
     lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, over the
-    pairs of `_state_pairs`."""
+    pairs of `_state_pairs` and the supports of `_block_supports`, with
+    d(j, k) compared to d(x, y) within the metric's tolerance."""
     space = action.space
-    n = space.n
+    dist = space.dist
+    dtol = tol_for(space.mode, space.tol)
     exact = _use_exact(action, mode)
-    stacks = action.stacks
-    live = [[[j for j in range(n) if stack[x, j].any()] for x in range(n)]
-            for stack in stacks]
+    supports = _block_supports(action)
     worst = 0.0
     for x, y in _state_pairs(space):
-        Y = (level_set if level_only else sublevel_set)(space, space.dist[x][y])
-        for b, stack in enumerate(stacks):
-            for j in live[b][x]:
+        d_xy = dist[x][y]
+        for b, stack in enumerate(action.stacks):
+            for j in supports[b][x]:
                 P = stack[x, j]
-                for k in live[b][y]:
-                    if (j, k) in Y:
+                for k in supports[b][y]:
+                    if (abs(dist[j][k] - d_xy) <= dtol if level_only
+                            else dist[j][k] <= d_xy + dtol):
                         continue
                     mat = P @ stack[y, k] @ P
                     ok, margin = _lambda_max_leq(mat, 0, tol, 1.0, (
@@ -493,7 +464,8 @@ def check_level_coupling_state(action: CoAction, psi: StateFunctional,
 
 def check_orthogonality(action: CoAction, x: int, y: int, S, T, delta,
                         tol: float = 1e-9) -> bool:
-    """a_{x;S} a_{y;T} = 0 whenever every (s, t) has |d(s,t) - d(x,y)| >= delta."""
+    """a_{x;S} a_{y;T} = 0 whenever every (s, t) has |d(s,t) - d(x,y)| >= delta,
+    with a_{x;S} = sum_{j in S} u_xj, formed and normed block by block."""
     space = action.space
     d_xy = space.dist[x][y]
     for s in S:
@@ -501,8 +473,9 @@ def check_orthogonality(action: CoAction, x: int, y: int, S, T, delta,
             if abs(space.dist[s][t] - d_xy) < delta:
                 raise HypothesisViolated(
                     f"|d({s},{t}) - d({x},{y})| < delta")
-    prod = a_element(action, x, S) * a_element(action, y, T)
-    return prod.norm() <= tol
+    S, T = list(S), list(T)
+    return all(float(operator_norms(stack[x, S].sum(0) @ stack[y, T].sum(0)))
+               <= tol for stack in action.stacks)
 
 
 def sample_orthogonality_inputs(action: CoAction, count: int, seed: int):

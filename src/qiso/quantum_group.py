@@ -286,26 +286,14 @@ def haar_state(qg: QuantumGroup, tol: float = 1e-9) -> HaarResult:
     dim = qg.dim
     unit_vec = qg.unit_vec()
     D3 = qg.delta
-    rows: List[np.ndarray] = []
-    rhs: List[complex] = []
-    # left invariance: sum_b D3[b,g,a] h_b - h_a unit[g] = 0
-    for a in range(dim):
-        for g in range(dim):
-            row = D3[:, g, a].copy()
-            row[a] -= unit_vec[g]
-            rows.append(row)
-            rhs.append(0.0)
-    # right invariance
-    for a in range(dim):
-        for b in range(dim):
-            row = D3[b, :, a].copy()
-            row[a] -= unit_vec[b]
-            rows.append(row)
-            rhs.append(0.0)
-    rows.append(unit_vec.copy())  # normalization h(1) = 1
-    rhs.append(1.0)
-    A = np.array(rows)
-    b = np.array(rhs)
+    # row (a, g) of left invariance: sum_b D3[b,g,a] h_b - h_a unit[g] = 0;
+    # row (a, b) of right invariance: sum_g D3[b,g,a] h_g - h_a unit[b] = 0
+    unit_diag = np.einsum("ab,g->agb", np.eye(dim), unit_vec)
+    A = np.vstack([(D3.transpose(2, 1, 0) - unit_diag).reshape(dim * dim, dim),
+                   (D3.transpose(2, 0, 1) - unit_diag).reshape(dim * dim, dim),
+                   unit_vec])  # normalization h(1) = 1
+    b = np.zeros(2 * dim * dim + 1)
+    b[-1] = 1.0
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.abs(A @ sol - b).max())
     if residual > max(tol, 1e-7):

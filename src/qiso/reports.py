@@ -295,27 +295,25 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
             pool.append(extreme_state(alg, k, np.array([1.0 + 0j])))
     for k in range(state_samples):
         pool.append(random_state(alg, seed + 7919 * k))
-    iso_states = [psi for psi in pool
-                  if check_lip_p_state(action, psi, p, tol=1e-8).holds]
+    holds = [check_lip_p_state(action, psi, p, tol=1e-8).holds for psi in pool]
+    iso_states = [psi for psi, ok in zip(pool, holds) if ok]
     rec["sampled"] = len(pool)
     rec["isometric"] = len(iso_states)
     # span dimension trace under Gram-Schmidt
     basis: List[np.ndarray] = []
-    trace = []
-    for psi in iso_states:
-        v = psi.as_vector()
+
+    def off_span(v: np.ndarray) -> np.ndarray:
         for b in basis:
             v = v - (b.conj() @ v) * b
+        return v
+
+    trace = []
+    for psi in iso_states:
+        v = off_span(psi.as_vector())
         if np.linalg.norm(v) > 1e-9:
             basis.append(v / np.linalg.norm(v))
         trace.append(len(basis))
     rec["span_dimension_trace"] = trace
-
-    def in_span(vec) -> bool:
-        v = vec.copy()
-        for b in basis:
-            v = v - (b.conj() @ v) * b
-        return bool(np.linalg.norm(v) <= 1e-8)
 
     # Whenever some isometric state has every inequality strict (the Haar
     # state of a transitive action, say), a whole neighborhood of it is
@@ -324,9 +322,9 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
     hits = []
     tested = 0
     for idx, psi in enumerate(pool):
-        if in_span(psi.as_vector()):
+        if np.linalg.norm(off_span(psi.as_vector())) <= 1e-8:
             tested += 1
-            if not check_lip_p_state(action, psi, p, tol=1e-8).holds:
+            if not holds[idx]:
                 hits.append({"kind": "pool-state", "index": idx,
                              "state": _state_doc(psi)})
     # and probe beyond the convex hull: signed combinations of isometric

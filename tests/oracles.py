@@ -40,12 +40,20 @@ exponential in the number of points:
   exponential, but independent of the distance ranks and the bisection
   of `wasserstein_inf`, which must return the same r, plan and violator;
 - commutator_defects_by_entry, check_D_by_entry, check_D_state_by_entry,
-  check_D_commutant_by_entry and verify_coaction_by_entry: condition (D),
-  its commutant form and the coaction axioms as first written, one
-  AlgElement sum, product and norm per entry of u; not exponential, but
-  independent of the coefficient tensor, the einsums and the stacked
-  block norms of `isometry` and `coaction`, which must report the same
-  defects, verdicts and residuals;
+  check_D_commutant_by_entry, generation_deficit_by_entry and
+  verify_coaction_by_entry: condition (D), its commutant form, the
+  faithfulness deficit (Gram-Schmidt over products of entries) and the
+  coaction axioms as first written, one AlgElement sum, product and norm
+  per entry of u; not exponential, but independent of the coefficient
+  tensor, the einsums, the span saturation by SVD and the stacked block
+  norms of `isometry` and `coaction`, which must report the same
+  defects, deficits, verdicts and residuals;
+- a_element: the quantum indicator a_{x;S} = sum_{j in S} u_xj as an
+  AlgElement sum, for the subset oracle and the indicator tests;
+- check_ball_identity and check_lip_seminorm_state: the ball identity
+  a_{x;B(y,I)} = kappa(a_{y;B(x,I)}) over all realized intervals, and
+  L(psi |> f) <= L(f) on sampled functions and Lipschitz vertices, which
+  the tests compare with (D) and per-state Lip_1;
 - with_ordered_pairs: a pairwise universal check run over every ordered
   pair, as before it visited x < y only on an exactly symmetric d.
 
@@ -54,6 +62,7 @@ from the AlgElement entries of u.
 """
 
 import itertools
+import random
 from collections import deque
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,14 +70,16 @@ from unittest import mock
 
 import numpy as np
 
-from qiso.algebra import (AlgElement, FinDimCStarAlgebra, exact_psd,
-                          exact_psd_pairs, extreme_state, hermitian_max_eig)
-from qiso.coaction import CoAction, a_element, generation_deficit
+from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
+                          exact_psd, exact_psd_pairs, extreme_state,
+                          hermitian_max_eig)
+from qiso.coaction import CoAction, act_on_function
 from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
                            _eigen_state, _exact_entries, _rationalize,
                            _use_exact, check_winf_universal)
-from qiso.metric import FiniteMetricSpace, level_set, sublevel_set
+from qiso.metric import (FiniteMetricSpace, ball, level_set,
+                         lipschitz_constant, sublevel_set)
 from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, DualPotentials, InfeasibleMarginals,
@@ -612,6 +623,14 @@ def psd_by_principal_minors(pairs) -> bool:
     return True
 
 
+def a_element(action: CoAction, x: int, S) -> AlgElement:
+    """The quantum indicator of "x lands in S": sum_{j in S} u_xj."""
+    acc = action.group.algebra.zero()
+    for j in S:
+        acc = acc + action.u[x][j]
+    return acc
+
+
 def _lambda_min_geq0(elem: AlgElement, tol: float, exact: bool) -> Tuple[bool, float]:
     """Decide elem >= 0 (as an operator); returns (verdict, float min eig)."""
     lam = elem.min_eig()
@@ -880,6 +899,10 @@ def lip_p_universal_full_sweep(action: CoAction, p, tol: float = 1e-9,
     stacks = [_block_stack(action, k) for k in range(len(blocks))]
     big_blocks = [k for k, b in enumerate(blocks) if b > 1]
     vertices = enumerate_dual_vertices(space, p) if big_blocks else []
+    # each vertex as floats once; every (pair, block) takes one eigvalsh
+    # over the stack of its vertex matrices
+    F = np.array([[float(v) for v in vert.f] for vert in vertices])
+    G = np.array([[float(v) for v in vert.g] for vert in vertices])
     worst = None
 
     for x, y in _ordered_pairs(space.n):
@@ -908,12 +931,18 @@ def lip_p_universal_full_sweep(action: CoAction, p, tol: float = 1e-9,
                     "wasserstein_power": float(value), "margin": margin})
         # bigger blocks: vertex sweep with blockwise lambda_max
         for k in big_blocks:
-            for vert in vertices:
-                fv = np.array([float(v) for v in vert.f])
-                gv = np.array([float(v) for v in vert.g])
-                mat = np.einsum("j,jab->ab", fv, stacks[k][x]) + \
-                    np.einsum("j,jab->ab", gv, stacks[k][y])
-                ok, margin_pow = _lambda_max_leq(mat, bound_pow, tol, exact)
+            mats = np.einsum("vj,jab->vab", F, stacks[k][x]) + \
+                np.einsum("vj,jab->vab", G, stacks[k][y])
+            margins = np.linalg.eigvalsh(mats)[:, -1] - float(bound_pow)
+            for i, vert in enumerate(vertices):
+                mat, margin_pow = mats[i], float(margins[i])
+                ok = margin_pow <= tol
+                if exact and abs(margin_pow) <= _BORDERLINE:
+                    # a near-tie: its own matrix, formed as one vertex's,
+                    # is re-decided exactly
+                    mat = np.einsum("j,jab->ab", F[i], stacks[k][x]) + \
+                        np.einsum("j,jab->ab", G[i], stacks[k][y])
+                    ok, margin_pow = _lambda_max_leq(mat, bound_pow, tol, exact)
                 if worst is None or margin_pow > worst[0]:
                     worst = (margin_pow, (x, y), k)
                 if not ok:
@@ -1022,6 +1051,38 @@ def check_D_commutant_by_entry(action: CoAction, tol: float = 1e-9) -> IsometryV
     return _defect_verdict("D", residuals(), action.space, tol)
 
 
+def generation_deficit_by_entry(action: CoAction, tol: float = 1e-9) -> int:
+    """dim A minus the dimension of the algebra generated by the u-entries."""
+    alg = action.group.algebra
+    elems = [alg.unit()] + [e for row in action.u for e in row]
+    basis_vecs: List[np.ndarray] = []
+
+    def absorb(vec) -> bool:
+        v = vec.astype(complex)
+        for b in basis_vecs:
+            v = v - (b.conj() @ v) * b
+        nv = np.linalg.norm(v)
+        if nv > max(tol, 1e-10):
+            basis_vecs.append(v / nv)
+            return True
+        return False
+
+    frontier = []
+    for e in elems:
+        if absorb(e.vec()):
+            frontier.append(e)
+    while frontier and len(basis_vecs) < alg.dim:
+        new_frontier = []
+        for a in frontier:
+            for row in action.u:
+                for e in row:
+                    prod = a * e
+                    if absorb(prod.vec()):
+                        new_frontier.append(prod)
+        frontier = new_frontier
+    return alg.dim - len(basis_vecs)
+
+
 def verify_coaction_by_entry(action: CoAction, tol: float = 1e-9,
                              check_faithful: bool = True) -> QGReport:
     """All magic-unitary and coaction axioms as residuals.
@@ -1074,7 +1135,8 @@ def verify_coaction_by_entry(action: CoAction, tol: float = 1e-9,
     rep.residuals["counit_compatibility"] = counit
 
     if check_faithful:
-        rep.residuals["faithfulness_deficit"] = float(generation_deficit(action, tol))
+        rep.residuals["faithfulness_deficit"] = float(
+            generation_deficit_by_entry(action, tol))
     return rep
 
 
@@ -1088,3 +1150,43 @@ def with_ordered_pairs(check, action: CoAction, *args, **kwargs) -> IsometryVerd
     with mock.patch("qiso.isometry._state_pairs",
                     lambda space: _ordered_pairs(space.n)):
         return check(action, *args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the ball identity and the Lipschitz seminorm, entry by entry
+
+
+def check_ball_identity(action: CoAction, tol: float = 1e-9) -> float:
+    """Max residual of a_{x;B(y,I)} = kappa(a_{y;B(x,I)}) over all pairs and
+    all realized closed balls and realized intervals I."""
+    space = action.space
+    qg = action.group
+    radii = space.realized_distances
+    intervals = [(radii[0], r) for r in radii] + \
+        [(r1, r2) for r1 in radii for r2 in radii if 0 < r1 <= r2]
+    worst = 0.0
+    for x in range(space.n):
+        for y in range(space.n):
+            for I in intervals:
+                lhs = a_element(action, x, ball(space, y, I))
+                rhs = qg.apply_kappa(a_element(action, y, ball(space, x, I)))
+                worst = max(worst, (lhs - rhs).norm())
+    return worst
+
+
+def check_lip_seminorm_state(action: CoAction, psi: StateFunctional,
+                             samples: int = 50, seed: int = 0,
+                             tol: float = 1e-9) -> bool:
+    """L(psi |> f) <= L(f) on random functions and all polytope vertices."""
+    space = action.space
+    rng = random.Random(seed)
+    fns = [tuple(rng.uniform(-1.0, 1.0) for _ in range(space.n))
+           for _ in range(samples)]
+    fns += [tuple(float(v) for v in vert.f)
+            for vert in enumerate_dual_vertices(space, 1)]
+    for f in fns:
+        lf = lipschitz_constant(space, f)
+        lg = lipschitz_constant(space, act_on_function(action, psi, f))
+        if float(lg) > float(lf) + tol:
+            return False
+    return True

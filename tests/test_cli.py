@@ -257,6 +257,8 @@ def test_cli_catalog_and_emit(tmp_path, capsys):
     assert code == 0
     reloaded = load_coaction(str(out / "cyclic-4.json"))
     assert reloaded.n == 4
+    for entry in standard_actions():  # each file carries its entry's name
+        assert load_coaction(str(out / f"{entry.name}.json")).name == entry.name
     assert verify_quantum_group(load_quantum_group(str(out / "dual-S3.group.json"))).passed(1e-9)
 
 
@@ -269,6 +271,37 @@ def test_cli_search(tmp_path, capsys):
     assert code == 0
     assert len(doc["instances"]) == 2
     assert doc["implication_matrix"]["violations"] == []
+
+
+def test_cli_search_seed_and_jobs_override_config_only_when_given(
+        tmp_path, capsys, monkeypatch):
+    """--seed and --jobs replace the config file's values when given, before
+    or after the subcommand, --seed 0 included; otherwise the file's stand."""
+    from dataclasses import asdict
+    from qiso import reports
+    monkeypatch.setattr(reports, "run_search", lambda config: reports.RunReport(
+        kind=config.kind, config=asdict(config)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
+                               "seed": 5, "jobs": 2}))
+    for argv, seed, jobs in (
+            (["search", "--config", str(cfg)], 5, 2),
+            (["search", "--config", str(cfg), "--seed", "0"], 0, 2),
+            (["--seed", "0", "search", "--config", str(cfg)], 0, 2),
+            (["search", "--config", str(cfg), "--jobs", "1"], 5, 1),
+            (["--jobs", "3", "--seed", "7", "search", "--config", str(cfg)], 7, 3)):
+        code, doc = run_cli(capsys, *argv)
+        assert code == 0
+        assert (doc["config"]["seed"], doc["config"]["jobs"]) == (seed, jobs), argv
+
+
+def test_cli_check_has_no_universal_flag(tmp_path, capsys):
+    """`qiso check` decides over all states unless --state is given; the
+    --universal flag that nothing read is gone."""
+    with pytest.raises(SystemExit):
+        main(["check", str(tmp_path / "a.json"), "--condition", "d",
+              "--universal"])
+    capsys.readouterr()
 
 
 def test_cli_out_flag(files, tmp_path, capsys):

@@ -5,22 +5,23 @@ import random
 import numpy as np
 
 from qiso.algebra import element_norms, random_state
-from qiso.catalog import (cycle_metric, dihedral_projection_action,
-                          equilateral_metric, four_point_blocks,
-                          permutation_action, random_quantum_action,
-                          standard_actions, three_point_isosceles,
-                          trivial_action)
-from qiso.coaction import (a_element, act_on_function, act_on_point,
+from qiso.catalog import (CATALOG, cycle_metric, dihedral_group_algebra,
+                          dihedral_projection_action, equilateral_metric,
+                          four_point_blocks, group_element, permutation_action,
+                          random_quantum_action, standard_actions,
+                          three_point_isosceles, trivial_action)
+from qiso.coaction import (act_on_function, act_on_point, generation_deficit,
                            orbits, verify_coaction)
 from qiso.isometry import (KappaConventionMismatch, check_D,
                            check_D_commutant, check_D_state,
                            commutator_defects)
 from qiso.quantum_group import close_generators, function_algebra_of_group
+from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.coaction import CoAction
 
-from oracles import (check_D_by_entry, check_D_commutant_by_entry,
+from oracles import (a_element, check_D_by_entry, check_D_commutant_by_entry,
                      check_D_state_by_entry, commutator_defects_by_entry,
-                     verify_coaction_by_entry)
+                     generation_deficit_by_entry, verify_coaction_by_entry)
 
 
 def test_classical_action_verifies_and_is_faithful():
@@ -45,6 +46,51 @@ def test_trivial_action_faithful_only_for_scalars():
     assert rep2.residuals["faithfulness_deficit"] == 1
     del rep2.residuals["faithfulness_deficit"]
     assert rep2.passed(1e-10)  # all other axioms still hold
+
+
+def _diagonal_blocks(qg, space, *blocks):
+    """The magic unitary over qg on space with the given square blocks of
+    entries down its diagonal and zero elsewhere."""
+    zero = qg.algebra.zero()
+    u = [[zero] * space.n for _ in range(space.n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, e in enumerate(row):
+                u[at + i][at + j] = e
+        at += len(block)
+    return CoAction(qg, space, tuple(map(tuple, u)))
+
+
+def test_generation_deficit_matches_entry_reference():
+    """Span saturation on coefficient vectors gives the deficits of the
+    per-entry Gram-Schmidt: on the c07 population (catalog + 200 random
+    actions) and 20 random quantum actions, and on three non-faithful
+    actions of known deficit."""
+    config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
+                          seed=777)
+    actions = [build_instance(desc) for desc in instance_descriptors(config)]
+    actions += [random_quantum_action(seed) for seed in range(20)]
+    z2 = function_algebra_of_group(close_generators(2, [(1, 0)]))
+    d4 = dihedral_group_algebra(4)
+    unit = d4.algebra.unit()
+    p = 0.5 * (unit + group_element(d4, tuple((-j) % 4 for j in range(4))))
+    fixed = [[z2.algebra.unit()]]
+    known = [
+        # the trivial magic unitary over C(Z2) on 3 points: only C1
+        (_diagonal_blocks(z2, three_point_isosceles(), fixed, fixed, fixed), 1),
+        # the trivial magic unitary over dual-D4 (dim 8) on 4 points
+        (_diagonal_blocks(d4, four_point_blocks(), *[[[unit]]] * 4), 7),
+        # one projection p swapping points 0 and 1: span{1, p}
+        (_diagonal_blocks(d4, four_point_blocks(),
+                          [[p, unit - p], [unit - p, p]], [[unit]], [[unit]]), 6)]
+    for action, deficit in known:
+        assert verify_coaction(action, check_faithful=False).passed(1e-10)
+        assert generation_deficit(action) == deficit
+        assert generation_deficit_by_entry(action) == deficit
+    for action in actions:
+        assert generation_deficit(action) == \
+            generation_deficit_by_entry(action), action.name
 
 
 def test_act_on_point_counit_gives_dirac():
@@ -112,6 +158,11 @@ def test_a_element_properties():
             assert ((a * a) - a).norm() < 1e-10  # projection
             rest = a_element(act, x, [j for j in range(act.n) if j not in S])
             assert (a + rest - unit).norm() < 1e-12  # additivity over a partition
+
+
+def test_catalog_action_names_equal_keys():
+    for key, build in CATALOG.items():
+        assert build(key).name == key
 
 
 def test_orbits():

@@ -15,18 +15,18 @@ from qiso.catalog import (cycle_metric, dihedral_projection_action,
 from qiso import isometry
 from qiso.coaction import act_on_point
 from qiso.hall import HallInstance, decide_hall
-from qiso.isometry import (HypothesisViolated, check_ball_identity, check_D,
-                           check_D_commutant, check_D_state,
-                           check_injectivity, check_level_coupling_state,
-                           check_lip1_universal, check_lip_p_state,
-                           check_lip_p_universal, check_lip_seminorm_state,
+from qiso.isometry import (HypothesisViolated, check_D, check_D_commutant,
+                           check_D_state, check_injectivity,
+                           check_level_coupling_state, check_lip1_universal,
+                           check_lip_p_state, check_lip_p_universal,
                            check_orthogonality, check_theorem_main,
                            check_winf_universal, sample_orthogonality_inputs)
 from qiso.metric import level_set, random_metric_space, validate_metric
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import wasserstein_inf, wasserstein_p
 
-from oracles import (lip_p_universal_full_sweep, support_universal_bruteforce,
+from oracles import (check_ball_identity, check_lip_seminorm_state,
+                     lip_p_universal_full_sweep, support_universal_bruteforce,
                      with_ordered_pairs)
 
 

@@ -108,6 +108,27 @@ def test_span_search_finds_the_transitive_orbit_hits():
     assert not check_lip_p_state(action, psi, 1, tol=1e-8).holds
 
 
+def test_span_record_decides_each_state_once(monkeypatch):
+    """A span record decides each pool state and each probed combination
+    with one check_lip_p_state call: the in-span loop reuses the pool's
+    verdicts.  On s3-isosceles some pool states are in the span, so a
+    second decision of them would show."""
+    from qiso import reports
+    decided = []
+    check = reports.check_lip_p_state
+
+    def counted(action, psi, p, tol=1e-9):
+        decided.append(psi)  # kept alive, so the ids below stay distinct
+        return check(action, psi, p, tol=tol)
+
+    monkeypatch.setattr(reports, "check_lip_p_state", counted)
+    rec = reports._span_record({"source": "catalog", "name": "s3-isosceles"},
+                               1, state_samples=6, seed=1)
+    assert any(h["kind"] == "pool-state" for h in rec["failing_in_span_states"])
+    assert len(decided) >= rec["sampled"]
+    assert len({id(psi) for psi in decided}) == len(decided)
+
+
 def test_span_search_quiet_when_every_state_is_isometric():
     cfg = SearchConfig(kind="span", catalog=["cyclic-4", "dual-d4-blocks"],
                        state_samples=6, seed=1, p_list=(2,))
