@@ -127,10 +127,6 @@ class AlgElement:
                 out = max(out, float(np.linalg.norm(m, 2)))
         return out
 
-    def min_eig(self) -> float:
-        """Smallest eigenvalue over blocks; meaningful for self-adjoint elements."""
-        return min(float(np.linalg.eigvalsh(m)[0]) for m in self.data)
-
 
 def operator_norms(mats: np.ndarray) -> np.ndarray:
     """The spectral norms of a stack of square matrices (..., m, m); a 1x1

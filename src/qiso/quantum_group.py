@@ -15,8 +15,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
-                      element_norms, operator_norms)
+from .algebra import (FinDimCStarAlgebra, StateFunctional, element_norms,
+                      operator_norms)
 from .errors import QisoError, ShapeMismatch
 
 
@@ -66,16 +66,6 @@ class QuantumGroup:
 
     def unit_vec(self) -> np.ndarray:
         return self.algebra.unit().vec()
-
-    def apply_delta(self, elem: AlgElement) -> np.ndarray:
-        """Coefficient matrix of Delta(elem) over basis (x) basis."""
-        return np.einsum("bga,a->bg", self.delta, elem.vec())
-
-    def apply_kappa(self, elem: AlgElement) -> AlgElement:
-        return self.algebra.from_vec(self.kappa @ elem.vec())
-
-    def counit(self, elem: AlgElement) -> complex:
-        return complex(self.epsilon @ elem.vec())
 
     def convolve_vectors(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         return np.einsum("bga,b,g->a", self.delta, phi, psi)

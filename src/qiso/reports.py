@@ -154,10 +154,10 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
     # sampled per-state consistency
     sampled = {f"Lip_{p}": True for p in p_list}
     worst_state_margin = None
-    for k in range(state_samples):
-        psi = random_state(action.group.algebra, desc.get("seed", 0) * 977 + k)
-        verdicts = check_lip_p_state_sweep(action, psi, p_list,
-                                           tol=max(tol, 1e-8))
+    states = [random_state(action.group.algebra, desc.get("seed", 0) * 977 + k)
+              for k in range(state_samples)]
+    for verdicts in check_lip_p_state_sweep(action, states, p_list,
+                                            tol=max(tol, 1e-8)):
         for p, v in zip(p_list, verdicts):
             if not v.holds:
                 sampled[f"Lip_{p}"] = False
@@ -286,16 +286,22 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
     alg = action.group.algebra
     rec = {"descriptor": desc, "name": desc.get("name") or action.name,
            "p": p}
-    pool: List[StateFunctional] = [action.group.counit_state()]
     from .quantum_group import haar_state
     from .algebra import extreme_state
-    pool.append(haar_state(action.group).state)
-    for k, b in enumerate(alg.blocks):
-        if b == 1:  # block characters; classical points when A = C(G)
-            pool.append(extreme_state(alg, k, np.array([1.0 + 0j])))
-    for k in range(state_samples):
-        pool.append(random_state(alg, seed + 7919 * k))
-    holds = [check_lip_p_state(action, psi, p, tol=1e-8).holds for psi in pool]
+    # block characters are classical points when A = C(G), and one of
+    # them is then the counit: each distinct state is kept once
+    candidates = [action.group.counit_state(), haar_state(action.group).state]
+    candidates += [extreme_state(alg, k, np.array([1.0 + 0j]))
+                   for k, b in enumerate(alg.blocks) if b == 1]
+    candidates += [random_state(alg, seed + 7919 * k)
+                   for k in range(state_samples)]
+    pool: List[StateFunctional] = []
+    for psi in candidates:
+        if not any(np.array_equal(psi.as_vector(), kept.as_vector())
+                   for kept in pool):
+            pool.append(psi)
+    holds = [verdicts[0].holds for verdicts in
+             check_lip_p_state_sweep(action, pool, [p], tol=1e-8)]
     iso_states = [psi for psi, ok in zip(pool, holds) if ok]
     rec["sampled"] = len(pool)
     rec["isometric"] = len(iso_states)

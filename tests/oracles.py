@@ -55,7 +55,10 @@ exponential in the number of points:
   L(psi |> f) <= L(f) on sampled functions and Lipschitz vertices, which
   the tests compare with (D) and per-state Lip_1;
 - with_ordered_pairs: a pairwise universal check run over every ordered
-  pair, as before it visited x < y only on an exactly symmetric d.
+  pair, as before it visited x < y only on an exactly symmetric d;
+- apply_delta, apply_kappa, counit and min_eig: Delta, kappa and the
+  counit applied to one AlgElement, and its smallest eigenvalue, for the
+  per-element oracles above and the tests.
 
 The oracles keep their own ordered-pair loop and block stacks, built
 from the AlgElement entries of u.
@@ -87,6 +90,24 @@ from qiso.transport import (_MAX_PIVOTS, DualPotentials, InfeasibleMarginals,
                             WInfResult, _power_cost, enumerate_dual_vertices,
                             feasible_coupling_on, prob_vector,
                             transport_with_power)
+
+
+def apply_delta(qg: QuantumGroup, elem: AlgElement) -> np.ndarray:
+    """Coefficient matrix of Delta(elem) over basis (x) basis."""
+    return np.einsum("bga,a->bg", qg.delta, elem.vec())
+
+
+def apply_kappa(qg: QuantumGroup, elem: AlgElement) -> AlgElement:
+    return qg.algebra.from_vec(qg.kappa @ elem.vec())
+
+
+def counit(qg: QuantumGroup, elem: AlgElement) -> complex:
+    return complex(qg.epsilon @ elem.vec())
+
+
+def min_eig(elem: AlgElement) -> float:
+    """Smallest eigenvalue over blocks; meaningful for self-adjoint elements."""
+    return min(float(np.linalg.eigvalsh(m)[0]) for m in elem.data)
 
 
 def _ordered_pairs(n: int):
@@ -633,7 +654,7 @@ def a_element(action: CoAction, x: int, S) -> AlgElement:
 
 def _lambda_min_geq0(elem: AlgElement, tol: float, exact: bool) -> Tuple[bool, float]:
     """Decide elem >= 0 (as an operator); returns (verdict, float min eig)."""
-    lam = elem.min_eig()
+    lam = min_eig(elem)
     if not exact or abs(lam) > _BORDERLINE:
         return lam >= -tol, lam
     if all(_exact_entries(m) is not None for m in elem.data):
@@ -723,7 +744,7 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
     unit_vec = unit.vec()
     rep = QGReport()
 
-    dense_delta = [coeff_to_dense(alg, qg.apply_delta(b)) for b in basis]
+    dense_delta = [coeff_to_dense(alg, apply_delta(qg, b)) for b in basis]
 
     def dense_of(elem: AlgElement) -> np.ndarray:
         out = np.zeros_like(dense_delta[0])
@@ -807,15 +828,15 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
     for a in range(dim):
         for b in range(dim):
             prod = basis[a] * basis[b]
-            eps_mult = max(eps_mult, abs(qg.counit(prod)
-                                         - qg.counit(basis[a]) * qg.counit(basis[b])))
+            eps_mult = max(eps_mult, abs(counit(qg, prod)
+                                         - counit(qg, basis[a]) * counit(qg, basis[b])))
     rep.residuals["counit_multiplicative"] = eps_mult
-    rep.residuals["counit_unital"] = abs(qg.counit(unit) - 1.0)
+    rep.residuals["counit_unital"] = abs(counit(qg, unit) - 1.0)
 
     # antipode axioms: m(kappa (x) id)Delta = eps(.)1 = m(id (x) kappa)Delta
     anti_l = anti_r = 0.0
     for a in range(dim):
-        M = qg.apply_delta(basis[a])
+        M = apply_delta(qg, basis[a])
         acc_l = alg.zero()
         acc_r = alg.zero()
         for b in range(dim):
@@ -825,7 +846,7 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
             col = M[:, b]
             if np.any(col):
                 acc_r = acc_r + alg.from_vec(col) * kbasis[b]
-        target = qg.counit(basis[a]) * unit
+        target = counit(qg, basis[a]) * unit
         anti_l = max(anti_l, (acc_l - target).norm())
         anti_r = max(anti_r, (acc_r - target).norm())
     rep.residuals["antipode_left"] = anti_l
@@ -836,14 +857,14 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
     kac_star = 0.0
     anti_mult = 0.0
     for a in range(dim):
-        kac_star = max(kac_star, (qg.apply_kappa(basis[a].star())
+        kac_star = max(kac_star, (apply_kappa(qg, basis[a].star())
                                   - kbasis[a].star()).norm())
         for b in range(dim):
-            lhs = qg.apply_kappa(basis[a] * basis[b])
+            lhs = apply_kappa(qg, basis[a] * basis[b])
             anti_mult = max(anti_mult, (lhs - kbasis[b] * kbasis[a]).norm())
     rep.residuals["kappa_star"] = kac_star
     rep.residuals["kappa_antimultiplicative"] = anti_mult
-    rep.residuals["kappa_unital"] = (qg.apply_kappa(unit) - unit).norm()
+    rep.residuals["kappa_unital"] = (apply_kappa(qg, unit) - unit).norm()
     return rep
 
 
@@ -992,7 +1013,7 @@ def commutator_defects_by_entry(action: CoAction) -> Dict[Tuple[int, int], AlgEl
             rhs = qg.algebra.zero()
             for j in range(n):
                 lhs = lhs + float(d[y][j]) * action.u[x][j]
-                rhs = rhs + float(d[x][j]) * qg.apply_kappa(action.u[y][j])
+                rhs = rhs + float(d[x][j]) * apply_kappa(qg, action.u[y][j])
             out[(x, y)] = lhs - rhs
     return out
 
@@ -1033,7 +1054,7 @@ def check_D_commutant_by_entry(action: CoAction, tol: float = 1e-9) -> IsometryV
     n = action.n
     for i in range(n):
         for j in range(n):
-            if (qg.apply_kappa(action.u[i][j]) - action.u[j][i]).norm() > tol:
+            if (apply_kappa(qg, action.u[i][j]) - action.u[j][i]).norm() > tol:
                 raise KappaConventionMismatch(
                     f"kappa(u[{i}][{j}]) != u[{j}][{i}]")
     d = action.space.dist
@@ -1121,18 +1142,19 @@ def verify_coaction_by_entry(action: CoAction, tol: float = 1e-9,
     vecs = [[action.u[i][j].vec() for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            lhs = qg.apply_delta(action.u[i][j])
+            lhs = apply_delta(qg, action.u[i][j])
             rhs = np.zeros_like(lhs)
             for k in range(n):
                 rhs += np.outer(vecs[i][k], vecs[k][j])
             coassoc = max(coassoc, float(np.abs(lhs - rhs).max()))
     rep.residuals["coaction_square"] = coassoc
 
-    counit = 0.0
+    counit_res = 0.0
     for i in range(n):
         for j in range(n):
-            counit = max(counit, abs(qg.counit(action.u[i][j]) - (1.0 if i == j else 0.0)))
-    rep.residuals["counit_compatibility"] = counit
+            counit_res = max(counit_res, abs(counit(qg, action.u[i][j])
+                                             - (1.0 if i == j else 0.0)))
+    rep.residuals["counit_compatibility"] = counit_res
 
     if check_faithful:
         rep.residuals["faithfulness_deficit"] = float(
@@ -1169,7 +1191,7 @@ def check_ball_identity(action: CoAction, tol: float = 1e-9) -> float:
         for y in range(space.n):
             for I in intervals:
                 lhs = a_element(action, x, ball(space, y, I))
-                rhs = qg.apply_kappa(a_element(action, y, ball(space, x, I)))
+                rhs = apply_kappa(qg, a_element(action, y, ball(space, x, I)))
                 worst = max(worst, (lhs - rhs).norm())
     return worst
 

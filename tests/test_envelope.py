@@ -15,6 +15,8 @@ from qiso.envelope import (BlockIdeal, SaturationReachedFullAlgebra,
 from qiso.isometry import check_D, commutator_defects
 from qiso.quantum_group import verify_quantum_group
 
+from oracles import apply_kappa, counit
+
 
 S3_FULL = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)],
                              name="s3-full")
@@ -184,6 +186,6 @@ def test_defect_element_identities():
         for x in range(action.n):
             for y in range(action.n):
                 c = qg.algebra.from_vec(defects[x, y])
-                assert (qg.apply_kappa(c)
+                assert (apply_kappa(qg, c)
                         + qg.algebra.from_vec(defects[y, x])).norm() < 1e-9
-                assert abs(qg.counit(c)) < 1e-10
+                assert abs(counit(qg, c)) < 1e-10

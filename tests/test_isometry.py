@@ -1,5 +1,6 @@
 """Isometry condition checks, cross-validated against classical oracles."""
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -384,25 +385,49 @@ def _pairs_recomputed(action, psi, tol, pairs):
 
 
 def _lip_p_state_per_pair(action, psi, p, tol, pairs=None):
-    """check_lip_p_state's (holds, certificate, witness), with x <| psi
-    recomputed for every pair and W_p from wasserstein_p/wasserstein_inf,
-    over `pairs` (by default the pairs of `_sweep_pairs`)."""
+    """W_p and the margin W_p - d(x, y) of every pair in `pairs` (by
+    default the pairs of `_sweep_pairs`), with x <| psi recomputed for
+    every pair and W_p from wasserstein_p/wasserstein_inf."""
     space = action.space
     if pairs is None:
         pairs = _sweep_pairs(space)
-    worst = None
+    out = {}
     for (x, y), mu, nu in _pairs_recomputed(action, psi, tol, pairs):
-        if p == float("inf"):
+        if p == float("inf") or p == "inf":
             w = float(wasserstein_inf(space, mu, nu).r)
         else:
             w = float(wasserstein_p(space, mu, nu, p))
-        margin = w - float(space.dist[x][y])
-        if worst is None or margin > worst[0]:
-            worst = (margin, (x, y), w)
-    if worst[0] <= tol:
-        return True, {"max_margin": worst[0]}, None
-    return False, None, {"pair": worst[1], "wasserstein": worst[2],
-                         "margin": worst[0]}
+        out[x, y] = (w, w - float(space.dist[x][y]))
+    return out
+
+
+def _expected_route(n, p):
+    if p == float("inf") or p == "inf":
+        return "hall-subsets" if n <= isometry._HALL_CROSSOVER else "max-flow"
+    return "dual-vertices" if n <= isometry._VERTEX_CROSSOVER else "simplex"
+
+
+def _assert_matches_per_pair(v, action, psi, p, tol, pairs=None):
+    """A sweep verdict against the per-pair oracle: the same verdict on
+    the sweep's bound tol x max d, the route its n and p select, margins
+    and W within 1e-12 x max d^p, and a witness pair whose oracle margin
+    is within that slack of the oracle's largest."""
+    space = action.space
+    per_pair = _lip_p_state_per_pair(action, psi, p, tol, pairs)
+    worst = max(m for _, m in per_pair.values())
+    scale = float(space.max_distance)
+    slack = 1e-12 * scale ** (1 if p in ("inf", float("inf")) else p)
+    assert v.holds == (worst <= tol * scale)
+    if v.holds:
+        assert v.certificate["route"] == _expected_route(space.n, p)
+        assert abs(v.certificate["max_margin"] - worst) <= slack
+    else:
+        assert v.witness["route"] == _expected_route(space.n, p)
+        w, margin = per_pair[tuple(v.witness["pair"])]
+        assert abs(v.witness["wasserstein"] - w) <= slack
+        assert abs(v.witness["margin"] - margin) <= slack
+        assert margin >= worst - slack
+    return v.holds
 
 
 def _level_coupling_per_pair(action, psi, tol):
@@ -420,11 +445,12 @@ def _level_coupling_per_pair(action, psi, tol):
 
 def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
     """The per-state checks compute each x <| psi once (n calls of
-    act_on_point per check) and return exactly the verdicts, certificates
-    and witnesses of recomputing both marginals for every pair they visit
-    (x < y on the catalog's symmetric metrics), on the catalog x 5 random
-    states x p in {1, 2, 3, inf}.  The level-coupling oracle visits every
-    ordered pair and still agrees exactly."""
+    act_on_point per check) and return the verdicts of recomputing both
+    marginals for every pair they visit (x < y on the catalog's symmetric
+    metrics), with margins within 1e-12 x max d^p and the route the
+    catalog's n <= 5 selects, on the catalog x 5 random states x p in
+    {1, 2, 3, inf}.  The level-coupling oracle visits every ordered pair
+    and agrees exactly."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -441,9 +467,7 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
                 del calls[:]
                 v = check_lip_p_state(action, psi, p, tol=1e-8)
                 assert calls == list(range(action.n))
-                assert (v.holds, v.certificate, v.witness) == \
-                    _lip_p_state_per_pair(action, psi, p, 1e-8), (entry.name, k, p)
-                seen[v.holds] += 1
+                seen[_assert_matches_per_pair(v, action, psi, p, 1e-8)] += 1
             del calls[:]
             v = check_level_coupling_state(action, psi)
             assert calls == list(range(action.n))
@@ -468,8 +492,8 @@ def test_unordered_sweep_matches_ordered_sweep():
             psi = random_state(action.group.algebra, 37 * k + 3)
             images = [act_on_point(action, x, psi, tol=1e-8)
                       for x in range(action.n)]
-            verdicts = isometry.check_lip_p_state_sweep(
-                action, psi, (1, 2, 3, float("inf")), tol=1e-8)
+            verdicts, = isometry.check_lip_p_state_sweep(
+                action, [psi], (1, 2, 3, float("inf")), tol=1e-8)
             for p, v in zip((1, 2, 3, float("inf")), verdicts):
                 if p == float("inf"):
                     w = {(x, y): float(wasserstein_inf(space, images[x],
@@ -527,36 +551,80 @@ def _near_symmetric_action():
     return permutation_action(space, [(1, 2, 3, 0), (3, 2, 1, 0)])
 
 
-def test_near_symmetric_float_space_keeps_ordered_pairs(monkeypatch):
+def test_near_symmetric_float_space_keeps_ordered_pairs():
     """A float metric accepted with d(0,1) - d(1,0) = 5e-10 (within tol) is
     swept over every ordered pair, and matches the ordered per-pair
-    oracles exactly."""
+    oracles: the sweep's verdicts, margins within 1e-12 x max d^p, and the
+    array routes of its 4 points."""
     action = _near_symmetric_action()
     space = action.space
     ordered = _ordered_pairs(4)
     assert _sweep_pairs(space) == ordered
-    solves = []
-    solve = isometry.solve_transport
-
-    def counted(*args, **kwargs):
-        solves.append(1)
-        return solve(*args, **kwargs)
-
     seen = {True: 0, False: 0}
     for k in range(4):
         psi = random_state(action.group.algebra, 11 * k + 1)
         for p in (1, 2, 3, float("inf")):
-            del solves[:]
-            with monkeypatch.context() as m:
-                m.setattr(isometry, "solve_transport", counted)
-                v = check_lip_p_state(action, psi, p, tol=1e-8)
-            assert len(solves) == (0 if p == float("inf") else len(ordered))
-            assert (v.holds, v.certificate, v.witness) == \
-                _lip_p_state_per_pair(action, psi, p, 1e-8, ordered), (k, p)
-            seen[v.holds] += 1
+            v = check_lip_p_state(action, psi, p, tol=1e-8)
+            seen[_assert_matches_per_pair(v, action, psi, p, 1e-8, ordered)] += 1
         v = check_level_coupling_state(action, psi)
         assert (v.holds, v.witness) == _level_coupling_per_pair(action, psi, 1e-9)
     assert seen[False]
+
+
+def _small_order_action(n, seed):
+    """C(G) on a seeded n-point shortest-path metric, G generated by one
+    seeded permutation made of disjoint 2- and 3-cycles (order <= 6)."""
+    rng = random.Random(seed)
+    points = list(range(n))
+    rng.shuffle(points)
+    perm = list(range(n))
+    i = 0
+    while i < n - 1:
+        cycle = points[i:i + rng.choice((2, 3))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+        i += len(cycle)
+    return permutation_action(random_metric_space(n, seed), [tuple(perm)],
+                              name=f"order-6-{n}-{seed}")
+
+
+def test_sweep_routes_match_per_pair_oracle():
+    """Every route of the sampled sweep gives the per-pair oracle's
+    verdicts (wasserstein_p / wasserstein_inf on recomputed marginals),
+    with margins and W within 1e-12 x max d^p and a witness whose oracle
+    margin is within that slack of the largest, for p in {1, 2, 3, inf}:
+    on the c07 population (catalog + 200 random actions), the 6-point D5
+    and D7 two-projection actions, the near-symmetric float action, and
+    permutation actions on both sides of each crossover (n = 5, 6 for
+    finite p; n = 12, 13 for p = inf, where the rotations of the n-cycle
+    hold and the order-6 actions fail).  Each route both holds and fails."""
+    config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
+                          seed=777)
+    finite, inf = (1, 2, 3), (float("inf"),)
+    cases = [(build_instance(desc), finite + inf)
+             for desc in instance_descriptors(config)]
+    cases += [(reflection_pairs_action(block_metric(3, asymmetric), m,
+                                       (0, 1, 2)), finite + inf)
+              for m in (5, 7) for asymmetric in (False, True)]
+    cases.append((_near_symmetric_action(), finite + inf))
+    cases += [(_small_order_action(n, seed), finite + inf)
+              for n in (isometry._VERTEX_CROSSOVER,
+                        isometry._VERTEX_CROSSOVER + 1) for seed in (1, 2)]
+    for n in (isometry._HALL_CROSSOVER, isometry._HALL_CROSSOVER + 1):
+        rotation = tuple((i + 1) % n for i in range(n))
+        cases += [(_small_order_action(n, 3), inf),
+                  (permutation_action(cycle_metric(n), [rotation]), inf)]
+    routes = {}
+    for action, ps in cases:
+        states = [random_state(action.group.algebra, 5 * k + 2) for k in range(2)]
+        sweep = isometry.check_lip_p_state_sweep(action, states, ps, tol=1e-8)
+        for psi, verdicts in zip(states, sweep):
+            for p, v in zip(ps, verdicts):
+                held = _assert_matches_per_pair(v, action, psi, p, 1e-8)
+                route = (v.certificate if held else v.witness)["route"]
+                routes.setdefault(route, set()).add(held)
+    assert routes == {route: {True, False} for route in
+                      ("dual-vertices", "simplex", "hall-subsets", "max-flow")}
 
 
 def test_universal_pair_convention_matches_ordered_pairs():

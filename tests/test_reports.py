@@ -110,23 +110,42 @@ def test_span_search_finds_the_transitive_orbit_hits():
 
 def test_span_record_decides_each_state_once(monkeypatch):
     """A span record decides each pool state and each probed combination
-    with one check_lip_p_state call: the in-span loop reuses the pool's
-    verdicts.  On s3-isosceles some pool states are in the span, so a
-    second decision of them would show."""
+    once: the pool in one check_lip_p_state_sweep call, each combination
+    with one check_lip_p_state call, and the in-span loop reuses the
+    pool's verdicts.  On s3-isosceles some pool states are in the span,
+    so a second decision of them would show."""
     from qiso import reports
     decided = []
-    check = reports.check_lip_p_state
+    check, sweep = reports.check_lip_p_state, reports.check_lip_p_state_sweep
 
     def counted(action, psi, p, tol=1e-9):
         decided.append(psi)  # kept alive, so the ids below stay distinct
         return check(action, psi, p, tol=tol)
 
+    def counted_sweep(action, states, ps, tol=1e-9):
+        decided.extend(states)
+        return sweep(action, states, ps, tol=tol)
+
     monkeypatch.setattr(reports, "check_lip_p_state", counted)
+    monkeypatch.setattr(reports, "check_lip_p_state_sweep", counted_sweep)
     rec = reports._span_record({"source": "catalog", "name": "s3-isosceles"},
                                1, state_samples=6, seed=1)
     assert any(h["kind"] == "pool-state" for h in rec["failing_in_span_states"])
     assert len(decided) >= rec["sampled"]
     assert len({id(psi) for psi in decided}) == len(decided)
+
+
+def test_span_pool_counts_each_distinct_state_once():
+    """On a function algebra the counit is also the character of its 1x1
+    block; the span pool keeps it once, so `sampled` is the Haar state,
+    one character per 1x1 block and the random samples."""
+    from qiso import reports
+    for name in ("s3-isosceles", "cyclic-4"):
+        desc = {"source": "catalog", "name": name}
+        alg = reports.build_instance(desc).group.algebra
+        characters = sum(1 for b in alg.blocks if b == 1)
+        rec = reports._span_record(desc, 1, state_samples=4, seed=1)
+        assert rec["sampled"] == 1 + characters + 4, name
 
 
 def test_span_search_quiet_when_every_state_is_isometric():
