@@ -21,8 +21,8 @@ once and reads W_p off precomputed dual data as array maxima: for finite
 p, the largest f.mu + g.nu over the dual vertices of d^p on the whole
 space (n <= 5); for p = inf, the least realized radius whose Hall
 deficiency max_S mu(S) - nu(N(S)) is within the max-flow tolerance
-(n <= 12).  Above those crossovers, measured where the two costs meet,
-it solves one transport problem per pair.  Each verdict records its
+(n <= 12).  Above those crossovers, chosen by measurement, it solves
+one transport problem per pair.  Each verdict records its
 route.
 
 Universal quantification over states is resolved exactly, block by
@@ -229,29 +229,10 @@ def check_D_state(action: CoAction, psi: StateFunctional,
                            action.space, tol)
 
 
-# The sweep's crossovers, in points n: the array routes run up to them.
-# Measured on a 2-CPU Xeon host, one BLAS thread, as the median time of
-# one sweep over 10 random states of C(G) acting on a random n-point
-# shortest-path metric (G cyclic of order <= 6), array route against one
-# transport problem per pair:
-#   p = 2    n = 5: 9.1 against 18.7 ms, n = 6: 37.0 against 37.2 ms,
-#            n = 7: 170 against 56 ms (C(2n-2, n-1) vertices, enumerated
-#            in Python, outgrow the n(n-1)/2 simplex solves);
-#   p = inf  n = 12: 237 against 604 ms, n = 13: 575 against 768 ms
-#            (2^n - 1 subsets per realized distance; at n = 12 with 17
-#            realized distances the sweep's arrays peak at 22 MB).
+# The largest n of each array route of `check_lip_p_state_sweep`, whose
+# docstring gives the measurements behind them.
 _VERTEX_CROSSOVER = 5
 _HALL_CROSSOVER = 12
-
-
-def _state_images(action: CoAction, states, tol: float):
-    """images[s][x] = x <| states[s], each computed once, and their masses
-    as one (states, n, n) float array."""
-    n = action.space.n
-    images = [[act_on_point(action, x, psi, tol=tol) for x in range(n)]
-              for psi in states]
-    return images, np.array([[img.mass for img in row] for row in images],
-                            dtype=float)
 
 
 def _dual_vertex_sweep(space, masses, xs, ys, p) -> np.ndarray:
@@ -352,6 +333,18 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
       simplex,       otherwise: one float transport problem per state and
       max-flow       pair (`_pair_sweep`)
 
+    The crossovers come from measurements on a 2-CPU Xeon host with one
+    BLAS thread, each the median time of one sweep over 10 random states
+    of C(G) acting on a random n-point shortest-path metric (G cyclic of
+    order <= 6), array route against per-pair route.  For p = 2 it was 9.1 against 18.7 ms at n = 5,
+    37.0 against 37.2 ms at n = 6 and 170 against 56 ms at n = 7: the
+    C(2n-2, n-1) vertices, enumerated in Python, outgrow the n(n-1)/2
+    simplex solves.  For p = inf it was 237 against 604 ms at n = 12 and
+    575 against 768 ms at n = 13: the 2^n - 1 subsets per realized
+    distance grow faster than the max-flow problems, and so do the
+    arrays (22 MB at n = 12 with 17 realized distances), so the Hall
+    route stops at 12, short of the narrow win at 13.
+
     The margins W_p - d(x,y) scale with the metric, so tol is taken
     relative to the largest distance, as for (D), and the verdict does
     not depend on the metric's units.  A failure's witness is the first
@@ -363,7 +356,9 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
         raise ValueError("p must be >= 1")
     if not len(states):
         return []
-    images, masses = _state_images(action, states, tol)
+    images = [[act_on_point(action, x, psi, tol=tol) for x in range(space.n)]
+              for psi in states]
+    masses = np.array([[img.mass for img in row] for row in images], dtype=float)
     pairs = _state_pairs(space)
     xs = np.array([x for x, _ in pairs], dtype=int)
     ys = np.array([y for _, y in pairs], dtype=int)
