@@ -19,11 +19,11 @@ rounding give one witness.
 The sampled per-state Lip_p sweep takes all states of an instance at
 once and reads W_p off precomputed dual data as array maxima: for finite
 p, the largest f.mu + g.nu over the dual vertices of d^p on the whole
-space (n <= 5); for p = inf, the least realized radius whose Hall
-deficiency max_S mu(S) - nu(N(S)) is within the max-flow tolerance
-(n <= 12).  Above those crossovers, chosen by measurement, it solves
-one transport problem per pair.  Each verdict records its
-route.
+space (a float space rescaled to max d = 1); for p = inf, the least realized radius whose Hall
+deficiency max_S mu(S) - nu(N(S)) is within the max-flow tolerance.
+Where a measured cost model says that costs more than one transport
+problem per pair (few states, or large n, or tables over a memory cap)
+it solves those instead.  Each verdict records its route.
 
 Universal quantification over states is resolved exactly, block by
 block: the sup of psi(a) over states of a block is its largest
@@ -44,8 +44,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -229,22 +230,47 @@ def check_D_state(action: CoAction, psi: StateFunctional,
                            action.space, tol)
 
 
-# The largest n of each array route of `check_lip_p_state_sweep`, whose
-# docstring gives the measurements behind them.
-_VERTEX_CROSSOVER = 5
-_HALL_CROSSOVER = 12
+# The route choice of `check_lip_p_state_sweep`, whose docstring gives
+# the measurements behind these three constants.
+_TREE_COST = 0.7            # one enumerated tree, in per-pair simplex solves
+_VERTEX_MAX_N = 7           # the largest n at which that cost was measured
+_HALL_MAX_CELLS = 2 ** 22   # the most Hall table entries, (K n + pairs)(2^n - 1)
+
+
+def _sweep_route(space, n_states: int, n_pairs: int, finite: bool) -> str:
+    """The route that `check_lip_p_state_sweep` takes for one p."""
+    n = space.n
+    if finite:
+        if n <= _VERTEX_MAX_N and \
+                _TREE_COST * comb(2 * n - 2, n - 1) <= n_states * n_pairs:
+            return "dual-vertices"
+        return "simplex"
+    cells = (len(space.realized_distances) * n + n_pairs) * (2 ** n - 1)
+    return "hall-subsets" if cells <= _HALL_MAX_CELLS else "max-flow"
 
 
 def _dual_vertex_sweep(space, masses, xs, ys, p) -> np.ndarray:
     """W_p for every state and pair, as the largest f.mu + g.nu over the
     vertices (f, g) of the dual polyhedron of d^p on the whole space:
     the dual LP's value, attained at a vertex because the polyhedron is
-    pointed and the objective bounded above on it."""
+    pointed and the objective bounded above on it.
+
+    The enumerator treats float slacks within the space's tolerance as
+    ties and merges vertices that agree to 9 decimals, both absolute
+    cut-offs.  A float space is therefore enumerated at max d = 1 and
+    W_p scaled back, W_p being linear in d, so that both cut-offs are
+    relative to max d^p."""
+    unit = 1.0
+    if space.mode != RATIONAL:
+        unit = float(space.max_distance)
+        space = replace(space, dist=tuple(tuple(v / unit for v in row)
+                                          for row in space.dist))
     vertices = enumerate_dual_vertices(space, p)
     F = np.array([[float(v) for v in vert.f] for vert in vertices])
     G = np.array([[float(v) for v in vert.g] for vert in vertices])
-    power = ((masses @ F.T)[:, xs] + (masses @ G.T)[:, ys]).max(-1)
-    return np.maximum(power, 0.0) ** (1.0 / float(p))
+    power = np.array([((mass @ F.T)[xs] + (mass @ G.T)[ys]).max(-1)
+                      for mass in masses])
+    return unit * np.maximum(power, 0.0) ** (1.0 / float(p))
 
 
 def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
@@ -265,13 +291,15 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     near = np.array([ranks <= bisect_right(values, v + tol) - 1
                      for v in values], dtype=float)          # (K, n, n)
     subsets = (np.arange(1, 2 ** n)[:, None] >> np.arange(n)) & 1
-    reach = ((subsets @ near) > 0).astype(float)             # (K, 2^n-1, n)
+    reach = subsets @ near                                   # (K, 2^n-1, n)
+    np.minimum(reach, 1.0, out=reach)
     radii = np.array([float(v) for v in values])
     rows = np.arange(len(subsets))
     out = np.empty((len(masses), len(xs)))
+    nu = np.empty_like(reach)
     for s, mass in enumerate(masses):
         mu = mass[xs] @ subsets.T                            # (P, 2^n-1)
-        nu = reach @ mass.T                                  # (K, 2^n-1, n)
+        np.matmul(reach, mass.T, out=nu)                     # (K, 2^n-1, n)
         lo = np.zeros(len(xs), dtype=int)
         hi = np.full(len(xs), len(values) - 1)  # {d <= max d} always feasible
         while (lo < hi).any():
@@ -321,29 +349,35 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
     the state states[s] and p = ps[i] (a number >= 1, or inf).
 
     Each x <| psi is computed once, by `act_on_point`, for every p.  The
-    pairs are those of `_state_pairs`.  For each p, W_p comes from an
-    array route up to its crossover in n and from one transport problem
-    per pair above it; the verdict records which as its "route":
+    pairs are those of `_state_pairs`.  For each p, `_sweep_route` picks
+    how W_p is computed, and each verdict records it as its "route":
 
-      dual-vertices  n <= _VERTEX_CROSSOVER, finite p: `_dual_vertex_sweep`
+      dual-vertices  finite p, n <= _VERTEX_MAX_N and _TREE_COST x
+                     C(2n-2, n-1) <= states x pairs: `_dual_vertex_sweep`
                      over the dual vertices of d^p, enumerated once for
                      every state and pair
-      hall-subsets   n <= _HALL_CROSSOVER, p = inf: `_hall_sweep` over the
+      hall-subsets   p = inf, (K n + pairs)(2^n - 1) <= _HALL_MAX_CELLS
+                     with K realized distances: `_hall_sweep` over the
                      2^n - 1 subsets and every realized radius
       simplex,       otherwise: one float transport problem per state and
       max-flow       pair (`_pair_sweep`)
 
-    The crossovers come from measurements on a 2-CPU Xeon host with one
-    BLAS thread, each the median time of one sweep over 10 random states
-    of C(G) acting on a random n-point shortest-path metric (G cyclic of
-    order <= 6), array route against per-pair route.  For p = 2 it was 9.1 against 18.7 ms at n = 5,
-    37.0 against 37.2 ms at n = 6 and 170 against 56 ms at n = 7: the
-    C(2n-2, n-1) vertices, enumerated in Python, outgrow the n(n-1)/2
-    simplex solves.  For p = inf it was 237 against 604 ms at n = 12 and
-    575 against 768 ms at n = 13: the 2^n - 1 subsets per realized
-    distance grow faster than the max-flow problems, and so do the
-    arrays (22 MB at n = 12 with 17 realized distances), so the Hall
-    route stops at 12, short of the narrow win at 13.
+    The constants come from timing each route on one and on ten random
+    states of C(G) acting on random n-point shortest-path and
+    euclidean-sample metrics (G cyclic of order <= 6), on a 2-CPU Xeon
+    host with one BLAS thread.  For finite p the array route's cost is
+    the enumeration, at most C(2n-2, n-1) trees, and each tree cost 0.6
+    to 0.8 simplex solves from n = 2 to 7 for p = 1, 2 and 3.  At p = 2
+    and n = 5 that is 8.0 against 2.0 ms for one state and 8.1 against
+    18.4 ms for ten; at n = 6, 41 against 36 ms for ten; at n = 7, 143
+    against 49 ms for ten.  So a one-state call takes the simplex unless
+    its pairs outnumber 0.7 x the trees.
+    For p = inf the Hall route won at every measured size with ten states
+    (137 against 424 ms at n = 12 with K = 17, 347 against 671 ms at
+    n = 12 with K = 67, 613 against 1725 ms at n = 14 with K = 8) and lost
+    by at most 30% with one (80 against 63 ms at n = 13 with K = 20).
+    Its tables take about 16 bytes per entry at their peak (57 MB at n = 12
+    with K = 67), so the cap bounds them by 64 MB.
 
     The margins W_p - d(x,y) scale with the metric, so tol is taken
     relative to the largest distance, as for (D), and the verdict does
@@ -366,12 +400,12 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
     scale = float(space.max_distance)
     out = [[] for _ in states]
     for p, fin in zip(ps, finite):
-        if fin and space.n <= _VERTEX_CROSSOVER:
-            route, w = "dual-vertices", _dual_vertex_sweep(space, masses, xs, ys, p)
-        elif not fin and space.n <= _HALL_CROSSOVER:
-            route, w = "hall-subsets", _hall_sweep(space, masses, xs, ys)
+        route = _sweep_route(space, len(states), len(pairs), fin)
+        if route == "dual-vertices":
+            w = _dual_vertex_sweep(space, masses, xs, ys, p)
+        elif route == "hall-subsets":
+            w = _hall_sweep(space, masses, xs, ys)
         else:
-            route = "simplex" if fin else "max-flow"
             w = _pair_sweep(space, images, pairs, p)
         for verdicts, ws in zip(out, w):
             verdicts.append(_sweep_verdict(f"Lip_{p}(state)", route, pairs, ws,

@@ -25,7 +25,7 @@ from .coaction import CoAction, verify_coaction
 from .envelope import envelope
 from .fileio import coaction_to_dicts
 from .isometry import (check_D, check_D_commutant, check_injectivity,
-                       check_lip_p_state, check_lip_p_state_sweep,
+                       check_lip_p_state_sweep,
                        check_lip_p_universal, check_theorem_main,
                        check_winf_universal, KappaConventionMismatch)
 from .metric import random_metric_space
@@ -338,6 +338,7 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
     if basis and len(iso_states) >= 2:
         rng = np.random.default_rng(seed)
         mean_vec = sum(s.as_vector() for s in iso_states) / len(iso_states)
+        combos = []
         for _ in range(state_samples):
             coeffs = rng.normal(size=len(iso_states))
             vec = sum(c * s.as_vector() for c, s in zip(coeffs, iso_states))
@@ -357,10 +358,12 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
                 t = (-lam + 1e-9) / (mean_lam - lam + 1e-9)
                 vec = (1 - t) * vec + t * mean_vec
             cand = StateFunctional.from_vector(alg, vec)
-            if not cand.is_state(tol=1e-7):
-                continue
-            tested += 1
-            if not check_lip_p_state(action, cand, p, tol=1e-8).holds:
+            if cand.is_state(tol=1e-7):
+                combos.append(cand)
+        tested += len(combos)
+        for cand, verdicts in zip(combos, check_lip_p_state_sweep(
+                action, combos, [p], tol=1e-8)):
+            if not verdicts[0].holds:
                 hits.append({"kind": "combination",
                              "state": _state_doc(cand)})
     rec["in_span_tested"] = tested

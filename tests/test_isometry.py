@@ -401,32 +401,46 @@ def _lip_p_state_per_pair(action, psi, p, tol, pairs=None):
     return out
 
 
-def _expected_route(n, p):
-    if p == float("inf") or p == "inf":
-        return "hall-subsets" if n <= isometry._HALL_CROSSOVER else "max-flow"
-    return "dual-vertices" if n <= isometry._VERTEX_CROSSOVER else "simplex"
-
-
-def _assert_matches_per_pair(v, action, psi, p, tol, pairs=None):
+def _assert_matches_per_pair(v, action, psi, p, tol, route, pairs=None,
+                             unscaled=None):
     """A sweep verdict against the per-pair oracle: the same verdict on
-    the sweep's bound tol x max d, the route its n and p select, margins
-    and W within 1e-12 x max d^p, and a witness pair whose oracle margin
-    is within that slack of the oracle's largest."""
+    the sweep's bound tol x max d, the given route, W_p^p within
+    1e-12 x max d^p (W itself for p = inf), and a witness whose oracle
+    margin is within the sweep's tie of the oracle's largest.
+
+    W_p^p is what both routes compute, so the bound is taken there and
+    carried to W and the margins at the pair compared: an error of
+    e in W_p^p moves W_p by e / (p W_p^(p-1)).  For an action on a
+    rescaled metric, `unscaled` = (action, scale) runs the oracle on the
+    original metric and scales its W and margins, W_p being linear in d:
+    the float simplex itself misjudges costs d^p of order 1e-15."""
     space = action.space
-    per_pair = _lip_p_state_per_pair(action, psi, p, tol, pairs)
-    worst = max(m for _, m in per_pair.values())
-    scale = float(space.max_distance)
-    slack = 1e-12 * scale ** (1 if p in ("inf", float("inf")) else p)
-    assert v.holds == (worst <= tol * scale)
-    if v.holds:
-        assert v.certificate["route"] == _expected_route(space.n, p)
-        assert abs(v.certificate["max_margin"] - worst) <= slack
+    if unscaled is None:
+        per_pair = _lip_p_state_per_pair(action, psi, p, tol, pairs)
     else:
-        assert v.witness["route"] == _expected_route(space.n, p)
-        w, margin = per_pair[tuple(v.witness["pair"])]
-        assert abs(v.witness["wasserstein"] - w) <= slack
-        assert abs(v.witness["margin"] - margin) <= slack
-        assert margin >= worst - slack
+        base, unit = unscaled
+        per_pair = {xy: (unit * w, unit * m) for xy, (w, m) in
+                    _lip_p_state_per_pair(base, psi, p, tol, pairs).items()}
+    worst_pair = max(per_pair, key=lambda xy: per_pair[xy][1])
+    worst = per_pair[worst_pair][1]
+    scale = float(space.max_distance)
+    q = 1.0 if p in ("inf", float("inf")) else float(p)
+    slack = 1e-12 * scale ** q
+
+    def w_slack(xy):
+        return slack / (q * per_pair[xy][0] ** (q - 1))
+
+    assert v.holds == (worst <= tol * scale)
+    record = v.certificate if v.holds else v.witness
+    assert record["route"] == route
+    if v.holds:
+        assert abs(v.certificate["max_margin"] - worst) <= w_slack(worst_pair)
+    else:
+        xy = tuple(v.witness["pair"])
+        w, margin = per_pair[xy]
+        assert abs(v.witness["wasserstein"] ** q - w ** q) <= slack
+        assert abs(v.witness["margin"] - margin) <= w_slack(xy)
+        assert margin >= worst - 1e-12 * scale - w_slack(xy) - w_slack(worst_pair)
     return v.holds
 
 
@@ -445,12 +459,12 @@ def _level_coupling_per_pair(action, psi, tol):
 
 def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
     """The per-state checks compute each x <| psi once (n calls of
-    act_on_point per check) and return the verdicts of recomputing both
-    marginals for every pair they visit (x < y on the catalog's symmetric
-    metrics), with margins within 1e-12 x max d^p and the route the
-    catalog's n <= 5 selects, on the catalog x 5 random states x p in
-    {1, 2, 3, inf}.  The level-coupling oracle visits every ordered pair
-    and agrees exactly."""
+    act_on_point per state and sweep) and return the verdicts of
+    recomputing both marginals for every pair they visit (x < y on the
+    catalog's symmetric metrics), with W_p^p within 1e-12 x max d^p, on
+    the catalog x 5 random states x p in {1, 2, 3, inf}.  Five states of
+    at most 5 points take the array routes.  The level-coupling oracle
+    visits every ordered pair and agrees exactly."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -459,15 +473,19 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
 
     monkeypatch.setattr(isometry, "act_on_point", counted)
     seen = {True: 0, False: 0}
+    ps = (1, 2, 3, float("inf"))
+    routes = ("dual-vertices",) * 3 + ("hall-subsets",)
     for entry in standard_actions():
         action = entry.action
-        for k in range(5):
-            psi = random_state(action.group.algebra, 37 * k + 3)
-            for p in (1, 2, 3, float("inf")):
-                del calls[:]
-                v = check_lip_p_state(action, psi, p, tol=1e-8)
-                assert calls == list(range(action.n))
-                seen[_assert_matches_per_pair(v, action, psi, p, 1e-8)] += 1
+        states = [random_state(action.group.algebra, 37 * k + 3)
+                  for k in range(5)]
+        del calls[:]
+        sweep = isometry.check_lip_p_state_sweep(action, states, ps, tol=1e-8)
+        assert calls == list(range(action.n)) * len(states)
+        for k, (psi, verdicts) in enumerate(zip(states, sweep)):
+            for p, route, v in zip(ps, routes, verdicts):
+                seen[_assert_matches_per_pair(v, action, psi, p, 1e-8,
+                                              route)] += 1
             del calls[:]
             v = check_level_coupling_state(action, psi)
             assert calls == list(range(action.n))
@@ -554,18 +572,21 @@ def _near_symmetric_action():
 def test_near_symmetric_float_space_keeps_ordered_pairs():
     """A float metric accepted with d(0,1) - d(1,0) = 5e-10 (within tol) is
     swept over every ordered pair, and matches the ordered per-pair
-    oracles: the sweep's verdicts, margins within 1e-12 x max d^p, and the
-    array routes of its 4 points."""
+    oracles: the sweep's verdicts, W_p^p within 1e-12 x max d^p, and the
+    array routes that four states of its 4 points take."""
     action = _near_symmetric_action()
     space = action.space
     ordered = _ordered_pairs(4)
     assert _sweep_pairs(space) == ordered
     seen = {True: 0, False: 0}
-    for k in range(4):
-        psi = random_state(action.group.algebra, 11 * k + 1)
-        for p in (1, 2, 3, float("inf")):
-            v = check_lip_p_state(action, psi, p, tol=1e-8)
-            seen[_assert_matches_per_pair(v, action, psi, p, 1e-8, ordered)] += 1
+    ps = (1, 2, 3, float("inf"))
+    routes = ("dual-vertices",) * 3 + ("hall-subsets",)
+    states = [random_state(action.group.algebra, 11 * k + 1) for k in range(4)]
+    sweep = isometry.check_lip_p_state_sweep(action, states, ps, tol=1e-8)
+    for psi, verdicts in zip(states, sweep):
+        for p, route, v in zip(ps, routes, verdicts):
+            seen[_assert_matches_per_pair(v, action, psi, p, 1e-8, route,
+                                          ordered)] += 1
         v = check_level_coupling_state(action, psi)
         assert (v.holds, v.witness) == _level_coupling_per_pair(action, psi, 1e-9)
     assert seen[False]
@@ -588,40 +609,70 @@ def _small_order_action(n, seed):
                               name=f"order-6-{n}-{seed}")
 
 
+def _scaled_float_action(action, scale):
+    """The action on its metric times `scale`, as a float space."""
+    from qiso.coaction import CoAction
+    space = validate_metric([[float(v) * scale for v in row]
+                             for row in action.space.dist], mode="float")
+    return CoAction(action.group, space, action.u, name=action.name)
+
+
 def test_sweep_routes_match_per_pair_oracle():
     """Every route of the sampled sweep gives the per-pair oracle's
     verdicts (wasserstein_p / wasserstein_inf on recomputed marginals),
-    with margins and W within 1e-12 x max d^p and a witness whose oracle
-    margin is within that slack of the largest, for p in {1, 2, 3, inf}:
-    on the c07 population (catalog + 200 random actions), the 6-point D5
-    and D7 two-projection actions, the near-symmetric float action, and
-    permutation actions on both sides of each crossover (n = 5, 6 for
-    finite p; n = 12, 13 for p = inf, where the rotations of the n-cycle
-    hold and the order-6 actions fail).  Each route both holds and fails."""
+    with W_p^p within 1e-12 x max d^p and a witness whose oracle margin
+    is within the sweep's tie of the largest, for p in {1, 2, 3, inf}, on
+    the c07 population (catalog + 200 random actions), the 6-point D5 and
+    D7 two-projection actions, the near-symmetric float action, float
+    metrics scaled to max d of order 1e-3 and 1e-5 (against the oracle on
+    the unscaled metric), and actions on both
+    sides of each route choice: three states on at most 4 points against
+    5 (the catalog's cyclic-5), one state against two on 4 points and two
+    against ten on 5 for finite p, Hall tables under and over their cap
+    (n = 12, 14 against 15) for p = inf, where the rotations of the
+    n-cycle hold and the order-6 actions fail.  Each route both holds and
+    fails."""
     config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
                           seed=777)
     finite, inf = (1, 2, 3), (float("inf"),)
-    cases = [(build_instance(desc), finite + inf)
-             for desc in instance_descriptors(config)]
+    both = finite + inf
+    # (action, ps, number of states, route for finite p, route for inf,
+    #  the unscaled action and scale of a rescaled metric)
+    population = [build_instance(desc) for desc in instance_descriptors(config)]
+    cases = [(a, both, 3, "dual-vertices" if a.n <= 4 else "simplex",
+              "hall-subsets", None) for a in population]
     cases += [(reflection_pairs_action(block_metric(3, asymmetric), m,
-                                       (0, 1, 2)), finite + inf)
+                                       (0, 1, 2)), both, 2, "simplex",
+               "hall-subsets", None)
               for m in (5, 7) for asymmetric in (False, True)]
-    cases.append((_near_symmetric_action(), finite + inf))
-    cases += [(_small_order_action(n, seed), finite + inf)
-              for n in (isometry._VERTEX_CROSSOVER,
-                        isometry._VERTEX_CROSSOVER + 1) for seed in (1, 2)]
-    for n in (isometry._HALL_CROSSOVER, isometry._HALL_CROSSOVER + 1):
-        rotation = tuple((i + 1) % n for i in range(n))
-        cases += [(_small_order_action(n, 3), inf),
-                  (permutation_action(cycle_metric(n), [rotation]), inf)]
+    near = _near_symmetric_action()
+    cases.append((near, both, 2, "dual-vertices", "hall-subsets", None))
+    for name in ("dual-d4-blocks", "dual-d4-asymmetric"):
+        action = {e.name: e.action for e in standard_actions()}[name]
+        cases.append((action, both, 1, "simplex", "hall-subsets", None))
+        cases += [(_scaled_float_action(a, scale), both, 3, "dual-vertices",
+                   "hall-subsets", (a, scale))
+                  for a in (action, near) for scale in (1e-3, 1e-5)]
+    cases += [(_small_order_action(5, seed), both, count, route,
+               "hall-subsets", None)
+              for seed in (1, 2)
+              for count, route in ((2, "simplex"), (10, "dual-vertices"))]
+    cases += [(_small_order_action(12, 3), inf, 2, None, "hall-subsets", None),
+              (_small_order_action(15, 3), inf, 2, None, "max-flow", None)]
+    cases += [(permutation_action(cycle_metric(n),
+                                  [tuple((i + 1) % n for i in range(n))]),
+               inf, 2, None, route, None)
+              for n, route in ((14, "hall-subsets"), (15, "max-flow"))]
     routes = {}
-    for action, ps in cases:
-        states = [random_state(action.group.algebra, 5 * k + 2) for k in range(2)]
+    for action, ps, count, finite_route, inf_route, unscaled in cases:
+        states = [random_state(action.group.algebra, 5 * k + 2)
+                  for k in range(count)]
         sweep = isometry.check_lip_p_state_sweep(action, states, ps, tol=1e-8)
         for psi, verdicts in zip(states, sweep):
             for p, v in zip(ps, verdicts):
-                held = _assert_matches_per_pair(v, action, psi, p, 1e-8)
-                route = (v.certificate if held else v.witness)["route"]
+                route = inf_route if p == float("inf") else finite_route
+                held = _assert_matches_per_pair(v, action, psi, p, 1e-8, route,
+                                                unscaled=unscaled)
                 routes.setdefault(route, set()).add(held)
     assert routes == {route: {True, False} for route in
                       ("dual-vertices", "simplex", "hall-subsets", "max-flow")}

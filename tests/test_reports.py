@@ -110,28 +110,24 @@ def test_span_search_finds_the_transitive_orbit_hits():
 
 def test_span_record_decides_each_state_once(monkeypatch):
     """A span record decides each pool state and each probed combination
-    once: the pool in one check_lip_p_state_sweep call, each combination
-    with one check_lip_p_state call, and the in-span loop reuses the
-    pool's verdicts.  On s3-isosceles some pool states are in the span,
-    so a second decision of them would show."""
+    once, in two check_lip_p_state_sweep calls: the pool, then every
+    repaired combination.  The in-span loop reuses the pool's verdicts;
+    on s3-isosceles some pool states are in the span, so a second
+    decision of them would show."""
     from qiso import reports
-    decided = []
-    check, sweep = reports.check_lip_p_state, reports.check_lip_p_state_sweep
-
-    def counted(action, psi, p, tol=1e-9):
-        decided.append(psi)  # kept alive, so the ids below stay distinct
-        return check(action, psi, p, tol=tol)
+    decided, calls = [], []
+    sweep = reports.check_lip_p_state_sweep
 
     def counted_sweep(action, states, ps, tol=1e-9):
-        decided.extend(states)
+        calls.append(len(states))
+        decided.extend(states)  # kept alive, so the ids below stay distinct
         return sweep(action, states, ps, tol=tol)
 
-    monkeypatch.setattr(reports, "check_lip_p_state", counted)
     monkeypatch.setattr(reports, "check_lip_p_state_sweep", counted_sweep)
     rec = reports._span_record({"source": "catalog", "name": "s3-isosceles"},
                                1, state_samples=6, seed=1)
     assert any(h["kind"] == "pool-state" for h in rec["failing_in_span_states"])
-    assert len(decided) >= rec["sampled"]
+    assert len(calls) == 2 and calls[0] == rec["sampled"]
     assert len({id(psi) for psi in decided}) == len(decided)
 
 
