@@ -19,8 +19,9 @@ rounding give one witness.
 The sampled per-state Lip_p sweep takes all states of an instance at
 once and reads W_p off precomputed dual data as array maxima: for finite
 p, the largest f.mu + g.nu over the dual vertices of d^p on the whole
-space (a float space rescaled to max d = 1); for p = inf, the least realized radius whose Hall
-deficiency max_S mu(S) - nu(N(S)) is within the max-flow tolerance.
+space (a float space rescaled to max d = 1); for p = inf, the least
+realized radius whose Hall deficiency max_S mu(S) - nu(N(S)) is within
+the max-flow tolerance.
 Where a measured cost model says that costs more than one transport
 problem per pair (few states, or large n, or tables over a memory cap)
 it solves those instead.  Each verdict records its route.
