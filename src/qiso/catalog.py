@@ -329,8 +329,7 @@ def random_permutation_action(space: FiniteMetricSpace, seed: int,
             else:
                 rng.shuffle(perm)
             gens.append(tuple(perm))
-        group = close_generators(n, gens)
-        if len(group) <= max_order:
+        if len(close_generators(n, gens, max_order)) <= max_order:
             return permutation_action(space, gens,
                                       name=f"random-perm-{seed}")
     raise CatalogEntryInvalid("could not sample a small permutation group")

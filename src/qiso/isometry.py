@@ -233,7 +233,7 @@ def check_D_state(action: CoAction, psi: StateFunctional,
 
 # The route choice of `check_lip_p_state_sweep`, whose docstring gives
 # the measurements behind these three constants.
-_TREE_COST = 0.7            # one enumerated tree, in per-pair simplex solves
+_TREE_COST = 0.8            # one enumerated tree, in per-pair simplex solves
 _VERTEX_MAX_N = 7           # the largest n at which that cost was measured
 _HALL_MAX_CELLS = 2 ** 22   # the most Hall table entries, (K n + pairs)(2^n - 1)
 
@@ -367,12 +367,12 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
     states of C(G) acting on random n-point shortest-path and
     euclidean-sample metrics (G cyclic of order <= 6), on a 2-CPU Xeon
     host with one BLAS thread.  For finite p the array route's cost is
-    the enumeration, at most C(2n-2, n-1) trees, and each tree cost 0.6
-    to 0.8 simplex solves from n = 2 to 7 for p = 1, 2 and 3.  At p = 2
-    and n = 5 that is 8.0 against 2.0 ms for one state and 8.1 against
-    18.4 ms for ten; at n = 6, 41 against 36 ms for ten; at n = 7, 143
-    against 49 ms for ten.  So a one-state call takes the simplex unless
-    its pairs outnumber 0.7 x the trees.
+    the enumeration, at most C(2n-2, n-1) trees, and each tree cost 0.75
+    to 0.95 simplex solves from n = 3 to 7 for p = 1, 2 and 3 (0.76 at
+    n = 5).  At p = 2 and n = 5 that is 9.0 against 1.9 ms for one state
+    and 9.2 against 16.9 ms for ten; at n = 6, 41 against 27 ms for ten;
+    at n = 7, 152 against 37 ms for ten.  So a one-state call takes the
+    simplex unless its pairs outnumber 0.8 x the trees.
     For p = inf the Hall route won at every measured size with ten states
     (137 against 424 ms at n = 12 with K = 17, 347 against 671 ms at
     n = 12 with K = 67, 613 against 1725 ms at n = 14 with K = 8) and lost

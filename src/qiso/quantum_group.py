@@ -11,7 +11,7 @@ must pass at 1e-10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -313,8 +313,12 @@ def invert(g: Permutation) -> Permutation:
     return tuple(out)
 
 
-def close_generators(n: int, generators: Sequence[Sequence[int]]) -> List[Permutation]:
-    """BFS closure; identity first, then in discovery order."""
+def close_generators(n: int, generators: Sequence[Sequence[int]],
+                     max_order: Optional[int] = None) -> List[Permutation]:
+    """BFS closure; identity first, then in discovery order.  With
+    max_order, the search stops as soon as it has found more elements than
+    that and returns those, a prefix of the closure: a caller comparing
+    the length with max_order decides as it would on the whole group."""
     gens = []
     for g in generators:
         g = tuple(g)
@@ -334,6 +338,8 @@ def close_generators(n: int, generators: Sequence[Sequence[int]]) -> List[Permut
                     seen.add(h)
                     group.append(h)
                     nxt.append(h)
+                    if max_order is not None and len(group) > max_order:
+                        return group
         frontier = nxt
     return group
 

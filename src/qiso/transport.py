@@ -1,7 +1,8 @@
 """Optimal transport on finite spaces with primal/dual certificates.
 
 The workhorse is a primal network simplex for uncapacitated min-cost flow
-(spanning-tree bases kept as parent/depth arrays, Bland's rule).  Rational
+(spanning-tree bases kept as parent/depth arrays, block-search pricing,
+Cunningham's strongly feasible trees against cycling).  Rational
 data is scaled to integers once, by the lcm of its denominators, and
 pivoted exactly in plain ints; the answers are scaled back at the end.
 Transportation plans, Kantorovich potentials, coupling feasibility on a
@@ -149,21 +150,44 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     demand[v] is the required net inflow at v (negative for supply); the
     demands must balance.  Returns (flows per arc, node potentials).  The
     potentials satisfy pi[v] - pi[u] <= cost(u,v) on every arc, with
-    equality on arcs carrying flow.  Starts from an all-artificial basis
-    rooted at a virtual node; Bland's rule (lowest arc index enters, lowest
-    index leaves among ties) prevents cycling under exact pivots.
+    equality on arcs carrying flow.
+
+    The start is an all-artificial big-M basis rooted at a virtual node:
+    root -> v for a node with positive demand, v -> root otherwise, so
+    that every arc of zero flow points to the root.  That makes the tree
+    strongly feasible: positive flow can be sent from every node to the
+    root along the tree.  The leaving rule keeps it so (Cunningham 1976):
+    walking the cycle from its apex in the entering arc's direction, the
+    last blocking arc met leaves.  The tree path from the entering arc's
+    head up to the apex then has no blocking arc in a degenerate pivot,
+    so the arc that leaves cuts off a subtree holding the entering arc's
+    tail, and re-hanging it from the head raises its potentials by minus
+    the entering arc's reduced cost.  The sum of potentials thus grows
+    strictly over degenerate pivots and the objective falls strictly over
+    the others, so no basis repeats and the simplex terminates under
+    exact pivots whatever arc enters.  Pricing is therefore free to be
+    block search (Kovacs 2015; the LEMON default): the real arcs are
+    scanned cyclically from where the previous scan stopped, in blocks of
+    max(8, isqrt(m)), and the arc of most negative reduced cost in the
+    first block that has one enters.  Artificial arcs are not priced: at
+    the end every real arc has a nonnegative reduced cost, and an
+    artificial arc still carrying flow proves the demands infeasible,
+    since big-M exceeds the cost of any path that could carry that flow
+    instead.
 
     Rational data (every cost and demand an int or a Fraction) is scaled
     once to integers (costs by the lcm of their denominators, demands by
     theirs), so every pivot adds and compares plain ints; the results are
     scaled back to Fractions at the end.  Otherwise every cost and demand
     is converted to float once, on entry, so rational costs with float
-    demands pivot in floats and return floats only.  The spanning tree
-    is kept as parent/parent-arc/depth arrays with child sets: a pivot
-    walks the cycle up to the lowest common ancestor, re-roots the subtree
-    cut off by the leaving arc at the entering arc's endpoint, and
-    recomputes potentials in that subtree only, each from its parent's, so
-    that float potentials equal those of a rebuild from the root.
+    demands pivot in floats and return floats only; a float reduced cost
+    counts as negative below -1e-12 x the largest |cost|, so the result
+    does not depend on the units of the costs.  The spanning tree is kept
+    as parent/parent-arc/depth arrays with child sets: a pivot walks the
+    cycle up to the lowest common ancestor, re-roots the subtree cut off
+    by the leaving arc at the entering arc's endpoint, and recomputes
+    potentials in that subtree only, each from its parent's, so that
+    float potentials equal those of a rebuild from the root.
     """
     rational = all(is_rational(c) for _, _, c in arcs) and \
         all(is_rational(b) for b in demand)
@@ -187,8 +211,9 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
         cost = [float(c) for _, _, c in arcs]
         supply = [float(b) for b in demand]
         big = sum(abs(c) for c in cost) + 1
-        piv_eps = 1e-12
+        piv_eps = 1e-12 * max(map(abs, cost), default=0.0)
     zero = big * 0
+    work = list(zip(range(m), tail, head, cost))
 
     root = num_nodes
     flow = [zero] * m
@@ -202,7 +227,7 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     pi = [zero] * (num_nodes + 1)
     for v in range(num_nodes):
         b = supply[v]
-        if b >= 0:
+        if b > 0:
             tail.append(root)
             head.append(v)
             pi[v] = pi[root] + big
@@ -214,24 +239,34 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
         flow.append(abs(b))
         basic.append(True)
         parc[v] = m + v
-    work = list(zip(tail, head, cost))
 
+    block = max(8, math.isqrt(m))
+    nxt = 0
     for _ in range(_MAX_PIVOTS):
-        entering = -1
-        for a, (u, v, c) in enumerate(work):
-            if c + pi[u] - pi[v] < -piv_eps and not basic[a]:
-                entering = a
-                break
+        entering, best, scanned = -1, -piv_eps, 0
+        while entering < 0 and scanned < m:
+            size = min(block, m - scanned)
+            stop = nxt + size
+            for a, u, v, c in (work[nxt:stop] if stop <= m
+                               else work[nxt:] + work[:stop - m]):
+                r = c + pi[u] - pi[v]
+                if r < best and not basic[a]:
+                    best, entering = r, a
+            scanned += size
+            nxt = stop if stop < m else stop - m
         if entering < 0:
             break
         eu, ev = tail[entering], head[entering]
         # The cycle runs eu -> ev over the entering arc, then back along
         # the tree path ev -> lca -> eu.  A tree arc oriented with it gains
-        # theta, one against it loses theta; the leaving arc is the losing
-        # arc of least flow, lowest index among ties.  q is the child
-        # endpoint of the leaving arc; the subtree under q holds w_in.
+        # theta, one against it loses theta; a losing arc of least flow
+        # blocks.  Walked from the apex (the lca), the cycle meets the eu
+        # side top-down and then the ev side bottom-up, so the last
+        # blocking arc is the ev side's highest if it has one and else the
+        # eu side's lowest.  q is the child endpoint of the leaving arc;
+        # the subtree under q holds w_in.
         gain, lose = [], []
-        leaving, q, w_in = -1, -1, -1
+        out_u = out_v = q_u = q_v = -1
         u, v = eu, ev
         while u != v:
             if depth[u] > depth[v]:
@@ -240,8 +275,8 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
                     gain.append(a)
                 else:
                     lose.append(a)
-                    if leaving < 0 or (flow[a], a) < (flow[leaving], leaving):
-                        leaving, q, w_in = a, u, eu
+                    if out_u < 0 or flow[a] < flow[out_u]:
+                        out_u, q_u = a, u
                 u = parent[u]
             else:
                 a = parc[v]          # walked v -> parent[v]
@@ -249,10 +284,14 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
                     gain.append(a)
                 else:
                     lose.append(a)
-                    if leaving < 0 or (flow[a], a) < (flow[leaving], leaving):
-                        leaving, q, w_in = a, v, ev
+                    if out_v < 0 or flow[a] <= flow[out_v]:
+                        out_v, q_v = a, v
                 v = parent[v]
-        if leaving < 0:
+        if out_v >= 0 and (out_u < 0 or flow[out_v] <= flow[out_u]):
+            leaving, q, w_in = out_v, q_v, ev
+        elif out_u >= 0:
+            leaving, q, w_in = out_u, q_u, eu
+        else:
             raise UnboundedFlow("negative-cost cycle with no reverse arc")
         theta = flow[leaving]
         if theta < 0:  # float fuzz on a degenerate basis
@@ -272,11 +311,11 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
         children[parent[q]].discard(q)
         x, p, a = w_in, (ev if w_in == eu else eu), entering
         while x != q:
-            nxt, na = parent[x], parc[x]
-            children[nxt].discard(x)
+            up, na = parent[x], parc[x]
+            children[up].discard(x)
             parent[x], parc[x] = p, a
             children[p].add(x)
-            x, p, a = nxt, x, na
+            x, p, a = up, x, na
         parent[q], parc[q] = p, a
         children[p].add(q)
         stack = [w_in]
@@ -292,7 +331,8 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     if any(basic[a] and flow[a] > eps for a in range(m, m + num_nodes)):
         raise InfeasibleMarginals("artificial arc carries flow at optimum")
     if rational:
-        return ([Fraction(f, ds) for f in flow[:m]],
+        none = Fraction(0)
+        return ([Fraction(f, ds) if f else none for f in flow[:m]],
                 [Fraction(p, cs) for p in pi[:num_nodes]])
     return flow[:m], pi[:num_nodes]
 
@@ -319,7 +359,10 @@ def solve_transport(mu: ProbVector, nu: ProbVector, cost) -> TransportResult:
     flows, pi = min_cost_flow(2 * n, arcs, demand)
 
     plan = tuple(tuple(flows[i * n + j] for j in range(n)) for i in range(n))
-    value = sum(cost[i][j] * plan[i][j] for i in range(n) for j in range(n))
+    # The 2n - 1 basic flows at most are nonzero; skipping the other
+    # products leaves the sum unchanged and saves n^2 Fraction products.
+    value = sum(cost[i][j] * plan[i][j] for i in range(n) for j in range(n)
+                if plan[i][j])
     f = [-pi[i] for i in range(n)]
     g = [pi[n + j] for j in range(n)]
     shift = g[n - 1]
@@ -331,10 +374,13 @@ def solve_transport(mu: ProbVector, nu: ProbVector, cost) -> TransportResult:
 
 
 def _power_cost(space, p):
-    """The cost matrix d^p: exact for a positive integer p, float otherwise."""
+    """The cost matrix d^p: exact for a positive integer p, float otherwise.
+    Each realized distance is raised to the power once."""
     if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
-        return [[v ** int(p) for v in row] for row in space.dist]
-    return [[float(v) ** float(p) for v in row] for row in space.dist]
+        power = [v ** int(p) for v in space.realized_distances]
+    else:
+        power = [float(v) ** float(p) for v in space.realized_distances]
+    return [[power[k] for k in row] for row in space.distance_ranks]
 
 
 def transport_with_power(space: FiniteMetricSpace, mu: ProbVector,
@@ -368,7 +414,7 @@ def kantorovich_w1(space: FiniteMetricSpace, mu: ProbVector, nu: ProbVector):
     arcs = [(i, j, space.dist[i][j]) for i in range(n) for j in range(n) if i != j]
     demand = [nu.mass[i] - mu.mass[i] for i in range(n)]
     flows, pi = min_cost_flow(n, arcs, demand)
-    value = sum(c * fl for (_, _, c), fl in zip(arcs, flows))
+    value = sum(c * fl for (_, _, c), fl in zip(arcs, flows) if fl)
     witness = [-v for v in pi]
     shift = witness[n - 1]
     witness = tuple(v - shift for v in witness)

@@ -10,7 +10,8 @@ exponential in the number of points:
   data's own scalars (Fraction pivots) with the tree adjacency and the
   potentials rebuilt on every pivot; not exponential, but independent of
   the integer-scaled, incrementally maintained tree of `min_cost_flow`,
-  which must return the same flows and potentials;
+  whose objective must equal the reference's (the block-search pricing of
+  `min_cost_flow` may stop at another optimal basis than Bland's rule);
 - enumerate_lipschitz_vertices: every active set of the Lipschitz
   polytope, and enumerate_boxed_dual_vertices: every tight-pair forest
   of the boxed dual polytope, with every way of pinning its components

@@ -9,8 +9,10 @@ import pytest
 from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
                           StateFunctional, exact_psd, exact_psd_pairs,
                           extreme_state, random_state)
-from qiso.catalog import (dihedral_group_algebra, dihedral_perms,
-                          standard_actions, standard_groups)
+from qiso import quantum_group
+from qiso.catalog import (cycle_metric, dihedral_group_algebra, dihedral_perms,
+                          random_permutation_action, standard_actions,
+                          standard_groups)
 from qiso.quantum_group import (InconsistentIrreps, NotAGroup, QuantumGroup,
                                 close_generators, compose,
                                 function_algebra_of_group, group_algebra,
@@ -115,6 +117,42 @@ def test_group_closure_errors():
     assert len(close_generators(3, [(1, 2, 0), (1, 0, 2)])) == 6
     g = (2, 0, 1)
     assert compose(g, invert(g)) == (0, 1, 2)
+
+
+def test_bounded_closure_is_a_prefix():
+    """close_generators with max_order returns a prefix of the closure that
+    is longer than max_order exactly when the group is, so comparing its
+    length with max_order decides as the whole group would."""
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            gens.append(tuple(perm))
+        full = close_generators(n, gens)
+        for cap in (1, 6, 12, len(full)):
+            part = close_generators(n, gens, cap)
+            assert part == full[:len(part)]
+            assert (len(part) <= cap) == (len(full) <= cap)
+
+
+def test_random_permutation_action_stops_closure_early(monkeypatch):
+    """Seed 26 at n = 11 first draws a shuffle and a second permutation
+    that generate a large group; it is rejected after a few dozen products
+    instead of after the whole closure (S_11 took gigabytes)."""
+    real, calls = quantum_group.compose, []
+
+    def counted(a, b):
+        calls.append(1)
+        if len(calls) > 10_000:
+            raise AssertionError("closure ran past max_order")
+        return real(a, b)
+
+    monkeypatch.setattr(quantum_group, "compose", counted)
+    action = random_permutation_action(cycle_metric(11), 26)
+    assert action.group.dim <= 12
 
 
 def test_function_algebra_verifies():

@@ -102,16 +102,36 @@ def coprime_prob(rng, n):
     return prob_vector(mass + [1 - sum(mass)])
 
 
+def certify_min_cost_flow(num_nodes, arcs, demand, flows, pi):
+    """Exact optimality certificate of (flows, pi): nonnegative flows that
+    meet every demand, potentials with pi[v] - pi[u] <= c on every arc and
+    equality wherever flow is positive, everything a Fraction."""
+    assert all(isinstance(v, F) for v in flows + pi)
+    assert all(f >= 0 for f in flows)
+    net = [F(0)] * num_nodes
+    for (u, v, _), f in zip(arcs, flows):
+        net[u] -= f
+        net[v] += f
+    assert net == list(demand)
+    for (u, v, c), f in zip(arcs, flows):
+        assert pi[v] - pi[u] <= c
+        assert f == 0 or pi[v] - pi[u] == c
+
+
 def test_min_cost_flow_matches_reference(monkeypatch):
-    """The integer-scaled simplex on a maintained tree returns exactly the
-    flows and potentials of the Fraction-pivoting reference, on 200 seeded
-    rational problems routed through solve_transport and kantorovich_w1."""
+    """The integer-scaled block-search simplex reaches the objective of
+    the Fraction-pivoting reference exactly, with exactly certified flows
+    and potentials, on 200 seeded rational problems routed through
+    solve_transport and kantorovich_w1.  The two may stop at different
+    optimal bases, so flows and potentials are certified, not compared."""
     calls = []
 
     def both(num_nodes, arcs, demand, tol=1e-9):
         got = min_cost_flow(num_nodes, arcs, demand, tol)
-        assert got == min_cost_flow_reference(num_nodes, arcs, demand, tol)
-        assert all(isinstance(v, F) for part in got for v in part)
+        ref, _ = min_cost_flow_reference(num_nodes, arcs, demand, tol)
+        assert sum(c * f for (_, _, c), f in zip(arcs, got[0])) == \
+            sum(c * f for (_, _, c), f in zip(arcs, ref))
+        certify_min_cost_flow(num_nodes, arcs, demand, *got)
         calls.append(num_nodes)
         return got
 
@@ -181,6 +201,67 @@ def test_mixed_mode_runs_in_floats(monkeypatch):
         assert kantorovich_w1(sp, mu, nu) == kantorovich_w1(fl, mu, nu)
         assert calls[-2] == calls[-1]
     assert len(calls) == 400
+
+
+def test_degenerate_problems_terminate_certified(monkeypatch):
+    """Anti-cycling rests on strongly feasible trees, whatever arc the
+    block search prices in: highly degenerate exact problems (Dirac to
+    Dirac, mu = nu with zero masses, all-tied costs, on the n-cycle and
+    the equilateral metric for n = 8 to 12) finish within 4 x arcs pivots
+    through solve_transport and kantorovich_w1, each with an exactly
+    certified optimum."""
+    from qiso.catalog import cycle_metric, equilateral_metric
+    real = transport.min_cost_flow
+    calls = []
+
+    def capped(num_nodes, arcs, demand, tol=1e-9):
+        monkeypatch.setattr(transport, "_MAX_PIVOTS", 4 * len(arcs))
+        got = real(num_nodes, arcs, demand, tol)
+        certify_min_cost_flow(num_nodes, arcs, demand, *got)
+        calls.append(num_nodes)
+        return got
+
+    monkeypatch.setattr(transport, "min_cost_flow", capped)
+    for n in range(8, 13):
+        evens = [F(1 - i % 2, (n + 1) // 2) for i in range(n)]
+        odds = [F(i % 2, n // 2) for i in range(n)]
+        diracs = [(ProbVector.dirac(n, x), ProbVector.dirac(n, y))
+                  for x, y in ((0, 0), (0, n // 2), (n - 1, 1))]
+        pairs = diracs + [(prob_vector(evens), prob_vector(evens)),
+                          (prob_vector(evens), prob_vector(odds))]
+        tied = [[F(1)] * n for _ in range(n)]
+        for sp in (cycle_metric(n), equilateral_metric(n)):
+            for mu, nu in pairs:
+                w1 = transport_with_power(sp, mu, nu, 1).value
+                assert kantorovich_w1(sp, mu, nu)[0] == w1
+                assert solve_transport(mu, nu, tied).value == 1
+                if mu == nu:
+                    assert w1 == 0
+                elif (mu, nu) in diracs:
+                    assert w1 == sp.dist[mu.mass.index(1)][nu.mass.index(1)]
+    assert len(calls) == 5 * 2 * 5 * 3
+
+
+def test_float_pricing_threshold_is_scale_relative():
+    """A float reduced cost counts as negative relative to the largest
+    |cost|: on the near-symmetric 4-point metric of the isometry tests
+    scaled by 2e-5, where d^3 is of order 1e-15, W_3 is 2e-5 x its value
+    on the unscaled metric for 30 seeded Dirichlet marginal pairs."""
+    unit = validate_metric([[0.0, 1.0, 1.5, 2.0], [1.0 + 5e-10, 0.0, 1.0, 1.5],
+                            [1.5, 1.0, 0.0, 1.0], [2.0, 1.5, 1.0, 0.0]],
+                           mode="float")
+    small = validate_metric([[2e-5 * v for v in row] for row in unit.dist],
+                            mode="float")
+    rng = random.Random(13)
+
+    def dirichlet():
+        w = [rng.gammavariate(1.0, 1.0) for _ in range(4)]
+        return prob_vector([x / sum(w) for x in w])
+
+    for _ in range(30):
+        mu, nu = dirichlet(), dirichlet()
+        want = 2e-5 * wasserstein_p(unit, mu, nu, 3)
+        assert abs(wasserstein_p(small, mu, nu, 3) - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------------------
