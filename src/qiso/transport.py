@@ -331,8 +331,8 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     if any(basic[a] and flow[a] > eps for a in range(m, m + num_nodes)):
         raise InfeasibleMarginals("artificial arc carries flow at optimum")
     if rational:
-        none = Fraction(0)
-        return ([Fraction(f, ds) if f else none for f in flow[:m]],
+        no_flow = Fraction(0)
+        return ([Fraction(f, ds) if f else no_flow for f in flow[:m]],
                 [Fraction(p, cs) for p in pi[:num_nodes]])
     return flow[:m], pi[:num_nodes]
 

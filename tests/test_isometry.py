@@ -401,8 +401,7 @@ def _lip_p_state_per_pair(action, psi, p, tol, pairs=None):
     return out
 
 
-def _assert_matches_per_pair(v, action, psi, p, tol, route, pairs=None,
-                             unscaled=None):
+def _assert_matches_per_pair(v, action, psi, p, tol, route, pairs=None):
     """A sweep verdict against the per-pair oracle: the same verdict on
     the sweep's bound tol x max d, the given route, W_p^p within
     1e-12 x max d^p (W itself for p = inf), and a witness whose oracle
@@ -410,17 +409,9 @@ def _assert_matches_per_pair(v, action, psi, p, tol, route, pairs=None,
 
     W_p^p is what both routes compute, so the bound is taken there and
     carried to W and the margins at the pair compared: an error of
-    e in W_p^p moves W_p by e / (p W_p^(p-1)).  For an action on a
-    rescaled metric, `unscaled` = (action, scale) runs the oracle on the
-    original metric and scales its W and margins, W_p being linear in d:
-    the float simplex itself misjudges costs d^p of order 1e-15."""
+    e in W_p^p moves W_p by e / (p W_p^(p-1))."""
     space = action.space
-    if unscaled is None:
-        per_pair = _lip_p_state_per_pair(action, psi, p, tol, pairs)
-    else:
-        base, unit = unscaled
-        per_pair = {xy: (unit * w, unit * m) for xy, (w, m) in
-                    _lip_p_state_per_pair(base, psi, p, tol, pairs).items()}
+    per_pair = _lip_p_state_per_pair(action, psi, p, tol, pairs)
     worst_pair = max(per_pair, key=lambda xy: per_pair[xy][1])
     worst = per_pair[worst_pair][1]
     scale = float(space.max_distance)
@@ -627,8 +618,7 @@ def test_sweep_routes_match_per_pair_oracle():
     is within the sweep's tie of the largest, for p in {1, 2, 3, inf}, on
     the c07 population (catalog + 200 random actions), the 6-point D5 and
     D7 two-projection actions, the near-symmetric float action, float
-    metrics scaled to max d of order 1e-3 and 1e-5 (against the oracle on
-    the unscaled metric), and actions on both
+    metrics scaled to max d of order 1e-3 and 1e-5, and actions on both
     sides of each route choice: three states on at most 4 points against
     5 (the catalog's cyclic-5), one state against two on 4 points and two
     against ten on 5 for finite p, Hall tables under and over their cap
@@ -639,43 +629,41 @@ def test_sweep_routes_match_per_pair_oracle():
                           seed=777)
     finite, inf = (1, 2, 3), (float("inf"),)
     both = finite + inf
-    # (action, ps, number of states, route for finite p, route for inf,
-    #  the unscaled action and scale of a rescaled metric)
+    # (action, ps, number of states, route for finite p, route for inf)
     population = [build_instance(desc) for desc in instance_descriptors(config)]
     cases = [(a, both, 3, "dual-vertices" if a.n <= 4 else "simplex",
-              "hall-subsets", None) for a in population]
+              "hall-subsets") for a in population]
     cases += [(reflection_pairs_action(block_metric(3, asymmetric), m,
                                        (0, 1, 2)), both, 2, "simplex",
-               "hall-subsets", None)
+               "hall-subsets")
               for m in (5, 7) for asymmetric in (False, True)]
     near = _near_symmetric_action()
-    cases.append((near, both, 2, "dual-vertices", "hall-subsets", None))
+    cases.append((near, both, 2, "dual-vertices", "hall-subsets"))
     for name in ("dual-d4-blocks", "dual-d4-asymmetric"):
         action = {e.name: e.action for e in standard_actions()}[name]
-        cases.append((action, both, 1, "simplex", "hall-subsets", None))
+        cases.append((action, both, 1, "simplex", "hall-subsets"))
         cases += [(_scaled_float_action(a, scale), both, 3, "dual-vertices",
-                   "hall-subsets", (a, scale))
+                   "hall-subsets")
                   for a in (action, near) for scale in (1e-3, 1e-5)]
     cases += [(_small_order_action(5, seed), both, count, route,
-               "hall-subsets", None)
+               "hall-subsets")
               for seed in (1, 2)
               for count, route in ((2, "simplex"), (10, "dual-vertices"))]
-    cases += [(_small_order_action(12, 3), inf, 2, None, "hall-subsets", None),
-              (_small_order_action(15, 3), inf, 2, None, "max-flow", None)]
+    cases += [(_small_order_action(12, 3), inf, 2, None, "hall-subsets"),
+              (_small_order_action(15, 3), inf, 2, None, "max-flow")]
     cases += [(permutation_action(cycle_metric(n),
                                   [tuple((i + 1) % n for i in range(n))]),
-               inf, 2, None, route, None)
+               inf, 2, None, route)
               for n, route in ((14, "hall-subsets"), (15, "max-flow"))]
     routes = {}
-    for action, ps, count, finite_route, inf_route, unscaled in cases:
+    for action, ps, count, finite_route, inf_route in cases:
         states = [random_state(action.group.algebra, 5 * k + 2)
                   for k in range(count)]
         sweep = isometry.check_lip_p_state_sweep(action, states, ps, tol=1e-8)
         for psi, verdicts in zip(states, sweep):
             for p, v in zip(ps, verdicts):
                 route = inf_route if p == float("inf") else finite_route
-                held = _assert_matches_per_pair(v, action, psi, p, 1e-8, route,
-                                                unscaled=unscaled)
+                held = _assert_matches_per_pair(v, action, psi, p, 1e-8, route)
                 routes.setdefault(route, set()).add(held)
     assert routes == {route: {True, False} for route in
                       ("dual-vertices", "simplex", "hall-subsets", "max-flow")}

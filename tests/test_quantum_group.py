@@ -6,10 +6,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from qiso import quantum_group
 from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
                           StateFunctional, exact_psd, exact_psd_pairs,
                           extreme_state, random_state)
-from qiso import quantum_group
 from qiso.catalog import (cycle_metric, dihedral_group_algebra, dihedral_perms,
                           random_permutation_action, standard_actions,
                           standard_groups)
