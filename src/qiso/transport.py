@@ -213,7 +213,7 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
         big = sum(abs(c) for c in cost) + 1
         piv_eps = 1e-12 * max(map(abs, cost), default=0.0)
     zero = big * 0
-    work = list(zip(range(m), tail, head, cost))
+    work = list(zip(range(m), tail, head, cost)) * 2   # a block may wrap
 
     root = num_nodes
     flow = [zero] * m
@@ -246,14 +246,12 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
         entering, best, scanned = -1, -piv_eps, 0
         while entering < 0 and scanned < m:
             size = min(block, m - scanned)
-            stop = nxt + size
-            for a, u, v, c in (work[nxt:stop] if stop <= m
-                               else work[nxt:] + work[:stop - m]):
+            for a, u, v, c in work[nxt:nxt + size]:
                 r = c + pi[u] - pi[v]
                 if r < best and not basic[a]:
                     best, entering = r, a
             scanned += size
-            nxt = stop if stop < m else stop - m
+            nxt = (nxt + size) % m
         if entering < 0:
             break
         eu, ev = tail[entering], head[entering]
