@@ -23,8 +23,9 @@ space (a float space rescaled to max d = 1); for p = inf, the least
 realized radius whose Hall deficiency max_S mu(S) - nu(N(S)) is within
 the max-flow tolerance.
 Where a measured cost model says that costs more than one transport
-problem per pair (few states, or large n, or tables over a memory cap)
-it solves those instead.  Each verdict records its route.
+problem per pair (few states, or large n, or Hall tables with many
+entries per pair or over a memory cap) it solves those instead.  Each
+verdict records its route.
 
 Universal quantification over states is resolved exactly, block by
 block: the sup of psi(a) over states of a block is its largest
@@ -232,10 +233,11 @@ def check_D_state(action: CoAction, psi: StateFunctional,
 
 
 # The route choice of `check_lip_p_state_sweep`, whose docstring gives
-# the measurements behind these three constants.
+# the measurements behind these four constants.
 _TREE_COST = 0.8            # one enumerated tree, in per-pair simplex solves
 _VERTEX_MAX_N = 7           # the largest n at which that cost was measured
 _HALL_MAX_CELLS = 2 ** 22   # the most Hall table entries, (K n + pairs)(2^n - 1)
+_HALL_CELLS_PER_PAIR = 30_000   # Hall table entries costing one W_inf solve
 
 
 def _sweep_route(space, n_states: int, n_pairs: int, finite: bool) -> str:
@@ -247,7 +249,9 @@ def _sweep_route(space, n_states: int, n_pairs: int, finite: bool) -> str:
             return "dual-vertices"
         return "simplex"
     cells = (len(space.realized_distances) * n + n_pairs) * (2 ** n - 1)
-    return "hall-subsets" if cells <= _HALL_MAX_CELLS else "max-flow"
+    if cells <= min(_HALL_MAX_CELLS, _HALL_CELLS_PER_PAIR * n_pairs):
+        return "hall-subsets"
+    return "max-flow"
 
 
 def _dual_vertex_sweep(space, masses, xs, ys, p) -> np.ndarray:
@@ -357,28 +361,38 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
                      C(2n-2, n-1) <= states x pairs: `_dual_vertex_sweep`
                      over the dual vertices of d^p, enumerated once for
                      every state and pair
-      hall-subsets   p = inf, (K n + pairs)(2^n - 1) <= _HALL_MAX_CELLS
-                     with K realized distances: `_hall_sweep` over the
-                     2^n - 1 subsets and every realized radius
+      hall-subsets   p = inf and, with K realized distances, the Hall
+                     table entries (K n + pairs)(2^n - 1) at most
+                     _HALL_MAX_CELLS and _HALL_CELLS_PER_PAIR x pairs:
+                     `_hall_sweep` over the 2^n - 1 subsets and every
+                     realized radius
       simplex,       otherwise: one float transport problem per state and
       max-flow       pair (`_pair_sweep`)
 
     The constants come from timing each route on one and on ten random
-    states of C(G) acting on random n-point shortest-path and
-    euclidean-sample metrics (G cyclic of order <= 6), on a 2-CPU Xeon
-    host with one BLAS thread.  For finite p the array route's cost is
+    states (for p = inf also three) of C(G) acting on random n-point
+    shortest-path and euclidean-sample metrics (G cyclic of order <= 6),
+    and for p = inf of the rotations acting on the n-cycle, on a 2-CPU
+    Xeon host with one BLAS thread.  For finite p the array route's cost is
     the enumeration, at most C(2n-2, n-1) trees, and each tree cost 0.75
     to 0.95 simplex solves from n = 3 to 7 for p = 1, 2 and 3 (0.76 at
     n = 5).  At p = 2 and n = 5 that is 9.0 against 1.9 ms for one state
     and 9.2 against 16.9 ms for ten; at n = 6, 41 against 27 ms for ten;
     at n = 7, 152 against 37 ms for ten.  So a one-state call takes the
     simplex unless its pairs outnumber 0.8 x the trees.
-    For p = inf the Hall route won at every measured size with ten states
-    (137 against 424 ms at n = 12 with K = 17, 347 against 671 ms at
-    n = 12 with K = 67, 613 against 1725 ms at n = 14 with K = 8) and lost
-    by at most 30% with one (80 against 63 ms at n = 13 with K = 20).
-    Its tables take about 16 bytes per entry at their peak (57 MB at n = 12
-    with K = 67), so the cap bounds them by 64 MB.
+    For p = inf a state costs the Hall route 11 to 20 ns per table entry
+    and the max-flow route, one warm-started `wasserstein_inf` per pair,
+    0.3 to 0.6 ms per pair, so the two cross near 30,000 entries per pair
+    whatever the number of states.  At 25,000 or fewer Hall won with 1, 3
+    and 10 states (106 against 382 ms for ten at n = 12 with K = 7; 17
+    against 18 ms for one and 126 against 164 ms for ten at n = 11 with
+    K = 56); at 32,000 it lost with one state (53 against 35 ms at n = 12
+    with K = 38) and won by 3% with ten; from 36,000 on max-flow won with
+    every count (98 against 67 ms for one and 612 against 587 ms for ten
+    at n = 14 with K = 8; 61 against 32 and 519 against 297 ms at n = 13
+    with K = 20; 57 against 21 and 337 against 290 ms at n = 12 with
+    K = 67).  The Hall tables take about 16 bytes per entry at their peak
+    (57 MB at n = 12 with K = 67), so the cap bounds them by 64 MB.
 
     The margins W_p - d(x,y) scale with the metric, so tol is taken
     relative to the largest distance, as for (D), and the verdict does

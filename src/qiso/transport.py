@@ -6,10 +6,16 @@ Cunningham's strongly feasible trees against cycling).  Rational
 data is scaled to integers once, by the lcm of its denominators, and
 pivoted exactly in plain ints; the answers are scaled back at the end.
 Transportation plans, Kantorovich potentials, coupling feasibility on a
-restricted support (via max-flow/min-cut, on the same integer scaling),
-the bottleneck distance, and the vertices of the Kantorovich dual
-polyhedron between two sets of points (a pivot search over the spanning
-trees of K_{m,n}, one enumerator for every p) all live here.
+restricted support, the bottleneck distance, and the vertices of the
+Kantorovich dual polyhedron between two sets of points (a pivot search
+over the spanning trees of K_{m,n}, one enumerator for every p) all live
+here.  Coupling feasibility and the bottleneck distance share one
+max-flow core (`_FlowNetwork`, on the same integer scaling): a greedy
+fill pushes min(residual mu_i, residual nu_j) on each open pair in
+order, then shortest augmenting paths finish the flow.  The bottleneck
+distance builds one network over all pairs sorted by distance rank and
+warm-starts each bisection probe from the max flow of the largest
+infeasible probe before it.
 """
 
 from __future__ import annotations
@@ -432,94 +438,132 @@ class CouplingFeasibility:
     nu_neighborhood: Optional[Scalar] = None
 
 
+class _FlowNetwork:
+    """The max-flow network of a coupling problem: source -> row i with
+    capacity mu_i, column j -> sink with capacity nu_j, and uncapacitated
+    arcs i -> j on the pairs a caller opens; a coupling exists iff the max
+    flow is 1.  Rational marginals are scaled once to integers by the lcm
+    of their denominators, so that the augmentations run on plain ints.
+
+    A flow is the n x n list `plan` of its pair-arc flows; the source and
+    sink arcs carry its row and column sums.
+    """
+
+    def __init__(self, mu: ProbVector, nu: ProbVector, n: int,
+                 tol: float = 1e-9):
+        if mu.n != n or nu.n != n:
+            raise DimensionMismatch("marginals and pair set sizes differ")
+        mode = _mode_of(mu.mass, nu.mass)
+        eps = tol_for(mode, tol)
+        if abs(sum(mu.mass) - sum(nu.mass)) > eps:
+            raise InfeasibleMarginals("marginal masses differ")
+        self.n = n
+        self.rational = mode == RATIONAL
+        if self.rational:
+            self.mass, self.scale = _integer_scale(mu.mass + nu.mass)
+            self.eps = 0  # an int, so that the loops compare ints only
+        else:
+            self.mass, self.scale, self.eps = list(mu.mass + nu.mass), 1, eps
+
+    def zero_flow(self) -> List[list]:
+        zero = 0 * self.mass[0]
+        return [[zero] * self.n for _ in range(self.n)]
+
+    def max_flow(self, plan, fill, cols) -> Tuple[bool, List[bool]]:
+        """Raise the flow `plan` to a maximum one in place.  cols[i] lists
+        the columns whose arcs from row i are open; `fill` lists open pairs
+        (i, j) in the order of a first greedy pass, which pushes
+        min(residual mu_i, residual nu_j) on each.  Shortest augmenting
+        paths, found breadth-first, then raise the flow until none is
+        left.  Returns whether the flow is a coupling, and for each row
+        whether the source reaches it in the final residual graph: those
+        rows are the source side of the min cut nearest the source, the
+        same for every max flow."""
+        n, mass, eps = self.n, self.mass, self.eps
+        sent = [sum(row) for row in plan]
+        got = [sum(col) for col in zip(*plan)]
+        for i, j in fill:
+            push = min(mass[i] - sent[i], mass[n + j] - got[j])
+            if push > eps:
+                plan[i][j] += push
+                sent[i] += push
+                got[j] += push
+        while True:
+            # from_col[i]: the column that reached row i over a backward
+            # arc, -1 for the source; from_row[j]: the row that reached j
+            from_col = [-1 if mass[i] - sent[i] > eps else None
+                        for i in range(n)]
+            from_row = [None] * n
+            queue = [i for i in range(n) if from_col[i] is not None]
+            end = None
+            for i in queue:
+                for j in cols[i]:
+                    if from_row[j] is not None:
+                        continue
+                    from_row[j] = i
+                    if mass[n + j] - got[j] > eps:
+                        end = j
+                        break
+                    for k in range(n):
+                        if from_col[k] is None and plan[k][j] > eps:
+                            from_col[k] = j
+                            queue.append(k)
+                if end is not None:
+                    break
+            if end is None:
+                break
+            bottleneck = mass[n + end] - got[end]
+            j = end
+            while True:
+                i = from_row[j]
+                j = from_col[i]
+                if j < 0:
+                    bottleneck = min(bottleneck, mass[i] - sent[i])
+                    break
+                bottleneck = min(bottleneck, plan[i][j])
+            got[end] += bottleneck
+            j = end
+            while True:
+                i = from_row[j]
+                plan[i][j] += bottleneck
+                j = from_col[i]
+                if j < 0:
+                    sent[i] += bottleneck
+                    break
+                plan[i][j] -= bottleneck
+        value = sum(sent)
+        if self.rational:
+            feasible = value == self.scale
+        else:
+            feasible = abs(value - 1) <= max(eps * n, eps)
+        return feasible, [c is not None for c in from_col]
+
+    def coupling(self, plan, mu: ProbVector, nu: ProbVector) -> Coupling:
+        if self.rational:
+            zero, scale = Fraction(0), self.scale
+            plan = [[Fraction(f, scale) if f else zero for f in row]
+                    for row in plan]
+        return Coupling(tuple(tuple(row) for row in plan), mu, nu)
+
+
 def feasible_coupling_on(mu: ProbVector, nu: ProbVector, Y: PairSet,
                          tol: float = 1e-9) -> CouplingFeasibility:
     """Find a (mu, nu)-coupling supported on Y, or certify none exists.
 
-    Max-flow: source->i with capacity mu_i, j->sink with capacity nu_j,
-    uncapacitated arcs on Y; a coupling exists iff the max flow is 1.  On
-    failure the source side of a min cut yields S with nu(p12^Y(S)) < mu(S).
-    Rational marginals are scaled once to integers by the lcm of their
-    denominators, so the augmentations run on plain ints.
+    Max-flow on the network of `_FlowNetwork` with the arcs of Y open,
+    from a greedy fill of Y's pairs in row-major order; a coupling exists
+    iff the max flow is 1.  On failure the source side of the min cut
+    nearest the source yields S with nu(p12^Y(S)) < mu(S).
     """
-    n = mu.n
-    if nu.n != n or Y.n != n:
-        raise DimensionMismatch("marginals and pair set sizes differ")
-    mode = _mode_of(mu.mass, nu.mass)
-    eps = tol_for(mode, tol)
-    if abs(sum(mu.mass) - sum(nu.mass)) > eps:
-        raise InfeasibleMarginals("marginal masses differ")
-
-    rational = mode == RATIONAL
-    if rational:
-        mass, scale = _integer_scale(mu.mass + nu.mass)
-        eps = 0  # an int, so that the loop compares ints only
-    else:
-        mass, scale = list(mu.mass + nu.mass), 1
-    zero = 0 * mass[0]
-    source, sink = 2 * n, 2 * n + 1
-    ends = [(source, i) for i in range(n)] + \
-        [(n + j, sink) for j in range(n)] + \
-        [(i, n + j) for i, j in Y.pairs()]
-    cap = mass + [2 * scale] * (len(ends) - 2 * n)
-    flow = [zero] * len(ends)
-    # adj[u] lists (v, arc, forward): residual cap - flow forward, flow back
-    adj = [[] for _ in range(2 * n + 2)]
-    for a, (u, v) in enumerate(ends):
-        adj[u].append((v, a, True))
-        adj[v].append((u, a, False))
-
-    def bfs():
-        """Shortest augmenting path as (arc, forward) pairs, or None, and
-        the predecessor table of the nodes reached."""
-        pred = [None] * (2 * n + 2)
-        pred[source] = (source, -1, True)
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == sink:
-                break
-            for v, a, fwd in adj[u]:
-                if pred[v] is None and \
-                        (cap[a] - flow[a] if fwd else flow[a]) > eps:
-                    pred[v] = (u, a, fwd)
-                    queue.append(v)
-        if pred[sink] is None:
-            return None, pred
-        path = []
-        node = sink
-        while node != source:
-            node, a, fwd = pred[node]
-            path.append((a, fwd))
-        return path, pred
-
-    while True:
-        path, reach = bfs()
-        if path is None:
-            break
-        bottleneck = min(cap[a] - flow[a] if fwd else flow[a]
-                         for a, fwd in path)
-        for a, fwd in path:
-            if fwd:
-                flow[a] += bottleneck
-            else:
-                flow[a] -= bottleneck
-
-    value = sum(flow[:n])
-    if rational:
-        feasible = value == scale
-    else:
-        feasible = abs(value - 1) <= max(eps * n, eps)
+    n = Y.n
+    net = _FlowNetwork(mu, nu, n, tol)
+    cols = [[j for j in range(n) if Y.member[i][j]] for i in range(n)]
+    plan = net.zero_flow()
+    feasible, reached = net.max_flow(plan, list(Y.pairs()), cols)
     if feasible:
-        plan = [[0 * mu.mass[0]] * n for _ in range(n)]
-        for a in range(2 * n, len(ends)):
-            i, j = ends[a]
-            plan[i][j - n] = Fraction(flow[a], scale) if rational else flow[a]
-        return CouplingFeasibility(True, Coupling(
-            tuple(tuple(row) for row in plan), mu, nu), None)
-
-    S = frozenset(i for i in range(n) if reach[i] is not None)
-    neighborhood = frozenset(j for i in S for j in range(n) if (i, j) in Y)
+        return CouplingFeasibility(True, net.coupling(plan, mu, nu), None)
+    S = frozenset(i for i in range(n) if reached[i])
+    neighborhood = frozenset(j for i in S for j in cols[i])
     return CouplingFeasibility(False, None, S,
                                mu_S=mu(S), nu_neighborhood=nu(neighborhood))
 
@@ -538,33 +582,53 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     Feasibility is a step function of r jumping only at realized distances,
     so the search bisects over the sorted realized values (any r between
     two realized values has the same feasibility as the lower one).  The
-    probe at values[k] keeps the pairs of `space.distance_ranks` at most
+    probe at values[k] opens the pairs of `space.distance_ranks` at most
     `top`, the last index whose value is <= values[k] + tol: integer
     comparisons that select exactly the pairs of sublevel_set(space,
     values[k]), float near-ties within tol included.
+
+    Every probe runs on one `_FlowNetwork`, whose masses are scaled once,
+    with the n^2 pairs sorted by rank, so that a probe's pairs are a prefix
+    of them.  A probe starts from the max flow of the largest infeasible
+    probe so far, which stays a flow for every larger `top` (the warm
+    start of parametric max-flow; Gallo, Grigoriadis and Tarjan 1989), and
+    its greedy fill visits the pairs opened since: on the others that max
+    flow leaves no residual mu_i and nu_j to push together.  The lower
+    violator is the min-cut side of the largest infeasible probe.
     """
     values = space.realized_distances
     ranks = space.distance_ranks
     tol = tol_for(space.mode, space.tol)
+    n = space.n
+    net = _FlowNetwork(mu, nu, n)
+    arcs = sorted((ranks[i][j], i, j) for i in range(n) for j in range(n))
+    arc_ranks = [r for r, _, _ in arcs]
+    warm, warm_open = net.zero_flow(), 0
+
+    def probe(k):
+        top = bisect_right(values, values[k] + tol) - 1
+        opened = bisect_right(arc_ranks, top)
+        cols = [[] for _ in range(n)]
+        for _, i, j in arcs[:opened]:
+            cols[i].append(j)
+        plan = [row[:] for row in warm]
+        fill = [(i, j) for _, i, j in arcs[warm_open:opened]]
+        feasible, reached = net.max_flow(plan, fill, cols)
+        return feasible, plan, opened, reached
+
     lo, hi = 0, len(values) - 1  # values[-1] is always feasible
-    cache = {}
-
-    def feas(k):
-        if k not in cache:
-            top = bisect_right(values, values[k] + tol) - 1
-            Y = PairSet(tuple(tuple(r <= top for r in row) for row in ranks))
-            cache[k] = feasible_coupling_on(mu, nu, Y)
-        return cache[k]
-
+    witness = lower = None
     while lo < hi:
         mid = (lo + hi) // 2
-        if feas(mid).feasible:
-            hi = mid
+        feasible, plan, opened, reached = probe(mid)
+        if feasible:
+            hi, witness = mid, plan
         else:
-            lo = mid + 1
-    witness = feas(lo)
-    lower = feas(lo - 1).violator if lo > 0 else None
-    return WInfResult(values[lo], witness.coupling, lower)
+            lo, warm, warm_open = mid + 1, plan, opened
+            lower = frozenset(i for i in range(n) if reached[i])
+    if witness is None:  # no probe below values[-1] was feasible
+        witness = probe(hi)[1]
+    return WInfResult(values[lo], net.coupling(witness, mu, nu), lower)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,17 @@ exponential in the number of points:
   AlgElements and one SVD per operator norm; not exponential, but
   independent of the product table and the block-by-block norms of
   `verify_quantum_group`, which must report the same residuals;
+- feasible_coupling_reference: max-flow as first written, augmenting
+  from zero flow on an arc-list residual graph; not exponential, but
+  independent of the greedy fill, the warm start and the plan-matrix
+  flows of `feasible_coupling_on` and `wasserstein_inf`;
 - wasserstein_inf_linear_scan: the first realized distance r, in
-  increasing order, whose sublevel set carries a coupling; not
-  exponential, but independent of the distance ranks and the bisection
-  of `wasserstein_inf`, which must return the same r, plan and violator;
+  increasing order, whose sublevel set carries a coupling by
+  `feasible_coupling_reference`; not exponential, but independent of
+  the distance ranks, the bisection and the shared max-flow core of
+  `wasserstein_inf`, which must return the same r and violator (the
+  min-cut side nearest the source, the same for every max flow) and a
+  plan that couples the marginals on the same sublevel set;
 - commutator_defects_by_entry, check_D_by_entry, check_D_state_by_entry,
   check_D_commutant_by_entry, generation_deficit_by_entry and
   verify_coaction_by_entry: condition (D), its commutant form, the
@@ -82,15 +89,15 @@ from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
                            _eigen_state, _exact_entries, _rationalize,
                            _use_exact, check_winf_universal)
-from qiso.metric import (FiniteMetricSpace, ball, level_set,
+from qiso.metric import (FiniteMetricSpace, PairSet, ball, level_set,
                          lipschitz_constant, sublevel_set)
 from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
-from qiso.transport import (_MAX_PIVOTS, DualPotentials, InfeasibleMarginals,
-                            ProbVector, UnboundedFlow, _integer_scale,
-                            WInfResult, _power_cost, enumerate_dual_vertices,
-                            feasible_coupling_on, prob_vector,
-                            transport_with_power)
+from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
+                            DualPotentials, InfeasibleMarginals, ProbVector,
+                            UnboundedFlow, WInfResult, _integer_scale,
+                            _mode_of, _power_cost, enumerate_dual_vertices,
+                            prob_vector, transport_with_power)
 
 
 def apply_delta(qg: QuantumGroup, elem: AlgElement) -> np.ndarray:
@@ -982,6 +989,103 @@ def lip_p_universal_full_sweep(action: CoAction, p, tol: float = 1e-9,
 # W_inf by a linear scan of the sublevel sets
 
 
+def feasible_coupling_reference(mu: ProbVector, nu: ProbVector, Y: PairSet,
+                                tol: float = 1e-9) -> CouplingFeasibility:
+    """Find a (mu, nu)-coupling supported on Y, or certify none exists:
+    `feasible_coupling_on` as first written, augmenting from zero flow on
+    its own arc-list residual graph, without a greedy fill or warm start.
+
+    Max-flow: source->i with capacity mu_i, j->sink with capacity nu_j,
+    uncapacitated arcs on Y; a coupling exists iff the max flow is 1.  On
+    failure the source side of a min cut yields S with nu(p12^Y(S)) < mu(S).
+    Rational marginals are scaled once to integers by the lcm of their
+    denominators, so the augmentations run on plain ints.
+    """
+    n = mu.n
+    if nu.n != n or Y.n != n:
+        raise DimensionMismatch("marginals and pair set sizes differ")
+    mode = _mode_of(mu.mass, nu.mass)
+    eps = tol_for(mode, tol)
+    if abs(sum(mu.mass) - sum(nu.mass)) > eps:
+        raise InfeasibleMarginals("marginal masses differ")
+
+    rational = mode == RATIONAL
+    if rational:
+        mass, scale = _integer_scale(mu.mass + nu.mass)
+        eps = 0  # an int, so that the loop compares ints only
+    else:
+        mass, scale = list(mu.mass + nu.mass), 1
+    zero = 0 * mass[0]
+    source, sink = 2 * n, 2 * n + 1
+    ends = [(source, i) for i in range(n)] + \
+        [(n + j, sink) for j in range(n)] + \
+        [(i, n + j) for i, j in Y.pairs()]
+    cap = mass + [2 * scale] * (len(ends) - 2 * n)
+    flow = [zero] * len(ends)
+    # adj[u] lists (v, arc, forward): residual cap - flow forward, flow back
+    adj = [[] for _ in range(2 * n + 2)]
+    for a, (u, v) in enumerate(ends):
+        adj[u].append((v, a, True))
+        adj[v].append((u, a, False))
+
+    def bfs():
+        """Shortest augmenting path as (arc, forward) pairs, or None, and
+        the predecessor table of the nodes reached."""
+        pred = [None] * (2 * n + 2)
+        pred[source] = (source, -1, True)
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            if u == sink:
+                break
+            for v, a, fwd in adj[u]:
+                if pred[v] is None and \
+                        (cap[a] - flow[a] if fwd else flow[a]) > eps:
+                    pred[v] = (u, a, fwd)
+                    queue.append(v)
+        if pred[sink] is None:
+            return None, pred
+        path = []
+        node = sink
+        while node != source:
+            node, a, fwd = pred[node]
+            path.append((a, fwd))
+        return path, pred
+
+    while True:
+        path, reach = bfs()
+        if path is None:
+            break
+        bottleneck = min(cap[a] - flow[a] if fwd else flow[a]
+                         for a, fwd in path)
+        for a, fwd in path:
+            if fwd:
+                flow[a] += bottleneck
+            else:
+                flow[a] -= bottleneck
+
+    value = sum(flow[:n])
+    if rational:
+        feasible = value == scale
+    else:
+        feasible = abs(value - 1) <= max(eps * n, eps)
+    if feasible:
+        plan = [[0 * mu.mass[0]] * n for _ in range(n)]
+        for a in range(2 * n, len(ends)):
+            i, j = ends[a]
+            plan[i][j - n] = Fraction(flow[a], scale) if rational else flow[a]
+        return CouplingFeasibility(True, Coupling(
+            tuple(tuple(row) for row in plan), mu, nu), None)
+
+    S = frozenset(i for i in range(n) if reach[i] is not None)
+    neighborhood = frozenset(j for i in S for j in range(n) if (i, j) in Y)
+    return CouplingFeasibility(False, None, S,
+                               mu_S=mu(S), nu_neighborhood=nu(neighborhood))
+
+
+
+
+
 def wasserstein_inf_linear_scan(space: FiniteMetricSpace, mu: ProbVector,
                                 nu: ProbVector) -> WInfResult:
     """The least realized r with a (mu, nu)-coupling on sublevel_set(space,
@@ -989,7 +1093,7 @@ def wasserstein_inf_linear_scan(space: FiniteMetricSpace, mu: ProbVector,
     r just below, as in `wasserstein_inf`."""
     below = None
     for r in space.realized_distances:
-        res = feasible_coupling_on(mu, nu, sublevel_set(space, r))
+        res = feasible_coupling_reference(mu, nu, sublevel_set(space, r))
         if res.feasible:
             return WInfResult(r, res.coupling, below)
         below = res.violator

@@ -621,10 +621,12 @@ def test_sweep_routes_match_per_pair_oracle():
     metrics scaled to max d of order 1e-3 and 1e-5, and actions on both
     sides of each route choice: three states on at most 4 points against
     5 (the catalog's cyclic-5), one state against two on 4 points and two
-    against ten on 5 for finite p, Hall tables under and over their cap
-    (n = 12, 14 against 15) for p = inf, where the rotations of the
-    n-cycle hold and the order-6 actions fail.  Each route both holds and
-    fails."""
+    against ten on 5 for finite p, and for p = inf Hall tables within
+    both of their bounds (n = 12 and the 13-cycle), over
+    _HALL_CELLS_PER_PAIR entries per pair but within the cap (n = 13 with
+    K = 33 and the 14-cycle) and over the cap (n = 15), where the
+    rotations of the n-cycle hold and the order-6 actions fail.  Each
+    route both holds and fails."""
     config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
                           seed=777)
     finite, inf = (1, 2, 3), (float("inf"),)
@@ -649,12 +651,14 @@ def test_sweep_routes_match_per_pair_oracle():
                "hall-subsets")
               for seed in (1, 2)
               for count, route in ((2, "simplex"), (10, "dual-vertices"))]
-    cases += [(_small_order_action(12, 3), inf, 2, None, "hall-subsets"),
-              (_small_order_action(15, 3), inf, 2, None, "max-flow")]
+    cases += [(_small_order_action(n, seed), inf, 2, None, route)
+              for n, seed, route in ((12, 3, "hall-subsets"),
+                                     (13, 1, "max-flow"),
+                                     (15, 3, "max-flow"))]
     cases += [(permutation_action(cycle_metric(n),
                                   [tuple((i + 1) % n for i in range(n))]),
                inf, 2, None, route)
-              for n, route in ((14, "hall-subsets"), (15, "max-flow"))]
+              for n, route in ((13, "hall-subsets"), (14, "max-flow"))]
     routes = {}
     for action, ps, count, finite_route, inf_route in cases:
         states = [random_state(action.group.algebra, 5 * k + 2)

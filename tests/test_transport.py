@@ -6,7 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from qiso import transport
-from qiso.metric import PairSet, random_metric_space, validate_metric
+from qiso.errors import DimensionMismatch
+from qiso.metric import (PairSet, random_metric_space, sublevel_set,
+                         validate_metric)
+from qiso.scalars import is_rational
 from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
                             _power_cost, enumerate_dual_vertices,
                             feasible_coupling_on, kantorovich_w1,
@@ -411,11 +414,59 @@ def _near_tie_space(n, rng):
     return validate_metric(dist, mode="float")
 
 
+def _assert_winf_matches_linear_scan(sp, mu, nu):
+    """r and the lower violator equal the linear scan's, and the plan is a
+    coupling of (mu, nu) on {d <= r}: exact marginals for rational ones,
+    within tol for float ones.  Plans are not compared, as a max flow is
+    not unique."""
+    got = wasserstein_inf(sp, mu, nu)
+    want = wasserstein_inf_linear_scan(sp, mu, nu)
+    assert got.r == want.r
+    assert got.lower_violator == want.lower_violator
+    plan = got.plan
+    assert plan.mu == mu and plan.nu == nu
+    plan.check_marginals()
+    entries = [v for row in plan.plan for v in row]
+    assert all(v >= 0 for v in entries)
+    if all(is_rational(m) for m in mu.mass + nu.mass):
+        assert all(is_rational(v) for v in entries)
+    Y = sublevel_set(sp, got.r)
+    assert all((i, j) in Y for i, j in plan.support())
+
+
+def _float_marginals(rng, m):
+    return (prob_vector([w / sum(ws) for w in ws]) for ws in
+            ([rng.choice((0.0, rng.random())) + 1e-3 for _ in range(m)]
+             for _ in range(2)))
+
+
+def perfbench_transport_problem(n, k):
+    """The k-th fixed size-n problem of perfbench's transport workload,
+    `transport_problem(n, reference_seed(n, k))` in perfbench/workloads.py:
+    a shortest-path-graph metric and two marginals with masses w_i / 4n,
+    exact and as floats."""
+    seed = (k * 1_000_003 + n) % 2 ** 31
+    rng = random.Random(seed)
+    space = random_metric_space(n, seed)
+    marginals = []
+    for _ in range(2):
+        weights = [1] * n
+        for _ in range(3 * n):
+            weights[rng.randrange(n)] += 1
+        marginals.append([F(w, 4 * n) for w in weights])
+    fl = validate_metric([[float(v) for v in row] for row in space.dist],
+                         mode="float")
+    return ((space, *map(prob_vector, marginals)),
+            (fl, *(prob_vector([float(m) for m in ms]) for ms in marginals)))
+
+
 def test_winf_ranks_match_linear_scan():
-    """The bisection on distance ranks returns the r, plan and lower
-    violator of scanning the sublevel sets in increasing order, on seeded
-    rational and float spaces with n <= 8, rational and float marginals,
-    and float spaces with realized distances closer than tol."""
+    """The bisection on distance ranks returns the r and lower violator of
+    scanning the sublevel sets in increasing order, and a coupling on the
+    sublevel set of r, on seeded rational and float spaces with n <= 12,
+    rational and float marginals, float spaces with realized distances
+    closer than tol, and the n = 16 and 20 reference problems of the
+    benchmark's transport workload, exact and float."""
     rng = random.Random(29)
     for trial in range(60):
         n = rng.randint(2, 8)
@@ -433,14 +484,50 @@ def test_winf_ranks_match_linear_scan():
             if kind == 0 and rng.random() < 0.5:
                 mu, nu = rand_prob(rng, m), rand_prob(rng, m)
             else:
-                mu, nu = (prob_vector([w / sum(ws) for w in ws]) for ws in
-                          ([rng.choice((0.0, rng.random())) + 1e-3
-                            for _ in range(m)] for _ in range(2)))
-            got = wasserstein_inf(sp, mu, nu)
-            want = wasserstein_inf_linear_scan(sp, mu, nu)
-            assert got.r == want.r
-            assert got.plan == want.plan
-            assert got.lower_violator == want.lower_violator
+                mu, nu = _float_marginals(rng, m)
+            _assert_winf_matches_linear_scan(sp, mu, nu)
+    rng = random.Random(31)
+    for trial in range(24):
+        n = rng.randint(9, 12)
+        kind = trial % 3
+        if kind == 0:
+            sp = random_metric_space(n, rng.randint(0, 9999))
+            mu, nu = rand_prob(rng, n), rand_prob(rng, n)
+        elif kind == 1:
+            sp = random_metric_space(n, rng.randint(0, 9999), "euclidean-sample")
+            mu, nu = _float_marginals(rng, n)
+        else:
+            sp = _near_tie_space(n, rng)
+            mu, nu = _float_marginals(rng, n)
+        _assert_winf_matches_linear_scan(sp, mu, nu)
+    for n, k in ((20, 1), (20, 6), (16, 2), (16, 3)):
+        for sp, mu, nu in perfbench_transport_problem(n, k):
+            _assert_winf_matches_linear_scan(sp, mu, nu)
+
+
+def test_coupling_checks_at_the_boundary():
+    """feasible_coupling_on and wasserstein_inf reject marginals whose
+    sizes differ from each other or from the pair set or space, and
+    marginals of different total mass."""
+    three = ProbVector.uniform(3)
+    two = ProbVector.uniform(2)
+    for mu, nu, Y in ((two, three, PairSet.all_pairs(3)),
+                      (three, two, PairSet.all_pairs(3)),
+                      (three, three, PairSet.all_pairs(2)),
+                      (two, two, PairSet.all_pairs(3))):
+        with pytest.raises(DimensionMismatch):
+            feasible_coupling_on(mu, nu, Y)
+        space = THREE if Y.n == 3 else TWO
+        with pytest.raises(DimensionMismatch):
+            wasserstein_inf(space, mu, nu)
+    heavy = ProbVector((F(1, 2), F(1, 2), F(1, 2)))
+    light = ProbVector((0.25, 0.25, 0.25))
+    for mu, nu in ((heavy, three), (three, heavy), (light, three),
+                   (ProbVector((1 / 3,) * 3), light)):
+        with pytest.raises(InfeasibleMarginals):
+            feasible_coupling_on(mu, nu, PairSet.all_pairs(3))
+        with pytest.raises(InfeasibleMarginals):
+            wasserstein_inf(THREE, mu, nu)
 
 
 def test_winf_dominates_all_wp():
