@@ -383,16 +383,17 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
     For p = inf a state costs the Hall route 11 to 20 ns per table entry
     and the max-flow route, one warm-started `wasserstein_inf` per pair,
     0.3 to 0.6 ms per pair, so the two cross near 30,000 entries per pair
-    whatever the number of states.  At 25,000 or fewer Hall won with 1, 3
-    and 10 states (106 against 382 ms for ten at n = 12 with K = 7; 17
-    against 18 ms for one and 126 against 164 ms for ten at n = 11 with
-    K = 56); at 32,000 it lost with one state (53 against 35 ms at n = 12
-    with K = 38) and won by 3% with ten; from 36,000 on max-flow won with
-    every count (98 against 67 ms for one and 612 against 587 ms for ten
-    at n = 14 with K = 8; 61 against 32 and 519 against 297 ms at n = 13
-    with K = 20; 57 against 21 and 337 against 290 ms at n = 12 with
-    K = 67).  The Hall tables take about 16 bytes per entry at their peak
-    (57 MB at n = 12 with K = 67), so the cap bounds them by 64 MB.
+    whatever the number of states.  At 25,000 or fewer Hall won, or lost
+    by at most 5%, with 1, 3 and 10 states (106 against 382 ms for ten at
+    n = 12 with K = 7; 17 against 18 ms for one and 126 against 164 ms
+    for ten at n = 11 with K = 56); at 32,000 it lost with one state (53
+    against 35 ms at n = 12 with K = 38) and won by 3 to 8% with ten;
+    from 36,000 on max-flow won with every count (98 against 67 ms for one
+    and 612 against 587 ms for ten at n = 14 with K = 8; 61 against 32 and
+    519 against 297 ms at n = 13 with K = 20; 57 against 21 and 337
+    against 290 ms at n = 12 with K = 67).  The Hall tables take about 16
+    bytes per entry at their peak (57 MB at n = 12 with K = 67), so the
+    cap bounds them by 64 MB.
 
     The margins W_p - d(x,y) scale with the metric, so tol is taken
     relative to the largest distance, as for (D), and the verdict does
