@@ -136,6 +136,37 @@ def operator_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(mats, 2, axis=(-2, -1))
 
 
+# Below this entry size a Frobenius sum of squares may have lost terms to
+# underflow, so it no longer bounds the spectral norm from above.
+_FROBENIUS_FLOOR = 1e-140
+
+
+def max_operator_norm(mats: np.ndarray) -> float:
+    """The largest spectral norm in a stack of square matrices (..., m, m),
+    bitwise equal to `operator_norms(mats).max()`, or NaN when an entry is
+    not finite.
+
+    Since ||M||_2 <= ||M||_F, only a matrix whose Frobenius norm reaches
+    the spectral norm of the one with the largest Frobenius norm can hold
+    the maximum; those are the only ones decomposed, that one included.
+    The 1e-12 margin covers the rounding of both norms, and a matrix whose
+    Frobenius sum may have overflowed (inf) or underflowed (entries below
+    _FROBENIUS_FLOOR) is always decomposed."""
+    if mats.ndim == 2:
+        mats = mats[None]
+    absval = np.abs(mats)
+    scale = absval.max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        return float("nan")
+    if mats.shape[-1] == 1 or scale.max() == 0:
+        return float(scale.max())
+    frob = np.sqrt(np.einsum("...ij,...ij->...", absval, absval))
+    top = np.unravel_index(np.argmax(frob), frob.shape)
+    bound = np.linalg.svd(mats[top], compute_uv=False)[0] * (1 - 1e-12)
+    keep = (frob >= bound) | ((scale > 0) & (scale < _FROBENIUS_FLOOR))
+    return float(np.linalg.svd(mats[keep], compute_uv=False)[:, 0].max())
+
+
 def element_norms(algebra: FinDimCStarAlgebra, X: np.ndarray) -> np.ndarray:
     """The operator norms of the elements X[..., a] of the algebra (their
     coefficient vectors on the last axis): the largest spectral norm over

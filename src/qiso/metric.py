@@ -37,6 +37,10 @@ class NonzeroDiagonal(MetricError):
     pass
 
 
+class NonFiniteDistance(MetricError):
+    pass
+
+
 class TriangleViolation(MetricError):
     pass
 
@@ -139,6 +143,11 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
     tol = tol_for(mode, DEFAULT_TOL if tolerance is None else tolerance)
 
     dist = tuple(tuple(row) for row in matrix)
+    for i, row in enumerate(dist):
+        for j, v in enumerate(row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NonFiniteDistance(f"d({i},{j}) = {v} is not finite",
+                                        witness=(i, j))
     for i in range(n):
         if abs(dist[i][i]) > tol:
             raise NonzeroDiagonal(f"d({i},{i}) = {dist[i][i]} != 0", witness=(i,))

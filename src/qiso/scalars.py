@@ -12,6 +12,7 @@ float once, on entry to the simplex.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -31,17 +32,23 @@ def is_rational(x: Scalar) -> bool:
 
 
 def parse_scalar(value, mode: str = RATIONAL) -> Scalar:
-    """Read a JSON scalar: a number, or a rational written as "p/q"."""
+    """Read a JSON scalar: a finite number, or a rational written as "p/q".
+    NaN and the infinities, which Python's json reads, raise ValueError, as
+    does a value beyond the float range in float mode."""
     if isinstance(value, str):
-        frac = Fraction(value)
-        return frac if mode == RATIONAL else float(frac)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        value = Fraction(value)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"not a scalar: {value!r}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"not a finite scalar: {value!r}")
     if mode == RATIONAL:
         # Floats in rational input files are accepted verbatim; they are
         # exact binary rationals by definition.
         return Fraction(value)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"scalar beyond the float range: {value!r}") from None
 
 
 def format_scalar(x: Scalar):

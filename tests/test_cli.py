@@ -11,7 +11,8 @@ from qiso.catalog import (dihedral_projection_action, four_point_blocks,
                           permutation_action, standard_actions,
                           three_point_isosceles)
 from qiso.fileio import (distribution_to_dict, load_coaction, load_distribution,
-                         load_quantum_group, load_space, quantum_group_from_dict,
+                         load_quantum_group, load_space, parse_complex,
+                         quantum_group_from_dict,
                          quantum_group_to_dict, save_coaction,
                          save_quantum_group, save_space, space_from_dict,
                          space_to_dict, state_from_dict, state_to_dict)
@@ -29,6 +30,16 @@ def test_scalar_codec():
     assert format_scalar(F(3, 4)) == "3/4"
     assert format_scalar(F(2)) == 2
     assert format_scalar(0.5) == 0.5
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for mode in ("rational", "float"):
+            with pytest.raises(ValueError):
+                parse_scalar(bad, mode)
+        with pytest.raises(ValueError):
+            parse_complex([0.0, bad])
+    for huge in ("1" + "0" * 400, 10 ** 400):  # exact, but no float
+        assert parse_scalar(huge) == 10 ** 400
+        with pytest.raises(ValueError):
+            parse_scalar(huge, "float")
 
 
 def test_space_roundtrip(tmp_path):
@@ -120,6 +131,36 @@ def test_cli_validate_rejects(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 3, "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}))
     code, doc = run_cli(capsys, "validate", str(bad))
     assert code == 3 and not doc["valid"] and doc["witness"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_cli_metric_file_with_non_finite_entry_is_invalid_input(tmp_path, capsys, bad):
+    path = tmp_path / "space.json"
+    path.write_text('{"n": 2, "mode": "float", "dist": [[0, %s], [%s, 0]]}'
+                    % (bad, bad))
+    code = main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out and "finite" in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_cli_quantum_group_file_with_non_finite_entry_is_invalid_input(
+        tmp_path, capsys, bad):
+    """A NaN or infinite antipode entry in the group file of a coaction is
+    rejected when the file is read, whichever command reads it."""
+    act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
+    path = tmp_path / "act.json"
+    save_coaction(str(path), act)
+    group_path = tmp_path / "act.group.json"
+    doc = json.loads(group_path.read_text())
+    doc["kappa"][1][1] = bad
+    group_path.write_text(json.dumps(doc))  # writes NaN / Infinity
+    for argv in (["check", str(path), "--condition", "d"], ["envelope", str(path)]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "finite" in err
+    with pytest.raises(ValueError):
+        quantum_group_from_dict(doc)
 
 
 def test_cli_missing_file_is_invalid_input(capsys):

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qiso.metric import (AsymmetricMatrix, NegativeDistance, NonzeroDiagonal,
-                         PairSet, TriangleViolation, ball, level_set,
+from qiso.metric import (AsymmetricMatrix, NegativeDistance, NonFiniteDistance,
+                         NonzeroDiagonal, PairSet, TriangleViolation, ball, level_set,
                          lipschitz_constant, random_metric_space,
                          sublevel_set, validate_metric)
 from qiso.errors import DimensionMismatch
@@ -44,6 +44,18 @@ def test_asymmetric_and_diagonal_and_negative_rejected():
         validate_metric([[0, -1], [-1, 0]], mode="rational")
     with pytest.raises(DimensionMismatch):
         validate_metric([[0, 1, 2], [1, 0, 1]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_distance_rejected(bad):
+    """NaN passes every comparison the other checks make, and inf passes
+    all but the triangle's, so a non-finite entry is rejected first."""
+    for matrix in ([[0.0, bad], [bad, 0.0]],
+                   [[0.0, 1.0, bad], [1.0, 0.0, 1.0], [bad, 1.0, 0.0]]):
+        for mode in ("float", None):
+            with pytest.raises(NonFiniteDistance) as exc:
+                validate_metric(matrix, mode=mode)
+            assert exc.value.witness == (0, len(matrix) - 1)
 
 
 def test_lipschitz_constant_examples():

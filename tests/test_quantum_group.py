@@ -6,17 +6,20 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qiso import quantum_group
+from qiso import coaction, quantum_group
 from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
                           StateFunctional, exact_psd, exact_psd_pairs,
-                          extreme_state, random_state)
+                          extreme_state, max_operator_norm, operator_norms,
+                          random_state)
 from qiso.catalog import (cycle_metric, dihedral_group_algebra, dihedral_perms,
                           random_permutation_action, standard_actions,
                           standard_groups)
-from qiso.quantum_group import (InconsistentIrreps, NotAGroup, QuantumGroup,
-                                close_generators, compose,
+from qiso.coaction import CoAction, verify_coaction
+from qiso.quantum_group import (InconsistentIrreps, KacViolation, NotAGroup,
+                                QuantumGroup, close_generators, compose,
                                 function_algebra_of_group, group_algebra,
-                                haar_state, invert, verify_quantum_group)
+                                haar_state, invert, require_kac,
+                                verify_quantum_group)
 
 from oracles import (apply_kappa, psd_by_principal_minors,
                      verify_quantum_group_dense)
@@ -93,6 +96,54 @@ def test_exact_psd_matches_principal_minors():
         verdicts[kind].add(verdict)
     assert verdicts == {"full": {True}, "singular": {True},
                         "negative": {True, False}, "zero-pivot": {False}}
+
+
+def test_max_operator_norm_equals_unscreened_max():
+    """max_operator_norm is == to the largest of operator_norms on seeded
+    complex stacks of 1x1 to 6x6 matrices: with exact-zero matrices, with
+    matrices sharing one set of singular values (their Frobenius norms
+    tie), rank-one matrices (Frobenius norm equal to the spectral norm),
+    and scaled so far that the Frobenius sums underflow (1e-160, 1e-170)
+    or overflow (1e155), alone and mixed with other scales."""
+    rng = np.random.default_rng(1515)
+
+    def ginibre(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for m in (1, 2, 4, 6):
+        for trial in range(12):
+            mats = ginibre(14, m, m)
+            mats[rng.random(14) < 0.3] = 0.0
+            # U diag(s) V with one s: equal spectral and Frobenius norms
+            s = np.sort(rng.random(m))[::-1] * 4
+            for k in rng.choice(14, size=4, replace=False):
+                u, _ = np.linalg.qr(ginibre(m, m))
+                v, _ = np.linalg.qr(ginibre(m, m))
+                mats[k] = (u * s) @ v
+            mats[rng.integers(14)] = np.linalg.qr(ginibre(m, m))[0] * 4
+            # rank one, norm 5: Frobenius norm equal to the spectral norm
+            for k in rng.choice(14, size=3, replace=False):
+                x, y = ginibre(m), ginibre(m)
+                mats[k] = 5 * np.outer(x / np.linalg.norm(x), y / np.linalg.norm(y))
+            for scale in (1.0, 1e-150, 1e150, 1e-160, 1e-170, 1e155):
+                scaled = mats * scale
+                assert max_operator_norm(scaled) == operator_norms(scaled).max(), \
+                    (m, trial, scale)
+            mixed = mats * rng.choice([1e-170, 1e-160, 1e-150, 1.0, 1e150, 1e155],
+                                      size=(14, 1, 1))
+            assert max_operator_norm(mixed) == operator_norms(mixed).max(), (m, trial)
+            stacked = mats[:12].reshape(3, 4, m, m)
+            assert max_operator_norm(stacked) == operator_norms(stacked).max()
+        assert max_operator_norm(np.zeros((3, m, m))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_max_operator_norm_of_a_non_finite_stack_is_nan(bad):
+    rng = np.random.default_rng(7)
+    for m in (1, 2, 4):
+        mats = rng.normal(size=(6, m, m)) * 1e3 + 0j
+        mats[rng.integers(6), rng.integers(m), rng.integers(m)] = bad
+        assert np.isnan(max_operator_norm(mats))
 
 
 def test_state_roundtrip_and_sampling():
@@ -214,6 +265,79 @@ def test_blockwise_verifier_matches_dense_reference():
             kappa[rng.randrange(dim), rng.randrange(dim)] += size
         mutated = QuantumGroup(qg.algebra, delta, epsilon, kappa)
         _assert_same_residuals(mutated, (fault, qg.name, target, size))
+
+
+def test_screened_residuals_equal_unscreened(monkeypatch):
+    """Every residual of verify_quantum_group and verify_coaction is == to
+    the one computed with the plain maximum of operator_norms in place of
+    the Frobenius screen: on the catalog groups and actions, C(D4)-C(D8),
+    dual-D10, and 40 seeded single-entry faults in delta, epsilon, kappa
+    and u."""
+    catalog_actions = [e.action for e in standard_actions()]
+    clean = [a.group for a in catalog_actions] + standard_groups() + \
+        [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+         for m in range(4, 9)] + [dihedral_group_algebra(10)]
+    rng = random.Random(1515)
+    groups, actions = list(clean), list(catalog_actions)
+    for _ in range(40):
+        action = rng.choice(catalog_actions)
+        qg = action.group
+        delta, epsilon, kappa = qg.delta.copy(), qg.epsilon.copy(), qg.kappa.copy()
+        size = rng.choice((1e-3, 0.1, 1.0)) * rng.choice((1, -1, 1j))
+        index = lambda: rng.randrange(qg.dim)
+        target = rng.choice(("delta", "epsilon", "kappa", "u"))
+        if target == "delta":
+            delta[index(), index(), index()] += size
+        elif target == "epsilon":
+            epsilon[index()] += size
+        elif target == "kappa":
+            kappa[index(), index()] += size
+        else:
+            u = [list(row) for row in action.u]
+            i, j = rng.randrange(action.n), rng.randrange(action.n)
+            vec = u[i][j].vec()
+            vec[index()] += size
+            u[i][j] = qg.algebra.from_vec(vec)
+            actions.append(CoAction(qg, action.space, u))
+            continue
+        groups.append(QuantumGroup(qg.algebra, delta, epsilon, kappa))
+
+    def residuals():
+        return ([verify_quantum_group(qg).residuals for qg in groups],
+                [verify_coaction(a, check_faithful=False).residuals
+                 for a in actions])
+
+    screened = residuals()
+    unscreened = lambda mats: float(operator_norms(mats).max())
+    monkeypatch.setattr(quantum_group, "max_operator_norm", unscreened)
+    monkeypatch.setattr(coaction, "max_operator_norm", unscreened)
+    assert residuals() == screened
+
+
+@pytest.mark.parametrize("target", ["delta", "epsilon", "kappa"])
+def test_nan_in_a_structure_map_fails_verification(target):
+    """A NaN in delta, epsilon or kappa makes the residuals it reaches NaN,
+    and a NaN residual fails: worst() is NaN, passed() is False and
+    failing() lists it.  require_kac rejects a NaN antipode."""
+    for qg in (function_algebra_of_group(dihedral_perms(4), name="C(D4)"),
+               dihedral_group_algebra(4)):
+        delta, epsilon, kappa = qg.delta.copy(), qg.epsilon.copy(), qg.kappa.copy()
+        if target == "delta":
+            delta[1, 2, 3] = np.nan
+        elif target == "epsilon":
+            epsilon[2] = np.nan
+        else:
+            kappa[1, 1] = np.nan
+        broken = QuantumGroup(qg.algebra, delta, epsilon, kappa)
+        report = verify_quantum_group(broken)
+        nan_keys = {k for k, v in report.residuals.items() if np.isnan(v)}
+        assert len(nan_keys) >= 6, (qg.name, nan_keys)
+        assert np.isnan(report.worst())
+        assert not report.passed(1e-10) and not report.passed(np.inf)
+        assert nan_keys <= set(report.failing(1e-10))
+        if target == "kappa":
+            with pytest.raises(KacViolation):
+                require_kac(broken)
 
 
 def test_corrupted_delta_is_detected():
