@@ -152,8 +152,6 @@ def max_operator_norm(mats: np.ndarray) -> float:
     The 1e-12 margin covers the rounding of both norms, and a matrix whose
     Frobenius sum may have overflowed (inf) or underflowed (entries below
     _FROBENIUS_FLOOR) is always decomposed."""
-    if mats.ndim == 2:
-        mats = mats[None]
     absval = np.abs(mats)
     scale = absval.max(axis=(-2, -1))
     if not np.isfinite(scale).all():
