@@ -182,17 +182,6 @@ def hermitian_max_eig(mat: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # exact positivity for rational self-adjoint blocks
 
-def exact_psd(elem: AlgElement) -> bool:
-    """Exact semidefiniteness test for elements with rational entries.
-
-    Floats are converted exactly (every float is a binary rational), so
-    this decides positivity of the stored matrices with no tolerance.
-    """
-    return all(exact_psd_pairs([[(Fraction(float(v.real)), Fraction(float(v.imag)))
-                                 for v in row] for row in mat])
-               for mat in elem.data)
-
-
 def exact_psd_pairs(pairs) -> bool:
     """PSD test for a Hermitian matrix given as (re, im) Fraction pairs.
 

@@ -87,11 +87,14 @@ def verify_coaction(action: CoAction, tol: float = 1e-9,
     return rep
 
 
-def generation_deficit(action: CoAction, tol: float = 1e-9) -> int:
+def generation_deficit(action: CoAction, tol: float = 1e-9) -> float:
     """dim A minus the dimension of the algebra generated by the u-entries:
     an orthonormal basis of the span of the unit and the entries is
     multiplied by every entry, block by block, and re-ranked by SVD (cut
-    at max(tol, 1e-10)) until the rank stops growing."""
+    at max(tol, 1e-10)) until the rank stops growing.  NaN when an entry
+    of u is not finite, since the rank is then undefined."""
+    if not np.isfinite(action.coeffs).all():
+        return float("nan")
     alg = action.group.algebra
     n2 = action.n * action.n
     vecs = np.vstack([action.group.unit_vec(), action.coeffs.reshape(n2, alg.dim)])

@@ -202,9 +202,12 @@ class EnvelopeResult:
 
 
 def envelope(action: CoAction, tol: float = 1e-9) -> EnvelopeResult:
-    """Defects -> generated ideal -> Hopf saturation -> verified quotient."""
+    """Defects -> generated ideal -> Hopf saturation -> verified quotient.
+    The defects are linear in d, so the ideal is cut at tol x max d, as
+    `check_D` cuts them; the structure maps are cut at tol."""
     qg = action.group
-    ideal0 = generated_ideal(qg, commutator_defects(action), tol)
+    ideal0 = generated_ideal(qg, commutator_defects(action),
+                             tol * float(action.space.max_distance))
     ideal, added = hopf_saturate(qg, ideal0, tol)
     quotient, survivors = quotient_quantum_group(qg, ideal)
     induced = induced_action(action, quotient, survivors)

@@ -19,9 +19,8 @@ rounding give one witness.
 The sampled per-state Lip_p sweep takes all states of an instance at
 once and reads W_p off precomputed dual data as array maxima: for finite
 p, the largest f.mu + g.nu over the dual vertices of d^p on the whole
-space (a float space rescaled to max d = 1); for p = inf, the least
-realized radius whose Hall deficiency max_S mu(S) - nu(N(S)) is within
-the max-flow tolerance.
+space; for p = inf, the least realized radius whose Hall deficiency
+max_S mu(S) - nu(N(S)) is within the max-flow tolerance.
 Where a measured cost model says that costs more than one transport
 problem per pair (few states, or large n, or Hall tables with many
 entries per pair or over a memory cap) it solves those instead.  Each
@@ -37,16 +36,18 @@ and y on that block (`transport.enumerate_dual_vertices`, at most block
 size points each).  The coupling-support conditions reduce to the
 vanishing of the pairwise products u_xj u_yk off the (sub)level set.  In
 rational mode near-ties are re-decided by exact fraction-free
-elimination; float mode uses Hermitian eigensolvers with one tolerance.
-Tolerances are relative to the largest distance (its p-th power for the
-Lip_p eigenvalue bounds), so no verdict depends on the metric's units.
+elimination; float mode uses Hermitian eigensolvers with one tolerance;
+the space's mode says which.  Tolerances are relative to the largest
+distance (its p-th power for the Lip_p eigenvalue bounds), and distances
+compare within the space's `dtol`, so no verdict depends on the metric's
+units.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, List, Optional, Tuple
@@ -58,9 +59,10 @@ from .algebra import (StateFunctional, element_norms, exact_psd_pairs,
 from .coaction import CoAction, act_on_point
 from .errors import QisoError
 from .metric import level_set
-from .scalars import RATIONAL, tol_for
+from .scalars import RATIONAL
 from .transport import (_power_cost, enumerate_dual_vertices,
-                        solve_transport, wasserstein_inf)
+                        feasible_coupling_on, solve_transport,
+                        wasserstein_inf)
 
 
 class KappaConventionMismatch(QisoError):
@@ -161,12 +163,6 @@ def _block_supports(action: CoAction) -> List[List[Tuple[int, ...]]]:
              np.einsum("xjaa->xj", stack).real] for stack in action.stacks]
 
 
-def _use_exact(action: CoAction, mode: str) -> bool:
-    if mode == "float":
-        return False
-    return action.space.mode == RATIONAL
-
-
 # ---------------------------------------------------------------------------
 # condition (D)
 
@@ -190,7 +186,7 @@ def _defect_verdict(tag: str, residuals: np.ndarray, space,
     residuals scale with the metric, so tol is taken relative to the
     largest distance and the verdict does not depend on its units."""
     worst = float(residuals.max())
-    if worst <= tol * float(max(map(max, space.dist))):
+    if worst <= tol * float(space.max_distance):
         return IsometryVerdict(tag, True, certificate={"max_residual": worst})
     x, y = divmod(int(np.argmax(residuals >= worst * (1 - 1e-12))), space.n)
     return IsometryVerdict(tag, False, witness={
@@ -258,24 +254,13 @@ def _dual_vertex_sweep(space, masses, xs, ys, p) -> np.ndarray:
     """W_p for every state and pair, as the largest f.mu + g.nu over the
     vertices (f, g) of the dual polyhedron of d^p on the whole space:
     the dual LP's value, attained at a vertex because the polyhedron is
-    pointed and the objective bounded above on it.
-
-    The enumerator treats float slacks within the space's tolerance as
-    ties and merges vertices that agree to 9 decimals, both absolute
-    cut-offs.  A float space is therefore enumerated at max d = 1 and
-    W_p scaled back, W_p being linear in d, so that both cut-offs are
-    relative to max d^p."""
-    unit = 1.0
-    if space.mode != RATIONAL:
-        unit = float(space.max_distance)
-        space = replace(space, dist=tuple(tuple(v / unit for v in row)
-                                          for row in space.dist))
+    pointed and the objective bounded above on it."""
     vertices = enumerate_dual_vertices(space, p)
     F = np.array([[float(v) for v in vert.f] for vert in vertices])
     G = np.array([[float(v) for v in vert.g] for vert in vertices])
     power = np.array([((mass @ F.T)[xs] + (mass @ G.T)[ys]).max(-1)
                       for mass in masses])
-    return unit * np.maximum(power, 0.0) ** (1.0 / float(p))
+    return np.maximum(power, 0.0) ** (1.0 / float(p))
 
 
 def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
@@ -291,9 +276,8 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     """
     n = space.n
     values = space.realized_distances
-    tol = tol_for(space.mode, space.tol)
     ranks = np.array(space.distance_ranks)
-    near = np.array([ranks <= bisect_right(values, v + tol) - 1
+    near = np.array([ranks <= bisect_right(values, v + space.dtol) - 1
                      for v in values], dtype=float)          # (K, n, n)
     subsets = (np.arange(1, 2 ** n)[:, None] >> np.arange(n)) & 1
     reach = subsets @ near                                   # (K, 2^n-1, n)
@@ -450,8 +434,8 @@ def _eigen_state(action: CoAction, k: int, mat: np.ndarray) -> StateFunctional:
     return extreme_state(action.group.algebra, k, xi)
 
 
-def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
-                          mode: str = "auto") -> IsometryVerdict:
+def check_lip_p_universal(action: CoAction, p,
+                          tol: float = 1e-9) -> IsometryVerdict:
     """Exact universal (Lip_p) decision for finite p, block by block.
 
     The map psi -> W_p^p(x <| psi, y <| psi) is convex, so its sup sits on
@@ -474,15 +458,15 @@ def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
     vertex and the u entries (each rationalized once).
     """
     if p == float("inf") or p == "inf":
-        return check_winf_universal(action, tol=tol, mode=mode)
+        return check_winf_universal(action, tol=tol)
     if p < 1:
         raise ValueError("p must be >= 1")
     space = action.space
     dist = space.dist
-    rational = _use_exact(action, mode)
+    rational = space.mode == RATIONAL
     exact = rational and float(p).is_integer()
     tag = f"Lip_{p}(universal)"
-    scale = float(max(map(max, dist))) ** float(p)
+    scale = float(space.max_distance) ** float(p)
     stacks = action.stacks
     supports = _block_supports(action)
     vertices = {}        # (L_x, L_y) -> dual vertices, with float (f, g)
@@ -544,11 +528,10 @@ def check_lip_p_universal(action: CoAction, p, tol: float = 1e-9,
                            certificate={"max_margin": 0.0 if worst is None else worst})
 
 
-def check_lip1_universal(action: CoAction, tol: float = 1e-9,
-                         mode: str = "auto") -> IsometryVerdict:
+def check_lip1_universal(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
     """`check_lip_p_universal` at p = 1, under the name that the package
     exports and the benchmark's condition table calls."""
-    return check_lip_p_universal(action, 1, tol=tol, mode=mode)
+    return check_lip_p_universal(action, 1, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +539,7 @@ def check_lip1_universal(action: CoAction, tol: float = 1e-9,
 
 
 def _support_universal(action: CoAction, tag: str, level_only: bool,
-                       tol: float, mode: str) -> IsometryVerdict:
+                       tol: float) -> IsometryVerdict:
     """Every state admits a coupling of (x <| psi, y <| psi) on Y, the
     (sub)level set of d(x,y), iff u_xj u_yk = 0 for every (j, k) outside Y.
 
@@ -568,11 +551,11 @@ def _support_universal(action: CoAction, tag: str, level_only: bool,
     (Banica 2005).  Each product is decided blockwise as
     lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, over the
     pairs of `_state_pairs` and the supports of `_block_supports`, with
-    d(j, k) compared to d(x, y) within the metric's tolerance."""
+    d(j, k) compared to d(x, y) within the space's `dtol`."""
     space = action.space
     dist = space.dist
-    dtol = tol_for(space.mode, space.tol)
-    exact = _use_exact(action, mode)
+    dtol = space.dtol
+    exact = space.mode == RATIONAL
     supports = _block_supports(action)
     worst = 0.0
     for x, y in _state_pairs(space):
@@ -596,16 +579,14 @@ def _support_universal(action: CoAction, tag: str, level_only: bool,
     return IsometryVerdict(tag, True, certificate={"max_residual": worst})
 
 
-def check_winf_universal(action: CoAction, tol: float = 1e-9,
-                         mode: str = "auto") -> IsometryVerdict:
+def check_winf_universal(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
     """All states admit a coupling supported on pairs at distance <= d(x,y)."""
-    return _support_universal(action, "Lip_inf(universal)", False, tol, mode)
+    return _support_universal(action, "Lip_inf(universal)", False, tol)
 
 
-def check_theorem_main(action: CoAction, tol: float = 1e-9,
-                       mode: str = "auto") -> IsometryVerdict:
+def check_theorem_main(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
     """All states admit a coupling supported on the exact level set."""
-    return _support_universal(action, "main(universal)", True, tol, mode)
+    return _support_universal(action, "main(universal)", True, tol)
 
 
 def check_level_coupling_state(action: CoAction, psi: StateFunctional,
@@ -614,12 +595,11 @@ def check_level_coupling_state(action: CoAction, psi: StateFunctional,
     solver on each pair of `_state_pairs`.  On an exactly symmetric d the
     level set is symmetric, so (y, x) repeats (x, y), and the first failing
     pair in x-major order over all ordered pairs has x < y anyway."""
-    from .hall import HallInstance, decide_hall
     space = action.space
     images = [act_on_point(action, x, psi, tol=tol) for x in range(space.n)]
     for x, y in _state_pairs(space):
         Y = level_set(space, space.dist[x][y])
-        verdict = decide_hall(HallInstance(images[x], images[y], Y))
+        verdict = feasible_coupling_on(images[x], images[y], Y)
         if not verdict.feasible:
             return IsometryVerdict("main(state)", False, witness={
                 "pair": (x, y), "violating_subset": sorted(verdict.violator)})

@@ -1,7 +1,11 @@
 """Finite metric spaces, their derived point/pair sets, and Lipschitz data.
 
 Points are dense indices 0..n-1; labels are cosmetic.  Distances are either
-all rational (exact mode) or all float (comparisons within a tolerance).
+all rational (exact mode) or all float.  The space owns the one distance
+tolerance, `dtol`: 0 in rational mode, so that every comparison is exact,
+and tol x max d in float mode, so that no comparison of distances depends
+on their units.  `validate_metric` checks the axioms at the same relative
+scale.
 """
 
 from __future__ import annotations
@@ -126,12 +130,22 @@ class FiniteMetricSpace:
     def max_distance(self) -> Scalar:
         return self.realized_distances[-1]
 
+    @cached_property
+    def dtol(self) -> Scalar:
+        """Two distances within dtol of each other compare equal: 0 in
+        rational mode, tol x max d in float mode."""
+        if self.mode == RATIONAL:
+            return Fraction(0)
+        return self.tol * float(self.max_distance)
+
 
 def validate_metric(matrix, tolerance: Scalar = None, labels=None,
                     mode: str = None) -> FiniteMetricSpace:
     """Check the metric axioms and return the validated space.
 
-    Errors carry a witness: the offending index pair or triple.
+    In float mode each axiom holds within `tolerance` (default 1e-9) times
+    the largest |entry|; in rational mode exactly.  Errors carry a
+    witness: the offending index pair or triple.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -140,7 +154,7 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
         raise DimensionMismatch("empty distance matrix")
     if mode is None:
         mode = RATIONAL if all(is_rational(v) for row in matrix for v in row) else FLOAT
-    tol = tol_for(mode, DEFAULT_TOL if tolerance is None else tolerance)
+    rel = DEFAULT_TOL if tolerance is None else tolerance
 
     dist = tuple(tuple(row) for row in matrix)
     for i, row in enumerate(dist):
@@ -148,6 +162,7 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
             if isinstance(v, float) and not math.isfinite(v):
                 raise NonFiniteDistance(f"d({i},{j}) = {v} is not finite",
                                         witness=(i, j))
+    tol = tol_for(mode, rel) * max(abs(v) for row in dist for v in row)
     for i in range(n):
         if abs(dist[i][i]) > tol:
             raise NonzeroDiagonal(f"d({i},{i}) = {dist[i][i]} != 0", witness=(i,))
@@ -175,7 +190,7 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
         if len(labels) != n:
             raise DimensionMismatch("label count differs from point count")
     return FiniteMetricSpace(n=n, dist=dist, labels=labels, mode=mode,
-                             tol=float(tol) if tol else DEFAULT_TOL)
+                             tol=float(rel) if rel else DEFAULT_TOL)
 
 
 def lipschitz_constant(space: FiniteMetricSpace, f: RealFunction) -> Scalar:
@@ -196,20 +211,20 @@ def ball(space: FiniteMetricSpace, x: int, interval) -> frozenset:
     lo, hi = interval
     if not (0 <= lo <= hi):
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    tol = tol_for(space.mode, space.tol)
+    tol = space.dtol
     return frozenset(j for j in range(space.n)
                      if lo - tol <= space.dist[x][j] <= hi + tol)
 
 
 def level_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
-    """{(i,j) : d(i,j) = r}, exactly in rational mode, within tol otherwise."""
-    tol = tol_for(space.mode, space.tol)
+    """{(i,j) : d(i,j) = r}, exactly in rational mode, within dtol otherwise."""
+    tol = space.dtol
     return PairSet(tuple(tuple(abs(v - r) <= tol for v in row) for row in space.dist))
 
 
 def sublevel_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
     """{(i,j) : d(i,j) <= r}."""
-    bound = r + tol_for(space.mode, space.tol)
+    bound = r + space.dtol
     return PairSet(tuple(tuple(v <= bound for v in row) for row in space.dist))
 
 

@@ -294,6 +294,8 @@ def haar_state(qg: QuantumGroup, tol: float = 1e-9) -> HaarResult:
     dim = qg.dim
     unit_vec = qg.unit_vec()
     D3 = qg.delta
+    if not np.isfinite(D3).all():
+        raise NoInvariantState("delta has a non-finite entry")
     # row (a, g) of left invariance: sum_b D3[b,g,a] h_b - h_a unit[g] = 0;
     # row (a, b) of right invariance: sum_g D3[b,g,a] h_g - h_a unit[b] = 0
     unit_diag = np.einsum("ab,g->agb", np.eye(dim), unit_vec)

@@ -2,12 +2,15 @@
 
 Every quantity in the metric/transport/feasibility layers is either a
 ``fractions.Fraction`` (rational mode: comparisons are exact, tolerance 0)
-or a ``float`` (float mode: comparisons use a single run-wide tolerance,
-default 1e-9).  The mode is fixed by the inputs: a computation is exact
-only when every input is rational.  One float input makes it float, so
-float marginals on a rational space (the masses x <| psi of a state, say)
-give a float transport computation, whose rational costs are converted to
-float once, on entry to the simplex.
+or a ``float`` (float mode: comparisons within one run-wide tolerance,
+default 1e-9).  In float mode distances compare within tol x max d, the
+space's `dtol`, so that no verdict depends on the metric's units; masses,
+which have none, compare within tol itself.  The mode is fixed by the
+inputs: a computation is exact only when every input is rational.  One
+float input makes it float, so float marginals on a rational space (the
+masses x <| psi of a state, say) give a float transport computation,
+whose rational costs are converted to float once, on entry to the
+simplex.
 """
 
 from __future__ import annotations

@@ -216,7 +216,9 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     else:
         cost = [float(c) for _, _, c in arcs]
         supply = [float(b) for b in demand]
-        big = sum(abs(c) for c in cost) + 1
+        # in the costs' own units, so that small costs keep their digits
+        # next to it; when every cost is 0 any positive value serves
+        big = 2 * sum(abs(c) for c in cost) or 1.0
         piv_eps = 1e-12 * max(map(abs, cost), default=0.0)
     zero = big * 0
     work = list(zip(range(m), tail, head, cost)) * 2   # a block may wrap
@@ -583,9 +585,9 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     so the search bisects over the sorted realized values (any r between
     two realized values has the same feasibility as the lower one).  The
     probe at values[k] opens the pairs of `space.distance_ranks` at most
-    `top`, the last index whose value is <= values[k] + tol: integer
-    comparisons that select exactly the pairs of sublevel_set(space,
-    values[k]), float near-ties within tol included.
+    `top`, the last index whose value is <= values[k] + space.dtol:
+    integer comparisons that select exactly the pairs of
+    sublevel_set(space, values[k]), float near-ties within dtol included.
 
     Every probe runs on one `_FlowNetwork`, whose masses are scaled once,
     with the n^2 pairs sorted by rank, so that a probe's pairs are a prefix
@@ -598,7 +600,7 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     """
     values = space.realized_distances
     ranks = space.distance_ranks
-    tol = tol_for(space.mode, space.tol)
+    tol = space.dtol
     n = space.n
     net = _FlowNetwork(mu, nu, n)
     arcs = sorted((ranks[i][j], i, j) for i in range(n) for j in range(n))
@@ -666,8 +668,9 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
     once.
 
     Rational data runs in ints scaled by the lcm of its denominators and
-    comes back as Fractions; float data treats slacks within the space's
-    tolerance as ties.
+    comes back as Fractions.  Float data treats slacks within eps = tol x
+    the largest cost as ties and keeps one vertex per cell of side eps, so
+    that the vertices found do not depend on the units of the costs.
     """
     power = _power_cost(space, p)
     rows = range(space.n) if rows is None else rows
@@ -680,7 +683,7 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
         eps, zero = 0, 0
     else:
         work = [float(v) for v in flat]
-        eps, zero = space.tol, 0.0
+        eps, zero = space.tol * max(work), 0.0
     # Node a is f_a and node m + b is g_b; edge k = a n + b joins them.
     root = m + n - 1
 
@@ -752,7 +755,7 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
     vertices = {}
     while queue:
         val, nxt = pivots(queue.popleft())
-        key = tuple(val) if exact else tuple(round(v, 9) for v in val)
+        key = tuple(round(v / eps) for v in val) if eps else tuple(val)
         if key not in vertices:
             if exact:
                 val = [Fraction(v, scale) for v in val]

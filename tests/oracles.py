@@ -27,7 +27,8 @@ exponential in the number of points:
   `check_lip_p_universal`;
 - psd_by_principal_minors: the sign of every principal minor (2^(2b) of
   them for a b x b complex block), against the fraction-free symmetric
-  elimination of `exact_psd_pairs`;
+  elimination of `exact_psd_pairs`; exact_psd applies that elimination
+  to the stored blocks of an AlgElement, for the subset oracle;
 - support_universal_bruteforce: positivity of a_{y;N(S)} - a_{x;S} for
   every pair and every subset S, against the pairwise orthogonality
   criterion of `check_theorem_main` and `check_winf_universal`;
@@ -64,6 +65,8 @@ exponential in the number of points:
   the tests compare with (D) and per-state Lip_1;
 - with_ordered_pairs: a pairwise universal check run over every ordered
   pair, as before it visited x < y only on an exactly symmetric d;
+- scaled_twin: an action on its metric times a scale, exact or as a
+  float space, for the unit-independence and metamorphic tests;
 - apply_delta, apply_kappa, counit and min_eig: Delta, kappa and the
   counit applied to one AlgElement, and its smallest eigenvalue, for the
   per-element oracles above and the tests.
@@ -82,15 +85,14 @@ from unittest import mock
 import numpy as np
 
 from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
-                          exact_psd, exact_psd_pairs, extreme_state,
-                          hermitian_max_eig)
+                          exact_psd_pairs, extreme_state, hermitian_max_eig)
 from qiso.coaction import CoAction, act_on_function
 from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
                            _eigen_state, _exact_entries, _rationalize,
-                           _use_exact, check_winf_universal)
+                           check_winf_universal)
 from qiso.metric import (FiniteMetricSpace, PairSet, ball, level_set,
-                         lipschitz_constant, sublevel_set)
+                         lipschitz_constant, sublevel_set, validate_metric)
 from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
@@ -652,6 +654,17 @@ def psd_by_principal_minors(pairs) -> bool:
     return True
 
 
+def exact_psd(elem: AlgElement) -> bool:
+    """Exact semidefiniteness test for elements with rational entries.
+
+    Floats are converted exactly (every float is a binary rational), so
+    this decides positivity of the stored matrices with no tolerance.
+    """
+    return all(exact_psd_pairs([[(Fraction(float(v.real)), Fraction(float(v.imag)))
+                                 for v in row] for row in mat])
+               for mat in elem.data)
+
+
 def a_element(action: CoAction, x: int, S) -> AlgElement:
     """The quantum indicator of "x lands in S": sum_{j in S} u_xj."""
     acc = action.group.algebra.zero()
@@ -671,7 +684,7 @@ def _lambda_min_geq0(elem: AlgElement, tol: float, exact: bool) -> Tuple[bool, f
 
 
 def support_universal_bruteforce(action: CoAction, tag: str, level_only: bool,
-                                 tol: float, mode: str,
+                                 tol: float,
                                  max_points: int = 20) -> IsometryVerdict:
     """For all x, y and every subset S, the element a_{y;T} - a_{x;S} with
     T = p12^Y(S) must be positive, where Y is the (sub)level set of d(x,y).
@@ -680,7 +693,7 @@ def support_universal_bruteforce(action: CoAction, tag: str, level_only: bool,
     n = space.n
     if n > max_points:
         raise SizeGuardExceeded(f"subset exhaustion guarded at n <= {max_points}")
-    exact = _use_exact(action, mode)
+    exact = space.mode == RATIONAL
     worst = None
     for x, y in _ordered_pairs(n):
         Y = (level_set if level_only else sublevel_set)(space, space.dist[x][y])
@@ -904,8 +917,8 @@ def _exact_prob(mass) -> Optional[ProbVector]:
     return ProbVector(tuple(fracs))
 
 
-def lip_p_universal_full_sweep(action: CoAction, p, tol: float = 1e-9,
-                               mode: str = "auto") -> IsometryVerdict:
+def lip_p_universal_full_sweep(action: CoAction, p,
+                               tol: float = 1e-9) -> IsometryVerdict:
     """Exact universal (Lip_p) decision, blockwise.
 
     The map psi -> W_p^p(x <| psi, y <| psi) is convex, so its sup over
@@ -918,11 +931,11 @@ def lip_p_universal_full_sweep(action: CoAction, p, tol: float = 1e-9,
     shift-invariant objective is attained at one of its vertices.
     """
     if p == float("inf") or p == "inf":
-        return check_winf_universal(action, tol=tol, mode=mode)
+        return check_winf_universal(action, tol=tol)
     if p < 1:
         raise ValueError("p must be >= 1")
     space = action.space
-    exact = _use_exact(action, mode) and float(p).is_integer()
+    exact = space.mode == RATIONAL and float(p).is_integer()
     tag = f"Lip_{p}(universal)"
     blocks = action.group.algebra.blocks
     stacks = [_block_stack(action, k) for k in range(len(blocks))]
@@ -1277,6 +1290,21 @@ def with_ordered_pairs(check, action: CoAction, *args, **kwargs) -> IsometryVerd
     with mock.patch("qiso.isometry._state_pairs",
                     lambda space: _ordered_pairs(space.n)):
         return check(action, *args, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# an action on a rescaled metric
+
+
+def scaled_twin(action: CoAction, scale, float_mode: bool) -> CoAction:
+    """The action on its metric times `scale`: exactly, or as a float space
+    whose entries are the exact products rounded once."""
+    scale = Fraction(scale)
+    dist = [[Fraction(v) * scale for v in row] for row in action.space.dist]
+    if float_mode:
+        dist = [[float(v) for v in row] for row in dist]
+    return CoAction(action.group, validate_metric(dist), action.u,
+                    name=action.name)
 
 
 # ---------------------------------------------------------------------------

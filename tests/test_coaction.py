@@ -93,6 +93,22 @@ def test_generation_deficit_matches_entry_reference():
             generation_deficit_by_entry(action), action.name
 
 
+def test_nan_entry_makes_the_faithfulness_deficit_nan():
+    """One NaN coefficient of u[0][0] makes the faithfulness deficit NaN, so
+    the report fails, instead of the SVD raising LinAlgError."""
+    action = {e.name: e.action for e in standard_actions()}["dual-d4-blocks"]
+    u = [list(row) for row in action.u]
+    vec = u[0][0].vec()
+    vec[0] = np.nan
+    u[0][0] = action.group.algebra.from_vec(vec)
+    broken = CoAction(action.group, action.space, u)
+    assert np.isnan(generation_deficit(broken))
+    report = verify_coaction(broken)
+    assert np.isnan(report.residuals["faithfulness_deficit"])
+    assert not report.passed(1e-10)
+    assert "faithfulness_deficit" in report.failing(1e-10)
+
+
 def test_act_on_point_counit_gives_dirac():
     act = permutation_action(cycle_metric(3), [(1, 2, 0)])
     eps = act.group.counit_state()

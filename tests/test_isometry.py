@@ -27,8 +27,8 @@ from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import wasserstein_inf, wasserstein_p
 
 from oracles import (check_ball_identity, check_lip_seminorm_state,
-                     lip_p_universal_full_sweep, support_universal_bruteforce,
-                     with_ordered_pairs)
+                     lip_p_universal_full_sweep, scaled_twin,
+                     support_universal_bruteforce, with_ordered_pairs)
 
 
 def classical_isometries(action):
@@ -71,7 +71,6 @@ def test_check_D_s3_fails_with_witness():
 def test_check_D_does_not_depend_on_units():
     """Scaling the metric by 10^9 or 10^-9 keeps every (D) verdict: the
     tolerance is relative to the largest distance."""
-    from qiso.coaction import CoAction
     actions = {e.name: e.action for e in standard_actions()}
     seen = set()
     for name in ("dual-d4-blocks", "dual-d4-asymmetric"):
@@ -81,9 +80,7 @@ def test_check_D_does_not_depend_on_units():
         psi = random_state(action.group.algebra, 3)
         expected_state = check_D_state(action, psi).holds
         for scale in (F(10) ** 9, F(10) ** -9):
-            space = validate_metric([[v * scale for v in row]
-                                     for row in action.space.dist])
-            scaled = CoAction(action.group, space, action.u, name=name)
+            scaled = scaled_twin(action, scale, False)
             assert check_D(scaled).holds == expected, (name, scale)
             assert check_D_commutant(scaled).holds == expected, (name, scale)
             assert check_D_state(scaled, psi).holds == expected_state, \
@@ -96,13 +93,10 @@ def test_lip_p_state_does_not_depend_on_units():
     ulp of W_1 = 2e9 is 2.4e-7, far above an absolute tol of 1e-8, so the
     tolerance must be relative to the largest distance."""
     from qiso.catalog import catalog_action
-    from qiso.coaction import CoAction
     for name, ps in (("dual-d4-blocks", (1,)), ("dual-d3-blocks", (1, 2))):
         action = catalog_action(name)
         psi = random_state(action.group.algebra, 5)
-        space = validate_metric([[v * F(10) ** 9 for v in row]
-                                 for row in action.space.dist])
-        scaled = CoAction(action.group, space, action.u, name=name)
+        scaled = scaled_twin(action, F(10) ** 9, False)
         for p in ps:
             assert check_lip_p_state(action, psi, p, tol=1e-8).holds, (name, p)
             assert check_lip_p_state(scaled, psi, p, tol=1e-8).holds, (name, p)
@@ -221,11 +215,12 @@ def test_lip_p_universal_matches_full_sweep():
             actions.append(action)
     seen = {kind: set() for kind in ("character", "dual-vertex")}
     for action in actions:
-        for mode in ("auto", "float"):
+        for twin in (action, scaled_twin(action, 1, True)):
             for p in (1, 2, 3):
-                verdict = check_lip_p_universal(action, p, mode=mode)
-                oracle = lip_p_universal_full_sweep(action, p, mode=mode)
-                assert verdict.holds == oracle.holds, (action.name, mode, p)
+                verdict = check_lip_p_universal(twin, p)
+                oracle = lip_p_universal_full_sweep(twin, p)
+                assert verdict.holds == oracle.holds, \
+                    (action.name, twin.space.mode, p)
                 if verdict.holds:
                     continue
                 w = verdict.witness
@@ -250,9 +245,10 @@ def test_lip_p_universal_on_characters_enumerates_nothing(monkeypatch):
     reflection = tuple((-i) % n for i in range(n))
     action = permutation_action(cycle_metric(n), [rotation, reflection])
     assert check_lip1_universal(action).holds
+    float_twin = scaled_twin(action, 1, True)
     for p in (1, 2, 3):
         assert check_lip_p_universal(action, p).holds
-        assert check_lip_p_universal(action, p, mode="float").holds
+        assert check_lip_p_universal(float_twin, p).holds
 
 
 def test_lip_p_universal_does_not_depend_on_units():
@@ -260,14 +256,11 @@ def test_lip_p_universal_does_not_depend_on_units():
     verdict: the tolerance and the borderline window are relative to the
     largest d^p (at 10^9, Lip_3 compares eigenvalues near 10^27)."""
     from qiso.catalog import catalog_action
-    from qiso.coaction import CoAction
     for name in ("dual-d4-blocks", "dual-d4-mixed", "dual-d3-blocks"):
         action = catalog_action(name)
         expected = {p: check_lip_p_universal(action, p).holds for p in (1, 2, 3)}
         for scale in (F(10) ** 9, F(10) ** -9):
-            space = validate_metric([[v * scale for v in row]
-                                     for row in action.space.dist])
-            scaled = CoAction(action.group, space, action.u, name=name)
+            scaled = scaled_twin(action, scale, False)
             for p in (1, 2, 3):
                 assert check_lip_p_universal(scaled, p).holds == expected[p], \
                     (name, scale, p)
@@ -327,22 +320,22 @@ def test_support_criterion_matches_subset_oracle():
     mismatches = []
     checked = {True: 0, False: 0}
     for action in _support_population():
-        for mode in ("auto", "float"):
+        for twin in (action, scaled_twin(action, 1, True)):
             for level_only, fn in ((True, check_theorem_main),
                                    (False, check_winf_universal)):
-                verdict = fn(action, mode=mode)
-                oracle = support_universal_bruteforce(action, "oracle", level_only,
-                                                      1e-9, mode)
+                verdict = fn(twin)
+                oracle = support_universal_bruteforce(twin, "oracle", level_only,
+                                                      1e-9)
                 checked[verdict.holds] += 1
                 if verdict.holds != oracle.holds:
-                    mismatches.append((action.name, mode, level_only))
+                    mismatches.append((action.name, twin.space.mode, level_only))
                 if verdict.holds:
                     continue
                 psi = verdict.witness["state"]
                 if level_only:
-                    assert not check_level_coupling_state(action, psi).holds
+                    assert not check_level_coupling_state(twin, psi).holds
                 else:
-                    assert not check_lip_p_state(action, psi, float("inf")).holds
+                    assert not check_lip_p_state(twin, psi, float("inf")).holds
     assert not mismatches
     assert checked[True] and checked[False]
 
@@ -603,14 +596,6 @@ def _small_order_action(n, seed):
                               name=f"order-6-{n}-{seed}")
 
 
-def _scaled_float_action(action, scale):
-    """The action on its metric times `scale`, as a float space."""
-    from qiso.coaction import CoAction
-    space = validate_metric([[float(v) * scale for v in row]
-                             for row in action.space.dist], mode="float")
-    return CoAction(action.group, space, action.u, name=action.name)
-
-
 def test_sweep_routes_match_per_pair_oracle():
     """Every route of the sampled sweep gives the per-pair oracle's
     verdicts (wasserstein_p / wasserstein_inf on recomputed marginals),
@@ -644,7 +629,7 @@ def test_sweep_routes_match_per_pair_oracle():
     for name in ("dual-d4-blocks", "dual-d4-asymmetric"):
         action = {e.name: e.action for e in standard_actions()}[name]
         cases.append((action, both, 1, "simplex", "hall-subsets"))
-        cases += [(_scaled_float_action(a, scale), both, 3, "dual-vertices",
+        cases += [(scaled_twin(a, scale, True), both, 3, "dual-vertices",
                    "hall-subsets")
                   for a in (action, near) for scale in (1e-3, 1e-5)]
     cases += [(_small_order_action(5, seed), both, count, route,

@@ -152,7 +152,8 @@ def test_network_simplex_degenerate_instances():
 def test_exact_and_float_winf_universal_agree_on_catalog():
     from qiso.catalog import standard_actions
     from qiso.isometry import check_winf_universal, check_theorem_main
+    from oracles import scaled_twin
     for entry in standard_actions():
+        float_twin = scaled_twin(entry.action, 1, True)
         for fn in (check_winf_universal, check_theorem_main):
-            assert fn(entry.action, mode="auto").holds == \
-                fn(entry.action, mode="float").holds, entry.name
+            assert fn(entry.action).holds == fn(float_twin).holds, entry.name

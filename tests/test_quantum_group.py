@@ -8,7 +8,7 @@ import pytest
 
 from qiso import coaction, quantum_group
 from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
-                          StateFunctional, exact_psd, exact_psd_pairs,
+                          StateFunctional, exact_psd_pairs,
                           extreme_state, max_operator_norm, operator_norms,
                           random_state)
 from qiso.catalog import (cycle_metric, dihedral_group_algebra, dihedral_perms,
@@ -21,7 +21,7 @@ from qiso.quantum_group import (InconsistentIrreps, KacViolation, NotAGroup,
                                 haar_state, invert, require_kac,
                                 verify_quantum_group)
 
-from oracles import (apply_kappa, psd_by_principal_minors,
+from oracles import (apply_kappa, exact_psd, psd_by_principal_minors,
                      verify_quantum_group_dense)
 
 
@@ -452,6 +452,18 @@ def test_no_invariant_state_on_broken_input():
         haar_state(broken)
     from qiso.quantum_group import NoInvariantState
     assert isinstance(exc.value, NoInvariantState)
+
+
+def test_nan_in_delta_has_no_invariant_state():
+    """A NaN in delta raises NoInvariantState, not numpy's LinAlgError from
+    the least-squares solve."""
+    from qiso.catalog import catalog_action
+    from qiso.quantum_group import NoInvariantState
+    qg = catalog_action("dual-d4-blocks").group
+    delta = qg.delta.copy()
+    delta[0, 0, 0] = np.nan
+    with pytest.raises(NoInvariantState):
+        haar_state(QuantumGroup(qg.algebra, delta, qg.epsilon, qg.kappa))
 
 
 def test_kac_violation_rejected_at_load():
