@@ -153,8 +153,7 @@ def _dispatch(args) -> int:
         space = fileio.load_space(args.space, tol=args.tol)
         mu = fileio.load_distribution(args.mu, args.mode, args.tol)
         nu = fileio.load_distribution(args.nu, args.mode, args.tol)
-        p = float("inf") if args.p == "inf" else (
-            int(args.p) if args.p.isdigit() else float(args.p))
+        p = _parse_p(args.p)
         if p == float("inf"):
             return _winf(args, space, mu, nu)
         res = transport_with_power(space, mu, nu, p)
@@ -221,7 +220,7 @@ def _dispatch(args) -> int:
         from .envelope import envelope
         from .fileio import quantum_group_to_dict
         action = _load_coaction(args)
-        env = envelope(action, tol=args.tol)
+        env = envelope(action)
         _emit(args, {
             "original_dimension": action.group.dim,
             "envelope_dimension": env.dimension,
@@ -257,6 +256,11 @@ def _dispatch(args) -> int:
     raise QisoError(f"unhandled command {args.command}")
 
 
+def _parse_p(text: str):
+    """--p of `wasserstein` and `check`: an int, or a float such as inf."""
+    return int(text) if text.isdigit() else float(text)
+
+
 def _winf(args, space, mu, nu) -> int:
     from .transport import wasserstein_inf
     res = wasserstein_inf(space, mu, nu)
@@ -290,30 +294,29 @@ def _check(args) -> int:
     from . import fileio
     from . import isometry as iso
     action = _load_coaction(args)
-    p = float("inf") if args.p == "inf" else (
-        int(args.p) if args.p.isdigit() else float(args.p))
+    p = _parse_p(args.p)
     if args.state:
         psi = fileio.load_state(args.state, action.group.algebra)
         if not psi.is_state(args.tol):
             raise InvalidInput(f"{args.state} is not a state: its densities "
                                f"must be positive with total trace 1")
         if args.condition == "d":
-            verdict = iso.check_D_state(action, psi, tol=args.tol)
+            verdict = iso.check_D_state(action, psi)
         elif args.condition == "lip":
-            verdict = iso.check_lip_p_state(action, psi, p, tol=args.tol)
+            verdict = iso.check_lip_p_state(action, psi, p)
         elif args.condition == "winf":
-            verdict = iso.check_lip_p_state(action, psi, float("inf"), tol=args.tol)
+            verdict = iso.check_lip_p_state(action, psi, float("inf"))
         else:
-            verdict = iso.check_level_coupling_state(action, psi, tol=args.tol)
+            verdict = iso.check_level_coupling_state(action, psi)
     else:
         if args.condition == "d":
-            verdict = iso.check_D(action, tol=args.tol)
+            verdict = iso.check_D(action)
         elif args.condition == "lip":
-            verdict = iso.check_lip_p_universal(action, p, tol=args.tol)
+            verdict = iso.check_lip_p_universal(action, p)
         elif args.condition == "winf":
-            verdict = iso.check_winf_universal(action, tol=args.tol)
+            verdict = iso.check_winf_universal(action)
         else:
-            verdict = iso.check_theorem_main(action, tol=args.tol)
+            verdict = iso.check_theorem_main(action)
     doc = verdict.as_dict()
     if doc.get("witness") and "state" in (doc["witness"] or {}):
         doc["witness"] = dict(doc["witness"])

@@ -201,11 +201,12 @@ class EnvelopeResult:
         return self.quotient.dim
 
 
-def envelope(action: CoAction, tol: float = 1e-9) -> EnvelopeResult:
+def envelope(action: CoAction) -> EnvelopeResult:
     """Defects -> generated ideal -> Hopf saturation -> verified quotient.
-    The defects are linear in d, so the ideal is cut at tol x max d, as
-    `check_D` cuts them; the structure maps are cut at tol."""
+    The defects are linear in d, so the ideal is cut at the space's tol x
+    max d, as `check_D` cuts them; the structure maps are cut at tol."""
     qg = action.group
+    tol = action.space.tol
     ideal0 = generated_ideal(qg, commutator_defects(action),
                              tol * float(action.space.max_distance))
     ideal, added = hopf_saturate(qg, ideal0, tol)
@@ -214,7 +215,7 @@ def envelope(action: CoAction, tol: float = 1e-9) -> EnvelopeResult:
     reports: Dict[str, QGReport] = {
         "quantum_group": verify_quantum_group(quotient),
         "coaction": verify_coaction(induced, tol=tol, check_faithful=False)}
-    if not check_D(induced, tol=tol).holds:
+    if not check_D(induced).holds:
         raise QisoError("induced action is not (D)-isometric; "
                         "envelope construction is broken")
     return EnvelopeResult(ideal=ideal, quotient=quotient, survivors=survivors,
@@ -226,7 +227,6 @@ def envelope(action: CoAction, tol: float = 1e-9) -> EnvelopeResult:
 
 
 def verify_universal_property(action: CoAction, env: EnvelopeResult,
-                              tol: float = 1e-9,
                               max_blocks: int = 12) -> dict:
     """Enumerate every block subset defining a Hopf quotient; every one
     whose induced action passes condition (D) must contain the envelope's
@@ -241,11 +241,11 @@ def verify_universal_property(action: CoAction, env: EnvelopeResult,
     for size in range(K):
         for subset in itertools.combinations(range(K), size):
             J = frozenset(subset)
-            if not is_hopf_ideal(qg, J, tol):
+            if not is_hopf_ideal(qg, J, action.space.tol):
                 continue
             quotient, survivors = quotient_quantum_group(qg, BlockIdeal(J))
             act = induced_action(action, quotient, survivors)
-            if not check_D(act, tol=tol).holds:
+            if not check_D(act).holds:
                 continue
             isometric_quotients.append(sorted(J))
             if not env.ideal.included_blocks <= J:

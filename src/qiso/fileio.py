@@ -125,7 +125,7 @@ def quantum_group_from_dict(doc: dict, enforce_kac: bool = True) -> QuantumGroup
     if len(basis) != dim:
         raise ShapeMismatch(f"need {dim} basis elements, got {len(basis)}")
     B = np.column_stack([b.vec() for b in basis])
-    if abs(np.linalg.det(B)) < 1e-12:
+    if np.linalg.matrix_rank(B) < dim:
         raise ShapeMismatch("basis elements are linearly dependent")
     Binv = np.linalg.inv(B)
 

@@ -37,10 +37,10 @@ size points each).  The coupling-support conditions reduce to the
 vanishing of the pairwise products u_xj u_yk off the (sub)level set.  In
 rational mode near-ties are re-decided by exact fraction-free
 elimination; float mode uses Hermitian eigensolvers with one tolerance;
-the space's mode says which.  Tolerances are relative to the largest
-distance (its p-th power for the Lip_p eigenvalue bounds), and distances
-compare within the space's `dtol`, so no verdict depends on the metric's
-units.
+the space's mode says which.  Every check reads the space's `tol`,
+relative to the largest distance (its p-th power for the Lip_p eigenvalue
+bounds), and distances compare within the space's `dtol`, so no verdict
+depends on the caller or on the metric's units.
 """
 
 from __future__ import annotations
@@ -177,55 +177,53 @@ def commutator_defects(action: CoAction) -> np.ndarray:
         np.einsum("xj,yja->xya", d, U @ action.group.kappa.T)
 
 
-def _defect_verdict(tag: str, residuals: np.ndarray, space,
-                    tol: float) -> IsometryVerdict:
+def _defect_verdict(tag: str, residuals: np.ndarray, space) -> IsometryVerdict:
     """The verdict on the largest of the (n, n) residuals.  A failure's
     witness is the first pair in x-major order whose residual is within a
     relative 1e-12 of the largest: the defects of (x, y) and (y, x) have
     equal norms, which rounding tells apart only in the last bits.  The
-    residuals scale with the metric, so tol is taken relative to the
-    largest distance and the verdict does not depend on its units."""
+    residuals scale with the metric, so the space's tol is taken relative
+    to the largest distance and the verdict does not depend on its units."""
     worst = float(residuals.max())
-    if worst <= tol * float(space.max_distance):
+    if worst <= space.tol * float(space.max_distance):
         return IsometryVerdict(tag, True, certificate={"max_residual": worst})
     x, y = divmod(int(np.argmax(residuals >= worst * (1 - 1e-12))), space.n)
     return IsometryVerdict(tag, False, witness={
         "pair": (x, y), "residual": float(residuals[x, y])})
 
 
-def check_D(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
+def check_D(action: CoAction) -> IsometryVerdict:
     """Compare rho(d_y)(x) with kappa(rho(d_x)(y)) in norm, all pairs."""
     return _defect_verdict("D", element_norms(action.group.algebra,
                                               commutator_defects(action)),
-                           action.space, tol)
+                           action.space)
 
 
-def check_D_commutant(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
+def check_D_commutant(action: CoAction) -> IsometryVerdict:
     """Equivalent form when kappa(u_ij) = u_ji: the magic unitary commutes
     with the scalar distance matrix."""
     alg = action.group.algebra
     U = action.coeffs
     mismatch = np.argwhere(element_norms(
-        alg, U @ action.group.kappa.T - U.swapaxes(0, 1)) > tol)
+        alg, U @ action.group.kappa.T - U.swapaxes(0, 1)) > action.space.tol)
     if len(mismatch):
         i, j = mismatch[0]
         raise KappaConventionMismatch(f"kappa(u[{i}][{j}]) != u[{j}][{i}]")
     d = np.array(action.space.dist, dtype=float)
     residual = np.einsum("xja,jy->xya", U, d) - np.einsum("xj,jya->xya", d, U)
-    return _defect_verdict("D", element_norms(alg, residual), action.space, tol)
+    return _defect_verdict("D", element_norms(alg, residual), action.space)
 
 
 # ---------------------------------------------------------------------------
 # per-state conditions
 
 
-def check_D_state(action: CoAction, psi: StateFunctional,
-                  tol: float = 1e-9) -> IsometryVerdict:
+def check_D_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:
     """Membership of psi in the (D)-isometric functionals: psi kills every
     defect element, i.e. (x <| psi)(d_y) = (y <| bar psi)(d_x)."""
     return _defect_verdict("D(state)",
                            np.abs(commutator_defects(action) @ psi.as_vector()),
-                           action.space, tol)
+                           action.space)
 
 
 # The route choice of `check_lip_p_state_sweep`, whose docstring gives
@@ -332,8 +330,7 @@ def _sweep_verdict(tag: str, route: str, pairs, w: np.ndarray,
         "margin": float(margins[i]), "route": route})
 
 
-def check_lip_p_state_sweep(action: CoAction, states, ps,
-                            tol: float = 1e-9) -> List[List[IsometryVerdict]]:
+def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryVerdict]]:
     """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs: verdicts[s][i] for
     the state states[s] and p = ps[i] (a number >= 1, or inf).
 
@@ -379,18 +376,18 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
     bytes per entry at their peak (57 MB at n = 12 with K = 67), so the
     cap bounds them by 64 MB.
 
-    The margins W_p - d(x,y) scale with the metric, so tol is taken
-    relative to the largest distance, as for (D), and the verdict does
-    not depend on the metric's units.  A failure's witness is the first
+    The margins W_p - d(x,y) scale with the metric, so the space's tol is
+    taken relative to the largest distance, as for (D); x <| psi is
+    validated within the same tol.  A failure's witness is the first
     pair whose margin is within 1e-12 x max d of the largest.
     """
     space = action.space
     finite = [not (p == float("inf") or p == "inf") for p in ps]
-    if any(fin and p < 1 for p, fin in zip(ps, finite)):
+    if any(fin and not p >= 1 for p, fin in zip(ps, finite)):
         raise ValueError("p must be >= 1")
     if not len(states):
         return []
-    images = [[act_on_point(action, x, psi, tol=tol) for x in range(space.n)]
+    images = [[act_on_point(action, x, psi, space.tol) for x in range(space.n)]
               for psi in states]
     masses = np.array([[img.mass for img in row] for row in images], dtype=float)
     pairs = _state_pairs(space)
@@ -398,6 +395,7 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
     ys = np.array([y for _, y in pairs], dtype=int)
     dist = np.array([float(space.dist[x][y]) for x, y in pairs])
     scale = float(space.max_distance)
+    bound = space.tol * scale
     out = [[] for _ in states]
     for p, fin in zip(ps, finite):
         route = _sweep_route(space, len(states), len(pairs), fin)
@@ -409,15 +407,14 @@ def check_lip_p_state_sweep(action: CoAction, states, ps,
             w = _pair_sweep(space, images, pairs, p)
         for verdicts, ws in zip(out, w):
             verdicts.append(_sweep_verdict(f"Lip_{p}(state)", route, pairs, ws,
-                                           ws - dist, tol * scale, 1e-12 * scale))
+                                           ws - dist, bound, 1e-12 * scale))
     return out
 
 
-def check_lip_p_state(action: CoAction, psi: StateFunctional, p,
-                      tol: float = 1e-9) -> IsometryVerdict:
+def check_lip_p_state(action: CoAction, psi: StateFunctional, p) -> IsometryVerdict:
     """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs, one state: the
     one-state, one-p call of `check_lip_p_state_sweep`."""
-    return check_lip_p_state_sweep(action, [psi], [p], tol=tol)[0][0]
+    return check_lip_p_state_sweep(action, [psi], [p])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +431,7 @@ def _eigen_state(action: CoAction, k: int, mat: np.ndarray) -> StateFunctional:
     return extreme_state(action.group.algebra, k, xi)
 
 
-def check_lip_p_universal(action: CoAction, p,
-                          tol: float = 1e-9) -> IsometryVerdict:
+def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     """Exact universal (Lip_p) decision for finite p, block by block.
 
     The map psi -> W_p^p(x <| psi, y <| psi) is convex, so its sup sits on
@@ -452,16 +448,17 @@ def check_lip_p_universal(action: CoAction, p,
     those of `_state_pairs`.
 
     Margins are in units of d^p (d(sigma x, sigma y)^p or the eigenvalue,
-    minus d(x,y)^p) and the tolerance is relative to the largest d^p.  In
+    minus d(x,y)^p) and the space's tol is relative to the largest d^p.  In
     rational mode characters compare distances exactly, and eigenvalue
     near-ties are re-decided on the exact matrix, formed from the exact
     vertex and the u entries (each rationalized once).
     """
     if p == float("inf") or p == "inf":
-        return check_winf_universal(action, tol=tol)
-    if p < 1:
+        return check_winf_universal(action)
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     space = action.space
+    tol = space.tol
     dist = space.dist
     rational = space.mode == RATIONAL
     exact = rational and float(p).is_integer()
@@ -528,18 +525,17 @@ def check_lip_p_universal(action: CoAction, p,
                            certificate={"max_margin": 0.0 if worst is None else worst})
 
 
-def check_lip1_universal(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
+def check_lip1_universal(action: CoAction) -> IsometryVerdict:
     """`check_lip_p_universal` at p = 1, under the name that the package
     exports and the benchmark's condition table calls."""
-    return check_lip_p_universal(action, 1, tol=tol)
+    return check_lip_p_universal(action, 1)
 
 
 # ---------------------------------------------------------------------------
 # universal coupling-support conditions (p = inf and the level-set theorem)
 
 
-def _support_universal(action: CoAction, tag: str, level_only: bool,
-                       tol: float) -> IsometryVerdict:
+def _support_universal(action: CoAction, tag: str, level_only: bool) -> IsometryVerdict:
     """Every state admits a coupling of (x <| psi, y <| psi) on Y, the
     (sub)level set of d(x,y), iff u_xj u_yk = 0 for every (j, k) outside Y.
 
@@ -568,7 +564,7 @@ def _support_universal(action: CoAction, tag: str, level_only: bool,
                             else dist[j][k] <= d_xy + dtol):
                         continue
                     mat = P @ stack[y, k] @ P
-                    ok, margin = _lambda_max_leq(mat, 0, tol, 1.0, (
+                    ok, margin = _lambda_max_leq(mat, 0, space.tol, 1.0, (
                         lambda: _exact_entries(mat)) if exact else None)
                     worst = max(worst, margin)
                     if not ok:
@@ -579,24 +575,23 @@ def _support_universal(action: CoAction, tag: str, level_only: bool,
     return IsometryVerdict(tag, True, certificate={"max_residual": worst})
 
 
-def check_winf_universal(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
+def check_winf_universal(action: CoAction) -> IsometryVerdict:
     """All states admit a coupling supported on pairs at distance <= d(x,y)."""
-    return _support_universal(action, "Lip_inf(universal)", False, tol)
+    return _support_universal(action, "Lip_inf(universal)", False)
 
 
-def check_theorem_main(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
+def check_theorem_main(action: CoAction) -> IsometryVerdict:
     """All states admit a coupling supported on the exact level set."""
-    return _support_universal(action, "main(universal)", True, tol)
+    return _support_universal(action, "main(universal)", True)
 
 
-def check_level_coupling_state(action: CoAction, psi: StateFunctional,
-                               tol: float = 1e-9) -> IsometryVerdict:
+def check_level_coupling_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:
     """Per-state version of the level-set coupling, via the feasibility
     solver on each pair of `_state_pairs`.  On an exactly symmetric d the
     level set is symmetric, so (y, x) repeats (x, y), and the first failing
     pair in x-major order over all ordered pairs has x < y anyway."""
     space = action.space
-    images = [act_on_point(action, x, psi, tol=tol) for x in range(space.n)]
+    images = [act_on_point(action, x, psi, space.tol) for x in range(space.n)]
     for x, y in _state_pairs(space):
         Y = level_set(space, space.dist[x][y])
         verdict = feasible_coupling_on(images[x], images[y], Y)
@@ -610,8 +605,7 @@ def check_level_coupling_state(action: CoAction, psi: StateFunctional,
 # structural consequences
 
 
-def check_orthogonality(action: CoAction, x: int, y: int, S, T, delta,
-                        tol: float = 1e-9) -> bool:
+def check_orthogonality(action: CoAction, x: int, y: int, S, T, delta) -> bool:
     """a_{x;S} a_{y;T} = 0 whenever every (s, t) has |d(s,t) - d(x,y)| >= delta,
     with a_{x;S} = sum_{j in S} u_xj, formed and normed block by block."""
     space = action.space
@@ -623,7 +617,7 @@ def check_orthogonality(action: CoAction, x: int, y: int, S, T, delta,
                     f"|d({s},{t}) - d({x},{y})| < delta")
     S, T = list(S), list(T)
     return all(float(operator_norms(stack[x, S].sum(0) @ stack[y, T].sum(0)))
-               <= tol for stack in action.stacks)
+               <= space.tol for stack in action.stacks)
 
 
 def sample_orthogonality_inputs(action: CoAction, count: int, seed: int):
@@ -653,8 +647,8 @@ def sample_orthogonality_inputs(action: CoAction, count: int, seed: int):
     return out
 
 
-def check_injectivity(action: CoAction, tol: float = 1e-9) -> bool:
+def check_injectivity(action: CoAction) -> bool:
     """rho is one-to-one iff f -> (sum_j f_j u_xj)_x has full rank n."""
     n = action.n
     cols = action.coeffs.transpose(0, 2, 1).reshape(-1, n)
-    return int(np.linalg.matrix_rank(cols, tol=tol)) == n
+    return int(np.linalg.matrix_rank(cols, tol=action.space.tol)) == n

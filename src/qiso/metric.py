@@ -143,9 +143,9 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
                     mode: str = None) -> FiniteMetricSpace:
     """Check the metric axioms and return the validated space.
 
-    In float mode each axiom holds within `tolerance` (default 1e-9) times
-    the largest |entry|; in rational mode exactly.  Errors carry a
-    witness: the offending index pair or triple.
+    In float mode each axiom holds within `tolerance` (default 1e-9; the
+    space's `tol`, finite and > 0) times the largest |entry|; in rational
+    mode exactly.  Errors carry a witness: the offending pair or triple.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -155,6 +155,8 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
     if mode is None:
         mode = RATIONAL if all(is_rational(v) for row in matrix for v in row) else FLOAT
     rel = DEFAULT_TOL if tolerance is None else tolerance
+    if not (math.isfinite(rel) and rel > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {rel}")
 
     dist = tuple(tuple(row) for row in matrix)
     for i, row in enumerate(dist):
@@ -190,7 +192,7 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
         if len(labels) != n:
             raise DimensionMismatch("label count differs from point count")
     return FiniteMetricSpace(n=n, dist=dist, labels=labels, mode=mode,
-                             tol=float(rel) if rel else DEFAULT_TOL)
+                             tol=float(rel))
 
 
 def lipschitz_constant(space: FiniteMetricSpace, f: RealFunction) -> Scalar:

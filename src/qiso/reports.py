@@ -18,18 +18,18 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import StateFunctional, random_state
+from .algebra import StateFunctional, extreme_state, random_state
 from .catalog import (CATALOG, catalog_action, random_permutation_action,
                       random_quantum_action)
 from .coaction import CoAction, verify_coaction
 from .envelope import envelope
-from .fileio import coaction_to_dicts
+from .fileio import coaction_to_dicts, state_to_dict
 from .isometry import (check_D, check_D_commutant, check_injectivity,
                        check_lip_p_state_sweep,
                        check_lip_p_universal, check_theorem_main,
                        check_winf_universal, KappaConventionMismatch)
 from .metric import random_metric_space
-from .quantum_group import verify_quantum_group
+from .quantum_group import haar_state, verify_quantum_group
 
 # strongest first; every earlier condition must imply every later one
 CONDITION_ORDER = ["D", "main", "Lip_inf", "Lip_3", "Lip_2", "Lip_1"]
@@ -47,12 +47,13 @@ class SearchConfig:
     seed: int = 0
     time_budget: Optional[float] = None   # seconds; soft, between instances
     jobs: int = 1
-    out: Optional[str] = None
 
     @staticmethod
     def from_dict(doc: dict) -> "SearchConfig":
-        known = {f for f in SearchConfig.__dataclass_fields__}
-        return SearchConfig(**{k: v for k, v in doc.items() if k in known})
+        unknown = sorted(set(doc) - set(SearchConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown SearchConfig keys {unknown}")
+        return SearchConfig(**doc)
 
 
 @dataclass
@@ -115,22 +116,21 @@ def build_instance(desc: dict) -> CoAction:
 # per-instance verification
 
 
-def _condition_flags(action: CoAction, p_list, tol: float) -> dict:
+def _condition_flags(action: CoAction, p_list) -> dict:
     """All universal verdicts."""
     flags: Dict[str, Optional[bool]] = {
-        "D": bool(check_D(action, tol).holds),
-        "main": bool(check_theorem_main(action, tol).holds),
-        "Lip_inf": bool(check_winf_universal(action, tol).holds),
+        "D": bool(check_D(action).holds),
+        "main": bool(check_theorem_main(action).holds),
+        "Lip_inf": bool(check_winf_universal(action).holds),
     }
     for p in p_list:
         if p in ("inf", float("inf")):
             continue
-        flags[f"Lip_{p}"] = bool(check_lip_p_universal(action, p, tol).holds)
+        flags[f"Lip_{p}"] = bool(check_lip_p_universal(action, p).holds)
     return flags
 
 
-def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10,
-                    tol: float = 1e-9) -> dict:
+def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10) -> dict:
     """Everything the verification run records about one action."""
     t0 = time.perf_counter()
     action = build_instance(desc)
@@ -138,16 +138,16 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
            "name": desc.get("name") or action.name}
     rec["quantum_group_residual"] = verify_quantum_group(action.group).worst()
     rec["coaction_residual"] = verify_coaction(action).worst()
-    rec["conditions"] = _condition_flags(action, p_list, tol)
+    rec["conditions"] = _condition_flags(action, p_list)
     rec["guards"] = []
     try:
-        commutant = check_D_commutant(action, tol)
+        commutant = check_D_commutant(action)
         rec["conditions"]["D_commutant"] = bool(commutant.holds)
     except KappaConventionMismatch:
         rec["conditions"]["D_commutant"] = None
         rec["guards"].append("D_commutant:kappa-convention")
     rec["injective"] = bool(check_injectivity(action))
-    env = envelope(action, tol=tol)
+    env = envelope(action)
     rec["envelope"] = {"dimension": env.dimension,
                        "iterations": env.iterations,
                        "killed_blocks": sorted(env.ideal.included_blocks)}
@@ -156,8 +156,7 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
     worst_state_margin = None
     states = [random_state(action.group.algebra, desc.get("seed", 0) * 977 + k)
               for k in range(state_samples)]
-    for verdicts in check_lip_p_state_sweep(action, states, p_list,
-                                            tol=max(tol, 1e-8)):
+    for verdicts in check_lip_p_state_sweep(action, states, p_list):
         for p, v in zip(p_list, verdicts):
             if not v.holds:
                 sampled[f"Lip_{p}"] = False
@@ -166,7 +165,7 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
                     worst_state_margin = m
     rec["sampled_states_hold"] = sampled
     rec["sampled_worst_margin"] = worst_state_margin
-    # universal-holds => sampled-holds (tolerance slack allowed)
+    # universal-holds => sampled-holds
     rec["state_consistency"] = all(
         not (rec["conditions"].get(key) is True) or held
         for key, held in sampled.items())
@@ -210,18 +209,25 @@ def implication_tallies(instances: List[dict]) -> Dict[str, dict]:
 
 
 def _run_instances(config: SearchConfig, worker, collect) -> RunReport:
+    """Collect worker(desc) for every descriptor, in order; once the time
+    budget is spent, skip (cancel, with jobs > 1) those not yet started."""
     report = RunReport(kind=config.kind, config=asdict(config))
     descs = instance_descriptors(config)
     t0 = time.perf_counter()
+    deadline = t0 + (config.time_budget or float("inf"))
     skipped = 0
     if config.jobs > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for rec in pool.map(worker, descs):
-                collect(report, rec)
+            futures = [pool.submit(worker, desc) for desc in descs]
+            for fut in futures:
+                if time.perf_counter() > deadline:
+                    skipped += sum(f.cancel() for f in futures if not f.done())
+                if not fut.cancelled():
+                    collect(report, fut.result())
     else:
         for desc in descs:
-            if config.time_budget and time.perf_counter() - t0 > config.time_budget:
+            if time.perf_counter() > deadline:
                 skipped += 1
                 continue
             collect(report, worker(desc))
@@ -286,8 +292,6 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
     alg = action.group.algebra
     rec = {"descriptor": desc, "name": desc.get("name") or action.name,
            "p": p}
-    from .quantum_group import haar_state
-    from .algebra import extreme_state
     # block characters are classical points when A = C(G), and one of
     # them is then the counit: each distinct state is kept once
     candidates = [action.group.counit_state(), haar_state(action.group).state]
@@ -301,7 +305,7 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
                    for kept in pool):
             pool.append(psi)
     holds = [verdicts[0].holds for verdicts in
-             check_lip_p_state_sweep(action, pool, [p], tol=1e-8)]
+             check_lip_p_state_sweep(action, pool, [p])]
     iso_states = [psi for psi, ok in zip(pool, holds) if ok]
     rec["sampled"] = len(pool)
     rec["isometric"] = len(iso_states)
@@ -328,11 +332,11 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
     hits = []
     tested = 0
     for idx, psi in enumerate(pool):
-        if np.linalg.norm(off_span(psi.as_vector())) <= 1e-8:
+        if np.linalg.norm(off_span(psi.as_vector())) <= 1e-9:
             tested += 1
             if not holds[idx]:
                 hits.append({"kind": "pool-state", "index": idx,
-                             "state": _state_doc(psi)})
+                             "state": state_to_dict(psi)})
     # and probe beyond the convex hull: signed combinations of isometric
     # states repaired to states by mixing toward the barycenter
     if basis and len(iso_states) >= 2:
@@ -362,20 +366,15 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
                 combos.append(cand)
         tested += len(combos)
         for cand, verdicts in zip(combos, check_lip_p_state_sweep(
-                action, combos, [p], tol=1e-8)):
+                action, combos, [p])):
             if not verdicts[0].holds:
                 hits.append({"kind": "combination",
-                             "state": _state_doc(cand)})
+                             "state": state_to_dict(cand)})
     rec["in_span_tested"] = tested
     rec["in_span_failures"] = len(hits)
     rec["hit"] = bool(hits)
     rec["failing_in_span_states"] = hits
     return rec
-
-
-def _state_doc(psi: StateFunctional) -> dict:
-    from .fileio import state_to_dict
-    return state_to_dict(psi)
 
 
 def search_conjecture_span(config: SearchConfig) -> RunReport:

@@ -393,7 +393,7 @@ def transport_with_power(space: FiniteMetricSpace, mu: ProbVector,
                          nu: ProbVector, p) -> TransportResult:
     """solve_transport with cost d^p; the result's value is W_p^p, exact
     when the space and marginals are rational and p is a positive integer."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     return solve_transport(mu, nu, _power_cost(space, p))
 

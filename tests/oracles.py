@@ -931,7 +931,7 @@ def lip_p_universal_full_sweep(action: CoAction, p,
     shift-invariant objective is attained at one of its vertices.
     """
     if p == float("inf") or p == "inf":
-        return check_winf_universal(action, tol=tol)
+        return check_winf_universal(action)
     if p < 1:
         raise ValueError("p must be >= 1")
     space = action.space

@@ -172,7 +172,7 @@ def test_c06_theorem_main_reproduced():
         tm = check_theorem_main(entry.action).holds
         inj = check_injectivity(entry.action)
         samples = sample_orthogonality_inputs(entry.action, 1000, seed=606)
-        orth = all(check_orthogonality(entry.action, *s, tol=1e-9)
+        orth = all(check_orthogonality(entry.action, *s)
                    for s in samples)
         if not (tm and inj and orth and len(samples) == 1000):
             ok = False

@@ -91,6 +91,32 @@ def test_quantum_group_nonstandard_basis(tmp_path):
     assert np.abs(back.delta - qg.delta).max() < 1e-10
 
 
+def test_quantum_group_basis_rank_is_scale_free(tmp_path):
+    """A file basis is judged by its rank, not its determinant: the dual-D8
+    group with every basis element scaled by 0.1 (det 1e-16 at dim 16)
+    loads, passes the axioms and has the unscaled structure maps."""
+    from qiso.catalog import dihedral_group_algebra
+    from qiso.fileio import format_complex
+
+    def scaled(v, c):
+        return format_complex(c * parse_complex(v))
+
+    qg = dihedral_group_algebra(8)
+    assert qg.dim == 16
+    doc = quantum_group_to_dict(qg)
+    doc["basis"] = [[[[scaled(v, 0.1) for v in row] for row in mat]
+                     for mat in elem] for elem in doc["basis"]]
+    # delta(b/10) = 10 (b/10)(x)(b/10), epsilon(b/10) = epsilon(b)/10
+    doc["delta"] = [[scaled(v, 10.0) for v in row] for row in doc["delta"]]
+    doc["epsilon"] = [scaled(v, 0.1) for v in doc["epsilon"]]
+    path = tmp_path / "scaled.group.json"
+    path.write_text(json.dumps(doc))
+    back = load_quantum_group(str(path))
+    assert verify_quantum_group(back).passed(1e-9)
+    assert np.abs(back.delta - qg.delta).max() < 1e-12
+    assert np.abs(back.kappa - qg.kappa).max() < 1e-12
+
+
 def test_state_roundtrip():
     qg = dihedral_projection_action(four_point_blocks(), 4).group
     psi = random_state(qg.algebra, 3)
@@ -131,6 +157,20 @@ def test_cli_validate_rejects(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 3, "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}))
     code, doc = run_cli(capsys, "validate", str(bad))
     assert code == 3 and not doc["valid"] and doc["witness"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_cli_validate_rejects_tolerance_not_finite_positive(tmp_path, capsys, tol):
+    """The space keeps --tol as its one tolerance, so a tolerance that is
+    not finite and > 0 is invalid input, not a verdict on the metric: at
+    nan every axiom comparison was False and a triangle violation passed."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 3, "mode": "float",
+                               "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}))
+    code = main(["validate", str(bad), "--tol", tol])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "ValueError"
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
@@ -248,6 +288,26 @@ def test_cli_check_state(tmp_path, capsys):
     assert code == 0 and doc["holds"]
 
 
+def test_cli_nan_p_is_invalid_input(files, capsys):
+    """--p nan is invalid input (exit 2, ValueError) for both commands that
+    read --p: it passed every `p < 1` guard, so `check` gave a verdict and
+    `wasserstein` reached the simplex."""
+    iso = dihedral_projection_action(four_point_blocks(), 4)
+    act = str(files / "iso.json")
+    save_coaction(act, iso)
+    state = files / "eps.json"
+    state.write_text(json.dumps(state_to_dict(iso.group.counit_state())))
+    lip = ["check", act, "--condition", "lip", "--p", "nan"]
+    for argv in (lip, lip + ["--state", str(state)],
+                 ["wasserstein", "--space", str(files / "space.json"),
+                  "--mu", str(files / "mu.json"), "--nu", str(files / "nu.json"),
+                  "--p", "nan"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and not out, argv
+        assert json.loads(err)["error"] == "ValueError", argv
+
+
 def doubled_entry_coaction(tmp_path) -> str:
     """A coaction file whose u[0][0] is doubled: no longer a projection,
     and its row no longer sums to 1."""
@@ -312,6 +372,17 @@ def test_cli_search(tmp_path, capsys):
     assert code == 0
     assert len(doc["instances"]) == 2
     assert doc["implication_matrix"]["violations"] == []
+
+
+def test_cli_search_rejects_unknown_config_key(tmp_path, capsys):
+    """A misspelt config key is invalid input naming the key, not a run
+    that silently ignores it ("random_action" ran no random actions)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
+                               "random_action": 5}))
+    code = main(["search", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out and "random_action" in err
 
 
 def test_cli_search_seed_and_jobs_override_config_only_when_given(

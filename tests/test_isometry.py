@@ -1,5 +1,7 @@
 """Isometry condition checks, cross-validated against classical oracles."""
 
+import importlib
+import inspect
 import random
 from fractions import Fraction as F
 
@@ -29,6 +31,25 @@ from qiso.transport import wasserstein_inf, wasserstein_p
 from oracles import (check_ball_identity, check_lip_seminorm_state,
                      lip_p_universal_full_sweep, scaled_twin,
                      support_universal_bruteforce, with_ordered_pairs)
+
+
+def test_verdicts_take_no_tolerance_argument():
+    """Every isometry verdict, the envelope and the catalog run read the
+    metric space's tol: none of them takes a tol of its own."""
+    names = {"qiso.isometry": (
+                 "check_D", "check_D_commutant", "check_D_state",
+                 "check_lip_p_state_sweep", "check_lip_p_state",
+                 "check_lip_p_universal", "check_lip1_universal",
+                 "check_winf_universal", "check_theorem_main",
+                 "check_level_coupling_state", "check_orthogonality",
+                 "check_injectivity", "_defect_verdict", "_support_universal"),
+             "qiso.envelope": ("envelope", "verify_universal_property"),
+             "qiso.reports": ("verify_instance", "_condition_flags")}
+    for module, funcs in names.items():
+        module = importlib.import_module(module)
+        for name in funcs:
+            params = inspect.signature(getattr(module, name)).parameters
+            assert "tol" not in params, (module.__name__, name)
 
 
 def classical_isometries(action):
@@ -90,7 +111,7 @@ def test_check_D_does_not_depend_on_units():
 
 def test_lip_p_state_does_not_depend_on_units():
     """Scaling the metric by 10^9 keeps the per-state Lip_p verdicts: one
-    ulp of W_1 = 2e9 is 2.4e-7, far above an absolute tol of 1e-8, so the
+    ulp of W_1 = 2e9 is 2.4e-7, far above an absolute tol of 1e-9, so the
     tolerance must be relative to the largest distance."""
     from qiso.catalog import catalog_action
     for name, ps in (("dual-d4-blocks", (1,)), ("dual-d3-blocks", (1, 2))):
@@ -98,8 +119,8 @@ def test_lip_p_state_does_not_depend_on_units():
         psi = random_state(action.group.algebra, 5)
         scaled = scaled_twin(action, F(10) ** 9, False)
         for p in ps:
-            assert check_lip_p_state(action, psi, p, tol=1e-8).holds, (name, p)
-            assert check_lip_p_state(scaled, psi, p, tol=1e-8).holds, (name, p)
+            assert check_lip_p_state(action, psi, p).holds, (name, p)
+            assert check_lip_p_state(scaled, psi, p).holds, (name, p)
 
 
 def test_commutant_form_agrees_everywhere():
@@ -273,9 +294,12 @@ def test_winf_universal_examples():
 
 
 def test_winf_witness_is_a_failing_state():
-    verdict = check_winf_universal(QUANTUM_NONISO)
+    """The witness fails the sampled check even within a tolerance of 1e-7."""
+    action = dihedral_projection_action(
+        validate_metric(four_point_asymmetric().dist, tolerance=1e-7), 4)
+    verdict = check_winf_universal(action)
     psi = verdict.witness["state"]
-    assert not check_lip_p_state(QUANTUM_NONISO, psi, float("inf"), tol=1e-7).holds
+    assert not check_lip_p_state(action, psi, float("inf")).holds
 
 
 def test_winf_universal_implies_sampled_states():
@@ -283,7 +307,7 @@ def test_winf_universal_implies_sampled_states():
         assert check_winf_universal(action).holds
         for k in range(25):
             psi = random_state(action.group.algebra, 101 * k)
-            assert check_lip_p_state(action, psi, float("inf"), tol=1e-8).holds
+            assert check_lip_p_state(action, psi, float("inf")).holds
 
 
 def test_theorem_main_on_catalog():
@@ -394,9 +418,9 @@ def _lip_p_state_per_pair(action, psi, p, tol, pairs=None):
     return out
 
 
-def _assert_matches_per_pair(v, action, psi, p, tol, route, pairs=None):
+def _assert_matches_per_pair(v, action, psi, p, route, pairs=None):
     """A sweep verdict against the per-pair oracle: the same verdict on
-    the sweep's bound tol x max d, the given route, W_p^p within
+    the sweep's bound, the space's tol x max d, the given route, W_p^p within
     1e-12 x max d^p (W itself for p = inf), and a witness whose oracle
     margin is within the sweep's tie of the oracle's largest.
 
@@ -404,6 +428,7 @@ def _assert_matches_per_pair(v, action, psi, p, tol, route, pairs=None):
     carried to W and the margins at the pair compared: an error of
     e in W_p^p moves W_p by e / (p W_p^(p-1))."""
     space = action.space
+    tol = space.tol
     per_pair = _lip_p_state_per_pair(action, psi, p, tol, pairs)
     worst_pair = max(per_pair, key=lambda xy: per_pair[xy][1])
     worst = per_pair[worst_pair][1]
@@ -467,12 +492,11 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
         states = [random_state(action.group.algebra, 37 * k + 3)
                   for k in range(5)]
         del calls[:]
-        sweep = isometry.check_lip_p_state_sweep(action, states, ps, tol=1e-8)
+        sweep = isometry.check_lip_p_state_sweep(action, states, ps)
         assert calls == list(range(action.n)) * len(states)
         for k, (psi, verdicts) in enumerate(zip(states, sweep)):
             for p, route, v in zip(ps, routes, verdicts):
-                seen[_assert_matches_per_pair(v, action, psi, p, 1e-8,
-                                              route)] += 1
+                seen[_assert_matches_per_pair(v, action, psi, p, route)] += 1
             del calls[:]
             v = check_level_coupling_state(action, psi)
             assert calls == list(range(action.n))
@@ -498,7 +522,7 @@ def test_unordered_sweep_matches_ordered_sweep():
             images = [act_on_point(action, x, psi, tol=1e-8)
                       for x in range(action.n)]
             verdicts, = isometry.check_lip_p_state_sweep(
-                action, [psi], (1, 2, 3, float("inf")), tol=1e-8)
+                action, [psi], (1, 2, 3, float("inf")))
             for p, v in zip((1, 2, 3, float("inf")), verdicts):
                 if p == float("inf"):
                     w = {(x, y): float(wasserstein_inf(space, images[x],
@@ -515,7 +539,7 @@ def test_unordered_sweep_matches_ordered_sweep():
                 margins = {xy: wxy - float(space.dist[xy[0]][xy[1]])
                            for xy, wxy in w.items()}
                 ordered_worst = max(margins.values())
-                assert v.holds == (ordered_worst <= 1e-8 * float(space.max_distance))
+                assert v.holds == (ordered_worst <= space.tol * float(space.max_distance))
                 seen[v.holds] += 1
                 if v.holds:
                     assert abs(v.certificate["max_margin"] - ordered_worst) <= slack
@@ -569,10 +593,10 @@ def test_near_symmetric_float_space_keeps_ordered_pairs():
     ps = (1, 2, 3, float("inf"))
     routes = ("dual-vertices",) * 3 + ("hall-subsets",)
     states = [random_state(action.group.algebra, 11 * k + 1) for k in range(4)]
-    sweep = isometry.check_lip_p_state_sweep(action, states, ps, tol=1e-8)
+    sweep = isometry.check_lip_p_state_sweep(action, states, ps)
     for psi, verdicts in zip(states, sweep):
         for p, route, v in zip(ps, routes, verdicts):
-            seen[_assert_matches_per_pair(v, action, psi, p, 1e-8, route,
+            seen[_assert_matches_per_pair(v, action, psi, p, route,
                                           ordered)] += 1
         v = check_level_coupling_state(action, psi)
         assert (v.holds, v.witness) == _level_coupling_per_pair(action, psi, 1e-9)
@@ -648,11 +672,11 @@ def test_sweep_routes_match_per_pair_oracle():
     for action, ps, count, finite_route, inf_route in cases:
         states = [random_state(action.group.algebra, 5 * k + 2)
                   for k in range(count)]
-        sweep = isometry.check_lip_p_state_sweep(action, states, ps, tol=1e-8)
+        sweep = isometry.check_lip_p_state_sweep(action, states, ps)
         for psi, verdicts in zip(states, sweep):
             for p, v in zip(ps, verdicts):
                 route = inf_route if p == float("inf") else finite_route
-                held = _assert_matches_per_pair(v, action, psi, p, 1e-8, route)
+                held = _assert_matches_per_pair(v, action, psi, p, route)
                 routes.setdefault(route, set()).add(held)
     assert routes == {route: {True, False} for route in
                       ("dual-vertices", "simplex", "hall-subsets", "max-flow")}
@@ -728,7 +752,7 @@ def test_lip_seminorm_state_agrees_with_w1_state():
         for k in range(12):
             psi = random_state(action.group.algebra, 7 * k + 1)
             a = check_lip_seminorm_state(action, psi, samples=40, seed=k)
-            b = check_lip_p_state(action, psi, 1, tol=1e-8).holds
+            b = check_lip_p_state(action, psi, 1).holds
             assert a == b
 
 

@@ -45,7 +45,6 @@ UNIVERSAL = [("D", check_D, ()), ("main", check_theorem_main, ()),
     [(f"Lip_{p}", check_lip_p_universal, (p,)) for p in (1, 2, 3)]
 PS = (1, 2, 3, float("inf"))
 STATE_SEEDS = (11, 12)
-SWEEP_TOL = 1e-8
 
 
 def relabel(action: CoAction, seed: int):
@@ -105,7 +104,7 @@ def _summary(action: CoAction, sweep: bool) -> dict:
     out["envelope"] = (env.dimension, sorted(env.ideal.included_blocks))
     if sweep:
         states = [random_state(action.group.algebra, s) for s in STATE_SEEDS]
-        rows = check_lip_p_state_sweep(action, states, PS, tol=SWEEP_TOL)
+        rows = check_lip_p_state_sweep(action, states, PS)
         for s, row in enumerate(rows):
             for p, verdict in zip(PS, row):
                 out[("sweep", s, p)] = verdict
@@ -126,8 +125,7 @@ def _fails_at(action: CoAction, key, pair) -> bool:
         if isinstance(key, tuple):
             _, s, p = key
             psi = random_state(action.group.algebra, STATE_SEEDS[s])
-            return not check_lip_p_state_sweep(action, [psi], [p],
-                                               tol=SWEEP_TOL)[0][0].holds
+            return not check_lip_p_state_sweep(action, [psi], [p])[0][0].holds
         _, check, args = next(c for c in UNIVERSAL if c[0] == key)
         return not check(action, *args).holds
 

@@ -114,10 +114,13 @@ def test_quantum_universal_verdicts_against_pure_state_sampling():
     from qiso.catalog import four_point_asymmetric
     from qiso.isometry import check_lip_p_state, check_lip_p_universal
     from qiso.algebra import extreme_state
+    from qiso.metric import validate_metric
     rng = np.random.default_rng(5)
 
     iso = dihedral_projection_action(four_point_blocks(), 4)
-    noniso = dihedral_projection_action(four_point_asymmetric(), 4)
+    # the failing witness must fail even within a tolerance of 1e-7
+    noniso = dihedral_projection_action(
+        validate_metric(four_point_asymmetric().dist, tolerance=1e-7), 4)
     for p in (1, 2):
         assert check_lip_p_universal(iso, p).holds
         block = next(k for k, b in enumerate(iso.group.algebra.blocks) if b == 2)
@@ -125,13 +128,13 @@ def test_quantum_universal_verdicts_against_pure_state_sampling():
             xi = rng.normal(size=2) + 1j * rng.normal(size=2)
             xi = xi / np.linalg.norm(xi)
             psi = extreme_state(iso.group.algebra, block, xi)
-            assert check_lip_p_state(iso, psi, p, tol=1e-8).holds
+            assert check_lip_p_state(iso, psi, p).holds
 
         verdict = check_lip_p_universal(noniso, p)
         assert not verdict.holds
         if "state" in verdict.witness:
             psi = verdict.witness["state"]
-            assert not check_lip_p_state(noniso, psi, p, tol=1e-7).holds
+            assert not check_lip_p_state(noniso, psi, p).holds
 
 
 def test_network_simplex_degenerate_instances():
