@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import QisoError, SizeGuardExceeded
@@ -122,6 +123,9 @@ def _plan_json(plan):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # once, before any command: every tolerance test is False at nan
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
         return _dispatch(args)
     except SizeGuardExceeded as ex:
         print(json.dumps({"error": "size-guard", "detail": str(ex)}),
@@ -178,8 +182,7 @@ def _dispatch(args) -> int:
         from .transport import feasible_coupling_on
         mu = fileio.load_distribution(args.mu, args.mode, args.tol)
         nu = fileio.load_distribution(args.nu, args.mode, args.tol)
-        with open(args.pairs) as fh:
-            pairs = json.load(fh)["pairs"]
+        pairs = fileio.read_json_object(args.pairs)["pairs"]
         Y = PairSet.from_pairs(mu.n, [tuple(p) for p in pairs])
         res = feasible_coupling_on(mu, nu, Y, tol=args.tol)
         if res.feasible:
@@ -195,8 +198,7 @@ def _dispatch(args) -> int:
         from .metric import PairSet
         from .transport import prob_vector
         from .scalars import parse_scalar
-        with open(args.instance) as fh:
-            doc = json.load(fh)
+        doc = fileio.read_json_object(args.instance)
         mu = prob_vector([parse_scalar(v, args.mode) for v in doc["mu"]], args.tol)
         nu = prob_vector([parse_scalar(v, args.mode) for v in doc["nu"]], args.tol)
         Y = PairSet.from_pairs(mu.n, [tuple(p) for p in doc["pairs"]])
@@ -236,10 +238,7 @@ def _dispatch(args) -> int:
 
     if args.command == "search":
         from .reports import SearchConfig, emit_report, run_search
-        doc = {}
-        if args.config:
-            with open(args.config) as fh:
-                doc = json.load(fh)
+        doc = fileio.read_json_object(args.config) if args.config else {}
         config = SearchConfig.from_dict(doc)
         if args.kind:
             config.kind = args.kind

@@ -22,6 +22,17 @@ from .scalars import FLOAT, RATIONAL, format_scalar, parse_scalar
 from .transport import ProbVector, prob_vector
 
 
+def read_json_object(path: str) -> dict:
+    """The JSON document at `path`, which must be an object: every input
+    file format is one, so a bare list or scalar is invalid input."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level, "
+                         f"got {type(doc).__name__}")
+    return doc
+
+
 def parse_complex(value, mode: str = FLOAT) -> complex:
     if isinstance(value, list):
         if len(value) != 2:
@@ -60,8 +71,7 @@ def space_from_dict(doc: dict, tol: Optional[float] = None) -> FiniteMetricSpace
 
 
 def load_space(path: str, tol: Optional[float] = None) -> FiniteMetricSpace:
-    with open(path) as fh:
-        return space_from_dict(json.load(fh), tol=tol)
+    return space_from_dict(read_json_object(path), tol=tol)
 
 
 def save_space(path: str, space: FiniteMetricSpace) -> None:
@@ -76,8 +86,7 @@ def distribution_from_dict(doc: dict, mode: str = RATIONAL,
 
 def load_distribution(path: str, mode: str = RATIONAL,
                       tol: float = 1e-9) -> ProbVector:
-    with open(path) as fh:
-        return distribution_from_dict(json.load(fh), mode=mode, tol=tol)
+    return distribution_from_dict(read_json_object(path), mode=mode, tol=tol)
 
 
 def distribution_to_dict(mu: ProbVector) -> dict:
@@ -145,8 +154,7 @@ def quantum_group_from_dict(doc: dict, enforce_kac: bool = True) -> QuantumGroup
 
 
 def load_quantum_group(path: str, enforce_kac: bool = True) -> QuantumGroup:
-    with open(path) as fh:
-        return quantum_group_from_dict(json.load(fh), enforce_kac=enforce_kac)
+    return quantum_group_from_dict(read_json_object(path), enforce_kac=enforce_kac)
 
 
 def save_quantum_group(path: str, qg: QuantumGroup) -> None:
@@ -192,12 +200,10 @@ def coaction_from_dict(doc: dict, base_dir: str = ".",
     import os
     group_doc = doc["group"]
     if isinstance(group_doc, str):
-        with open(os.path.join(base_dir, group_doc)) as fh:
-            group_doc = json.load(fh)
+        group_doc = read_json_object(os.path.join(base_dir, group_doc))
     space_doc = doc["space"]
     if isinstance(space_doc, str):
-        with open(os.path.join(base_dir, space_doc)) as fh:
-            space_doc = json.load(fh)
+        space_doc = read_json_object(os.path.join(base_dir, space_doc))
     qg = quantum_group_from_dict(group_doc)
     space = space_from_dict(space_doc, tol=tol)
     basis = [_element_from_json(qg.algebra, b) for b in group_doc["basis"]]
@@ -214,10 +220,8 @@ def coaction_from_dict(doc: dict, base_dir: str = ".",
 
 def load_coaction(path: str, tol: Optional[float] = None) -> CoAction:
     import os
-    with open(path) as fh:
-        doc = json.load(fh)
-    return coaction_from_dict(doc, base_dir=os.path.dirname(path) or ".",
-                              tol=tol)
+    return coaction_from_dict(read_json_object(path),
+                              base_dir=os.path.dirname(path) or ".", tol=tol)
 
 
 def state_from_dict(doc: dict, alg: FinDimCStarAlgebra) -> StateFunctional:
@@ -231,8 +235,7 @@ def state_from_dict(doc: dict, alg: FinDimCStarAlgebra) -> StateFunctional:
 
 
 def load_state(path: str, alg: FinDimCStarAlgebra) -> StateFunctional:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh), alg)
+    return state_from_dict(read_json_object(path), alg)
 
 
 def state_to_dict(psi: StateFunctional) -> dict:

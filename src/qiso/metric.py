@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, QisoError
-from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, Scalar, is_rational, tol_for
+from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, Scalar, is_rational
 
 
 class MetricError(QisoError):
@@ -115,16 +115,46 @@ class FiniteMetricSpace:
         return self.dist[x]
 
     @cached_property
+    def integer_form(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """Ints k and the least scale s > 0 with d(i, j) = k[i][j] / s, for a
+        rational space.  The axiom checks, the realized distances and exact
+        transport all run on these ints instead of on Fractions."""
+        if self.mode != RATIONAL:
+            raise ValueError("only a rational space has an integer form")
+        denominators = {v.denominator for row in self.dist for v in row}
+        scale = math.lcm(*denominators)
+        factor = {q: scale // q for q in denominators}
+        return (tuple(tuple(v.numerator * factor[v.denominator] for v in row)
+                      for row in self.dist), scale)
+
+    @cached_property
+    def _distance_keys(self):
+        """The matrix that distances are compared and hashed through (the
+        integer form in rational mode, d itself in float mode) and its
+        sorted distinct entries."""
+        matrix = self.integer_form[0] if self.mode == RATIONAL else self.dist
+        return matrix, sorted({v for row in matrix for v in row})
+
+    @cached_property
     def realized_distances(self) -> Tuple[Scalar, ...]:
         """Sorted distinct values of d, including 0."""
-        return tuple(sorted(set(v for row in self.dist for v in row)))
+        matrix, keys = self._distance_keys
+        if matrix is self.dist:
+            return tuple(keys)
+        # each value as the first entry of d, row by row, that holds it, so
+        # that an int matrix keeps int values
+        entry = {}
+        for krow, row in zip(reversed(matrix), reversed(self.dist)):
+            entry.update(zip(reversed(krow), reversed(row)))
+        return tuple(entry[k] for k in keys)
 
     @cached_property
     def distance_ranks(self) -> Tuple[Tuple[int, ...], ...]:
         """The index of each d(i, j) among the realized distances, so that
         d(i, j) <= realized_distances[k] iff distance_ranks[i][j] <= k."""
-        index = {v: k for k, v in enumerate(self.realized_distances)}
-        return tuple(tuple(index[v] for v in row) for row in self.dist)
+        matrix, keys = self._distance_keys
+        index = {v: k for k, v in enumerate(keys)}
+        return tuple(tuple(index[v] for v in row) for row in matrix)
 
     @cached_property
     def max_distance(self) -> Scalar:
@@ -145,13 +175,18 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
 
     In float mode each axiom holds within `tolerance` (default 1e-9; the
     space's `tol`, finite and > 0) times the largest |entry|; in rational
-    mode exactly.  Errors carry a witness: the offending pair or triple.
+    mode exactly, on the space's integer form.  Errors carry a witness: the
+    offending pair or triple.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise DimensionMismatch("distance matrix is not square")
     if n < 1:
         raise DimensionMismatch("empty distance matrix")
+    if labels is not None:
+        labels = tuple(labels)
+        if len(labels) != n:
+            raise DimensionMismatch("label count differs from point count")
     if mode is None:
         mode = RATIONAL if all(is_rational(v) for row in matrix for v in row) else FLOAT
     rel = DEFAULT_TOL if tolerance is None else tolerance
@@ -164,35 +199,39 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
             if isinstance(v, float) and not math.isfinite(v):
                 raise NonFiniteDistance(f"d({i},{j}) = {v} is not finite",
                                         witness=(i, j))
-    tol = tol_for(mode, rel) * max(abs(v) for row in dist for v in row)
+    space = FiniteMetricSpace(n=n, dist=dist, labels=labels, mode=mode,
+                              tol=float(rel))
+    if mode == RATIONAL:
+        if not all(is_rational(v) for row in dist for v in row):
+            raise ValueError("rational mode takes int or Fraction distances only")
+        # k[i][j] = s d(i, j) with s > 0: every axiom holds of k iff of d
+        x, tol = space.integer_form[0], 0
+    else:
+        x, tol = dist, rel * max(abs(v) for row in dist for v in row)
     for i in range(n):
-        if abs(dist[i][i]) > tol:
+        if abs(x[i][i]) > tol:
             raise NonzeroDiagonal(f"d({i},{i}) = {dist[i][i]} != 0", witness=(i,))
         for j in range(n):
-            if abs(dist[i][j] - dist[j][i]) > tol:
+            if abs(x[i][j] - x[j][i]) > tol:
                 raise AsymmetricMatrix(
                     f"d({i},{j}) = {dist[i][j]} != {dist[j][i]} = d({j},{i})",
                     witness=(i, j))
-            if dist[i][j] < -tol:
+            if x[i][j] < -tol:
                 raise NegativeDistance(f"d({i},{j}) = {dist[i][j]} < 0", witness=(i, j))
-            if i != j and dist[i][j] <= tol:
+            if i != j and x[i][j] <= tol:
                 raise NegativeDistance(
                     f"d({i},{j}) = {dist[i][j]} vanishes for distinct points",
                     witness=(i, j))
-    for i in range(n):
-        for j in range(n):
+    for i, xi in enumerate(x):
+        for j, xj in enumerate(x):
+            xij = xi[j]
             for k in range(n):
-                if dist[i][k] - (dist[i][j] + dist[j][k]) > tol:
+                if xi[k] - (xij + xj[k]) > tol:
                     raise TriangleViolation(
                         f"d({i},{k}) > d({i},{j}) + d({j},{k}): "
                         f"{dist[i][k]} > {dist[i][j]} + {dist[j][k]}",
                         witness=(i, j, k))
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != n:
-            raise DimensionMismatch("label count differs from point count")
-    return FiniteMetricSpace(n=n, dist=dist, labels=labels, mode=mode,
-                             tol=float(rel))
+    return space
 
 
 def lipschitz_constant(space: FiniteMetricSpace, f: RealFunction) -> Scalar:

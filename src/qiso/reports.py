@@ -12,6 +12,7 @@ import csv
 import functools
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -53,7 +54,34 @@ class SearchConfig:
         unknown = sorted(set(doc) - set(SearchConfig.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown SearchConfig keys {unknown}")
+        for key, value in doc.items():
+            if not _CONFIG_CHECKS[key](value):
+                raise ValueError(f"SearchConfig field {key!r} has a bad value "
+                                 f"{value!r}")
         return SearchConfig(**doc)
+
+
+def _is_number(v, low, types=(int, float)) -> bool:
+    return isinstance(v, types) and not isinstance(v, bool) and v >= low
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and all(item(x) for x in v)
+
+
+# each SearchConfig field -> whether a value read from a config file is one
+_CONFIG_CHECKS = {
+    "kind": lambda v: isinstance(v, str),
+    "n_range": lambda v: bool(v) and _is_list(v, lambda n: _is_number(n, 2, int)),
+    "metric_model": lambda v: isinstance(v, str),
+    "catalog": lambda v: v is None or _is_list(v, lambda s: isinstance(s, str)),
+    "random_actions": lambda v: _is_number(v, 0, int),
+    "state_samples": lambda v: _is_number(v, 0, int),
+    "p_list": lambda v: _is_list(v, lambda p: p == "inf" or _is_number(p, 1)),
+    "seed": lambda v: _is_number(v, -math.inf, int),
+    "time_budget": lambda v: v is None or _is_number(v, 0),
+    "jobs": lambda v: _is_number(v, 1, int),
+}
 
 
 @dataclass

@@ -3,8 +3,12 @@
 The workhorse is a primal network simplex for uncapacitated min-cost flow
 (spanning-tree bases kept as parent/depth arrays, block-search pricing,
 Cunningham's strongly feasible trees against cycling).  Rational
-data is scaled to integers once, by the lcm of its denominators, and
-pivoted exactly in plain ints; the answers are scaled back at the end.
+data runs exactly on an integer scale: a rational metric's costs are its
+integer form (`FiniteMetricSpace.integer_form`, d = k / s, so that d^p =
+k^p / s^p), other rational data is scaled once by the lcm of its
+denominators, and the pivots, the value, the potentials' shift and the
+dual objective are all plain int arithmetic, converted to one Fraction
+each at the end.
 Transportation plans, Kantorovich potentials, coupling feasibility on a
 restricted support, the bottleneck distance, and the vertices of the
 Kantorovich dual polyhedron between two sets of points (a pivot search
@@ -186,36 +190,59 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     theirs), so every pivot adds and compares plain ints; the results are
     scaled back to Fractions at the end.  Otherwise every cost and demand
     is converted to float once, on entry, so rational costs with float
-    demands pivot in floats and return floats only; a float reduced cost
-    counts as negative below -1e-12 x the largest |cost|, so the result
-    does not depend on the units of the costs.  The spanning tree is kept
-    as parent/parent-arc/depth arrays with child sets: a pivot walks the
-    cycle up to the lowest common ancestor, re-roots the subtree cut off
-    by the leaving arc at the entering arc's endpoint, and recomputes
-    potentials in that subtree only, each from its parent's, so that
-    float potentials equal those of a rebuild from the root.
+    demands pivot in floats and return floats only.  Both run on
+    `_network_simplex`, which the exact transport solvers call directly
+    with their integer data.
     """
     rational = all(is_rational(c) for _, _, c in arcs) and \
         all(is_rational(b) for b in demand)
-    eps = tol_for(RATIONAL if rational else "float", tol)
-
-    total = sum(demand)
-    if abs(total) > eps:
-        raise InfeasibleMarginals(f"demands sum to {total}, not 0")
-
-    m = len(arcs)
     tail = [u for u, _, _ in arcs]
     head = [v for _, v, _ in arcs]
     if rational:
-        # big is the unscaled big-M, sum |c| + 1, times cs: every reduced
-        # cost is the unscaled one times cs, so every pivot is unchanged.
         cost, cs = _integer_scale([c for _, _, c in arcs])
-        supply, ds = _integer_scale(demand)
-        big = sum(abs(c) for c in cost) + cs
+        scaled, ds = _integer_scale(demand)
+        flows, pi = _network_simplex(num_nodes, tail, head, cost, scaled, cs)
+        no_flow = Fraction(0)
+        return ([Fraction(f, ds) if f else no_flow for f in flows],
+                [Fraction(p, cs) for p in pi])
+    return _network_simplex(num_nodes, tail, head, [float(c) for _, _, c in arcs],
+                            [float(b) for b in demand], None, tol)
+
+
+def _network_simplex(num_nodes: int, tail, head, cost, demand,
+                     cost_scale: Optional[int], tol: float = 1e-9):
+    """The simplex of `min_cost_flow` on data of one kind, arc a running
+    from tail[a] to head[a] at cost[a]; returns the raw flows and
+    potentials.  Exact: int costs k and int demands, cost_scale the int s
+    of the costs k / s (the big-M below is the unscaled one times s, so
+    the pivots do not depend on s); any positive scale of the demands
+    gives the same pivots with the flows scaled.  Float: float costs and
+    demands, cost_scale None; a reduced cost counts as negative below
+    -1e-12 x the largest |cost|, so the result does not depend on the
+    units of the costs.
+
+    The spanning tree is kept as parent/parent-arc/depth arrays with
+    child sets: a pivot walks the cycle up to the lowest common ancestor,
+    re-roots the subtree cut off by the leaving arc at the entering arc's
+    endpoint, and recomputes potentials in that subtree only, each from
+    its parent's, so that float potentials equal those of a rebuild from
+    the root.
+    """
+    exact = cost_scale is not None
+    eps = 0 if exact else tol
+    if abs(sum(demand)) > eps:
+        raise InfeasibleMarginals("demands do not sum to 0")
+
+    m = len(cost)
+    # copies, which the artificial arcs extend
+    tail, head, cost = list(tail), list(head), list(cost)
+    if exact:
+        # big is the unscaled big-M, sum |c| + 1, times the cost scale:
+        # every reduced cost is the unscaled one times it, so every pivot
+        # is unchanged.
+        big = sum(abs(c) for c in cost) + cost_scale
         piv_eps = 0
     else:
-        cost = [float(c) for _, _, c in arcs]
-        supply = [float(b) for b in demand]
         # in the costs' own units, so that small costs keep their digits
         # next to it; when every cost is 0 any positive value serves
         big = 2 * sum(abs(c) for c in cost) or 1.0
@@ -234,7 +261,7 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     children[root].update(range(num_nodes))
     pi = [zero] * (num_nodes + 1)
     for v in range(num_nodes):
-        b = supply[v]
+        b = demand[v]
         if b > 0:
             tail.append(root)
             head.append(v)
@@ -336,10 +363,6 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
 
     if any(basic[a] and flow[a] > eps for a in range(m, m + num_nodes)):
         raise InfeasibleMarginals("artificial arc carries flow at optimum")
-    if rational:
-        no_flow = Fraction(0)
-        return ([Fraction(f, ds) if f else no_flow for f in flow[:m]],
-                [Fraction(p, cs) for p in pi[:num_nodes]])
     return flow[:m], pi[:num_nodes]
 
 
@@ -356,7 +379,11 @@ def solve_transport(mu: ProbVector, nu: ProbVector, cost) -> TransportResult:
     n = mu.n
     if nu.n != n or len(cost) != n or any(len(row) != n for row in cost):
         raise DimensionMismatch("marginals and cost must share one size n")
-    eps = tol_for(_mode_of(mu.mass, nu.mass), 1e-9)
+    mode = _mode_of(mu.mass, nu.mass)
+    if mode == RATIONAL and all(is_rational(c) for row in cost for c in row):
+        return _exact_transport(mu, nu, *_integer_scale(
+            [c for row in cost for c in row]))
+    eps = tol_for(mode, 1e-9)
     if abs(sum(mu.mass) - sum(nu.mass)) > eps:
         raise InfeasibleMarginals("marginal masses differ")
 
@@ -379,6 +406,35 @@ def solve_transport(mu: ProbVector, nu: ProbVector, cost) -> TransportResult:
                            duals=DualPotentials(f, g, objective))
 
 
+def _exact_transport(mu: ProbVector, nu: ProbVector, cost,
+                     scale: int) -> TransportResult:
+    """solve_transport for rational marginals of checked sizes and the
+    costs cost[i n + j] / scale, cost a row-major list of n^2 ints.  The
+    masses are scaled to ints once; the value, the potentials shifted to
+    g_{n-1} = 0 and the dual objective are int sums, each converted to one
+    Fraction at the end, as is each nonzero flow."""
+    n = mu.n
+    mass, ms = _integer_scale(mu.mass + nu.mass)
+    if sum(mass[:n]) != sum(mass[n:]):
+        raise InfeasibleMarginals("marginal masses differ")
+    flows, pi = _network_simplex(2 * n, [i for i in range(n) for _ in range(n)],
+                                 list(range(n, 2 * n)) * n, cost,
+                                 [-m for m in mass[:n]] + mass[n:], scale)
+    zero = Fraction(0)
+    plan = tuple(tuple(Fraction(fl, ms) if fl else zero
+                       for fl in flows[i * n:(i + 1) * n]) for i in range(n))
+    unit = scale * ms
+    value = Fraction(sum(c * fl for c, fl in zip(cost, flows) if fl), unit)
+    top = pi[2 * n - 1]
+    f = [top - v for v in pi[:n]]
+    g = [v - top for v in pi[n:]]
+    objective = Fraction(sum(m * v for m, v in zip(mass, f + g)), unit)
+    return TransportResult(
+        value=value, plan=Coupling(plan, mu, nu),
+        duals=DualPotentials(tuple(Fraction(v, scale) for v in f),
+                             tuple(Fraction(v, scale) for v in g), objective))
+
+
 def _power_cost(space, p):
     """The cost matrix d^p: exact for a positive integer p, float otherwise.
     Each realized distance is raised to the power once."""
@@ -389,12 +445,33 @@ def _power_cost(space, p):
     return [[power[k] for k in row] for row in space.distance_ranks]
 
 
+def _integer_power(space: FiniteMetricSpace, p):
+    """The integer form of d^p, (k^p, s^p) with d = k / s the space's
+    integer form, for a rational space and a positive integer p; else
+    None.  Each realized distance is raised to the power once."""
+    if space.mode != RATIONAL or not (
+            isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1)):
+        return None
+    p = int(p)
+    scale = space.integer_form[1]
+    power = [(v.numerator * (scale // v.denominator)) ** p
+             for v in space.realized_distances]
+    return [[power[k] for k in row] for row in space.distance_ranks], scale ** p
+
+
 def transport_with_power(space: FiniteMetricSpace, mu: ProbVector,
                          nu: ProbVector, p) -> TransportResult:
     """solve_transport with cost d^p; the result's value is W_p^p, exact
-    when the space and marginals are rational and p is a positive integer."""
+    when the space and marginals are rational and p is a positive integer,
+    on the space's integer form."""
     if not p >= 1:
         raise ValueError("p must be >= 1")
+    exact = _integer_power(space, p)
+    if exact is not None and _mode_of(mu.mass, nu.mass) == RATIONAL:
+        if mu.n != space.n or nu.n != space.n:
+            raise DimensionMismatch("marginals and cost must share one size n")
+        power, scale = exact
+        return _exact_transport(mu, nu, [c for row in power for c in row], scale)
     return solve_transport(mu, nu, _power_cost(space, p))
 
 
@@ -414,9 +491,24 @@ def kantorovich_w1(space: FiniteMetricSpace, mu: ProbVector, nu: ProbVector):
     This is a different linear program from the bipartite transportation
     formulation in solve_transport; the two agreeing is the point of the
     Kantorovich-Rubinstein cross-check.  Returns (value, witness f) with
-    f normalized by f_{n-1} = 0.
+    f normalized by f_{n-1} = 0.  A rational space with rational marginals
+    runs on the space's integer form and the masses scaled to ints once.
     """
     n = space.n
+    if mu.n != n or nu.n != n:
+        raise DimensionMismatch("marginals and space sizes differ")
+    if space.mode == RATIONAL and _mode_of(mu.mass, nu.mass) == RATIONAL:
+        ints, scale = space.integer_form
+        mass, ms = _integer_scale(mu.mass + nu.mass)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        cost = [ints[i][j] for i, j in pairs]
+        flows, pi = _network_simplex(
+            n, [i for i, _ in pairs], [j for _, j in pairs], cost,
+            [mass[n + i] - mass[i] for i in range(n)], scale)
+        value = Fraction(sum(c * fl for c, fl in zip(cost, flows) if fl),
+                         scale * ms)
+        top = pi[n - 1]
+        return value, tuple(Fraction(top - v, scale) for v in pi)
     arcs = [(i, j, space.dist[i][j]) for i in range(n) for j in range(n) if i != j]
     demand = [nu.mass[i] - mu.mass[i] for i in range(n)]
     flows, pi = min_cost_flow(n, arcs, demand)
@@ -667,22 +759,24 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
     convexity").  Each tree's unperturbed potentials are a vertex, kept
     once.
 
-    Rational data runs in ints scaled by the lcm of its denominators and
-    comes back as Fractions.  Float data treats slacks within eps = tol x
-    the largest cost as ties and keeps one vertex per cell of side eps, so
-    that the vertices found do not depend on the units of the costs.
+    A rational space runs on its integer form, powered per rank as in
+    `transport_with_power`, and its vertices come back as Fractions.
+    Float data treats slacks within eps = tol x the largest cost as ties
+    and keeps one vertex per cell of side eps, so that the vertices found
+    do not depend on the units of the costs.
     """
-    power = _power_cost(space, p)
     rows = range(space.n) if rows is None else rows
     cols = range(space.n) if cols is None else cols
     m, n = len(rows), len(cols)
-    flat = [power[i][j] for i in rows for j in cols]
-    exact = space.mode == RATIONAL and all(is_rational(v) for v in flat)
+    integer = _integer_power(space, p)
+    exact = integer is not None
     if exact:
-        work, scale = _integer_scale(flat)
+        power, scale = integer
+        work = [power[i][j] for i in rows for j in cols]
         eps, zero = 0, 0
     else:
-        work = [float(v) for v in flat]
+        power = _power_cost(space, p)
+        work = [float(power[i][j]) for i in rows for j in cols]
         eps, zero = space.tol * max(work), 0.0
     # Node a is f_a and node m + b is g_b; edge k = a n + b joins them.
     root = m + n - 1

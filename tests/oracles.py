@@ -67,6 +67,9 @@ exponential in the number of points:
   pair, as before it visited x < y only on an exactly symmetric d;
 - scaled_twin: an action on its metric times a scale, exact or as a
   float space, for the unit-independence and metamorphic tests;
+- metric_violation_reference: the first failing metric axiom of a
+  rational matrix, checked entry by entry in Fractions, against the
+  checks `validate_metric` runs on the space's integer form;
 - apply_delta, apply_kappa, counit and min_eig: Delta, kappa and the
   counit applied to one AlgElement, and its smallest eigenvalue, for the
   per-element oracles above and the tests.
@@ -91,8 +94,10 @@ from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
                            _eigen_state, _exact_entries, _rationalize,
                            check_winf_universal)
-from qiso.metric import (FiniteMetricSpace, PairSet, ball, level_set,
-                         lipschitz_constant, sublevel_set, validate_metric)
+from qiso.metric import (AsymmetricMatrix, FiniteMetricSpace, NegativeDistance,
+                         NonzeroDiagonal, PairSet, TriangleViolation, ball,
+                         level_set, lipschitz_constant, sublevel_set,
+                         validate_metric)
 from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
@@ -1345,3 +1350,30 @@ def check_lip_seminorm_state(action: CoAction, psi: StateFunctional,
         if float(lg) > float(lf) + tol:
             return False
     return True
+
+
+def metric_violation_reference(matrix):
+    """The first metric axiom that a rational (int or Fraction) square
+    matrix fails, as (error class, witness, message), in the order and
+    with the messages of `validate_metric`; None for a metric.  Every
+    entry is compared as a Fraction, one at a time."""
+    d = [[Fraction(v) for v in row] for row in matrix]
+    n = len(d)
+    for i in range(n):
+        if d[i][i] != 0:
+            return NonzeroDiagonal, (i,), f"d({i},{i}) = {matrix[i][i]} != 0"
+        for j in range(n):
+            if d[i][j] != d[j][i]:
+                return (AsymmetricMatrix, (i, j),
+                        f"d({i},{j}) = {matrix[i][j]} != {matrix[j][i]} = d({j},{i})")
+            if d[i][j] < 0:
+                return NegativeDistance, (i, j), f"d({i},{j}) = {matrix[i][j]} < 0"
+            if i != j and d[i][j] == 0:
+                return (NegativeDistance, (i, j),
+                        f"d({i},{j}) = {matrix[i][j]} vanishes for distinct points")
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if d[i][k] > d[i][j] + d[j][k]:
+            return (TriangleViolation, (i, j, k),
+                    f"d({i},{k}) > d({i},{j}) + d({j},{k}): "
+                    f"{matrix[i][k]} > {matrix[i][j]} + {matrix[j][k]}")
+    return None

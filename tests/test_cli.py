@@ -173,6 +173,53 @@ def test_cli_validate_rejects_tolerance_not_finite_positive(tmp_path, capsys, to
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("command", ["coupling-on", "hall", "catalog"])
+def test_cli_rejects_tolerance_not_finite_positive_before_any_command(
+        tmp_path, capsys, command, tol):
+    """--tol is checked once, before the command runs, also where no metric
+    space is loaded: at nan, coupling-on reported an infeasible coupling
+    with an empty violator (exit 3) for masses summing to 1.8, which are
+    invalid input at the default tolerance, and hall and catalog --verify
+    ran with it."""
+    (tmp_path / "mu.json").write_text(json.dumps({"mass": [0.9, 0.9]}))
+    (tmp_path / "nu.json").write_text(json.dumps({"mass": [0.5, 0.5]}))
+    (tmp_path / "pairs.json").write_text(json.dumps({"pairs": [[0, 0], [1, 1]]}))
+    (tmp_path / "hall.json").write_text(json.dumps(
+        {"mu": [0.5, 0.5], "nu": [0.5, 0.5], "pairs": [[0, 0], [1, 1]]}))
+    argv = {"coupling-on": ["coupling-on", "--mu", str(tmp_path / "mu.json"),
+                            "--nu", str(tmp_path / "nu.json"),
+                            "--pairs", str(tmp_path / "pairs.json")],
+            "hall": ["hall", str(tmp_path / "hall.json")],
+            "catalog": ["catalog", "--verify"]}[command]
+    code = main(["--mode", "float", "--tol", tol] + argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "ValueError" and "--tol" in err
+
+
+def test_cli_distribution_file_must_be_an_object(files, capsys):
+    """A distribution file whose top level is a list is invalid input, not
+    a TypeError traceback."""
+    (files / "mu.json").write_text(json.dumps([0.5, 0.5]))
+    (files / "pairs.json").write_text(json.dumps({"pairs": [[0, 0], [1, 1]]}))
+    code = main(["coupling-on", "--mu", str(files / "mu.json"),
+                 "--nu", str(files / "nu.json"),
+                 "--pairs", str(files / "pairs.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out and "JSON object" in err
+
+
+def test_cli_validate_rejects_bare_matrix(tmp_path, capsys):
+    """A space file holding a bare distance matrix instead of {"dist": ...}
+    is invalid input, not an AttributeError traceback."""
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps([[0, 1], [1, 0]]))
+    code = main(["validate", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out and "JSON object" in err
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
 def test_cli_metric_file_with_non_finite_entry_is_invalid_input(tmp_path, capsys, bad):
     path = tmp_path / "space.json"
@@ -383,6 +430,17 @@ def test_cli_search_rejects_unknown_config_key(tmp_path, capsys):
     code = main(["search", "--config", str(cfg)])
     out, err = capsys.readouterr()
     assert code == 2 and not out and "random_action" in err
+
+
+def test_cli_search_rejects_mistyped_config_value(tmp_path, capsys):
+    """A config value of the wrong type is invalid input naming the field,
+    not a TypeError traceback from deep in the run."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
+                               "random_actions": "5"}))
+    code = main(["search", "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out and "random_actions" in err
 
 
 def test_cli_search_seed_and_jobs_override_config_only_when_given(

@@ -1,5 +1,7 @@
 """Metric-space validation, derived sets, Lipschitz data."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,8 @@ from qiso.metric import (AsymmetricMatrix, NegativeDistance, NonFiniteDistance,
                          lipschitz_constant, random_metric_space,
                          sublevel_set, validate_metric)
 from qiso.errors import DimensionMismatch
+
+from oracles import metric_violation_reference
 
 
 THREE = [[F(0), F(1), F(2)], [F(1), F(0), F(2)], [F(2), F(2), F(0)]]
@@ -119,3 +123,49 @@ def test_distance_rows_are_one_lipschitz():
 def test_graph_model_is_rational_and_euclid_is_float():
     assert random_metric_space(4, 0, "shortest-path-graph").mode == "rational"
     assert random_metric_space(4, 0, "euclidean-sample").mode == "float"
+
+
+def test_axiom_checks_on_integer_form_match_fraction_oracle():
+    """validate_metric checks a rational matrix on its integer form; on
+    seeded broken matrices (asymmetric, a zero off-diagonal pair, a
+    triangle violation, a nonzero diagonal or a negative pair) with int,
+    Fraction and mixed entries it raises the error class, witness and
+    message of the entry-by-entry Fraction oracle, and it accepts what
+    the oracle accepts."""
+    rng = random.Random(17)
+    raised = set()
+    for trial in range(150):
+        n = rng.randint(2, 7)
+        base = random_metric_space(n, rng.randint(0, 9999))
+        factor = F(rng.randint(1, 5), rng.choice((1, 3, 7, 11)))
+        m = [[v * factor for v in row] for row in base.dist]
+        i, j = rng.sample(range(n), 2)
+        fault = trial % 6
+        if fault == 0:                     # asymmetric
+            m[i][j] += F(1, rng.choice((2, 5, 13)))
+        elif fault == 1:                   # zero off-diagonal pair
+            m[i][j] = m[j][i] = F(0)
+        elif fault == 2 and n >= 3:        # d(i,k) > d(i,j) + d(j,k)
+            k = next(k for k in range(n) if k not in (i, j))
+            m[i][k] = m[k][i] = m[i][j] + m[j][k] + F(1, rng.choice((1, 3, 9)))
+        elif fault == 3:                   # nonzero diagonal
+            m[i][i] = F(1, 7)
+        elif fault == 4:                   # negative pair
+            m[i][j] = m[j][i] = -m[i][j]
+        kind = rng.choice(("int", "fraction", "mixed"))
+        if kind == "int":
+            scale = math.lcm(*(v.denominator for row in m for v in row))
+            m = [[int(v * scale) for v in row] for row in m]
+        elif kind == "mixed":
+            m = [[int(v) if v.denominator == 1 else v for v in row] for row in m]
+        want = metric_violation_reference(m)
+        if want is None:
+            assert validate_metric(m).dist == tuple(map(tuple, m))
+            raised.add(None)
+            continue
+        with pytest.raises(want[0]) as exc:
+            validate_metric(m)
+        assert (exc.value.witness, str(exc.value)) == want[1:]
+        raised.add(want[0])
+    assert raised == {AsymmetricMatrix, NegativeDistance, TriangleViolation,
+                      NonzeroDiagonal, None}

@@ -1,5 +1,6 @@
 """Transport solver, duals, feasibility, bottleneck, vertex enumeration."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -108,7 +109,11 @@ def coprime_prob(rng, n):
 def certify_min_cost_flow(num_nodes, arcs, demand, flows, pi):
     """Exact optimality certificate of (flows, pi): nonnegative flows that
     meet every demand, potentials with pi[v] - pi[u] <= c on every arc and
-    equality wherever flow is positive, everything a Fraction."""
+    equality wherever flow is positive, everything a Fraction.  The raw
+    int flows and potentials of an exact `_network_simplex` call are
+    converted to Fractions here, and certified on the call's int data."""
+    flows = [F(v) if type(v) is int else v for v in flows]
+    pi = [F(v) if type(v) is int else v for v in pi]
     assert all(isinstance(v, F) for v in flows + pi)
     assert all(f >= 0 for f in flows)
     net = [F(0)] * num_nodes
@@ -126,11 +131,16 @@ def test_min_cost_flow_matches_reference(monkeypatch):
     the Fraction-pivoting reference exactly, with exactly certified flows
     and potentials, on 200 seeded rational problems routed through
     solve_transport and kantorovich_w1.  The two may stop at different
-    optimal bases, so flows and potentials are certified, not compared."""
+    optimal bases, so flows and potentials are certified, not compared.
+    Every call of the simplex core is checked on the int data it gets."""
     calls = []
+    real = transport._network_simplex
 
-    def both(num_nodes, arcs, demand, tol=1e-9):
-        got = min_cost_flow(num_nodes, arcs, demand, tol)
+    def both(num_nodes, tail, head, cost, demand, cost_scale, tol=1e-9):
+        assert all(type(c) is int for c in cost) and \
+            all(type(b) is int for b in demand)
+        arcs = list(zip(tail, head, cost))
+        got = real(num_nodes, tail, head, cost, demand, cost_scale, tol)
         ref, _ = min_cost_flow_reference(num_nodes, arcs, demand, tol)
         assert sum(c * f for (_, _, c), f in zip(arcs, got[0])) == \
             sum(c * f for (_, _, c), f in zip(arcs, ref))
@@ -138,7 +148,7 @@ def test_min_cost_flow_matches_reference(monkeypatch):
         calls.append(num_nodes)
         return got
 
-    monkeypatch.setattr(transport, "min_cost_flow", both)
+    monkeypatch.setattr(transport, "_network_simplex", both)
     rng = random.Random(9)
     for k in range(200):
         n = rng.randint(2, 6)
@@ -163,6 +173,35 @@ def test_min_cost_flow_matches_reference(monkeypatch):
     assert len(calls) == 400
 
 
+def test_min_cost_flow_returns_certified_fractions():
+    """The public min_cost_flow, a wrapper over the same core, takes and
+    returns Fractions: on 60 seeded rational problems (transportation
+    arcs with costs of denominators up to 13, and the complete graph of
+    a scaled metric with demands nu - mu) its flows and potentials are
+    exactly certified and reach the reference objective."""
+    rng = random.Random(10)
+    for k in range(60):
+        n = rng.randint(2, 6)
+        mu, nu = coprime_prob(rng, n), rand_prob(rng, n)
+        if k % 2:
+            cost = rand_cost(rng, n, denom=13)
+            num_nodes = 2 * n
+            arcs = [(i, n + j, cost[i][j]) for i in range(n) for j in range(n)]
+            demand = [-m for m in mu.mass] + list(nu.mass)
+        else:
+            factor = F(rng.randint(1, 5), rng.choice((1, 7, 11)))
+            sp = random_metric_space(n, rng.randint(0, 9999))
+            num_nodes = n
+            arcs = [(i, j, sp.dist[i][j] * factor) for i in range(n)
+                    for j in range(n) if i != j]
+            demand = [b - a for a, b in zip(mu.mass, nu.mass)]
+        flows, pi = min_cost_flow(num_nodes, arcs, demand)
+        certify_min_cost_flow(num_nodes, arcs, demand, flows, pi)
+        ref, _ = min_cost_flow_reference(num_nodes, arcs, demand)
+        assert sum(c * f for (_, _, c), f in zip(arcs, flows)) == \
+            sum(c * f for (_, _, c), f in zip(arcs, ref))
+
+
 def float_prob(rng, n):
     w = [rng.random() + 0.05 for _ in range(n)]
     s = sum(w)
@@ -180,14 +219,15 @@ def test_mixed_mode_runs_in_floats(monkeypatch):
     assert all(isinstance(v, float) for v in flows + pi)
 
     calls = []
+    real = transport._network_simplex
 
-    def spy(num_nodes, arcs, demand, tol=1e-9):
-        got = min_cost_flow(num_nodes, arcs, demand, tol)
+    def spy(num_nodes, tail, head, cost, demand, cost_scale, tol=1e-9):
+        got = real(num_nodes, tail, head, cost, demand, cost_scale, tol)
         assert all(isinstance(v, float) for part in got for v in part)
         calls.append(got)
         return got
 
-    monkeypatch.setattr(transport, "min_cost_flow", spy)
+    monkeypatch.setattr(transport, "_network_simplex", spy)
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randint(2, 6)
@@ -214,17 +254,18 @@ def test_degenerate_problems_terminate_certified(monkeypatch):
     through solve_transport and kantorovich_w1, each with an exactly
     certified optimum."""
     from qiso.catalog import cycle_metric, equilateral_metric
-    real = transport.min_cost_flow
+    real = transport._network_simplex
     calls = []
 
-    def capped(num_nodes, arcs, demand, tol=1e-9):
-        monkeypatch.setattr(transport, "_MAX_PIVOTS", 4 * len(arcs))
-        got = real(num_nodes, arcs, demand, tol)
-        certify_min_cost_flow(num_nodes, arcs, demand, *got)
+    def capped(num_nodes, tail, head, cost, demand, cost_scale, tol=1e-9):
+        monkeypatch.setattr(transport, "_MAX_PIVOTS", 4 * len(cost))
+        got = real(num_nodes, tail, head, cost, demand, cost_scale, tol)
+        certify_min_cost_flow(num_nodes, list(zip(tail, head, cost)), demand,
+                              *got)
         calls.append(num_nodes)
         return got
 
-    monkeypatch.setattr(transport, "min_cost_flow", capped)
+    monkeypatch.setattr(transport, "_network_simplex", capped)
     for n in range(8, 13):
         evens = [F(1 - i % 2, (n + 1) // 2) for i in range(n)]
         odds = [F(i % 2, n // 2) for i in range(n)]
@@ -243,6 +284,63 @@ def test_degenerate_problems_terminate_certified(monkeypatch):
                 elif (mu, nu) in diracs:
                     assert w1 == sp.dist[mu.mass.index(1)][nu.mass.index(1)]
     assert len(calls) == 5 * 2 * 5 * 3
+
+
+def entry_kind(matrix, kind):
+    """A rational matrix with int entries (scaled by the lcm of its
+    denominators), Fraction entries, or both (the integral entries as
+    ints)."""
+    if kind == "int":
+        scale = math.lcm(*(v.denominator for row in matrix for v in row))
+        return [[int(v * scale) for v in row] for row in matrix]
+    if kind == "mixed":
+        return [[int(v) if v.denominator == 1 else v for v in row]
+                for row in matrix]
+    return [[F(v) for v in row] for row in matrix]
+
+
+def test_integer_form_agrees_with_fraction_references():
+    """Exact transport on a space's integer form gives what the Fraction
+    computations give: on seeded rational spaces with int, Fraction and
+    mixed entries, n = 2 to 20, p = 1, 2, 3 and marginals with coprime
+    denominators, the realized distances and ranks equal a Fraction-set
+    recomputation, and the W_p^p value, its dual objective and the
+    Kantorovich value equal the optimum of the Fraction-pivoting reference
+    simplex (on d^p and on the complete graph of d), every result a
+    Fraction."""
+    rng = random.Random(21)
+    cases = 0
+    for n in (2, 3, 4, 6, 9, 13, 20):
+        base = random_metric_space(n, rng.randint(0, 9999))
+        factor = F(rng.randint(1, 6), rng.choice((1, 7, 11, 13)))
+        for k, kind in enumerate(("int", "fraction", "mixed")):
+            sp = validate_metric(entry_kind(
+                [[v * factor for v in row] for row in base.dist], kind))
+            d = [[F(v) for v in row] for row in sp.dist]
+            values = sorted({v for row in d for v in row})
+            assert sp.realized_distances == tuple(values)
+            index = {v: r for r, v in enumerate(values)}
+            assert sp.distance_ranks == tuple(tuple(index[v] for v in row)
+                                              for row in d)
+            mu, nu = coprime_prob(rng, n), coprime_prob(rng, n)
+            p = 1 + (n + k) % 3
+            arcs = [(i, n + j, d[i][j] ** p) for i in range(n) for j in range(n)]
+            ref, _ = min_cost_flow_reference(2 * n, arcs,
+                                             [-m for m in mu.mass] + list(nu.mass))
+            optimum = sum(c * f for (_, _, c), f in zip(arcs, ref))
+            res = transport_with_power(sp, mu, nu, p)
+            assert res.value == optimum and res.duals.objective == optimum
+            arcs = [(i, j, d[i][j]) for i in range(n) for j in range(n) if i != j]
+            ref, _ = min_cost_flow_reference(
+                n, arcs, [b - a for a, b in zip(mu.mass, nu.mass)])
+            w1, witness = kantorovich_w1(sp, mu, nu)
+            assert w1 == sum(c * f for (_, _, c), f in zip(arcs, ref))
+            assert all(isinstance(v, F) for v in
+                       (res.value, res.duals.objective, w1, *witness,
+                        *res.duals.f, *res.duals.g,
+                        *(v for row in res.plan.plan for v in row)))
+            cases += 1
+    assert cases == 21
 
 
 def test_float_pricing_threshold_is_scale_relative():
