@@ -178,12 +178,10 @@ def _dispatch(args) -> int:
         return _winf(args, space, mu, nu)
 
     if args.command == "coupling-on":
-        from .metric import PairSet
         from .transport import feasible_coupling_on
         mu = fileio.load_distribution(args.mu, args.mode, args.tol)
         nu = fileio.load_distribution(args.nu, args.mode, args.tol)
-        pairs = fileio.read_json_object(args.pairs)["pairs"]
-        Y = PairSet.from_pairs(mu.n, [tuple(p) for p in pairs])
+        Y = fileio.pairs_from_dict(fileio.read_json_object(args.pairs), mu.n)
         res = feasible_coupling_on(mu, nu, Y, tol=args.tol)
         if res.feasible:
             _emit(args, {"feasible": True, "plan": _plan_json(res.coupling.plan)})
@@ -195,13 +193,10 @@ def _dispatch(args) -> int:
 
     if args.command == "hall":
         from .hall import HallInstance, decide_hall, hall_condition
-        from .metric import PairSet
-        from .transport import prob_vector
-        from .scalars import parse_scalar
         doc = fileio.read_json_object(args.instance)
-        mu = prob_vector([parse_scalar(v, args.mode) for v in doc["mu"]], args.tol)
-        nu = prob_vector([parse_scalar(v, args.mode) for v in doc["nu"]], args.tol)
-        Y = PairSet.from_pairs(mu.n, [tuple(p) for p in doc["pairs"]])
+        mu = fileio.distribution_from_dict(doc, args.mode, args.tol, field="mu")
+        nu = fileio.distribution_from_dict(doc, args.mode, args.tol, field="nu")
+        Y = fileio.pairs_from_dict(doc, mu.n)
         inst = HallInstance(mu, nu, Y)
         verdict = decide_hall(inst)
         holds, violator = hall_condition(inst)

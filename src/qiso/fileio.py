@@ -3,7 +3,10 @@
 Scalars: a bare number, a rational as a "p/q" string, or a complex number
 as a two-element [re, im] list whose parts may themselves be rationals.
 Quantum-group files may present their structure maps over any element
-basis; loading converts to the canonical matrix-unit basis.
+basis; loading converts to the canonical matrix-unit basis.  Every reader
+checks the JSON type and shape of the fields it reads and raises
+ValueError (or ShapeMismatch for a size that disagrees with another
+field) naming the field, so that a mistyped file is invalid input.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .algebra import AlgElement, FinDimCStarAlgebra, StateFunctional
 from .coaction import CoAction
 from .errors import QisoError, ShapeMismatch
-from .metric import FiniteMetricSpace, validate_metric
+from .metric import FiniteMetricSpace, PairSet, validate_metric
 from .quantum_group import QuantumGroup, require_kac
 from .scalars import FLOAT, RATIONAL, format_scalar, parse_scalar
 from .transport import ProbVector, prob_vector
@@ -31,6 +34,35 @@ def read_json_object(path: str) -> dict:
         raise ValueError(f"{path}: expected a JSON object at the top level, "
                          f"got {type(doc).__name__}")
     return doc
+
+
+def _array(value, what: str, length: Optional[int] = None) -> list:
+    """value, which must be a JSON array, of `length` entries if given."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON array, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ShapeMismatch(f"{what} must have {length} entries, got {len(value)}")
+    return value
+
+
+def _matrix(value, what: str, rows: Optional[int] = None,
+            cols: Optional[int] = None) -> list:
+    """value, which must be a JSON array of arrays, rows x cols if given."""
+    for i, row in enumerate(_array(value, what, rows)):
+        _array(row, f"{what}[{i}]", cols)
+    return value
+
+
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer (a boolean is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _name(doc: dict) -> str:
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError("name must be a string")
+    return name
 
 
 def parse_complex(value, mode: str = FLOAT) -> complex:
@@ -63,11 +95,17 @@ def space_to_dict(space: FiniteMetricSpace) -> dict:
 
 def space_from_dict(doc: dict, tol: Optional[float] = None) -> FiniteMetricSpace:
     mode = doc.get("mode", RATIONAL)
-    matrix = [[parse_scalar(v, mode) for v in row] for row in doc["dist"]]
+    if mode not in (RATIONAL, FLOAT):
+        raise ValueError(f"mode must be {RATIONAL!r} or {FLOAT!r}, got {mode!r}")
+    matrix = [[parse_scalar(v, mode) for v in row]
+              for row in _matrix(doc["dist"], "dist")]
     if "n" in doc and doc["n"] != len(matrix):
         raise ShapeMismatch("declared n differs from the matrix size")
-    return validate_metric(matrix, tolerance=tol, labels=doc.get("labels"),
-                           mode=mode)
+    labels = doc.get("labels")
+    if labels is not None and not all(
+            isinstance(label, str) for label in _array(labels, "labels")):
+        raise ValueError("labels must be strings")
+    return validate_metric(matrix, tolerance=tol, labels=labels, mode=mode)
 
 
 def load_space(path: str, tol: Optional[float] = None) -> FiniteMetricSpace:
@@ -80,8 +118,11 @@ def save_space(path: str, space: FiniteMetricSpace) -> None:
 
 
 def distribution_from_dict(doc: dict, mode: str = RATIONAL,
-                           tol: float = 1e-9) -> ProbVector:
-    return prob_vector([parse_scalar(v, mode) for v in doc["mass"]], tol=tol)
+                           tol: float = 1e-9, field: str = "mass") -> ProbVector:
+    """The distribution in the array doc[field] ("mass" in a distribution
+    file; "mu" and "nu" in a Hall instance)."""
+    return prob_vector([parse_scalar(v, mode) for v in _array(doc[field], field)],
+                       tol=tol)
 
 
 def load_distribution(path: str, mode: str = RATIONAL,
@@ -93,6 +134,18 @@ def distribution_to_dict(mu: ProbVector) -> dict:
     return {"mass": [format_scalar(m) for m in mu.mass]}
 
 
+def pairs_from_dict(doc: dict, n: int) -> PairSet:
+    """The pair set in doc["pairs"], an array of [i, j] point indices
+    below n."""
+    pairs = _array(doc["pairs"], "pairs")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(_is_int(i) and 0 <= i < n for i in pair)):
+            raise ValueError(f"pairs: expected [i, j] with 0 <= i, j < {n}, "
+                             f"got {pair!r}")
+    return PairSet.from_pairs(n, [tuple(pair) for pair in pairs])
+
+
 # ---------------------------------------------------------------------------
 # quantum groups
 
@@ -102,14 +155,18 @@ def _element_to_json(elem: AlgElement) -> list:
             for mat in elem.data]
 
 
-def _element_from_json(alg: FinDimCStarAlgebra, doc) -> AlgElement:
+def _blocks_from_json(alg: FinDimCStarAlgebra, doc, what: str) -> tuple:
+    """One b x b complex matrix per block of alg, from a JSON array."""
     data = []
-    for mat, b in zip(doc, alg.blocks):
-        arr = np.array([[parse_complex(v) for v in row] for row in mat])
-        if arr.shape != (b, b):
-            raise ShapeMismatch("basis element block shape mismatch")
-        data.append(arr)
-    return AlgElement(alg, tuple(data))
+    for k, (mat, b) in enumerate(zip(_array(doc, what, len(alg.blocks)),
+                                     alg.blocks)):
+        data.append(np.array([[parse_complex(v) for v in row]
+                              for row in _matrix(mat, f"{what}[{k}]", b, b)]))
+    return tuple(data)
+
+
+def _element_from_json(alg: FinDimCStarAlgebra, doc) -> AlgElement:
+    return AlgElement(alg, _blocks_from_json(alg, doc, "basis element"))
 
 
 def quantum_group_to_dict(qg: QuantumGroup) -> dict:
@@ -128,9 +185,12 @@ def quantum_group_to_dict(qg: QuantumGroup) -> dict:
 
 
 def quantum_group_from_dict(doc: dict, enforce_kac: bool = True) -> QuantumGroup:
-    alg = FinDimCStarAlgebra(tuple(doc["blocks"]))
+    blocks = _array(doc["blocks"], "blocks")
+    if not all(_is_int(b) and b >= 1 for b in blocks):
+        raise ValueError("blocks must be block sizes, integers >= 1")
+    alg = FinDimCStarAlgebra(tuple(blocks))
     dim = alg.dim
-    basis = [_element_from_json(alg, b) for b in doc["basis"]]
+    basis = [_element_from_json(alg, b) for b in _array(doc["basis"], "basis")]
     if len(basis) != dim:
         raise ShapeMismatch(f"need {dim} basis elements, got {len(basis)}")
     B = np.column_stack([b.vec() for b in basis])
@@ -138,16 +198,16 @@ def quantum_group_from_dict(doc: dict, enforce_kac: bool = True) -> QuantumGroup
         raise ShapeMismatch("basis elements are linearly dependent")
     Binv = np.linalg.inv(B)
 
-    delta_rows = doc["delta"]
-    if len(delta_rows) != dim * dim or any(len(r) != dim for r in delta_rows):
-        raise ShapeMismatch("delta must be a (dim^2 x dim) matrix")
+    delta_rows = _matrix(doc["delta"], "delta", dim * dim, dim)
     D_file = np.array([[parse_complex(v) for v in row] for row in delta_rows])
     D3_file = D_file.reshape(dim, dim, dim)
     D3 = np.einsum("cb,dg,bga,ae->cde", B, B, D3_file, Binv)
-    epsilon = np.array([parse_complex(v) for v in doc["epsilon"]]) @ Binv
-    K_file = np.array([[parse_complex(v) for v in row] for row in doc["kappa"]])
+    epsilon = np.array([parse_complex(v)
+                        for v in _array(doc["epsilon"], "epsilon", dim)]) @ Binv
+    K_file = np.array([[parse_complex(v) for v in row]
+                       for row in _matrix(doc["kappa"], "kappa", dim, dim)])
     kappa = B @ K_file @ Binv
-    qg = QuantumGroup(alg, D3, epsilon, kappa, name=doc.get("name", ""))
+    qg = QuantumGroup(alg, D3, epsilon, kappa, name=_name(doc))
     if enforce_kac:
         require_kac(qg)
     return qg
@@ -198,24 +258,25 @@ def save_coaction(path: str, action: CoAction, inline: bool = False) -> None:
 def coaction_from_dict(doc: dict, base_dir: str = ".",
                        tol: Optional[float] = None) -> CoAction:
     import os
-    group_doc = doc["group"]
-    if isinstance(group_doc, str):
-        group_doc = read_json_object(os.path.join(base_dir, group_doc))
-    space_doc = doc["space"]
-    if isinstance(space_doc, str):
-        space_doc = read_json_object(os.path.join(base_dir, space_doc))
+    docs = []
+    for field in ("group", "space"):
+        sub = doc[field]
+        if isinstance(sub, str):
+            sub = read_json_object(os.path.join(base_dir, sub))
+        elif not isinstance(sub, dict):
+            raise ValueError(f"{field} must be a file name or a JSON object")
+        docs.append(sub)
+    group_doc, space_doc = docs
     qg = quantum_group_from_dict(group_doc)
     space = space_from_dict(space_doc, tol=tol)
     basis = [_element_from_json(qg.algebra, b) for b in group_doc["basis"]]
     B = np.column_stack([b.vec() for b in basis])
     n = space.n
-    u_doc = doc["u"]
-    if len(u_doc) != n or any(len(row) != n for row in u_doc):
-        raise ShapeMismatch("magic unitary size differs from the space")
-    u = tuple(tuple(qg.algebra.from_vec(
-        B @ np.array([parse_complex(v) for v in u_doc[i][j]]))
+    u_doc = _matrix(doc["u"], "u", n, n)
+    u = tuple(tuple(qg.algebra.from_vec(B @ np.array(
+        [parse_complex(v) for v in _array(u_doc[i][j], f"u[{i}][{j}]", qg.dim)]))
         for j in range(n)) for i in range(n))
-    return CoAction(qg, space, u, name=doc.get("name", ""))
+    return CoAction(qg, space, u, name=_name(doc))
 
 
 def load_coaction(path: str, tol: Optional[float] = None) -> CoAction:
@@ -225,13 +286,8 @@ def load_coaction(path: str, tol: Optional[float] = None) -> CoAction:
 
 
 def state_from_dict(doc: dict, alg: FinDimCStarAlgebra) -> StateFunctional:
-    densities = []
-    for mat, b in zip(doc["densities"], alg.blocks):
-        arr = np.array([[parse_complex(v) for v in row] for row in mat])
-        if arr.shape != (b, b):
-            raise ShapeMismatch("density block shape mismatch")
-        densities.append(arr)
-    return StateFunctional(alg, tuple(densities))
+    return StateFunctional(alg, _blocks_from_json(alg, doc["densities"],
+                                                  "densities"))
 
 
 def load_state(path: str, alg: FinDimCStarAlgebra) -> StateFunctional:

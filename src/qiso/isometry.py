@@ -60,7 +60,7 @@ from .coaction import CoAction, act_on_point
 from .errors import QisoError
 from .metric import level_set
 from .scalars import RATIONAL
-from .transport import (_power_cost, enumerate_dual_vertices,
+from .transport import (_dual_vertex_search, _power_cost,
                         feasible_coupling_on, solve_transport,
                         wasserstein_inf)
 
@@ -228,10 +228,14 @@ def check_D_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:
 
 # The route choice of `check_lip_p_state_sweep`, whose docstring gives
 # the measurements behind these four constants.
-_TREE_COST = 0.8            # one enumerated tree, in per-pair simplex solves
+_TREE_COST = 0.3            # one enumerated tree, in per-pair simplex solves
 _VERTEX_MAX_N = 7           # the largest n at which that cost was measured
 _HALL_MAX_CELLS = 2 ** 22   # the most Hall table entries, (K n + pairs)(2^n - 1)
 _HALL_CELLS_PER_PAIR = 30_000   # Hall table entries costing one W_inf solve
+
+# The most (state, pair, vertex) sums that `_dual_vertex_sweep` forms at
+# once, 2 MB of floats: a bound on its memory whatever the state count.
+_VERTEX_CELLS = 2 ** 18
 
 
 def _sweep_route(space, n_states: int, n_pairs: int, finite: bool) -> str:
@@ -248,16 +252,30 @@ def _sweep_route(space, n_states: int, n_pairs: int, finite: bool) -> str:
     return "max-flow"
 
 
+def _vertex_floats(vertices, scale) -> np.ndarray:
+    """The raw potentials of `transport._dual_vertex_search` as a float
+    array, one row per vertex: ints v at the scale s of a rational space
+    as v / s, which is correctly rounded and so equals the float of the
+    Fraction v / s; floats as they are."""
+    if scale is not None:
+        vertices = [[v / scale for v in vert] for vert in vertices]
+    return np.array(vertices, dtype=float)
+
+
 def _dual_vertex_sweep(space, masses, xs, ys, p) -> np.ndarray:
     """W_p for every state and pair, as the largest f.mu + g.nu over the
     vertices (f, g) of the dual polyhedron of d^p on the whole space:
     the dual LP's value, attained at a vertex because the polyhedron is
-    pointed and the objective bounded above on it."""
-    vertices = enumerate_dual_vertices(space, p)
-    F = np.array([[float(v) for v in vert.f] for vert in vertices])
-    G = np.array([[float(v) for v in vert.g] for vert in vertices])
-    power = np.array([((mass @ F.T)[xs] + (mass @ G.T)[ys]).max(-1)
-                      for mass in masses])
+    pointed and the objective bounded above on it.  The vertices are the
+    raw potentials of the pivot search, read by `_vertex_floats`.  The
+    sums f.mu + g.nu are formed for as many states at once as keep them
+    within _VERTEX_CELLS entries (every state of a catalog instance)."""
+    V = _vertex_floats(*_dual_vertex_search(space, p))
+    F, G = V[:, :space.n].T, V[:, space.n:].T
+    step = max(1, _VERTEX_CELLS // (len(xs) * len(V)))
+    power = np.concatenate([
+        ((chunk @ F)[:, xs] + (chunk @ G)[:, ys]).max(-1)
+        for chunk in np.split(masses, range(step, len(masses), step))])
     return np.maximum(power, 0.0) ** (1.0 / float(p))
 
 
@@ -352,15 +370,16 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
 
     The constants come from timing each route on one and on ten random
     states (for p = inf also three) of C(G) acting on random n-point
-    shortest-path and euclidean-sample metrics (G cyclic of order <= 6),
+    shortest-path and euclidean-sample metrics (G cyclic),
     and for p = inf of the rotations acting on the n-cycle, on a 2-CPU
     Xeon host with one BLAS thread.  For finite p the array route's cost is
-    the enumeration, at most C(2n-2, n-1) trees, and each tree cost 0.75
-    to 0.95 simplex solves from n = 3 to 7 for p = 1, 2 and 3 (0.76 at
-    n = 5).  At p = 2 and n = 5 that is 9.0 against 1.9 ms for one state
-    and 9.2 against 16.9 ms for ten; at n = 6, 41 against 27 ms for ten;
-    at n = 7, 152 against 37 ms for ten.  So a one-state call takes the
-    simplex unless its pairs outnumber 0.8 x the trees.
+    the enumeration, at most C(2n-2, n-1) trees, and each tree cost 0.16
+    to 0.40 simplex solves from n = 5 to 7 for p = 1, 2 and 3 (median
+    0.27; 0.23 to 0.78 at n = 4, where the fixed costs weigh more).  At
+    p = 2 and n = 5 that is 3.1 against 1.8 ms for one state and 4.2
+    against 17.9 ms for ten; at n = 6, 9.6 to 15.3 against 22 to 32 ms
+    for ten; at n = 7, 61 against 55 ms for ten.  So a one-state call
+    takes the simplex unless its pairs outnumber 0.3 x the trees.
     For p = inf a state costs the Hall route 11 to 20 ns per table entry
     and the max-flow route, one warm-started `wasserstein_inf` per pair,
     0.3 to 0.6 ms per pair, so the two cross near 30,000 entries per pair
@@ -466,9 +485,14 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     scale = float(space.max_distance) ** float(p)
     stacks = action.stacks
     supports = _block_supports(action)
-    vertices = {}        # (L_x, L_y) -> dual vertices, with float (f, g)
+    vertices = {}        # (L_x, L_y) -> (scale, raw vertices with float f, g)
     exact_u = {}         # (k, i, j) -> u_ij on block k as (re, im) pairs
     worst = None
+
+    def numbers(vert, s):
+        """A raw vertex as the numbers it stands for: v / s as Fractions,
+        or the floats themselves when s is None."""
+        return vert if s is None else [Fraction(v, s) for v in vert]
 
     def exact_matrix(k, x, y, vert):
         """The vertex combination on block k as (re, im) Fraction pairs;
@@ -480,7 +504,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
                 exact_u[key] = _exact_entries(stacks[k][key[1:]])
         if any(exact_u[key] is None for key in keys):
             return None
-        terms = list(zip(vert.f + vert.g, (exact_u[key] for key in keys)))
+        terms = list(zip(vert, (exact_u[key] for key in keys)))
         size = stacks[k].shape[2]
         return [[tuple(sum(c * m[r][s][t] for c, m in terms) for t in (0, 1))
                  for s in range(size)] for r in range(size)]
@@ -501,24 +525,28 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
                         "points": (sx, sy), "margin": margin,
                         "state": _eigen_state(action, k, stack[x, sx])})
                 continue
+            cut = len(lx)
             if (lx, ly) not in vertices:
-                vertices[lx, ly] = [
-                    (vert, np.array(vert.f, float), np.array(vert.g, float))
-                    for vert in enumerate_dual_vertices(space, p, lx, ly)]
+                raw, vscale = _dual_vertex_search(space, p, lx, ly)
+                vertices[lx, ly] = vscale, [
+                    (vert, fg[:cut].copy(), fg[cut:].copy())
+                    for vert, fg in zip(raw, _vertex_floats(raw, vscale))]
+            vscale, found = vertices[lx, ly]
             ux, uy = stack[x, list(lx)], stack[y, list(ly)]
-            for vert, fv, gv in vertices[lx, ly]:
+            for vert, fv, gv in found:
                 mat = np.einsum("j,jab->ab", fv, ux) + \
                     np.einsum("j,jab->ab", gv, uy)
                 ok, margin = _lambda_max_leq(
                     mat, bound_pow, tol, scale,
-                    (lambda: exact_matrix(k, x, y, vert)) if exact else None)
+                    (lambda: exact_matrix(k, x, y, numbers(vert, vscale)))
+                    if exact else None)
                 worst = margin if worst is None else max(worst, margin)
                 if not ok:
+                    vert = [str(v) for v in numbers(vert, vscale)]
                     return IsometryVerdict(tag, False, witness={
                         "pair": (x, y), "block": k, "kind": "dual-vertex",
                         "supports": (lx, ly),
-                        "vertex": ([str(v) for v in vert.f],
-                                   [str(v) for v in vert.g]),
+                        "vertex": (vert[:cut], vert[cut:]),
                         "margin": margin,
                         "state": _eigen_state(action, k, mat)})
     return IsometryVerdict(tag, True,

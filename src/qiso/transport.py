@@ -757,7 +757,7 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
     maximal cells of the triangulation of the product of two simplices
     that the perturbed cost induces (Develin-Sturmfels 2004, "Tropical
     convexity").  Each tree's unperturbed potentials are a vertex, kept
-    once.
+    once.  The search itself is `_dual_vertex_search`.
 
     A rational space runs on its integer form, powered per rank as in
     `transport_with_power`, and its vertices come back as Fractions.
@@ -765,33 +765,71 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
     and keeps one vertex per cell of side eps, so that the vertices found
     do not depend on the units of the costs.
     """
+    m = space.n if rows is None else len(rows)
+    found, scale = _dual_vertex_search(space, p, rows, cols)
+    if scale is not None:
+        found = [[Fraction(v, scale) for v in val] for val in found]
+    return [DualPotentials(tuple(val[:m]), tuple(val[m:])) for val in found]
+
+
+def _dual_vertex_search(space: FiniteMetricSpace, p, rows=None, cols=None):
+    """The pivot search of `enumerate_dual_vertices`, returning its raw
+    potentials: (vertices, s), each vertex the tuple f_0..f_{m-1},
+    g_0..g_{n-1}, of ints at the scale s = s_d^p of the space's integer
+    form (the vertex is v / s) on a rational space and integer p, else of
+    floats with s None.
+
+    A tree is the int bitmask of its edges, edge k = a n + b joining f_a
+    and g_b.  Each tree is walked once from the root for its potentials,
+    parents and preorder; every edge's slack is priced once, and the
+    non-tree edges are sorted by slack.  In reversed preorder each node
+    collects the edges with an f endpoint in its subtree and those with a
+    g endpoint there, so the edges that cross the cut of a drop in the
+    other orientation are one bitmask; the entering edge is the first of
+    them in slack order, or, when others lie within the tie tolerance, the
+    least of those by the eps coefficients of its slack.  Those are built
+    along the edge's fundamental cycle only: the coefficients of a node's
+    potential alternate in sign along its tree path to the root, so the
+    path above the lowest common ancestor cancels.
+    """
     rows = range(space.n) if rows is None else rows
     cols = range(space.n) if cols is None else cols
     m, n = len(rows), len(cols)
     integer = _integer_power(space, p)
-    exact = integer is not None
-    if exact:
+    if integer is not None:
         power, scale = integer
         work = [power[i][j] for i in rows for j in cols]
         eps, zero = 0, 0
     else:
         power = _power_cost(space, p)
         work = [float(power[i][j]) for i in rows for j in cols]
-        eps, zero = space.tol * max(work), 0.0
+        eps, zero, scale = space.tol * max(work), 0.0, None
     # Node a is f_a and node m + b is g_b; edge k = a n + b joins them.
-    root = m + n - 1
+    nodes, edges = m + n, m * n
+    root = nodes - 1
+    ends = [(k // n, m + k % n) for k in range(edges)]
+    bit = [1 << k for k in range(edges)]
+    # incident[u]: the edges at node u, as a bitmask
+    row_bits = (1 << n) - 1
+    col_bits = sum(1 << (a * n) for a in range(m))
+    incident = [row_bits << (a * n) for a in range(m)] + \
+        [col_bits << b for b in range(n)]
 
     def pivots(tree):
         """The tree's potentials and the trees one pivot away."""
-        adj = [[] for _ in range(m + n)]
-        for k in tree:
-            a, b = divmod(k, n)
-            adj[a].append((m + b, k))
-            adj[m + b].append((a, k))
-        val = [None] * (m + n)
-        parent = [-1] * (m + n)
-        pedge = [-1] * (m + n)
-        order = []           # preorder: every subtree is a contiguous run
+        adj = [[] for _ in range(nodes)]
+        rest = tree
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            a, g = ends[k]
+            adj[a].append((g, k))
+            adj[g].append((a, k))
+        val = [None] * nodes
+        parent = [-1] * nodes
+        pedge = [-1] * nodes
+        depth = [0] * nodes
+        order = []           # preorder
         val[root] = zero
         stack = [root]
         while stack:
@@ -800,50 +838,63 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
             for w, k in adj[u]:
                 if val[w] is None:
                     val[w] = work[k] - val[u]
-                    parent[w], pedge[w] = u, k
+                    parent[w], pedge[w], depth[w] = u, k, depth[u] + 1
                     stack.append(w)
-        size = [1] * (m + n)
+        # f_side[u], g_side[u]: the edges with their f, resp. g, endpoint
+        # in the subtree of u
+        f_side = incident[:m] + [0] * n
+        g_side = [0] * m + incident[m:]
         for u in reversed(order[1:]):
-            size[parent[u]] += size[u]
-        coef = []            # eps coefficients per node, built on a tie
+            f_side[parent[u]] |= f_side[u]
+            g_side[parent[u]] |= g_side[u]
+        slack = [work[k] - val[a] - val[g] for k, (a, g) in enumerate(ends)]
+        ranked = sorted([k for k in range(edges) if not tree & bit[k]],
+                        key=slack.__getitem__)
 
         def eps_slack(k):
-            if not coef:
-                coef.extend([None] * (m + n))
-                coef[root] = [0] * (m * n)
-                for u in order[1:]:
-                    row = [-c for c in coef[parent[u]]]
-                    row[pedge[u]] += 1
-                    coef[u] = row
-            a, b = divmod(k, n)
-            coeffs = [-s - t for s, t in zip(coef[a], coef[m + b])]
-            coeffs[k] += 1
+            """The eps coefficients of edge k's slack, as a dense row."""
+            coeffs = [0] * edges
+            coeffs[k] = 1
+            u, v = ends[k]
+            su = sv = -1
+            while u != v:
+                if depth[u] > depth[v]:
+                    coeffs[pedge[u]] = su
+                    su, u = -su, parent[u]
+                else:
+                    coeffs[pedge[v]] = sv
+                    sv, v = -sv, parent[v]
             return coeffs
 
         out = []
-        for pos, w in enumerate(order[1:], 1):
-            side = set(order[pos:pos + size[w]])     # A, the subtree of w
-            f_in = pedge[w] // n in side
-            crossing = [a * n + b for a in range(m) if (a in side) != f_in
-                        for b in range(n) if (m + b in side) == f_in]
-            if not crossing:
+        for w in order[1:]:
+            # the edges crossing the cut opposite to the dropped one
+            cross = g_side[w] & ~f_side[w] if w < m else f_side[w] & ~g_side[w]
+            if not cross:
                 continue            # the drop runs along a ray
-            slack = [work[k] - val[k // n] - val[m + k % n] for k in crossing]
-            low = min(slack)
-            tied = [k for k, s in zip(crossing, slack) if s <= low + eps]
+            tied = []
+            for k in ranked:
+                if cross & bit[k]:
+                    if not tied:
+                        top = slack[k] + eps
+                    elif slack[k] > top:
+                        break
+                    tied.append(k)
+                elif tied and slack[k] > top:
+                    break
             enter = tied[0] if len(tied) == 1 else min(tied, key=eps_slack)
-            out.append(tree - {pedge[w]} | {enter})
+            out.append(tree ^ bit[pedge[w]] | bit[enter])
         return val, out
 
     # Start: g_{n-1} joined to every f_a, and every other g_b to an f_a
     # minimizing c_ab - c_{a,n-1}; among ties the largest a, whose
     # perturbation is the least.
-    start = [a * n + n - 1 for a in range(m)]
+    first = sum(bit[a * n + n - 1] for a in range(m))
     for b in range(n - 1):
         reduced = [work[a * n + b] - work[a * n + n - 1] for a in range(m)]
         low = min(reduced)
-        start.append(max(a for a, r in enumerate(reduced) if r <= low + eps) * n + b)
-    first = frozenset(start)
+        a = max(a for a, r in enumerate(reduced) if r <= low + eps)
+        first |= bit[a * n + b]
     seen = {first}
     queue = deque([first])
     vertices = {}
@@ -851,11 +902,9 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
         val, nxt = pivots(queue.popleft())
         key = tuple(round(v / eps) for v in val) if eps else tuple(val)
         if key not in vertices:
-            if exact:
-                val = [Fraction(v, scale) for v in val]
-            vertices[key] = DualPotentials(tuple(val[:m]), tuple(val[m:]))
+            vertices[key] = tuple(val)
         for tree in nxt:
             if tree not in seen:
                 seen.add(tree)
                 queue.append(tree)
-    return list(vertices.values())
+    return list(vertices.values()), scale

@@ -21,6 +21,13 @@ exponential in the number of points:
   polytope, against the forest enumerator and the pivot search;
 - dual_vertices_by_spanning_trees: every spanning tree of K_{m,n} and its
   potentials, against the pivot search on a rectangular restriction;
+- enumerate_dual_vertices_reference: the pivot search of
+  `enumerate_dual_vertices` as first written, with frozenset trees, the
+  slacks of each drop's crossing edges priced anew and dense eps
+  coefficient rows for every node; not exponential, but independent of
+  the bitmask trees, the slack-ordered scan and the fundamental-cycle
+  tie-break of `transport._dual_vertex_search`, whose vertex sets must be
+  equal to the reference's (Fractions, or bitwise equal floats);
 - lip_p_universal_full_sweep: universal Lip_p as first decided, with one
   transport problem per character and the full-space dual vertices swept
   on every larger block, against the per-support route of
@@ -102,9 +109,10 @@ from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
                             DualPotentials, InfeasibleMarginals, ProbVector,
-                            UnboundedFlow, WInfResult, _integer_scale,
-                            _mode_of, _power_cost, enumerate_dual_vertices,
-                            prob_vector, transport_with_power)
+                            UnboundedFlow, WInfResult, _integer_power,
+                            _integer_scale, _mode_of, _power_cost,
+                            enumerate_dual_vertices, prob_vector,
+                            transport_with_power)
 
 
 def apply_delta(qg: QuantumGroup, elem: AlgElement) -> np.ndarray:
@@ -610,6 +618,138 @@ def dual_vertices_by_spanning_trees(cost, tol: float = 0.0) -> set:
                for a in range(m) for b in range(n)):
             out.add((f, g))
     return out
+
+
+def enumerate_dual_vertices_reference(space: FiniteMetricSpace, p, rows=None,
+                                      cols=None) -> List[DualPotentials]:
+    """All vertices of the normalized Kantorovich dual polyhedron
+
+        {(f, g) : f_a + g_b <= d(rows[a], cols[b])^p,  g_{n-1} = 0}
+
+    of the transport problem between the points `rows` (m of them) and
+    `cols` (n of them); both default to the whole space.  An objective that
+    is convex, entrywise monotone in (f, g) and invariant under the shift
+    (f - t, g + t) attains its sup over the polyhedron at one of these
+    vertices: a ray direction r has r_f_a + r_g_b <= 0 for all a, b, and
+    moving along it never increases such an objective.  On the whole space
+    at p = 1 the vertices are the pairs (f, -f), f a vertex of the
+    Lipschitz polytope {|f_i - f_j| <= d(i,j), f_{n-1} = 0}.
+
+    A vertex is the potential of a feasible spanning tree of K_{m,n} on the
+    nodes f_0..f_{m-1}, g_0..g_{n-1}, rooted at g_{n-1} = 0: f_a + g_b =
+    c_ab on its edges and every other slack is >= 0.  Perturbing c_ab by
+    eps^(a n + b + 1) gives every vertex of the perturbed polyhedron
+    exactly one tree, and those trees are searched breadth-first by pivots
+    (Avis-Fukuda 1992): drop a tree edge, let A be the side of the cut
+    without the root, and enter the edge of least slack that crosses the
+    cut in the other orientation; a drop with no such edge runs along a
+    ray.  A slack is the pair (value, eps coefficients), compared
+    lexicographically.  There are always C(m+n-2, m-1) such trees, the
+    maximal cells of the triangulation of the product of two simplices
+    that the perturbed cost induces (Develin-Sturmfels 2004, "Tropical
+    convexity").  Each tree's unperturbed potentials are a vertex, kept
+    once.
+
+    A rational space runs on its integer form, powered per rank as in
+    `transport_with_power`, and its vertices come back as Fractions.
+    Float data treats slacks within eps = tol x the largest cost as ties
+    and keeps one vertex per cell of side eps, so that the vertices found
+    do not depend on the units of the costs.
+    """
+    rows = range(space.n) if rows is None else rows
+    cols = range(space.n) if cols is None else cols
+    m, n = len(rows), len(cols)
+    integer = _integer_power(space, p)
+    exact = integer is not None
+    if exact:
+        power, scale = integer
+        work = [power[i][j] for i in rows for j in cols]
+        eps, zero = 0, 0
+    else:
+        power = _power_cost(space, p)
+        work = [float(power[i][j]) for i in rows for j in cols]
+        eps, zero = space.tol * max(work), 0.0
+    # Node a is f_a and node m + b is g_b; edge k = a n + b joins them.
+    root = m + n - 1
+
+    def pivots(tree):
+        """The tree's potentials and the trees one pivot away."""
+        adj = [[] for _ in range(m + n)]
+        for k in tree:
+            a, b = divmod(k, n)
+            adj[a].append((m + b, k))
+            adj[m + b].append((a, k))
+        val = [None] * (m + n)
+        parent = [-1] * (m + n)
+        pedge = [-1] * (m + n)
+        order = []           # preorder: every subtree is a contiguous run
+        val[root] = zero
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w, k in adj[u]:
+                if val[w] is None:
+                    val[w] = work[k] - val[u]
+                    parent[w], pedge[w] = u, k
+                    stack.append(w)
+        size = [1] * (m + n)
+        for u in reversed(order[1:]):
+            size[parent[u]] += size[u]
+        coef = []            # eps coefficients per node, built on a tie
+
+        def eps_slack(k):
+            if not coef:
+                coef.extend([None] * (m + n))
+                coef[root] = [0] * (m * n)
+                for u in order[1:]:
+                    row = [-c for c in coef[parent[u]]]
+                    row[pedge[u]] += 1
+                    coef[u] = row
+            a, b = divmod(k, n)
+            coeffs = [-s - t for s, t in zip(coef[a], coef[m + b])]
+            coeffs[k] += 1
+            return coeffs
+
+        out = []
+        for pos, w in enumerate(order[1:], 1):
+            side = set(order[pos:pos + size[w]])     # A, the subtree of w
+            f_in = pedge[w] // n in side
+            crossing = [a * n + b for a in range(m) if (a in side) != f_in
+                        for b in range(n) if (m + b in side) == f_in]
+            if not crossing:
+                continue            # the drop runs along a ray
+            slack = [work[k] - val[k // n] - val[m + k % n] for k in crossing]
+            low = min(slack)
+            tied = [k for k, s in zip(crossing, slack) if s <= low + eps]
+            enter = tied[0] if len(tied) == 1 else min(tied, key=eps_slack)
+            out.append(tree - {pedge[w]} | {enter})
+        return val, out
+
+    # Start: g_{n-1} joined to every f_a, and every other g_b to an f_a
+    # minimizing c_ab - c_{a,n-1}; among ties the largest a, whose
+    # perturbation is the least.
+    start = [a * n + n - 1 for a in range(m)]
+    for b in range(n - 1):
+        reduced = [work[a * n + b] - work[a * n + n - 1] for a in range(m)]
+        low = min(reduced)
+        start.append(max(a for a, r in enumerate(reduced) if r <= low + eps) * n + b)
+    first = frozenset(start)
+    seen = {first}
+    queue = deque([first])
+    vertices = {}
+    while queue:
+        val, nxt = pivots(queue.popleft())
+        key = tuple(round(v / eps) for v in val) if eps else tuple(val)
+        if key not in vertices:
+            if exact:
+                val = [Fraction(v, scale) for v in val]
+            vertices[key] = DualPotentials(tuple(val[:m]), tuple(val[m:]))
+        for tree in nxt:
+            if tree not in seen:
+                seen.add(tree)
+                queue.append(tree)
+    return list(vertices.values())
 
 
 def _det_fraction(M) -> Fraction:

@@ -220,6 +220,69 @@ def test_cli_validate_rejects_bare_matrix(tmp_path, capsys):
     assert code == 2 and not out and "JSON object" in err
 
 
+@pytest.mark.parametrize("field, doc", [
+    ("space", {"dist": 5}),
+    ("space", {"dist": [[0, 1], 1]}),
+    ("space", {"dist": [[0, 1], [1, 0]], "labels": 5}),
+    ("space", {"dist": [[0, 1], [1, 0]], "mode": 5}),
+    ("mu", {"mass": 5}),
+    ("pairs", {"pairs": 5}),
+    ("pairs", {"pairs": [[0, 1], 1]}),
+    ("pairs", {"pairs": [[0, 2]]}),
+    ("pairs", {"pairs": [[-1, 0]]}),
+    ("pairs", {"pairs": [[0, "1"]]}),
+    ("hall", {"mu": 5, "nu": ["1/2", "1/2"], "pairs": [[0, 0]]}),
+    ("hall", {"mu": ["1/2", "1/2"], "nu": ["1/2", "1/2"], "pairs": [[0, 2]]}),
+])
+def test_cli_mistyped_field_is_invalid_input(files, capsys, field, doc):
+    """A file of the right top-level shape whose field has the wrong JSON
+    type or shape is invalid input (exit 2, ValueError), not a TypeError
+    or IndexError traceback; a negative pair index is no longer read from
+    the end."""
+    path = files / f"{field}.json"
+    path.write_text(json.dumps(doc))
+    (files / "pairs-ok.json").write_text(json.dumps({"pairs": [[0, 0], [1, 1]]}))
+    mu, nu = str(files / "mu.json"), str(files / "nu.json")
+    argv = {"space": ["validate", str(path)],
+            "mu": ["coupling-on", "--mu", mu, "--nu", nu,
+                   "--pairs", str(files / "pairs-ok.json")],
+            "pairs": ["coupling-on", "--mu", mu, "--nu", nu, "--pairs", str(path)],
+            "hall": ["hall", str(path)]}[field]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and not out, doc
+    assert json.loads(err)["error"] == "ValueError", doc
+
+
+@pytest.mark.parametrize("field, value", [
+    (("u",), 5), (("u", 0, 1), 5), (("group",), 5), (("space",), [1]),
+    (("group", "blocks"), "x"), (("group", "blocks", 0), "1"),
+    (("group", "basis", 0), 5), (("group", "delta"), 5),
+    (("group", "epsilon"), 5), (("group", "kappa", 0), None),
+    (("space", "dist", 0), 5), (("name",), 5), (("densities",), 5),
+    (("densities", 0), 5), (("densities", 0, 0), None)])
+def test_cli_mistyped_coaction_or_state_field_is_invalid_input(
+        tmp_path, capsys, field, value):
+    """The coaction, quantum-group and state readers check their fields'
+    JSON types and shapes too."""
+    act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
+    path, spath = tmp_path / "act.json", tmp_path / "state.json"
+    save_coaction(str(path), act, inline=True)
+    docs = {"act": json.loads(path.read_text()),
+            "state": state_to_dict(act.group.counit_state())}
+    doc = docs["state" if field[0] == "densities" else "act"]
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    path.write_text(json.dumps(docs["act"]))
+    spath.write_text(json.dumps(docs["state"]))
+    code = main(["check", str(path), "--condition", "lip", "--state", str(spath)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out, field
+    assert json.loads(err)["error"] == "ValueError", field
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
 def test_cli_metric_file_with_non_finite_entry_is_invalid_input(tmp_path, capsys, bad):
     path = tmp_path / "space.json"

@@ -256,11 +256,25 @@ def test_lip_p_universal_matches_full_sweep():
 
 def test_lip_p_universal_on_characters_enumerates_nothing(monkeypatch):
     """On C(D16) every block is a character, so universal Lip_p on the
-    16-cycle is decided with no dual-vertex enumeration at all."""
+    16-cycle is decided with no dual-vertex enumeration at all.  The
+    patched name is the one the check calls: on dual-d4-asymmetric, whose
+    2 x 2 blocks need dual vertices, it is invoked."""
+    from qiso.catalog import catalog_action
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return search(*args)
+
+    search = isometry._dual_vertex_search
+    monkeypatch.setattr(isometry, "_dual_vertex_search", record)
+    check_lip_p_universal(catalog_action("dual-d4-asymmetric"), 2)
+    assert calls
+
     def refuse(*args, **kwargs):
         raise AssertionError("dual vertices enumerated on a character")
 
-    monkeypatch.setattr(isometry, "enumerate_dual_vertices", refuse)
+    monkeypatch.setattr(isometry, "_dual_vertex_search", refuse)
     n = 16
     rotation = tuple((i + 1) % n for i in range(n))
     reflection = tuple((-i) % n for i in range(n))
@@ -472,10 +486,10 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
     recomputing both marginals for every pair they visit (x < y on the
     catalog's symmetric metrics), with W_p^p within 1e-12 x max d^p, on
     the catalog x 5 random states x p in {1, 2, 3, inf}.  Five states
-    take the Hall route for p = inf and, for finite p, the dual vertices
-    on at most 4 points; on cyclic-5 (10 pairs) 50 simplex solves cost
-    less than 0.8 x 70 trees, so it takes the simplex.  The
-    level-coupling oracle visits every ordered pair and agrees exactly."""
+    take the Hall route for p = inf and, for finite p, the dual vertices,
+    also on cyclic-5, where 50 simplex solves (10 pairs) cost more than
+    0.3 x 70 trees.  The level-coupling oracle visits every ordered pair
+    and agrees exactly."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -487,8 +501,7 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
     ps = (1, 2, 3, float("inf"))
     for entry in standard_actions():
         action = entry.action
-        finite = "dual-vertices" if action.n <= 4 else "simplex"
-        routes = (finite,) * 3 + ("hall-subsets",)
+        routes = ("dual-vertices",) * 3 + ("hall-subsets",)
         states = [random_state(action.group.algebra, 37 * k + 3)
                   for k in range(5)]
         del calls[:]
@@ -628,10 +641,9 @@ def test_sweep_routes_match_per_pair_oracle():
     the c07 population (catalog + 200 random actions), the 6-point D5 and
     D7 two-projection actions, the near-symmetric float action, float
     metrics scaled to max d of order 1e-3 and 1e-5, and actions on both
-    sides of each route choice: three states on at most 4 points against
-    5 (the catalog's cyclic-5), one state against two on 4 points and two
-    against ten on 5 for finite p, and for p = inf Hall tables within
-    both of their bounds (n = 12 and the 13-cycle), over
+    sides of each route choice: one state on 4 points and three on 5
+    against two on 5 and on 6 for finite p, and for p = inf Hall tables
+    within both of their bounds (n = 12 and the 13-cycle), over
     _HALL_CELLS_PER_PAIR entries per pair but within the cap (n = 13 with
     K = 33 and the 14-cycle) and over the cap (n = 15), where the
     rotations of the n-cycle hold and the order-6 actions fail.  Each
@@ -642,8 +654,7 @@ def test_sweep_routes_match_per_pair_oracle():
     both = finite + inf
     # (action, ps, number of states, route for finite p, route for inf)
     population = [build_instance(desc) for desc in instance_descriptors(config)]
-    cases = [(a, both, 3, "dual-vertices" if a.n <= 4 else "simplex",
-              "hall-subsets") for a in population]
+    cases = [(a, both, 3, "dual-vertices", "hall-subsets") for a in population]
     cases += [(reflection_pairs_action(block_metric(3, asymmetric), m,
                                        (0, 1, 2)), both, 2, "simplex",
                "hall-subsets")
@@ -652,14 +663,14 @@ def test_sweep_routes_match_per_pair_oracle():
     cases.append((near, both, 2, "dual-vertices", "hall-subsets"))
     for name in ("dual-d4-blocks", "dual-d4-asymmetric"):
         action = {e.name: e.action for e in standard_actions()}[name]
-        cases.append((action, both, 1, "simplex", "hall-subsets"))
+        cases.append((action, both, 1, "dual-vertices", "hall-subsets"))
         cases += [(scaled_twin(a, scale, True), both, 3, "dual-vertices",
                    "hall-subsets")
                   for a in (action, near) for scale in (1e-3, 1e-5)]
     cases += [(_small_order_action(5, seed), both, count, route,
                "hall-subsets")
               for seed in (1, 2)
-              for count, route in ((2, "simplex"), (10, "dual-vertices"))]
+              for count, route in ((2, "simplex"), (3, "dual-vertices"))]
     cases += [(_small_order_action(n, seed), inf, 2, None, route)
               for n, seed, route in ((12, 3, "hall-subsets"),
                                      (13, 1, "max-flow"),

@@ -21,6 +21,7 @@ from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
 from oracles import (_solve_linear, boxed_dual_vertices_bruteforce,
                      dual_vertices_by_spanning_trees,
                      enumerate_boxed_dual_vertices,
+                     enumerate_dual_vertices_reference,
                      enumerate_lipschitz_vertices, min_cost_flow_reference,
                      transport_bruteforce, wasserstein_inf_linear_scan)
 
@@ -838,6 +839,40 @@ def test_dual_vertex_search_visits_one_tree_per_cell(monkeypatch):
                 enumerate_dual_vertices(sp, p, rows, cols)
                 assert len(visited) == comb(len(rows) + len(cols) - 2,
                                             len(rows) - 1), (sp.dist, rows, cols, p)
+
+
+def test_dual_vertices_match_reference_search():
+    """The bitmask pivot search finds the vertex sets of the search as
+    first written: equal Fractions on a rational space and integer p,
+    bitwise equal floats otherwise (p = 1.5, float spaces).  Over the
+    catalog spaces, the n-cycles 3-7 and seeded rational and float spaces
+    with n <= 7, on the whole space and on seeded rows x cols
+    restrictions."""
+    from qiso.catalog import CATALOG, catalog_action, cycle_metric
+
+    def bits(verts):
+        keys = [tuple((type(x), x.hex() if isinstance(x, float) else x)
+                      for x in v.f + v.g) for v in verts]
+        assert len(set(keys)) == len(keys)
+        return set(keys)
+
+    spaces = [catalog_action(name).space for name in CATALOG] + \
+        [cycle_metric(n) for n in range(3, 8)] + \
+        [random_metric_space(n, 40 + n, mode=mode) for n in range(2, 8)
+         for mode in ("rational", "float")]
+    rng = random.Random(19)
+    kinds = set()
+    for sp in spaces:
+        cases = [(None, None)] + [
+            (rng.sample(range(sp.n), rng.randint(1, sp.n)),
+             rng.sample(range(sp.n), rng.randint(1, sp.n))) for _ in range(2)]
+        for p in (1, 2, 3, 1.5):
+            for rows, cols in cases:
+                found = enumerate_dual_vertices(sp, p, rows, cols)
+                reference = enumerate_dual_vertices_reference(sp, p, rows, cols)
+                assert bits(found) == bits(reference), (sp.dist, p, rows, cols)
+                kinds.update(type(x) for v in found for x in v.f + v.g)
+    assert kinds == {F, float}
 
 
 def test_restricted_dual_vertices_match_spanning_tree_oracle():
