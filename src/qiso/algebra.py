@@ -173,12 +173,6 @@ def element_norms(algebra: FinDimCStarAlgebra, X: np.ndarray) -> np.ndarray:
                    for idx in algebra.blocks_by_size.values()], axis=0)
 
 
-def hermitian_max_eig(mat: np.ndarray) -> float:
-    if mat.shape == (1, 1):
-        return float(mat[0, 0].real)
-    return float(np.linalg.eigvalsh(mat)[-1])
-
-
 # ---------------------------------------------------------------------------
 # exact positivity for rational self-adjoint blocks
 

@@ -12,6 +12,7 @@ and on functions from the left ((psi |> f)(x) = sum_j f_j psi(u_xj))."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import FrozenSet, List, Tuple
 
 import numpy as np
@@ -52,6 +53,25 @@ class CoAction:
     @property
     def n(self) -> int:
         return self.space.n
+
+    @cached_property
+    def block_supports(self) -> np.ndarray:
+        """supports[k, x]: the j, in increasing order, whose projection u_xj
+        has trace >= 1 on block k (the others vanish there), padded with -1
+        to the longest such row of any block.  One trace per block, taken
+        on first use: the universal checks share it, and the envelope's
+        induced actions, which never read it, do not pay for it."""
+        alg = self.group.algebra
+        diagonal = [off + a * (b + 1) for off, b in zip(alg.offsets, alg.blocks)
+                    for a in range(b)]
+        starts = np.cumsum((0,) + tuple(alg.blocks[:-1]))
+        live = np.moveaxis(np.add.reduceat(
+            self.coeffs[..., diagonal].real, starts, axis=2) > 0.5, 2, 0)
+        place = np.cumsum(live, axis=2) - 1    # each live j's place in its row
+        k, x, j = np.nonzero(live)
+        supports = np.full(live.shape[:2] + (place.max() + 1,), -1)
+        supports[k, x, place[k, x, j]] = j
+        return supports
 
 
 def verify_coaction(action: CoAction, tol: float = 1e-9,

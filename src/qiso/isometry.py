@@ -28,19 +28,24 @@ verdict records its route.
 
 Universal quantification over states is resolved exactly, block by
 block: the sup of psi(a) over states of a block is its largest
-eigenvalue.  For finite p (p = 1 included) a 1x1 block is a character,
-a permutation of the points, checked as d(sigma x, sigma y) <= d(x, y);
-a larger block reduces to extremal-eigenvalue bounds over the vertices
-of the Kantorovich dual polyhedron restricted to the supports of rows x
-and y on that block (`transport.enumerate_dual_vertices`, at most block
-size points each).  The coupling-support conditions reduce to the
-vanishing of the pairwise products u_xj u_yk off the (sub)level set.  In
-rational mode near-ties are re-decided by exact fraction-free
-elimination; float mode uses Hermitian eigensolvers with one tolerance;
-the space's mode says which.  Every check reads the space's `tol`,
-relative to the largest distance (its p-th power for the Lip_p eigenvalue
-bounds), and distances compare within the space's `dtol`, so no verdict
-depends on the caller or on the metric's units.
+eigenvalue.  The universal checks read the block supports that the
+action computes once (`CoAction.block_supports`) and decide as arrays
+over all pairs and blocks.  For finite p (p = 1 included) a 1x1 block is
+a character, a permutation of the points, checked as
+d(sigma x, sigma y) <= d(x, y) for every pair and character by one
+gather; a larger block reduces to extremal-eigenvalue bounds over the
+vertices of the Kantorovich dual polyhedron restricted to the supports
+of rows x and y on that block (`transport.enumerate_dual_vertices`, at
+most block size points each), one batched eigvalsh per pair and block.
+The coupling-support conditions reduce to the vanishing of the pairwise
+products u_xj u_yk off the (sub)level set, one stacked matmul and
+eigvalsh per block size.  In rational mode near-ties are re-decided by
+exact fraction-free elimination, in loop order up to the first failure,
+which is the witness; float mode uses Hermitian eigensolvers with one
+tolerance; the space's mode says which.  Every check reads the space's
+`tol`, relative to the largest distance (its p-th power for the Lip_p
+eigenvalue bounds), and distances compare within the space's `dtol`, so
+no verdict depends on the caller or on the metric's units.
 """
 
 from __future__ import annotations
@@ -50,12 +55,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from .algebra import (StateFunctional, element_norms, exact_psd_pairs,
-                      extreme_state, hermitian_max_eig, operator_norms)
+                      extreme_state, operator_norms)
 from .coaction import CoAction, act_on_point
 from .errors import QisoError
 from .metric import level_set
@@ -113,27 +118,27 @@ def _exact_entries(mat: np.ndarray) -> Optional[list]:
 _BORDERLINE = 1e-6  # only near-ties are re-decided exactly
 
 
-def _lambda_max_leq(mat: np.ndarray, bound, tol: float, scale: float,
-                    exact: Optional[Callable[[], Optional[list]]]
-                    ) -> Tuple[bool, float]:
-    """Decide lambda_max(mat) <= bound; returns (verdict, float margin).
-
-    The tolerance and the borderline window are relative to `scale`, the
-    size of the quantities compared.  Away from the boundary the float
-    eigenvalue is decisive; inside the window, rational mode re-decides by
-    an exact PSD test of bound - exact(), mat as (re, im) Fraction pairs,
-    falling back to the tolerance when exact() is None."""
-    lam = hermitian_max_eig(mat)
-    margin = lam - float(bound)
-    entries = None if exact is None or abs(margin) > _BORDERLINE * scale \
-        else exact()
-    if entries is None:
-        return margin <= tol * scale, margin
-    b = Fraction(bound)
-    shifted = [[((b - re) if i == j else -re, -im)
-                for j, (re, im) in enumerate(row)]
-               for i, row in enumerate(entries)]
-    return exact_psd_pairs(shifted), margin
+def _first_failure(margins: np.ndarray, bound, limit: float, window: float,
+                   exact: Optional[Callable[[int], Optional[list]]]
+                   ) -> Optional[int]:
+    """The index of the first margin lambda_max - bound that fails, or
+    None.  A margin fails when it is not <= limit.  With `exact`, each
+    margin within `window` of 0 is re-decided instead, in order and only up
+    to the first failure, by an exact PSD test of bound - exact(i), a
+    Hermitian matrix as (re, im) Fraction pairs; where exact(i) is None the
+    float verdict stands."""
+    ok = margins <= limit
+    near = ~(np.abs(margins) > window) if exact else np.zeros_like(ok)
+    for i in np.flatnonzero(~ok | near):
+        entries = exact(i) if near[i] else None
+        if entries is not None:
+            b = Fraction(bound)
+            ok[i] = exact_psd_pairs([[((b - re) if r == c else -re, -im)
+                                      for c, (re, im) in enumerate(row)]
+                                     for r, row in enumerate(entries)])
+        if not ok[i]:
+            return int(i)
+    return None
 
 
 def _state_pairs(space):
@@ -147,20 +152,13 @@ def _state_pairs(space):
     (L_x, L_y) with f and g swapped, up to a shift.  The first failing
     ordered pair then has x < y, so the witnesses are those of the ordered
     sweep.  A float space validated with an asymmetry within tol keeps
-    every ordered pair."""
-    dist = space.dist
+    every ordered pair.  Symmetry is read on the distance ranks, equal
+    exactly where the distances are."""
     n = space.n
-    symmetric = all(dist[x][y] == dist[y][x]
-                    for x in range(n) for y in range(x + 1, n))
+    ranks = space.distance_ranks
+    symmetric = ranks == tuple(zip(*ranks))
     return [(x, y) for x in range(n) for y in range(n)
             if (x < y if symmetric else x != y)]
-
-
-def _block_supports(action: CoAction) -> List[List[Tuple[int, ...]]]:
-    """supports[k][x]: the j, in increasing order, whose projection u_xj
-    has trace >= 1 on block k; the others vanish there."""
-    return [[tuple(np.flatnonzero(row > 0.5).tolist()) for row in
-             np.einsum("xjaa->xj", stack).real] for stack in action.stacks]
 
 
 # ---------------------------------------------------------------------------
@@ -456,38 +454,69 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     The map psi -> W_p^p(x <| psi, y <| psi) is convex, so its sup sits on
     pure states, which live on single blocks.  On block k, row x of u is a
     family of projections summing to 1 whose support L_x (the u_xj of trace
-    >= 1 there) has at most b_k points.  A 1x1 block is a character, which
-    sends x to the Dirac mass at sigma(x): the condition there is
-    d(sigma x, sigma y) <= d(x, y).  On a larger block, the top eigenvalue
+    >= 1 there, `CoAction.block_supports`) has at most b_k points.  A 1x1
+    block is a character, which sends x to the Dirac mass at sigma(x): the
+    condition there is d(sigma x, sigma y) <= d(x, y).  Every pair of
+    `_state_pairs` and every character is decided at once, through the
+    index array sigma[c, x]: in rational mode exactly, on the ranks of the
+    space's integer form; in float mode as d(sigma x, sigma y)^p -
+    d(x, y)^p within the tolerance.  On a larger block, the top eigenvalue
     of sum_a f_a u_{x,L_x[a]} + sum_b g_b u_{y,L_y[b]} must stay below
     d(x,y)^p for every vertex (f, g) of the dual polyhedron of the cost d^p
     on L_x x L_y (both sums of projections are 1 on the block, so the
     objective is shift-invariant); those are found once per support pair,
-    from at most C(2b_k - 2, b_k - 1) trees whatever n is.  The pairs are
-    those of `_state_pairs`.
+    from at most C(2b_k - 2, b_k - 1) trees whatever n is, and each
+    (pair, block) takes one batched eigvalsh over its vertex matrices.
 
     Margins are in units of d^p (d(sigma x, sigma y)^p or the eigenvalue,
     minus d(x,y)^p) and the space's tol is relative to the largest d^p.  In
-    rational mode characters compare distances exactly, and eigenvalue
-    near-ties are re-decided on the exact matrix, formed from the exact
-    vertex and the u entries (each rationalized once).
+    rational mode eigenvalue near-ties are re-decided on the exact matrix,
+    formed from the exact vertex and the u entries (each rationalized
+    once), in loop order up to the first failure.  The witness is the first
+    failure in the order (pair, block, vertex).
     """
     if p == float("inf") or p == "inf":
         return check_winf_universal(action)
     if not p >= 1:
         raise ValueError("p must be >= 1")
     space = action.space
-    tol = space.tol
-    dist = space.dist
     rational = space.mode == RATIONAL
     exact = rational and float(p).is_integer()
     tag = f"Lip_{p}(universal)"
     scale = float(space.max_distance) ** float(p)
     stacks = action.stacks
-    supports = _block_supports(action)
-    vertices = {}        # (L_x, L_y) -> (scale, raw vertices with float f, g)
+    blocks = action.group.algebra.blocks
+    supports = action.block_supports
+    pairs = _state_pairs(space)
+    xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
+    ranks = np.array(space.distance_ranks)
+    r_xy = ranks[xs, ys]
+    # d^p of each realized distance, as the float of the exact power when
+    # the bound is exact
+    values = space.realized_distances
+    power = np.array([float(v) ** float(p) for v in values])
+    bounds = np.array([float(v ** int(p)) for v in values]) if exact else power
+
+    chars = [k for k, b in enumerate(blocks) if b == 1]
+    sigma = supports[chars, :, 0]
+    if (sigma < 0).any() or (supports[chars, :, 1:] >= 0).any():
+        raise ValueError("a 1x1 block of u is not a permutation of the points")
+    r_image = ranks[sigma[:, xs], sigma[:, ys]].T          # (pair, character)
+    char_margins = power[r_image] - bounds[r_xy][:, None]
+    char_fails = np.flatnonzero(~(r_image <= r_xy[:, None]) if rational
+                                else ~(char_margins <= space.tol * scale))
+    # the first failing character as (pair, block); larger blocks are
+    # decided in loop order up to it
+    if len(char_fails):
+        stop_pair, c = divmod(int(char_fails[0]), len(chars))
+        stop = (stop_pair, chars[c])
+    else:
+        stop = (len(pairs), 0)
+    rows = {k: [tuple(row[row >= 0].tolist()) for row in supports[k]]
+            for k, b in enumerate(blocks) if b > 1}
+    vertices = {}        # (L_x, L_y) -> (raw vertices, scale, float f, float g)
     exact_u = {}         # (k, i, j) -> u_ij on block k as (re, im) pairs
-    worst = None
+    worst = [float(char_margins.max())] if char_margins.size else []
 
     def numbers(vert, s):
         """A raw vertex as the numbers it stands for: v / s as Fractions,
@@ -497,8 +526,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     def exact_matrix(k, x, y, vert):
         """The vertex combination on block k as (re, im) Fraction pairs;
         None if some u entry in it is not rational."""
-        keys = [(k, x, j) for j in supports[k][x]] + \
-            [(k, y, j) for j in supports[k][y]]
+        keys = [(k, x, j) for j in rows[k][x]] + [(k, y, j) for j in rows[k][y]]
         for key in keys:
             if key not in exact_u:
                 exact_u[key] = _exact_entries(stacks[k][key[1:]])
@@ -509,48 +537,43 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
         return [[tuple(sum(c * m[r][s][t] for c, m in terms) for t in (0, 1))
                  for s in range(size)] for r in range(size)]
 
-    for x, y in _state_pairs(space):
-        d_xy = dist[x][y]
-        bound_pow = d_xy ** int(p) if exact else float(d_xy) ** float(p)
-        for k, stack in enumerate(stacks):
-            lx, ly = supports[k][x], supports[k][y]
-            if stack.shape[2] == 1:
-                (sx,), (sy,) = lx, ly
-                margin = float(dist[sx][sy]) ** float(p) - float(bound_pow)
-                ok = dist[sx][sy] <= d_xy if rational else margin <= tol * scale
-                worst = margin if worst is None else max(worst, margin)
-                if not ok:
-                    return IsometryVerdict(tag, False, witness={
-                        "pair": (x, y), "block": k, "kind": "character",
-                        "points": (sx, sy), "margin": margin,
-                        "state": _eigen_state(action, k, stack[x, sx])})
-                continue
+    for i, (x, y) in enumerate(pairs[:stop[0] + 1]):
+        for k in rows:
+            if (i, k) > stop:
+                break
+            lx, ly = rows[k][x], rows[k][y]
             cut = len(lx)
             if (lx, ly) not in vertices:
                 raw, vscale = _dual_vertex_search(space, p, lx, ly)
-                vertices[lx, ly] = vscale, [
-                    (vert, fg[:cut].copy(), fg[cut:].copy())
-                    for vert, fg in zip(raw, _vertex_floats(raw, vscale))]
-            vscale, found = vertices[lx, ly]
-            ux, uy = stack[x, list(lx)], stack[y, list(ly)]
-            for vert, fv, gv in found:
-                mat = np.einsum("j,jab->ab", fv, ux) + \
-                    np.einsum("j,jab->ab", gv, uy)
-                ok, margin = _lambda_max_leq(
-                    mat, bound_pow, tol, scale,
-                    (lambda: exact_matrix(k, x, y, numbers(vert, vscale)))
-                    if exact else None)
-                worst = margin if worst is None else max(worst, margin)
-                if not ok:
-                    vert = [str(v) for v in numbers(vert, vscale)]
-                    return IsometryVerdict(tag, False, witness={
-                        "pair": (x, y), "block": k, "kind": "dual-vertex",
-                        "supports": (lx, ly),
-                        "vertex": (vert[:cut], vert[cut:]),
-                        "margin": margin,
-                        "state": _eigen_state(action, k, mat)})
+                fg = _vertex_floats(raw, vscale)
+                vertices[lx, ly] = raw, vscale, fg[:, :cut].copy(), fg[:, cut:].copy()
+            raw, vscale, F, G = vertices[lx, ly]
+            ux, uy = stacks[k][x, list(lx)], stacks[k][y, list(ly)]
+            mats = np.einsum("vj,jab->vab", F, ux) + np.einsum("vj,jab->vab", G, uy)
+            margins = np.linalg.eigvalsh(mats)[:, -1] - bounds[r_xy[i]]
+            worst.append(float(margins.max()))
+            failed = _first_failure(
+                margins, space.dist[x][y] ** int(p) if exact else None,
+                space.tol * scale, _BORDERLINE * scale,
+                (lambda v: exact_matrix(k, x, y, numbers(raw[v], vscale)))
+                if exact else None)
+            if failed is not None:
+                vert = [str(v) for v in numbers(raw[failed], vscale)]
+                return IsometryVerdict(tag, False, witness={
+                    "pair": (x, y), "block": k, "kind": "dual-vertex",
+                    "supports": (lx, ly),
+                    "vertex": (vert[:cut], vert[cut:]),
+                    "margin": float(margins[failed]),
+                    "state": _eigen_state(action, k, mats[failed])})
+    if len(char_fails):
+        (x, y), k = pairs[stop[0]], stop[1]
+        sx, sy = int(sigma[c, x]), int(sigma[c, y])
+        return IsometryVerdict(tag, False, witness={
+            "pair": (x, y), "block": k, "kind": "character",
+            "points": (sx, sy), "margin": float(char_margins[stop[0], c]),
+            "state": _eigen_state(action, k, stacks[k][x, sx])})
     return IsometryVerdict(tag, True,
-                           certificate={"max_margin": 0.0 if worst is None else worst})
+                           certificate={"max_margin": max(worst, default=0.0)})
 
 
 def check_lip1_universal(action: CoAction) -> IsometryVerdict:
@@ -573,34 +596,55 @@ def _support_universal(action: CoAction, tag: str, level_only: bool) -> Isometry
     projections summing to 1, so the inequality says a_{x;S} u_yk = 0 for
     every k outside N(S); that holds for all S iff it holds for singletons
     (Banica 2005).  Each product is decided blockwise as
-    lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, over the
-    pairs of `_state_pairs` and the supports of `_block_supports`, with
-    d(j, k) compared to d(x, y) within the space's `dtol`."""
+    lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, for every
+    pair of `_state_pairs`, block and (j, k) of `CoAction.block_supports`
+    off Y at once: d(j, k) is compared with d(x, y) on the distance ranks
+    in rational mode and within the space's `dtol` in float mode, the
+    products of one block size are one stacked matmul, and their
+    lambda_max one batched eigvalsh (the real entry on 1x1 blocks).  In
+    rational mode the products within _BORDERLINE of 0 are re-decided
+    exactly, in the order (pair, block, j, k) up to the first failure,
+    which is the witness."""
     space = action.space
-    dist = space.dist
-    dtol = space.dtol
-    exact = space.mode == RATIONAL
-    supports = _block_supports(action)
-    worst = 0.0
-    for x, y in _state_pairs(space):
-        d_xy = dist[x][y]
-        for b, stack in enumerate(action.stacks):
-            for j in supports[b][x]:
-                P = stack[x, j]
-                for k in supports[b][y]:
-                    if (abs(dist[j][k] - d_xy) <= dtol if level_only
-                            else dist[j][k] <= d_xy + dtol):
-                        continue
-                    mat = P @ stack[y, k] @ P
-                    ok, margin = _lambda_max_leq(mat, 0, space.tol, 1.0, (
-                        lambda: _exact_entries(mat)) if exact else None)
-                    worst = max(worst, margin)
-                    if not ok:
-                        return IsometryVerdict(tag, False, witness={
-                            "pair": (x, y), "points": (j, k), "block": b,
-                            "residual": margin,
-                            "state": _eigen_state(action, b, mat)})
-    return IsometryVerdict(tag, True, certificate={"max_residual": worst})
+    alg = action.group.algebra
+    pairs = _state_pairs(space)
+    xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
+    if space.mode == RATIONAL:
+        keys, dtol = np.array(space.distance_ranks), 0
+    else:
+        keys, dtol = np.array(space.dist, dtype=float), space.dtol
+    supports = action.block_supports
+    js = supports[:, xs].swapaxes(0, 1)[..., :, None]   # (pair, block, j, 1)
+    ks = supports[:, ys].swapaxes(0, 1)[..., None, :]   # (pair, block, 1, k)
+    d_jk, d_xy = keys[js, ks], keys[xs, ys][:, None, None, None]
+    off = np.abs(d_jk - d_xy) > dtol if level_only else d_jk > d_xy + dtol
+    pair, block, a, c = np.nonzero(off & (js >= 0) & (ks >= 0))
+    j, k = supports[block, xs[pair], a], supports[block, ys[pair], c]
+    sizes = np.array(alg.blocks)[block]
+    margins = np.empty(len(pair))
+    for b in set(sizes.tolist()):
+        sel = np.flatnonzero(sizes == b)
+        cols = np.array(alg.offsets)[block[sel], None] + np.arange(b * b)
+        P = action.coeffs[xs[pair[sel], None], j[sel, None], cols].reshape(-1, b, b)
+        Q = action.coeffs[ys[pair[sel], None], k[sel, None], cols].reshape(-1, b, b)
+        products = P @ Q @ P
+        margins[sel] = products[:, 0, 0].real if b == 1 else \
+            np.linalg.eigvalsh(products)[:, -1]
+
+    def product(i):
+        stack = action.stacks[block[i]]
+        P = stack[xs[pair[i]], j[i]]
+        return P @ stack[ys[pair[i]], k[i]] @ P
+
+    failed = _first_failure(margins, 0, space.tol, _BORDERLINE, (
+        lambda i: _exact_entries(product(i))) if space.mode == RATIONAL else None)
+    if failed is None:
+        return IsometryVerdict(tag, True, certificate={
+            "max_residual": max([0.0] + margins.tolist())})
+    return IsometryVerdict(tag, False, witness={
+        "pair": pairs[pair[failed]], "points": (int(j[failed]), int(k[failed])),
+        "block": int(block[failed]), "residual": float(margins[failed]),
+        "state": _eigen_state(action, int(block[failed]), product(failed))})
 
 
 def check_winf_universal(action: CoAction) -> IsometryVerdict:

@@ -83,8 +83,12 @@ class PairSet:
 
     @staticmethod
     def from_pairs(n: int, pairs) -> "PairSet":
+        """The pairs (i, j) given, each index in [0, n); any other index
+        raises ValueError naming its pair."""
         grid = [[False] * n for _ in range(n)]
         for i, j in pairs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"pair ({i}, {j}) has an index outside [0, {n})")
             grid[i][j] = True
         return PairSet(tuple(tuple(row) for row in grid))
 

@@ -32,6 +32,14 @@ exponential in the number of points:
   transport problem per character and the full-space dual vertices swept
   on every larger block, against the per-support route of
   `check_lip_p_universal`;
+- lip_p_universal_loops and support_universal_loops: universal Lip_p
+  and the coupling-support conditions (main, Lip_inf) as decided before
+  they became array operations, one (pair, block, j/k or vertex) at a
+  time, with the block supports taken anew by each call; not
+  exponential, but independent of the cached supports, the character
+  gather, the stacked products and the batched eigensolvers of
+  `check_lip_p_universal` and `_support_universal`, whose verdicts,
+  witnesses, margins and certificates must be equal to the reference's;
 - psd_by_principal_minors: the sign of every principal minor (2^(2b) of
   them for a b x b complex block), against the fraction-free symmetric
   elimination of `exact_psd_pairs`; exact_psd applies that elimination
@@ -77,9 +85,10 @@ exponential in the number of points:
 - metric_violation_reference: the first failing metric axiom of a
   rational matrix, checked entry by entry in Fractions, against the
   checks `validate_metric` runs on the space's integer form;
-- apply_delta, apply_kappa, counit and min_eig: Delta, kappa and the
-  counit applied to one AlgElement, and its smallest eigenvalue, for the
-  per-element oracles above and the tests.
+- apply_delta, apply_kappa, counit, hermitian_max_eig and min_eig:
+  Delta, kappa and the counit applied to one AlgElement, the largest
+  eigenvalue of one Hermitian matrix and the smallest of an element, for
+  the per-element oracles above and the tests.
 
 The oracles keep their own ordered-pair loop and block stacks, built
 from the AlgElement entries of u.
@@ -89,18 +98,18 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
 
 from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
-                          exact_psd_pairs, extreme_state, hermitian_max_eig)
+                          exact_psd_pairs, extreme_state)
 from qiso.coaction import CoAction, act_on_function
 from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
                            _eigen_state, _exact_entries, _rationalize,
-                           check_winf_universal)
+                           _state_pairs, _vertex_floats, check_winf_universal)
 from qiso.metric import (AsymmetricMatrix, FiniteMetricSpace, NegativeDistance,
                          NonzeroDiagonal, PairSet, TriangleViolation, ball,
                          level_set, lipschitz_constant, sublevel_set,
@@ -109,8 +118,9 @@ from qiso.quantum_group import QGReport, QuantumGroup
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
                             DualPotentials, InfeasibleMarginals, ProbVector,
-                            UnboundedFlow, WInfResult, _integer_power,
-                            _integer_scale, _mode_of, _power_cost,
+                            UnboundedFlow, WInfResult, _dual_vertex_search,
+                            _integer_power, _integer_scale, _mode_of,
+                            _power_cost,
                             enumerate_dual_vertices, prob_vector,
                             transport_with_power)
 
@@ -126,6 +136,14 @@ def apply_kappa(qg: QuantumGroup, elem: AlgElement) -> AlgElement:
 
 def counit(qg: QuantumGroup, elem: AlgElement) -> complex:
     return complex(qg.epsilon @ elem.vec())
+
+
+def hermitian_max_eig(mat: np.ndarray) -> float:
+    """The largest eigenvalue of a Hermitian matrix; its real entry when
+    it is 1 x 1."""
+    if mat.shape == (1, 1):
+        return float(mat[0, 0].real)
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def min_eig(elem: AlgElement) -> float:
@@ -1034,20 +1052,22 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
     return rep
 
 
-def _lambda_max_leq(mat: np.ndarray, bound, tol: float, exact: bool) -> Tuple[bool, float]:
+def _lambda_max_leq(mat: np.ndarray, bound, tol: float, scale: float,
+                    exact: Optional[Callable[[], Optional[list]]]
+                    ) -> Tuple[bool, float]:
     """Decide lambda_max(mat) <= bound; returns (verdict, float margin).
 
-    Away from the boundary the float eigenvalue is decisive; inside the
-    borderline window, rational mode re-decides by an exact PSD test of
-    bound - mat (falling back to the tolerance when some entry is not
-    a recognizable rational)."""
+    The tolerance and the borderline window are relative to `scale`, the
+    size of the quantities compared.  Away from the boundary the float
+    eigenvalue is decisive; inside the window, rational mode re-decides by
+    an exact PSD test of bound - exact(), mat as (re, im) Fraction pairs,
+    falling back to the tolerance when exact() is None."""
     lam = hermitian_max_eig(mat)
     margin = lam - float(bound)
-    if not exact or abs(margin) > _BORDERLINE:
-        return margin <= tol, margin
-    entries = _exact_entries(mat)
+    entries = None if exact is None or abs(margin) > _BORDERLINE * scale \
+        else exact()
     if entries is None:
-        return margin <= tol, margin
+        return margin <= tol * scale, margin
     b = Fraction(bound)
     shifted = [[((b - re) if i == j else -re, -im)
                 for j, (re, im) in enumerate(row)]
@@ -1129,7 +1149,8 @@ def lip_p_universal_full_sweep(action: CoAction, p,
                     # is re-decided exactly
                     mat = np.einsum("j,jab->ab", F[i], stacks[k][x]) + \
                         np.einsum("j,jab->ab", G[i], stacks[k][y])
-                    ok, margin_pow = _lambda_max_leq(mat, bound_pow, tol, exact)
+                    ok, margin_pow = _lambda_max_leq(
+                        mat, bound_pow, tol, 1.0, lambda: _exact_entries(mat))
                 if worst is None or margin_pow > worst[0]:
                     worst = (margin_pow, (x, y), k)
                 if not ok:
@@ -1141,6 +1162,154 @@ def lip_p_universal_full_sweep(action: CoAction, p,
                         "margin": margin_pow, "state": state})
     return IsometryVerdict(tag, True,
                            certificate={"max_margin": worst[0] if worst else 0.0})
+
+
+def lip_p_universal_loops(action: CoAction, p) -> IsometryVerdict:
+    """Exact universal (Lip_p) decision for finite p, block by block, one
+    (pair, block, vertex) at a time.
+
+    The map psi -> W_p^p(x <| psi, y <| psi) is convex, so its sup sits on
+    pure states, which live on single blocks.  On block k, row x of u is a
+    family of projections summing to 1 whose support L_x (the u_xj of trace
+    >= 1 there) has at most b_k points.  A 1x1 block is a character, which
+    sends x to the Dirac mass at sigma(x): the condition there is
+    d(sigma x, sigma y) <= d(x, y).  On a larger block, the top eigenvalue
+    of sum_a f_a u_{x,L_x[a]} + sum_b g_b u_{y,L_y[b]} must stay below
+    d(x,y)^p for every vertex (f, g) of the dual polyhedron of the cost d^p
+    on L_x x L_y (both sums of projections are 1 on the block, so the
+    objective is shift-invariant); those are found once per support pair,
+    from at most C(2b_k - 2, b_k - 1) trees whatever n is.  The pairs are
+    those of `_state_pairs`.
+
+    Margins are in units of d^p (d(sigma x, sigma y)^p or the eigenvalue,
+    minus d(x,y)^p) and the space's tol is relative to the largest d^p.  In
+    rational mode characters compare distances exactly, and eigenvalue
+    near-ties are re-decided on the exact matrix, formed from the exact
+    vertex and the u entries (each rationalized once).
+    """
+    if p == float("inf") or p == "inf":
+        return support_universal_loops(action, "Lip_inf(universal)", False)
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+    space = action.space
+    tol = space.tol
+    dist = space.dist
+    rational = space.mode == RATIONAL
+    exact = rational and float(p).is_integer()
+    tag = f"Lip_{p}(universal)"
+    scale = float(space.max_distance) ** float(p)
+    stacks = action.stacks
+    supports = [[tuple(np.flatnonzero(row > 0.5).tolist()) for row in
+                 np.einsum("xjaa->xj", stack).real] for stack in action.stacks]
+    vertices = {}        # (L_x, L_y) -> (scale, raw vertices with float f, g)
+    exact_u = {}         # (k, i, j) -> u_ij on block k as (re, im) pairs
+    worst = None
+
+    def numbers(vert, s):
+        """A raw vertex as the numbers it stands for: v / s as Fractions,
+        or the floats themselves when s is None."""
+        return vert if s is None else [Fraction(v, s) for v in vert]
+
+    def exact_matrix(k, x, y, vert):
+        """The vertex combination on block k as (re, im) Fraction pairs;
+        None if some u entry in it is not rational."""
+        keys = [(k, x, j) for j in supports[k][x]] + \
+            [(k, y, j) for j in supports[k][y]]
+        for key in keys:
+            if key not in exact_u:
+                exact_u[key] = _exact_entries(stacks[k][key[1:]])
+        if any(exact_u[key] is None for key in keys):
+            return None
+        terms = list(zip(vert, (exact_u[key] for key in keys)))
+        size = stacks[k].shape[2]
+        return [[tuple(sum(c * m[r][s][t] for c, m in terms) for t in (0, 1))
+                 for s in range(size)] for r in range(size)]
+
+    for x, y in _state_pairs(space):
+        d_xy = dist[x][y]
+        bound_pow = d_xy ** int(p) if exact else float(d_xy) ** float(p)
+        for k, stack in enumerate(stacks):
+            lx, ly = supports[k][x], supports[k][y]
+            if stack.shape[2] == 1:
+                (sx,), (sy,) = lx, ly
+                margin = float(dist[sx][sy]) ** float(p) - float(bound_pow)
+                ok = dist[sx][sy] <= d_xy if rational else margin <= tol * scale
+                worst = margin if worst is None else max(worst, margin)
+                if not ok:
+                    return IsometryVerdict(tag, False, witness={
+                        "pair": (x, y), "block": k, "kind": "character",
+                        "points": (sx, sy), "margin": margin,
+                        "state": _eigen_state(action, k, stack[x, sx])})
+                continue
+            cut = len(lx)
+            if (lx, ly) not in vertices:
+                raw, vscale = _dual_vertex_search(space, p, lx, ly)
+                vertices[lx, ly] = vscale, [
+                    (vert, fg[:cut].copy(), fg[cut:].copy())
+                    for vert, fg in zip(raw, _vertex_floats(raw, vscale))]
+            vscale, found = vertices[lx, ly]
+            ux, uy = stack[x, list(lx)], stack[y, list(ly)]
+            for vert, fv, gv in found:
+                mat = np.einsum("j,jab->ab", fv, ux) + \
+                    np.einsum("j,jab->ab", gv, uy)
+                ok, margin = _lambda_max_leq(
+                    mat, bound_pow, tol, scale,
+                    (lambda: exact_matrix(k, x, y, numbers(vert, vscale)))
+                    if exact else None)
+                worst = margin if worst is None else max(worst, margin)
+                if not ok:
+                    vert = [str(v) for v in numbers(vert, vscale)]
+                    return IsometryVerdict(tag, False, witness={
+                        "pair": (x, y), "block": k, "kind": "dual-vertex",
+                        "supports": (lx, ly),
+                        "vertex": (vert[:cut], vert[cut:]),
+                        "margin": margin,
+                        "state": _eigen_state(action, k, mat)})
+    return IsometryVerdict(tag, True,
+                           certificate={"max_margin": 0.0 if worst is None else worst})
+
+
+def support_universal_loops(action: CoAction, tag: str,
+                            level_only: bool) -> IsometryVerdict:
+    """Every state admits a coupling of (x <| psi, y <| psi) on Y, the
+    (sub)level set of d(x,y), iff u_xj u_yk = 0 for every (j, k) outside Y.
+
+    Over all states at once, the marriage theorem's subset condition is
+    the operator inequality a_{x;S} <= a_{y;N(S)} for every S.  Both sides
+    are projections, since each row of u is an orthogonal family of
+    projections summing to 1, so the inequality says a_{x;S} u_yk = 0 for
+    every k outside N(S); that holds for all S iff it holds for singletons
+    (Banica 2005).  Each product is decided blockwise as
+    lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, over the
+    pairs of `_state_pairs` and the supports of each block (the u_xj of
+    trace >= 1 there), with
+    d(j, k) compared to d(x, y) within the space's `dtol`."""
+    space = action.space
+    dist = space.dist
+    dtol = space.dtol
+    exact = space.mode == RATIONAL
+    supports = [[tuple(np.flatnonzero(row > 0.5).tolist()) for row in
+                 np.einsum("xjaa->xj", stack).real] for stack in action.stacks]
+    worst = 0.0
+    for x, y in _state_pairs(space):
+        d_xy = dist[x][y]
+        for b, stack in enumerate(action.stacks):
+            for j in supports[b][x]:
+                P = stack[x, j]
+                for k in supports[b][y]:
+                    if (abs(dist[j][k] - d_xy) <= dtol if level_only
+                            else dist[j][k] <= d_xy + dtol):
+                        continue
+                    mat = P @ stack[y, k] @ P
+                    ok, margin = _lambda_max_leq(mat, 0, space.tol, 1.0, (
+                        lambda: _exact_entries(mat)) if exact else None)
+                    worst = max(worst, margin)
+                    if not ok:
+                        return IsometryVerdict(tag, False, witness={
+                            "pair": (x, y), "points": (j, k), "block": b,
+                            "residual": margin,
+                            "state": _eigen_state(action, b, mat)})
+    return IsometryVerdict(tag, True, certificate={"max_residual": worst})
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Isometry condition checks, cross-validated against classical oracles."""
 
+import functools
 import importlib
 import inspect
 import random
@@ -29,8 +30,9 @@ from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import wasserstein_inf, wasserstein_p
 
 from oracles import (check_ball_identity, check_lip_seminorm_state,
-                     lip_p_universal_full_sweep, scaled_twin,
-                     support_universal_bruteforce, with_ordered_pairs)
+                     lip_p_universal_full_sweep, lip_p_universal_loops,
+                     scaled_twin, support_universal_bruteforce,
+                     support_universal_loops, with_ordered_pairs)
 
 
 def test_verdicts_take_no_tolerance_argument():
@@ -693,7 +695,117 @@ def test_sweep_routes_match_per_pair_oracle():
                       ("dual-vertices", "simplex", "hall-subsets", "max-flow")}
 
 
-def test_universal_pair_convention_matches_ordered_pairs():
+@pytest.fixture(scope="module")
+def c07_population():
+    """The population of acceptance check c07: the catalog and 200 random
+    actions (seed 777)."""
+    config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
+                          seed=777)
+    return [build_instance(desc) for desc in instance_descriptors(config)]
+
+
+def _two_projection_actions():
+    """The 6-point two-projection actions of D5 and D7, whose Lip_p
+    failures are dual-vertex ones."""
+    return [reflection_pairs_action(block_metric(3, asymmetric), m, (0, 1, 2))
+            for m in (5, 7) for asymmetric in (False, True)]
+
+
+UNIVERSAL_REFERENCES = [
+    (check_theorem_main,
+     lambda a: support_universal_loops(a, "main(universal)", True)),
+    (check_winf_universal,
+     lambda a: support_universal_loops(a, "Lip_inf(universal)", False))] + [
+    (functools.partial(check_lip_p_universal, p=p),
+     functools.partial(lip_p_universal_loops, p=p)) for p in (1, 2, 3)]
+
+
+def _assert_same_verdict(verdict, reference, label):
+    """Equal verdicts, certificates and witnesses, the witness state
+    compared as a coefficient vector."""
+    assert (verdict.holds, verdict.certificate) == \
+        (reference.holds, reference.certificate), label
+    if not verdict.holds:
+        witness, expected = dict(verdict.witness), dict(reference.witness)
+        state, expected_state = witness.pop("state"), expected.pop("state")
+        assert witness == expected, label
+        assert np.array_equal(state.as_vector(), expected_state.as_vector()), label
+
+
+def test_universal_checks_match_loop_references(c07_population):
+    """The batched universal decisions (main, Lip_inf and Lip_p for p = 1,
+    2, 3) give the verdicts, certificates and witnesses (pair, block,
+    points or supports and vertex, margin or residual, state) of the loops
+    they replaced, one (pair, block, j/k or vertex) at a time, on the c07
+    population, the two-projection actions of D5 and D7, and the float
+    twins of all of them."""
+    actions = c07_population + _two_projection_actions()
+    actions += [scaled_twin(action, 1, True) for action in actions]
+    kinds = set()
+    for action in actions:
+        for check, reference in UNIVERSAL_REFERENCES:
+            verdict = check(action)
+            _assert_same_verdict(verdict, reference(action),
+                                 (action.name, action.space.mode, verdict.condition))
+            if not verdict.holds:
+                kinds.add(verdict.witness.get("kind", "points"))
+    assert kinds == {"points", "character", "dual-vertex"}
+
+
+def test_character_decisions_stay_exact():
+    """Characters compare distances exactly in rational mode.  (a) d(sigma
+    x, sigma y) = 1 + 10^-20 against d(x, y) = 1, closer than one float ulp:
+    Lip_p, Lip_inf and main fail, while the float twin, which reads both
+    as 1.0, holds within tol.  (b) Distances over coprime denominators
+    near 2^30, whose integer form exceeds 2^63: the verdicts are the loop
+    reference's, an isometric Klein-group action holding and a rotation
+    failing."""
+    one_ulp_up = validate_metric([[0, 1, 1], [1, 0, 1 + F(1, 10 ** 20)],
+                                  [1, 1 + F(1, 10 ** 20), 0]])
+    action = permutation_action(one_ulp_up, [(1, 2, 0)])
+    twin = scaled_twin(action, 1, True)
+    for check, reference in UNIVERSAL_REFERENCES:
+        verdict = check(action)
+        assert not verdict.holds and check(twin).holds
+        _assert_same_verdict(verdict, reference(action), verdict.condition)
+
+    a, b, c = (1 + F(1, q) for q in (2147483647, 1000000007, 998244353))
+    space = validate_metric([[0, a, c, b], [a, 0, b, c], [c, b, 0, a],
+                             [b, c, a, 0]])
+    assert max(max(row) for row in space.integer_form[0]) > 2 ** 63
+    klein = permutation_action(space, [(1, 0, 3, 2), (2, 3, 0, 1)])
+    rotation = permutation_action(space, [(1, 2, 3, 0)])
+    for action, holds in ((klein, True), (rotation, False)):
+        for check, reference in UNIVERSAL_REFERENCES:
+            verdict = check(action)
+            assert verdict.holds == holds
+            _assert_same_verdict(verdict, reference(action), verdict.condition)
+
+
+def test_universal_checks_share_one_block_support_table(monkeypatch):
+    """The block supports are computed on first use and once per action:
+    the five universal checks of one action share them, and an action
+    that no universal check reads never computes them."""
+    from functools import cached_property
+    from qiso.catalog import catalog_action
+    from qiso.coaction import CoAction
+    computed = []
+    original = CoAction.block_supports.func
+    counted = cached_property(lambda self: computed.append(self) or original(self))
+    counted.__set_name__(CoAction, "block_supports")
+    monkeypatch.setattr(CoAction, "block_supports", counted)
+    base = catalog_action("dual-d4-asymmetric")
+    action = CoAction(base.group, base.space, base.u)
+    assert not computed
+    supports = None
+    for check, _ in UNIVERSAL_REFERENCES:
+        check(action)
+        supports = action.block_supports if supports is None else supports
+        assert action.block_supports is supports
+    assert computed == [action]
+
+
+def test_universal_pair_convention_matches_ordered_pairs(c07_population):
     """The pairwise universal checks (main, Lip_inf, Lip_p for p = 1, 2, 3)
     visit x < y only on an exactly symmetric d.  On the c07 population
     (catalog + 200 random actions), the 6-point two-projection actions of
@@ -701,12 +813,7 @@ def test_universal_pair_convention_matches_ordered_pairs():
     near-symmetric float space, their verdicts and failing witnesses
     (pair, points or supports, block, kind) equal those of the sweep over
     every ordered pair."""
-    config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
-                          seed=777)
-    actions = [build_instance(desc) for desc in instance_descriptors(config)]
-    actions += [reflection_pairs_action(block_metric(3, asymmetric), m,
-                                        (0, 1, 2))
-                for m in (5, 7) for asymmetric in (False, True)]
+    actions = c07_population + _two_projection_actions()
     actions.append(_near_symmetric_action())
     checks = [(check_theorem_main, ()), (check_winf_universal, ())] + \
         [(check_lip_p_universal, (p,)) for p in (1, 2, 3)]

@@ -98,6 +98,16 @@ def test_sublevel_is_union_of_levels():
         assert union.member == sublevel_set(sp, r).member
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -3), (3, 0), (1, 7)])
+def test_pair_set_rejects_indices_outside_the_points(pair):
+    """A negative index would read the row from its end (-1 opening the
+    pair (2, 0) on 3 points) and one >= n would raise IndexError: both
+    raise ValueError naming the pair."""
+    with pytest.raises(ValueError, match=rf"\({pair[0]}, {pair[1]}\)"):
+        PairSet.from_pairs(3, [(0, 1), pair])
+    assert set(PairSet.from_pairs(3, [(2, 0), (0, 2)]).pairs()) == {(0, 2), (2, 0)}
+
+
 @pytest.mark.parametrize("model", ["euclidean-sample", "shortest-path-graph"])
 def test_random_spaces_valid_and_deterministic(model):
     for seed in range(8):
