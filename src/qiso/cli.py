@@ -223,7 +223,6 @@ def _dispatch(args) -> int:
             "envelope_dimension": env.dimension,
             "killed_blocks": sorted(env.ideal.included_blocks),
             "surviving_blocks": env.survivors,
-            "saturation_iterations": env.iterations,
             "verification": {k: r.worst() for k, r in env.reports.items()},
             "quotient": quantum_group_to_dict(env.quotient)})
         return EXIT_OK

@@ -1,33 +1,33 @@
 """The largest quantum-group quotient acting (D)-isometrically.
 
-Pipeline: the defect elements of condition (D), the coefficient vectors
-of `isometry.commutator_defects`, generate a two-sided ideal
-(a set of blocks, by block simplicity); the ideal is saturated into the
-smallest Hopf ideal containing it (closure under the antipode block
-permutation plus the comultiplication condition Delta(I) <= I(x)A + A(x)I,
-resolved by branching when a violation can be repaired two ways); the
-quotient inherits the structure maps by compression, and the compressed
-magic unitary is the induced (D)-isometric action.  Every step is
-verified, not assumed.
+For a magic-unitary coaction (Delta(u_ij) = sum_k u_ik (x) u_kj,
+kappa(u_ij) = u_ji, eps(u_ij) = [i = j]) on a symmetric d, which
+`validate_metric` enforces, the defects of (D), the coefficient vectors
+of `isometry.commutator_defects`, are c = ud - du, and
+- Delta(c)_xy = sum_k u_xk (x) c_ky + c_xk (x) u_ky,
+- kappa(c_xy) = -c_yx,
+- eps(c) = 0.
+So the ideal I that the defects generate is a Hopf ideal, and A/I is the
+largest Hopf quotient whose induced action satisfies (D).  By simplicity
+of each block, I is the set of blocks where some defect does not vanish,
+cut where `check_D` cuts: at a block norm above tol x max d.  The Hopf
+property is asserted, not assumed (a kappa off the u_ji convention is
+outside the derivation), and the quotient's structure maps and induced
+action are verified.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import AlgElement, FinDimCStarAlgebra
+from .algebra import AlgElement, FinDimCStarAlgebra, operator_norms
 from .coaction import CoAction, verify_coaction
-from .errors import QisoError, SizeGuardExceeded
+from .errors import QisoError
 from .isometry import check_D, commutator_defects
 from .quantum_group import QGReport, QuantumGroup, verify_quantum_group
-
-
-class SaturationReachedFullAlgebra(QisoError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,109 +45,63 @@ class BlockIdeal:
 
 def generated_ideal(qg: QuantumGroup, generators: np.ndarray,
                     tol: float = 1e-9) -> BlockIdeal:
-    """Blocks where some generator does not vanish; by simplicity of each
-    block this is exactly the two-sided ideal the generators generate.
-    The generators are coefficient vectors on the last axis, such as the
-    (n, n, dim) defect tensor of condition (D)."""
+    """Blocks where some generator, a coefficient vector on the last axis,
+    has spectral norm above tol: by simplicity of each block, the ideal the
+    generators generate.  These are the block norms `check_D` takes."""
     alg = qg.algebra
-    peak = np.abs(np.asarray(generators)).reshape(-1, alg.dim).max(
-        axis=0, initial=0.0)
-    return BlockIdeal(frozenset(
-        k for k, (off, b) in enumerate(zip(alg.offsets, alg.blocks))
-        if peak[off:off + b * b].max() > tol))
+    X = np.asarray(generators).reshape(-1, alg.dim)
+    peak = np.zeros(len(alg.blocks))
+    for n, idx in alg.blocks_by_size.items():
+        peak[np.array(alg.blocks) == n] = operator_norms(X[:, idx]).max(
+            axis=0, initial=0.0)
+    return BlockIdeal(frozenset(int(k) for k in np.flatnonzero(peak > tol)))
+
+
+def _block_peaks(alg: FinDimCStarAlgebra, A: np.ndarray) -> np.ndarray:
+    """The (K, K) largest entries of the block pairs of a (dim, dim) A >= 0."""
+    starts = np.array(alg.offsets)
+    return np.maximum.reduceat(np.maximum.reduceat(A, starts, axis=0),
+                               starts, axis=1)
 
 
 def kappa_block_map(qg: QuantumGroup, tol: float = 1e-9) -> Dict[int, FrozenSet[int]]:
     """Which blocks the antipode sends each block into: the images of
     block k's matrix units are kappa's columns there."""
-    alg = qg.algebra
-    spans = [slice(off, off + b * b) for off, b in zip(alg.offsets, alg.blocks)]
-    return {k: frozenset(l for l, rows in enumerate(spans)
-                         if np.abs(qg.kappa[rows, cols]).max() > tol)
-            for k, cols in enumerate(spans)}
+    reach = _block_peaks(qg.algebra, np.abs(qg.kappa)) > tol
+    return {k: frozenset(int(l) for l in np.flatnonzero(reach[:, k]))
+            for k in range(len(qg.algebra.blocks))}
 
 
 def _delta_violations(qg: QuantumGroup, included: FrozenSet[int],
                       tol: float) -> List[Tuple[int, int]]:
-    """Surviving block pairs (k, l) where Delta of some ideal element has a
-    residual, i.e. Delta(I) escapes I(x)A + A(x)I."""
-    alg = qg.algebra
-    survivors = [k for k in range(len(alg.blocks)) if k not in included]
-    bad = set()
-    for k in included:
-        off, b = alg.offsets[k], alg.blocks[k]
-        for idx in range(off, off + b * b):
-            M = qg.delta[:, :, idx]
-            for k1 in survivors:
-                o1, b1 = alg.offsets[k1], alg.blocks[k1]
-                for k2 in survivors:
-                    o2, b2 = alg.offsets[k2], alg.blocks[k2]
-                    if np.abs(M[o1:o1 + b1 * b1, o2:o2 + b2 * b2]).max() > tol:
-                        bad.add((k1, k2))
-    return sorted(bad)
+    """Surviving block pairs, in row-major order, that Delta of some basis
+    element of the ideal reaches: where Delta(I) escapes I(x)A + A(x)I."""
+    killed = np.zeros(len(qg.algebra.blocks), dtype=bool)
+    killed[list(included)] = True
+    in_ideal = np.repeat(killed, np.square(qg.algebra.blocks))
+    reach = _block_peaks(qg.algebra, np.abs(qg.delta[:, :, in_ideal]).max(
+        axis=2, initial=0.0)) > tol
+    return [(int(k), int(l)) for k, l in
+            np.argwhere(reach & ~killed[:, None] & ~killed[None, :])]
+
+
+def _hopf_violation(qg: QuantumGroup, included: FrozenSet[int],
+                    tol: float) -> Optional[str]:
+    """The first way a block ideal fails to be a Hopf ideal, or None."""
+    if qg.counit_block() in included:
+        return f"the counit block {qg.counit_block()} is in the ideal"
+    kmap = kappa_block_map(qg, tol)
+    escapes = [(k, l) for k in sorted(included) for l in sorted(kmap[k] - included)]
+    if escapes:
+        return "kappa sends block {} to survivor {}".format(*escapes[0])
+    pairs = _delta_violations(qg, included, tol)
+    return f"Delta of the ideal reaches survivor pair {pairs[0]}" if pairs else None
 
 
 def is_hopf_ideal(qg: QuantumGroup, included: FrozenSet[int],
                   tol: float = 1e-9) -> bool:
     """Delta-, kappa- and counit-compatibility of a block ideal."""
-    if qg.counit_block() in included:
-        return False
-    kmap = kappa_block_map(qg, tol)
-    if any(not kmap[k] <= included for k in included):
-        return False
-    return not _delta_violations(qg, included, tol)
-
-
-def hopf_saturate(qg: QuantumGroup, ideal: BlockIdeal,
-                  tol: float = 1e-9) -> Tuple[BlockIdeal, int]:
-    """The smallest Hopf ideal containing the given one, plus the number of
-    blocks that had to be added (expected to be zero for defect-generated
-    ideals; a nonzero count is surfaced, not hidden).
-
-    Closure under the antipode is a block-set closure; the
-    comultiplication condition may be repairable by killing either member
-    of a violating survivor pair, so the minimum is found by branching
-    (the minimum is unique: Hopf ideals of a finite-dimensional Hopf
-    algebra are closed under intersection)."""
-    counit_block = qg.counit_block()
-    kmap = kappa_block_map(qg, tol)
-    memo: Dict[FrozenSet[int], Optional[FrozenSet[int]]] = {}
-
-    def close_kappa(inc: FrozenSet[int]) -> FrozenSet[int]:
-        out = set(inc)
-        changed = True
-        while changed:
-            changed = False
-            for k in list(out):
-                extra = kmap[k] - out
-                if extra:
-                    out |= extra
-                    changed = True
-        return frozenset(out)
-
-    def search(inc: FrozenSet[int]) -> Optional[FrozenSet[int]]:
-        inc = close_kappa(inc)
-        if counit_block in inc:
-            return None
-        if inc in memo:
-            return memo[inc]
-        memo[inc] = None  # cycle guard; overwritten below
-        violations = _delta_violations(qg, inc, tol)
-        if not violations:
-            memo[inc] = inc
-            return inc
-        k1, k2 = violations[0]
-        candidates = [search(inc | {k1}), search(inc | {k2})]
-        candidates = [c for c in candidates if c is not None]
-        best = min(candidates, key=len) if candidates else None
-        memo[inc] = best
-        return best
-
-    result = search(ideal.included_blocks)
-    if result is None:
-        raise SaturationReachedFullAlgebra(
-            "no proper Hopf ideal contains the generators")
-    return BlockIdeal(result), len(result) - len(ideal.included_blocks)
+    return _hopf_violation(qg, included, tol) is None
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +114,11 @@ def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
     quotient and the list of surviving original block indices."""
     alg = qg.algebra
     survivors = [k for k in range(len(alg.blocks)) if k not in ideal]
-    if not survivors:
-        raise SaturationReachedFullAlgebra("the ideal is the whole algebra")
-    keep = []
-    for k in survivors:
-        off, b = alg.offsets[k], alg.blocks[k]
-        keep.extend(range(off, off + b * b))
-    keep = np.array(keep)
     sub_alg = FinDimCStarAlgebra(tuple(alg.blocks[k] for k in survivors))
-    delta = qg.delta[np.ix_(keep, keep, keep)]
-    epsilon = qg.epsilon[keep]
-    kappa = qg.kappa[np.ix_(keep, keep)]
-    return QuantumGroup(sub_alg, delta, epsilon, kappa,
+    keep = np.concatenate([alg.offsets[k] + np.arange(alg.blocks[k] ** 2)
+                           for k in survivors])
+    return QuantumGroup(sub_alg, qg.delta[np.ix_(keep, keep, keep)], qg.epsilon[keep],
+                        qg.kappa[np.ix_(keep, keep)],
                         name=name or f"{qg.name}/I"), survivors
 
 
@@ -193,7 +140,6 @@ class EnvelopeResult:
     quotient: QuantumGroup
     survivors: List[int]
     induced: CoAction
-    iterations: int
     reports: Dict[str, QGReport]
 
     @property
@@ -202,14 +148,17 @@ class EnvelopeResult:
 
 
 def envelope(action: CoAction) -> EnvelopeResult:
-    """Defects -> generated ideal -> Hopf saturation -> verified quotient.
-    The defects are linear in d, so the ideal is cut at the space's tol x
-    max d, as `check_D` cuts them; the structure maps are cut at tol."""
+    """Defects -> generated ideal -> asserted Hopf ideal -> verified
+    quotient.  The ideal is cut at the space's tol x max d, as `check_D`
+    cuts the defects; the structure maps are cut at tol.  With an empty
+    ideal the quotient's structure maps are the group's, entry for entry."""
     qg = action.group
     tol = action.space.tol
-    ideal0 = generated_ideal(qg, commutator_defects(action),
-                             tol * float(action.space.max_distance))
-    ideal, added = hopf_saturate(qg, ideal0, tol)
+    ideal = generated_ideal(qg, commutator_defects(action),
+                            tol * float(action.space.max_distance))
+    violation = _hopf_violation(qg, ideal.included_blocks, tol)
+    if violation:
+        raise QisoError(f"the defects of (D) generate no Hopf ideal: {violation}")
     quotient, survivors = quotient_quantum_group(qg, ideal)
     induced = induced_action(action, quotient, survivors)
     reports: Dict[str, QGReport] = {
@@ -219,56 +168,4 @@ def envelope(action: CoAction) -> EnvelopeResult:
         raise QisoError("induced action is not (D)-isometric; "
                         "envelope construction is broken")
     return EnvelopeResult(ideal=ideal, quotient=quotient, survivors=survivors,
-                          induced=induced, iterations=added, reports=reports)
-
-
-# ---------------------------------------------------------------------------
-# the universal property, checked by exhaustion at desk scale
-
-
-def verify_universal_property(action: CoAction, env: EnvelopeResult,
-                              max_blocks: int = 12) -> dict:
-    """Enumerate every block subset defining a Hopf quotient; every one
-    whose induced action passes condition (D) must contain the envelope's
-    ideal (i.e. factor through it).  Reports violations (there must be
-    none) and the lattice of (D)-isometric quotients found."""
-    qg = action.group
-    K = len(qg.algebra.blocks)
-    if K > max_blocks:
-        raise SizeGuardExceeded(f"universal property exhaustion needs <= {max_blocks} blocks")
-    violations = []
-    isometric_quotients = []
-    for size in range(K):
-        for subset in itertools.combinations(range(K), size):
-            J = frozenset(subset)
-            if not is_hopf_ideal(qg, J, action.space.tol):
-                continue
-            quotient, survivors = quotient_quantum_group(qg, BlockIdeal(J))
-            act = induced_action(action, quotient, survivors)
-            if not check_D(act).holds:
-                continue
-            isometric_quotients.append(sorted(J))
-            if not env.ideal.included_blocks <= J:
-                violations.append(sorted(J))
-    return {"violations": violations,
-            "isometric_quotients": isometric_quotients}
-
-
-def annihilator_convolution_check(qg: QuantumGroup, ideal: BlockIdeal,
-                                  samples: int = 100, seed: int = 0,
-                                  tol: float = 1e-8) -> bool:
-    """Functionals vanishing on the ideal must be closed under convolution."""
-    rng = np.random.default_rng(seed)
-    alg = qg.algebra
-    mask = np.zeros(alg.dim)
-    for k in range(len(alg.blocks)):
-        if k not in ideal:
-            off, b = alg.offsets[k], alg.blocks[k]
-            mask[off:off + b * b] = 1.0
-    for _ in range(samples):
-        phi = (rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)) * mask
-        psi = (rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)) * mask
-        conv = qg.convolve_vectors(phi, psi)
-        if np.abs(conv * (1.0 - mask)).max() > tol:
-            return False
-    return True
+                          induced=induced, reports=reports)

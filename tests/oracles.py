@@ -85,6 +85,17 @@ exponential in the number of points:
 - metric_violation_reference: the first failing metric axiom of a
   rational matrix, checked entry by entry in Fractions, against the
   checks `validate_metric` runs on the space's integer form;
+- hopf_saturate: a smallest Hopf ideal containing a block ideal, by
+  branching over the survivor pairs that Delta reaches, against the
+  envelope's assertion that the defect-generated ideal is already one;
+  delta_violations_loops and kappa_block_map_loops: those survivor pairs
+  and the antipode's block map one basis element and one block pair at a
+  time, against the block-peak array passes of
+  `envelope._delta_violations` and `envelope.kappa_block_map`;
+- verify_universal_property: every block subset (at most 12 blocks)
+  that defines a Hopf quotient acting (D)-isometrically must contain the
+  envelope's ideal; annihilator_convolution_check: functionals vanishing
+  on the ideal, sampled, are closed under convolution;
 - apply_delta, apply_kappa, counit, hermitian_max_eig and min_eig:
   Delta, kappa and the counit applied to one AlgElement, the largest
   eigenvalue of one Hermitian matrix and the smallest of an element, for
@@ -98,7 +109,7 @@ import itertools
 import random
 from collections import deque
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
@@ -106,10 +117,14 @@ import numpy as np
 from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
                           exact_psd_pairs, extreme_state)
 from qiso.coaction import CoAction, act_on_function
+from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
+                           induced_action, is_hopf_ideal, kappa_block_map,
+                           quotient_quantum_group)
 from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
                            _eigen_state, _exact_entries, _rationalize,
-                           _state_pairs, _vertex_floats, check_winf_universal)
+                           _state_pairs, _vertex_floats, check_D,
+                           check_winf_universal)
 from qiso.metric import (AsymmetricMatrix, FiniteMetricSpace, NegativeDistance,
                          NonzeroDiagonal, PairSet, TriangleViolation, ball,
                          level_set, lipschitz_constant, sublevel_set,
@@ -1686,3 +1701,145 @@ def metric_violation_reference(matrix):
                     f"d({i},{k}) > d({i},{j}) + d({j},{k}): "
                     f"{matrix[i][k]} > {matrix[i][j]} + {matrix[j][k]}")
     return None
+
+
+# ---------------------------------------------------------------------------
+# the envelope's Hopf saturation and universal property, by search
+
+
+def kappa_block_map_loops(qg: QuantumGroup, tol: float = 1e-9) -> Dict[int, FrozenSet[int]]:
+    """Which blocks the antipode sends each block into, one block pair of
+    kappa at a time."""
+    alg = qg.algebra
+    spans = [slice(off, off + b * b) for off, b in zip(alg.offsets, alg.blocks)]
+    return {k: frozenset(l for l, rows in enumerate(spans)
+                         if np.abs(qg.kappa[rows, cols]).max() > tol)
+            for k, cols in enumerate(spans)}
+
+
+def delta_violations_loops(qg: QuantumGroup, included: FrozenSet[int],
+                           tol: float) -> List[Tuple[int, int]]:
+    """Surviving block pairs (k, l) where Delta of some ideal element has a
+    residual, one ideal basis element and one survivor block pair at a
+    time."""
+    alg = qg.algebra
+    survivors = [k for k in range(len(alg.blocks)) if k not in included]
+    bad = set()
+    for k in included:
+        off, b = alg.offsets[k], alg.blocks[k]
+        for idx in range(off, off + b * b):
+            M = qg.delta[:, :, idx]
+            for k1 in survivors:
+                o1, b1 = alg.offsets[k1], alg.blocks[k1]
+                for k2 in survivors:
+                    o2, b2 = alg.offsets[k2], alg.blocks[k2]
+                    if np.abs(M[o1:o1 + b1 * b1, o2:o2 + b2 * b2]).max() > tol:
+                        bad.add((k1, k2))
+    return sorted(bad)
+
+
+class SaturationReachedFullAlgebra(QisoError):
+    pass
+
+
+def hopf_saturate(qg: QuantumGroup, ideal: BlockIdeal,
+                  tol: float = 1e-9) -> Tuple[BlockIdeal, int]:
+    """A smallest Hopf ideal containing the given one, plus the number of
+    blocks that had to be added (zero for defect-generated ideals).
+
+    Closure under the antipode is a block-set closure; the
+    comultiplication condition may be repairable by killing either member
+    of a violating survivor pair, so a minimum is found by branching and
+    the first one found is returned.  The minimum is not unique: the Hopf
+    ideals of C(G) are the ideals I_H of the functions vanishing on a
+    subgroup H, and I_H meet I_K is the ideal of the functions vanishing
+    on H u K, which need not be a subgroup.  On C(S3), from the survivors
+    {e, (12), (13)}, the search returns {e, (13)}, and {e, (12)} is just
+    as small."""
+    counit_block = qg.counit_block()
+    kmap = kappa_block_map(qg, tol)
+    memo: Dict[FrozenSet[int], Optional[FrozenSet[int]]] = {}
+
+    def close_kappa(inc: FrozenSet[int]) -> FrozenSet[int]:
+        out = set(inc)
+        changed = True
+        while changed:
+            changed = False
+            for k in list(out):
+                extra = kmap[k] - out
+                if extra:
+                    out |= extra
+                    changed = True
+        return frozenset(out)
+
+    def search(inc: FrozenSet[int]) -> Optional[FrozenSet[int]]:
+        inc = close_kappa(inc)
+        if counit_block in inc:
+            return None
+        if inc in memo:
+            return memo[inc]
+        memo[inc] = None  # cycle guard; overwritten below
+        violations = _delta_violations(qg, inc, tol)
+        if not violations:
+            memo[inc] = inc
+            return inc
+        k1, k2 = violations[0]
+        candidates = [search(inc | {k1}), search(inc | {k2})]
+        candidates = [c for c in candidates if c is not None]
+        best = min(candidates, key=len) if candidates else None
+        memo[inc] = best
+        return best
+
+    result = search(ideal.included_blocks)
+    if result is None:
+        raise SaturationReachedFullAlgebra(
+            "no proper Hopf ideal contains the generators")
+    return BlockIdeal(result), len(result) - len(ideal.included_blocks)
+
+
+def verify_universal_property(action: CoAction, env: EnvelopeResult,
+                              max_blocks: int = 12) -> dict:
+    """Enumerate every block subset defining a Hopf quotient; every one
+    whose induced action passes condition (D) must contain the envelope's
+    ideal (i.e. factor through it).  Reports violations (there must be
+    none) and the lattice of (D)-isometric quotients found."""
+    qg = action.group
+    K = len(qg.algebra.blocks)
+    if K > max_blocks:
+        raise SizeGuardExceeded(f"universal property exhaustion needs <= {max_blocks} blocks")
+    violations = []
+    isometric_quotients = []
+    for size in range(K):
+        for subset in itertools.combinations(range(K), size):
+            J = frozenset(subset)
+            if not is_hopf_ideal(qg, J, action.space.tol):
+                continue
+            quotient, survivors = quotient_quantum_group(qg, BlockIdeal(J))
+            act = induced_action(action, quotient, survivors)
+            if not check_D(act).holds:
+                continue
+            isometric_quotients.append(sorted(J))
+            if not env.ideal.included_blocks <= J:
+                violations.append(sorted(J))
+    return {"violations": violations,
+            "isometric_quotients": isometric_quotients}
+
+
+def annihilator_convolution_check(qg: QuantumGroup, ideal: BlockIdeal,
+                                  samples: int = 100, seed: int = 0,
+                                  tol: float = 1e-8) -> bool:
+    """Functionals vanishing on the ideal must be closed under convolution."""
+    rng = np.random.default_rng(seed)
+    alg = qg.algebra
+    mask = np.zeros(alg.dim)
+    for k in range(len(alg.blocks)):
+        if k not in ideal:
+            off, b = alg.offsets[k], alg.blocks[k]
+            mask[off:off + b * b] = 1.0
+    for _ in range(samples):
+        phi = (rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)) * mask
+        psi = (rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)) * mask
+        conv = qg.convolve_vectors(phi, psi)
+        if np.abs(conv * (1.0 - mask)).max() > tol:
+            return False
+    return True

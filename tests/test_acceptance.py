@@ -14,8 +14,7 @@ import pytest
 
 from qiso.catalog import standard_actions, verified_catalog
 from qiso.coaction import verify_coaction
-from qiso.envelope import (annihilator_convolution_check, envelope,
-                           verify_universal_property)
+from qiso.envelope import envelope
 from qiso.hall import HallInstance, decide_hall, hall_condition, perfect_matching
 from qiso.isometry import (check_D, check_D_commutant, check_injectivity,
                            check_lip_p_universal, check_orthogonality,
@@ -28,8 +27,10 @@ from qiso.transport import (ProbVector, kantorovich_w1, prob_vector,
                             solve_transport, transport_with_power,
                             wasserstein_inf)
 
-from oracles import (enumerate_boxed_dual_vertices,
-                     lip_p_universal_full_sweep, transport_bruteforce)
+from oracles import (annihilator_convolution_check,
+                     enumerate_boxed_dual_vertices,
+                     lip_p_universal_full_sweep, transport_bruteforce,
+                     verify_universal_property)
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):

@@ -1,21 +1,30 @@
-"""Envelope pipeline: defects, ideals, saturation, quotients, universality."""
+"""Envelope pipeline: defects, ideals, the Hopf assertion, quotients, and
+the saturation search and universal property of the oracles."""
+
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from qiso.catalog import (dihedral_projection_action, four_point_asymmetric,
                           four_point_blocks, four_cycle_broken_diagonal,
-                          permutation_action, standard_actions,
-                          three_point_isosceles)
-from qiso.coaction import verify_coaction
-from qiso.envelope import (BlockIdeal, SaturationReachedFullAlgebra,
-                           annihilator_convolution_check, envelope,
-                           generated_ideal, hopf_saturate, is_hopf_ideal,
-                           kappa_block_map, verify_universal_property)
+                          permutation_action, random_permutation_action,
+                          standard_actions, three_point_isosceles)
+from qiso.coaction import CoAction, verify_coaction
+from qiso.envelope import (BlockIdeal, _delta_violations, envelope,
+                           generated_ideal, is_hopf_ideal, kappa_block_map)
+from qiso.errors import QisoError
 from qiso.isometry import check_D, commutator_defects
+from qiso.metric import random_metric_space, validate_metric
 from qiso.quantum_group import verify_quantum_group
+from qiso.reports import SearchConfig, build_instance, instance_descriptors
 
-from oracles import apply_kappa, counit
+from oracles import (SaturationReachedFullAlgebra,
+                     annihilator_convolution_check, apply_kappa, counit,
+                     delta_violations_loops, hopf_saturate,
+                     kappa_block_map_loops,
+                     verify_universal_property)
 
 
 S3_FULL = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)],
@@ -95,7 +104,7 @@ def test_envelope_quotient_verifies_and_is_isometric():
         assert verify_quantum_group(env.quotient).passed(1e-9)
         assert verify_coaction(env.induced, check_faithful=False).passed(1e-9)
         assert check_D(env.induced).holds
-        assert env.iterations == 0  # generated ideal already saturated
+        assert is_hopf_ideal(entry.action.group, env.ideal.included_blocks)
 
 
 def test_envelope_idempotent():
@@ -189,3 +198,104 @@ def test_defect_element_identities():
                 assert (apply_kappa(qg, c)
                         + qg.algebra.from_vec(defects[y, x])).norm() < 1e-9
                 assert abs(counit(qg, c)) < 1e-10
+
+
+def _near_tie_space(delta):
+    """A float space whose cross distances to point 3 exceed 2 by delta,
+    near its tolerance."""
+    far = 2 + delta
+    return validate_metric([[0, 1, 2, far], [1, 0, 2, far],
+                            [2, 2, 0, 1], [far, far, 1, 0]], tolerance=1e-6)
+
+
+def test_generated_ideal_cuts_block_norms_as_check_D_does():
+    """A 2x2 block whose defects' largest entry is below tol x max d but
+    whose norm is above it: the cut by entries left it alive, so the cut
+    ideal {1} was no Hopf ideal; the cut by block norms kills it."""
+    action = dihedral_projection_action(_near_tie_space(2.2e-6), 3)
+    qg, space = action.group, action.space
+    bound = space.tol * float(space.max_distance)
+    defects = commutator_defects(action)
+    off, b = qg.algebra.offsets[2], qg.algebra.blocks[2]
+    block = defects[:, :, off:off + b * b].reshape(-1, b, b)
+    assert np.abs(block).max() < bound < np.linalg.norm(block, 2, axis=(1, 2)).max()
+    ideal = generated_ideal(qg, defects, bound)
+    assert ideal.included_blocks == {1, 2}
+    assert is_hopf_ideal(qg, ideal.included_blocks, space.tol)
+    env = envelope(action)
+    assert env.ideal == ideal and env.dimension == 1
+    assert check_D(env.induced).holds
+
+
+def test_envelope_ideal_is_hopf_across_near_ties():
+    for m in (3, 4, 5, 6, 8):
+        base = dihedral_projection_action(_near_tie_space(0.0), m)
+        for delta in np.geomspace(1e-7, 1e-4, 400):
+            action = CoAction(base.group, _near_tie_space(float(delta)), base.u)
+            env = envelope(action)
+            assert is_hopf_ideal(action.group, env.ideal.included_blocks,
+                                 action.space.tol), (m, delta)
+
+
+def _reference_population():
+    config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
+                          seed=777)
+    actions = [build_instance(desc) for desc in instance_descriptors(config)]
+    actions += [random_permutation_action(random_metric_space(5, s), s)
+                for s in range(200)]
+    actions += [dihedral_projection_action(space, m)
+                for space in (four_point_blocks(), four_point_asymmetric())
+                for m in (5, 7)]
+    return actions
+
+
+def test_envelope_equals_entry_cut_then_saturation():
+    """The envelope's ideal equals the one the search pipeline found: the
+    blocks where some defect coefficient exceeds tol x max d, saturated by
+    the branching search.  With an empty ideal the quotient's structure
+    maps are the group's, bit for bit."""
+    for action in _reference_population():
+        qg, space = action.group, action.space
+        env = envelope(action)
+        peak = np.abs(commutator_defects(action)).reshape(-1, qg.dim).max(axis=0)
+        alg = qg.algebra
+        entry_cut = BlockIdeal(frozenset(
+            k for k, (off, b) in enumerate(zip(alg.offsets, alg.blocks))
+            if peak[off:off + b * b].max() > space.tol * float(space.max_distance)))
+        saturated, _ = hopf_saturate(qg, entry_cut, space.tol)
+        assert env.ideal == saturated, action.name
+        assert is_hopf_ideal(qg, env.ideal.included_blocks, space.tol), action.name
+        if not env.ideal:
+            for name in ("delta", "epsilon", "kappa"):
+                mine, theirs = getattr(env.quotient, name), getattr(qg, name)
+                assert mine.shape == theirs.shape and (
+                    mine.view(np.uint8) == theirs.view(np.uint8)).all(), name
+
+
+def test_hopf_block_maps_equal_the_loops():
+    """kappa's block map, and the survivor pairs that Delta of every block
+    subset reaches, equal the per-block-pair loops."""
+    for qg in (S3_FULL.group,
+               dihedral_projection_action(four_point_blocks(), 4).group,
+               dihedral_projection_action(four_point_blocks(), 5).group):
+        assert kappa_block_map(qg) == kappa_block_map_loops(qg)
+        K = len(qg.algebra.blocks)
+        for size in range(K + 1):
+            for subset in itertools.combinations(range(K), size):
+                J = frozenset(subset)
+                assert _delta_violations(qg, J, 1e-9) == \
+                    delta_violations_loops(qg, J, 1e-9), J
+
+
+def test_envelope_raises_when_the_ideal_is_not_hopf():
+    """Were the cut ideal of C(S3) to kill one transposition alone, the
+    survivors would not be a subgroup and Delta of the ideal would reach
+    them; the envelope names the pair and raises instead of searching."""
+    group = S3_FULL.classical_group
+    k = next(k for k, g in enumerate(group)
+             if sum(g[x] == x for x in range(3)) == 1)
+    with mock.patch("qiso.envelope.generated_ideal",
+                    return_value=BlockIdeal(frozenset({k}))):
+        with pytest.raises(QisoError,
+                           match=r"Delta of the ideal reaches survivor pair"):
+            envelope(S3_FULL)

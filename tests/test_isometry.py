@@ -45,7 +45,8 @@ def test_verdicts_take_no_tolerance_argument():
                  "check_winf_universal", "check_theorem_main",
                  "check_level_coupling_state", "check_orthogonality",
                  "check_injectivity", "_defect_verdict", "_support_universal"),
-             "qiso.envelope": ("envelope", "verify_universal_property"),
+             "qiso.envelope": ("envelope",),
+             "oracles": ("verify_universal_property",),
              "qiso.reports": ("verify_instance", "_condition_flags")}
     for module, funcs in names.items():
         module = importlib.import_module(module)
