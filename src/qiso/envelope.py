@@ -1,19 +1,24 @@
 """The largest quantum-group quotient acting (D)-isometrically.
 
 For a magic-unitary coaction (Delta(u_ij) = sum_k u_ik (x) u_kj,
-kappa(u_ij) = u_ji, eps(u_ij) = [i = j]) on a symmetric d, which
-`validate_metric` enforces, the defects of (D), the coefficient vectors
-of `isometry.commutator_defects`, are c = ud - du, and
-- Delta(c)_xy = sum_k u_xk (x) c_ky + c_xk (x) u_ky,
-- kappa(c_xy) = -c_yx,
-- eps(c) = 0.
-So the ideal I that the defects generate is a Hopf ideal, and A/I is the
-largest Hopf quotient whose induced action satisfies (D).  By simplicity
-of each block, I is the set of blocks where some defect does not vanish,
-cut where `check_D` cuts: at a block norm above tol x max d.  The Hopf
-property is asserted, not assumed (a kappa off the u_ji convention is
-outside the derivation), and the quotient's structure maps and induced
-action are verified.
+kappa(u_ij) = u_ji, eps(u_ij) = [i = j]) on a symmetric d, the defects
+c = ud - du of (D) (`isometry.commutator_defects`) satisfy
+Delta(c)_xy = sum_k u_xk (x) c_ky + c_xk (x) u_ky, kappa(c_xy) = -c_yx
+and eps(c) = 0.  So the ideal I they generate is a Hopf ideal, and A/I
+is the largest Hopf quotient whose induced action satisfies (D).  By
+simplicity of each block, I is the set of blocks where some defect does
+not vanish.
+
+The envelope cuts where `check_D` cuts, at a block norm above
+tol x max d, and the theorem covers exact defects only: near-isometries
+need not be closed under products (nor is a float d symmetric beyond
+tol x max d).  Then the cut is no Hopf ideal and a largest isometric
+quotient need not exist: on the float triangle with sides 1, 1 + e,
+1 + 2e, e just below the bound, the transpositions (01) and (02) of
+C(S3) pass (D) and the 3-cycles do not, so C({e, (01)}) and
+C({e, (02)}) are both maximal.  So the Hopf property is asserted: a cut
+that fails it raises `QisoError` naming the first violation.  The
+quotient's structure maps and induced action are verified.
 """
 
 from __future__ import annotations
@@ -150,15 +155,16 @@ class EnvelopeResult:
 def envelope(action: CoAction) -> EnvelopeResult:
     """Defects -> generated ideal -> asserted Hopf ideal -> verified
     quotient.  The ideal is cut at the space's tol x max d, as `check_D`
-    cuts the defects; the structure maps are cut at tol.  With an empty
-    ideal the quotient's structure maps are the group's, entry for entry."""
+    cuts the defects; the structure maps are cut at tol.  Raises
+    `QisoError` when that cut is no Hopf ideal (see the module docstring)."""
     qg = action.group
     tol = action.space.tol
     ideal = generated_ideal(qg, commutator_defects(action),
                             tol * float(action.space.max_distance))
     violation = _hopf_violation(qg, ideal.included_blocks, tol)
     if violation:
-        raise QisoError(f"the defects of (D) generate no Hopf ideal: {violation}")
+        raise QisoError("the blocks where the (D) defects exceed tol x max d form "
+                        f"no Hopf ideal, so this tolerance decides no envelope: {violation}")
     quotient, survivors = quotient_quantum_group(qg, ideal)
     induced = induced_action(action, quotient, survivors)
     reports: Dict[str, QGReport] = {

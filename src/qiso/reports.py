@@ -162,11 +162,9 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
     """Everything the verification run records about one action."""
     t0 = time.perf_counter()
     action = build_instance(desc)
-    env = envelope(action)  # with an empty ideal its quotient is the group
     rec: dict = {"descriptor": desc,
            "name": desc.get("name") or action.name}
-    rec["quantum_group_residual"] = (verify_quantum_group(action.group) if env.ideal
-                                     else env.reports["quantum_group"]).worst()
+    rec["quantum_group_residual"] = verify_quantum_group(action.group).worst()
     rec["coaction_residual"] = verify_coaction(action).worst()
     rec["conditions"] = _condition_flags(action, p_list)
     rec["guards"] = []
@@ -177,6 +175,7 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
         rec["conditions"]["D_commutant"] = None
         rec["guards"].append("D_commutant:kappa-convention")
     rec["injective"] = bool(check_injectivity(action))
+    env = envelope(action)
     rec["envelope"] = {"dimension": env.dimension,
                        "killed_blocks": sorted(env.ideal.included_blocks)}
     # sampled per-state consistency

@@ -446,6 +446,20 @@ def test_cli_envelope_rejects_non_magic_unitary(tmp_path, capsys):
     assert "entries_idempotent" in err and "row_sums" in err
 
 
+def test_cli_envelope_exits_2_when_the_cut_is_no_hopf_ideal(tmp_path, capsys):
+    """The near-isometric triangle of tests/test_envelope.py: at --tol 1e-6
+    the transpositions (01) and (02) pass (D) and their products do not,
+    so no envelope is decided."""
+    e = 0.7e-6
+    space = validate_metric([[0, 1, 1 + 2 * e], [1, 0, 1 + e],
+                             [1 + 2 * e, 1 + e, 0]])
+    path = tmp_path / "near.json"
+    save_coaction(str(path), permutation_action(space, [(1, 2, 0), (1, 0, 2)]))
+    code = main(["--tol", "1e-6", "envelope", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out and "no Hopf ideal" in err
+
+
 def test_cli_check_rejects_non_state(tmp_path, capsys):
     act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
     path = tmp_path / "act.json"

@@ -2,7 +2,7 @@
 the saturation search and universal property of the oracles."""
 
 import itertools
-from unittest import mock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -227,14 +227,37 @@ def test_generated_ideal_cuts_block_norms_as_check_D_does():
     assert check_D(env.induced).holds
 
 
-def test_envelope_ideal_is_hopf_across_near_ties():
+def _entry_cut_then_saturation(action):
+    """The search pipeline's ideal: the blocks where some defect
+    coefficient exceeds tol x max d, saturated by the branching search,
+    and the number of blocks the search added."""
+    qg, space = action.group, action.space
+    peak = np.abs(commutator_defects(action)).reshape(-1, qg.dim).max(axis=0)
+    alg = qg.algebra
+    entry_cut = BlockIdeal(frozenset(
+        k for k, (off, b) in enumerate(zip(alg.offsets, alg.blocks))
+        if peak[off:off + b * b].max() > space.tol * float(space.max_distance)))
+    return hopf_saturate(qg, entry_cut, space.tol)
+
+
+def test_envelope_across_near_ties_equals_entry_cut_then_saturation():
+    """On each side of the near-tie spaces' two crossings, the norm cut at
+    delta = tol x max d (about 2e-6) and the 2x2 blocks' entry cut at
+    twice that, the envelope's ideal equals the search pipeline's: empty
+    below the first, one ideal above it.  Between the crossings the entry
+    cut alone was no Hopf ideal and the search had to add blocks."""
     for m in (3, 4, 5, 6, 8):
         base = dihedral_projection_action(_near_tie_space(0.0), m)
-        for delta in np.geomspace(1e-7, 1e-4, 400):
-            action = CoAction(base.group, _near_tie_space(float(delta)), base.u)
-            env = envelope(action)
-            assert is_hopf_ideal(action.group, env.ideal.included_blocks,
-                                 action.space.tol), (m, delta)
+        ideals, added = [], []
+        for f in (0.5, 0.98, 1.02, 1.5, 1.98, 2.02, 3.0):
+            action = CoAction(base.group, _near_tie_space(2e-6 * f), base.u)
+            saturated, iterations = _entry_cut_then_saturation(action)
+            assert envelope(action).ideal == saturated, (m, f)
+            ideals.append(saturated.included_blocks)
+            added.append(iterations)
+        assert not ideals[0] and not ideals[1] and ideals[2], m
+        assert len(set(ideals[2:])) == 1, m
+        assert all(added[2:5]) and not any(added[5:]), (m, added)
 
 
 def _reference_population():
@@ -257,13 +280,7 @@ def test_envelope_equals_entry_cut_then_saturation():
     for action in _reference_population():
         qg, space = action.group, action.space
         env = envelope(action)
-        peak = np.abs(commutator_defects(action)).reshape(-1, qg.dim).max(axis=0)
-        alg = qg.algebra
-        entry_cut = BlockIdeal(frozenset(
-            k for k, (off, b) in enumerate(zip(alg.offsets, alg.blocks))
-            if peak[off:off + b * b].max() > space.tol * float(space.max_distance)))
-        saturated, _ = hopf_saturate(qg, entry_cut, space.tol)
-        assert env.ideal == saturated, action.name
+        assert env.ideal == _entry_cut_then_saturation(action)[0], action.name
         assert is_hopf_ideal(qg, env.ideal.included_blocks, space.tol), action.name
         if not env.ideal:
             for name in ("delta", "epsilon", "kappa"):
@@ -287,15 +304,28 @@ def test_hopf_block_maps_equal_the_loops():
                     delta_violations_loops(qg, J, 1e-9), J
 
 
-def test_envelope_raises_when_the_ideal_is_not_hopf():
-    """Were the cut ideal of C(S3) to kill one transposition alone, the
-    survivors would not be a subgroup and Delta of the ideal would reach
-    them; the envelope names the pair and raises instead of searching."""
-    group = S3_FULL.classical_group
-    k = next(k for k, g in enumerate(group)
-             if sum(g[x] == x for x in range(3)) == 1)
-    with mock.patch("qiso.envelope.generated_ideal",
-                    return_value=BlockIdeal(frozenset({k}))):
-        with pytest.raises(QisoError,
-                           match=r"Delta of the ideal reaches survivor pair"):
-            envelope(S3_FULL)
+def test_envelope_raises_when_near_isometries_are_not_a_subgroup():
+    """A float triangle with sides 1, 1 + e and 1 + 2e, e = 0.7e-6 at tol
+    1e-6, under C(S3): the transpositions (01) and (02) move distances by
+    e, within the bound, and their products, the 3-cycles, by 2e.  The
+    cut is no Hopf ideal, and the (D)-isometric Hopf quotients have two
+    maximal ones, C({e, (01)}) and C({e, (02)}), neither through the
+    other, so the envelope raises.  The saturation search returned one of
+    them, and the universal property fails for it."""
+    e = 0.7e-6
+    space = validate_metric([[0, 1, 1 + 2 * e], [1, 0, 1 + e],
+                             [1 + 2 * e, 1 + e, 0]], tolerance=1e-6)
+    action = permutation_action(space, [(1, 2, 0), (1, 0, 2)])
+    with pytest.raises(QisoError,
+                       match=r"Delta of the ideal reaches survivor pair"):
+        envelope(action)
+    group = action.classical_group
+    identity, t01, t02 = (group.index(g) for g in ((0, 1, 2), (1, 0, 2), (2, 1, 0)))
+    survivors = {frozenset({identity, t01}), frozenset({identity, t02})}
+    searched, _ = _entry_cut_then_saturation(action)
+    assert frozenset(range(6)) - searched.included_blocks in survivors
+    found = verify_universal_property(action, SimpleNamespace(ideal=searched))
+    killed = [frozenset(J) for J in found["isometric_quotients"]]
+    assert {frozenset(range(6)) - J for J in killed
+            if not any(K < J for K in killed)} == survivors
+    assert found["violations"]
