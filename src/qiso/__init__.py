@@ -9,12 +9,11 @@ isometry conditions, and the largest isometrically-acting quotient.
 from .metric import (FiniteMetricSpace, PairSet, ball, level_set,
                      lipschitz_constant, random_metric_space, sublevel_set,
                      validate_metric)
-from .transport import (Coupling, DualPotentials, ProbVector, TransportResult,
-                        enumerate_dual_vertices, feasible_coupling_on,
-                        kantorovich_w1, prob_vector, solve_transport,
+from .transport import (Coupling, DualPotentials, NonSquareBipartition,
+                        ProbVector, TransportResult, enumerate_dual_vertices,
+                        feasible_coupling_on, kantorovich_w1,
+                        perfect_matching, prob_vector, solve_transport,
                         wasserstein_inf, wasserstein_p)
-from .hall import (HallInstance, decide_hall, hall_condition, neighborhood,
-                   perfect_matching)
 from .algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
                       extreme_state, random_state)
 from .quantum_group import (QuantumGroup, haar_state, verify_quantum_group)

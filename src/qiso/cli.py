@@ -2,7 +2,7 @@
 checks, envelopes, catalog management, and conjecture searches.
 
 Exit codes: 0 success, 2 invalid input, 3 condition failed (with a
-certificate in the JSON output), 4 size guard exceeded.
+certificate in the JSON output).
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ import json
 import math
 import sys
 
-from .errors import QisoError, SizeGuardExceeded
+from .errors import QisoError
 from .metric import MetricError
 from .scalars import FLOAT, RATIONAL, format_scalar
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_FAILED = 3
-EXIT_GUARD = 4
 
 
 class InvalidInput(QisoError):
@@ -127,10 +126,6 @@ def main(argv=None) -> int:
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
         return _dispatch(args)
-    except SizeGuardExceeded as ex:
-        print(json.dumps({"error": "size-guard", "detail": str(ex)}),
-              file=sys.stderr)
-        return EXIT_GUARD
     except (MetricError, QisoError, FileNotFoundError, KeyError,
             ValueError, json.JSONDecodeError) as ex:
         print(json.dumps({"error": type(ex).__name__, "detail": str(ex)}),
@@ -182,33 +177,18 @@ def _dispatch(args) -> int:
         mu = fileio.load_distribution(args.mu, args.mode, args.tol)
         nu = fileio.load_distribution(args.nu, args.mode, args.tol)
         Y = fileio.pairs_from_dict(fileio.read_json_object(args.pairs), mu.n)
-        res = feasible_coupling_on(mu, nu, Y, tol=args.tol)
-        if res.feasible:
-            _emit(args, {"feasible": True, "plan": _plan_json(res.coupling.plan)})
-            return EXIT_OK
-        _emit(args, {"feasible": False, "violator": sorted(res.violator),
-                     "mu_S": format_scalar(res.mu_S),
-                     "nu_neighborhood": format_scalar(res.nu_neighborhood)})
-        return EXIT_FAILED
+        return _coupling(args, feasible_coupling_on(mu, nu, Y, tol=args.tol), {})
 
     if args.command == "hall":
-        from .hall import HallInstance, decide_hall, hall_condition
+        from .transport import feasible_coupling_on
         doc = fileio.read_json_object(args.instance)
         mu = fileio.distribution_from_dict(doc, args.mode, args.tol, field="mu")
         nu = fileio.distribution_from_dict(doc, args.mode, args.tol, field="nu")
         Y = fileio.pairs_from_dict(doc, mu.n)
-        inst = HallInstance(mu, nu, Y)
-        verdict = decide_hall(inst)
-        holds, violator = hall_condition(inst)
-        out = {"feasible": verdict.feasible, "subset_condition": holds}
-        if verdict.feasible:
-            out["plan"] = _plan_json(verdict.coupling.plan)
-        else:
-            out["violator"] = sorted(verdict.violator)
-            out["mu_S"] = format_scalar(verdict.mu_S)
-            out["nu_neighborhood"] = format_scalar(verdict.nu_neighborhood)
-        _emit(args, out)
-        return EXIT_OK if verdict.feasible else EXIT_FAILED
+        res = feasible_coupling_on(mu, nu, Y)
+        # Hall's theorem: the subset condition holds iff a coupling exists,
+        # and the plan or the min-cut violator below certifies which
+        return _coupling(args, res, {"subset_condition": res.feasible})
 
     if args.command == "check":
         return _check(args)
@@ -252,6 +232,21 @@ def _dispatch(args) -> int:
 def _parse_p(text: str):
     """--p of `wasserstein` and `check`: an int, or a float such as inf."""
     return int(text) if text.isdigit() else float(text)
+
+
+def _coupling(args, res, extra) -> int:
+    """Emit a coupling-feasibility verdict, the keys of `extra` after
+    "feasible", then its plan or its violator with the two masses that
+    certify it."""
+    out = {"feasible": res.feasible, **extra}
+    if res.feasible:
+        out["plan"] = _plan_json(res.coupling.plan)
+    else:
+        out["violator"] = sorted(res.violator)
+        out["mu_S"] = format_scalar(res.mu_S)
+        out["nu_neighborhood"] = format_scalar(res.nu_neighborhood)
+    _emit(args, out)
+    return EXIT_OK if res.feasible else EXIT_FAILED
 
 
 def _winf(args, space, mu, nu) -> int:

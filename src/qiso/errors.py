@@ -5,10 +5,6 @@ class QisoError(Exception):
     """Base class for all package errors."""
 
 
-class SizeGuardExceeded(QisoError):
-    """An exact enumeration was requested beyond its size guard."""
-
-
 class DimensionMismatch(QisoError):
     pass
 

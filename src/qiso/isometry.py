@@ -65,7 +65,7 @@ from .coaction import CoAction, act_on_point
 from .errors import QisoError
 from .metric import level_set
 from .scalars import RATIONAL
-from .transport import (_dual_vertex_search, _power_cost,
+from .transport import (_dual_vertex_search, _positive_integer, _power_cost,
                         feasible_coupling_on, solve_transport,
                         wasserstein_inf)
 
@@ -481,7 +481,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
         raise ValueError("p must be >= 1")
     space = action.space
     rational = space.mode == RATIONAL
-    exact = rational and float(p).is_integer()
+    exact = rational and _positive_integer(p)
     tag = f"Lip_{p}(universal)"
     scale = float(space.max_distance) ** float(p)
     stacks = action.stacks

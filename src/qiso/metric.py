@@ -179,7 +179,9 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
 
     In float mode each axiom holds within `tolerance` (default 1e-9; the
     space's `tol`, finite and > 0) times the largest |entry|; in rational
-    mode exactly, on the space's integer form.  Errors carry a witness: the
+    mode exactly, on the space's integer form.  A float space holds floats
+    only: each entry is converted once, and one beyond the float range
+    raises NonFiniteDistance, as inf does.  Errors carry a witness: the
     offending pair or triple.
     """
     n = len(matrix)
@@ -197,12 +199,19 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
     if not (math.isfinite(rel) and rel > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {rel}")
 
-    dist = tuple(tuple(row) for row in matrix)
-    for i, row in enumerate(dist):
+    rows = []
+    for i, row in enumerate(matrix):
+        rows.append([])
         for j, v in enumerate(row):
-            if isinstance(v, float) and not math.isfinite(v):
+            try:
+                w = float(v) if mode == FLOAT else v
+            except OverflowError:
+                w = math.inf
+            if isinstance(w, float) and not math.isfinite(w):
                 raise NonFiniteDistance(f"d({i},{j}) = {v} is not finite",
                                         witness=(i, j))
+            rows[-1].append(w)
+    dist = tuple(map(tuple, rows))
     space = FiniteMetricSpace(n=n, dist=dist, labels=labels, mode=mode,
                               tol=float(rel))
     if mode == RATIONAL:

@@ -8,9 +8,12 @@ integer form (`FiniteMetricSpace.integer_form`, d = k / s, so that d^p =
 k^p / s^p), other rational data is scaled once by the lcm of its
 denominators, and the pivots, the value, the potentials' shift and the
 dual objective are all plain int arithmetic, converted to one Fraction
-each at the end.
+each at the end.  Any other data is converted to float once, on entry,
+and runs the same body: one for the transportation problem (W_p) and one
+for the Kantorovich problem on the complete metric graph (W_1).
 Transportation plans, Kantorovich potentials, coupling feasibility on a
-restricted support, the bottleneck distance, and the vertices of the
+restricted support (and perfect matchings, the marriage theorem at
+uniform marginals), the bottleneck distance, and the vertices of the
 Kantorovich dual polyhedron between two sets of points (a pivot search
 over the spanning trees of K_{m,n}, one enumerator for every p) all live
 here.  Coupling feasibility and the bottleneck distance share one
@@ -41,6 +44,10 @@ class InfeasibleMarginals(QisoError):
 
 
 class UnboundedFlow(QisoError):
+    pass
+
+
+class NonSquareBipartition(QisoError):
     pass
 
 
@@ -153,14 +160,22 @@ def _integer_scale(values) -> Tuple[List[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
-                  demand: Sequence[Scalar], tol: float = 1e-9):
-    """Primal network simplex for uncapacitated min-cost flow.
+def _network_simplex(num_nodes: int, tail, head, cost, demand,
+                     cost_scale: Optional[int], tol: float = 1e-9):
+    """Primal network simplex for uncapacitated min-cost flow, arc a
+    running from tail[a] to head[a] at cost[a].
 
     demand[v] is the required net inflow at v (negative for supply); the
-    demands must balance.  Returns (flows per arc, node potentials).  The
-    potentials satisfy pi[v] - pi[u] <= cost(u,v) on every arc, with
-    equality on arcs carrying flow.
+    demands must balance.  Returns the raw (flows per arc, node
+    potentials).  The potentials satisfy pi[v] - pi[u] <= cost(u,v) on
+    every arc, with equality on arcs carrying flow.  The data is of one
+    kind.  Exact: int costs k and int demands, cost_scale the int s of the
+    costs k / s (the big-M below is the unscaled one times s, so the
+    pivots do not depend on s); any positive scale of the demands gives
+    the same pivots with the flows scaled.  Float: float costs and
+    demands, cost_scale None; a reduced cost counts as negative below
+    -1e-12 x the largest |cost|, so the result does not depend on the
+    units of the costs.
 
     The start is an all-artificial big-M basis rooted at a virtual node:
     root -> v for a node with positive demand, v -> root otherwise, so
@@ -185,48 +200,15 @@ def min_cost_flow(num_nodes: int, arcs: List[Tuple[int, int, Scalar]],
     since big-M exceeds the cost of any path that could carry that flow
     instead.
 
-    Rational data (every cost and demand an int or a Fraction) is scaled
-    once to integers (costs by the lcm of their denominators, demands by
-    theirs), so every pivot adds and compares plain ints; the results are
-    scaled back to Fractions at the end.  Otherwise every cost and demand
-    is converted to float once, on entry, so rational costs with float
-    demands pivot in floats and return floats only.  Both run on
-    `_network_simplex`, which the exact transport solvers call directly
-    with their integer data.
-    """
-    rational = all(is_rational(c) for _, _, c in arcs) and \
-        all(is_rational(b) for b in demand)
-    tail = [u for u, _, _ in arcs]
-    head = [v for _, v, _ in arcs]
-    if rational:
-        cost, cs = _integer_scale([c for _, _, c in arcs])
-        scaled, ds = _integer_scale(demand)
-        flows, pi = _network_simplex(num_nodes, tail, head, cost, scaled, cs)
-        no_flow = Fraction(0)
-        return ([Fraction(f, ds) if f else no_flow for f in flows],
-                [Fraction(p, cs) for p in pi])
-    return _network_simplex(num_nodes, tail, head, [float(c) for _, _, c in arcs],
-                            [float(b) for b in demand], None, tol)
-
-
-def _network_simplex(num_nodes: int, tail, head, cost, demand,
-                     cost_scale: Optional[int], tol: float = 1e-9):
-    """The simplex of `min_cost_flow` on data of one kind, arc a running
-    from tail[a] to head[a] at cost[a]; returns the raw flows and
-    potentials.  Exact: int costs k and int demands, cost_scale the int s
-    of the costs k / s (the big-M below is the unscaled one times s, so
-    the pivots do not depend on s); any positive scale of the demands
-    gives the same pivots with the flows scaled.  Float: float costs and
-    demands, cost_scale None; a reduced cost counts as negative below
-    -1e-12 x the largest |cost|, so the result does not depend on the
-    units of the costs.
-
     The spanning tree is kept as parent/parent-arc/depth arrays with
     child sets: a pivot walks the cycle up to the lowest common ancestor,
     re-roots the subtree cut off by the leaving arc at the entering arc's
     endpoint, and recomputes potentials in that subtree only, each from
     its parent's, so that float potentials equal those of a rebuild from
     the root.
+
+    Two bodies call it: `_transport`, on the bipartite transportation
+    network, and `kantorovich_w1`, on the complete metric graph.
     """
     exact = cost_scale is not None
     eps = 0 if exact else tol
@@ -374,71 +356,74 @@ def solve_transport(mu: ProbVector, nu: ProbVector, cost) -> TransportResult:
     """Minimize sum cost_ij pi_ij over couplings of (mu, nu).
 
     Returns the optimal plan together with feasible dual potentials whose
-    objective matches the primal value (exactly under rational data).
+    objective matches the primal value (exactly under rational data, with
+    the costs scaled once to ints by the lcm of their denominators).
     """
     n = mu.n
     if nu.n != n or len(cost) != n or any(len(row) != n for row in cost):
         raise DimensionMismatch("marginals and cost must share one size n")
-    mode = _mode_of(mu.mass, nu.mass)
-    if mode == RATIONAL and all(is_rational(c) for row in cost for c in row):
-        return _exact_transport(mu, nu, *_integer_scale(
-            [c for row in cost for c in row]))
-    eps = tol_for(mode, 1e-9)
-    if abs(sum(mu.mass) - sum(nu.mass)) > eps:
-        raise InfeasibleMarginals("marginal masses differ")
-
-    arcs = [(i, n + j, cost[i][j]) for i in range(n) for j in range(n)]
-    demand = [-m for m in mu.mass] + list(nu.mass)
-    flows, pi = min_cost_flow(2 * n, arcs, demand)
-
-    plan = tuple(tuple(flows[i * n + j] for j in range(n)) for i in range(n))
-    # The 2n - 1 basic flows at most are nonzero; skipping the other
-    # products leaves the sum unchanged and saves n^2 Fraction products.
-    value = sum(cost[i][j] * plan[i][j] for i in range(n) for j in range(n)
-                if plan[i][j])
-    f = [-pi[i] for i in range(n)]
-    g = [pi[n + j] for j in range(n)]
-    shift = g[n - 1]
-    f = tuple(v + shift for v in f)
-    g = tuple(v - shift for v in g)
-    objective = mu.pair(f) + nu.pair(g)
-    return TransportResult(value=value, plan=Coupling(plan, mu, nu),
-                           duals=DualPotentials(f, g, objective))
+    flat = [c for row in cost for c in row]
+    if _mode_of(mu.mass, nu.mass, flat) == RATIONAL:
+        return _transport(mu, nu, *_integer_scale(flat))
+    return _transport(mu, nu, flat, None)
 
 
-def _exact_transport(mu: ProbVector, nu: ProbVector, cost,
-                     scale: int) -> TransportResult:
-    """solve_transport for rational marginals of checked sizes and the
-    costs cost[i n + j] / scale, cost a row-major list of n^2 ints.  The
-    masses are scaled to ints once; the value, the potentials shifted to
-    g_{n-1} = 0 and the dual objective are int sums, each converted to one
-    Fraction at the end, as is each nonzero flow."""
+def _transport(mu: ProbVector, nu: ProbVector, cost,
+               scale: Optional[int]) -> TransportResult:
+    """The body of `solve_transport` and `transport_with_power`, for
+    marginals of checked sizes n and the row-major list `cost` of the n^2
+    costs: ints k for the costs k / scale, with rational marginals, or
+    any real numbers with scale None, converted to float once here, as
+    are the masses.  The potentials are shifted to g_{n-1} = 0.  Exact:
+    the masses are scaled to ints once, and the value, the potentials and
+    the dual objective are int sums, each converted to one Fraction at the
+    end, as is each nonzero flow."""
     n = mu.n
-    mass, ms = _integer_scale(mu.mass + nu.mass)
-    if sum(mass[:n]) != sum(mass[n:]):
+    if scale is not None:
+        mass, ms = _integer_scale(mu.mass + nu.mass)
+        unbalanced = sum(mass[:n]) != sum(mass[n:])
+    else:
+        cost = [float(c) for c in cost]
+        mass = [float(m) for m in mu.mass + nu.mass]
+        unbalanced = abs(sum(mu.mass) - sum(nu.mass)) > \
+            tol_for(_mode_of(mu.mass, nu.mass))
+    if unbalanced:
         raise InfeasibleMarginals("marginal masses differ")
     flows, pi = _network_simplex(2 * n, [i for i in range(n) for _ in range(n)],
                                  list(range(n, 2 * n)) * n, cost,
                                  [-m for m in mass[:n]] + mass[n:], scale)
-    zero = Fraction(0)
-    plan = tuple(tuple(Fraction(fl, ms) if fl else zero
-                       for fl in flows[i * n:(i + 1) * n]) for i in range(n))
-    unit = scale * ms
-    value = Fraction(sum(c * fl for c, fl in zip(cost, flows) if fl), unit)
+    # The 2n - 1 basic flows at most are nonzero; skipping the other
+    # products leaves the sum unchanged.
+    value = sum(c * fl for c, fl in zip(cost, flows) if fl)
     top = pi[2 * n - 1]
     f = [top - v for v in pi[:n]]
     g = [v - top for v in pi[n:]]
-    objective = Fraction(sum(m * v for m, v in zip(mass, f + g)), unit)
-    return TransportResult(
-        value=value, plan=Coupling(plan, mu, nu),
-        duals=DualPotentials(tuple(Fraction(v, scale) for v in f),
-                             tuple(Fraction(v, scale) for v in g), objective))
+    objective = sum(m * v for m, v in zip(mass, f)) + \
+        sum(m * v for m, v in zip(mass[n:], g))
+    if scale is not None:
+        unit, zero = scale * ms, Fraction(0)
+        flows = [Fraction(fl, ms) if fl else zero for fl in flows]
+        value, objective = Fraction(value, unit), Fraction(objective, unit)
+        f = [Fraction(v, scale) for v in f]
+        g = [Fraction(v, scale) for v in g]
+    plan = tuple(tuple(flows[i * n:(i + 1) * n]) for i in range(n))
+    return TransportResult(value=value, plan=Coupling(plan, mu, nu),
+                           duals=DualPotentials(tuple(f), tuple(g), objective))
+
+
+def _positive_integer(p) -> bool:
+    """Whether the exponent p is a positive integer: an int, an integral
+    Fraction or an integral finite float.  Such a p raises a rational
+    distance to an exact power."""
+    if isinstance(p, float):
+        return p.is_integer() and p > 0
+    return isinstance(p, (int, Fraction)) and p.denominator == 1 and p > 0
 
 
 def _power_cost(space, p):
     """The cost matrix d^p: exact for a positive integer p, float otherwise.
     Each realized distance is raised to the power once."""
-    if isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1):
+    if _positive_integer(p):
         power = [v ** int(p) for v in space.realized_distances]
     else:
         power = [float(v) ** float(p) for v in space.realized_distances]
@@ -449,8 +434,7 @@ def _integer_power(space: FiniteMetricSpace, p):
     """The integer form of d^p, (k^p, s^p) with d = k / s the space's
     integer form, for a rational space and a positive integer p; else
     None.  Each realized distance is raised to the power once."""
-    if space.mode != RATIONAL or not (
-            isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1)):
+    if space.mode != RATIONAL or not _positive_integer(p):
         return None
     p = int(p)
     scale = space.integer_form[1]
@@ -466,13 +450,14 @@ def transport_with_power(space: FiniteMetricSpace, mu: ProbVector,
     on the space's integer form."""
     if not p >= 1:
         raise ValueError("p must be >= 1")
+    if mu.n != space.n or nu.n != space.n:
+        raise DimensionMismatch("marginals and cost must share one size n")
     exact = _integer_power(space, p)
     if exact is not None and _mode_of(mu.mass, nu.mass) == RATIONAL:
-        if mu.n != space.n or nu.n != space.n:
-            raise DimensionMismatch("marginals and cost must share one size n")
         power, scale = exact
-        return _exact_transport(mu, nu, [c for row in power for c in row], scale)
-    return solve_transport(mu, nu, _power_cost(space, p))
+        return _transport(mu, nu, [c for row in power for c in row], scale)
+    return _transport(mu, nu, [c for row in _power_cost(space, p) for c in row],
+                      None)
 
 
 def wasserstein_p(space: FiniteMetricSpace, mu: ProbVector, nu: ProbVector,
@@ -492,31 +477,31 @@ def kantorovich_w1(space: FiniteMetricSpace, mu: ProbVector, nu: ProbVector):
     formulation in solve_transport; the two agreeing is the point of the
     Kantorovich-Rubinstein cross-check.  Returns (value, witness f) with
     f normalized by f_{n-1} = 0.  A rational space with rational marginals
-    runs on the space's integer form and the masses scaled to ints once.
+    runs on the space's integer form and the masses scaled to ints once;
+    otherwise the distances and the demands are converted to float once.
     """
     n = space.n
     if mu.n != n or nu.n != n:
         raise DimensionMismatch("marginals and space sizes differ")
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     if space.mode == RATIONAL and _mode_of(mu.mass, nu.mass) == RATIONAL:
-        ints, scale = space.integer_form
+        dist, scale = space.integer_form
         mass, ms = _integer_scale(mu.mass + nu.mass)
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        cost = [ints[i][j] for i, j in pairs]
-        flows, pi = _network_simplex(
-            n, [i for i, _ in pairs], [j for _, j in pairs], cost,
-            [mass[n + i] - mass[i] for i in range(n)], scale)
-        value = Fraction(sum(c * fl for c, fl in zip(cost, flows) if fl),
-                         scale * ms)
-        top = pi[n - 1]
-        return value, tuple(Fraction(top - v, scale) for v in pi)
-    arcs = [(i, j, space.dist[i][j]) for i in range(n) for j in range(n) if i != j]
-    demand = [nu.mass[i] - mu.mass[i] for i in range(n)]
-    flows, pi = min_cost_flow(n, arcs, demand)
-    value = sum(c * fl for (_, _, c), fl in zip(arcs, flows) if fl)
-    witness = [-v for v in pi]
-    shift = witness[n - 1]
-    witness = tuple(v - shift for v in witness)
-    return value, witness
+        demand = [mass[n + i] - mass[i] for i in range(n)]
+        cost = [dist[i][j] for i, j in pairs]
+    else:
+        scale = None
+        demand = [float(b - a) for a, b in zip(mu.mass, nu.mass)]
+        cost = [float(space.dist[i][j]) for i, j in pairs]
+    flows, pi = _network_simplex(n, [i for i, _ in pairs], [j for _, j in pairs],
+                                 cost, demand, scale)
+    value = sum(c * fl for c, fl in zip(cost, flows) if fl)
+    top = pi[n - 1]
+    witness = [top - v for v in pi]
+    if scale is None:
+        return value, tuple(witness)
+    return (Fraction(value, scale * ms),
+            tuple(Fraction(v, scale) for v in witness))
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +645,37 @@ def feasible_coupling_on(mu: ProbVector, nu: ProbVector, Y: PairSet,
     neighborhood = frozenset(j for i in S for j in cols[i])
     return CouplingFeasibility(False, None, S,
                                mu_S=mu(S), nu_neighborhood=nu(neighborhood))
+
+
+def perfect_matching(adjacency):
+    """Find a perfect matching of a bipartite graph with equal part sizes,
+    or return a violating set S with |N(S)| < |S|.
+
+    Reduction: take both marginals to be the normalized counting measure
+    and ask for a coupling supported on the edge set; the flow solution is
+    integral (all capacities are multiples of 1/n), so a feasible coupling
+    rounds to a permutation.  The empty graph has the empty matching.
+    Returns ("matching", perm) or ("violator", S).
+    """
+    n = len(adjacency)
+    if any(len(row) != n for row in adjacency):
+        raise NonSquareBipartition("bipartition classes differ in size")
+    if n == 0:
+        return "matching", ()
+    uniform = ProbVector.uniform(n)
+    Y = PairSet(tuple(tuple(bool(v) for v in row) for row in adjacency))
+    verdict = feasible_coupling_on(uniform, uniform, Y)
+    if not verdict.feasible:
+        return "violator", verdict.violator
+    matching = [None] * n
+    for i, row in enumerate(verdict.coupling.plan):
+        for j, v in enumerate(row):
+            if v == Fraction(1, n):
+                matching[i] = j
+                break
+    if any(m is None for m in matching) or len(set(matching)) != n:
+        raise QisoError("flow failed to round to a permutation")
+    return "matching", tuple(matching)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ exponential in the number of points:
 - min_cost_flow_reference: the network simplex as first written, in the
   data's own scalars (Fraction pivots) with the tree adjacency and the
   potentials rebuilt on every pivot; not exponential, but independent of
-  the integer-scaled, incrementally maintained tree of `min_cost_flow`,
-  whose objective must equal the reference's (the block-search pricing of
-  `min_cost_flow` may stop at another optimal basis than Bland's rule);
+  the integer-scaled, incrementally maintained tree of
+  `transport._network_simplex`, whose objective must equal the
+  reference's (its block-search pricing may stop at another optimal basis
+  than Bland's rule);
 - enumerate_lipschitz_vertices: every active set of the Lipschitz
   polytope, and enumerate_boxed_dual_vertices: every tight-pair forest
   of the boxed dual polytope, with every way of pinning its components
@@ -52,6 +53,9 @@ exponential in the number of points:
   AlgElements and one SVD per operator norm; not exponential, but
   independent of the product table and the block-by-block norms of
   `verify_quantum_group`, which must report the same residuals;
+- hall_condition: the subset condition nu(p12^Y(S)) >= mu(S) over all
+  2^n subsets S (guarded at n <= 20), with `neighborhood` for p12^Y(S),
+  against the max-flow verdict of `feasible_coupling_on` (c04);
 - feasible_coupling_reference: max-flow as first written, augmenting
   from zero flow on an arc-list residual graph; not exponential, but
   independent of the greedy fill, the warm start and the plan-matrix
@@ -120,7 +124,7 @@ from qiso.coaction import CoAction, act_on_function
 from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
                            induced_action, is_hopf_ideal, kappa_block_map,
                            quotient_quantum_group)
-from qiso.errors import DimensionMismatch, QisoError, SizeGuardExceeded
+from qiso.errors import DimensionMismatch, QisoError
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
                            _eigen_state, _exact_entries, _rationalize,
                            _state_pairs, _vertex_floats, check_D,
@@ -138,6 +142,10 @@ from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
                             _power_cost,
                             enumerate_dual_vertices, prob_vector,
                             transport_with_power)
+
+
+class SizeGuardExceeded(QisoError):
+    """An exhaustive oracle was asked for more than its size guard."""
 
 
 def apply_delta(qg: QuantumGroup, elem: AlgElement) -> np.ndarray:
@@ -1329,6 +1337,31 @@ def support_universal_loops(action: CoAction, tag: str,
 
 # ---------------------------------------------------------------------------
 # W_inf by a linear scan of the sublevel sets
+
+
+def neighborhood(Y: PairSet, S, direction: str = "forward") -> frozenset:
+    """forward: p12^Y(S) = {x' : (x, x') in Y for some x in S};
+    backward: p21^Y(S) = {x' : (x', x) in Y for some x in S}."""
+    n = Y.n
+    if direction == "forward":
+        return frozenset(j for i in S for j in range(n) if (i, j) in Y)
+    if direction == "backward":
+        return frozenset(j for i in S for j in range(n) if (j, i) in Y)
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def hall_condition(mu: ProbVector, nu: ProbVector, Y: PairSet,
+                   max_points: int = 20) -> Tuple[bool, Optional[frozenset]]:
+    """Exhaust all 2^n subsets; returns (holds, first violator or None)."""
+    n = mu.n
+    if n > max_points:
+        raise SizeGuardExceeded(f"subset exhaustion guarded at n <= {max_points}")
+    for size in range(n + 1):
+        for S in itertools.combinations(range(n), size):
+            T = neighborhood(Y, S)
+            if nu(T) < mu(S):
+                return False, frozenset(S)
+    return True, None
 
 
 def feasible_coupling_reference(mu: ProbVector, nu: ProbVector, Y: PairSet,

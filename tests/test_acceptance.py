@@ -15,7 +15,6 @@ import pytest
 from qiso.catalog import standard_actions, verified_catalog
 from qiso.coaction import verify_coaction
 from qiso.envelope import envelope
-from qiso.hall import HallInstance, decide_hall, hall_condition, perfect_matching
 from qiso.isometry import (check_D, check_D_commutant, check_injectivity,
                            check_lip_p_universal, check_orthogonality,
                            check_theorem_main, check_winf_universal,
@@ -23,12 +22,12 @@ from qiso.isometry import (check_D, check_D_commutant, check_injectivity,
 from qiso.metric import PairSet, random_metric_space
 from qiso.quantum_group import verify_quantum_group
 from qiso.reports import instance_descriptors, build_instance, SearchConfig
-from qiso.transport import (ProbVector, kantorovich_w1, prob_vector,
-                            solve_transport, transport_with_power,
-                            wasserstein_inf)
+from qiso.transport import (ProbVector, feasible_coupling_on, kantorovich_w1,
+                            perfect_matching, prob_vector, solve_transport,
+                            transport_with_power, wasserstein_inf)
 
 from oracles import (annihilator_convolution_check,
-                     enumerate_boxed_dual_vertices,
+                     enumerate_boxed_dual_vertices, hall_condition,
                      lip_p_universal_full_sweep, transport_bruteforce,
                      verify_universal_property)
 
@@ -129,9 +128,8 @@ def test_c04_hall_equivalence_exhaustive():
                 n, [cells[k] for k in range(n * n) if bits >> k & 1])
             for mu in vecs:
                 for nu in vecs:
-                    inst = HallInstance(mu, nu, Y)
-                    holds, _ = hall_condition(inst)
-                    ok = ok and holds == decide_hall(inst).feasible
+                    holds, _ = hall_condition(mu, nu, Y)
+                    ok = ok and holds == feasible_coupling_on(mu, nu, Y).feasible
                     checked += 1
             if not ok:
                 break

@@ -18,6 +18,7 @@ from qiso.fileio import (distribution_to_dict, load_coaction, load_distribution,
                          space_to_dict, state_from_dict, state_to_dict)
 from qiso.algebra import StateFunctional, random_state
 from qiso.coaction import CoAction
+from qiso.isometry import check_lip_p_universal
 from qiso.metric import validate_metric
 from qiso.quantum_group import verify_quantum_group
 from qiso.scalars import format_scalar, parse_scalar
@@ -326,6 +327,37 @@ def test_cli_wasserstein(files, capsys):
     assert code == 0
     assert doc["value_power"] == "1/2"
     assert doc["duals"]["objective"] == "1/2"
+
+
+def test_integer_valued_float_p_is_exact(tmp_path, capsys):
+    """p = 2.0 is the integer 2: `qiso wasserstein --p 2.0` prints the
+    exact value_power, plan and duals of --p 2, and check_lip_p_universal
+    at 2.0 gives the verdict, witness and margins of p = 2 on the catalog,
+    under the condition tag of the p given."""
+    space, mu, nu = (tmp_path / f"{name}.json" for name in ("space", "mu", "nu"))
+    space.write_text(json.dumps({"n": 3, "mode": "rational",
+                                 "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}))
+    mu.write_text(json.dumps({"mass": ["1/3", "1/3", "1/3"]}))
+    nu.write_text(json.dumps({"mass": ["2/3", "1/3", "0"]}))
+    docs = {}
+    for p in ("2", "2.0"):
+        code, docs[p] = run_cli(capsys, "wasserstein", "--space", str(space),
+                                "--mu", str(mu), "--nu", str(nu), "--p", p)
+        assert code == 0
+    assert docs["2"]["value_power"] == "1/3"
+    for key in ("value_power", "plan", "duals"):
+        assert docs["2.0"][key] == docs["2"][key], key
+    for entry in standard_actions():
+        ints, floats = (check_lip_p_universal(entry.action, p) for p in (2, 2.0))
+        assert floats.condition == "Lip_2.0(universal)"
+        assert (floats.holds, floats.certificate) == \
+            (ints.holds, ints.certificate), entry.name
+        wi, wf = dict(ints.witness or {}), dict(floats.witness or {})
+        si, sf = wi.pop("state", None), wf.pop("state", None)
+        assert wf == wi, entry.name
+        if si is not None:
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(si.densities, sf.densities))
 
 
 def test_cli_winf(files, capsys):

@@ -6,10 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from qiso.hall import (HallInstance, NonSquareBipartition, decide_hall,
-                       hall_condition, neighborhood, perfect_matching)
 from qiso.metric import PairSet
-from qiso.transport import ProbVector, prob_vector
+from qiso.transport import (NonSquareBipartition, ProbVector,
+                            feasible_coupling_on, perfect_matching,
+                            prob_vector)
+
+from oracles import hall_condition, neighborhood
 
 
 def test_neighborhood_examples():
@@ -25,24 +27,24 @@ def test_neighborhood_examples():
 
 def test_hall_condition_examples():
     u = ProbVector.uniform(2)
-    holds, _ = hall_condition(HallInstance(u, u, PairSet.all_pairs(2)))
+    holds, _ = hall_condition(u, u, PairSet.all_pairs(2))
     assert holds
-    holds, violator = hall_condition(HallInstance(u, u, PairSet.from_pairs(2, [])))
+    holds, violator = hall_condition(u, u, PairSet.from_pairs(2, []))
     assert not holds and violator <= {0, 1} and len(violator) >= 1
     holds, violator = hall_condition(
-        HallInstance(u, u, PairSet.from_pairs(2, [(0, 0), (1, 0)])))
+        u, u, PairSet.from_pairs(2, [(0, 0), (1, 0)]))
     assert not holds and violator == {0, 1}  # nu({0}) = 1/2 < 1
 
 
-def test_decide_hall_examples():
+def test_feasible_coupling_on_examples():
     u = ProbVector.uniform(3)
     Y = PairSet.from_pairs(3, [(0, 1), (1, 2), (2, 0)])  # a permutation graph
-    v = decide_hall(HallInstance(u, u, Y))
+    v = feasible_coupling_on(u, u, Y)
     assert v.feasible
     assert all(v.coupling.plan[i][j] in (0, F(1, 3)) for i in range(3) for j in range(3))
     mu = prob_vector([F(2, 3), F(1, 3)])
     nu = prob_vector([F(1, 3), F(2, 3)])
-    v = decide_hall(HallInstance(mu, nu, PairSet.from_pairs(2, [(0, 0), (0, 1), (1, 1)])))
+    v = feasible_coupling_on(mu, nu, PairSet.from_pairs(2, [(0, 0), (0, 1), (1, 1)]))
     assert v.feasible
     assert v.coupling.plan == ((F(1, 3), F(1, 3)), (F(0), F(1, 3)))
 
@@ -61,18 +63,18 @@ def test_theorem_equivalence_exhaustive_n2():
     for bits in range(16):
         Y = PairSet.from_pairs(2, [(i, j) for k, (i, j) in enumerate(
             itertools.product(range(2), repeat=2)) if bits >> k & 1])
-        for mu in vecs:
-            for nu in vecs:
-                inst = HallInstance(ProbVector(mu), ProbVector(nu), Y)
-                holds, violator = hall_condition(inst)
-                verdict = decide_hall(inst)
+        for a in vecs:
+            for b in vecs:
+                mu, nu = ProbVector(a), ProbVector(b)
+                holds, violator = hall_condition(mu, nu, Y)
+                verdict = feasible_coupling_on(mu, nu, Y)
                 assert holds == verdict.feasible
                 if not holds:
                     T = neighborhood(Y, violator)
-                    assert inst.nu(T) < inst.mu(violator)
+                    assert nu(T) < mu(violator)
                 if not verdict.feasible:
                     T = neighborhood(Y, verdict.violator)
-                    assert inst.nu(T) < inst.mu(verdict.violator)
+                    assert nu(T) < mu(verdict.violator)
 
 
 def test_symmetric_form_and_monotonicity():
@@ -91,15 +93,15 @@ def test_symmetric_form_and_monotonicity():
         nu = ProbVector(tuple(x / sum(w) for x in w))
         pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4]
         Y = PairSet.from_pairs(n, pairs)
-        forward = decide_hall(HallInstance(mu, nu, Y)).feasible
-        backward = decide_hall(HallInstance(nu, mu, Y.transpose())).feasible
+        forward = feasible_coupling_on(mu, nu, Y).feasible
+        backward = feasible_coupling_on(nu, mu, Y.transpose()).feasible
         assert forward == backward
         if forward:
             bigger = PairSet.from_pairs(n, pairs + [(rng.randrange(n), rng.randrange(n))])
-            assert decide_hall(HallInstance(mu, nu, bigger)).feasible
+            assert feasible_coupling_on(mu, nu, bigger).feasible
         else:
             smaller = PairSet.from_pairs(n, pairs[: max(0, len(pairs) - 1)])
-            assert not decide_hall(HallInstance(mu, nu, smaller)).feasible
+            assert not feasible_coupling_on(mu, nu, smaller).feasible
 
 
 def matching_bruteforce(adj):
@@ -123,6 +125,11 @@ def test_perfect_matching_examples():
         perfect_matching([[1, 0], [1, 0], [1, 1]])
 
 
+def test_perfect_matching_of_the_empty_graph():
+    """The empty bipartite graph has the empty perfect matching."""
+    assert perfect_matching([]) == ("matching", ())
+
+
 def test_perfect_matching_random_agrees_with_bruteforce():
     rng = random.Random(1)
     for _ in range(60):
@@ -140,12 +147,12 @@ def test_perfect_matching_random_agrees_with_bruteforce():
             assert len(nbrs) < len(payload)
 
 
-def test_matching_feasibility_matches_decide_hall():
+def test_matching_feasibility_matches_feasible_coupling_on():
     rng = random.Random(2)
     for _ in range(30):
         n = rng.randint(2, 5)
         adj = [[1 if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
         uniform = ProbVector.uniform(n)
         Y = PairSet(tuple(tuple(bool(v) for v in row) for row in adj))
-        feasible = decide_hall(HallInstance(uniform, uniform, Y)).feasible
+        feasible = feasible_coupling_on(uniform, uniform, Y).feasible
         assert (perfect_matching(adj)[0] == "matching") == feasible

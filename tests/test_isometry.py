@@ -18,7 +18,6 @@ from qiso.catalog import (cycle_metric, dihedral_projection_action,
                           trivial_action)
 from qiso import isometry
 from qiso.coaction import act_on_point
-from qiso.hall import HallInstance, decide_hall
 from qiso.isometry import (HypothesisViolated, check_D, check_D_commutant,
                            check_D_state, check_injectivity,
                            check_level_coupling_state, check_lip1_universal,
@@ -27,7 +26,7 @@ from qiso.isometry import (HypothesisViolated, check_D, check_D_commutant,
                            check_winf_universal, sample_orthogonality_inputs)
 from qiso.metric import level_set, random_metric_space, validate_metric
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
-from qiso.transport import wasserstein_inf, wasserstein_p
+from qiso.transport import feasible_coupling_on, wasserstein_inf, wasserstein_p
 
 from oracles import (check_ball_identity, check_lip_seminorm_state,
                      lip_p_universal_full_sweep, lip_p_universal_loops,
@@ -476,7 +475,7 @@ def _level_coupling_per_pair(action, psi, tol):
     for (x, y), mu, nu in _pairs_recomputed(action, psi, tol,
                                             _ordered_pairs(action.n)):
         Y = level_set(action.space, action.space.dist[x][y])
-        verdict = decide_hall(HallInstance(mu, nu, Y))
+        verdict = feasible_coupling_on(mu, nu, Y)
         if not verdict.feasible:
             return False, {"pair": (x, y),
                            "violating_subset": sorted(verdict.violator)}

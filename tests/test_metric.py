@@ -62,6 +62,29 @@ def test_non_finite_distance_rejected(bad):
             assert exc.value.witness == (0, len(matrix) - 1)
 
 
+def test_float_mode_space_holds_floats():
+    """validate_metric in float mode converts each entry to float once:
+    int and Fraction entries give the space that a float-mode file gives,
+    whose W_1 and W_p^p come back as floats, and an entry beyond the float
+    range is not finite."""
+    from qiso.fileio import space_from_dict
+    from qiso.transport import ProbVector, kantorovich_w1, transport_with_power
+    given = validate_metric([[0, F(1, 3)], [F(1, 3), 0]], mode="float")
+    read = space_from_dict({"n": 2, "mode": "float",
+                            "dist": [[0, "1/3"], ["1/3", 0]]})
+    assert given.dist == read.dist == ((0.0, 1 / 3), (1 / 3, 0.0))
+    assert all(type(v) is float for row in given.dist for v in row)
+    mu, nu = ProbVector.dirac(2, 0), ProbVector.dirac(2, 1)
+    for sp in (given, read):
+        value, witness = kantorovich_w1(sp, mu, nu)
+        res = transport_with_power(sp, mu, nu, 2)
+        assert (value, res.value) == (1 / 3, 1 / 9)
+        assert all(type(v) is float for v in (value, *witness, res.value))
+    with pytest.raises(NonFiniteDistance) as exc:
+        validate_metric([[0, 10 ** 400], [10 ** 400, 0]], mode="float")
+    assert exc.value.witness == (0, 1)
+
+
 def test_lipschitz_constant_examples():
     sp2 = validate_metric([[F(0), F(1)], [F(1), F(0)]])
     assert lipschitz_constant(sp2, [F(5), F(5)]) == 0

@@ -95,16 +95,30 @@ def test_search_with_process_pool_matches_sequential():
         assert seq == par, kind
 
 
-def test_cli_size_guard_exit_code(tmp_path, capsys):
-    """The subset exhaustion of `qiso hall` is guarded at 20 points."""
+def test_cli_hall_decides_past_twenty_points(tmp_path, capsys):
+    """`qiso hall` has no size guard: at n = 21 the subset condition is
+    the max-flow verdict, certified by the plan (the diagonal, exit 0) or
+    by a min-cut violator S with nu(N(S)) < mu(S) (exit 3)."""
     from qiso.cli import main
     n = 21
+    uniform = [f"1/{n}"] * n
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"mu": [f"1/{n}"] * n, "nu": [f"1/{n}"] * n,
+    path.write_text(json.dumps({"mu": uniform, "nu": uniform,
                                 "pairs": [[i, i] for i in range(n)]}))
-    code = main(["hall", str(path)])
-    capsys.readouterr()
-    assert code == 4
+    assert main(["hall", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"feasible": True, "subset_condition": True,
+                   "plan": [[f"1/{n}" if i == j else 0 for j in range(n)]
+                            for i in range(n)]}
+    # the last row leads only to column 0, which row 0 fills
+    path.write_text(json.dumps({"mu": uniform, "nu": uniform,
+                                "pairs": [[i, i] for i in range(n - 1)]
+                                + [[n - 1, 0]]}))
+    assert main(["hall", str(path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"feasible": False, "subset_condition": False,
+                   "violator": [0, n - 1], "mu_S": f"2/{n}",
+                   "nu_neighborhood": f"1/{n}"}
 
 
 def test_quantum_universal_verdicts_against_pure_state_sampling():

@@ -14,7 +14,7 @@ from qiso.scalars import is_rational
 from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
                             _power_cost, enumerate_dual_vertices,
                             feasible_coupling_on, kantorovich_w1,
-                            min_cost_flow, prob_vector, solve_transport,
+                            prob_vector, solve_transport,
                             transport_with_power, wasserstein_inf,
                             wasserstein_p)
 
@@ -175,32 +175,46 @@ def test_min_cost_flow_matches_reference(monkeypatch):
 
 
 def test_min_cost_flow_returns_certified_fractions():
-    """The public min_cost_flow, a wrapper over the same core, takes and
-    returns Fractions: on 60 seeded rational problems (transportation
-    arcs with costs of denominators up to 13, and the complete graph of
-    a scaled metric with demands nu - mu) its flows and potentials are
-    exactly certified and reach the reference objective."""
+    """The transport bodies take and return Fractions: on 60 seeded
+    rational problems (costs of denominators up to 13 through
+    solve_transport, and a scaled metric with demands nu - mu through
+    kantorovich_w1) the plan and potentials, or the Lipschitz witness,
+    are exactly certified and reach the reference objective."""
     rng = random.Random(10)
     for k in range(60):
         n = rng.randint(2, 6)
         mu, nu = coprime_prob(rng, n), rand_prob(rng, n)
         if k % 2:
             cost = rand_cost(rng, n, denom=13)
-            num_nodes = 2 * n
+            res = solve_transport(mu, nu, cost)
+            plan, f, g = res.plan.plan, res.duals.f, res.duals.g
+            assert all(isinstance(v, F) for v in (res.value, *f, *g,
+                                                  *(v for r in plan for v in r)))
+            assert all(v >= 0 for row in plan for v in row)
+            assert [sum(row) for row in plan] == list(mu.mass)
+            assert [sum(col) for col in zip(*plan)] == list(nu.mass)
+            for i in range(n):
+                for j in range(n):
+                    assert f[i] + g[j] <= cost[i][j]
+                    assert plan[i][j] == 0 or f[i] + g[j] == cost[i][j]
             arcs = [(i, n + j, cost[i][j]) for i in range(n) for j in range(n)]
             demand = [-m for m in mu.mass] + list(nu.mass)
+            value = res.value
+            assert res.duals.objective == value
         else:
             factor = F(rng.randint(1, 5), rng.choice((1, 7, 11)))
-            sp = random_metric_space(n, rng.randint(0, 9999))
-            num_nodes = n
-            arcs = [(i, j, sp.dist[i][j] * factor) for i in range(n)
+            base = random_metric_space(n, rng.randint(0, 9999))
+            sp = validate_metric([[v * factor for v in row] for row in base.dist])
+            value, f = kantorovich_w1(sp, mu, nu)
+            assert all(isinstance(v, F) for v in (value, *f))
+            assert all(f[i] - f[j] <= sp.dist[i][j]
+                       for i in range(n) for j in range(n))
+            assert mu.pair(f) - nu.pair(f) == value
+            arcs = [(i, j, sp.dist[i][j]) for i in range(n)
                     for j in range(n) if i != j]
             demand = [b - a for a, b in zip(mu.mass, nu.mass)]
-        flows, pi = min_cost_flow(num_nodes, arcs, demand)
-        certify_min_cost_flow(num_nodes, arcs, demand, flows, pi)
-        ref, _ = min_cost_flow_reference(num_nodes, arcs, demand)
-        assert sum(c * f for (_, _, c), f in zip(arcs, flows)) == \
-            sum(c * f for (_, _, c), f in zip(arcs, ref))
+        ref, _ = min_cost_flow_reference(len(demand), arcs, demand)
+        assert value == sum(c * fl for (_, _, c), fl in zip(arcs, ref))
 
 
 def float_prob(rng, n):
@@ -214,11 +228,6 @@ def test_mixed_mode_runs_in_floats(monkeypatch):
     flow and potential is a float and equals (==) those of the same
     problem with the costs converted to float beforehand, on 100 seeded
     problems routed through solve_transport and kantorovich_w1."""
-    flows, pi = min_cost_flow(4, [(0, 2, F(1, 3)), (0, 3, F(2)),
-                                  (1, 2, F(5, 4)), (1, 3, F(1, 2))],
-                              [-0.3, -0.7, 0.4, 0.6])
-    assert all(isinstance(v, float) for v in flows + pi)
-
     calls = []
     real = transport._network_simplex
 
