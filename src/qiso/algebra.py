@@ -141,28 +141,87 @@ def operator_norms(mats: np.ndarray) -> np.ndarray:
 _FROBENIUS_FLOOR = 1e-140
 
 
-def max_operator_norm(mats: np.ndarray) -> float:
-    """The largest spectral norm in a stack of square matrices (..., m, m),
-    bitwise equal to `operator_norms(mats).max()`, or NaN when an entry is
-    not finite.
+# The relative rounding of a computed spectral or Frobenius norm is far
+# below this margin, so a screen that decides with it decides as an SVD.
+_SCREEN_MARGIN = 1e-12
+
+
+def _frobenius_norms(mats: np.ndarray) -> np.ndarray:
+    """The Frobenius norms of a stack of matrices (..., m, m), as sums of
+    the squared real and imaginary parts, in whatever layout the stack's
+    leading axes have."""
+    if mats.strides[-1] != mats.itemsize:
+        mats = np.ascontiguousarray(mats)
+    parts = mats.view(mats.real.dtype)
+    return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
+
+
+def max_operator_norms(named: Dict[str, Sequence[np.ndarray]]) -> Dict[str, float]:
+    """For each name, the largest spectral norm over its stacks of square
+    matrices (..., m, m), bitwise equal to the largest of `operator_norms`
+    over them, or NaN when an entry of one is not finite.
 
     Since ||M||_2 <= ||M||_F, only a matrix whose Frobenius norm reaches
-    the spectral norm of the one with the largest Frobenius norm can hold
-    the maximum; those are the only ones decomposed, that one included.
-    The 1e-12 margin covers the rounding of both norms, and a matrix whose
-    Frobenius sum may have overflowed (inf) or underflowed (entries below
-    _FROBENIUS_FLOOR) is always decomposed."""
-    absval = np.abs(mats)
-    scale = absval.max(axis=(-2, -1))
-    if not np.isfinite(scale).all():
-        return float("nan")
-    if mats.shape[-1] == 1 or scale.max() == 0:
-        return float(scale.max())
-    frob = np.sqrt(np.einsum("...ij,...ij->...", absval, absval))
-    top = np.unravel_index(np.argmax(frob), frob.shape)
-    bound = np.linalg.svd(mats[top], compute_uv=False)[0] * (1 - 1e-12)
-    keep = (frob >= bound) | ((scale > 0) & (scale < _FROBENIUS_FLOOR))
-    return float(np.linalg.svd(mats[keep], compute_uv=False)[:, 0].max())
+    the spectral norm of its stack's largest-Frobenius matrix (the stack's
+    top) can hold the stack's maximum; those are the only ones decomposed,
+    the top included.  The stacks of every name take, for each matrix
+    size, one batched SVD of their tops and one of their survivors.  A 1x1
+    matrix takes abs, as `AlgElement.norm` does.  The margin covers the
+    rounding of both norms, and a matrix whose Frobenius sum may have
+    overflowed (inf) or underflowed (entries below _FROBENIUS_FLOOR) is
+    always decomposed."""
+    peaks: Dict[str, list] = {}
+    screened: Dict[tuple, list] = {}   # (m, dtype) -> stacks that need an SVD
+    for name, stacks in named.items():
+        peaks[name] = found = []
+        for mats in stacks:
+            m = mats.shape[-1]
+            if m == 1:
+                peak = np.abs(mats).max()
+                found.append(peak if np.isfinite(peak) else np.nan)
+                continue
+            frob = _frobenius_norms(mats)
+            top = np.unravel_index(np.argmax(frob), frob.shape)  # a NaN first
+            if not math.isfinite(frob[top]) and not np.isfinite(mats).all():
+                found.append(np.nan)
+                continue
+            tiny = frob < m * _FROBENIUS_FLOOR  # holds all with entries below the floor
+            if tiny.any():
+                scale = np.abs(mats[tiny]).max(axis=(-2, -1))
+                tiny[tiny] = (scale > 0) & (scale < _FROBENIUS_FLOOR)
+            if not (frob[top] > 0 or tiny.any()):
+                found.append(0.0)
+                continue
+            screened.setdefault((m, mats.dtype), []).append(
+                (found, len(found), mats, frob, tiny, top))
+            found.append(np.nan)
+    for entries in screened.values():
+        tops = np.stack([mats[top] for _, _, mats, _, _, top in entries])
+        bounds = np.linalg.svd(tops, compute_uv=False)[:, 0] * (1 - _SCREEN_MARGIN)
+        survivors = [mats[(frob >= bound) | tiny]
+                     for (_, _, mats, frob, tiny, _), bound in zip(entries, bounds)]
+        norms = np.linalg.svd(np.concatenate(survivors), compute_uv=False)[:, 0]
+        start = 0
+        for (found, slot, *_), kept in zip(entries, survivors):
+            found[slot] = norms[start:start + len(kept)].max()
+            start += len(kept)
+    return {name: float(np.max(found)) for name, found in peaks.items()}
+
+
+def operator_norms_above(mats: np.ndarray, bound: float) -> np.ndarray:
+    """Whether each matrix of a stack (..., m, m) has spectral norm above
+    bound, as `operator_norms(mats) > bound` decides.  A matrix with an
+    entry above bound is, one with Frobenius norm at most bound is not,
+    each with the screen's margin; only the others are decomposed."""
+    if mats.shape[-1] == 1:
+        return operator_norms(mats) > bound
+    scale = np.abs(mats).max(axis=(-2, -1))
+    above = np.isfinite(scale) & (scale > bound * (1 + _SCREEN_MARGIN))
+    undecided = ~above & ~((_frobenius_norms(mats) <= bound * (1 - _SCREEN_MARGIN))
+                           & ((scale == 0) | (scale >= _FROBENIUS_FLOOR)))
+    if undecided.any():
+        above[undecided] = operator_norms(mats[undecided]) > bound
+    return above
 
 
 def element_norms(algebra: FinDimCStarAlgebra, X: np.ndarray) -> np.ndarray:

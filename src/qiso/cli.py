@@ -185,7 +185,7 @@ def _dispatch(args) -> int:
         mu = fileio.distribution_from_dict(doc, args.mode, args.tol, field="mu")
         nu = fileio.distribution_from_dict(doc, args.mode, args.tol, field="nu")
         Y = fileio.pairs_from_dict(doc, mu.n)
-        res = feasible_coupling_on(mu, nu, Y)
+        res = feasible_coupling_on(mu, nu, Y, tol=args.tol)
         # Hall's theorem: the subset condition holds iff a coupling exists,
         # and the plan or the min-cut violator below certifies which
         return _coupling(args, res, {"subset_condition": res.feasible})

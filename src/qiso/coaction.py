@@ -17,7 +17,7 @@ from typing import FrozenSet, List, Tuple
 
 import numpy as np
 
-from .algebra import AlgElement, StateFunctional, element_norms, max_operator_norm
+from .algebra import AlgElement, StateFunctional, element_norms, max_operator_norms
 from .errors import QisoError, ShapeMismatch
 from .metric import FiniteMetricSpace
 from .quantum_group import QGReport, QuantumGroup
@@ -87,14 +87,11 @@ def verify_coaction(action: CoAction, tol: float = 1e-9,
     U = action.coeffs
     rep = QGReport()
     stacks = action.stacks
-    rep.residuals["entries_idempotent"] = float(np.max(
-        [max_operator_norm(S @ S - S) for S in stacks]))
-    rep.residuals["entries_selfadjoint"] = float(np.max(
-        [max_operator_norm(S.conj().swapaxes(-1, -2) - S) for S in stacks]))
-    rep.residuals["row_sums"] = float(np.max(
-        [max_operator_norm(S.sum(axis=1) - np.eye(S.shape[-1])) for S in stacks]))
-    rep.residuals["column_sums"] = float(np.max(
-        [max_operator_norm(S.sum(axis=0) - np.eye(S.shape[-1])) for S in stacks]))
+    rep.residuals.update(max_operator_norms({
+        "entries_idempotent": [S @ S - S for S in stacks],
+        "entries_selfadjoint": [S.conj().swapaxes(-1, -2) - S for S in stacks],
+        "row_sums": [S.sum(axis=1) - np.eye(S.shape[-1]) for S in stacks],
+        "column_sums": [S.sum(axis=0) - np.eye(S.shape[-1]) for S in stacks]}))
     # Delta(u_ij) = sum_k u_ik (x) u_kj on coefficients
     rep.residuals["coaction_square"] = float(np.abs(
         np.einsum("bga,ija->ijbg", qg.delta, U, optimize=True)

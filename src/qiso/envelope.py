@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import AlgElement, FinDimCStarAlgebra, operator_norms
+from .algebra import AlgElement, FinDimCStarAlgebra, operator_norms_above
 from .coaction import CoAction, verify_coaction
 from .errors import QisoError
 from .isometry import check_D, commutator_defects
@@ -52,14 +52,16 @@ def generated_ideal(qg: QuantumGroup, generators: np.ndarray,
                     tol: float = 1e-9) -> BlockIdeal:
     """Blocks where some generator, a coefficient vector on the last axis,
     has spectral norm above tol: by simplicity of each block, the ideal the
-    generators generate.  These are the block norms `check_D` takes."""
+    generators generate.  These are the block norms `check_D` takes, and
+    `operator_norms_above` decomposes only the blocks that neither their
+    largest entry nor their Frobenius norm decides."""
     alg = qg.algebra
     X = np.asarray(generators).reshape(-1, alg.dim)
-    peak = np.zeros(len(alg.blocks))
+    killed = np.zeros(len(alg.blocks), dtype=bool)
     for n, idx in alg.blocks_by_size.items():
-        peak[np.array(alg.blocks) == n] = operator_norms(X[:, idx]).max(
-            axis=0, initial=0.0)
-    return BlockIdeal(frozenset(int(k) for k in np.flatnonzero(peak > tol)))
+        killed[np.array(alg.blocks) == n] = operator_norms_above(
+            X[:, idx], tol).any(axis=0)
+    return BlockIdeal(frozenset(int(k) for k in np.flatnonzero(killed)))
 
 
 def _block_peaks(alg: FinDimCStarAlgebra, A: np.ndarray) -> np.ndarray:

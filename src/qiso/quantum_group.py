@@ -11,11 +11,11 @@ must pass at 1e-10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import FinDimCStarAlgebra, StateFunctional, max_operator_norm
+from .algebra import FinDimCStarAlgebra, StateFunctional, max_operator_norms
 from .errors import QisoError, ShapeMismatch
 
 
@@ -64,7 +64,10 @@ class QuantumGroup:
         return self.algebra.dim
 
     def unit_vec(self) -> np.ndarray:
-        return self.algebra.unit().vec()
+        vec = np.zeros(self.dim, dtype=complex)
+        for n, idx in self.algebra.blocks_by_size.items():
+            vec[idx[:, np.arange(n), np.arange(n)]] = 1.0
+        return vec
 
     def convolve_vectors(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
         return np.einsum("bga,b,g->a", self.delta, phi, psi)
@@ -91,21 +94,25 @@ class QuantumGroup:
 # element of A (x) A a coefficient matrix over pairs of them.  The (k, l)
 # block of A (x) A is M_{n_k} (x) M_{n_l}: E^k_ij (x) E^l_pq sits at row
 # (i, p) and column (j, q) of an n_k n_l square matrix.  Operator norms are
-# the largest spectral norm over blocks, taken one stack of equal-sized
-# blocks at a time by `max_operator_norm`: every block's Frobenius norm
-# bounds its spectral norm from above, so only the blocks whose Frobenius
-# norm reaches the largest spectral norm found so far are decomposed, and
-# the result is the one an SVD of every block gives.
+# the largest spectral norm over blocks: each residual that is one lists
+# its stacks of equal-sized blocks, and `max_operator_norms` norms the
+# stacks of every residual together, one matrix size at a time.
+
+# Coassociativity compares two dim^4 tensors a slab of their first leg at
+# a time; a slab holds about this many entries (512 KB of complex).
+_COASSOCIATIVITY_SLAB = 2 ** 15
 
 
 def _product_table(alg: FinDimCStarAlgebra):
     """Every nonzero product of matrix units, e_left e_right = e_into, as
-    three index arrays: E^k_ij E^k_jq = E^k_iq; all other products are 0."""
-    parts = []
-    for off, n in zip(alg.offsets, alg.blocks):
-        i, j, q = np.indices((n, n, n)).reshape(3, -1)
-        parts.append((off + i * n + j, off + j * n + q, off + i * n + q))
-    return tuple(np.concatenate(idx) for idx in zip(*parts))
+    three index arrays: E^k_ij E^k_jq = E^k_iq; all other products are 0.
+    Each block's products come in (i, j, q) order, the order in which
+    `_multiply` sums the terms of one E^k_iq."""
+    parts = [np.broadcast_arrays(idx[:, :, :, None], idx[:, None, :, :],
+                                 idx[:, :, None, :])
+             for idx in alg.blocks_by_size.values()]
+    return tuple(np.concatenate([part.ravel() for part in table])
+                 for table in zip(*parts))
 
 
 def _multiply(into: np.ndarray, terms: np.ndarray, dim: int) -> np.ndarray:
@@ -119,19 +126,22 @@ def _multiply(into: np.ndarray, terms: np.ndarray, dim: int) -> np.ndarray:
 def _star_index(alg) -> np.ndarray:
     """The permutation of basis indices that * induces: (E^k_ij)* = E^k_ji,
     so the coefficients of x* are x.conj()[star]."""
-    return np.concatenate([off + np.arange(n * n).reshape(n, n).T.ravel()
-                           for off, n in zip(alg.offsets, alg.blocks)])
+    star = np.empty(alg.dim, dtype=int)
+    for idx in alg.blocks_by_size.values():
+        star[idx] = idx.transpose(0, 2, 1)
+    return star
 
 
-def _kappa_star_residual(alg, star, kappa: np.ndarray) -> float:
-    """max_a ||kappa(e_a*) - kappa(e_a)*||, zero iff kappa commutes with *."""
-    return _element_norm(alg, (kappa[:, star] - kappa[star].conj()).T)
+def _kappa_star_defects(star: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """kappa(e_a*) - kappa(e_a)* for every a, with the coefficients on the
+    last axis: zero iff kappa commutes with *."""
+    return (kappa[:, star] - kappa[star].conj()).T
 
 
-def _element_norm(alg, X: np.ndarray) -> float:
-    """The largest operator norm of the elements X[..., a] of A."""
-    return float(np.max([max_operator_norm(X[..., idx])
-                         for idx in alg.blocks_by_size.values()]))
+def _element_blocks(alg, X: np.ndarray) -> List[np.ndarray]:
+    """The blocks of the elements X[..., a] of A, one stack of shape
+    (..., K, n, n) per block size n."""
+    return [X[..., idx] for idx in alg.blocks_by_size.values()]
 
 
 def _tensor_blocks(groups, X: np.ndarray):
@@ -142,12 +152,6 @@ def _tensor_blocks(groups, X: np.ndarray):
             sub = X[..., rows[:, None, :, None, :, None],
                     cols[None, :, None, :, None, :]]
             yield sub.reshape(sub.shape[:-4] + (m * n, m * n))
-
-
-def _tensor_norm(groups, X: np.ndarray) -> float:
-    """The largest operator norm of the elements X[..., b, g] of A (x) A."""
-    return float(np.max([max_operator_norm(blocks)
-                         for blocks in _tensor_blocks(groups, X)]))
 
 
 @dataclass
@@ -170,15 +174,23 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     """Check every axiom; the report lists the max violation per axiom.
 
     Every residual comes from the coefficient tensors: products of matrix
-    units from one table, operator norms block by block, each the largest
-    spectral norm of a stack of blocks with the Frobenius screen of
-    `max_operator_norm` (bitwise the unscreened maximum).  The contractions
-    run on BLAS matrix products: coassociativity, counit and antipode with
-    delta as a (dim^2, dim) or (dim, dim^2) matrix, and the products
-    Delta(e_a) Delta(e_b) over all pairs as one product per pair of
-    blocks.  Coassociativity and those products still build dim^4
-    entries.  A non-finite entry in a structure map makes the residuals it
-    reaches NaN, and a NaN residual fails the report.
+    units from one table, and operator norms block by block, the stacks
+    of every residual normed together by `max_operator_norms` (bitwise
+    the largest spectral norm of each).  The contractions run on BLAS
+    matrix products: counit and antipode with delta as a (dim^2, dim) or
+    (dim, dim^2) matrix, coassociativity one slab of its first leg at a
+    time, and the products Delta(e_a) Delta(e_b) over all pairs as one
+    product per pair of blocks.  The cancellation ranks take one batched
+    rank per block size and side.
+
+    Working set: delta and every other residual's arrays are dim^3
+    entries, but for two.  Coassociativity compares its two dim^4 sides
+    one slab of the first leg at a time, about 2^15 entries (at least
+    dim^3) per side.  The products Delta(e_a) Delta(e_b) are dim^4
+    entries over all pairs, normed in place (their 1x1 blocks through one
+    dim^4-sized array of moduli).  A non-finite entry in a structure map
+    makes the residuals it reaches NaN, and a NaN residual fails the
+    report.
     """
     alg = qg.algebra
     dim = alg.dim
@@ -190,31 +202,43 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     by_a = delta.transpose(2, 0, 1)  # by_a[a]: coefficient matrix of Delta(e_a)
     eye = np.eye(dim)
     res: Dict[str, float] = {}
+    blocks: Dict[str, List[np.ndarray]] = {}  # the residuals that are norms
+
+    def norm_of(name: str, stacks: Iterable[np.ndarray]) -> None:
+        res[name] = np.nan  # keeps the report's order until the norms are in
+        blocks[name] = list(stacks)
 
     # Delta is a unital *-homomorphism; (E^k_ij)* = E^k_ji
-    res["delta_unital"] = _tensor_norm(groups, delta @ unit - np.outer(unit, unit))
-    res["delta_star"] = _tensor_norm(
-        groups, by_a[star] - by_a[:, star][:, :, star].conj())
-    mult = []
-    for blocks in _tensor_blocks(groups, by_a):
+    norm_of("delta_unital", _tensor_blocks(groups, delta @ unit - np.outer(unit, unit)))
+    norm_of("delta_star", _tensor_blocks(
+        groups, by_a[star] - by_a[:, star][:, :, star].conj()))
+    products = []
+    for tensor in _tensor_blocks(groups, by_a):
         # Delta(e_a) Delta(e_b) for all a, b: one matrix product per block
-        # pair (K, L), the a-stack of its rows against the b-stack of columns
-        K, L, mn = blocks.shape[1], blocks.shape[2], blocks.shape[-1]
-        stack = blocks.transpose(1, 2, 0, 3, 4)                     # K L a i j
+        # pair (K, L), the a-stack of its rows against the b-stack of
+        # columns, minus Delta(e_a e_b) in the product's own layout
+        K, L, mn = tensor.shape[1], tensor.shape[2], tensor.shape[-1]
+        stack = tensor.transpose(1, 2, 0, 3, 4)                     # K L a i j
         prod = (stack.reshape(K, L, dim * mn, mn)
-                @ stack.transpose(0, 1, 3, 2, 4).reshape(K, L, mn, dim * mn))
-        prod = prod.reshape(K, L, dim, mn, dim, mn).transpose(2, 4, 0, 1, 3, 5)
-        prod[left, right] -= blocks[into]  # minus Delta(e_a e_b)
-        mult.append(max_operator_norm(prod))
-    res["delta_multiplicative"] = float(np.max(mult))
+                @ stack.transpose(0, 1, 3, 2, 4).reshape(K, L, mn, dim * mn)
+                ).reshape(K, L, dim, mn, dim, mn)                   # K L a i b j
+        prod[:, :, left, :, right, :] -= tensor[into]
+        products.append(prod.transpose(0, 1, 2, 4, 3, 5))           # K L a b i j
+    norm_of("delta_multiplicative", products)
 
-    # coassociativity on coefficients: contract the leg being re-expanded,
-    # one matrix product each with delta as a (dim^2, dim) matrix; both
-    # sides index the three legs and a in the same order
+    # coassociativity on coefficients, a slab of the first leg x at a time:
+    # at e_x (x) e_y (x) e_z, (Delta (x) id) Delta(e_a) is rows xy of one
+    # matrix product with delta as a (dim^2, dim) matrix and (id (x) Delta)
+    # Delta(e_a) one such product per x, both in [x, y, z, a] order
     flat = delta.reshape(dim * dim, dim)
-    coass = flat @ delta.reshape(dim, dim * dim)     # (Delta (x) id) Delta: [rs, ga]
-    coass -= (flat @ delta).reshape(coass.shape)     # (id (x) Delta) Delta: [b, rs, a]
-    res["coassociativity"] = float(np.abs(coass).max())
+    wide = delta.reshape(dim, dim * dim)
+    width = max(1, _COASSOCIATIVITY_SLAB // dim ** 3)
+    coass = []
+    for x in range(0, dim, width):
+        side = flat[x * dim:(x + width) * dim] @ wide         # [xy, za]
+        side -= (flat @ delta[x:x + width]).reshape(side.shape)  # [x, yz, a]
+        coass.append(np.abs(side).max())
+    res["coassociativity"] = float(np.max(coass))
 
     # cancellation: spans {(a (x) 1) Delta(b)} and {(1 (x) a) Delta(b)} full.
     # For a = E^k_ij, (a (x) 1) Delta(e_b) has coefficient delta[E^k_jq, g, b]
@@ -225,13 +249,14 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     left_rank = right_rank = np.nan
     if np.isfinite(delta).all():
         left_rank = right_rank = 0
-        for off, n in zip(alg.offsets, alg.blocks):
-            rows = delta[off:off + n * n].reshape(n, n, dim, dim)     # j q g b
-            cols = delta[:, off:off + n * n].reshape(dim, n, n, dim)  # c j q b
-            left_rank += n * np.linalg.matrix_rank(
-                rows.transpose(0, 3, 1, 2).reshape(n * dim, n * dim), tol=1e-8)
-            right_rank += n * np.linalg.matrix_rank(
-                cols.transpose(1, 3, 2, 0).reshape(n * dim, n * dim), tol=1e-8)
+        for n, idx in groups.items():
+            side = n * dim
+            rows = delta[idx].transpose(0, 1, 4, 2, 3)    # K j b q g
+            cols = delta[:, idx].transpose(1, 2, 4, 3, 0)  # K j b q c
+            left_rank += n * int(np.linalg.matrix_rank(
+                rows.reshape(-1, side, side), tol=1e-8).sum())
+            right_rank += n * int(np.linalg.matrix_rank(
+                cols.reshape(-1, side, side), tol=1e-8).sum())
     res["cancellation_left"] = float(dim * dim - left_rank)
     res["cancellation_right"] = float(dim * dim - right_rank)
 
@@ -249,21 +274,22 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     target = np.outer(epsilon, unit)
     kappa_left = (kappa @ delta.reshape(dim, dim * dim)).reshape(dim, dim, dim)
     kappa_right = kappa @ delta  # [b, c, a]
-    res["antipode_left"] = _element_norm(
-        alg, _multiply(into, kappa_left[left, right], dim) - target)
-    res["antipode_right"] = _element_norm(
-        alg, _multiply(into, kappa_right[left, right], dim) - target)
+    norm_of("antipode_left", _element_blocks(
+        alg, _multiply(into, kappa_left[left, right], dim) - target))
+    norm_of("antipode_right", _element_blocks(
+        alg, _multiply(into, kappa_right[left, right], dim) - target))
 
     # Kac type: involutive, *-preserving, multiplication-reversing
     res["kappa_involutive"] = float(np.abs(kappa @ kappa - eye).max())
-    res["kappa_star"] = _kappa_star_residual(alg, star, kappa)
+    norm_of("kappa_star", _element_blocks(alg, _kappa_star_defects(star, kappa)))
     of_product = np.zeros((dim, dim, dim), dtype=complex)  # kappa(e_a e_b)
     of_product[left, right] = kappa.T[into]
     reversed_product = _multiply(   # kappa(e_b) kappa(e_a)
         into, kappa[left][:, None, :] * kappa[right][:, :, None], dim)
-    res["kappa_antimultiplicative"] = _element_norm(
-        alg, of_product - reversed_product)
-    res["kappa_unital"] = _element_norm(alg, kappa @ unit - unit)
+    norm_of("kappa_antimultiplicative", _element_blocks(
+        alg, of_product - reversed_product))
+    norm_of("kappa_unital", _element_blocks(alg, kappa @ unit - unit))
+    res.update(max_operator_norms(blocks))
     return QGReport(res)
 
 
@@ -273,7 +299,9 @@ def require_kac(qg: QuantumGroup, tol: float = 1e-9) -> None:
     if not np.abs(qg.kappa @ qg.kappa - np.eye(qg.dim)).max() <= tol:
         raise KacViolation("antipode is not involutive")
     alg = qg.algebra
-    if not _kappa_star_residual(alg, _star_index(alg), qg.kappa) <= tol:
+    star = max_operator_norms({"kappa_star": _element_blocks(
+        alg, _kappa_star_defects(_star_index(alg), qg.kappa))})["kappa_star"]
+    if not star <= tol:
         raise KacViolation("antipode does not commute with *")
 
 

@@ -50,9 +50,18 @@ exponential in the number of points:
   criterion of `check_theorem_main` and `check_winf_universal`;
 - verify_quantum_group_dense: every Hopf axiom on A (x) A assembled as
   one dense block-diagonal matrix of side (sum n_k)^2, with products of
-  AlgElements and one SVD per operator norm; not exponential, but
+  AlgElements and each operator norm an SVD of the whole dense matrix
+  (batched over a stack, without the rows and columns that are zero in
+  all of it); not exponential, but
   independent of the product table and the block-by-block norms of
   `verify_quantum_group`, which must report the same residuals;
+- verify_quantum_group_loops and verify_coaction_loops: the Hopf and
+  coaction axioms with one Frobenius-screened norm (two SVDs) per stack
+  of blocks, coassociativity as two dim^4 products and the cancellation
+  ranks one block at a time; not exponential, but independent of the
+  per-size batched norms, the slabbed contractions and the stacked ranks
+  of `verify_quantum_group` and `verify_coaction`, whose residuals must
+  be == to the reference's;
 - hall_condition: the subset condition nu(p12^Y(S)) >= mu(S) over all
   2^n subsets S (guarded at n <= 20), with `neighborhood` for p12^Y(S),
   against the max-flow verdict of `feasible_coupling_on` (c04);
@@ -120,7 +129,7 @@ import numpy as np
 
 from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
                           exact_psd_pairs, extreme_state)
-from qiso.coaction import CoAction, act_on_function
+from qiso.coaction import CoAction, act_on_function, generation_deficit
 from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
                            induced_action, is_hopf_ideal, kappa_block_map,
                            quotient_quantum_group)
@@ -929,15 +938,44 @@ def coeff_to_dense(algebra: FinDimCStarAlgebra, M: np.ndarray) -> np.ndarray:
 
 
 def dense_to_coeff(algebra: FinDimCStarAlgebra, D: np.ndarray) -> np.ndarray:
+    """The inverse of coeff_to_dense, on a stack (..., N, N) of matrices."""
     layout, _ = _pair_layout(algebra)
     off = algebra.offsets
     dim = algebra.dim
-    M = np.zeros((dim, dim), dtype=complex)
+    lead = D.shape[:-2]
+    M = np.zeros(lead + (dim, dim), dtype=complex)
     for k, l, pos, nk, nl in layout:
-        four = D[pos:pos + nk * nl, pos:pos + nk * nl].reshape(nk, nl, nk, nl)
-        M[off[k]:off[k] + nk * nk, off[l]:off[l] + nl * nl] = \
-            four.transpose(0, 2, 1, 3).reshape(nk * nk, nl * nl)
+        four = D[..., pos:pos + nk * nl, pos:pos + nk * nl].reshape(
+            lead + (nk, nl, nk, nl))
+        M[..., off[k]:off[k] + nk * nk, off[l]:off[l] + nl * nl] = \
+            np.swapaxes(four, -3, -2).reshape(lead + (nk * nk, nl * nl))
     return M
+
+
+def _dense_norm(stack) -> float:
+    """The largest spectral norm in a stack (B, N, N) of dense matrices, in
+    one batched SVD, with the rows and the columns that are zero in every
+    matrix left out (they carry no nonzero singular value)."""
+    stack = np.asarray(stack)
+    live = stack != 0
+    rows = np.flatnonzero(live.any(axis=(0, 2)))
+    cols = np.flatnonzero(live.any(axis=(0, 1)))
+    if not len(rows) or not len(cols):
+        return 0.0
+    return float(np.linalg.norm(stack[:, rows][:, :, cols], 2, axis=(1, 2)).max())
+
+
+def _largest_element_norm(elements: Sequence[AlgElement]) -> float:
+    """The largest operator norm of AlgElements, as AlgElement.norm takes
+    it (abs on a 1x1 block), in one batched SVD per block."""
+    out = 0.0
+    for k in range(len(elements[0].data)):
+        stack = np.array([e.data[k] for e in elements])
+        if stack.shape[-1] == 1:
+            out = max(out, float(np.abs(stack).max()))
+        else:
+            out = max(out, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
+    return out
 
 
 def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
@@ -962,15 +1000,11 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
 
     # Delta is a unital *-homomorphism
     unit_tensor = coeff_to_dense(alg, np.outer(unit_vec, unit_vec))
-    rep.residuals["delta_unital"] = float(np.linalg.norm(
-        dense_of(unit) - unit_tensor, 2))
+    rep.residuals["delta_unital"] = _dense_norm([dense_of(unit) - unit_tensor])
 
-    star_res = 0.0
-    for a in range(dim):
-        lhs = dense_of(basis[a].star())
-        rhs = dense_of(basis[a]).conj().T
-        star_res = max(star_res, float(np.linalg.norm(lhs - rhs, 2)))
-    rep.residuals["delta_star"] = star_res
+    rep.residuals["delta_star"] = max(
+        _dense_norm([dense_of(basis[a].star()) - dense_of(basis[a]).conj().T])
+        for a in range(dim))
 
     commutative = all(b == 1 for b in alg.blocks)
     if commutative:
@@ -982,15 +1016,11 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
             target[a, a] = qg.delta[:, :, a]
         rep.residuals["delta_multiplicative"] = float(np.abs(prods - target).max())
     else:
-        mult_res = 0.0
-        for a in range(dim):
-            Da = dense_delta[a]
-            for b in range(dim):
-                prod = basis[a] * basis[b]
-                lhs = dense_of(prod)
-                mult_res = max(mult_res, float(np.linalg.norm(
-                    lhs - Da @ dense_delta[b], 2)))
-        rep.residuals["delta_multiplicative"] = mult_res
+        # one stack per a: Delta(e_a e_b) - Delta(e_a) Delta(e_b) over b
+        rep.residuals["delta_multiplicative"] = max(
+            _dense_norm([dense_of(basis[a] * basis[b]) - dense_delta[a] @ dense_delta[b]
+                         for b in range(dim)])
+            for a in range(dim))
 
     # coassociativity on coefficients: contract the leg being re-expanded
     D3 = qg.delta
@@ -1010,6 +1040,7 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
         rep.residuals["cancellation_left"] = float(dim * dim - left_rank)
         rep.residuals["cancellation_right"] = float(dim * dim - right_rank)
     elif check_cancellation:
+        delta_stack = np.array(dense_delta)
         for tag, left_leg in (("cancellation_left", True),
                               ("cancellation_right", False)):
             cols = []
@@ -1018,9 +1049,9 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
                 avec[a] = 1.0
                 mult = np.outer(avec, unit_vec) if left_leg else np.outer(unit_vec, avec)
                 dense_mult = coeff_to_dense(alg, mult)
-                for b in range(dim):
-                    cols.append(dense_to_coeff(
-                        alg, dense_mult @ dense_delta[b]).ravel())
+                # the products with every Delta(b), b = 0 .. dim - 1, at once
+                cols.extend(dense_to_coeff(alg, dense_mult @ delta_stack)
+                            .reshape(dim, -1))
             mat = np.array(cols)
             rank = np.linalg.matrix_rank(mat, tol=1e-8)
             rep.residuals[tag] = float(dim * dim - rank)
@@ -1041,7 +1072,7 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
     rep.residuals["counit_unital"] = abs(counit(qg, unit) - 1.0)
 
     # antipode axioms: m(kappa (x) id)Delta = eps(.)1 = m(id (x) kappa)Delta
-    anti_l = anti_r = 0.0
+    anti_l, anti_r = [], []
     for a in range(dim):
         M = apply_delta(qg, basis[a])
         acc_l = alg.zero()
@@ -1054,25 +1085,248 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
             if np.any(col):
                 acc_r = acc_r + alg.from_vec(col) * kbasis[b]
         target = counit(qg, basis[a]) * unit
-        anti_l = max(anti_l, (acc_l - target).norm())
-        anti_r = max(anti_r, (acc_r - target).norm())
-    rep.residuals["antipode_left"] = anti_l
-    rep.residuals["antipode_right"] = anti_r
+        anti_l.append(acc_l - target)
+        anti_r.append(acc_r - target)
+    rep.residuals["antipode_left"] = _largest_element_norm(anti_l)
+    rep.residuals["antipode_right"] = _largest_element_norm(anti_r)
 
     # Kac type: involutive, *-preserving, multiplication-reversing
     rep.residuals["kappa_involutive"] = float(np.abs(qg.kappa @ qg.kappa - eye).max())
-    kac_star = 0.0
-    anti_mult = 0.0
+    kac_star = []
+    anti_mult = []
     for a in range(dim):
-        kac_star = max(kac_star, (apply_kappa(qg, basis[a].star())
-                                  - kbasis[a].star()).norm())
+        kac_star.append(apply_kappa(qg, basis[a].star()) - kbasis[a].star())
         for b in range(dim):
             lhs = apply_kappa(qg, basis[a] * basis[b])
-            anti_mult = max(anti_mult, (lhs - kbasis[b] * kbasis[a]).norm())
-    rep.residuals["kappa_star"] = kac_star
-    rep.residuals["kappa_antimultiplicative"] = anti_mult
+            anti_mult.append(lhs - kbasis[b] * kbasis[a])
+    rep.residuals["kappa_star"] = _largest_element_norm(kac_star)
+    rep.residuals["kappa_antimultiplicative"] = _largest_element_norm(anti_mult)
     rep.residuals["kappa_unital"] = (apply_kappa(qg, unit) - unit).norm()
     return rep
+
+
+# ---------------------------------------------------------------------------
+# Hopf and coaction axioms with one screened norm per stack of blocks
+# (verify_quantum_group and verify_coaction before their norms were
+# batched by matrix size and their contractions taken a slab at a time)
+
+# Below this entry size a Frobenius sum of squares may have lost terms to
+# underflow, so it no longer bounds the spectral norm from above.
+_FROBENIUS_FLOOR = 1e-140
+
+
+def max_operator_norm(mats: np.ndarray) -> float:
+    """The largest spectral norm in a stack of square matrices (..., m, m),
+    bitwise equal to `operator_norms(mats).max()`, or NaN when an entry is
+    not finite.
+
+    Since ||M||_2 <= ||M||_F, only a matrix whose Frobenius norm reaches
+    the spectral norm of the one with the largest Frobenius norm can hold
+    the maximum; those are the only ones decomposed, that one included.
+    The 1e-12 margin covers the rounding of both norms, and a matrix whose
+    Frobenius sum may have overflowed (inf) or underflowed (entries below
+    _FROBENIUS_FLOOR) is always decomposed."""
+    absval = np.abs(mats)
+    scale = absval.max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        return float("nan")
+    if mats.shape[-1] == 1 or scale.max() == 0:
+        return float(scale.max())
+    frob = np.sqrt(np.einsum("...ij,...ij->...", absval, absval))
+    top = np.unravel_index(np.argmax(frob), frob.shape)
+    bound = np.linalg.svd(mats[top], compute_uv=False)[0] * (1 - 1e-12)
+    keep = (frob >= bound) | ((scale > 0) & (scale < _FROBENIUS_FLOOR))
+    return float(np.linalg.svd(mats[keep], compute_uv=False)[:, 0].max())
+
+
+
+def _product_table(alg: FinDimCStarAlgebra):
+    """Every nonzero product of matrix units, e_left e_right = e_into, as
+    three index arrays: E^k_ij E^k_jq = E^k_iq; all other products are 0."""
+    parts = []
+    for off, n in zip(alg.offsets, alg.blocks):
+        i, j, q = np.indices((n, n, n)).reshape(3, -1)
+        parts.append((off + i * n + j, off + j * n + q, off + i * n + q))
+    return tuple(np.concatenate(idx) for idx in zip(*parts))
+
+
+def _multiply(into: np.ndarray, terms: np.ndarray, dim: int) -> np.ndarray:
+    """The multiplication A (x) A -> A: terms[p, ...] is the coefficient of
+    e_left[p] (x) e_right[p]; the result has the basis on its last axis."""
+    out = np.zeros(terms.shape[1:] + (dim,), dtype=complex)
+    np.add.at(np.moveaxis(out, -1, 0), into, terms)
+    return out
+
+
+def _star_index(alg) -> np.ndarray:
+    """The permutation of basis indices that * induces: (E^k_ij)* = E^k_ji,
+    so the coefficients of x* are x.conj()[star]."""
+    return np.concatenate([off + np.arange(n * n).reshape(n, n).T.ravel()
+                           for off, n in zip(alg.offsets, alg.blocks)])
+
+
+def _kappa_star_residual(alg, star, kappa: np.ndarray) -> float:
+    """max_a ||kappa(e_a*) - kappa(e_a)*||, zero iff kappa commutes with *."""
+    return _element_norm(alg, (kappa[:, star] - kappa[star].conj()).T)
+
+
+def _element_norm(alg, X: np.ndarray) -> float:
+    """The largest operator norm of the elements X[..., a] of A."""
+    return float(np.max([max_operator_norm(X[..., idx])
+                         for idx in alg.blocks_by_size.values()]))
+
+
+def _tensor_blocks(groups, X: np.ndarray):
+    """The blocks of the elements X[..., b, g] of A (x) A, one stack of
+    shape (..., K, L, mn, mn) per pair of block sizes (m, n)."""
+    for m, rows in groups.items():
+        for n, cols in groups.items():
+            sub = X[..., rows[:, None, :, None, :, None],
+                    cols[None, :, None, :, None, :]]
+            yield sub.reshape(sub.shape[:-4] + (m * n, m * n))
+
+
+def _tensor_norm(groups, X: np.ndarray) -> float:
+    """The largest operator norm of the elements X[..., b, g] of A (x) A."""
+    return float(np.max([max_operator_norm(blocks)
+                         for blocks in _tensor_blocks(groups, X)]))
+
+
+
+def verify_quantum_group_loops(qg: QuantumGroup) -> QGReport:
+    """Check every axiom; the report lists the max violation per axiom.
+
+    Every residual comes from the coefficient tensors: products of matrix
+    units from one table, operator norms block by block, each the largest
+    spectral norm of a stack of blocks with the Frobenius screen of
+    `max_operator_norm` (bitwise the unscreened maximum).  The contractions
+    run on BLAS matrix products: coassociativity, counit and antipode with
+    delta as a (dim^2, dim) or (dim, dim^2) matrix, and the products
+    Delta(e_a) Delta(e_b) over all pairs as one product per pair of
+    blocks.  Coassociativity and those products still build dim^4
+    entries.  A non-finite entry in a structure map makes the residuals it
+    reaches NaN, and a NaN residual fails the report.
+    """
+    alg = qg.algebra
+    dim = alg.dim
+    groups = alg.blocks_by_size
+    left, right, into = _product_table(alg)
+    star = _star_index(alg)
+    unit = qg.unit_vec()
+    delta, epsilon, kappa = qg.delta, qg.epsilon, qg.kappa
+    by_a = delta.transpose(2, 0, 1)  # by_a[a]: coefficient matrix of Delta(e_a)
+    eye = np.eye(dim)
+    res: Dict[str, float] = {}
+
+    # Delta is a unital *-homomorphism; (E^k_ij)* = E^k_ji
+    res["delta_unital"] = _tensor_norm(groups, delta @ unit - np.outer(unit, unit))
+    res["delta_star"] = _tensor_norm(
+        groups, by_a[star] - by_a[:, star][:, :, star].conj())
+    mult = []
+    for blocks in _tensor_blocks(groups, by_a):
+        # Delta(e_a) Delta(e_b) for all a, b: one matrix product per block
+        # pair (K, L), the a-stack of its rows against the b-stack of columns
+        K, L, mn = blocks.shape[1], blocks.shape[2], blocks.shape[-1]
+        stack = blocks.transpose(1, 2, 0, 3, 4)                     # K L a i j
+        prod = (stack.reshape(K, L, dim * mn, mn)
+                @ stack.transpose(0, 1, 3, 2, 4).reshape(K, L, mn, dim * mn))
+        prod = prod.reshape(K, L, dim, mn, dim, mn).transpose(2, 4, 0, 1, 3, 5)
+        prod[left, right] -= blocks[into]  # minus Delta(e_a e_b)
+        mult.append(max_operator_norm(prod))
+    res["delta_multiplicative"] = float(np.max(mult))
+
+    # coassociativity on coefficients: contract the leg being re-expanded,
+    # one matrix product each with delta as a (dim^2, dim) matrix; both
+    # sides index the three legs and a in the same order
+    flat = delta.reshape(dim * dim, dim)
+    coass = flat @ delta.reshape(dim, dim * dim)     # (Delta (x) id) Delta: [rs, ga]
+    coass -= (flat @ delta).reshape(coass.shape)     # (id (x) Delta) Delta: [b, rs, a]
+    res["coassociativity"] = float(np.abs(coass).max())
+
+    # cancellation: spans {(a (x) 1) Delta(b)} and {(1 (x) a) Delta(b)} full.
+    # For a = E^k_ij, (a (x) 1) Delta(e_b) has coefficient delta[E^k_jq, g, b]
+    # at E^k_iq (x) e_g whatever i is, so the left span is n_k disjoint
+    # copies of the row space of one (n_k dim)-square matrix per block k;
+    # the right span mirrors this on the second leg.  With a non-finite
+    # entry in delta the ranks are undefined and both deficits are NaN.
+    left_rank = right_rank = np.nan
+    if np.isfinite(delta).all():
+        left_rank = right_rank = 0
+        for off, n in zip(alg.offsets, alg.blocks):
+            rows = delta[off:off + n * n].reshape(n, n, dim, dim)     # j q g b
+            cols = delta[:, off:off + n * n].reshape(dim, n, n, dim)  # c j q b
+            left_rank += n * np.linalg.matrix_rank(
+                rows.transpose(0, 3, 1, 2).reshape(n * dim, n * dim), tol=1e-8)
+            right_rank += n * np.linalg.matrix_rank(
+                cols.transpose(1, 3, 2, 0).reshape(n * dim, n * dim), tol=1e-8)
+    res["cancellation_left"] = float(dim * dim - left_rank)
+    res["cancellation_right"] = float(dim * dim - right_rank)
+
+    # counit axioms
+    res["counit_left"] = float(np.abs(
+        (epsilon @ delta.reshape(dim, dim * dim)).reshape(dim, dim) - eye).max())
+    res["counit_right"] = float(np.abs(epsilon @ delta - eye).max())
+    eps_prod = np.zeros((dim, dim), dtype=complex)
+    eps_prod[left, right] = epsilon[into]
+    res["counit_multiplicative"] = float(np.abs(
+        eps_prod - np.outer(epsilon, epsilon)).max())
+    res["counit_unital"] = float(abs(epsilon @ unit - 1.0))
+
+    # antipode axioms: m(kappa (x) id)Delta = eps(.)1 = m(id (x) kappa)Delta
+    target = np.outer(epsilon, unit)
+    kappa_left = (kappa @ delta.reshape(dim, dim * dim)).reshape(dim, dim, dim)
+    kappa_right = kappa @ delta  # [b, c, a]
+    res["antipode_left"] = _element_norm(
+        alg, _multiply(into, kappa_left[left, right], dim) - target)
+    res["antipode_right"] = _element_norm(
+        alg, _multiply(into, kappa_right[left, right], dim) - target)
+
+    # Kac type: involutive, *-preserving, multiplication-reversing
+    res["kappa_involutive"] = float(np.abs(kappa @ kappa - eye).max())
+    res["kappa_star"] = _kappa_star_residual(alg, star, kappa)
+    of_product = np.zeros((dim, dim, dim), dtype=complex)  # kappa(e_a e_b)
+    of_product[left, right] = kappa.T[into]
+    reversed_product = _multiply(   # kappa(e_b) kappa(e_a)
+        into, kappa[left][:, None, :] * kappa[right][:, :, None], dim)
+    res["kappa_antimultiplicative"] = _element_norm(
+        alg, of_product - reversed_product)
+    res["kappa_unital"] = _element_norm(alg, kappa @ unit - unit)
+    return QGReport(res)
+
+
+
+def verify_coaction_loops(action: CoAction, tol: float = 1e-9,
+                    check_faithful: bool = True) -> QGReport:
+    """All magic-unitary and coaction axioms as residuals, each an array
+    expression in the coefficient tensor.
+
+    Faithfulness is tested by saturating the linear span of products of
+    u-entries: the action is faithful iff the span reaches the whole
+    algebra.  The faithfulness entry of the report is the dimension
+    deficit of `generation_deficit` (0.0 when faithful)."""
+    qg = action.group
+    U = action.coeffs
+    rep = QGReport()
+    stacks = action.stacks
+    rep.residuals["entries_idempotent"] = float(np.max(
+        [max_operator_norm(S @ S - S) for S in stacks]))
+    rep.residuals["entries_selfadjoint"] = float(np.max(
+        [max_operator_norm(S.conj().swapaxes(-1, -2) - S) for S in stacks]))
+    rep.residuals["row_sums"] = float(np.max(
+        [max_operator_norm(S.sum(axis=1) - np.eye(S.shape[-1])) for S in stacks]))
+    rep.residuals["column_sums"] = float(np.max(
+        [max_operator_norm(S.sum(axis=0) - np.eye(S.shape[-1])) for S in stacks]))
+    # Delta(u_ij) = sum_k u_ik (x) u_kj on coefficients
+    rep.residuals["coaction_square"] = float(np.abs(
+        np.einsum("bga,ija->ijbg", qg.delta, U, optimize=True)
+        - np.einsum("ikb,kjg->ijbg", U, U, optimize=True)).max())
+    rep.residuals["counit_compatibility"] = float(np.abs(
+        U @ qg.epsilon - np.eye(action.n)).max())
+
+    if check_faithful:
+        rep.residuals["faithfulness_deficit"] = float(generation_deficit(action, tol))
+    return rep
+
 
 
 def _lambda_max_leq(mat: np.ndarray, bound, tol: float, scale: float,

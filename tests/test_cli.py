@@ -397,6 +397,27 @@ def test_cli_hall(tmp_path, capsys):
     assert code == 3 and doc["violator"] == [0, 1]
 
 
+def test_cli_hall_decides_at_tol(tmp_path, capsys):
+    """`qiso hall` decides at --tol as `coupling-on` does: in float mode at
+    tol 1e-3, nu off mu by 4e-4 still couples to mu on the diagonal, and
+    both commands print the same verdict and plan."""
+    mu, nu = [0.5, 0.5], [0.5004, 0.4996]
+    inst = tmp_path / "hall.json"
+    inst.write_text(json.dumps({"mu": mu, "nu": nu, "pairs": [[0, 0], [1, 1]]}))
+    (tmp_path / "mu.json").write_text(json.dumps({"mass": mu}))
+    (tmp_path / "nu.json").write_text(json.dumps({"mass": nu}))
+    (tmp_path / "pairs.json").write_text(json.dumps({"pairs": [[0, 0], [1, 1]]}))
+    tol = ["--mode", "float", "--tol", "1e-3"]
+    code, hall = run_cli(capsys, *tol, "hall", str(inst))
+    assert code == 0 and hall["feasible"] and hall["subset_condition"]
+    code, coupling = run_cli(capsys, *tol, "coupling-on",
+                             "--mu", str(tmp_path / "mu.json"),
+                             "--nu", str(tmp_path / "nu.json"),
+                             "--pairs", str(tmp_path / "pairs.json"))
+    assert code == 0 and coupling == {k: v for k, v in hall.items()
+                                      if k != "subset_condition"}
+
+
 def test_cli_check_and_envelope(tmp_path, capsys):
     act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
     path = tmp_path / "act.json"

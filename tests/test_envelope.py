@@ -7,6 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qiso import algebra
+from qiso.algebra import operator_norms
 from qiso.catalog import (dihedral_projection_action, four_point_asymmetric,
                           four_point_blocks, four_cycle_broken_diagonal,
                           permutation_action, random_permutation_action,
@@ -287,6 +289,46 @@ def test_envelope_equals_entry_cut_then_saturation():
                 mine, theirs = getattr(env.quotient, name), getattr(qg, name)
                 assert mine.shape == theirs.shape and (
                     mine.view(np.uint8) == theirs.view(np.uint8)).all(), name
+
+
+def test_screened_cut_equals_unscreened_cut(monkeypatch):
+    """generated_ideal kills the blocks where some defect's spectral norm,
+    taken by an SVD of every defect block, exceeds tol x max d: on the
+    reference population (the c07 population and more) and on the
+    near-tie spaces on each side of their crossings.  The screen leaves
+    to the SVD only the blocks that neither their largest entry nor their
+    Frobenius norm decides: none of the population's, some near ties."""
+    decomposed = []
+
+    def counted(mats):
+        if mats.shape[-1] > 1:
+            decomposed.append(len(mats))
+        return operator_norms(mats)
+
+    near_ties = []
+    for m in (3, 4, 5, 6, 8):
+        base = dihedral_projection_action(_near_tie_space(0.0), m)
+        near_ties += [CoAction(base.group, _near_tie_space(2e-6 * f), base.u)
+                      for f in (0.5, 0.98, 1.02, 1.5, 1.98, 2.02, 3.0)]
+    monkeypatch.setattr(algebra, "operator_norms", counted)
+    for cases in (_reference_population(), near_ties):
+        decomposed.clear()
+        blocks = 0
+        for action in cases:
+            qg, space = action.group, action.space
+            bound = space.tol * float(space.max_distance)
+            defects = commutator_defects(action).reshape(-1, qg.dim)
+            alg = qg.algebra
+            unscreened = {
+                k for k, (off, b) in enumerate(zip(alg.offsets, alg.blocks))
+                if b > 1 and np.linalg.norm(defects[:, off:off + b * b].reshape(
+                    -1, b, b), 2, axis=(1, 2)).max() > bound
+                or b == 1 and np.abs(defects[:, off]).max() > bound}
+            assert generated_ideal(qg, defects, bound).included_blocks == \
+                unscreened, action.name
+            blocks += len(defects) * sum(b > 1 for b in alg.blocks)
+        assert blocks > 1000 and (sum(decomposed) > 0) == (cases is near_ties), \
+            (sum(decomposed), blocks)
 
 
 def test_hopf_block_maps_equal_the_loops():

@@ -9,7 +9,7 @@ import pytest
 from qiso import coaction, quantum_group
 from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
                           StateFunctional, exact_psd_pairs,
-                          extreme_state, max_operator_norm, operator_norms,
+                          extreme_state, max_operator_norms, operator_norms,
                           random_state)
 from qiso.catalog import (cycle_metric, dihedral_group_algebra, dihedral_perms,
                           random_permutation_action, standard_actions,
@@ -22,7 +22,8 @@ from qiso.quantum_group import (InconsistentIrreps, KacViolation, NotAGroup,
                                 verify_quantum_group)
 
 from oracles import (apply_kappa, exact_psd, psd_by_principal_minors,
-                     verify_quantum_group_dense)
+                     verify_coaction_loops, verify_quantum_group_dense,
+                     verify_quantum_group_loops)
 
 
 def test_algebra_shapes_and_unit():
@@ -99,17 +100,24 @@ def test_exact_psd_matches_principal_minors():
 
 
 def test_max_operator_norm_equals_unscreened_max():
-    """max_operator_norm is == to the largest of operator_norms on seeded
+    """max_operator_norms is == to the largest of operator_norms on seeded
     complex stacks of 1x1 to 6x6 matrices: with exact-zero matrices, with
     matrices sharing one set of singular values (their Frobenius norms
     tie), rank-one matrices (Frobenius norm equal to the spectral norm),
     and scaled so far that the Frobenius sums underflow (1e-160, 1e-170)
-    or overflow (1e155), alone and mixed with other scales."""
+    or overflow (1e155), alone and mixed with other scales; each stack on
+    its own, and all of them at once, several to a name and in transposed
+    (non-contiguous) layouts, so that each matrix size takes one batched
+    SVD of every stack's top and one of every stack's survivors."""
     rng = np.random.default_rng(1515)
 
     def ginibre(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
+    def unscreened(stacks):
+        return float(np.max([operator_norms(mats).max() for mats in stacks]))
+
+    named = {}
     for m in (1, 2, 4, 6):
         for trial in range(12):
             mats = ginibre(14, m, m)
@@ -127,23 +135,35 @@ def test_max_operator_norm_equals_unscreened_max():
                 mats[k] = 5 * np.outer(x / np.linalg.norm(x), y / np.linalg.norm(y))
             for scale in (1.0, 1e-150, 1e150, 1e-160, 1e-170, 1e155):
                 scaled = mats * scale
-                assert max_operator_norm(scaled) == operator_norms(scaled).max(), \
-                    (m, trial, scale)
+                assert max_operator_norms({"": [scaled]})[""] == \
+                    unscreened([scaled]), (m, trial, scale)
+                named[(m, trial, scale)] = [scaled]
             mixed = mats * rng.choice([1e-170, 1e-160, 1e-150, 1.0, 1e150, 1e155],
                                       size=(14, 1, 1))
-            assert max_operator_norm(mixed) == operator_norms(mixed).max(), (m, trial)
             stacked = mats[:12].reshape(3, 4, m, m)
-            assert max_operator_norm(stacked) == operator_norms(stacked).max()
-        assert max_operator_norm(np.zeros((3, m, m))) == 0.0
+            transposed = mats[:12].reshape(2, 6, m, m).transpose(1, 0, 2, 3)
+            named[(m, trial)] = [mixed, stacked, transposed]
+            for stacks in [[mixed], [stacked], [transposed], named[(m, trial)]]:
+                assert max_operator_norms({"": stacks})[""] == unscreened(stacks), \
+                    (m, trial)
+        assert max_operator_norms({"": [np.zeros((3, m, m))]})[""] == 0.0
+    together = max_operator_norms(named)
+    assert list(together) == list(named)
+    assert together == {name: unscreened(stacks) for name, stacks in named.items()}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 def test_max_operator_norm_of_a_non_finite_stack_is_nan(bad):
+    """A stack with a non-finite entry has NaN for its name, alone or among
+    finite stacks of its size and of other names."""
     rng = np.random.default_rng(7)
     for m in (1, 2, 4):
         mats = rng.normal(size=(6, m, m)) * 1e3 + 0j
         mats[rng.integers(6), rng.integers(m), rng.integers(m)] = bad
-        assert np.isnan(max_operator_norm(mats))
+        clean = rng.normal(size=(5, m, m)) + 0j
+        norms = max_operator_norms({"bad": [clean, mats], "clean": [clean]})
+        assert np.isnan(norms["bad"])
+        assert norms["clean"] == operator_norms(clean).max()
 
 
 def test_state_roundtrip_and_sampling():
@@ -267,12 +287,104 @@ def test_blockwise_verifier_matches_dense_reference():
         _assert_same_residuals(mutated, (fault, qg.name, target, size))
 
 
+def _hopf_workload_groups():
+    """The groups the benchmark's hopf workload verifies: C(D4)-C(D8) on
+    seeded relabelings of the m-gon, dual-D4 to dual-D8 and dual-D10."""
+    rng = random.Random(5)
+    groups = []
+    for m in range(4, 9):
+        sigma = list(range(m))
+        rng.shuffle(sigma)
+        inv = [sigma.index(j) for j in range(m)]
+        gens = [tuple(inv[g[s]] for s in sigma) for g in dihedral_perms(m)[1:3]]
+        groups.append(function_algebra_of_group(
+            close_generators(m, gens), name=f"C(D{m}), relabeled"))
+    return groups + [dihedral_group_algebra(m) for m in (4, 5, 6, 7, 8, 10)]
+
+
+def _faulted(rng, groups, actions, sizes):
+    """One seeded single-entry fault, in delta, epsilon, kappa or u: a
+    QuantumGroup, or a CoAction of an unchanged group."""
+    target = rng.choice(("delta", "epsilon", "kappa", "u"))
+    size = rng.choice(sizes)
+    if not np.isnan(size):
+        size = size * rng.choice((1, -1, 1j))
+    if target == "u":
+        action = rng.choice(actions)
+        u = [list(row) for row in action.u]
+        i, j = rng.randrange(action.n), rng.randrange(action.n)
+        vec = u[i][j].vec()
+        vec[rng.randrange(action.group.dim)] += size
+        u[i][j] = action.group.algebra.from_vec(vec)
+        return CoAction(action.group, action.space, u)
+    qg = rng.choice(groups)
+    delta, epsilon, kappa = qg.delta.copy(), qg.epsilon.copy(), qg.kappa.copy()
+    index = lambda: rng.randrange(qg.dim)
+    if target == "delta":
+        delta[index(), index(), index()] += size
+    elif target == "epsilon":
+        epsilon[index()] += size
+    else:
+        kappa[index(), index()] += size
+    return QuantumGroup(qg.algebra, delta, epsilon, kappa)
+
+
+def _same_residuals(report, reference):
+    """== residual by residual and in the same order, NaN matching NaN."""
+    mine, theirs = report.residuals, reference.residuals
+    return list(mine) == list(theirs) and all(
+        mine[k] == theirs[k] or (np.isnan(mine[k]) and np.isnan(theirs[k]))
+        for k in mine)
+
+
+def test_verifiers_equal_loop_references():
+    """verify_quantum_group and verify_coaction report residuals == to the
+    references of tests/oracles.py, which norm each stack of blocks on its
+    own and contract coassociativity in two dim^4 products: on the hopf
+    workload's groups, the catalog and standard groups and actions,
+    C(D4)-C(D8), dual-D3 to dual-D12 and C(S4), and on 420 seeded
+    single-entry faults of sizes 1e-3, 0.1, 1, NaN and inf: at least 300
+    in delta, epsilon and kappa, the rest in u."""
+    catalog_actions = [e.action for e in standard_actions()]
+    small = [a.group for a in catalog_actions] + standard_groups()
+    groups = _hopf_workload_groups() + small + \
+        [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+         for m in range(4, 9)] + \
+        [dihedral_group_algebra(m) for m in range(3, 13)] + \
+        [function_algebra_of_group(close_generators(
+            4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")]
+    for qg in groups:
+        assert _same_residuals(verify_quantum_group(qg),
+                               verify_quantum_group_loops(qg)), qg.name
+    for action in catalog_actions:
+        assert _same_residuals(verify_coaction(action),
+                               verify_coaction_loops(action)), action.name
+    rng = random.Random(2323)
+    faulted = small + _hopf_workload_groups()[:8]
+    kinds = {"group": 0, "action": 0}
+    with np.errstate(all="ignore"):
+        for fault in range(420):
+            case = _faulted(rng, faulted, catalog_actions,
+                            (1e-3, 0.1, 1.0, np.nan, np.inf))
+            if isinstance(case, CoAction):
+                kinds["action"] += 1
+                assert _same_residuals(
+                    verify_coaction(case, check_faithful=False),
+                    verify_coaction_loops(case, check_faithful=False)), fault
+            else:
+                kinds["group"] += 1
+                assert _same_residuals(verify_quantum_group(case),
+                                       verify_quantum_group_loops(case)), fault
+    assert kinds["group"] >= 300 and kinds["action"] >= 50, kinds
+
+
 def test_screened_residuals_equal_unscreened(monkeypatch):
     """Every residual of verify_quantum_group and verify_coaction is == to
     the one computed with the plain maximum of operator_norms in place of
     the Frobenius screen: on the catalog groups and actions, C(D4)-C(D8),
     dual-D10, and 40 seeded single-entry faults in delta, epsilon, kappa
-    and u."""
+    and u.  The patched name is the one the verifiers call: each verifier
+    call invokes it once."""
     catalog_actions = [e.action for e in standard_actions()]
     clean = [a.group for a in catalog_actions] + standard_groups() + \
         [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
@@ -280,27 +392,9 @@ def test_screened_residuals_equal_unscreened(monkeypatch):
     rng = random.Random(1515)
     groups, actions = list(clean), list(catalog_actions)
     for _ in range(40):
-        action = rng.choice(catalog_actions)
-        qg = action.group
-        delta, epsilon, kappa = qg.delta.copy(), qg.epsilon.copy(), qg.kappa.copy()
-        size = rng.choice((1e-3, 0.1, 1.0)) * rng.choice((1, -1, 1j))
-        index = lambda: rng.randrange(qg.dim)
-        target = rng.choice(("delta", "epsilon", "kappa", "u"))
-        if target == "delta":
-            delta[index(), index(), index()] += size
-        elif target == "epsilon":
-            epsilon[index()] += size
-        elif target == "kappa":
-            kappa[index(), index()] += size
-        else:
-            u = [list(row) for row in action.u]
-            i, j = rng.randrange(action.n), rng.randrange(action.n)
-            vec = u[i][j].vec()
-            vec[index()] += size
-            u[i][j] = qg.algebra.from_vec(vec)
-            actions.append(CoAction(qg, action.space, u))
-            continue
-        groups.append(QuantumGroup(qg.algebra, delta, epsilon, kappa))
+        case = _faulted(rng, [a.group for a in catalog_actions], catalog_actions,
+                        (1e-3, 0.1, 1.0))
+        (actions if isinstance(case, CoAction) else groups).append(case)
 
     def residuals():
         return ([verify_quantum_group(qg).residuals for qg in groups],
@@ -308,10 +402,18 @@ def test_screened_residuals_equal_unscreened(monkeypatch):
                  for a in actions])
 
     screened = residuals()
-    unscreened = lambda mats: float(operator_norms(mats).max())
-    monkeypatch.setattr(quantum_group, "max_operator_norm", unscreened)
-    monkeypatch.setattr(coaction, "max_operator_norm", unscreened)
+    calls = []
+
+    def unscreened(named):
+        calls.append(len(named))
+        return {name: float(np.max([operator_norms(mats).max() for mats in stacks]))
+                for name, stacks in named.items()}
+
+    monkeypatch.setattr(quantum_group, "max_operator_norms", unscreened)
+    monkeypatch.setattr(coaction, "max_operator_norms", unscreened)
     assert residuals() == screened
+    # positive control: one call per verifier call, with every norm residual
+    assert calls == [8] * len(groups) + [4] * len(actions)
 
 
 @pytest.mark.parametrize("target", ["delta", "epsilon", "kappa"])
