@@ -165,6 +165,9 @@ def _dihedral_word(g, m: int):
     return c, 1
 
 
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
 def dihedral_irreps(m: int, group) -> List[np.ndarray]:
     """A complete family of unitary irreps of D_m (m >= 3)."""
     order = len(group)
@@ -183,7 +186,9 @@ def dihedral_irreps(m: int, group) -> List[np.ndarray]:
         U = np.zeros((order, 2, 2), dtype=complex)
         for a, g in enumerate(group):
             c, f = _dihedral_word(g, m)
-            w = omega ** (k * c)
+            # omega^(kc) is a power of i, taken exactly, when m divides 4kc
+            w = _QUARTER_TURNS[4 * k * c // m % 4] if 4 * k * c % m == 0 \
+                else omega ** (k * c)
             if f == 0:
                 U[a] = np.array([[w, 0], [0, w.conjugate()]])
             else:

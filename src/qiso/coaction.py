@@ -92,10 +92,17 @@ def verify_coaction(action: CoAction, tol: float = 1e-9,
         "entries_selfadjoint": [S.conj().swapaxes(-1, -2) - S for S in stacks],
         "row_sums": [S.sum(axis=1) - np.eye(S.shape[-1]) for S in stacks],
         "column_sums": [S.sum(axis=0) - np.eye(S.shape[-1]) for S in stacks]}))
-    # Delta(u_ij) = sum_k u_ik (x) u_kj on coefficients
+    # Delta(u_ij) = sum_k u_ik (x) u_kj on coefficients, two matrix
+    # products: delta as a (dim^2, dim) matrix against the entries, in
+    # [b, g, i, j] order, and the [i, b] x k rows against the k x [j, g]
+    # columns, in [i, b, j, g] order
+    n, dim = action.n, qg.dim
+    image = (qg.delta.reshape(dim * dim, dim) @ U.reshape(n * n, dim).T
+             ).reshape(dim, dim, n, n)
+    square = (U.transpose(0, 2, 1).reshape(n * dim, n) @ U.reshape(n, n * dim)
+              ).reshape(n, dim, n, dim)
     rep.residuals["coaction_square"] = float(np.abs(
-        np.einsum("bga,ija->ijbg", qg.delta, U, optimize=True)
-        - np.einsum("ikb,kjg->ijbg", U, U, optimize=True)).max())
+        image.transpose(2, 3, 0, 1) - square.transpose(0, 2, 1, 3)).max())
     rep.residuals["counit_compatibility"] = float(np.abs(
         U @ qg.epsilon - np.eye(action.n)).max())
 

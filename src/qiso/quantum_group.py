@@ -102,6 +102,15 @@ class QuantumGroup:
 # a time; a slab holds about this many entries (512 KB of complex).
 _COASSOCIATIVITY_SLAB = 2 ** 15
 
+# A cancellation rank counts the singular values above this bound.
+_RANK_TOL = 1e-8
+
+# The Gram matrices of cancellation matrices up to this side are shifted
+# down by this multiple of their traces before the Cholesky certificate of
+# `_total_rank`, whose rounding analysis needs both.
+_GRAM_SHIFT = 1e-12
+_CERTIFIED_SIDE = 240
+
 
 def _product_table(alg: FinDimCStarAlgebra):
     """Every nonzero product of matrix units, e_left e_right = e_into, as
@@ -154,6 +163,45 @@ def _tensor_blocks(groups, X: np.ndarray):
             yield sub.reshape(sub.shape[:-4] + (m * n, m * n))
 
 
+def _total_rank(mats: np.ndarray) -> int:
+    """The sum of the ranks of a stack of finite square matrices (K, s, s),
+    counting singular values above _RANK_TOL: the integer
+    `np.linalg.matrix_rank(mats, tol=_RANK_TOL).sum()` gives.
+
+    A stack of side s <= _CERTIFIED_SIDE is first certified full rank by
+    one batched Cholesky factorization of G - t I, where G = fl(M^H M),
+    F = ||M||_F^2 (the trace of G up to rounding) and t = 2 _RANK_TOL^2 +
+    _GRAM_SHIFT F.  Success puts every singular value above _RANK_TOL by a
+    margin no SVD rounding crosses.  With u = 2^-53 and g_m = m u/(1 - m u):
+    - forming G errs by at most g_{s+2} F in norm (complex inner products,
+      entrywise bound |M|^H |M|);
+    - subtracting t rounds the diagonal by at most u F;
+    - a factorization that completes gives R^H R = A + E for the matrix A
+      it was given, |E| <= g_{s+1} |R|^H |R|, so ||E||_2 <= g_{s+1}
+      ||R||_F^2 <= 2 g_{s+1} F (Demmel 1989; Higham, Accuracy and
+      Stability of Numerical Algorithms, Thm 10.5).
+    Since R^H R >= 0, lambda_min(M^H M) >= t - 4 g_{s+2} F, and 4 g_{s+2}
+    < 1.1e-13 for s <= 240, a ninth of _GRAM_SHIFT, which leaves room for
+    the constant factors of complex arithmetic.  So sigma_min(M)^2 >
+    2 _RANK_TOL^2 + 8.9e-13 F >= (_RANK_TOL + d)^2 for every d <=
+    6.6e-7 sqrt(F).  A backward stable SVD gets each singular value to
+    within p(s) u ||M||_2 <= p(s) u sqrt(F), below such a d for any p(s) <
+    5e9, so it counts full rank too.  The shift is relative: a matrix with
+    sigma_min^2 below about 1e-12 F fails the certificate, and its stack
+    takes its ranks from `matrix_rank`, as do stacks of larger sides."""
+    side = mats.shape[-1]
+    if side <= _CERTIFIED_SIDE:
+        gram = mats.conj().swapaxes(-1, -2) @ mats
+        shift = 2 * _RANK_TOL ** 2 + _GRAM_SHIFT * np.trace(gram, axis1=1, axis2=2).real
+        gram[:, np.arange(side), np.arange(side)] -= shift[:, None]
+        try:
+            np.linalg.cholesky(gram)
+            return len(mats) * side
+        except np.linalg.LinAlgError:
+            pass
+    return int(np.linalg.matrix_rank(mats, tol=_RANK_TOL).sum())
+
+
 @dataclass
 class QGReport:
     residuals: Dict[str, float] = field(default_factory=dict)
@@ -181,7 +229,11 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     (dim, dim^2) matrix, coassociativity one slab of its first leg at a
     time, and the products Delta(e_a) Delta(e_b) over all pairs as one
     product per pair of blocks.  The cancellation ranks take one batched
-    rank per block size and side.
+    Cholesky certificate of full rank per block size and side, and
+    `matrix_rank` only for a stack the certificate does not decide
+    (`_total_rank`); either way they are the SVD's ranks.  The Haar state
+    needs no solve here: for a Hopf algebra it is the Plancherel trace
+    (Larson-Radford, see `haar_state`).
 
     Working set: delta and every other residual's arrays are dim^3
     entries, but for two.  Coassociativity compares its two dim^4 sides
@@ -253,10 +305,8 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
             side = n * dim
             rows = delta[idx].transpose(0, 1, 4, 2, 3)    # K j b q g
             cols = delta[:, idx].transpose(1, 2, 4, 3, 0)  # K j b q c
-            left_rank += n * int(np.linalg.matrix_rank(
-                rows.reshape(-1, side, side), tol=1e-8).sum())
-            right_rank += n * int(np.linalg.matrix_rank(
-                cols.reshape(-1, side, side), tol=1e-8).sum())
+            left_rank += n * _total_rank(rows.reshape(-1, side, side))
+            right_rank += n * _total_rank(cols.reshape(-1, side, side))
     res["cancellation_left"] = float(dim * dim - left_rank)
     res["cancellation_right"] = float(dim * dim - right_rank)
 
@@ -317,30 +367,34 @@ class HaarResult:
 
 
 def haar_state(qg: QuantumGroup, tol: float = 1e-9) -> HaarResult:
-    """The unique bi-invariant state, by solving (h (x) id)Delta(a) = h(a)1
-    and its mirror as one least-squares system over the basis."""
+    """The unique bi-invariant state, in closed form.  The regular
+    character of a finite-dimensional semisimple cosemisimple Hopf algebra
+    is a two-sided integral (Larson and Radford, Amer. J. Math. 110, 1988;
+    for finite quantum groups cf. Van Daele, Proc. AMS 125, 1997), and
+    left multiplication by a on the block M_{n_k} has trace n_k Tr_k(a_k).
+    So the Haar state is the Plancherel trace h = sum_k (n_k / dim) Tr_k,
+    whose densities (n_k / dim) I are positive definite: `reduced` is
+    always True.
+
+    The theorem needs a Hopf algebra, so h is checked: the residual is the
+    largest of (h (x) id)Delta(a) - h(a)1, its mirror (id (x) h)Delta(a) -
+    h(a)1 over the basis, and h(1) - 1.  Raises NoInvariantState when it
+    exceeds max(tol, 1e-7), or when delta has a non-finite entry."""
+    alg = qg.algebra
     dim = qg.dim
-    unit_vec = qg.unit_vec()
-    D3 = qg.delta
-    if not np.isfinite(D3).all():
+    delta = qg.delta
+    if not np.isfinite(delta).all():
         raise NoInvariantState("delta has a non-finite entry")
-    # row (a, g) of left invariance: sum_b D3[b,g,a] h_b - h_a unit[g] = 0;
-    # row (a, b) of right invariance: sum_g D3[b,g,a] h_g - h_a unit[b] = 0
-    unit_diag = np.einsum("ab,g->agb", np.eye(dim), unit_vec)
-    A = np.vstack([(D3.transpose(2, 1, 0) - unit_diag).reshape(dim * dim, dim),
-                   (D3.transpose(2, 0, 1) - unit_diag).reshape(dim * dim, dim),
-                   unit_vec])  # normalization h(1) = 1
-    b = np.zeros(2 * dim * dim + 1)
-    b[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.abs(A @ sol - b).max())
-    if residual > max(tol, 1e-7):
+    state = StateFunctional(alg, [np.eye(n) * (n / dim) for n in alg.blocks])
+    h = state.as_vector()
+    unit = qg.unit_vec()
+    expected = np.outer(unit, h)   # h(e_a) 1 at [leg, a]
+    left = (h @ delta.reshape(dim, dim * dim)).reshape(dim, dim) - expected
+    right = h @ delta - expected  # [b, a]: sum_g delta[b, g, a] h_g
+    residual = float(max(np.abs(left).max(), np.abs(right).max(), abs(h @ unit - 1)))
+    if not residual <= max(tol, 1e-7):
         raise NoInvariantState(f"no bi-invariant state (residual {residual:.2e})")
-    state = StateFunctional.from_vector(qg.algebra, sol)
-    if not state.is_state(tol=1e-7):
-        raise NoInvariantState("invariant functional is not a state")
-    reduced = all(float(np.linalg.eigvalsh(rho)[0]) > tol for rho in state.densities)
-    return HaarResult(state=state, reduced=reduced, residual=residual)
+    return HaarResult(state=state, reduced=True, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -411,37 +465,50 @@ def function_algebra_of_group(group: List[Permutation],
     return QuantumGroup(alg, delta, epsilon, kappa, name=name)
 
 
+def _cayley_table(group: List[Permutation]) -> np.ndarray:
+    """table[a, b]: the index of compose(group[a], group[b]), from one
+    stacked composition and one sort of the permutations' rows."""
+    perms = np.array(group)
+    order, n = perms.shape
+    products = perms[np.arange(order)[:, None, None], perms[None]].reshape(-1, n)
+    _, key = np.unique(np.concatenate([perms, products]), axis=0, return_inverse=True)
+    key = key.ravel()
+    element = np.full(key.max() + 1, -1)
+    element[key[:order]] = np.arange(order)
+    table = element[key[order:]].reshape(order, order)
+    if (table < 0).any():
+        raise NotAGroup("the permutations are not closed under composition")
+    return table
+
+
 def group_algebra(group: List[Permutation], irreps: Sequence[np.ndarray],
                   name: str = "") -> QuantumGroup:
     """The dual object: blocks M_{d_r} from a complete family of unitary
     irreps, with the group-like comultiplication carried through the
-    Artin-Wedderburn isomorphism."""
+    Artin-Wedderburn isomorphism.  Unitarity and the homomorphism property
+    are checked on stacked products over the Cayley table."""
     order = len(group)
     index = {g: a for a, g in enumerate(group)}
     dims = [U.shape[1] for U in irreps]
     if sum(d * d for d in dims) != order:
         raise InconsistentIrreps("irrep dimensions do not sum to the order")
+    table = _cayley_table(group)
     for U in irreps:
         if U.shape[0] != order:
             raise InconsistentIrreps("each irrep needs one matrix per element")
-        for a, ga in enumerate(group):
-            if np.linalg.norm(U[a] @ U[a].conj().T - np.eye(U.shape[1])) > 1e-9:
-                raise InconsistentIrreps("irrep matrices must be unitary")
-            for b, gb in enumerate(group):
-                if np.linalg.norm(U[a] @ U[b] - U[index[compose(ga, gb)]]) > 1e-9:
-                    raise InconsistentIrreps("irrep is not a homomorphism")
+        gram = U @ U.conj().swapaxes(1, 2) - np.eye(U.shape[1])
+        if (np.linalg.norm(gram, axis=(1, 2)) > 1e-9).any():
+            raise InconsistentIrreps("irrep matrices must be unitary")
+        if (np.linalg.norm(U[:, None] @ U[None] - U[table], axis=(2, 3)) > 1e-9).any():
+            raise InconsistentIrreps("irrep is not a homomorphism")
     alg = FinDimCStarAlgebra(tuple(dims))
-
-    def embed(a: int) -> np.ndarray:
-        return np.concatenate([U[a].ravel() for U in irreps])
-
-    V = np.column_stack([embed(a) for a in range(order)])
+    V = np.vstack([U.reshape(order, -1).T for U in irreps])  # column a: element a
     Vinv = np.linalg.inv(V)
+    # Delta(lambda_g) = lambda_g (x) lambda_g, so Delta(e_alpha) is the sum
+    # over g of Vinv[g, alpha] V[:, g] V[:, g]^T, accumulated in g order
     delta = np.zeros((order, order, order), dtype=complex)
-    for alpha in range(order):
-        coeffs = Vinv @ np.eye(order)[alpha]
-        M = sum(c * np.outer(V[:, g], V[:, g]) for g, c in enumerate(coeffs))
-        delta[:, :, alpha] = M
+    for g in range(order):
+        delta += Vinv[g] * np.outer(V[:, g], V[:, g])[:, :, None]
     epsilon = np.ones(order, dtype=complex) @ Vinv
     P = np.zeros((order, order))
     for a, ga in enumerate(group):

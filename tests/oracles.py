@@ -62,6 +62,15 @@ exponential in the number of points:
   per-size batched norms, the slabbed contractions and the stacked ranks
   of `verify_quantum_group` and `verify_coaction`, whose residuals must
   be == to the reference's;
+- haar_vector_lstsq: the bi-invariant functional as the least-squares
+  solution of (h (x) id)Delta(a) = h(a)1, its mirror and h(1) = 1 over
+  the basis, with the solve's residual, against the Plancherel trace of
+  `haar_state`;
+- group_algebra_loops: the group algebra as first built, with one
+  unitarity norm per element and one homomorphism norm and composition
+  per pair, and Delta(e_alpha) one column at a time, against the stacked
+  checks over the Cayley table of `group_algebra`, whose structure maps
+  must be bitwise equal to the reference's;
 - hall_condition: the subset condition nu(p12^Y(S)) >= mu(S) over all
   2^n subsets S (guarded at n <= 20), with `neighborhood` for p12^Y(S),
   against the max-flow verdict of `feasible_coupling_on` (c04);
@@ -142,7 +151,8 @@ from qiso.metric import (AsymmetricMatrix, FiniteMetricSpace, NegativeDistance,
                          NonzeroDiagonal, PairSet, TriangleViolation, ball,
                          level_set, lipschitz_constant, sublevel_set,
                          validate_metric)
-from qiso.quantum_group import QGReport, QuantumGroup
+from qiso.quantum_group import (InconsistentIrreps, Permutation, QGReport,
+                                QuantumGroup, compose, invert)
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
                             DualPotentials, InfeasibleMarginals, ProbVector,
@@ -1293,6 +1303,65 @@ def verify_quantum_group_loops(qg: QuantumGroup) -> QGReport:
     res["kappa_unital"] = _element_norm(alg, kappa @ unit - unit)
     return QGReport(res)
 
+
+
+def haar_vector_lstsq(qg: QuantumGroup) -> Tuple[np.ndarray, float]:
+    """The bi-invariant functional over the basis, by solving (h (x)
+    id)Delta(a) = h(a)1 and its mirror as one least-squares system with
+    h(1) = 1, and the largest residual of that system."""
+    dim = qg.dim
+    unit_vec = qg.unit_vec()
+    D3 = qg.delta
+    # row (a, g) of left invariance: sum_b D3[b,g,a] h_b - h_a unit[g] = 0;
+    # row (a, b) of right invariance: sum_g D3[b,g,a] h_g - h_a unit[b] = 0
+    unit_diag = np.einsum("ab,g->agb", np.eye(dim), unit_vec)
+    A = np.vstack([(D3.transpose(2, 1, 0) - unit_diag).reshape(dim * dim, dim),
+                   (D3.transpose(2, 0, 1) - unit_diag).reshape(dim * dim, dim),
+                   unit_vec])  # normalization h(1) = 1
+    b = np.zeros(2 * dim * dim + 1)
+    b[-1] = 1.0
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return sol, float(np.abs(A @ sol - b).max())
+
+
+def group_algebra_loops(group: List[Permutation], irreps: Sequence[np.ndarray],
+                        name: str = "") -> QuantumGroup:
+    """The dual object: blocks M_{d_r} from a complete family of unitary
+    irreps, with the group-like comultiplication carried through the
+    Artin-Wedderburn isomorphism; each irrep checked one element and one
+    pair of elements at a time."""
+    order = len(group)
+    index = {g: a for a, g in enumerate(group)}
+    dims = [U.shape[1] for U in irreps]
+    if sum(d * d for d in dims) != order:
+        raise InconsistentIrreps("irrep dimensions do not sum to the order")
+    for U in irreps:
+        if U.shape[0] != order:
+            raise InconsistentIrreps("each irrep needs one matrix per element")
+        for a, ga in enumerate(group):
+            if np.linalg.norm(U[a] @ U[a].conj().T - np.eye(U.shape[1])) > 1e-9:
+                raise InconsistentIrreps("irrep matrices must be unitary")
+            for b, gb in enumerate(group):
+                if np.linalg.norm(U[a] @ U[b] - U[index[compose(ga, gb)]]) > 1e-9:
+                    raise InconsistentIrreps("irrep is not a homomorphism")
+    alg = FinDimCStarAlgebra(tuple(dims))
+
+    def embed(a: int) -> np.ndarray:
+        return np.concatenate([U[a].ravel() for U in irreps])
+
+    V = np.column_stack([embed(a) for a in range(order)])
+    Vinv = np.linalg.inv(V)
+    delta = np.zeros((order, order, order), dtype=complex)
+    for alpha in range(order):
+        coeffs = Vinv @ np.eye(order)[alpha]
+        M = sum(c * np.outer(V[:, g], V[:, g]) for g, c in enumerate(coeffs))
+        delta[:, :, alpha] = M
+    epsilon = np.ones(order, dtype=complex) @ Vinv
+    P = np.zeros((order, order))
+    for a, ga in enumerate(group):
+        P[index[invert(ga)], a] = 1.0
+    kappa = V @ P @ Vinv
+    return QuantumGroup(alg, delta, epsilon, kappa, name=name)
 
 
 def verify_coaction_loops(action: CoAction, tol: float = 1e-9,

@@ -11,7 +11,8 @@ from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
                           StateFunctional, exact_psd_pairs,
                           extreme_state, max_operator_norms, operator_norms,
                           random_state)
-from qiso.catalog import (cycle_metric, dihedral_group_algebra, dihedral_perms,
+from qiso.catalog import (catalog_action, cycle_metric, dihedral_group_algebra,
+                          dihedral_irreps, dihedral_perms,
                           random_permutation_action, standard_actions,
                           standard_groups)
 from qiso.coaction import CoAction, verify_coaction
@@ -21,7 +22,8 @@ from qiso.quantum_group import (InconsistentIrreps, KacViolation, NotAGroup,
                                 haar_state, invert, require_kac,
                                 verify_quantum_group)
 
-from oracles import (apply_kappa, exact_psd, psd_by_principal_minors,
+from oracles import (apply_kappa, exact_psd, group_algebra_loops,
+                     haar_vector_lstsq, psd_by_principal_minors,
                      verify_coaction_loops, verify_quantum_group_dense,
                      verify_quantum_group_loops)
 
@@ -466,6 +468,129 @@ def test_inconsistent_irreps_rejected():
     broken[2] = -1.0
     with pytest.raises(InconsistentIrreps):
         group_algebra(group, [triv, broken, np.zeros((order, 2, 2))])
+
+
+def test_group_algebra_equals_loop_constructor():
+    """group_algebra's stacked checks over the Cayley table build structure
+    maps bitwise equal to the loop constructor's on dihedral m = 3..12,
+    and both raise InconsistentIrreps on the same inputs."""
+    for m in range(3, 13):
+        group = dihedral_perms(m)
+        irreps = dihedral_irreps(m, group)
+        mine, theirs = group_algebra(group, irreps), group_algebra_loops(group, irreps)
+        for key in ("delta", "epsilon", "kappa"):
+            assert np.array_equal(getattr(mine, key).view(float),
+                                  getattr(theirs, key).view(float)), (m, key)
+    group = dihedral_perms(4)
+    irreps = dihedral_irreps(4, group)
+    scaled = [U.copy() for U in irreps]
+    scaled[4][3] *= 1 + 1e-6                     # not unitary
+    swapped = [U.copy() for U in irreps]
+    swapped[4][[1, 2]] = swapped[4][[2, 1]]      # unitary, not a homomorphism
+    flipped = [U.copy() for U in irreps]
+    flipped[1][5] *= -1                          # a 1-d irrep's sign
+    cases = [irreps, irreps[:-1], [U[:-1] for U in irreps], scaled, swapped,
+             flipped, irreps[:4] + [np.zeros((8, 2, 2))]]
+
+    def raises(build, case) -> bool:
+        try:
+            build(group, case)
+        except InconsistentIrreps:
+            return True
+        return False
+
+    for build in (group_algebra, group_algebra_loops):
+        assert [raises(build, case) for case in cases] == [False] + [True] * 6
+
+
+def test_dihedral_quarter_turns_are_exact():
+    """Rotations by quarter turns take the exact powers of i, so dual-D4
+    and its catalog actions verify with every residual exactly 0 (they
+    were about 4e-16 with omega = exp(2 pi i / 4)), and dual-D8's
+    quarter turns are exact entries of its irreps."""
+    qg = dihedral_group_algebra(4)
+    assert set(np.concatenate([U.ravel() for U in
+                               dihedral_irreps(4, dihedral_perms(4))]).tolist()) \
+        <= {0, 1, -1, 1j, -1j}
+    assert verify_quantum_group(qg).worst() == 0.0
+    for name in ("dual-d4-blocks", "dual-d4-mixed", "dual-d4-asymmetric"):
+        action = catalog_action(name)
+        assert verify_quantum_group(action.group).worst() == 0.0, name
+        assert verify_coaction(action).worst() == 0.0, name
+    group = dihedral_perms(8)
+    U = dihedral_irreps(8, group)[-3]            # k = 1
+    quarter = group.index(tuple((j + 2) % 8 for j in range(8)))
+    assert U[quarter][0, 0] == 1j and U[quarter][1, 1] == -1j
+
+
+def test_haar_state_equals_least_squares_solution():
+    """The Plancherel trace sum_k (n_k / dim) Tr_k is within 1e-12 of the
+    least-squares bi-invariant functional, and its invariance residual is
+    below 1e-12: on the catalog and standard groups, the hopf workload's
+    groups, dual-D3 to dual-D12, C(S4) and the quotients of the catalog
+    envelopes."""
+    from qiso.envelope import envelope
+    envelopes = [envelope(e.action) for e in standard_actions()]
+    groups = [e.action.group for e in standard_actions()] + standard_groups() + \
+        _hopf_workload_groups() + \
+        [dihedral_group_algebra(m) for m in range(3, 13)] + \
+        [function_algebra_of_group(close_generators(
+            4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")] + \
+        [env.quotient for env in envelopes]
+    # a positive control: some envelope is a proper quotient
+    assert any(len(env.ideal) for env in envelopes)
+    for qg in groups:
+        haar = haar_state(qg)
+        solution, solve_residual = haar_vector_lstsq(qg)
+        assert solve_residual < 1e-12, qg.name
+        assert np.abs(haar.state.as_vector() - solution).max() < 1e-12, qg.name
+        assert haar.residual < 1e-12 and haar.reduced, qg.name
+
+
+def test_rank_certificate_equals_matrix_rank(monkeypatch):
+    """_total_rank counts the singular values above 1e-8 as
+    matrix_rank(tol=1e-8) does: on stacks of complex 12 x 12 matrices
+    with smallest singular value 1, 1e-6, 1.01e-8, 0.99e-8, 1e-10 or 0,
+    the rest spread over [1, 100], scaled by 10^k for k in (-6, 0, 6),
+    and on a stack mixing certified and uncertified matrices.  The
+    certificate is relative to the Frobenius norm: it decides the stacks
+    of condition 100 at every scale, never one with a rank deficit, and
+    matrix_rank is called on no stack it certifies."""
+    rng = np.random.default_rng(24)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+        return q
+
+    def with_smallest(smallest, scale):
+        values = np.concatenate([np.geomspace(1, 100, 11), [smallest]]) * scale
+        return (unitary() * values) @ unitary().conj().T
+
+    real_rank = np.linalg.matrix_rank
+    fallbacks = []
+
+    def counting_rank(mats, *args, **kwargs):
+        fallbacks.append(len(mats))
+        return real_rank(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+    for k in (-6, 0, 6):
+        for smallest in (1, 1e-6, 1.01e-8, 0.99e-8, 1e-10, 0):
+            stack = np.stack([with_smallest(smallest, 10.0 ** k) for _ in range(3)])
+            fallbacks.clear()
+            got = quantum_group._total_rank(stack)
+            want = int(real_rank(stack, tol=1e-8).sum())
+            assert got == want, (k, smallest)
+            assert want == (36 if smallest * 10.0 ** k > 1e-8 else 33), (k, smallest)
+            if smallest == 1:
+                assert not fallbacks, k
+            if want < 36:
+                assert fallbacks == [3], (k, smallest)
+    mixed = np.stack([with_smallest(1, 1), with_smallest(1e-10, 1),
+                      with_smallest(1e-3, 1)])
+    fallbacks.clear()
+    assert quantum_group._total_rank(mixed) == 35 == int(real_rank(mixed, tol=1e-8).sum())
+    assert fallbacks == [3]  # the whole stack took matrix_rank
 
 
 def test_haar_states():
