@@ -18,7 +18,6 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .algebra import AlgElement
 from .coaction import CoAction, verify_coaction
 from .errors import QisoError
 from .metric import FiniteMetricSpace, validate_metric
@@ -101,17 +100,8 @@ def permutation_action(space: FiniteMetricSpace, generators,
     """C(G) for the generated permutation group, with u_ij = 1_{g.j = i}."""
     group = close_generators(space.n, generators)
     qg = function_algebra_of_group(group, name=name or "C(G)")
-    alg = qg.algebra
-    n = space.n
-    u = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = np.array([1.0 if g[j] == i else 0.0 for g in group],
-                           dtype=complex)
-            row.append(alg.from_vec(vec))
-        u.append(tuple(row))
-    action = CoAction(qg, space, tuple(u), name=name)
+    coeffs = np.arange(space.n)[:, None, None] == np.array(group).T
+    action = CoAction(qg, space, coeffs, name=name)
     action.classical_group = group
     return action
 
@@ -203,12 +193,6 @@ def dihedral_group_algebra(m: int, name: str = "") -> QuantumGroup:
                          name=name or f"dual-D{m}")
 
 
-def group_element(qg: QuantumGroup, g) -> AlgElement:
-    """lambda_g inside a group algebra built by group_algebra()."""
-    idx = qg.group_elements.index(tuple(g))
-    return qg.algebra.from_vec(qg.group_embedding[:, idx])
-
-
 def dihedral_projection_action(space: FiniteMetricSpace, m: int,
                                name: str = "") -> CoAction:
     """The two-projection magic unitary over the group algebra of D_m.
@@ -219,19 +203,15 @@ def dihedral_projection_action(space: FiniteMetricSpace, m: int,
     if space.n != 4:
         raise CatalogEntryInvalid("two-projection action needs 4 points")
     qg = dihedral_group_algebra(m)
-    group = qg.group_elements
-    ref1 = tuple((-j) % m for j in range(m))
-    ref2 = tuple((1 - j) % m for j in range(m))
-    unit = qg.algebra.unit()
-    p = 0.5 * (unit + group_element(qg, ref1))
-    q = 0.5 * (unit + group_element(qg, ref2))
-    zero = qg.algebra.zero()
-    cp = unit - p
-    cq = unit - q
-    u = ((p, cp, zero, zero),
-         (cp, p, zero, zero),
-         (zero, zero, q, cq),
-         (zero, zero, cq, q))
+    unit = qg.unit_vec()
+    # (1 + lambda_r)/2 for the reflections r: j -> -j and j -> 1 - j
+    p, q = (0.5 * (unit + qg.group_embedding[:, qg.group_elements.index(
+        tuple((s - j) % m for j in range(m)))]) for s in (0, 1))
+    zero = np.zeros_like(unit)
+    u = [[p, unit - p, zero, zero],
+         [unit - p, p, zero, zero],
+         [zero, zero, q, unit - q],
+         [zero, zero, unit - q, q]]
     return CoAction(qg, space, u, name=name or f"dual-D{m}-projections")
 
 

@@ -1,13 +1,15 @@
 """Magic-unitary coactions of finite quantum groups on finite metric spaces.
 
-The coaction rho: C(X) -> C(X) (x) A is stored through its magic unitary
-u = (u_ij), convention rho(e_j) = sum_i e_i (x) u_ij, and through one
-coefficient tensor built from it: coeffs[i, j] is u_ij's coefficient
-vector over the matrix-unit basis of A.  The axioms, condition (D) and
-the state actions are linear in the u_ij, so they are array expressions
-in that tensor; products of entries use its per-block views.  States act
-on points from the right (x <| psi is the distribution j -> psi(u_xj))
-and on functions from the left ((psi |> f)(x) = sum_j f_j psi(u_xj))."""
+The coaction rho: C(X) -> C(X) (x) A is stored as one coefficient tensor
+of its magic unitary u = (u_ij), convention rho(e_j) = sum_i e_i (x) u_ij:
+coeffs[i, j] is u_ij's coefficient vector over the matrix-unit basis of
+A.  Every constructor builds that tensor directly, and `CoAction.u`, the
+entries as algebra elements, is a view derived from it on first use.  The
+axioms, condition (D) and the state actions are linear in the u_ij, so
+they are array expressions in the tensor; products of entries use its
+per-block views.  States act on points from the right (x <| psi is the
+distribution j -> psi(u_xj)) and on functions from the left
+((psi |> f)(x) = sum_j f_j psi(u_xj))."""
 
 from __future__ import annotations
 
@@ -28,27 +30,32 @@ class NotAPartition(QisoError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class CoAction:
     group: QuantumGroup
     space: FiniteMetricSpace
-    u: Tuple[Tuple[AlgElement, ...], ...]
-    name: str = ""
     # coeffs[i, j]: u_ij over the matrix-unit basis, shape (n, n, dim);
     # stacks[k]: its (n, n, b_k, b_k) view on block k.  Both read-only.
-    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
-    stacks: List[np.ndarray] = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(repr=False)
+    name: str = ""
+    stacks: List[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.space.n
-        if len(self.u) != n or any(len(row) != n for row in self.u):
-            raise ShapeMismatch("magic unitary size differs from the space")
-        self.u = tuple(tuple(row) for row in self.u)
         alg = self.group.algebra
-        self.coeffs = np.array([[e.vec() for e in row] for row in self.u])
+        self.coeffs = np.array(self.coeffs, dtype=complex)
+        if self.coeffs.shape != (n, n, alg.dim):
+            raise ShapeMismatch(f"coefficient tensor of shape {self.coeffs.shape}, "
+                                f"need ({n}, {n}, {alg.dim})")
         self.coeffs.flags.writeable = False
         self.stacks = [self.coeffs[..., off:off + b * b].reshape(n, n, b, b)
                        for off, b in zip(alg.offsets, alg.blocks)]
+
+    @cached_property
+    def u(self) -> Tuple[Tuple[AlgElement, ...], ...]:
+        """The entries u_ij as algebra elements, copied out of `coeffs`."""
+        alg = self.group.algebra
+        return tuple(tuple(alg.from_vec(vec) for vec in row) for row in self.coeffs)
 
     @property
     def n(self) -> int:

@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import AlgElement, FinDimCStarAlgebra, operator_norms_above
+from .algebra import FinDimCStarAlgebra, operator_norms_above
 from .coaction import CoAction, verify_coaction
 from .errors import QisoError
 from .isometry import check_D, commutator_defects
@@ -115,6 +115,12 @@ def is_hopf_ideal(qg: QuantumGroup, included: FrozenSet[int],
 # quotient construction
 
 
+def _block_indices(alg: FinDimCStarAlgebra, blocks: List[int]) -> np.ndarray:
+    """The basis indices of the given blocks, in order."""
+    return np.concatenate([alg.offsets[k] + np.arange(alg.blocks[k] ** 2)
+                           for k in blocks])
+
+
 def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
                            name: str = "") -> Tuple[QuantumGroup, List[int]]:
     """Compress the structure maps to the surviving blocks.  Returns the
@@ -122,8 +128,7 @@ def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
     alg = qg.algebra
     survivors = [k for k in range(len(alg.blocks)) if k not in ideal]
     sub_alg = FinDimCStarAlgebra(tuple(alg.blocks[k] for k in survivors))
-    keep = np.concatenate([alg.offsets[k] + np.arange(alg.blocks[k] ** 2)
-                           for k in survivors])
+    keep = _block_indices(alg, survivors)
     return QuantumGroup(sub_alg, qg.delta[np.ix_(keep, keep, keep)], qg.epsilon[keep],
                         qg.kappa[np.ix_(keep, keep)],
                         name=name or f"{qg.name}/I"), survivors
@@ -131,13 +136,10 @@ def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
 
 def induced_action(action: CoAction, quotient: QuantumGroup,
                    survivors: List[int], name: str = "") -> CoAction:
-    """Compress the magic unitary blockwise (the functorial triangle
-    commutes by construction; verified downstream)."""
-    n = action.n
-    u = tuple(tuple(AlgElement(quotient.algebra,
-                               tuple(action.u[i][j].data[k] for k in survivors))
-                    for j in range(n)) for i in range(n))
-    return CoAction(quotient, action.space, u,
+    """Compress the magic unitary to the surviving blocks (the functorial
+    triangle commutes by construction; verified downstream)."""
+    keep = _block_indices(action.group.algebra, survivors)
+    return CoAction(quotient, action.space, action.coeffs[..., keep],
                     name=name or f"{action.name}-envelope")
 
 

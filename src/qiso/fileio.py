@@ -165,10 +165,6 @@ def _blocks_from_json(alg: FinDimCStarAlgebra, doc, what: str) -> tuple:
     return tuple(data)
 
 
-def _element_from_json(alg: FinDimCStarAlgebra, doc) -> AlgElement:
-    return AlgElement(alg, _blocks_from_json(alg, doc, "basis element"))
-
-
 def quantum_group_to_dict(qg: QuantumGroup) -> dict:
     """Serialized over the canonical matrix-unit basis."""
     alg = qg.algebra
@@ -184,16 +180,19 @@ def quantum_group_to_dict(qg: QuantumGroup) -> dict:
             "name": qg.name}
 
 
-def quantum_group_from_dict(doc: dict, enforce_kac: bool = True) -> QuantumGroup:
+def _group_and_basis(doc: dict, enforce_kac: bool = True) -> Tuple[QuantumGroup, np.ndarray]:
+    """(QuantumGroup, B): the group over the matrix-unit basis, and the
+    invertible B whose column a is the file's basis element a over it."""
     blocks = _array(doc["blocks"], "blocks")
     if not all(_is_int(b) and b >= 1 for b in blocks):
         raise ValueError("blocks must be block sizes, integers >= 1")
     alg = FinDimCStarAlgebra(tuple(blocks))
     dim = alg.dim
-    basis = [_element_from_json(alg, b) for b in _array(doc["basis"], "basis")]
+    basis = _array(doc["basis"], "basis")
     if len(basis) != dim:
         raise ShapeMismatch(f"need {dim} basis elements, got {len(basis)}")
-    B = np.column_stack([b.vec() for b in basis])
+    B = np.column_stack([np.concatenate([m.ravel() for m in _blocks_from_json(
+        alg, b, "basis element")]) for b in basis])
     if np.linalg.matrix_rank(B) < dim:
         raise ShapeMismatch("basis elements are linearly dependent")
     Binv = np.linalg.inv(B)
@@ -210,7 +209,11 @@ def quantum_group_from_dict(doc: dict, enforce_kac: bool = True) -> QuantumGroup
     qg = QuantumGroup(alg, D3, epsilon, kappa, name=_name(doc))
     if enforce_kac:
         require_kac(qg)
-    return qg
+    return qg, B
+
+
+def quantum_group_from_dict(doc: dict, enforce_kac: bool = True) -> QuantumGroup:
+    return _group_and_basis(doc, enforce_kac)[0]
 
 
 def load_quantum_group(path: str, enforce_kac: bool = True) -> QuantumGroup:
@@ -228,8 +231,7 @@ def save_quantum_group(path: str, qg: QuantumGroup) -> None:
 
 def coaction_to_dicts(action: CoAction) -> Tuple[dict, dict, dict]:
     """(group doc, space doc, coaction doc with inline references)."""
-    u = [[[format_complex(v) for v in action.u[i][j].vec()]
-          for j in range(action.n)] for i in range(action.n)]
+    u = [[[format_complex(v) for v in vec] for vec in row] for row in action.coeffs]
     return (quantum_group_to_dict(action.group),
             space_to_dict(action.space),
             {"u": u, "name": action.name})
@@ -267,16 +269,13 @@ def coaction_from_dict(doc: dict, base_dir: str = ".",
             raise ValueError(f"{field} must be a file name or a JSON object")
         docs.append(sub)
     group_doc, space_doc = docs
-    qg = quantum_group_from_dict(group_doc)
+    qg, B = _group_and_basis(group_doc)
     space = space_from_dict(space_doc, tol=tol)
-    basis = [_element_from_json(qg.algebra, b) for b in group_doc["basis"]]
-    B = np.column_stack([b.vec() for b in basis])
     n = space.n
     u_doc = _matrix(doc["u"], "u", n, n)
-    u = tuple(tuple(qg.algebra.from_vec(B @ np.array(
-        [parse_complex(v) for v in _array(u_doc[i][j], f"u[{i}][{j}]", qg.dim)]))
-        for j in range(n)) for i in range(n))
-    return CoAction(qg, space, u, name=_name(doc))
+    u = [[[parse_complex(v) for v in _array(u_doc[i][j], f"u[{i}][{j}]", qg.dim)]
+          for j in range(n)] for i in range(n)]
+    return CoAction(qg, space, np.array(u, dtype=complex) @ B.T, name=_name(doc))
 
 
 def load_coaction(path: str, tol: Optional[float] = None) -> CoAction:

@@ -104,6 +104,13 @@ exponential in the number of points:
   pair, as before it visited x < y only on an exactly symmetric d;
 - scaled_twin: an action on its metric times a scale, exact or as a
   float space, for the unit-independence and metamorphic tests;
+- permutation_action_by_entry, dihedral_projection_action_by_entry and
+  induced_action_by_entry: the catalog's classical and two-projection
+  coactions and the envelope's induced action as first built, one
+  AlgElement entry of u at a time (group_element for lambda_g), against
+  the coefficient tensors that `catalog` and `envelope` build as arrays,
+  which must be equal to the reference's; entry_tensor stacks such
+  entries into the (n, n, dim) tensor a CoAction is made of;
 - metric_violation_reference: the first failing metric axiom of a
   rational matrix, checked entry by entry in Fractions, against the
   checks `validate_metric` runs on the space's integer form;
@@ -138,6 +145,7 @@ import numpy as np
 
 from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
                           exact_psd_pairs, extreme_state)
+from qiso.catalog import CatalogEntryInvalid, dihedral_group_algebra
 from qiso.coaction import CoAction, act_on_function, generation_deficit
 from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
                            induced_action, is_hopf_ideal, kappa_block_map,
@@ -152,7 +160,8 @@ from qiso.metric import (AsymmetricMatrix, FiniteMetricSpace, NegativeDistance,
                          level_set, lipschitz_constant, sublevel_set,
                          validate_metric)
 from qiso.quantum_group import (InconsistentIrreps, Permutation, QGReport,
-                                QuantumGroup, compose, invert)
+                                QuantumGroup, close_generators, compose,
+                                function_algebra_of_group, invert)
 from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
                             DualPotentials, InfeasibleMarginals, ProbVector,
@@ -1978,6 +1987,78 @@ def with_ordered_pairs(check, action: CoAction, *args, **kwargs) -> IsometryVerd
 
 
 # ---------------------------------------------------------------------------
+# coactions built entry by entry
+
+
+def entry_tensor(u) -> np.ndarray:
+    """The (n, n, dim) coefficient tensor of a magic unitary given as rows
+    of AlgElement entries."""
+    return np.array([[e.vec() for e in row] for row in u])
+
+
+def group_element(qg: QuantumGroup, g) -> AlgElement:
+    """lambda_g inside a group algebra built by group_algebra()."""
+    idx = qg.group_elements.index(tuple(g))
+    return qg.algebra.from_vec(qg.group_embedding[:, idx])
+
+
+def permutation_action_by_entry(space: FiniteMetricSpace, generators,
+                                name: str = "") -> CoAction:
+    """C(G) for the generated permutation group, with u_ij = 1_{g.j = i}."""
+    group = close_generators(space.n, generators)
+    qg = function_algebra_of_group(group, name=name or "C(G)")
+    alg = qg.algebra
+    n = space.n
+    u = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            vec = np.array([1.0 if g[j] == i else 0.0 for g in group],
+                           dtype=complex)
+            row.append(alg.from_vec(vec))
+        u.append(tuple(row))
+    action = CoAction(qg, space, entry_tensor(u), name=name)
+    action.classical_group = group
+    return action
+
+
+def dihedral_projection_action_by_entry(space: FiniteMetricSpace, m: int,
+                                        name: str = "") -> CoAction:
+    """The two-projection magic unitary over the group algebra of D_m.
+
+    p = (1 + reflection)/2 and q = (1 + rotation.reflection)/2 swap points
+    0,1 and 2,3 respectively; for m >= 3 the entries do not commute and the
+    action is faithful.  Needs a 4-point space."""
+    if space.n != 4:
+        raise CatalogEntryInvalid("two-projection action needs 4 points")
+    qg = dihedral_group_algebra(m)
+    ref1 = tuple((-j) % m for j in range(m))
+    ref2 = tuple((1 - j) % m for j in range(m))
+    unit = qg.algebra.unit()
+    p = 0.5 * (unit + group_element(qg, ref1))
+    q = 0.5 * (unit + group_element(qg, ref2))
+    zero = qg.algebra.zero()
+    cp = unit - p
+    cq = unit - q
+    u = ((p, cp, zero, zero),
+         (cp, p, zero, zero),
+         (zero, zero, q, cq),
+         (zero, zero, cq, q))
+    return CoAction(qg, space, entry_tensor(u), name=name or f"dual-D{m}-projections")
+
+
+def induced_action_by_entry(action: CoAction, quotient: QuantumGroup,
+                            survivors: List[int], name: str = "") -> CoAction:
+    """Compress the magic unitary blockwise, one entry at a time."""
+    n = action.n
+    u = tuple(tuple(AlgElement(quotient.algebra,
+                               tuple(action.u[i][j].data[k] for k in survivors))
+                    for j in range(n)) for i in range(n))
+    return CoAction(quotient, action.space, entry_tensor(u),
+                    name=name or f"{action.name}-envelope")
+
+
+# ---------------------------------------------------------------------------
 # an action on a rescaled metric
 
 
@@ -1988,7 +2069,7 @@ def scaled_twin(action: CoAction, scale, float_mode: bool) -> CoAction:
     dist = [[Fraction(v) * scale for v in row] for row in action.space.dist]
     if float_mode:
         dist = [[float(v) for v in row] for row in dist]
-    return CoAction(action.group, validate_metric(dist), action.u,
+    return CoAction(action.group, validate_metric(dist), action.coeffs,
                     name=action.name)
 
 

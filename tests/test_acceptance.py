@@ -299,17 +299,14 @@ def test_c10_verifier_sensitivity():
         injected += 1
         if target == "u":
             from qiso.coaction import CoAction
-            from qiso.algebra import AlgElement
             i = rng.randrange(action.n)
             j = rng.randrange(action.n)
-            data = [m.copy() for m in action.u[i][j].data]
-            k = rng.randrange(len(data))
-            a = rng.randrange(data[k].shape[0])
-            b = rng.randrange(data[k].shape[1])
-            data[k][a, b] += 1e-3
-            u = [list(row) for row in action.u]
-            u[i][j] = AlgElement(qg.algebra, tuple(data))
-            mutated = CoAction(qg, action.space, tuple(tuple(r) for r in u))
+            k = rng.randrange(len(qg.algebra.blocks))
+            a = rng.randrange(qg.algebra.blocks[k])
+            b = rng.randrange(qg.algebra.blocks[k])
+            coeffs = action.coeffs.copy()
+            coeffs[i, j, qg.algebra.index_of(k, a, b)] += 1e-3
+            mutated = CoAction(qg, action.space, coeffs)
             worst = verify_coaction(mutated, check_faithful=False).worst()
         else:
             from qiso.quantum_group import QuantumGroup

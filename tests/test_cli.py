@@ -23,6 +23,8 @@ from qiso.metric import validate_metric
 from qiso.quantum_group import verify_quantum_group
 from qiso.scalars import format_scalar, parse_scalar
 
+from oracles import entry_tensor
+
 
 def test_scalar_codec():
     assert parse_scalar("3/4") == F(3, 4)
@@ -478,7 +480,7 @@ def doubled_entry_coaction(tmp_path) -> str:
     u = [list(row) for row in act.u]
     u[0][0] = 2 * u[0][0]
     path = tmp_path / "doubled.json"
-    save_coaction(str(path), CoAction(act.group, act.space, u))
+    save_coaction(str(path), CoAction(act.group, act.space, entry_tensor(u)))
     return str(path)
 
 

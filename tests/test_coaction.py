@@ -3,25 +3,37 @@
 import random
 
 import numpy as np
+import pytest
 
+from qiso import catalog
 from qiso.algebra import element_norms, random_state
-from qiso.catalog import (CATALOG, cycle_metric, dihedral_group_algebra,
+from qiso.catalog import (CATALOG, catalog_action, cycle_metric,
+                          dihedral_group_algebra,
                           dihedral_projection_action, equilateral_metric,
-                          four_point_blocks, group_element, permutation_action,
-                          random_quantum_action, standard_actions,
+                          four_point_blocks, permutation_action,
+                          random_permutation_action, random_quantum_action,
+                          standard_actions,
                           three_point_isosceles, trivial_action)
 from qiso.coaction import (act_on_function, act_on_point, generation_deficit,
                            orbits, verify_coaction)
+from qiso.envelope import envelope
+from qiso.errors import ShapeMismatch
+from qiso.fileio import (coaction_from_dict, coaction_to_dicts, format_complex,
+                         load_coaction, parse_complex, save_coaction)
 from qiso.isometry import (KappaConventionMismatch, check_D,
                            check_D_commutant, check_D_state,
                            commutator_defects)
+from qiso.metric import random_metric_space
 from qiso.quantum_group import close_generators, function_algebra_of_group
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.coaction import CoAction
 
 from oracles import (a_element, check_D_by_entry, check_D_commutant_by_entry,
                      check_D_state_by_entry, commutator_defects_by_entry,
-                     generation_deficit_by_entry, verify_coaction_by_entry)
+                     dihedral_projection_action_by_entry, entry_tensor,
+                     generation_deficit_by_entry, group_element,
+                     induced_action_by_entry, permutation_action_by_entry,
+                     verify_coaction_by_entry)
 
 
 def test_classical_action_verifies_and_is_faithful():
@@ -41,7 +53,7 @@ def test_trivial_action_faithful_only_for_scalars():
     zero = qg.algebra.zero()
     sp = three_point_isosceles()
     u = tuple(tuple(unit if i == j else zero for j in range(3)) for i in range(3))
-    act2 = CoAction(qg, sp, u)
+    act2 = CoAction(qg, sp, entry_tensor(u))
     rep2 = verify_coaction(act2)
     assert rep2.residuals["faithfulness_deficit"] == 1
     del rep2.residuals["faithfulness_deficit"]
@@ -59,7 +71,86 @@ def _diagonal_blocks(qg, space, *blocks):
             for j, e in enumerate(row):
                 u[at + i][at + j] = e
         at += len(block)
-    return CoAction(qg, space, tuple(map(tuple, u)))
+    return CoAction(qg, space, entry_tensor(u))
+
+
+def _tensor_population():
+    """The catalog entries, random quantum actions of seeds 0-19 and random
+    permutation actions on 4 points of seeds 0-19."""
+    return ([catalog_action(name) for name in CATALOG]
+            + [random_quantum_action(seed) for seed in range(20)]
+            + [random_permutation_action(random_metric_space(4, seed), seed)
+               for seed in range(20)])
+
+
+def _same_tensor(a, b) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_coaction_tensor_equals_entry_builders(monkeypatch, tmp_path):
+    """The tensors the catalog and the envelope build as arrays equal those
+    built one AlgElement entry at a time, on the 53-action population, its
+    envelopes' induced actions and its save/load round trips; loading
+    through a non-standard basis B agrees within 1e-12 with B @ v per entry
+    (one product with B may round differently)."""
+    actions = _tensor_population()
+    monkeypatch.setattr(catalog, "permutation_action", permutation_action_by_entry)
+    monkeypatch.setattr(catalog, "dihedral_projection_action",
+                        dihedral_projection_action_by_entry)
+    references = _tensor_population()
+    monkeypatch.undo()
+    assert len(actions) == 53
+    path = str(tmp_path / "act.json")
+    for action, reference in zip(actions, references):
+        assert _same_tensor(action.coeffs, reference.coeffs), action.name
+        env = envelope(action)
+        assert _same_tensor(env.induced.coeffs, induced_action_by_entry(
+            action, env.quotient, env.survivors).coeffs), action.name
+        save_coaction(path, action)
+        assert _same_tensor(load_coaction(path).coeffs, action.coeffs), action.name
+
+    action = catalog_action("dual-d4-blocks")
+    qg = action.group
+    rng = np.random.default_rng(25)
+    B = np.eye(qg.dim) + 0.3 * (rng.normal(size=(qg.dim, qg.dim))
+                                + 1j * rng.normal(size=(qg.dim, qg.dim)))
+    B_inv = np.linalg.inv(B)
+    group_doc, space_doc, doc = coaction_to_dicts(action)
+    group_doc["basis"] = [[[[format_complex(v) for v in row] for row in block]
+                           for block in qg.algebra.from_vec(column).data]
+                          for column in B.T]
+    group_doc["delta"] = [[format_complex(v) for v in row] for row in np.einsum(
+        "bc,gd,cde,ea->bga", B_inv, B_inv, qg.delta, B).reshape(-1, qg.dim)]
+    group_doc["epsilon"] = [format_complex(v) for v in qg.epsilon @ B]
+    group_doc["kappa"] = [[format_complex(v) for v in row]
+                          for row in B_inv @ qg.kappa @ B]
+    doc.update(group=group_doc, space=space_doc,
+               u=[[[format_complex(v) for v in vec] for vec in row]
+                  for row in action.coeffs @ B_inv.T])
+    loaded = coaction_from_dict(doc)
+    by_entry = np.array([[B @ np.array([parse_complex(v) for v in vec])
+                          for vec in row] for row in doc["u"]])
+    assert np.abs(loaded.coeffs - by_entry).max() < 1e-12
+    assert verify_coaction(loaded).passed(1e-9)
+
+
+def test_coaction_constructor_checks_shape_and_freezes_tensor():
+    """A tensor of the wrong n or the wrong dim raises ShapeMismatch; the
+    stored tensor is a read-only copy, and u is its view entry by entry."""
+    action = catalog_action("dual-d4-blocks")
+    qg, space = action.group, action.space
+    for shape in ((3, 3, qg.dim), (4, 3, qg.dim), (4, 4, qg.dim - 1), (4, 4)):
+        with pytest.raises(ShapeMismatch):
+            CoAction(qg, space, np.zeros(shape))
+    assert not action.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        action.coeffs[0, 0, 0] = 1.0
+    source = np.array(action.coeffs)
+    assert CoAction(qg, space, source).coeffs is not source
+    assert source.flags.writeable
+    for i in range(action.n):
+        for j in range(action.n):
+            assert _same_tensor(action.u[i][j].vec(), action.coeffs[i, j])
 
 
 def test_generation_deficit_matches_entry_reference():
@@ -97,11 +188,9 @@ def test_nan_entry_makes_the_faithfulness_deficit_nan():
     """One NaN coefficient of u[0][0] makes the faithfulness deficit NaN, so
     the report fails, instead of the SVD raising LinAlgError."""
     action = {e.name: e.action for e in standard_actions()}["dual-d4-blocks"]
-    u = [list(row) for row in action.u]
-    vec = u[0][0].vec()
-    vec[0] = np.nan
-    u[0][0] = action.group.algebra.from_vec(vec)
-    broken = CoAction(action.group, action.space, u)
+    coeffs = action.coeffs.copy()
+    coeffs[0, 0, 0] = np.nan
+    broken = CoAction(action.group, action.space, coeffs)
     assert np.isnan(generation_deficit(broken))
     report = verify_coaction(broken)
     assert np.isnan(report.residuals["faithfulness_deficit"])
@@ -215,8 +304,7 @@ def _seeded_faults(bases, count, seed):
             rng.choice((1, -1, 1j))
         u = [list(row) for row in action.u]
         u[i][j] = action.group.algebra.from_vec(vec)
-        out.append(CoAction(action.group, action.space,
-                            tuple(map(tuple, u))))
+        out.append(CoAction(action.group, action.space, entry_tensor(u)))
     return out
 
 
@@ -225,7 +313,7 @@ def _row_copied(action):
     to 1, the columns do not."""
     u = [list(row) for row in action.u]
     u[0] = u[1]
-    return CoAction(action.group, action.space, tuple(map(tuple, u)))
+    return CoAction(action.group, action.space, entry_tensor(u))
 
 
 def _verdict(check, *args):

@@ -134,6 +134,14 @@ def test_quantum_envelope_of_asymmetric_blocks():
     assert frozenset({0, 1}) in orbits(env.induced)
 
 
+def test_envelope_submodule_is_not_shadowed_by_the_function():
+    """`import qiso.envelope` gives the module, whose helpers are then
+    attributes; the function is qiso.envelope.envelope."""
+    import qiso.envelope as module
+    assert module.generated_ideal is generated_ideal
+    assert module.envelope is envelope
+
+
 def test_functorial_triangle_commutes():
     action = dihedral_projection_action(four_point_asymmetric(), 4)
     env = envelope(action)
@@ -252,7 +260,7 @@ def test_envelope_across_near_ties_equals_entry_cut_then_saturation():
         base = dihedral_projection_action(_near_tie_space(0.0), m)
         ideals, added = [], []
         for f in (0.5, 0.98, 1.02, 1.5, 1.98, 2.02, 3.0):
-            action = CoAction(base.group, _near_tie_space(2e-6 * f), base.u)
+            action = CoAction(base.group, _near_tie_space(2e-6 * f), base.coeffs)
             saturated, iterations = _entry_cut_then_saturation(action)
             assert envelope(action).ideal == saturated, (m, f)
             ideals.append(saturated.included_blocks)
@@ -308,7 +316,7 @@ def test_screened_cut_equals_unscreened_cut(monkeypatch):
     near_ties = []
     for m in (3, 4, 5, 6, 8):
         base = dihedral_projection_action(_near_tie_space(0.0), m)
-        near_ties += [CoAction(base.group, _near_tie_space(2e-6 * f), base.u)
+        near_ties += [CoAction(base.group, _near_tie_space(2e-6 * f), base.coeffs)
                       for f in (0.5, 0.98, 1.02, 1.5, 1.98, 2.02, 3.0)]
     monkeypatch.setattr(algebra, "operator_norms", counted)
     for cases in (_reference_population(), near_ties):

@@ -29,9 +29,10 @@ from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import feasible_coupling_on, wasserstein_inf, wasserstein_p
 
 from oracles import (check_ball_identity, check_lip_seminorm_state,
-                     lip_p_universal_full_sweep, lip_p_universal_loops,
-                     scaled_twin, support_universal_bruteforce,
-                     support_universal_loops, with_ordered_pairs)
+                     entry_tensor, group_element, lip_p_universal_full_sweep,
+                     lip_p_universal_loops, scaled_twin,
+                     support_universal_bruteforce, support_universal_loops,
+                     with_ordered_pairs)
 
 
 def test_verdicts_take_no_tolerance_argument():
@@ -202,7 +203,7 @@ def reflection_pairs_action(space, m, shifts):
     """A two-projection action of the group algebra of D_m on 2k points:
     pair (2i, 2i+1) is swapped by the projection p_i = (1 + r_i)/2 of the
     reflection r_i: j -> shifts[i] - j (mod m)."""
-    from qiso.catalog import dihedral_group_algebra, group_element
+    from qiso.catalog import dihedral_group_algebra
     from qiso.coaction import CoAction
     qg = dihedral_group_algebra(m)
     unit, zero = qg.algebra.unit(), qg.algebra.zero()
@@ -213,7 +214,7 @@ def reflection_pairs_action(space, m, shifts):
         a, b = 2 * i, 2 * i + 1
         u[a][a] = u[b][b] = p
         u[a][b] = u[b][a] = unit - p
-    return CoAction(qg, space, tuple(map(tuple, u)), name=f"D{m}-pairs")
+    return CoAction(qg, space, entry_tensor(u), name=f"D{m}-pairs")
 
 
 def block_metric(k, asymmetric):
@@ -795,7 +796,7 @@ def test_universal_checks_share_one_block_support_table(monkeypatch):
     counted.__set_name__(CoAction, "block_supports")
     monkeypatch.setattr(CoAction, "block_supports", counted)
     base = catalog_action("dual-d4-asymmetric")
-    action = CoAction(base.group, base.space, base.u)
+    action = CoAction(base.group, base.space, base.coeffs)
     assert not computed
     supports = None
     for check, _ in UNIVERSAL_REFERENCES:

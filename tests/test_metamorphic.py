@@ -38,7 +38,7 @@ from qiso.metric import validate_metric
 from qiso.quantum_group import QuantumGroup, verify_quantum_group
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
 
-from oracles import scaled_twin
+from oracles import entry_tensor, scaled_twin
 
 UNIVERSAL = [("D", check_D, ()), ("main", check_theorem_main, ()),
              ("Lip_inf", check_winf_universal, ())] + \
@@ -59,7 +59,7 @@ def relabel(action: CoAction, seed: int):
     dist = [[action.space.dist[inv[a]][inv[b]] for b in range(n)]
             for a in range(n)]
     u = [[action.u[inv[a]][inv[b]] for b in range(n)] for a in range(n)]
-    return CoAction(action.group, validate_metric(dist), u,
+    return CoAction(action.group, validate_metric(dist), entry_tensor(u),
                     name=action.name), perm
 
 
@@ -79,7 +79,7 @@ def conjugate(action: CoAction, seed: int):
     group = QuantumGroup(alg, np.einsum("Bb,Gg,bgc,ca->BGa", C, C, qg.delta, C_inv),
                          qg.epsilon @ C_inv, C @ qg.kappa @ C_inv, name=qg.name)
     u = [[alg.from_vec(C @ e.vec()) for e in row] for row in action.u]
-    return CoAction(group, action.space, u, name=action.name), None
+    return CoAction(group, action.space, entry_tensor(u), name=action.name), None
 
 
 def rescale(k: int, float_mode: bool):

@@ -313,12 +313,10 @@ def _faulted(rng, groups, actions, sizes):
         size = size * rng.choice((1, -1, 1j))
     if target == "u":
         action = rng.choice(actions)
-        u = [list(row) for row in action.u]
         i, j = rng.randrange(action.n), rng.randrange(action.n)
-        vec = u[i][j].vec()
-        vec[rng.randrange(action.group.dim)] += size
-        u[i][j] = action.group.algebra.from_vec(vec)
-        return CoAction(action.group, action.space, u)
+        coeffs = action.coeffs.copy()
+        coeffs[i, j, rng.randrange(action.group.dim)] += size
+        return CoAction(action.group, action.space, coeffs)
     qg = rng.choice(groups)
     delta, epsilon, kappa = qg.delta.copy(), qg.epsilon.copy(), qg.kappa.copy()
     index = lambda: rng.randrange(qg.dim)
