@@ -9,6 +9,8 @@ entries flattened, which keeps conversions trivial.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -317,16 +319,37 @@ class StateFunctional:
 
 def random_state(algebra: FinDimCStarAlgebra, seed: int) -> StateFunctional:
     """Full-support sampler: Ginibre-normalized block densities with
-    Dirichlet block weights.  Deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    weights = rng.gamma(1.0, size=len(algebra.blocks))
+    Dirichlet block weights, drawn from `random.Random(seed)`.  The weights
+    are normalized `expovariate(1.0)` draws, one per block; then each block
+    size b > 1, in order of first appearance, draws the entries of one
+    stack of Ginibre matrices G from `gauss` (real and imaginary part in
+    turn), and its blocks take G G* / tr(G G*) times their weights.  A 1x1
+    block's normalized density is 1 whatever G, so it draws none.
+    Deterministic in the seed, which is an int >= 0 as for numpy's
+    generators: a float raises TypeError, a negative int ValueError."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rng = random.Random(seed)
+    weights = np.array([rng.expovariate(1.0) for _ in algebra.blocks])
     weights /= weights.sum()
-    densities = []
-    for w, b in zip(weights, algebra.blocks):
-        G = rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
-        rho = G @ G.conj().T
-        densities.append(w * rho / np.trace(rho))
-    return StateFunctional(algebra, tuple(densities))
+    stacks: Dict[int, list] = {}
+    for k, b in enumerate(algebra.blocks):
+        stacks.setdefault(b, []).append(k)
+    densities = [None] * len(algebra.blocks)
+    for b, ks in stacks.items():
+        if b == 1:
+            rho = np.ones((len(ks), 1, 1))
+        else:
+            parts = np.array([rng.gauss(0.0, 1.0)
+                              for _ in range(2 * len(ks) * b * b)])
+            G = parts.view(complex).reshape(len(ks), b, b)
+            rho = G @ G.conj().swapaxes(-1, -2)
+            rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+        rho *= weights[ks][:, None, None]
+        for k, block in zip(ks, rho):
+            densities[k] = block
+    return StateFunctional(algebra, densities)
 
 
 def extreme_state(algebra: FinDimCStarAlgebra, block: int, xi) -> StateFunctional:

@@ -61,12 +61,12 @@ import numpy as np
 
 from .algebra import (StateFunctional, element_norms, exact_psd_pairs,
                       extreme_state, operator_norms)
-from .coaction import CoAction, act_on_point
+from .coaction import CoAction, act_on_point, act_on_points
 from .errors import QisoError
 from .metric import level_set
 from .scalars import RATIONAL
-from .transport import (_dual_vertex_search, _positive_integer, _power_cost,
-                        feasible_coupling_on, solve_transport,
+from .transport import (ProbVector, _dual_vertex_search, _positive_integer,
+                        _power_cost, feasible_coupling_on, solve_transport,
                         wasserstein_inf)
 
 
@@ -315,9 +315,11 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     return out
 
 
-def _pair_sweep(space, images, pairs, p) -> np.ndarray:
+def _pair_sweep(space, masses, pairs, p) -> np.ndarray:
     """W_p for every state and pair, one transport problem per pair: the
     simplex on float(d^p) for finite p, `wasserstein_inf` otherwise."""
+    images = [[ProbVector(tuple(row)) for row in state]
+              for state in masses.tolist()]
     if p == float("inf") or p == "inf":
         def w(mu, nu):
             return float(wasserstein_inf(space, mu, nu).r)
@@ -350,9 +352,11 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
     """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs: verdicts[s][i] for
     the state states[s] and p = ps[i] (a number >= 1, or inf).
 
-    Each x <| psi is computed once, by `act_on_point`, for every p.  The
-    pairs are those of `_state_pairs`.  For each p, `_sweep_route` picks
-    how W_p is computed, and each verdict records it as its "route":
+    Every x <| psi of every state is computed once, by one
+    `act_on_points` contraction, for every p; `ProbVector`s of them are
+    built only for the per-pair route.  The pairs are those of
+    `_state_pairs`.  For each p, `_sweep_route` picks how W_p is computed,
+    and each verdict records it as its "route":
 
       dual-vertices  finite p, n <= _VERTEX_MAX_N and _TREE_COST x
                      C(2n-2, n-1) <= states x pairs: `_dual_vertex_sweep`
@@ -404,9 +408,7 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
         raise ValueError("p must be >= 1")
     if not len(states):
         return []
-    images = [[act_on_point(action, x, psi, space.tol) for x in range(space.n)]
-              for psi in states]
-    masses = np.array([[img.mass for img in row] for row in images], dtype=float)
+    masses = act_on_points(action, states, space.tol)
     pairs = _state_pairs(space)
     xs = np.array([x for x, _ in pairs], dtype=int)
     ys = np.array([y for _, y in pairs], dtype=int)
@@ -421,7 +423,7 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
         elif route == "hall-subsets":
             w = _hall_sweep(space, masses, xs, ys)
         else:
-            w = _pair_sweep(space, images, pairs, p)
+            w = _pair_sweep(space, masses, pairs, p)
         for verdicts, ws in zip(out, w):
             verdicts.append(_sweep_verdict(f"Lip_{p}(state)", route, pairs, ws,
                                            ws - dist, bound, 1e-12 * scale))

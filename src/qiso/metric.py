@@ -304,24 +304,32 @@ def random_metric_space(n: int, seed: int, model: str = "shortest-path-graph",
                  for j in range(n)] for i in range(n)]
         space = validate_metric(dist, mode=FLOAT)
     elif model == "shortest-path-graph":
-        big = Fraction(10 ** 6)
+        # every weight has denominator 1, 2 or 4: the paths run on
+        # 4 x weight in ints, and each entry becomes one Fraction at the end
+        def weight():
+            return 4 * rng.randint(1, 12) // rng.choice((1, 2, 4))
+
+        big = 4 * 10 ** 6
         w = [[big] * n for _ in range(n)]
         for i in range(n):
-            w[i][i] = Fraction(0)
+            w[i][i] = 0
         order = list(range(n))
         rng.shuffle(order)
         for a, b in zip(order, order[1:]):  # random spanning path: connected
-            w[a][b] = w[b][a] = Fraction(rng.randint(1, 12), rng.choice((1, 2, 4)))
+            w[a][b] = w[b][a] = weight()
         for i in range(n):
             for j in range(i + 1, n):
                 if w[i][j] == big and rng.random() < 0.4:
-                    w[i][j] = w[j][i] = Fraction(rng.randint(1, 12), rng.choice((1, 2, 4)))
+                    w[i][j] = w[j][i] = weight()
         for k in range(n):
-            for i in range(n):
+            wk = w[k]
+            for row in w:
+                rk = row[k]
                 for j in range(n):
-                    through = w[i][k] + w[k][j]
-                    if through < w[i][j]:
-                        w[i][j] = through
+                    through = rk + wk[j]
+                    if through < row[j]:
+                        row[j] = through
+        w = [[Fraction(v, 4) for v in row] for row in w]
         space = validate_metric(w, mode=RATIONAL)
     else:
         raise ValueError(f"unknown model {model!r}")

@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import random
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -367,11 +368,11 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
     # and probe beyond the convex hull: signed combinations of isometric
     # states repaired to states by mixing toward the barycenter
     if basis and len(iso_states) >= 2:
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         mean_vec = sum(s.as_vector() for s in iso_states) / len(iso_states)
         combos = []
         for _ in range(state_samples):
-            coeffs = rng.normal(size=len(iso_states))
+            coeffs = [rng.gauss(0.0, 1.0) for _ in iso_states]
             vec = sum(c * s.as_vector() for c, s in zip(coeffs, iso_states))
             cand = StateFunctional.from_vector(alg, vec)
             tr = sum(float(np.trace(r).real) for r in cand.densities)

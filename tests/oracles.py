@@ -114,6 +114,9 @@ exponential in the number of points:
 - metric_violation_reference: the first failing metric axiom of a
   rational matrix, checked entry by entry in Fractions, against the
   checks `validate_metric` runs on the space's integer form;
+- shortest_path_metric_fractions: the shortest-path model of
+  `random_metric_space` with Floyd-Warshall on Fractions, against its
+  run on four times the weights in ints;
 - hopf_saturate: a smallest Hopf ideal containing a block ideal, by
   branching over the survivor pairs that Delta reaches, against the
   envelope's assertion that the defect-generated ideal is already one;
@@ -2138,6 +2141,32 @@ def metric_violation_reference(matrix):
                     f"d({i},{k}) > d({i},{j}) + d({j},{k}): "
                     f"{matrix[i][k]} > {matrix[i][j]} + {matrix[j][k]}")
     return None
+
+
+def shortest_path_metric_fractions(n: int, seed: int) -> FiniteMetricSpace:
+    """`random_metric_space(n, seed)` on the shortest-path model as first
+    written: the same draws from `random.Random(seed)`, every weight a
+    Fraction and Floyd-Warshall run on Fractions."""
+    rng = random.Random(seed)
+    big = Fraction(10 ** 6)
+    w = [[big] * n for _ in range(n)]
+    for i in range(n):
+        w[i][i] = Fraction(0)
+    order = list(range(n))
+    rng.shuffle(order)
+    for a, b in zip(order, order[1:]):
+        w[a][b] = w[b][a] = Fraction(rng.randint(1, 12), rng.choice((1, 2, 4)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if w[i][j] == big and rng.random() < 0.4:
+                w[i][j] = w[j][i] = Fraction(rng.randint(1, 12), rng.choice((1, 2, 4)))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                through = w[i][k] + w[k][j]
+                if through < w[i][j]:
+                    w[i][j] = through
+    return validate_metric(w, mode=RATIONAL)
 
 
 # ---------------------------------------------------------------------------

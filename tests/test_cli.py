@@ -1,6 +1,9 @@
 """File formats and the qiso command line (exit codes, JSON outputs)."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -551,6 +554,33 @@ def test_cli_search(tmp_path, capsys):
     assert code == 0
     assert len(doc["instances"]) == 2
     assert doc["implication_matrix"]["violations"] == []
+
+
+def test_cli_catalog_search_leaves_numpy_random_unimported(tmp_path):
+    """The catalog search draws its spaces, random actions and sampled
+    states from the standard library's generator, and the span search its
+    combinations too: in a fresh interpreter (the suite itself imports
+    numpy.random), `qiso search` through cli.main, random actions
+    included, leaves numpy.random unimported."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"catalog": ["cyclic-3", "dual-d3-blocks"],
+                               "n_range": [3, 3], "state_samples": 3}))
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from qiso.cli import main",
+        "for kind in ('catalog', 'span'):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        f"        code = main(['search', '--kind', kind, '--config', {str(cfg)!r},",
+        "                     '--random', '2', '--seed', '3'])",
+        "    print(kind, code, 'numpy.random' in sys.modules)"])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split("\n")[:2] == ["catalog 0 False", "span 0 False"]
 
 
 def test_cli_search_rejects_unknown_config_key(tmp_path, capsys):

@@ -9,15 +9,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qiso.algebra import extreme_state, random_state
-from qiso.catalog import (cycle_metric, dihedral_projection_action,
-                          equilateral_metric, four_point_blocks,
-                          four_point_asymmetric, permutation_action,
+from qiso.algebra import StateFunctional, extreme_state, random_state
+from qiso.catalog import (catalog_action, cycle_metric,
+                          dihedral_projection_action, equilateral_metric,
+                          four_point_blocks, four_point_asymmetric,
+                          permutation_action,
                           random_permutation_action, random_quantum_action,
                           standard_actions, three_point_isosceles,
                           trivial_action)
 from qiso import isometry
-from qiso.coaction import act_on_point
+from qiso.coaction import act_on_point, act_on_points
 from qiso.isometry import (HypothesisViolated, check_D, check_D_commutant,
                            check_D_state, check_injectivity,
                            check_level_coupling_state, check_lip1_universal,
@@ -484,22 +485,28 @@ def _level_coupling_per_pair(action, psi, tol):
 
 
 def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
-    """The per-state checks compute each x <| psi once (n calls of
-    act_on_point per state and sweep) and return the verdicts of
-    recomputing both marginals for every pair they visit (x < y on the
-    catalog's symmetric metrics), with W_p^p within 1e-12 x max d^p, on
-    the catalog x 5 random states x p in {1, 2, 3, inf}.  Five states
-    take the Hall route for p = inf and, for finite p, the dual vertices,
-    also on cyclic-5, where 50 simplex solves (10 pairs) cost more than
-    0.3 x 70 trees.  The level-coupling oracle visits every ordered pair
-    and agrees exactly."""
-    calls = []
+    """The per-state sweep computes every x <| psi once (one batched
+    act_on_points call per sweep, for all its states) and returns the
+    verdicts of recomputing both marginals for every pair it visits (x < y
+    on the catalog's symmetric metrics), with W_p^p within 1e-12 x max
+    d^p, on the catalog x 5 random states x p in {1, 2, 3, inf}.  Five
+    states take the Hall route for p = inf and, for finite p, the dual
+    vertices, also on cyclic-5, where 50 simplex solves (10 pairs) cost
+    more than 0.3 x 70 trees.  The level-coupling check computes each
+    x <| psi once by act_on_point (n calls per state), visits every
+    ordered pair and agrees exactly with its oracle."""
+    calls, batches = [], []
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return act_on_point(*args, **kwargs)
 
+    def batched(action, states, *args, **kwargs):
+        batches.append(len(states))
+        return act_on_points(action, states, *args, **kwargs)
+
     monkeypatch.setattr(isometry, "act_on_point", counted)
+    monkeypatch.setattr(isometry, "act_on_points", batched)
     seen = {True: 0, False: 0}
     ps = (1, 2, 3, float("inf"))
     for entry in standard_actions():
@@ -507,9 +514,9 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
         routes = ("dual-vertices",) * 3 + ("hall-subsets",)
         states = [random_state(action.group.algebra, 37 * k + 3)
                   for k in range(5)]
-        del calls[:]
+        del calls[:], batches[:]
         sweep = isometry.check_lip_p_state_sweep(action, states, ps)
-        assert calls == list(range(action.n)) * len(states)
+        assert batches == [len(states)] and not calls
         for k, (psi, verdicts) in enumerate(zip(states, sweep)):
             for p, route, v in zip(ps, routes, verdicts):
                 seen[_assert_matches_per_pair(v, action, psi, p, route)] += 1
@@ -569,19 +576,90 @@ def test_unordered_sweep_matches_ordered_sweep():
 
 def test_verify_instance_computes_each_image_once(monkeypatch):
     """One verify_instance call computes x <| psi once per point and
-    sampled state, for all four p together."""
+    sampled state, for all four p together: one batched act_on_points
+    call over its three states, and no act_on_point call."""
     from qiso.reports import verify_instance
-    calls = []
+    calls, batches = [], []
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return act_on_point(*args, **kwargs)
 
+    def batched(action, states, *args, **kwargs):
+        batches.append(len(states))
+        return act_on_points(action, states, *args, **kwargs)
+
     monkeypatch.setattr(isometry, "act_on_point", counted)
+    monkeypatch.setattr(isometry, "act_on_points", batched)
     rec = verify_instance({"source": "catalog", "name": "cyclic-5"},
                           state_samples=3)
     assert set(rec["sampled_states_hold"]) == {"Lip_1", "Lip_2", "Lip_3", "Lip_inf"}
-    assert len(calls) == 5 * 3
+    assert batches == [3] and not calls
+
+
+def _images_by_act_on_point(action, states, tol=1e-9):
+    """x <| psi for every state and point, one act_on_point call each."""
+    return np.array([[act_on_point(action, x, psi, tol).mass
+                      for x in range(action.n)] for psi in states])
+
+
+def test_batched_images_match_act_on_point(monkeypatch):
+    """act_on_points, one contraction over all states, gives the masses
+    of act_on_point on the catalog x 10 sampled states within 4 ulps of 1
+    (the batched and the per-point products sum in different orders), and
+    the sweep on either gives the same verdicts, routes and witness pairs
+    for p in {1, 2, 3, inf}."""
+    ps = (1, 2, 3, float("inf"))
+    seen = {True: 0, False: 0}
+    for entry in standard_actions():
+        action = entry.action
+        states = [random_state(action.group.algebra, 977 + k) for k in range(10)]
+        reference = _images_by_act_on_point(action, states, action.space.tol)
+        batched = act_on_points(action, states, action.space.tol)
+        assert batched.shape == reference.shape
+        assert np.abs(batched - reference).max() <= 4 * np.spacing(1.0), entry.name
+        sweep = isometry.check_lip_p_state_sweep(action, states, ps)
+        with monkeypatch.context() as patch:
+            patch.setattr(isometry, "act_on_points", _images_by_act_on_point)
+            per_point = isometry.check_lip_p_state_sweep(action, states, ps)
+        for verdicts, expected in zip(sweep, per_point):
+            for v, e in zip(verdicts, expected):
+                assert v.holds == e.holds, entry.name
+                record, want = (v.certificate, e.certificate) if v.holds else \
+                    (v.witness, e.witness)
+                assert record["route"] == want["route"]
+                if not v.holds:
+                    assert v.witness["pair"] == e.witness["pair"], entry.name
+                seen[v.holds] += 1
+    assert seen[True] and seen[False]
+
+
+def test_image_that_is_not_a_probability_vector_raises():
+    """An image with a mass below -tol, or a sum off 1 by more than tol,
+    raises ValueError from act_on_points and from the sweep, as it does
+    from act_on_point through prob_vector; a mass within tol below 0 is
+    clamped and its row renormalized, bitwise as prob_vector does."""
+    action = catalog_action("cyclic-4")
+    alg = action.group.algebra
+    assert alg.blocks == (1, 1, 1, 1)   # C(Z4): the states weigh characters
+
+    def functional(weights):
+        return StateFunctional(alg, [np.array([[w]]) for w in weights])
+
+    psi = random_state(alg, 5)
+    for message, bad in (("sums to", functional([2.0, 0.0, 0.0, 0.0])),
+                         ("negative mass", functional([1.5, -0.5, 0.0, 0.0]))):
+        with pytest.raises(ValueError, match=message):
+            act_on_point(action, 0, bad)
+        with pytest.raises(ValueError, match=message):
+            act_on_points(action, [psi, bad])
+        with pytest.raises(ValueError, match=message):
+            isometry.check_lip_p_state_sweep(action, [psi, bad], (1, "inf"))
+    fuzz = functional([0.5 + 3e-12, 0.5, -3e-12, 0.0])
+    masses = act_on_points(action, [fuzz])
+    assert (masses >= 0).all() and (masses > 0.5).any()
+    assert masses[0].tolist() == [list(act_on_point(action, x, fuzz).mass)
+                                  for x in range(action.n)]
 
 
 def _near_symmetric_action():

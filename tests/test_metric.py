@@ -12,7 +12,7 @@ from qiso.metric import (AsymmetricMatrix, NegativeDistance, NonFiniteDistance,
                          sublevel_set, validate_metric)
 from qiso.errors import DimensionMismatch
 
-from oracles import metric_violation_reference
+from oracles import metric_violation_reference, shortest_path_metric_fractions
 
 
 THREE = [[F(0), F(1), F(2)], [F(1), F(0), F(2)], [F(2), F(2), F(0)]]
@@ -202,3 +202,15 @@ def test_axiom_checks_on_integer_form_match_fraction_oracle():
         raised.add(want[0])
     assert raised == {AsymmetricMatrix, NegativeDistance, TriangleViolation,
                       NonzeroDiagonal, None}
+
+
+def test_shortest_path_model_matches_fraction_floyd_warshall():
+    """The shortest-path model runs Floyd-Warshall on four times the
+    weights in ints; its spaces equal those of the Fraction version,
+    entry by entry and in type, over n = 2-20 and 20 seeds."""
+    for n in range(2, 21):
+        for seed in range(20):
+            got = random_metric_space(n, seed)
+            want = shortest_path_metric_fractions(n, seed)
+            assert got == want and got.mode == "rational", (n, seed)
+            assert all(type(v) is F for row in got.dist for v in row)

@@ -183,6 +183,44 @@ def test_state_roundtrip_and_sampling():
     assert abs(chi.value(alg.unit()) - 1.0) < 1e-12
 
 
+def test_random_state_keeps_numpy_seed_contract():
+    """random_state takes an int seed >= 0, as numpy's generators did: a
+    float raises TypeError, a negative int ValueError; an int-like seed
+    (numpy's int64) is read through operator.index."""
+    alg = FinDimCStarAlgebra((1, 2))
+    for bad in (1.0, 2.5, "3"):
+        with pytest.raises(TypeError):
+            random_state(alg, bad)
+    for bad in (-1, -977):
+        with pytest.raises(ValueError):
+            random_state(alg, bad)
+    assert np.array_equal(random_state(alg, np.int64(5)).as_vector(),
+                          random_state(alg, 5).as_vector())
+    assert random_state(alg, 0).is_state()
+
+
+def test_random_state_is_deterministic_full_rank_and_unbiased():
+    """Each seed gives one state, its densities of full rank, built one
+    stack per block size (blocks of one size interleaved with others);
+    over 400 seeds the block weights average 1/K (Dirichlet(1, ..., 1))
+    and the normalized densities I/b (Ginibre), within 0.05."""
+    alg = FinDimCStarAlgebra((2, 1, 3, 2, 1))
+    weights, shapes = [], []
+    for seed in range(400):
+        psi = random_state(alg, seed)
+        assert np.array_equal(psi.as_vector(), random_state(alg, seed).as_vector())
+        assert psi.is_state()
+        traces = [np.trace(rho).real for rho in psi.densities]
+        weights.append(traces)
+        shapes.append([rho / t for rho, t in zip(psi.densities, traces)])
+        for rho in psi.densities:
+            assert np.linalg.eigvalsh(rho)[0] > 0
+    assert np.abs(np.mean(weights, axis=0) - 1 / len(alg.blocks)).max() < 0.05
+    for k, b in enumerate(alg.blocks):
+        mean = np.mean([s[k] for s in shapes], axis=0)
+        assert np.abs(mean - np.eye(b) / b).max() < 0.05
+
+
 def test_group_closure_errors():
     with pytest.raises(NotAGroup):
         close_generators(3, [(0, 0, 1)])
