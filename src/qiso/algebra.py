@@ -321,35 +321,27 @@ def random_state(algebra: FinDimCStarAlgebra, seed: int) -> StateFunctional:
     """Full-support sampler: Ginibre-normalized block densities with
     Dirichlet block weights, drawn from `random.Random(seed)`.  The weights
     are normalized `expovariate(1.0)` draws, one per block; then each block
-    size b > 1, in order of first appearance, draws the entries of one
-    stack of Ginibre matrices G from `gauss` (real and imaginary part in
-    turn), and its blocks take G G* / tr(G G*) times their weights.  A 1x1
-    block's normalized density is 1 whatever G, so it draws none.
-    Deterministic in the seed, which is an int >= 0 as for numpy's
-    generators: a float raises TypeError, a negative int ValueError."""
+    of size b > 1, in order, draws a Ginibre matrix G from `gauss` (real and
+    imaginary part in turn) and takes G G* / tr(G G*) times its weight.  A
+    1x1 block's density is its weight, so it draws none.  Deterministic in
+    the seed, which is an int >= 0 as for numpy's generators: a float
+    raises TypeError, a negative int ValueError."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     weights = np.array([rng.expovariate(1.0) for _ in algebra.blocks])
     weights /= weights.sum()
-    stacks: Dict[int, list] = {}
-    for k, b in enumerate(algebra.blocks):
-        stacks.setdefault(b, []).append(k)
-    densities = [None] * len(algebra.blocks)
-    for b, ks in stacks.items():
+    densities = []
+    for w, b in zip(weights, algebra.blocks):
         if b == 1:
-            rho = np.ones((len(ks), 1, 1))
-        else:
-            parts = np.array([rng.gauss(0.0, 1.0)
-                              for _ in range(2 * len(ks) * b * b)])
-            G = parts.view(complex).reshape(len(ks), b, b)
-            rho = G @ G.conj().swapaxes(-1, -2)
-            rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-        rho *= weights[ks][:, None, None]
-        for k, block in zip(ks, rho):
-            densities[k] = block
-    return StateFunctional(algebra, densities)
+            densities.append(np.array([[w]]))
+            continue
+        G = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * b * b)]
+                     ).view(complex).reshape(b, b)
+        rho = G @ G.conj().T
+        densities.append(rho / np.trace(rho).real * w)
+    return StateFunctional(algebra, tuple(densities))
 
 
 def extreme_state(algebra: FinDimCStarAlgebra, block: int, xi) -> StateFunctional:

@@ -149,22 +149,13 @@ def act_on_point(action: CoAction, x: int, psi: StateFunctional,
                        tol=tol)
 
 
-def _row_sums(masses: np.ndarray) -> np.ndarray:
-    """The sums of the rows of (..., n), each taken left to right."""
-    total = masses[..., 0].copy()
-    for j in range(1, masses.shape[-1]):
-        total += masses[..., j]
-    return total
-
-
 def act_on_points(action: CoAction, states, tol: float = 1e-9) -> np.ndarray:
     """x <| psi for every state and point: masses[s, x, j] = psi_s(u_xj),
     from one contraction of the coefficient tensor with the stacked state
     vectors.  Every row is then validated as `prob_vector` validates a
     float row, with the same eps (tol): ValueError on a mass below -eps or
     a sum off 1 by more than eps, else negative fuzz clamped to 0 and the
-    row divided by its sum.  The sums run left to right, as Python's sum
-    does, so a row is bitwise `prob_vector`'s on the same masses."""
+    row divided by its sum."""
     n, dim = action.n, action.group.dim
     vecs = np.array([psi.as_vector() for psi in states]).reshape(-1, dim)
     masses = np.ascontiguousarray(
@@ -172,13 +163,13 @@ def act_on_points(action: CoAction, states, tol: float = 1e-9) -> np.ndarray:
     negative = (masses < -tol).any(axis=-1)
     if negative.any():
         raise ValueError(f"negative mass in {tuple(masses[negative][0].tolist())}")
-    total = _row_sums(masses)
+    total = masses.sum(axis=-1)
     off = np.abs(total - 1) > tol
     if off.any():
         raise ValueError(f"mass sums to {total[off][0]}, not 1")
     if tol:
         np.maximum(masses, 0.0, out=masses)
-        masses /= _row_sums(masses)[..., None]
+        masses /= masses.sum(axis=-1)[..., None]
     return masses
 
 

@@ -638,7 +638,8 @@ def test_image_that_is_not_a_probability_vector_raises():
     """An image with a mass below -tol, or a sum off 1 by more than tol,
     raises ValueError from act_on_points and from the sweep, as it does
     from act_on_point through prob_vector; a mass within tol below 0 is
-    clamped and its row renormalized, bitwise as prob_vector does."""
+    clamped and its row renormalized, as prob_vector does (within 4 ulps
+    of 1: the two sum in different orders)."""
     action = catalog_action("cyclic-4")
     alg = action.group.algebra
     assert alg.blocks == (1, 1, 1, 1)   # C(Z4): the states weigh characters
@@ -658,8 +659,8 @@ def test_image_that_is_not_a_probability_vector_raises():
     fuzz = functional([0.5 + 3e-12, 0.5, -3e-12, 0.0])
     masses = act_on_points(action, [fuzz])
     assert (masses >= 0).all() and (masses > 0.5).any()
-    assert masses[0].tolist() == [list(act_on_point(action, x, fuzz).mass)
-                                  for x in range(action.n)]
+    per_point = [act_on_point(action, x, fuzz).mass for x in range(action.n)]
+    assert np.abs(masses[0] - per_point).max() <= 4 * np.spacing(1.0)
 
 
 def _near_symmetric_action():
