@@ -12,7 +12,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
@@ -235,32 +234,17 @@ def element_norms(algebra: FinDimCStarAlgebra, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact positivity for rational self-adjoint blocks
+# exact positivity
 
-def exact_psd_pairs(pairs) -> bool:
-    """PSD test for a Hermitian matrix given as (re, im) Fraction pairs.
-
-    A complex Hermitian matrix embeds into a real symmetric one of doubled
-    size, which is scaled to integers and reduced by fraction-free
-    symmetric elimination (Bareiss 1968): a negative pivot means not PSD;
-    a zero pivot needs a zero row, which is dropped; otherwise the rest is
-    replaced by its Schur complement times the pivot, divided exactly by
-    the previous pivot.  Each step keeps PSD-ness both ways.
-    """
-    m = len(pairs)
-    if all(im == 0 for row in pairs for _, im in row):
-        real = [[re for re, _ in row] for row in pairs]
-    else:
-        real = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
-        for i in range(m):
-            for j in range(m):
-                re, im = pairs[i][j]
-                real[i][j] = re
-                real[m + i][m + j] = re
-                real[i][m + j] = -im
-                real[m + i][j] = im
-    scale = math.lcm(*(Fraction(v).denominator for row in real for v in row))
-    M = [[int(v * scale) for v in row] for row in real]
+def exact_psd(M) -> bool:
+    """Whether a symmetric int matrix (a sequence of rows) is PSD, by
+    fraction-free symmetric elimination (Bareiss 1968): a negative pivot
+    means not PSD; a zero pivot needs a zero row, which is dropped;
+    otherwise the rest is replaced by its Schur complement times the
+    pivot, divided exactly by the previous pivot.  Each step keeps
+    PSD-ness both ways.  A Hermitian matrix is PSD iff its real form
+    [[Re, -Im], [Im, Re]] is, which `CoAction.exact_blocks` stores."""
+    M = [list(row) for row in M]
     prev = 1
     while M:
         pivot, head = M[0][0], M[0]

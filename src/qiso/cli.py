@@ -213,15 +213,11 @@ def _dispatch(args) -> int:
     if args.command == "search":
         from .reports import SearchConfig, emit_report, run_search
         doc = fileio.read_json_object(args.config) if args.config else {}
-        config = SearchConfig.from_dict(doc)
-        if args.kind:
-            config.kind = args.kind
-        if args.random is not None:
-            config.random_actions = args.random
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.jobs is not None:
-            config.jobs = args.jobs
+        # the flags given replace the file's values and are checked with them
+        flags = {"kind": args.kind, "random_actions": args.random,
+                 "seed": args.seed, "jobs": args.jobs}
+        config = SearchConfig.from_dict(
+            {**doc, **{k: v for k, v in flags.items() if v is not None}})
         report = run_search(config)
         _emit(args, emit_report(report, fmt=args.format))
         return EXIT_OK

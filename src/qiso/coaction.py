@@ -13,9 +13,11 @@ distribution j -> psi(u_xj)) and on functions from the left
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,6 +81,32 @@ class CoAction:
         supports = np.full(live.shape[:2] + (place.max() + 1,), -1)
         supports[k, x, place[k, x, j]] = j
         return supports
+
+    @cached_property
+    def exact_blocks(self) -> List[Optional[Tuple[np.ndarray, int]]]:
+        """Per block k, (R, q) with R[i, j] the real form [[Re, -Im],
+        [Im, Re]] of u_ij on block k times the common denominator q, an
+        (n, n, 2b, 2b) array of Python ints; None when some entry of the
+        block is not a rational with denominator <= 4096.  Each distinct
+        float of a block is read back once, as `limit_denominator` finds
+        it, on first use: every exact decision of the universal checks
+        reads this one form."""
+        out = []
+        for stack in self.stacks:
+            parts = np.stack([stack.real, stack.imag])
+            values, inverse = np.unique(parts, return_inverse=True)
+            values = values.tolist()
+            fracs = [Fraction(v).limit_denominator(4096) if math.isfinite(v) else None
+                     for v in values]
+            if any(f is None or float(f) != v for f, v in zip(fracs, values)):
+                out.append(None)
+                continue
+            q = math.lcm(*(f.denominator for f in fracs))
+            ints = np.array([f.numerator * (q // f.denominator) for f in fracs],
+                            dtype=object)
+            re, im = ints[inverse.reshape(parts.shape)]
+            out.append((np.block([[re, -im], [im, re]]), q))
+        return out
 
 
 def verify_coaction(action: CoAction, tol: float = 1e-9,

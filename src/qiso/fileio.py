@@ -65,7 +65,7 @@ def _name(doc: dict) -> str:
     return name
 
 
-def parse_complex(value, mode: str = FLOAT) -> complex:
+def parse_complex(value) -> complex:
     if isinstance(value, list):
         if len(value) != 2:
             raise QisoError(f"complex scalar needs [re, im], got {value!r}")

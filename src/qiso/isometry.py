@@ -40,9 +40,11 @@ most block size points each), one batched eigvalsh per pair and block.
 The coupling-support conditions reduce to the vanishing of the pairwise
 products u_xj u_yk off the (sub)level set, one stacked matmul and
 eigvalsh per block size.  In rational mode near-ties are re-decided by
-exact fraction-free elimination, in loop order up to the first failure,
-which is the witness; float mode uses Hermitian eigensolvers with one
-tolerance; the space's mode says which.  Every check reads the space's
+exact fraction-free elimination on ints (`algebra.exact_psd`), in loop
+order up to the first failure, which is the witness; each reads the
+block's one exact form (`CoAction.exact_blocks`), and a block without
+one keeps the float verdict.  Float mode uses Hermitian eigensolvers
+with one tolerance; the space's mode says which.  Every check reads the space's
 `tol`, relative to the largest distance (its p-th power for the Lip_p
 eigenvalue bounds), and distances compare within the space's `dtol`, so
 no verdict depends on the caller or on the metric's units.
@@ -50,7 +52,6 @@ no verdict depends on the caller or on the metric's units.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,13 +60,13 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .algebra import (StateFunctional, element_norms, exact_psd_pairs,
+from .algebra import (StateFunctional, element_norms, exact_psd,
                       extreme_state, operator_norms)
 from .coaction import CoAction, act_on_point, act_on_points
 from .errors import QisoError
 from .metric import level_set
 from .scalars import RATIONAL
-from .transport import (ProbVector, _dual_vertex_search, _positive_integer,
+from .transport import (ProbVector, _dual_vertex_search, _integer_power,
                         _power_cost, feasible_coupling_on, solve_transport,
                         wasserstein_inf)
 
@@ -93,49 +94,23 @@ class IsometryVerdict:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _rationalize(x: float, max_den: int = 4096) -> Optional[Fraction]:
-    """The exact small-denominator rational equal to x, if there is one."""
-    f = Fraction(x).limit_denominator(max_den)
-    return f if float(f) == x else None
-
-
-def _exact_entries(mat: np.ndarray) -> Optional[list]:
-    """Matrix of (re, im) Fraction pairs when every entry is exactly a
-    small rational; None otherwise."""
-    out = []
-    for row in np.atleast_2d(mat):
-        orow = []
-        for v in row:
-            re = _rationalize(float(v.real))
-            im = _rationalize(float(v.imag))
-            if re is None or im is None:
-                return None
-            orow.append((re, im))
-        out.append(orow)
-    return out
-
-
 _BORDERLINE = 1e-6  # only near-ties are re-decided exactly
 
 
-def _first_failure(margins: np.ndarray, bound, limit: float, window: float,
-                   exact: Optional[Callable[[int], Optional[list]]]
+def _first_failure(margins: np.ndarray, limit: float, window: float,
+                   exact: Optional[Callable[[int], Optional[bool]]]
                    ) -> Optional[int]:
-    """The index of the first margin lambda_max - bound that fails, or
-    None.  A margin fails when it is not <= limit.  With `exact`, each
-    margin within `window` of 0 is re-decided instead, in order and only up
-    to the first failure, by an exact PSD test of bound - exact(i), a
-    Hermitian matrix as (re, im) Fraction pairs; where exact(i) is None the
-    float verdict stands."""
+    """The index of the first margin that fails, or None.  A margin fails
+    when it is not <= limit.  With `exact`, each margin within `window` of
+    0 is re-decided instead, in order and only up to the first failure, by
+    exact(i), whether the margin's matrix inequality holds exactly; where
+    exact(i) is None the float verdict stands."""
     ok = margins <= limit
     near = ~(np.abs(margins) > window) if exact else np.zeros_like(ok)
     for i in np.flatnonzero(~ok | near):
-        entries = exact(i) if near[i] else None
-        if entries is not None:
-            b = Fraction(bound)
-            ok[i] = exact_psd_pairs([[((b - re) if r == c else -re, -im)
-                                      for c, (re, im) in enumerate(row)]
-                                     for r, row in enumerate(entries)])
+        verdict = exact(i) if near[i] else None
+        if verdict is not None:
+            ok[i] = verdict
         if not ok[i]:
             return int(i)
     return None
@@ -472,10 +447,11 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
 
     Margins are in units of d^p (d(sigma x, sigma y)^p or the eigenvalue,
     minus d(x,y)^p) and the space's tol is relative to the largest d^p.  In
-    rational mode eigenvalue near-ties are re-decided on the exact matrix,
-    formed from the exact vertex and the u entries (each rationalized
-    once), in loop order up to the first failure.  The witness is the first
-    failure in the order (pair, block, vertex).
+    rational mode and for integer p, eigenvalue near-ties are re-decided in
+    loop order up to the first failure, on ints: with d^p = k^p / s^p, the
+    raw vertex (at the scale s^p) and block k's exact form (R, q),
+    k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b R[y, L_y[b]] must be PSD.
+    The witness is the first failure in the order (pair, block, vertex).
     """
     if p == float("inf") or p == "inf":
         return check_winf_universal(action)
@@ -483,7 +459,8 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
         raise ValueError("p must be >= 1")
     space = action.space
     rational = space.mode == RATIONAL
-    exact = rational and _positive_integer(p)
+    integer = _integer_power(space, p)    # d^p as k^p / s^p, or None
+    exact = integer is not None
     tag = f"Lip_{p}(universal)"
     scale = float(space.max_distance) ** float(p)
     stacks = action.stacks
@@ -517,27 +494,19 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     rows = {k: [tuple(row[row >= 0].tolist()) for row in supports[k]]
             for k, b in enumerate(blocks) if b > 1}
     vertices = {}        # (L_x, L_y) -> (raw vertices, scale, float f, float g)
-    exact_u = {}         # (k, i, j) -> u_ij on block k as (re, im) pairs
     worst = [float(char_margins.max())] if char_margins.size else []
 
-    def numbers(vert, s):
-        """A raw vertex as the numbers it stands for: v / s as Fractions,
-        or the floats themselves when s is None."""
-        return vert if s is None else [Fraction(v, s) for v in vert]
-
-    def exact_matrix(k, x, y, vert):
-        """The vertex combination on block k as (re, im) Fraction pairs;
-        None if some u entry in it is not rational."""
-        keys = [(k, x, j) for j in rows[k][x]] + [(k, y, j) for j in rows[k][y]]
-        for key in keys:
-            if key not in exact_u:
-                exact_u[key] = _exact_entries(stacks[k][key[1:]])
-        if any(exact_u[key] is None for key in keys):
+    def vertex_psd(k, x, y, vert):
+        """Whether k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b R[y, L_y[b]]
+        is PSD, for a raw vertex (f, g) and k^p at the scale s^p of d^p,
+        on block k's exact form (R, q); None when the block has none."""
+        form = action.exact_blocks[k]
+        if form is None:
             return None
-        terms = list(zip(vert, (exact_u[key] for key in keys)))
-        size = stacks[k].shape[2]
-        return [[tuple(sum(c * m[r][s][t] for c, m in terms) for t in (0, 1))
-                 for s in range(size)] for r in range(size)]
+        R, q = form
+        terms = np.concatenate([R[x, list(rows[k][x])], R[y, list(rows[k][y])]])
+        return exact_psd(integer[0][x][y] * q * np.eye(R.shape[-1], dtype=object)
+                         - sum(c * m for c, m in zip(vert, terms)))
 
     for i, (x, y) in enumerate(pairs[:stop[0] + 1]):
         for k in rows:
@@ -555,12 +524,11 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
             margins = np.linalg.eigvalsh(mats)[:, -1] - bounds[r_xy[i]]
             worst.append(float(margins.max()))
             failed = _first_failure(
-                margins, space.dist[x][y] ** int(p) if exact else None,
-                space.tol * scale, _BORDERLINE * scale,
-                (lambda v: exact_matrix(k, x, y, numbers(raw[v], vscale)))
-                if exact else None)
+                margins, space.tol * scale, _BORDERLINE * scale,
+                (lambda v: vertex_psd(k, x, y, raw[v])) if exact else None)
             if failed is not None:
-                vert = [str(v) for v in numbers(raw[failed], vscale)]
+                vert = [str(v if vscale is None else Fraction(v, vscale))
+                        for v in raw[failed]]
                 return IsometryVerdict(tag, False, witness={
                     "pair": (x, y), "block": k, "kind": "dual-vertex",
                     "supports": (lx, ly),
@@ -606,7 +574,8 @@ def _support_universal(action: CoAction, tag: str, level_only: bool) -> Isometry
     lambda_max one batched eigvalsh (the real entry on 1x1 blocks).  In
     rational mode the products within _BORDERLINE of 0 are re-decided
     exactly, in the order (pair, block, j, k) up to the first failure,
-    which is the witness."""
+    which is the witness: -(R_P R_Q R_P) must be PSD, with R_P and R_Q
+    read from the block's exact form (`CoAction.exact_blocks`)."""
     space = action.space
     alg = action.group.algebra
     pairs = _state_pairs(space)
@@ -633,20 +602,28 @@ def _support_universal(action: CoAction, tag: str, level_only: bool) -> Isometry
         margins[sel] = products[:, 0, 0].real if b == 1 else \
             np.linalg.eigvalsh(products)[:, -1]
 
-    def product(i):
-        stack = action.stacks[block[i]]
+    def product(i, stack):
+        """P Q P of product i, from its block's (n, n, ., .) stack."""
         P = stack[xs[pair[i]], j[i]]
         return P @ stack[ys[pair[i]], k[i]] @ P
 
-    failed = _first_failure(margins, 0, space.tol, _BORDERLINE, (
-        lambda i: _exact_entries(product(i))) if space.mode == RATIONAL else None)
+    def product_psd(i):
+        """Whether -P Q P is PSD exactly, on the block's exact form (the
+        real form of a product is the product of the real forms); None
+        when the block has none."""
+        form = action.exact_blocks[block[i]]
+        return None if form is None else exact_psd(-product(i, form[0]))
+
+    failed = _first_failure(margins, space.tol, _BORDERLINE,
+                            product_psd if space.mode == RATIONAL else None)
     if failed is None:
         return IsometryVerdict(tag, True, certificate={
             "max_residual": max([0.0] + margins.tolist())})
     return IsometryVerdict(tag, False, witness={
         "pair": pairs[pair[failed]], "points": (int(j[failed]), int(k[failed])),
         "block": int(block[failed]), "residual": float(margins[failed]),
-        "state": _eigen_state(action, int(block[failed]), product(failed))})
+        "state": _eigen_state(action, int(block[failed]),
+                              product(failed, action.stacks[block[failed]]))})
 
 
 def check_winf_universal(action: CoAction) -> IsometryVerdict:
@@ -692,33 +669,6 @@ def check_orthogonality(action: CoAction, x: int, y: int, S, T, delta) -> bool:
     S, T = list(S), list(T)
     return all(float(operator_norms(stack[x, S].sum(0) @ stack[y, T].sum(0)))
                <= space.tol for stack in action.stacks)
-
-
-def sample_orthogonality_inputs(action: CoAction, count: int, seed: int):
-    """Admissible (x, y, S, T, delta) tuples for the orthogonality check."""
-    space = action.space
-    n = space.n
-    rng = random.Random(seed)
-    realized = space.realized_distances
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < count * 200:
-        attempts += 1
-        x, y = rng.randrange(n), rng.randrange(n)
-        d_xy = space.dist[x][y]
-        gaps = [abs(r - d_xy) for r in realized if r != d_xy]
-        if not gaps:
-            continue
-        delta = min(gaps)
-        size = rng.randint(1, n)
-        S = frozenset(rng.sample(range(n), size))
-        allowed = [t for t in range(n)
-                   if all(abs(space.dist[s][t] - d_xy) >= delta for s in S)]
-        if not allowed:
-            continue
-        T = frozenset(rng.sample(allowed, rng.randint(1, len(allowed))))
-        out.append((x, y, S, T, delta))
-    return out
 
 
 def check_injectivity(action: CoAction) -> bool:

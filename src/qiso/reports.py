@@ -12,7 +12,6 @@ import csv
 import functools
 import io
 import json
-import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -79,7 +78,7 @@ _CONFIG_CHECKS = {
     "random_actions": lambda v: _is_number(v, 0, int),
     "state_samples": lambda v: _is_number(v, 0, int),
     "p_list": lambda v: _is_list(v, lambda p: p == "inf" or _is_number(p, 1)),
-    "seed": lambda v: _is_number(v, -math.inf, int),
+    "seed": lambda v: _is_number(v, 0, int),
     "time_budget": lambda v: v is None or _is_number(v, 0),
     "jobs": lambda v: _is_number(v, 1, int),
 }

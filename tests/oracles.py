@@ -41,10 +41,17 @@ exponential in the number of points:
   gather, the stacked products and the batched eigensolvers of
   `check_lip_p_universal` and `_support_universal`, whose verdicts,
   witnesses, margins and certificates must be equal to the reference's;
+- exact_psd_pairs, _exact_entries and _rationalize: exact positivity as
+  the universal checks first decided it, on a (re, im) Fraction matrix
+  read back entry by entry with `limit_denominator(4096)`, embedded into
+  a real matrix and scaled to ints on every call; not exponential, but
+  independent of the stored exact forms of `CoAction.exact_blocks` and
+  of `algebra.exact_psd`, for the full-sweep and loops oracles;
 - psd_by_principal_minors: the sign of every principal minor (2^(2b) of
   them for a b x b complex block), against the fraction-free symmetric
-  elimination of `exact_psd_pairs`; exact_psd applies that elimination
-  to the stored blocks of an AlgElement, for the subset oracle;
+  elimination of `exact_psd_pairs` and of `algebra.exact_psd`; exact_psd
+  applies the former to the stored blocks of an AlgElement, for the
+  subset oracle;
 - support_universal_bruteforce: positivity of a_{y;N(S)} - a_{x;S} for
   every pair and every subset S, against the pairwise orthogonality
   criterion of `check_theorem_main` and `check_winf_universal`;
@@ -100,6 +107,8 @@ exponential in the number of points:
   a_{x;B(y,I)} = kappa(a_{y;B(x,I)}) over all realized intervals, and
   L(psi |> f) <= L(f) on sampled functions and Lipschitz vertices, which
   the tests compare with (D) and per-state Lip_1;
+- sample_orthogonality_inputs: admissible (x, y, S, T, delta) tuples for
+  `check_orthogonality`, drawn at random;
 - with_ordered_pairs: a pairwise universal check run over every ordered
   pair, as before it visited x < y only on an exactly symmetric d;
 - scaled_twin: an action on its metric times a scale, exact or as a
@@ -138,6 +147,7 @@ from the AlgElement entries of u.
 """
 
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -147,7 +157,7 @@ from unittest import mock
 import numpy as np
 
 from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
-                          exact_psd_pairs, extreme_state)
+                          extreme_state)
 from qiso.catalog import CatalogEntryInvalid, dihedral_group_algebra
 from qiso.coaction import CoAction, act_on_function, generation_deficit
 from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
@@ -155,8 +165,7 @@ from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
                            quotient_quantum_group)
 from qiso.errors import DimensionMismatch, QisoError
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
-                           _eigen_state, _exact_entries, _rationalize,
-                           _state_pairs, _vertex_floats, check_D,
+                           _eigen_state, _state_pairs, _vertex_floats, check_D,
                            check_winf_universal)
 from qiso.metric import (AsymmetricMatrix, FiniteMetricSpace, NegativeDistance,
                          NonzeroDiagonal, PairSet, TriangleViolation, ball,
@@ -842,6 +851,66 @@ def _det_fraction(M) -> Fraction:
             for c in range(col, m):
                 M[r][c] -= factor * M[col][c]
     return det
+
+
+def _rationalize(x: float, max_den: int = 4096) -> Optional[Fraction]:
+    """The exact small-denominator rational equal to x, if there is one."""
+    f = Fraction(x).limit_denominator(max_den)
+    return f if float(f) == x else None
+
+
+def _exact_entries(mat: np.ndarray) -> Optional[list]:
+    """Matrix of (re, im) Fraction pairs when every entry is exactly a
+    small rational; None otherwise."""
+    out = []
+    for row in np.atleast_2d(mat):
+        orow = []
+        for v in row:
+            re = _rationalize(float(v.real))
+            im = _rationalize(float(v.imag))
+            if re is None or im is None:
+                return None
+            orow.append((re, im))
+        out.append(orow)
+    return out
+
+
+def exact_psd_pairs(pairs) -> bool:
+    """PSD test for a Hermitian matrix given as (re, im) Fraction pairs.
+
+    A complex Hermitian matrix embeds into a real symmetric one of doubled
+    size, which is scaled to integers and reduced by fraction-free
+    symmetric elimination (Bareiss 1968): a negative pivot means not PSD;
+    a zero pivot needs a zero row, which is dropped; otherwise the rest is
+    replaced by its Schur complement times the pivot, divided exactly by
+    the previous pivot.  Each step keeps PSD-ness both ways.
+    """
+    m = len(pairs)
+    if all(im == 0 for row in pairs for _, im in row):
+        real = [[re for re, _ in row] for row in pairs]
+    else:
+        real = [[Fraction(0)] * (2 * m) for _ in range(2 * m)]
+        for i in range(m):
+            for j in range(m):
+                re, im = pairs[i][j]
+                real[i][j] = re
+                real[m + i][m + j] = re
+                real[i][m + j] = -im
+                real[m + i][j] = im
+    scale = math.lcm(*(Fraction(v).denominator for row in real for v in row))
+    M = [[int(v * scale) for v in row] for row in real]
+    prev = 1
+    while M:
+        pivot, head = M[0][0], M[0]
+        if pivot < 0 or (pivot == 0 and any(head)):
+            return False
+        if pivot:
+            M = [[(pivot * v - row[0] * h) // prev
+                  for v, h in zip(row[1:], head[1:])] for row in M[1:]]
+            prev = pivot
+        else:
+            M = [row[1:] for row in M[1:]]
+    return True
 
 
 def psd_by_principal_minors(pairs) -> bool:
@@ -2114,6 +2183,33 @@ def check_lip_seminorm_state(action: CoAction, psi: StateFunctional,
         if float(lg) > float(lf) + tol:
             return False
     return True
+
+
+def sample_orthogonality_inputs(action: CoAction, count: int, seed: int):
+    """Admissible (x, y, S, T, delta) tuples for `check_orthogonality`."""
+    space = action.space
+    n = space.n
+    rng = random.Random(seed)
+    realized = space.realized_distances
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < count * 200:
+        attempts += 1
+        x, y = rng.randrange(n), rng.randrange(n)
+        d_xy = space.dist[x][y]
+        gaps = [abs(r - d_xy) for r in realized if r != d_xy]
+        if not gaps:
+            continue
+        delta = min(gaps)
+        size = rng.randint(1, n)
+        S = frozenset(rng.sample(range(n), size))
+        allowed = [t for t in range(n)
+                   if all(abs(space.dist[s][t] - d_xy) >= delta for s in S)]
+        if not allowed:
+            continue
+        T = frozenset(rng.sample(allowed, rng.randint(1, len(allowed))))
+        out.append((x, y, S, T, delta))
+    return out
 
 
 def metric_violation_reference(matrix):

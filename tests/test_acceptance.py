@@ -17,8 +17,7 @@ from qiso.coaction import verify_coaction
 from qiso.envelope import envelope
 from qiso.isometry import (check_D, check_D_commutant, check_injectivity,
                            check_lip_p_universal, check_orthogonality,
-                           check_theorem_main, check_winf_universal,
-                           sample_orthogonality_inputs)
+                           check_theorem_main, check_winf_universal)
 from qiso.metric import PairSet, random_metric_space
 from qiso.quantum_group import verify_quantum_group
 from qiso.reports import instance_descriptors, build_instance, SearchConfig
@@ -28,8 +27,8 @@ from qiso.transport import (ProbVector, feasible_coupling_on, kantorovich_w1,
 
 from oracles import (annihilator_convolution_check,
                      enumerate_boxed_dual_vertices, hall_condition,
-                     lip_p_universal_full_sweep, transport_bruteforce,
-                     verify_universal_property)
+                     lip_p_universal_full_sweep, sample_orthogonality_inputs,
+                     transport_bruteforce, verify_universal_property)
 
 
 def report(num: int, name: str, ok: bool, elapsed: float, detail: str = ""):

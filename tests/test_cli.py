@@ -605,6 +605,24 @@ def test_cli_search_rejects_mistyped_config_value(tmp_path, capsys):
     assert code == 2 and not out and "random_actions" in err
 
 
+def test_cli_search_checks_flag_overrides_as_config_values(tmp_path, capsys):
+    """--random, --seed and --jobs pass the checks a config file's values
+    pass: a negative count or seed, or no workers, is invalid input naming
+    the field (--random -3 --jobs 0 ran before, and --seed -1 failed late,
+    inside the state sampler); SearchConfig rejects a negative seed too."""
+    from qiso.reports import SearchConfig
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"]}))
+    for flags, field in ((["--random", "-3"], "random_actions"),
+                         (["--jobs", "0"], "jobs"),
+                         (["--seed", "-1", "--random", "1"], "seed")):
+        code = main(["search", "--config", str(cfg)] + flags)
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and repr(field) in err, flags
+    with pytest.raises(ValueError, match="'seed'"):
+        SearchConfig.from_dict({"seed": -1})
+
+
 def test_cli_search_seed_and_jobs_override_config_only_when_given(
         tmp_path, capsys, monkeypatch):
     """--seed and --jobs replace the config file's values when given, before

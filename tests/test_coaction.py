@@ -153,6 +153,31 @@ def test_coaction_constructor_checks_shape_and_freezes_tensor():
             assert _same_tensor(action.u[i][j].vec(), action.coeffs[i, j])
 
 
+def test_exact_blocks_reproduce_the_stacks():
+    """Every catalog entry's exact form (R, q) is its block stacks exactly:
+    R holds Python ints in the real form [[Re, -Im], [Im, Re]] of each u_ij
+    on the block, and R / q rounds back to every stored float.  Every block
+    has one except the 2x2 block of dual-d3-blocks, whose entries are not
+    small rationals."""
+    missing = []
+    for name in CATALOG:
+        action = catalog_action(name)
+        for k, (stack, form) in enumerate(zip(action.stacks, action.exact_blocks)):
+            if form is None:
+                missing.append((name, stack.shape[-1]))
+                continue
+            R, q = form
+            b = stack.shape[-1]
+            assert R.shape == stack.shape[:2] + (2 * b, 2 * b), name
+            assert all(type(v) is int for v in R.ravel()), name
+            assert (R[..., :b, :b] == R[..., b:, b:]).all(), name
+            assert (R[..., :b, b:] == -R[..., b:, :b]).all(), name
+            values = (R / q).astype(float)
+            assert np.array_equal(values[..., :b, :b], stack.real), name
+            assert np.array_equal(values[..., b:, :b], stack.imag), name
+    assert missing == [("dual-d3-blocks", 2)]
+
+
 def test_generation_deficit_matches_entry_reference():
     """Span saturation on coefficient vectors gives the deficits of the
     per-entry Gram-Schmidt: on the c07 population (catalog + 200 random

@@ -24,16 +24,16 @@ from qiso.isometry import (HypothesisViolated, check_D, check_D_commutant,
                            check_level_coupling_state, check_lip1_universal,
                            check_lip_p_state, check_lip_p_universal,
                            check_orthogonality, check_theorem_main,
-                           check_winf_universal, sample_orthogonality_inputs)
+                           check_winf_universal)
 from qiso.metric import level_set, random_metric_space, validate_metric
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import feasible_coupling_on, wasserstein_inf, wasserstein_p
 
 from oracles import (check_ball_identity, check_lip_seminorm_state,
                      entry_tensor, group_element, lip_p_universal_full_sweep,
-                     lip_p_universal_loops, scaled_twin,
-                     support_universal_bruteforce, support_universal_loops,
-                     with_ordered_pairs)
+                     lip_p_universal_loops, sample_orthogonality_inputs,
+                     scaled_twin, support_universal_bruteforce,
+                     support_universal_loops, with_ordered_pairs)
 
 
 def test_verdicts_take_no_tolerance_argument():

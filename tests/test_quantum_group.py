@@ -1,16 +1,16 @@
 """Block algebras, states, Hopf verification, Haar states, convolution."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from qiso import coaction, quantum_group
+from qiso import algebra, coaction, quantum_group
 from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
-                          StateFunctional, exact_psd_pairs,
-                          extreme_state, max_operator_norms, operator_norms,
-                          random_state)
+                          StateFunctional, extreme_state, max_operator_norms,
+                          operator_norms, random_state)
 from qiso.catalog import (catalog_action, cycle_metric, dihedral_group_algebra,
                           dihedral_irreps, dihedral_perms,
                           random_permutation_action, standard_actions,
@@ -22,8 +22,9 @@ from qiso.quantum_group import (InconsistentIrreps, KacViolation, NotAGroup,
                                 haar_state, invert, require_kac,
                                 verify_quantum_group)
 
-from oracles import (apply_kappa, exact_psd, group_algebra_loops,
-                     haar_vector_lstsq, psd_by_principal_minors,
+from oracles import (apply_kappa, exact_psd, exact_psd_pairs,
+                     group_algebra_loops, haar_vector_lstsq,
+                     psd_by_principal_minors,
                      verify_coaction_loops, verify_quantum_group_dense,
                      verify_quantum_group_loops)
 
@@ -61,11 +62,23 @@ def hermitian_from_vectors(vectors, signs):
              for j in range(b)] for i in range(b)]
 
 
+def integer_real_form(pairs):
+    """The real form [[Re, -Im], [Im, Re]] of a matrix of (re, im)
+    Fraction pairs, times the lcm of its denominators, as ints."""
+    top = [[re for re, _ in row] + [-im for _, im in row] for row in pairs]
+    bottom = [[im for _, im in row] + [re for re, _ in row] for row in pairs]
+    scale = math.lcm(*(v.denominator for row in top + bottom for v in row))
+    return [[int(v * scale) for v in row] for row in top + bottom]
+
+
 def test_exact_psd_matches_principal_minors():
     """Elimination and principal minors agree on seeded rational Hermitian
     matrices, b <= 4, real and complex: full-rank and singular PSD ones,
     ones with a negative term v v^* (at most one negative eigenvalue), and
-    ones where elimination meets a zero pivot on a nonzero row."""
+    ones where elimination meets a zero pivot on a nonzero row.  Both
+    eliminations are compared: the oracle's on (re, im) pairs, and
+    `algebra.exact_psd` on the integer real form, as the universal checks
+    call it."""
     rng = random.Random(12)
 
     def entry():
@@ -96,6 +109,7 @@ def test_exact_psd_matches_principal_minors():
                 pairs[0][0] = (F(0), F(0))
         verdict = exact_psd_pairs(pairs)
         assert verdict == psd_by_principal_minors(pairs), pairs
+        assert algebra.exact_psd(integer_real_form(pairs)) == verdict, pairs
         verdicts[kind].add(verdict)
     assert verdicts == {"full": {True}, "singular": {True},
                         "negative": {True, False}, "zero-pivot": {False}}
