@@ -18,12 +18,17 @@ quotient need not exist: on the float triangle with sides 1, 1 + e,
 C(S3) pass (D) and the 3-cycles do not, so C({e, (01)}) and
 C({e, (02)}) are both maximal.  So the Hopf property is asserted: a cut
 that fails it raises `QisoError` naming the first violation.  The
-quotient's structure maps and induced action are verified.
+quotient's structure maps and induced action are verified on the first
+read of `EnvelopeResult.reports` (`qiso envelope` reads it; the search
+records only the dimension and the cut).  The verifiers only report
+residuals, NaN for a non-finite entry, and raise for no quotient the
+envelope returns, so deferring them defers no rejection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -105,12 +110,6 @@ def _hopf_violation(qg: QuantumGroup, included: FrozenSet[int],
     return f"Delta of the ideal reaches survivor pair {pairs[0]}" if pairs else None
 
 
-def is_hopf_ideal(qg: QuantumGroup, included: FrozenSet[int],
-                  tol: float = 1e-9) -> bool:
-    """Delta-, kappa- and counit-compatibility of a block ideal."""
-    return _hopf_violation(qg, included, tol) is None
-
-
 # ---------------------------------------------------------------------------
 # quotient construction
 
@@ -149,18 +148,29 @@ class EnvelopeResult:
     quotient: QuantumGroup
     survivors: List[int]
     induced: CoAction
-    reports: Dict[str, QGReport]
 
     @property
     def dimension(self) -> int:
         return self.quotient.dim
 
+    @cached_property
+    def reports(self) -> Dict[str, QGReport]:
+        """The quotient's axioms and the induced action's, verified on
+        first read: residual reports, which raise for no quotient that
+        `envelope` returns."""
+        return {"quantum_group": verify_quantum_group(self.quotient),
+                "coaction": verify_coaction(self.induced, tol=self.induced.space.tol,
+                                            check_faithful=False)}
+
 
 def envelope(action: CoAction) -> EnvelopeResult:
-    """Defects -> generated ideal -> asserted Hopf ideal -> verified
-    quotient.  The ideal is cut at the space's tol x max d, as `check_D`
-    cuts the defects; the structure maps are cut at tol.  Raises
-    `QisoError` when that cut is no Hopf ideal (see the module docstring)."""
+    """Defects -> generated ideal -> asserted Hopf ideal -> quotient and
+    induced action, checked for (D).  The ideal is cut at the space's
+    tol x max d, as `check_D` cuts the defects; the structure maps are cut
+    at tol.  Raises `QisoError` when that cut is no Hopf ideal (see the
+    module docstring) or the induced action fails (D).  The quotient and
+    the induced action are verified on the first read of the result's
+    `reports`, which `qiso envelope` prints."""
     qg = action.group
     tol = action.space.tol
     ideal = generated_ideal(qg, commutator_defects(action),
@@ -171,11 +181,8 @@ def envelope(action: CoAction) -> EnvelopeResult:
                         f"no Hopf ideal, so this tolerance decides no envelope: {violation}")
     quotient, survivors = quotient_quantum_group(qg, ideal)
     induced = induced_action(action, quotient, survivors)
-    reports: Dict[str, QGReport] = {
-        "quantum_group": verify_quantum_group(quotient),
-        "coaction": verify_coaction(induced, tol=tol, check_faithful=False)}
     if not check_D(induced).holds:
         raise QisoError("induced action is not (D)-isometric; "
                         "envelope construction is broken")
     return EnvelopeResult(ideal=ideal, quotient=quotient, survivors=survivors,
-                          induced=induced, reports=reports)
+                          induced=induced)

@@ -262,6 +262,11 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     `space.distance_ranks` at most `top`, as `wasserstein_inf` does, and
     every pair bisects on k as it does: nu(N_k(S)) is a sum of more
     nonnegative terms as k grows, so feasibility is monotone in floats too.
+
+    `_hall_ranks` bisects a chunk of states at a time: as many as keep
+    its tables, (K n + 3 P)(2^n - 1) entries a state, within
+    _HALL_MAX_CELLS, and at least one.  The neighbourhood table N_k(S),
+    K (2^n - 1) n entries, is shared by every chunk.
     """
     n = space.n
     values = space.realized_distances
@@ -272,22 +277,30 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     reach = subsets @ near                                   # (K, 2^n-1, n)
     np.minimum(reach, 1.0, out=reach)
     radii = np.array([float(v) for v in values])
-    rows = np.arange(len(subsets))
-    out = np.empty((len(masses), len(xs)))
-    nu = np.empty_like(reach)
-    for s, mass in enumerate(masses):
-        mu = mass[xs] @ subsets.T                            # (P, 2^n-1)
-        np.matmul(reach, mass.T, out=nu)                     # (K, 2^n-1, n)
-        lo = np.zeros(len(xs), dtype=int)
-        hi = np.full(len(xs), len(values) - 1)  # {d <= max d} always feasible
-        while (lo < hi).any():
-            mid = (lo + hi) // 2
-            deficiency = (mu - nu[mid[:, None], rows, ys[:, None]]).max(-1)
-            feasible = deficiency <= max(n, 1) * 1e-9
-            hi = np.where(feasible, mid, hi)
-            lo = np.where(feasible, lo, np.minimum(mid + 1, hi))
-        out[s] = radii[lo]
-    return out
+    step = max(1, _HALL_MAX_CELLS // ((len(values) * n + 3 * len(xs))
+                                      * len(subsets)))
+    return np.concatenate([
+        radii[_hall_ranks(reach, subsets, chunk, xs, ys, max(n, 1) * 1e-9)]
+        for chunk in np.split(masses, range(step, len(masses), step))])
+
+
+def _hall_ranks(reach, subsets, masses, xs, ys, tol) -> np.ndarray:
+    """The least k at which every (state, pair) passes Hall's test, all
+    bisecting at once on (S, P) arrays.  Its tables are nu (S K (2^n - 1) n
+    entries), mu and two deficiencies (S P (2^n - 1) each)."""
+    mu = masses[:, xs] @ subsets.T                           # (S, P, 2^n-1)
+    nu = reach @ masses.transpose(0, 2, 1)[:, None]          # (S, K, 2^n-1, n)
+    states = np.arange(len(masses))[:, None]
+    lo = np.zeros(mu.shape[:2], dtype=int)
+    hi = np.full(mu.shape[:2], len(reach) - 1)  # {d <= max d} always feasible
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        deficiency = nu[states, mid, :, ys]                  # (S, P, 2^n-1)
+        np.subtract(mu, deficiency, out=deficiency)
+        feasible = deficiency.max(-1) <= tol
+        hi = np.where(feasible, mid, hi)
+        lo = np.where(feasible, lo, np.minimum(mid + 1, hi))
+    return lo
 
 
 def _pair_sweep(space, masses, pairs, p) -> np.ndarray:
@@ -368,9 +381,14 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
     from 36,000 on max-flow won with every count (98 against 67 ms for one
     and 612 against 587 ms for ten at n = 14 with K = 8; 61 against 32 and
     519 against 297 ms at n = 13 with K = 20; 57 against 21 and 337
-    against 290 ms at n = 12 with K = 67).  The Hall tables take about 16
-    bytes per entry at their peak (57 MB at n = 12 with K = 67), so the
-    cap bounds them by 64 MB.
+    against 290 ms at n = 12 with K = 67).  The Hall tables are the
+    neighbourhood table, K n (2^n - 1) entries, within the cap, and those
+    of one chunk of states (`_hall_sweep`), within the cap too unless a
+    single state's exceed it (many ordered pairs).  So where one state's
+    tables fit, the cap bounds their floats by 64 MB.  At the cap they
+    peaked at 57 MB (n = 12 with K = 67, one state a chunk) for 1, 10 and
+    40 states, as when the states ran one at a time; at n = 10 with K = 46
+    (six states a chunk) at 32 MB against 8 MB one at a time.
 
     The margins W_p - d(x,y) scale with the metric, so the space's tol is
     taken relative to the largest distance, as for (D); x <| psi is

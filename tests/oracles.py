@@ -92,6 +92,10 @@ exponential in the number of points:
   `wasserstein_inf`, which must return the same r and violator (the
   min-cut side nearest the source, the same for every max flow) and a
   plan that couples the marginals on the same sublevel set;
+- hall_sweep_loops: the Hall-table W_inf of `isometry._hall_sweep` as
+  first written, one sampled state at a time, against its bisection of
+  every (state, pair) at once on chunks of states, whose radii must be
+  bitwise equal to the loop's;
 - commutator_defects_by_entry, check_D_by_entry, check_D_state_by_entry,
   check_D_commutant_by_entry, generation_deficit_by_entry and
   verify_coaction_by_entry: condition (D), its commutant form, the
@@ -133,6 +137,9 @@ exponential in the number of points:
   and the antipode's block map one basis element and one block pair at a
   time, against the block-peak array passes of
   `envelope._delta_violations` and `envelope.kappa_block_map`;
+- is_hopf_ideal: Delta-, kappa- and counit-compatibility of a block
+  ideal, by the first violation `envelope._hopf_violation` finds, for
+  the tests and the exhaustive oracles below;
 - verify_universal_property: every block subset (at most 12 blocks)
   that defines a Hopf quotient acting (D)-isometrically must contain the
   envelope's ideal; annihilator_convolution_check: functionals vanishing
@@ -149,6 +156,7 @@ from the AlgElement entries of u.
 import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -161,7 +169,7 @@ from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
 from qiso.catalog import CatalogEntryInvalid, dihedral_group_algebra
 from qiso.coaction import CoAction, act_on_function, generation_deficit
 from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
-                           induced_action, is_hopf_ideal, kappa_block_map,
+                           _hopf_violation, induced_action, kappa_block_map,
                            quotient_quantum_group)
 from qiso.errors import DimensionMismatch, QisoError
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
@@ -1768,6 +1776,37 @@ def hall_condition(mu: ProbVector, nu: ProbVector, Y: PairSet,
     return True, None
 
 
+def hall_sweep_loops(space, masses, xs, ys) -> np.ndarray:
+    """W_inf for every state and pair by Hall's theorem, as
+    `isometry._hall_sweep` first computed it: one sampled state at a
+    time, every pair of that state bisecting on the realized radii."""
+    n = space.n
+    values = space.realized_distances
+    ranks = np.array(space.distance_ranks)
+    near = np.array([ranks <= bisect_right(values, v + space.dtol) - 1
+                     for v in values], dtype=float)          # (K, n, n)
+    subsets = (np.arange(1, 2 ** n)[:, None] >> np.arange(n)) & 1
+    reach = subsets @ near                                   # (K, 2^n-1, n)
+    np.minimum(reach, 1.0, out=reach)
+    radii = np.array([float(v) for v in values])
+    rows = np.arange(len(subsets))
+    out = np.empty((len(masses), len(xs)))
+    nu = np.empty_like(reach)
+    for s, mass in enumerate(masses):
+        mu = mass[xs] @ subsets.T                            # (P, 2^n-1)
+        np.matmul(reach, mass.T, out=nu)                     # (K, 2^n-1, n)
+        lo = np.zeros(len(xs), dtype=int)
+        hi = np.full(len(xs), len(values) - 1)  # {d <= max d} always feasible
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            deficiency = (mu - nu[mid[:, None], rows, ys[:, None]]).max(-1)
+            feasible = deficiency <= max(n, 1) * 1e-9
+            hi = np.where(feasible, mid, hi)
+            lo = np.where(feasible, lo, np.minimum(mid + 1, hi))
+        out[s] = radii[lo]
+    return out
+
+
 def feasible_coupling_reference(mu: ProbVector, nu: ProbVector, Y: PairSet,
                                 tol: float = 1e-9) -> CouplingFeasibility:
     """Find a (mu, nu)-coupling supported on Y, or certify none exists:
@@ -2357,6 +2396,12 @@ def hopf_saturate(qg: QuantumGroup, ideal: BlockIdeal,
         raise SaturationReachedFullAlgebra(
             "no proper Hopf ideal contains the generators")
     return BlockIdeal(result), len(result) - len(ideal.included_blocks)
+
+
+def is_hopf_ideal(qg: QuantumGroup, included: FrozenSet[int],
+                  tol: float = 1e-9) -> bool:
+    """Delta-, kappa- and counit-compatibility of a block ideal."""
+    return _hopf_violation(qg, included, tol) is None
 
 
 def verify_universal_property(action: CoAction, env: EnvelopeResult,

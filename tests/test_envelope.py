@@ -15,7 +15,7 @@ from qiso.catalog import (dihedral_projection_action, four_point_asymmetric,
                           standard_actions, three_point_isosceles)
 from qiso.coaction import CoAction, verify_coaction
 from qiso.envelope import (BlockIdeal, _delta_violations, envelope,
-                           generated_ideal, is_hopf_ideal, kappa_block_map)
+                           generated_ideal, kappa_block_map)
 from qiso.errors import QisoError
 from qiso.isometry import check_D, commutator_defects
 from qiso.metric import random_metric_space, validate_metric
@@ -24,7 +24,7 @@ from qiso.reports import SearchConfig, build_instance, instance_descriptors
 
 from oracles import (SaturationReachedFullAlgebra,
                      annihilator_convolution_check, apply_kappa, counit,
-                     delta_violations_loops, hopf_saturate,
+                     delta_violations_loops, hopf_saturate, is_hopf_ideal,
                      kappa_block_map_loops,
                      verify_universal_property)
 

@@ -30,7 +30,8 @@ from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import feasible_coupling_on, wasserstein_inf, wasserstein_p
 
 from oracles import (check_ball_identity, check_lip_seminorm_state,
-                     entry_tensor, group_element, lip_p_universal_full_sweep,
+                     entry_tensor, group_element, hall_sweep_loops,
+                     lip_p_universal_full_sweep,
                      lip_p_universal_loops, sample_orthogonality_inputs,
                      scaled_twin, support_universal_bruteforce,
                      support_universal_loops, with_ordered_pairs)
@@ -773,6 +774,42 @@ def test_sweep_routes_match_per_pair_oracle():
                 routes.setdefault(route, set()).add(held)
     assert routes == {route: {True, False} for route in
                       ("dual-vertices", "simplex", "hall-subsets", "max-flow")}
+
+
+def test_hall_sweep_batches_match_the_per_state_loop(monkeypatch):
+    """The Hall route's radii, every (state, pair) bisected at once on
+    chunks of states, are bitwise equal to the per-state loop's on the
+    catalog and on seeded random permutation actions with n = 3 to 7, ten
+    states each: with every state in one chunk, and with _HALL_MAX_CELLS
+    lowered to three states' tables, so that the states split into
+    chunks of 3, 3, 3 and 1."""
+    actions = [entry.action for entry in standard_actions()]
+    actions += [random_permutation_action(random_metric_space(n, 41 * n + k), k)
+                for n in range(3, 8) for k in range(4)]
+    chunks = []
+
+    def counted(reach, subsets, masses, *args):
+        chunks.append(len(masses))
+        return ranks(reach, subsets, masses, *args)
+
+    ranks, cells = isometry._hall_ranks, isometry._HALL_MAX_CELLS
+    monkeypatch.setattr(isometry, "_hall_ranks", counted)
+    for action in actions:
+        space = action.space
+        states = [random_state(action.group.algebra, 13 * k + 5) for k in range(10)]
+        masses = act_on_points(action, states, space.tol)
+        pairs = isometry._state_pairs(space)
+        xs = np.array([x for x, _ in pairs])
+        ys = np.array([y for _, y in pairs])
+        want = hall_sweep_loops(space, masses, xs, ys)
+        per_state = (len(space.realized_distances) * space.n + 3 * len(pairs)) \
+            * (2 ** space.n - 1)
+        for cap, sizes in ((cells, [10]), (3 * per_state, [3, 3, 3, 1])):
+            monkeypatch.setattr(isometry, "_HALL_MAX_CELLS", cap)
+            del chunks[:]
+            got = isometry._hall_sweep(space, masses, xs, ys)
+            assert chunks == sizes and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), action.name
 
 
 @pytest.fixture(scope="module")
