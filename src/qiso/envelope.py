@@ -170,8 +170,15 @@ def envelope(action: CoAction) -> EnvelopeResult:
     at tol.  Raises `QisoError` when that cut is no Hopf ideal (see the
     module docstring) or the induced action fails (D).  The quotient and
     the induced action are verified on the first read of the result's
-    `reports`, which `qiso envelope` prints."""
+    `reports`, which `qiso envelope` prints.  A non-finite entry of u or
+    of a structure map raises `QisoError` before the cut, which could not
+    decide its blocks."""
     qg = action.group
+    for name, entries in (("u", action.coeffs), ("delta", qg.delta),
+                          ("epsilon", qg.epsilon), ("kappa", qg.kappa)):
+        if not np.isfinite(entries).all():
+            raise QisoError(f"{name} has a non-finite entry, so no envelope "
+                            "can be cut")
     tol = action.space.tol
     ideal = generated_ideal(qg, commutator_defects(action),
                             tol * float(action.space.max_distance))

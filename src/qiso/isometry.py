@@ -260,7 +260,8 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     1 minus the max flow of `feasible_coupling_on`, so its float acceptance
     test reads deficiency <= max(n, 1) 1e-9.  N_k takes the pairs of
     `space.distance_ranks` at most `top`, as `wasserstein_inf` does, and
-    every pair bisects on k as it does: nu(N_k(S)) is a sum of more
+    every pair bisects on k from the whole range (where `wasserstein_inf`
+    starts at its single-point Hall bound): nu(N_k(S)) is a sum of more
     nonnegative terms as k grows, so feasibility is monotone in floats too.
 
     `_hall_ranks` bisects a chunk of states at a time: as many as keep
@@ -370,18 +371,21 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
     against 17.9 ms for ten; at n = 6, 9.6 to 15.3 against 22 to 32 ms
     for ten; at n = 7, 61 against 55 ms for ten.  So a one-state call
     takes the simplex unless its pairs outnumber 0.3 x the trees.
-    For p = inf a state costs the Hall route 11 to 20 ns per table entry
-    and the max-flow route, one warm-started `wasserstein_inf` per pair,
-    0.3 to 0.6 ms per pair, so the two cross near 30,000 entries per pair
-    whatever the number of states.  At 25,000 or fewer Hall won, or lost
-    by at most 5%, with 1, 3 and 10 states (106 against 382 ms for ten at
-    n = 12 with K = 7; 17 against 18 ms for one and 126 against 164 ms
-    for ten at n = 11 with K = 56); at 32,000 it lost with one state (53
-    against 35 ms at n = 12 with K = 38) and won by 3 to 8% with ten;
-    from 36,000 on max-flow won with every count (98 against 67 ms for one
-    and 612 against 587 ms for ten at n = 14 with K = 8; 61 against 32 and
-    519 against 297 ms at n = 13 with K = 20; 57 against 21 and 337
-    against 290 ms at n = 12 with K = 67).  The Hall tables are the
+    For p = inf a state costs the Hall route 2.5 to 9 ns per table entry,
+    less with more states (`_hall_ranks` bisects them together), and the
+    max-flow route, one `wasserstein_inf` per pair started at its
+    single-point Hall bound, 0.11 to 0.42 ms per pair at n = 8 to 13, so
+    the two cross near 30,000 entries per pair for one state and beyond
+    54,000 for ten.  At 25,000 or fewer Hall won with 1, 3 and 10 states
+    (5.8 against 12.0 ms for one and 36 against 121 ms for ten at n = 11
+    with K = 56; 10 against 33 and 76 against 296 ms on the 13-cycle); at
+    33,000 it tied with one state (33 against 32 ms at n = 13 with K = 18)
+    and won with three and ten; on the 14-cycle (36,500) the routes tied
+    within the noise of single runs with 1, 3 and 10 states; from 35,000
+    to 54,000 it lost with one state (27 against 21 ms at n = 13 with
+    K = 20, 48 against 32 ms with K = 31, 29 against 22 ms at n = 12 with
+    K = 67) and won by 19 to 40% with ten (179 against 283, 230 against
+    297 and 150 against 248 ms).  The Hall tables are the
     neighbourhood table, K n (2^n - 1) entries, within the cap, and those
     of one chunk of states (`_hall_sweep`), within the cap too unless a
     single state's exceed it (many ordered pairs).  So where one state's

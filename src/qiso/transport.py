@@ -20,9 +20,9 @@ here.  Coupling feasibility and the bottleneck distance share one
 max-flow core (`_FlowNetwork`, on the same integer scaling): a greedy
 fill pushes min(residual mu_i, residual nu_j) on each open pair in
 order, then shortest augmenting paths finish the flow.  The bottleneck
-distance builds one network over all pairs sorted by distance rank and
-warm-starts each bisection probe from the max flow of the largest
-infeasible probe before it.
+distance builds one network over all pairs bucketed by distance rank,
+starts its search at the single-point Hall bound, and warm-starts each
+probe from the max flow of the largest infeasible probe before it.
 """
 
 from __future__ import annotations
@@ -532,17 +532,19 @@ class _FlowNetwork:
                  tol: float = 1e-9):
         if mu.n != n or nu.n != n:
             raise DimensionMismatch("marginals and pair set sizes differ")
-        mode = _mode_of(mu.mass, nu.mass)
-        eps = tol_for(mode, tol)
-        if abs(sum(mu.mass) - sum(nu.mass)) > eps:
-            raise InfeasibleMarginals("marginal masses differ")
         self.n = n
-        self.rational = mode == RATIONAL
+        self.rational = _mode_of(mu.mass, nu.mass) == RATIONAL
         if self.rational:
             self.mass, self.scale = _integer_scale(mu.mass + nu.mass)
-            self.eps = 0  # an int, so that the loops compare ints only
+            # ints, so that the loops compare ints only
+            self.eps = self.slack = 0
+            unbalanced = sum(self.mass[:n]) != sum(self.mass[n:])
         else:
-            self.mass, self.scale, self.eps = list(mu.mass + nu.mass), 1, eps
+            self.mass, self.scale, self.eps = list(mu.mass + nu.mass), 1, tol
+            self.slack = max(tol * n, tol)
+            unbalanced = abs(sum(mu.mass) - sum(nu.mass)) > tol
+        if unbalanced:
+            raise InfeasibleMarginals("marginal masses differ")
 
     def zero_flow(self) -> List[list]:
         zero = 0 * self.mass[0]
@@ -610,12 +612,34 @@ class _FlowNetwork:
                     sent[i] += bottleneck
                     break
                 plan[i][j] -= bottleneck
-        value = sum(sent)
-        if self.rational:
-            feasible = value == self.scale
-        else:
-            feasible = abs(value - 1) <= max(eps * n, eps)
+        feasible = abs(sum(sent) - self.scale) <= self.slack
         return feasible, [c is not None for c in from_col]
+
+    def point_hall_rank(self, buckets) -> int:
+        """The least t at which every single point passes Hall's test on
+        the pairs of buckets[0..t]: each row's mass mu_i fits in the nu
+        mass of the columns paired with it, and each column's nu_j in the
+        mu mass of its rows.  A point counts as short only when its
+        deficit exceeds twice the flow's acceptance slack, so that float
+        rounding never makes a point short.  A max flow can pass no
+        earlier t (Hall's theorem for |S| = 1), but it may need a later
+        one."""
+        n, mass = self.n, self.mass
+        need = [m - 2 * self.slack for m in mass]
+        short = sum(v > 0 for v in need)
+        for t, bucket in enumerate(buckets):
+            for i, j in bucket:
+                if need[i] > 0:
+                    need[i] -= mass[n + j]
+                    if need[i] <= 0:
+                        short -= 1
+                if need[n + j] > 0:
+                    need[n + j] -= mass[i]
+                    if need[n + j] <= 0:
+                        short -= 1
+            if not short:
+                return t
+        return len(buckets) - 1
 
     def coupling(self, plan, mu: ProbVector, nu: ProbVector) -> Coupling:
         if self.rational:
@@ -698,43 +722,60 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     sublevel_set(space, values[k]), float near-ties within dtol included.
 
     Every probe runs on one `_FlowNetwork`, whose masses are scaled once,
-    with the n^2 pairs sorted by rank, so that a probe's pairs are a prefix
-    of them.  A probe starts from the max flow of the largest infeasible
-    probe so far, which stays a flow for every larger `top` (the warm
-    start of parametric max-flow; Gallo, Grigoriadis and Tarjan 1989), and
-    its greedy fill visits the pairs opened since: on the others that max
-    flow leaves no residual mu_i and nu_j to push together.  The lower
-    violator is the min-cut side of the largest infeasible probe.
+    with the n^2 pairs bucketed by rank in one counting pass, so that a
+    probe's pairs are the buckets 0..top.  The bisection starts at the
+    single-point Hall bound (`_FlowNetwork.point_hall_rank`), the first k
+    whose top reaches it: it probes k - 1, infeasible by construction, and
+    then k, where the bound usually equals W_inf.  Only where k fails
+    does it bisect above k, and, should k - 1 pass after all, below it,
+    so that r never depends on the bound.  A probe starts from the max
+    flow of the largest infeasible probe so far, which stays a flow for
+    every larger `top` (the warm start of parametric max-flow; Gallo,
+    Grigoriadis and Tarjan 1989), and its greedy fill visits the pairs
+    opened since: on the others that max flow leaves no residual mu_i and
+    nu_j to push together.  The lower violator is the min-cut side of the
+    largest infeasible probe, the one at the index just below r's.
     """
     values = space.realized_distances
-    ranks = space.distance_ranks
     tol = space.dtol
     n = space.n
     net = _FlowNetwork(mu, nu, n)
-    arcs = sorted((ranks[i][j], i, j) for i in range(n) for j in range(n))
-    arc_ranks = [r for r, _, _ in arcs]
-    warm, warm_open = net.zero_flow(), 0
+    buckets = [[] for _ in values]
+    for i, row in enumerate(space.distance_ranks):
+        for j, k in enumerate(row):
+            buckets[k].append((i, j))
+    warm, warm_top = net.zero_flow(), -1
+
+    def top_of(k):
+        return bisect_right(values, values[k] + tol) - 1
 
     def probe(k):
-        top = bisect_right(values, values[k] + tol) - 1
-        opened = bisect_right(arc_ranks, top)
+        top = top_of(k)
         cols = [[] for _ in range(n)]
-        for _, i, j in arcs[:opened]:
-            cols[i].append(j)
+        for bucket in buckets[:top + 1]:
+            for i, j in bucket:
+                cols[i].append(j)
         plan = [row[:] for row in warm]
-        fill = [(i, j) for _, i, j in arcs[warm_open:opened]]
+        fill = [pair for bucket in buckets[warm_top + 1:top + 1]
+                for pair in bucket]
         feasible, reached = net.max_flow(plan, fill, cols)
-        return feasible, plan, opened, reached
+        return feasible, plan, top, reached
 
+    # the least probe index whose top reaches the bound's rank: near-ties
+    # within dtol let a smaller index open the same pairs
+    rank = bound = net.point_hall_rank(buckets)
+    while bound and top_of(bound - 1) >= rank:
+        bound -= 1
+    guesses = iter((bound - 1, bound))
     lo, hi = 0, len(values) - 1  # values[-1] is always feasible
     witness = lower = None
     while lo < hi:
-        mid = (lo + hi) // 2
-        feasible, plan, opened, reached = probe(mid)
+        mid = next((k for k in guesses if lo <= k < hi), (lo + hi) // 2)
+        feasible, plan, top, reached = probe(mid)
         if feasible:
             hi, witness = mid, plan
         else:
-            lo, warm, warm_open = mid + 1, plan, opened
+            lo, warm, warm_top = mid + 1, plan, top
             lower = frozenset(i for i in range(n) if reached[i])
     if witness is None:  # no probe below values[-1] was feasible
         witness = probe(hi)[1]

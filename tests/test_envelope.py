@@ -379,3 +379,57 @@ def test_envelope_raises_when_near_isometries_are_not_a_subgroup():
     assert {frozenset(range(6)) - J for J in killed
             if not any(K < J for K in killed)} == survivors
     assert found["violations"]
+
+
+# The envelope of each catalog entry with entry 5 (flat, modulo the size)
+# of delta, epsilon, kappa or u set to 1e300: its killed blocks, or None
+# where the envelope raises QisoError (no counit block, or a cut that is
+# no Hopf ideal).  A finite entry, however
+# large, is cut as any other.
+HUGE_ENTRY_CUTS = {
+    "trivial-3": ((), None, None, None),
+    "cyclic-3": ((), (), None, (1, 2)),
+    "cyclic-4": ((), (), None, (1, 3)),
+    "cyclic-5": ((), None, None, None),
+    "s3-equilateral": ((), (), None, None),
+    "s3-isosceles": (None, (1, 3, 4, 5), None, (1, 3, 4, 5)),
+    "d4-square": ((), (), None, None),
+    "z4-broken-diagonal": ((1, 3), (1, 3), (1, 3), (1, 3)),
+    "klein-rectangle": ((), (), None, None),
+    "dual-d4-blocks": ((), (), None, (4,)),
+    "dual-d4-mixed": ((), (), None, (4,)),
+    "dual-d4-asymmetric": (None, (1, 2, 4), None, (1, 2, 4)),
+    "dual-d3-blocks": ((), (), None, None),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_envelope_rejects_non_finite_entries():
+    """A NaN or an infinity in u or in a structure map raises QisoError
+    before the cut, on all 13 catalog entries, where an SVD of a non-finite
+    defect block raised LinAlgError (dual-D4 and dual-D3 with a NaN in u)
+    or the cut went through; 1e300 is cut as before (HUGE_ENTRY_CUTS)."""
+    entries = standard_actions()
+    assert [entry.name for entry in entries] == list(HUGE_ENTRY_CUTS)
+    for entry in entries:
+        action, qg = entry.action, entry.action.group
+        for f, field in enumerate(("delta", "epsilon", "kappa", "u")):
+            for value in (np.nan, np.inf, -np.inf, 1e300):
+                maps = {"delta": qg.delta.copy(), "epsilon": qg.epsilon.copy(),
+                        "kappa": qg.kappa.copy(), "u": action.coeffs.copy()}
+                maps[field].flat[5 % maps[field].size] = value
+                corrupted = CoAction(
+                    type(qg)(qg.algebra, maps["delta"], maps["epsilon"],
+                             maps["kappa"], name=qg.name),
+                    action.space, maps["u"], name=action.name)
+                want = HUGE_ENTRY_CUTS[entry.name][f]
+                if value != 1e300:
+                    with pytest.raises(QisoError, match=f"^{field} has a non-finite"):
+                        envelope(corrupted)
+                elif want is None:
+                    with pytest.raises(QisoError) as raised:
+                        envelope(corrupted)
+                    assert "non-finite" not in str(raised.value)
+                else:
+                    got = envelope(corrupted).ideal.included_blocks
+                    assert tuple(sorted(got)) == want, (entry.name, field)

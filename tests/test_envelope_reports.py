@@ -68,9 +68,10 @@ def same_residuals(got, want):
 def test_reports_equal_direct_verification():
     """`reports` holds what verifying the quotient and the induced action
     gives, on the catalog, on (D)-isometric two-projection actions of
-    dual-D4 to dual-D7 and on catalog actions with a non-finite or huge
-    entry in a structure map or in u that the envelope still accepts (its
-    eager steps raise on none of them, and neither does the read)."""
+    dual-D4 to dual-D7 and on catalog actions with a huge entry in a
+    structure map or in u that the envelope still accepts (its eager steps
+    raise on none of them, and neither does the read; it rejects a
+    non-finite entry)."""
     actions = [entry.action for entry in standard_actions()]
     actions += equal_cross_blocks_actions(1) + equal_cross_blocks_actions(2)
     envelopes = [envelope(action) for action in actions]
@@ -81,7 +82,7 @@ def test_reports_equal_direct_verification():
                 try:
                     envelopes.append(envelope(corrupted(
                         action, field, value, rng.integers(0, 1 << 30, 3))))
-                except (QisoError, np.linalg.LinAlgError):
+                except QisoError:
                     continue
     nans = 0
     for env in envelopes:

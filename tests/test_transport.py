@@ -526,7 +526,7 @@ def _assert_winf_matches_linear_scan(sp, mu, nu):
     """r and the lower violator equal the linear scan's, and the plan is a
     coupling of (mu, nu) on {d <= r}: exact marginals for rational ones,
     within tol for float ones.  Plans are not compared, as a max flow is
-    not unique."""
+    not unique.  Returns the result."""
     got = wasserstein_inf(sp, mu, nu)
     want = wasserstein_inf_linear_scan(sp, mu, nu)
     assert got.r == want.r
@@ -540,6 +540,7 @@ def _assert_winf_matches_linear_scan(sp, mu, nu):
         assert all(is_rational(v) for v in entries)
     Y = sublevel_set(sp, got.r)
     assert all((i, j) in Y for i, j in plan.support())
+    return got
 
 
 def _float_marginals(rng, m):
@@ -568,13 +569,58 @@ def perfbench_transport_problem(n, k):
             (fl, *(prob_vector([float(m) for m in ms]) for ms in marginals)))
 
 
+def _single_point_hall_radius(sp, mu, nu):
+    """The least realized r at which each mu_i fits in the nu mass within r
+    of i and each nu_j in the mu mass within r of j (within 1e-6 for float
+    masses): Hall's condition on single points, so no larger than W_inf."""
+    slack = 0 if all(is_rational(m) for m in mu.mass + nu.mass) else 1e-6
+    for r in sp.realized_distances:
+        Y = sublevel_set(sp, r)
+        rows = [[j for j in range(sp.n) if Y.member[i][j]] for i in range(sp.n)]
+        cols = [[i for i in range(sp.n) if Y.member[i][j]] for j in range(sp.n)]
+        if all(mu.mass[i] <= nu(rows[i]) + slack and
+               nu.mass[i] <= mu(cols[i]) + slack for i in range(sp.n)):
+            return r
+
+
+def _two_cluster_problem(rng):
+    """Points on a line in two far clusters.  The mu masses w of k >= 2
+    points of the left cluster share one nu point c of mass w there, and
+    the rest of both marginals lies in the right cluster: every single
+    point fits within the clusters' radius, but the k points together
+    reach the right cluster only across the gap, so W_inf exceeds the
+    single-point Hall radius.  Rational, with its point order shuffled."""
+    k = rng.randint(2, 3)
+    gap = rng.randint(10, 30)
+    left = rng.sample([x for x in range(-4, 5) if x], k)
+    right = [gap + x for x in rng.sample([x for x in range(-4, 5) if x], 2)]
+    points = [0] + left + [gap] + right          # c, a_1..a_k, b, d_1, d_2
+    w = F(1, 2 * k)
+    mu = [F(0)] + [w] * k + [1 - k * w, F(0), F(0)]
+    nu = [w] + [F(0)] * k + [F(0), (1 - w) / 2, (1 - w) / 2]
+    order = list(range(len(points)))
+    rng.shuffle(order)
+    sp = validate_metric([[F(abs(points[a] - points[b])) for b in order]
+                          for a in order])
+    return sp, prob_vector([mu[a] for a in order]), prob_vector([nu[a] for a in order])
+
+
 def test_winf_ranks_match_linear_scan():
-    """The bisection on distance ranks returns the r and lower violator of
-    scanning the sublevel sets in increasing order, and a coupling on the
-    sublevel set of r, on seeded rational and float spaces with n <= 12,
-    rational and float marginals, float spaces with realized distances
-    closer than tol, and the n = 16 and 20 reference problems of the
-    benchmark's transport workload, exact and float."""
+    """The bisection on distance ranks, started at the single-point Hall
+    bound, returns the r and lower violator of scanning the sublevel sets
+    in increasing order, and a coupling on the sublevel set of r, on
+    seeded rational and float spaces with n <= 12, rational and float
+    marginals, float spaces with realized distances closer than tol, the
+    n = 16 and 20 reference problems of the benchmark's transport workload,
+    exact and float, mu = nu (r = 0: no probe lies below the bound) and
+    two-cluster problems whose bound lies below W_inf, exact and float.
+    A positive control asserts that both r = bound and r > bound occur."""
+    radii = []
+
+    def check(sp, mu, nu):
+        got = _assert_winf_matches_linear_scan(sp, mu, nu)
+        radii.append((_single_point_hall_radius(sp, mu, nu), got.r))
+
     rng = random.Random(29)
     for trial in range(60):
         n = rng.randint(2, 8)
@@ -593,7 +639,9 @@ def test_winf_ranks_match_linear_scan():
                 mu, nu = rand_prob(rng, m), rand_prob(rng, m)
             else:
                 mu, nu = _float_marginals(rng, m)
-            _assert_winf_matches_linear_scan(sp, mu, nu)
+            check(sp, mu, nu)
+        check(sp, mu, mu)
+        assert radii[-1] == (0, 0)
     rng = random.Random(31)
     for trial in range(24):
         n = rng.randint(9, 12)
@@ -607,10 +655,40 @@ def test_winf_ranks_match_linear_scan():
         else:
             sp = _near_tie_space(n, rng)
             mu, nu = _float_marginals(rng, n)
-        _assert_winf_matches_linear_scan(sp, mu, nu)
+        check(sp, mu, nu)
     for n, k in ((20, 1), (20, 6), (16, 2), (16, 3)):
         for sp, mu, nu in perfbench_transport_problem(n, k):
-            _assert_winf_matches_linear_scan(sp, mu, nu)
+            check(sp, mu, nu)
+    rng = random.Random(37)
+    for _ in range(10):
+        sp, mu, nu = _two_cluster_problem(rng)
+        fl = validate_metric([[float(v) for v in row] for row in sp.dist],
+                             mode="float")
+        check(sp, mu, nu)
+        check(fl, *(prob_vector([float(m) for m in pv.mass]) for pv in (mu, nu)))
+        assert radii[-2][0] < radii[-2][1] and radii[-1][0] < radii[-1][1]
+    assert all(bound <= r for bound, r in radii)
+    assert sum(bound == r for bound, r in radii) > 100
+    assert sum(bound < r for bound, r in radii) >= 30
+
+
+def test_winf_reference_problems_take_two_max_flows(monkeypatch):
+    """On the benchmark's four reference problems, exact and float, the
+    single-point Hall bound equals W_inf: wasserstein_inf runs one max flow
+    just below it and one at it."""
+    calls = []
+    max_flow = transport._FlowNetwork.max_flow
+
+    def counted(self, *args):
+        calls.append(None)
+        return max_flow(self, *args)
+
+    monkeypatch.setattr(transport._FlowNetwork, "max_flow", counted)
+    for n, k in ((20, 1), (20, 6), (16, 2), (16, 3)):
+        for sp, mu, nu in perfbench_transport_problem(n, k):
+            del calls[:]
+            wasserstein_inf(sp, mu, nu)
+            assert len(calls) == 2, (n, k, sp.mode)
 
 
 def test_coupling_checks_at_the_boundary():
