@@ -21,7 +21,7 @@ import numpy as np
 from .coaction import CoAction, verify_coaction
 from .errors import QisoError
 from .metric import FiniteMetricSpace, validate_metric
-from .quantum_group import (NotAGroup, QuantumGroup, close_generators,
+from .quantum_group import (QuantumGroup, close_generators,
                             function_algebra_of_group, group_algebra,
                             verify_quantum_group)
 
@@ -108,31 +108,6 @@ def permutation_action(space: FiniteMetricSpace, generators,
 
 def trivial_action(space: FiniteMetricSpace, name: str = "trivial") -> CoAction:
     return permutation_action(space, [], name=name)
-
-
-def from_permutation_group(space: FiniteMetricSpace, generators):
-    """(QuantumGroup, CoAction) for the generated permutation group acting
-    tautologically on the space's points."""
-    action = permutation_action(space, generators)
-    return action.group, action
-
-
-def dual_of_group(table, irreps, name: str = "") -> QuantumGroup:
-    """Group algebra from a multiplication table and unitary irrep data.
-
-    table[i][j] is the index of the product of elements i and j; each
-    irrep is an array of shape (order, d, d).  The table is turned into
-    permutations through the regular (Cayley) embedding."""
-    order = len(table)
-    perms = [tuple(row) for row in table]
-    if any(sorted(p) != list(range(order)) for p in perms):
-        raise NotAGroup("multiplication table rows must be permutations")
-    for i in range(order):
-        for j in range(order):
-            for k in range(order):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise NotAGroup("multiplication table is not associative")
-    return group_algebra(perms, irreps, name=name)
 
 
 # ---------------------------------------------------------------------------

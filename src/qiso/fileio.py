@@ -112,11 +112,6 @@ def load_space(path: str, tol: Optional[float] = None) -> FiniteMetricSpace:
     return space_from_dict(read_json_object(path), tol=tol)
 
 
-def save_space(path: str, space: FiniteMetricSpace) -> None:
-    with open(path, "w") as fh:
-        json.dump(space_to_dict(space), fh, indent=1)
-
-
 def distribution_from_dict(doc: dict, mode: str = RATIONAL,
                            tol: float = 1e-9, field: str = "mass") -> ProbVector:
     """The distribution in the array doc[field] ("mass" in a distribution
@@ -128,10 +123,6 @@ def distribution_from_dict(doc: dict, mode: str = RATIONAL,
 def load_distribution(path: str, mode: str = RATIONAL,
                       tol: float = 1e-9) -> ProbVector:
     return distribution_from_dict(read_json_object(path), mode=mode, tol=tol)
-
-
-def distribution_to_dict(mu: ProbVector) -> dict:
-    return {"mass": [format_scalar(m) for m in mu.mass]}
 
 
 def pairs_from_dict(doc: dict, n: int) -> PairSet:
@@ -214,10 +205,6 @@ def _group_and_basis(doc: dict, enforce_kac: bool = True) -> Tuple[QuantumGroup,
 
 def quantum_group_from_dict(doc: dict, enforce_kac: bool = True) -> QuantumGroup:
     return _group_and_basis(doc, enforce_kac)[0]
-
-
-def load_quantum_group(path: str, enforce_kac: bool = True) -> QuantumGroup:
-    return quantum_group_from_dict(read_json_object(path), enforce_kac=enforce_kac)
 
 
 def save_quantum_group(path: str, qg: QuantumGroup) -> None:

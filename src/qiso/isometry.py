@@ -364,13 +364,15 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
     shortest-path and euclidean-sample metrics (G cyclic),
     and for p = inf of the rotations acting on the n-cycle, on a 2-CPU
     Xeon host with one BLAS thread.  For finite p the array route's cost is
-    the enumeration, at most C(2n-2, n-1) trees, and each tree cost 0.16
-    to 0.40 simplex solves from n = 5 to 7 for p = 1, 2 and 3 (median
-    0.27; 0.23 to 0.78 at n = 4, where the fixed costs weigh more).  At
-    p = 2 and n = 5 that is 3.1 against 1.8 ms for one state and 4.2
-    against 17.9 ms for ten; at n = 6, 9.6 to 15.3 against 22 to 32 ms
-    for ten; at n = 7, 61 against 55 ms for ten.  So a one-state call
-    takes the simplex unless its pairs outnumber 0.3 x the trees.
+    the enumeration, at most C(2n-2, n-1) trees, and each tree cost 0.24
+    to 0.51 simplex solves from n = 5 to 7 for p = 1, 2 and 3 (median
+    0.31 with one state and 0.37 with ten; 0.32 to 0.64 at n = 4, where
+    the fixed costs weigh more), the solves starting from the simplex's
+    greedy tree.  At p = 2 and n = 5 that is 1.4 to 1.7 against 0.7 to
+    0.9 ms for one state and 1.7 to 1.9 against 7.3 to 7.5 ms for ten; at
+    n = 6, 8.6 to 12.1 against 10.5 to 19.3 ms for ten; at n = 7, 54 to
+    60 against 26 to 36 ms for ten.  So a one-state call takes the
+    simplex unless its pairs outnumber 0.3 x the trees.
     For p = inf a state costs the Hall route 2.5 to 9 ns per table entry,
     less with more states (`_hall_ranks` bisects them together), and the
     max-flow route, one `wasserstein_inf` per pair started at its

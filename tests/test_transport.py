@@ -296,6 +296,119 @@ def test_degenerate_problems_terminate_certified(monkeypatch):
     assert len(calls) == 5 * 2 * 5 * 3
 
 
+def check_start_tree(num_nodes, tail, head, demand, start):
+    """The start of `_network_simplex` spans the nodes and the virtual
+    root num_nodes: each node hangs by one arc joining it to its parent,
+    an artificial arc m + v exactly when the parent is the root, and its
+    parent chain reaches the root.  Every tree flow is >= 0, a tree arc
+    of zero flow runs from the node to its parent, toward the root, and
+    the tree flows meet every demand: exactly for int data, within 1e-12
+    for floats.  Returns the nodes that the root feeds."""
+    parent, parc, up = start
+    root, m = num_nodes, len(tail) - num_nodes
+    assert len(set(parc)) == num_nodes
+    net = [0] * (num_nodes + 1)
+    for v in range(num_nodes):
+        a = parc[v]
+        assert {tail[a], head[a]} == {v, parent[v]}
+        assert (parent[v] == root) == (a == m + v)
+        x, steps = v, 0
+        while x != root:
+            x, steps = parent[x], steps + 1
+            assert steps <= num_nodes
+        assert up[v] >= 0
+        assert up[v] > 0 or tail[a] == v
+        net[tail[a]] -= up[v]
+        net[head[a]] += up[v]
+    if all(type(b) is int for b in demand):
+        assert net[:num_nodes] == list(demand)
+    else:
+        assert all(abs(x - b) <= 1e-12 for x, b in zip(net, demand))
+    return [v for v in range(num_nodes) if tail[parc[v]] == root]
+
+
+def test_greedy_start_is_strongly_feasible(monkeypatch):
+    """The greedy start tree is a strongly feasible spanning tree that
+    meets the demands (`check_start_tree`), on seeded exact and float
+    problems at n = 3 to 9 through both simplex bodies, `_transport`
+    (transport_with_power and solve_transport) and `kantorovich_w1`:
+    Dirac to Dirac, mu = nu with zero masses, all-tied costs, random
+    marginals, and float marginals that balance only within eps (nu
+    heavier or lighter by 3e-10).  A positive control asserts that some
+    start feeds a float demander from the root."""
+    real = transport._greedy_tree
+    fed = []
+
+    def spy(num_nodes, tail, head, cost, demand):
+        start = real(num_nodes, tail, head, cost, demand)
+        fed.append(check_start_tree(num_nodes, tail, head, demand, start))
+        return start
+
+    monkeypatch.setattr(transport, "_greedy_tree", spy)
+    rng = random.Random(41)
+    cases = 0
+    for n in range(3, 10):
+        sp = random_metric_space(n, rng.randint(0, 9999))
+        fl = validate_metric([[float(v) for v in row] for row in sp.dist],
+                             mode="float")
+        zeros = [F(1 - i % 2, (n + 1) // 2) for i in range(n)]
+        pairs = [(ProbVector.dirac(n, 0), ProbVector.dirac(n, 0)),
+                 (ProbVector.dirac(n, 0), ProbVector.dirac(n, n - 1)),
+                 (prob_vector(zeros), prob_vector(zeros)),
+                 (rand_prob(rng, n), rand_prob(rng, n))]
+        for mu, nu in pairs:
+            floats = [prob_vector([float(m) for m in pv.mass])
+                      for pv in (mu, nu)]
+            for space, a, b in ((sp, mu, nu), (fl, *floats)):
+                for p in (1, 2):
+                    transport_with_power(space, a, b, p)
+                kantorovich_w1(space, a, b)
+                tied = 1 if space is sp else 1.0
+                value = solve_transport(a, b, [[tied] * n] * n).value
+                assert abs(value - 1) <= 1e-12
+                cases += 1
+        mu = float_prob(rng, n)
+        for shift in (3e-10, -3e-10):
+            nu = float_prob(rng, n)
+            nu = ProbVector(nu.mass[:-1] + (nu.mass[-1] + shift,))
+            transport_with_power(fl, mu, nu, 1)
+            kantorovich_w1(fl, mu, nu)
+            cases += 1
+    assert cases == 7 * (4 * 2 + 2)
+    assert len(fed) == 7 * (4 * 2 * 4 + 2 * 2)
+    assert any(fed)
+
+
+def test_reference_problems_finish_within_2n_pivots(monkeypatch):
+    """From the greedy start, exact and float W_1 and W_2 on the four
+    reference problems of perfbench's transport workload (n = 20, 20, 16
+    and 16) each take at most 2n pivots: `_MAX_PIVOTS` is 2n + 1, the
+    last pass finding no entering arc (an all-artificial start took 40
+    to 68 pivots).  Exact optima are certified on the int data, and
+    each float value is within 1e-9 of its exact twin."""
+    real = transport._network_simplex
+    calls = []
+
+    def capped(num_nodes, tail, head, cost, demand, cost_scale, tol=1e-9):
+        monkeypatch.setattr(transport, "_MAX_PIVOTS", num_nodes + 1)
+        got = real(num_nodes, tail, head, cost, demand, cost_scale, tol)
+        if cost_scale is not None:
+            certify_min_cost_flow(num_nodes, list(zip(tail, head, cost)),
+                                  demand, *got)
+        calls.append(num_nodes)
+        return got
+
+    monkeypatch.setattr(transport, "_network_simplex", capped)
+    for n, k in ((20, 1), (20, 6), (16, 2), (16, 3)):
+        exact, fl = perfbench_transport_problem(n, k)
+        for p in (1, 2):
+            want = transport_with_power(*exact, p).value
+            got = transport_with_power(*fl, p).value
+            assert abs(got - want) <= 1e-9 * want
+    assert calls == [40, 40, 40, 40, 40, 40, 40, 40, 32, 32, 32, 32,
+                     32, 32, 32, 32]
+
+
 def entry_kind(matrix, kind):
     """A rational matrix with int entries (scaled by the lcm of its
     denominators), Fraction entries, or both (the integral entries as
@@ -554,7 +667,13 @@ def perfbench_transport_problem(n, k):
     `transport_problem(n, reference_seed(n, k))` in perfbench/workloads.py:
     a shortest-path-graph metric and two marginals with masses w_i / 4n,
     exact and as floats."""
-    seed = (k * 1_000_003 + n) % 2 ** 31
+    return perfbench_seeded_problem(n, (k * 1_000_003 + n) % 2 ** 31)
+
+
+def perfbench_seeded_problem(n, seed):
+    """`transport_problem(n, seed)` in perfbench/workloads.py, exact and
+    as floats; the seeded problem of the workload's seed s has
+    seed = s x 1_000_003 mod 2^31."""
     rng = random.Random(seed)
     space = random_metric_space(n, seed)
     marginals = []
@@ -689,6 +808,40 @@ def test_winf_reference_problems_take_two_max_flows(monkeypatch):
             del calls[:]
             wasserstein_inf(sp, mu, nu)
             assert len(calls) == 2, (n, k, sp.mode)
+
+
+# Max flows per seeded n = 16 Winf item of perfbench's transport workload,
+# seeds 901-910 (the same for the exact and float item), in a search that
+# raised its lower end to mid + 1 after every infeasible probe.
+MID_PLUS_ONE_MAX_FLOWS = {901: 6, 902: 2, 903: 2, 904: 2, 905: 2,
+                          906: 7, 907: 2, 908: 2, 909: 2, 910: 2}
+
+
+def test_winf_lower_end_jumps_to_the_violators_hall_rank(monkeypatch):
+    """Once a probe at or above the single-point bound fails,
+    wasserstein_inf raises its lower end to the first index at which a
+    failed probe's min-cut side S could pass Hall's test: on the seeded
+    n = 16 Winf items of seeds 901-910, exact and float, r and the lower
+    violator equal the linear scan's, no item runs more max flows than
+    with lo = mid + 1, and seeds 901 and 906, whose bound lies below
+    W_inf, run fewer."""
+    calls = []
+    max_flow = transport._FlowNetwork.max_flow
+
+    def counted(self, *args):
+        calls.append(None)
+        return max_flow(self, *args)
+
+    monkeypatch.setattr(transport._FlowNetwork, "max_flow", counted)
+    for seed, before in MID_PLUS_ONE_MAX_FLOWS.items():
+        problems = perfbench_seeded_problem(16, seed * 1_000_003 % 2 ** 31)
+        for sp, mu, nu in problems:
+            del calls[:]
+            got = wasserstein_inf(sp, mu, nu)
+            assert len(calls) <= before
+            assert len(calls) < before or seed not in (901, 906)
+            want = wasserstein_inf_linear_scan(sp, mu, nu)
+            assert (got.r, got.lower_violator) == (want.r, want.lower_violator)
 
 
 def test_coupling_checks_at_the_boundary():
