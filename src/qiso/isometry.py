@@ -261,8 +261,9 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     test reads deficiency <= max(n, 1) 1e-9.  N_k takes the pairs of
     `space.distance_ranks` at most `top`, as `wasserstein_inf` does, and
     every pair bisects on k from the whole range (where `wasserstein_inf`
-    starts at its single-point Hall bound): nu(N_k(S)) is a sum of more
-    nonnegative terms as k grows, so feasibility is monotone in floats too.
+    sweeps upward from its single-point Hall bound): nu(N_k(S)) is a sum
+    of more nonnegative terms as k grows, so feasibility is monotone in
+    floats too.
 
     `_hall_ranks` bisects a chunk of states at a time: as many as keep
     its tables, (K n + 3 P)(2^n - 1) entries a state, within
@@ -375,7 +376,7 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
     simplex unless its pairs outnumber 0.3 x the trees.
     For p = inf a state costs the Hall route 2.5 to 9 ns per table entry,
     less with more states (`_hall_ranks` bisects them together), and the
-    max-flow route, one `wasserstein_inf` per pair started at its
+    max-flow route, one `wasserstein_inf` per pair swept up from its
     single-point Hall bound, 0.11 to 0.42 ms per pair at n = 8 to 13, so
     the two cross near 30,000 entries per pair for one state and beyond
     54,000 for ten.  At 25,000 or fewer Hall won with 1, 3 and 10 states

@@ -24,11 +24,9 @@ here.  Coupling feasibility and the bottleneck distance share one
 max-flow core (`_FlowNetwork`, on the same integer scaling): a greedy
 fill pushes min(residual mu_i, residual nu_j) on each open pair in
 order, then shortest augmenting paths finish the flow.  The bottleneck
-distance builds one network over all pairs bucketed by distance rank,
-starts its search at the single-point Hall bound, raises the search's
-lower end past each infeasible probe to where its min-cut side could
-pass Hall's test, and warm-starts each probe from the max flow of the
-largest infeasible probe before it.
+distance buckets all pairs by distance rank and sweeps upward from the
+single-point Hall bound, probing only at lower bounds on it, on one flow
+that only grows.
 """
 
 from __future__ import annotations
@@ -187,7 +185,9 @@ def _greedy_tree(num_nodes: int, tail, head, cost, demand):
     or a demand that float rounding or arcs missing from the network left
     unmet.  Each tree arc thus carries a lexicographically positive flow
     of the perturbed problem, and an arc of zero real flow points to the
-    root: the tree is strongly feasible (Cunningham 1976).
+    root: the tree is strongly feasible (Cunningham 1976).  A float need
+    within 8 ulps of the largest |demand| counts as 0, as it does in
+    exact arithmetic, so that rounding does not pick the start tree.
 
     Returns (parent, parc, up): node v hangs from parent[v] (the root is
     num_nodes) by the arc parc[v], which carries the flow up[v] >= 0, the
@@ -196,10 +196,13 @@ def _greedy_tree(num_nodes: int, tail, head, cost, demand):
     need = list(demand)
     parent = [num_nodes] * num_nodes
     parc = [m + v for v in range(num_nodes)]
+    ulps = 0 if type(need[0]) is int else 8 * math.ulp(max(map(abs, need)))
     for a in sorted(range(m), key=cost.__getitem__):
         u, v = tail[a], head[a]
         if parc[u] >= m and parc[v] >= m and need[u] <= 0 < need[v]:
             left = need[u] + need[v]
+            if abs(left) <= ulps:
+                left *= 0
             if left > 0:          # u is exhausted and hangs from v
                 parent[u], parc[u], need[v] = v, a, left
             else:                 # v is exhausted and hangs from u
@@ -786,61 +789,32 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
                     nu: ProbVector) -> WInfResult:
     """The least r admitting a coupling supported on {d <= r}.
 
-    Feasibility is a step function of r jumping only at realized distances,
-    so the search bisects over the sorted realized values (any r between
-    two realized values has the same feasibility as the lower one).  The
-    probe at values[k] opens the pairs of `space.distance_ranks` at most
-    `top`, the last index whose value is <= values[k] + space.dtol:
-    integer comparisons that select exactly the pairs of
+    Feasibility jumps only at realized distances.  The probe at index k
+    opens the pairs of `space.distance_ranks` at most top(k), the last
+    index whose value is <= values[k] + space.dtol: exactly the pairs of
     sublevel_set(space, values[k]), float near-ties within dtol included.
 
-    Every probe runs on one `_FlowNetwork`, whose masses are scaled once,
-    with the n^2 pairs bucketed by rank in one counting pass, so that a
-    probe's pairs are the buckets 0..top.  The bisection starts at the
-    single-point Hall bound (`_FlowNetwork.point_hall_rank`), the first k
-    whose top reaches it: it probes k - 1, infeasible by construction, and
-    then k, where the bound usually equals W_inf.  Only where k fails
-    does it search above k, and, should k - 1 pass after all, below it,
-    so that r never depends on the bound.  A failed probe's min-cut side
-    S certifies every probe infeasible whose pairs leave S short, below
-    S's own Hall rank (`_FlowNetwork.set_hall_rank`), so the search's
-    lower end rises to the first index whose top reaches that rank, and
-    that index is probed next; otherwise the search bisects.  The side
-    found at k - 1 is read only with the next failed probe's, since k
-    usually passes.  A probe starts
-    from the max flow of the largest infeasible probe so far, which stays
-    a flow for every larger `top` (the warm start of parametric max-flow;
-    Gallo, Grigoriadis and Tarjan 1989), and its greedy fill visits the
-    pairs opened since: on the others that max flow leaves no residual
-    mu_i and nu_j to push together.  The lower violator is the min-cut
-    side of the probe at the index just below r's: the largest
-    infeasible probe, or one more probe there when the lower end rose
-    past it.
+    The search is the threshold method for bottleneck problems (Gabow and
+    Tarjan 1988): an upward sweep that probes only at lower bounds on r,
+    so the first probe that passes gives r.  It probes just below the
+    single-point Hall bound (`_FlowNetwork.point_hall_rank`), which fails,
+    then at it; after a failed probe, at the next index that opens pairs
+    or, if later, the Hall rank of the probe's min-cut side
+    (`_FlowNetwork.set_hall_rank`).  One flow only grows: each probe fills
+    only the pairs it opens (the parametric warm start of Gallo,
+    Grigoriadis and Tarjan 1989).  The lower violator is the min-cut side
+    just below r: the last failed probe's, or one probe there afresh.
     """
     values = space.realized_distances
-    tol = space.dtol
     n = space.n
     net = _FlowNetwork(mu, nu, n)
     buckets = [[] for _ in values]
     for i, row in enumerate(space.distance_ranks):
         for j, k in enumerate(row):
             buckets[k].append((i, j))
-    warm, warm_top = net.zero_flow(), -1
 
     def top_of(k):
-        return bisect_right(values, values[k] + tol) - 1
-
-    def probe(k):
-        top = top_of(k)
-        cols = [[] for _ in range(n)]
-        for bucket in buckets[:top + 1]:
-            for i, j in bucket:
-                cols[i].append(j)
-        plan = [row[:] for row in warm]
-        fill = [pair for bucket in buckets[warm_top + 1:top + 1]
-                for pair in bucket]
-        feasible, reached = net.max_flow(plan, fill, cols)
-        return feasible, plan, top, reached
+        return bisect_right(values, values[k] + space.dtol) - 1
 
     def reaching(rank):
         """The least probe index whose top reaches `rank`: near-ties
@@ -850,36 +824,32 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
             k -= 1
         return k
 
+    def probe(k, plan, cols, opened):
+        """Open the buckets after `opened` up to top_of(k) and raise the
+        flow `plan` to a maximum one on them."""
+        top = top_of(k)
+        fill = [pair for bucket in buckets[opened + 1:top + 1]
+                for pair in bucket]
+        for i, j in fill:
+            cols[i].append(j)
+        feasible, reached = net.max_flow(plan, fill, cols)
+        return feasible, top, frozenset(i for i in range(n) if reached[i])
+
     bound = reaching(net.point_hall_rank(buckets))
-    guesses = iter((bound - 1, bound))
-    lo, hi = 0, len(values) - 1  # values[-1] is always feasible
-    witness = lower = None
-    below = -1                   # the index of lower's probe
-    cuts = []                    # min-cut sides not yet read for a jump
-    while lo < hi:
-        mid = next((k for k in guesses if lo <= k < hi), (lo + hi) // 2)
-        feasible, plan, top, reached = probe(mid)
-        if feasible:
-            hi, witness = mid, plan
-        else:
-            warm, warm_top = plan, top
-            lower, below = frozenset(i for i in range(n) if reached[i]), mid
-            lo = mid + 1
-            cuts.append(lower)
-            # Just below the bound, the bound itself is probed next and
-            # usually passes: the Hall ranks wait until a probe fails there.
-            if mid != bound - 1:
-                jump = max(reaching(net.set_hall_rank(S, space.distance_ranks))
-                           for S in cuts)
-                cuts = []
-                if jump > lo:
-                    lo = min(hi, jump)
-                    guesses = iter((lo,))
-    if below < lo - 1:  # lo rose past the last infeasible probe
-        lower = frozenset(i for i, r in enumerate(probe(lo - 1)[3]) if r)
-    if witness is None:  # no probe below values[-1] was feasible
-        witness = probe(hi)[1]
-    return WInfResult(values[lo], net.coupling(witness, mu, nu), lower)
+    plan, cols = net.zero_flow(), [[] for _ in range(n)]
+    k, top, below, lower = max(bound - 1, 0), -1, -1, None
+    while True:
+        feasible, top, cut = probe(k, plan, cols, top)
+        if feasible or top == len(values) - 1:
+            break
+        below, lower = k, cut
+        # Below the bound, the bound is probed next and usually passes.
+        k = bound if k < bound else max(
+            reaching(top + 1),
+            reaching(net.set_hall_rank(cut, space.distance_ranks)))
+    if below < k - 1:  # the sweep jumped past the index just below r
+        lower = probe(k - 1, net.zero_flow(), [[] for _ in range(n)], -1)[2]
+    return WInfResult(values[k], net.coupling(plan, mu, nu), lower)
 
 
 # ---------------------------------------------------------------------------

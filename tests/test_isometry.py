@@ -17,7 +17,7 @@ from qiso.catalog import (catalog_action, cycle_metric,
                           random_permutation_action, random_quantum_action,
                           standard_actions, three_point_isosceles,
                           trivial_action)
-from qiso import isometry
+from qiso import isometry, transport
 from qiso.coaction import act_on_point, act_on_points
 from qiso.isometry import (HypothesisViolated, check_D, check_D_commutant,
                            check_D_state, check_injectivity,
@@ -774,6 +774,33 @@ def test_sweep_routes_match_per_pair_oracle():
                 routes.setdefault(route, set()).add(held)
     assert routes == {route: {True, False} for route in
                       ("dual-vertices", "simplex", "hall-subsets", "max-flow")}
+
+
+def test_cycle_sweep_max_flows_per_winf_call(monkeypatch):
+    """The max-flow route of the sampled p = inf sweep on the rotations of
+    the 10-cycle (6 realized distances, three random states, 135 pairs)
+    runs at most 2.33 max flows per `wasserstein_inf` call, what a plain
+    bisection over the realized distances took there."""
+    flows, winfs = [], []
+    max_flow = transport._FlowNetwork.max_flow
+
+    def counted_flow(self, *args):
+        flows.append(None)
+        return max_flow(self, *args)
+
+    def counted_winf(*args):
+        winfs.append(None)
+        return wasserstein_inf(*args)
+
+    monkeypatch.setattr(transport._FlowNetwork, "max_flow", counted_flow)
+    monkeypatch.setattr(isometry, "wasserstein_inf", counted_winf)
+    monkeypatch.setattr(isometry, "_sweep_route", lambda *args: "max-flow")
+    action = permutation_action(cycle_metric(10),
+                                [tuple((i + 1) % 10 for i in range(10))])
+    states = [random_state(action.group.algebra, seed) for seed in range(3)]
+    isometry.check_lip_p_state_sweep(action, states, [float("inf")])
+    assert len(winfs) == 135
+    assert len(flows) <= 2.33 * len(winfs)
 
 
 def test_hall_sweep_batches_match_the_per_state_loop(monkeypatch):

@@ -1,5 +1,6 @@
 """Transport solver, duals, feasibility, bottleneck, vertex enumeration."""
 
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from qiso import transport
+from qiso.catalog import cycle_metric
 from qiso.errors import DimensionMismatch
 from qiso.metric import (PairSet, random_metric_space, sublevel_set,
                          validate_metric)
@@ -379,6 +381,31 @@ def test_greedy_start_is_strongly_feasible(monkeypatch):
     assert any(fed)
 
 
+def test_float_greedy_start_equals_the_exact_one(monkeypatch):
+    """On the four reference problems of perfbench's transport workload
+    the float start tree (parent and parent arc of every node) equals the
+    exact one, for W_1, W_2 and the Kantorovich problem: float needs that
+    cancel only up to rounding (masses k / 80 on ref-n20-6) count as 0,
+    as their exact sums do."""
+    real = transport._greedy_tree
+    trees = []
+
+    def spy(num_nodes, tail, head, cost, demand):
+        start = real(num_nodes, tail, head, cost, demand)
+        trees.append(start[:2])
+        return start
+
+    monkeypatch.setattr(transport, "_greedy_tree", spy)
+    for n, k in ((20, 1), (20, 6), (16, 2), (16, 3)):
+        for solve in (functools.partial(transport_with_power, p=1),
+                      functools.partial(transport_with_power, p=2),
+                      kantorovich_w1):
+            del trees[:]
+            for problem in perfbench_transport_problem(n, k):
+                solve(*problem)
+            assert len(trees) == 2 and trees[0] == trees[1], (n, k, solve)
+
+
 def test_reference_problems_finish_within_2n_pivots(monkeypatch):
     """From the greedy start, exact and float W_1 and W_2 on the four
     reference problems of perfbench's transport workload (n = 20, 20, 16
@@ -725,15 +752,17 @@ def _two_cluster_problem(rng):
 
 
 def test_winf_ranks_match_linear_scan():
-    """The bisection on distance ranks, started at the single-point Hall
-    bound, returns the r and lower violator of scanning the sublevel sets
-    in increasing order, and a coupling on the sublevel set of r, on
+    """The upward sweep on distance ranks, started at the single-point
+    Hall bound, returns the r and lower violator of scanning the sublevel
+    sets in increasing order, and a coupling on the sublevel set of r, on
     seeded rational and float spaces with n <= 12, rational and float
     marginals, float spaces with realized distances closer than tol, the
     n = 16 and 20 reference problems of the benchmark's transport workload,
-    exact and float, mu = nu (r = 0: no probe lies below the bound) and
-    two-cluster problems whose bound lies below W_inf, exact and float.
-    A positive control asserts that both r = bound and r > bound occur."""
+    exact and float, mu = nu (r = 0: no probe lies below the bound),
+    two-cluster problems whose bound lies below W_inf, exact and float,
+    and cycle metrics with n = 6 to 13 (few realized distances) and
+    marginals with zero masses, exact and float.  A positive control
+    asserts that both r = bound and r > bound occur."""
     radii = []
 
     def check(sp, mu, nu):
@@ -786,6 +815,19 @@ def test_winf_ranks_match_linear_scan():
         check(sp, mu, nu)
         check(fl, *(prob_vector([float(m) for m in pv.mass]) for pv in (mu, nu)))
         assert radii[-2][0] < radii[-2][1] and radii[-1][0] < radii[-1][1]
+    rng = random.Random(43)
+    for n in range(6, 14):
+        sp = cycle_metric(n)
+        fl = validate_metric([[float(v) for v in row] for row in sp.dist],
+                             mode="float")
+        for _ in range(2):
+            mu, nu = ([F(rng.choice((0, rng.randint(1, 9)))) for _ in range(n)]
+                      for _ in range(2))
+            mu[0] = nu[n // 2] = F(1)
+            mu, nu = (prob_vector([w / sum(ws) for w in ws]) for ws in (mu, nu))
+            check(sp, mu, nu)
+            check(fl, *(prob_vector([float(m) for m in pv.mass])
+                        for pv in (mu, nu)))
     assert all(bound <= r for bound, r in radii)
     assert sum(bound == r for bound, r in radii) > 100
     assert sum(bound < r for bound, r in radii) >= 30
