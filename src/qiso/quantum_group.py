@@ -10,6 +10,7 @@ must pass at 1e-10.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -98,9 +99,19 @@ class QuantumGroup:
 # its stacks of equal-sized blocks, and `max_operator_norms` norms the
 # stacks of every residual together, one matrix size at a time.
 
-# Coassociativity compares two dim^4 tensors a slab of their first leg at
-# a time; a slab holds about this many entries (512 KB of complex).
-_COASSOCIATIVITY_SLAB = 2 ** 15
+# Coassociativity takes its rows x in slabs whose products hold at most
+# this many entries (a single row may hold more): 112 KB of complex, below
+# the 128 KiB from which glibc by default maps fresh pages for each
+# allocation, page faults that cost more than the products at these sizes.
+_SLAB = 7000
+
+# Coassociativity cuts the basis into cells only when they compute fewer
+# than 1/_CELL_GAIN of the dim^4 coefficients, and dim^4 exceeds _ONE_CELL:
+# a coefficient costs about twice as much through the cells as through
+# one product over the whole basis, and below _ONE_CELL listing what the
+# cells of a triple reach costs more than that product.
+_CELL_GAIN = 2
+_ONE_CELL = 2 ** 14
 
 # A cancellation rank counts the singular values above this bound.
 _RANK_TOL = 1e-8
@@ -141,6 +152,19 @@ def _star_index(alg) -> np.ndarray:
     return star
 
 
+def _block_pairs(alg):
+    """For each pair of block sizes (m, n), in the order of
+    `_tensor_blocks`: the blocks K of size m (as a column), the blocks L
+    of size n, and the offsets in delta.ravel() of the block pairs (K, L),
+    so that the (K, L) block of Delta(e_a), of shape (mn, mn) in the
+    layout of `_tensor_blocks`, is delta.ravel()[offsets[K, L] + a]."""
+    dim, groups = alg.dim, alg.blocks_by_size
+    sized = {n: np.flatnonzero(np.array(alg.blocks) == n) for n in groups}
+    for (m, rows), (n, cols) in itertools.product(groups.items(), repeat=2):
+        offsets = (rows[:, None, :, None, :, None] * dim + cols[None, :, None, :, None, :]) * dim
+        yield sized[m][:, None], sized[n], offsets.reshape(len(rows), len(cols), m * n, m * n)
+
+
 def _kappa_star_defects(star: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """kappa(e_a*) - kappa(e_a)* for every a, with the coefficients on the
     last axis: zero iff kappa commutes with *."""
@@ -161,6 +185,138 @@ def _tensor_blocks(groups, X: np.ndarray):
             sub = X[..., rows[:, None, :, None, :, None],
                     cols[None, :, None, :, None, :]]
             yield sub.reshape(sub.shape[:-4] + (m * n, m * n))
+
+
+def _block_support(alg, delta: np.ndarray) -> np.ndarray:
+    """support[K, L, k]: whether Delta of some basis element of block k has
+    a coefficient other than 0 on the block pair (K, L); a NaN or inf
+    coefficient counts."""
+    support = delta != 0
+    if len(alg.blocks) < alg.dim:
+        for axis in range(3):
+            support = np.logical_or.reduceat(support, alg.offsets, axis=axis)
+    return support
+
+
+def _listed(row: np.ndarray, value: np.ndarray, rows: int):
+    """The values of each row, given as (row, value) pairs ordered by row,
+    as a (rows, width) array padded with each row's first value (0 for an
+    empty row), and the number of values of each row."""
+    count = np.bincount(row, minlength=rows)
+    width = max(int(count.max()), 1)
+    listed = np.zeros((rows, width), dtype=int)
+    listed[row, np.arange(len(row)) - (np.cumsum(count) - count)[row]] = value
+    return np.where(np.arange(width) < count[:, None], listed, listed[:, :1]), count
+
+
+def _cells(alg, support: np.ndarray):
+    """The cells of `_coassociativity`, runs of consecutive whole blocks of
+    at most max n_k^2 basis elements: the first block of each, and for
+    each cell pair (X, Y) the cells of S_XY in increasing order, padded
+    by repeating the first, with their number."""
+    sizes = [n * n for n in alg.blocks]
+    starts, fill = [], max(sizes)
+    for k, n in enumerate(sizes):
+        if fill + n > max(sizes):
+            starts.append(k)
+            fill = 0
+        fill += n
+    if len(starts) < len(sizes):
+        for axis in range(3):
+            support = np.logical_or.reduceat(support, starts, axis=axis)
+    C = len(starts)
+    reach, count = _listed(*np.nonzero(support.reshape(C * C, C)), C * C)
+    return starts, reach.reshape(C, C, -1), count.reshape(C, C)
+
+
+def _coassociativity(alg, delta: np.ndarray, support: np.ndarray) -> float:
+    """max |(Delta (x) id) Delta(e_a) - (id (x) Delta) Delta(e_a)| over the
+    coefficients of a finite delta, given its block support.
+
+    The basis is cut into the cells of `_cells`, each padded with zero
+    elements to u = max n_k^2 of them, and S_XY is the set of cells with a
+    block in the support of a block pair of the cell pair (X, Y).  At e_x
+    (x) e_y (x) e_z, with x, y, z in the cells X, Y, Z, the left side is
+    the sum of delta[x, y, c] delta[c, z, a] over c in S_XY, the right
+    side that of delta[y, z, c] delta[x, c, a] over c in S_YZ, and both
+    are 0 unless the cell of a is reached: in S_CZ for some C in S_XY, or
+    in S_XC for some C in S_YZ.  So for each x the left side is one
+    matrix product per cell pair (X, Y), over the basis of S_XY (padded
+    with 0 weights) and onto the cells that each Z reaches with it
+    (padded with a repeated cell), and the right side one per (Y, Z)
+    likewise, in slabs of x.  Both list S_XY in increasing order, so a
+    BLAS product sums the nonzero terms in the order of one over the
+    whole basis.
+
+    Cells are taken only where dim^4 exceeds _ONE_CELL and they compute
+    fewer than 1/_CELL_GAIN of the dim^4 coefficients of each side: C^3
+    u^4 t, where a cell triple reaches at most t = min(C, 2 w^2) cells, w
+    the largest |S_XY|.  Otherwise the whole basis is one cell: the left
+    side is delta as a (dim^2, dim) matrix times delta as a (dim, dim^2)
+    one, the right side the former times delta[x] for each x, as on a
+    delta whose nonzero pattern is full."""
+    dim = alg.dim
+    C, u, width = 1, dim, 1
+    if dim ** 4 > _ONE_CELL:
+        starts, reach, count = _cells(alg, support)
+        n, w, v = len(starts), reach.shape[-1], max(alg.blocks) ** 2
+        if _CELL_GAIN * n ** 3 * min(n, 2 * w * w) * v ** 4 < dim ** 4:
+            C, u, width = n, v, w
+    every = np.arange(C)
+    if C == 1:      # the gathers below would copy delta as it is
+        weights = delta.reshape(1, 1, dim, dim, dim)
+    else:
+        if C * u == dim:
+            D = delta.reshape(C, u, C, u, C, u).transpose(0, 2, 4, 1, 3, 5)   # X Y Z x y z
+        else:
+            bounds = [alg.offsets[k] for k in starts] + [dim]
+            slots = np.full((C, u), dim)
+            for i in range(C):
+                slots[i, :bounds[i + 1] - bounds[i]] = np.arange(bounds[i], bounds[i + 1])
+            padded = np.zeros((dim + 1,) * 3, dtype=complex)
+            padded[:dim, :dim, :dim] = delta
+            D = padded[slots[:, None, None, :, None, None], slots[None, :, None, None, :, None],
+                       slots[None, None, :, None, None, :]]
+        weights = D[every[:, None, None], every[None, :, None], reach]     # X Y i x y c
+        weights[np.arange(width) >= count[..., None]] = 0
+        weights = weights.transpose(0, 1, 3, 4, 2, 5).reshape(C, C, u, u, width * u)
+    pairs = weights.reshape(C, C, u * u, width * u)
+    rows = max(1, _SLAB // (C * C * min(C, 2 * width ** 2) * u ** 3))
+    worst = 0.0
+    for start in range(0, C, max(1, rows // u)):
+        X = every[start:start + max(1, rows // u)]
+        nx = len(X)
+        if C == 1:
+            t = 1
+            left = delta.reshape(1, 1, 1, dim, dim * dim)
+            right = delta.reshape(1, dim, 1, 1, dim, dim)
+        else:
+            # the cells each triple reaches, each once, then repeats
+            n = nx * C * C
+            keys = np.concatenate([
+                reach[reach[X][:, :, None], every[None, None, :, None]].reshape(n, -1),
+                reach[X[:, None, None, None], reach[None]].reshape(n, -1)], axis=-1)
+            keys = np.sort((keys + C * np.arange(n)[:, None]).ravel())
+            keys = keys[np.append(True, keys[1:] != keys[:-1])]
+            ks = _listed(keys // C, keys % C, n)[0].reshape(nx, C, C, -1)
+            t = ks.shape[-1]
+            # (Delta (x) id) Delta: rows x y of (X, Y), columns z j a of Z
+            left = D[reach[X][:, :, None, :, None], every[None, None, :, None, None],
+                     ks[:, :, :, None]].transpose(0, 1, 2, 3, 5, 6, 4, 7).reshape(
+                nx, C, C, width * u, u * t * u)                    # X Y Z, i c, z j a
+            # (id (x) Delta) Delta: for each x, rows y z of (Y, Z), columns j a
+            right = D[X[:, None, None, None, None], reach[None, :, :, :, None],
+                      ks[:, :, :, None, :]].transpose(0, 5, 1, 2, 3, 6, 4, 7).reshape(
+                nx, u, C, C, width * u, t * u)                     # X x Y Z, i c, j a
+        step = max(1, min(rows, u))
+        for x in range(0, u, step):
+            lhs = weights[start:start + nx, :, x:x + step].reshape(nx, C, 1, -1, width * u) @ left
+            rhs = pairs @ right[:, x:x + step]
+            m = rhs.shape[1]
+            lhs.reshape(nx, C, C, m, u, u, t, u).transpose(0, 3, 1, 2, 4, 5, 6, 7)[...] \
+                -= rhs.reshape(nx, m, C, C, u, u, t, u)
+            worst = max(worst, float(np.abs(lhs).max()))
+    return worst
 
 
 def _total_rank(mats: np.ndarray) -> int:
@@ -226,23 +382,32 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     of every residual normed together by `max_operator_norms` (bitwise
     the largest spectral norm of each).  The contractions run on BLAS
     matrix products: counit and antipode with delta as a (dim^2, dim) or
-    (dim, dim^2) matrix, coassociativity one slab of its first leg at a
-    time, and the products Delta(e_a) Delta(e_b) over all pairs as one
-    product per pair of blocks.  The cancellation ranks take one batched
-    Cholesky certificate of full rank per block size and side, and
-    `matrix_rank` only for a stack the certificate does not decide
-    (`_total_rank`); either way they are the SVD's ranks.  The Haar state
-    needs no solve here: for a Hopf algebra it is the Plancherel trace
-    (Larson-Radford, see `haar_state`).
+    (dim, dim^2) matrix, the products Delta(e_a) Delta(e_b) as one
+    product per pair of block sizes, and coassociativity as in
+    `_coassociativity`.  The cancellation ranks take one batched Cholesky
+    certificate of full rank per block size and side, and `matrix_rank`
+    only for a stack the certificate does not decide (`_total_rank`);
+    either way they are the SVD's ranks.  The Haar state needs no solve
+    here: for a Hopf algebra it is the Plancherel trace (Larson-Radford,
+    see `haar_state`).
+
+    The products, the star defects and coassociativity run on the block
+    support of delta, taken anew on every call: S_KL is the set of
+    blocks k for which delta has a coefficient other than 0 (a NaN or
+    inf counts) on some basis element of block k and the block pair (K,
+    L).  Delta(e_a) is 0 on (K, L) unless the block of a is in S_KL, and
+    a block is closed under * and under products of matrix units, so
+    Delta(e_a*) - Delta(e_a)* and Delta(e_a) Delta(e_b) - Delta(e_a e_b)
+    are exactly 0 on (K, L) unless a and b lie in S_KL.
 
     Working set: delta and every other residual's arrays are dim^3
-    entries, but for two.  Coassociativity compares its two dim^4 sides
-    one slab of the first leg at a time, about 2^15 entries (at least
-    dim^3) per side.  The products Delta(e_a) Delta(e_b) are dim^4
-    entries over all pairs, normed in place (their 1x1 blocks through one
-    dim^4-sized array of moduli).  A non-finite entry in a structure map
-    makes the residuals it reaches NaN, and a NaN residual fails the
-    report.
+    entries, but for two.  The products and the star defects take the
+    basis of S_KL on each block pair (K, L), |S_KL|^2 and |S_KL| blocks,
+    up to the largest S_KL of its pair of block sizes: sum_KL |S_KL|^2
+    n_K^2 n_L^2 entries, dim^4 only for a full support.  Coassociativity
+    holds slabs of at most _SLAB entries.  A non-finite entry in a
+    structure map makes the residuals it reaches NaN, and a NaN residual
+    fails the report.
     """
     alg = qg.algebra
     dim = alg.dim
@@ -251,7 +416,6 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     star = _star_index(alg)
     unit = qg.unit_vec()
     delta, epsilon, kappa = qg.delta, qg.epsilon, qg.kappa
-    by_a = delta.transpose(2, 0, 1)  # by_a[a]: coefficient matrix of Delta(e_a)
     eye = np.eye(dim)
     res: Dict[str, float] = {}
     blocks: Dict[str, List[np.ndarray]] = {}  # the residuals that are norms
@@ -260,37 +424,39 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
         res[name] = np.nan  # keeps the report's order until the norms are in
         blocks[name] = list(stacks)
 
-    # Delta is a unital *-homomorphism; (E^k_ij)* = E^k_ji
+    # Delta is a unital *-homomorphism; (E^k_ij)* = E^k_ji.  Each block
+    # pair (K, L) takes the basis of S_KL, then other basis elements (on
+    # which Delta is 0 there) up to the largest S_KL of its pair of block
+    # sizes
+    finite = bool(np.isfinite(delta).all())
+    support = _block_support(alg, delta)
+    B = len(alg.blocks)
+    reached = support[..., np.repeat(np.arange(B), np.square(alg.blocks))] if B < dim else support
+    counts = reached.sum(axis=-1)
+    lists = np.argsort(~reached, axis=-1, kind="stable")
+    product = np.full((dim, dim), -1)      # product[a, b]: e_a e_b, or -1 for 0
+    product[left, right] = into
     norm_of("delta_unital", _tensor_blocks(groups, delta @ unit - np.outer(unit, unit)))
-    norm_of("delta_star", _tensor_blocks(
-        groups, by_a[star] - by_a[:, star][:, :, star].conj()))
-    products = []
-    for tensor in _tensor_blocks(groups, by_a):
-        # Delta(e_a) Delta(e_b) for all a, b: one matrix product per block
-        # pair (K, L), the a-stack of its rows against the b-stack of
-        # columns, minus Delta(e_a e_b) in the product's own layout
-        K, L, mn = tensor.shape[1], tensor.shape[2], tensor.shape[-1]
-        stack = tensor.transpose(1, 2, 0, 3, 4)                     # K L a i j
-        prod = (stack.reshape(K, L, dim * mn, mn)
-                @ stack.transpose(0, 1, 3, 2, 4).reshape(K, L, mn, dim * mn)
-                ).reshape(K, L, dim, mn, dim, mn)                   # K L a i b j
-        prod[:, :, left, :, right, :] -= tensor[into]
-        products.append(prod.transpose(0, 1, 2, 4, 3, 5))           # K L a b i j
+    stars, products = [], []
+    flat = delta.ravel()
+    for rows, cols, offsets in _block_pairs(alg):
+        basis = lists[rows, cols][..., :max(int(counts[rows, cols].max()), 1)]
+        K, L, s = basis.shape
+        mn = offsets.shape[-1]
+        sub = flat[offsets[:, :, None] + basis[..., None, None]]     # K L a i j
+        stars.append(flat[offsets[:, :, None] + star[basis][..., None, None]]
+                     - sub.conj().swapaxes(-1, -2))
+        # one matrix product per block pair, the a-stack of its rows
+        # against the b-stack of columns, minus Delta(e_a e_b)
+        prod = (sub.reshape(K, L, s * mn, mn)
+                @ sub.transpose(0, 1, 3, 2, 4).reshape(K, L, mn, s * mn)
+                ).reshape(K, L, s, mn, s, mn).transpose(0, 1, 2, 4, 3, 5)  # K L a b i j
+        ab = product[basis[..., :, None], basis[..., None, :]][..., None, None]
+        prod -= np.where(ab >= 0, flat[offsets[:, :, None, None] + np.maximum(ab, 0)], 0)
+        products.append(prod)
+    norm_of("delta_star", stars)
     norm_of("delta_multiplicative", products)
-
-    # coassociativity on coefficients, a slab of the first leg x at a time:
-    # at e_x (x) e_y (x) e_z, (Delta (x) id) Delta(e_a) is rows xy of one
-    # matrix product with delta as a (dim^2, dim) matrix and (id (x) Delta)
-    # Delta(e_a) one such product per x, both in [x, y, z, a] order
-    flat = delta.reshape(dim * dim, dim)
-    wide = delta.reshape(dim, dim * dim)
-    width = max(1, _COASSOCIATIVITY_SLAB // dim ** 3)
-    coass = []
-    for x in range(0, dim, width):
-        side = flat[x * dim:(x + width) * dim] @ wide         # [xy, za]
-        side -= (flat @ delta[x:x + width]).reshape(side.shape)  # [x, yz, a]
-        coass.append(np.abs(side).max())
-    res["coassociativity"] = float(np.max(coass))
+    res["coassociativity"] = _coassociativity(alg, delta, support) if finite else np.nan
 
     # cancellation: spans {(a (x) 1) Delta(b)} and {(1 (x) a) Delta(b)} full.
     # For a = E^k_ij, (a (x) 1) Delta(e_b) has coefficient delta[E^k_jq, g, b]
@@ -299,7 +465,7 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     # the right span mirrors this on the second leg.  With a non-finite
     # entry in delta the ranks are undefined and both deficits are NaN.
     left_rank = right_rank = np.nan
-    if np.isfinite(delta).all():
+    if finite:
         left_rank = right_rank = 0
         for n, idx in groups.items():
             side = n * dim
@@ -486,7 +652,20 @@ def group_algebra(group: List[Permutation], irreps: Sequence[np.ndarray],
     """The dual object: blocks M_{d_r} from a complete family of unitary
     irreps, with the group-like comultiplication carried through the
     Artin-Wedderburn isomorphism.  Unitarity and the homomorphism property
-    are checked on stacked products over the Cayley table."""
+    are checked on stacked products over the Cayley table.
+
+    The orthogonality relations make V^-1 = V^* diag(n_k / |G|), so the
+    coefficient of E^K_ij (x) E^L_pq in Delta(E^k_rs) is (n_k / |G|)
+    sum_g U_K(g)_ij U_L(g)_pq conj(U_k(g)_rs): an inner product of a
+    matrix coefficient of U_K (x) U_L with one of U_k.  The former lie in
+    the span of the matrix coefficients of the irreducible summands of
+    U_K (x) U_L, which Schur orthogonality makes orthogonal to those of
+    U_k unless U_k is one of them, that is unless the multiplicity
+    <chi_K chi_L, chi_k> = (1/|G|) sum_g chi_K(g) chi_L(g) conj(chi_k(g))
+    is positive.  So Delta is summed over g as the loop constructor does
+    and set to exactly 0 on the block triples of multiplicity 0, where the
+    sum only leaves rounding; a multiplicity is an integer, which the
+    characters give to within rounding, so it is compared with 1/2."""
     order = len(group)
     index = {g: a for a, g in enumerate(group)}
     dims = [U.shape[1] for U in irreps]
@@ -505,10 +684,16 @@ def group_algebra(group: List[Permutation], irreps: Sequence[np.ndarray],
     V = np.vstack([U.reshape(order, -1).T for U in irreps])  # column a: element a
     Vinv = np.linalg.inv(V)
     # Delta(lambda_g) = lambda_g (x) lambda_g, so Delta(e_alpha) is the sum
-    # over g of Vinv[g, alpha] V[:, g] V[:, g]^T, accumulated in g order
+    # over g of Vinv[g, alpha] V[:, g] V[:, g]^T, accumulated in g order,
+    # and exactly 0 on the block triples of multiplicity 0
     delta = np.zeros((order, order, order), dtype=complex)
     for g in range(order):
         delta += Vinv[g] * np.outer(V[:, g], V[:, g])[:, :, None]
+    chars = np.array([U.trace(axis1=1, axis2=2) for U in irreps])
+    multiplicity = ((chars[:, None] * chars).reshape(-1, order) @ chars.conj().T).real / order
+    block_of = np.repeat(np.arange(len(dims)), np.square(dims))
+    delta[multiplicity.reshape((len(dims),) * 3)[
+        block_of[:, None, None], block_of[None, :, None], block_of] < 0.5] = 0
     epsilon = np.ones(order, dtype=complex) @ Vinv
     P = np.zeros((order, order))
     for a, ga in enumerate(group):

@@ -389,25 +389,49 @@ def _same_residuals(report, reference):
         for k in mine)
 
 
-def test_verifiers_equal_loop_references():
+def test_verifiers_equal_loop_references(monkeypatch):
     """verify_quantum_group and verify_coaction report residuals == to the
     references of tests/oracles.py, which norm each stack of blocks on its
     own and contract coassociativity in two dim^4 products: on the hopf
     workload's groups, the catalog and standard groups and actions,
-    C(D4)-C(D8), dual-D3 to dual-D12 and C(S4), and on 420 seeded
-    single-entry faults of sizes 1e-3, 0.1, 1, NaN and inf: at least 300
-    in delta, epsilon and kappa, the rest in u."""
+    C(D4)-C(D8), dual-D3 to dual-D12, C(S4) and dual-D10 with every exact
+    0 of Delta set to 1e-300 (a full block support, as a Delta written
+    in an element basis has), and on 420 seeded single-entry faults of
+    sizes 1e-3, 0.1, 1, NaN and inf: at least 300 in delta, epsilon and
+    kappa, the rest in u.  Each group is verified a second time with its
+    coassociativity cut into cells whatever they save, which pads the
+    cells of the two characters of dual-D_m for odd m."""
     catalog_actions = [e.action for e in standard_actions()]
     small = [a.group for a in catalog_actions] + standard_groups()
+    dense = dihedral_group_algebra(10)
+    filled = dense.delta.copy()
+    filled[filled == 0] = 1e-300
+    dense = QuantumGroup(dense.algebra, filled, dense.epsilon, dense.kappa,
+                         name="dual-D10, zeros as 1e-300")
+    assert dense.delta.all()
     groups = _hopf_workload_groups() + small + \
         [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
          for m in range(4, 9)] + \
         [dihedral_group_algebra(m) for m in range(3, 13)] + \
         [function_algebra_of_group(close_generators(
-            4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")]
+            4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)"), dense]
+    padded = []
+    cells = quantum_group._cells
+
+    def recording_cells(alg, support):
+        found = cells(alg, support)
+        padded.append(len(found[0]) * max(alg.blocks) ** 2 > alg.dim)
+        return found
+
     for qg in groups:
-        assert _same_residuals(verify_quantum_group(qg),
-                               verify_quantum_group_loops(qg)), qg.name
+        reference = verify_quantum_group_loops(qg)
+        assert _same_residuals(verify_quantum_group(qg), reference), qg.name
+        with monkeypatch.context() as forced:
+            forced.setattr(quantum_group, "_CELL_GAIN", 0)
+            forced.setattr(quantum_group, "_ONE_CELL", 0)
+            forced.setattr(quantum_group, "_cells", recording_cells)
+            assert _same_residuals(verify_quantum_group(qg), reference), (qg.name, "cells")
+    assert len(padded) == len(groups) and any(padded)   # positive control
     for action in catalog_actions:
         assert _same_residuals(verify_coaction(action),
                                verify_coaction_loops(action)), action.name
@@ -428,6 +452,55 @@ def test_verifiers_equal_loop_references():
                 assert _same_residuals(verify_quantum_group(case),
                                        verify_quantum_group_loops(case)), fault
     assert kinds["group"] >= 300 and kinds["action"] >= 50, kinds
+
+
+def test_verifier_on_random_block_supports(monkeypatch):
+    """On 80 seeded random structure maps over algebras of one to five
+    blocks of sizes 1 to 3, with Delta nonzero on a random share (5% to
+    all) of the block triples, some with integer entries and some with a
+    NaN or inf, verify_quantum_group reports the residuals of the loop
+    reference, with cells chosen as usual and forced.  The block support
+    changes the shapes of the BLAS products, not their terms, so
+    delta_multiplicative and coassociativity may sum the same terms in
+    another order (one ulp apart at blocks of size 3): each of their
+    entries sums at most dim products of two delta entries per side, so
+    they agree within 4 dim^2 eps max|delta|^2.  Every other residual
+    is ==."""
+    rng = random.Random(3232)
+    gen = np.random.default_rng(3232)
+    eps = np.finfo(float).eps
+    for trial in range(80):
+        blocks = tuple(rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(1, 5)))
+        alg = FinDimCStarAlgebra(blocks)
+        dim = alg.dim
+        block_of = np.repeat(np.arange(len(blocks)), np.square(blocks))
+        kept = gen.random((len(blocks),) * 3) < rng.choice((0.05, 0.2, 0.5, 1.0))
+        delta = (gen.normal(size=(dim,) * 3) + 1j * gen.normal(size=(dim,) * 3)) \
+            * kept[np.ix_(block_of, block_of, block_of)]
+        if trial % 4 == 1:
+            delta = np.round(delta.real) + 0j
+        bound = 4 * dim ** 2 * eps * np.abs(delta).max() ** 2
+        if trial % 8 == 3:
+            delta[rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)] = \
+                rng.choice((np.nan, np.inf))
+        qg = QuantumGroup(alg, delta, gen.normal(size=dim) + 0j,
+                          gen.normal(size=(dim, dim)) + 0j)
+        with np.errstate(all="ignore"):
+            reference = verify_quantum_group_loops(qg).residuals
+            reports = [verify_quantum_group(qg).residuals]
+            with monkeypatch.context() as forced:
+                forced.setattr(quantum_group, "_CELL_GAIN", 0)
+                forced.setattr(quantum_group, "_ONE_CELL", 0)
+                reports.append(verify_quantum_group(qg).residuals)
+        for mine in reports:
+            assert list(mine) == list(reference), trial
+            for key, value in reference.items():
+                if np.isnan(value):
+                    assert np.isnan(mine[key]), (trial, key)
+                elif key in ("delta_multiplicative", "coassociativity"):
+                    assert abs(mine[key] - value) <= bound, (trial, key, mine[key], value)
+                else:
+                    assert mine[key] == value, (trial, key)
 
 
 def test_screened_residuals_equal_unscreened(monkeypatch):
@@ -495,11 +568,39 @@ def test_nan_in_a_structure_map_fails_verification(target):
 
 
 def test_corrupted_delta_is_detected():
+    """A fault added in place is seen by the next verification: on C(Z2),
+    and on dual-D10 after a passing verification, with 1e-3 added to an
+    entry of a block triple of multiplicity 0, which the support of the
+    first verification left out."""
     qg = function_algebra_of_group(close_generators(2, [(1, 0)]))
     qg.delta[0, 1, 0] += 0.1
     report = verify_quantum_group(qg)
     assert not report.passed(1e-10)
     assert any(abs(v - 0.1) < 0.2 and v > 0.01 for v in report.residuals.values())
+    qg = dihedral_group_algebra(10)
+    assert verify_quantum_group(qg).passed(1e-10)
+    chars = np.array([U.trace(axis1=1, axis2=2)
+                      for U in dihedral_irreps(10, dihedral_perms(10))])
+    multiplicity = np.einsum("Kg,Lg,kg->KLk", chars, chars, chars.conj()).real / 20
+    K, L, k = np.argwhere(np.abs(multiplicity) < 0.5)[0]
+    offsets = qg.algebra.offsets
+    assert qg.delta[offsets[K], offsets[L], offsets[k]] == 0
+    qg.delta[offsets[K], offsets[L], offsets[k]] += 1e-3
+    report = verify_quantum_group(qg)
+    assert not report.passed(1e-10)
+    assert report.worst() >= 1e-3 / 2, report.residuals
+
+
+def test_function_algebra_of_s5_verifies():
+    """C(S5), of dim 120, verifies at 1e-10: its Delta reaches each pair of
+    1x1 blocks from one block, so the products and coassociativity take
+    dim^2 and dim^3 terms, where all pairs of basis elements would give
+    dim^4."""
+    qg = function_algebra_of_group(close_generators(
+        5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]), name="C(S5)")
+    assert qg.dim == 120
+    report = verify_quantum_group(qg)
+    assert report.passed(1e-10), report.failing(1e-10)
 
 
 def test_dual_s3_verifies():
@@ -523,14 +624,28 @@ def test_inconsistent_irreps_rejected():
 def test_group_algebra_equals_loop_constructor():
     """group_algebra's stacked checks over the Cayley table build structure
     maps bitwise equal to the loop constructor's on dihedral m = 3..12,
-    and both raise InconsistentIrreps on the same inputs."""
+    but for Delta off the character support, and both raise
+    InconsistentIrreps on the same inputs.  On the block triples (K, L, k)
+    whose multiplicity <chi_K chi_L, chi_k> is positive, Delta is bitwise
+    the loop constructor's; on the others it is exactly 0, where the loop
+    constructor leaves the rounding of sums of |G| terms that cancel,
+    within |G| machine epsilons (2.5e-15 at m = 12)."""
     for m in range(3, 13):
         group = dihedral_perms(m)
         irreps = dihedral_irreps(m, group)
         mine, theirs = group_algebra(group, irreps), group_algebra_loops(group, irreps)
-        for key in ("delta", "epsilon", "kappa"):
+        for key in ("epsilon", "kappa"):
             assert np.array_equal(getattr(mine, key).view(float),
                                   getattr(theirs, key).view(float)), (m, key)
+        chars = np.array([[np.trace(U[a]) for a in range(len(group))] for U in irreps])
+        multiplicity = np.einsum("Kg,Lg,kg->KLk", chars, chars,
+                                 chars.conj()).real / len(group)
+        block_of = np.repeat(np.arange(len(irreps)), [U.shape[1] ** 2 for U in irreps])
+        on = multiplicity[np.ix_(block_of, block_of, block_of)] > 0.5
+        assert 0 < on.sum() < on.size, m
+        assert np.array_equal(mine.delta[on].view(float), theirs.delta[on].view(float)), m
+        assert not mine.delta[~on].any(), m
+        assert np.abs(theirs.delta[~on]).max() <= len(group) * np.finfo(float).eps, m
     group = dihedral_perms(4)
     irreps = dihedral_irreps(4, group)
     scaled = [U.copy() for U in irreps]
