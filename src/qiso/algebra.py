@@ -13,7 +13,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,13 +38,19 @@ class FinDimCStarAlgebra:
     def dim(self) -> int:
         return sum(b * b for b in self.blocks)
 
-    @property
+    @cached_property
     def offsets(self) -> Tuple[int, ...]:
+        """The basis index of each block's first matrix unit."""
         out, acc = [], 0
         for b in self.blocks:
             out.append(acc)
             acc += b * b
         return tuple(out)
+
+    @cached_property
+    def block_of(self) -> np.ndarray:
+        """block_of[a]: the block of basis element a."""
+        return np.repeat(np.arange(len(self.blocks)), np.square(self.blocks))
 
     @cached_property
     def blocks_by_size(self) -> Dict[int, np.ndarray]:
@@ -53,6 +59,27 @@ class FinDimCStarAlgebra:
         for off, n in zip(self.offsets, self.blocks):
             groups.setdefault(n, []).append(off + np.arange(n * n).reshape(n, n))
         return {n: np.array(idx) for n, idx in groups.items()}
+
+    def block_indices(self, blocks: Sequence[int]) -> np.ndarray:
+        """The basis indices of the given blocks, one block after another."""
+        sizes = np.square(self.blocks)[np.asarray(blocks, dtype=int)]
+        return np.arange(sizes.sum()) + np.repeat(
+            np.array(self.offsets)[blocks] - np.cumsum(sizes) + sizes, sizes)
+
+    def block_any(self, mask: np.ndarray) -> np.ndarray:
+        """A boolean array indexed by the basis on every axis, reduced to
+        the blocks: out[k, l, ...] is whether mask holds anywhere on the
+        basis elements of blocks k, l, ... ."""
+        if len(self.blocks) < self.dim:
+            for axis in range(mask.ndim):
+                mask = np.logical_or.reduceat(mask, self.offsets, axis=axis)
+        return mask
+
+    def element_blocks(self, X: np.ndarray) -> List[np.ndarray]:
+        """The blocks of the elements X[..., a] (coefficient vectors on the
+        last axis), one stack of shape (..., K, n, n) per block size n, in
+        the order of `blocks_by_size`."""
+        return [X[..., idx] for idx in self.blocks_by_size.values()]
 
     def index_of(self, k: int, i: int, j: int) -> int:
         """Basis index of the matrix unit E_ij in block k."""
@@ -229,8 +256,8 @@ def element_norms(algebra: FinDimCStarAlgebra, X: np.ndarray) -> np.ndarray:
     """The operator norms of the elements X[..., a] of the algebra (their
     coefficient vectors on the last axis): the largest spectral norm over
     blocks, taken one stack of equal-sized blocks at a time."""
-    return np.max([operator_norms(X[..., idx]).max(axis=-1)
-                   for idx in algebra.blocks_by_size.values()], axis=0)
+    return np.max([operator_norms(stack).max(axis=-1)
+                   for stack in algebra.element_blocks(X)], axis=0)
 
 
 # ---------------------------------------------------------------------------

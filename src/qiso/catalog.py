@@ -257,7 +257,7 @@ def verified_catalog(tol: float = 1e-9) -> List[CatalogAction]:
     out = []
     for entry in standard_actions():
         qrep = verify_quantum_group(entry.action.group)
-        crep = verify_coaction(entry.action, tol=tol)
+        crep = verify_coaction(entry.action)
         if not qrep.passed(max(tol, 1e-10)) or not crep.passed(tol):
             raise CatalogEntryInvalid(
                 f"{entry.name}: qg {qrep.failing(tol)} coaction {crep.failing(tol)}")

@@ -265,7 +265,7 @@ def _load_coaction(args):
     from .quantum_group import verify_quantum_group
     action = fileio.load_coaction(args.coaction, tol=args.tol)
     reports = (verify_quantum_group(action.group),
-               verify_coaction(action, args.tol, check_faithful=False))
+               verify_coaction(action, check_faithful=False))
     failing = {k: float(v) for rep in reports
                for k, v in rep.failing(args.tol).items()}
     if failing:

@@ -109,8 +109,7 @@ class CoAction:
         return out
 
 
-def verify_coaction(action: CoAction, tol: float = 1e-9,
-                    check_faithful: bool = True) -> QGReport:
+def verify_coaction(action: CoAction, check_faithful: bool = True) -> QGReport:
     """All magic-unitary and coaction axioms as residuals, each an array
     expression in the coefficient tensor.
 
@@ -142,16 +141,17 @@ def verify_coaction(action: CoAction, tol: float = 1e-9,
         U @ qg.epsilon - np.eye(action.n)).max())
 
     if check_faithful:
-        rep.residuals["faithfulness_deficit"] = float(generation_deficit(action, tol))
+        rep.residuals["faithfulness_deficit"] = float(generation_deficit(action))
     return rep
 
 
-def generation_deficit(action: CoAction, tol: float = 1e-9) -> float:
+def generation_deficit(action: CoAction) -> float:
     """dim A minus the dimension of the algebra generated by the u-entries:
     an orthonormal basis of the span of the unit and the entries is
     multiplied by every entry, block by block, and re-ranked by SVD (cut
-    at max(tol, 1e-10)) until the rank stops growing.  NaN when an entry
-    of u is not finite, since the rank is then undefined."""
+    at max(tol, 1e-10), tol the space's) until the rank stops growing.
+    NaN when an entry of u is not finite, since the rank is then
+    undefined."""
     if not np.isfinite(action.coeffs).all():
         return float("nan")
     alg = action.group.algebra
@@ -160,7 +160,7 @@ def generation_deficit(action: CoAction, tol: float = 1e-9) -> float:
     rank = None
     while True:
         _, s, vh = np.linalg.svd(vecs, full_matrices=False)
-        basis = vh[s > max(tol, 1e-10)]
+        basis = vh[s > max(action.space.tol, 1e-10)]
         if len(basis) in (rank, alg.dim):
             return alg.dim - len(basis)
         rank = len(basis)
@@ -170,20 +170,21 @@ def generation_deficit(action: CoAction, tol: float = 1e-9) -> float:
             for off, b, stack in zip(alg.offsets, alg.blocks, action.stacks)])])
 
 
-def act_on_point(action: CoAction, x: int, psi: StateFunctional,
-                 tol: float = 1e-9) -> ProbVector:
-    """x <| psi: the distribution with mass psi(u_xj) at j."""
+def act_on_point(action: CoAction, x: int, psi: StateFunctional) -> ProbVector:
+    """x <| psi: the distribution with mass psi(u_xj) at j, validated by
+    `prob_vector` within the space's tol."""
     return prob_vector((action.coeffs[x] @ psi.as_vector()).real.tolist(),
-                       tol=tol)
+                       tol=action.space.tol)
 
 
-def act_on_points(action: CoAction, states, tol: float = 1e-9) -> np.ndarray:
+def act_on_points(action: CoAction, states) -> np.ndarray:
     """x <| psi for every state and point: masses[s, x, j] = psi_s(u_xj),
     from one contraction of the coefficient tensor with the stacked state
     vectors.  Every row is then validated as `prob_vector` validates a
-    float row, with the same eps (tol): ValueError on a mass below -eps or
-    a sum off 1 by more than eps, else negative fuzz clamped to 0 and the
-    row divided by its sum."""
+    float row, with the space's tol as eps: ValueError on a mass below
+    -eps or a sum off 1 by more than eps, else negative fuzz clamped to 0
+    and the row divided by its sum."""
+    tol = action.space.tol
     n, dim = action.n, action.group.dim
     vecs = np.array([psi.as_vector() for psi in states]).reshape(-1, dim)
     masses = np.ascontiguousarray(
@@ -195,9 +196,8 @@ def act_on_points(action: CoAction, states, tol: float = 1e-9) -> np.ndarray:
     off = np.abs(total - 1) > tol
     if off.any():
         raise ValueError(f"mass sums to {total[off][0]}, not 1")
-    if tol:
-        np.maximum(masses, 0.0, out=masses)
-        masses /= masses.sum(axis=-1)[..., None]
+    np.maximum(masses, 0.0, out=masses)
+    masses /= masses.sum(axis=-1)[..., None]
     return masses
 
 
@@ -209,10 +209,10 @@ def act_on_function(action: CoAction, psi: StateFunctional, f) -> Tuple[float, .
     return tuple((values @ np.array([float(v) for v in f])).tolist())
 
 
-def orbits(action: CoAction, tol: float = 1e-9) -> List[FrozenSet[int]]:
-    """O_x = {j : u_xj != 0}; verified to be a partition of the points."""
+def orbits(action: CoAction) -> List[FrozenSet[int]]:
+    """O_x = {j : ||u_xj|| > the space's tol}; verified to be a partition."""
     n = action.n
-    live = element_norms(action.group.algebra, action.coeffs) > tol
+    live = element_norms(action.group.algebra, action.coeffs) > action.space.tol
     sets = [frozenset(np.flatnonzero(row).tolist()) for row in live]
     for x in range(n):
         if x not in sets[x]:

@@ -61,25 +61,18 @@ def generated_ideal(qg: QuantumGroup, generators: np.ndarray,
     `operator_norms_above` decomposes only the blocks that neither their
     largest entry nor their Frobenius norm decides."""
     alg = qg.algebra
-    X = np.asarray(generators).reshape(-1, alg.dim)
     killed = np.zeros(len(alg.blocks), dtype=bool)
-    for n, idx in alg.blocks_by_size.items():
-        killed[np.array(alg.blocks) == n] = operator_norms_above(
-            X[:, idx], tol).any(axis=0)
+    stacks = alg.element_blocks(np.asarray(generators).reshape(-1, alg.dim))
+    for idx, stack in zip(alg.blocks_by_size.values(), stacks):
+        killed[alg.block_of[idx[:, 0, 0]]] = operator_norms_above(
+            stack, tol).any(axis=0)
     return BlockIdeal(frozenset(int(k) for k in np.flatnonzero(killed)))
-
-
-def _block_peaks(alg: FinDimCStarAlgebra, A: np.ndarray) -> np.ndarray:
-    """The (K, K) largest entries of the block pairs of a (dim, dim) A >= 0."""
-    starts = np.array(alg.offsets)
-    return np.maximum.reduceat(np.maximum.reduceat(A, starts, axis=0),
-                               starts, axis=1)
 
 
 def kappa_block_map(qg: QuantumGroup, tol: float = 1e-9) -> Dict[int, FrozenSet[int]]:
     """Which blocks the antipode sends each block into: the images of
     block k's matrix units are kappa's columns there."""
-    reach = _block_peaks(qg.algebra, np.abs(qg.kappa)) > tol
+    reach = qg.algebra.block_any(np.abs(qg.kappa) > tol)
     return {k: frozenset(int(l) for l in np.flatnonzero(reach[:, k]))
             for k in range(len(qg.algebra.blocks))}
 
@@ -88,11 +81,11 @@ def _delta_violations(qg: QuantumGroup, included: FrozenSet[int],
                       tol: float) -> List[Tuple[int, int]]:
     """Surviving block pairs, in row-major order, that Delta of some basis
     element of the ideal reaches: where Delta(I) escapes I(x)A + A(x)I."""
-    killed = np.zeros(len(qg.algebra.blocks), dtype=bool)
+    alg = qg.algebra
+    killed = np.zeros(len(alg.blocks), dtype=bool)
     killed[list(included)] = True
-    in_ideal = np.repeat(killed, np.square(qg.algebra.blocks))
-    reach = _block_peaks(qg.algebra, np.abs(qg.delta[:, :, in_ideal]).max(
-        axis=2, initial=0.0)) > tol
+    reach = alg.block_any(np.abs(qg.delta[:, :, killed[alg.block_of]]).max(
+        axis=2, initial=0.0) > tol)
     return [(int(k), int(l)) for k, l in
             np.argwhere(reach & ~killed[:, None] & ~killed[None, :])]
 
@@ -114,12 +107,6 @@ def _hopf_violation(qg: QuantumGroup, included: FrozenSet[int],
 # quotient construction
 
 
-def _block_indices(alg: FinDimCStarAlgebra, blocks: List[int]) -> np.ndarray:
-    """The basis indices of the given blocks, in order."""
-    return np.concatenate([alg.offsets[k] + np.arange(alg.blocks[k] ** 2)
-                           for k in blocks])
-
-
 def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
                            name: str = "") -> Tuple[QuantumGroup, List[int]]:
     """Compress the structure maps to the surviving blocks.  Returns the
@@ -127,7 +114,7 @@ def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
     alg = qg.algebra
     survivors = [k for k in range(len(alg.blocks)) if k not in ideal]
     sub_alg = FinDimCStarAlgebra(tuple(alg.blocks[k] for k in survivors))
-    keep = _block_indices(alg, survivors)
+    keep = alg.block_indices(survivors)
     return QuantumGroup(sub_alg, qg.delta[np.ix_(keep, keep, keep)], qg.epsilon[keep],
                         qg.kappa[np.ix_(keep, keep)],
                         name=name or f"{qg.name}/I"), survivors
@@ -137,7 +124,7 @@ def induced_action(action: CoAction, quotient: QuantumGroup,
                    survivors: List[int], name: str = "") -> CoAction:
     """Compress the magic unitary to the surviving blocks (the functorial
     triangle commutes by construction; verified downstream)."""
-    keep = _block_indices(action.group.algebra, survivors)
+    keep = action.group.algebra.block_indices(survivors)
     return CoAction(quotient, action.space, action.coeffs[..., keep],
                     name=name or f"{action.name}-envelope")
 
@@ -159,8 +146,7 @@ class EnvelopeResult:
         first read: residual reports, which raise for no quotient that
         `envelope` returns."""
         return {"quantum_group": verify_quantum_group(self.quotient),
-                "coaction": verify_coaction(self.induced, tol=self.induced.space.tol,
-                                            check_faithful=False)}
+                "coaction": verify_coaction(self.induced, check_faithful=False)}
 
 
 def envelope(action: CoAction) -> EnvelopeResult:

@@ -408,7 +408,7 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
         raise ValueError("p must be >= 1")
     if not len(states):
         return []
-    masses = act_on_points(action, states, space.tol)
+    masses = act_on_points(action, states)
     pairs = _state_pairs(space)
     xs = np.array([x for x, _ in pairs], dtype=int)
     ys = np.array([y for _, y in pairs], dtype=int)
@@ -620,7 +620,7 @@ def _support_universal(action: CoAction, tag: str, level_only: bool) -> Isometry
     margins = np.empty(len(pair))
     for b in set(sizes.tolist()):
         sel = np.flatnonzero(sizes == b)
-        cols = np.array(alg.offsets)[block[sel], None] + np.arange(b * b)
+        cols = alg.block_indices(block[sel]).reshape(-1, b * b)
         P = action.coeffs[xs[pair[sel], None], j[sel, None], cols].reshape(-1, b, b)
         Q = action.coeffs[ys[pair[sel], None], k[sel, None], cols].reshape(-1, b, b)
         products = P @ Q @ P
@@ -667,7 +667,7 @@ def check_level_coupling_state(action: CoAction, psi: StateFunctional) -> Isomet
     level set is symmetric, so (y, x) repeats (x, y), and the first failing
     pair in x-major order over all ordered pairs has x < y anyway."""
     space = action.space
-    images = [act_on_point(action, x, psi, space.tol) for x in range(space.n)]
+    images = [act_on_point(action, x, psi) for x in range(space.n)]
     for x, y in _state_pairs(space):
         Y = level_set(space, space.dist[x][y])
         verdict = feasible_coupling_on(images[x], images[y], Y)

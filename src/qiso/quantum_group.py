@@ -153,16 +153,17 @@ def _star_index(alg) -> np.ndarray:
 
 
 def _block_pairs(alg):
-    """For each pair of block sizes (m, n), in the order of
-    `_tensor_blocks`: the blocks K of size m (as a column), the blocks L
-    of size n, and the offsets in delta.ravel() of the block pairs (K, L),
-    so that the (K, L) block of Delta(e_a), of shape (mn, mn) in the
-    layout of `_tensor_blocks`, is delta.ravel()[offsets[K, L] + a]."""
-    dim, groups = alg.dim, alg.blocks_by_size
-    sized = {n: np.flatnonzero(np.array(alg.blocks) == n) for n in groups}
-    for (m, rows), (n, cols) in itertools.product(groups.items(), repeat=2):
+    """For each pair of block sizes (m, n): the blocks K of size m (as a
+    column), the blocks L of size n, and the offsets in delta.ravel() of
+    the block pairs (K, L), so that the (K, L) block of Delta(e_a), of
+    shape (mn, mn) with E^K_ij (x) E^L_pq at row (i, p) and column (j, q),
+    is delta.ravel()[offsets[K, L] + a]; that of an element X of A (x) A,
+    X.ravel()[offsets[K, L] // dim]."""
+    dim, block_of = alg.dim, alg.block_of
+    for (m, rows), (n, cols) in itertools.product(alg.blocks_by_size.items(), repeat=2):
         offsets = (rows[:, None, :, None, :, None] * dim + cols[None, :, None, :, None, :]) * dim
-        yield sized[m][:, None], sized[n], offsets.reshape(len(rows), len(cols), m * n, m * n)
+        yield (block_of[rows[:, 0, 0]][:, None], block_of[cols[:, 0, 0]],
+               offsets.reshape(len(rows), len(cols), m * n, m * n))
 
 
 def _kappa_star_defects(star: np.ndarray, kappa: np.ndarray) -> np.ndarray:
@@ -171,31 +172,16 @@ def _kappa_star_defects(star: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     return (kappa[:, star] - kappa[star].conj()).T
 
 
-def _element_blocks(alg, X: np.ndarray) -> List[np.ndarray]:
-    """The blocks of the elements X[..., a] of A, one stack of shape
-    (..., K, n, n) per block size n."""
-    return [X[..., idx] for idx in alg.blocks_by_size.values()]
-
-
-def _tensor_blocks(groups, X: np.ndarray):
-    """The blocks of the elements X[..., b, g] of A (x) A, one stack of
-    shape (..., K, L, mn, mn) per pair of block sizes (m, n)."""
-    for m, rows in groups.items():
-        for n, cols in groups.items():
-            sub = X[..., rows[:, None, :, None, :, None],
-                    cols[None, :, None, :, None, :]]
-            yield sub.reshape(sub.shape[:-4] + (m * n, m * n))
-
-
-def _block_support(alg, delta: np.ndarray) -> np.ndarray:
-    """support[K, L, k]: whether Delta of some basis element of block k has
-    a coefficient other than 0 on the block pair (K, L); a NaN or inf
-    coefficient counts."""
-    support = delta != 0
-    if len(alg.blocks) < alg.dim:
-        for axis in range(3):
-            support = np.logical_or.reduceat(support, alg.offsets, axis=axis)
-    return support
+def _kappa_antimultiplicative_defects(table, kappa: np.ndarray) -> np.ndarray:
+    """kappa(e_a e_b) - kappa(e_b) kappa(e_a) for every a, b, with the
+    coefficients on the last axis, in the one dim^3 array of the products:
+    kappa(e_a e_b) is 0 unless e_a e_b is in the product table."""
+    left, right, into = table
+    out = _multiply(into, kappa[left][:, None, :] * kappa[right][:, :, None], len(kappa))
+    on_table = kappa.T[into] - out[left, right]
+    np.subtract(0, out, out=out)
+    out[left, right] = on_table
+    return out
 
 
 def _listed(row: np.ndarray, value: np.ndarray, rows: int):
@@ -405,13 +391,14 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     basis of S_KL on each block pair (K, L), |S_KL|^2 and |S_KL| blocks,
     up to the largest S_KL of its pair of block sizes: sum_KL |S_KL|^2
     n_K^2 n_L^2 entries, dim^4 only for a full support.  Coassociativity
-    holds slabs of at most _SLAB entries.  A non-finite entry in a
+    holds slabs of at most _SLAB entries.  The dim^3 arrays of a rank or
+    residual die once it is taken or its blocks are gathered (C(S5), a
+    28 MB delta, peaks at 116 MB of allocations).  A non-finite entry in a
     structure map makes the residuals it reaches NaN, and a NaN residual
     fails the report.
     """
     alg = qg.algebra
     dim = alg.dim
-    groups = alg.blocks_by_size
     left, right, into = _product_table(alg)
     star = _star_index(alg)
     unit = qg.unit_vec()
@@ -429,17 +416,18 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     # which Delta is 0 there) up to the largest S_KL of its pair of block
     # sizes
     finite = bool(np.isfinite(delta).all())
-    support = _block_support(alg, delta)
-    B = len(alg.blocks)
-    reached = support[..., np.repeat(np.arange(B), np.square(alg.blocks))] if B < dim else support
+    support = alg.block_any(delta != 0)     # a NaN or inf counts
+    reached = support[..., alg.block_of]
     counts = reached.sum(axis=-1)
     lists = np.argsort(~reached, axis=-1, kind="stable")
     product = np.full((dim, dim), -1)      # product[a, b]: e_a e_b, or -1 for 0
     product[left, right] = into
-    norm_of("delta_unital", _tensor_blocks(groups, delta @ unit - np.outer(unit, unit)))
+    pairs = list(_block_pairs(alg))
+    unital = (delta @ unit - np.outer(unit, unit)).ravel()
+    norm_of("delta_unital", [unital[offsets // dim] for _, _, offsets in pairs])
     stars, products = [], []
     flat = delta.ravel()
-    for rows, cols, offsets in _block_pairs(alg):
+    for rows, cols, offsets in pairs:
         basis = lists[rows, cols][..., :max(int(counts[rows, cols].max()), 1)]
         K, L, s = basis.shape
         mn = offsets.shape[-1]
@@ -467,12 +455,12 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     left_rank = right_rank = np.nan
     if finite:
         left_rank = right_rank = 0
-        for n, idx in groups.items():
-            side = n * dim
-            rows = delta[idx].transpose(0, 1, 4, 2, 3)    # K j b q g
-            cols = delta[:, idx].transpose(1, 2, 4, 3, 0)  # K j b q c
-            left_rank += n * _total_rank(rows.reshape(-1, side, side))
-            right_rank += n * _total_rank(cols.reshape(-1, side, side))
+        for n, idx in alg.blocks_by_size.items():
+            side = n * dim    # each copy of delta dies once it is ranked
+            left_rank += n * _total_rank(delta[idx].transpose(          # K j b q g
+                0, 1, 4, 2, 3).reshape(-1, side, side))
+            right_rank += n * _total_rank(delta[:, idx].transpose(      # K j b q c
+                1, 2, 4, 3, 0).reshape(-1, side, side))
     res["cancellation_left"] = float(dim * dim - left_rank)
     res["cancellation_right"] = float(dim * dim - right_rank)
 
@@ -486,38 +474,35 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
         eps_prod - np.outer(epsilon, epsilon)).max())
     res["counit_unital"] = float(abs(epsilon @ unit - 1.0))
 
-    # antipode axioms: m(kappa (x) id)Delta = eps(.)1 = m(id (x) kappa)Delta
+    # antipode axioms: m(kappa (x) id)Delta = eps(.)1 = m(id (x) kappa)Delta;
+    # each dim^3 contraction dies once its products are gathered
     target = np.outer(epsilon, unit)
-    kappa_left = (kappa @ delta.reshape(dim, dim * dim)).reshape(dim, dim, dim)
-    kappa_right = kappa @ delta  # [b, c, a]
-    norm_of("antipode_left", _element_blocks(
-        alg, _multiply(into, kappa_left[left, right], dim) - target))
-    norm_of("antipode_right", _element_blocks(
-        alg, _multiply(into, kappa_right[left, right], dim) - target))
+    norm_of("antipode_left", alg.element_blocks(_multiply(
+        into, (kappa @ delta.reshape(dim, dim * dim)).reshape(dim, dim, dim)[left, right],
+        dim) - target))
+    norm_of("antipode_right", alg.element_blocks(_multiply(
+        into, (kappa @ delta)[left, right], dim) - target))   # [b, c, a]
 
     # Kac type: involutive, *-preserving, multiplication-reversing
     res["kappa_involutive"] = float(np.abs(kappa @ kappa - eye).max())
-    norm_of("kappa_star", _element_blocks(alg, _kappa_star_defects(star, kappa)))
-    of_product = np.zeros((dim, dim, dim), dtype=complex)  # kappa(e_a e_b)
-    of_product[left, right] = kappa.T[into]
-    reversed_product = _multiply(   # kappa(e_b) kappa(e_a)
-        into, kappa[left][:, None, :] * kappa[right][:, :, None], dim)
-    norm_of("kappa_antimultiplicative", _element_blocks(
-        alg, of_product - reversed_product))
-    norm_of("kappa_unital", _element_blocks(alg, kappa @ unit - unit))
+    norm_of("kappa_star", alg.element_blocks(_kappa_star_defects(star, kappa)))
+    norm_of("kappa_antimultiplicative", alg.element_blocks(
+        _kappa_antimultiplicative_defects((left, right, into), kappa)))
+    norm_of("kappa_unital", alg.element_blocks(kappa @ unit - unit))
     res.update(max_operator_norms(blocks))
     return QGReport(res)
 
 
-def require_kac(qg: QuantumGroup, tol: float = 1e-9) -> None:
+def require_kac(qg: QuantumGroup) -> None:
     """Raise KacViolation unless kappa is involutive and commutes with *,
-    by the residuals `verify_quantum_group` reports for the two."""
-    if not np.abs(qg.kappa @ qg.kappa - np.eye(qg.dim)).max() <= tol:
+    by the residuals `verify_quantum_group` reports for the two, each
+    within 1e-9."""
+    if not np.abs(qg.kappa @ qg.kappa - np.eye(qg.dim)).max() <= 1e-9:
         raise KacViolation("antipode is not involutive")
     alg = qg.algebra
-    star = max_operator_norms({"kappa_star": _element_blocks(
-        alg, _kappa_star_defects(_star_index(alg), qg.kappa))})["kappa_star"]
-    if not star <= tol:
+    star = max_operator_norms({"kappa_star": alg.element_blocks(
+        _kappa_star_defects(_star_index(alg), qg.kappa))})["kappa_star"]
+    if not star <= 1e-9:
         raise KacViolation("antipode does not commute with *")
 
 
@@ -532,7 +517,7 @@ class HaarResult:
     residual: float
 
 
-def haar_state(qg: QuantumGroup, tol: float = 1e-9) -> HaarResult:
+def haar_state(qg: QuantumGroup) -> HaarResult:
     """The unique bi-invariant state, in closed form.  The regular
     character of a finite-dimensional semisimple cosemisimple Hopf algebra
     is a two-sided integral (Larson and Radford, Amer. J. Math. 110, 1988;
@@ -545,7 +530,7 @@ def haar_state(qg: QuantumGroup, tol: float = 1e-9) -> HaarResult:
     The theorem needs a Hopf algebra, so h is checked: the residual is the
     largest of (h (x) id)Delta(a) - h(a)1, its mirror (id (x) h)Delta(a) -
     h(a)1 over the basis, and h(1) - 1.  Raises NoInvariantState when it
-    exceeds max(tol, 1e-7), or when delta has a non-finite entry."""
+    exceeds 1e-7, or when delta has a non-finite entry."""
     alg = qg.algebra
     dim = qg.dim
     delta = qg.delta
@@ -558,7 +543,7 @@ def haar_state(qg: QuantumGroup, tol: float = 1e-9) -> HaarResult:
     left = (h @ delta.reshape(dim, dim * dim)).reshape(dim, dim) - expected
     right = h @ delta - expected  # [b, a]: sum_g delta[b, g, a] h_g
     residual = float(max(np.abs(left).max(), np.abs(right).max(), abs(h @ unit - 1)))
-    if not residual <= max(tol, 1e-7):
+    if not residual <= 1e-7:
         raise NoInvariantState(f"no bi-invariant state (residual {residual:.2e})")
     return HaarResult(state=state, reduced=True, residual=residual)
 
@@ -691,7 +676,7 @@ def group_algebra(group: List[Permutation], irreps: Sequence[np.ndarray],
         delta += Vinv[g] * np.outer(V[:, g], V[:, g])[:, :, None]
     chars = np.array([U.trace(axis1=1, axis2=2) for U in irreps])
     multiplicity = ((chars[:, None] * chars).reshape(-1, order) @ chars.conj().T).real / order
-    block_of = np.repeat(np.arange(len(dims)), np.square(dims))
+    block_of = alg.block_of
     delta[multiplicity.reshape((len(dims),) * 3)[
         block_of[:, None, None], block_of[None, :, None], block_of] < 0.5] = 0
     epsilon = np.ones(order, dtype=complex) @ Vinv

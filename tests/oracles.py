@@ -1461,8 +1461,7 @@ def group_algebra_loops(group: List[Permutation], irreps: Sequence[np.ndarray],
     return QuantumGroup(alg, delta, epsilon, kappa, name=name)
 
 
-def verify_coaction_loops(action: CoAction, tol: float = 1e-9,
-                    check_faithful: bool = True) -> QGReport:
+def verify_coaction_loops(action: CoAction, check_faithful: bool = True) -> QGReport:
     """All magic-unitary and coaction axioms as residuals, each an array
     expression in the coefficient tensor.
 
@@ -1490,7 +1489,7 @@ def verify_coaction_loops(action: CoAction, tol: float = 1e-9,
         U @ qg.epsilon - np.eye(action.n)).max())
 
     if check_faithful:
-        rep.residuals["faithfulness_deficit"] = float(generation_deficit(action, tol))
+        rep.residuals["faithfulness_deficit"] = float(generation_deficit(action))
     return rep
 
 

@@ -88,8 +88,7 @@ def test_reports_equal_direct_verification():
     for env in envelopes:
         got = env.reports
         want = {"quantum_group": verify_quantum_group(env.quotient),
-                "coaction": verify_coaction(env.induced, tol=env.induced.space.tol,
-                                            check_faithful=False)}
+                "coaction": verify_coaction(env.induced, check_faithful=False)}
         assert list(got) == list(want)
         for key in want:
             assert same_residuals(got[key].residuals, want[key].residuals), key
@@ -146,8 +145,7 @@ def test_cli_envelope_prints_the_eager_verification(tmp_path, capsys):
         env = envelope(action)
         verification = {
             "quantum_group": verify_quantum_group(env.quotient).worst(),
-            "coaction": verify_coaction(env.induced, tol=action.space.tol,
-                                        check_faithful=False).worst()}
+            "coaction": verify_coaction(env.induced, check_faithful=False).worst()}
         assert printed == json.dumps({
             "original_dimension": action.group.dim,
             "envelope_dimension": env.dimension,

@@ -18,7 +18,7 @@ from qiso.catalog import (catalog_action, cycle_metric,
                           standard_actions, three_point_isosceles,
                           trivial_action)
 from qiso import isometry, transport
-from qiso.coaction import act_on_point, act_on_points
+from qiso.coaction import CoAction, act_on_point, act_on_points
 from qiso.isometry import (HypothesisViolated, check_D, check_D_commutant,
                            check_D_state, check_injectivity,
                            check_level_coupling_state, check_lip1_universal,
@@ -38,8 +38,10 @@ from oracles import (check_ball_identity, check_lip_seminorm_state,
 
 
 def test_verdicts_take_no_tolerance_argument():
-    """Every isometry verdict, the envelope and the catalog run read the
-    metric space's tol: none of them takes a tol of its own."""
+    """Every isometry verdict, the envelope, the catalog run and every
+    routine that takes a coaction read the metric space's tol, and the
+    Haar state and the Kac check have fixed bounds: none of them takes a
+    tol of its own."""
     names = {"qiso.isometry": (
                  "check_D", "check_D_commutant", "check_D_state",
                  "check_lip_p_state_sweep", "check_lip_p_state",
@@ -48,6 +50,9 @@ def test_verdicts_take_no_tolerance_argument():
                  "check_level_coupling_state", "check_orthogonality",
                  "check_injectivity", "_defect_verdict", "_support_universal"),
              "qiso.envelope": ("envelope",),
+             "qiso.coaction": ("verify_coaction", "generation_deficit",
+                               "act_on_point", "act_on_points", "orbits"),
+             "qiso.quantum_group": ("haar_state", "require_kac"),
              "oracles": ("verify_universal_property",),
              "qiso.reports": ("verify_instance", "_condition_flags")}
     for module, funcs in names.items():
@@ -414,13 +419,13 @@ def _sweep_pairs(space):
     return _ordered_pairs(n)
 
 
-def _pairs_recomputed(action, psi, tol, pairs):
+def _pairs_recomputed(action, psi, pairs):
     """Both marginals of every pair in `pairs`, each recomputed for the pair."""
-    return [((x, y), act_on_point(action, x, psi, tol=tol),
-             act_on_point(action, y, psi, tol=tol)) for x, y in pairs]
+    return [((x, y), act_on_point(action, x, psi),
+             act_on_point(action, y, psi)) for x, y in pairs]
 
 
-def _lip_p_state_per_pair(action, psi, p, tol, pairs=None):
+def _lip_p_state_per_pair(action, psi, p, pairs=None):
     """W_p and the margin W_p - d(x, y) of every pair in `pairs` (by
     default the pairs of `_sweep_pairs`), with x <| psi recomputed for
     every pair and W_p from wasserstein_p/wasserstein_inf."""
@@ -428,7 +433,7 @@ def _lip_p_state_per_pair(action, psi, p, tol, pairs=None):
     if pairs is None:
         pairs = _sweep_pairs(space)
     out = {}
-    for (x, y), mu, nu in _pairs_recomputed(action, psi, tol, pairs):
+    for (x, y), mu, nu in _pairs_recomputed(action, psi, pairs):
         if p == float("inf") or p == "inf":
             w = float(wasserstein_inf(space, mu, nu).r)
         else:
@@ -448,7 +453,7 @@ def _assert_matches_per_pair(v, action, psi, p, route, pairs=None):
     e in W_p^p moves W_p by e / (p W_p^(p-1))."""
     space = action.space
     tol = space.tol
-    per_pair = _lip_p_state_per_pair(action, psi, p, tol, pairs)
+    per_pair = _lip_p_state_per_pair(action, psi, p, pairs)
     worst_pair = max(per_pair, key=lambda xy: per_pair[xy][1])
     worst = per_pair[worst_pair][1]
     scale = float(space.max_distance)
@@ -472,11 +477,10 @@ def _assert_matches_per_pair(v, action, psi, p, route, pairs=None):
     return v.holds
 
 
-def _level_coupling_per_pair(action, psi, tol):
+def _level_coupling_per_pair(action, psi):
     """check_level_coupling_state's (holds, witness), over every ordered
     pair: the first failing one in x-major order has x < y on a symmetric d."""
-    for (x, y), mu, nu in _pairs_recomputed(action, psi, tol,
-                                            _ordered_pairs(action.n)):
+    for (x, y), mu, nu in _pairs_recomputed(action, psi, _ordered_pairs(action.n)):
         Y = level_set(action.space, action.space.dist[x][y])
         verdict = feasible_coupling_on(mu, nu, Y)
         if not verdict.feasible:
@@ -525,7 +529,7 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
             v = check_level_coupling_state(action, psi)
             assert calls == list(range(action.n))
             assert (v.holds, v.witness) == \
-                _level_coupling_per_pair(action, psi, 1e-9), (entry.name, k)
+                _level_coupling_per_pair(action, psi), (entry.name, k)
             seen[v.holds] += 1
     assert seen[True] and seen[False]
 
@@ -543,8 +547,7 @@ def test_unordered_sweep_matches_ordered_sweep():
                                        if x < y]
         for k in range(5):
             psi = random_state(action.group.algebra, 37 * k + 3)
-            images = [act_on_point(action, x, psi, tol=1e-8)
-                      for x in range(action.n)]
+            images = [act_on_point(action, x, psi) for x in range(action.n)]
             verdicts, = isometry.check_lip_p_state_sweep(
                 action, [psi], (1, 2, 3, float("inf")))
             for p, v in zip((1, 2, 3, float("inf")), verdicts):
@@ -598,9 +601,9 @@ def test_verify_instance_computes_each_image_once(monkeypatch):
     assert batches == [3] and not calls
 
 
-def _images_by_act_on_point(action, states, tol=1e-9):
+def _images_by_act_on_point(action, states):
     """x <| psi for every state and point, one act_on_point call each."""
-    return np.array([[act_on_point(action, x, psi, tol).mass
+    return np.array([[act_on_point(action, x, psi).mass
                       for x in range(action.n)] for psi in states])
 
 
@@ -615,8 +618,8 @@ def test_batched_images_match_act_on_point(monkeypatch):
     for entry in standard_actions():
         action = entry.action
         states = [random_state(action.group.algebra, 977 + k) for k in range(10)]
-        reference = _images_by_act_on_point(action, states, action.space.tol)
-        batched = act_on_points(action, states, action.space.tol)
+        reference = _images_by_act_on_point(action, states)
+        batched = act_on_points(action, states)
         assert batched.shape == reference.shape
         assert np.abs(batched - reference).max() <= 4 * np.spacing(1.0), entry.name
         sweep = isometry.check_lip_p_state_sweep(action, states, ps)
@@ -664,6 +667,36 @@ def test_image_that_is_not_a_probability_vector_raises():
     assert np.abs(masses[0] - per_point).max() <= 4 * np.spacing(1.0)
 
 
+def test_images_are_validated_within_the_space_tol():
+    """act_on_point and act_on_points validate an image within its
+    space's tol: on C(Z4) acting on the 4-cycle validated with tolerance
+    1e-6, a state with a weight of -5e-7 gives images with a mass of
+    -5e-7, which both clamp to 0 (and renormalize), as prob_vector does
+    with eps 1e-6; a weight of -2e-6 still raises."""
+    action = catalog_action("cyclic-4")
+    alg = action.group.algebra
+    assert alg.blocks == (1, 1, 1, 1)
+    space = validate_metric(action.space.dist, tolerance=1e-6)
+    assert space.tol == 1e-6
+    loose = CoAction(action.group, space, action.coeffs)
+
+    def functional(weights):
+        return StateFunctional(alg, [np.array([[w]]) for w in weights])
+
+    fuzz = functional([0.5 + 5e-7, 0.5, -5e-7, 0.0])
+    masses = act_on_points(loose, [fuzz])[0]
+    per_point = np.array([act_on_point(loose, x, fuzz).mass for x in range(4)])
+    for images in (masses, per_point):
+        assert (images >= 0).all() and (images == 0).sum() == 8
+        assert np.abs(images.sum(axis=-1) - 1).max() <= 4 * np.spacing(1.0)
+    assert np.abs(masses - per_point).max() <= 4 * np.spacing(1.0)
+    bad = functional([0.5 + 2e-6, 0.5, -2e-6, 0.0])
+    with pytest.raises(ValueError, match="negative mass"):
+        act_on_point(loose, 0, bad)
+    with pytest.raises(ValueError, match="negative mass"):
+        act_on_points(loose, [bad])
+
+
 def _near_symmetric_action():
     """C(D4) on a float metric accepted with d(0,1) - d(1,0) = 5e-10,
     within tol."""
@@ -695,7 +728,7 @@ def test_near_symmetric_float_space_keeps_ordered_pairs():
             seen[_assert_matches_per_pair(v, action, psi, p, route,
                                           ordered)] += 1
         v = check_level_coupling_state(action, psi)
-        assert (v.holds, v.witness) == _level_coupling_per_pair(action, psi, 1e-9)
+        assert (v.holds, v.witness) == _level_coupling_per_pair(action, psi)
     assert seen[False]
 
 
@@ -824,7 +857,7 @@ def test_hall_sweep_batches_match_the_per_state_loop(monkeypatch):
     for action in actions:
         space = action.space
         states = [random_state(action.group.algebra, 13 * k + 5) for k in range(10)]
-        masses = act_on_points(action, states, space.tol)
+        masses = act_on_points(action, states)
         pairs = isometry._state_pairs(space)
         xs = np.array([x for x, _ in pairs])
         ys = np.array([y for _, y in pairs])

@@ -1,5 +1,6 @@
 """Block algebras, states, Hopf verification, Haar states, convolution."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -37,6 +38,46 @@ def test_algebra_shapes_and_unit():
     e = alg.basis_element(alg.index_of(1, 0, 1))
     assert np.allclose(e.data[1], [[0, 1], [0, 0]])
     assert np.allclose(e.star().data[1], [[0, 0], [1, 0]])
+
+
+def test_block_layout_equals_per_block_loops():
+    """block_of, block_indices, block_any and element_blocks equal loops
+    over each block's span of basis indices, on 20 seeded random block
+    tuples, an all-1x1 algebra (where block_any is the identity) and a
+    single block, for masks with 1, 2 and 3 basis axes."""
+    rng = random.Random(3303)
+    gen = np.random.default_rng(3303)
+    algebras = [FinDimCStarAlgebra((1,) * 5), FinDimCStarAlgebra((3,))] + [
+        FinDimCStarAlgebra(tuple(rng.choice((1, 1, 2, 3))
+                                 for _ in range(rng.randint(1, 5))))
+        for _ in range(20)]
+    for alg in algebras:
+        K = len(alg.blocks)
+        spans = [list(range(off, off + b * b))
+                 for off, b in zip(alg.offsets, alg.blocks)]
+        assert alg.block_of.tolist() == [k for k in range(K) for _ in spans[k]]
+        for count in (0, 1, 4):
+            chosen = [rng.randrange(K) for _ in range(count)]
+            assert alg.block_indices(chosen).tolist() == \
+                [a for k in chosen for a in spans[k]]
+        for axes in (1, 2, 3):
+            mask = gen.random((alg.dim,) * axes) < rng.choice((0.02, 0.2, 0.5))
+            want = np.zeros((K,) * axes, dtype=bool)
+            for ks in itertools.product(range(K), repeat=axes):
+                want[ks] = mask[np.ix_(*(spans[k] for k in ks))].any()
+            got = alg.block_any(mask)
+            assert got.shape == want.shape and (got == want).all(), alg.blocks
+            if K == alg.dim:
+                assert (got == mask).all()
+        X = gen.normal(size=(2, 3, alg.dim)) + 1j * gen.normal(size=(2, 3, alg.dim))
+        stacks = alg.element_blocks(X)
+        assert list(alg.blocks_by_size) == list(dict.fromkeys(alg.blocks))
+        assert len(stacks) == len(alg.blocks_by_size)
+        for n, stack in zip(alg.blocks_by_size, stacks):
+            ks = [k for k in range(K) if alg.blocks[k] == n]
+            assert stack.shape == (2, 3, len(ks), n, n)
+            for i, k in enumerate(ks):
+                assert (stack[:, :, i] == X[..., spans[k]].reshape(2, 3, n, n)).all()
 
 
 def test_exact_psd():
