@@ -269,9 +269,12 @@ def verified_catalog(tol: float = 1e-9) -> List[CatalogAction]:
 # random actions for the search harness
 
 
-def random_permutation_action(space: FiniteMetricSpace, seed: int,
-                              max_order: int = 12) -> CoAction:
-    """A random permutation group (order capped) acting tautologically."""
+_MAX_ORDER = 12
+
+
+def random_permutation_action(space: FiniteMetricSpace, seed: int) -> CoAction:
+    """A random permutation group of order at most _MAX_ORDER acting
+    tautologically."""
     rng = random.Random(seed)
     n = space.n
     for attempt in range(200):
@@ -289,7 +292,7 @@ def random_permutation_action(space: FiniteMetricSpace, seed: int,
             else:
                 rng.shuffle(perm)
             gens.append(tuple(perm))
-        if len(close_generators(n, gens, max_order)) <= max_order:
+        if len(close_generators(n, gens, _MAX_ORDER)) <= _MAX_ORDER:
             return permutation_action(space, gens,
                                       name=f"random-perm-{seed}")
     raise CatalogEntryInvalid("could not sample a small permutation group")

@@ -52,7 +52,6 @@ no verdict depends on the caller or on the metric's units.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -66,9 +65,8 @@ from .coaction import CoAction, act_on_point, act_on_points
 from .errors import QisoError
 from .metric import level_set
 from .scalars import RATIONAL
-from .transport import (ProbVector, _dual_vertex_search, _integer_power,
-                        _power_cost, feasible_coupling_on, solve_transport,
-                        wasserstein_inf)
+from .transport import (ProbVector, _dual_vertex_search, feasible_coupling_on,
+                        solve_transport, wasserstein_inf)
 
 
 class KappaConventionMismatch(QisoError):
@@ -259,11 +257,11 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     is <= 0, with N_k(S) the points within r_k of S; the deficiency is
     1 minus the max flow of `feasible_coupling_on`, so its float acceptance
     test reads deficiency <= max(n, 1) 1e-9.  N_k takes the pairs of
-    `space.distance_ranks` at most `top`, as `wasserstein_inf` does, and
-    every pair bisects on k from the whole range (where `wasserstein_inf`
-    sweeps upward from its single-point Hall bound): nu(N_k(S)) is a sum
-    of more nonnegative terms as k grows, so feasibility is monotone in
-    floats too.
+    `space.distance_ranks` at most `space.sublevel_tops[k]`, as
+    `wasserstein_inf` does, and every pair bisects on k from the whole
+    range (where `wasserstein_inf` sweeps upward from its single-point
+    Hall bound): nu(N_k(S)) is a sum of more nonnegative terms as k
+    grows, so feasibility is monotone in floats too.
 
     `_hall_ranks` bisects a chunk of states at a time: as many as keep
     its tables, (K n + 3 P)(2^n - 1) entries a state, within
@@ -273,8 +271,8 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     n = space.n
     values = space.realized_distances
     ranks = np.array(space.distance_ranks)
-    near = np.array([ranks <= bisect_right(values, v + space.dtol) - 1
-                     for v in values], dtype=float)          # (K, n, n)
+    near = np.array([ranks <= top for top in space.sublevel_tops],
+                    dtype=float)                             # (K, n, n)
     subsets = (np.arange(1, 2 ** n)[:, None] >> np.arange(n)) & 1
     reach = subsets @ near                                   # (K, 2^n-1, n)
     np.minimum(reach, 1.0, out=reach)
@@ -314,7 +312,8 @@ def _pair_sweep(space, masses, pairs, p) -> np.ndarray:
         def w(mu, nu):
             return float(wasserstein_inf(space, mu, nu).r)
     else:
-        cost = [[float(c) for c in row] for row in _power_cost(space, p)]
+        power = space.float_power(p)
+        cost = [[power[k] for k in row] for row in space.distance_ranks]
 
         def w(mu, nu):
             return float(solve_transport(mu, nu, cost).value) ** (1.0 / p)
@@ -471,23 +470,24 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     (pair, block) takes one batched eigvalsh over its vertex matrices.
 
     Margins are in units of d^p (d(sigma x, sigma y)^p or the eigenvalue,
-    minus d(x,y)^p) and the space's tol is relative to the largest d^p.  In
-    rational mode and for integer p, eigenvalue near-ties are re-decided in
-    loop order up to the first failure, on ints: with d^p = k^p / s^p, the
-    raw vertex (at the scale s^p) and block k's exact form (R, q),
+    minus d(x,y)^p, every d^p read from `space.float_power(p)`) and the
+    space's tol is relative to the largest d^p.  In rational mode and for
+    integer p, eigenvalue near-ties are re-decided in loop order up to
+    the first failure, on ints: with d^p = k^p / s^p (`space.power(p)`),
+    the raw vertex (at the scale s^p) and block k's exact form (R, q),
     k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b R[y, L_y[b]] must be PSD.
     The witness is the first failure in the order (pair, block, vertex).
     """
     if p == float("inf") or p == "inf":
         return check_winf_universal(action)
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
     space = action.space
     rational = space.mode == RATIONAL
-    integer = _integer_power(space, p)    # d^p as k^p / s^p, or None
-    exact = integer is not None
+    exact_power, power_scale = space.power(p)   # d^p as k^p / s^p, or floats
+    exact = power_scale is not None
+    # d^p of each rank, as the float of the exact power when it is exact
+    power = np.array(space.float_power(p))
     tag = f"Lip_{p}(universal)"
-    scale = float(space.max_distance) ** float(p)
+    scale = float(power[-1])
     stacks = action.stacks
     blocks = action.group.algebra.blocks
     supports = action.block_supports
@@ -495,18 +495,13 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
     ranks = np.array(space.distance_ranks)
     r_xy = ranks[xs, ys]
-    # d^p of each realized distance, as the float of the exact power when
-    # the bound is exact
-    values = space.realized_distances
-    power = np.array([float(v) ** float(p) for v in values])
-    bounds = np.array([float(v ** int(p)) for v in values]) if exact else power
 
     chars = [k for k, b in enumerate(blocks) if b == 1]
     sigma = supports[chars, :, 0]
     if (sigma < 0).any() or (supports[chars, :, 1:] >= 0).any():
         raise ValueError("a 1x1 block of u is not a permutation of the points")
     r_image = ranks[sigma[:, xs], sigma[:, ys]].T          # (pair, character)
-    char_margins = power[r_image] - bounds[r_xy][:, None]
+    char_margins = power[r_image] - power[r_xy][:, None]
     char_fails = np.flatnonzero(~(r_image <= r_xy[:, None]) if rational
                                 else ~(char_margins <= space.tol * scale))
     # the first failing character as (pair, block); larger blocks are
@@ -530,7 +525,8 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
             return None
         R, q = form
         terms = np.concatenate([R[x, list(rows[k][x])], R[y, list(rows[k][y])]])
-        return exact_psd(integer[0][x][y] * q * np.eye(R.shape[-1], dtype=object)
+        d_p = exact_power[space.distance_ranks[x][y]]
+        return exact_psd(d_p * q * np.eye(R.shape[-1], dtype=object)
                          - sum(c * m for c, m in zip(vert, terms)))
 
     for i, (x, y) in enumerate(pairs[:stop[0] + 1]):
@@ -546,7 +542,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
             raw, vscale, F, G = vertices[lx, ly]
             ux, uy = stacks[k][x, list(lx)], stacks[k][y, list(ly)]
             mats = np.einsum("vj,jab->vab", F, ux) + np.einsum("vj,jab->vab", G, uy)
-            margins = np.linalg.eigvalsh(mats)[:, -1] - bounds[r_xy[i]]
+            margins = np.linalg.eigvalsh(mats)[:, -1] - power[r_xy[i]]
             worst.append(float(margins.max()))
             failed = _first_failure(
                 margins, space.tol * scale, _BORDERLINE * scale,

@@ -5,13 +5,17 @@ all rational (exact mode) or all float.  The space owns the one distance
 tolerance, `dtol`: 0 in rational mode, so that every comparison is exact,
 and tol x max d in float mode, so that no comparison of distances depends
 on their units.  `validate_metric` checks the axioms at the same relative
-scale.
+scale.  The space also owns the distance tables that the Lip_p and W_inf
+conditions read: d^p on each distance rank (`power`, `float_power`) and
+the sublevel top of each rank (`sublevel_tops`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -171,6 +175,38 @@ class FiniteMetricSpace:
         if self.mode == RATIONAL:
             return Fraction(0)
         return self.tol * float(self.max_distance)
+
+    @cached_property
+    def sublevel_tops(self) -> Tuple[int, ...]:
+        """tops[k]: the last rank whose distance is <= realized_distances[k]
+        + dtol, so that {d <= d_k} within dtol is the pairs of rank at most
+        tops[k].  Nondecreasing, and tops[k] = k in rational mode."""
+        values = self.realized_distances
+        return tuple(bisect_right(values, v + self.dtol) - 1 for v in values)
+
+    def power(self, p) -> Tuple[tuple, Optional[int]]:
+        """d^p on each distance rank, as (values, scale).  A rational space
+        and a positive integer p (an int, or an integral Fraction or float)
+        give the ints k^p at the scale s^p, with d = k / s the integer form,
+        so that d^p = k^p / s^p exactly; anything else gives the floats
+        float(d) ** float(p) and scale None.  p must be a finite number
+        >= 1, the range of the Lip_p conditions."""
+        if not (isinstance(p, numbers.Real) and 1 <= p < math.inf):
+            raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+        if self.mode == RATIONAL and isinstance(p, (int, Fraction, float)) \
+                and p == int(p):
+            p = int(p)
+            return (tuple(k ** p for k in self._distance_keys[1]),
+                    self.integer_form[1] ** p)
+        floats = tuple(float(d) ** float(p) for d in self.realized_distances)
+        return floats, None
+
+    def float_power(self, p) -> Tuple[float, ...]:
+        """The floats of `power(p)`: each int k^p at scale s^p as k^p / s^p,
+        which is correctly rounded and so equals the float of the exact
+        d^p."""
+        values, scale = self.power(p)
+        return values if scale is None else tuple(v / scale for v in values)
 
 
 def validate_metric(matrix, tolerance: Scalar = None, labels=None,

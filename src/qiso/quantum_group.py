@@ -392,8 +392,9 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     up to the largest S_KL of its pair of block sizes: sum_KL |S_KL|^2
     n_K^2 n_L^2 entries, dim^4 only for a full support.  Coassociativity
     holds slabs of at most _SLAB entries.  The dim^3 arrays of a rank or
-    residual die once it is taken or its blocks are gathered (C(S5), a
-    28 MB delta, peaks at 116 MB of allocations).  A non-finite entry in a
+    residual die once it is taken or its blocks are gathered, as do the
+    support lists once the products are formed (C(S5), a 28 MB delta,
+    peaks at 100 MB of allocations).  A non-finite entry in a
     structure map makes the residuals it reaches NaN, and a NaN residual
     fails the report.
     """
@@ -442,6 +443,7 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
         ab = product[basis[..., :, None], basis[..., None, :]][..., None, None]
         prod -= np.where(ab >= 0, flat[offsets[:, :, None, None] + np.maximum(ab, 0)], 0)
         products.append(prod)
+    del lists, reached, counts, product    # only the loop reads them
     norm_of("delta_star", stars)
     norm_of("delta_multiplicative", products)
     res["coassociativity"] = _coassociativity(alg, delta, support) if finite else np.nan

@@ -436,20 +436,14 @@ def run_search(config: SearchConfig) -> RunReport:
 # report emission
 
 
-def emit_report(report: RunReport, fmt: str = "json",
-                path: Optional[str] = None) -> str:
+def emit_report(report: RunReport, fmt: str = "json") -> str:
     if fmt == "json":
-        text = json.dumps(report.to_dict(), indent=1, default=_json_default)
-    elif fmt == "csv":
-        text = _emit_csv(report)
-    elif fmt == "markdown":
-        text = _emit_markdown(report)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+        return json.dumps(report.to_dict(), indent=1, default=_json_default)
+    if fmt == "csv":
+        return _emit_csv(report)
+    if fmt == "markdown":
+        return _emit_markdown(report)
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def _json_default(obj):

@@ -7,9 +7,9 @@ least-cost-first greedy tree of the problem in which every node also
 sends an infinitesimal amount to a virtual root: a strongly feasible
 tree a few pivots from the optimum, where an all-artificial start is
 dozens of pivots away.  Rational data runs exactly on an integer
-scale: a rational metric's costs are its integer form
-(`FiniteMetricSpace.integer_form`, d = k / s, so that d^p = k^p / s^p),
-other rational data is scaled once by the lcm of its denominators, and
+scale: a rational metric's costs d^p are the ints k^p at the scale s^p
+of its integer form d = k / s (`FiniteMetricSpace.power`), other
+rational data is scaled once by the lcm of its denominators, and
 the pivots, the value, the potentials' shift and the dual objective are
 all plain int arithmetic, converted to one Fraction each at the end.
 Any other data is converted to float once, on entry, and runs the same
@@ -19,8 +19,8 @@ Transportation plans, Kantorovich potentials, coupling feasibility on a
 restricted support (and perfect matchings, the marriage theorem at
 uniform marginals), the bottleneck distance, and the vertices of the
 Kantorovich dual polyhedron between two sets of points (a pivot search
-over the spanning trees of K_{m,n}, one enumerator for every p) all live
-here.  Coupling feasibility and the bottleneck distance share one
+over the spanning trees of K_{m,n}, one enumerator for every p >= 1) all
+live here.  Coupling feasibility and the bottleneck distance share one
 max-flow core (`_FlowNetwork`, on the same integer scaling): a greedy
 fill pushes min(residual mu_i, residual nu_j) on each open pair in
 order, then shortest augmenting paths finish the flow.  The bottleneck
@@ -32,7 +32,7 @@ that only grows.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,8 +124,8 @@ class Coupling:
         return [(i, j) for i, row in enumerate(self.plan)
                 for j, v in enumerate(row) if v != 0]
 
-    def check_marginals(self, tol: float = 1e-9) -> None:
-        eps = tol_for(_mode_of(self.mu.mass, self.nu.mass), tol)
+    def check_marginals(self) -> None:
+        eps = tol_for(_mode_of(self.mu.mass, self.nu.mass))
         n = len(self.plan)
         for i in range(n):
             if abs(sum(self.plan[i]) - self.mu.mass[i]) > eps:
@@ -468,53 +468,19 @@ def _transport(mu: ProbVector, nu: ProbVector, cost,
                            duals=DualPotentials(tuple(f), tuple(g), objective))
 
 
-def _positive_integer(p) -> bool:
-    """Whether the exponent p is a positive integer: an int, an integral
-    Fraction or an integral finite float.  Such a p raises a rational
-    distance to an exact power."""
-    if isinstance(p, float):
-        return p.is_integer() and p > 0
-    return isinstance(p, (int, Fraction)) and p.denominator == 1 and p > 0
-
-
-def _power_cost(space, p):
-    """The cost matrix d^p: exact for a positive integer p, float otherwise.
-    Each realized distance is raised to the power once."""
-    if _positive_integer(p):
-        power = [v ** int(p) for v in space.realized_distances]
-    else:
-        power = [float(v) ** float(p) for v in space.realized_distances]
-    return [[power[k] for k in row] for row in space.distance_ranks]
-
-
-def _integer_power(space: FiniteMetricSpace, p):
-    """The integer form of d^p, (k^p, s^p) with d = k / s the space's
-    integer form, for a rational space and a positive integer p; else
-    None.  Each realized distance is raised to the power once."""
-    if space.mode != RATIONAL or not _positive_integer(p):
-        return None
-    p = int(p)
-    scale = space.integer_form[1]
-    power = [(v.numerator * (scale // v.denominator)) ** p
-             for v in space.realized_distances]
-    return [[power[k] for k in row] for row in space.distance_ranks], scale ** p
-
-
 def transport_with_power(space: FiniteMetricSpace, mu: ProbVector,
                          nu: ProbVector, p) -> TransportResult:
     """solve_transport with cost d^p; the result's value is W_p^p, exact
     when the space and marginals are rational and p is a positive integer,
-    on the space's integer form."""
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
+    on the space's integer form (`FiniteMetricSpace.power`); float
+    marginals take `float_power`."""
+    power, scale = space.power(p)
     if mu.n != space.n or nu.n != space.n:
         raise DimensionMismatch("marginals and cost must share one size n")
-    exact = _integer_power(space, p)
-    if exact is not None and _mode_of(mu.mass, nu.mass) == RATIONAL:
-        power, scale = exact
-        return _transport(mu, nu, [c for row in power for c in row], scale)
-    return _transport(mu, nu, [c for row in _power_cost(space, p) for c in row],
-                      None)
+    if scale is not None and _mode_of(mu.mass, nu.mass) != RATIONAL:
+        power, scale = space.float_power(p), None
+    return _transport(mu, nu, [power[k] for row in space.distance_ranks
+                               for k in row], scale)
 
 
 def wasserstein_p(space: FiniteMetricSpace, mu: ProbVector, nu: ProbVector,
@@ -790,9 +756,10 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     """The least r admitting a coupling supported on {d <= r}.
 
     Feasibility jumps only at realized distances.  The probe at index k
-    opens the pairs of `space.distance_ranks` at most top(k), the last
-    index whose value is <= values[k] + space.dtol: exactly the pairs of
-    sublevel_set(space, values[k]), float near-ties within dtol included.
+    opens the pairs of `space.distance_ranks` at most
+    `space.sublevel_tops[k]`, the last index whose value is <= values[k] +
+    space.dtol: exactly the pairs of sublevel_set(space, values[k]), float
+    near-ties within dtol included.
 
     The search is the threshold method for bottleneck problems (Gabow and
     Tarjan 1988): an upward sweep that probes only at lower bounds on r,
@@ -813,21 +780,17 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
         for j, k in enumerate(row):
             buckets[k].append((i, j))
 
-    def top_of(k):
-        return bisect_right(values, values[k] + space.dtol) - 1
+    tops = space.sublevel_tops
 
     def reaching(rank):
         """The least probe index whose top reaches `rank`: near-ties
         within dtol let a smaller index open the same pairs."""
-        k = rank
-        while k and top_of(k - 1) >= rank:
-            k -= 1
-        return k
+        return bisect_left(tops, rank)
 
     def probe(k, plan, cols, opened):
-        """Open the buckets after `opened` up to top_of(k) and raise the
+        """Open the buckets after `opened` up to tops[k] and raise the
         flow `plan` to a maximum one on them."""
-        top = top_of(k)
+        top = tops[k]
         fill = [pair for bucket in buckets[opened + 1:top + 1]
                 for pair in bucket]
         for i, j in fill:
@@ -922,15 +885,13 @@ def _dual_vertex_search(space: FiniteMetricSpace, p, rows=None, cols=None):
     rows = range(space.n) if rows is None else rows
     cols = range(space.n) if cols is None else cols
     m, n = len(rows), len(cols)
-    integer = _integer_power(space, p)
-    if integer is not None:
-        power, scale = integer
-        work = [power[i][j] for i in rows for j in cols]
+    power, scale = space.power(p)
+    ranks = space.distance_ranks
+    work = [power[ranks[i][j]] for i in rows for j in cols]
+    if scale is not None:
         eps, zero = 0, 0
     else:
-        power = _power_cost(space, p)
-        work = [float(power[i][j]) for i in rows for j in cols]
-        eps, zero, scale = space.tol * max(work), 0.0, None
+        eps, zero = space.tol * max(work), 0.0
     # Node a is f_a and node m + b is g_b; edge k = a n + b joins them.
     nodes, edges = m + n, m * n
     root = nodes - 1

@@ -147,6 +147,11 @@ exponential in the number of points:
 - from_permutation_group, dual_of_group, save_space,
   distribution_to_dict and load_quantum_group: helpers with no caller in
   `qiso`, kept for the tests that build groups and files through them;
+- _power_cost and _integer_power: the cost d^p entry by entry from
+  `space.dist`, and its ints k^p at scale s^p from the integer form
+  d = k / s, independent of the space's per-rank `power` table;
+- near_tie_chain: a float space whose realized distances chain within
+  dtol, so that a sublevel set opens ranks above its own;
 - apply_delta, apply_kappa, counit, hermitian_max_eig and min_eig:
   Delta, kappa and the counit applied to one AlgElement, the largest
   eigenvalue of one Hermitian matrix and the smallest of an element, for
@@ -194,10 +199,8 @@ from qiso.scalars import RATIONAL, Scalar, format_scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
                             DualPotentials, InfeasibleMarginals, ProbVector,
                             UnboundedFlow, WInfResult, _dual_vertex_search,
-                            _integer_power, _integer_scale, _mode_of,
-                            _power_cost,
-                            enumerate_dual_vertices, prob_vector,
-                            transport_with_power)
+                            _integer_scale, _mode_of, enumerate_dual_vertices,
+                            prob_vector, transport_with_power)
 
 
 class SizeGuardExceeded(QisoError):
@@ -239,6 +242,45 @@ def _block_stack(action: CoAction, k: int) -> np.ndarray:
     n = action.n
     return np.array([[action.u[i][j].data[k] for j in range(n)]
                      for i in range(n)])
+
+
+def _positive_integer(p) -> bool:
+    """Whether p is an int, an integral Fraction or an integral float > 0:
+    the exponents that raise a rational distance to an exact power."""
+    if isinstance(p, float):
+        return p.is_integer() and p > 0
+    return isinstance(p, (int, Fraction)) and p.denominator == 1 and p > 0
+
+
+def _power_cost(space: FiniteMetricSpace, p):
+    """The cost matrix d^p, entry by entry from `space.dist`: exact for a
+    positive integer p, float(d) ** float(p) otherwise."""
+    if _positive_integer(p):
+        return [[v ** int(p) for v in row] for row in space.dist]
+    return [[float(v) ** float(p) for v in row] for row in space.dist]
+
+
+def _integer_power(space: FiniteMetricSpace, p):
+    """(k^p, s^p) entry by entry from the integer form d = k / s, for a
+    rational space and a positive integer p; else None."""
+    if space.mode != RATIONAL or not _positive_integer(p):
+        return None
+    ints, scale = space.integer_form
+    return [[k ** int(p) for k in row] for row in ints], scale ** int(p)
+
+
+def near_tie_chain() -> FiniteMetricSpace:
+    """Five points whose realized distances 0, 1, 1 + 1.5e-9, 1 + 3e-9 and
+    2 chain within dtol = 1e-9 x 2: {d <= 1} holds the pairs of rank at
+    most 2 and {d <= 1 + 1.5e-9} those of rank at most 3, so the
+    sublevel tops are (0, 2, 3, 3, 4).  Every distance lies in [1, 2], so
+    every triangle holds."""
+    a, b = 1 + 1.5e-9, 1 + 3e-9
+    return validate_metric([[0.0, 1.0, a, b, 2.0],
+                            [1.0, 0.0, b, 2.0, a],
+                            [a, b, 0.0, 1.0, b],
+                            [b, 2.0, 1.0, 0.0, 1.0],
+                            [2.0, a, b, 1.0, 0.0]], mode="float")
 
 
 def transport_bruteforce(mu: ProbVector, nu: ProbVector, cost) -> Scalar:
@@ -1674,7 +1716,9 @@ def lip_p_universal_loops(action: CoAction, p) -> IsometryVerdict:
             lx, ly = supports[k][x], supports[k][y]
             if stack.shape[2] == 1:
                 (sx,), (sy,) = lx, ly
-                margin = float(dist[sx][sy]) ** float(p) - float(bound_pow)
+                image_pow = dist[sx][sy] ** int(p) if exact \
+                    else float(dist[sx][sy]) ** float(p)
+                margin = float(image_pow) - float(bound_pow)
                 ok = dist[sx][sy] <= d_xy if rational else margin <= tol * scale
                 worst = margin if worst is None else max(worst, margin)
                 if not ok:

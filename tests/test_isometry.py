@@ -959,6 +959,21 @@ def test_character_decisions_stay_exact():
             _assert_same_verdict(verdict, reference(action), verdict.condition)
 
 
+def test_preserved_distances_give_zero_character_margins():
+    """A character that preserves every distance has margin exactly 0.0:
+    both sides of d(sigma x, sigma y)^p - d(x, y)^p are the float of one
+    exact power, in the check and in its loop reference, also on
+    non-dyadic distances.  The reflection of the path 0 - 1 - 2 with
+    steps 1/10, for p = 1, 2 and 3."""
+    path = validate_metric([[0, F(1, 10), F(1, 5)], [F(1, 10), 0, F(1, 10)],
+                            [F(1, 5), F(1, 10), 0]])
+    reflection = permutation_action(path, [(2, 1, 0)])
+    for p in (1, 2, 3):
+        for check in (check_lip_p_universal, lip_p_universal_loops):
+            verdict = check(reflection, p)
+            assert verdict.holds and verdict.certificate["max_margin"] == 0.0
+
+
 def test_universal_checks_share_one_block_support_table(monkeypatch):
     """The block supports are computed on first use and once per action:
     the five universal checks of one action share them, and an action

@@ -12,7 +12,8 @@ from qiso.metric import (AsymmetricMatrix, NegativeDistance, NonFiniteDistance,
                          sublevel_set, validate_metric)
 from qiso.errors import DimensionMismatch
 
-from oracles import metric_violation_reference, shortest_path_metric_fractions
+from oracles import (metric_violation_reference, near_tie_chain,
+                     shortest_path_metric_fractions)
 
 
 THREE = [[F(0), F(1), F(2)], [F(1), F(0), F(2)], [F(2), F(2), F(0)]]
@@ -214,3 +215,53 @@ def test_shortest_path_model_matches_fraction_floyd_warshall():
             want = shortest_path_metric_fractions(n, seed)
             assert got == want and got.mode == "rational", (n, seed)
             assert all(type(v) is F for row in got.dist for v in row)
+
+
+def _table_spaces():
+    """Int, Fraction, non-dyadic and more-than-2^63 integer forms, and float
+    spaces, one of them a near-tie chain."""
+    a, b, c = (1 + F(1, q) for q in (2147483647, 1000000007, 998244353))
+    big = validate_metric([[0, a, c, b], [a, 0, b, c], [c, b, 0, a],
+                           [b, c, a, 0]])
+    assert max(max(row) for row in big.integer_form[0]) > 2 ** 63
+    return [validate_metric([[0, 1, 3], [1, 0, 2], [3, 2, 0]]),
+            validate_metric(THREE),
+            validate_metric([[0, F(1, 10), F(1, 5)], [F(1, 10), 0, F(1, 10)],
+                             [F(1, 5), F(1, 10), 0]]),
+            big,
+            random_metric_space(6, 4),
+            random_metric_space(6, 5, "euclidean-sample"),
+            validate_metric([[float(v) for v in row] for row in THREE]),
+            near_tie_chain()]
+
+
+def test_distance_tables_match_entrywise_powers_and_sublevel_sets():
+    """power(p), float_power(p) and sublevel_tops against each entry of d:
+    on a rational space and an integral p (int, Fraction or float) the
+    ints k^p at scale s^p are d^p exactly and their floats are float(d^p);
+    otherwise both are float(d) ** float(p).  The pairs of rank at most
+    tops[k] are sublevel_set(r_k), near-ties within dtol included."""
+    for space in _table_spaces():
+        ranks = space.distance_ranks
+        for p in (1, 2, 3, 2.0, F(3), 1.5):
+            values, scale = space.power(p)
+            floats = space.float_power(p)
+            exact = space.mode == "rational" and p != 1.5
+            assert (scale is not None) == exact
+            assert len(values) == len(floats) == len(space.realized_distances)
+            for i, row in enumerate(space.dist):
+                for j, d in enumerate(row):
+                    k = ranks[i][j]
+                    if exact:
+                        assert type(values[k]) is int
+                        assert F(values[k], scale) == F(d) ** int(p)
+                        assert floats[k] == float(F(d) ** int(p))
+                    else:
+                        assert values[k] == floats[k] == float(d) ** float(p)
+        tops = space.sublevel_tops
+        assert list(tops) == sorted(tops)
+        for k, r in enumerate(space.realized_distances):
+            below = sublevel_set(space, r).member
+            assert all(below[i][j] == (ranks[i][j] <= tops[k])
+                       for i in range(space.n) for j in range(space.n))
+    assert near_tie_chain().sublevel_tops == (0, 2, 3, 3, 4)

@@ -14,18 +14,19 @@ from qiso.metric import (PairSet, random_metric_space, sublevel_set,
                          validate_metric)
 from qiso.scalars import is_rational
 from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
-                            _power_cost, enumerate_dual_vertices,
-                            feasible_coupling_on, kantorovich_w1,
-                            prob_vector, solve_transport,
+                            enumerate_dual_vertices, feasible_coupling_on,
+                            kantorovich_w1, prob_vector, solve_transport,
                             transport_with_power, wasserstein_inf,
                             wasserstein_p)
 
-from oracles import (_solve_linear, boxed_dual_vertices_bruteforce,
+from oracles import (_power_cost, _solve_linear,
+                     boxed_dual_vertices_bruteforce,
                      dual_vertices_by_spanning_trees,
                      enumerate_boxed_dual_vertices,
                      enumerate_dual_vertices_reference,
                      enumerate_lipschitz_vertices, min_cost_flow_reference,
-                     transport_bruteforce, wasserstein_inf_linear_scan)
+                     near_tie_chain, transport_bruteforce,
+                     wasserstein_inf_linear_scan)
 
 TWO = validate_metric([[F(0), F(1)], [F(1), F(0)]])
 THREE = validate_metric([[F(0), F(1), F(2)], [F(1), F(0), F(2)], [F(2), F(2), F(0)]])
@@ -884,6 +885,37 @@ def test_winf_lower_end_jumps_to_the_violators_hall_rank(monkeypatch):
             assert len(calls) < before or seed not in (901, 906)
             want = wasserstein_inf_linear_scan(sp, mu, nu)
             assert (got.r, got.lower_violator) == (want.r, want.lower_violator)
+
+
+def test_winf_near_tie_chain_probes_below_the_rank_it_opens():
+    """On a chain of float near-ties, {d <= r_1} opens rank 2 and
+    {d <= r_2} rank 3 (sublevel tops (0, 2, 3, 3, 4)), so the sweep's
+    probe for a rank can sit at a smaller index.  On 300 seeded float
+    marginals r and the lower violator equal the linear scan's; r is never
+    r_3, whose pairs r_2 already opens, and r_2 occurs, which only a
+    probe index below the rank it opens reaches."""
+    sp = near_tie_chain()
+    values = sp.realized_distances
+    assert sp.sublevel_tops == (0, 2, 3, 3, 4)
+    rng = random.Random(34)
+    radii = {_assert_winf_matches_linear_scan(sp, *_float_marginals(rng, 5)).r
+             for _ in range(300)}
+    assert values[3] not in radii and values[2] in radii
+
+
+@pytest.mark.parametrize("p", [-1, 0, 0.5, float("nan"), float("inf")])
+def test_d_power_rejects_exponents_outside_the_lip_p_range(p):
+    """d^p is the cost of W_p for finite p >= 1 only: the dual vertices
+    and transport_with_power reject any other p with ValueError, on a
+    rational space and its float twin."""
+    exact = cycle_metric(4)
+    twin = validate_metric([[float(v) for v in row] for row in exact.dist])
+    mu, nu = ProbVector.dirac(4, 0), ProbVector.uniform(4)
+    for space in (exact, twin):
+        with pytest.raises(ValueError):
+            enumerate_dual_vertices(space, p)
+        with pytest.raises(ValueError):
+            transport_with_power(space, mu, nu, p)
 
 
 def test_coupling_checks_at_the_boundary():
