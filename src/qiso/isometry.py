@@ -7,14 +7,13 @@ Conditions checked per state or universally over all states of the algebra:
   Lip_inf   a coupling of (x <| psi, y <| psi) lives on {d <= d(x,y)}
   main      a coupling lives on the level set {d = d(x,y)}
 
-(D) and its commutant form are linear in the u_xj: their defects are
-einsums over the coaction's coefficient tensor, and their norms are
-taken block by block.  Every pairwise check visits the pairs of
-`_state_pairs`: x < y on an exactly symmetric d, every ordered pair
-otherwise.  A failing (D) or sampled Lip_p check reports the first pair
-in that order whose residual or margin is within 1e-12 (relative to the
-largest residual, or times max d) of the worst, so pairs that tie up to
-rounding give one witness.
+(D) is linear in the u_xj: its defects are einsums over the coaction's
+coefficient tensor, and their norms are taken block by block.  Every
+pairwise check visits the pairs of `_state_pairs`: x < y on an exactly
+symmetric d, every ordered pair otherwise.  A failing (D) or sampled
+Lip_p check reports the first pair in that order whose residual or
+margin is within 1e-12 (relative to the largest residual, or times max
+d) of the worst, so pairs that tie up to rounding give one witness.
 
 The sampled per-state Lip_p sweep takes all states of an instance at
 once and reads W_p off precomputed dual data as array maxima: for finite
@@ -38,8 +37,8 @@ vertices of the Kantorovich dual polyhedron restricted to the supports
 of rows x and y on that block (`transport.enumerate_dual_vertices`, at
 most block size points each), one batched eigvalsh per pair and block.
 The coupling-support conditions reduce to the vanishing of the pairwise
-products u_xj u_yk off the (sub)level set, one stacked matmul and
-eigvalsh per block size.  In rational mode near-ties are re-decided by
+products u_xj u_yk off the (sub)level set, one sweep for main and
+Lip_inf together.  In rational mode near-ties are re-decided by
 exact fraction-free elimination on ints (`algebra.exact_psd`), in loop
 order up to the first failure, which is the witness; each reads the
 block's one exact form (`CoAction.exact_blocks`), and a block without
@@ -55,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,11 +65,7 @@ from .errors import QisoError
 from .metric import level_set
 from .scalars import RATIONAL
 from .transport import (ProbVector, _dual_vertex_search, feasible_coupling_on,
-                        solve_transport, wasserstein_inf)
-
-
-class KappaConventionMismatch(QisoError):
-    pass
+                        flow_slack, solve_transport, wasserstein_inf)
 
 
 class HypothesisViolated(QisoError):
@@ -170,21 +165,6 @@ def check_D(action: CoAction) -> IsometryVerdict:
                            action.space)
 
 
-def check_D_commutant(action: CoAction) -> IsometryVerdict:
-    """Equivalent form when kappa(u_ij) = u_ji: the magic unitary commutes
-    with the scalar distance matrix."""
-    alg = action.group.algebra
-    U = action.coeffs
-    mismatch = np.argwhere(element_norms(
-        alg, U @ action.group.kappa.T - U.swapaxes(0, 1)) > action.space.tol)
-    if len(mismatch):
-        i, j = mismatch[0]
-        raise KappaConventionMismatch(f"kappa(u[{i}][{j}]) != u[{j}][{i}]")
-    d = np.array(action.space.dist, dtype=float)
-    residual = np.einsum("xja,jy->xya", U, d) - np.einsum("xj,jya->xya", d, U)
-    return _defect_verdict("D", element_norms(alg, residual), action.space)
-
-
 # ---------------------------------------------------------------------------
 # per-state conditions
 
@@ -255,13 +235,12 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     which a coupling of (mu, nu) lives on {d <= r_k}.  By Hall's theorem
     that holds iff the deficiency max_S mu(S) - nu(N_k(S)) over nonempty S
     is <= 0, with N_k(S) the points within r_k of S; the deficiency is
-    1 minus the max flow of `feasible_coupling_on`, so its float acceptance
-    test reads deficiency <= max(n, 1) 1e-9.  N_k takes the pairs of
-    `space.distance_ranks` at most `space.sublevel_tops[k]`, as
-    `wasserstein_inf` does, and every pair bisects on k from the whole
-    range (where `wasserstein_inf` sweeps upward from its single-point
-    Hall bound): nu(N_k(S)) is a sum of more nonnegative terms as k
-    grows, so feasibility is monotone in floats too.
+    1 minus the max flow of `feasible_coupling_on`, accepted within its
+    `flow_slack(n)`.  N_k takes the pairs of `space.distance_ranks` at
+    most `space.sublevel_tops[k]`, as `wasserstein_inf` does, and every
+    pair bisects on k from the whole range (where `wasserstein_inf` sweeps
+    upward from its single-point Hall bound): nu(N_k(S)) is a sum of more
+    nonnegative terms as k grows, so feasibility is monotone in floats.
 
     `_hall_ranks` bisects a chunk of states at a time: as many as keep
     its tables, (K n + 3 P)(2^n - 1) entries a state, within
@@ -280,7 +259,7 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     step = max(1, _HALL_MAX_CELLS // ((len(values) * n + 3 * len(xs))
                                       * len(subsets)))
     return np.concatenate([
-        radii[_hall_ranks(reach, subsets, chunk, xs, ys, max(n, 1) * 1e-9)]
+        radii[_hall_ranks(reach, subsets, chunk, xs, ys, flow_slack(n))]
         for chunk in np.split(masses, range(step, len(masses), step))])
 
 
@@ -577,9 +556,10 @@ def check_lip1_universal(action: CoAction) -> IsometryVerdict:
 # universal coupling-support conditions (p = inf and the level-set theorem)
 
 
-def _support_universal(action: CoAction, tag: str, level_only: bool) -> IsometryVerdict:
-    """Every state admits a coupling of (x <| psi, y <| psi) on Y, the
-    (sub)level set of d(x,y), iff u_xj u_yk = 0 for every (j, k) outside Y.
+def _support_sweep(action: CoAction) -> Callable[[bool], IsometryVerdict]:
+    """verdict(lip_inf): every state admits a coupling of (x <| psi,
+    y <| psi) on Y, the level set (main) or sublevel set (Lip_inf) of
+    d(x,y), iff u_xj u_yk = 0 for every (j, k) outside Y.
 
     Over all states at once, the marriage theorem's subset condition is
     the operator inequality a_{x;S} <= a_{y;N(S)} for every S.  Both sides
@@ -587,16 +567,17 @@ def _support_universal(action: CoAction, tag: str, level_only: bool) -> Isometry
     projections summing to 1, so the inequality says a_{x;S} u_yk = 0 for
     every k outside N(S); that holds for all S iff it holds for singletons
     (Banica 2005).  Each product is decided blockwise as
-    lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, for every
-    pair of `_state_pairs`, block and (j, k) of `CoAction.block_supports`
-    off Y at once: d(j, k) is compared with d(x, y) on the distance ranks
-    in rational mode and within the space's `dtol` in float mode, the
-    products of one block size are one stacked matmul, and their
-    lambda_max one batched eigvalsh (the real entry on 1x1 blocks).  In
-    rational mode the products within _BORDERLINE of 0 are re-decided
-    exactly, in the order (pair, block, j, k) up to the first failure,
-    which is the witness: -(R_P R_Q R_P) must be PSD, with R_P and R_Q
-    read from the block's exact form (`CoAction.exact_blocks`)."""
+    lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, in one
+    sweep over every pair of `_state_pairs`, block and (j, k) of
+    `CoAction.block_supports` off the level set, Lip_inf's being those with
+    d(j, k) > d(x, y) (on the distance ranks in rational mode, within the
+    space's `dtol` in float mode): one stacked matmul and one batched
+    eigvalsh per block size (the real entry on 1x1 blocks).  A verdict,
+    formed when asked for, has as witness its first failure in the order
+    (pair, block, j, k) and as certificate its largest residual.  In
+    rational mode a product within _BORDERLINE of 0 is re-decided exactly,
+    once for both verdicts and only before their first failures:
+    -(R_P R_Q R_P) must be PSD, on the block's exact form."""
     space = action.space
     alg = action.group.algebra
     pairs = _state_pairs(space)
@@ -608,8 +589,7 @@ def _support_universal(action: CoAction, tag: str, level_only: bool) -> Isometry
     supports = action.block_supports
     js = supports[:, xs].swapaxes(0, 1)[..., :, None]   # (pair, block, j, 1)
     ks = supports[:, ys].swapaxes(0, 1)[..., None, :]   # (pair, block, 1, k)
-    d_jk, d_xy = keys[js, ks], keys[xs, ys][:, None, None, None]
-    off = np.abs(d_jk - d_xy) > dtol if level_only else d_jk > d_xy + dtol
+    off = np.abs(keys[js, ks] - keys[xs, ys][:, None, None, None]) > dtol
     pair, block, a, c = np.nonzero(off & (js >= 0) & (ks >= 0))
     j, k = supports[block, xs[pair], a], supports[block, ys[pair], c]
     sizes = np.array(alg.blocks)[block]
@@ -628,33 +608,52 @@ def _support_universal(action: CoAction, tag: str, level_only: bool) -> Isometry
         P = stack[xs[pair[i]], j[i]]
         return P @ stack[ys[pair[i]], k[i]] @ P
 
+    decided = {}
+
     def product_psd(i):
         """Whether -P Q P is PSD exactly, on the block's exact form (the
         real form of a product is the product of the real forms); None
-        when the block has none."""
-        form = action.exact_blocks[block[i]]
-        return None if form is None else exact_psd(-product(i, form[0]))
+        when the block has none.  Each product is decided once."""
+        if i not in decided:
+            form = action.exact_blocks[block[i]]
+            decided[i] = None if form is None else exact_psd(-product(i, form[0]))
+        return decided[i]
 
-    failed = _first_failure(margins, space.tol, _BORDERLINE,
-                            product_psd if space.mode == RATIONAL else None)
-    if failed is None:
-        return IsometryVerdict(tag, True, certificate={
-            "max_residual": max([0.0] + margins.tolist())})
-    return IsometryVerdict(tag, False, witness={
-        "pair": pairs[pair[failed]], "points": (int(j[failed]), int(k[failed])),
-        "block": int(block[failed]), "residual": float(margins[failed]),
-        "state": _eigen_state(action, int(block[failed]),
-                              product(failed, action.stacks[block[failed]]))})
+    def verdict(lip_inf):
+        """Lip_inf's verdict (products off the sublevel set) or main's."""
+        tag = "Lip_inf(universal)" if lip_inf else "main(universal)"
+        chosen = (np.flatnonzero(keys[j, k] > keys[xs[pair], ys[pair]] + dtol)
+                  if lip_inf else np.arange(len(pair)))
+        failed = _first_failure(margins[chosen], space.tol, _BORDERLINE,
+                                (lambda f: product_psd(int(chosen[f])))
+                                if space.mode == RATIONAL else None)
+        if failed is None:
+            return IsometryVerdict(tag, True, certificate={
+                "max_residual": max([0.0] + margins[chosen].tolist())})
+        i = chosen[failed]
+        return IsometryVerdict(tag, False, witness={
+            "pair": pairs[pair[i]], "points": (int(j[i]), int(k[i])),
+            "block": int(block[i]), "residual": float(margins[i]),
+            "state": _eigen_state(action, int(block[i]),
+                                  product(i, action.stacks[block[i]]))})
+
+    return verdict
+
+
+def check_support_universal(action: CoAction) -> Tuple[IsometryVerdict, IsometryVerdict]:
+    """The universal (main, Lip_inf) verdicts of one `_support_sweep`."""
+    verdict = _support_sweep(action)
+    return verdict(False), verdict(True)
 
 
 def check_winf_universal(action: CoAction) -> IsometryVerdict:
     """All states admit a coupling supported on pairs at distance <= d(x,y)."""
-    return _support_universal(action, "Lip_inf(universal)", False)
+    return _support_sweep(action)(True)
 
 
 def check_theorem_main(action: CoAction) -> IsometryVerdict:
     """All states admit a coupling supported on the exact level set."""
-    return _support_universal(action, "main(universal)", True)
+    return _support_sweep(action)(False)
 
 
 def check_level_coupling_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:

@@ -115,9 +115,6 @@ class FiniteMetricSpace:
     mode: str = RATIONAL
     tol: float = field(default=DEFAULT_TOL, compare=False)
 
-    def d(self, i: int, j: int) -> Scalar:
-        return self.dist[i][j]
-
     def row(self, x: int) -> Tuple[Scalar, ...]:
         """The function d_x = d(x, -)."""
         return self.dist[x]

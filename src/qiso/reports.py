@@ -25,10 +25,9 @@ from .catalog import (CATALOG, catalog_action, random_permutation_action,
 from .coaction import CoAction, verify_coaction
 from .envelope import envelope
 from .fileio import coaction_to_dicts, state_to_dict
-from .isometry import (check_D, check_D_commutant, check_injectivity,
-                       check_lip_p_state_sweep,
-                       check_lip_p_universal, check_theorem_main,
-                       check_winf_universal, KappaConventionMismatch)
+from .isometry import (check_D, check_injectivity, check_lip_p_state_sweep,
+                       check_lip_p_universal, check_support_universal,
+                       check_winf_universal)
 from .metric import random_metric_space
 from .quantum_group import haar_state, verify_quantum_group
 
@@ -145,11 +144,12 @@ def build_instance(desc: dict) -> CoAction:
 
 
 def _condition_flags(action: CoAction, p_list) -> dict:
-    """All universal verdicts."""
-    flags: Dict[str, Optional[bool]] = {
+    """All universal verdicts; main and Lip_inf come from one sweep."""
+    main, lip_inf = check_support_universal(action)
+    flags: Dict[str, bool] = {
         "D": bool(check_D(action).holds),
-        "main": bool(check_theorem_main(action).holds),
-        "Lip_inf": bool(check_winf_universal(action).holds),
+        "main": bool(main.holds),
+        "Lip_inf": bool(lip_inf.holds),
     }
     for p in p_list:
         if p in ("inf", float("inf")):
@@ -167,13 +167,6 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
     rec["quantum_group_residual"] = verify_quantum_group(action.group).worst()
     rec["coaction_residual"] = verify_coaction(action).worst()
     rec["conditions"] = _condition_flags(action, p_list)
-    rec["guards"] = []
-    try:
-        commutant = check_D_commutant(action)
-        rec["conditions"]["D_commutant"] = bool(commutant.holds)
-    except KappaConventionMismatch:
-        rec["conditions"]["D_commutant"] = None
-        rec["guards"].append("D_commutant:kappa-convention")
     rec["injective"] = bool(check_injectivity(action))
     env = envelope(action)
     rec["envelope"] = {"dimension": env.dimension,

@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, QisoError
 from .metric import FiniteMetricSpace, PairSet
-from .scalars import RATIONAL, Scalar, is_rational, tol_for
+from .scalars import DEFAULT_TOL, RATIONAL, Scalar, is_rational, tol_for
 
 
 class InfeasibleMarginals(QisoError):
@@ -211,7 +211,7 @@ def _greedy_tree(num_nodes: int, tail, head, cost, demand):
 
 
 def _network_simplex(num_nodes: int, tail, head, cost, demand,
-                     cost_scale: Optional[int], tol: float = 1e-9):
+                     cost_scale: Optional[int]):
     """Primal network simplex for uncapacitated min-cost flow, arc a
     running from tail[a] to head[a] at cost[a].
 
@@ -266,7 +266,7 @@ def _network_simplex(num_nodes: int, tail, head, cost, demand,
     network, and `kantorovich_w1`, on the complete metric graph.
     """
     exact = cost_scale is not None
-    eps = 0 if exact else tol
+    eps = 0 if exact else DEFAULT_TOL
     if abs(sum(demand)) > eps:
         raise InfeasibleMarginals("demands do not sum to 0")
 
@@ -540,6 +540,12 @@ class CouplingFeasibility:
     nu_neighborhood: Optional[Scalar] = None
 
 
+def flow_slack(n: int, tol: float = DEFAULT_TOL) -> float:
+    """How far a float max flow on n rows may fall short of 1 and still be
+    a coupling, in `_FlowNetwork` and in `isometry._hall_sweep`."""
+    return max(tol * n, tol)
+
+
 class _FlowNetwork:
     """The max-flow network of a coupling problem: source -> row i with
     capacity mu_i, column j -> sink with capacity nu_j, and uncapacitated
@@ -564,7 +570,7 @@ class _FlowNetwork:
             unbalanced = sum(self.mass[:n]) != sum(self.mass[n:])
         else:
             self.mass, self.scale, self.eps = list(mu.mass + nu.mass), 1, tol
-            self.slack = max(tol * n, tol)
+            self.slack = flow_slack(n, tol)
             unbalanced = abs(sum(mu.mass) - sum(nu.mass)) > tol
         if unbalanced:
             raise InfeasibleMarginals("marginal masses differ")

@@ -39,7 +39,7 @@ exponential in the number of points:
   time, with the block supports taken anew by each call; not
   exponential, but independent of the cached supports, the character
   gather, the stacked products and the batched eigensolvers of
-  `check_lip_p_universal` and `_support_universal`, whose verdicts,
+  `check_lip_p_universal` and `check_support_universal`, whose verdicts,
   witnesses, margins and certificates must be equal to the reference's;
 - exact_psd_pairs, _exact_entries and _rationalize: exact positivity as
   the universal checks first decided it, on a (re, im) Fraction matrix
@@ -104,7 +104,9 @@ exponential in the number of points:
   per entry of u; not exponential, but independent of the coefficient
   tensor, the einsums, the span saturation by SVD and the stacked block
   norms of `isometry` and `coaction`, which must report the same
-  defects, deficits, verdicts and residuals;
+  defects, deficits, verdicts and residuals.  The commutant form,
+  (U d - d U)_xy when kappa(u_ij) = u_ji, has no twin in `isometry`: it
+  is the independent computation that `check_D` is compared with;
 - a_element: the quantum indicator a_{x;S} = sum_{j in S} u_xj as an
   AlgElement sum, for the subset oracle and the indicator tests;
 - check_ball_identity and check_lip_seminorm_state: the ball identity
@@ -182,8 +184,8 @@ from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
                            _hopf_violation, induced_action, kappa_block_map,
                            quotient_quantum_group)
 from qiso.errors import DimensionMismatch, QisoError
-from qiso.isometry import (_BORDERLINE, IsometryVerdict, KappaConventionMismatch,
-                           _eigen_state, _state_pairs, _vertex_floats, check_D,
+from qiso.isometry import (_BORDERLINE, IsometryVerdict, _eigen_state,
+                           _state_pairs, _vertex_floats, check_D,
                            check_winf_universal)
 from qiso.metric import (AsymmetricMatrix, FiniteMetricSpace, NegativeDistance,
                          NonzeroDiagonal, PairSet, TriangleViolation, ball,
@@ -205,6 +207,10 @@ from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
 
 class SizeGuardExceeded(QisoError):
     """An exhaustive oracle was asked for more than its size guard."""
+
+
+class KappaConventionMismatch(QisoError):
+    """The commutant form's guard kappa(u_ij) = u_ji fails."""
 
 
 def apply_delta(qg: QuantumGroup, elem: AlgElement) -> np.ndarray:

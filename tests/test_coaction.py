@@ -20,16 +20,14 @@ from qiso.envelope import envelope
 from qiso.errors import ShapeMismatch
 from qiso.fileio import (coaction_from_dict, coaction_to_dicts, format_complex,
                          load_coaction, parse_complex, save_coaction)
-from qiso.isometry import (KappaConventionMismatch, check_D,
-                           check_D_commutant, check_D_state,
-                           commutator_defects)
+from qiso.isometry import check_D, check_D_state, commutator_defects
 from qiso.metric import random_metric_space
 from qiso.quantum_group import close_generators, function_algebra_of_group
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.coaction import CoAction
 
-from oracles import (a_element, check_D_by_entry, check_D_commutant_by_entry,
-                     check_D_state_by_entry, commutator_defects_by_entry,
+from oracles import (a_element, check_D_by_entry, check_D_state_by_entry,
+                     commutator_defects_by_entry,
                      dihedral_projection_action_by_entry, entry_tensor,
                      generation_deficit_by_entry, group_element,
                      induced_action_by_entry, permutation_action_by_entry,
@@ -341,25 +339,16 @@ def _row_copied(action):
     return CoAction(action.group, action.space, entry_tensor(u))
 
 
-def _verdict(check, *args):
-    try:
-        v = check(*args)
-    except KappaConventionMismatch as err:
-        return "mismatch", str(err)
-    return v.holds, (v.certificate or v.witness)
-
-
 def test_tensor_forms_match_entry_references():
-    """(D), its commutant form and the coaction axioms computed from the
-    coefficient tensor equal the entry-by-entry references: on the
-    catalog, 20 random quantum actions, 200 seeded faults in u and each
-    base action with a row of u copied over another, the same residual
-    keys in order within 1e-12, defects and their norms within 1e-12, and
-    the same verdicts (or KappaConventionMismatch on the same first
-    entry) for check_D, check_D_state and check_D_commutant."""
+    """(D) and the coaction axioms computed from the coefficient tensor
+    equal the entry-by-entry references: on the catalog, 20 random
+    quantum actions, 200 seeded faults in u and each base action with a
+    row of u copied over another, the same residual keys in order within
+    1e-12, defects and their norms within 1e-12, and the same verdicts
+    for check_D and check_D_state."""
     bases = [e.action for e in standard_actions()] + \
         [random_quantum_action(seed) for seed in range(20)]
-    seen = {"check_D": set(), "check_D_state": set(), "check_D_commutant": set()}
+    seen = {"check_D": set(), "check_D_state": set()}
     for k, action in enumerate(bases + _seeded_faults(bases, 200, 1212)
                                + [_row_copied(a) for a in bases]):
         alg = action.group.algebra
@@ -379,27 +368,23 @@ def test_tensor_forms_match_entry_references():
             at_pair["check_D_state"][x, y] = abs(psi.value(c))
         for check, reference, args in (
                 (check_D, check_D_by_entry, ()),
-                (check_D_state, check_D_state_by_entry, (psi,)),
-                (check_D_commutant, check_D_commutant_by_entry, ())):
+                (check_D_state, check_D_state_by_entry, (psi,))):
             name = check.__name__
-            got = _verdict(check, action, *args)
-            want = _verdict(reference, action, *args)
-            assert got[0] == want[0], (k, name)
-            seen[name].add(got[0])
-            if got[0] == "mismatch":
-                assert got[1] == want[1], k  # the first failing (i, j)
-            elif got[0] is True:
-                assert abs(got[1]["max_residual"]
-                           - want[1]["max_residual"]) <= 1e-12, (k, name)
-            elif got[0] is False:
+            got, want = check(action, *args), reference(action, *args)
+            assert got.holds == want.holds, (k, name)
+            seen[name].add(got.holds)
+            if got.holds:
+                assert abs(got.certificate["max_residual"]
+                           - want.certificate["max_residual"]) <= 1e-12, \
+                    (k, name)
+            else:
                 # ties between pairs may break either way in the last bit,
                 # so the witness pair is checked by its own residual
-                assert abs(got[1]["residual"] - want[1]["residual"]) <= 1e-12, (k, name)
-                if name in at_pair:
-                    assert abs(at_pair[name][got[1]["pair"]]
-                               - got[1]["residual"]) <= 1e-12, (k, name)
+                assert abs(got.witness["residual"]
+                           - want.witness["residual"]) <= 1e-12, (k, name)
+                assert abs(at_pair[name][got.witness["pair"]]
+                           - got.witness["residual"]) <= 1e-12, (k, name)
     assert seen["check_D"] == seen["check_D_state"] == {True, False}
-    assert seen["check_D_commutant"] == {True, False, "mismatch"}
 
 
 def test_defect_witness_is_first_pair_within_tie_window():

@@ -11,25 +11,26 @@ import pytest
 
 from qiso.algebra import StateFunctional, extreme_state, random_state
 from qiso.catalog import (catalog_action, cycle_metric,
-                          dihedral_projection_action, equilateral_metric,
-                          four_point_blocks, four_point_asymmetric,
-                          permutation_action,
+                          dihedral_group_algebra, dihedral_projection_action,
+                          equilateral_metric, four_point_blocks,
+                          four_point_asymmetric, permutation_action,
                           random_permutation_action, random_quantum_action,
                           standard_actions, three_point_isosceles,
                           trivial_action)
-from qiso import isometry, transport
+from qiso import isometry, reports, transport
 from qiso.coaction import CoAction, act_on_point, act_on_points
-from qiso.isometry import (HypothesisViolated, check_D, check_D_commutant,
-                           check_D_state, check_injectivity,
-                           check_level_coupling_state, check_lip1_universal,
-                           check_lip_p_state, check_lip_p_universal,
-                           check_orthogonality, check_theorem_main,
+from qiso.isometry import (HypothesisViolated, check_D, check_D_state,
+                           check_injectivity, check_level_coupling_state,
+                           check_lip1_universal, check_lip_p_state,
+                           check_lip_p_universal, check_orthogonality,
+                           check_support_universal, check_theorem_main,
                            check_winf_universal)
 from qiso.metric import level_set, random_metric_space, validate_metric
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import feasible_coupling_on, wasserstein_inf, wasserstein_p
 
-from oracles import (check_ball_identity, check_lip_seminorm_state,
+from oracles import (check_ball_identity, check_D_commutant_by_entry,
+                     check_lip_seminorm_state,
                      entry_tensor, group_element, hall_sweep_loops,
                      lip_p_universal_full_sweep,
                      lip_p_universal_loops, sample_orthogonality_inputs,
@@ -43,12 +44,13 @@ def test_verdicts_take_no_tolerance_argument():
     Haar state and the Kac check have fixed bounds: none of them takes a
     tol of its own."""
     names = {"qiso.isometry": (
-                 "check_D", "check_D_commutant", "check_D_state",
+                 "check_D", "check_D_state",
                  "check_lip_p_state_sweep", "check_lip_p_state",
                  "check_lip_p_universal", "check_lip1_universal",
                  "check_winf_universal", "check_theorem_main",
                  "check_level_coupling_state", "check_orthogonality",
-                 "check_injectivity", "_defect_verdict", "_support_universal"),
+                 "check_injectivity", "_defect_verdict",
+                 "check_support_universal", "_support_sweep"),
              "qiso.envelope": ("envelope",),
              "qiso.coaction": ("verify_coaction", "generation_deficit",
                                "act_on_point", "act_on_points", "orbits"),
@@ -100,8 +102,9 @@ def test_check_D_s3_fails_with_witness():
 
 
 def test_check_D_does_not_depend_on_units():
-    """Scaling the metric by 10^9 or 10^-9 keeps every (D) verdict: the
-    tolerance is relative to the largest distance."""
+    """Scaling the metric by 10^9 or 10^-9 keeps every (D) verdict, and
+    the commutant form (computed entry by entry) agrees: the tolerance is
+    relative to the largest distance."""
     actions = {e.name: e.action for e in standard_actions()}
     seen = set()
     for name in ("dual-d4-blocks", "dual-d4-asymmetric"):
@@ -113,7 +116,8 @@ def test_check_D_does_not_depend_on_units():
         for scale in (F(10) ** 9, F(10) ** -9):
             scaled = scaled_twin(action, scale, False)
             assert check_D(scaled).holds == expected, (name, scale)
-            assert check_D_commutant(scaled).holds == expected, (name, scale)
+            assert check_D_commutant_by_entry(
+                scaled, scaled.space.tol).holds == expected, (name, scale)
             assert check_D_state(scaled, psi).holds == expected_state, \
                 (name, scale)
     assert seen == {True, False}
@@ -134,8 +138,12 @@ def test_lip_p_state_does_not_depend_on_units():
 
 
 def test_commutant_form_agrees_everywhere():
+    """`check_D` gives the verdict of the commutant form (U d - d U)_xy,
+    computed entry by entry, on every catalog entry."""
     for entry in standard_actions():
-        assert check_D(entry.action).holds == check_D_commutant(entry.action).holds
+        action = entry.action
+        assert check_D(action).holds == \
+            check_D_commutant_by_entry(action, action.space.tol).holds
 
 
 def test_ball_identity_matches_check_D():
@@ -364,14 +372,14 @@ def _support_population():
 
 def test_support_criterion_matches_subset_oracle():
     """The pairwise orthogonality criterion gives the subset exhaustion's
-    verdict, and each failure's witness state fails the per-state check."""
+    verdict, for both halves (main, Lip_inf) of one sweep, and each
+    failure's witness state fails the per-state check."""
     mismatches = []
     checked = {True: 0, False: 0}
     for action in _support_population():
         for twin in (action, scaled_twin(action, 1, True)):
-            for level_only, fn in ((True, check_theorem_main),
-                                   (False, check_winf_universal)):
-                verdict = fn(twin)
+            for level_only, verdict in zip((True, False),
+                                           check_support_universal(twin)):
                 oracle = support_universal_bruteforce(twin, "oracle", level_only,
                                                       1e-9)
                 checked[verdict.holds] += 1
@@ -404,6 +412,88 @@ def test_support_criterion_has_no_size_guard():
         assert not verdict.holds
         (x, y), (j, k) = verdict.witness["pair"], verdict.witness["points"]
         assert outside(d[j][k], d[x][y])
+
+
+def _near_tie_action():
+    """A unitary-row pattern over the group algebra of D_4 with one near
+    tie on its 2x2 block: the identity on the 1x1 blocks; rows 0 and 1
+    are (P, 1 - P) and rows 2 and 3 (Q, 1 - Q) on the 2x2 block, P and Q
+    the rank-1 projections onto (1, 63) and (1, 62).  Every entry is a
+    Fraction before it is a float, so the block has an exact form.  On
+    the metric below the first product off both the level and the
+    sublevel set is u_00 u_23 u_00 = P (1 - Q) P at the pair (0, 2), whose
+    lambda_max 1 / (3970 x 3845) ~ 6.55e-8 lies within the exact window
+    but beyond tol."""
+    qg = dihedral_group_algebra(4)
+    alg = qg.algebra
+
+    def projection(v):
+        norm = v[0] ** 2 + v[1] ** 2
+        return [[F(a * b, norm) for b in v] for a in v]
+
+    def complement(M):
+        return [[int(i == j) - M[i][j] for j in range(2)] for i in range(2)]
+
+    P, Q = projection((1, 63)), projection((1, 62))
+    rows = [(P, complement(P)), (Q, complement(Q))]
+    coeffs = [[[F(0)] * alg.dim for _ in range(4)] for _ in range(4)]
+    for off, b in zip(alg.offsets, alg.blocks):
+        for x in range(4):
+            for j in range(4):
+                if b == 1:
+                    coeffs[x][j][off] = F(int(x == j))
+                elif x // 2 == j // 2:
+                    M = rows[x // 2][(x + j) % 2]
+                    coeffs[x][j][off:off + 4] = [M[r][c] for r in range(2)
+                                                 for c in range(2)]
+    space = validate_metric([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
+                             [3, 2, 1, 0]])
+    return CoAction(qg, space, [[[float(v) for v in entry] for entry in row]
+                                for row in coeffs])
+
+
+def test_support_near_tie_is_decided_exactly(monkeypatch):
+    """On `_near_tie_action` main and Lip_inf both fail at the pair (0, 2)
+    with the points (0, 3) on block 4, by the exact decision of their
+    shared product, which `_condition_flags` takes once for both; with
+    `exact_psd` answering True both verdicts hold, so the exact route,
+    not the float margin, decides them."""
+    action = _near_tie_action()
+    R, _ = action.exact_blocks[4]
+    shared = -(R[0, 0] @ R[2, 3] @ R[0, 0])
+    calls = []
+    real = isometry.exact_psd
+    monkeypatch.setattr(isometry, "exact_psd",
+                        lambda M: calls.append(M) or real(M))
+    flags = reports._condition_flags(action, (1, 2, 3, "inf"))
+    assert not flags["main"] and not flags["Lip_inf"]
+    assert sum(np.array_equal(M, shared) for M in calls) == 1
+    for check in (check_theorem_main, check_winf_universal):
+        witness = check(action).witness
+        assert (witness["pair"], witness["points"], witness["block"]) == \
+            ((0, 2), (0, 3), 4)
+        assert witness["residual"] == pytest.approx(1 / (3970 * 3845))
+    monkeypatch.setattr(isometry, "exact_psd", lambda M: True)
+    assert check_theorem_main(action).holds
+    assert check_winf_universal(action).holds
+
+
+def test_condition_flags_sweep_the_support_products_once(monkeypatch):
+    """`_condition_flags` takes main and Lip_inf from one sweep of the
+    support products (`isometry._support_sweep`) per action, on every
+    catalog entry."""
+    calls = []
+    real = isometry._support_sweep
+
+    def counted(action):
+        calls.append(action)
+        return real(action)
+
+    monkeypatch.setattr(isometry, "_support_sweep", counted)
+    actions = [entry.action for entry in standard_actions()]
+    for action in actions:
+        reports._condition_flags(action, (1, 2, 3, "inf"))
+    assert calls == actions
 
 
 def _ordered_pairs(n):

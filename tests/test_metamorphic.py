@@ -9,8 +9,9 @@ The population is the catalog and the first 40 random instances of the
 tower-of-conditions population (`test_c07`).  Every transformed instance
 must validate (its metric, quantum group and coaction) and give the
 unscaled rational instance's
-- six universal verdicts (D, main, Lip_inf, Lip_1, Lip_2, Lip_3),
-  `check_D_commutant` verdict and injectivity;
+- six universal verdicts (D, main, Lip_inf, Lip_1, Lip_2, Lip_3), the
+  verdict of the commutant form of (D) (`check_D_commutant_by_entry`)
+  and injectivity;
 - envelope dimension and killed blocks;
 - sampled `check_lip_p_state_sweep` verdicts at two seeded states for
   p = 1, 2, 3 and inf, under the relabelling and the rescalings, which
@@ -29,8 +30,7 @@ import pytest
 from qiso.algebra import element_norms, random_state
 from qiso.coaction import CoAction, verify_coaction
 from qiso.envelope import envelope
-from qiso.isometry import (IsometryVerdict, check_D, check_D_commutant,
-                           check_injectivity,
+from qiso.isometry import (IsometryVerdict, check_D, check_injectivity,
                            check_lip_p_state_sweep, check_lip_p_universal,
                            check_theorem_main, check_winf_universal,
                            commutator_defects)
@@ -38,7 +38,7 @@ from qiso.metric import validate_metric
 from qiso.quantum_group import QuantumGroup, verify_quantum_group
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
 
-from oracles import entry_tensor, scaled_twin
+from oracles import check_D_commutant_by_entry, entry_tensor, scaled_twin
 
 UNIVERSAL = [("D", check_D, ()), ("main", check_theorem_main, ()),
              ("Lip_inf", check_winf_universal, ())] + \
@@ -98,7 +98,8 @@ def _summary(action: CoAction, sweep: bool) -> dict:
     """Every compared verdict, keyed by check; universal and sweep entries
     keep their IsometryVerdict for the witness check."""
     out = {name: check(action, *args) for name, check, args in UNIVERSAL}
-    out["D_commutant"] = check_D_commutant(action).holds
+    out["D_commutant"] = check_D_commutant_by_entry(action,
+                                                    action.space.tol).holds
     out["injective"] = check_injectivity(action)
     env = envelope(action)
     out["envelope"] = (env.dimension, sorted(env.ideal.included_blocks))

@@ -140,12 +140,12 @@ def test_min_cost_flow_matches_reference(monkeypatch):
     calls = []
     real = transport._network_simplex
 
-    def both(num_nodes, tail, head, cost, demand, cost_scale, tol=1e-9):
+    def both(num_nodes, tail, head, cost, demand, cost_scale):
         assert all(type(c) is int for c in cost) and \
             all(type(b) is int for b in demand)
         arcs = list(zip(tail, head, cost))
-        got = real(num_nodes, tail, head, cost, demand, cost_scale, tol)
-        ref, _ = min_cost_flow_reference(num_nodes, arcs, demand, tol)
+        got = real(num_nodes, tail, head, cost, demand, cost_scale)
+        ref, _ = min_cost_flow_reference(num_nodes, arcs, demand)
         assert sum(c * f for (_, _, c), f in zip(arcs, got[0])) == \
             sum(c * f for (_, _, c), f in zip(arcs, ref))
         certify_min_cost_flow(num_nodes, arcs, demand, *got)
@@ -234,8 +234,8 @@ def test_mixed_mode_runs_in_floats(monkeypatch):
     calls = []
     real = transport._network_simplex
 
-    def spy(num_nodes, tail, head, cost, demand, cost_scale, tol=1e-9):
-        got = real(num_nodes, tail, head, cost, demand, cost_scale, tol)
+    def spy(num_nodes, tail, head, cost, demand, cost_scale):
+        got = real(num_nodes, tail, head, cost, demand, cost_scale)
         assert all(isinstance(v, float) for part in got for v in part)
         calls.append(got)
         return got
@@ -270,9 +270,9 @@ def test_degenerate_problems_terminate_certified(monkeypatch):
     real = transport._network_simplex
     calls = []
 
-    def capped(num_nodes, tail, head, cost, demand, cost_scale, tol=1e-9):
+    def capped(num_nodes, tail, head, cost, demand, cost_scale):
         monkeypatch.setattr(transport, "_MAX_PIVOTS", 4 * len(cost))
-        got = real(num_nodes, tail, head, cost, demand, cost_scale, tol)
+        got = real(num_nodes, tail, head, cost, demand, cost_scale)
         certify_min_cost_flow(num_nodes, list(zip(tail, head, cost)), demand,
                               *got)
         calls.append(num_nodes)
@@ -417,9 +417,9 @@ def test_reference_problems_finish_within_2n_pivots(monkeypatch):
     real = transport._network_simplex
     calls = []
 
-    def capped(num_nodes, tail, head, cost, demand, cost_scale, tol=1e-9):
+    def capped(num_nodes, tail, head, cost, demand, cost_scale):
         monkeypatch.setattr(transport, "_MAX_PIVOTS", num_nodes + 1)
-        got = real(num_nodes, tail, head, cost, demand, cost_scale, tol)
+        got = real(num_nodes, tail, head, cost, demand, cost_scale)
         if cost_scale is not None:
             certify_min_cost_flow(num_nodes, list(zip(tail, head, cost)),
                                   demand, *got)
