@@ -216,32 +216,27 @@ def save_quantum_group(path: str, qg: QuantumGroup) -> None:
 # coactions and states
 
 
-def coaction_to_dicts(action: CoAction) -> Tuple[dict, dict, dict]:
-    """(group doc, space doc, coaction doc with inline references)."""
+def coaction_to_dict(action: CoAction) -> dict:
+    """The coaction document with its group and space documents inline."""
     u = [[[format_complex(v) for v in vec] for vec in row] for row in action.coeffs]
-    return (quantum_group_to_dict(action.group),
-            space_to_dict(action.space),
-            {"u": u, "name": action.name})
+    return {"u": u, "name": action.name,
+            "group": quantum_group_to_dict(action.group),
+            "space": space_to_dict(action.space)}
 
 
 def save_coaction(path: str, action: CoAction, inline: bool = False) -> None:
     """Write the coaction file; group and space go to sibling files
-    referenced by relative path (or inline when building dossiers)."""
+    referenced by relative path (or inline, as in dossiers)."""
     import os
-    group_doc, space_doc, act_doc = coaction_to_dicts(action)
-    if inline:
-        act_doc["group"] = group_doc
-        act_doc["space"] = space_doc
-    else:
+    doc = coaction_to_dict(action)
+    if not inline:
         stem = path[:-5] if path.endswith(".json") else path
-        with open(stem + ".group.json", "w") as fh:
-            json.dump(group_doc, fh, indent=1)
-        with open(stem + ".space.json", "w") as fh:
-            json.dump(space_doc, fh, indent=1)
-        act_doc["group"] = os.path.basename(stem) + ".group.json"
-        act_doc["space"] = os.path.basename(stem) + ".space.json"
+        for field in ("group", "space"):
+            with open(f"{stem}.{field}.json", "w") as fh:
+                json.dump(doc[field], fh, indent=1)
+            doc[field] = f"{os.path.basename(stem)}.{field}.json"
     with open(path, "w") as fh:
-        json.dump(act_doc, fh, indent=1)
+        json.dump(doc, fh, indent=1)
 
 
 def coaction_from_dict(doc: dict, base_dir: str = ".",

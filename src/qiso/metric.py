@@ -315,57 +315,65 @@ def sublevel_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
     return PairSet(tuple(tuple(v <= bound for v in row) for row in space.dist))
 
 
+def _euclidean_sample(n: int, rng: random.Random) -> FiniteMetricSpace:
+    """Distances of points sampled in the plane (float mode)."""
+    pts = []
+    while len(pts) < n:
+        p = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+        if all(math.hypot(p[0] - q[0], p[1] - q[1]) > 1e-2 for q in pts):
+            pts.append(p)
+    dist = [[math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+             for j in range(n)] for i in range(n)]
+    return validate_metric(dist, mode=FLOAT)
+
+
+def _shortest_path_graph(n: int, rng: random.Random) -> FiniteMetricSpace:
+    """All-pairs shortest paths of a random connected weighted graph with
+    small dyadic weights (rational mode), so entries stay exact even after
+    conversion to float."""
+    # every weight has denominator 1, 2 or 4: the paths run on
+    # 4 x weight in ints, and each entry becomes one Fraction at the end
+    def weight():
+        return 4 * rng.randint(1, 12) // rng.choice((1, 2, 4))
+
+    big = 4 * 10 ** 6
+    w = [[big] * n for _ in range(n)]
+    for i in range(n):
+        w[i][i] = 0
+    order = list(range(n))
+    rng.shuffle(order)
+    for a, b in zip(order, order[1:]):  # random spanning path: connected
+        w[a][b] = w[b][a] = weight()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if w[i][j] == big and rng.random() < 0.4:
+                w[i][j] = w[j][i] = weight()
+    for k in range(n):
+        wk = w[k]
+        for row in w:
+            rk = row[k]
+            for j in range(n):
+                through = rk + wk[j]
+                if through < row[j]:
+                    row[j] = through
+    return validate_metric([[Fraction(v, 4) for v in row] for row in w],
+                           mode=RATIONAL)
+
+
+# the models of random_metric_space: name -> builder from (n, rng)
+METRIC_MODELS = {"euclidean-sample": _euclidean_sample,
+                 "shortest-path-graph": _shortest_path_graph}
+
+
 def random_metric_space(n: int, seed: int, model: str = "shortest-path-graph",
                         mode: str = None) -> FiniteMetricSpace:
-    """Deterministic-in-seed generator of valid spaces.
-
-    euclidean-sample: distances of points sampled in the plane (float mode).
-    shortest-path-graph: all-pairs shortest paths of a random connected
-    weighted graph with small dyadic weights (rational mode), so entries
-    stay exact even after conversion to float.
-    """
+    """Deterministic-in-seed generator of valid spaces of a METRIC_MODELS
+    model."""
     if n < 2:
         raise ValueError("need at least 2 points")
-    rng = random.Random(seed)
-    if model == "euclidean-sample":
-        pts = []
-        while len(pts) < n:
-            p = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
-            if all(math.hypot(p[0] - q[0], p[1] - q[1]) > 1e-2 for q in pts):
-                pts.append(p)
-        dist = [[math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-                 for j in range(n)] for i in range(n)]
-        space = validate_metric(dist, mode=FLOAT)
-    elif model == "shortest-path-graph":
-        # every weight has denominator 1, 2 or 4: the paths run on
-        # 4 x weight in ints, and each entry becomes one Fraction at the end
-        def weight():
-            return 4 * rng.randint(1, 12) // rng.choice((1, 2, 4))
-
-        big = 4 * 10 ** 6
-        w = [[big] * n for _ in range(n)]
-        for i in range(n):
-            w[i][i] = 0
-        order = list(range(n))
-        rng.shuffle(order)
-        for a, b in zip(order, order[1:]):  # random spanning path: connected
-            w[a][b] = w[b][a] = weight()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if w[i][j] == big and rng.random() < 0.4:
-                    w[i][j] = w[j][i] = weight()
-        for k in range(n):
-            wk = w[k]
-            for row in w:
-                rk = row[k]
-                for j in range(n):
-                    through = rk + wk[j]
-                    if through < row[j]:
-                        row[j] = through
-        w = [[Fraction(v, 4) for v in row] for row in w]
-        space = validate_metric(w, mode=RATIONAL)
-    else:
+    if model not in METRIC_MODELS:
         raise ValueError(f"unknown model {model!r}")
+    space = METRIC_MODELS[model](n, random.Random(seed))
     if mode is not None and mode != space.mode:
         if mode == FLOAT:
             space = validate_metric(

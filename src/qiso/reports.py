@@ -1,5 +1,9 @@
-"""Batch verification over the catalog, conjecture searches, reports.
+"""Batch verification over the catalog, the span search, reports.
 
+For a magic-unitary coaction on a finite space, (D), main and Lip_inf are
+one condition, so the open part of the paper's conjecture there is the
+gap between Lip_inf and Lip_p: the catalog run's `patterns` tally counts
+every gap pattern, and the span search is the one conjecture search.
 Runs are pure functions of (config, catalog): every random draw is seeded
 from the config seed, and every dossier carries the instance files inline
 so a hit can be replayed.  Searches never assert the open conjectures;
@@ -24,11 +28,10 @@ from .catalog import (CATALOG, catalog_action, random_permutation_action,
                       random_quantum_action)
 from .coaction import CoAction, verify_coaction
 from .envelope import envelope
-from .fileio import coaction_to_dicts, state_to_dict
+from .fileio import coaction_to_dict, state_to_dict
 from .isometry import (check_D, check_injectivity, check_lip_p_state_sweep,
-                       check_lip_p_universal, check_support_universal,
-                       check_winf_universal)
-from .metric import random_metric_space
+                       check_lip_p_universal, check_support_universal)
+from .metric import METRIC_MODELS, random_metric_space
 from .quantum_group import haar_state, verify_quantum_group
 
 # strongest first; every earlier condition must imply every later one
@@ -37,7 +40,7 @@ CONDITION_ORDER = ["D", "main", "Lip_inf", "Lip_3", "Lip_2", "Lip_1"]
 
 @dataclass
 class SearchConfig:
-    kind: str = "catalog"            # catalog | sublevel | span
+    kind: str = "catalog"            # a key of RUN_KINDS
     n_range: Sequence[int] = (3, 4)
     metric_model: str = "shortest-path-graph"
     catalog: Optional[List[str]] = None   # entry names; None = all
@@ -70,9 +73,9 @@ def _is_list(v, item) -> bool:
 
 # each SearchConfig field -> whether a value read from a config file is one
 _CONFIG_CHECKS = {
-    "kind": lambda v: isinstance(v, str),
+    "kind": lambda v: isinstance(v, str) and v in RUN_KINDS,
     "n_range": lambda v: bool(v) and _is_list(v, lambda n: _is_number(n, 2, int)),
-    "metric_model": lambda v: isinstance(v, str),
+    "metric_model": lambda v: isinstance(v, str) and v in METRIC_MODELS,
     "catalog": lambda v: v is None or _is_list(v, lambda s: isinstance(s, str)),
     "random_actions": lambda v: _is_number(v, 0, int),
     "state_samples": lambda v: _is_number(v, 0, int),
@@ -225,7 +228,7 @@ def implication_tallies(instances: List[dict]) -> Dict[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# the three run kinds
+# the run kinds
 
 
 def _run_instances(config: SearchConfig, worker, collect) -> RunReport:
@@ -269,47 +272,15 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
     return report
 
 
-def _collect_hits(extra=lambda rec: {}):
-    """A collect callback for the conjecture searches: keep every record,
-    and dossier each hit as its descriptor, its coaction document and the
-    keys extra(rec) adds."""
-    def collect(report, rec):
-        report.instances.append(rec)
-        if rec.get("hit"):
-            action = build_instance(rec["descriptor"])
-            group_doc, space_doc, act_doc = coaction_to_dicts(action)
-            act_doc["group"], act_doc["space"] = group_doc, space_doc
-            report.dossiers.append({"descriptor": rec["descriptor"],
-                                    "coaction": act_doc, **extra(rec)})
-    return collect
-
-
-def _sublevel_worker_record(desc: dict) -> dict:
-    action = build_instance(desc)
-    rec = {"descriptor": desc, "name": desc.get("name") or action.name}
-    rec["Lip_inf"] = bool(check_winf_universal(action).holds)
-    rec["D"] = bool(check_D(action).holds)
-    rec["hit"] = rec["Lip_inf"] is True and rec["D"] is False
-    return rec
-
-
-def search_conjecture_sublevel(config: SearchConfig) -> RunReport:
-    """Look for sublevel-coupling-universal actions that fail (D); a hit
-    would be a counterexample dossier, never an assertion."""
-    report = _run_instances(config, _sublevel_worker_record, _collect_hits())
-    tallies = {"checked": len(report.instances),
-               "hits": sum(1 for r in report.instances if r.get("hit")),
-               "holds_both": sum(1 for r in report.instances
-                                 if r.get("Lip_inf") and r.get("D")),
-               "fails_both": sum(1 for r in report.instances
-                                 if r.get("Lip_inf") is False and r.get("D") is False)}
-    report.implication_matrix = tallies
-    return report
-
-
 def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
+    """The span search on one instance.  A state vector, like a mass, has
+    no units, so every cut on one reads the space's tol: span membership
+    and the Gram-Schmidt cut, the trace of a combination, the margin by
+    which mixing clears positivity, the barycenter's positivity and the
+    state check of a repaired combination."""
     action = build_instance(desc)
     alg = action.group.algebra
+    tol = action.space.tol
     rec = {"descriptor": desc, "name": desc.get("name") or action.name,
            "p": p}
     # block characters are classical points when A = C(G), and one of
@@ -340,7 +311,7 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
     trace = []
     for psi in iso_states:
         v = off_span(psi.as_vector())
-        if np.linalg.norm(v) > 1e-9:
+        if np.linalg.norm(v) > tol:
             basis.append(v / np.linalg.norm(v))
         trace.append(len(basis))
     rec["span_dimension_trace"] = trace
@@ -352,7 +323,7 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
     hits = []
     tested = 0
     for idx, psi in enumerate(pool):
-        if np.linalg.norm(off_span(psi.as_vector())) <= 1e-9:
+        if np.linalg.norm(off_span(psi.as_vector())) <= tol:
             tested += 1
             if not holds[idx]:
                 hits.append({"kind": "pool-state", "index": idx,
@@ -368,7 +339,7 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
             vec = sum(c * s.as_vector() for c, s in zip(coeffs, iso_states))
             cand = StateFunctional.from_vector(alg, vec)
             tr = sum(float(np.trace(r).real) for r in cand.densities)
-            if abs(tr) < 1e-9:
+            if abs(tr) < tol:
                 continue
             vec = vec / tr
             lam = min(float(np.linalg.eigvalsh((r + r.conj().T) / 2)[0])
@@ -377,12 +348,12 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
                 # mix toward the barycenter until positive
                 mean_lam = min(float(np.linalg.eigvalsh(r)[0]) for r in
                                StateFunctional.from_vector(alg, mean_vec).densities)
-                if mean_lam <= 1e-12:
+                if mean_lam <= tol:
                     continue
-                t = (-lam + 1e-9) / (mean_lam - lam + 1e-9)
+                t = (-lam + tol) / (mean_lam - lam + tol)
                 vec = (1 - t) * vec + t * mean_vec
             cand = StateFunctional.from_vector(alg, vec)
-            if cand.is_state(tol=1e-7):
+            if cand.is_state(tol):
                 combos.append(cand)
         tested += len(combos)
         for cand, verdicts in zip(combos, check_lip_p_state_sweep(
@@ -405,9 +376,16 @@ def search_conjecture_span(config: SearchConfig) -> RunReport:
     worker = functools.partial(_span_record, p=p,
                                state_samples=config.state_samples,
                                seed=config.seed)
-    collect = _collect_hits(lambda rec: {
-        "p": rec["p"], "failures": rec["in_span_failures"],
-        "failing_states": rec["failing_in_span_states"]})
+
+    def collect(report, rec):
+        report.instances.append(rec)
+        if rec["hit"]:
+            report.dossiers.append({
+                "descriptor": rec["descriptor"],
+                "coaction": coaction_to_dict(build_instance(rec["descriptor"])),
+                "p": rec["p"], "failures": rec["in_span_failures"],
+                "failing_states": rec["failing_in_span_states"]})
+
     report = _run_instances(config, worker, collect)
     report.implication_matrix = {
         "checked": len(report.instances),
@@ -415,14 +393,15 @@ def search_conjecture_span(config: SearchConfig) -> RunReport:
     return report
 
 
+# each run kind -> its run function
+RUN_KINDS = {"catalog": run_catalog_verification,
+             "span": search_conjecture_span}
+
+
 def run_search(config: SearchConfig) -> RunReport:
-    if config.kind == "catalog":
-        return run_catalog_verification(config)
-    if config.kind == "sublevel":
-        return search_conjecture_sublevel(config)
-    if config.kind == "span":
-        return search_conjecture_span(config)
-    raise ValueError(f"unknown search kind {config.kind!r}")
+    if config.kind not in RUN_KINDS:
+        raise ValueError(f"unknown search kind {config.kind!r}")
+    return RUN_KINDS[config.kind](config)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +453,7 @@ def _emit_markdown(report: RunReport) -> str:
     lines = [f"# {report.kind} run", "",
              f"instances: {len(report.instances)}  "
              f"time: {report.timing.get('seconds', 0):.1f}s", ""]
-    if report.kind == "catalog" and report.implication_matrix:
+    if "patterns" in report.implication_matrix:
         m = report.implication_matrix
         lines.append("## Condition tallies")
         lines.append("")

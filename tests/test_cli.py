@@ -623,6 +623,27 @@ def test_cli_search_checks_flag_overrides_as_config_values(tmp_path, capsys):
         SearchConfig.from_dict({"seed": -1})
 
 
+def test_cli_search_rejects_unknown_kind_and_metric_model(tmp_path, capsys):
+    """A run kind or metric model that no run knows is invalid input naming
+    the field, at the config boundary: "metric_model": "nope" passed and
+    failed only when the first random instance was built (never, with no
+    random actions), and the retired kind "sublevel" is rejected like any
+    other unknown kind, given as --kind or in the config file."""
+    from qiso.reports import SearchConfig
+    for doc, field in (({"metric_model": "nope"}, "metric_model"),
+                       ({"metric_model": "nope", "random_actions": 0},
+                        "metric_model"),
+                       ({"kind": "nonsense"}, "kind")):
+        with pytest.raises(ValueError, match=repr(field)):
+            SearchConfig.from_dict(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "sublevel", "catalog": ["cyclic-3"]}))
+    for argv in (["search", "--kind", "sublevel"], ["search", "--config", str(cfg)]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "'kind'" in err, argv
+
+
 def test_cli_search_seed_and_jobs_override_config_only_when_given(
         tmp_path, capsys, monkeypatch):
     """--seed and --jobs replace the config file's values when given, before

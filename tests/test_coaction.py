@@ -18,7 +18,7 @@ from qiso.coaction import (act_on_function, act_on_point, generation_deficit,
                            orbits, verify_coaction)
 from qiso.envelope import envelope
 from qiso.errors import ShapeMismatch
-from qiso.fileio import (coaction_from_dict, coaction_to_dicts, format_complex,
+from qiso.fileio import (coaction_from_dict, coaction_to_dict, format_complex,
                          load_coaction, parse_complex, save_coaction)
 from qiso.isometry import check_D, check_D_state, commutator_defects
 from qiso.metric import random_metric_space
@@ -113,7 +113,8 @@ def test_coaction_tensor_equals_entry_builders(monkeypatch, tmp_path):
     B = np.eye(qg.dim) + 0.3 * (rng.normal(size=(qg.dim, qg.dim))
                                 + 1j * rng.normal(size=(qg.dim, qg.dim)))
     B_inv = np.linalg.inv(B)
-    group_doc, space_doc, doc = coaction_to_dicts(action)
+    doc = coaction_to_dict(action)
+    group_doc, space_doc = doc["group"], doc["space"]
     group_doc["basis"] = [[[[format_complex(v) for v in row] for row in block]
                            for block in qg.algebra.from_vec(column).data]
                           for column in B.T]

@@ -12,7 +12,7 @@ from qiso.catalog import (dihedral_perms, dihedral_projection_action,
 from qiso.coaction import act_on_point
 from qiso.fileio import coaction_from_dict
 from qiso.quantum_group import (NotAGroup, haar_state, verify_quantum_group)
-from qiso.reports import SearchConfig, search_conjecture_sublevel
+from qiso.reports import SearchConfig, search_conjecture_span
 
 from oracles import dual_of_group, from_permutation_group
 
@@ -65,24 +65,32 @@ def test_haar_invariance_hundred_random_states():
             assert np.abs(qg.convolve(psi, h).as_vector() - hvec).max() < 1e-9
 
 
-def test_sublevel_dossier_replays():
-    # force a dossier by pretending a hit, then reload its inline coaction
-    from qiso.reports import build_instance
-    from qiso.fileio import coaction_to_dicts
-    desc = {"source": "catalog", "name": "s3-isosceles"}
-    action = build_instance(desc)
-    group_doc, space_doc, act_doc = coaction_to_dicts(action)
-    act_doc["group"], act_doc["space"] = group_doc, space_doc
-    text = json.dumps(act_doc)  # dossiers are JSON-serializable
-    replayed = coaction_from_dict(json.loads(text))
-    from qiso.isometry import check_D
-    assert check_D(replayed).holds == check_D(action).holds is False
+def test_span_dossier_replays():
+    """The span search's dossier of its one hit on s3-isosceles, read back
+    from the emitted JSON, is the instance itself (space, comultiplication
+    and magic unitary) and carries a state on which Lip_1 fails."""
+    from qiso.fileio import state_from_dict
+    from qiso.isometry import check_lip_p_state
+    from qiso.reports import build_instance, emit_report
+    cfg = SearchConfig(kind="span", catalog=["s3-isosceles"], p_list=(1,),
+                       state_samples=6, seed=1)
+    dossiers = json.loads(emit_report(search_conjecture_span(cfg)))["dossiers"]
+    assert len(dossiers) == 1
+    dossier = dossiers[0]
+    action = build_instance(dossier["descriptor"])
+    replayed = coaction_from_dict(dossier["coaction"])
+    assert replayed.space.dist == action.space.dist
+    assert replayed.space.mode == action.space.mode
+    assert np.array_equal(replayed.group.delta, action.group.delta)
+    assert np.array_equal(replayed.coeffs, action.coeffs)
+    psi = state_from_dict(dossier["failing_states"][0]["state"],
+                          replayed.group.algebra)
+    assert not check_lip_p_state(replayed, psi, 1).holds
 
 
 def test_search_with_process_pool_matches_sequential():
     from qiso.reports import run_search
-    for kind, extra in (("sublevel", {"random_actions": 4}),
-                        ("span", {"state_samples": 3, "p_list": (1,)}),
+    for kind, extra in (("span", {"state_samples": 3, "p_list": (1,)}),
                         ("catalog", {"state_samples": 1})):
         base = dict(kind=kind, catalog=["cyclic-3", "s3-isosceles"], seed=9,
                     **extra)

@@ -8,7 +8,7 @@ import pytest
 from qiso.reports import (RunReport, SearchConfig, emit_report,
                           implication_tallies, instance_descriptors,
                           run_catalog_verification, run_search,
-                          search_conjecture_span, search_conjecture_sublevel)
+                          search_conjecture_span)
 
 
 SMALL = SearchConfig(kind="catalog", catalog=["trivial-3", "s3-isosceles",
@@ -58,10 +58,10 @@ def test_build_instance_builds_only_the_named_entry(monkeypatch):
 
 
 def test_determinism():
-    cfg = SearchConfig(kind="sublevel", catalog=["cyclic-3"],
-                       random_actions=4, seed=11)
-    a = search_conjecture_sublevel(cfg).to_dict()
-    b = search_conjecture_sublevel(cfg).to_dict()
+    cfg = SearchConfig(kind="catalog", catalog=["cyclic-3"],
+                       random_actions=4, seed=11, state_samples=2)
+    a = run_catalog_verification(cfg).to_dict()
+    b = run_catalog_verification(cfg).to_dict()
     a["timing"] = b["timing"] = {}
     for r in a["instances"] + b["instances"]:
         r.pop("seconds", None)
@@ -74,14 +74,6 @@ def test_descriptor_mix():
     assert len(descs) == 6
     kinds = {d["source"] for d in descs}
     assert kinds == {"random-perm", "random-quantum"}
-
-
-def test_sublevel_search_no_hits_on_catalog():
-    cfg = SearchConfig(kind="sublevel", catalog=["cyclic-3", "s3-isosceles"],
-                       random_actions=6, seed=5)
-    rep = search_conjecture_sublevel(cfg)
-    assert rep.implication_matrix["hits"] == 0
-    assert rep.dossiers == []
 
 
 def test_span_search_finds_the_transitive_orbit_hits():
@@ -195,10 +187,10 @@ def test_time_budget_skips_instances():
     15 runs) before the first check cancels the rest, so with jobs = 2
     only a skip at all is asserted."""
     for jobs, least in ((1, 9), (2, 1)):
-        cfg = SearchConfig(kind="sublevel", catalog=["cyclic-3"],
+        cfg = SearchConfig(kind="catalog", catalog=["cyclic-3"],
                            random_actions=10, seed=3, time_budget=1e-9,
-                           jobs=jobs)
-        rep = search_conjecture_sublevel(cfg)
+                           jobs=jobs, state_samples=1)
+        rep = run_catalog_verification(cfg)
         assert rep.timing["skipped_by_budget"] >= least, jobs
         assert rep.timing["skipped_by_budget"] + rep.timing["instances"] == 11
 
