@@ -24,6 +24,6 @@ from .isometry import (IsometryVerdict, check_D, check_injectivity,
                        check_lip_p_state_sweep, check_lip_p_universal,
                        check_orthogonality, check_support_universal,
                        check_theorem_main, check_winf_universal)
-from .envelope import BlockIdeal, EnvelopeResult, generated_ideal
+from .envelope import BlockIdeal, EnvelopeResult
 
 __version__ = "0.1.0"

@@ -236,22 +236,6 @@ def max_operator_norms(named: Dict[str, Sequence[np.ndarray]]) -> Dict[str, floa
     return {name: float(np.max(found)) for name, found in peaks.items()}
 
 
-def operator_norms_above(mats: np.ndarray, bound: float) -> np.ndarray:
-    """Whether each matrix of a stack (..., m, m) has spectral norm above
-    bound, as `operator_norms(mats) > bound` decides.  A matrix with an
-    entry above bound is, one with Frobenius norm at most bound is not,
-    each with the screen's margin; only the others are decomposed."""
-    if mats.shape[-1] == 1:
-        return operator_norms(mats) > bound
-    scale = np.abs(mats).max(axis=(-2, -1))
-    above = np.isfinite(scale) & (scale > bound * (1 + _SCREEN_MARGIN))
-    undecided = ~above & ~((_frobenius_norms(mats) <= bound * (1 - _SCREEN_MARGIN))
-                           & ((scale == 0) | (scale >= _FROBENIUS_FLOOR)))
-    if undecided.any():
-        above[undecided] = operator_norms(mats[undecided]) > bound
-    return above
-
-
 def element_norms(algebra: FinDimCStarAlgebra, X: np.ndarray) -> np.ndarray:
     """The operator norms of the elements X[..., a] of the algebra (their
     coefficient vectors on the last axis): the largest spectral norm over

@@ -14,7 +14,7 @@ import sys
 
 from .errors import QisoError
 from .metric import MetricError
-from .scalars import FLOAT, RATIONAL, format_scalar
+from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, format_scalar
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
                             default=default if suppress else RATIONAL,
                             help="arithmetic mode for parsing distributions")
         parser.add_argument("--tol", type=float,
-                            default=default if suppress else 1e-9)
+                            default=default if suppress else DEFAULT_TOL)
         parser.add_argument("--seed", type=int, default=default)
         parser.add_argument("--jobs", type=int, default=default)
         parser.add_argument("--out", default=default,
@@ -212,6 +212,10 @@ def _dispatch(args) -> int:
 
     if args.command == "search":
         from .reports import SearchConfig, emit_report, run_search
+        if args.tol != DEFAULT_TOL:
+            raise ValueError(f"--tol {args.tol} is not accepted by search, which "
+                             f"builds every instance at the default tolerance "
+                             f"{DEFAULT_TOL}")
         doc = fileio.read_json_object(args.config) if args.config else {}
         # the flags given replace the file's values and are checked with them
         flags = {"kind": args.kind, "random_actions": args.random,

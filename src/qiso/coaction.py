@@ -89,23 +89,28 @@ class CoAction:
         (n, n, 2b, 2b) array of Python ints; None when some entry of the
         block is not a rational with denominator <= 4096.  Each distinct
         float of a block is read back once, as `limit_denominator` finds
-        it, on first use: every exact decision of the universal checks
-        reads this one form."""
+        it, on first use, up to the first that is no such rational: every
+        exact decision of the isometry checks reads this one form."""
         out = []
         for stack in self.stacks:
             parts = np.stack([stack.real, stack.imag])
             values, inverse = np.unique(parts, return_inverse=True)
-            values = values.tolist()
-            fracs = [Fraction(v).limit_denominator(4096) if math.isfinite(v) else None
-                     for v in values]
-            if any(f is None or float(f) != v for f, v in zip(fracs, values)):
+            fracs = []
+            for v in values.tolist():
+                f = Fraction(v).limit_denominator(4096) if math.isfinite(v) else None
+                if f is None or float(f) != v:
+                    break
+                fracs.append(f)
+            if len(fracs) < len(values):
                 out.append(None)
                 continue
             q = math.lcm(*(f.denominator for f in fracs))
             ints = np.array([f.numerator * (q // f.denominator) for f in fracs],
                             dtype=object)
             re, im = ints[inverse.reshape(parts.shape)]
-            out.append((np.block([[re, -im], [im, re]]), q))
+            out.append((np.concatenate([np.concatenate([re, -im], axis=-1),
+                                        np.concatenate([im, re], axis=-1)],
+                                       axis=-2), q))
         return out
 
 

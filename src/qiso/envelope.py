@@ -7,15 +7,18 @@ Delta(c)_xy = sum_k u_xk (x) c_ky + c_xk (x) u_ky, kappa(c_xy) = -c_yx
 and eps(c) = 0.  So the ideal I they generate is a Hopf ideal, and A/I
 is the largest Hopf quotient whose induced action satisfies (D).  By
 simplicity of each block, I is the set of blocks where some defect does
-not vanish.
+not vanish: the blocks where `check_D` fails, which
+`isometry.defect_blocks` decides for both, so the envelope keeps no cut
+of its own.
 
-The envelope cuts where `check_D` cuts, at a block norm above
-tol x max d, and the theorem covers exact defects only: near-isometries
-need not be closed under products (nor is a float d symmetric beyond
-tol x max d).  Then the cut is no Hopf ideal and a largest isometric
-quotient need not exist: on the float triangle with sides 1, 1 + e,
-1 + 2e, e just below the bound, the transpositions (01) and (02) of
-C(S3) pass (D) and the 3-cycles do not, so C({e, (01)}) and
+On a rational space whose blocks have exact forms that decision is
+exact, and the theorem applies.  Elsewhere a block is cut at a defect
+norm above tol x max d, and the theorem covers exact defects only:
+near-isometries need not be closed under products (nor is a float d
+symmetric beyond tol x max d).  Then the cut may be no Hopf ideal, and
+a largest isometric quotient need not exist: on the float triangle with
+sides 1, 1 + e, 1 + 2e, e just below the bound, the transpositions (01)
+and (02) of C(S3) pass (D) and the 3-cycles do not, so C({e, (01)}) and
 C({e, (02)}) are both maximal.  So the Hopf property is asserted: a cut
 that fails it raises `QisoError` naming the first violation.  The
 quotient's structure maps and induced action are verified on the first
@@ -33,10 +36,10 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .algebra import FinDimCStarAlgebra, operator_norms_above
+from .algebra import FinDimCStarAlgebra
 from .coaction import CoAction, verify_coaction
 from .errors import QisoError
-from .isometry import check_D, commutator_defects
+from .isometry import check_D, defect_blocks
 from .quantum_group import QGReport, QuantumGroup, verify_quantum_group
 
 
@@ -51,22 +54,6 @@ class BlockIdeal:
 
     def __len__(self) -> int:
         return len(self.included_blocks)
-
-
-def generated_ideal(qg: QuantumGroup, generators: np.ndarray,
-                    tol: float = 1e-9) -> BlockIdeal:
-    """Blocks where some generator, a coefficient vector on the last axis,
-    has spectral norm above tol: by simplicity of each block, the ideal the
-    generators generate.  These are the block norms `check_D` takes, and
-    `operator_norms_above` decomposes only the blocks that neither their
-    largest entry nor their Frobenius norm decides."""
-    alg = qg.algebra
-    killed = np.zeros(len(alg.blocks), dtype=bool)
-    stacks = alg.element_blocks(np.asarray(generators).reshape(-1, alg.dim))
-    for idx, stack in zip(alg.blocks_by_size.values(), stacks):
-        killed[alg.block_of[idx[:, 0, 0]]] = operator_norms_above(
-            stack, tol).any(axis=0)
-    return BlockIdeal(frozenset(int(k) for k in np.flatnonzero(killed)))
 
 
 def kappa_block_map(qg: QuantumGroup, tol: float = 1e-9) -> Dict[int, FrozenSet[int]]:
@@ -123,10 +110,16 @@ def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
 def induced_action(action: CoAction, quotient: QuantumGroup,
                    survivors: List[int], name: str = "") -> CoAction:
     """Compress the magic unitary to the surviving blocks (the functorial
-    triangle commutes by construction; verified downstream)."""
+    triangle commutes by construction; verified downstream).  Exact forms
+    already read carry over to the surviving blocks, so that the (D) check
+    of the induced action does not read them again."""
     keep = action.group.algebra.block_indices(survivors)
-    return CoAction(quotient, action.space, action.coeffs[..., keep],
-                    name=name or f"{action.name}-envelope")
+    induced = CoAction(quotient, action.space, action.coeffs[..., keep],
+                       name=name or f"{action.name}-envelope")
+    if "exact_blocks" in vars(action):
+        # each surviving block keeps its stack, and so its exact form
+        induced.exact_blocks = [action.exact_blocks[k] for k in survivors]
+    return induced
 
 
 @dataclass
@@ -150,28 +143,26 @@ class EnvelopeResult:
 
 
 def envelope(action: CoAction) -> EnvelopeResult:
-    """Defects -> generated ideal -> asserted Hopf ideal -> quotient and
-    induced action, checked for (D).  The ideal is cut at the space's
-    tol x max d, as `check_D` cuts the defects; the structure maps are cut
-    at tol.  Raises `QisoError` when that cut is no Hopf ideal (see the
-    module docstring) or the induced action fails (D).  The quotient and
-    the induced action are verified on the first read of the result's
-    `reports`, which `qiso envelope` prints.  A non-finite entry of u or
-    of a structure map raises `QisoError` before the cut, which could not
-    decide its blocks."""
+    """Failing blocks of (D) -> asserted Hopf ideal -> quotient and
+    induced action, checked for (D).  The ideal is the blocks where
+    `check_D` fails (`isometry.defect_blocks`); the structure maps are
+    cut at the space's tol.  Raises `QisoError` when that cut is no Hopf
+    ideal (see the module docstring) or the induced action fails (D).
+    The quotient and the induced action are verified on the first read of
+    the result's `reports`, which `qiso envelope` prints.  A non-finite
+    entry of u or of a structure map raises `QisoError` before the cut,
+    which could not decide its blocks."""
     qg = action.group
     for name, entries in (("u", action.coeffs), ("delta", qg.delta),
                           ("epsilon", qg.epsilon), ("kappa", qg.kappa)):
         if not np.isfinite(entries).all():
             raise QisoError(f"{name} has a non-finite entry, so no envelope "
                             "can be cut")
-    tol = action.space.tol
-    ideal = generated_ideal(qg, commutator_defects(action),
-                            tol * float(action.space.max_distance))
-    violation = _hopf_violation(qg, ideal.included_blocks, tol)
+    ideal = BlockIdeal(defect_blocks(action).blocks)
+    violation = _hopf_violation(qg, ideal.included_blocks, action.space.tol)
     if violation:
-        raise QisoError("the blocks where the (D) defects exceed tol x max d form "
-                        f"no Hopf ideal, so this tolerance decides no envelope: {violation}")
+        raise QisoError("the blocks where (D) fails form no Hopf ideal, so "
+                        f"this tolerance decides no envelope: {violation}")
     quotient, survivors = quotient_quantum_group(qg, ideal)
     induced = induced_action(action, quotient, survivors)
     if not check_D(induced).holds:

@@ -8,7 +8,12 @@ Conditions checked per state or universally over all states of the algebra:
   main      a coupling lives on the level set {d = d(x,y)}
 
 (D) is linear in the u_xj: its defects are einsums over the coaction's
-coefficient tensor, and their norms are taken block by block.  Every
+coefficient tensor, and their norms are taken block by block.
+`defect_blocks` is the one decision of (D): `check_D` reports it and
+`envelope` quotients by its failing blocks.  On a rational space it
+re-decides near-tie blocks exactly, a character on the distance ranks
+(where two distances are close enough for that to matter) and a larger
+block on its exact form and the integer form of d.  Every
 pairwise check visits the pairs of `_state_pairs`: x < y on an exactly
 symmetric d, every ordered pair otherwise.  A failing (D) or sampled
 Lip_p check reports the first pair in that order whose residual or
@@ -54,18 +59,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .algebra import (StateFunctional, element_norms, exact_psd,
-                      extreme_state, operator_norms)
+from .algebra import StateFunctional, exact_psd, extreme_state, operator_norms
 from .coaction import CoAction, act_on_point, act_on_points
 from .errors import QisoError
 from .metric import level_set
 from .scalars import RATIONAL
 from .transport import (ProbVector, _dual_vertex_search, feasible_coupling_on,
-                        flow_slack, solve_transport, wasserstein_inf)
+                        flow_slack, wasserstein_inf, wasserstein_p)
 
 
 class HypothesisViolated(QisoError):
@@ -143,26 +147,122 @@ def commutator_defects(action: CoAction) -> np.ndarray:
         np.einsum("xj,yja->xya", d, U @ action.group.kappa.T)
 
 
-def _defect_verdict(tag: str, residuals: np.ndarray, space) -> IsometryVerdict:
-    """The verdict on the largest of the (n, n) residuals.  A failure's
-    witness is the first pair in x-major order whose residual is within a
-    relative 1e-12 of the largest: the defects of (x, y) and (y, x) have
-    equal norms, which rounding tells apart only in the last bits.  The
-    residuals scale with the metric, so the space's tol is taken relative
-    to the largest distance and the verdict does not depend on its units."""
-    worst = float(residuals.max())
-    if worst <= space.tol * float(space.max_distance):
-        return IsometryVerdict(tag, True, certificate={"max_residual": worst})
-    x, y = divmod(int(np.argmax(residuals >= worst * (1 - 1e-12))), space.n)
+def _defect_verdict(tag: str, residuals: np.ndarray, space,
+                    failing: Optional[np.ndarray] = None) -> IsometryVerdict:
+    """The verdict on the (n, n) residuals: it fails where some pair is
+    `failing`, by default the pairs whose residual is not within tol x
+    max d.  A failure's witness is the first failing pair in x-major order
+    whose residual is within a relative 1e-12 of the largest failing one:
+    the defects of (x, y) and (y, x) have equal norms, which rounding tells
+    apart only in the last bits.  The residuals scale with the metric, so
+    the space's tol is taken relative to the largest distance and the
+    verdict does not depend on its units."""
+    if failing is None:
+        failing = ~(residuals <= space.tol * float(space.max_distance))
+    if not failing.any():
+        return IsometryVerdict(tag, True, certificate={
+            "max_residual": float(residuals.max())})
+    worst = residuals[failing].max()
+    x, y = divmod(int(np.argmax(failing & (residuals >= worst * (1 - 1e-12)))),
+                  space.n)
     return IsometryVerdict(tag, False, witness={
         "pair": (x, y), "residual": float(residuals[x, y])})
 
 
+class DefectCut(NamedTuple):
+    """Where (D) fails, as `defect_blocks` decides it."""
+
+    residuals: np.ndarray    # (n, n): ||c_xy||, its largest block norm
+    pairs: np.ndarray        # (n, n) bool: c_xy is nonzero on a failing block
+    blocks: FrozenSet[int]   # the blocks on which some c_xy is nonzero
+
+
+def _character_defects(action: CoAction,
+                       chars: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Which of the 1x1 blocks `chars` are exactly a permutation matrix
+    sigma, and on those, whether c_xy is nonzero, as an (n, n, C) array.
+    There u_xj = [j = sigma x], so c_xy = d(sigma x, y) - d(x, sigma^-1 y),
+    compared on the distance ranks: each sum over j below has one nonzero
+    term, a rank, so the floats are exact."""
+    P = action.coeffs[..., np.array(action.group.algebra.offsets)[chars]]
+    perm = ((P == 0) | (P == 1)).all(axis=(0, 1)) & \
+        (P.sum(axis=0) == 1).all(axis=0) & (P.sum(axis=1) == 1).all(axis=0)
+    P = P[..., perm].real
+    ranks = np.array(action.space.distance_ranks, dtype=float)
+    return perm, np.einsum("xjc,jy->xyc", P, ranks) != \
+        np.einsum("xj,jyc->xyc", ranks, P)
+
+
+def _form_defects(action: CoAction, k: int) -> Optional[np.ndarray]:
+    """Whether c_xy is exactly nonzero on block k, an (n, n) array, or
+    None when the block has no exact form.  With the block's exact form
+    (R, q), the space's integer form K (d = K / s) and kappa(u_yj) = u_jy,
+    which every magic unitary satisfies (kappa(u) = u* and each u_jy is a
+    projection), c_xy q s = sum_j R[x, j] K[j, y] - sum_j K[x, j] R[j, y],
+    on ints."""
+    form = action.exact_blocks[k]
+    if form is None:
+        return None
+    R, K = form[0], action.space.integer_form[0]
+    # int64 holds both sums when n max|R| max|K| < 2^62
+    top = action.n * max(map(abs, R.flat)) * max(abs(v) for row in K for v in row)
+    dtype = np.int64 if top < 2 ** 62 else object
+    R, K = R.astype(dtype), np.array(K, dtype=dtype)
+    defects = np.einsum("xjab,jy->xyab", R, K) - np.einsum("xj,jyab->xyab", K, R)
+    return defects.any(axis=(-2, -1))
+
+
+def defect_blocks(action: CoAction) -> DefectCut:
+    """The (D) decision that `check_D` reports and `envelope` cuts by: the
+    defects' norms, one `operator_norms` per stack of equal-sized blocks,
+    and the blocks where some defect does not vanish.  A block fails when
+    some defect's norm exceeds the space's tol x max d.  On a rational
+    space a block whose largest norm is within _BORDERLINE x max d (0
+    included) is re-decided exactly instead: a character by
+    `_character_defects` when the space has two distances that close, a
+    larger block by `_form_defects` on its exact form; one without either
+    keeps the float decision."""
+    space = action.space
+    alg = action.group.algebra
+    scale = float(space.max_distance)
+    bound = space.tol * scale
+    norms = np.empty((action.n, action.n, len(alg.blocks)))
+    for idx, stack in zip(alg.blocks_by_size.values(),
+                          alg.element_blocks(commutator_defects(action))):
+        norms[..., alg.block_of[idx[:, 0, 0]]] = operator_norms(stack)
+    residuals, peaks = norms.max(axis=-1), norms.max(axis=(0, 1))
+    exact = {}     # block -> whether each c_xy is nonzero there, exactly
+    if space.mode == RATIONAL:
+        near = np.flatnonzero(peaks <= _BORDERLINE * scale).tolist()
+        chars = [k for k in near if alg.blocks[k] == 1]
+        # a character's defects are differences of two distances, so its
+        # float decision can differ from the exact one only on a space
+        # with two distances within _BORDERLINE x max d of each other
+        # (twice that, for the rounding of both)
+        if chars and space.least_gap <= 2 * _BORDERLINE * scale:
+            chars = np.array(chars)
+            perm, nonzero = _character_defects(action, chars)
+            exact.update(zip(chars[perm].tolist(), np.moveaxis(nonzero, -1, 0)))
+        for k in near:
+            form = None if alg.blocks[k] == 1 else _form_defects(action, k)
+            if form is not None:
+                exact[k] = form
+    if not exact:
+        return DefectCut(residuals, ~(residuals <= bound), frozenset(
+            np.flatnonzero(~(peaks <= bound)).tolist()))
+    nonzero = ~(norms <= bound)
+    for k, pairs in exact.items():
+        nonzero[..., k] = pairs
+    return DefectCut(residuals, nonzero.any(axis=-1), frozenset(
+        np.flatnonzero(nonzero.any(axis=(0, 1))).tolist()))
+
+
 def check_D(action: CoAction) -> IsometryVerdict:
-    """Compare rho(d_y)(x) with kappa(rho(d_x)(y)) in norm, all pairs."""
-    return _defect_verdict("D", element_norms(action.group.algebra,
-                                              commutator_defects(action)),
-                           action.space)
+    """Compare rho(d_y)(x) with kappa(rho(d_x)(y)) in norm, all pairs: the
+    verdict of `defect_blocks`, which fails at the pairs whose defect is
+    nonzero on a failing block."""
+    cut = defect_blocks(action)
+    return _defect_verdict("D", cut.residuals, action.space, cut.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +383,17 @@ def _hall_ranks(reach, subsets, masses, xs, ys, tol) -> np.ndarray:
 
 
 def _pair_sweep(space, masses, pairs, p) -> np.ndarray:
-    """W_p for every state and pair, one transport problem per pair: the
-    simplex on float(d^p) for finite p, `wasserstein_inf` otherwise."""
+    """W_p for every state and pair, one transport problem per pair:
+    `wasserstein_p` (the simplex on the float d^p of float masses) for
+    finite p, `wasserstein_inf` otherwise."""
     images = [[ProbVector(tuple(row)) for row in state]
               for state in masses.tolist()]
     if p == float("inf") or p == "inf":
         def w(mu, nu):
             return float(wasserstein_inf(space, mu, nu).r)
     else:
-        power = space.float_power(p)
-        cost = [[power[k] for k in row] for row in space.distance_ranks]
-
         def w(mu, nu):
-            return float(solve_transport(mu, nu, cost).value) ** (1.0 / p)
+            return float(wasserstein_p(space, mu, nu, p))
     return np.array([[w(row[x], row[y]) for x, y in pairs] for row in images])
 
 

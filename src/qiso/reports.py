@@ -3,7 +3,8 @@
 For a magic-unitary coaction on a finite space, (D), main and Lip_inf are
 one condition, so the open part of the paper's conjecture there is the
 gap between Lip_inf and Lip_p: the catalog run's `patterns` tally counts
-every gap pattern, and the span search is the one conjecture search.
+every gap pattern, and the span search is the one conjecture search,
+one record per (instance, p) of `p_list`.
 Runs are pure functions of (config, catalog): every random draw is seeded
 from the config seed, and every dossier carries the instance files inline
 so a hit can be replayed.  Searches never assert the open conjectures;
@@ -272,17 +273,12 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
     return report
 
 
-def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
-    """The span search on one instance.  A state vector, like a mass, has
-    no units, so every cut on one reads the space's tol: span membership
-    and the Gram-Schmidt cut, the trace of a combination, the margin by
-    which mixing clears positivity, the barycenter's positivity and the
-    state check of a repaired combination."""
+def _span_records(desc: dict, p_list, state_samples: int, seed: int) -> List[dict]:
+    """The span search on one instance, one record per p of p_list: the
+    state pool is built once and decided for every p by one
+    `check_lip_p_state_sweep`."""
     action = build_instance(desc)
     alg = action.group.algebra
-    tol = action.space.tol
-    rec = {"descriptor": desc, "name": desc.get("name") or action.name,
-           "p": p}
     # block characters are classical points when A = C(G), and one of
     # them is then the counit: each distinct state is kept once
     candidates = [action.group.counit_state(), haar_state(action.group).state]
@@ -295,8 +291,24 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
         if not any(np.array_equal(psi.as_vector(), kept.as_vector())
                    for kept in pool):
             pool.append(psi)
-    holds = [verdicts[0].holds for verdicts in
-             check_lip_p_state_sweep(action, pool, [p])]
+    verdicts = check_lip_p_state_sweep(action, pool, p_list)
+    return [_span_record(action, desc, p, pool, [v[i].holds for v in verdicts],
+                         state_samples, seed)
+            for i, p in enumerate(p_list)]
+
+
+def _span_record(action: CoAction, desc: dict, p, pool, holds,
+                 state_samples: int, seed: int) -> dict:
+    """The span search for one p, given the pool and its Lip_p verdicts.
+    A state vector, like a mass, has no units, so every cut on one reads
+    the space's tol: span membership and the Gram-Schmidt cut, the trace
+    of a combination, the margin by which mixing clears positivity, the
+    barycenter's positivity and the state check of a repaired
+    combination."""
+    alg = action.group.algebra
+    tol = action.space.tol
+    rec = {"descriptor": desc, "name": desc.get("name") or action.name,
+           "p": p}
     iso_states = [psi for psi, ok in zip(pool, holds) if ok]
     rec["sampled"] = len(pool)
     rec["isometric"] = len(iso_states)
@@ -370,21 +382,22 @@ def _span_record(desc: dict, p, state_samples: int, seed: int) -> dict:
 
 def search_conjecture_span(config: SearchConfig) -> RunReport:
     """Estimate the span of the (Lip_p)-isometric states by sampling, then
-    test states inside the span; failures would contradict the span
-    conjecture and are dossiered."""
-    p = next((p for p in config.p_list if p != "inf"), 1)
-    worker = functools.partial(_span_record, p=p,
+    test states inside the span, for every p of p_list: one instance
+    record per (instance, p).  Failures would contradict the span
+    conjecture and are dossiered, one dossier per (instance, p)."""
+    worker = functools.partial(_span_records, p_list=tuple(config.p_list),
                                state_samples=config.state_samples,
                                seed=config.seed)
 
-    def collect(report, rec):
-        report.instances.append(rec)
-        if rec["hit"]:
-            report.dossiers.append({
-                "descriptor": rec["descriptor"],
-                "coaction": coaction_to_dict(build_instance(rec["descriptor"])),
-                "p": rec["p"], "failures": rec["in_span_failures"],
-                "failing_states": rec["failing_in_span_states"]})
+    def collect(report, recs):
+        for rec in recs:
+            report.instances.append(rec)
+            if rec["hit"]:
+                report.dossiers.append({
+                    "descriptor": rec["descriptor"],
+                    "coaction": coaction_to_dict(build_instance(rec["descriptor"])),
+                    "p": rec["p"], "failures": rec["in_span_failures"],
+                    "failing_states": rec["failing_in_span_states"]})
 
     report = _run_instances(config, worker, collect)
     report.implication_matrix = {

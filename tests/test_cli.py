@@ -605,6 +605,22 @@ def test_cli_search_rejects_mistyped_config_value(tmp_path, capsys):
     assert code == 2 and not out and "random_actions" in err
 
 
+def test_cli_search_rejects_a_tolerance_it_would_ignore(tmp_path, capsys):
+    """`qiso search` builds every instance at the default tolerance, so a
+    --tol other than the default, before or after the subcommand, is
+    invalid input naming the flag, not a report identical to the default
+    run; the default value itself is accepted."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["trivial-3"],
+                               "state_samples": 1}))
+    for argv in (["--tol", "0.5", "search"], ["search", "--tol", "0.5"]):
+        code = main(argv + ["--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "--tol" in err, argv
+    assert main(["--tol", "1e-9", "search", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["instances"]
+
+
 def test_cli_search_checks_flag_overrides_as_config_values(tmp_path, capsys):
     """--random, --seed and --jobs pass the checks a config file's values
     pass: a negative count or seed, or no workers, is invalid input naming

@@ -7,17 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qiso import algebra
-from qiso.algebra import operator_norms
 from qiso.catalog import (dihedral_projection_action, four_point_asymmetric,
                           four_point_blocks, four_cycle_broken_diagonal,
                           permutation_action, random_permutation_action,
                           standard_actions, three_point_isosceles)
 from qiso.coaction import CoAction, verify_coaction
 from qiso.envelope import (BlockIdeal, _delta_violations, envelope,
-                           generated_ideal, kappa_block_map)
+                           kappa_block_map)
 from qiso.errors import QisoError
-from qiso.isometry import check_D, commutator_defects
+from qiso.isometry import check_D, commutator_defects, defect_blocks
 from qiso.metric import random_metric_space, validate_metric
 from qiso.quantum_group import verify_quantum_group
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
@@ -49,15 +47,6 @@ def test_commutator_elements_vanish_iff_D():
         all_zero = all(alg.from_vec(c).norm() < 1e-10
                        for c in cs.reshape(-1, alg.dim))
         assert all_zero == check_D(action).holds, entry.name
-
-
-def test_generated_ideal_block_support():
-    qg = S3_FULL.group
-    zero = qg.algebra.zero().vec()
-    assert len(generated_ideal(qg, [zero])) == 0
-    assert len(generated_ideal(qg, [qg.unit_vec()])) == len(qg.algebra.blocks)
-    one_block = qg.algebra.basis_element(2).vec()
-    assert generated_ideal(qg, [one_block]).included_blocks == {2}
 
 
 def test_counit_never_killed():
@@ -138,7 +127,7 @@ def test_envelope_submodule_is_not_shadowed_by_the_function():
     """`import qiso.envelope` gives the module, whose helpers are then
     attributes; the function is qiso.envelope.envelope."""
     import qiso.envelope as module
-    assert module.generated_ideal is generated_ideal
+    assert module.kappa_block_map is kappa_block_map
     assert module.envelope is envelope
 
 
@@ -218,10 +207,11 @@ def _near_tie_space(delta):
                             [2, 2, 0, 1], [far, far, 1, 0]], tolerance=1e-6)
 
 
-def test_generated_ideal_cuts_block_norms_as_check_D_does():
+def test_envelope_cuts_block_norms_as_check_D_does():
     """A 2x2 block whose defects' largest entry is below tol x max d but
     whose norm is above it: the cut by entries left it alive, so the cut
-    ideal {1} was no Hopf ideal; the cut by block norms kills it."""
+    ideal {1} was no Hopf ideal; check_D fails on it by its norm, and the
+    envelope's ideal is check_D's failing blocks."""
     action = dihedral_projection_action(_near_tie_space(2.2e-6), 3)
     qg, space = action.group, action.space
     bound = space.tol * float(space.max_distance)
@@ -229,11 +219,12 @@ def test_generated_ideal_cuts_block_norms_as_check_D_does():
     off, b = qg.algebra.offsets[2], qg.algebra.blocks[2]
     block = defects[:, :, off:off + b * b].reshape(-1, b, b)
     assert np.abs(block).max() < bound < np.linalg.norm(block, 2, axis=(1, 2)).max()
-    ideal = generated_ideal(qg, defects, bound)
-    assert ideal.included_blocks == {1, 2}
-    assert is_hopf_ideal(qg, ideal.included_blocks, space.tol)
+    assert not check_D(action).holds
+    failing = defect_blocks(action).blocks
+    assert failing == {1, 2}
+    assert is_hopf_ideal(qg, failing, space.tol)
     env = envelope(action)
-    assert env.ideal == ideal and env.dimension == 1
+    assert env.ideal.included_blocks == failing and env.dimension == 1
     assert check_D(env.induced).holds
 
 
@@ -299,28 +290,17 @@ def test_envelope_equals_entry_cut_then_saturation():
                     mine.view(np.uint8) == theirs.view(np.uint8)).all(), name
 
 
-def test_screened_cut_equals_unscreened_cut(monkeypatch):
-    """generated_ideal kills the blocks where some defect's spectral norm,
+def test_screened_cut_equals_unscreened_cut():
+    """The envelope kills the blocks where some defect's spectral norm,
     taken by an SVD of every defect block, exceeds tol x max d: on the
     reference population (the c07 population and more) and on the
-    near-tie spaces on each side of their crossings.  The screen leaves
-    to the SVD only the blocks that neither their largest entry nor their
-    Frobenius norm decides: none of the population's, some near ties."""
-    decomposed = []
-
-    def counted(mats):
-        if mats.shape[-1] > 1:
-            decomposed.append(len(mats))
-        return operator_norms(mats)
-
+    near-tie spaces on each side of their crossings."""
     near_ties = []
     for m in (3, 4, 5, 6, 8):
         base = dihedral_projection_action(_near_tie_space(0.0), m)
         near_ties += [CoAction(base.group, _near_tie_space(2e-6 * f), base.coeffs)
                       for f in (0.5, 0.98, 1.02, 1.5, 1.98, 2.02, 3.0)]
-    monkeypatch.setattr(algebra, "operator_norms", counted)
     for cases in (_reference_population(), near_ties):
-        decomposed.clear()
         blocks = 0
         for action in cases:
             qg, space = action.group, action.space
@@ -332,11 +312,10 @@ def test_screened_cut_equals_unscreened_cut(monkeypatch):
                 if b > 1 and np.linalg.norm(defects[:, off:off + b * b].reshape(
                     -1, b, b), 2, axis=(1, 2)).max() > bound
                 or b == 1 and np.abs(defects[:, off]).max() > bound}
-            assert generated_ideal(qg, defects, bound).included_blocks == \
-                unscreened, action.name
+            assert envelope(action).ideal.included_blocks == unscreened, \
+                action.name
             blocks += len(defects) * sum(b > 1 for b in alg.blocks)
-        assert blocks > 1000 and (sum(decomposed) > 0) == (cases is near_ties), \
-            (sum(decomposed), blocks)
+        assert blocks > 1000, blocks
 
 
 def test_hopf_block_maps_equal_the_loops():

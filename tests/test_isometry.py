@@ -25,7 +25,8 @@ from qiso.isometry import (HypothesisViolated, check_D, check_D_state,
                            check_lip_p_universal, check_orthogonality,
                            check_support_universal, check_theorem_main,
                            check_winf_universal)
-from qiso.metric import level_set, random_metric_space, validate_metric
+from qiso.metric import (FiniteMetricSpace, level_set, random_metric_space,
+                         validate_metric)
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import feasible_coupling_on, wasserstein_inf, wasserstein_p
 
@@ -414,16 +415,17 @@ def test_support_criterion_has_no_size_guard():
         assert outside(d[j][k], d[x][y])
 
 
-def _near_tie_action():
+def _near_tie_action(far=3):
     """A unitary-row pattern over the group algebra of D_4 with one near
     tie on its 2x2 block: the identity on the 1x1 blocks; rows 0 and 1
     are (P, 1 - P) and rows 2 and 3 (Q, 1 - Q) on the 2x2 block, P and Q
     the rank-1 projections onto (1, 63) and (1, 62).  Every entry is a
     Fraction before it is a float, so the block has an exact form.  On
-    the metric below the first product off both the level and the
-    sublevel set is u_00 u_23 u_00 = P (1 - Q) P at the pair (0, 2), whose
-    lambda_max 1 / (3970 x 3845) ~ 6.55e-8 lies within the exact window
-    but beyond tol."""
+    the metric below, with cross distances d(0, 3) = d(1, 2) = far > 2,
+    the first product off both the level and the sublevel set is
+    u_00 u_23 u_00 = P (1 - Q) P at the pair (0, 2), whose lambda_max
+    1 / (3970 x 3845) ~ 6.55e-8 lies within the exact window but beyond
+    tol."""
     qg = dihedral_group_algebra(4)
     alg = qg.algebra
 
@@ -446,8 +448,8 @@ def _near_tie_action():
                     M = rows[x // 2][(x + j) % 2]
                     coeffs[x][j][off:off + 4] = [M[r][c] for r in range(2)
                                                  for c in range(2)]
-    space = validate_metric([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
-                             [3, 2, 1, 0]])
+    space = validate_metric([[0, 1, 2, far], [1, 0, far, 2], [2, far, 0, 1],
+                             [far, 2, 1, 0]])
     return CoAction(qg, space, [[[float(v) for v in entry] for entry in row]
                                 for row in coeffs])
 
@@ -476,6 +478,137 @@ def test_support_near_tie_is_decided_exactly(monkeypatch):
     monkeypatch.setattr(isometry, "exact_psd", lambda M: True)
     assert check_theorem_main(action).holds
     assert check_winf_universal(action).holds
+
+
+def test_lip_p_near_tie_is_decided_exactly(monkeypatch):
+    """With cross distances 2 + 1/2500, Lip_p of `_near_tie_action` fails
+    at the pair (0, 2) on its 2x2 block by a margin of about
+    ((2 + 1/2500)^p - 2^p) ||P - Q||, 1e-7 to 1.2e-6 for p = 1, 2, 3:
+    within _BORDERLINE x max d^p, beyond tol x max d^p.  With `exact_psd`
+    answering True every p holds, so the exact route, not the float
+    margin, decides them."""
+    action = _near_tie_action(far=2 + F(1, 2500))
+    space = action.space
+    for p in (1, 2, 3):
+        scale = space.float_power(p)[-1]
+        verdict = check_lip_p_universal(action, p)
+        assert not verdict.holds, p
+        witness = verdict.witness
+        assert (witness["pair"], witness["block"], witness["kind"]) == \
+            ((0, 2), 4, "dual-vertex"), p
+        assert space.tol * scale < witness["margin"] <= isometry._BORDERLINE * scale
+    monkeypatch.setattr(isometry, "exact_psd", lambda M: True)
+    for p in (1, 2, 3):
+        assert check_lip_p_universal(action, p).holds, p
+
+
+def _exact_defect_blocks(action):
+    """The blocks on which some (D) defect c_xy = sum_j d(y, j) u_xj -
+    d(x, j) kappa(u_yj) has a nonzero coefficient, in Fractions: the real
+    and imaginary part of every float of u and of the group's kappa read
+    exactly, d as it is given."""
+    qg, d, n = action.group, action.space.dist, action.n
+
+    def exact(z):
+        return F(float(z.real)), F(float(z.imag))
+
+    U = [[[exact(v) for v in entry] for entry in row] for row in action.coeffs]
+    kappa = [[exact(v) for v in row] for row in qg.kappa]
+    kU = [[[(sum(k[0] * v[0] - k[1] * v[1] for k, v in zip(row, U[y][j])),
+             sum(k[0] * v[1] + k[1] * v[0] for k, v in zip(row, U[y][j])))
+            for row in kappa] for j in range(n)] for y in range(n)]
+    blocks = set()
+    for x in range(n):
+        for y in range(n):
+            for a in range(qg.dim):
+                if any(sum(d[y][j] * U[x][j][a][part] - d[x][j] * kU[y][j][a][part]
+                           for j in range(n)) for part in (0, 1)):
+                    blocks.add(int(qg.algebra.block_of[a]))
+    return blocks
+
+
+def _assert_exact_D_cut(action):
+    """(D) fails, the tower has no violation, and the envelope, which does
+    not raise, kills exactly the blocks with a nonzero exact defect, each
+    defect's norm being below tol x max d."""
+    from qiso.envelope import envelope
+    space = action.space
+    verdict = check_D(action)
+    assert not verdict.holds
+    assert verdict.witness["residual"] <= space.tol * float(space.max_distance)
+    flags = reports._condition_flags(action, (1, 2, 3, "inf"))
+    assert reports.implication_tallies(
+        [{"name": action.name, "conditions": flags}])["violations"] == []
+    killed = _exact_defect_blocks(action)
+    env = envelope(action)
+    assert env.ideal.included_blocks == killed
+    assert env.dimension == action.group.dim - sum(
+        action.group.algebra.blocks[k] ** 2 for k in killed)
+    assert check_D(env.induced).holds
+    return env
+
+
+def test_D_near_tie_on_a_character_is_decided_exactly():
+    """The swap (0 1) moves d(0, 2) = 2 to d(1, 2) = 2 + 10^-12, a defect
+    far below tol x max d.  On the rational space check_D decides the
+    swap's character on the distance ranks: (D) fails as main, Lip_inf
+    and Lip_p do, and the envelope is C(Z_2) modulo the swap's block, of
+    dimension 1.  The float twin cannot tell the distances apart, and
+    every condition holds there."""
+    e = F(1, 10 ** 12)
+    dist = [[0, 1, 2], [1, 0, 2 + e], [2, 2 + e, 0]]
+    action = permutation_action(validate_metric(dist), [(1, 0, 2)])
+    swap = next(k for k in range(2) if action.stacks[k][0, 1, 0, 0] == 1)
+    assert check_D(action).witness["pair"] == (0, 2)
+    env = _assert_exact_D_cut(action)
+    assert env.ideal.included_blocks == {swap} and env.dimension == 1
+    twin = permutation_action(validate_metric(
+        [[float(v) for v in row] for row in dist]), [(1, 0, 2)])
+    assert all(reports._condition_flags(twin, (1, 2, 3, "inf")).values())
+
+
+def test_D_near_tie_on_a_two_by_two_block_is_decided_exactly():
+    """The dual-D4 two-projection action on the block metric whose cross
+    distances are 2 and 2 + e: every defect norm is below tol x max d (0
+    at e = 10^-18, where 2 + e rounds to 2.0), and check_D decides the 2x2
+    block on its exact form and the characters on the distance ranks, so
+    (D) fails with no tower violation and the envelope kills the blocks
+    whose exact defect is nonzero, the 2x2 block among them.  At
+    e = 10^-18 the integer form's sums exceed int64, so the exact form is
+    taken in Python ints."""
+    for e in (F(1, 10 ** 12), F(1, 10 ** 18)):
+        c2 = 2 + e
+        space = validate_metric([[0, 1, 2, c2], [1, 0, 2, c2], [2, 2, 0, 1],
+                                 [c2, c2, 1, 0]])
+        env = _assert_exact_D_cut(dihedral_projection_action(space, 4))
+        assert 4 in env.ideal, e
+
+
+def test_character_route_is_skipped_only_where_it_decides_nothing(monkeypatch):
+    """`defect_blocks` skips the exact character route on a space with no
+    two distances within _BORDERLINE x max d: there a character's float
+    decision is exact.  On the c07 population, where every space is such,
+    forcing the route (least_gap 0) gives the same residuals, failing
+    pairs and blocks."""
+    config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
+                          seed=777)
+    descs = instance_descriptors(config)
+
+    def cuts():
+        return [isometry.defect_blocks(build_instance(desc)) for desc in descs]
+
+    skipped = cuts()
+    calls = []
+    real = isometry._character_defects
+    monkeypatch.setattr(isometry, "_character_defects",
+                        lambda action, chars: calls.append(1) or real(action, chars))
+    monkeypatch.setattr(FiniteMetricSpace, "least_gap", 0.0)
+    forced = cuts()
+    assert len(calls) > 200
+    for desc, a, b in zip(descs, skipped, forced):
+        assert a.blocks == b.blocks, desc
+        assert np.array_equal(a.residuals, b.residuals), desc
+        assert np.array_equal(a.pairs, b.pairs), desc
 
 
 def test_condition_flags_sweep_the_support_products_once(monkeypatch):

@@ -116,11 +116,40 @@ def test_span_record_decides_each_state_once(monkeypatch):
         return sweep(action, states, ps)
 
     monkeypatch.setattr(reports, "check_lip_p_state_sweep", counted_sweep)
-    rec = reports._span_record({"source": "catalog", "name": "s3-isosceles"},
-                               1, state_samples=6, seed=1)
+    rec, = reports._span_records({"source": "catalog", "name": "s3-isosceles"},
+                                 (1,), state_samples=6, seed=1)
     assert any(h["kind"] == "pool-state" for h in rec["failing_in_span_states"])
     assert len(calls) == 2 and calls[0] == rec["sampled"]
     assert len({id(psi) for psi in decided}) == len(decided)
+
+
+def test_span_search_decides_every_p(monkeypatch):
+    """The span search gives one record per (instance, p) of p_list, each
+    with its own p, from one sweep of the instance's pool over every p;
+    each p's records and dossiers are those of a search over that p
+    alone."""
+    from qiso import reports
+    p_list = (1, 2, 3, "inf")
+    sweeps = []
+    sweep = reports.check_lip_p_state_sweep
+
+    def counted_sweep(action, states, ps):
+        sweeps.append((len(states), tuple(ps)))
+        return sweep(action, states, ps)
+
+    monkeypatch.setattr(reports, "check_lip_p_state_sweep", counted_sweep)
+    names = ["cyclic-4", "s3-isosceles"]  # in catalog order
+    base = dict(kind="span", catalog=names, state_samples=10, seed=1)
+    rep = search_conjecture_span(SearchConfig(**base, p_list=p_list))
+    assert [(r["name"], r["p"]) for r in rep.instances] == \
+        [(name, p) for name in names for p in p_list]
+    pools = [n for n, ps in sweeps if ps == p_list]
+    assert pools == [rep.instances[0]["sampled"], rep.instances[-1]["sampled"]]
+    for p in p_list:
+        alone = search_conjecture_span(SearchConfig(**base, p_list=(p,)))
+        assert alone.instances == [r for r in rep.instances if r["p"] == p], p
+        assert alone.dossiers == [d for d in rep.dossiers if d["p"] == p], p
+    assert {d["p"] for d in rep.dossiers} >= {1, 2}
 
 
 def test_span_pool_counts_each_distinct_state_once():
@@ -132,7 +161,7 @@ def test_span_pool_counts_each_distinct_state_once():
         desc = {"source": "catalog", "name": name}
         alg = reports.build_instance(desc).group.algebra
         characters = sum(1 for b in alg.blocks if b == 1)
-        rec = reports._span_record(desc, 1, state_samples=4, seed=1)
+        rec, = reports._span_records(desc, (1,), state_samples=4, seed=1)
         assert rec["sampled"] == 1 + characters + 4, name
 
 
