@@ -254,7 +254,7 @@ def exact_psd(M) -> bool:
     otherwise the rest is replaced by its Schur complement times the
     pivot, divided exactly by the previous pivot.  Each step keeps
     PSD-ness both ways.  A Hermitian matrix is PSD iff its real form
-    [[Re, -Im], [Im, Re]] is, which `CoAction.exact_blocks` stores."""
+    [[Re, -Im], [Im, Re]] is, which `CoAction.exact_block` stores."""
     M = [list(row) for row in M]
     prev = 1
     while M:

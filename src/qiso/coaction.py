@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class CoAction:
     coeffs: np.ndarray = field(repr=False)
     name: str = ""
     stacks: List[np.ndarray] = field(init=False, repr=False)
+    # block -> its exact form, as `exact_block` reads it on first use
+    _exact_forms: Dict[int, Optional[Tuple[np.ndarray, int]]] = field(
+        init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n = self.space.n
@@ -82,36 +85,35 @@ class CoAction:
         supports[k, x, place[k, x, j]] = j
         return supports
 
-    @cached_property
-    def exact_blocks(self) -> List[Optional[Tuple[np.ndarray, int]]]:
-        """Per block k, (R, q) with R[i, j] the real form [[Re, -Im],
-        [Im, Re]] of u_ij on block k times the common denominator q, an
-        (n, n, 2b, 2b) array of Python ints; None when some entry of the
-        block is not a rational with denominator <= 4096.  Each distinct
-        float of a block is read back once, as `limit_denominator` finds
-        it, on first use, up to the first that is no such rational: every
-        exact decision of the isometry checks reads this one form."""
-        out = []
-        for stack in self.stacks:
-            parts = np.stack([stack.real, stack.imag])
-            values, inverse = np.unique(parts, return_inverse=True)
-            fracs = []
-            for v in values.tolist():
-                f = Fraction(v).limit_denominator(4096) if math.isfinite(v) else None
-                if f is None or float(f) != v:
-                    break
-                fracs.append(f)
-            if len(fracs) < len(values):
-                out.append(None)
-                continue
-            q = math.lcm(*(f.denominator for f in fracs))
-            ints = np.array([f.numerator * (q // f.denominator) for f in fracs],
-                            dtype=object)
-            re, im = ints[inverse.reshape(parts.shape)]
-            out.append((np.concatenate([np.concatenate([re, -im], axis=-1),
-                                        np.concatenate([im, re], axis=-1)],
-                                       axis=-2), q))
-        return out
+    def exact_block(self, k: int) -> Optional[Tuple[np.ndarray, int]]:
+        """(R, q) with R[i, j] the real form [[Re, -Im], [Im, Re]] of u_ij
+        on block k times the common denominator q, an (n, n, 2b, 2b) array
+        of Python ints; None when some entry of the block is not a rational
+        with denominator <= 4096.  Read on first use, each distinct float of
+        the block once, as `limit_denominator` finds it, up to the first
+        that is no such rational: every exact decision of the isometry
+        checks reads this one form, and only for the blocks it decides."""
+        if k not in self._exact_forms:
+            self._exact_forms[k] = _exact_form(self.stacks[k])
+        return self._exact_forms[k]
+
+
+def _exact_form(stack: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """`CoAction.exact_block` of the (n, n, b, b) stack of one block."""
+    parts = np.stack([stack.real, stack.imag])
+    values, inverse = np.unique(parts, return_inverse=True)
+    fracs = []
+    for v in values.tolist():
+        f = Fraction(v).limit_denominator(4096) if math.isfinite(v) else None
+        if f is None or float(f) != v:
+            return None
+        fracs.append(f)
+    q = math.lcm(*(f.denominator for f in fracs))
+    ints = np.array([f.numerator * (q // f.denominator) for f in fracs],
+                    dtype=object)
+    re, im = ints[inverse.reshape(parts.shape)]
+    return np.concatenate([np.concatenate([re, -im], axis=-1),
+                           np.concatenate([im, re], axis=-1)], axis=-2), q
 
 
 def verify_coaction(action: CoAction, check_faithful: bool = True) -> QGReport:

@@ -110,16 +110,10 @@ def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
 def induced_action(action: CoAction, quotient: QuantumGroup,
                    survivors: List[int], name: str = "") -> CoAction:
     """Compress the magic unitary to the surviving blocks (the functorial
-    triangle commutes by construction; verified downstream).  Exact forms
-    already read carry over to the surviving blocks, so that the (D) check
-    of the induced action does not read them again."""
+    triangle commutes by construction; verified downstream)."""
     keep = action.group.algebra.block_indices(survivors)
-    induced = CoAction(quotient, action.space, action.coeffs[..., keep],
-                       name=name or f"{action.name}-envelope")
-    if "exact_blocks" in vars(action):
-        # each surviving block keeps its stack, and so its exact form
-        induced.exact_blocks = [action.exact_blocks[k] for k in survivors]
-    return induced
+    return CoAction(quotient, action.space, action.coeffs[..., keep],
+                    name=name or f"{action.name}-envelope")
 
 
 @dataclass

@@ -46,7 +46,7 @@ products u_xj u_yk off the (sub)level set, one sweep for main and
 Lip_inf together.  In rational mode near-ties are re-decided by
 exact fraction-free elimination on ints (`algebra.exact_psd`), in loop
 order up to the first failure, which is the witness; each reads the
-block's one exact form (`CoAction.exact_blocks`), and a block without
+block's one exact form (`CoAction.exact_block`), and a block without
 one keeps the float verdict.  Float mode uses Hermitian eigensolvers
 with one tolerance; the space's mode says which.  Every check reads the space's
 `tol`, relative to the largest distance (its p-th power for the Lip_p
@@ -149,31 +149,35 @@ def commutator_defects(action: CoAction) -> np.ndarray:
 
 def _defect_verdict(tag: str, residuals: np.ndarray, space,
                     failing: Optional[np.ndarray] = None) -> IsometryVerdict:
-    """The verdict on the (n, n) residuals: it fails where some pair is
-    `failing`, by default the pairs whose residual is not within tol x
-    max d.  A failure's witness is the first failing pair in x-major order
-    whose residual is within a relative 1e-12 of the largest failing one:
-    the defects of (x, y) and (y, x) have equal norms, which rounding tells
-    apart only in the last bits.  The residuals scale with the metric, so
-    the space's tol is taken relative to the largest distance and the
-    verdict does not depend on its units."""
+    """The verdict on the (n, n) residuals.  `failing` holds, per pair,
+    the residual by which it fails, -inf where it does not; by default a
+    pair fails by its residual when that is not within tol x max d.  A
+    failure's witness is the first failing pair in x-major order whose
+    residual there is within a relative 1e-12 of the largest: the defects
+    of (x, y) and (y, x) have equal norms, which rounding tells apart only
+    in the last bits.  The residuals scale with the metric, so the space's
+    tol is taken relative to the largest distance and the verdict does not
+    depend on its units."""
     if failing is None:
-        failing = ~(residuals <= space.tol * float(space.max_distance))
-    if not failing.any():
+        failing = np.where(residuals <= space.tol * float(space.max_distance),
+                           -np.inf, residuals)
+    fails = failing != -np.inf
+    if not fails.any():
         return IsometryVerdict(tag, True, certificate={
             "max_residual": float(residuals.max())})
-    worst = residuals[failing].max()
-    x, y = divmod(int(np.argmax(failing & (residuals >= worst * (1 - 1e-12)))),
+    worst = failing.max()
+    x, y = divmod(int(np.argmax(fails & ~(failing < worst * (1 - 1e-12)))),
                   space.n)
     return IsometryVerdict(tag, False, witness={
-        "pair": (x, y), "residual": float(residuals[x, y])})
+        "pair": (x, y), "residual": float(failing[x, y])})
 
 
 class DefectCut(NamedTuple):
     """Where (D) fails, as `defect_blocks` decides it."""
 
     residuals: np.ndarray    # (n, n): ||c_xy||, its largest block norm
-    pairs: np.ndarray        # (n, n) bool: c_xy is nonzero on a failing block
+    failing: np.ndarray      # (n, n): the largest norm of c_xy over the
+    #                          failing blocks where it is nonzero, else -inf
     blocks: FrozenSet[int]   # the blocks on which some c_xy is nonzero
 
 
@@ -200,7 +204,7 @@ def _form_defects(action: CoAction, k: int) -> Optional[np.ndarray]:
     which every magic unitary satisfies (kappa(u) = u* and each u_jy is a
     projection), c_xy q s = sum_j R[x, j] K[j, y] - sum_j K[x, j] R[j, y],
     on ints."""
-    form = action.exact_blocks[k]
+    form = action.exact_block(k)
     if form is None:
         return None
     R, K = form[0], action.space.integer_form[0]
@@ -225,44 +229,37 @@ def defect_blocks(action: CoAction) -> DefectCut:
     space = action.space
     alg = action.group.algebra
     scale = float(space.max_distance)
-    bound = space.tol * scale
     norms = np.empty((action.n, action.n, len(alg.blocks)))
     for idx, stack in zip(alg.blocks_by_size.values(),
                           alg.element_blocks(commutator_defects(action))):
         norms[..., alg.block_of[idx[:, 0, 0]]] = operator_norms(stack)
-    residuals, peaks = norms.max(axis=-1), norms.max(axis=(0, 1))
-    exact = {}     # block -> whether each c_xy is nonzero there, exactly
+    nonzero = ~(norms <= space.tol * scale)
     if space.mode == RATIONAL:
-        near = np.flatnonzero(peaks <= _BORDERLINE * scale).tolist()
-        chars = [k for k in near if alg.blocks[k] == 1]
-        # a character's defects are differences of two distances, so its
-        # float decision can differ from the exact one only on a space
-        # with two distances within _BORDERLINE x max d of each other
-        # (twice that, for the rounding of both)
-        if chars and space.least_gap <= 2 * _BORDERLINE * scale:
-            chars = np.array(chars)
-            perm, nonzero = _character_defects(action, chars)
-            exact.update(zip(chars[perm].tolist(), np.moveaxis(nonzero, -1, 0)))
-        for k in near:
-            form = None if alg.blocks[k] == 1 else _form_defects(action, k)
-            if form is not None:
-                exact[k] = form
-    if not exact:
-        return DefectCut(residuals, ~(residuals <= bound), frozenset(
-            np.flatnonzero(~(peaks <= bound)).tolist()))
-    nonzero = ~(norms <= bound)
-    for k, pairs in exact.items():
-        nonzero[..., k] = pairs
-    return DefectCut(residuals, nonzero.any(axis=-1), frozenset(
-        np.flatnonzero(nonzero.any(axis=(0, 1))).tolist()))
+        near = np.flatnonzero(norms.max(axis=(0, 1)) <= _BORDERLINE * scale)
+        chars = near[np.array(alg.blocks)[near] == 1]
+        # a character's defects are differences of two distances, so where
+        # no two distances lie within _BORDERLINE x max d (twice that, for
+        # rounding) a near character's defects all vanish, as its float
+        # norms say, and the ranks are not read
+        gaps = np.diff(np.array(space.realized_distances, dtype=float))
+        if len(chars) and (gaps <= 2 * _BORDERLINE * scale).any():
+            perm, exact = _character_defects(action, chars)
+            nonzero[..., chars[perm]] = exact
+        for k in near.tolist():
+            exact = None if alg.blocks[k] == 1 else _form_defects(action, k)
+            if exact is not None:
+                nonzero[..., k] = exact
+    return DefectCut(norms.max(axis=-1),
+                     np.where(nonzero, norms, -np.inf).max(axis=-1),
+                     frozenset(np.flatnonzero(nonzero.any(axis=(0, 1))).tolist()))
 
 
 def check_D(action: CoAction) -> IsometryVerdict:
     """Compare rho(d_y)(x) with kappa(rho(d_x)(y)) in norm, all pairs: the
     verdict of `defect_blocks`, which fails at the pairs whose defect is
-    nonzero on a failing block."""
+    nonzero on a failing block, by their largest norm there."""
     cut = defect_blocks(action)
-    return _defect_verdict("D", cut.residuals, action.space, cut.pairs)
+    return _defect_verdict("D", cut.residuals, action.space, cut.failing)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +594,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
         """Whether k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b R[y, L_y[b]]
         is PSD, for a raw vertex (f, g) and k^p at the scale s^p of d^p,
         on block k's exact form (R, q); None when the block has none."""
-        form = action.exact_blocks[k]
+        form = action.exact_block(k)
         if form is None:
             return None
         R, q = form
@@ -713,7 +710,7 @@ def _support_sweep(action: CoAction) -> Callable[[bool], IsometryVerdict]:
         real form of a product is the product of the real forms); None
         when the block has none.  Each product is decided once."""
         if i not in decided:
-            form = action.exact_blocks[block[i]]
+            form = action.exact_block(block[i])
             decided[i] = None if form is None else exact_psd(-product(i, form[0]))
         return decided[i]
 

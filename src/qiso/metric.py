@@ -6,9 +6,8 @@ tolerance, `dtol`: 0 in rational mode, so that every comparison is exact,
 and tol x max d in float mode, so that no comparison of distances depends
 on their units.  `validate_metric` checks the axioms at the same relative
 scale.  The space also owns the distance tables that the Lip_p and W_inf
-conditions read: d^p on each distance rank (`power`, `float_power`),
-the sublevel top of each rank (`sublevel_tops`) and the least gap between
-two distances (`least_gap`), which (D) reads.
+conditions read: d^p on each distance rank (`power`, `float_power`) and
+the sublevel top of each rank (`sublevel_tops`).
 """
 
 from __future__ import annotations
@@ -181,15 +180,6 @@ class FiniteMetricSpace:
         tops[k].  Nondecreasing, and tops[k] = k in rational mode."""
         values = self.realized_distances
         return tuple(bisect_right(values, v + self.dtol) - 1 for v in values)
-
-    @cached_property
-    def least_gap(self) -> float:
-        """The least difference between two distinct distances, as a float,
-        inf when d takes one value: read on the integer form in rational
-        mode, so that it is the float of the exact difference."""
-        matrix, keys = self._distance_keys
-        gap = min((b - a for a, b in zip(keys, keys[1:])), default=math.inf)
-        return gap / self.integer_form[1] if matrix is not self.dist else float(gap)
 
     def power(self, p) -> Tuple[tuple, Optional[int]]:
         """d^p on each distance rank, as (values, scale).  A rational space

@@ -45,7 +45,7 @@ exponential in the number of points:
   the universal checks first decided it, on a (re, im) Fraction matrix
   read back entry by entry with `limit_denominator(4096)`, embedded into
   a real matrix and scaled to ints on every call; not exponential, but
-  independent of the stored exact forms of `CoAction.exact_blocks` and
+  independent of the stored exact forms of `CoAction.exact_block` and
   of `algebra.exact_psd`, for the full-sweep and loops oracles;
 - psd_by_principal_minors: the sign of every principal minor (2^(2b) of
   them for a b x b complex block), against the fraction-free symmetric

@@ -25,9 +25,9 @@ from qiso.isometry import (HypothesisViolated, check_D, check_D_state,
                            check_lip_p_universal, check_orthogonality,
                            check_support_universal, check_theorem_main,
                            check_winf_universal)
-from qiso.metric import (FiniteMetricSpace, level_set, random_metric_space,
-                         validate_metric)
+from qiso.metric import level_set, random_metric_space, validate_metric
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
+from qiso.scalars import RATIONAL
 from qiso.transport import feasible_coupling_on, wasserstein_inf, wasserstein_p
 
 from oracles import (check_ball_identity, check_D_commutant_by_entry,
@@ -461,7 +461,7 @@ def test_support_near_tie_is_decided_exactly(monkeypatch):
     `exact_psd` answering True both verdicts hold, so the exact route,
     not the float margin, decides them."""
     action = _near_tie_action()
-    R, _ = action.exact_blocks[4]
+    R, _ = action.exact_block(4)
     shared = -(R[0, 0] @ R[2, 3] @ R[0, 0])
     calls = []
     real = isometry.exact_psd
@@ -567,6 +567,31 @@ def test_D_near_tie_on_a_character_is_decided_exactly():
     assert all(reports._condition_flags(twin, (1, 2, 3, "inf")).values())
 
 
+def test_D_witness_residual_is_read_on_the_failing_blocks(monkeypatch):
+    """A block that the exact route clears does not set the witness's
+    residual, even where its float norm is the larger: with a noise of
+    1e-9 added to every defect norm of the identity's character, the swap
+    of `test_D_near_tie_on_a_character_is_decided_exactly` still fails at
+    (0, 2) by its own defect, 10^-12."""
+    e = F(1, 10 ** 12)
+    action = permutation_action(validate_metric(
+        [[0, 1, 2], [1, 0, 2 + e], [2, 2 + e, 0]]), [(1, 0, 2)])
+    identity = next(k for k in range(2) if action.stacks[k][0, 0, 0, 0] == 1)
+    real = isometry.operator_norms
+
+    def noisy(stack):
+        norms = real(stack).copy()
+        norms[..., identity] += 1e-9
+        return norms
+
+    monkeypatch.setattr(isometry, "operator_norms", noisy)
+    cut = isometry.defect_blocks(action)
+    assert cut.blocks == {1 - identity} and cut.residuals.max() >= 1e-9
+    verdict = check_D(action)
+    assert verdict.witness["pair"] == (0, 2)
+    assert verdict.witness["residual"] == pytest.approx(1e-12, rel=1e-3)
+
+
 def test_D_near_tie_on_a_two_by_two_block_is_decided_exactly():
     """The dual-D4 two-projection action on the block metric whose cross
     distances are 2 and 2 + e: every defect norm is below tol x max d (0
@@ -584,31 +609,27 @@ def test_D_near_tie_on_a_two_by_two_block_is_decided_exactly():
         assert 4 in env.ideal, e
 
 
-def test_character_route_is_skipped_only_where_it_decides_nothing(monkeypatch):
-    """`defect_blocks` skips the exact character route on a space with no
-    two distances within _BORDERLINE x max d: there a character's float
-    decision is exact.  On the c07 population, where every space is such,
-    forcing the route (least_gap 0) gives the same residuals, failing
-    pairs and blocks."""
-    config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
-                          seed=777)
-    descs = instance_descriptors(config)
-
-    def cuts():
-        return [isometry.defect_blocks(build_instance(desc)) for desc in descs]
-
-    skipped = cuts()
-    calls = []
-    real = isometry._character_defects
-    monkeypatch.setattr(isometry, "_character_defects",
-                        lambda action, chars: calls.append(1) or real(action, chars))
-    monkeypatch.setattr(FiniteMetricSpace, "least_gap", 0.0)
-    forced = cuts()
-    assert len(calls) > 200
-    for desc, a, b in zip(descs, skipped, forced):
-        assert a.blocks == b.blocks, desc
-        assert np.array_equal(a.residuals, b.residuals), desc
-        assert np.array_equal(a.pairs, b.pairs), desc
+def test_character_route_is_skipped_only_where_it_decides_nothing(c07_population):
+    """`defect_blocks` reads a character's distance ranks only on a space
+    with two distances within 2 x _BORDERLINE x max d: elsewhere a
+    permutation character's defects are 0 or at least that gap, so its
+    float cut is exact.  On the c07 population, whose rational spaces have
+    no such distances, the rank route agrees with the cut on every
+    permutation character."""
+    checked = 0
+    for action in c07_population:
+        space = action.space
+        if space.mode != RATIONAL:
+            continue
+        gaps = np.diff(np.array(space.realized_distances, dtype=float))
+        assert (gaps > 2 * isometry._BORDERLINE * float(space.max_distance)).all()
+        chars = np.flatnonzero(np.array(action.group.algebra.blocks) == 1)
+        perm, exact = isometry._character_defects(action, chars)
+        blocks = isometry.defect_blocks(action).blocks
+        assert [int(k) in blocks for k in chars[perm]] == \
+            exact.any(axis=(0, 1)).tolist(), action.name
+        checked += int(perm.sum())
+    assert checked > 200
 
 
 def test_condition_flags_sweep_the_support_products_once(monkeypatch):
