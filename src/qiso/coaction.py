@@ -94,12 +94,13 @@ class CoAction:
         that is no such rational: every exact decision of the isometry
         checks reads this one form, and only for the blocks it decides."""
         if k not in self._exact_forms:
-            self._exact_forms[k] = _exact_form(self.stacks[k])
+            self._exact_forms[k] = exact_form(self.stacks[k])
         return self._exact_forms[k]
 
 
-def _exact_form(stack: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
-    """`CoAction.exact_block` of the (n, n, b, b) stack of one block."""
+def exact_form(stack: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
+    """`CoAction.exact_block` of an (n, n, b, b) stack of one block's
+    coefficients."""
     parts = np.stack([stack.real, stack.imag])
     values, inverse = np.unique(parts, return_inverse=True)
     fracs = []

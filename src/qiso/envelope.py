@@ -142,10 +142,12 @@ def envelope(action: CoAction) -> EnvelopeResult:
     `check_D` fails (`isometry.defect_blocks`); the structure maps are
     cut at the space's tol.  Raises `QisoError` when that cut is no Hopf
     ideal (see the module docstring) or the induced action fails (D).
-    The quotient and the induced action are verified on the first read of
-    the result's `reports`, which `qiso envelope` prints.  A non-finite
-    entry of u or of a structure map raises `QisoError` before the cut,
-    which could not decide its blocks."""
+    An empty cut skips that (D) check: its induced action has the
+    action's coefficients, on which (D) was just decided.  The quotient and
+    the induced action are verified on the first read of the result's
+    `reports`, which `qiso envelope` prints.  A non-finite entry of u or
+    of a structure map raises `QisoError` before the cut, which could not
+    decide its blocks."""
     qg = action.group
     for name, entries in (("u", action.coeffs), ("delta", qg.delta),
                           ("epsilon", qg.epsilon), ("kappa", qg.kappa)):
@@ -159,7 +161,7 @@ def envelope(action: CoAction) -> EnvelopeResult:
                         f"this tolerance decides no envelope: {violation}")
     quotient, survivors = quotient_quantum_group(qg, ideal)
     induced = induced_action(action, quotient, survivors)
-    if not check_D(induced).holds:
+    if ideal and not check_D(induced).holds:
         raise QisoError("induced action is not (D)-isometric; "
                         "envelope construction is broken")
     return EnvelopeResult(ideal=ideal, quotient=quotient, survivors=survivors,

@@ -13,7 +13,7 @@ coefficient tensor, and their norms are taken block by block.
 `envelope` quotients by its failing blocks.  On a rational space it
 re-decides near-tie blocks exactly, a character on the distance ranks
 (where two distances are close enough for that to matter) and a larger
-block on its exact form and the integer form of d.  Every
+block on the exact forms of u and kappa(u) and the integer form of d.  Every
 pairwise check visits the pairs of `_state_pairs`: x < y on an exactly
 symmetric d, every ordered pair otherwise.  A failing (D) or sampled
 Lip_p check reports the first pair in that order whose residual or
@@ -23,7 +23,8 @@ d) of the worst, so pairs that tie up to rounding give one witness.
 The sampled per-state Lip_p sweep takes all states of an instance at
 once and reads W_p off precomputed dual data as array maxima: for finite
 p, the largest f.mu + g.nu over the dual vertices of d^p on the whole
-space; for p = inf, the least realized radius whose Hall deficiency
+space, enumerated once per triangulation rather than once per p; for
+p = inf, the least realized radius whose Hall deficiency
 max_S mu(S) - nu(N(S)) is within the max-flow tolerance.
 Where a measured cost model says that costs more than one transport
 problem per pair (few states, or large n, or Hall tables with many
@@ -58,18 +59,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .algebra import StateFunctional, exact_psd, extreme_state, operator_norms
-from .coaction import CoAction, act_on_point, act_on_points
+from .coaction import CoAction, act_on_point, act_on_points, exact_form
 from .errors import QisoError
 from .metric import level_set
 from .scalars import RATIONAL
-from .transport import (ProbVector, _dual_vertex_search, feasible_coupling_on,
-                        flow_slack, wasserstein_inf, wasserstein_p)
+from .transport import (ProbVector, _dual_vertex_search, _tree_vertices,
+                        feasible_coupling_on, flow_slack, wasserstein_inf,
+                        wasserstein_p)
 
 
 class HypothesisViolated(QisoError):
@@ -141,10 +143,16 @@ def commutator_defects(action: CoAction) -> np.ndarray:
     """The defect elements c_xy = sum_j d(y,j) u_xj - sum_j d(x,j) kappa(u_yj)
     as an (n, n, dim) tensor of coefficient vectors; all zero exactly when
     condition (D) holds."""
+    return _defect_terms(action)[0]
+
+
+def _defect_terms(action: CoAction) -> Tuple[np.ndarray, np.ndarray]:
+    """`commutator_defects` and the kappa(u_yj) it subtracts, as an
+    (n, n, dim) tensor of coefficient vectors: U kappa^T."""
     d = np.array(action.space.dist, dtype=float)
-    U = action.coeffs
-    return np.einsum("yj,xja->xya", d, U) - \
-        np.einsum("xj,yja->xya", d, U @ action.group.kappa.T)
+    antipodes = action.coeffs @ action.group.kappa.T
+    return np.einsum("yj,xja->xya", d, action.coeffs) - \
+        np.einsum("xj,yja->xya", d, antipodes), antipodes
 
 
 def _defect_verdict(tag: str, residuals: np.ndarray, space,
@@ -197,22 +205,35 @@ def _character_defects(action: CoAction,
         np.einsum("xj,jyc->xyc", ranks, P)
 
 
-def _form_defects(action: CoAction, k: int) -> Optional[np.ndarray]:
+def _form_defects(action: CoAction, k: int,
+                  antipodes: np.ndarray) -> Optional[np.ndarray]:
     """Whether c_xy is exactly nonzero on block k, an (n, n) array, or
-    None when the block has no exact form.  With the block's exact form
-    (R, q), the space's integer form K (d = K / s) and kappa(u_yj) = u_jy,
-    which every magic unitary satisfies (kappa(u) = u* and each u_jy is a
-    projection), c_xy q s = sum_j R[x, j] K[j, y] - sum_j K[x, j] R[j, y],
-    on ints."""
+    None when either term of c_xy has no exact form there.  With the
+    block's exact forms (R, q) of u and (S, r) of kappa(u) (`antipodes`,
+    from `_defect_terms`), and the space's integer form K (d = K / s),
+    c_xy s = sum_j K[y, j] R[x, j] / q - sum_j K[x, j] S[y, j] / r, on
+    ints once both sides are taken to the denominator lcm(q, r).  No
+    identity between kappa(u_yj) and u_jy is assumed: it holds for a
+    magic unitary, and (D) is decided on any action."""
     form = action.exact_block(k)
     if form is None:
         return None
-    R, K = form[0], action.space.integer_form[0]
-    # int64 holds both sums when n max|R| max|K| < 2^62
-    top = action.n * max(map(abs, R.flat)) * max(abs(v) for row in K for v in row)
+    b = action.group.algebra.blocks[k]
+    off = action.group.algebra.offsets[k]
+    kappa_form = exact_form(antipodes[..., off:off + b * b].reshape(
+        action.n, action.n, b, b))
+    if kappa_form is None:
+        return None
+    (R, q), (S, r) = form, kappa_form
+    common = lcm(q, r)
+    R, S = R * (common // q), S * (common // r)
+    K = action.space.integer_form[0]
+    # int64 holds both sums when n max|R, S| max|K| < 2^62
+    top = action.n * np.abs(np.concatenate([R.ravel(), S.ravel()])).max() * \
+        max(abs(v) for row in K for v in row)
     dtype = np.int64 if top < 2 ** 62 else object
-    R, K = R.astype(dtype), np.array(K, dtype=dtype)
-    defects = np.einsum("xjab,jy->xyab", R, K) - np.einsum("xj,jyab->xyab", K, R)
+    R, S, K = R.astype(dtype), S.astype(dtype), np.array(K, dtype=dtype)
+    defects = np.einsum("yj,xjab->xyab", K, R) - np.einsum("xj,yjab->xyab", K, S)
     return defects.any(axis=(-2, -1))
 
 
@@ -224,14 +245,15 @@ def defect_blocks(action: CoAction) -> DefectCut:
     space a block whose largest norm is within _BORDERLINE x max d (0
     included) is re-decided exactly instead: a character by
     `_character_defects` when the space has two distances that close, a
-    larger block by `_form_defects` on its exact form; one without either
-    keeps the float decision."""
+    larger block by `_form_defects` on the exact forms of both terms of
+    its defects; one without them keeps the float decision."""
     space = action.space
     alg = action.group.algebra
     scale = float(space.max_distance)
     norms = np.empty((action.n, action.n, len(alg.blocks)))
+    defects, antipodes = _defect_terms(action)
     for idx, stack in zip(alg.blocks_by_size.values(),
-                          alg.element_blocks(commutator_defects(action))):
+                          alg.element_blocks(defects)):
         norms[..., alg.block_of[idx[:, 0, 0]]] = operator_norms(stack)
     nonzero = ~(norms <= space.tol * scale)
     if space.mode == RATIONAL:
@@ -246,7 +268,8 @@ def defect_blocks(action: CoAction) -> DefectCut:
             perm, exact = _character_defects(action, chars)
             nonzero[..., chars[perm]] = exact
         for k in near.tolist():
-            exact = None if alg.blocks[k] == 1 else _form_defects(action, k)
+            exact = None if alg.blocks[k] == 1 else \
+                _form_defects(action, k, antipodes)
             if exact is not None:
                 nonzero[..., k] = exact
     return DefectCut(norms.max(axis=-1),
@@ -310,21 +333,27 @@ def _vertex_floats(vertices, scale) -> np.ndarray:
     return np.array(vertices, dtype=float)
 
 
-def _dual_vertex_sweep(space, masses, xs, ys, p) -> np.ndarray:
+def _dual_vertex_sweep(space, masses, xs, ys, p, trees):
     """W_p for every state and pair, as the largest f.mu + g.nu over the
     vertices (f, g) of the dual polyhedron of d^p on the whole space:
     the dual LP's value, attained at a vertex because the polyhedron is
-    pointed and the objective bounded above on it.  The vertices are the
-    raw potentials of the pivot search, read by `_vertex_floats`.  The
-    sums f.mu + g.nu are formed for as many states at once as keep them
-    within _VERTEX_CELLS entries (every state of a catalog instance)."""
-    V = _vertex_floats(*_dual_vertex_search(space, p))
+    pointed and the objective bounded above on it, and the trees that
+    gave the vertices.  The vertices are the raw potentials of the pivot
+    search, read by `_vertex_floats`, or those of `trees`, the last
+    search's, where `transport._tree_vertices` finds every tree feasible
+    for d^p.  The sums f.mu + g.nu are formed for as many states at once
+    as keep them within _VERTEX_CELLS entries (every state of a catalog
+    instance)."""
+    found = None if trees is None else _tree_vertices(space, p, trees)
+    if found is None:
+        *found, trees = _dual_vertex_search(space, p)
+    V = _vertex_floats(*found)
     F, G = V[:, :space.n].T, V[:, space.n:].T
     step = max(1, _VERTEX_CELLS // (len(xs) * len(V)))
     power = np.concatenate([
         ((chunk @ F)[:, xs] + (chunk @ G)[:, ys]).max(-1)
         for chunk in np.split(masses, range(step, len(masses), step))])
-    return np.maximum(power, 0.0) ** (1.0 / float(p))
+    return np.maximum(power, 0.0) ** (1.0 / float(p)), trees
 
 
 def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
@@ -394,23 +423,6 @@ def _pair_sweep(space, masses, pairs, p) -> np.ndarray:
     return np.array([[w(row[x], row[y]) for x, y in pairs] for row in images])
 
 
-def _sweep_verdict(tag: str, route: str, pairs, w: np.ndarray,
-                   margins: np.ndarray, bound: float,
-                   tie: float) -> IsometryVerdict:
-    """The verdict on one state's margins W_p - d(x, y); a failure's
-    witness is the first pair whose margin is within `tie` of the largest,
-    so that pairs whose margins agree to the last bits give one witness
-    whichever route computed them."""
-    worst = float(margins.max()) if len(margins) else 0.0
-    if worst <= bound:
-        return IsometryVerdict(tag, True, certificate={"max_margin": worst,
-                                                       "route": route})
-    i = int(np.argmax(margins >= worst - tie))
-    return IsometryVerdict(tag, False, witness={
-        "pair": pairs[i], "wasserstein": float(w[i]),
-        "margin": float(margins[i]), "route": route})
-
-
 def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryVerdict]]:
     """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs: verdicts[s][i] for
     the state states[s] and p = ps[i] (a number >= 1, or inf).
@@ -424,7 +436,10 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
       dual-vertices  finite p, n <= _VERTEX_MAX_N and _TREE_COST x
                      C(2n-2, n-1) <= states x pairs: `_dual_vertex_sweep`
                      over the dual vertices of d^p, enumerated once for
-                     every state and pair
+                     every state and pair, and once per triangulation:
+                     on a rational space at integer p, where every tree
+                     of the last enumeration fits d^p, its potentials
+                     are the vertices (`transport._tree_vertices`)
       hall-subsets   p = inf and, with K realized distances, the Hall
                      table entries (K n + pairs)(2^n - 1) at most
                      _HALL_MAX_CELLS and _HALL_CELLS_PER_PAIR x pairs:
@@ -473,7 +488,8 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
     The margins W_p - d(x,y) scale with the metric, so the space's tol is
     taken relative to the largest distance, as for (D); x <| psi is
     validated within the same tol.  A failure's witness is the first
-    pair whose margin is within 1e-12 x max d of the largest.
+    pair whose margin is within 1e-12 x max d of the largest; one array
+    pass per p takes every state's largest margin and first such pair.
     """
     space = action.space
     finite = [not (p == float("inf") or p == "inf") for p in ps]
@@ -489,17 +505,30 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
     scale = float(space.max_distance)
     bound = space.tol * scale
     out = [[] for _ in states]
+    trees = None
     for p, fin in zip(ps, finite):
         route = _sweep_route(space, len(states), len(pairs), fin)
         if route == "dual-vertices":
-            w = _dual_vertex_sweep(space, masses, xs, ys, p)
+            w, trees = _dual_vertex_sweep(space, masses, xs, ys, p, trees)
         elif route == "hall-subsets":
             w = _hall_sweep(space, masses, xs, ys)
         else:
             w = _pair_sweep(space, masses, pairs, p)
-        for verdicts, ws in zip(out, w):
-            verdicts.append(_sweep_verdict(f"Lip_{p}(state)", route, pairs, ws,
-                                           ws - dist, bound, 1e-12 * scale))
+        margins = w - dist
+        worst, first = np.zeros(len(states)), np.zeros(len(states), dtype=int)
+        if len(pairs):
+            worst = margins.max(axis=1)
+            first = np.argmax(margins >= (worst - 1e-12 * scale)[:, None], axis=1)
+        tag = f"Lip_{p}(state)"
+        for s, (verdicts, top, i) in enumerate(zip(out, worst.tolist(),
+                                                   first.tolist())):
+            verdicts.append(
+                IsometryVerdict(tag, True, certificate={"max_margin": top,
+                                                        "route": route})
+                if top <= bound else
+                IsometryVerdict(tag, False, witness={
+                    "pair": pairs[i], "wasserstein": float(w[s, i]),
+                    "margin": float(margins[s, i]), "route": route}))
     return out
 
 
@@ -610,7 +639,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
             lx, ly = rows[k][x], rows[k][y]
             cut = len(lx)
             if (lx, ly) not in vertices:
-                raw, vscale = _dual_vertex_search(space, p, lx, ly)
+                raw, vscale, _ = _dual_vertex_search(space, p, lx, ly)
                 fg = _vertex_floats(raw, vscale)
                 vertices[lx, ly] = raw, vscale, fg[:, :cut].copy(), fg[:, cut:].copy()
             raw, vscale, F, G = vertices[lx, ly]

@@ -20,7 +20,7 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .catalog import (CATALOG, catalog_action, random_permutation_action,
 from .coaction import CoAction, verify_coaction
 from .envelope import envelope
 from .fileio import coaction_to_dict, state_to_dict
-from .isometry import (check_D, check_injectivity, check_lip_p_state_sweep,
+from .isometry import (check_injectivity, check_lip_p_state_sweep,
                        check_lip_p_universal, check_support_universal)
 from .metric import METRIC_MODELS, random_metric_space
 from .quantum_group import haar_state, verify_quantum_group
@@ -147,11 +147,13 @@ def build_instance(desc: dict) -> CoAction:
 # per-instance verification
 
 
-def _condition_flags(action: CoAction, p_list) -> dict:
-    """All universal verdicts; main and Lip_inf come from one sweep."""
+def _condition_flags(action: CoAction, p_list, cut: FrozenSet[int]) -> dict:
+    """All universal verdicts.  (D) holds where `cut`, the blocks on which
+    it fails (`isometry.defect_blocks`, the envelope's ideal), is empty;
+    main and Lip_inf come from one sweep."""
     main, lip_inf = check_support_universal(action)
     flags: Dict[str, bool] = {
-        "D": bool(check_D(action).holds),
+        "D": not cut,
         "main": bool(main.holds),
         "Lip_inf": bool(lip_inf.holds),
     }
@@ -170,9 +172,10 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
            "name": desc.get("name") or action.name}
     rec["quantum_group_residual"] = verify_quantum_group(action.group).worst()
     rec["coaction_residual"] = verify_coaction(action).worst()
-    rec["conditions"] = _condition_flags(action, p_list)
-    rec["injective"] = bool(check_injectivity(action))
     env = envelope(action)
+    rec["conditions"] = _condition_flags(action, p_list,
+                                         env.ideal.included_blocks)
+    rec["injective"] = bool(check_injectivity(action))
     rec["envelope"] = {"dimension": env.dimension,
                        "killed_blocks": sorted(env.ideal.included_blocks)}
     # sampled per-state consistency

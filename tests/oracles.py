@@ -1735,7 +1735,7 @@ def lip_p_universal_loops(action: CoAction, p) -> IsometryVerdict:
                 continue
             cut = len(lx)
             if (lx, ly) not in vertices:
-                raw, vscale = _dual_vertex_search(space, p, lx, ly)
+                raw, vscale, _ = _dual_vertex_search(space, p, lx, ly)
                 vertices[lx, ly] = vscale, [
                     (vert, fg[:cut].copy(), fg[cut:].copy())
                     for vert, fg in zip(raw, _vertex_floats(raw, vscale))]

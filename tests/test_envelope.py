@@ -290,6 +290,33 @@ def test_envelope_equals_entry_cut_then_saturation():
                     mine.view(np.uint8) == theirs.view(np.uint8)).all(), name
 
 
+def test_envelope_checks_D_again_only_after_a_cut(monkeypatch):
+    """The envelope decides (D) on its induced action only when it cut
+    something.  An empty cut's induced action has the action's
+    coefficients, bit for bit, and (D) holds on it, as the skipped check
+    would find: over every catalog entry and the reference population."""
+    from qiso import envelope as envelope_module
+    calls = []
+
+    def counted(action):
+        calls.append(action.name)
+        return check_D(action)
+
+    monkeypatch.setattr(envelope_module, "check_D", counted)
+    actions = [entry.action for entry in standard_actions()] + \
+        _reference_population()
+    uncut = 0
+    for action in actions:
+        del calls[:]
+        env = envelope(action)
+        assert len(calls) == bool(env.ideal), action.name
+        if not env.ideal:
+            uncut += 1
+            assert env.induced.coeffs.tobytes() == action.coeffs.tobytes()
+            assert check_D(env.induced).holds, action.name
+    assert 0 < uncut < len(actions)
+
+
 def test_screened_cut_equals_unscreened_cut():
     """The envelope kills the blocks where some defect's spectral norm,
     taken by an SVD of every defect block, exceeds tol x max d: on the

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from qiso import envelope as envelope_module
-from qiso import reports
-from qiso.catalog import (dihedral_projection_action, four_point_blocks,
-                          standard_actions)
+from qiso import isometry, reports
+from qiso.catalog import (catalog_action, dihedral_projection_action,
+                          four_point_blocks, standard_actions)
 from qiso.cli import main
 from qiso.coaction import CoAction, verify_coaction
 from qiso.envelope import envelope
@@ -131,6 +131,25 @@ def test_verify_instance_verifies_each_instance_once(monkeypatch):
         del calls[:]
         reports.verify_instance(desc, state_samples=1)
         assert sorted(calls) == ["coaction", "quantum_group"], desc
+
+
+def test_verify_instance_decides_D_once_per_uncut_instance(monkeypatch):
+    """`verify_instance` reads the D flag off the envelope's cut: one
+    `defect_blocks` call on cyclic-4, which (D) leaves uncut, and two on
+    z4-broken-diagonal, whose cut is checked again on the induced action.
+    The flags equal check_D's verdict."""
+    calls = []
+    real = isometry.defect_blocks
+    counted = counting(calls, "defect_blocks", real)
+    monkeypatch.setattr(isometry, "defect_blocks", counted)
+    monkeypatch.setattr(envelope_module, "defect_blocks", counted)
+    for name, want in (("cyclic-4", 1), ("z4-broken-diagonal", 2)):
+        del calls[:]
+        rec = reports.verify_instance({"source": "catalog", "name": name},
+                                      state_samples=1)
+        assert len(calls) == want, name
+        assert rec["conditions"]["D"] == \
+            isometry.check_D(catalog_action(name)).holds == (want == 1)
 
 
 def test_cli_envelope_prints_the_eager_verification(tmp_path, capsys):

@@ -467,7 +467,8 @@ def test_support_near_tie_is_decided_exactly(monkeypatch):
     real = isometry.exact_psd
     monkeypatch.setattr(isometry, "exact_psd",
                         lambda M: calls.append(M) or real(M))
-    flags = reports._condition_flags(action, (1, 2, 3, "inf"))
+    flags = reports._condition_flags(action, (1, 2, 3, "inf"),
+                                     isometry.defect_blocks(action).blocks)
     assert not flags["main"] and not flags["Lip_inf"]
     assert sum(np.array_equal(M, shared) for M in calls) == 1
     for check in (check_theorem_main, check_winf_universal):
@@ -536,7 +537,9 @@ def _assert_exact_D_cut(action):
     verdict = check_D(action)
     assert not verdict.holds
     assert verdict.witness["residual"] <= space.tol * float(space.max_distance)
-    flags = reports._condition_flags(action, (1, 2, 3, "inf"))
+    flags = reports._condition_flags(action, (1, 2, 3, "inf"),
+                                     isometry.defect_blocks(action).blocks)
+    assert not flags["D"]
     assert reports.implication_tallies(
         [{"name": action.name, "conditions": flags}])["violations"] == []
     killed = _exact_defect_blocks(action)
@@ -564,7 +567,27 @@ def test_D_near_tie_on_a_character_is_decided_exactly():
     assert env.ideal.included_blocks == {swap} and env.dimension == 1
     twin = permutation_action(validate_metric(
         [[float(v) for v in row] for row in dist]), [(1, 0, 2)])
-    assert all(reports._condition_flags(twin, (1, 2, 3, "inf")).values())
+    assert all(reports._condition_flags(
+        twin, (1, 2, 3, "inf"), isometry.defect_blocks(twin).blocks).values())
+
+
+def test_D_exact_route_reads_both_terms_of_a_defect(monkeypatch):
+    """The exact route decides a larger block on the exact forms of both
+    terms of c_xy, u's and kappa(u)'s, and assumes no kappa(u_yj) = u_jy,
+    which only a magic unitary satisfies.  `_near_tie_action(far=2)` is a
+    unitary-row pattern whose block-4 defects have norm 0.9995: with the
+    exact window widened to all of max d, that block is re-decided
+    exactly, and it still fails, as its float norm says, where the
+    identity would have cleared it."""
+    action = _near_tie_action(far=2)
+    assert isometry.defect_blocks(action).residuals.max() == \
+        pytest.approx(0.9995, abs=1e-4)
+    assert isometry.defect_blocks(action).blocks == {4}
+    monkeypatch.setattr(isometry, "_BORDERLINE", 1.0)
+    assert isometry.defect_blocks(action).blocks == {4}
+    verdict = check_D(action)
+    assert not verdict.holds
+    assert verdict.witness["residual"] == pytest.approx(0.9995, abs=1e-4)
 
 
 def test_D_witness_residual_is_read_on_the_failing_blocks(monkeypatch):
@@ -646,7 +669,7 @@ def test_condition_flags_sweep_the_support_products_once(monkeypatch):
     monkeypatch.setattr(isometry, "_support_sweep", counted)
     actions = [entry.action for entry in standard_actions()]
     for action in actions:
-        reports._condition_flags(action, (1, 2, 3, "inf"))
+        reports._condition_flags(action, (1, 2, 3, "inf"), frozenset())
     assert calls == actions
 
 
@@ -776,6 +799,51 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
                 _level_coupling_per_pair(action, psi), (entry.name, k)
             seen[v.holds] += 1
     assert seen[True] and seen[False]
+
+
+def test_state_sweep_reuses_a_fitting_triangulation(monkeypatch):
+    """The dual-vertex sweep enumerates again only where the last
+    enumeration's trees do not all fit d^p: once for p = 1, 2, 3 on the
+    3-point catalog spaces and the block metric of dual-d4-blocks,
+    dual-d4-mixed and dual-d3-blocks, twice on the other 4- and 5-point
+    ones, and for each p on a float space or with p = 1.5 in the list.  Its verdicts, witnesses and certificates equal,
+    bitwise, those of a sweep that enumerates for every p, on the catalog
+    and a float twin, for p in (1, 2, 3, inf) and (1.5, 2, 3, 1)."""
+    searches = []
+    search = isometry._dual_vertex_search
+
+    def counted(space, p):
+        searches.append(p)
+        return search(space, p)
+
+    monkeypatch.setattr(isometry, "_dual_vertex_search", counted)
+    counts = {}
+    for entry in standard_actions():
+        for action in (entry.action, scaled_twin(entry.action, 1, True)):
+            states = [random_state(action.group.algebra, 11 * k + 5)
+                      for k in range(6)]
+            for ps in ((1, 2, 3, "inf"), (1.5, 2, 3, 1)):
+                monkeypatch.setattr(isometry, "_tree_vertices",
+                                    transport._tree_vertices)
+                del searches[:]
+                reused = isometry.check_lip_p_state_sweep(action, states, ps)
+                counts[entry.name, action.space.mode, ps] = len(searches)
+                monkeypatch.setattr(isometry, "_tree_vertices",
+                                    lambda *args: None)
+                fresh = isometry.check_lip_p_state_sweep(action, states, ps)
+                assert repr([[v.as_dict() for v in row] for row in reused]) == \
+                    repr([[v.as_dict() for v in row] for row in fresh]), \
+                    (entry.name, ps)
+    for (name, mode, ps), count in counts.items():
+        if mode != RATIONAL:
+            assert count == (4 if 1.5 in ps else 3), (name, ps)
+        elif 1.5 in ps:
+            assert count >= 2, name
+        else:
+            n = catalog_action(name).n
+            fits = n == 3 or name in ("dual-d4-blocks", "dual-d4-mixed",
+                                      "dual-d3-blocks")
+            assert count == (1 if fits else 2), (name, count)
 
 
 def test_unordered_sweep_matches_ordered_sweep():
