@@ -11,9 +11,9 @@ Conditions checked per state or universally over all states of the algebra:
 coefficient tensor, and their norms are taken block by block.
 `defect_blocks` is the one decision of (D): `check_D` reports it and
 `envelope` quotients by its failing blocks.  On a rational space it
-re-decides near-tie blocks exactly, a character on the distance ranks
-(where two distances are close enough for that to matter) and a larger
-block on the exact forms of u and kappa(u) and the integer form of d.  Every
+re-decides near-tie blocks exactly, on the exact forms of u and kappa(u)
+and the integer form of d; a character only where two distances are
+close enough for that to matter.  Every
 pairwise check visits the pairs of `_state_pairs`: x < y on an exactly
 symmetric d, every ordered pair otherwise.  A failing (D) or sampled
 Lip_p check reports the first pair in that order whose residual or
@@ -189,22 +189,6 @@ class DefectCut(NamedTuple):
     blocks: FrozenSet[int]   # the blocks on which some c_xy is nonzero
 
 
-def _character_defects(action: CoAction,
-                       chars: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Which of the 1x1 blocks `chars` are exactly a permutation matrix
-    sigma, and on those, whether c_xy is nonzero, as an (n, n, C) array.
-    There u_xj = [j = sigma x], so c_xy = d(sigma x, y) - d(x, sigma^-1 y),
-    compared on the distance ranks: each sum over j below has one nonzero
-    term, a rank, so the floats are exact."""
-    P = action.coeffs[..., np.array(action.group.algebra.offsets)[chars]]
-    perm = ((P == 0) | (P == 1)).all(axis=(0, 1)) & \
-        (P.sum(axis=0) == 1).all(axis=0) & (P.sum(axis=1) == 1).all(axis=0)
-    P = P[..., perm].real
-    ranks = np.array(action.space.distance_ranks, dtype=float)
-    return perm, np.einsum("xjc,jy->xyc", P, ranks) != \
-        np.einsum("xj,jyc->xyc", ranks, P)
-
-
 def _form_defects(action: CoAction, k: int,
                   antipodes: np.ndarray) -> Optional[np.ndarray]:
     """Whether c_xy is exactly nonzero on block k, an (n, n) array, or
@@ -243,10 +227,10 @@ def defect_blocks(action: CoAction) -> DefectCut:
     and the blocks where some defect does not vanish.  A block fails when
     some defect's norm exceeds the space's tol x max d.  On a rational
     space a block whose largest norm is within _BORDERLINE x max d (0
-    included) is re-decided exactly instead: a character by
-    `_character_defects` when the space has two distances that close, a
-    larger block by `_form_defects` on the exact forms of both terms of
-    its defects; one without them keeps the float decision."""
+    included) is re-decided exactly instead, by `_form_defects` on the
+    exact forms of both terms of its defects; a block without them keeps
+    the float decision, and so does a character unless the space has two
+    distances within 2 x _BORDERLINE x max d."""
     space = action.space
     alg = action.group.algebra
     scale = float(space.max_distance)
@@ -258,18 +242,15 @@ def defect_blocks(action: CoAction) -> DefectCut:
     nonzero = ~(norms <= space.tol * scale)
     if space.mode == RATIONAL:
         near = np.flatnonzero(norms.max(axis=(0, 1)) <= _BORDERLINE * scale)
-        chars = near[np.array(alg.blocks)[near] == 1]
-        # a character's defects are differences of two distances, so where
+        # a magic unitary's character has permutation matrices u and
+        # kappa(u), so its defects are differences of two distances: where
         # no two distances lie within _BORDERLINE x max d (twice that, for
-        # rounding) a near character's defects all vanish, as its float
-        # norms say, and the ranks are not read
+        # rounding) they all vanish, as the float norms of a near one say
         gaps = np.diff(np.array(space.realized_distances, dtype=float))
-        if len(chars) and (gaps <= 2 * _BORDERLINE * scale).any():
-            perm, exact = _character_defects(action, chars)
-            nonzero[..., chars[perm]] = exact
+        if not (gaps <= 2 * _BORDERLINE * scale).any():
+            near = near[np.array(alg.blocks)[near] > 1]
         for k in near.tolist():
-            exact = None if alg.blocks[k] == 1 else \
-                _form_defects(action, k, antipodes)
+            exact = _form_defects(action, k, antipodes)
             if exact is not None:
                 nonzero[..., k] = exact
     return DefectCut(norms.max(axis=-1),
@@ -298,7 +279,7 @@ def check_D_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:
 
 
 # The route choice of `check_lip_p_state_sweep`, whose docstring gives
-# the measurements behind these four constants.
+# the reason for each of these four constants.
 _TREE_COST = 0.3            # one enumerated tree, in per-pair simplex solves
 _VERTEX_MAX_N = 7           # the largest n at which that cost was measured
 _HALL_MAX_CELLS = 2 ** 22   # the most Hall table entries, (K n + pairs)(2^n - 1)
@@ -361,12 +342,13 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     which a coupling of (mu, nu) lives on {d <= r_k}.  By Hall's theorem
     that holds iff the deficiency max_S mu(S) - nu(N_k(S)) over nonempty S
     is <= 0, with N_k(S) the points within r_k of S; the deficiency is
-    1 minus the max flow of `feasible_coupling_on`, accepted within its
-    `flow_slack(n)`.  N_k takes the pairs of `space.distance_ranks` at
-    most `space.sublevel_tops[k]`, as `wasserstein_inf` does, and every
-    pair bisects on k from the whole range (where `wasserstein_inf` sweeps
-    upward from its single-point Hall bound): nu(N_k(S)) is a sum of more
-    nonnegative terms as k grows, so feasibility is monotone in floats.
+    1 minus the max flow of `feasible_coupling_on`, accepted within
+    `flow_slack(n, space.tol)` as in `wasserstein_inf`.  N_k takes the
+    pairs of `space.distance_ranks` at most `space.sublevel_tops[k]`, as
+    `wasserstein_inf` does, and every pair bisects on k from the whole
+    range (where `wasserstein_inf` sweeps upward from its single-point
+    Hall bound): nu(N_k(S)) is a sum of more nonnegative terms as k
+    grows, so feasibility is monotone in floats.
 
     `_hall_ranks` bisects a chunk of states at a time: as many as keep
     its tables, (K n + 3 P)(2^n - 1) entries a state, within
@@ -384,8 +366,9 @@ def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
     radii = np.array([float(v) for v in values])
     step = max(1, _HALL_MAX_CELLS // ((len(values) * n + 3 * len(xs))
                                       * len(subsets)))
+    slack = flow_slack(n, space.tol)
     return np.concatenate([
-        radii[_hall_ranks(reach, subsets, chunk, xs, ys, flow_slack(n))]
+        radii[_hall_ranks(reach, subsets, chunk, xs, ys, slack)]
         for chunk in np.split(masses, range(step, len(masses), step))])
 
 
@@ -448,42 +431,19 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
       simplex,       otherwise: one float transport problem per state and
       max-flow       pair (`_pair_sweep`)
 
-    The constants come from timing each route on one and on ten random
-    states (for p = inf also three) of C(G) acting on random n-point
-    shortest-path and euclidean-sample metrics (G cyclic),
-    and for p = inf of the rotations acting on the n-cycle, on a 2-CPU
-    Xeon host with one BLAS thread.  For finite p the array route's cost is
-    the enumeration, at most C(2n-2, n-1) trees, and each tree cost 0.24
-    to 0.51 simplex solves from n = 5 to 7 for p = 1, 2 and 3 (median
-    0.31 with one state and 0.37 with ten; 0.32 to 0.64 at n = 4, where
-    the fixed costs weigh more), the solves starting from the simplex's
-    greedy tree.  At p = 2 and n = 5 that is 1.4 to 1.7 against 0.7 to
-    0.9 ms for one state and 1.7 to 1.9 against 7.3 to 7.5 ms for ten; at
-    n = 6, 8.6 to 12.1 against 10.5 to 19.3 ms for ten; at n = 7, 54 to
-    60 against 26 to 36 ms for ten.  So a one-state call takes the
-    simplex unless its pairs outnumber 0.3 x the trees.
-    For p = inf a state costs the Hall route 2.5 to 9 ns per table entry,
-    less with more states (`_hall_ranks` bisects them together), and the
-    max-flow route, one `wasserstein_inf` per pair swept up from its
-    single-point Hall bound, 0.11 to 0.42 ms per pair at n = 8 to 13, so
-    the two cross near 30,000 entries per pair for one state and beyond
-    54,000 for ten.  At 25,000 or fewer Hall won with 1, 3 and 10 states
-    (5.8 against 12.0 ms for one and 36 against 121 ms for ten at n = 11
-    with K = 56; 10 against 33 and 76 against 296 ms on the 13-cycle); at
-    33,000 it tied with one state (33 against 32 ms at n = 13 with K = 18)
-    and won with three and ten; on the 14-cycle (36,500) the routes tied
-    within the noise of single runs with 1, 3 and 10 states; from 35,000
-    to 54,000 it lost with one state (27 against 21 ms at n = 13 with
-    K = 20, 48 against 32 ms with K = 31, 29 against 22 ms at n = 12 with
-    K = 67) and won by 19 to 40% with ten (179 against 283, 230 against
-    297 and 150 against 248 ms).  The Hall tables are the
-    neighbourhood table, K n (2^n - 1) entries, within the cap, and those
-    of one chunk of states (`_hall_sweep`), within the cap too unless a
-    single state's exceed it (many ordered pairs).  So where one state's
-    tables fit, the cap bounds their floats by 64 MB.  At the cap they
-    peaked at 57 MB (n = 12 with K = 67, one state a chunk) for 1, 10 and
-    40 states, as when the states ran one at a time; at n = 10 with K = 46
-    (six states a chunk) at 32 MB against 8 MB one at a time.
+    Each constant rests on the routes' measured costs, recorded as
+    `route_costs` in BENCH_dual_pivots.json (finite p) and
+    BENCH_winf_maxflow.json (p = inf):
+
+      _TREE_COST            one enumerated tree costs about 0.3 per-pair
+                            simplex solves (median 0.27 at n = 5 to 7)
+      _VERTEX_MAX_N         the largest n at which that cost was measured
+      _HALL_CELLS_PER_PAIR  the Hall and max-flow routes cross near
+                            30,000 table entries per pair at every state
+                            count
+      _HALL_MAX_CELLS       the neighbourhood table and one chunk's tables
+                            (`_hall_sweep`) then hold at most 64 MB of
+                            floats, where one state's tables fit
 
     The margins W_p - d(x,y) scale with the metric, so the space's tol is
     taken relative to the largest distance, as for (D); x <| psi is
@@ -782,14 +742,15 @@ def check_theorem_main(action: CoAction) -> IsometryVerdict:
 
 def check_level_coupling_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:
     """Per-state version of the level-set coupling, via the feasibility
-    solver on each pair of `_state_pairs`.  On an exactly symmetric d the
-    level set is symmetric, so (y, x) repeats (x, y), and the first failing
-    pair in x-major order over all ordered pairs has x < y anyway."""
+    solver within the space's tol, on each pair of `_state_pairs`.  On
+    an exactly symmetric d the level set is symmetric, so (y, x) repeats
+    (x, y), and the first failing pair in x-major order over all ordered
+    pairs has x < y anyway."""
     space = action.space
     images = [act_on_point(action, x, psi) for x in range(space.n)]
     for x, y in _state_pairs(space):
         Y = level_set(space, space.dist[x][y])
-        verdict = feasible_coupling_on(images[x], images[y], Y)
+        verdict = feasible_coupling_on(images[x], images[y], Y, space.tol)
         if not verdict.feasible:
             return IsometryVerdict("main(state)", False, witness={
                 "pair": (x, y), "violating_subset": sorted(verdict.violator)})

@@ -26,7 +26,8 @@ fill pushes min(residual mu_i, residual nu_j) on each open pair in
 order, then shortest augmenting paths finish the flow.  The bottleneck
 distance buckets all pairs by distance rank and sweeps upward from the
 single-point Hall bound, probing only at lower bounds on it, on one flow
-that only grows.
+that only grows.  A float max flow is a coupling within `flow_slack` of
+the caller's tol; the bottleneck distance reads the space's.
 """
 
 from __future__ import annotations
@@ -230,10 +231,9 @@ def _network_simplex(num_nodes: int, tail, head, cost, demand,
     The start is the greedy tree of `_greedy_tree`, rooted at a virtual
     node: the cheapest arcs carry supplies to demands, and the nodes left
     over hang from the root by big-M artificial arcs, root -> v for a node
-    with positive demand and v -> root otherwise.  On the reference
-    problems of perfbench's transport workload (n = 16 to 20) it leaves
-    1 to 7 pivots for W_1 and 13 to 29 for W_2, where an all-artificial
-    start took 40 to 68.  Every arc of zero flow in it points to the
+    with positive demand and v -> root otherwise; the `pivots` record of
+    BENCH_simplex_start.json counts the pivots it saves over an
+    all-artificial start.  Every arc of zero flow in it points to the
     root, which makes the tree strongly feasible: positive flow can be
     sent from every node to the root along the tree.  The leaving rule
     keeps it so (Cunningham 1976): walking the cycle from its apex in
@@ -540,9 +540,11 @@ class CouplingFeasibility:
     nu_neighborhood: Optional[Scalar] = None
 
 
-def flow_slack(n: int, tol: float = DEFAULT_TOL) -> float:
+def flow_slack(n: int, tol: float) -> float:
     """How far a float max flow on n rows may fall short of 1 and still be
-    a coupling, in `_FlowNetwork` and in `isometry._hall_sweep`."""
+    a coupling, in `_FlowNetwork` and in `isometry._hall_sweep`: tol per
+    row, where tol is the caller's, a space's `tol` for W_inf and the
+    isometry checks."""
     return max(tol * n, tol)
 
 
@@ -557,8 +559,7 @@ class _FlowNetwork:
     sink arcs carry its row and column sums.
     """
 
-    def __init__(self, mu: ProbVector, nu: ProbVector, n: int,
-                 tol: float = 1e-9):
+    def __init__(self, mu: ProbVector, nu: ProbVector, n: int, tol: float):
         if mu.n != n or nu.n != n:
             raise DimensionMismatch("marginals and pair set sizes differ")
         self.n = n
@@ -698,7 +699,7 @@ class _FlowNetwork:
 
 
 def feasible_coupling_on(mu: ProbVector, nu: ProbVector, Y: PairSet,
-                         tol: float = 1e-9) -> CouplingFeasibility:
+                         tol: float = DEFAULT_TOL) -> CouplingFeasibility:
     """Find a (mu, nu)-coupling supported on Y, or certify none exists.
 
     Max-flow on the network of `_FlowNetwork` with the arcs of Y open,
@@ -765,7 +766,8 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     opens the pairs of `space.distance_ranks` at most
     `space.sublevel_tops[k]`, the last index whose value is <= values[k] +
     space.dtol: exactly the pairs of sublevel_set(space, values[k]), float
-    near-ties within dtol included.
+    near-ties within dtol included.  A float flow passes within
+    `flow_slack(n, space.tol)`.
 
     The search is the threshold method for bottleneck problems (Gabow and
     Tarjan 1988): an upward sweep that probes only at lower bounds on r,
@@ -780,7 +782,7 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     """
     values = space.realized_distances
     n = space.n
-    net = _FlowNetwork(mu, nu, n)
+    net = _FlowNetwork(mu, nu, n, space.tol)
     buckets = [[] for _ in values]
     for i, row in enumerate(space.distance_ranks):
         for j, k in enumerate(row):

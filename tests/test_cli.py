@@ -423,6 +423,27 @@ def test_cli_hall_decides_at_tol(tmp_path, capsys):
                                       if k != "subset_condition"}
 
 
+def test_cli_winf_decides_at_the_space_tol(tmp_path, capsys):
+    """`qiso winf` accepts a float max flow within the space's tol, as
+    `coupling-on` does at --tol: in float mode at tol 1e-6, mu off nu by
+    1e-7 couples to nu on the diagonal {d <= 0}, so W_inf is 0."""
+    files = {"space": {"n": 2, "mode": "float", "dist": [[0, 1], [1, 0]]},
+             "mu": {"mass": [0.5000001, 0.4999999]},
+             "nu": {"mass": [0.5, 0.5]},
+             "pairs": {"pairs": [[0, 0], [1, 1]]}}
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    path = {name: str(tmp_path / f"{name}.json") for name in files}
+    tol = ["--mode", "float", "--tol", "1e-6"]
+    code, coupling = run_cli(capsys, *tol, "coupling-on", "--mu", path["mu"],
+                             "--nu", path["nu"], "--pairs", path["pairs"])
+    assert code == 0 and coupling["feasible"]
+    code, winf = run_cli(capsys, *tol, "winf", "--space", path["space"],
+                         "--mu", path["mu"], "--nu", path["nu"])
+    assert code == 0 and winf["r"] == 0.0
+    assert "lower_infeasibility_witness" not in winf
+
+
 def test_cli_check_and_envelope(tmp_path, capsys):
     act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
     path = tmp_path / "act.json"

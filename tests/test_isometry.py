@@ -1,5 +1,6 @@
 """Isometry condition checks, cross-validated against classical oracles."""
 
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -590,6 +591,29 @@ def test_D_exact_route_reads_both_terms_of_a_defect(monkeypatch):
     assert verdict.witness["residual"] == pytest.approx(0.9995, abs=1e-4)
 
 
+def test_D_exact_route_on_a_character_reads_both_terms():
+    """A near character is re-decided on the exact forms of both terms of
+    its defects, as a larger block is, and not on a permutation sigma
+    with kappa(u_yj) = u_jy.  C(Z_2) acts on {0, 1, 2} by the swap (0 1),
+    with kappa replaced by the swap of the two blocks, so it is not a
+    magic unitary; on d(0, 1) = 10^-7 and d(0, 2) = d(1, 2) = 1 each
+    block's defects are +-10^-7 exactly.  Both blocks fail (D), as their
+    float norms and an exact Fraction computation of both terms say,
+    where reading u's permutation alone would clear them."""
+    e = F(1, 10 ** 7)
+    space = validate_metric([[0, e, 1], [e, 0, 1], [1, 1, 0]])
+    swap = permutation_action(space, [(1, 0, 2)])
+    qg = dataclasses.replace(swap.group, kappa=np.array([[0, 1], [1, 0]]))
+    action = CoAction(qg, space, swap.coeffs)
+    cut = isometry.defect_blocks(action)
+    assert cut.residuals.max() == pytest.approx(1e-7)
+    assert space.tol * float(space.max_distance) < cut.residuals.max() <= \
+        isometry._BORDERLINE * float(space.max_distance)
+    assert cut.blocks == _exact_defect_blocks(action) == {0, 1}
+    assert not check_D(action).holds
+    assert isometry.defect_blocks(swap).blocks == frozenset()
+
+
 def test_D_witness_residual_is_read_on_the_failing_blocks(monkeypatch):
     """A block that the exact route clears does not set the witness's
     residual, even where its float norm is the larger: with a noise of
@@ -633,12 +657,12 @@ def test_D_near_tie_on_a_two_by_two_block_is_decided_exactly():
 
 
 def test_character_route_is_skipped_only_where_it_decides_nothing(c07_population):
-    """`defect_blocks` reads a character's distance ranks only on a space
-    with two distances within 2 x _BORDERLINE x max d: elsewhere a
-    permutation character's defects are 0 or at least that gap, so its
-    float cut is exact.  On the c07 population, whose rational spaces have
-    no such distances, the rank route agrees with the cut on every
-    permutation character."""
+    """`defect_blocks` re-decides a near character only on a space with
+    two distances within 2 x _BORDERLINE x max d: elsewhere a magic
+    unitary's character has defects 0 or at least that gap, so its float
+    cut is exact.  On the c07 population, whose rational spaces have no
+    such distances, the exact forms of both terms (`_form_defects`) agree
+    with the cut on every character that has them."""
     checked = 0
     for action in c07_population:
         space = action.space
@@ -646,12 +670,13 @@ def test_character_route_is_skipped_only_where_it_decides_nothing(c07_population
             continue
         gaps = np.diff(np.array(space.realized_distances, dtype=float))
         assert (gaps > 2 * isometry._BORDERLINE * float(space.max_distance)).all()
-        chars = np.flatnonzero(np.array(action.group.algebra.blocks) == 1)
-        perm, exact = isometry._character_defects(action, chars)
+        antipodes = isometry._defect_terms(action)[1]
         blocks = isometry.defect_blocks(action).blocks
-        assert [int(k) in blocks for k in chars[perm]] == \
-            exact.any(axis=(0, 1)).tolist(), action.name
-        checked += int(perm.sum())
+        for k in np.flatnonzero(np.array(action.group.algebra.blocks) == 1):
+            exact = isometry._form_defects(action, int(k), antipodes)
+            if exact is not None:
+                assert (int(k) in blocks) == exact.any(), action.name
+                checked += 1
     assert checked > 200
 
 
