@@ -191,7 +191,7 @@ def _group_and_basis(doc: dict, enforce_kac: bool = True) -> Tuple[QuantumGroup,
     delta_rows = _matrix(doc["delta"], "delta", dim * dim, dim)
     D_file = np.array([[parse_complex(v) for v in row] for row in delta_rows])
     D3_file = D_file.reshape(dim, dim, dim)
-    D3 = np.einsum("cb,dg,bga,ae->cde", B, B, D3_file, Binv)
+    D3 = np.einsum("cb,dg,bga,ae->cde", B, B, D3_file, Binv, optimize=True)
     epsilon = np.array([parse_complex(v)
                         for v in _array(doc["epsilon"], "epsilon", dim)]) @ Binv
     K_file = np.array([[parse_complex(v) for v in row]

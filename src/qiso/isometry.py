@@ -49,10 +49,11 @@ exact fraction-free elimination on ints (`algebra.exact_psd`), in loop
 order up to the first failure, which is the witness; each reads the
 block's one exact form (`CoAction.exact_block`), and a block without
 one keeps the float verdict.  Float mode uses Hermitian eigensolvers
-with one tolerance; the space's mode says which.  Every check reads the space's
-`tol`, relative to the largest distance (its p-th power for the Lip_p
-eigenvalue bounds), and distances compare within the space's `dtol`, so
-no verdict depends on the caller or on the metric's units.
+with one tolerance; the space's mode says which.  Every check reads the
+space's `tol`, relative to the largest distance (its p-th power for the
+Lip_p eigenvalue bounds), and compares two distances in both modes by
+the space's `sublevel_tops` (within `dtol`), so no verdict depends on
+the caller or on the metric's units.
 """
 
 from __future__ import annotations
@@ -522,29 +523,29 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     block is a character, which sends x to the Dirac mass at sigma(x): the
     condition there is d(sigma x, sigma y) <= d(x, y).  Every pair of
     `_state_pairs` and every character is decided at once, through the
-    index array sigma[c, x]: in rational mode exactly, on the ranks of the
-    space's integer form; in float mode as d(sigma x, sigma y)^p -
-    d(x, y)^p within the tolerance.  On a larger block, the top eigenvalue
-    of sum_a f_a u_{x,L_x[a]} + sum_b g_b u_{y,L_y[b]} must stay below
-    d(x,y)^p for every vertex (f, g) of the dual polyhedron of the cost d^p
-    on L_x x L_y (both sums of projections are 1 on the block, so the
-    objective is shift-invariant); those are found once per support pair,
-    from at most C(2b_k - 2, b_k - 1) trees whatever n is, and each
-    (pair, block) takes one batched eigvalsh over its vertex matrices.
+    index array sigma[c, x], on the distance ranks and `sublevel_tops` in
+    both modes: W_p of two Dirac masses is their distance at every p.  On
+    a larger block, the top eigenvalue of sum_a f_a u_{x,L_x[a]} +
+    sum_b g_b u_{y,L_y[b]} must stay below d(x,y)^p for every vertex
+    (f, g) of the dual polyhedron of the cost d^p on L_x x L_y (both sums
+    of projections are 1 on the block, so the objective is
+    shift-invariant); those are found once per support pair, from at most
+    C(2b_k - 2, b_k - 1) trees whatever n is, and each (pair, block)
+    takes one batched eigvalsh over its vertex matrices.
 
     Margins are in units of d^p (d(sigma x, sigma y)^p or the eigenvalue,
-    minus d(x,y)^p, every d^p read from `space.float_power(p)`) and the
-    space's tol is relative to the largest d^p.  In rational mode and for
-    integer p, eigenvalue near-ties are re-decided in loop order up to
-    the first failure, on ints: with d^p = k^p / s^p (`space.power(p)`),
-    the raw vertex (at the scale s^p) and block k's exact form (R, q),
-    k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b R[y, L_y[b]] must be PSD.
+    minus d(x,y)^p, every d^p read from `space.float_power(p)`) and a
+    larger block's bound is the space's tol x the largest d^p.  In
+    rational mode and for integer p, eigenvalue near-ties are re-decided
+    in loop order up to the first failure, on ints: with d^p = k^p / s^p
+    (`space.power(p)`), the raw vertex (at the scale s^p) and block k's
+    exact form (R, q), k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b
+    R[y, L_y[b]] must be PSD.
     The witness is the first failure in the order (pair, block, vertex).
     """
     if p == float("inf") or p == "inf":
         return check_winf_universal(action)
     space = action.space
-    rational = space.mode == RATIONAL
     exact_power, power_scale = space.power(p)   # d^p as k^p / s^p, or floats
     exact = power_scale is not None
     # d^p of each rank, as the float of the exact power when it is exact
@@ -556,7 +557,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     supports = action.block_supports
     pairs = _state_pairs(space)
     xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
-    ranks = np.array(space.distance_ranks)
+    ranks, tops = np.array(space.distance_ranks), np.array(space.sublevel_tops)
     r_xy = ranks[xs, ys]
 
     chars = [k for k, b in enumerate(blocks) if b == 1]
@@ -565,8 +566,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
         raise ValueError("a 1x1 block of u is not a permutation of the points")
     r_image = ranks[sigma[:, xs], sigma[:, ys]].T          # (pair, character)
     char_margins = power[r_image] - power[r_xy][:, None]
-    char_fails = np.flatnonzero(~(r_image <= r_xy[:, None]) if rational
-                                else ~(char_margins <= space.tol * scale))
+    char_fails = np.flatnonzero(~(r_image <= tops[r_xy][:, None]))
     # the first failing character as (pair, block); larger blocks are
     # decided in loop order up to it
     if len(char_fails):
@@ -654,26 +654,24 @@ def _support_sweep(action: CoAction) -> Callable[[bool], IsometryVerdict]:
     lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, in one
     sweep over every pair of `_state_pairs`, block and (j, k) of
     `CoAction.block_supports` off the level set, Lip_inf's being those with
-    d(j, k) > d(x, y) (on the distance ranks in rational mode, within the
-    space's `dtol` in float mode): one stacked matmul and one batched
-    eigvalsh per block size (the real entry on 1x1 blocks).  A verdict,
-    formed when asked for, has as witness its first failure in the order
-    (pair, block, j, k) and as certificate its largest residual.  In
-    rational mode a product within _BORDERLINE of 0 is re-decided exactly,
-    once for both verdicts and only before their first failures:
+    d(j, k) > d(x, y), both on the space's `sublevel_tops` in both modes:
+    one stacked matmul and one batched eigvalsh per block size (the real
+    entry on 1x1 blocks).  A verdict, formed when asked for, has as
+    witness its first failure in the order (pair, block, j, k) and as
+    certificate its largest residual.  In rational mode a product within
+    _BORDERLINE of 0 is re-decided exactly, once for both verdicts and
+    only before their first failures:
     -(R_P R_Q R_P) must be PSD, on the block's exact form."""
     space = action.space
     alg = action.group.algebra
     pairs = _state_pairs(space)
     xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
-    if space.mode == RATIONAL:
-        keys, dtol = np.array(space.distance_ranks), 0
-    else:
-        keys, dtol = np.array(space.dist, dtype=float), space.dtol
+    ranks, tops = np.array(space.distance_ranks), np.array(space.sublevel_tops)
     supports = action.block_supports
     js = supports[:, xs].swapaxes(0, 1)[..., :, None]   # (pair, block, j, 1)
     ks = supports[:, ys].swapaxes(0, 1)[..., None, :]   # (pair, block, 1, k)
-    off = np.abs(keys[js, ks] - keys[xs, ys][:, None, None, None]) > dtol
+    r_jk, r_xy = ranks[js, ks], ranks[xs, ys][:, None, None, None]
+    off = (r_jk > tops[r_xy]) | (r_xy > tops[r_jk])
     pair, block, a, c = np.nonzero(off & (js >= 0) & (ks >= 0))
     j, k = supports[block, xs[pair], a], supports[block, ys[pair], c]
     sizes = np.array(alg.blocks)[block]
@@ -706,7 +704,7 @@ def _support_sweep(action: CoAction) -> Callable[[bool], IsometryVerdict]:
     def verdict(lip_inf):
         """Lip_inf's verdict (products off the sublevel set) or main's."""
         tag = "Lip_inf(universal)" if lip_inf else "main(universal)"
-        chosen = (np.flatnonzero(keys[j, k] > keys[xs[pair], ys[pair]] + dtol)
+        chosen = (np.flatnonzero(ranks[j, k] > tops[ranks[xs[pair], ys[pair]]])
                   if lip_inf else np.arange(len(pair)))
         failed = _first_failure(margins[chosen], space.tol, _BORDERLINE,
                                 (lambda f: product_psd(int(chosen[f])))

@@ -177,7 +177,9 @@ class FiniteMetricSpace:
     def sublevel_tops(self) -> Tuple[int, ...]:
         """tops[k]: the last rank whose distance is <= realized_distances[k]
         + dtol, so that {d <= d_k} within dtol is the pairs of rank at most
-        tops[k].  Nondecreasing, and tops[k] = k in rational mode."""
+        tops[k].  Nondecreasing, and tops[k] = k in rational mode.  The one
+        rule for comparing distances: d_a <= d_k within dtol iff a <=
+        tops[k], and d_a = d_k within dtol iff also k <= tops[a]."""
         values = self.realized_distances
         return tuple(bisect_right(values, v + self.dtol) - 1 for v in values)
 
@@ -304,9 +306,10 @@ def ball(space: FiniteMetricSpace, x: int, interval) -> frozenset:
 
 
 def level_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
-    """{(i,j) : d(i,j) = r}, exactly in rational mode, within dtol otherwise."""
+    """{(i,j) : d(i,j) = r} within dtol, both ways as in `sublevel_tops`."""
     tol = space.dtol
-    return PairSet(tuple(tuple(abs(v - r) <= tol for v in row) for row in space.dist))
+    return PairSet(tuple(tuple(v <= r + tol and r <= v + tol for v in row)
+                         for row in space.dist))
 
 
 def sublevel_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:

@@ -393,10 +393,10 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     n_K^2 n_L^2 entries, dim^4 only for a full support.  Coassociativity
     holds slabs of at most _SLAB entries.  The dim^3 arrays of a rank or
     residual die once it is taken or its blocks are gathered, as do the
-    support lists once the products are formed (C(S5), a 28 MB delta,
-    peaks at 100 MB of allocations).  A non-finite entry in a
-    structure map makes the residuals it reaches NaN, and a NaN residual
-    fails the report.
+    support lists once the products are formed (C(S5) is measured in the
+    `warm_verify_ms` record of BENCH_hopf_support.json).  A non-finite
+    entry in a structure map makes the residuals it reaches NaN, and a NaN
+    residual fails the report.
     """
     alg = qg.algebra
     dim = alg.dim

@@ -348,6 +348,8 @@ def _span_record(action: CoAction, desc: dict, p, pool, holds,
     if basis and len(iso_states) >= 2:
         rng = random.Random(seed)
         mean_vec = sum(s.as_vector() for s in iso_states) / len(iso_states)
+        mean_lam = min(float(np.linalg.eigvalsh(r)[0]) for r in
+                       StateFunctional.from_vector(alg, mean_vec).densities)
         combos = []
         for _ in range(state_samples):
             coeffs = [rng.gauss(0.0, 1.0) for _ in iso_states]
@@ -361,8 +363,6 @@ def _span_record(action: CoAction, desc: dict, p, pool, holds,
                       for r in StateFunctional.from_vector(alg, vec).densities)
             if lam < 0:
                 # mix toward the barycenter until positive
-                mean_lam = min(float(np.linalg.eigvalsh(r)[0]) for r in
-                               StateFunctional.from_vector(alg, mean_vec).densities)
                 if mean_lam <= tol:
                     continue
                 t = (-lam + tol) / (mean_lam - lam + tol)

@@ -438,14 +438,9 @@ def _transport(mu: ProbVector, nu: ProbVector, cost,
     n = mu.n
     if scale is not None:
         mass, ms = _integer_scale(mu.mass + nu.mass)
-        unbalanced = sum(mass[:n]) != sum(mass[n:])
     else:
         cost = [float(c) for c in cost]
         mass = [float(m) for m in mu.mass + nu.mass]
-        unbalanced = abs(sum(mu.mass) - sum(nu.mass)) > \
-            tol_for(_mode_of(mu.mass, nu.mass))
-    if unbalanced:
-        raise InfeasibleMarginals("marginal masses differ")
     flows, pi = _network_simplex(2 * n, [i for i in range(n) for _ in range(n)],
                                  list(range(n, 2 * n)) * n, cost,
                                  [-m for m in mass[:n]] + mass[n:], scale)

@@ -242,10 +242,20 @@ def block_metric(k, asymmetric):
                              for y in range(2 * k)] for x in range(2 * k)])
 
 
+def _float_swap_action(excess):
+    """C(Z_2) acting by the swap (0 2) on a float space of tol 1e-9 and
+    max d = 1: d(0, 1) = 0.9, d(0, 2) = 1 and d(1, 2) = 0.9 + excess."""
+    dist = [[0.0, 0.9, 1.0], [0.9, 0.0, 0.9 + excess],
+            [1.0, 0.9 + excess, 0.0]]
+    return permutation_action(validate_metric(dist, tolerance=1e-9),
+                              [(2, 1, 0)], name=f"swap-{excess:g}")
+
+
 def test_lip_p_universal_matches_full_sweep():
     """The per-support route gives the verdicts of the full-space sweep on
-    the catalog and on 6-point two-projection actions of D5 and D7, and
-    each failure's witness state fails the per-state check."""
+    the catalog, on 6-point two-projection actions of D5 and D7 and on a
+    float character whose distances tie within dtol, and each failure's
+    witness state fails the per-state check."""
     from qiso.coaction import verify_coaction
     actions = [entry.action for entry in standard_actions()]
     for m in (5, 7):
@@ -254,6 +264,7 @@ def test_lip_p_universal_matches_full_sweep():
                                              (0, 1, 2))
             assert verify_coaction(action).passed(1e-9)
             actions.append(action)
+    actions.append(_float_swap_action(0.8e-9))
     seen = {kind: set() for kind in ("character", "dual-vertex")}
     for action in actions:
         for twin in (action, scaled_twin(action, 1, True)):
@@ -272,6 +283,25 @@ def test_lip_p_universal_matches_full_sweep():
                     size = action.group.algebra.blocks[w["block"]]
                     assert all(len(L) <= size for L in w["supports"])
     assert seen["character"] and "D5-pairs" in seen["dual-vertex"]
+
+
+def test_float_character_tie_gives_one_verdict_at_every_p():
+    """A character sends Dirac masses to Dirac masses, so its W_p is
+    d(sigma x, sigma y) at every p.  On `_float_swap_action(0.8e-9)` the
+    swap moves d(0, 1) = 0.9 to 0.9 + 0.8e-9, within dtol = 1e-9: every
+    condition holds and the tower has no violation (a comparison of d^p
+    within tol x max d^p would fail Lip_2 and Lip_3 only).  At 1.5e-9,
+    beyond dtol, every condition fails."""
+    def flags(action):
+        return reports._condition_flags(action, (1, 2, 3, "inf"),
+                                        isometry.defect_blocks(action).blocks)
+
+    near = flags(_float_swap_action(0.8e-9))
+    assert all(near.values()), near
+    assert reports.implication_tallies(
+        [{"name": "swap", "conditions": near}])["violations"] == []
+    far = flags(_float_swap_action(1.5e-9))
+    assert len(far) == 6 and not any(far.values()), far
 
 
 def test_lip_p_universal_on_characters_enumerates_nothing(monkeypatch):

@@ -75,6 +75,9 @@ def test_infeasible_marginals():
     with pytest.raises(InfeasibleMarginals):
         solve_transport(ProbVector((F(1, 2), F(1, 2))),
                         ProbVector((F(1, 2), F(1, 4))), [[F(0)] * 2] * 2)
+    with pytest.raises(InfeasibleMarginals):
+        solve_transport(ProbVector((0.5, 0.5)), ProbVector((0.5, 0.25)),
+                        [[0.0] * 2] * 2)
 
 
 def test_duals_feasible_and_plan_marginal():
