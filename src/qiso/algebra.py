@@ -75,6 +75,24 @@ class FinDimCStarAlgebra:
                 mask = np.logical_or.reduceat(mask, self.offsets, axis=axis)
         return mask
 
+    def split(self, X: np.ndarray) -> List[np.ndarray]:
+        """The blocks of the elements X[..., a] (coefficient vectors on the
+        last axis), one (..., b, b) array per block, in block order: views
+        of X where its last axis is contiguous.  The one slicing of the
+        basis by block that other modules read."""
+        lead = X.shape[:-1]
+        return [X[..., off:off + b * b].reshape(lead + (b, b))
+                for off, b in zip(self.offsets, self.blocks)]
+
+    @cached_property
+    def trace_matrix(self) -> np.ndarray:
+        """(dim, K): the block traces of coefficient vectors X are X @
+        trace_matrix, column k summing the diagonal units of block k."""
+        rows = np.zeros((len(self.blocks), self.dim))
+        for k, view in enumerate(self.split(rows)):
+            view[k] = np.eye(self.blocks[k])
+        return rows.T
+
     def element_blocks(self, X: np.ndarray) -> List[np.ndarray]:
         """The blocks of the elements X[..., a] (coefficient vectors on the
         last axis), one stack of shape (..., K, n, n) per block size n, in
@@ -97,10 +115,7 @@ class FinDimCStarAlgebra:
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (self.dim,):
             raise ShapeMismatch(f"vector of length {vec.shape}, need {self.dim}")
-        data = []
-        for off, b in zip(self.offsets, self.blocks):
-            data.append(vec[off:off + b * b].reshape(b, b).copy())
-        return AlgElement(self, tuple(data))
+        return AlgElement(self, tuple(m.copy() for m in self.split(vec)))
 
     def basis_element(self, idx: int) -> "AlgElement":
         vec = np.zeros(self.dim, dtype=complex)
@@ -295,11 +310,8 @@ class StateFunctional:
 
     @staticmethod
     def from_vector(owner: FinDimCStarAlgebra, vec) -> "StateFunctional":
-        vec = np.asarray(vec, dtype=complex)
-        densities = []
-        for off, b in zip(owner.offsets, owner.blocks):
-            densities.append(vec[off:off + b * b].reshape(b, b).T.copy())
-        return StateFunctional(owner, tuple(densities))
+        return StateFunctional(owner, tuple(
+            m.T.copy() for m in owner.split(np.asarray(vec, dtype=complex))))
 
     def is_state(self, tol: float = 1e-9) -> bool:
         total = 0.0

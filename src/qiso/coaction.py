@@ -25,7 +25,7 @@ from .algebra import AlgElement, StateFunctional, element_norms, max_operator_no
 from .errors import QisoError, ShapeMismatch
 from .metric import FiniteMetricSpace
 from .quantum_group import QGReport, QuantumGroup
-from .transport import ProbVector, prob_vector
+from .transport import ProbVector
 
 
 class NotAPartition(QisoError):
@@ -53,8 +53,7 @@ class CoAction:
             raise ShapeMismatch(f"coefficient tensor of shape {self.coeffs.shape}, "
                                 f"need ({n}, {n}, {alg.dim})")
         self.coeffs.flags.writeable = False
-        self.stacks = [self.coeffs[..., off:off + b * b].reshape(n, n, b, b)
-                       for off, b in zip(alg.offsets, alg.blocks)]
+        self.stacks = alg.split(self.coeffs)
 
     @cached_property
     def u(self) -> Tuple[Tuple[AlgElement, ...], ...]:
@@ -70,15 +69,12 @@ class CoAction:
     def block_supports(self) -> np.ndarray:
         """supports[k, x]: the j, in increasing order, whose projection u_xj
         has trace >= 1 on block k (the others vanish there), padded with -1
-        to the longest such row of any block.  One trace per block, taken
-        on first use: the universal checks share it, and the envelope's
-        induced actions, which never read it, do not pay for it."""
-        alg = self.group.algebra
-        diagonal = [off + a * (b + 1) for off, b in zip(alg.offsets, alg.blocks)
-                    for a in range(b)]
-        starts = np.cumsum((0,) + tuple(alg.blocks[:-1]))
-        live = np.moveaxis(np.add.reduceat(
-            self.coeffs[..., diagonal].real, starts, axis=2) > 0.5, 2, 0)
+        to the longest such row of any block.  The traces are one product
+        with the algebra's `trace_matrix`, taken on first use: the universal
+        checks share it, and the envelope's induced actions, which never
+        read it, do not pay for it."""
+        traces = self.coeffs.real @ self.group.algebra.trace_matrix
+        live = np.moveaxis(traces > 0.5, 2, 0)
         place = np.cumsum(live, axis=2) - 1    # each live j's place in its row
         k, x, j = np.nonzero(live)
         supports = np.full(live.shape[:2] + (place.max() + 1,), -1)
@@ -173,16 +169,14 @@ def generation_deficit(action: CoAction) -> float:
             return alg.dim - len(basis)
         rank = len(basis)
         vecs = np.vstack([basis, np.hstack([
-            (basis[:, off:off + b * b].reshape(-1, 1, b, b)
-             @ stack.reshape(1, n2, b, b)).reshape(-1, b * b)
-            for off, b, stack in zip(alg.offsets, alg.blocks, action.stacks)])])
+            (B[:, None] @ stack.reshape(n2, b, b)).reshape(-1, b * b)
+            for B, stack, b in zip(alg.split(basis), action.stacks, alg.blocks)])])
 
 
 def act_on_point(action: CoAction, x: int, psi: StateFunctional) -> ProbVector:
-    """x <| psi: the distribution with mass psi(u_xj) at j, validated by
-    `prob_vector` within the space's tol."""
-    return prob_vector((action.coeffs[x] @ psi.as_vector()).real.tolist(),
-                       tol=action.space.tol)
+    """x <| psi: the distribution with mass psi(u_xj) at j, row x of
+    `act_on_points` on psi alone, which validates every row of psi."""
+    return ProbVector(tuple(act_on_points(action, [psi])[0, x].tolist()))
 
 
 def act_on_points(action: CoAction, states) -> np.ndarray:

@@ -171,9 +171,10 @@ def quantum_group_to_dict(qg: QuantumGroup) -> dict:
             "name": qg.name}
 
 
-def _group_and_basis(doc: dict, enforce_kac: bool = True) -> Tuple[QuantumGroup, np.ndarray]:
-    """(QuantumGroup, B): the group over the matrix-unit basis, and the
-    invertible B whose column a is the file's basis element a over it."""
+def _group_and_basis(doc: dict) -> Tuple[QuantumGroup, np.ndarray]:
+    """(QuantumGroup, B): the group over the matrix-unit basis, checked to
+    be of Kac type, and the invertible B whose column a is the file's
+    basis element a over it."""
     blocks = _array(doc["blocks"], "blocks")
     if not all(_is_int(b) and b >= 1 for b in blocks):
         raise ValueError("blocks must be block sizes, integers >= 1")
@@ -198,13 +199,12 @@ def _group_and_basis(doc: dict, enforce_kac: bool = True) -> Tuple[QuantumGroup,
                        for row in _matrix(doc["kappa"], "kappa", dim, dim)])
     kappa = B @ K_file @ Binv
     qg = QuantumGroup(alg, D3, epsilon, kappa, name=_name(doc))
-    if enforce_kac:
-        require_kac(qg)
+    require_kac(qg)
     return qg, B
 
 
-def quantum_group_from_dict(doc: dict, enforce_kac: bool = True) -> QuantumGroup:
-    return _group_and_basis(doc, enforce_kac)[0]
+def quantum_group_from_dict(doc: dict) -> QuantumGroup:
+    return _group_and_basis(doc)[0]
 
 
 def save_quantum_group(path: str, qg: QuantumGroup) -> None:
@@ -224,17 +224,17 @@ def coaction_to_dict(action: CoAction) -> dict:
             "space": space_to_dict(action.space)}
 
 
-def save_coaction(path: str, action: CoAction, inline: bool = False) -> None:
+def save_coaction(path: str, action: CoAction) -> None:
     """Write the coaction file; group and space go to sibling files
-    referenced by relative path (or inline, as in dossiers)."""
+    referenced by relative path (`coaction_to_dict` gives the document
+    with both inline)."""
     import os
     doc = coaction_to_dict(action)
-    if not inline:
-        stem = path[:-5] if path.endswith(".json") else path
-        for field in ("group", "space"):
-            with open(f"{stem}.{field}.json", "w") as fh:
-                json.dump(doc[field], fh, indent=1)
-            doc[field] = f"{os.path.basename(stem)}.{field}.json"
+    stem = path[:-5] if path.endswith(".json") else path
+    for field in ("group", "space"):
+        with open(f"{stem}.{field}.json", "w") as fh:
+            json.dump(doc[field], fh, indent=1)
+        doc[field] = f"{os.path.basename(stem)}.{field}.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
 

@@ -51,9 +51,11 @@ block's one exact form (`CoAction.exact_block`), and a block without
 one keeps the float verdict.  Float mode uses Hermitian eigensolvers
 with one tolerance; the space's mode says which.  Every check reads the
 space's `tol`, relative to the largest distance (its p-th power for the
-Lip_p eigenvalue bounds), and compares two distances in both modes by
-the space's `sublevel_tops` (within `dtol`), so no verdict depends on
-the caller or on the metric's units.
+Lip_p eigenvalue bounds), and compares W_p or a distance with d(x, y) in
+both modes by the space's `sublevel_tops` (within `dtol`): a larger
+Lip_p block's eigenvalues are bounded by d_top^p, d_top the largest
+distance within dtol of d(x, y).  So no verdict depends on the caller or
+on the metric's units, and Lip_inf => Lip_p holds in float mode too.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from typing import Callable, FrozenSet, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .algebra import StateFunctional, exact_psd, extreme_state, operator_norms
-from .coaction import CoAction, act_on_point, act_on_points, exact_form
+from .coaction import CoAction, act_on_points, exact_form
 from .errors import QisoError
 from .metric import level_set
 from .scalars import RATIONAL
@@ -203,10 +205,7 @@ def _form_defects(action: CoAction, k: int,
     form = action.exact_block(k)
     if form is None:
         return None
-    b = action.group.algebra.blocks[k]
-    off = action.group.algebra.offsets[k]
-    kappa_form = exact_form(antipodes[..., off:off + b * b].reshape(
-        action.n, action.n, b, b))
+    kappa_form = exact_form(action.group.algebra.split(antipodes)[k])
     if kappa_form is None:
         return None
     (R, q), (S, r) = form, kappa_form
@@ -526,21 +525,26 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     index array sigma[c, x], on the distance ranks and `sublevel_tops` in
     both modes: W_p of two Dirac masses is their distance at every p.  On
     a larger block, the top eigenvalue of sum_a f_a u_{x,L_x[a]} +
-    sum_b g_b u_{y,L_y[b]} must stay below d(x,y)^p for every vertex
+    sum_b g_b u_{y,L_y[b]} must stay below d_top^p, d_top the largest
+    distance within dtol of d(x,y) (rank `sublevel_tops`[r_xy]; d(x,y)
+    itself in rational mode), for every vertex
     (f, g) of the dual polyhedron of the cost d^p on L_x x L_y (both sums
     of projections are 1 on the block, so the objective is
     shift-invariant); those are found once per support pair, from at most
     C(2b_k - 2, b_k - 1) trees whatever n is, and each (pair, block)
     takes one batched eigvalsh over its vertex matrices.
 
-    Margins are in units of d^p (d(sigma x, sigma y)^p or the eigenvalue,
-    minus d(x,y)^p, every d^p read from `space.float_power(p)`) and a
-    larger block's bound is the space's tol x the largest d^p.  In
-    rational mode and for integer p, eigenvalue near-ties are re-decided
-    in loop order up to the first failure, on ints: with d^p = k^p / s^p
-    (`space.power(p)`), the raw vertex (at the scale s^p) and block k's
-    exact form (R, q), k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b
-    R[y, L_y[b]] must be PSD.
+    So every block compares W_p with d(x,y) as Lip_inf compares
+    distances, and Lip_inf => Lip_p holds in both modes (W_p <= W_inf).
+    Margins are in units of d^p (d(sigma x, sigma y)^p minus d(x,y)^p,
+    or the eigenvalue minus d_top^p, every d^p read from
+    `space.float_power(p)`) and a larger block's bound is the space's
+    tol x the largest d^p.  In rational mode and for integer p,
+    eigenvalue near-ties are re-decided in loop order up to the first
+    failure, on ints: with d_top^p = k^p / s^p (`space.power(p)`), the
+    raw vertex (at the scale s^p) and block k's exact form (R, q),
+    k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b R[y, L_y[b]] must be
+    PSD.
     The witness is the first failure in the order (pair, block, vertex).
     """
     if p == float("inf") or p == "inf":
@@ -559,6 +563,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     xs, ys = np.array(pairs, dtype=int).reshape(-1, 2).T
     ranks, tops = np.array(space.distance_ranks), np.array(space.sublevel_tops)
     r_xy = ranks[xs, ys]
+    r_top = tops[r_xy]      # the rank of d_top, which bounds a larger block
 
     chars = [k for k, b in enumerate(blocks) if b == 1]
     sigma = supports[chars, :, 0]
@@ -579,16 +584,18 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     vertices = {}        # (L_x, L_y) -> (raw vertices, scale, float f, float g)
     worst = [float(char_margins.max())] if char_margins.size else []
 
-    def vertex_psd(k, x, y, vert):
+    def vertex_psd(k, i, vert):
         """Whether k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b R[y, L_y[b]]
-        is PSD, for a raw vertex (f, g) and k^p at the scale s^p of d^p,
-        on block k's exact form (R, q); None when the block has none."""
+        is PSD, for pair i = (x, y), a raw vertex (f, g) and k^p at the
+        scale s^p of d_top^p, on block k's exact form (R, q); None when the
+        block has none."""
         form = action.exact_block(k)
         if form is None:
             return None
         R, q = form
+        x, y = pairs[i]
         terms = np.concatenate([R[x, list(rows[k][x])], R[y, list(rows[k][y])]])
-        d_p = exact_power[space.distance_ranks[x][y]]
+        d_p = exact_power[r_top[i]]
         return exact_psd(d_p * q * np.eye(R.shape[-1], dtype=object)
                          - sum(c * m for c, m in zip(vert, terms)))
 
@@ -605,11 +612,11 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
             raw, vscale, F, G = vertices[lx, ly]
             ux, uy = stacks[k][x, list(lx)], stacks[k][y, list(ly)]
             mats = np.einsum("vj,jab->vab", F, ux) + np.einsum("vj,jab->vab", G, uy)
-            margins = np.linalg.eigvalsh(mats)[:, -1] - power[r_xy[i]]
+            margins = np.linalg.eigvalsh(mats)[:, -1] - power[r_top[i]]
             worst.append(float(margins.max()))
             failed = _first_failure(
                 margins, space.tol * scale, _BORDERLINE * scale,
-                (lambda v: vertex_psd(k, x, y, raw[v])) if exact else None)
+                (lambda v: vertex_psd(k, i, raw[v])) if exact else None)
             if failed is not None:
                 vert = [str(v if vscale is None else Fraction(v, vscale))
                         for v in raw[failed]]
@@ -740,12 +747,14 @@ def check_theorem_main(action: CoAction) -> IsometryVerdict:
 
 def check_level_coupling_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:
     """Per-state version of the level-set coupling, via the feasibility
-    solver within the space's tol, on each pair of `_state_pairs`.  On
+    solver within the space's tol, on each pair of `_state_pairs`, with
+    every x <| psi from one `act_on_points` call.  On
     an exactly symmetric d the level set is symmetric, so (y, x) repeats
     (x, y), and the first failing pair in x-major order over all ordered
     pairs has x < y anyway."""
     space = action.space
-    images = [act_on_point(action, x, psi) for x in range(space.n)]
+    images = [ProbVector(tuple(row))
+              for row in act_on_points(action, [psi])[0].tolist()]
     for x, y in _state_pairs(space):
         Y = level_set(space, space.dist[x][y])
         verdict = feasible_coupling_on(images[x], images[y], Y, space.tol)

@@ -2547,6 +2547,5 @@ def distribution_to_dict(mu: ProbVector) -> dict:
     return {"mass": [format_scalar(m) for m in mu.mass]}
 
 
-def load_quantum_group(path: str, enforce_kac: bool = True) -> QuantumGroup:
-    return quantum_group_from_dict(read_json_object(path),
-                                   enforce_kac=enforce_kac)
+def load_quantum_group(path: str) -> QuantumGroup:
+    return quantum_group_from_dict(read_json_object(path))

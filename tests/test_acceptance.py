@@ -4,6 +4,7 @@ Everything here runs at the stated tolerance; exact means zero tolerance
 in rational arithmetic.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import ast
 import itertools
 import random
 import time
@@ -252,6 +253,57 @@ def test_c08_finite_dimensional_equivalence(population_flags):
     elapsed = time.time() - t0
     report(8, "(D) <=> universal (Lip_1), commutant form", ok, elapsed,
            f"discrepancies {bad_equiv + bad_dual + bad_comm}")
+
+
+def _oracle_closure(tree, roots):
+    """The module-level functions of a parsed oracles.py that `roots` call,
+    transitively, by name, the roots included."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        todo.extend(node.id for node in ast.walk(defs[name])
+                    if isinstance(node, ast.Name) and node.id in defs)
+    return {name: defs[name] for name in seen}
+
+
+def test_c08_oracles_share_no_exact_path_with_src():
+    """c08 compares `check_D` with `check_D_commutant_by_entry` and
+    `check_lip_p_universal` with `lip_p_universal_full_sweep`, so neither
+    oracle, nor any oracles.py function it calls, may use the exact (D)
+    or exact positivity of `qiso`: no name of `forbidden` imported from
+    `qiso` (at module level or inside a function) and no attribute
+    `exact_block`.  oracles.py's own definitions of such names (its
+    exact_psd) are its own path."""
+    import oracles
+    forbidden = {"check_D", "defect_blocks", "_form_defects", "_defect_terms",
+                 "commutator_defects", "exact_psd", "exact_form"}
+    with open(oracles.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "qiso"
+                for alias in node.names}
+    assert forbidden & imported     # the names to keep out are in reach
+    for root in ("check_D_commutant_by_entry", "lip_p_universal_full_sweep"):
+        closure = _oracle_closure(tree, [root])
+        assert root in closure and len(closure) > 1, root
+        own = set(closure)
+        for name, func in closure.items():
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name):
+                    assert not (node.id in forbidden & imported
+                                and node.id not in own), (root, name, node.id)
+                elif isinstance(node, ast.Attribute):
+                    assert node.attr not in forbidden | {"exact_block"}, \
+                        (root, name, node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    assert not forbidden & {a.name for a in node.names}, \
+                        (root, name)
 
 
 def test_c09_envelope_correctness():

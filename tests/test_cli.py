@@ -13,8 +13,8 @@ from qiso.cli import main
 from qiso.catalog import (dihedral_projection_action, four_point_blocks,
                           permutation_action, standard_actions,
                           three_point_isosceles)
-from qiso.fileio import (load_coaction, load_distribution, load_space,
-                         parse_complex, quantum_group_from_dict,
+from qiso.fileio import (coaction_to_dict, load_coaction, load_distribution,
+                         load_space, parse_complex, quantum_group_from_dict,
                          quantum_group_to_dict, save_coaction,
                          save_quantum_group, space_from_dict,
                          space_to_dict, state_from_dict, state_to_dict)
@@ -280,8 +280,7 @@ def test_cli_mistyped_coaction_or_state_field_is_invalid_input(
     JSON types and shapes too."""
     act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
     path, spath = tmp_path / "act.json", tmp_path / "state.json"
-    save_coaction(str(path), act, inline=True)
-    docs = {"act": json.loads(path.read_text()),
+    docs = {"act": coaction_to_dict(act),
             "state": state_to_dict(act.group.counit_state())}
     doc = docs["state" if field[0] == "densities" else "act"]
     target = doc

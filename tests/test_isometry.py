@@ -304,6 +304,40 @@ def test_float_character_tie_gives_one_verdict_at_every_p():
     assert len(far) == 6 and not any(far.values()), far
 
 
+def _float_blocks_action(excess):
+    """The catalog's dual-d4-blocks coaction on the float twin of its
+    block metric (tol 1e-9, max d = 2), with d(0, 2) = d(2, 0) moved to
+    2 + excess."""
+    action = catalog_action("dual-d4-blocks")
+    dist = [[float(v) for v in row] for row in action.space.dist]
+    dist[0][2] = dist[2][0] = 2.0 + excess
+    space = validate_metric(dist, mode="float", tolerance=1e-9)
+    return CoAction(action.group, space, action.coeffs,
+                    name=f"dual-d4-blocks{excess:+g}")
+
+
+def test_float_block_tie_keeps_lip_inf_implies_lip_p():
+    """A 2 x 2 block's Lip_p eigenvalues are bounded by d_top^p, d_top the
+    largest distance within dtol of d(x, y), as Lip_inf compares: W_p <=
+    W_inf <= d_top.  On `_float_blocks_action`, a move of d(0, 2) by
+    1.6e-9 or -1.2e-9 (0.8e-9 and 0.6e-9 x max d, within dtol = 2e-9)
+    leaves every condition holding and the tower without a violation (a
+    bound of d(x, y)^p within tol x max d^p fails Lip_2 and Lip_3, or
+    Lip_1 to Lip_3).  A move of +-3e-9, beyond dtol, fails all six."""
+    def flags(action):
+        return reports._condition_flags(action, (1, 2, 3, "inf"),
+                                        isometry.defect_blocks(action).blocks)
+
+    for excess in (1.6e-9, -1.2e-9):
+        near = flags(_float_blocks_action(excess))
+        assert len(near) == 6 and all(near.values()), (excess, near)
+        assert reports.implication_tallies(
+            [{"name": "blocks", "conditions": near}])["violations"] == []
+    for excess in (3e-9, -3e-9):
+        far = flags(_float_blocks_action(excess))
+        assert len(far) == 6 and not any(far.values()), (excess, far)
+
+
 def test_lip_p_universal_on_characters_enumerates_nothing(monkeypatch):
     """On C(D16) every block is a character, so universal Lip_p on the
     16-cycle is decided with no dual-vertex enumeration at all.  The
@@ -819,20 +853,15 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
     d^p, on the catalog x 5 random states x p in {1, 2, 3, inf}.  Five
     states take the Hall route for p = inf and, for finite p, the dual
     vertices, also on cyclic-5, where 50 simplex solves (10 pairs) cost
-    more than 0.3 x 70 trees.  The level-coupling check computes each
-    x <| psi once by act_on_point (n calls per state), visits every
+    more than 0.3 x 70 trees.  The level-coupling check computes every
+    x <| psi of its state by one act_on_points call, visits every
     ordered pair and agrees exactly with its oracle."""
-    calls, batches = [], []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return act_on_point(*args, **kwargs)
+    batches = []
 
     def batched(action, states, *args, **kwargs):
         batches.append(len(states))
         return act_on_points(action, states, *args, **kwargs)
 
-    monkeypatch.setattr(isometry, "act_on_point", counted)
     monkeypatch.setattr(isometry, "act_on_points", batched)
     seen = {True: 0, False: 0}
     ps = (1, 2, 3, float("inf"))
@@ -841,15 +870,15 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
         routes = ("dual-vertices",) * 3 + ("hall-subsets",)
         states = [random_state(action.group.algebra, 37 * k + 3)
                   for k in range(5)]
-        del calls[:], batches[:]
+        del batches[:]
         sweep = isometry.check_lip_p_state_sweep(action, states, ps)
-        assert batches == [len(states)] and not calls
+        assert batches == [len(states)]
         for k, (psi, verdicts) in enumerate(zip(states, sweep)):
             for p, route, v in zip(ps, routes, verdicts):
                 seen[_assert_matches_per_pair(v, action, psi, p, route)] += 1
-            del calls[:]
+            del batches[:]
             v = check_level_coupling_state(action, psi)
-            assert calls == list(range(action.n))
+            assert batches == [1]
             assert (v.holds, v.witness) == \
                 _level_coupling_per_pair(action, psi), (entry.name, k)
             seen[v.holds] += 1
@@ -948,24 +977,19 @@ def test_unordered_sweep_matches_ordered_sweep():
 def test_verify_instance_computes_each_image_once(monkeypatch):
     """One verify_instance call computes x <| psi once per point and
     sampled state, for all four p together: one batched act_on_points
-    call over its three states, and no act_on_point call."""
+    call over its three states."""
     from qiso.reports import verify_instance
-    calls, batches = [], []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return act_on_point(*args, **kwargs)
+    batches = []
 
     def batched(action, states, *args, **kwargs):
         batches.append(len(states))
         return act_on_points(action, states, *args, **kwargs)
 
-    monkeypatch.setattr(isometry, "act_on_point", counted)
     monkeypatch.setattr(isometry, "act_on_points", batched)
     rec = verify_instance({"source": "catalog", "name": "cyclic-5"},
                           state_samples=3)
     assert set(rec["sampled_states_hold"]) == {"Lip_1", "Lip_2", "Lip_3", "Lip_inf"}
-    assert batches == [3] and not calls
+    assert batches == [3]
 
 
 def _images_by_act_on_point(action, states):
@@ -1007,8 +1031,8 @@ def test_batched_images_match_act_on_point(monkeypatch):
 
 def test_image_that_is_not_a_probability_vector_raises():
     """An image with a mass below -tol, or a sum off 1 by more than tol,
-    raises ValueError from act_on_points and from the sweep, as it does
-    from act_on_point through prob_vector; a mass within tol below 0 is
+    raises ValueError from act_on_points, from act_on_point and from the
+    sweep, with prob_vector's messages; a mass within tol below 0 is
     clamped and its row renormalized, as prob_vector does (within 4 ulps
     of 1: the two sum in different orders)."""
     action = catalog_action("cyclic-4")

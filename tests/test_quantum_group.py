@@ -907,7 +907,6 @@ def test_kac_violation_rejected_at_load():
     doc["kappa"][0][1] = 0.5  # antipode no longer involutive
     with pytest.raises(KacViolation):
         quantum_group_from_dict(doc)
-    assert quantum_group_from_dict(doc, enforce_kac=False) is not None
 
 
 def test_kac_star_violation_rejected_at_load():
@@ -924,6 +923,5 @@ def test_kac_star_violation_rejected_at_load():
     doc["kappa"][b][a], doc["kappa"][a][b] = [0.0, 1.0], [0.0, -1.0]
     with pytest.raises(KacViolation, match="does not commute with"):
         quantum_group_from_dict(doc)
-    assert quantum_group_from_dict(doc, enforce_kac=False) is not None
     for group in standard_groups() + [e.action.group for e in standard_actions()]:
         assert quantum_group_from_dict(quantum_group_to_dict(group)) is not None
