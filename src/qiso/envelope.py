@@ -97,14 +97,19 @@ def _hopf_violation(qg: QuantumGroup, included: FrozenSet[int],
 def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
                            name: str = "") -> Tuple[QuantumGroup, List[int]]:
     """Compress the structure maps to the surviving blocks.  Returns the
-    quotient and the list of surviving original block indices."""
+    quotient and the list of surviving original block indices.  When
+    every block survives the quotient keeps the group qg was built from,
+    if any, and is verified against it."""
     alg = qg.algebra
     survivors = [k for k in range(len(alg.blocks)) if k not in ideal]
     sub_alg = FinDimCStarAlgebra(tuple(alg.blocks[k] for k in survivors))
     keep = alg.block_indices(survivors)
+    group = {} if len(survivors) < len(alg.blocks) else dict(
+        group_table=qg.group_table, group_elements=qg.group_elements,
+        group_embedding=qg.group_embedding)
     return QuantumGroup(sub_alg, qg.delta[np.ix_(keep, keep, keep)], qg.epsilon[keep],
                         qg.kappa[np.ix_(keep, keep)],
-                        name=name or f"{qg.name}/I"), survivors
+                        name=name or f"{qg.name}/I", **group), survivors
 
 
 def induced_action(action: CoAction, quotient: QuantumGroup,

@@ -5,7 +5,8 @@ canonical matrix-unit basis, so every Hopf axiom is a finite linear-algebra
 residual.  Verification reports the worst violation per axiom; catalog
 constructors (function algebras of permutation groups, group algebras of
 finite groups presented by unitary irreps) are exact by construction and
-must pass at 1e-10.
+must pass at 1e-10.  They keep the group they are built from, and are
+verified against it on the group basis.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ class QuantumGroup:
     delta[b, g, a] is the coefficient of basis_b (x) basis_g in the image
     of basis_a; kappa[:, a] is the image of basis_a; epsilon[a] evaluates
     the counit on basis_a.
+
+    A quantum group built from a finite group G keeps that group, which
+    `verify_quantum_group` checks it against: `group_table`, the Cayley
+    table (group_table[g, h] indexes gh), and for the dual C*(G) the
+    elements and `group_embedding`, V with column g the coefficient
+    vector of lambda_g.  A group given by its arrays alone has none.
     """
 
     algebra: FinDimCStarAlgebra
@@ -50,6 +57,9 @@ class QuantumGroup:
     epsilon: np.ndarray
     kappa: np.ndarray
     name: str = ""
+    group_table: Optional[np.ndarray] = None
+    group_elements: Optional[List[Permutation]] = None
+    group_embedding: Optional[np.ndarray] = None
 
     def __post_init__(self):
         d = self.algebra.dim
@@ -360,10 +370,138 @@ class QGReport:
         return {k: v for k, v in self.residuals.items() if not v <= tol}
 
 
+# ---------------------------------------------------------------------------
+# verification against the group a quantum group was built from
+
+
+def _largest(entries: np.ndarray) -> float:
+    """max |entry|, NaN when that is not finite: a non-finite entry of a
+    structure map or of V makes some entry of each defect it enters so."""
+    worst = float(np.abs(entries).max(initial=0.0))
+    return worst if np.isfinite(worst) else np.nan
+
+
+def _group_structure(table: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
+    """The identity and the inverses of a group's Cayley table, or None
+    when `table` is none: square over 0..|G|-1, associative, with an
+    identity and inverses.  Associativity takes two |G|^3 gathers."""
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or not table.size \
+            or table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= len(table):
+        return None
+    every = np.arange(len(table))
+    identity = np.flatnonzero((table == every).all(axis=1) & (table.T == every).all(axis=1))
+    if not len(identity):
+        return None
+    inverse = np.argmax(table == identity[0], axis=1)
+    if (table[every, inverse] != identity[0]).any() \
+            or (table[inverse, every] != identity[0]).any() \
+            or not np.array_equal(table[table], table[every[:, None, None], table[None]]):
+        return None
+    return int(identity[0]), inverse
+
+
+def _group_basis_defects(alg: FinDimCStarAlgebra, table: np.ndarray, V: np.ndarray,
+                         identity: int, inverse: np.ndarray) -> Dict[str, float]:
+    """How far the columns lambda_g of V (dim, |G|) are from a unitary
+    group basis of A under A's own product, as the largest entry of each
+    defect:
+    - group_basis: V V^H D / |G| - I, with D = diag(n_k) over the basis,
+      which Schur orthogonality makes 0 (V is a basis, V^-1 = V^H D/|G|);
+    - group_identity: lambda_e - 1;
+    - group_multiplicative: lambda_g lambda_h - lambda_{gh}, block by block;
+    - group_star: lambda_g^* - lambda_{g^-1}.
+    Given the other three, the last says that each lambda_g is unitary."""
+    order = len(table)
+    sizes = np.repeat(alg.blocks, np.square(alg.blocks))
+    products = 0.0
+    for n, idx in alg.blocks_by_size.items():
+        # lambda_g lambda_h on the blocks of size n: one (|G| n, n) @
+        # (n, n |G|) product per block, rows g i and columns h j
+        U = V[idx].transpose(0, 3, 1, 2)                   # K g i j
+        K = len(U)
+        prod = U.reshape(K, order * n, n) @ U.transpose(0, 2, 1, 3).reshape(K, n, n * order)
+        products = max(products, _largest(
+            prod.reshape(K, order, n, order, n) - U[:, table].transpose(0, 1, 3, 2, 4)))
+    return {"group_basis": _largest(V @ V.conj().T * (sizes / order) - np.eye(alg.dim)),
+            "group_identity": _largest(V[:, identity] - alg.unit().vec()),
+            "group_multiplicative": products,
+            "group_star": _largest(V.conj()[_star_index(alg)] - V[:, inverse])}
+
+
+def _group_certificate(qg: QuantumGroup) -> Dict[str, float]:
+    """The residuals of `verify_quantum_group` on a group built from a
+    finite group G with Cayley table T (see there).  A failed shape or
+    table check is 1 and leaves the other residuals NaN."""
+    alg, dim = qg.algebra, qg.dim
+    dual = qg.group_embedding is not None
+    names = ["group_basis", "group_identity", "group_multiplicative", "group_star",
+             "delta_grouplike", "counit_grouplike", "antipode_grouplike"] if dual else \
+        ["delta_cayley", "counit_identity", "antipode_inverse"]
+    res = dict.fromkeys(["group_shape", "group_table"] + names, np.nan)
+    table = np.asarray(qg.group_table)
+    shaped = table.shape == (dim, dim) and (
+        np.shape(qg.group_embedding) == (dim, dim) if dual else max(alg.blocks) == 1)
+    res["group_shape"] = 0.0 if shaped else 1.0
+    structure = _group_structure(table) if shaped else None
+    if structure is None:
+        res["group_table"] = 1.0 if shaped else np.nan
+        return res
+    res["group_table"] = 0.0
+    identity, inverse = structure
+    if dual:
+        # A = C*(G): Delta(lambda_g) = lambda_g (x) lambda_g, one
+        # (dim^2, dim) @ (dim, |G|) product, eps(lambda_g) = 1 and
+        # kappa(lambda_g) = lambda_{g^-1}
+        V = np.asarray(qg.group_embedding)
+        res.update(_group_basis_defects(alg, table, V, identity, inverse))
+        res["delta_grouplike"] = _largest(
+            (qg.delta.reshape(dim * dim, dim) @ V).reshape(dim, dim, dim)
+            - V[:, None] * V[None])
+        res["counit_grouplike"] = _largest(qg.epsilon @ V - 1)
+        res["antipode_grouplike"] = _largest(qg.kappa @ V - V[:, inverse])
+        return res
+    # A = C(G), e_a the point mass at a: Delta(e_a) = sum_{T[b,g] = a}
+    # e_b (x) e_g, eps = e_identity and kappa(e_a) = e_{a^-1}
+    every = np.arange(dim)
+    defect = qg.delta.copy()
+    defect[every[:, None], every, table] -= 1
+    res["delta_cayley"] = _largest(defect)
+    point = np.zeros(dim)
+    point[identity] = 1.0
+    res["counit_identity"] = _largest(qg.epsilon - point)
+    inversion = np.zeros((dim, dim))
+    inversion[inverse, every] = 1.0
+    res["antipode_inverse"] = _largest(qg.kappa - inversion)
+    return res
+
+
 def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     """Check every axiom; the report lists the max violation per axiom.
 
-    Every residual comes from the coefficient tensors: products of matrix
+    A group built by `function_algebra_of_group` or `group_algebra` (or
+    the quotient of one by the empty ideal) carries its group G, with
+    Cayley table T, and is checked against it, in O(dim^4) at most; the
+    group data is not trusted but checked on every call.  The report then
+    lists the certificate's residuals, each the largest entry of a defect:
+    - both: group_shape and group_table, 0 or 1: the arrays fit together,
+      and T is a group table (associative, identity, inverses);
+    - C(G) (all blocks 1x1, dim = |G|): delta_cayley, counit_identity and
+      antipode_inverse, delta, epsilon and kappa against the 0/1 maps of
+      T: Delta(e_a) = sum_{T[b,g] = a} e_b (x) e_g, eps = e_identity,
+      kappa(e_a) = e_{a^-1};
+    - C*(G): the four residuals of `_group_basis_defects`, which say that
+      the columns lambda_g of V are a unitary group basis of A under A's
+      own product, then delta_grouplike, counit_grouplike and
+      antipode_grouplike, the defects of Delta(lambda_g) = lambda_g (x)
+      lambda_g, eps(lambda_g) = 1 and kappa(lambda_g) = lambda_{g^-1}.
+    When all are 0 the maps are those of C(G) or C*(G), so every Hopf
+    axiom holds, with Kac type and cancellation.  A defect r on the group
+    basis is at most max_k n_k r on the matrix units: V^-1 = V^H D/|G|
+    has entries of size at most max_k n_k/|G|, since the irreps are
+    unitary.  A non-finite entry gives a NaN residual.
+
+    Any other group takes the generic path below.  Every residual comes
+    from the coefficient tensors: products of matrix
     units from one table, and operator norms block by block, the stacks
     of every residual normed together by `max_operator_norms` (bitwise
     the largest spectral norm of each).  The contractions run on BLAS
@@ -398,6 +536,8 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     entry in a structure map makes the residuals it reaches NaN, and a NaN
     residual fails the report.
     """
+    if qg.group_table is not None:
+        return QGReport(_group_certificate(qg))
     alg = qg.algebra
     dim = alg.dim
     left, right, into = _product_table(alg)
@@ -602,44 +742,48 @@ def close_generators(n: int, generators: Sequence[Sequence[int]],
 def function_algebra_of_group(group: List[Permutation],
                               name: str = "") -> QuantumGroup:
     """C(G): one 1x1 block per element; Delta dual to composition, kappa
-    dual to inversion, epsilon evaluation at the identity."""
+    dual to inversion, epsilon evaluation at the identity.  Keeps the
+    Cayley table."""
     order = len(group)
-    index = {g: a for a, g in enumerate(group)}
     alg = FinDimCStarAlgebra(tuple([1] * order))
+    table, identity, inverse = _cayley_table(group)
+    every = np.arange(order)
     delta = np.zeros((order, order, order), dtype=complex)
-    for b, gb in enumerate(group):
-        for g, gg in enumerate(group):
-            delta[b, g, index[compose(gb, gg)]] = 1.0
+    delta[every[:, None], every, table] = 1.0
     epsilon = np.zeros(order, dtype=complex)
-    epsilon[index[tuple(range(len(group[0])))]] = 1.0
+    epsilon[identity] = 1.0
     kappa = np.zeros((order, order), dtype=complex)
-    for a, ga in enumerate(group):
-        kappa[index[invert(ga)], a] = 1.0
-    return QuantumGroup(alg, delta, epsilon, kappa, name=name)
+    kappa[inverse, every] = 1.0
+    return QuantumGroup(alg, delta, epsilon, kappa, name=name, group_table=table)
 
 
-def _cayley_table(group: List[Permutation]) -> np.ndarray:
+def _cayley_table(group: List[Permutation]) -> Tuple[np.ndarray, int, np.ndarray]:
     """table[a, b]: the index of compose(group[a], group[b]), from one
-    stacked composition and one sort of the permutations' rows."""
-    perms = np.array(group)
+    stacked composition and one dict lookup of each product's bytes; with
+    the identity's index and the inverses (`_group_structure`).  Raises
+    NotAGroup unless the permutations are a group, each listed once."""
+    perms = np.array(group, dtype=np.int64)
     order, n = perms.shape
-    products = perms[np.arange(order)[:, None, None], perms[None]].reshape(-1, n)
-    _, key = np.unique(np.concatenate([perms, products]), axis=0, return_inverse=True)
-    key = key.ravel()
-    element = np.full(key.max() + 1, -1)
-    element[key[:order]] = np.arange(order)
-    table = element[key[order:]].reshape(order, order)
+    as_bytes = np.dtype((np.void, perms.itemsize * n))
+    index = {row: a for a, row in enumerate(perms.view(as_bytes).ravel().tolist())}
+    products = perms[np.arange(order)[:, None, None], perms[None]]
+    table = np.array([index.get(row, -1) for row in products.view(as_bytes).ravel().tolist()])
     if (table < 0).any():
         raise NotAGroup("the permutations are not closed under composition")
-    return table
+    table = table.reshape(order, order)
+    structure = _group_structure(table)
+    if structure is None:
+        raise NotAGroup("the permutations are not a group, each listed once")
+    return (table,) + structure
 
 
 def group_algebra(group: List[Permutation], irreps: Sequence[np.ndarray],
                   name: str = "") -> QuantumGroup:
     """The dual object: blocks M_{d_r} from a complete family of unitary
     irreps, with the group-like comultiplication carried through the
-    Artin-Wedderburn isomorphism.  Unitarity and the homomorphism property
-    are checked on stacked products over the Cayley table.
+    Artin-Wedderburn isomorphism.  The irreps must give a unitary group
+    basis, each residual of `_group_basis_defects` within 1e-9, the check
+    `verify_quantum_group` repeats on the group it keeps.
 
     The orthogonality relations make V^-1 = V^* diag(n_k / |G|), so the
     coefficient of E^K_ij (x) E^L_pq in Delta(E^k_rs) is (n_k / |G|)
@@ -654,21 +798,18 @@ def group_algebra(group: List[Permutation], irreps: Sequence[np.ndarray],
     sum only leaves rounding; a multiplicity is an integer, which the
     characters give to within rounding, so it is compared with 1/2."""
     order = len(group)
-    index = {g: a for a, g in enumerate(group)}
     dims = [U.shape[1] for U in irreps]
     if sum(d * d for d in dims) != order:
         raise InconsistentIrreps("irrep dimensions do not sum to the order")
-    table = _cayley_table(group)
-    for U in irreps:
-        if U.shape[0] != order:
-            raise InconsistentIrreps("each irrep needs one matrix per element")
-        gram = U @ U.conj().swapaxes(1, 2) - np.eye(U.shape[1])
-        if (np.linalg.norm(gram, axis=(1, 2)) > 1e-9).any():
-            raise InconsistentIrreps("irrep matrices must be unitary")
-        if (np.linalg.norm(U[:, None] @ U[None] - U[table], axis=(2, 3)) > 1e-9).any():
-            raise InconsistentIrreps("irrep is not a homomorphism")
+    if any(U.shape[0] != order for U in irreps):
+        raise InconsistentIrreps("each irrep needs one matrix per element")
+    table, identity, inverse = _cayley_table(group)
     alg = FinDimCStarAlgebra(tuple(dims))
     V = np.vstack([U.reshape(order, -1).T for U in irreps])  # column a: element a
+    defects = _group_basis_defects(alg, table, V, identity, inverse)
+    failing = {k: v for k, v in defects.items() if not v <= 1e-9}
+    if failing:
+        raise InconsistentIrreps(f"the irreps give no unitary group basis: {failing}")
     Vinv = np.linalg.inv(V)
     # Delta(lambda_g) = lambda_g (x) lambda_g, so Delta(e_alpha) is the sum
     # over g of Vinv[g, alpha] V[:, g] V[:, g]^T, accumulated in g order,
@@ -683,10 +824,7 @@ def group_algebra(group: List[Permutation], irreps: Sequence[np.ndarray],
         block_of[:, None, None], block_of[None, :, None], block_of] < 0.5] = 0
     epsilon = np.ones(order, dtype=complex) @ Vinv
     P = np.zeros((order, order))
-    for a, ga in enumerate(group):
-        P[index[invert(ga)], a] = 1.0
+    P[inverse, np.arange(order)] = 1.0
     kappa = V @ P @ Vinv
-    qg = QuantumGroup(alg, delta, epsilon, kappa, name=name)
-    qg.group_embedding = V  # group element g -> its block coefficient vector
-    qg.group_elements = list(group)
-    return qg
+    return QuantumGroup(alg, delta, epsilon, kappa, name=name, group_table=table,
+                        group_elements=list(group), group_embedding=V)

@@ -29,9 +29,11 @@ from .catalog import (CATALOG, catalog_action, random_permutation_action,
                       random_quantum_action)
 from .coaction import CoAction, verify_coaction
 from .envelope import envelope
+from .errors import QisoError
 from .fileio import coaction_to_dict, state_to_dict
 from .isometry import (check_injectivity, check_lip_p_state_sweep,
-                       check_lip_p_universal, check_support_universal)
+                       check_lip_p_universal, check_support_universal,
+                       defect_blocks)
 from .metric import METRIC_MODELS, random_metric_space
 from .quantum_group import haar_state, verify_quantum_group
 
@@ -172,12 +174,18 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
            "name": desc.get("name") or action.name}
     rec["quantum_group_residual"] = verify_quantum_group(action.group).worst()
     rec["coaction_residual"] = verify_coaction(action).worst()
-    env = envelope(action)
-    rec["conditions"] = _condition_flags(action, p_list,
-                                         env.ideal.included_blocks)
+    # an envelope the space's tol cannot decide (see `envelope`) is
+    # recorded, and (D) read off the blocks where it fails
+    try:
+        env = envelope(action)
+        cut = env.ideal.included_blocks
+        env_rec = {"dimension": env.dimension, "killed_blocks": sorted(cut)}
+    except QisoError as exc:
+        cut = defect_blocks(action).blocks
+        env_rec = {"error": str(exc)}
+    rec["conditions"] = _condition_flags(action, p_list, cut)
     rec["injective"] = bool(check_injectivity(action))
-    rec["envelope"] = {"dimension": env.dimension,
-                       "killed_blocks": sorted(env.ideal.included_blocks)}
+    rec["envelope"] = env_rec
     # sampled per-state consistency
     sampled = {f"Lip_{p}": True for p in p_list}
     worst_state_margin = None

@@ -173,3 +173,31 @@ def test_cli_envelope_prints_the_eager_verification(tmp_path, capsys):
             "verification": verification,
             "quotient": quantum_group_to_dict(env.quotient)},
             indent=1, default=str) + "\n", entry.name
+
+
+def test_quotient_by_the_empty_ideal_keeps_the_group():
+    """An envelope that kills no block keeps the group its quantum group
+    was built from, so its report is the certificate's: cyclic-3,
+    dual-d4-blocks and the hopf benchmark's blocks-D_m actions.  A
+    nonempty ideal drops the group, and the quotient takes the generic
+    path: s3-isosceles, and dual-d4-asymmetric with blocks 1, 2 and 4
+    killed.  Every report passes."""
+    kept = [catalog_action("cyclic-3"), catalog_action("dual-d4-blocks")] + \
+        equal_cross_blocks_actions(11)
+    for action in kept:
+        env = envelope(action)
+        assert not env.ideal and env.quotient.group_table is not None, action.name
+        report = env.reports["quantum_group"]
+        assert "group_table" in report.residuals, action.name
+        assert "coassociativity" not in report.residuals, action.name
+        assert report.passed(1e-10), (action.name, report.failing(1e-10))
+    dropped = {"s3-isosceles": None, "dual-d4-asymmetric": {1, 2, 4}}
+    for name, killed in dropped.items():
+        env = envelope(catalog_action(name))
+        assert env.ideal, name
+        if killed is not None:
+            assert set(env.ideal.included_blocks) == killed
+        assert env.quotient.group_table is None and env.quotient.group_embedding is None
+        report = env.reports["quantum_group"]
+        assert "coassociativity" in report.residuals, name
+        assert report.passed(1e-10), (name, report.failing(1e-10))

@@ -329,6 +329,12 @@ def test_function_algebra_verifies():
         assert verify_quantum_group(qg).passed(1e-10)
 
 
+def _dense_twin(qg):
+    """qg's structure maps without the group it was built from, which
+    `verify_quantum_group` checks on the generic path."""
+    return QuantumGroup(qg.algebra, qg.delta, qg.epsilon, qg.kappa, name=qg.name)
+
+
 def _assert_same_residuals(qg, label):
     blockwise = verify_quantum_group(qg).residuals
     dense = verify_quantum_group_dense(qg).residuals
@@ -345,19 +351,21 @@ def test_blockwise_verifier_matches_dense_reference():
     verifier's residuals: on commutative and noncommutative groups up to
     dim 24, on C(S3) with column 0 of Delta wiped (a cancellation rank
     deficit), and on 300 seeded single-entry faults in delta, epsilon and
-    kappa of sizes 1e-3, 0.1 and 1."""
-    small = [e.action.group for e in standard_actions()] + standard_groups()
-    groups = small + \
-        [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
-         for m in range(4, 9)] + \
-        [dihedral_group_algebra(m) for m in range(3, 11)] + \
-        [function_algebra_of_group(close_generators(
-            4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")]
+    kappa of sizes 1e-3, 0.1 and 1.  Each group built from a finite group
+    is given as its dense twin, so that it takes the generic path."""
+    small = [_dense_twin(qg) for qg in
+             [e.action.group for e in standard_actions()] + standard_groups()]
+    groups = small + [_dense_twin(qg) for qg in
+                      [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+                       for m in range(4, 9)] +
+                      [dihedral_group_algebra(m) for m in range(3, 11)] +
+                      [function_algebra_of_group(close_generators(
+                          4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")]]
     for qg in groups:
         _assert_same_residuals(qg, qg.name)
     # a wiped column of Delta shows in the cancellation ranks
-    s3 = function_algebra_of_group(close_generators(
-        3, [(1, 2, 0), (1, 0, 2)]), name="C(S3)")
+    s3 = _dense_twin(function_algebra_of_group(close_generators(
+        3, [(1, 2, 0), (1, 0, 2)]), name="C(S3)"))
     wiped = s3.delta.copy()
     wiped[:, :, 0] = 0.0
     wiped = QuantumGroup(s3.algebra, wiped, s3.epsilon, s3.kappa)
@@ -441,7 +449,9 @@ def test_verifiers_equal_loop_references(monkeypatch):
     sizes 1e-3, 0.1, 1, NaN and inf: at least 300 in delta, epsilon and
     kappa, the rest in u.  Each group is verified a second time with its
     coassociativity cut into cells whatever they save, which pads the
-    cells of the two characters of dual-D_m for odd m."""
+    cells of the two characters of dual-D_m for odd m.  Each group built
+    from a finite group is given as its dense twin, so that it takes the
+    generic path."""
     catalog_actions = [e.action for e in standard_actions()]
     small = [a.group for a in catalog_actions] + standard_groups()
     dense = dihedral_group_algebra(10)
@@ -450,12 +460,12 @@ def test_verifiers_equal_loop_references(monkeypatch):
     dense = QuantumGroup(dense.algebra, filled, dense.epsilon, dense.kappa,
                          name="dual-D10, zeros as 1e-300")
     assert dense.delta.all()
-    groups = _hopf_workload_groups() + small + \
-        [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
-         for m in range(4, 9)] + \
-        [dihedral_group_algebra(m) for m in range(3, 13)] + \
-        [function_algebra_of_group(close_generators(
-            4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)"), dense]
+    groups = [_dense_twin(qg) for qg in _hopf_workload_groups() + small +
+              [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+               for m in range(4, 9)] +
+              [dihedral_group_algebra(m) for m in range(3, 13)] +
+              [function_algebra_of_group(close_generators(
+                  4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")]] + [dense]
     padded = []
     cells = quantum_group._cells
 
@@ -550,11 +560,13 @@ def test_screened_residuals_equal_unscreened(monkeypatch):
     the Frobenius screen: on the catalog groups and actions, C(D4)-C(D8),
     dual-D10, and 40 seeded single-entry faults in delta, epsilon, kappa
     and u.  The patched name is the one the verifiers call: each verifier
-    call invokes it once."""
+    call invokes it once.  Each group built from a finite group is given
+    as its dense twin, so that it takes the generic path."""
     catalog_actions = [e.action for e in standard_actions()]
-    clean = [a.group for a in catalog_actions] + standard_groups() + \
-        [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
-         for m in range(4, 9)] + [dihedral_group_algebra(10)]
+    clean = [_dense_twin(qg) for qg in
+             [a.group for a in catalog_actions] + standard_groups() +
+             [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+              for m in range(4, 9)] + [dihedral_group_algebra(10)]]
     rng = random.Random(1515)
     groups, actions = list(clean), list(catalog_actions)
     for _ in range(40):
@@ -630,6 +642,107 @@ def test_corrupted_delta_is_detected():
     report = verify_quantum_group(qg)
     assert not report.passed(1e-10)
     assert report.worst() >= 1e-3 / 2, report.residuals
+
+
+def _group_built_populations():
+    """C(D4)-C(D8), C(S3), C(S4), C(S5), dual-D3 to dual-D12, the hopf
+    workload's groups and the standard and catalog groups: every one
+    built from a finite group."""
+    return [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+            for m in range(4, 9)] + \
+        [function_algebra_of_group(close_generators(n, gens), name=f"C(S{n})")
+         for n, gens in ((3, [(1, 2, 0), (1, 0, 2)]),
+                         (4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+                         (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))] + \
+        [dihedral_group_algebra(m) for m in range(3, 13)] + \
+        _hopf_workload_groups() + standard_groups() + \
+        [e.action.group for e in standard_actions()]
+
+
+CERTIFICATE_KEYS = {
+    False: ["group_shape", "group_table", "delta_cayley", "counit_identity",
+            "antipode_inverse"],
+    True: ["group_shape", "group_table", "group_basis", "group_identity",
+           "group_multiplicative", "group_star", "delta_grouplike",
+           "counit_grouplike", "antipode_grouplike"]}
+
+
+def test_group_certificate_passes_and_dense_twins_pass_generic():
+    """Every group built from a finite group is verified against it, with
+    the certificate's residuals by name, at 1e-10; its dense twin, the
+    same structure maps without the group, passes the generic path."""
+    groups = _group_built_populations()
+    assert len(groups) > 40
+    for qg in groups:
+        report = verify_quantum_group(qg)
+        assert list(report.residuals) == \
+            CERTIFICATE_KEYS[qg.group_embedding is not None], qg.name
+        assert report.passed(1e-10), (qg.name, report.failing(1e-10))
+        generic = verify_quantum_group(_dense_twin(qg))
+        assert "coassociativity" in generic.residuals, qg.name
+        assert generic.passed(1e-10), (qg.name, generic.failing(1e-10))
+
+
+def _fails(report) -> bool:
+    worst = report.worst()
+    return bool(np.isnan(worst) or worst >= 1e-4)
+
+
+def test_group_certificate_detects_in_place_faults():
+    """330 seeded single-entry faults of sizes 1e-3, 0.1, 1, NaN and inf,
+    added in place to delta, epsilon or kappa of groups built from finite
+    groups (which keep their group data), each fail the certificate with
+    a worst residual of at least 1e-4 or NaN; the same fault in the dense
+    twin fails the generic path."""
+    groups = standard_groups() + [e.action.group for e in standard_actions()] + \
+        _hopf_workload_groups()
+    rng = random.Random(4949)
+    targets = {"delta": 0, "epsilon": 0, "kappa": 0}
+    with np.errstate(all="ignore"):
+        for fault in range(330):
+            qg = rng.choice(groups)
+            target = rng.choice(sorted(targets))
+            size = rng.choice((1e-3, 0.1, 1.0, np.nan, np.inf))
+            if not np.isnan(size):
+                size = size * rng.choice((1, -1, 1j))
+            entries = getattr(qg, target)
+            at = tuple(rng.randrange(n) for n in entries.shape)
+            kept = entries[at]
+            entries[at] += size
+            try:
+                assert _fails(verify_quantum_group(qg)), (fault, qg.name, target, size)
+                assert _fails(verify_quantum_group(_dense_twin(qg))), \
+                    (fault, qg.name, target, size)
+            finally:
+                entries[at] = kept
+            targets[target] += 1
+    assert min(targets.values()) >= 80, targets
+    for qg in groups:                  # every fault was undone
+        assert verify_quantum_group(qg).passed(1e-10), qg.name
+
+
+def test_group_certificate_does_not_trust_the_group_data():
+    """The table and V are checked on every call: one entry of V moved by
+    1e-3, or two entries of a row of the Cayley table swapped, fails the
+    certificate although the structure maps are unchanged."""
+    import dataclasses
+    rng = random.Random(5151)
+    for qg in [dihedral_group_algebra(m) for m in (3, 4, 7, 10)]:
+        for _ in range(5):
+            V = qg.group_embedding.copy()
+            V[rng.randrange(qg.dim), rng.randrange(qg.dim)] += 1e-3 * rng.choice((1, -1, 1j))
+            assert _fails(verify_quantum_group(
+                dataclasses.replace(qg, group_embedding=V))), qg.name
+    for qg in [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+               for m in (4, 5)] + [dihedral_group_algebra(m) for m in (3, 4, 7)]:
+        order = len(qg.group_table)
+        for _ in range(5):
+            table = qg.group_table.copy()
+            row, (i, j) = rng.randrange(order), rng.sample(range(order), 2)
+            table[row, [i, j]] = table[row, [j, i]]
+            report = verify_quantum_group(dataclasses.replace(qg, group_table=table))
+            assert _fails(report), qg.name
+            assert report.residuals["group_table"] == 1.0, qg.name
 
 
 def test_function_algebra_of_s5_verifies():

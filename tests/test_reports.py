@@ -269,3 +269,34 @@ def test_span_counterexample_exact_arithmetic():
     delta = [F(1) if i == three_cycle else F(0) for i in range(6)]
     for p in (1, 2):
         assert not isometric_exact(delta, p)
+
+
+def test_envelope_without_a_hopf_ideal_does_not_stop_a_search(monkeypatch):
+    """C(S3) on the float triangle with sides 1, 1 + 0.6e-9 and 1 + 1.2e-9
+    at tolerance 1e-9: the blocks where (D) fails, {1, 3, 4}, form no
+    Hopf ideal, so `envelope` raises.  A catalog search given that
+    action records the envelope's error, reads (D) off those blocks and
+    goes on to the next instance."""
+    from qiso import reports
+    from qiso.catalog import permutation_action
+    from qiso.envelope import envelope
+    from qiso.errors import QisoError
+    from qiso.isometry import defect_blocks
+    from qiso.metric import validate_metric
+    space = validate_metric([[0, 1, 1 + 1.2e-9], [1, 0, 1 + 0.6e-9],
+                             [1 + 1.2e-9, 1 + 0.6e-9, 0]], mode="float",
+                            tolerance=1e-9)
+    action = permutation_action(space, [(1, 2, 0), (1, 0, 2)])
+    assert defect_blocks(action).blocks == {1, 3, 4}
+    with pytest.raises(QisoError, match="no Hopf ideal"):
+        envelope(action)
+    real = reports.build_instance
+    monkeypatch.setattr(reports, "build_instance", lambda desc: action
+                        if desc.get("name") == "cyclic-3" else real(desc))
+    rep = run_catalog_verification(SearchConfig(
+        kind="catalog", catalog=["cyclic-3", "cyclic-4"], state_samples=2))
+    assert [r["name"] for r in rep.instances] == ["cyclic-3", "cyclic-4"]
+    rec = rep.instances[0]
+    assert "no Hopf ideal" in rec["envelope"]["error"]
+    assert not any(rec["conditions"][c] for c in ("D", "main", "Lip_inf", "Lip_1"))
+    assert rep.instances[1]["envelope"] == {"dimension": 4, "killed_blocks": []}
