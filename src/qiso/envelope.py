@@ -98,8 +98,8 @@ def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
                            name: str = "") -> Tuple[QuantumGroup, List[int]]:
     """Compress the structure maps to the surviving blocks.  Returns the
     quotient and the list of surviving original block indices.  When
-    every block survives the quotient keeps the group qg was built from,
-    if any, and is verified against it."""
+    every block survives the quotient keeps the group a group dual was
+    built from, and is verified against it."""
     alg = qg.algebra
     survivors = [k for k in range(len(alg.blocks)) if k not in ideal]
     sub_alg = FinDimCStarAlgebra(tuple(alg.blocks[k] for k in survivors))

@@ -5,8 +5,9 @@ canonical matrix-unit basis, so every Hopf axiom is a finite linear-algebra
 residual.  Verification reports the worst violation per axiom; catalog
 constructors (function algebras of permutation groups, group algebras of
 finite groups presented by unitary irreps) are exact by construction and
-must pass at 1e-10.  They keep the group they are built from, and are
-verified against it on the group basis.
+must pass at 1e-10.  A group dual keeps the group it is built from and
+is verified against it on the group basis; a commutative one is verified
+against the Cayley table its comultiplication defines.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ class QuantumGroup:
     of basis_a; kappa[:, a] is the image of basis_a; epsilon[a] evaluates
     the counit on basis_a.
 
-    A quantum group built from a finite group G keeps that group, which
+    A group dual C*(G) built by `group_algebra` keeps G, which
     `verify_quantum_group` checks it against: `group_table`, the Cayley
-    table (group_table[g, h] indexes gh), and for the dual C*(G) the
-    elements and `group_embedding`, V with column g the coefficient
-    vector of lambda_g.  A group given by its arrays alone has none.
+    table of G (group_table[g, h] indexes gh), the elements, and
+    `group_embedding`, V with column g the coefficient vector of
+    lambda_g.  Any other quantum group has none; C(G) needs none, since
+    its Delta defines its table.
     """
 
     algebra: FinDimCStarAlgebra
@@ -114,14 +116,6 @@ class QuantumGroup:
 # the 128 KiB from which glibc by default maps fresh pages for each
 # allocation, page faults that cost more than the products at these sizes.
 _SLAB = 7000
-
-# Coassociativity cuts the basis into cells only when they compute fewer
-# than 1/_CELL_GAIN of the dim^4 coefficients, and dim^4 exceeds _ONE_CELL:
-# a coefficient costs about twice as much through the cells as through
-# one product over the whole basis, and below _ONE_CELL listing what the
-# cells of a triple reach costs more than that product.
-_CELL_GAIN = 2
-_ONE_CELL = 2 ** 14
 
 # A cancellation rank counts the singular values above this bound.
 _RANK_TOL = 1e-8
@@ -194,124 +188,23 @@ def _kappa_antimultiplicative_defects(table, kappa: np.ndarray) -> np.ndarray:
     return out
 
 
-def _listed(row: np.ndarray, value: np.ndarray, rows: int):
-    """The values of each row, given as (row, value) pairs ordered by row,
-    as a (rows, width) array padded with each row's first value (0 for an
-    empty row), and the number of values of each row."""
-    count = np.bincount(row, minlength=rows)
-    width = max(int(count.max()), 1)
-    listed = np.zeros((rows, width), dtype=int)
-    listed[row, np.arange(len(row)) - (np.cumsum(count) - count)[row]] = value
-    return np.where(np.arange(width) < count[:, None], listed, listed[:, :1]), count
-
-
-def _cells(alg, support: np.ndarray):
-    """The cells of `_coassociativity`, runs of consecutive whole blocks of
-    at most max n_k^2 basis elements: the first block of each, and for
-    each cell pair (X, Y) the cells of S_XY in increasing order, padded
-    by repeating the first, with their number."""
-    sizes = [n * n for n in alg.blocks]
-    starts, fill = [], max(sizes)
-    for k, n in enumerate(sizes):
-        if fill + n > max(sizes):
-            starts.append(k)
-            fill = 0
-        fill += n
-    if len(starts) < len(sizes):
-        for axis in range(3):
-            support = np.logical_or.reduceat(support, starts, axis=axis)
-    C = len(starts)
-    reach, count = _listed(*np.nonzero(support.reshape(C * C, C)), C * C)
-    return starts, reach.reshape(C, C, -1), count.reshape(C, C)
-
-
-def _coassociativity(alg, delta: np.ndarray, support: np.ndarray) -> float:
+def _coassociativity(delta: np.ndarray) -> float:
     """max |(Delta (x) id) Delta(e_a) - (id (x) Delta) Delta(e_a)| over the
-    coefficients of a finite delta, given its block support.
-
-    The basis is cut into the cells of `_cells`, each padded with zero
-    elements to u = max n_k^2 of them, and S_XY is the set of cells with a
-    block in the support of a block pair of the cell pair (X, Y).  At e_x
-    (x) e_y (x) e_z, with x, y, z in the cells X, Y, Z, the left side is
-    the sum of delta[x, y, c] delta[c, z, a] over c in S_XY, the right
-    side that of delta[y, z, c] delta[x, c, a] over c in S_YZ, and both
-    are 0 unless the cell of a is reached: in S_CZ for some C in S_XY, or
-    in S_XC for some C in S_YZ.  So for each x the left side is one
-    matrix product per cell pair (X, Y), over the basis of S_XY (padded
-    with 0 weights) and onto the cells that each Z reaches with it
-    (padded with a repeated cell), and the right side one per (Y, Z)
-    likewise, in slabs of x.  Both list S_XY in increasing order, so a
-    BLAS product sums the nonzero terms in the order of one over the
-    whole basis.
-
-    Cells are taken only where dim^4 exceeds _ONE_CELL and they compute
-    fewer than 1/_CELL_GAIN of the dim^4 coefficients of each side: C^3
-    u^4 t, where a cell triple reaches at most t = min(C, 2 w^2) cells, w
-    the largest |S_XY|.  Otherwise the whole basis is one cell: the left
-    side is delta as a (dim^2, dim) matrix times delta as a (dim, dim^2)
-    one, the right side the former times delta[x] for each x, as on a
-    delta whose nonzero pattern is full."""
-    dim = alg.dim
-    C, u, width = 1, dim, 1
-    if dim ** 4 > _ONE_CELL:
-        starts, reach, count = _cells(alg, support)
-        n, w, v = len(starts), reach.shape[-1], max(alg.blocks) ** 2
-        if _CELL_GAIN * n ** 3 * min(n, 2 * w * w) * v ** 4 < dim ** 4:
-            C, u, width = n, v, w
-    every = np.arange(C)
-    if C == 1:      # the gathers below would copy delta as it is
-        weights = delta.reshape(1, 1, dim, dim, dim)
-    else:
-        if C * u == dim:
-            D = delta.reshape(C, u, C, u, C, u).transpose(0, 2, 4, 1, 3, 5)   # X Y Z x y z
-        else:
-            bounds = [alg.offsets[k] for k in starts] + [dim]
-            slots = np.full((C, u), dim)
-            for i in range(C):
-                slots[i, :bounds[i + 1] - bounds[i]] = np.arange(bounds[i], bounds[i + 1])
-            padded = np.zeros((dim + 1,) * 3, dtype=complex)
-            padded[:dim, :dim, :dim] = delta
-            D = padded[slots[:, None, None, :, None, None], slots[None, :, None, None, :, None],
-                       slots[None, None, :, None, None, :]]
-        weights = D[every[:, None, None], every[None, :, None], reach]     # X Y i x y c
-        weights[np.arange(width) >= count[..., None]] = 0
-        weights = weights.transpose(0, 1, 3, 4, 2, 5).reshape(C, C, u, u, width * u)
-    pairs = weights.reshape(C, C, u * u, width * u)
-    rows = max(1, _SLAB // (C * C * min(C, 2 * width ** 2) * u ** 3))
+    coefficients of a finite delta.  At e_x (x) e_y (x) e_z the left side
+    is the sum of delta[x, y, c] delta[c, z, a] over c, the right side
+    that of delta[y, z, c] delta[x, c, a].  So for a slab of rows x the
+    left side is the slab of delta as a (rows dim, dim) matrix times delta
+    as a (dim, dim^2) one, and the right side delta as a (dim^2, dim)
+    matrix times delta[x] for each x of the slab."""
+    dim = len(delta)
+    step = max(1, min(_SLAB // dim ** 3, dim))
+    pairs = delta.reshape(dim * dim, dim)
     worst = 0.0
-    for start in range(0, C, max(1, rows // u)):
-        X = every[start:start + max(1, rows // u)]
-        nx = len(X)
-        if C == 1:
-            t = 1
-            left = delta.reshape(1, 1, 1, dim, dim * dim)
-            right = delta.reshape(1, dim, 1, 1, dim, dim)
-        else:
-            # the cells each triple reaches, each once, then repeats
-            n = nx * C * C
-            keys = np.concatenate([
-                reach[reach[X][:, :, None], every[None, None, :, None]].reshape(n, -1),
-                reach[X[:, None, None, None], reach[None]].reshape(n, -1)], axis=-1)
-            keys = np.sort((keys + C * np.arange(n)[:, None]).ravel())
-            keys = keys[np.append(True, keys[1:] != keys[:-1])]
-            ks = _listed(keys // C, keys % C, n)[0].reshape(nx, C, C, -1)
-            t = ks.shape[-1]
-            # (Delta (x) id) Delta: rows x y of (X, Y), columns z j a of Z
-            left = D[reach[X][:, :, None, :, None], every[None, None, :, None, None],
-                     ks[:, :, :, None]].transpose(0, 1, 2, 3, 5, 6, 4, 7).reshape(
-                nx, C, C, width * u, u * t * u)                    # X Y Z, i c, z j a
-            # (id (x) Delta) Delta: for each x, rows y z of (Y, Z), columns j a
-            right = D[X[:, None, None, None, None], reach[None, :, :, :, None],
-                      ks[:, :, :, None, :]].transpose(0, 5, 1, 2, 3, 6, 4, 7).reshape(
-                nx, u, C, C, width * u, t * u)                     # X x Y Z, i c, j a
-        step = max(1, min(rows, u))
-        for x in range(0, u, step):
-            lhs = weights[start:start + nx, :, x:x + step].reshape(nx, C, 1, -1, width * u) @ left
-            rhs = pairs @ right[:, x:x + step]
-            m = rhs.shape[1]
-            lhs.reshape(nx, C, C, m, u, u, t, u).transpose(0, 3, 1, 2, 4, 5, 6, 7)[...] \
-                -= rhs.reshape(nx, m, C, C, u, u, t, u)
-            worst = max(worst, float(np.abs(lhs).max()))
+    for x in range(0, dim, step):
+        lhs = delta[x:x + step].reshape(-1, dim) @ delta.reshape(dim, dim * dim)   # x y, z a
+        rhs = pairs @ delta[x:x + step]                                             # x, y z, a
+        lhs.reshape(rhs.shape)[...] -= rhs
+        worst = max(worst, float(np.abs(lhs).max()))
     return worst
 
 
@@ -428,19 +321,17 @@ def _group_basis_defects(alg: FinDimCStarAlgebra, table: np.ndarray, V: np.ndarr
             "group_star": _largest(V.conj()[_star_index(alg)] - V[:, inverse])}
 
 
-def _group_certificate(qg: QuantumGroup) -> Dict[str, float]:
-    """The residuals of `verify_quantum_group` on a group built from a
-    finite group G with Cayley table T (see there).  A failed shape or
-    table check is 1 and leaves the other residuals NaN."""
+def _dual_certificate(qg: QuantumGroup) -> Dict[str, float]:
+    """The residuals of `verify_quantum_group` on a group dual C*(G),
+    against the Cayley table T and the embedding V it keeps (see there).
+    A failed shape or table check is 1 and leaves the other residuals
+    NaN."""
     alg, dim = qg.algebra, qg.dim
-    dual = qg.group_embedding is not None
-    names = ["group_basis", "group_identity", "group_multiplicative", "group_star",
-             "delta_grouplike", "counit_grouplike", "antipode_grouplike"] if dual else \
-        ["delta_cayley", "counit_identity", "antipode_inverse"]
-    res = dict.fromkeys(["group_shape", "group_table"] + names, np.nan)
-    table = np.asarray(qg.group_table)
-    shaped = table.shape == (dim, dim) and (
-        np.shape(qg.group_embedding) == (dim, dim) if dual else max(alg.blocks) == 1)
+    res = dict.fromkeys(["group_shape", "group_table", "group_basis", "group_identity",
+                         "group_multiplicative", "group_star", "delta_grouplike",
+                         "counit_grouplike", "antipode_grouplike"], np.nan)
+    table, V = np.asarray(qg.group_table), np.asarray(qg.group_embedding)
+    shaped = table.shape == V.shape == (dim, dim)
     res["group_shape"] = 0.0 if shaped else 1.0
     structure = _group_structure(table) if shaped else None
     if structure is None:
@@ -448,81 +339,99 @@ def _group_certificate(qg: QuantumGroup) -> Dict[str, float]:
         return res
     res["group_table"] = 0.0
     identity, inverse = structure
-    if dual:
-        # A = C*(G): Delta(lambda_g) = lambda_g (x) lambda_g, one
-        # (dim^2, dim) @ (dim, |G|) product, eps(lambda_g) = 1 and
-        # kappa(lambda_g) = lambda_{g^-1}
-        V = np.asarray(qg.group_embedding)
-        res.update(_group_basis_defects(alg, table, V, identity, inverse))
-        res["delta_grouplike"] = _largest(
-            (qg.delta.reshape(dim * dim, dim) @ V).reshape(dim, dim, dim)
-            - V[:, None] * V[None])
-        res["counit_grouplike"] = _largest(qg.epsilon @ V - 1)
-        res["antipode_grouplike"] = _largest(qg.kappa @ V - V[:, inverse])
-        return res
-    # A = C(G), e_a the point mass at a: Delta(e_a) = sum_{T[b,g] = a}
-    # e_b (x) e_g, eps = e_identity and kappa(e_a) = e_{a^-1}
-    every = np.arange(dim)
-    defect = qg.delta.copy()
-    defect[every[:, None], every, table] -= 1
-    res["delta_cayley"] = _largest(defect)
-    point = np.zeros(dim)
-    point[identity] = 1.0
-    res["counit_identity"] = _largest(qg.epsilon - point)
-    inversion = np.zeros((dim, dim))
-    inversion[inverse, every] = 1.0
-    res["antipode_inverse"] = _largest(qg.kappa - inversion)
+    # Delta(lambda_g) = lambda_g (x) lambda_g, one (dim^2, dim) @ (dim,
+    # |G|) product, eps(lambda_g) = 1 and kappa(lambda_g) = lambda_{g^-1}
+    res.update(_group_basis_defects(alg, table, V, identity, inverse))
+    res["delta_grouplike"] = _largest(
+        (qg.delta.reshape(dim * dim, dim) @ V).reshape(dim, dim, dim) - V[:, None] * V[None])
+    res["counit_grouplike"] = _largest(qg.epsilon @ V - 1)
+    res["antipode_grouplike"] = _largest(qg.kappa @ V - V[:, inverse])
     return res
+
+
+def _cayley_certificate(qg: QuantumGroup) -> Dict[str, float]:
+    """The residuals of `verify_quantum_group` on an algebra of 1x1
+    blocks, against the table T[b, g] = argmax_a |Delta[b, g, a]| that
+    Delta defines (see there).  When T is no group table, group_table is
+    1 and the other residuals NaN."""
+    table = np.abs(qg.delta).argmax(axis=2)
+    structure = _group_structure(table)
+    if structure is None:
+        return {"group_table": 1.0, "delta_cayley": np.nan, "counit_identity": np.nan,
+                "antipode_inverse": np.nan}
+    # e_a the point mass at a: Delta(e_a) = sum_{T[b,g] = a} e_b (x) e_g,
+    # the tensor eye[T]; eps = e_identity and kappa(e_a) = e_{a^-1}
+    identity, inverse = structure
+    eye = np.eye(qg.dim)
+    return {"group_table": 0.0, "delta_cayley": _largest(qg.delta - eye[table]),
+            "counit_identity": _largest(qg.epsilon - eye[identity]),
+            "antipode_inverse": _largest(qg.kappa - eye[:, inverse])}
 
 
 def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     """Check every axiom; the report lists the max violation per axiom.
 
-    A group built by `function_algebra_of_group` or `group_algebra` (or
-    the quotient of one by the empty ideal) carries its group G, with
-    Cayley table T, and is checked against it, in O(dim^4) at most; the
-    group data is not trusted but checked on every call.  The report then
-    lists the certificate's residuals, each the largest entry of a defect:
-    - both: group_shape and group_table, 0 or 1: the arrays fit together,
-      and T is a group table (associative, identity, inverses);
-    - C(G) (all blocks 1x1, dim = |G|): delta_cayley, counit_identity and
+    The path depends on the input alone, and each certificate checks its
+    group on every call rather than trusting it:
+    - a group dual, which keeps `group_embedding` V and `group_table` T
+      (built by `group_algebra`, or the quotient of one by the empty
+      ideal): the C*(G) certificate;
+    - otherwise, an algebra whose blocks are all 1x1: the C(G)
+      certificate, against the table T[b, g] = argmax_a |Delta[b, g, a]|
+      that Delta defines.  A commutative finite quantum group is C(G)
+      (Gelfand duality), its matrix units the points of G, so its Delta
+      is the 0/1 tensor of G's Cayley table, the table it defines;
+    - otherwise the generic path of `_verify_axioms`.
+    A certificate's residuals are each the largest entry of a defect:
+    - C*(G): group_shape and group_table, 0 or 1: the arrays fit together
+      and T is a group table (associative, identity, inverses); the four
+      residuals of `_group_basis_defects`, which say that the columns
+      lambda_g of V are a unitary group basis of A under A's own product;
+      then delta_grouplike, counit_grouplike and antipode_grouplike, the
+      defects of Delta(lambda_g) = lambda_g (x) lambda_g, eps(lambda_g) =
+      1 and kappa(lambda_g) = lambda_{g^-1};
+    - C(G): group_table as above, then delta_cayley, counit_identity and
       antipode_inverse, delta, epsilon and kappa against the 0/1 maps of
       T: Delta(e_a) = sum_{T[b,g] = a} e_b (x) e_g, eps = e_identity,
-      kappa(e_a) = e_{a^-1};
-    - C*(G): the four residuals of `_group_basis_defects`, which say that
-      the columns lambda_g of V are a unitary group basis of A under A's
-      own product, then delta_grouplike, counit_grouplike and
-      antipode_grouplike, the defects of Delta(lambda_g) = lambda_g (x)
-      lambda_g, eps(lambda_g) = 1 and kappa(lambda_g) = lambda_{g^-1}.
-    When all are 0 the maps are those of C(G) or C*(G), so every Hopf
+      kappa(e_a) = e_{a^-1}.
+    When all are 0 the maps are those of C*(G) or C(G), so every Hopf
     axiom holds, with Kac type and cancellation.  A defect r on the group
     basis is at most max_k n_k r on the matrix units: V^-1 = V^H D/|G|
     has entries of size at most max_k n_k/|G|, since the irreps are
-    unitary.  A non-finite entry gives a NaN residual.
+    unitary.  A non-finite entry gives a NaN residual, and a NaN residual
+    fails the report.
+    """
+    if qg.group_embedding is not None:
+        return QGReport(_dual_certificate(qg))
+    if max(qg.algebra.blocks) == 1:
+        return QGReport(_cayley_certificate(qg))
+    return _verify_axioms(qg)
 
-    Any other group takes the generic path below.  Every residual comes
-    from the coefficient tensors: products of matrix
-    units from one table, and operator norms block by block, the stacks
-    of every residual normed together by `max_operator_norms` (bitwise
-    the largest spectral norm of each).  The contractions run on BLAS
-    matrix products: counit and antipode with delta as a (dim^2, dim) or
-    (dim, dim^2) matrix, the products Delta(e_a) Delta(e_b) as one
-    product per pair of block sizes, and coassociativity as in
-    `_coassociativity`.  The cancellation ranks take one batched Cholesky
-    certificate of full rank per block size and side, and `matrix_rank`
-    only for a stack the certificate does not decide (`_total_rank`);
-    either way they are the SVD's ranks.  The Haar state needs no solve
-    here: for a Hopf algebra it is the Plancherel trace (Larson-Radford,
-    see `haar_state`).
 
-    The products, the star defects and coassociativity run on the block
-    support of delta, taken anew on every call: S_KL is the set of
-    blocks k for which delta has a coefficient other than 0 (a NaN or
-    inf counts) on some basis element of block k and the block pair (K,
-    L).  Delta(e_a) is 0 on (K, L) unless the block of a is in S_KL, and
-    a block is closed under * and under products of matrix units, so
-    Delta(e_a*) - Delta(e_a)* and Delta(e_a) Delta(e_b) - Delta(e_a e_b)
-    are exactly 0 on (K, L) unless a and b lie in S_KL.
+def _verify_axioms(qg: QuantumGroup) -> QGReport:
+    """The residuals of every Hopf axiom, on the generic path of
+    `verify_quantum_group`.  Every residual comes from the coefficient
+    tensors: products of matrix units from one table, and operator norms
+    block by block, the stacks of every residual normed together by
+    `max_operator_norms` (bitwise the largest spectral norm of each).
+    The contractions run on BLAS matrix products: counit and antipode
+    with delta as a (dim^2, dim) or (dim, dim^2) matrix, the products
+    Delta(e_a) Delta(e_b) as one product per pair of block sizes, and
+    coassociativity as in `_coassociativity`.  The cancellation ranks
+    take one batched Cholesky certificate of full rank per block size and
+    side, and `matrix_rank` only for a stack the certificate does not
+    decide (`_total_rank`); either way they are the SVD's ranks.  The
+    Haar state needs no solve here: for a Hopf algebra it is the
+    Plancherel trace (Larson-Radford, see `haar_state`).
+
+    The products and the star defects run on the block support of delta,
+    taken anew on every call: S_KL is the set of blocks k for which delta
+    has a coefficient other than 0 (a NaN or inf counts) on some basis
+    element of block k and the block pair (K, L).  Delta(e_a) is 0 on (K,
+    L) unless the block of a is in S_KL, and a block is closed under *
+    and under products of matrix units, so Delta(e_a*) - Delta(e_a)* and
+    Delta(e_a) Delta(e_b) - Delta(e_a e_b) are exactly 0 on (K, L) unless
+    a and b lie in S_KL.
 
     Working set: delta and every other residual's arrays are dim^3
     entries, but for two.  The products and the star defects take the
@@ -531,13 +440,9 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     n_K^2 n_L^2 entries, dim^4 only for a full support.  Coassociativity
     holds slabs of at most _SLAB entries.  The dim^3 arrays of a rank or
     residual die once it is taken or its blocks are gathered, as do the
-    support lists once the products are formed (C(S5) is measured in the
-    `warm_verify_ms` record of BENCH_hopf_support.json).  A non-finite
-    entry in a structure map makes the residuals it reaches NaN, and a NaN
-    residual fails the report.
+    support lists once the products are formed.  A non-finite entry in a
+    structure map makes the residuals it reaches NaN.
     """
-    if qg.group_table is not None:
-        return QGReport(_group_certificate(qg))
     alg = qg.algebra
     dim = alg.dim
     left, right, into = _product_table(alg)
@@ -586,7 +491,7 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     del lists, reached, counts, product    # only the loop reads them
     norm_of("delta_star", stars)
     norm_of("delta_multiplicative", products)
-    res["coassociativity"] = _coassociativity(alg, delta, support) if finite else np.nan
+    res["coassociativity"] = _coassociativity(delta) if finite else np.nan
 
     # cancellation: spans {(a (x) 1) Delta(b)} and {(1 (x) a) Delta(b)} full.
     # For a = E^k_ij, (a (x) 1) Delta(e_b) has coefficient delta[E^k_jq, g, b]
@@ -742,8 +647,7 @@ def close_generators(n: int, generators: Sequence[Sequence[int]],
 def function_algebra_of_group(group: List[Permutation],
                               name: str = "") -> QuantumGroup:
     """C(G): one 1x1 block per element; Delta dual to composition, kappa
-    dual to inversion, epsilon evaluation at the identity.  Keeps the
-    Cayley table."""
+    dual to inversion, epsilon evaluation at the identity."""
     order = len(group)
     alg = FinDimCStarAlgebra(tuple([1] * order))
     table, identity, inverse = _cayley_table(group)
@@ -754,7 +658,7 @@ def function_algebra_of_group(group: List[Permutation],
     epsilon[identity] = 1.0
     kappa = np.zeros((order, order), dtype=complex)
     kappa[inverse, every] = 1.0
-    return QuantumGroup(alg, delta, epsilon, kappa, name=name, group_table=table)
+    return QuantumGroup(alg, delta, epsilon, kappa, name=name)
 
 
 def _cayley_table(group: List[Permutation]) -> Tuple[np.ndarray, int, np.ndarray]:

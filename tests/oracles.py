@@ -61,14 +61,15 @@ exponential in the number of points:
   (batched over a stack, without the rows and columns that are zero in
   all of it); not exponential, but
   independent of the product table and the block-by-block norms of
-  `verify_quantum_group`, which must report the same residuals;
+  `verify_quantum_group`'s generic path, which must report the same
+  residuals;
 - verify_quantum_group_loops and verify_coaction_loops: the Hopf and
   coaction axioms with one Frobenius-screened norm (two SVDs) per stack
   of blocks, coassociativity as two dim^4 products and the cancellation
   ranks one block at a time; not exponential, but independent of the
   per-size batched norms, the slabbed contractions and the stacked ranks
-  of `verify_quantum_group` and `verify_coaction`, whose residuals must
-  be == to the reference's;
+  of `verify_quantum_group`'s generic path and `verify_coaction`, whose
+  residuals must be == to the reference's;
 - haar_vector_lstsq: the bi-invariant functional as the least-squares
   solution of (h (x) id)Delta(a) = h(a)1, its mirror and h(1) = 1 over
   the basis, with the solve's residual, against the Plancherel trace of

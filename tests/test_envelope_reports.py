@@ -12,11 +12,13 @@ import pytest
 
 from qiso import envelope as envelope_module
 from qiso import isometry, reports
-from qiso.catalog import (catalog_action, dihedral_projection_action,
-                          four_point_blocks, standard_actions)
+from qiso.catalog import (catalog_action, dihedral_group_algebra,
+                          dihedral_projection_action, four_point_blocks,
+                          standard_actions)
 from qiso.cli import main
 from qiso.coaction import CoAction, verify_coaction
-from qiso.envelope import envelope
+from qiso.envelope import (BlockIdeal, _hopf_violation, envelope,
+                           quotient_quantum_group)
 from qiso.errors import QisoError
 from qiso.fileio import load_coaction, quantum_group_to_dict, save_coaction
 from qiso.quantum_group import QuantumGroup, verify_quantum_group
@@ -176,17 +178,20 @@ def test_cli_envelope_prints_the_eager_verification(tmp_path, capsys):
 
 
 def test_quotient_by_the_empty_ideal_keeps_the_group():
-    """An envelope that kills no block keeps the group its quantum group
-    was built from, so its report is the certificate's: cyclic-3,
-    dual-d4-blocks and the hopf benchmark's blocks-D_m actions.  A
-    nonempty ideal drops the group, and the quotient takes the generic
-    path: s3-isosceles, and dual-d4-asymmetric with blocks 1, 2 and 4
-    killed.  Every report passes."""
+    """An envelope that kills no block keeps the group dual's group, and
+    its report is a certificate's: cyclic-3, dual-d4-blocks and the hopf
+    benchmark's blocks-D_m actions.  A nonempty ideal drops the group:
+    the quotients of s3-isosceles, and of dual-d4-asymmetric with blocks
+    1, 2 and 4 killed, are all 1x1 blocks and take the C(G) certificate,
+    and dual-D6 by the Hopf ideal of blocks 2, 3 and 4, which is C*(D3),
+    takes the generic path.  Every report passes."""
     kept = [catalog_action("cyclic-3"), catalog_action("dual-d4-blocks")] + \
         equal_cross_blocks_actions(11)
     for action in kept:
         env = envelope(action)
-        assert not env.ideal and env.quotient.group_table is not None, action.name
+        assert not env.ideal, action.name
+        assert (env.quotient.group_embedding is None) == \
+            (action.group.group_embedding is None), action.name
         report = env.reports["quantum_group"]
         assert "group_table" in report.residuals, action.name
         assert "coassociativity" not in report.residuals, action.name
@@ -198,6 +203,15 @@ def test_quotient_by_the_empty_ideal_keeps_the_group():
         if killed is not None:
             assert set(env.ideal.included_blocks) == killed
         assert env.quotient.group_table is None and env.quotient.group_embedding is None
+        assert max(env.quotient.algebra.blocks) == 1, name
         report = env.reports["quantum_group"]
-        assert "coassociativity" in report.residuals, name
+        assert "group_table" in report.residuals, name
         assert report.passed(1e-10), (name, report.failing(1e-10))
+    ideal = BlockIdeal(frozenset({2, 3, 4}))
+    dual_d6 = dihedral_group_algebra(6)
+    assert _hopf_violation(dual_d6, ideal.included_blocks, 1e-9) is None
+    quotient, survivors = quotient_quantum_group(dual_d6, ideal)
+    assert quotient.group_embedding is None and sorted(quotient.algebra.blocks) == [1, 1, 2]
+    report = verify_quantum_group(quotient)
+    assert "coassociativity" in report.residuals
+    assert report.passed(1e-10), report.failing(1e-10)

@@ -1,6 +1,7 @@
 """Block algebras, states, Hopf verification, Haar states, convolution."""
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -8,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qiso import algebra, coaction, quantum_group
+from qiso import algebra, cli, coaction, quantum_group
 from qiso.algebra import (AlgElement, BadVector, FinDimCStarAlgebra,
                           StateFunctional, extreme_state, max_operator_norms,
                           operator_norms, random_state)
@@ -17,6 +18,7 @@ from qiso.catalog import (catalog_action, cycle_metric, dihedral_group_algebra,
                           random_permutation_action, standard_actions,
                           standard_groups)
 from qiso.coaction import CoAction, verify_coaction
+from qiso.fileio import quantum_group_from_dict, quantum_group_to_dict
 from qiso.quantum_group import (InconsistentIrreps, KacViolation, NotAGroup,
                                 QuantumGroup, close_generators, compose,
                                 function_algebra_of_group, group_algebra,
@@ -329,14 +331,11 @@ def test_function_algebra_verifies():
         assert verify_quantum_group(qg).passed(1e-10)
 
 
-def _dense_twin(qg):
-    """qg's structure maps without the group it was built from, which
-    `verify_quantum_group` checks on the generic path."""
-    return QuantumGroup(qg.algebra, qg.delta, qg.epsilon, qg.kappa, name=qg.name)
+_verify_axioms = quantum_group._verify_axioms
 
 
 def _assert_same_residuals(qg, label):
-    blockwise = verify_quantum_group(qg).residuals
+    blockwise = _verify_axioms(qg).residuals
     dense = verify_quantum_group_dense(qg).residuals
     assert list(blockwise) == list(dense), label
     for key, value in dense.items():
@@ -351,28 +350,26 @@ def test_blockwise_verifier_matches_dense_reference():
     verifier's residuals: on commutative and noncommutative groups up to
     dim 24, on C(S3) with column 0 of Delta wiped (a cancellation rank
     deficit), and on 300 seeded single-entry faults in delta, epsilon and
-    kappa of sizes 1e-3, 0.1 and 1.  Each group built from a finite group
-    is given as its dense twin, so that it takes the generic path."""
-    small = [_dense_twin(qg) for qg in
-             [e.action.group for e in standard_actions()] + standard_groups()]
-    groups = small + [_dense_twin(qg) for qg in
-                      [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
-                       for m in range(4, 9)] +
-                      [dihedral_group_algebra(m) for m in range(3, 11)] +
-                      [function_algebra_of_group(close_generators(
-                          4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")]]
+    kappa of sizes 1e-3, 0.1 and 1.  Every group takes the generic path,
+    called directly, whatever path `verify_quantum_group` picks for it."""
+    small = [e.action.group for e in standard_actions()] + standard_groups()
+    groups = small + [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+                      for m in range(4, 9)] + \
+        [dihedral_group_algebra(m) for m in range(3, 11)] + \
+        [function_algebra_of_group(close_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+                                   name="C(S4)")]
     for qg in groups:
         _assert_same_residuals(qg, qg.name)
     # a wiped column of Delta shows in the cancellation ranks
-    s3 = _dense_twin(function_algebra_of_group(close_generators(
-        3, [(1, 2, 0), (1, 0, 2)]), name="C(S3)"))
+    s3 = function_algebra_of_group(close_generators(3, [(1, 2, 0), (1, 0, 2)]),
+                                   name="C(S3)")
     wiped = s3.delta.copy()
     wiped[:, :, 0] = 0.0
     wiped = QuantumGroup(s3.algebra, wiped, s3.epsilon, s3.kappa)
     _assert_same_residuals(s3, "C(S3)")
     _assert_same_residuals(wiped, "C(S3), Delta column 0 wiped")
-    assert verify_quantum_group(s3).residuals["cancellation_left"] == 0
-    assert verify_quantum_group(wiped).residuals["cancellation_left"] > 0
+    assert _verify_axioms(s3).residuals["cancellation_left"] == 0
+    assert _verify_axioms(wiped).residuals["cancellation_left"] > 0
     rng = random.Random(707)
     for fault in range(300):
         qg = rng.choice(small)
@@ -438,20 +435,19 @@ def _same_residuals(report, reference):
         for k in mine)
 
 
-def test_verifiers_equal_loop_references(monkeypatch):
-    """verify_quantum_group and verify_coaction report residuals == to the
-    references of tests/oracles.py, which norm each stack of blocks on its
-    own and contract coassociativity in two dim^4 products: on the hopf
-    workload's groups, the catalog and standard groups and actions,
-    C(D4)-C(D8), dual-D3 to dual-D12, C(S4) and dual-D10 with every exact
-    0 of Delta set to 1e-300 (a full block support, as a Delta written
-    in an element basis has), and on 420 seeded single-entry faults of
-    sizes 1e-3, 0.1, 1, NaN and inf: at least 300 in delta, epsilon and
-    kappa, the rest in u.  Each group is verified a second time with its
-    coassociativity cut into cells whatever they save, which pads the
-    cells of the two characters of dual-D_m for odd m.  Each group built
-    from a finite group is given as its dense twin, so that it takes the
-    generic path."""
+def test_verifiers_equal_loop_references():
+    """The generic path of verify_quantum_group, called directly, and
+    verify_coaction report residuals == to the references of
+    tests/oracles.py, which norm each stack of blocks on its own and
+    contract coassociativity in two dim^4 products: on the hopf workload's
+    groups, the catalog and standard groups and actions, C(D4)-C(D8),
+    dual-D3 to dual-D12, C(S4) and dual-D10 with every exact 0 of Delta
+    set to 1e-300 (a full block support, as a Delta written in an element
+    basis has), and on 420 seeded single-entry faults of sizes 1e-3, 0.1,
+    1, NaN and inf: at least 300 in delta, epsilon and kappa, the rest in
+    u.  On the faulted groups of 1x1 blocks, which verify_quantum_group
+    checks against the Cayley table their Delta defines, it agrees with
+    the reference on pass or fail at 1e-10."""
     catalog_actions = [e.action for e in standard_actions()]
     small = [a.group for a in catalog_actions] + standard_groups()
     dense = dihedral_group_algebra(10)
@@ -460,35 +456,20 @@ def test_verifiers_equal_loop_references(monkeypatch):
     dense = QuantumGroup(dense.algebra, filled, dense.epsilon, dense.kappa,
                          name="dual-D10, zeros as 1e-300")
     assert dense.delta.all()
-    groups = [_dense_twin(qg) for qg in _hopf_workload_groups() + small +
-              [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
-               for m in range(4, 9)] +
-              [dihedral_group_algebra(m) for m in range(3, 13)] +
-              [function_algebra_of_group(close_generators(
-                  4, [(1, 2, 3, 0), (1, 0, 2, 3)]), name="C(S4)")]] + [dense]
-    padded = []
-    cells = quantum_group._cells
-
-    def recording_cells(alg, support):
-        found = cells(alg, support)
-        padded.append(len(found[0]) * max(alg.blocks) ** 2 > alg.dim)
-        return found
-
+    groups = _hopf_workload_groups() + small + \
+        [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+         for m in range(4, 9)] + \
+        [dihedral_group_algebra(m) for m in range(3, 13)] + \
+        [function_algebra_of_group(close_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+                                   name="C(S4)"), dense]
     for qg in groups:
-        reference = verify_quantum_group_loops(qg)
-        assert _same_residuals(verify_quantum_group(qg), reference), qg.name
-        with monkeypatch.context() as forced:
-            forced.setattr(quantum_group, "_CELL_GAIN", 0)
-            forced.setattr(quantum_group, "_ONE_CELL", 0)
-            forced.setattr(quantum_group, "_cells", recording_cells)
-            assert _same_residuals(verify_quantum_group(qg), reference), (qg.name, "cells")
-    assert len(padded) == len(groups) and any(padded)   # positive control
+        assert _same_residuals(_verify_axioms(qg), verify_quantum_group_loops(qg)), qg.name
     for action in catalog_actions:
         assert _same_residuals(verify_coaction(action),
                                verify_coaction_loops(action)), action.name
     rng = random.Random(2323)
     faulted = small + _hopf_workload_groups()[:8]
-    kinds = {"group": 0, "action": 0}
+    kinds = {"group": 0, "action": 0, "commutative": 0}
     with np.errstate(all="ignore"):
         for fault in range(420):
             case = _faulted(rng, faulted, catalog_actions,
@@ -500,17 +481,22 @@ def test_verifiers_equal_loop_references(monkeypatch):
                     verify_coaction_loops(case, check_faithful=False)), fault
             else:
                 kinds["group"] += 1
-                assert _same_residuals(verify_quantum_group(case),
-                                       verify_quantum_group_loops(case)), fault
+                reference = verify_quantum_group_loops(case)
+                assert _same_residuals(_verify_axioms(case), reference), fault
+                if max(case.algebra.blocks) == 1:
+                    kinds["commutative"] += 1
+                    assert verify_quantum_group(case).passed(1e-10) == \
+                        reference.passed(1e-10), fault
     assert kinds["group"] >= 300 and kinds["action"] >= 50, kinds
+    assert kinds["commutative"] >= 100, kinds
 
 
-def test_verifier_on_random_block_supports(monkeypatch):
+def test_verifier_on_random_block_supports():
     """On 80 seeded random structure maps over algebras of one to five
     blocks of sizes 1 to 3, with Delta nonzero on a random share (5% to
     all) of the block triples, some with integer entries and some with a
-    NaN or inf, verify_quantum_group reports the residuals of the loop
-    reference, with cells chosen as usual and forced.  The block support
+    NaN or inf, the generic path of verify_quantum_group, called
+    directly, reports the residuals of the loop reference.  The block support
     changes the shapes of the BLAS products, not their terms, so
     delta_multiplicative and coassociativity may sum the same terms in
     another order (one ulp apart at blocks of size 3): each of their
@@ -538,20 +524,15 @@ def test_verifier_on_random_block_supports(monkeypatch):
                           gen.normal(size=(dim, dim)) + 0j)
         with np.errstate(all="ignore"):
             reference = verify_quantum_group_loops(qg).residuals
-            reports = [verify_quantum_group(qg).residuals]
-            with monkeypatch.context() as forced:
-                forced.setattr(quantum_group, "_CELL_GAIN", 0)
-                forced.setattr(quantum_group, "_ONE_CELL", 0)
-                reports.append(verify_quantum_group(qg).residuals)
-        for mine in reports:
-            assert list(mine) == list(reference), trial
-            for key, value in reference.items():
-                if np.isnan(value):
-                    assert np.isnan(mine[key]), (trial, key)
-                elif key in ("delta_multiplicative", "coassociativity"):
-                    assert abs(mine[key] - value) <= bound, (trial, key, mine[key], value)
-                else:
-                    assert mine[key] == value, (trial, key)
+            mine = _verify_axioms(qg).residuals
+        assert list(mine) == list(reference), trial
+        for key, value in reference.items():
+            if np.isnan(value):
+                assert np.isnan(mine[key]), (trial, key)
+            elif key in ("delta_multiplicative", "coassociativity"):
+                assert abs(mine[key] - value) <= bound, (trial, key, mine[key], value)
+            else:
+                assert mine[key] == value, (trial, key)
 
 
 def test_screened_residuals_equal_unscreened(monkeypatch):
@@ -560,13 +541,12 @@ def test_screened_residuals_equal_unscreened(monkeypatch):
     the Frobenius screen: on the catalog groups and actions, C(D4)-C(D8),
     dual-D10, and 40 seeded single-entry faults in delta, epsilon, kappa
     and u.  The patched name is the one the verifiers call: each verifier
-    call invokes it once.  Each group built from a finite group is given
-    as its dense twin, so that it takes the generic path."""
+    call invokes it once.  Every group takes the generic path of
+    verify_quantum_group, called directly."""
     catalog_actions = [e.action for e in standard_actions()]
-    clean = [_dense_twin(qg) for qg in
-             [a.group for a in catalog_actions] + standard_groups() +
-             [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
-              for m in range(4, 9)] + [dihedral_group_algebra(10)]]
+    clean = [a.group for a in catalog_actions] + standard_groups() + \
+        [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
+         for m in range(4, 9)] + [dihedral_group_algebra(10)]
     rng = random.Random(1515)
     groups, actions = list(clean), list(catalog_actions)
     for _ in range(40):
@@ -575,7 +555,7 @@ def test_screened_residuals_equal_unscreened(monkeypatch):
         (actions if isinstance(case, CoAction) else groups).append(case)
 
     def residuals():
-        return ([verify_quantum_group(qg).residuals for qg in groups],
+        return ([_verify_axioms(qg).residuals for qg in groups],
                 [verify_coaction(a, check_faithful=False).residuals
                  for a in actions])
 
@@ -598,7 +578,10 @@ def test_screened_residuals_equal_unscreened(monkeypatch):
 def test_nan_in_a_structure_map_fails_verification(target):
     """A NaN in delta, epsilon or kappa makes the residuals it reaches NaN,
     and a NaN residual fails: worst() is NaN, passed() is False and
-    failing() lists it.  require_kac rejects a NaN antipode."""
+    failing() lists it: on the generic path, called directly, and on the
+    path verify_quantum_group picks for C(D4) and dual-D4 given by their
+    arrays, the C(G) certificate and the generic path.  require_kac
+    rejects a NaN antipode."""
     for qg in (function_algebra_of_group(dihedral_perms(4), name="C(D4)"),
                dihedral_group_algebra(4)):
         delta, epsilon, kappa = qg.delta.copy(), qg.epsilon.copy(), qg.kappa.copy()
@@ -609,12 +592,14 @@ def test_nan_in_a_structure_map_fails_verification(target):
         else:
             kappa[1, 1] = np.nan
         broken = QuantumGroup(qg.algebra, delta, epsilon, kappa)
-        report = verify_quantum_group(broken)
+        report = _verify_axioms(broken)
         nan_keys = {k for k, v in report.residuals.items() if np.isnan(v)}
         assert len(nan_keys) >= 6, (qg.name, nan_keys)
-        assert np.isnan(report.worst())
-        assert not report.passed(1e-10) and not report.passed(np.inf)
-        assert nan_keys <= set(report.failing(1e-10))
+        for report in (report, verify_quantum_group(broken)):
+            nan_keys = {k for k, v in report.residuals.items() if np.isnan(v)}
+            assert np.isnan(report.worst()), (qg.name, report.residuals)
+            assert not report.passed(1e-10) and not report.passed(np.inf)
+            assert nan_keys and nan_keys <= set(report.failing(1e-10))
         if target == "kappa":
             with pytest.raises(KacViolation):
                 require_kac(broken)
@@ -660,8 +645,7 @@ def _group_built_populations():
 
 
 CERTIFICATE_KEYS = {
-    False: ["group_shape", "group_table", "delta_cayley", "counit_identity",
-            "antipode_inverse"],
+    False: ["group_table", "delta_cayley", "counit_identity", "antipode_inverse"],
     True: ["group_shape", "group_table", "group_basis", "group_identity",
            "group_multiplicative", "group_star", "delta_grouplike",
            "counit_grouplike", "antipode_grouplike"]}
@@ -669,8 +653,9 @@ CERTIFICATE_KEYS = {
 
 def test_group_certificate_passes_and_dense_twins_pass_generic():
     """Every group built from a finite group is verified against it, with
-    the certificate's residuals by name, at 1e-10; its dense twin, the
-    same structure maps without the group, passes the generic path."""
+    the certificate's residuals by name, at 1e-10: a dual against the
+    group it keeps, C(G) against the table its Delta defines.  The same
+    structure maps pass the generic path, called directly."""
     groups = _group_built_populations()
     assert len(groups) > 40
     for qg in groups:
@@ -678,7 +663,7 @@ def test_group_certificate_passes_and_dense_twins_pass_generic():
         assert list(report.residuals) == \
             CERTIFICATE_KEYS[qg.group_embedding is not None], qg.name
         assert report.passed(1e-10), (qg.name, report.failing(1e-10))
-        generic = verify_quantum_group(_dense_twin(qg))
+        generic = _verify_axioms(qg)
         assert "coassociativity" in generic.residuals, qg.name
         assert generic.passed(1e-10), (qg.name, generic.failing(1e-10))
 
@@ -691,9 +676,9 @@ def _fails(report) -> bool:
 def test_group_certificate_detects_in_place_faults():
     """330 seeded single-entry faults of sizes 1e-3, 0.1, 1, NaN and inf,
     added in place to delta, epsilon or kappa of groups built from finite
-    groups (which keep their group data), each fail the certificate with
-    a worst residual of at least 1e-4 or NaN; the same fault in the dense
-    twin fails the generic path."""
+    groups, each fail the certificate with a worst residual of at least
+    1e-4 or NaN; the same fault fails the generic path, called
+    directly."""
     groups = standard_groups() + [e.action.group for e in standard_actions()] + \
         _hopf_workload_groups()
     rng = random.Random(4949)
@@ -711,8 +696,7 @@ def test_group_certificate_detects_in_place_faults():
             entries[at] += size
             try:
                 assert _fails(verify_quantum_group(qg)), (fault, qg.name, target, size)
-                assert _fails(verify_quantum_group(_dense_twin(qg))), \
-                    (fault, qg.name, target, size)
+                assert _fails(_verify_axioms(qg)), (fault, qg.name, target, size)
             finally:
                 entries[at] = kept
             targets[target] += 1
@@ -722,9 +706,12 @@ def test_group_certificate_detects_in_place_faults():
 
 
 def test_group_certificate_does_not_trust_the_group_data():
-    """The table and V are checked on every call: one entry of V moved by
-    1e-3, or two entries of a row of the Cayley table swapped, fails the
-    certificate although the structure maps are unchanged."""
+    """A dual's table and V are checked on every call: one entry of V
+    moved by 1e-3, or two entries of a row of the Cayley table swapped,
+    fails the certificate although the structure maps are unchanged.  C(G)
+    keeps no table: a Delta built as the 0/1 tensor of a Cayley table
+    with two entries of one row swapped defines a table that is no
+    group's, and fails with group_table 1."""
     import dataclasses
     rng = random.Random(5151)
     for qg in [dihedral_group_algebra(m) for m in (3, 4, 7, 10)]:
@@ -735,26 +722,74 @@ def test_group_certificate_does_not_trust_the_group_data():
                 dataclasses.replace(qg, group_embedding=V))), qg.name
     for qg in [function_algebra_of_group(dihedral_perms(m), name=f"C(D{m})")
                for m in (4, 5)] + [dihedral_group_algebra(m) for m in (3, 4, 7)]:
-        order = len(qg.group_table)
+        order, dual = qg.dim, qg.group_table is not None
+        every = np.arange(order)
         for _ in range(5):
-            table = qg.group_table.copy()
+            table = qg.group_table.copy() if dual else np.abs(qg.delta).argmax(axis=2)
             row, (i, j) = rng.randrange(order), rng.sample(range(order), 2)
             table[row, [i, j]] = table[row, [j, i]]
-            report = verify_quantum_group(dataclasses.replace(qg, group_table=table))
+            if dual:
+                swapped = dataclasses.replace(qg, group_table=table)
+            else:
+                delta = np.zeros_like(qg.delta)
+                delta[every[:, None], every, table] = 1.0
+                swapped = QuantumGroup(qg.algebra, delta, qg.epsilon, qg.kappa)
+            report = verify_quantum_group(swapped)
             assert _fails(report), qg.name
             assert report.residuals["group_table"] == 1.0, qg.name
 
 
 def test_function_algebra_of_s5_verifies():
-    """C(S5), of dim 120, verifies at 1e-10: its Delta reaches each pair of
-    1x1 blocks from one block, so the products and coassociativity take
-    dim^2 and dim^3 terms, where all pairs of basis elements would give
-    dim^4."""
+    """C(S5), of dim 120, verifies at 1e-10 on the C(G) certificate,
+    against the Cayley table its Delta defines: one argmax over Delta's
+    dim^3 entries, then the table's group axioms and the 0/1 maps."""
     qg = function_algebra_of_group(close_generators(
         5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]), name="C(S5)")
     assert qg.dim == 120
     report = verify_quantum_group(qg)
     assert report.passed(1e-10), report.failing(1e-10)
+
+
+def test_commutative_groups_need_no_stored_group():
+    """C(S4) and C(S5) given by their arrays, and C(S4) round-tripped
+    through its JSON dict, report the C(G) certificate's residuals and
+    pass at 1e-10.  A dual-D6 loaded from its JSON dict keeps no group and
+    takes the generic path."""
+    groups = [function_algebra_of_group(close_generators(n, gens), name=f"C(S{n})")
+              for n, gens in ((4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+                              (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))]
+    cases = [QuantumGroup(qg.algebra, qg.delta, qg.epsilon, qg.kappa, name=qg.name)
+             for qg in groups] + [quantum_group_from_dict(quantum_group_to_dict(groups[0]))]
+    for qg in cases:
+        report = verify_quantum_group(qg)
+        assert list(report.residuals) == CERTIFICATE_KEYS[False], qg.name
+        assert report.passed(1e-10), (qg.name, report.failing(1e-10))
+    loaded = quantum_group_from_dict(quantum_group_to_dict(dihedral_group_algebra(6)))
+    assert loaded.group_embedding is None
+    report = verify_quantum_group(loaded)
+    assert "coassociativity" in report.residuals, report.residuals
+    assert report.passed(1e-10), report.failing(1e-10)
+
+
+def test_catalog_search_and_hopf_workload_take_no_generic_path(monkeypatch, tmp_path):
+    """Every quantum group that `qiso --seed 3 search --kind catalog
+    --random 6` or the hopf workload verifies is a group dual or C(G), and
+    takes a certificate: with the generic path patched to raise, both run
+    through without calling it."""
+    calls = []
+
+    def generic(qg):
+        calls.append(qg.name)
+        raise AssertionError(f"{qg.name} took the generic path")
+
+    monkeypatch.setattr(quantum_group, "_verify_axioms", generic)
+    out = tmp_path / "search.json"
+    assert cli.main(["--seed", "3", "search", "--kind", "catalog", "--random", "6",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["instances"]
+    for qg in _hopf_workload_groups():
+        assert verify_quantum_group(qg).passed(1e-10), qg.name
+    assert not calls, calls
 
 
 def test_dual_s3_verifies():
