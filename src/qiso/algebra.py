@@ -313,7 +313,7 @@ class StateFunctional:
         return StateFunctional(owner, tuple(
             m.T.copy() for m in owner.split(np.asarray(vec, dtype=complex))))
 
-    def is_state(self, tol: float = 1e-9) -> bool:
+    def is_state(self, tol: float) -> bool:
         total = 0.0
         for rho in self.densities:
             if np.linalg.norm(rho - rho.conj().T) > tol:

@@ -1,5 +1,5 @@
 """The qiso command line: validation, transport, feasibility, isometry
-checks, envelopes, catalog management, and conjecture searches.
+checks, envelopes, catalog management, and the catalog verification run.
 
 Exit codes: 0 success, 2 invalid input, 3 condition failed (with a
 certificate in the JSON output).
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--emit", metavar="DIR", help="write catalog files here")
     cat.add_argument("--verify", action="store_true")
 
-    s = sub.add_parser("search", help="verification runs and conjecture searches",
+    s = sub.add_parser("search", help="verify the catalog and random actions "
+                       "against the tower of isometries; dossier its violations",
                        parents=[common])
     s.add_argument("--config", help="SearchConfig JSON file")
     s.add_argument("--kind", help="run kind, checked with the config")
@@ -150,8 +151,8 @@ def _dispatch(args) -> int:
     if args.command == "wasserstein":
         from .transport import transport_with_power
         space = fileio.load_space(args.space, tol=args.tol)
-        mu = fileio.load_distribution(args.mu, args.mode, args.tol)
-        nu = fileio.load_distribution(args.nu, args.mode, args.tol)
+        mu = fileio.load_distribution(args.mu, args.mode, tol=args.tol)
+        nu = fileio.load_distribution(args.nu, args.mode, tol=args.tol)
         p = _parse_p(args.p)
         if p == float("inf"):
             return _winf(args, space, mu, nu)
@@ -168,22 +169,22 @@ def _dispatch(args) -> int:
 
     if args.command == "winf":
         space = fileio.load_space(args.space, tol=args.tol)
-        mu = fileio.load_distribution(args.mu, args.mode, args.tol)
-        nu = fileio.load_distribution(args.nu, args.mode, args.tol)
+        mu = fileio.load_distribution(args.mu, args.mode, tol=args.tol)
+        nu = fileio.load_distribution(args.nu, args.mode, tol=args.tol)
         return _winf(args, space, mu, nu)
 
     if args.command == "coupling-on":
         from .transport import feasible_coupling_on
-        mu = fileio.load_distribution(args.mu, args.mode, args.tol)
-        nu = fileio.load_distribution(args.nu, args.mode, args.tol)
+        mu = fileio.load_distribution(args.mu, args.mode, tol=args.tol)
+        nu = fileio.load_distribution(args.nu, args.mode, tol=args.tol)
         Y = fileio.pairs_from_dict(fileio.read_json_object(args.pairs), mu.n)
         return _coupling(args, feasible_coupling_on(mu, nu, Y, tol=args.tol), {})
 
     if args.command == "hall":
         from .transport import feasible_coupling_on
         doc = fileio.read_json_object(args.instance)
-        mu = fileio.distribution_from_dict(doc, args.mode, args.tol, field="mu")
-        nu = fileio.distribution_from_dict(doc, args.mode, args.tol, field="nu")
+        mu = fileio.distribution_from_dict(doc, args.mode, tol=args.tol, field="mu")
+        nu = fileio.distribution_from_dict(doc, args.mode, tol=args.tol, field="nu")
         Y = fileio.pairs_from_dict(doc, mu.n)
         res = feasible_coupling_on(mu, nu, Y, tol=args.tol)
         # Hall's theorem: the subset condition holds iff a coupling exists,

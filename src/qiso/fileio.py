@@ -112,16 +112,16 @@ def load_space(path: str, tol: Optional[float] = None) -> FiniteMetricSpace:
     return space_from_dict(read_json_object(path), tol=tol)
 
 
-def distribution_from_dict(doc: dict, mode: str = RATIONAL,
-                           tol: float = 1e-9, field: str = "mass") -> ProbVector:
+def distribution_from_dict(doc: dict, mode: str = RATIONAL, *, tol: float,
+                           field: str = "mass") -> ProbVector:
     """The distribution in the array doc[field] ("mass" in a distribution
     file; "mu" and "nu" in a Hall instance)."""
     return prob_vector([parse_scalar(v, mode) for v in _array(doc[field], field)],
                        tol=tol)
 
 
-def load_distribution(path: str, mode: str = RATIONAL,
-                      tol: float = 1e-9) -> ProbVector:
+def load_distribution(path: str, mode: str = RATIONAL, *,
+                      tol: float) -> ProbVector:
     return distribution_from_dict(read_json_object(path), mode=mode, tol=tol)
 
 

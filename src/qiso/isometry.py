@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, log
 from typing import Callable, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -290,12 +290,20 @@ _HALL_CELLS_PER_PAIR = 30_000   # Hall table entries costing one W_inf solve
 _VERTEX_CELLS = 2 ** 18
 
 
-def _sweep_route(space, n_states: int, n_pairs: int, finite: bool) -> str:
-    """The route that `check_lip_p_state_sweep` takes for one p."""
-    n = space.n
+def _sweep_route(space, n_states: int, dist: np.ndarray, p, finite: bool) -> str:
+    """The route that `check_lip_p_state_sweep` takes for one p, given the
+    distances d(x, y) of its pairs."""
+    n, n_pairs = space.n, len(dist)
     if finite:
+        # The dual-vertex sums f.mu + g.nu hold 2n terms of size up to
+        # max d^p, so in floats W_p^p is off by about e = 4 n u max d^p
+        # (u = 2^-53), which moves W_p at d(x, y) >= min d by at most
+        # e / (p min d^(p-1)); the verdict needs that within tol x max d.
+        # Compared in logs, as (max d / min d)^(p-1) may overflow a float.
         if n <= _VERTEX_MAX_N and \
-                _TREE_COST * comb(2 * n - 2, n - 1) <= n_states * n_pairs:
+                _TREE_COST * comb(2 * n - 2, n - 1) <= n_states * n_pairs and \
+                (float(p) - 1) * log(float(space.max_distance) / dist.min()) <= \
+                log(float(p) * space.tol / (4 * n * 2.0 ** -53)):
             return "dual-vertices"
         return "simplex"
     cells = (len(space.realized_distances) * n + n_pairs) * (2 ** n - 1)
@@ -416,8 +424,10 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
     `_state_pairs`.  For each p, `_sweep_route` picks how W_p is computed,
     and each verdict records it as its "route":
 
-      dual-vertices  finite p, n <= _VERTEX_MAX_N and _TREE_COST x
-                     C(2n-2, n-1) <= states x pairs: `_dual_vertex_sweep`
+      dual-vertices  finite p, n <= _VERTEX_MAX_N, _TREE_COST x
+                     C(2n-2, n-1) <= states x pairs and 4 n 2^-53 x
+                     (max d / min d)^(p-1) <= p tol (`_sweep_route`
+                     gives the reason): `_dual_vertex_sweep`
                      over the dual vertices of d^p, enumerated once for
                      every state and pair, and once per triangulation:
                      on a rational space at integer p, where every tree
@@ -467,7 +477,7 @@ def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryV
     out = [[] for _ in states]
     trees = None
     for p, fin in zip(ps, finite):
-        route = _sweep_route(space, len(states), len(pairs), fin)
+        route = _sweep_route(space, len(states), dist, p, fin)
         if route == "dual-vertices":
             w, trees = _dual_vertex_sweep(space, masses, xs, ys, p, trees)
         elif route == "hall-subsets":

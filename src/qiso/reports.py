@@ -1,14 +1,15 @@
-"""Batch verification over the catalog, the span search, reports.
+"""Batch verification over the catalog, and its reports.
 
-For a magic-unitary coaction on a finite space, (D), main and Lip_inf are
-one condition, so the open part of the paper's conjecture there is the
-gap between Lip_inf and Lip_p: the catalog run's `patterns` tally counts
-every gap pattern, and the span search is the one conjecture search,
-one record per (instance, p) of `p_list`.
+The paper conjectures that its tower of isometries, (D) down to Lip_1,
+is one condition.  For a magic-unitary coaction on a finite space, (D),
+main and Lip_inf are one condition, so the open part there is the gap
+between Lip_inf and Lip_p: the catalog run's `patterns` tally counts
+every gap pattern, and every instance on which a stronger condition holds
+and a weaker one fails gets a dossier.
 Runs are pure functions of (config, catalog): every random draw is seeded
 from the config seed, and every dossier carries the instance files inline
-so a hit can be replayed.  Searches never assert the open conjectures;
-they tally evidence and dossier any would-be counterexample.
+so a violation can be replayed.  Searches never assert the open
+conjectures; they tally evidence and dossier any would-be counterexample.
 """
 
 from __future__ import annotations
@@ -17,25 +18,24 @@ import csv
 import functools
 import io
 import json
-import random
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import StateFunctional, extreme_state, random_state
+from .algebra import random_state
 from .catalog import (CATALOG, catalog_action, random_permutation_action,
                       random_quantum_action)
 from .coaction import CoAction, verify_coaction
 from .envelope import envelope
 from .errors import QisoError
-from .fileio import coaction_to_dict, state_to_dict
+from .fileio import coaction_to_dict
 from .isometry import (check_injectivity, check_lip_p_state_sweep,
                        check_lip_p_universal, check_support_universal,
                        defect_blocks)
 from .metric import METRIC_MODELS, random_metric_space
-from .quantum_group import haar_state, verify_quantum_group
+from .quantum_group import verify_quantum_group
 
 # strongest first; every earlier condition must imply every later one
 CONDITION_ORDER = ["D", "main", "Lip_inf", "Lip_3", "Lip_2", "Lip_1"]
@@ -208,6 +208,15 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
     return rec
 
 
+def _violated(flags: dict) -> List[tuple]:
+    """The (stronger, weaker) pairs of CONDITION_ORDER where the stronger
+    condition holds and the weaker fails: the tower's implications that
+    these verdicts break."""
+    return [(strong, weak) for i, strong in enumerate(CONDITION_ORDER)
+            for weak in CONDITION_ORDER[i + 1:]
+            if flags.get(strong) is True and flags.get(weak) is False]
+
+
 def implication_tallies(instances: List[dict]) -> Dict[str, dict]:
     """Counts per condition and per ordered implication; 'violations' lists
     (instance, stronger, weaker) triples where the tower failed."""
@@ -230,11 +239,9 @@ def implication_tallies(instances: List[dict]) -> Dict[str, dict]:
                 failed[c] += 1
             else:
                 undecided[c] += 1
-        for i, strong in enumerate(CONDITION_ORDER):
-            for weak in CONDITION_ORDER[i + 1:]:
-                if flags.get(strong) is True and flags.get(weak) is False:
-                    violations.append({"instance": rec.get("name", "?"),
-                                       "stronger": strong, "weaker": weak})
+        for strong, weak in _violated(flags):
+            violations.append({"instance": rec.get("name", "?"),
+                               "stronger": strong, "weaker": weak})
     return {"held": held, "failed": failed, "undecided": undecided,
             "patterns": pattern_counts, "violations": violations}
 
@@ -243,9 +250,14 @@ def implication_tallies(instances: List[dict]) -> Dict[str, dict]:
 # the run kinds
 
 
-def _run_instances(config: SearchConfig, worker, collect) -> RunReport:
-    """Collect worker(desc) for every descriptor, in order; once the time
-    budget is spent, skip (cancel, with jobs > 1) those not yet started."""
+def run_catalog_verification(config: SearchConfig) -> RunReport:
+    """Verify every descriptor's instance, in order; once the time budget
+    is spent, skip (cancel, with jobs > 1) those not yet started.  Every
+    instance that breaks an implication of the tower gets a dossier, built
+    here rather than in the workers: its verdicts, the (stronger, weaker)
+    pairs it breaks and the coaction inline, which replays them."""
+    worker = functools.partial(verify_instance, p_list=tuple(config.p_list),
+                               state_samples=config.state_samples)
     report = RunReport(kind=config.kind, config=asdict(config))
     descs = instance_descriptors(config)
     t0 = time.perf_counter()
@@ -259,167 +271,31 @@ def _run_instances(config: SearchConfig, worker, collect) -> RunReport:
                 if time.perf_counter() > deadline:
                     skipped += sum(f.cancel() for f in futures if not f.done())
                 if not fut.cancelled():
-                    collect(report, fut.result())
+                    report.instances.append(fut.result())
     else:
         for desc in descs:
             if time.perf_counter() > deadline:
                 skipped += 1
                 continue
-            collect(report, worker(desc))
+            report.instances.append(worker(desc))
+    for rec in report.instances:
+        violated = _violated(rec["conditions"])
+        if violated:
+            report.dossiers.append({
+                "descriptor": rec["descriptor"], "name": rec["name"],
+                "conditions": rec["conditions"],
+                "violations": [{"stronger": strong, "weaker": weak}
+                               for strong, weak in violated],
+                "coaction": coaction_to_dict(build_instance(rec["descriptor"]))})
     report.timing["seconds"] = time.perf_counter() - t0
     report.timing["instances"] = len(report.instances)
     report.timing["skipped_by_budget"] = skipped
-    return report
-
-
-def run_catalog_verification(config: SearchConfig) -> RunReport:
-    worker = functools.partial(verify_instance, p_list=tuple(config.p_list),
-                               state_samples=config.state_samples)
-
-    def collect(report, rec):
-        report.instances.append(rec)
-
-    report = _run_instances(config, worker, collect)
     report.implication_matrix = implication_tallies(report.instances)
     return report
 
 
-def _span_records(desc: dict, p_list, state_samples: int, seed: int) -> List[dict]:
-    """The span search on one instance, one record per p of p_list: the
-    state pool is built once and decided for every p by one
-    `check_lip_p_state_sweep`."""
-    action = build_instance(desc)
-    alg = action.group.algebra
-    # block characters are classical points when A = C(G), and one of
-    # them is then the counit: each distinct state is kept once
-    candidates = [action.group.counit_state(), haar_state(action.group).state]
-    candidates += [extreme_state(alg, k, np.array([1.0 + 0j]))
-                   for k, b in enumerate(alg.blocks) if b == 1]
-    candidates += [random_state(alg, seed + 7919 * k)
-                   for k in range(state_samples)]
-    pool: List[StateFunctional] = []
-    for psi in candidates:
-        if not any(np.array_equal(psi.as_vector(), kept.as_vector())
-                   for kept in pool):
-            pool.append(psi)
-    verdicts = check_lip_p_state_sweep(action, pool, p_list)
-    return [_span_record(action, desc, p, pool, [v[i].holds for v in verdicts],
-                         state_samples, seed)
-            for i, p in enumerate(p_list)]
-
-
-def _span_record(action: CoAction, desc: dict, p, pool, holds,
-                 state_samples: int, seed: int) -> dict:
-    """The span search for one p, given the pool and its Lip_p verdicts.
-    A state vector, like a mass, has no units, so every cut on one reads
-    the space's tol: span membership and the Gram-Schmidt cut, the trace
-    of a combination, the margin by which mixing clears positivity, the
-    barycenter's positivity and the state check of a repaired
-    combination."""
-    alg = action.group.algebra
-    tol = action.space.tol
-    rec = {"descriptor": desc, "name": desc.get("name") or action.name,
-           "p": p}
-    iso_states = [psi for psi, ok in zip(pool, holds) if ok]
-    rec["sampled"] = len(pool)
-    rec["isometric"] = len(iso_states)
-    # span dimension trace under Gram-Schmidt
-    basis: List[np.ndarray] = []
-
-    def off_span(v: np.ndarray) -> np.ndarray:
-        for b in basis:
-            v = v - (b.conj() @ v) * b
-        return v
-
-    trace = []
-    for psi in iso_states:
-        v = off_span(psi.as_vector())
-        if np.linalg.norm(v) > tol:
-            basis.append(v / np.linalg.norm(v))
-        trace.append(len(basis))
-    rec["span_dimension_trace"] = trace
-
-    # Whenever some isometric state has every inequality strict (the Haar
-    # state of a transitive action, say), a whole neighborhood of it is
-    # isometric and the span is everything, so the pool's own failing
-    # states already sit inside the span.  Test those first.
-    hits = []
-    tested = 0
-    for idx, psi in enumerate(pool):
-        if np.linalg.norm(off_span(psi.as_vector())) <= tol:
-            tested += 1
-            if not holds[idx]:
-                hits.append({"kind": "pool-state", "index": idx,
-                             "state": state_to_dict(psi)})
-    # and probe beyond the convex hull: signed combinations of isometric
-    # states repaired to states by mixing toward the barycenter
-    if basis and len(iso_states) >= 2:
-        rng = random.Random(seed)
-        mean_vec = sum(s.as_vector() for s in iso_states) / len(iso_states)
-        mean_lam = min(float(np.linalg.eigvalsh(r)[0]) for r in
-                       StateFunctional.from_vector(alg, mean_vec).densities)
-        combos = []
-        for _ in range(state_samples):
-            coeffs = [rng.gauss(0.0, 1.0) for _ in iso_states]
-            vec = sum(c * s.as_vector() for c, s in zip(coeffs, iso_states))
-            cand = StateFunctional.from_vector(alg, vec)
-            tr = sum(float(np.trace(r).real) for r in cand.densities)
-            if abs(tr) < tol:
-                continue
-            vec = vec / tr
-            lam = min(float(np.linalg.eigvalsh((r + r.conj().T) / 2)[0])
-                      for r in StateFunctional.from_vector(alg, vec).densities)
-            if lam < 0:
-                # mix toward the barycenter until positive
-                if mean_lam <= tol:
-                    continue
-                t = (-lam + tol) / (mean_lam - lam + tol)
-                vec = (1 - t) * vec + t * mean_vec
-            cand = StateFunctional.from_vector(alg, vec)
-            if cand.is_state(tol):
-                combos.append(cand)
-        tested += len(combos)
-        for cand, verdicts in zip(combos, check_lip_p_state_sweep(
-                action, combos, [p])):
-            if not verdicts[0].holds:
-                hits.append({"kind": "combination",
-                             "state": state_to_dict(cand)})
-    rec["in_span_tested"] = tested
-    rec["in_span_failures"] = len(hits)
-    rec["hit"] = bool(hits)
-    rec["failing_in_span_states"] = hits
-    return rec
-
-
-def search_conjecture_span(config: SearchConfig) -> RunReport:
-    """Estimate the span of the (Lip_p)-isometric states by sampling, then
-    test states inside the span, for every p of p_list: one instance
-    record per (instance, p).  Failures would contradict the span
-    conjecture and are dossiered, one dossier per (instance, p)."""
-    worker = functools.partial(_span_records, p_list=tuple(config.p_list),
-                               state_samples=config.state_samples,
-                               seed=config.seed)
-
-    def collect(report, recs):
-        for rec in recs:
-            report.instances.append(rec)
-            if rec["hit"]:
-                report.dossiers.append({
-                    "descriptor": rec["descriptor"],
-                    "coaction": coaction_to_dict(build_instance(rec["descriptor"])),
-                    "p": rec["p"], "failures": rec["in_span_failures"],
-                    "failing_states": rec["failing_in_span_states"]})
-
-    report = _run_instances(config, worker, collect)
-    report.implication_matrix = {
-        "checked": len(report.instances),
-        "hits": sum(1 for r in report.instances if r.get("hit"))}
-    return report
-
-
 # each run kind -> its run function
-RUN_KINDS = {"catalog": run_catalog_verification,
-             "span": search_conjecture_span}
+RUN_KINDS = {"catalog": run_catalog_verification}
 
 
 def run_search(config: SearchConfig) -> RunReport:
@@ -495,13 +371,6 @@ def _emit_markdown(report: RunReport) -> str:
             lines.append(f"| `{pat}` | {cnt} |")
         lines.append("")
         lines.append(f"tower violations: {len(m['violations'])}")
-    else:
-        lines.append("## Summary")
-        lines.append("")
-        lines.append("| key | value |")
-        lines.append("|---|---|")
-        for k, v in report.implication_matrix.items():
-            lines.append(f"| {k} | {v} |")
     if report.dossiers:
         lines.append("")
         lines.append(f"## Dossiers: {len(report.dossiers)}")

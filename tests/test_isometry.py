@@ -1200,6 +1200,38 @@ def test_sweep_routes_match_per_pair_oracle():
                       ("dual-vertices", "simplex", "hall-subsets", "max-flow")}
 
 
+def test_sweep_verdicts_hold_at_a_wide_distance_ratio():
+    """The 4-point space with d(0, 1) = d(2, 3) = 1 and every cross
+    distance R = 10^2 to 10^8, rational and float: for p = 1, 2, 3 the
+    sampled sweep gives the per-pair oracle's verdict on 30 states, for
+    C(Z2 x Z2) acting isometrically and for the 4-cycle, which fails.
+    Read off the dual vertices in floats, W_p^p loses about n 2^-53 R^p,
+    which the p-th root carries past tol x R at the pairs at distance 1:
+    Lip_3 failed on 13 of the 30 states at R = 10^6.  Such a p takes the
+    per-pair simplex, here p = 3 from R = 10^4 and p = 2 at 10^8."""
+    ps = (1, 2, 3)
+    routes = set()
+    for R in (10 ** 2, 10 ** 4, 10 ** 6, 10 ** 8):
+        d = [[0, 1, R, R], [1, 0, R, R], [R, R, 0, 1], [R, R, 1, 0]]
+        for space in (validate_metric(d), validate_metric(d, mode="float")):
+            for gens in ([(1, 0, 2, 3), (2, 3, 0, 1)], [(1, 2, 3, 0)]):
+                action = permutation_action(space, gens)
+                states = [random_state(action.group.algebra, k)
+                          for k in range(30)]
+                sweep = isometry.check_lip_p_state_sweep(action, states, ps)
+                for psi, verdicts in zip(states, sweep):
+                    for p, v in zip(ps, verdicts):
+                        worst = max(m for _, m in _lip_p_state_per_pair(
+                            action, psi, p).values())
+                        assert v.holds == (worst <= space.tol * R), \
+                            (R, space.mode, gens, p)
+                        assert v.holds == (len(gens) == 2)
+                        record = v.certificate if v.holds else v.witness
+                        routes.add((R, p, record["route"]))
+    assert {(R, p) for R, p, route in routes if route == "simplex"} == \
+        {(10 ** 4, 3), (10 ** 6, 3), (10 ** 8, 2), (10 ** 8, 3)}
+
+
 def test_cycle_sweep_max_flows_per_winf_call(monkeypatch):
     """The max-flow route of the sampled p = inf sweep on the rotations of
     the 10-cycle (6 realized distances, three random states, 135 pairs)

@@ -228,7 +228,7 @@ def test_max_operator_norm_of_a_non_finite_stack_is_nan(bad):
 def test_state_roundtrip_and_sampling():
     alg = FinDimCStarAlgebra((1, 2))
     psi = random_state(alg, 7)
-    assert psi.is_state()
+    assert psi.is_state(1e-9)
     vec = psi.as_vector()
     back = StateFunctional.from_vector(alg, vec)
     for rho1, rho2 in zip(psi.densities, back.densities):
@@ -253,7 +253,7 @@ def test_random_state_keeps_numpy_seed_contract():
             random_state(alg, bad)
     assert np.array_equal(random_state(alg, np.int64(5)).as_vector(),
                           random_state(alg, 5).as_vector())
-    assert random_state(alg, 0).is_state()
+    assert random_state(alg, 0).is_state(1e-9)
 
 
 def test_random_state_is_deterministic_full_rank_and_unbiased():
@@ -266,7 +266,7 @@ def test_random_state_is_deterministic_full_rank_and_unbiased():
     for seed in range(400):
         psi = random_state(alg, seed)
         assert np.array_equal(psi.as_vector(), random_state(alg, seed).as_vector())
-        assert psi.is_state()
+        assert psi.is_state(1e-9)
         traces = [np.trace(rho).real for rho in psi.densities]
         weights.append(traces)
         shapes.append([rho / t for rho, t in zip(psi.densities, traces)])

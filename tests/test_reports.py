@@ -5,10 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from qiso.reports import (RunReport, SearchConfig, emit_report,
+from qiso.reports import (RUN_KINDS, RunReport, SearchConfig, emit_report,
                           implication_tallies, instance_descriptors,
-                          run_catalog_verification, run_search,
-                          search_conjecture_span)
+                          run_catalog_verification, run_search)
 
 
 SMALL = SearchConfig(kind="catalog", catalog=["trivial-3", "s3-isosceles",
@@ -76,104 +75,6 @@ def test_descriptor_mix():
     assert kinds == {"random-perm", "random-quantum"}
 
 
-def test_span_search_finds_the_transitive_orbit_hits():
-    """On a transitive non-isometric action the Haar state is interior to
-    the isometric states (all its inequalities are strict), so their span
-    is everything and the pool's failing characters are in-span hits; the
-    hit is dossiered with the failing state."""
-    cfg = SearchConfig(kind="span", catalog=["s3-isosceles"], state_samples=6,
-                       seed=1, p_list=(1,))
-    rep = search_conjecture_span(cfg)
-    rec = rep.instances[0]
-    assert rec["isometric"] >= 2  # at least the counit and the Haar state
-    assert rec["in_span_failures"] > 0
-    assert rep.implication_matrix["hits"] == 1
-    dossier = rep.dossiers[0]
-    assert dossier["failing_states"]
-    # the dossier replays: its state really is a state and really fails
-    from qiso.fileio import coaction_from_dict, state_from_dict
-    from qiso.isometry import check_lip_p_state
-    action = coaction_from_dict(dossier["coaction"])
-    psi = state_from_dict(dossier["failing_states"][0]["state"],
-                          action.group.algebra)
-    assert psi.is_state(tol=1e-7)
-    assert not check_lip_p_state(action, psi, 1).holds
-
-
-def test_span_record_decides_each_state_once(monkeypatch):
-    """A span record decides each pool state and each probed combination
-    once, in two check_lip_p_state_sweep calls: the pool, then every
-    repaired combination.  The in-span loop reuses the pool's verdicts;
-    on s3-isosceles some pool states are in the span, so a second
-    decision of them would show."""
-    from qiso import reports
-    decided, calls = [], []
-    sweep = reports.check_lip_p_state_sweep
-
-    def counted_sweep(action, states, ps):
-        calls.append(len(states))
-        decided.extend(states)  # kept alive, so the ids below stay distinct
-        return sweep(action, states, ps)
-
-    monkeypatch.setattr(reports, "check_lip_p_state_sweep", counted_sweep)
-    rec, = reports._span_records({"source": "catalog", "name": "s3-isosceles"},
-                                 (1,), state_samples=6, seed=1)
-    assert any(h["kind"] == "pool-state" for h in rec["failing_in_span_states"])
-    assert len(calls) == 2 and calls[0] == rec["sampled"]
-    assert len({id(psi) for psi in decided}) == len(decided)
-
-
-def test_span_search_decides_every_p(monkeypatch):
-    """The span search gives one record per (instance, p) of p_list, each
-    with its own p, from one sweep of the instance's pool over every p;
-    each p's records and dossiers are those of a search over that p
-    alone."""
-    from qiso import reports
-    p_list = (1, 2, 3, "inf")
-    sweeps = []
-    sweep = reports.check_lip_p_state_sweep
-
-    def counted_sweep(action, states, ps):
-        sweeps.append((len(states), tuple(ps)))
-        return sweep(action, states, ps)
-
-    monkeypatch.setattr(reports, "check_lip_p_state_sweep", counted_sweep)
-    names = ["cyclic-4", "s3-isosceles"]  # in catalog order
-    base = dict(kind="span", catalog=names, state_samples=10, seed=1)
-    rep = search_conjecture_span(SearchConfig(**base, p_list=p_list))
-    assert [(r["name"], r["p"]) for r in rep.instances] == \
-        [(name, p) for name in names for p in p_list]
-    pools = [n for n, ps in sweeps if ps == p_list]
-    assert pools == [rep.instances[0]["sampled"], rep.instances[-1]["sampled"]]
-    for p in p_list:
-        alone = search_conjecture_span(SearchConfig(**base, p_list=(p,)))
-        assert alone.instances == [r for r in rep.instances if r["p"] == p], p
-        assert alone.dossiers == [d for d in rep.dossiers if d["p"] == p], p
-    assert {d["p"] for d in rep.dossiers} >= {1, 2}
-
-
-def test_span_pool_counts_each_distinct_state_once():
-    """On a function algebra the counit is also the character of its 1x1
-    block; the span pool keeps it once, so `sampled` is the Haar state,
-    one character per 1x1 block and the random samples."""
-    from qiso import reports
-    for name in ("s3-isosceles", "cyclic-4"):
-        desc = {"source": "catalog", "name": name}
-        alg = reports.build_instance(desc).group.algebra
-        characters = sum(1 for b in alg.blocks if b == 1)
-        rec, = reports._span_records(desc, (1,), state_samples=4, seed=1)
-        assert rec["sampled"] == 1 + characters + 4, name
-
-
-def test_span_search_quiet_when_every_state_is_isometric():
-    cfg = SearchConfig(kind="span", catalog=["cyclic-4", "dual-d4-blocks"],
-                       state_samples=6, seed=1, p_list=(2,))
-    rep = search_conjecture_span(cfg)
-    assert rep.implication_matrix["hits"] == 0
-    for rec in rep.instances:
-        assert rec["isometric"] == rec["sampled"]
-
-
 def test_emit_json_roundtrip():
     rep = run_catalog_verification(SMALL)
     text = emit_report(rep, "json")
@@ -210,6 +111,43 @@ def test_implication_tallies_flag_violations():
     assert t["violations"][0]["stronger"] == "D"
 
 
+def test_catalog_run_dossiers_each_tower_violation(monkeypatch):
+    """With universal Lip_1 patched to fail on cyclic-3 alone, a catalog
+    run over cyclic-3 and cyclic-4 writes one dossier, for cyclic-3: its
+    violated (stronger, weaker) pairs are those the tallies list for it,
+    and its coaction, read back from the emitted JSON and decided again
+    under the same patch, gives its conditions.  Unpatched, the run
+    writes none."""
+    from qiso import reports
+    from qiso.fileio import coaction_from_dict
+    from qiso.isometry import IsometryVerdict, defect_blocks
+    cfg = SearchConfig(kind="catalog", catalog=["cyclic-3", "cyclic-4"],
+                       state_samples=2)
+    assert run_catalog_verification(cfg).dossiers == []
+    real = reports.check_lip_p_universal
+
+    def patched(action, p):
+        if action.name == "cyclic-3" and p == 1:
+            return IsometryVerdict("Lip_1", False, witness={})
+        return real(action, p)
+
+    monkeypatch.setattr(reports, "check_lip_p_universal", patched)
+    doc = json.loads(emit_report(run_catalog_verification(cfg)))
+    dossier, = doc["dossiers"]
+    assert dossier["descriptor"] == {"source": "catalog", "name": "cyclic-3"}
+    assert dossier["name"] == "cyclic-3"
+    assert dossier["conditions"] == doc["instances"][0]["conditions"]
+    assert dossier["violations"] == [
+        {"stronger": v["stronger"], "weaker": v["weaker"]}
+        for v in doc["implication_matrix"]["violations"]]
+    assert [v["instance"] for v in doc["implication_matrix"]["violations"]] \
+        == ["cyclic-3"] * 5
+    action = coaction_from_dict(dossier["coaction"])
+    assert reports._condition_flags(action, cfg.p_list,
+                                    defect_blocks(action).blocks) \
+        == dossier["conditions"]
+
+
 def test_time_budget_skips_instances():
     """A spent budget skips the instances not yet started, of 11, serially
     and with two workers.  The pool starts some (usually 1, at most 4 in
@@ -228,6 +166,16 @@ def test_run_search_dispatch():
     assert run_search(SMALL).kind == "catalog"
     with pytest.raises(ValueError):
         run_search(SearchConfig(kind="nonsense"))
+
+
+def test_readme_names_only_run_kinds_that_exist():
+    """Every `--kind X` in README.md names a key of `RUN_KINDS`, so the
+    README shows no command that exits 2 as an unknown kind."""
+    import pathlib
+    import re
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    kinds = re.findall(r"--kind[ =]([\w-]+)", readme.read_text())
+    assert kinds and set(kinds) <= set(RUN_KINDS), kinds
 
 
 def test_span_counterexample_exact_arithmetic():
