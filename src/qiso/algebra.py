@@ -8,7 +8,6 @@ entries flattened, which keeps conversions trivial.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -179,76 +178,13 @@ def operator_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(mats, 2, axis=(-2, -1))
 
 
-# Below this entry size a Frobenius sum of squares may have lost terms to
-# underflow, so it no longer bounds the spectral norm from above.
-_FROBENIUS_FLOOR = 1e-140
-
-
-# The relative rounding of a computed spectral or Frobenius norm is far
-# below this margin, so a screen that decides with it decides as an SVD.
-_SCREEN_MARGIN = 1e-12
-
-
-def _frobenius_norms(mats: np.ndarray) -> np.ndarray:
-    """The Frobenius norms of a stack of matrices (..., m, m), as sums of
-    the squared real and imaginary parts, in whatever layout the stack's
-    leading axes have."""
-    if mats.strides[-1] != mats.itemsize:
-        mats = np.ascontiguousarray(mats)
-    parts = mats.view(mats.real.dtype)
-    return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
-
-
 def max_operator_norms(named: Dict[str, Sequence[np.ndarray]]) -> Dict[str, float]:
-    """For each name, the largest spectral norm over its stacks of square
-    matrices (..., m, m), bitwise equal to the largest of `operator_norms`
-    over them, or NaN when an entry of one is not finite.
-
-    Since ||M||_2 <= ||M||_F, only a matrix whose Frobenius norm reaches
-    the spectral norm of its stack's largest-Frobenius matrix (the stack's
-    top) can hold the stack's maximum; those are the only ones decomposed,
-    the top included.  The stacks of every name take, for each matrix
-    size, one batched SVD of their tops and one of their survivors.  A 1x1
-    matrix takes abs, as `AlgElement.norm` does.  The margin covers the
-    rounding of both norms, and a matrix whose Frobenius sum may have
-    overflowed (inf) or underflowed (entries below _FROBENIUS_FLOOR) is
-    always decomposed."""
-    peaks: Dict[str, list] = {}
-    screened: Dict[tuple, list] = {}   # (m, dtype) -> stacks that need an SVD
-    for name, stacks in named.items():
-        peaks[name] = found = []
-        for mats in stacks:
-            m = mats.shape[-1]
-            if m == 1:
-                peak = np.abs(mats).max()
-                found.append(peak if np.isfinite(peak) else np.nan)
-                continue
-            frob = _frobenius_norms(mats)
-            top = np.unravel_index(np.argmax(frob), frob.shape)  # a NaN first
-            if not math.isfinite(frob[top]) and not np.isfinite(mats).all():
-                found.append(np.nan)
-                continue
-            tiny = frob < m * _FROBENIUS_FLOOR  # holds all with entries below the floor
-            if tiny.any():
-                scale = np.abs(mats[tiny]).max(axis=(-2, -1))
-                tiny[tiny] = (scale > 0) & (scale < _FROBENIUS_FLOOR)
-            if not (frob[top] > 0 or tiny.any()):
-                found.append(0.0)
-                continue
-            screened.setdefault((m, mats.dtype), []).append(
-                (found, len(found), mats, frob, tiny, top))
-            found.append(np.nan)
-    for entries in screened.values():
-        tops = np.stack([mats[top] for _, _, mats, _, _, top in entries])
-        bounds = np.linalg.svd(tops, compute_uv=False)[:, 0] * (1 - _SCREEN_MARGIN)
-        survivors = [mats[(frob >= bound) | tiny]
-                     for (_, _, mats, frob, tiny, _), bound in zip(entries, bounds)]
-        norms = np.linalg.svd(np.concatenate(survivors), compute_uv=False)[:, 0]
-        start = 0
-        for (found, slot, *_), kept in zip(entries, survivors):
-            found[slot] = norms[start:start + len(kept)].max()
-            start += len(kept)
-    return {name: float(np.max(found)) for name, found in peaks.items()}
+    """For each name, the largest of `operator_norms` over its stacks of
+    square matrices (..., m, m), or NaN when an entry of one is not
+    finite, on which the SVD would not converge."""
+    return {name: float(np.max([operator_norms(mats).max() if np.isfinite(mats).all()
+                                else np.nan for mats in stacks]))
+            for name, stacks in named.items()}
 
 
 def element_norms(algebra: FinDimCStarAlgebra, X: np.ndarray) -> np.ndarray:

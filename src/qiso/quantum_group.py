@@ -7,13 +7,15 @@ constructors (function algebras of permutation groups, group algebras of
 finite groups presented by unitary irreps) are exact by construction and
 must pass at 1e-10.  A group dual keeps the group it is built from and
 is verified against it on the group basis; a commutative one is verified
-against the Cayley table its comultiplication defines.
+against the Cayley table its comultiplication defines, and any other
+against the group of its group-likes when it is cocommutative.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,23 +110,14 @@ class QuantumGroup:
 # block of A (x) A is M_{n_k} (x) M_{n_l}: E^k_ij (x) E^l_pq sits at row
 # (i, p) and column (j, q) of an n_k n_l square matrix.  Operator norms are
 # the largest spectral norm over blocks: each residual that is one lists
-# its stacks of equal-sized blocks, and `max_operator_norms` norms the
-# stacks of every residual together, one matrix size at a time.
-
-# Coassociativity takes its rows x in slabs whose products hold at most
-# this many entries (a single row may hold more): 112 KB of complex, below
-# the 128 KiB from which glibc by default maps fresh pages for each
-# allocation, page faults that cost more than the products at these sizes.
-_SLAB = 7000
+# its stacks of equal-sized blocks, which `max_operator_norms` norms.
 
 # A cancellation rank counts the singular values above this bound.
 _RANK_TOL = 1e-8
 
-# The Gram matrices of cancellation matrices up to this side are shifted
-# down by this multiple of their traces before the Cholesky certificate of
-# `_total_rank`, whose rounding analysis needs both.
-_GRAM_SHIFT = 1e-12
-_CERTIFIED_SIDE = 240
+# The largest defect of a group basis that `group_algebra` accepts from
+# irreps, and that a group recovered from Delta needs for its certificate.
+_GROUP_TOL = 1e-9
 
 
 def _product_table(alg: FinDimCStarAlgebra):
@@ -192,59 +185,17 @@ def _coassociativity(delta: np.ndarray) -> float:
     """max |(Delta (x) id) Delta(e_a) - (id (x) Delta) Delta(e_a)| over the
     coefficients of a finite delta.  At e_x (x) e_y (x) e_z the left side
     is the sum of delta[x, y, c] delta[c, z, a] over c, the right side
-    that of delta[y, z, c] delta[x, c, a].  So for a slab of rows x the
-    left side is the slab of delta as a (rows dim, dim) matrix times delta
-    as a (dim, dim^2) one, and the right side delta as a (dim^2, dim)
-    matrix times delta[x] for each x of the slab."""
+    that of delta[y, z, c] delta[x, c, a].  So for each row x the left
+    side is delta[x] times delta as a (dim, dim^2) matrix, and the right
+    side delta as a (dim^2, dim) matrix times delta[x]."""
     dim = len(delta)
-    step = max(1, min(_SLAB // dim ** 3, dim))
     pairs = delta.reshape(dim * dim, dim)
     worst = 0.0
-    for x in range(0, dim, step):
-        lhs = delta[x:x + step].reshape(-1, dim) @ delta.reshape(dim, dim * dim)   # x y, z a
-        rhs = pairs @ delta[x:x + step]                                             # x, y z, a
-        lhs.reshape(rhs.shape)[...] -= rhs
-        worst = max(worst, float(np.abs(lhs).max()))
+    for x in range(dim):
+        lhs = delta[x] @ delta.reshape(dim, dim * dim)      # y, z a
+        rhs = pairs @ delta[x]                              # y z, a
+        worst = max(worst, float(np.abs(lhs.reshape(rhs.shape) - rhs).max()))
     return worst
-
-
-def _total_rank(mats: np.ndarray) -> int:
-    """The sum of the ranks of a stack of finite square matrices (K, s, s),
-    counting singular values above _RANK_TOL: the integer
-    `np.linalg.matrix_rank(mats, tol=_RANK_TOL).sum()` gives.
-
-    A stack of side s <= _CERTIFIED_SIDE is first certified full rank by
-    one batched Cholesky factorization of G - t I, where G = fl(M^H M),
-    F = ||M||_F^2 (the trace of G up to rounding) and t = 2 _RANK_TOL^2 +
-    _GRAM_SHIFT F.  Success puts every singular value above _RANK_TOL by a
-    margin no SVD rounding crosses.  With u = 2^-53 and g_m = m u/(1 - m u):
-    - forming G errs by at most g_{s+2} F in norm (complex inner products,
-      entrywise bound |M|^H |M|);
-    - subtracting t rounds the diagonal by at most u F;
-    - a factorization that completes gives R^H R = A + E for the matrix A
-      it was given, |E| <= g_{s+1} |R|^H |R|, so ||E||_2 <= g_{s+1}
-      ||R||_F^2 <= 2 g_{s+1} F (Demmel 1989; Higham, Accuracy and
-      Stability of Numerical Algorithms, Thm 10.5).
-    Since R^H R >= 0, lambda_min(M^H M) >= t - 4 g_{s+2} F, and 4 g_{s+2}
-    < 1.1e-13 for s <= 240, a ninth of _GRAM_SHIFT, which leaves room for
-    the constant factors of complex arithmetic.  So sigma_min(M)^2 >
-    2 _RANK_TOL^2 + 8.9e-13 F >= (_RANK_TOL + d)^2 for every d <=
-    6.6e-7 sqrt(F).  A backward stable SVD gets each singular value to
-    within p(s) u ||M||_2 <= p(s) u sqrt(F), below such a d for any p(s) <
-    5e9, so it counts full rank too.  The shift is relative: a matrix with
-    sigma_min^2 below about 1e-12 F fails the certificate, and its stack
-    takes its ranks from `matrix_rank`, as do stacks of larger sides."""
-    side = mats.shape[-1]
-    if side <= _CERTIFIED_SIDE:
-        gram = mats.conj().swapaxes(-1, -2) @ mats
-        shift = 2 * _RANK_TOL ** 2 + _GRAM_SHIFT * np.trace(gram, axis1=1, axis2=2).real
-        gram[:, np.arange(side), np.arange(side)] -= shift[:, None]
-        try:
-            np.linalg.cholesky(gram)
-            return len(mats) * side
-        except np.linalg.LinAlgError:
-            pass
-    return int(np.linalg.matrix_rank(mats, tol=_RANK_TOL).sum())
 
 
 @dataclass
@@ -293,6 +244,21 @@ def _group_structure(table: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
     return int(identity[0]), inverse
 
 
+def _group_products(alg: FinDimCStarAlgebra, V: np.ndarray) -> np.ndarray:
+    """lambda_g lambda_h under A's product for the columns lambda_g of V
+    (dim, |G|), as a (|G|, |G|, dim) array with the coefficients on the
+    last axis: one (|G| n, n) @ (n, n |G|) product per block of size n,
+    rows g i and columns h j."""
+    order = V.shape[1]
+    out = np.empty((order, order, alg.dim), dtype=complex)
+    for n, idx in alg.blocks_by_size.items():
+        U = V[idx].transpose(0, 3, 1, 2)                   # K g i j
+        K = len(U)
+        prod = U.reshape(K, order * n, n) @ U.transpose(0, 2, 1, 3).reshape(K, n, n * order)
+        out[:, :, idx] = prod.reshape(K, order, n, order, n).transpose(1, 3, 0, 2, 4)
+    return out
+
+
 def _group_basis_defects(alg: FinDimCStarAlgebra, table: np.ndarray, V: np.ndarray,
                          identity: int, inverse: np.ndarray) -> Dict[str, float]:
     """How far the columns lambda_g of V (dim, |G|) are from a unitary
@@ -301,23 +267,13 @@ def _group_basis_defects(alg: FinDimCStarAlgebra, table: np.ndarray, V: np.ndarr
     - group_basis: V V^H D / |G| - I, with D = diag(n_k) over the basis,
       which Schur orthogonality makes 0 (V is a basis, V^-1 = V^H D/|G|);
     - group_identity: lambda_e - 1;
-    - group_multiplicative: lambda_g lambda_h - lambda_{gh}, block by block;
+    - group_multiplicative: lambda_g lambda_h - lambda_{gh};
     - group_star: lambda_g^* - lambda_{g^-1}.
     Given the other three, the last says that each lambda_g is unitary."""
-    order = len(table)
     sizes = np.repeat(alg.blocks, np.square(alg.blocks))
-    products = 0.0
-    for n, idx in alg.blocks_by_size.items():
-        # lambda_g lambda_h on the blocks of size n: one (|G| n, n) @
-        # (n, n |G|) product per block, rows g i and columns h j
-        U = V[idx].transpose(0, 3, 1, 2)                   # K g i j
-        K = len(U)
-        prod = U.reshape(K, order * n, n) @ U.transpose(0, 2, 1, 3).reshape(K, n, n * order)
-        products = max(products, _largest(
-            prod.reshape(K, order, n, order, n) - U[:, table].transpose(0, 1, 3, 2, 4)))
-    return {"group_basis": _largest(V @ V.conj().T * (sizes / order) - np.eye(alg.dim)),
+    return {"group_basis": _largest(V @ V.conj().T * (sizes / len(table)) - np.eye(alg.dim)),
             "group_identity": _largest(V[:, identity] - alg.unit().vec()),
-            "group_multiplicative": products,
+            "group_multiplicative": _largest(_group_products(alg, V) - V.T[table]),
             "group_star": _largest(V.conj()[_star_index(alg)] - V[:, inverse])}
 
 
@@ -368,6 +324,45 @@ def _cayley_certificate(qg: QuantumGroup) -> Dict[str, float]:
             "antipode_inverse": _largest(qg.kappa - eye[:, inverse])}
 
 
+def _recovered_group(qg: QuantumGroup) -> Optional[QuantumGroup]:
+    """qg with the group-likes of Delta as `group_embedding` V and their
+    Cayley table as `group_table`, for `_dual_certificate` to check; None
+    when a structure map has a non-finite entry, a decomposition fails or
+    an eigenvector has counit 0.
+
+    A cocommutative finite quantum group is C*(G), spanned by its
+    group-likes lambda_g, Delta(lambda_g) = lambda_g (x) lambda_g.  So for
+    weights r, M = sum_b r_b Delta[b, :, :] has M lambda_g = (r . lambda_g)
+    lambda_g, and with fixed random weights the eigenvalues are distinct
+    and the eigenvectors are the group-likes up to scale.  Schur
+    orthogonality, V^H D V = |G| I with D = diag(n_k) over the basis,
+    makes D^1/2 M D^-1/2 normal: its eigenvectors are replaced by the
+    nearest unitary (one SVD), mapped back and scaled so that eps = 1.
+    T[g, h] is the largest coefficient of lambda_g lambda_h in the basis
+    V, through V^-1 = V^H D / |G|.  On any other input V and T are some
+    arrays, which the certificate then rejects."""
+    if not all(np.isfinite(m).all() for m in (qg.delta, qg.epsilon, qg.kappa)):
+        return None        # eig raises on NaN
+    alg, dim = qg.algebra, qg.dim
+    rng = random.Random(0)
+    weights = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
+    sizes = np.repeat(alg.blocks, np.square(alg.blocks))
+    root = np.sqrt(sizes)[:, None]
+    M = (weights @ qg.delta.reshape(dim, dim * dim)).reshape(dim, dim)
+    try:
+        W = np.linalg.eig(root * M / root.T)[1]
+        left, _, right = np.linalg.svd(W)
+    except np.linalg.LinAlgError:
+        return None
+    V = left @ right / root
+    counits = qg.epsilon @ V
+    if not counits.all():          # no group-like has eps 0
+        return None
+    V /= counits
+    coefficients = _group_products(alg, V) @ (V.conj() * (sizes / dim)[:, None])
+    return replace(qg, group_table=np.abs(coefficients).argmax(axis=2), group_embedding=V)
+
+
 def verify_quantum_group(qg: QuantumGroup) -> QGReport:
     """Check every axiom; the report lists the max violation per axiom.
 
@@ -381,7 +376,14 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
       that Delta defines.  A commutative finite quantum group is C(G)
       (Gelfand duality), its matrix units the points of G, so its Delta
       is the 0/1 tensor of G's Cayley table, the table it defines;
-    - otherwise the generic path of `_verify_axioms`.
+    - otherwise the C*(G) certificate against the group-likes V and the
+      table T that `_recovered_group` finds in Delta, when every residual
+      is within _GROUP_TOL.  A cocommutative finite quantum group is C*(G)
+      and spanned by its group-likes, so a dual loaded from a file,
+      conjugated by a unitary or left by a proper quotient passes here;
+    - otherwise, a faulty input, a genuinely quantum one, or a recovery
+      that fails the bound: the generic path of `_verify_axioms`, so that
+      no valid input fails and no faulty one passes.
     A certificate's residuals are each the largest entry of a defect:
     - C*(G): group_shape and group_table, 0 or 1: the arrays fit together
       and T is a group table (associative, identity, inverses); the four
@@ -405,24 +407,27 @@ def verify_quantum_group(qg: QuantumGroup) -> QGReport:
         return QGReport(_dual_certificate(qg))
     if max(qg.algebra.blocks) == 1:
         return QGReport(_cayley_certificate(qg))
+    recovered = _recovered_group(qg)
+    if recovered is not None:
+        res = _dual_certificate(recovered)
+        if all(v <= _GROUP_TOL for v in res.values()):
+            return QGReport(res)
     return _verify_axioms(qg)
 
 
 def _verify_axioms(qg: QuantumGroup) -> QGReport:
     """The residuals of every Hopf axiom, on the generic path of
-    `verify_quantum_group`.  Every residual comes from the coefficient
-    tensors: products of matrix units from one table, and operator norms
-    block by block, the stacks of every residual normed together by
-    `max_operator_norms` (bitwise the largest spectral norm of each).
-    The contractions run on BLAS matrix products: counit and antipode
-    with delta as a (dim^2, dim) or (dim, dim^2) matrix, the products
+    `verify_quantum_group`, which only faulty and genuinely quantum inputs
+    reach.  Every residual comes from the coefficient tensors: products
+    of matrix units from one table, and operator norms block by block,
+    the stacks of every residual normed by `max_operator_norms`.  The
+    contractions run on BLAS matrix products: counit and antipode with
+    delta as a (dim^2, dim) or (dim, dim^2) matrix, the products
     Delta(e_a) Delta(e_b) as one product per pair of block sizes, and
-    coassociativity as in `_coassociativity`.  The cancellation ranks
-    take one batched Cholesky certificate of full rank per block size and
-    side, and `matrix_rank` only for a stack the certificate does not
-    decide (`_total_rank`); either way they are the SVD's ranks.  The
-    Haar state needs no solve here: for a Hopf algebra it is the
-    Plancherel trace (Larson-Radford, see `haar_state`).
+    coassociativity one row x at a time (`_coassociativity`).  The
+    cancellation ranks are `matrix_rank`'s, one batched SVD per block
+    size and side.  The Haar state needs no solve here: for a Hopf algebra
+    it is the Plancherel trace (Larson-Radford, see `haar_state`).
 
     The products and the star defects run on the block support of delta,
     taken anew on every call: S_KL is the set of blocks k for which delta
@@ -437,11 +442,12 @@ def _verify_axioms(qg: QuantumGroup) -> QGReport:
     entries, but for two.  The products and the star defects take the
     basis of S_KL on each block pair (K, L), |S_KL|^2 and |S_KL| blocks,
     up to the largest S_KL of its pair of block sizes: sum_KL |S_KL|^2
-    n_K^2 n_L^2 entries, dim^4 only for a full support.  Coassociativity
-    holds slabs of at most _SLAB entries.  The dim^3 arrays of a rank or
-    residual die once it is taken or its blocks are gathered, as do the
-    support lists once the products are formed.  A non-finite entry in a
-    structure map makes the residuals it reaches NaN.
+    n_K^2 n_L^2 entries, dim^4 only for a full support (3.3 GB for
+    C(S5)).  Coassociativity holds two products of dim^3 entries, one
+    row x at a time.  The dim^3 arrays of a rank or residual die once it
+    is taken or its blocks are gathered, as do the support lists once the
+    products are formed.  A non-finite entry in a structure map makes the
+    residuals it reaches NaN.
     """
     alg = qg.algebra
     dim = alg.dim
@@ -504,10 +510,10 @@ def _verify_axioms(qg: QuantumGroup) -> QGReport:
         left_rank = right_rank = 0
         for n, idx in alg.blocks_by_size.items():
             side = n * dim    # each copy of delta dies once it is ranked
-            left_rank += n * _total_rank(delta[idx].transpose(          # K j b q g
-                0, 1, 4, 2, 3).reshape(-1, side, side))
-            right_rank += n * _total_rank(delta[:, idx].transpose(      # K j b q c
-                1, 2, 4, 3, 0).reshape(-1, side, side))
+            left_rank += n * np.linalg.matrix_rank(delta[idx].transpose(   # K j b q g
+                0, 1, 4, 2, 3).reshape(-1, side, side), tol=_RANK_TOL).sum()
+            right_rank += n * np.linalg.matrix_rank(delta[:, idx].transpose(  # K j b q c
+                1, 2, 4, 3, 0).reshape(-1, side, side), tol=_RANK_TOL).sum()
     res["cancellation_left"] = float(dim * dim - left_rank)
     res["cancellation_right"] = float(dim * dim - right_rank)
 
@@ -686,8 +692,8 @@ def group_algebra(group: List[Permutation], irreps: Sequence[np.ndarray],
     """The dual object: blocks M_{d_r} from a complete family of unitary
     irreps, with the group-like comultiplication carried through the
     Artin-Wedderburn isomorphism.  The irreps must give a unitary group
-    basis, each residual of `_group_basis_defects` within 1e-9, the check
-    `verify_quantum_group` repeats on the group it keeps.
+    basis, each residual of `_group_basis_defects` within _GROUP_TOL, the
+    check `verify_quantum_group` repeats on the group it keeps.
 
     The orthogonality relations make V^-1 = V^* diag(n_k / |G|), so the
     coefficient of E^K_ij (x) E^L_pq in Delta(E^k_rs) is (n_k / |G|)
@@ -711,7 +717,7 @@ def group_algebra(group: List[Permutation], irreps: Sequence[np.ndarray],
     alg = FinDimCStarAlgebra(tuple(dims))
     V = np.vstack([U.reshape(order, -1).T for U in irreps])  # column a: element a
     defects = _group_basis_defects(alg, table, V, identity, inverse)
-    failing = {k: v for k, v in defects.items() if not v <= 1e-9}
+    failing = {k: v for k, v in defects.items() if not v <= _GROUP_TOL}
     if failing:
         raise InconsistentIrreps(f"the irreps give no unitary group basis: {failing}")
     Vinv = np.linalg.inv(V)

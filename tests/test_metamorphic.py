@@ -1,9 +1,10 @@
 """Metamorphic tests: each isometry condition is a property of the action,
 not of how it is presented, so no verdict may change when the points are
 relabelled, when each block of the algebra is conjugated by a unitary
-(with Delta, epsilon and kappa transported), when the metric passes to
-floats, or when it is rescaled by 10^k for k in {-9, -3, 0, 3, 9}, exactly
-or in floats.
+(with Delta, epsilon and kappa transported), when the action is saved to
+its JSON document and loaded back (which keeps no group), when the metric
+passes to floats, or when it is rescaled by 10^k for k in {-9, -3, 0, 3,
+9}, exactly or in floats.
 
 The population is the catalog and the first 40 random instances of the
 tower-of-conditions population (`test_c07`).  Every transformed instance
@@ -13,6 +14,9 @@ unscaled rational instance's
   verdict of the commutant form of (D) (`check_D_commutant_by_entry`)
   and injectivity;
 - envelope dimension and killed blocks;
+- the quantum group's pass, and the residuals its report names: a dual
+  that lost its group takes the certificate of the group its Delta
+  defines, as the original takes that of the group it keeps;
 - sampled `check_lip_p_state_sweep` verdicts at two seeded states for
   p = 1, 2, 3 and inf, under the relabelling and the rescalings, which
   leave the algebra and so its states as they are.
@@ -30,6 +34,7 @@ import pytest
 from qiso.algebra import element_norms, random_state
 from qiso.coaction import CoAction, verify_coaction
 from qiso.envelope import envelope
+from qiso.fileio import coaction_from_dict, coaction_to_dict
 from qiso.isometry import (IsometryVerdict, check_D, check_injectivity,
                            check_lip_p_state_sweep, check_lip_p_universal,
                            check_theorem_main, check_winf_universal,
@@ -82,13 +87,18 @@ def conjugate(action: CoAction, seed: int):
     return CoAction(group, action.space, entry_tensor(u), name=action.name), None
 
 
+def file_twin(action: CoAction, seed: int):
+    """The action saved to its JSON document and loaded back."""
+    return coaction_from_dict(coaction_to_dict(action)), None
+
+
 def rescale(k: int, float_mode: bool):
     def transform(action: CoAction, seed: int):
         return scaled_twin(action, Fraction(10) ** k, float_mode), None
     return transform
 
 
-TRANSFORMS = {"relabel": relabel, "conjugate": conjugate}
+TRANSFORMS = {"relabel": relabel, "conjugate": conjugate, "file": file_twin}
 TRANSFORMS.update({f"scale-1e{k}-{'float' if fm else 'rational'}": rescale(k, fm)
                    for k in (-9, -3, 0, 3, 9) for fm in (False, True)
                    if k or fm})
@@ -151,7 +161,10 @@ def test_verdicts_do_not_depend_on_presentation(population, name):
     for seed, (action, expected) in enumerate(population):
         twin, perm = transform(action, seed)
         if twin.group is not action.group:
-            assert verify_quantum_group(twin.group).passed(1e-9), action.name
+            report = verify_quantum_group(twin.group)
+            assert report.passed(1e-9), action.name
+            assert list(report.residuals) == \
+                list(verify_quantum_group(action.group).residuals), action.name
         assert verify_coaction(twin).passed(1e-9), action.name
         got = _summary(twin, sweep=states_kept)
         inv = list(range(action.n)) if perm is None else list(np.argsort(perm))

@@ -673,14 +673,16 @@ def _fails(report) -> bool:
     return bool(np.isnan(worst) or worst >= 1e-4)
 
 
-def test_group_certificate_detects_in_place_faults():
-    """330 seeded single-entry faults of sizes 1e-3, 0.1, 1, NaN and inf,
-    added in place to delta, epsilon or kappa of groups built from finite
-    groups, each fail the certificate with a worst residual of at least
-    1e-4 or NaN; the same fault fails the generic path, called
-    directly."""
-    groups = standard_groups() + [e.action.group for e in standard_actions()] + \
+def _fault_groups():
+    """The standard and catalog groups and the hopf workload's groups."""
+    return standard_groups() + [e.action.group for e in standard_actions()] + \
         _hopf_workload_groups()
+
+
+def _check_seeded_faults(groups, check) -> None:
+    """330 seeded single-entry faults of sizes 1e-3, 0.1, 1, NaN and inf,
+    each added in place to delta, epsilon or kappa of one of `groups`,
+    checked by check(qg, size, label) and undone; at least 80 per map."""
     rng = random.Random(4949)
     targets = {"delta": 0, "epsilon": 0, "kappa": 0}
     with np.errstate(all="ignore"):
@@ -695,14 +697,52 @@ def test_group_certificate_detects_in_place_faults():
             kept = entries[at]
             entries[at] += size
             try:
-                assert _fails(verify_quantum_group(qg)), (fault, qg.name, target, size)
-                assert _fails(_verify_axioms(qg)), (fault, qg.name, target, size)
+                check(qg, size, (fault, qg.name, target, size))
             finally:
                 entries[at] = kept
             targets[target] += 1
     assert min(targets.values()) >= 80, targets
+
+
+def test_group_certificate_detects_in_place_faults():
+    """330 seeded single-entry faults (`_check_seeded_faults`) of groups
+    built from finite groups each fail the certificate with a worst
+    residual of at least 1e-4 or NaN; the same fault fails the generic
+    path, called directly."""
+    groups = _fault_groups()
+
+    def check(qg, size, label):
+        assert _fails(verify_quantum_group(qg)), label
+        assert _fails(_verify_axioms(qg)), label
+
+    _check_seeded_faults(groups, check)
     for qg in groups:                  # every fault was undone
         assert verify_quantum_group(qg).passed(1e-10), qg.name
+
+
+def test_recovered_certificate_rejects_in_place_faults():
+    """The 330 seeded faults of `_check_seeded_faults`, applied to the
+    stripped twins of the duals (their arrays alone, which keep no group),
+    each fail with a worst residual of at least 1e-4 or NaN, through the
+    generic path: the group recovered from the faulty maps fails its
+    certificate, and a non-finite fault skips the recovery and gives NaN
+    residuals rather than an exception.  Unfaulted, every twin takes the
+    recovered certificate."""
+    twins = [QuantumGroup(qg.algebra, qg.delta, qg.epsilon, qg.kappa, name=qg.name)
+             for qg in _fault_groups() if qg.group_embedding is not None]
+    assert len(twins) >= 8
+
+    def check(qg, size, label):
+        report = verify_quantum_group(qg)
+        assert _fails(report), label
+        assert "coassociativity" in report.residuals, label
+        assert np.isnan(report.worst()) == (not np.isfinite(size)), label
+
+    _check_seeded_faults(twins, check)
+    for qg in twins:
+        report = verify_quantum_group(qg)
+        assert list(report.residuals) == CERTIFICATE_KEYS[True], qg.name
+        assert report.passed(1e-10), (qg.name, report.failing(1e-10))
 
 
 def test_group_certificate_does_not_trust_the_group_data():
@@ -754,7 +794,7 @@ def test_commutative_groups_need_no_stored_group():
     """C(S4) and C(S5) given by their arrays, and C(S4) round-tripped
     through its JSON dict, report the C(G) certificate's residuals and
     pass at 1e-10.  A dual-D6 loaded from its JSON dict keeps no group and
-    takes the generic path."""
+    takes the certificate of the group its Delta defines."""
     groups = [function_algebra_of_group(close_generators(n, gens), name=f"C(S{n})")
               for n, gens in ((4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
                               (5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))]
@@ -767,22 +807,50 @@ def test_commutative_groups_need_no_stored_group():
     loaded = quantum_group_from_dict(quantum_group_to_dict(dihedral_group_algebra(6)))
     assert loaded.group_embedding is None
     report = verify_quantum_group(loaded)
-    assert "coassociativity" in report.residuals, report.residuals
+    assert list(report.residuals) == CERTIFICATE_KEYS[True], report.residuals
     assert report.passed(1e-10), report.failing(1e-10)
+
+
+def test_duals_without_their_group_take_the_recovered_certificate():
+    """A group dual that keeps no group is verified against the group-likes
+    and Cayley table recovered from its Delta: dual-D3 to dual-D12 (the
+    hopf workload's among them) round-tripped through their JSON dicts and
+    given by their arrays, C*(D6) by the Hopf ideal of blocks 2, 3 and 4,
+    and the catalog duals conjugated by seeded unitaries on each block
+    report the C*(G) certificate's residuals with worst <= 1e-13."""
+    from qiso.envelope import BlockIdeal, quotient_quantum_group
+    from test_metamorphic import conjugate
+    cases = []
+    for m in range(3, 13):
+        qg = dihedral_group_algebra(m)
+        cases += [quantum_group_from_dict(quantum_group_to_dict(qg)),
+                  QuantumGroup(qg.algebra, qg.delta, qg.epsilon, qg.kappa, name=qg.name)]
+    cases.append(quotient_quantum_group(dihedral_group_algebra(6),
+                                        BlockIdeal(frozenset({2, 3, 4})))[0])
+    cases += [conjugate(catalog_action(name), seed)[0].group
+              for name in ("dual-d3-blocks", "dual-d4-blocks", "dual-d4-asymmetric")
+              for seed in range(3)]
+    for qg in cases:
+        assert qg.group_embedding is None, qg.name
+        report = verify_quantum_group(qg)
+        assert list(report.residuals) == CERTIFICATE_KEYS[True], qg.name
+        assert report.passed(1e-10) and report.worst() <= 1e-13, (qg.name, report.residuals)
 
 
 def test_catalog_search_and_hopf_workload_take_no_generic_path(monkeypatch, tmp_path):
     """Every quantum group that `qiso --seed 3 search --kind catalog
-    --random 6` or the hopf workload verifies is a group dual or C(G), and
-    takes a certificate: with the generic path patched to raise, both run
-    through without calling it."""
+    --random 6` or the hopf workload verifies is a group dual that keeps
+    its group, or C(G), and takes a certificate: with the generic path and
+    the recovery of a group from Delta patched to raise, both run through
+    without calling either."""
     calls = []
 
-    def generic(qg):
+    def raising(qg):
         calls.append(qg.name)
-        raise AssertionError(f"{qg.name} took the generic path")
+        raise AssertionError(f"{qg.name} left the stored and C(G) certificates")
 
-    monkeypatch.setattr(quantum_group, "_verify_axioms", generic)
+    monkeypatch.setattr(quantum_group, "_verify_axioms", raising)
+    monkeypatch.setattr(quantum_group, "_recovered_group", raising)
     out = tmp_path / "search.json"
     assert cli.main(["--seed", "3", "search", "--kind", "catalog", "--random", "6",
                      "--out", str(out)]) == 0
@@ -899,52 +967,6 @@ def test_haar_state_equals_least_squares_solution():
         assert solve_residual < 1e-12, qg.name
         assert np.abs(haar.state.as_vector() - solution).max() < 1e-12, qg.name
         assert haar.residual < 1e-12 and haar.reduced, qg.name
-
-
-def test_rank_certificate_equals_matrix_rank(monkeypatch):
-    """_total_rank counts the singular values above 1e-8 as
-    matrix_rank(tol=1e-8) does: on stacks of complex 12 x 12 matrices
-    with smallest singular value 1, 1e-6, 1.01e-8, 0.99e-8, 1e-10 or 0,
-    the rest spread over [1, 100], scaled by 10^k for k in (-6, 0, 6),
-    and on a stack mixing certified and uncertified matrices.  The
-    certificate is relative to the Frobenius norm: it decides the stacks
-    of condition 100 at every scale, never one with a rank deficit, and
-    matrix_rank is called on no stack it certifies."""
-    rng = np.random.default_rng(24)
-
-    def unitary():
-        q, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
-        return q
-
-    def with_smallest(smallest, scale):
-        values = np.concatenate([np.geomspace(1, 100, 11), [smallest]]) * scale
-        return (unitary() * values) @ unitary().conj().T
-
-    real_rank = np.linalg.matrix_rank
-    fallbacks = []
-
-    def counting_rank(mats, *args, **kwargs):
-        fallbacks.append(len(mats))
-        return real_rank(mats, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
-    for k in (-6, 0, 6):
-        for smallest in (1, 1e-6, 1.01e-8, 0.99e-8, 1e-10, 0):
-            stack = np.stack([with_smallest(smallest, 10.0 ** k) for _ in range(3)])
-            fallbacks.clear()
-            got = quantum_group._total_rank(stack)
-            want = int(real_rank(stack, tol=1e-8).sum())
-            assert got == want, (k, smallest)
-            assert want == (36 if smallest * 10.0 ** k > 1e-8 else 33), (k, smallest)
-            if smallest == 1:
-                assert not fallbacks, k
-            if want < 36:
-                assert fallbacks == [3], (k, smallest)
-    mixed = np.stack([with_smallest(1, 1), with_smallest(1e-10, 1),
-                      with_smallest(1e-3, 1)])
-    fallbacks.clear()
-    assert quantum_group._total_rank(mixed) == 35 == int(real_rank(mixed, tol=1e-8).sum())
-    assert fallbacks == [3]  # the whole stack took matrix_rank
 
 
 def test_haar_states():
