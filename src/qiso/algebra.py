@@ -236,10 +236,6 @@ class StateFunctional:
         self.owner = owner
         self.densities = tuple(np.asarray(m, dtype=complex) for m in densities)
 
-    def value(self, elem: AlgElement) -> complex:
-        return complex(sum(np.trace(rho @ a) for rho, a in
-                           zip(self.densities, elem.data)))
-
     def as_vector(self) -> np.ndarray:
         """psi(b_alpha) over the matrix-unit basis: tr(rho E_ij) = rho[j, i]."""
         return np.concatenate([rho.T.ravel() for rho in self.densities])

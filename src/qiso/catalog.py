@@ -101,9 +101,7 @@ def permutation_action(space: FiniteMetricSpace, generators,
     group = close_generators(space.n, generators)
     qg = function_algebra_of_group(group, name=name or "C(G)")
     coeffs = np.arange(space.n)[:, None, None] == np.array(group).T
-    action = CoAction(qg, space, coeffs, name=name)
-    action.classical_group = group
-    return action
+    return CoAction(qg, space, coeffs, name=name)
 
 
 def trivial_action(space: FiniteMetricSpace, name: str = "trivial") -> CoAction:

@@ -7,9 +7,8 @@ A.  Every constructor builds that tensor directly, and `CoAction.u`, the
 entries as algebra elements, is a view derived from it on first use.  The
 axioms, condition (D) and the state actions are linear in the u_ij, so
 they are array expressions in the tensor; products of entries use its
-per-block views.  States act on points from the right (x <| psi is the
-distribution j -> psi(u_xj)) and on functions from the left
-((psi |> f)(x) = sum_j f_j psi(u_xj))."""
+per-block views.  States act on points from the right: x <| psi is the
+distribution j -> psi(u_xj)."""
 
 from __future__ import annotations
 
@@ -201,14 +200,6 @@ def act_on_points(action: CoAction, states) -> np.ndarray:
     np.maximum(masses, 0.0, out=masses)
     masses /= masses.sum(axis=-1)[..., None]
     return masses
-
-
-def act_on_function(action: CoAction, psi: StateFunctional, f) -> Tuple[float, ...]:
-    """psi |> f = (id (x) psi) rho(f); satisfies (psi|>f)(x) = (x <| psi)(f)."""
-    if len(f) != action.n:
-        raise ShapeMismatch("function length differs from the space")
-    values = (action.coeffs @ psi.as_vector()).real
-    return tuple((values @ np.array([float(v) for v in f])).tolist())
 
 
 def orbits(action: CoAction) -> List[FrozenSet[int]]:

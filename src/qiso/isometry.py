@@ -69,16 +69,11 @@ import numpy as np
 
 from .algebra import StateFunctional, exact_psd, extreme_state, operator_norms
 from .coaction import CoAction, act_on_points, exact_form
-from .errors import QisoError
-from .metric import level_set
+from .metric import PairSet
 from .scalars import RATIONAL
 from .transport import (ProbVector, _dual_vertex_search, _tree_vertices,
                         feasible_coupling_on, flow_slack, wasserstein_inf,
                         wasserstein_p)
-
-
-class HypothesisViolated(QisoError):
-    pass
 
 
 @dataclass
@@ -758,15 +753,20 @@ def check_theorem_main(action: CoAction) -> IsometryVerdict:
 def check_level_coupling_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:
     """Per-state version of the level-set coupling, via the feasibility
     solver within the space's tol, on each pair of `_state_pairs`, with
-    every x <| psi from one `act_on_points` call.  On
-    an exactly symmetric d the level set is symmetric, so (y, x) repeats
-    (x, y), and the first failing pair in x-major order over all ordered
-    pairs has x < y anyway."""
+    every x <| psi from one `act_on_points` call.  The level set of
+    d(x, y) is read on the distance ranks as `_support_sweep` reads it:
+    (j, k) is in it iff r_jk <= tops[r_xy] and r_xy <= tops[r_jk], with
+    tops the space's `sublevel_tops`.  On an exactly symmetric d the level
+    set is symmetric, so (y, x) repeats (x, y), and the first failing pair
+    in x-major order over all ordered pairs has x < y anyway."""
     space = action.space
+    ranks, tops = space.distance_ranks, space.sublevel_tops
     images = [ProbVector(tuple(row))
               for row in act_on_points(action, [psi])[0].tolist()]
     for x, y in _state_pairs(space):
-        Y = level_set(space, space.dist[x][y])
+        r = ranks[x][y]
+        Y = PairSet(tuple(tuple(a <= tops[r] and r <= tops[a] for a in row)
+                          for row in ranks))
         verdict = feasible_coupling_on(images[x], images[y], Y, space.tol)
         if not verdict.feasible:
             return IsometryVerdict("main(state)", False, witness={
@@ -776,21 +776,6 @@ def check_level_coupling_state(action: CoAction, psi: StateFunctional) -> Isomet
 
 # ---------------------------------------------------------------------------
 # structural consequences
-
-
-def check_orthogonality(action: CoAction, x: int, y: int, S, T, delta) -> bool:
-    """a_{x;S} a_{y;T} = 0 whenever every (s, t) has |d(s,t) - d(x,y)| >= delta,
-    with a_{x;S} = sum_{j in S} u_xj, formed and normed block by block."""
-    space = action.space
-    d_xy = space.dist[x][y]
-    for s in S:
-        for t in T:
-            if abs(space.dist[s][t] - d_xy) < delta:
-                raise HypothesisViolated(
-                    f"|d({s},{t}) - d({x},{y})| < delta")
-    S, T = list(S), list(T)
-    return all(float(operator_norms(stack[x, S].sum(0) @ stack[y, T].sum(0)))
-               <= space.tol for stack in action.stacks)
 
 
 def check_injectivity(action: CoAction) -> bool:

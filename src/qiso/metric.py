@@ -1,13 +1,16 @@
-"""Finite metric spaces, their derived point/pair sets, and Lipschitz data.
+"""Finite metric spaces, their pair sets, and their distance tables.
 
 Points are dense indices 0..n-1; labels are cosmetic.  Distances are either
 all rational (exact mode) or all float.  The space owns the one distance
 tolerance, `dtol`: 0 in rational mode, so that every comparison is exact,
 and tol x max d in float mode, so that no comparison of distances depends
 on their units.  `validate_metric` checks the axioms at the same relative
-scale.  The space also owns the distance tables that the Lip_p and W_inf
-conditions read: d^p on each distance rank (`power`, `float_power`) and
-the sublevel top of each rank (`sublevel_tops`).
+scale.  The space also owns the distance tables that every condition
+reads: the rank of each distance (`distance_ranks`), d^p on each rank
+(`power`, `float_power`) and the sublevel top of each rank
+(`sublevel_tops`), the one place where dtol is read.  Balls, level and
+sublevel sets compared on raw distances, and the Lipschitz seminorm, are
+the test suite's references (`tests/oracles.py`), not the program's.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import DimensionMismatch, QisoError
 from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, Scalar, is_rational
@@ -53,10 +56,6 @@ class TriangleViolation(MetricError):
     pass
 
 
-# A real-valued function on X is just its vector of values, length n.
-RealFunction = Sequence[Scalar]
-
-
 @dataclass(frozen=True)
 class PairSet:
     """A subset of X x X as an n x n boolean membership matrix."""
@@ -77,14 +76,6 @@ class PairSet:
                 if m:
                     yield (i, j)
 
-    def transpose(self) -> "PairSet":
-        n = self.n
-        return PairSet(tuple(tuple(self.member[j][i] for j in range(n)) for i in range(n)))
-
-    def union(self, other: "PairSet") -> "PairSet":
-        return PairSet(tuple(tuple(a or b for a, b in zip(ra, rb))
-                             for ra, rb in zip(self.member, other.member)))
-
     @staticmethod
     def from_pairs(n: int, pairs) -> "PairSet":
         """The pairs (i, j) given, each index in [0, n); any other index
@@ -96,14 +87,6 @@ class PairSet:
             grid[i][j] = True
         return PairSet(tuple(tuple(row) for row in grid))
 
-    @staticmethod
-    def all_pairs(n: int) -> "PairSet":
-        return PairSet(tuple(tuple(True for _ in range(n)) for _ in range(n)))
-
-    @staticmethod
-    def diagonal(n: int) -> "PairSet":
-        return PairSet(tuple(tuple(i == j for j in range(n)) for i in range(n)))
-
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
@@ -114,10 +97,6 @@ class FiniteMetricSpace:
     labels: Optional[Tuple[str, ...]] = None
     mode: str = RATIONAL
     tol: float = field(default=DEFAULT_TOL, compare=False)
-
-    def row(self, x: int) -> Tuple[Scalar, ...]:
-        """The function d_x = d(x, -)."""
-        return self.dist[x]
 
     @cached_property
     def integer_form(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
@@ -280,42 +259,6 @@ def validate_metric(matrix, tolerance: Scalar = None, labels=None,
                         f"{dist[i][k]} > {dist[i][j]} + {dist[j][k]}",
                         witness=(i, j, k))
     return space
-
-
-def lipschitz_constant(space: FiniteMetricSpace, f: RealFunction) -> Scalar:
-    """max over i != j of |f_i - f_j| / d(i,j); 0 for constant f."""
-    if len(f) != space.n:
-        raise DimensionMismatch(f"function has length {len(f)}, space has {space.n}")
-    best = Fraction(0) if space.mode == RATIONAL else 0.0
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            ratio = abs(f[i] - f[j]) / space.dist[i][j]
-            if ratio > best:
-                best = ratio
-    return best
-
-
-def ball(space: FiniteMetricSpace, x: int, interval) -> frozenset:
-    """{j : lo <= d(x,j) <= hi}; the closed ball B(x,r) is the case [0, r]."""
-    lo, hi = interval
-    if not (0 <= lo <= hi):
-        raise ValueError(f"bad interval [{lo}, {hi}]")
-    tol = space.dtol
-    return frozenset(j for j in range(space.n)
-                     if lo - tol <= space.dist[x][j] <= hi + tol)
-
-
-def level_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
-    """{(i,j) : d(i,j) = r} within dtol, both ways as in `sublevel_tops`."""
-    tol = space.dtol
-    return PairSet(tuple(tuple(v <= r + tol and r <= v + tol for v in row)
-                         for row in space.dist))
-
-
-def sublevel_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
-    """{(i,j) : d(i,j) <= r}."""
-    bound = r + space.dtol
-    return PairSet(tuple(tuple(v <= bound for v in row) for row in space.dist))
 
 
 def _euclidean_sample(n: int, rng: random.Random) -> FiniteMetricSpace:

@@ -84,16 +84,6 @@ class QuantumGroup:
             vec[idx[:, np.arange(n), np.arange(n)]] = 1.0
         return vec
 
-    def convolve_vectors(self, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        return np.einsum("bga,b,g->a", self.delta, phi, psi)
-
-    def convolve(self, phi: StateFunctional, psi: StateFunctional) -> StateFunctional:
-        out = self.convolve_vectors(phi.as_vector(), psi.as_vector())
-        return StateFunctional.from_vector(self.algebra, out)
-
-    def counit_state(self) -> StateFunctional:
-        return StateFunctional.from_vector(self.algebra, self.epsilon)
-
     def counit_block(self) -> int:
         """The 1x1 block carrying the counit character."""
         for k, b in enumerate(self.algebra.blocks):
@@ -610,13 +600,6 @@ Permutation = Tuple[int, ...]
 def compose(g: Permutation, h: Permutation) -> Permutation:
     """(g h)(j) = g(h(j)): apply h first."""
     return tuple(g[h[j]] for j in range(len(g)))
-
-
-def invert(g: Permutation) -> Permutation:
-    out = [0] * len(g)
-    for j, v in enumerate(g):
-        out[v] = j
-    return tuple(out)
 
 
 def close_generators(n: int, generators: Sequence[Sequence[int]],

@@ -16,14 +16,14 @@ Any other data is converted to float once, on entry, and runs the same
 body: one for the transportation problem (W_p) and one for the
 Kantorovich problem on the complete metric graph (W_1).
 Transportation plans, Kantorovich potentials, coupling feasibility on a
-restricted support (and perfect matchings, the marriage theorem at
-uniform marginals), the bottleneck distance, and the vertices of the
-Kantorovich dual polyhedron between two sets of points (a pivot search
-over the spanning trees of K_{m,n}, one enumerator for every p >= 1) all
-live here.  Coupling feasibility and the bottleneck distance share one
-max-flow core (`_FlowNetwork`, on the same integer scaling): a greedy
-fill pushes min(residual mu_i, residual nu_j) on each open pair in
-order, then shortest augmenting paths finish the flow.  The bottleneck
+restricted support (the marriage theorem at measure level), the
+bottleneck distance, and the vertices of the Kantorovich dual polyhedron
+between two sets of points (a pivot search over the spanning trees of
+K_{m,n}, one enumerator for every p >= 1) all live here.  Coupling
+feasibility and the bottleneck distance share one max-flow core
+(`_FlowNetwork`, on the same integer scaling): a greedy fill pushes
+min(residual mu_i, residual nu_j) on each open pair in order, then
+shortest augmenting paths finish the flow.  The bottleneck
 distance buckets all pairs by distance rank and sweeps upward from the
 single-point Hall bound, probing only at lower bounds on it, on one flow
 that only grows.  A float max flow is a coupling within `flow_slack` of
@@ -37,7 +37,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import DimensionMismatch, QisoError
 from .metric import FiniteMetricSpace, PairSet
@@ -49,10 +49,6 @@ class InfeasibleMarginals(QisoError):
 
 
 class UnboundedFlow(QisoError):
-    pass
-
-
-class NonSquareBipartition(QisoError):
     pass
 
 
@@ -72,10 +68,6 @@ class ProbVector:
 
     def __call__(self, subset) -> Scalar:
         return sum((self.mass[i] for i in subset), start=_zero(self.mass))
-
-    def pair(self, f: Sequence[Scalar]) -> Scalar:
-        """The integral mu(f)."""
-        return sum(m * v for m, v in zip(self.mass, f))
 
     @staticmethod
     def dirac(n: int, x: int) -> "ProbVector":
@@ -120,20 +112,6 @@ class Coupling:
     plan: Tuple[Tuple[Scalar, ...], ...]
     mu: ProbVector
     nu: ProbVector
-
-    def support(self) -> List[Tuple[int, int]]:
-        return [(i, j) for i, row in enumerate(self.plan)
-                for j, v in enumerate(row) if v != 0]
-
-    def check_marginals(self) -> None:
-        eps = tol_for(_mode_of(self.mu.mass, self.nu.mass))
-        n = len(self.plan)
-        for i in range(n):
-            if abs(sum(self.plan[i]) - self.mu.mass[i]) > eps:
-                raise InfeasibleMarginals(f"row {i} sum != mu[{i}]")
-        for j in range(len(self.plan[0])):
-            if abs(sum(row[j] for row in self.plan) - self.nu.mass[j]) > eps:
-                raise InfeasibleMarginals(f"column {j} sum != nu[{j}]")
 
 
 @dataclass(frozen=True)
@@ -694,7 +672,7 @@ class _FlowNetwork:
 
 
 def feasible_coupling_on(mu: ProbVector, nu: ProbVector, Y: PairSet,
-                         tol: float = DEFAULT_TOL) -> CouplingFeasibility:
+                         tol: float) -> CouplingFeasibility:
     """Find a (mu, nu)-coupling supported on Y, or certify none exists.
 
     Max-flow on the network of `_FlowNetwork` with the arcs of Y open,
@@ -715,37 +693,6 @@ def feasible_coupling_on(mu: ProbVector, nu: ProbVector, Y: PairSet,
                                mu_S=mu(S), nu_neighborhood=nu(neighborhood))
 
 
-def perfect_matching(adjacency):
-    """Find a perfect matching of a bipartite graph with equal part sizes,
-    or return a violating set S with |N(S)| < |S|.
-
-    Reduction: take both marginals to be the normalized counting measure
-    and ask for a coupling supported on the edge set; the flow solution is
-    integral (all capacities are multiples of 1/n), so a feasible coupling
-    rounds to a permutation.  The empty graph has the empty matching.
-    Returns ("matching", perm) or ("violator", S).
-    """
-    n = len(adjacency)
-    if any(len(row) != n for row in adjacency):
-        raise NonSquareBipartition("bipartition classes differ in size")
-    if n == 0:
-        return "matching", ()
-    uniform = ProbVector.uniform(n)
-    Y = PairSet(tuple(tuple(bool(v) for v in row) for row in adjacency))
-    verdict = feasible_coupling_on(uniform, uniform, Y)
-    if not verdict.feasible:
-        return "violator", verdict.violator
-    matching = [None] * n
-    for i, row in enumerate(verdict.coupling.plan):
-        for j, v in enumerate(row):
-            if v == Fraction(1, n):
-                matching[i] = j
-                break
-    if any(m is None for m in matching) or len(set(matching)) != n:
-        raise QisoError("flow failed to round to a permutation")
-    return "matching", tuple(matching)
-
-
 @dataclass(frozen=True)
 class WInfResult:
     r: Scalar
@@ -760,8 +707,8 @@ def wasserstein_inf(space: FiniteMetricSpace, mu: ProbVector,
     Feasibility jumps only at realized distances.  The probe at index k
     opens the pairs of `space.distance_ranks` at most
     `space.sublevel_tops[k]`, the last index whose value is <= values[k] +
-    space.dtol: exactly the pairs of sublevel_set(space, values[k]), float
-    near-ties within dtol included.  A float flow passes within
+    space.dtol: exactly the pairs at distance <= values[k] within dtol,
+    float near-ties included.  A float flow passes within
     `flow_slack(n, space.tol)`.
 
     The search is the threshold method for bottleneck problems (Gabow and

@@ -64,8 +64,8 @@ exponential in the number of points:
   `verify_quantum_group`'s generic path, which must report the same
   residuals;
 - verify_quantum_group_loops and verify_coaction_loops: the Hopf and
-  coaction axioms with one Frobenius-screened norm (two SVDs) per stack
-  of blocks, coassociativity as two dim^4 products and the cancellation
+  coaction axioms with one largest-singular-value norm per stack of
+  blocks, coassociativity as two dim^4 products and the cancellation
   ranks one block at a time; not exponential, but independent of the
   per-size batched norms, the slabbed contractions and the stacked ranks
   of `verify_quantum_group`'s generic path and `verify_coaction`, whose
@@ -110,6 +110,24 @@ exponential in the number of points:
   is the independent computation that `check_D` is compared with;
 - a_element: the quantum indicator a_{x;S} = sum_{j in S} u_xj as an
   AlgElement sum, for the subset oracle and the indicator tests;
+- ball, level_set, sublevel_set, lipschitz_constant, act_on_function,
+  check_orthogonality, perfect_matching, convolve, convolve_vectors,
+  counit_state and state_value: the paper's direct definitions, which
+  the program decides by other means and no code in `qiso` calls.
+  Balls and (sub)level sets compare raw distances within the space's
+  dtol, against the distance ranks and `sublevel_tops` that every check
+  of `qiso` reads; the Lipschitz seminorm of Li, Quaegebeur and Sabbe
+  and psi |> f, against W_1 and its dual vertices; the orthogonality
+  lemma a_{x;S} a_{y;T} = 0, normed block by block on `CoAction.stacks`;
+  Hall's perfect matchings, by rounding the max flow of
+  `feasible_coupling_on` at uniform marginals; convolution of
+  functionals through Delta, the counit state and psi(a) =
+  sum_k tr(rho_k a_k);
+- all_pairs, diagonal_pairs, transpose_pairs, integral,
+  coupling_support, check_marginals and invert: the pair-set, coupling
+  and permutation conveniences the tests build their checks from;
+  classical_group: a permutation action's group, read off the
+  permutation of each 1x1 block (block k of C(G) is element k);
 - check_ball_identity and check_lip_seminorm_state: the ball identity
   a_{x;B(y,I)} = kappa(a_{y;B(x,I)}) over all realized intervals, and
   L(psi |> f) <= L(f) on sampled functions and Lipschitz vertices, which
@@ -177,33 +195,33 @@ from unittest import mock
 import numpy as np
 
 from qiso.algebra import (AlgElement, FinDimCStarAlgebra, StateFunctional,
-                          extreme_state)
+                          extreme_state, operator_norms)
 from qiso.catalog import (CatalogEntryInvalid, dihedral_group_algebra,
                           permutation_action)
-from qiso.coaction import CoAction, act_on_function, generation_deficit
+from qiso.coaction import CoAction, generation_deficit
 from qiso.envelope import (BlockIdeal, EnvelopeResult, _delta_violations,
                            _hopf_violation, induced_action, kappa_block_map,
                            quotient_quantum_group)
-from qiso.errors import DimensionMismatch, QisoError
+from qiso.errors import DimensionMismatch, QisoError, ShapeMismatch
 from qiso.isometry import (_BORDERLINE, IsometryVerdict, _eigen_state,
                            _state_pairs, _vertex_floats, check_D,
                            check_winf_universal)
 from qiso.metric import (AsymmetricMatrix, FiniteMetricSpace, NegativeDistance,
-                         NonzeroDiagonal, PairSet, TriangleViolation, ball,
-                         level_set, lipschitz_constant, sublevel_set,
+                         NonzeroDiagonal, PairSet, TriangleViolation,
                          validate_metric)
 from qiso.fileio import (quantum_group_from_dict, read_json_object,
                          space_to_dict)
 from qiso.quantum_group import (InconsistentIrreps, NotAGroup, Permutation,
                                 QGReport, QuantumGroup, close_generators,
                                 compose, function_algebra_of_group,
-                                group_algebra, invert)
+                                group_algebra)
 from qiso.scalars import RATIONAL, Scalar, format_scalar, is_rational, tol_for
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
                             DualPotentials, InfeasibleMarginals, ProbVector,
                             UnboundedFlow, WInfResult, _dual_vertex_search,
                             _integer_scale, _mode_of, enumerate_dual_vertices,
-                            prob_vector, transport_with_power)
+                            feasible_coupling_on, prob_vector,
+                            transport_with_power)
 
 
 class SizeGuardExceeded(QisoError):
@@ -288,6 +306,190 @@ def near_tie_chain() -> FiniteMetricSpace:
                             [a, b, 0.0, 1.0, b],
                             [b, 2.0, 1.0, 0.0, 1.0],
                             [2.0, a, b, 1.0, 0.0]], mode="float")
+
+
+# ---------------------------------------------------------------------------
+# the paper's direct definitions, which the program decides by other means:
+# balls and (sub)level sets on raw distances within dtol, the Lipschitz
+# seminorm and the action on functions, the orthogonality lemma, Hall's
+# perfect matchings, convolution of states, and the pair-set, coupling and
+# permutation conveniences the tests build their checks from
+
+# A real-valued function on X is just its vector of values, length n.
+RealFunction = Sequence[Scalar]
+
+
+def lipschitz_constant(space: FiniteMetricSpace, f: RealFunction) -> Scalar:
+    """max over i != j of |f_i - f_j| / d(i,j); 0 for constant f."""
+    if len(f) != space.n:
+        raise DimensionMismatch(f"function has length {len(f)}, space has {space.n}")
+    best = Fraction(0) if space.mode == RATIONAL else 0.0
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            ratio = abs(f[i] - f[j]) / space.dist[i][j]
+            if ratio > best:
+                best = ratio
+    return best
+
+
+def ball(space: FiniteMetricSpace, x: int, interval) -> frozenset:
+    """{j : lo <= d(x,j) <= hi}; the closed ball B(x,r) is the case [0, r]."""
+    lo, hi = interval
+    if not (0 <= lo <= hi):
+        raise ValueError(f"bad interval [{lo}, {hi}]")
+    tol = space.dtol
+    return frozenset(j for j in range(space.n)
+                     if lo - tol <= space.dist[x][j] <= hi + tol)
+
+
+def level_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
+    """{(i,j) : d(i,j) = r} within dtol, both ways as in `sublevel_tops`."""
+    tol = space.dtol
+    return PairSet(tuple(tuple(v <= r + tol and r <= v + tol for v in row)
+                         for row in space.dist))
+
+
+def sublevel_set(space: FiniteMetricSpace, r: Scalar) -> PairSet:
+    """{(i,j) : d(i,j) <= r}."""
+    bound = r + space.dtol
+    return PairSet(tuple(tuple(v <= bound for v in row) for row in space.dist))
+
+
+def all_pairs(n: int) -> PairSet:
+    return PairSet(tuple(tuple(True for _ in range(n)) for _ in range(n)))
+
+
+def diagonal_pairs(n: int) -> PairSet:
+    return PairSet(tuple(tuple(i == j for j in range(n)) for i in range(n)))
+
+
+def transpose_pairs(Y: PairSet) -> PairSet:
+    n = Y.n
+    return PairSet(tuple(tuple(Y.member[j][i] for j in range(n)) for i in range(n)))
+
+
+def act_on_function(action: CoAction, psi: StateFunctional, f) -> Tuple[float, ...]:
+    """psi |> f = (id (x) psi) rho(f); satisfies (psi|>f)(x) = (x <| psi)(f)."""
+    if len(f) != action.n:
+        raise ShapeMismatch("function length differs from the space")
+    values = (action.coeffs @ psi.as_vector()).real
+    return tuple((values @ np.array([float(v) for v in f])).tolist())
+
+
+class HypothesisViolated(QisoError):
+    pass
+
+
+def check_orthogonality(action: CoAction, x: int, y: int, S, T, delta) -> bool:
+    """a_{x;S} a_{y;T} = 0 whenever every (s, t) has |d(s,t) - d(x,y)| >= delta,
+    with a_{x;S} = sum_{j in S} u_xj, formed and normed block by block."""
+    space = action.space
+    d_xy = space.dist[x][y]
+    for s in S:
+        for t in T:
+            if abs(space.dist[s][t] - d_xy) < delta:
+                raise HypothesisViolated(
+                    f"|d({s},{t}) - d({x},{y})| < delta")
+    S, T = list(S), list(T)
+    return all(float(operator_norms(stack[x, S].sum(0) @ stack[y, T].sum(0)))
+               <= space.tol for stack in action.stacks)
+
+
+class NonSquareBipartition(QisoError):
+    pass
+
+
+def perfect_matching(adjacency):
+    """Find a perfect matching of a bipartite graph with equal part sizes,
+    or return a violating set S with |N(S)| < |S|.
+
+    Reduction: take both marginals to be the normalized counting measure
+    and ask for a coupling supported on the edge set; the flow solution is
+    integral (all capacities are multiples of 1/n), so a feasible coupling
+    rounds to a permutation.  The empty graph has the empty matching.
+    Returns ("matching", perm) or ("violator", S).
+    """
+    n = len(adjacency)
+    if any(len(row) != n for row in adjacency):
+        raise NonSquareBipartition("bipartition classes differ in size")
+    if n == 0:
+        return "matching", ()
+    uniform = ProbVector.uniform(n)
+    Y = PairSet(tuple(tuple(bool(v) for v in row) for row in adjacency))
+    verdict = feasible_coupling_on(uniform, uniform, Y, 1e-9)
+    if not verdict.feasible:
+        return "violator", verdict.violator
+    matching = [None] * n
+    for i, row in enumerate(verdict.coupling.plan):
+        for j, v in enumerate(row):
+            if v == Fraction(1, n):
+                matching[i] = j
+                break
+    if any(m is None for m in matching) or len(set(matching)) != n:
+        raise QisoError("flow failed to round to a permutation")
+    return "matching", tuple(matching)
+
+
+def integral(mu: ProbVector, f: Sequence[Scalar]) -> Scalar:
+    """The integral mu(f)."""
+    return sum(m * v for m, v in zip(mu.mass, f))
+
+
+def coupling_support(coupling: Coupling) -> List[Tuple[int, int]]:
+    return [(i, j) for i, row in enumerate(coupling.plan)
+            for j, v in enumerate(row) if v != 0]
+
+
+def check_marginals(coupling: Coupling) -> None:
+    """Raise InfeasibleMarginals unless the plan's row and column sums are
+    mu and nu (exactly for rational marginals)."""
+    eps = tol_for(_mode_of(coupling.mu.mass, coupling.nu.mass))
+    n = len(coupling.plan)
+    for i in range(n):
+        if abs(sum(coupling.plan[i]) - coupling.mu.mass[i]) > eps:
+            raise InfeasibleMarginals(f"row {i} sum != mu[{i}]")
+    for j in range(len(coupling.plan[0])):
+        if abs(sum(row[j] for row in coupling.plan) - coupling.nu.mass[j]) > eps:
+            raise InfeasibleMarginals(f"column {j} sum != nu[{j}]")
+
+
+def state_value(psi: StateFunctional, elem: AlgElement) -> complex:
+    """psi(a) = sum_k tr(rho_k a_k)."""
+    return complex(sum(np.trace(rho @ a) for rho, a in
+                       zip(psi.densities, elem.data)))
+
+
+def convolve_vectors(qg: QuantumGroup, phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """phi * psi = (phi (x) psi) Delta, on coefficient vectors."""
+    return np.einsum("bga,b,g->a", qg.delta, phi, psi)
+
+
+def convolve(qg: QuantumGroup, phi: StateFunctional,
+             psi: StateFunctional) -> StateFunctional:
+    out = convolve_vectors(qg, phi.as_vector(), psi.as_vector())
+    return StateFunctional.from_vector(qg.algebra, out)
+
+
+def counit_state(qg: QuantumGroup) -> StateFunctional:
+    return StateFunctional.from_vector(qg.algebra, qg.epsilon)
+
+
+def invert(g: Permutation) -> Permutation:
+    out = [0] * len(g)
+    for j, v in enumerate(g):
+        out[v] = j
+    return tuple(out)
+
+
+def classical_group(action: CoAction) -> List[Permutation]:
+    """The permutations of the action's characters, its 1x1 blocks in
+    block order: on block k, u_ij is 1 iff g_k(j) = i.  Block k of C(G)
+    is element k, so on a `permutation_action` this is its group in the
+    order `close_generators` found it."""
+    alg = action.group.algebra
+    return [tuple(np.argmax(action.coeffs[:, :, alg.index_of(k, 0, 0)].real,
+                            axis=0).tolist())
+            for k, b in enumerate(alg.blocks) if b == 1]
 
 
 def transport_bruteforce(mu: ProbVector, nu: ProbVector, cost) -> Scalar:
@@ -1262,38 +1464,19 @@ def verify_quantum_group_dense(qg: QuantumGroup, tol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------------
-# Hopf and coaction axioms with one screened norm per stack of blocks
+# Hopf and coaction axioms with one norm per stack of blocks
 # (verify_quantum_group and verify_coaction before their norms were
 # batched by matrix size and their contractions taken a slab at a time)
 
-# Below this entry size a Frobenius sum of squares may have lost terms to
-# underflow, so it no longer bounds the spectral norm from above.
-_FROBENIUS_FLOOR = 1e-140
-
-
 def max_operator_norm(mats: np.ndarray) -> float:
     """The largest spectral norm in a stack of square matrices (..., m, m),
-    bitwise equal to `operator_norms(mats).max()`, or NaN when an entry is
-    not finite.
-
-    Since ||M||_2 <= ||M||_F, only a matrix whose Frobenius norm reaches
-    the spectral norm of the one with the largest Frobenius norm can hold
-    the maximum; those are the only ones decomposed, that one included.
-    The 1e-12 margin covers the rounding of both norms, and a matrix whose
-    Frobenius sum may have overflowed (inf) or underflowed (entries below
-    _FROBENIUS_FLOOR) is always decomposed."""
-    absval = np.abs(mats)
-    scale = absval.max(axis=(-2, -1))
-    if not np.isfinite(scale).all():
+    each its largest singular value (abs on 1 x 1), or NaN when an entry
+    is not finite, on which the SVD would not converge."""
+    if not np.isfinite(mats).all():
         return float("nan")
-    if mats.shape[-1] == 1 or scale.max() == 0:
-        return float(scale.max())
-    frob = np.sqrt(np.einsum("...ij,...ij->...", absval, absval))
-    top = np.unravel_index(np.argmax(frob), frob.shape)
-    bound = np.linalg.svd(mats[top], compute_uv=False)[0] * (1 - 1e-12)
-    keep = (frob >= bound) | ((scale > 0) & (scale < _FROBENIUS_FLOOR))
-    return float(np.linalg.svd(mats[keep], compute_uv=False)[:, 0].max())
-
+    if mats.shape[-1] == 1:
+        return float(np.abs(mats).max())
+    return float(np.linalg.svd(mats, compute_uv=False)[..., 0].max())
 
 
 def _product_table(alg: FinDimCStarAlgebra):
@@ -1354,8 +1537,8 @@ def verify_quantum_group_loops(qg: QuantumGroup) -> QGReport:
 
     Every residual comes from the coefficient tensors: products of matrix
     units from one table, operator norms block by block, each the largest
-    spectral norm of a stack of blocks with the Frobenius screen of
-    `max_operator_norm` (bitwise the unscreened maximum).  The contractions
+    spectral norm of a stack of blocks by `max_operator_norm`, one SVD
+    of the whole stack.  The contractions
     run on BLAS matrix products: coassociativity, counit and antipode with
     delta as a (dim^2, dim) or (dim, dim^2) matrix, and the products
     Delta(e_a) Delta(e_b) over all pairs as one product per pair of
@@ -1611,8 +1794,8 @@ def lip_p_universal_full_sweep(action: CoAction, p,
             if b != 1:
                 continue
             chi = extreme_state(action.group.algebra, k, np.array([1.0 + 0j]))
-            mu_f = [float(chi.value(action.u[x][j]).real) for j in range(space.n)]
-            nu_f = [float(chi.value(action.u[y][j]).real) for j in range(space.n)]
+            mu_f = [float(state_value(chi, action.u[x][j]).real) for j in range(space.n)]
+            nu_f = [float(state_value(chi, action.u[y][j]).real) for j in range(space.n)]
             mu = _exact_prob(mu_f) if exact else None
             nu = _exact_prob(nu_f) if exact else None
             if mu is None or nu is None:
@@ -2023,7 +2206,7 @@ def check_D_by_entry(action: CoAction, tol: float = 1e-9) -> IsometryVerdict:
 def check_D_state_by_entry(action: CoAction, psi, tol: float = 1e-9) -> IsometryVerdict:
     """Membership of psi in the (D)-isometric functionals: psi kills every
     defect element, i.e. (x <| psi)(d_y) = (y <| bar psi)(d_x)."""
-    return _defect_verdict("D(state)", ((xy, abs(psi.value(c))) for xy, c in
+    return _defect_verdict("D(state)", ((xy, abs(state_value(psi, c))) for xy, c in
                                         sorted(commutator_defects_by_entry(action).items())),
                            action.space, tol)
 
@@ -2186,9 +2369,7 @@ def permutation_action_by_entry(space: FiniteMetricSpace, generators,
                            dtype=complex)
             row.append(alg.from_vec(vec))
         u.append(tuple(row))
-    action = CoAction(qg, space, entry_tensor(u), name=name)
-    action.classical_group = group
-    return action
+    return CoAction(qg, space, entry_tensor(u), name=name)
 
 
 def dihedral_projection_action_by_entry(space: FiniteMetricSpace, m: int,
@@ -2504,7 +2685,7 @@ def annihilator_convolution_check(qg: QuantumGroup, ideal: BlockIdeal,
     for _ in range(samples):
         phi = (rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)) * mask
         psi = (rng.normal(size=alg.dim) + 1j * rng.normal(size=alg.dim)) * mask
-        conv = qg.convolve_vectors(phi, psi)
+        conv = convolve_vectors(qg, phi, psi)
         if np.abs(conv * (1.0 - mask)).max() > tol:
             return False
     return True

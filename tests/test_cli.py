@@ -26,8 +26,8 @@ from qiso.quantum_group import (close_generators, function_algebra_of_group,
                                 verify_quantum_group)
 from qiso.scalars import format_scalar, parse_scalar
 
-from oracles import (distribution_to_dict, entry_tensor, load_quantum_group,
-                     save_space)
+from oracles import (counit_state, distribution_to_dict, entry_tensor,
+                     load_quantum_group, save_space)
 
 
 def test_scalar_codec():
@@ -281,7 +281,7 @@ def test_cli_mistyped_coaction_or_state_field_is_invalid_input(
     act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
     path, spath = tmp_path / "act.json", tmp_path / "state.json"
     docs = {"act": coaction_to_dict(act),
-            "state": state_to_dict(act.group.counit_state())}
+            "state": state_to_dict(counit_state(act.group))}
     doc = docs["state" if field[0] == "densities" else "act"]
     target = doc
     for key in field[:-1]:
@@ -475,7 +475,7 @@ def test_cli_check_state(tmp_path, capsys):
     act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
     path = tmp_path / "act.json"
     save_coaction(str(path), act)
-    eps = act.group.counit_state()
+    eps = counit_state(act.group)
     spath = tmp_path / "eps.json"
     spath.write_text(json.dumps(state_to_dict(eps)))
     code, doc = run_cli(capsys, "check", str(path), "--condition", "lip",
@@ -491,7 +491,7 @@ def test_cli_nan_p_is_invalid_input(files, capsys):
     act = str(files / "iso.json")
     save_coaction(act, iso)
     state = files / "eps.json"
-    state.write_text(json.dumps(state_to_dict(iso.group.counit_state())))
+    state.write_text(json.dumps(state_to_dict(counit_state(iso.group))))
     lip = ["check", act, "--condition", "lip", "--p", "nan"]
     for argv in (lip, lip + ["--state", str(state)],
                  ["wasserstein", "--space", str(files / "space.json"),
@@ -549,7 +549,7 @@ def test_cli_check_rejects_non_state(tmp_path, capsys):
     act = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
     path = tmp_path / "act.json"
     save_coaction(str(path), act)
-    eps = act.group.counit_state()
+    eps = counit_state(act.group)
     doubled = StateFunctional(eps.owner,
                               tuple(2 * rho for rho in eps.densities))
     spath = tmp_path / "doubled-state.json"

@@ -7,17 +7,16 @@ from fractions import Fraction as F
 import pytest
 
 from qiso.metric import PairSet
-from qiso.transport import (NonSquareBipartition, ProbVector,
-                            feasible_coupling_on, perfect_matching,
-                            prob_vector)
+from qiso.transport import ProbVector, feasible_coupling_on, prob_vector
 
-from oracles import hall_condition, neighborhood
+from oracles import (NonSquareBipartition, all_pairs, hall_condition,
+                     neighborhood, perfect_matching, transpose_pairs)
 
 
 def test_neighborhood_examples():
     Y = PairSet.from_pairs(3, [(0, 1), (1, 0)])
     assert neighborhood(Y, set()) == frozenset()
-    assert neighborhood(PairSet.all_pairs(3), {1}) == {0, 1, 2}
+    assert neighborhood(all_pairs(3), {1}) == {0, 1, 2}
     assert neighborhood(Y, {0}, "forward") == {1}
     assert neighborhood(Y, {0}, "backward") == {1}
     asym = PairSet.from_pairs(3, [(0, 2)])
@@ -27,7 +26,7 @@ def test_neighborhood_examples():
 
 def test_hall_condition_examples():
     u = ProbVector.uniform(2)
-    holds, _ = hall_condition(u, u, PairSet.all_pairs(2))
+    holds, _ = hall_condition(u, u, all_pairs(2))
     assert holds
     holds, violator = hall_condition(u, u, PairSet.from_pairs(2, []))
     assert not holds and violator <= {0, 1} and len(violator) >= 1
@@ -39,12 +38,13 @@ def test_hall_condition_examples():
 def test_feasible_coupling_on_examples():
     u = ProbVector.uniform(3)
     Y = PairSet.from_pairs(3, [(0, 1), (1, 2), (2, 0)])  # a permutation graph
-    v = feasible_coupling_on(u, u, Y)
+    v = feasible_coupling_on(u, u, Y, 1e-9)
     assert v.feasible
     assert all(v.coupling.plan[i][j] in (0, F(1, 3)) for i in range(3) for j in range(3))
     mu = prob_vector([F(2, 3), F(1, 3)])
     nu = prob_vector([F(1, 3), F(2, 3)])
-    v = feasible_coupling_on(mu, nu, PairSet.from_pairs(2, [(0, 0), (0, 1), (1, 1)]))
+    v = feasible_coupling_on(
+        mu, nu, PairSet.from_pairs(2, [(0, 0), (0, 1), (1, 1)]), 1e-9)
     assert v.feasible
     assert v.coupling.plan == ((F(1, 3), F(1, 3)), (F(0), F(1, 3)))
 
@@ -67,7 +67,7 @@ def test_theorem_equivalence_exhaustive_n2():
             for b in vecs:
                 mu, nu = ProbVector(a), ProbVector(b)
                 holds, violator = hall_condition(mu, nu, Y)
-                verdict = feasible_coupling_on(mu, nu, Y)
+                verdict = feasible_coupling_on(mu, nu, Y, 1e-9)
                 assert holds == verdict.feasible
                 if not holds:
                     T = neighborhood(Y, violator)
@@ -93,15 +93,15 @@ def test_symmetric_form_and_monotonicity():
         nu = ProbVector(tuple(x / sum(w) for x in w))
         pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4]
         Y = PairSet.from_pairs(n, pairs)
-        forward = feasible_coupling_on(mu, nu, Y).feasible
-        backward = feasible_coupling_on(nu, mu, Y.transpose()).feasible
+        forward = feasible_coupling_on(mu, nu, Y, 1e-9).feasible
+        backward = feasible_coupling_on(nu, mu, transpose_pairs(Y), 1e-9).feasible
         assert forward == backward
         if forward:
             bigger = PairSet.from_pairs(n, pairs + [(rng.randrange(n), rng.randrange(n))])
-            assert feasible_coupling_on(mu, nu, bigger).feasible
+            assert feasible_coupling_on(mu, nu, bigger, 1e-9).feasible
         else:
             smaller = PairSet.from_pairs(n, pairs[: max(0, len(pairs) - 1)])
-            assert not feasible_coupling_on(mu, nu, smaller).feasible
+            assert not feasible_coupling_on(mu, nu, smaller, 1e-9).feasible
 
 
 def matching_bruteforce(adj):
@@ -154,5 +154,5 @@ def test_matching_feasibility_matches_feasible_coupling_on():
         adj = [[1 if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
         uniform = ProbVector.uniform(n)
         Y = PairSet(tuple(tuple(bool(v) for v in row) for row in adj))
-        feasible = feasible_coupling_on(uniform, uniform, Y).feasible
+        feasible = feasible_coupling_on(uniform, uniform, Y, 1e-9).feasible
         assert (perfect_matching(adj)[0] == "matching") == feasible

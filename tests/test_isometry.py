@@ -20,20 +20,21 @@ from qiso.catalog import (catalog_action, cycle_metric,
                           trivial_action)
 from qiso import isometry, reports, transport
 from qiso.coaction import CoAction, act_on_point, act_on_points
-from qiso.isometry import (HypothesisViolated, check_D, check_D_state,
-                           check_injectivity, check_level_coupling_state,
-                           check_lip1_universal, check_lip_p_state,
-                           check_lip_p_universal, check_orthogonality,
+from qiso.isometry import (check_D, check_D_state, check_injectivity,
+                           check_level_coupling_state, check_lip1_universal,
+                           check_lip_p_state, check_lip_p_universal,
                            check_support_universal, check_theorem_main,
                            check_winf_universal)
-from qiso.metric import level_set, random_metric_space, validate_metric
+from qiso.metric import random_metric_space, validate_metric
 from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.scalars import RATIONAL
 from qiso.transport import feasible_coupling_on, wasserstein_inf, wasserstein_p
 
-from oracles import (check_ball_identity, check_D_commutant_by_entry,
-                     check_lip_seminorm_state,
+from oracles import (HypothesisViolated, check_ball_identity,
+                     check_D_commutant_by_entry, check_lip_seminorm_state,
+                     check_orthogonality, classical_group, counit_state,
                      entry_tensor, group_element, hall_sweep_loops,
+                     level_set,
                      lip_p_universal_full_sweep,
                      lip_p_universal_loops, sample_orthogonality_inputs,
                      scaled_twin, support_universal_bruteforce,
@@ -50,14 +51,14 @@ def test_verdicts_take_no_tolerance_argument():
                  "check_lip_p_state_sweep", "check_lip_p_state",
                  "check_lip_p_universal", "check_lip1_universal",
                  "check_winf_universal", "check_theorem_main",
-                 "check_level_coupling_state", "check_orthogonality",
-                 "check_injectivity", "_defect_verdict",
+                 "check_level_coupling_state", "check_injectivity",
+                 "_defect_verdict",
                  "check_support_universal", "_support_sweep"),
              "qiso.envelope": ("envelope",),
              "qiso.coaction": ("verify_coaction", "generation_deficit",
                                "act_on_point", "act_on_points", "orbits"),
              "qiso.quantum_group": ("haar_state", "require_kac"),
-             "oracles": ("verify_universal_property",),
+             "oracles": ("verify_universal_property", "check_orthogonality"),
              "qiso.reports": ("verify_instance", "_condition_flags")}
     for module, funcs in names.items():
         module = importlib.import_module(module)
@@ -70,7 +71,7 @@ def classical_isometries(action):
     """Oracle: group elements preserving the metric, by direct enumeration."""
     d = action.space.dist
     n = action.n
-    return [g for g in action.classical_group
+    return [g for g in classical_group(action)
             if all(d[g[x]][g[y]] == d[x][y] for x in range(n) for y in range(n))]
 
 
@@ -80,7 +81,7 @@ def classical_contraction_oracle(action):
     d = action.space.dist
     n = action.n
     return all(float(d[g[x]][g[y]]) <= float(d[x][y]) + 1e-12
-               for g in action.classical_group
+               for g in classical_group(action)
                for x in range(n) for y in range(n))
 
 
@@ -156,14 +157,14 @@ def test_ball_identity_matches_check_D():
 
 def test_counit_state_always_lip_p():
     for action in (S3_FULL, QUANTUM_NONISO):
-        eps = action.group.counit_state()
+        eps = counit_state(action.group)
         for p in (1, 2, float("inf")):
             assert check_lip_p_state(action, eps, p).holds
         assert check_D_state(action, eps).holds  # trivial action is isometric
 
 
 def test_classical_isometry_states():
-    group = S3_FULL.classical_group
+    group = classical_group(S3_FULL)
     isos = classical_isometries(S3_FULL)
     for gi, g in enumerate(group):
         psi = extreme_state(S3_FULL.group.algebra, gi, np.array([1.0]))
@@ -194,7 +195,7 @@ def test_lip1_universal_failure_witness_recovers_classical_element():
     # the witness state is a character of C(S3), i.e. a group element,
     # and that element must fail the contraction test
     block = verdict.witness["block"]
-    g = S3_FULL.classical_group[block]
+    g = classical_group(S3_FULL)[block]
     d = S3_FULL.space.dist
     assert any(d[g[x]][g[y]] > d[x][y] for x in range(3) for y in range(3))
     assert not check_lip_p_state(S3_FULL, psi, 1).holds
@@ -835,14 +836,32 @@ def _assert_matches_per_pair(v, action, psi, p, route, pairs=None):
 
 def _level_coupling_per_pair(action, psi):
     """check_level_coupling_state's (holds, witness), over every ordered
-    pair: the first failing one in x-major order has x < y on a symmetric d."""
+    pair, on the oracle's level set of raw distances within dtol: the
+    first failing pair in x-major order has x < y on a symmetric d."""
     for (x, y), mu, nu in _pairs_recomputed(action, psi, _ordered_pairs(action.n)):
         Y = level_set(action.space, action.space.dist[x][y])
-        verdict = feasible_coupling_on(mu, nu, Y)
+        verdict = feasible_coupling_on(mu, nu, Y, action.space.tol)
         if not verdict.feasible:
             return False, {"pair": (x, y),
                            "violating_subset": sorted(verdict.violator)}
     return True, None
+
+
+def _near_tie_twin(action, c, seed):
+    """A float twin of `action` with its equal distances pulled apart:
+    each off-diagonal d(i, j) = d(j, i) gains (3 + s) eps, with s drawn
+    from {-1, 0, 1} by `seed` and eps = c x tol x max d.  Two pairs at one
+    distance then differ by 0, c or 2c x tol x max d, and every triangle
+    still holds, since the 3 eps of each side outweigh the s eps."""
+    space = action.space
+    rng = random.Random(seed)
+    eps = c * space.tol * float(space.max_distance)
+    dist = [[float(v) for v in row] for row in space.dist]
+    for i in range(space.n):
+        for j in range(i + 1, space.n):
+            dist[i][j] = dist[j][i] = dist[i][j] + (3 + rng.choice((-1, 0, 1))) * eps
+    return CoAction(action.group, validate_metric(dist, mode="float"),
+                    action.coeffs, name=action.name)
 
 
 def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
@@ -855,7 +874,12 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
     vertices, also on cyclic-5, where 50 simplex solves (10 pairs) cost
     more than 0.3 x 70 trees.  The level-coupling check computes every
     x <| psi of its state by one act_on_points call, visits every
-    ordered pair and agrees exactly with its oracle."""
+    ordered pair and agrees exactly with its oracle, which compares raw
+    distances within dtol where the check reads distance ranks and
+    `sublevel_tops`: on the catalog, and on float twins of it whose equal
+    distances are moved apart by 0 or +-c x tol x max d, c in (0.4, 0.95,
+    1.5).  The moves within dtol keep every level set of the catalog's
+    distances and those of 1.5 x dtol split some."""
     batches = []
 
     def batched(action, states, *args, **kwargs):
@@ -883,6 +907,25 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
                 _level_coupling_per_pair(action, psi), (entry.name, k)
             seen[v.holds] += 1
     assert seen[True] and seen[False]
+
+    split, twin_seen = {}, {True: 0, False: 0}
+    for seed, entry in enumerate(standard_actions()):
+        action = entry.action
+        states = [random_state(action.group.algebra, 37 * k + 3)
+                  for k in range(5)]
+        for c in (0.4, 0.95, 1.5):
+            twin = _near_tie_twin(action, c, seed)
+            split[c] = split.get(c, 0) + sum(
+                level_set(twin.space, twin.space.dist[x][y]).member !=
+                level_set(action.space, action.space.dist[x][y]).member
+                for x, y in _ordered_pairs(action.n))
+            for k, psi in enumerate(states):
+                v = check_level_coupling_state(twin, psi)
+                assert (v.holds, v.witness) == \
+                    _level_coupling_per_pair(twin, psi), (entry.name, c, k)
+                twin_seen[v.holds] += 1
+    assert twin_seen[True] and twin_seen[False]
+    assert split[0.4] == 0 and split[0.95] > 0 and split[1.5] > 0, split
 
 
 def test_state_sweep_reuses_a_fitting_triangulation(monkeypatch):

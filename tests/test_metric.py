@@ -1,19 +1,22 @@
 """Metric-space validation, derived sets, Lipschitz data."""
 
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import qiso
 from qiso.metric import (AsymmetricMatrix, NegativeDistance, NonFiniteDistance,
-                         NonzeroDiagonal, PairSet, TriangleViolation, ball, level_set,
-                         lipschitz_constant, random_metric_space,
-                         sublevel_set, validate_metric)
+                         NonzeroDiagonal, PairSet, TriangleViolation,
+                         random_metric_space, validate_metric)
 from qiso.errors import DimensionMismatch
 
-from oracles import (metric_violation_reference, near_tie_chain,
-                     shortest_path_metric_fractions)
+from oracles import (all_pairs, ball, level_set, lipschitz_constant,
+                     metric_violation_reference, near_tie_chain,
+                     shortest_path_metric_fractions, sublevel_set)
 
 
 THREE = [[F(0), F(1), F(2)], [F(1), F(0), F(2)], [F(2), F(2), F(0)]]
@@ -109,17 +112,17 @@ def test_level_and_sublevel_sets():
     assert set(level_set(sp2, F(0)).pairs()) == {(0, 0), (1, 1)}
     assert set(level_set(sp2, F(1)).pairs()) == {(0, 1), (1, 0)}
     sp3 = validate_metric(THREE)
-    assert sublevel_set(sp3, sp3.max_distance).member == PairSet.all_pairs(3).member
+    assert sublevel_set(sp3, sp3.max_distance).member == all_pairs(3).member
 
 
 def test_sublevel_is_union_of_levels():
     sp = random_metric_space(5, seed=11)
     for r in sp.realized_distances:
-        union = PairSet.from_pairs(5, [])
-        for rp in sp.realized_distances:
-            if rp <= r:
-                union = union.union(level_set(sp, rp))
-        assert union.member == sublevel_set(sp, r).member
+        levels = [level_set(sp, rp).member
+                  for rp in sp.realized_distances if rp <= r]
+        union = tuple(tuple(any(level[i][j] for level in levels)
+                            for j in range(5)) for i in range(5))
+        assert union == sublevel_set(sp, r).member
 
 
 @pytest.mark.parametrize("pair", [(-1, 0), (0, -3), (3, 0), (1, 7)])
@@ -151,7 +154,7 @@ def test_distance_rows_are_one_lipschitz():
     for seed in range(6):
         sp = random_metric_space(5, seed, "shortest-path-graph")
         for x in range(sp.n):
-            assert lipschitz_constant(sp, sp.row(x)) <= 1
+            assert lipschitz_constant(sp, sp.dist[x]) <= 1
 
 
 def test_graph_model_is_rational_and_euclid_is_float():
@@ -240,7 +243,8 @@ def test_distance_tables_match_entrywise_powers_and_sublevel_sets():
     on a rational space and an integral p (int, Fraction or float) the
     ints k^p at scale s^p are d^p exactly and their floats are float(d^p);
     otherwise both are float(d) ** float(p).  The pairs of rank at most
-    tops[k] are sublevel_set(r_k), near-ties within dtol included."""
+    tops[k] are the oracle's sublevel_set(r_k), compared on raw distances
+    within dtol, near-ties included."""
     for space in _table_spaces():
         ranks = space.distance_ranks
         for p in (1, 2, 3, 2.0, F(3), 1.5):
@@ -265,3 +269,25 @@ def test_distance_tables_match_entrywise_powers_and_sublevel_sets():
             assert all(below[i][j] == (ranks[i][j] <= tops[k])
                        for i in range(space.n) for j in range(space.n))
     assert near_tie_chain().sublevel_tops == (0, 2, 3, 3, 4)
+
+
+def test_dtol_is_read_only_by_sublevel_tops():
+    """One distance relation in src/qiso: every comparison of distances
+    within the space's dtol goes through `FiniteMetricSpace.sublevel_tops`,
+    the only function there that reads the attribute dtol."""
+    readers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "dtol":
+                readers.append(scope)
+            visit(child, scope)
+
+    root = pathlib.Path(qiso.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.name,))
+    assert readers == [("metric.py", "FiniteMetricSpace", "sublevel_tops")]

@@ -22,12 +22,13 @@ from qiso.fileio import quantum_group_from_dict, quantum_group_to_dict
 from qiso.quantum_group import (InconsistentIrreps, KacViolation, NotAGroup,
                                 QuantumGroup, close_generators, compose,
                                 function_algebra_of_group, group_algebra,
-                                haar_state, invert, require_kac,
+                                haar_state, require_kac,
                                 verify_quantum_group)
 
-from oracles import (apply_kappa, exact_psd, exact_psd_pairs,
-                     group_algebra_loops, haar_vector_lstsq,
-                     psd_by_principal_minors,
+from oracles import (apply_kappa, convolve, convolve_vectors, counit_state,
+                     exact_psd, exact_psd_pairs, group_algebra_loops,
+                     haar_vector_lstsq, invert, psd_by_principal_minors,
+                     state_value,
                      verify_coaction_loops, verify_quantum_group_dense,
                      verify_quantum_group_loops)
 
@@ -237,7 +238,7 @@ def test_state_roundtrip_and_sampling():
     with pytest.raises(BadVector):
         extreme_state(alg, 1, np.array([1.0, 1.0]))
     chi = extreme_state(alg, 0, np.array([1.0]))
-    assert abs(chi.value(alg.unit()) - 1.0) < 1e-12
+    assert abs(state_value(chi, alg.unit()) - 1.0) < 1e-12
 
 
 def test_random_state_keeps_numpy_seed_contract():
@@ -987,20 +988,20 @@ def test_haar_invariance_under_random_convolution():
         hvec = h.as_vector()
         for k in range(20):
             psi = random_state(qg.algebra, 31 * k + 1)
-            left = qg.convolve(h, psi).as_vector()
-            right = qg.convolve(psi, h).as_vector()
+            left = convolve(qg, h, psi).as_vector()
+            right = convolve(qg, psi, h).as_vector()
             assert np.abs(left - hvec).max() < 1e-9
             assert np.abs(right - hvec).max() < 1e-9
 
 
 def test_counit_is_convolution_unit():
     for qg in standard_groups():
-        eps = qg.counit_state()
+        eps = counit_state(qg)
         for k in range(5):
             psi = random_state(qg.algebra, 53 * k)
-            out = qg.convolve(eps, psi).as_vector()
+            out = convolve(qg, eps, psi).as_vector()
             assert np.abs(out - psi.as_vector()).max() < 1e-10
-            out = qg.convolve(psi, eps).as_vector()
+            out = convolve(qg, psi, eps).as_vector()
             assert np.abs(out - psi.as_vector()).max() < 1e-10
 
 
@@ -1014,7 +1015,7 @@ def test_point_mass_convolution_is_group_law():
             dg[index[g]] = 1.0
             dh = np.zeros(qg.dim)
             dh[index[h]] = 1.0
-            conv = qg.convolve_vectors(dg, dh)
+            conv = convolve_vectors(qg, dg, dh)
             expected = np.zeros(qg.dim)
             expected[index[compose(g, h)]] = 1.0
             assert np.abs(conv - expected).max() < 1e-12
@@ -1024,8 +1025,8 @@ def test_convolution_associative():
     for qg in standard_groups():
         states = [random_state(qg.algebra, s).as_vector() for s in (1, 2, 3)]
         a, b, c = states
-        left = qg.convolve_vectors(qg.convolve_vectors(a, b), c)
-        right = qg.convolve_vectors(a, qg.convolve_vectors(b, c))
+        left = convolve_vectors(qg, convolve_vectors(qg, a, b), c)
+        right = convolve_vectors(qg, a, convolve_vectors(qg, b, c))
         assert np.abs(left - right).max() < 1e-10
 
 
@@ -1033,7 +1034,7 @@ def test_convolution_of_states_is_state():
     for qg in standard_groups():
         phi = random_state(qg.algebra, 5)
         psi = random_state(qg.algebra, 6)
-        assert qg.convolve(phi, psi).is_state(tol=1e-8)
+        assert convolve(qg, phi, psi).is_state(tol=1e-8)
 
 
 def test_antipode_on_magic_unitary_convention():

@@ -9,6 +9,8 @@ from qiso.reports import (RUN_KINDS, RunReport, SearchConfig, emit_report,
                           implication_tallies, instance_descriptors,
                           run_catalog_verification, run_search)
 
+from oracles import classical_group
+
 
 SMALL = SearchConfig(kind="catalog", catalog=["trivial-3", "s3-isosceles",
                                               "cyclic-3"], state_samples=2)
@@ -190,7 +192,7 @@ def test_span_counterexample_exact_arithmetic():
 
     action = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)])
     space = action.space
-    G = action.classical_group
+    G = classical_group(action)
 
     def act_exact(x, w):
         return ProbVector(tuple(

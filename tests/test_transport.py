@@ -10,8 +10,7 @@ import pytest
 from qiso import transport
 from qiso.catalog import cycle_metric
 from qiso.errors import DimensionMismatch
-from qiso.metric import (PairSet, random_metric_space, sublevel_set,
-                         validate_metric)
+from qiso.metric import PairSet, random_metric_space, validate_metric
 from qiso.scalars import is_rational
 from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
                             enumerate_dual_vertices, feasible_coupling_on,
@@ -19,13 +18,15 @@ from qiso.transport import (Coupling, InfeasibleMarginals, ProbVector,
                             transport_with_power, wasserstein_inf,
                             wasserstein_p)
 
-from oracles import (_power_cost, _solve_linear,
-                     boxed_dual_vertices_bruteforce,
+from oracles import (_power_cost, _solve_linear, all_pairs,
+                     boxed_dual_vertices_bruteforce, check_marginals,
+                     coupling_support, diagonal_pairs,
                      dual_vertices_by_spanning_trees,
                      enumerate_boxed_dual_vertices,
                      enumerate_dual_vertices_reference,
-                     enumerate_lipschitz_vertices, min_cost_flow_reference,
-                     near_tie_chain, transport_bruteforce,
+                     enumerate_lipschitz_vertices, integral,
+                     lipschitz_constant, min_cost_flow_reference,
+                     near_tie_chain, sublevel_set, transport_bruteforce,
                      wasserstein_inf_linear_scan)
 
 TWO = validate_metric([[F(0), F(1)], [F(1), F(0)]])
@@ -87,7 +88,7 @@ def test_duals_feasible_and_plan_marginal():
         mu, nu = rand_prob(rng, n), rand_prob(rng, n)
         cost = rand_cost(rng, n)
         res = solve_transport(mu, nu, cost)
-        Coupling(res.plan.plan, mu, nu).check_marginals()
+        check_marginals(Coupling(res.plan.plan, mu, nu))
         f, g = res.duals.f, res.duals.g
         assert all(f[i] + g[j] <= cost[i][j] for i in range(n) for j in range(n))
         assert res.duals.objective == res.value  # strong duality, exact
@@ -215,7 +216,7 @@ def test_min_cost_flow_returns_certified_fractions():
             assert all(isinstance(v, F) for v in (value, *f))
             assert all(f[i] - f[j] <= sp.dist[i][j]
                        for i in range(n) for j in range(n))
-            assert mu.pair(f) - nu.pair(f) == value
+            assert integral(mu, f) - integral(nu, f) == value
             arcs = [(i, j, sp.dist[i][j]) for i in range(n)
                     for j in range(n) if i != j]
             demand = [b - a for a, b in zip(mu.mass, nu.mass)]
@@ -590,7 +591,6 @@ def test_kantorovich_dirac_attains_distance():
             value, witness = kantorovich_w1(
                 THREE, ProbVector.dirac(3, x), ProbVector.dirac(3, y))
             assert value == THREE.dist[x][y]
-            from qiso.metric import lipschitz_constant
             assert lipschitz_constant(THREE, witness) <= 1
             assert witness[x] - witness[y] == value  # witness attains
 
@@ -603,9 +603,8 @@ def test_kantorovich_rubinstein_random_exact():
         mu, nu = rand_prob(rng, n), rand_prob(rng, n)
         value, witness = kantorovich_w1(sp, mu, nu)
         assert value == transport_with_power(sp, mu, nu, 1).value
-        from qiso.metric import lipschitz_constant
         assert lipschitz_constant(sp, witness) <= 1
-        assert mu.pair(witness) - nu.pair(witness) == value
+        assert integral(mu, witness) - integral(nu, witness) == value
 
 
 # ---------------------------------------------------------------------------
@@ -615,15 +614,15 @@ def test_kantorovich_rubinstein_random_exact():
 def test_product_coupling_on_full_support():
     rng = random.Random(6)
     mu, nu = rand_prob(rng, 3), rand_prob(rng, 3)
-    res = feasible_coupling_on(mu, nu, PairSet.all_pairs(3))
+    res = feasible_coupling_on(mu, nu, all_pairs(3), 1e-9)
     assert res.feasible
-    Coupling(res.coupling.plan, mu, nu).check_marginals()
+    check_marginals(Coupling(res.coupling.plan, mu, nu))
 
 
 def test_diagonal_needs_equal_marginals():
     mu = prob_vector([F(3, 4), F(1, 4)])
     nu = prob_vector([F(1, 4), F(3, 4)])
-    res = feasible_coupling_on(mu, nu, PairSet.diagonal(2))
+    res = feasible_coupling_on(mu, nu, diagonal_pairs(2), 1e-9)
     assert not res.feasible
     assert res.violator == {0}  # the mass-losing side
     assert res.nu_neighborhood < res.mu_S
@@ -631,7 +630,7 @@ def test_diagonal_needs_equal_marginals():
 
 def test_antidiagonal_coupling():
     mu = prob_vector([F(1, 2), F(1, 2)])
-    res = feasible_coupling_on(mu, mu, PairSet.from_pairs(2, [(0, 1), (1, 0)]))
+    res = feasible_coupling_on(mu, mu, PairSet.from_pairs(2, [(0, 1), (1, 0)]), 1e-9)
     assert res.feasible
     assert res.coupling.plan[0][1] == F(1, 2) and res.coupling.plan[1][0] == F(1, 2)
 
@@ -677,13 +676,13 @@ def _assert_winf_matches_linear_scan(sp, mu, nu):
     assert got.lower_violator == want.lower_violator
     plan = got.plan
     assert plan.mu == mu and plan.nu == nu
-    plan.check_marginals()
+    check_marginals(plan)
     entries = [v for row in plan.plan for v in row]
     assert all(v >= 0 for v in entries)
     if all(is_rational(m) for m in mu.mass + nu.mass):
         assert all(is_rational(v) for v in entries)
     Y = sublevel_set(sp, got.r)
-    assert all((i, j) in Y for i, j in plan.support())
+    assert all((i, j) in Y for i, j in coupling_support(plan))
     return got
 
 
@@ -927,12 +926,12 @@ def test_coupling_checks_at_the_boundary():
     marginals of different total mass."""
     three = ProbVector.uniform(3)
     two = ProbVector.uniform(2)
-    for mu, nu, Y in ((two, three, PairSet.all_pairs(3)),
-                      (three, two, PairSet.all_pairs(3)),
-                      (three, three, PairSet.all_pairs(2)),
-                      (two, two, PairSet.all_pairs(3))):
+    for mu, nu, Y in ((two, three, all_pairs(3)),
+                      (three, two, all_pairs(3)),
+                      (three, three, all_pairs(2)),
+                      (two, two, all_pairs(3))):
         with pytest.raises(DimensionMismatch):
-            feasible_coupling_on(mu, nu, Y)
+            feasible_coupling_on(mu, nu, Y, 1e-9)
         space = THREE if Y.n == 3 else TWO
         with pytest.raises(DimensionMismatch):
             wasserstein_inf(space, mu, nu)
@@ -941,7 +940,7 @@ def test_coupling_checks_at_the_boundary():
     for mu, nu in ((heavy, three), (three, heavy), (light, three),
                    (ProbVector((1 / 3,) * 3), light)):
         with pytest.raises(InfeasibleMarginals):
-            feasible_coupling_on(mu, nu, PairSet.all_pairs(3))
+            feasible_coupling_on(mu, nu, all_pairs(3), 1e-9)
         with pytest.raises(InfeasibleMarginals):
             wasserstein_inf(THREE, mu, nu)
 
@@ -1019,12 +1018,12 @@ def test_float_coupling_feasibility_matches_networkx(n):
         G.add_nodes_from(("s", "t"))
         feasible = nx.maximum_flow_value(G, "s", "t") == N
         Y = PairSet.from_pairs(n, pairs)
-        res = feasible_coupling_on(mu, nu, Y)
+        res = feasible_coupling_on(mu, nu, Y, 1e-9)
         assert res.feasible == feasible
         outcomes.add(feasible)
         if feasible:
-            Coupling(res.coupling.plan, mu, nu).check_marginals()
-            assert all((i, j) in Y for i, j in res.coupling.support())
+            check_marginals(Coupling(res.coupling.plan, mu, nu))
+            assert all((i, j) in Y for i, j in coupling_support(res.coupling))
         else:
             assert res.nu_neighborhood < res.mu_S - 1e-9
     if n > 2:
@@ -1060,7 +1059,6 @@ def test_lipschitz_vertices_two_point():
 
 
 def test_lipschitz_vertices_feasible_and_negation_closed():
-    from qiso.metric import lipschitz_constant
     for sp in (THREE, random_metric_space(4, 9)):
         for verts in lipschitz_vertex_sets(sp):
             keys = {tuple(v) for v in verts}
@@ -1353,4 +1351,4 @@ def test_boxed_dual_strong_duality_crosscheck():
             mu, nu = rand_prob(rng, sp.n), rand_prob(rng, sp.n)
             value = transport_with_power(sp, mu, nu, p).value
             for verts in vertex_sets:
-                assert max(mu.pair(v.f) + nu.pair(v.g) for v in verts) == value
+                assert max(integral(mu, v.f) + integral(nu, v.g) for v in verts) == value
