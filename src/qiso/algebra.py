@@ -3,7 +3,15 @@
 An element is a tuple of complex block matrices.  The canonical basis is
 the family of matrix units, enumerated block by block in row-major order;
 an element's coefficient vector with respect to that basis is just its
-entries flattened, which keeps conversions trivial.
+entries flattened, which keeps conversions trivial.  The algebra owns its
+per-basis tables (the dimension, the unit's coefficients, each basis
+element's block size, the permutation that * induces), each built on
+first read.
+
+A state is its coefficient vector psi(b_alpha) over the matrix units,
+read-only; its block densities are derived from that vector on first
+read.  The samplers and the Haar state write the vector directly, with no
+per-block density.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ class FinDimCStarAlgebra:
         if not self.blocks or any(b < 1 for b in self.blocks):
             raise ShapeMismatch("block sizes must be positive")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(b * b for b in self.blocks)
 
@@ -58,6 +66,33 @@ class FinDimCStarAlgebra:
         for off, n in zip(self.offsets, self.blocks):
             groups.setdefault(n, []).append(off + np.arange(n * n).reshape(n, n))
         return {n: np.array(idx) for n, idx in groups.items()}
+
+    @cached_property
+    def basis_sizes(self) -> np.ndarray:
+        """basis_sizes[a]: the size n_k of the block of basis element a
+        (read-only)."""
+        return _read_only(np.repeat(self.blocks, np.square(self.blocks)))
+
+    def _unit_positions(self) -> np.ndarray:
+        """i n + j for the matrix unit E_ij of a block of size n, at each
+        basis index."""
+        return np.arange(self.dim) - np.array(self.offsets)[self.block_of]
+
+    @cached_property
+    def unit_vector(self) -> np.ndarray:
+        """The unit's coefficients: 1 on every diagonal matrix unit, where
+        i n + j = i (n + 1) (read-only, complex)."""
+        diagonal = self._unit_positions() % (self.basis_sizes + 1) == 0
+        return _read_only(diagonal.astype(complex))
+
+    @cached_property
+    def star_index(self) -> np.ndarray:
+        """The permutation of basis indices that * induces: (E^k_ij)* =
+        E^k_ji, so the coefficients of x* are x.conj()[star_index]
+        (read-only)."""
+        ij = self._unit_positions()
+        i, j = np.divmod(ij, self.basis_sizes)
+        return _read_only(np.arange(self.dim) - ij + j * self.basis_sizes + i)
 
     def block_indices(self, blocks: Sequence[int]) -> np.ndarray:
         """The basis indices of the given blocks, one block after another."""
@@ -120,6 +155,11 @@ class FinDimCStarAlgebra:
         vec = np.zeros(self.dim, dtype=complex)
         vec[idx] = 1.0
         return self.from_vec(vec)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 class AlgElement:
@@ -226,24 +266,45 @@ def exact_psd(M) -> bool:
 
 class StateFunctional:
     """A linear functional a -> sum_k tr(rho_k a_k); a state when every
-    rho_k is PSD and the traces sum to 1."""
+    rho_k is PSD and the traces sum to 1.  Stored as its coefficient
+    vector psi(b_alpha) over the matrix units, which `as_vector` returns
+    read-only; the densities rho_k are derived from it on first read."""
 
-    __slots__ = ("owner", "densities")
+    __slots__ = ("owner", "_vector", "_densities")
 
     def __init__(self, owner: FinDimCStarAlgebra, densities: Sequence[np.ndarray]):
         if len(densities) != len(owner.blocks):
             raise ShapeMismatch("wrong number of density blocks")
         self.owner = owner
-        self.densities = tuple(np.asarray(m, dtype=complex) for m in densities)
+        self._densities = tuple(np.asarray(m, dtype=complex) for m in densities)
+        # tr(rho E_ij) = rho[j, i]
+        self._vector = _read_only(np.concatenate([rho.T.ravel() for rho in self._densities]))
+
+    @classmethod
+    def _of_vector(cls, owner: FinDimCStarAlgebra, vec: np.ndarray) -> "StateFunctional":
+        """The functional with coefficient vector `vec`, a complex array of
+        length dim that the state takes over."""
+        psi = cls.__new__(cls)
+        psi.owner, psi._vector, psi._densities = owner, _read_only(vec), None
+        return psi
+
+    @property
+    def densities(self) -> Tuple[np.ndarray, ...]:
+        """The block densities rho_k, derived from the vector on first read."""
+        if self._densities is None:
+            self._densities = tuple(m.T.copy() for m in self.owner.split(self._vector))
+        return self._densities
 
     def as_vector(self) -> np.ndarray:
-        """psi(b_alpha) over the matrix-unit basis: tr(rho E_ij) = rho[j, i]."""
-        return np.concatenate([rho.T.ravel() for rho in self.densities])
+        """psi(b_alpha) over the matrix-unit basis, read-only."""
+        return self._vector
 
     @staticmethod
     def from_vector(owner: FinDimCStarAlgebra, vec) -> "StateFunctional":
-        return StateFunctional(owner, tuple(
-            m.T.copy() for m in owner.split(np.asarray(vec, dtype=complex))))
+        vec = np.array(vec, dtype=complex)
+        if vec.shape != (owner.dim,):
+            raise ShapeMismatch(f"vector of length {vec.shape}, need {owner.dim}")
+        return StateFunctional._of_vector(owner, vec)
 
     def is_state(self, tol: float) -> bool:
         total = 0.0
@@ -262,25 +323,25 @@ def random_state(algebra: FinDimCStarAlgebra, seed: int) -> StateFunctional:
     are normalized `expovariate(1.0)` draws, one per block; then each block
     of size b > 1, in order, draws a Ginibre matrix G from `gauss` (real and
     imaginary part in turn) and takes G G* / tr(G G*) times its weight.  A
-    1x1 block's density is its weight, so it draws none.  Deterministic in
-    the seed, which is an int >= 0 as for numpy's generators: a float
-    raises TypeError, a negative int ValueError."""
+    1x1 block's density is its weight, so it draws none.  The state's
+    vector is written directly: the weights on every block, then each
+    larger block's density over them.  Deterministic in the seed, which
+    is an int >= 0 as for numpy's generators: a float raises TypeError, a
+    negative int ValueError."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
     weights = np.array([rng.expovariate(1.0) for _ in algebra.blocks])
     weights /= weights.sum()
-    densities = []
-    for w, b in zip(weights, algebra.blocks):
-        if b == 1:
-            densities.append(np.array([[w]]))
-            continue
-        G = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * b * b)]
-                     ).view(complex).reshape(b, b)
-        rho = G @ G.conj().T
-        densities.append(rho / np.trace(rho).real * w)
-    return StateFunctional(algebra, tuple(densities))
+    vec = weights[algebra.block_of].astype(complex)
+    for k, (off, b) in enumerate(zip(algebra.offsets, algebra.blocks)):
+        if b > 1:
+            G = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * b * b)]
+                         ).view(complex).reshape(b, b)
+            rho = G @ G.conj().T
+            vec[off:off + b * b] = (rho / np.trace(rho).real * weights[k]).T.ravel()
+    return StateFunctional._of_vector(algebra, vec)
 
 
 def extreme_state(algebra: FinDimCStarAlgebra, block: int, xi) -> StateFunctional:
@@ -291,6 +352,7 @@ def extreme_state(algebra: FinDimCStarAlgebra, block: int, xi) -> StateFunctiona
                         f"{algebra.blocks[block]}")
     if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
         raise BadVector("vector state needs a unit vector")
-    densities = [np.zeros((b, b), dtype=complex) for b in algebra.blocks]
-    densities[block] = np.outer(xi, xi.conj())
-    return StateFunctional(algebra, tuple(densities))
+    off, b = algebra.offsets[block], algebra.blocks[block]
+    vec = np.zeros(algebra.dim, dtype=complex)
+    vec[off:off + b * b] = np.outer(xi, xi.conj()).T.ravel()
+    return StateFunctional._of_vector(algebra, vec)

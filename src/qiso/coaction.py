@@ -159,7 +159,7 @@ def generation_deficit(action: CoAction) -> float:
         return float("nan")
     alg = action.group.algebra
     n2 = action.n * action.n
-    vecs = np.vstack([action.group.unit_vec(), action.coeffs.reshape(n2, alg.dim)])
+    vecs = np.vstack([alg.unit_vector, action.coeffs.reshape(n2, alg.dim)])
     rank = None
     while True:
         _, s, vh = np.linalg.svd(vecs, full_matrices=False)

@@ -30,7 +30,7 @@ envelope returns, so deferring them defers no rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -79,9 +79,14 @@ def _delta_violations(qg: QuantumGroup, included: FrozenSet[int],
 
 def _hopf_violation(qg: QuantumGroup, included: FrozenSet[int],
                     tol: float) -> Optional[str]:
-    """The first way a block ideal fails to be a Hopf ideal, or None."""
-    if qg.counit_block() in included:
-        return f"the counit block {qg.counit_block()} is in the ideal"
+    """The first way a block ideal fails to be a Hopf ideal, or None.
+    The counit block is found first, which raises when there is none,
+    even for the empty ideal, which is otherwise a Hopf ideal."""
+    counit = qg.counit_block()
+    if counit in included:
+        return f"the counit block {counit} is in the ideal"
+    if not included:
+        return None
     kmap = kappa_block_map(qg, tol)
     escapes = [(k, l) for k in sorted(included) for l in sorted(kmap[k] - included)]
     if escapes:
@@ -98,26 +103,29 @@ def quotient_quantum_group(qg: QuantumGroup, ideal: BlockIdeal,
                            name: str = "") -> Tuple[QuantumGroup, List[int]]:
     """Compress the structure maps to the surviving blocks.  Returns the
     quotient and the list of surviving original block indices.  When
-    every block survives the quotient keeps the group a group dual was
-    built from, and is verified against it."""
+    every block survives the quotient is qg renamed: it shares qg's
+    algebra and structure maps, and keeps the group a group dual was
+    built from, against which it is verified."""
     alg = qg.algebra
+    name = name or f"{qg.name}/I"
     survivors = [k for k in range(len(alg.blocks)) if k not in ideal]
+    if len(survivors) == len(alg.blocks):
+        return replace(qg, name=name), survivors
     sub_alg = FinDimCStarAlgebra(tuple(alg.blocks[k] for k in survivors))
     keep = alg.block_indices(survivors)
-    group = {} if len(survivors) < len(alg.blocks) else dict(
-        group_table=qg.group_table, group_elements=qg.group_elements,
-        group_embedding=qg.group_embedding)
     return QuantumGroup(sub_alg, qg.delta[np.ix_(keep, keep, keep)], qg.epsilon[keep],
-                        qg.kappa[np.ix_(keep, keep)],
-                        name=name or f"{qg.name}/I", **group), survivors
+                        qg.kappa[np.ix_(keep, keep)], name=name), survivors
 
 
 def induced_action(action: CoAction, quotient: QuantumGroup,
                    survivors: List[int], name: str = "") -> CoAction:
     """Compress the magic unitary to the surviving blocks (the functorial
-    triangle commutes by construction; verified downstream)."""
-    keep = action.group.algebra.block_indices(survivors)
-    return CoAction(quotient, action.space, action.coeffs[..., keep],
+    triangle commutes by construction; verified downstream).  When every
+    block survives the coefficients are the action's, unsliced."""
+    coeffs = action.coeffs
+    if len(survivors) < len(action.group.algebra.blocks):
+        coeffs = coeffs[..., action.group.algebra.block_indices(survivors)]
+    return CoAction(quotient, action.space, coeffs,
                     name=name or f"{action.name}-envelope")
 
 

@@ -79,17 +79,16 @@ class QuantumGroup:
         return self.algebra.dim
 
     def unit_vec(self) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=complex)
-        for n, idx in self.algebra.blocks_by_size.items():
-            vec[idx[:, np.arange(n), np.arange(n)]] = 1.0
-        return vec
+        """The unit's coefficients, the algebra's read-only `unit_vector`."""
+        return self.algebra.unit_vector
 
     def counit_block(self) -> int:
-        """The 1x1 block carrying the counit character."""
-        for k, b in enumerate(self.algebra.blocks):
-            if b == 1 and abs(self.epsilon[self.algebra.index_of(k, 0, 0)] - 1) < 1e-6:
-                return k
-        raise QisoError("no 1x1 counit block found; not a C*-Hopf algebra?")
+        """The first 1x1 block carrying the counit character."""
+        alg = self.algebra
+        hits = np.flatnonzero((alg.basis_sizes == 1) & (np.abs(self.epsilon - 1) < 1e-6))
+        if not len(hits):
+            raise QisoError("no 1x1 counit block found; not a C*-Hopf algebra?")
+        return int(alg.block_of[hits[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +127,6 @@ def _multiply(into: np.ndarray, terms: np.ndarray, dim: int) -> np.ndarray:
     out = np.zeros(terms.shape[1:] + (dim,), dtype=complex)
     np.add.at(np.moveaxis(out, -1, 0), into, terms)
     return out
-
-
-def _star_index(alg) -> np.ndarray:
-    """The permutation of basis indices that * induces: (E^k_ij)* = E^k_ji,
-    so the coefficients of x* are x.conj()[star]."""
-    star = np.empty(alg.dim, dtype=int)
-    for idx in alg.blocks_by_size.values():
-        star[idx] = idx.transpose(0, 2, 1)
-    return star
 
 
 def _block_pairs(alg):
@@ -260,11 +250,11 @@ def _group_basis_defects(alg: FinDimCStarAlgebra, table: np.ndarray, V: np.ndarr
     - group_multiplicative: lambda_g lambda_h - lambda_{gh};
     - group_star: lambda_g^* - lambda_{g^-1}.
     Given the other three, the last says that each lambda_g is unitary."""
-    sizes = np.repeat(alg.blocks, np.square(alg.blocks))
-    return {"group_basis": _largest(V @ V.conj().T * (sizes / len(table)) - np.eye(alg.dim)),
-            "group_identity": _largest(V[:, identity] - alg.unit().vec()),
+    return {"group_basis": _largest(V @ V.conj().T * (alg.basis_sizes / len(table))
+                                    - np.eye(alg.dim)),
+            "group_identity": _largest(V[:, identity] - alg.unit_vector),
             "group_multiplicative": _largest(_group_products(alg, V) - V.T[table]),
-            "group_star": _largest(V.conj()[_star_index(alg)] - V[:, inverse])}
+            "group_star": _largest(V.conj()[alg.star_index] - V[:, inverse])}
 
 
 def _dual_certificate(qg: QuantumGroup) -> Dict[str, float]:
@@ -336,7 +326,7 @@ def _recovered_group(qg: QuantumGroup) -> Optional[QuantumGroup]:
     alg, dim = qg.algebra, qg.dim
     rng = random.Random(0)
     weights = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
-    sizes = np.repeat(alg.blocks, np.square(alg.blocks))
+    sizes = alg.basis_sizes
     root = np.sqrt(sizes)[:, None]
     M = (weights @ qg.delta.reshape(dim, dim * dim)).reshape(dim, dim)
     try:
@@ -442,8 +432,8 @@ def _verify_axioms(qg: QuantumGroup) -> QGReport:
     alg = qg.algebra
     dim = alg.dim
     left, right, into = _product_table(alg)
-    star = _star_index(alg)
-    unit = qg.unit_vec()
+    star = alg.star_index
+    unit = alg.unit_vector
     delta, epsilon, kappa = qg.delta, qg.epsilon, qg.kappa
     eye = np.eye(dim)
     res: Dict[str, float] = {}
@@ -544,7 +534,7 @@ def require_kac(qg: QuantumGroup) -> None:
         raise KacViolation("antipode is not involutive")
     alg = qg.algebra
     star = max_operator_norms({"kappa_star": alg.element_blocks(
-        _kappa_star_defects(_star_index(alg), qg.kappa))})["kappa_star"]
+        _kappa_star_defects(alg.star_index, qg.kappa))})["kappa_star"]
     if not star <= 1e-9:
         raise KacViolation("antipode does not commute with *")
 
@@ -568,7 +558,7 @@ def haar_state(qg: QuantumGroup) -> HaarResult:
     left multiplication by a on the block M_{n_k} has trace n_k Tr_k(a_k).
     So the Haar state is the Plancherel trace h = sum_k (n_k / dim) Tr_k,
     whose densities (n_k / dim) I are positive definite: `reduced` is
-    always True.
+    always True.  Its vector is the unit's coefficients times n_k / dim.
 
     The theorem needs a Hopf algebra, so h is checked: the residual is the
     largest of (h (x) id)Delta(a) - h(a)1, its mirror (id (x) h)Delta(a) -
@@ -579,9 +569,9 @@ def haar_state(qg: QuantumGroup) -> HaarResult:
     delta = qg.delta
     if not np.isfinite(delta).all():
         raise NoInvariantState("delta has a non-finite entry")
-    state = StateFunctional(alg, [np.eye(n) * (n / dim) for n in alg.blocks])
-    h = state.as_vector()
-    unit = qg.unit_vec()
+    unit = alg.unit_vector
+    h = unit * alg.basis_sizes / dim
+    state = StateFunctional._of_vector(alg, h)
     expected = np.outer(unit, h)   # h(e_a) 1 at [leg, a]
     left = (h @ delta.reshape(dim, dim * dim)).reshape(dim, dim) - expected
     right = h @ delta - expected  # [b, a]: sum_g delta[b, g, a] h_g

@@ -165,6 +165,17 @@ exponential in the number of points:
   that defines a Hopf quotient acting (D)-isometrically must contain the
   envelope's ideal; annihilator_convolution_check: functionals vanishing
   on the ideal, sampled, are closed under convolution;
+- random_state_by_blocks, extreme_state_by_blocks and
+  haar_state_by_blocks: the samplers and the Plancherel trace as first
+  written, one density per block, made into a StateFunctional from its
+  densities, against the coefficient vectors that `algebra` and
+  `haar_state` write directly, whose vectors and densities must be
+  bitwise equal to the reference's;
+- quotient_by_gather and induced_action_by_gather: the envelope's
+  quotient and induced action as first built, gathering the surviving
+  basis of every structure map and of u even when no block is cut,
+  against the uncut envelope that shares the group's maps, whose
+  `qiso envelope` output must be equal to the reference's;
 - from_permutation_group, dual_of_group, save_space,
   distribution_to_dict and load_quantum_group: helpers with no caller in
   `qiso`, kept for the tests that build groups and files through them;
@@ -2406,6 +2417,65 @@ def induced_action_by_entry(action: CoAction, quotient: QuantumGroup,
                     for j in range(n)) for i in range(n))
     return CoAction(quotient, action.space, entry_tensor(u),
                     name=name or f"{action.name}-envelope")
+
+
+def quotient_by_gather(qg: QuantumGroup, ideal: BlockIdeal,
+                       name: str = "") -> Tuple[QuantumGroup, List[int]]:
+    """The quotient by a block ideal, its maps gathered on the surviving
+    basis even when every block survives, when it keeps qg's group."""
+    alg = qg.algebra
+    survivors = [k for k in range(len(alg.blocks)) if k not in ideal]
+    sub_alg = FinDimCStarAlgebra(tuple(alg.blocks[k] for k in survivors))
+    keep = alg.block_indices(survivors)
+    group = {} if len(survivors) < len(alg.blocks) else dict(
+        group_table=qg.group_table, group_elements=qg.group_elements,
+        group_embedding=qg.group_embedding)
+    return QuantumGroup(sub_alg, qg.delta[np.ix_(keep, keep, keep)], qg.epsilon[keep],
+                        qg.kappa[np.ix_(keep, keep)],
+                        name=name or f"{qg.name}/I", **group), survivors
+
+
+def induced_action_by_gather(action: CoAction, quotient: QuantumGroup,
+                             survivors: List[int], name: str = "") -> CoAction:
+    """The induced action, u gathered on the surviving basis."""
+    keep = action.group.algebra.block_indices(survivors)
+    return CoAction(quotient, action.space, action.coeffs[..., keep],
+                    name=name or f"{action.name}-envelope")
+
+
+# ---------------------------------------------------------------------------
+# states one density per block
+
+
+def random_state_by_blocks(algebra: FinDimCStarAlgebra, seed: int) -> StateFunctional:
+    """`algebra.random_state` as first written: the same draws from
+    `random.Random(seed)`, one density per block, 1x1 blocks included."""
+    rng = random.Random(seed)
+    weights = np.array([rng.expovariate(1.0) for _ in algebra.blocks])
+    weights /= weights.sum()
+    densities = []
+    for w, b in zip(weights, algebra.blocks):
+        if b == 1:
+            densities.append(np.array([[w]]))
+            continue
+        G = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * b * b)]
+                     ).view(complex).reshape(b, b)
+        rho = G @ G.conj().T
+        densities.append(rho / np.trace(rho).real * w)
+    return StateFunctional(algebra, tuple(densities))
+
+
+def extreme_state_by_blocks(algebra: FinDimCStarAlgebra, block: int, xi) -> StateFunctional:
+    """The vector state xi xi* on one block, zero densities elsewhere."""
+    xi = np.asarray(xi, dtype=complex)
+    densities = [np.zeros((b, b), dtype=complex) for b in algebra.blocks]
+    densities[block] = np.outer(xi, xi.conj())
+    return StateFunctional(algebra, tuple(densities))
+
+
+def haar_state_by_blocks(qg: QuantumGroup) -> StateFunctional:
+    """The Plancherel trace, density (n_k / dim) I on block k."""
+    return StateFunctional(qg.algebra, [np.eye(n) * (n / qg.dim) for n in qg.algebra.blocks])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 the saturation search and universal property of the oracles."""
 
 import itertools
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +12,12 @@ from qiso.catalog import (dihedral_projection_action, four_point_asymmetric,
                           four_point_blocks, four_cycle_broken_diagonal,
                           permutation_action, random_permutation_action,
                           standard_actions, three_point_isosceles)
+from qiso.cli import main
 from qiso.coaction import CoAction, verify_coaction
 from qiso.envelope import (BlockIdeal, _delta_violations, envelope,
                            kappa_block_map)
 from qiso.errors import QisoError
+from qiso.fileio import save_coaction
 from qiso.isometry import check_D, commutator_defects, defect_blocks
 from qiso.metric import random_metric_space, validate_metric
 from qiso.quantum_group import verify_quantum_group
@@ -23,8 +26,9 @@ from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from oracles import (SaturationReachedFullAlgebra,
                      annihilator_convolution_check, apply_kappa,
                      classical_group, counit, delta_violations_loops,
-                     hopf_saturate, invert, is_hopf_ideal,
-                     kappa_block_map_loops, verify_universal_property)
+                     hopf_saturate, induced_action_by_gather, invert,
+                     is_hopf_ideal, kappa_block_map_loops, quotient_by_gather,
+                     verify_universal_property)
 
 
 S3_FULL = permutation_action(three_point_isosceles(), [(1, 2, 0), (1, 0, 2)],
@@ -439,3 +443,60 @@ def test_envelope_rejects_non_finite_entries():
                 else:
                     got = envelope(corrupted).ideal.included_blocks
                     assert tuple(sorted(got)) == want, (entry.name, field)
+
+
+def test_uncut_envelope_shares_the_group_maps():
+    """When (D) holds the envelope cuts nothing, and its quotient is the
+    group renamed X/I: the same algebra, Delta, epsilon and kappa arrays,
+    no copy, and the group a dual was built from.  The induced action,
+    named X-envelope, has the action's coefficients bit for bit.  A cut
+    quotient and its induced action take the same names."""
+    isometric = [entry.action for entry in standard_actions()
+                 if check_D(entry.action).holds]
+    isometric += [dihedral_projection_action(four_point_blocks(), m) for m in (3, 5, 7)]
+    assert len(isometric) >= 6
+    for action in isometric:
+        qg = action.group
+        env = envelope(action)
+        quotient = env.quotient
+        assert not env.ideal and env.survivors == list(range(len(qg.algebra.blocks)))
+        assert quotient.algebra is qg.algebra and quotient.delta is qg.delta
+        assert quotient.epsilon is qg.epsilon and quotient.kappa is qg.kappa
+        assert quotient.group_embedding is qg.group_embedding
+        assert quotient.group_table is qg.group_table
+        assert quotient.name == f"{qg.name}/I", quotient.name
+        assert env.induced.name == f"{action.name}-envelope"
+        assert env.induced.coeffs.tobytes() == action.coeffs.tobytes()
+        assert env.reports["quantum_group"].residuals == \
+            verify_quantum_group(qg).residuals, action.name
+    cut = envelope(S3_FULL)
+    assert cut.ideal and cut.quotient.delta.shape[0] < S3_FULL.group.dim
+    assert cut.quotient.name == f"{S3_FULL.group.name}/I"
+    assert cut.induced.name == "s3-full-envelope"
+
+
+def test_cli_envelope_equals_the_gathered_quotient(tmp_path, capsys, monkeypatch):
+    """`qiso envelope` prints the same JSON on all 13 catalog entries as
+    when the quotient and the induced action gather the surviving basis
+    even where no block is cut."""
+    from qiso import envelope as envelope_module
+
+    entries = standard_actions()
+    assert len(entries) == 13
+    uncut = 0
+    for entry in entries:
+        path = tmp_path / f"{entry.name}.json"
+        save_coaction(str(path), entry.action)
+        outputs = []
+        for gathered in (False, True):
+            with monkeypatch.context() as patch:
+                if gathered:
+                    patch.setattr(envelope_module, "quotient_quantum_group",
+                                  quotient_by_gather)
+                    patch.setattr(envelope_module, "induced_action",
+                                  induced_action_by_gather)
+                assert main(["envelope", str(path)]) == 0, entry.name
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], entry.name
+        uncut += not json.loads(outputs[0])["killed_blocks"]
+    assert 0 < uncut < len(entries)
