@@ -18,9 +18,8 @@ from .quantum_group import (QuantumGroup, haar_state, verify_quantum_group)
 from .coaction import CoAction, act_on_point, orbits, verify_coaction
 from .isometry import (IsometryVerdict, check_D, check_injectivity,
                        check_lip1_universal, check_lip_p_state,
-                       check_lip_p_state_sweep, check_lip_p_universal,
-                       check_support_universal, check_theorem_main,
-                       check_winf_universal)
+                       check_lip_p_universal, check_support_universal,
+                       check_theorem_main, check_winf_universal)
 from .envelope import BlockIdeal, EnvelopeResult
 
 __version__ = "0.1.0"

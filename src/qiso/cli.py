@@ -307,9 +307,11 @@ def _check(args) -> int:
         else:
             verdict = iso.check_theorem_main(action)
     doc = verdict.as_dict()
-    if doc.get("witness") and "state" in (doc["witness"] or {}):
-        doc["witness"] = dict(doc["witness"])
-        doc["witness"]["state"] = fileio.state_to_dict(doc["witness"]["state"])
+    # a failure's witness state, or a hold's tightest state, as a state
+    # file that `qiso check --state` reads back
+    for key in ("witness", "certificate"):
+        if "state" in (doc[key] or {}):
+            doc[key] = dict(doc[key], state=fileio.state_to_dict(doc[key]["state"]))
     _emit(args, doc)
     return EXIT_OK if verdict.holds else EXIT_FAILED
 

@@ -40,14 +40,20 @@ class CoAction:
     coeffs: np.ndarray = field(repr=False)
     name: str = ""
     stacks: List[np.ndarray] = field(init=False, repr=False)
-    # block -> its exact form, as `exact_block` reads it on first use
-    _exact_forms: Dict[int, Optional[Tuple[np.ndarray, int]]] = field(
+    # (block, antipode) -> its exact form, as `exact_block` reads it on
+    # first use
+    _exact_forms: Dict[Tuple[int, bool], Optional[Tuple[np.ndarray, int]]] = field(
         init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n = self.space.n
         alg = self.group.algebra
-        self.coeffs = np.array(self.coeffs, dtype=complex)
+        # a read-only complex tensor of the right shape, such as another
+        # action's, is shared, since no one can change it; the rest is copied
+        coeffs = self.coeffs
+        if not (isinstance(coeffs, np.ndarray) and coeffs.dtype == complex
+                and not coeffs.flags.writeable and coeffs.shape == (n, n, alg.dim)):
+            self.coeffs = np.array(coeffs, dtype=complex)
         if self.coeffs.shape != (n, n, alg.dim):
             raise ShapeMismatch(f"coefficient tensor of shape {self.coeffs.shape}, "
                                 f"need ({n}, {n}, {alg.dim})")
@@ -80,17 +86,22 @@ class CoAction:
         supports[k, x, place[k, x, j]] = j
         return supports
 
-    def exact_block(self, k: int) -> Optional[Tuple[np.ndarray, int]]:
+    def exact_block(self, k: int, antipode: bool = False
+                    ) -> Optional[Tuple[np.ndarray, int]]:
         """(R, q) with R[i, j] the real form [[Re, -Im], [Im, Re]] of u_ij
         on block k times the common denominator q, an (n, n, 2b, 2b) array
         of Python ints; None when some entry of the block is not a rational
         with denominator <= 4096.  Read on first use, each distinct float of
         the block once, as `limit_denominator` finds it, up to the first
         that is no such rational: every exact decision of the isometry
-        checks reads this one form, and only for the blocks it decides."""
-        if k not in self._exact_forms:
-            self._exact_forms[k] = exact_form(self.stacks[k])
-        return self._exact_forms[k]
+        checks reads this one form, and only for the blocks it decides.
+        With `antipode`, the same form of kappa(u_ij) on block k, which the
+        exact decision of (D) reads beside u's."""
+        if (k, antipode) not in self._exact_forms:
+            stacks = self.group.algebra.split(
+                self.coeffs @ self.group.kappa.T) if antipode else self.stacks
+            self._exact_forms[k, antipode] = exact_form(stacks[k])
+        return self._exact_forms[k, antipode]
 
 
 def exact_form(stack: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:

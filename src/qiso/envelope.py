@@ -121,7 +121,7 @@ def induced_action(action: CoAction, quotient: QuantumGroup,
                    survivors: List[int], name: str = "") -> CoAction:
     """Compress the magic unitary to the surviving blocks (the functorial
     triangle commutes by construction; verified downstream).  When every
-    block survives the coefficients are the action's, unsliced."""
+    block survives the induced action shares the action's tensor."""
     coeffs = action.coeffs
     if len(survivors) < len(action.group.algebra.blocks):
         coeffs = coeffs[..., action.group.algebra.block_indices(survivors)]

@@ -15,21 +15,18 @@ re-decides near-tie blocks exactly, on the exact forms of u and kappa(u)
 and the integer form of d; a character only where two distances are
 close enough for that to matter.  Every
 pairwise check visits the pairs of `_state_pairs`: x < y on an exactly
-symmetric d, every ordered pair otherwise.  A failing (D) or sampled
+symmetric d, every ordered pair otherwise.  A failing (D) or per-state
 Lip_p check reports the first pair in that order whose residual or
 margin is within 1e-12 (relative to the largest residual, or times max
 d) of the worst, so pairs that tie up to rounding give one witness.
 
-The sampled per-state Lip_p sweep takes all states of an instance at
-once and reads W_p off precomputed dual data as array maxima: for finite
-p, the largest f.mu + g.nu over the dual vertices of d^p on the whole
-space, enumerated once per triangulation rather than once per p; for
-p = inf, the least realized radius whose Hall deficiency
-max_S mu(S) - nu(N(S)) is within the max-flow tolerance.
-Where a measured cost model says that costs more than one transport
-problem per pair (few states, or large n, or Hall tables with many
-entries per pair or over a memory cap) it solves those instead.  Each
-verdict records its route.
+The per-state Lip_p check solves one transport problem per pair, by the
+simplex for finite p and by max-flow for p = inf.  It shares no step
+with the universal checks below, which find their states through dual
+vertices and eigenvectors, so a universal verdict replayed on its own
+state (`reports.verify_instance`) is decided a second time: a failing
+verdict's witness state, and a holding verdict's state at its largest
+margin or residual on a block of size > 1.
 
 Universal quantification over states is resolved exactly, block by
 block: the sup of psi(a) over states of a block is its largest
@@ -62,18 +59,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, log
-from typing import Callable, FrozenSet, List, NamedTuple, Optional, Tuple
+from math import lcm
+from typing import Callable, FrozenSet, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .algebra import StateFunctional, exact_psd, extreme_state, operator_norms
-from .coaction import CoAction, act_on_points, exact_form
+from .coaction import CoAction, act_on_points
 from .metric import PairSet
 from .scalars import RATIONAL
-from .transport import (ProbVector, _dual_vertex_search, _tree_vertices,
-                        feasible_coupling_on, flow_slack, wasserstein_inf,
-                        wasserstein_p)
+from .transport import (ProbVector, _dual_vertex_search, feasible_coupling_on,
+                        wasserstein_inf, wasserstein_p)
 
 
 @dataclass
@@ -140,17 +136,10 @@ def _state_pairs(space):
 def commutator_defects(action: CoAction) -> np.ndarray:
     """The defect elements c_xy = sum_j d(y,j) u_xj - sum_j d(x,j) kappa(u_yj)
     as an (n, n, dim) tensor of coefficient vectors; all zero exactly when
-    condition (D) holds."""
-    return _defect_terms(action)[0]
-
-
-def _defect_terms(action: CoAction) -> Tuple[np.ndarray, np.ndarray]:
-    """`commutator_defects` and the kappa(u_yj) it subtracts, as an
-    (n, n, dim) tensor of coefficient vectors: U kappa^T."""
+    condition (D) holds.  kappa(u_yj) is U kappa^T on coefficients."""
     d = np.array(action.space.dist, dtype=float)
-    antipodes = action.coeffs @ action.group.kappa.T
     return np.einsum("yj,xja->xya", d, action.coeffs) - \
-        np.einsum("xj,yja->xya", d, antipodes), antipodes
+        np.einsum("xj,yja->xya", d, action.coeffs @ action.group.kappa.T)
 
 
 def _defect_verdict(tag: str, residuals: np.ndarray, space,
@@ -187,12 +176,12 @@ class DefectCut(NamedTuple):
     blocks: FrozenSet[int]   # the blocks on which some c_xy is nonzero
 
 
-def _form_defects(action: CoAction, k: int,
-                  antipodes: np.ndarray) -> Optional[np.ndarray]:
+def _form_defects(action: CoAction, k: int) -> Optional[np.ndarray]:
     """Whether c_xy is exactly nonzero on block k, an (n, n) array, or
     None when either term of c_xy has no exact form there.  With the
-    block's exact forms (R, q) of u and (S, r) of kappa(u) (`antipodes`,
-    from `_defect_terms`), and the space's integer form K (d = K / s),
+    block's exact forms (R, q) of u and (S, r) of kappa(u), each read once
+    per action (`CoAction.exact_block`), and the space's integer form K
+    (d = K / s):
     c_xy s = sum_j K[y, j] R[x, j] / q - sum_j K[x, j] S[y, j] / r, on
     ints once both sides are taken to the denominator lcm(q, r).  No
     identity between kappa(u_yj) and u_jy is assumed: it holds for a
@@ -200,7 +189,7 @@ def _form_defects(action: CoAction, k: int,
     form = action.exact_block(k)
     if form is None:
         return None
-    kappa_form = exact_form(action.group.algebra.split(antipodes)[k])
+    kappa_form = action.exact_block(k, antipode=True)
     if kappa_form is None:
         return None
     (R, q), (S, r) = form, kappa_form
@@ -230,9 +219,8 @@ def defect_blocks(action: CoAction) -> DefectCut:
     alg = action.group.algebra
     scale = float(space.max_distance)
     norms = np.empty((action.n, action.n, len(alg.blocks)))
-    defects, antipodes = _defect_terms(action)
     for idx, stack in zip(alg.blocks_by_size.values(),
-                          alg.element_blocks(defects)):
+                          alg.element_blocks(commutator_defects(action))):
         norms[..., alg.block_of[idx[:, 0, 0]]] = operator_norms(stack)
     nonzero = ~(norms <= space.tol * scale)
     if space.mode == RATIONAL:
@@ -245,7 +233,7 @@ def defect_blocks(action: CoAction) -> DefectCut:
         if not (gaps <= 2 * _BORDERLINE * scale).any():
             near = near[np.array(alg.blocks)[near] > 1]
         for k in near.tolist():
-            exact = _form_defects(action, k, antipodes)
+            exact = _form_defects(action, k)
             if exact is not None:
                 nonzero[..., k] = exact
     return DefectCut(norms.max(axis=-1),
@@ -273,234 +261,39 @@ def check_D_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:
                            action.space)
 
 
-# The route choice of `check_lip_p_state_sweep`, whose docstring gives
-# the reason for each of these four constants.
-_TREE_COST = 0.3            # one enumerated tree, in per-pair simplex solves
-_VERTEX_MAX_N = 7           # the largest n at which that cost was measured
-_HALL_MAX_CELLS = 2 ** 22   # the most Hall table entries, (K n + pairs)(2^n - 1)
-_HALL_CELLS_PER_PAIR = 30_000   # Hall table entries costing one W_inf solve
-
-# The most (state, pair, vertex) sums that `_dual_vertex_sweep` forms at
-# once, 2 MB of floats: a bound on its memory whatever the state count.
-_VERTEX_CELLS = 2 ** 18
-
-
-def _sweep_route(space, n_states: int, dist: np.ndarray, p, finite: bool) -> str:
-    """The route that `check_lip_p_state_sweep` takes for one p, given the
-    distances d(x, y) of its pairs."""
-    n, n_pairs = space.n, len(dist)
-    if finite:
-        # The dual-vertex sums f.mu + g.nu hold 2n terms of size up to
-        # max d^p, so in floats W_p^p is off by about e = 4 n u max d^p
-        # (u = 2^-53), which moves W_p at d(x, y) >= min d by at most
-        # e / (p min d^(p-1)); the verdict needs that within tol x max d.
-        # Compared in logs, as (max d / min d)^(p-1) may overflow a float.
-        if n <= _VERTEX_MAX_N and \
-                _TREE_COST * comb(2 * n - 2, n - 1) <= n_states * n_pairs and \
-                (float(p) - 1) * log(float(space.max_distance) / dist.min()) <= \
-                log(float(p) * space.tol / (4 * n * 2.0 ** -53)):
-            return "dual-vertices"
-        return "simplex"
-    cells = (len(space.realized_distances) * n + n_pairs) * (2 ** n - 1)
-    if cells <= min(_HALL_MAX_CELLS, _HALL_CELLS_PER_PAIR * n_pairs):
-        return "hall-subsets"
-    return "max-flow"
-
-
-def _vertex_floats(vertices, scale) -> np.ndarray:
-    """The raw potentials of `transport._dual_vertex_search` as a float
-    array, one row per vertex: ints v at the scale s of a rational space
-    as v / s, which is correctly rounded and so equals the float of the
-    Fraction v / s; floats as they are."""
-    if scale is not None:
-        vertices = [[v / scale for v in vert] for vert in vertices]
-    return np.array(vertices, dtype=float)
-
-
-def _dual_vertex_sweep(space, masses, xs, ys, p, trees):
-    """W_p for every state and pair, as the largest f.mu + g.nu over the
-    vertices (f, g) of the dual polyhedron of d^p on the whole space:
-    the dual LP's value, attained at a vertex because the polyhedron is
-    pointed and the objective bounded above on it, and the trees that
-    gave the vertices.  The vertices are the raw potentials of the pivot
-    search, read by `_vertex_floats`, or those of `trees`, the last
-    search's, where `transport._tree_vertices` finds every tree feasible
-    for d^p.  The sums f.mu + g.nu are formed for as many states at once
-    as keep them within _VERTEX_CELLS entries (every state of a catalog
-    instance)."""
-    found = None if trees is None else _tree_vertices(space, p, trees)
-    if found is None:
-        *found, trees = _dual_vertex_search(space, p)
-    V = _vertex_floats(*found)
-    F, G = V[:, :space.n].T, V[:, space.n:].T
-    step = max(1, _VERTEX_CELLS // (len(xs) * len(V)))
-    power = np.concatenate([
-        ((chunk @ F)[:, xs] + (chunk @ G)[:, ys]).max(-1)
-        for chunk in np.split(masses, range(step, len(masses), step))])
-    return np.maximum(power, 0.0) ** (1.0 / float(p)), trees
-
-
-def _hall_sweep(space, masses, xs, ys) -> np.ndarray:
-    """W_inf for every state and pair: the least realized radius r_k at
-    which a coupling of (mu, nu) lives on {d <= r_k}.  By Hall's theorem
-    that holds iff the deficiency max_S mu(S) - nu(N_k(S)) over nonempty S
-    is <= 0, with N_k(S) the points within r_k of S; the deficiency is
-    1 minus the max flow of `feasible_coupling_on`, accepted within
-    `flow_slack(n, space.tol)` as in `wasserstein_inf`.  N_k takes the
-    pairs of `space.distance_ranks` at most `space.sublevel_tops[k]`, as
-    `wasserstein_inf` does, and every pair bisects on k from the whole
-    range (where `wasserstein_inf` sweeps upward from its single-point
-    Hall bound): nu(N_k(S)) is a sum of more nonnegative terms as k
-    grows, so feasibility is monotone in floats.
-
-    `_hall_ranks` bisects a chunk of states at a time: as many as keep
-    its tables, (K n + 3 P)(2^n - 1) entries a state, within
-    _HALL_MAX_CELLS, and at least one.  The neighbourhood table N_k(S),
-    K (2^n - 1) n entries, is shared by every chunk.
-    """
-    n = space.n
-    values = space.realized_distances
-    ranks = np.array(space.distance_ranks)
-    near = np.array([ranks <= top for top in space.sublevel_tops],
-                    dtype=float)                             # (K, n, n)
-    subsets = (np.arange(1, 2 ** n)[:, None] >> np.arange(n)) & 1
-    reach = subsets @ near                                   # (K, 2^n-1, n)
-    np.minimum(reach, 1.0, out=reach)
-    radii = np.array([float(v) for v in values])
-    step = max(1, _HALL_MAX_CELLS // ((len(values) * n + 3 * len(xs))
-                                      * len(subsets)))
-    slack = flow_slack(n, space.tol)
-    return np.concatenate([
-        radii[_hall_ranks(reach, subsets, chunk, xs, ys, slack)]
-        for chunk in np.split(masses, range(step, len(masses), step))])
-
-
-def _hall_ranks(reach, subsets, masses, xs, ys, tol) -> np.ndarray:
-    """The least k at which every (state, pair) passes Hall's test, all
-    bisecting at once on (S, P) arrays.  Its tables are nu (S K (2^n - 1) n
-    entries), mu and two deficiencies (S P (2^n - 1) each)."""
-    mu = masses[:, xs] @ subsets.T                           # (S, P, 2^n-1)
-    nu = reach @ masses.transpose(0, 2, 1)[:, None]          # (S, K, 2^n-1, n)
-    states = np.arange(len(masses))[:, None]
-    lo = np.zeros(mu.shape[:2], dtype=int)
-    hi = np.full(mu.shape[:2], len(reach) - 1)  # {d <= max d} always feasible
-    while (lo < hi).any():
-        mid = (lo + hi) // 2
-        deficiency = nu[states, mid, :, ys]                  # (S, P, 2^n-1)
-        np.subtract(mu, deficiency, out=deficiency)
-        feasible = deficiency.max(-1) <= tol
-        hi = np.where(feasible, mid, hi)
-        lo = np.where(feasible, lo, np.minimum(mid + 1, hi))
-    return lo
-
-
-def _pair_sweep(space, masses, pairs, p) -> np.ndarray:
-    """W_p for every state and pair, one transport problem per pair:
-    `wasserstein_p` (the simplex on the float d^p of float masses) for
-    finite p, `wasserstein_inf` otherwise."""
-    images = [[ProbVector(tuple(row)) for row in state]
-              for state in masses.tolist()]
-    if p == float("inf") or p == "inf":
-        def w(mu, nu):
-            return float(wasserstein_inf(space, mu, nu).r)
-    else:
-        def w(mu, nu):
-            return float(wasserstein_p(space, mu, nu, p))
-    return np.array([[w(row[x], row[y]) for x, y in pairs] for row in images])
-
-
-def check_lip_p_state_sweep(action: CoAction, states, ps) -> List[List[IsometryVerdict]]:
-    """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs: verdicts[s][i] for
-    the state states[s] and p = ps[i] (a number >= 1, or inf).
-
-    Every x <| psi of every state is computed once, by one
-    `act_on_points` contraction, for every p; `ProbVector`s of them are
-    built only for the per-pair route.  The pairs are those of
-    `_state_pairs`.  For each p, `_sweep_route` picks how W_p is computed,
-    and each verdict records it as its "route":
-
-      dual-vertices  finite p, n <= _VERTEX_MAX_N, _TREE_COST x
-                     C(2n-2, n-1) <= states x pairs and 4 n 2^-53 x
-                     (max d / min d)^(p-1) <= p tol (`_sweep_route`
-                     gives the reason): `_dual_vertex_sweep`
-                     over the dual vertices of d^p, enumerated once for
-                     every state and pair, and once per triangulation:
-                     on a rational space at integer p, where every tree
-                     of the last enumeration fits d^p, its potentials
-                     are the vertices (`transport._tree_vertices`)
-      hall-subsets   p = inf and, with K realized distances, the Hall
-                     table entries (K n + pairs)(2^n - 1) at most
-                     _HALL_MAX_CELLS and _HALL_CELLS_PER_PAIR x pairs:
-                     `_hall_sweep` over the 2^n - 1 subsets and every
-                     realized radius
-      simplex,       otherwise: one float transport problem per state and
-      max-flow       pair (`_pair_sweep`)
-
-    Each constant rests on the routes' measured costs, recorded as
-    `route_costs` in BENCH_dual_pivots.json (finite p) and
-    BENCH_winf_maxflow.json (p = inf):
-
-      _TREE_COST            one enumerated tree costs about 0.3 per-pair
-                            simplex solves (median 0.27 at n = 5 to 7)
-      _VERTEX_MAX_N         the largest n at which that cost was measured
-      _HALL_CELLS_PER_PAIR  the Hall and max-flow routes cross near
-                            30,000 table entries per pair at every state
-                            count
-      _HALL_MAX_CELLS       the neighbourhood table and one chunk's tables
-                            (`_hall_sweep`) then hold at most 64 MB of
-                            floats, where one state's tables fit
+def check_lip_p_state(action: CoAction, psi: StateFunctional, p) -> IsometryVerdict:
+    """W_p(x <| psi, y <| psi) <= d(x,y) for every pair of `_state_pairs`,
+    one transport problem per pair: `wasserstein_p` (the simplex on the
+    float d^p of the float masses) for finite p >= 1, `wasserstein_inf`
+    for p = inf.  Every x <| psi comes from one `act_on_points` call,
+    which validates it within the space's tol.
 
     The margins W_p - d(x,y) scale with the metric, so the space's tol is
-    taken relative to the largest distance, as for (D); x <| psi is
-    validated within the same tol.  A failure's witness is the first
-    pair whose margin is within 1e-12 x max d of the largest; one array
-    pass per p takes every state's largest margin and first such pair.
-    """
+    taken relative to the largest distance, as for (D).  A failure's
+    witness is the first pair whose margin is within 1e-12 x max d of the
+    largest."""
     space = action.space
-    finite = [not (p == float("inf") or p == "inf") for p in ps]
-    if any(fin and not p >= 1 for p, fin in zip(ps, finite)):
+    if p == float("inf") or p == "inf":
+        def distance(mu, nu):
+            return float(wasserstein_inf(space, mu, nu).r)
+    elif not p >= 1:
         raise ValueError("p must be >= 1")
-    if not len(states):
-        return []
-    masses = act_on_points(action, states)
+    else:
+        def distance(mu, nu):
+            return float(wasserstein_p(space, mu, nu, p))
+    images = [ProbVector(tuple(row))
+              for row in act_on_points(action, [psi])[0].tolist()]
     pairs = _state_pairs(space)
-    xs = np.array([x for x, _ in pairs], dtype=int)
-    ys = np.array([y for _, y in pairs], dtype=int)
-    dist = np.array([float(space.dist[x][y]) for x, y in pairs])
+    w = [distance(images[x], images[y]) for x, y in pairs]
+    margins = [wxy - float(space.dist[x][y]) for wxy, (x, y) in zip(w, pairs)]
     scale = float(space.max_distance)
-    bound = space.tol * scale
-    out = [[] for _ in states]
-    trees = None
-    for p, fin in zip(ps, finite):
-        route = _sweep_route(space, len(states), dist, p, fin)
-        if route == "dual-vertices":
-            w, trees = _dual_vertex_sweep(space, masses, xs, ys, p, trees)
-        elif route == "hall-subsets":
-            w = _hall_sweep(space, masses, xs, ys)
-        else:
-            w = _pair_sweep(space, masses, pairs, p)
-        margins = w - dist
-        worst, first = np.zeros(len(states)), np.zeros(len(states), dtype=int)
-        if len(pairs):
-            worst = margins.max(axis=1)
-            first = np.argmax(margins >= (worst - 1e-12 * scale)[:, None], axis=1)
-        tag = f"Lip_{p}(state)"
-        for s, (verdicts, top, i) in enumerate(zip(out, worst.tolist(),
-                                                   first.tolist())):
-            verdicts.append(
-                IsometryVerdict(tag, True, certificate={"max_margin": top,
-                                                        "route": route})
-                if top <= bound else
-                IsometryVerdict(tag, False, witness={
-                    "pair": pairs[i], "wasserstein": float(w[s, i]),
-                    "margin": float(margins[s, i]), "route": route}))
-    return out
-
-
-def check_lip_p_state(action: CoAction, psi: StateFunctional, p) -> IsometryVerdict:
-    """W_p(x <| psi, y <| psi) <= d(x,y) for all pairs, one state: the
-    one-state, one-p call of `check_lip_p_state_sweep`."""
-    return check_lip_p_state_sweep(action, [psi], [p])[0][0]
+    worst = max(margins, default=0.0)
+    tag = f"Lip_{p}(state)"
+    if worst <= space.tol * scale:
+        return IsometryVerdict(tag, True, certificate={"max_margin": worst})
+    i = next(i for i, m in enumerate(margins) if m >= worst - 1e-12 * scale)
+    return IsometryVerdict(tag, False, witness={
+        "pair": pairs[i], "wasserstein": w[i], "margin": margins[i]})
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +308,16 @@ def _eigen_state(action: CoAction, k: int, mat: np.ndarray) -> StateFunctional:
         _, vecs = np.linalg.eigh(mat)
         xi = vecs[:, -1]
     return extreme_state(action.group.algebra, k, xi)
+
+
+def _vertex_floats(vertices, scale) -> np.ndarray:
+    """The raw potentials of `transport._dual_vertex_search` as a float
+    array, one row per vertex: ints v at the scale s of a rational space
+    as v / s, which is correctly rounded and so equals the float of the
+    Fraction v / s; floats as they are."""
+    if scale is not None:
+        vertices = [[v / scale for v in vert] for vert in vertices]
+    return np.array(vertices, dtype=float)
 
 
 def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
@@ -550,7 +353,12 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
     raw vertex (at the scale s^p) and block k's exact form (R, q),
     k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b R[y, L_y[b]] must be
     PSD.
-    The witness is the first failure in the order (pair, block, vertex).
+    The witness is the first failure in the order (pair, block, vertex),
+    with the state of the top eigenvector of its vertex matrix.  A holding
+    verdict's certificate carries the same state at the largest margin on
+    a larger block, the first in that order, or none when every block is
+    a character: it is the state on which the verdict is tightest, and a
+    character's verdict is a comparison of distance ranks.
     """
     if p == float("inf") or p == "inf":
         return check_winf_universal(action)
@@ -588,6 +396,7 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
             for k, b in enumerate(blocks) if b > 1}
     vertices = {}        # (L_x, L_y) -> (raw vertices, scale, float f, float g)
     worst = [float(char_margins.max())] if char_margins.size else []
+    tightest = None      # (margin, block, matrix) at a larger block's largest margin
 
     def vertex_psd(k, i, vert):
         """Whether k^p q I - sum_a f_a R[x, L_x[a]] - sum_b g_b R[y, L_y[b]]
@@ -611,14 +420,17 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
             lx, ly = rows[k][x], rows[k][y]
             cut = len(lx)
             if (lx, ly) not in vertices:
-                raw, vscale, _ = _dual_vertex_search(space, p, lx, ly)
+                raw, vscale = _dual_vertex_search(space, p, lx, ly)
                 fg = _vertex_floats(raw, vscale)
                 vertices[lx, ly] = raw, vscale, fg[:, :cut].copy(), fg[:, cut:].copy()
             raw, vscale, F, G = vertices[lx, ly]
             ux, uy = stacks[k][x, list(lx)], stacks[k][y, list(ly)]
             mats = np.einsum("vj,jab->vab", F, ux) + np.einsum("vj,jab->vab", G, uy)
             margins = np.linalg.eigvalsh(mats)[:, -1] - power[r_top[i]]
-            worst.append(float(margins.max()))
+            top = int(np.argmax(margins))
+            worst.append(float(margins[top]))
+            if tightest is None or worst[-1] > tightest[0]:
+                tightest = worst[-1], k, mats[top]
             failed = _first_failure(
                 margins, space.tol * scale, _BORDERLINE * scale,
                 (lambda v: vertex_psd(k, i, raw[v])) if exact else None)
@@ -638,8 +450,10 @@ def check_lip_p_universal(action: CoAction, p) -> IsometryVerdict:
             "pair": (x, y), "block": k, "kind": "character",
             "points": (sx, sy), "margin": float(char_margins[stop[0], c]),
             "state": _eigen_state(action, k, stacks[k][x, sx])})
-    return IsometryVerdict(tag, True,
-                           certificate={"max_margin": max(worst, default=0.0)})
+    certificate = {"max_margin": max(worst, default=0.0)}
+    if tightest is not None:
+        certificate["state"] = _eigen_state(action, tightest[1], tightest[2])
+    return IsometryVerdict(tag, True, certificate=certificate)
 
 
 def check_lip1_universal(action: CoAction) -> IsometryVerdict:
@@ -670,10 +484,12 @@ def _support_sweep(action: CoAction) -> Callable[[bool], IsometryVerdict]:
     one stacked matmul and one batched eigvalsh per block size (the real
     entry on 1x1 blocks).  A verdict, formed when asked for, has as
     witness its first failure in the order (pair, block, j, k) and as
-    certificate its largest residual.  In rational mode a product within
-    _BORDERLINE of 0 is re-decided exactly, once for both verdicts and
-    only before their first failures:
-    -(R_P R_Q R_P) must be PSD, on the block's exact form."""
+    certificate its largest residual.  Either carries the state of the top
+    eigenvector of its P Q P: at the failure, or at the largest residual
+    on a larger block, the first in that order (none when no product lies
+    on one).  In rational mode a product within _BORDERLINE of 0 is
+    re-decided exactly, once for both verdicts and only before their first
+    failures: -(R_P R_Q R_P) must be PSD, on the block's exact form."""
     space = action.space
     alg = action.group.algebra
     pairs = _state_pairs(space)
@@ -702,6 +518,10 @@ def _support_sweep(action: CoAction) -> Callable[[bool], IsometryVerdict]:
         P = stack[xs[pair[i]], j[i]]
         return P @ stack[ys[pair[i]], k[i]] @ P
 
+    def state(i):
+        """The state of the top eigenvector of product i."""
+        return _eigen_state(action, int(block[i]), product(i, action.stacks[block[i]]))
+
     decided = {}
 
     def product_psd(i):
@@ -722,14 +542,16 @@ def _support_sweep(action: CoAction) -> Callable[[bool], IsometryVerdict]:
                                 (lambda f: product_psd(int(chosen[f])))
                                 if space.mode == RATIONAL else None)
         if failed is None:
-            return IsometryVerdict(tag, True, certificate={
-                "max_residual": max([0.0] + margins[chosen].tolist())})
+            certificate = {"max_residual": max([0.0] + margins[chosen].tolist())}
+            larger = chosen[sizes[chosen] > 1]
+            if len(larger):
+                certificate["state"] = state(larger[np.argmax(margins[larger])])
+            return IsometryVerdict(tag, True, certificate=certificate)
         i = chosen[failed]
         return IsometryVerdict(tag, False, witness={
             "pair": pairs[pair[i]], "points": (int(j[i]), int(k[i])),
             "block": int(block[i]), "residual": float(margins[i]),
-            "state": _eigen_state(action, int(block[i]),
-                                  product(i, action.stacks[block[i]]))})
+            "state": state(i)})
 
     return verdict
 

@@ -24,14 +24,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import random_state
 from .catalog import (CATALOG, catalog_action, random_permutation_action,
                       random_quantum_action)
 from .coaction import CoAction, verify_coaction
 from .envelope import envelope
 from .errors import QisoError
 from .fileio import coaction_to_dict
-from .isometry import (check_injectivity, check_lip_p_state_sweep,
+from .isometry import (IsometryVerdict, check_injectivity, check_lip_p_state,
                        check_lip_p_universal, check_support_universal,
                        defect_blocks)
 from .metric import METRIC_MODELS, random_metric_space
@@ -48,7 +47,6 @@ class SearchConfig:
     metric_model: str = "shortest-path-graph"
     catalog: Optional[List[str]] = None   # entry names; None = all
     random_actions: int = 0
-    state_samples: int = 10
     p_list: Sequence = (1, 2, 3, "inf")
     seed: int = 0
     time_budget: Optional[float] = None   # seconds; soft, between instances
@@ -81,7 +79,6 @@ _CONFIG_CHECKS = {
     "metric_model": lambda v: isinstance(v, str) and v in METRIC_MODELS,
     "catalog": lambda v: v is None or _is_list(v, lambda s: isinstance(s, str)),
     "random_actions": lambda v: _is_number(v, 0, int),
-    "state_samples": lambda v: _is_number(v, 0, int),
     "p_list": lambda v: _is_list(v, lambda p: p == "inf" or _is_number(p, 1)),
     "seed": lambda v: _is_number(v, 0, int),
     "time_budget": lambda v: v is None or _is_number(v, 0),
@@ -149,24 +146,48 @@ def build_instance(desc: dict) -> CoAction:
 # per-instance verification
 
 
-def _condition_flags(action: CoAction, p_list, cut: FrozenSet[int]) -> dict:
-    """All universal verdicts.  (D) holds where `cut`, the blocks on which
-    it fails (`isometry.defect_blocks`, the envelope's ideal), is empty;
-    main and Lip_inf come from one sweep."""
+def _universal_verdicts(action: CoAction, p_list) -> Dict[str, IsometryVerdict]:
+    """The universal verdict of every condition but (D), keyed by its name
+    in CONDITION_ORDER: main and Lip_inf from one sweep, then Lip_p for
+    each finite p of p_list."""
     main, lip_inf = check_support_universal(action)
-    flags: Dict[str, bool] = {
-        "D": not cut,
-        "main": bool(main.holds),
-        "Lip_inf": bool(lip_inf.holds),
-    }
+    verdicts = {"main": main, "Lip_inf": lip_inf}
     for p in p_list:
-        if p in ("inf", float("inf")):
-            continue
-        flags[f"Lip_{p}"] = bool(check_lip_p_universal(action, p).holds)
-    return flags
+        if p not in ("inf", float("inf")):
+            verdicts[f"Lip_{p}"] = check_lip_p_universal(action, p)
+    return verdicts
 
 
-def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10) -> dict:
+def _condition_flags(verdicts: Dict[str, IsometryVerdict],
+                     cut: FrozenSet[int]) -> dict:
+    """Every condition's flag.  (D) holds where `cut`, the blocks on which
+    it fails (`isometry.defect_blocks`, the envelope's ideal), is empty;
+    the others are `verdicts`, those of `_universal_verdicts`."""
+    return {"D": not cut, **{name: bool(v.holds) for name, v in verdicts.items()}}
+
+
+def _replay_disagreements(action: CoAction, p_list,
+                          verdicts: Dict[str, IsometryVerdict]) -> List[str]:
+    """The conditions Lip_p, p in p_list, whose universal verdict the
+    per-state check contradicts on the verdict's own state: the witness
+    state of a failure, which must fail (W_p^p >= lambda_max > d_top^p by
+    weak duality), or a hold's state at its largest margin or residual on
+    a larger block, which must hold.  A verdict with no state, a hold that
+    only characters decide, is a comparison of distance ranks and has
+    nothing to replay."""
+    out = []
+    for p in p_list:
+        name = f"Lip_{p}"
+        verdict = verdicts[name]
+        state = ((verdict.certificate if verdict.holds else verdict.witness)
+                 or {}).get("state")
+        if state is not None and \
+                check_lip_p_state(action, state, p).holds != verdict.holds:
+            out.append(name)
+    return out
+
+
+def verify_instance(desc: dict, p_list=(1, 2, 3, "inf")) -> dict:
     """Everything the verification run records about one action."""
     t0 = time.perf_counter()
     action = build_instance(desc)
@@ -183,27 +204,12 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf"), state_samples: int = 10
     except QisoError as exc:
         cut = defect_blocks(action).blocks
         env_rec = {"error": str(exc)}
-    rec["conditions"] = _condition_flags(action, p_list, cut)
+    verdicts = _universal_verdicts(action, p_list)
+    rec["conditions"] = _condition_flags(verdicts, cut)
     rec["injective"] = bool(check_injectivity(action))
     rec["envelope"] = env_rec
-    # sampled per-state consistency
-    sampled = {f"Lip_{p}": True for p in p_list}
-    worst_state_margin = None
-    states = [random_state(action.group.algebra, desc.get("seed", 0) * 977 + k)
-              for k in range(state_samples)]
-    for verdicts in check_lip_p_state_sweep(action, states, p_list):
-        for p, v in zip(p_list, verdicts):
-            if not v.holds:
-                sampled[f"Lip_{p}"] = False
-                m = v.witness["margin"]
-                if worst_state_margin is None or m > worst_state_margin:
-                    worst_state_margin = m
-    rec["sampled_states_hold"] = sampled
-    rec["sampled_worst_margin"] = worst_state_margin
-    # universal-holds => sampled-holds
-    rec["state_consistency"] = all(
-        not (rec["conditions"].get(key) is True) or held
-        for key, held in sampled.items())
+    rec["replay_disagreements"] = _replay_disagreements(action, p_list, verdicts)
+    rec["state_consistency"] = not rec["replay_disagreements"]
     rec["seconds"] = time.perf_counter() - t0
     return rec
 
@@ -256,8 +262,7 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
     instance that breaks an implication of the tower gets a dossier, built
     here rather than in the workers: its verdicts, the (stronger, weaker)
     pairs it breaks and the coaction inline, which replays them."""
-    worker = functools.partial(verify_instance, p_list=tuple(config.p_list),
-                               state_samples=config.state_samples)
+    worker = functools.partial(verify_instance, p_list=tuple(config.p_list))
     report = RunReport(kind=config.kind, config=asdict(config))
     descs = instance_descriptors(config)
     t0 = time.perf_counter()

@@ -515,9 +515,8 @@ class CouplingFeasibility:
 
 def flow_slack(n: int, tol: float) -> float:
     """How far a float max flow on n rows may fall short of 1 and still be
-    a coupling, in `_FlowNetwork` and in `isometry._hall_sweep`: tol per
-    row, where tol is the caller's, a space's `tol` for W_inf and the
-    isometry checks."""
+    a coupling, in `_FlowNetwork`: tol per row, where tol is the caller's,
+    a space's `tol` for W_inf and the isometry checks."""
     return max(tol * n, tol)
 
 
@@ -797,9 +796,7 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
     maximal cells of the triangulation of the product of two simplices
     that the perturbed cost induces (Develin-Sturmfels 2004, "Tropical
     convexity").  Each tree's unperturbed potentials are a vertex, kept
-    once.  The search itself is `_dual_vertex_search`; where every tree of
-    one exact search is feasible for another p, `_tree_vertices` reads
-    that p's vertices off them with no search.
+    once.  The search itself is `_dual_vertex_search`.
 
     A rational space runs on its integer form, powered per rank as in
     `transport_with_power`, and its vertices come back as Fractions.
@@ -808,7 +805,7 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
     do not depend on the units of the costs.
     """
     m = space.n if rows is None else len(rows)
-    found, scale, _ = _dual_vertex_search(space, p, rows, cols)
+    found, scale = _dual_vertex_search(space, p, rows, cols)
     if scale is not None:
         found = [[Fraction(v, scale) for v in val] for val in found]
     return [DualPotentials(tuple(val[:m]), tuple(val[m:])) for val in found]
@@ -816,14 +813,10 @@ def enumerate_dual_vertices(space: FiniteMetricSpace, p, rows=None,
 
 def _dual_vertex_search(space: FiniteMetricSpace, p, rows=None, cols=None):
     """The pivot search of `enumerate_dual_vertices`, returning its raw
-    potentials and the trees it visited: (vertices, s, trees), each vertex
-    the tuple f_0..f_{m-1}, g_0..g_{n-1}, of ints at the scale s = s_d^p
-    of the space's integer form (the vertex is v / s) on a rational space
-    and integer p, else of floats with s and trees None.  The trees are
-    the cells of the triangulation of the product of two simplices that
-    the perturbed cost induces, each as its walk from the root: a pair
-    (order, pedge), order listing its nodes in preorder and pedge[u] the
-    edge from node u to its parent (-1 at the root).
+    potentials: (vertices, s), each vertex the tuple f_0..f_{m-1},
+    g_0..g_{n-1}, of ints at the scale s = s_d^p of the space's integer
+    form (the vertex is v / s) on a rational space and integer p, else of
+    floats with s None.
 
     A tree is the int bitmask of its edges, edge k = a n + b joining f_a
     and g_b.  Each tree is walked once from the root for its potentials,
@@ -860,8 +853,7 @@ def _dual_vertex_search(space: FiniteMetricSpace, p, rows=None, cols=None):
         [col_bits << b for b in range(n)]
 
     def pivots(tree):
-        """The tree's potentials, the trees one pivot away and the
-        tree's walk (preorder, parent edges)."""
+        """The tree's potentials and the trees one pivot away."""
         adj = [[] for _ in range(nodes)]
         rest = tree
         while rest:
@@ -929,7 +921,7 @@ def _dual_vertex_search(space: FiniteMetricSpace, p, rows=None, cols=None):
                     break
             enter = tied[0] if len(tied) == 1 else min(tied, key=eps_slack)
             out.append(tree ^ bit[pedge[w]] | bit[enter])
-        return val, out, (order, pedge)
+        return val, out
 
     # Start: g_{n-1} joined to every f_a, and every other g_b to an f_a
     # minimizing c_ab - c_{a,n-1}; among ties the largest a, whose
@@ -943,10 +935,8 @@ def _dual_vertex_search(space: FiniteMetricSpace, p, rows=None, cols=None):
     seen = {first}
     queue = deque([first])
     vertices = {}
-    trees = []
     while queue:
-        val, nxt, walk = pivots(queue.popleft())
-        trees.append(walk)
+        val, nxt = pivots(queue.popleft())
         key = tuple(round(v / eps) for v in val) if eps else tuple(val)
         if key not in vertices:
             vertices[key] = tuple(val)
@@ -954,42 +944,4 @@ def _dual_vertex_search(space: FiniteMetricSpace, p, rows=None, cols=None):
             if tree not in seen:
                 seen.add(tree)
                 queue.append(tree)
-    return list(vertices.values()), scale, None if scale is None else trees
-
-
-def _tree_vertices(space: FiniteMetricSpace, p, trees):
-    """The raw vertices of `_dual_vertex_search(space, p)` on the whole
-    space, read off the trees of an earlier exact search on the whole
-    space instead when every one of them is feasible for d^p, else None;
-    always None unless d^p is exact (a rational space and integer p).
-
-    The trees tile the product of two simplices, and a tree feasible for
-    d^p (all slacks >= 0 at its potentials) lies in the cell of the
-    subdivision that d^p induces whose vertex is its potentials (De Loera,
-    Rambau and Santos 2010, "Triangulations", section 6.2).  Each cell is
-    full-dimensional, so some tree lies in it: the trees' distinct
-    potentials are exactly the vertices, each a tuple of ints at the
-    scale of `space.power(p)`.  Each tree is walked once from the root for
-    its potentials, and its slacks are compared with 0 in ints, up to the
-    first tree with a negative one."""
-    power, scale = space.power(p)
-    if scale is None:
-        return None
-    n = space.n
-    work = [power[r] for row in space.distance_ranks for r in row]
-    rows = [work[a * n:(a + 1) * n] for a in range(n)]
-    # the other end of each edge k = a n + b from node u is a + n + b - u
-    ends = [k // n + n + k % n for k in range(n * n)]
-    vertices = {}
-    for order, pedge in trees:
-        val = [0] * (2 * n)
-        for u in order[1:]:
-            k = pedge[u]
-            val[u] = work[k] - val[ends[k] - u]
-        g = val[n:]
-        for f, row in zip(val, rows):
-            for c, h in zip(row, g):
-                if c < f + h:
-                    return None
-        vertices.setdefault(tuple(val), None)
-    return list(vertices), scale
+    return list(vertices.values()), scale

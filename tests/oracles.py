@@ -40,7 +40,10 @@ exponential in the number of points:
   exponential, but independent of the cached supports, the character
   gather, the stacked products and the batched eigensolvers of
   `check_lip_p_universal` and `check_support_universal`, whose verdicts,
-  witnesses, margins and certificates must be equal to the reference's;
+  witnesses, margins and certificates must be equal to the reference's,
+  down to the state that the catalog run replays through the per-state
+  check (`check_lip_p_state`): a failure's witness state, or a hold's
+  state at its largest margin or residual on a block of size > 1;
 - exact_psd_pairs, _exact_entries and _rationalize: exact positivity as
   the universal checks first decided it, on a (re, im) Fraction matrix
   read back entry by entry with `limit_denominator(4096)`, embedded into
@@ -93,10 +96,6 @@ exponential in the number of points:
   `wasserstein_inf`, which must return the same r and violator (the
   min-cut side nearest the source, the same for every max flow) and a
   plan that couples the marginals on the same sublevel set;
-- hall_sweep_loops: the Hall-table W_inf of `isometry._hall_sweep` as
-  first written, one sampled state at a time, against its bisection of
-  every (state, pair) at once on chunks of states, whose radii must be
-  bitwise equal to the loop's;
 - commutator_defects_by_entry, check_D_by_entry, check_D_state_by_entry,
   check_D_commutant_by_entry, generation_deficit_by_entry and
   verify_coaction_by_entry: condition (D), its commutant form, the
@@ -197,7 +196,6 @@ import itertools
 import json
 import math
 import random
-from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -1870,7 +1868,10 @@ def lip_p_universal_loops(action: CoAction, p) -> IsometryVerdict:
     minus d(x,y)^p) and the space's tol is relative to the largest d^p.  In
     rational mode characters compare distances exactly, and eigenvalue
     near-ties are re-decided on the exact matrix, formed from the exact
-    vertex and the u entries (each rationalized once).
+    vertex and the u entries (each rationalized once).  A hold is
+    certified by its largest margin and, where a larger block was swept,
+    the top eigenvector's state of the first vertex matrix with the
+    largest margin there.
     """
     if p == float("inf") or p == "inf":
         return support_universal_loops(action, "Lip_inf(universal)", False)
@@ -1889,6 +1890,8 @@ def lip_p_universal_loops(action: CoAction, p) -> IsometryVerdict:
     vertices = {}        # (L_x, L_y) -> (scale, raw vertices with float f, g)
     exact_u = {}         # (k, i, j) -> u_ij on block k as (re, im) pairs
     worst = None
+    tightest = None      # (margin, block, matrix): the first largest margin
+    #                      on a larger block
 
     def numbers(vert, s):
         """A raw vertex as the numbers it stands for: v / s as Fractions,
@@ -1930,7 +1933,7 @@ def lip_p_universal_loops(action: CoAction, p) -> IsometryVerdict:
                 continue
             cut = len(lx)
             if (lx, ly) not in vertices:
-                raw, vscale, _ = _dual_vertex_search(space, p, lx, ly)
+                raw, vscale = _dual_vertex_search(space, p, lx, ly)
                 vertices[lx, ly] = vscale, [
                     (vert, fg[:cut].copy(), fg[cut:].copy())
                     for vert, fg in zip(raw, _vertex_floats(raw, vscale))]
@@ -1944,6 +1947,8 @@ def lip_p_universal_loops(action: CoAction, p) -> IsometryVerdict:
                     (lambda: exact_matrix(k, x, y, numbers(vert, vscale)))
                     if exact else None)
                 worst = margin if worst is None else max(worst, margin)
+                if tightest is None or margin > tightest[0]:
+                    tightest = (margin, k, mat)
                 if not ok:
                     vert = [str(v) for v in numbers(vert, vscale)]
                     return IsometryVerdict(tag, False, witness={
@@ -1952,8 +1957,10 @@ def lip_p_universal_loops(action: CoAction, p) -> IsometryVerdict:
                         "vertex": (vert[:cut], vert[cut:]),
                         "margin": margin,
                         "state": _eigen_state(action, k, mat)})
-    return IsometryVerdict(tag, True,
-                           certificate={"max_margin": 0.0 if worst is None else worst})
+    certificate = {"max_margin": 0.0 if worst is None else worst}
+    if tightest is not None:
+        certificate["state"] = _eigen_state(action, tightest[1], tightest[2])
+    return IsometryVerdict(tag, True, certificate=certificate)
 
 
 def support_universal_loops(action: CoAction, tag: str,
@@ -1970,7 +1977,10 @@ def support_universal_loops(action: CoAction, tag: str,
     lambda_max(P Q P) = ||P Q||^2 <= 0 with P = u_xj, Q = u_yk, over the
     pairs of `_state_pairs` and the supports of each block (the u_xj of
     trace >= 1 there), with
-    d(j, k) compared to d(x, y) within the space's `dtol`."""
+    d(j, k) compared to d(x, y) within the space's `dtol`.  A hold is
+    certified by its largest residual and, where a larger block has a
+    product, the top eigenvector's state of the first P Q P with the
+    largest residual there."""
     space = action.space
     dist = space.dist
     dtol = space.dtol
@@ -1978,6 +1988,8 @@ def support_universal_loops(action: CoAction, tag: str,
     supports = [[tuple(np.flatnonzero(row > 0.5).tolist()) for row in
                  np.einsum("xjaa->xj", stack).real] for stack in action.stacks]
     worst = 0.0
+    tightest = None      # (residual, block, P Q P): the first largest
+    #                      residual on a larger block
     for x, y in _state_pairs(space):
         d_xy = dist[x][y]
         for b, stack in enumerate(action.stacks):
@@ -1991,12 +2003,18 @@ def support_universal_loops(action: CoAction, tag: str,
                     ok, margin = _lambda_max_leq(mat, 0, space.tol, 1.0, (
                         lambda: _exact_entries(mat)) if exact else None)
                     worst = max(worst, margin)
+                    if stack.shape[2] > 1 and (tightest is None
+                                               or margin > tightest[0]):
+                        tightest = (margin, b, mat)
                     if not ok:
                         return IsometryVerdict(tag, False, witness={
                             "pair": (x, y), "points": (j, k), "block": b,
                             "residual": margin,
                             "state": _eigen_state(action, b, mat)})
-    return IsometryVerdict(tag, True, certificate={"max_residual": worst})
+    certificate = {"max_residual": worst}
+    if tightest is not None:
+        certificate["state"] = _eigen_state(action, tightest[1], tightest[2])
+    return IsometryVerdict(tag, True, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -2026,37 +2044,6 @@ def hall_condition(mu: ProbVector, nu: ProbVector, Y: PairSet,
             if nu(T) < mu(S):
                 return False, frozenset(S)
     return True, None
-
-
-def hall_sweep_loops(space, masses, xs, ys) -> np.ndarray:
-    """W_inf for every state and pair by Hall's theorem, as
-    `isometry._hall_sweep` first computed it: one sampled state at a
-    time, every pair of that state bisecting on the realized radii."""
-    n = space.n
-    values = space.realized_distances
-    ranks = np.array(space.distance_ranks)
-    near = np.array([ranks <= bisect_right(values, v + space.dtol) - 1
-                     for v in values], dtype=float)          # (K, n, n)
-    subsets = (np.arange(1, 2 ** n)[:, None] >> np.arange(n)) & 1
-    reach = subsets @ near                                   # (K, 2^n-1, n)
-    np.minimum(reach, 1.0, out=reach)
-    radii = np.array([float(v) for v in values])
-    rows = np.arange(len(subsets))
-    out = np.empty((len(masses), len(xs)))
-    nu = np.empty_like(reach)
-    for s, mass in enumerate(masses):
-        mu = mass[xs] @ subsets.T                            # (P, 2^n-1)
-        np.matmul(reach, mass.T, out=nu)                     # (K, 2^n-1, n)
-        lo = np.zeros(len(xs), dtype=int)
-        hi = np.full(len(xs), len(values) - 1)  # {d <= max d} always feasible
-        while (lo < hi).any():
-            mid = (lo + hi) // 2
-            deficiency = (mu - nu[mid[:, None], rows, ys[:, None]]).max(-1)
-            feasible = deficiency <= max(n, 1) * 1e-9
-            hi = np.where(feasible, mid, hi)
-            lo = np.where(feasible, lo, np.minimum(mid + 1, hi))
-        out[s] = radii[lo]
-    return out
 
 
 def feasible_coupling_reference(mu: ProbVector, nu: ProbVector, Y: PairSet,

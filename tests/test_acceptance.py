@@ -21,7 +21,8 @@ from qiso.isometry import (check_D, check_injectivity,
                            check_winf_universal)
 from qiso.metric import PairSet, random_metric_space
 from qiso.quantum_group import verify_quantum_group
-from qiso.reports import instance_descriptors, build_instance, SearchConfig
+from qiso.reports import (SearchConfig, _replay_disagreements, build_instance,
+                          instance_descriptors)
 from qiso.transport import (ProbVector, feasible_coupling_on, kantorovich_w1,
                             prob_vector, solve_transport,
                             transport_with_power, wasserstein_inf)
@@ -193,7 +194,9 @@ def population_flags():
     two computations that differ in the reduction, the vertex enumeration
     and the treatment of characters.  The commutant form of (D) is the
     entry-by-entry (U d - d U)_xy of tests/oracles.py, independent of the
-    defect tensor of `check_D`."""
+    defect tensor of `check_D`.  Every universal Lip_p verdict (p = 1, 2,
+    3, inf) that carries a state is replayed on it by the per-state check,
+    as the catalog run replays it, and must agree."""
     config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
                           seed=777)
     forest_vertices = {}
@@ -213,14 +216,16 @@ def population_flags():
         assert verify_coaction(action).passed(1e-9)
         with mock.patch("oracles.enumerate_dual_vertices", forest):
             dual_route = lip_p_universal_full_sweep(action, 1).holds
+        verdicts = {f"Lip_{p}": check_lip_p_universal(action, p)
+                    for p in (1, 2, 3)}
+        verdicts["Lip_inf"] = check_winf_universal(action)
+        assert not _replay_disagreements(action, (1, 2, 3, "inf"), verdicts), \
+            desc
         flags = {
             "name": desc.get("name", str(desc.get("seed"))),
             "D": check_D(action).holds,
-            "Lip_1": check_lip_p_universal(action, 1).holds,
             "Lip_1_dual_route": dual_route,
-            "Lip_2": check_lip_p_universal(action, 2).holds,
-            "Lip_3": check_lip_p_universal(action, 3).holds,
-            "Lip_inf": check_winf_universal(action).holds,
+            **{name: verdict.holds for name, verdict in verdicts.items()},
             "D_commutant": check_D_commutant_by_entry(
                 action, action.space.tol).holds,
         }

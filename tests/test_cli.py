@@ -361,14 +361,16 @@ def test_integer_valued_float_p_is_exact(tmp_path, capsys):
     for entry in standard_actions():
         ints, floats = (check_lip_p_universal(entry.action, p) for p in (2, 2.0))
         assert floats.condition == "Lip_2.0(universal)"
-        assert (floats.holds, floats.certificate) == \
-            (ints.holds, ints.certificate), entry.name
-        wi, wf = dict(ints.witness or {}), dict(floats.witness or {})
-        si, sf = wi.pop("state", None), wf.pop("state", None)
-        assert wf == wi, entry.name
-        if si is not None:
-            assert all(np.array_equal(a, b)
-                       for a, b in zip(si.densities, sf.densities))
+        assert floats.holds == ints.holds, entry.name
+        for record in ("certificate", "witness"):
+            wi = dict(getattr(ints, record) or {})
+            wf = dict(getattr(floats, record) or {})
+            si, sf = wi.pop("state", None), wf.pop("state", None)
+            assert wf == wi, (entry.name, record)
+            assert (si is None) == (sf is None), (entry.name, record)
+            if si is not None:
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(si.densities, sf.densities))
 
 
 def test_cli_winf(files, capsys):
@@ -483,6 +485,26 @@ def test_cli_check_state(tmp_path, capsys):
     assert code == 0 and doc["holds"]
 
 
+def test_cli_check_writes_a_holding_state_that_replays(tmp_path, capsys):
+    """`qiso check` writes a hold's certificate state as a state file, as
+    it writes a failure's witness state: on dual-d4-blocks, which holds
+    every condition, the certificate's state of universal Lip_1, Lip_2
+    and main, the tightest on its 2x2 block, loads back with `qiso check
+    --state` and holds there too, with no "route" key."""
+    path = tmp_path / "act.json"
+    save_coaction(str(path), dihedral_projection_action(four_point_blocks(), 4))
+    for condition, p in (("lip", "1"), ("lip", "2"), ("thm-main", "1")):
+        code, doc = run_cli(capsys, "check", str(path), "--condition",
+                            condition, "--p", p)
+        assert code == 0 and doc["holds"], (condition, p)
+        spath = tmp_path / f"{condition}-{p}-state.json"
+        spath.write_text(json.dumps(doc["certificate"]["state"]))
+        code, doc = run_cli(capsys, "check", str(path), "--condition",
+                            condition, "--p", p, "--state", str(spath))
+        assert code == 0 and doc["holds"], (condition, p)
+        assert "route" not in doc["certificate"], (condition, p)
+
+
 def test_cli_nan_p_is_invalid_input(files, capsys):
     """--p nan is invalid input (exit 2, ValueError) for both commands that
     read --p: it passed every `p < 1` guard, so `check` gave a verdict and
@@ -575,8 +597,7 @@ def test_cli_catalog_and_emit(tmp_path, capsys):
 def test_cli_search(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "catalog",
-                               "catalog": ["trivial-3", "s3-isosceles"],
-                               "state_samples": 2}))
+                               "catalog": ["trivial-3", "s3-isosceles"]}))
     code, doc = run_cli(capsys, "search", "--config", str(cfg))
     assert code == 0
     assert len(doc["instances"]) == 2
@@ -584,13 +605,13 @@ def test_cli_search(tmp_path, capsys):
 
 
 def test_cli_catalog_search_leaves_numpy_random_unimported(tmp_path):
-    """The catalog search draws its spaces, random actions and sampled
-    states from the standard library's generator: in a fresh interpreter
+    """The catalog search draws its spaces and random actions from the
+    standard library's generator: in a fresh interpreter
     (the suite itself imports numpy.random), `qiso search` through
     cli.main, random actions included, leaves numpy.random unimported."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"catalog": ["cyclic-3", "dual-d3-blocks"],
-                               "n_range": [3, 3], "state_samples": 3}))
+                               "n_range": [3, 3]}))
     script = "\n".join([
         "import contextlib, io, sys",
         "from qiso.cli import main",
@@ -610,13 +631,16 @@ def test_cli_catalog_search_leaves_numpy_random_unimported(tmp_path):
 
 def test_cli_search_rejects_unknown_config_key(tmp_path, capsys):
     """A misspelt config key is invalid input naming the key, not a run
-    that silently ignores it ("random_action" ran no random actions)."""
+    that silently ignores it ("random_action" ran no random actions), and
+    so is the retired "state_samples": the search replays each universal
+    verdict on its own state and samples none."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
-                               "random_action": 5}))
-    code = main(["search", "--config", str(cfg)])
-    out, err = capsys.readouterr()
-    assert code == 2 and not out and "random_action" in err
+    for key, value in (("random_action", 5), ("state_samples", 10)):
+        cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
+                                   key: value}))
+        code = main(["search", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and key in err
 
 
 def test_cli_search_rejects_mistyped_config_value(tmp_path, capsys):
@@ -636,8 +660,7 @@ def test_cli_search_rejects_a_tolerance_it_would_ignore(tmp_path, capsys):
     invalid input naming the flag, not a report identical to the default
     run; the default value itself is accepted."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["trivial-3"],
-                               "state_samples": 1}))
+    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["trivial-3"]}))
     for argv in (["--tol", "0.5", "search"], ["search", "--tol", "0.5"]):
         code = main(argv + ["--config", str(cfg)])
         out, err = capsys.readouterr()

@@ -136,7 +136,9 @@ def test_coaction_tensor_equals_entry_builders(monkeypatch, tmp_path):
 
 def test_coaction_constructor_checks_shape_and_freezes_tensor():
     """A tensor of the wrong n or the wrong dim raises ShapeMismatch; the
-    stored tensor is a read-only copy, and u is its view entry by entry."""
+    stored tensor is read-only, and u is its view entry by entry.  A
+    writable input, or a read-only one of another dtype, is copied; a
+    read-only complex tensor, such as another action's, is shared."""
     action = catalog_action("dual-d4-blocks")
     qg, space = action.group, action.space
     for shape in ((3, 3, qg.dim), (4, 3, qg.dim), (4, 4, qg.dim - 1), (4, 4)):
@@ -148,6 +150,12 @@ def test_coaction_constructor_checks_shape_and_freezes_tensor():
     source = np.array(action.coeffs)
     assert CoAction(qg, space, source).coeffs is not source
     assert source.flags.writeable
+    assert CoAction(qg, space, action.coeffs).coeffs is action.coeffs
+    real = np.array(action.coeffs.real)
+    real.flags.writeable = False
+    copied = CoAction(qg, space, real).coeffs
+    assert copied is not real and copied.dtype == complex
+    assert np.array_equal(copied, real)
     for i in range(action.n):
         for j in range(action.n):
             assert _same_tensor(action.u[i][j].vec(), action.coeffs[i, j])

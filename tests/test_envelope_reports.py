@@ -125,13 +125,12 @@ def test_verify_instance_verifies_each_instance_once(monkeypatch):
                             counting(calls, "quantum_group", verify_quantum_group))
         monkeypatch.setattr(module, "verify_coaction",
                             counting(calls, "coaction", verify_coaction))
-    config = SearchConfig(kind="catalog", random_actions=3, state_samples=1,
-                          seed=4)
+    config = SearchConfig(kind="catalog", random_actions=3, seed=4)
     descriptors = instance_descriptors(config)
     assert len(descriptors) > 13
     for desc in descriptors:
         del calls[:]
-        reports.verify_instance(desc, state_samples=1)
+        reports.verify_instance(desc)
         assert sorted(calls) == ["coaction", "quantum_group"], desc
 
 
@@ -147,8 +146,7 @@ def test_verify_instance_decides_D_once_per_uncut_instance(monkeypatch):
     monkeypatch.setattr(envelope_module, "defect_blocks", counted)
     for name, want in (("cyclic-4", 1), ("z4-broken-diagonal", 2)):
         del calls[:]
-        rec = reports.verify_instance({"source": "catalog", "name": name},
-                                      state_samples=1)
+        rec = reports.verify_instance({"source": "catalog", "name": name})
         assert len(calls) == want, name
         assert rec["conditions"]["D"] == \
             isometry.check_D(catalog_action(name)).holds == (want == 1)

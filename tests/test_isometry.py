@@ -33,8 +33,7 @@ from qiso.transport import feasible_coupling_on, wasserstein_inf, wasserstein_p
 from oracles import (HypothesisViolated, check_ball_identity,
                      check_D_commutant_by_entry, check_lip_seminorm_state,
                      check_orthogonality, classical_group, counit_state,
-                     entry_tensor, group_element, hall_sweep_loops,
-                     level_set,
+                     entry_tensor, group_element, level_set,
                      lip_p_universal_full_sweep,
                      lip_p_universal_loops, sample_orthogonality_inputs,
                      scaled_twin, support_universal_bruteforce,
@@ -48,7 +47,7 @@ def test_verdicts_take_no_tolerance_argument():
     tol of its own."""
     names = {"qiso.isometry": (
                  "check_D", "check_D_state",
-                 "check_lip_p_state_sweep", "check_lip_p_state",
+                 "check_lip_p_state",
                  "check_lip_p_universal", "check_lip1_universal",
                  "check_winf_universal", "check_theorem_main",
                  "check_level_coupling_state", "check_injectivity",
@@ -59,12 +58,22 @@ def test_verdicts_take_no_tolerance_argument():
                                "act_on_point", "act_on_points", "orbits"),
              "qiso.quantum_group": ("haar_state", "require_kac"),
              "oracles": ("verify_universal_property", "check_orthogonality"),
-             "qiso.reports": ("verify_instance", "_condition_flags")}
+             "qiso.reports": ("verify_instance", "_universal_verdicts",
+                              "_replay_disagreements")}
     for module, funcs in names.items():
         module = importlib.import_module(module)
         for name in funcs:
             params = inspect.signature(getattr(module, name)).parameters
             assert "tol" not in params, (module.__name__, name)
+
+
+def _flags(action, cut=None):
+    """The catalog run's condition flags of `action`, (D) read off `cut`,
+    by default the blocks where `defect_blocks` finds it failing."""
+    if cut is None:
+        cut = isometry.defect_blocks(action).blocks
+    return reports._condition_flags(
+        reports._universal_verdicts(action, (1, 2, 3, "inf")), cut)
 
 
 def classical_isometries(action):
@@ -293,15 +302,11 @@ def test_float_character_tie_gives_one_verdict_at_every_p():
     condition holds and the tower has no violation (a comparison of d^p
     within tol x max d^p would fail Lip_2 and Lip_3 only).  At 1.5e-9,
     beyond dtol, every condition fails."""
-    def flags(action):
-        return reports._condition_flags(action, (1, 2, 3, "inf"),
-                                        isometry.defect_blocks(action).blocks)
-
-    near = flags(_float_swap_action(0.8e-9))
+    near = _flags(_float_swap_action(0.8e-9))
     assert all(near.values()), near
     assert reports.implication_tallies(
         [{"name": "swap", "conditions": near}])["violations"] == []
-    far = flags(_float_swap_action(1.5e-9))
+    far = _flags(_float_swap_action(1.5e-9))
     assert len(far) == 6 and not any(far.values()), far
 
 
@@ -325,17 +330,13 @@ def test_float_block_tie_keeps_lip_inf_implies_lip_p():
     leaves every condition holding and the tower without a violation (a
     bound of d(x, y)^p within tol x max d^p fails Lip_2 and Lip_3, or
     Lip_1 to Lip_3).  A move of +-3e-9, beyond dtol, fails all six."""
-    def flags(action):
-        return reports._condition_flags(action, (1, 2, 3, "inf"),
-                                        isometry.defect_blocks(action).blocks)
-
     for excess in (1.6e-9, -1.2e-9):
-        near = flags(_float_blocks_action(excess))
+        near = _flags(_float_blocks_action(excess))
         assert len(near) == 6 and all(near.values()), (excess, near)
         assert reports.implication_tallies(
             [{"name": "blocks", "conditions": near}])["violations"] == []
     for excess in (3e-9, -3e-9):
-        far = flags(_float_blocks_action(excess))
+        far = _flags(_float_blocks_action(excess))
         assert len(far) == 6 and not any(far.values()), (excess, far)
 
 
@@ -523,7 +524,7 @@ def _near_tie_action(far=3):
 def test_support_near_tie_is_decided_exactly(monkeypatch):
     """On `_near_tie_action` main and Lip_inf both fail at the pair (0, 2)
     with the points (0, 3) on block 4, by the exact decision of their
-    shared product, which `_condition_flags` takes once for both; with
+    shared product, which `_universal_verdicts` takes once for both; with
     `exact_psd` answering True both verdicts hold, so the exact route,
     not the float margin, decides them."""
     action = _near_tie_action()
@@ -533,8 +534,7 @@ def test_support_near_tie_is_decided_exactly(monkeypatch):
     real = isometry.exact_psd
     monkeypatch.setattr(isometry, "exact_psd",
                         lambda M: calls.append(M) or real(M))
-    flags = reports._condition_flags(action, (1, 2, 3, "inf"),
-                                     isometry.defect_blocks(action).blocks)
+    flags = _flags(action)
     assert not flags["main"] and not flags["Lip_inf"]
     assert sum(np.array_equal(M, shared) for M in calls) == 1
     for check in (check_theorem_main, check_winf_universal):
@@ -603,8 +603,7 @@ def _assert_exact_D_cut(action):
     verdict = check_D(action)
     assert not verdict.holds
     assert verdict.witness["residual"] <= space.tol * float(space.max_distance)
-    flags = reports._condition_flags(action, (1, 2, 3, "inf"),
-                                     isometry.defect_blocks(action).blocks)
+    flags = _flags(action)
     assert not flags["D"]
     assert reports.implication_tallies(
         [{"name": action.name, "conditions": flags}])["violations"] == []
@@ -633,8 +632,7 @@ def test_D_near_tie_on_a_character_is_decided_exactly():
     assert env.ideal.included_blocks == {swap} and env.dimension == 1
     twin = permutation_action(validate_metric(
         [[float(v) for v in row] for row in dist]), [(1, 0, 2)])
-    assert all(reports._condition_flags(
-        twin, (1, 2, 3, "inf"), isometry.defect_blocks(twin).blocks).values())
+    assert all(_flags(twin).values())
 
 
 def test_D_exact_route_reads_both_terms_of_a_defect(monkeypatch):
@@ -654,6 +652,24 @@ def test_D_exact_route_reads_both_terms_of_a_defect(monkeypatch):
     verdict = check_D(action)
     assert not verdict.holds
     assert verdict.witness["residual"] == pytest.approx(0.9995, abs=1e-4)
+
+
+def test_D_exact_forms_are_read_once_per_action(monkeypatch):
+    """The exact forms of both terms of a defect are the action's: on the
+    dual-D4 two-projection action on the block metric, whose 2x2 block
+    `defect_blocks` re-decides exactly, the first call reads the forms of
+    u and kappa(u) there, and a second call reads no exact form."""
+    from qiso import coaction
+    calls = []
+    real = coaction.exact_form
+    monkeypatch.setattr(coaction, "exact_form",
+                        lambda stack: calls.append(stack.shape) or real(stack))
+    action = dihedral_projection_action(four_point_blocks(), 4)
+    first = isometry.defect_blocks(action)
+    assert calls == [(4, 4, 2, 2)] * 2
+    del calls[:]
+    second = isometry.defect_blocks(action)
+    assert calls == [] and first.blocks == second.blocks == frozenset()
 
 
 def test_D_exact_route_on_a_character_reads_both_terms():
@@ -735,10 +751,9 @@ def test_character_route_is_skipped_only_where_it_decides_nothing(c07_population
             continue
         gaps = np.diff(np.array(space.realized_distances, dtype=float))
         assert (gaps > 2 * isometry._BORDERLINE * float(space.max_distance)).all()
-        antipodes = isometry._defect_terms(action)[1]
         blocks = isometry.defect_blocks(action).blocks
         for k in np.flatnonzero(np.array(action.group.algebra.blocks) == 1):
-            exact = isometry._form_defects(action, int(k), antipodes)
+            exact = isometry._form_defects(action, int(k))
             if exact is not None:
                 assert (int(k) in blocks) == exact.any(), action.name
                 checked += 1
@@ -746,9 +761,9 @@ def test_character_route_is_skipped_only_where_it_decides_nothing(c07_population
 
 
 def test_condition_flags_sweep_the_support_products_once(monkeypatch):
-    """`_condition_flags` takes main and Lip_inf from one sweep of the
-    support products (`isometry._support_sweep`) per action, on every
-    catalog entry."""
+    """The catalog run's universal verdicts (`_universal_verdicts`) take
+    main and Lip_inf from one sweep of the support products
+    (`isometry._support_sweep`) per action, on every catalog entry."""
     calls = []
     real = isometry._support_sweep
 
@@ -759,7 +774,7 @@ def test_condition_flags_sweep_the_support_products_once(monkeypatch):
     monkeypatch.setattr(isometry, "_support_sweep", counted)
     actions = [entry.action for entry in standard_actions()]
     for action in actions:
-        reports._condition_flags(action, (1, 2, 3, "inf"), frozenset())
+        _flags(action, frozenset())
     assert calls == actions
 
 
@@ -799,15 +814,15 @@ def _lip_p_state_per_pair(action, psi, p, pairs=None):
     return out
 
 
-def _assert_matches_per_pair(v, action, psi, p, route, pairs=None):
-    """A sweep verdict against the per-pair oracle: the same verdict on
-    the sweep's bound, the space's tol x max d, the given route, W_p^p within
-    1e-12 x max d^p (W itself for p = inf), and a witness whose oracle
-    margin is within the sweep's tie of the oracle's largest.
+def _assert_matches_per_pair(v, action, psi, p, pairs=None):
+    """A per-state verdict against the per-pair oracle: the same verdict
+    on the check's bound, the space's tol x max d, W_p^p within 1e-12 x
+    max d^p (W itself for p = inf), and a witness whose oracle margin is
+    within the check's tie of the oracle's largest.
 
-    W_p^p is what both routes compute, so the bound is taken there and
-    carried to W and the margins at the pair compared: an error of
-    e in W_p^p moves W_p by e / (p W_p^(p-1))."""
+    W_p^p is what both compute, so the bound is taken there and carried
+    to W and the margins at the pair compared: an error of e in W_p^p
+    moves W_p by e / (p W_p^(p-1))."""
     space = action.space
     tol = space.tol
     per_pair = _lip_p_state_per_pair(action, psi, p, pairs)
@@ -821,8 +836,6 @@ def _assert_matches_per_pair(v, action, psi, p, route, pairs=None):
         return slack / (q * per_pair[xy][0] ** (q - 1))
 
     assert v.holds == (worst <= tol * scale)
-    record = v.certificate if v.holds else v.witness
-    assert record["route"] == route
     if v.holds:
         assert abs(v.certificate["max_margin"] - worst) <= w_slack(worst_pair)
     else:
@@ -865,21 +878,18 @@ def _near_tie_twin(action, c, seed):
 
 
 def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
-    """The per-state sweep computes every x <| psi once (one batched
-    act_on_points call per sweep, for all its states) and returns the
-    verdicts of recomputing both marginals for every pair it visits (x < y
-    on the catalog's symmetric metrics), with W_p^p within 1e-12 x max
-    d^p, on the catalog x 5 random states x p in {1, 2, 3, inf}.  Five
-    states take the Hall route for p = inf and, for finite p, the dual
-    vertices, also on cyclic-5, where 50 simplex solves (10 pairs) cost
-    more than 0.3 x 70 trees.  The level-coupling check computes every
-    x <| psi of its state by one act_on_points call, visits every
-    ordered pair and agrees exactly with its oracle, which compares raw
-    distances within dtol where the check reads distance ranks and
-    `sublevel_tops`: on the catalog, and on float twins of it whose equal
-    distances are moved apart by 0 or +-c x tol x max d, c in (0.4, 0.95,
-    1.5).  The moves within dtol keep every level set of the catalog's
-    distances and those of 1.5 x dtol split some."""
+    """The per-state Lip_p check computes every x <| psi of its state once
+    (one act_on_points call) and returns the verdicts of recomputing both
+    marginals for every pair it visits (x < y on the catalog's symmetric
+    metrics), with W_p^p within 1e-12 x max d^p, on the catalog x 5
+    random states x p in {1, 2, 3, inf}.  The level-coupling check
+    computes every x <| psi of its state by one act_on_points call,
+    visits every ordered pair and agrees exactly with its oracle, which
+    compares raw distances within dtol where the check reads distance
+    ranks and `sublevel_tops`: on the catalog, and on float twins of it
+    whose equal distances are moved apart by 0 or +-c x tol x max d, c in
+    (0.4, 0.95, 1.5).  The moves within dtol keep every level set of the
+    catalog's distances and those of 1.5 x dtol split some."""
     batches = []
 
     def batched(action, states, *args, **kwargs):
@@ -891,15 +901,13 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
     ps = (1, 2, 3, float("inf"))
     for entry in standard_actions():
         action = entry.action
-        routes = ("dual-vertices",) * 3 + ("hall-subsets",)
-        states = [random_state(action.group.algebra, 37 * k + 3)
-                  for k in range(5)]
-        del batches[:]
-        sweep = isometry.check_lip_p_state_sweep(action, states, ps)
-        assert batches == [len(states)]
-        for k, (psi, verdicts) in enumerate(zip(states, sweep)):
-            for p, route, v in zip(ps, routes, verdicts):
-                seen[_assert_matches_per_pair(v, action, psi, p, route)] += 1
+        for k in range(5):
+            psi = random_state(action.group.algebra, 37 * k + 3)
+            for p in ps:
+                del batches[:]
+                v = check_lip_p_state(action, psi, p)
+                assert batches == [1]
+                seen[_assert_matches_per_pair(v, action, psi, p)] += 1
             del batches[:]
             v = check_level_coupling_state(action, psi)
             assert batches == [1]
@@ -928,56 +936,12 @@ def test_per_state_sweeps_match_per_pair_recomputation(monkeypatch):
     assert split[0.4] == 0 and split[0.95] > 0 and split[1.5] > 0, split
 
 
-def test_state_sweep_reuses_a_fitting_triangulation(monkeypatch):
-    """The dual-vertex sweep enumerates again only where the last
-    enumeration's trees do not all fit d^p: once for p = 1, 2, 3 on the
-    3-point catalog spaces and the block metric of dual-d4-blocks,
-    dual-d4-mixed and dual-d3-blocks, twice on the other 4- and 5-point
-    ones, and for each p on a float space or with p = 1.5 in the list.  Its verdicts, witnesses and certificates equal,
-    bitwise, those of a sweep that enumerates for every p, on the catalog
-    and a float twin, for p in (1, 2, 3, inf) and (1.5, 2, 3, 1)."""
-    searches = []
-    search = isometry._dual_vertex_search
-
-    def counted(space, p):
-        searches.append(p)
-        return search(space, p)
-
-    monkeypatch.setattr(isometry, "_dual_vertex_search", counted)
-    counts = {}
-    for entry in standard_actions():
-        for action in (entry.action, scaled_twin(entry.action, 1, True)):
-            states = [random_state(action.group.algebra, 11 * k + 5)
-                      for k in range(6)]
-            for ps in ((1, 2, 3, "inf"), (1.5, 2, 3, 1)):
-                monkeypatch.setattr(isometry, "_tree_vertices",
-                                    transport._tree_vertices)
-                del searches[:]
-                reused = isometry.check_lip_p_state_sweep(action, states, ps)
-                counts[entry.name, action.space.mode, ps] = len(searches)
-                monkeypatch.setattr(isometry, "_tree_vertices",
-                                    lambda *args: None)
-                fresh = isometry.check_lip_p_state_sweep(action, states, ps)
-                assert repr([[v.as_dict() for v in row] for row in reused]) == \
-                    repr([[v.as_dict() for v in row] for row in fresh]), \
-                    (entry.name, ps)
-    for (name, mode, ps), count in counts.items():
-        if mode != RATIONAL:
-            assert count == (4 if 1.5 in ps else 3), (name, ps)
-        elif 1.5 in ps:
-            assert count >= 2, name
-        else:
-            n = catalog_action(name).n
-            fits = n == 3 or name in ("dual-d4-blocks", "dual-d4-mixed",
-                                      "dual-d3-blocks")
-            assert count == (1 if fits else 2), (name, count)
-
-
 def test_unordered_sweep_matches_ordered_sweep():
-    """Visiting x < y only gives the verdicts of the ordered sweep on the
-    catalog x 5 random states x p in {1, 2, 3, inf}: W_p(mu, nu) and
-    W_p(nu, mu) agree within 1e-12 relative, and the margins within
-    1e-12 x max d^p (the simplex is not bitwise symmetric)."""
+    """Visiting x < y only gives the per-state verdicts of a visit of
+    every ordered pair on the catalog x 5 random states x p in {1, 2, 3,
+    inf}: W_p(mu, nu) and W_p(nu, mu) agree within 1e-12 relative, and
+    the margins within 1e-12 x max d^p (the simplex is not bitwise
+    symmetric)."""
     seen = {True: 0, False: 0}
     for entry in standard_actions():
         action = entry.action
@@ -987,9 +951,8 @@ def test_unordered_sweep_matches_ordered_sweep():
         for k in range(5):
             psi = random_state(action.group.algebra, 37 * k + 3)
             images = [act_on_point(action, x, psi) for x in range(action.n)]
-            verdicts, = isometry.check_lip_p_state_sweep(
-                action, [psi], (1, 2, 3, float("inf")))
-            for p, v in zip((1, 2, 3, float("inf")), verdicts):
+            for p in (1, 2, 3, float("inf")):
+                v = check_lip_p_state(action, psi, p)
                 if p == float("inf"):
                     w = {(x, y): float(wasserstein_inf(space, images[x],
                                                        images[y]).r)
@@ -1019,8 +982,9 @@ def test_unordered_sweep_matches_ordered_sweep():
 
 def test_verify_instance_computes_each_image_once(monkeypatch):
     """One verify_instance call computes x <| psi once per point and
-    sampled state, for all four p together: one batched act_on_points
-    call over its three states."""
+    replayed state: on dual-d4-asymmetric, whose four Lip_p verdicts
+    (p = 1, 2, 3, inf) fail, four act_on_points calls of one state each,
+    and every replay agrees with its verdict."""
     from qiso.reports import verify_instance
     batches = []
 
@@ -1029,10 +993,10 @@ def test_verify_instance_computes_each_image_once(monkeypatch):
         return act_on_points(action, states, *args, **kwargs)
 
     monkeypatch.setattr(isometry, "act_on_points", batched)
-    rec = verify_instance({"source": "catalog", "name": "cyclic-5"},
-                          state_samples=3)
-    assert set(rec["sampled_states_hold"]) == {"Lip_1", "Lip_2", "Lip_3", "Lip_inf"}
-    assert batches == [3]
+    rec = verify_instance({"source": "catalog", "name": "dual-d4-asymmetric"})
+    assert not any(rec["conditions"][f"Lip_{p}"] for p in (1, 2, 3, "inf"))
+    assert rec["replay_disagreements"] == [] and rec["state_consistency"]
+    assert batches == [1, 1, 1, 1]
 
 
 def _images_by_act_on_point(action, states):
@@ -1045,8 +1009,8 @@ def test_batched_images_match_act_on_point(monkeypatch):
     """act_on_points, one contraction over all states, gives the masses
     of act_on_point on the catalog x 10 sampled states within 4 ulps of 1
     (the batched and the per-point products sum in different orders), and
-    the sweep on either gives the same verdicts, routes and witness pairs
-    for p in {1, 2, 3, inf}."""
+    the per-state check on either gives the same verdicts and witness
+    pairs for p in {1, 2, 3, inf}."""
     ps = (1, 2, 3, float("inf"))
     seen = {True: 0, False: 0}
     for entry in standard_actions():
@@ -1056,16 +1020,15 @@ def test_batched_images_match_act_on_point(monkeypatch):
         batched = act_on_points(action, states)
         assert batched.shape == reference.shape
         assert np.abs(batched - reference).max() <= 4 * np.spacing(1.0), entry.name
-        sweep = isometry.check_lip_p_state_sweep(action, states, ps)
+        batched = [[check_lip_p_state(action, psi, p) for p in ps]
+                   for psi in states]
         with monkeypatch.context() as patch:
             patch.setattr(isometry, "act_on_points", _images_by_act_on_point)
-            per_point = isometry.check_lip_p_state_sweep(action, states, ps)
-        for verdicts, expected in zip(sweep, per_point):
+            per_point = [[check_lip_p_state(action, psi, p) for p in ps]
+                         for psi in states]
+        for verdicts, expected in zip(batched, per_point):
             for v, e in zip(verdicts, expected):
                 assert v.holds == e.holds, entry.name
-                record, want = (v.certificate, e.certificate) if v.holds else \
-                    (v.witness, e.witness)
-                assert record["route"] == want["route"]
                 if not v.holds:
                     assert v.witness["pair"] == e.witness["pair"], entry.name
                 seen[v.holds] += 1
@@ -1075,7 +1038,7 @@ def test_batched_images_match_act_on_point(monkeypatch):
 def test_image_that_is_not_a_probability_vector_raises():
     """An image with a mass below -tol, or a sum off 1 by more than tol,
     raises ValueError from act_on_points, from act_on_point and from the
-    sweep, with prob_vector's messages; a mass within tol below 0 is
+    per-state check, with prob_vector's messages; a mass within tol below 0 is
     clamped and its row renormalized, as prob_vector does (within 4 ulps
     of 1: the two sum in different orders)."""
     action = catalog_action("cyclic-4")
@@ -1092,8 +1055,9 @@ def test_image_that_is_not_a_probability_vector_raises():
             act_on_point(action, 0, bad)
         with pytest.raises(ValueError, match=message):
             act_on_points(action, [psi, bad])
-        with pytest.raises(ValueError, match=message):
-            isometry.check_lip_p_state_sweep(action, [psi, bad], (1, "inf"))
+        for p in (1, "inf"):
+            with pytest.raises(ValueError, match=message):
+                check_lip_p_state(action, bad, p)
     fuzz = functional([0.5 + 3e-12, 0.5, -3e-12, 0.0])
     masses = act_on_points(action, [fuzz])
     assert (masses >= 0).all() and (masses > 0.5).any()
@@ -1145,115 +1109,32 @@ def _near_symmetric_action():
 
 def test_near_symmetric_float_space_keeps_ordered_pairs():
     """A float metric accepted with d(0,1) - d(1,0) = 5e-10 (within tol) is
-    swept over every ordered pair, and matches the ordered per-pair
-    oracles: the sweep's verdicts, W_p^p within 1e-12 x max d^p, and the
-    array routes that four states of its 4 points take."""
+    checked per state over every ordered pair, and matches the ordered
+    per-pair oracles on four states: the verdicts and W_p^p within 1e-12
+    x max d^p."""
     action = _near_symmetric_action()
     space = action.space
     ordered = _ordered_pairs(4)
     assert _sweep_pairs(space) == ordered
     seen = {True: 0, False: 0}
-    ps = (1, 2, 3, float("inf"))
-    routes = ("dual-vertices",) * 3 + ("hall-subsets",)
-    states = [random_state(action.group.algebra, 11 * k + 1) for k in range(4)]
-    sweep = isometry.check_lip_p_state_sweep(action, states, ps)
-    for psi, verdicts in zip(states, sweep):
-        for p, route, v in zip(ps, routes, verdicts):
-            seen[_assert_matches_per_pair(v, action, psi, p, route,
-                                          ordered)] += 1
+    for k in range(4):
+        psi = random_state(action.group.algebra, 11 * k + 1)
+        for p in (1, 2, 3, float("inf")):
+            v = check_lip_p_state(action, psi, p)
+            seen[_assert_matches_per_pair(v, action, psi, p, ordered)] += 1
         v = check_level_coupling_state(action, psi)
         assert (v.holds, v.witness) == _level_coupling_per_pair(action, psi)
     assert seen[False]
 
 
-def _small_order_action(n, seed):
-    """C(G) on a seeded n-point shortest-path metric, G generated by one
-    seeded permutation made of disjoint 2- and 3-cycles (order <= 6)."""
-    rng = random.Random(seed)
-    points = list(range(n))
-    rng.shuffle(points)
-    perm = list(range(n))
-    i = 0
-    while i < n - 1:
-        cycle = points[i:i + rng.choice((2, 3))]
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            perm[a] = b
-        i += len(cycle)
-    return permutation_action(random_metric_space(n, seed), [tuple(perm)],
-                              name=f"order-6-{n}-{seed}")
-
-
-def test_sweep_routes_match_per_pair_oracle():
-    """Every route of the sampled sweep gives the per-pair oracle's
-    verdicts (wasserstein_p / wasserstein_inf on recomputed marginals),
-    with W_p^p within 1e-12 x max d^p and a witness whose oracle margin
-    is within the sweep's tie of the largest, for p in {1, 2, 3, inf}, on
-    the c07 population (catalog + 200 random actions), the 6-point D5 and
-    D7 two-projection actions, the near-symmetric float action, float
-    metrics scaled to max d of order 1e-3 and 1e-5, and actions on both
-    sides of each route choice: one state on 4 points and three on 5
-    against two on 5 and on 6 for finite p, and for p = inf Hall tables
-    within both of their bounds (n = 12 and the 13-cycle), over
-    _HALL_CELLS_PER_PAIR entries per pair but within the cap (n = 13 with
-    K = 33 and the 14-cycle) and over the cap (n = 15), where the
-    rotations of the n-cycle hold and the order-6 actions fail.  Each
-    route both holds and fails."""
-    config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
-                          seed=777)
-    finite, inf = (1, 2, 3), (float("inf"),)
-    both = finite + inf
-    # (action, ps, number of states, route for finite p, route for inf)
-    population = [build_instance(desc) for desc in instance_descriptors(config)]
-    cases = [(a, both, 3, "dual-vertices", "hall-subsets") for a in population]
-    cases += [(reflection_pairs_action(block_metric(3, asymmetric), m,
-                                       (0, 1, 2)), both, 2, "simplex",
-               "hall-subsets")
-              for m in (5, 7) for asymmetric in (False, True)]
-    near = _near_symmetric_action()
-    cases.append((near, both, 2, "dual-vertices", "hall-subsets"))
-    for name in ("dual-d4-blocks", "dual-d4-asymmetric"):
-        action = {e.name: e.action for e in standard_actions()}[name]
-        cases.append((action, both, 1, "dual-vertices", "hall-subsets"))
-        cases += [(scaled_twin(a, scale, True), both, 3, "dual-vertices",
-                   "hall-subsets")
-                  for a in (action, near) for scale in (1e-3, 1e-5)]
-    cases += [(_small_order_action(5, seed), both, count, route,
-               "hall-subsets")
-              for seed in (1, 2)
-              for count, route in ((2, "simplex"), (3, "dual-vertices"))]
-    cases += [(_small_order_action(n, seed), inf, 2, None, route)
-              for n, seed, route in ((12, 3, "hall-subsets"),
-                                     (13, 1, "max-flow"),
-                                     (15, 3, "max-flow"))]
-    cases += [(permutation_action(cycle_metric(n),
-                                  [tuple((i + 1) % n for i in range(n))]),
-               inf, 2, None, route)
-              for n, route in ((13, "hall-subsets"), (14, "max-flow"))]
-    routes = {}
-    for action, ps, count, finite_route, inf_route in cases:
-        states = [random_state(action.group.algebra, 5 * k + 2)
-                  for k in range(count)]
-        sweep = isometry.check_lip_p_state_sweep(action, states, ps)
-        for psi, verdicts in zip(states, sweep):
-            for p, v in zip(ps, verdicts):
-                route = inf_route if p == float("inf") else finite_route
-                held = _assert_matches_per_pair(v, action, psi, p, route)
-                routes.setdefault(route, set()).add(held)
-    assert routes == {route: {True, False} for route in
-                      ("dual-vertices", "simplex", "hall-subsets", "max-flow")}
-
-
 def test_sweep_verdicts_hold_at_a_wide_distance_ratio():
     """The 4-point space with d(0, 1) = d(2, 3) = 1 and every cross
     distance R = 10^2 to 10^8, rational and float: for p = 1, 2, 3 the
-    sampled sweep gives the per-pair oracle's verdict on 30 states, for
+    per-state check gives the per-pair oracle's verdict on 30 states, for
     C(Z2 x Z2) acting isometrically and for the 4-cycle, which fails.
-    Read off the dual vertices in floats, W_p^p loses about n 2^-53 R^p,
+    Read off dual vertices in floats, W_p^p would lose about n 2^-53 R^p,
     which the p-th root carries past tol x R at the pairs at distance 1:
-    Lip_3 failed on 13 of the 30 states at R = 10^6.  Such a p takes the
-    per-pair simplex, here p = 3 from R = 10^4 and p = 2 at 10^8."""
-    ps = (1, 2, 3)
-    routes = set()
+    Lip_3 failed on 13 of the 30 states at R = 10^6 that way."""
     for R in (10 ** 2, 10 ** 4, 10 ** 6, 10 ** 8):
         d = [[0, 1, R, R], [1, 0, R, R], [R, R, 0, 1], [R, R, 1, 0]]
         for space in (validate_metric(d), validate_metric(d, mode="float")):
@@ -1261,25 +1142,21 @@ def test_sweep_verdicts_hold_at_a_wide_distance_ratio():
                 action = permutation_action(space, gens)
                 states = [random_state(action.group.algebra, k)
                           for k in range(30)]
-                sweep = isometry.check_lip_p_state_sweep(action, states, ps)
-                for psi, verdicts in zip(states, sweep):
-                    for p, v in zip(ps, verdicts):
+                for psi in states:
+                    for p in (1, 2, 3):
+                        v = check_lip_p_state(action, psi, p)
                         worst = max(m for _, m in _lip_p_state_per_pair(
                             action, psi, p).values())
                         assert v.holds == (worst <= space.tol * R), \
                             (R, space.mode, gens, p)
                         assert v.holds == (len(gens) == 2)
-                        record = v.certificate if v.holds else v.witness
-                        routes.add((R, p, record["route"]))
-    assert {(R, p) for R, p, route in routes if route == "simplex"} == \
-        {(10 ** 4, 3), (10 ** 6, 3), (10 ** 8, 2), (10 ** 8, 3)}
 
 
 def test_cycle_sweep_max_flows_per_winf_call(monkeypatch):
-    """The max-flow route of the sampled p = inf sweep on the rotations of
-    the 10-cycle (6 realized distances, three random states, 135 pairs)
-    runs at most 2.33 max flows per `wasserstein_inf` call, what a plain
-    bisection over the realized distances took there."""
+    """The per-state p = inf check on the rotations of the 10-cycle (6
+    realized distances, three random states, 135 pairs) runs at most 2.33
+    max flows per `wasserstein_inf` call, what a plain bisection over the
+    realized distances took there."""
     flows, winfs = [], []
     max_flow = transport._FlowNetwork.max_flow
 
@@ -1293,49 +1170,13 @@ def test_cycle_sweep_max_flows_per_winf_call(monkeypatch):
 
     monkeypatch.setattr(transport._FlowNetwork, "max_flow", counted_flow)
     monkeypatch.setattr(isometry, "wasserstein_inf", counted_winf)
-    monkeypatch.setattr(isometry, "_sweep_route", lambda *args: "max-flow")
     action = permutation_action(cycle_metric(10),
                                 [tuple((i + 1) % 10 for i in range(10))])
-    states = [random_state(action.group.algebra, seed) for seed in range(3)]
-    isometry.check_lip_p_state_sweep(action, states, [float("inf")])
+    for seed in range(3):
+        check_lip_p_state(action, random_state(action.group.algebra, seed),
+                          float("inf"))
     assert len(winfs) == 135
     assert len(flows) <= 2.33 * len(winfs)
-
-
-def test_hall_sweep_batches_match_the_per_state_loop(monkeypatch):
-    """The Hall route's radii, every (state, pair) bisected at once on
-    chunks of states, are bitwise equal to the per-state loop's on the
-    catalog and on seeded random permutation actions with n = 3 to 7, ten
-    states each: with every state in one chunk, and with _HALL_MAX_CELLS
-    lowered to three states' tables, so that the states split into
-    chunks of 3, 3, 3 and 1."""
-    actions = [entry.action for entry in standard_actions()]
-    actions += [random_permutation_action(random_metric_space(n, 41 * n + k), k)
-                for n in range(3, 8) for k in range(4)]
-    chunks = []
-
-    def counted(reach, subsets, masses, *args):
-        chunks.append(len(masses))
-        return ranks(reach, subsets, masses, *args)
-
-    ranks, cells = isometry._hall_ranks, isometry._HALL_MAX_CELLS
-    monkeypatch.setattr(isometry, "_hall_ranks", counted)
-    for action in actions:
-        space = action.space
-        states = [random_state(action.group.algebra, 13 * k + 5) for k in range(10)]
-        masses = act_on_points(action, states)
-        pairs = isometry._state_pairs(space)
-        xs = np.array([x for x, _ in pairs])
-        ys = np.array([y for _, y in pairs])
-        want = hall_sweep_loops(space, masses, xs, ys)
-        per_state = (len(space.realized_distances) * space.n + 3 * len(pairs)) \
-            * (2 ** space.n - 1)
-        for cap, sizes in ((cells, [10]), (3 * per_state, [3, 3, 3, 1])):
-            monkeypatch.setattr(isometry, "_HALL_MAX_CELLS", cap)
-            del chunks[:]
-            got = isometry._hall_sweep(space, masses, xs, ys)
-            assert chunks == sizes and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), action.name
 
 
 @pytest.fixture(scope="module")
@@ -1364,14 +1205,15 @@ UNIVERSAL_REFERENCES = [
 
 
 def _assert_same_verdict(verdict, reference, label):
-    """Equal verdicts, certificates and witnesses, the witness state
-    compared as a coefficient vector."""
-    assert (verdict.holds, verdict.certificate) == \
-        (reference.holds, reference.certificate), label
-    if not verdict.holds:
-        witness, expected = dict(verdict.witness), dict(reference.witness)
-        state, expected_state = witness.pop("state"), expected.pop("state")
-        assert witness == expected, label
+    """Equal verdicts, certificates and witnesses, the state of a witness
+    or a certificate compared as a coefficient vector."""
+    assert verdict.holds == reference.holds, label
+    record, expected = (dict(verdict.certificate), dict(reference.certificate)) \
+        if verdict.holds else (dict(verdict.witness), dict(reference.witness))
+    state, expected_state = record.pop("state", None), expected.pop("state", None)
+    assert record == expected, label
+    assert (state is None) == (expected_state is None), label
+    if state is not None:
         assert np.array_equal(state.as_vector(), expected_state.as_vector()), label
 
 

@@ -17,7 +17,7 @@ unscaled rational instance's
 - the quantum group's pass, and the residuals its report names: a dual
   that lost its group takes the certificate of the group its Delta
   defines, as the original takes that of the group it keeps;
-- sampled `check_lip_p_state_sweep` verdicts at two seeded states for
+- per-state `check_lip_p_state` verdicts at two seeded states for
   p = 1, 2, 3 and inf, under the relabelling and the rescalings, which
   leave the algebra and so its states as they are.
 A failing verdict's witness pair, mapped back to the original points,
@@ -36,7 +36,7 @@ from qiso.coaction import CoAction, verify_coaction
 from qiso.envelope import envelope
 from qiso.fileio import coaction_from_dict, coaction_to_dict
 from qiso.isometry import (IsometryVerdict, check_D, check_injectivity,
-                           check_lip_p_state_sweep, check_lip_p_universal,
+                           check_lip_p_state, check_lip_p_universal,
                            check_theorem_main, check_winf_universal,
                            commutator_defects)
 from qiso.metric import validate_metric
@@ -104,21 +104,20 @@ TRANSFORMS.update({f"scale-1e{k}-{'float' if fm else 'rational'}": rescale(k, fm
                    if k or fm})
 
 
-def _summary(action: CoAction, sweep: bool) -> dict:
-    """Every compared verdict, keyed by check; universal and sweep entries
-    keep their IsometryVerdict for the witness check."""
+def _summary(action: CoAction, per_state: bool) -> dict:
+    """Every compared verdict, keyed by check; universal and per-state
+    entries keep their IsometryVerdict for the witness check."""
     out = {name: check(action, *args) for name, check, args in UNIVERSAL}
     out["D_commutant"] = check_D_commutant_by_entry(action,
                                                     action.space.tol).holds
     out["injective"] = check_injectivity(action)
     env = envelope(action)
     out["envelope"] = (env.dimension, sorted(env.ideal.included_blocks))
-    if sweep:
-        states = [random_state(action.group.algebra, s) for s in STATE_SEEDS]
-        rows = check_lip_p_state_sweep(action, states, PS)
-        for s, row in enumerate(rows):
-            for p, verdict in zip(PS, row):
-                out[("sweep", s, p)] = verdict
+    if per_state:
+        for s, seed in enumerate(STATE_SEEDS):
+            psi = random_state(action.group.algebra, seed)
+            for p in PS:
+                out[("state", s, p)] = check_lip_p_state(action, psi, p)
     return out
 
 
@@ -136,7 +135,7 @@ def _fails_at(action: CoAction, key, pair) -> bool:
         if isinstance(key, tuple):
             _, s, p = key
             psi = random_state(action.group.algebra, STATE_SEEDS[s])
-            return not check_lip_p_state_sweep(action, [psi], [p])[0][0].holds
+            return not check_lip_p_state(action, psi, p).holds
         _, check, args = next(c for c in UNIVERSAL if c[0] == key)
         return not check(action, *args).holds
 
@@ -150,7 +149,7 @@ def population():
     descs = [d for d in descs if d["source"] == "catalog"] + \
         [d for d in descs if d["source"] != "catalog"][:40]
     actions = [build_instance(d) for d in descs]
-    return [(a, _summary(a, sweep=True)) for a in actions]
+    return [(a, _summary(a, per_state=True)) for a in actions]
 
 
 @pytest.mark.parametrize("name", list(TRANSFORMS))
@@ -166,7 +165,7 @@ def test_verdicts_do_not_depend_on_presentation(population, name):
             assert list(report.residuals) == \
                 list(verify_quantum_group(action.group).residuals), action.name
         assert verify_coaction(twin).passed(1e-9), action.name
-        got = _summary(twin, sweep=states_kept)
+        got = _summary(twin, per_state=states_kept)
         inv = list(range(action.n)) if perm is None else list(np.argsort(perm))
         for key, value in got.items():
             if _holds(value) != _holds(expected[key]):

@@ -66,8 +66,7 @@ def test_haar_invariance_hundred_random_states():
 
 def test_search_with_process_pool_matches_sequential():
     from qiso.reports import run_search
-    base = dict(kind="catalog", catalog=["cyclic-3", "s3-isosceles"], seed=9,
-                state_samples=1)
+    base = dict(kind="catalog", catalog=["cyclic-3", "s3-isosceles"], seed=9)
     seq = run_search(SearchConfig(**base)).to_dict()
     par = run_search(SearchConfig(**base, jobs=2)).to_dict()
     for doc in (seq, par):

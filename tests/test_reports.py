@@ -13,11 +13,11 @@ from oracles import classical_group
 
 
 SMALL = SearchConfig(kind="catalog", catalog=["trivial-3", "s3-isosceles",
-                                              "cyclic-3"], state_samples=2)
+                                              "cyclic-3"])
 
 
 def test_catalog_run_shape():
-    cfg = SearchConfig(kind="catalog", state_samples=2,
+    cfg = SearchConfig(kind="catalog",
                        catalog=["trivial-3", "s3-isosceles", "cyclic-3",
                                 "dual-d4-asymmetric"])
     rep = run_catalog_verification(cfg)
@@ -60,7 +60,7 @@ def test_build_instance_builds_only_the_named_entry(monkeypatch):
 
 def test_determinism():
     cfg = SearchConfig(kind="catalog", catalog=["cyclic-3"],
-                       random_actions=4, seed=11, state_samples=2)
+                       random_actions=4, seed=11)
     a = run_catalog_verification(cfg).to_dict()
     b = run_catalog_verification(cfg).to_dict()
     a["timing"] = b["timing"] = {}
@@ -123,8 +123,7 @@ def test_catalog_run_dossiers_each_tower_violation(monkeypatch):
     from qiso import reports
     from qiso.fileio import coaction_from_dict
     from qiso.isometry import IsometryVerdict, defect_blocks
-    cfg = SearchConfig(kind="catalog", catalog=["cyclic-3", "cyclic-4"],
-                       state_samples=2)
+    cfg = SearchConfig(kind="catalog", catalog=["cyclic-3", "cyclic-4"])
     assert run_catalog_verification(cfg).dossiers == []
     real = reports.check_lip_p_universal
 
@@ -145,9 +144,43 @@ def test_catalog_run_dossiers_each_tower_violation(monkeypatch):
     assert [v["instance"] for v in doc["implication_matrix"]["violations"]] \
         == ["cyclic-3"] * 5
     action = coaction_from_dict(dossier["coaction"])
-    assert reports._condition_flags(action, cfg.p_list,
-                                    defect_blocks(action).blocks) \
-        == dossier["conditions"]
+    assert reports._condition_flags(
+        reports._universal_verdicts(action, cfg.p_list),
+        defect_blocks(action).blocks) == dossier["conditions"]
+
+
+def test_a_replay_that_disagrees_breaks_state_consistency(monkeypatch):
+    """Each universal Lip_p verdict is replayed on its own state by the
+    per-state check.  Unpatched, every replay agrees on dual-d4-blocks,
+    whose holds are decided on its 2x2 block, and on dual-d4-asymmetric,
+    where every Lip_p fails.  With universal Lip_2 patched to the opposite
+    verdict on the same state (a failure witnessed by the hold's tightest
+    state, or a hold certified by the failure's witness state), that
+    replay disagrees: state_consistency is false, and Lip_2 alone is
+    named in replay_disagreements."""
+    from qiso import reports
+    from qiso.isometry import IsometryVerdict
+    real = reports.check_lip_p_universal
+
+    def flipped(action, p):
+        verdict = real(action, p)
+        if p != 2:
+            return verdict
+        if verdict.holds:
+            return IsometryVerdict(verdict.condition, False, witness={
+                "state": verdict.certificate["state"]})
+        return IsometryVerdict(verdict.condition, True, certificate={
+            "state": verdict.witness["state"]})
+
+    for name in ("dual-d4-blocks", "dual-d4-asymmetric"):
+        desc = {"source": "catalog", "name": name}
+        rec = reports.verify_instance(desc)
+        assert rec["state_consistency"] and rec["replay_disagreements"] == []
+        with monkeypatch.context() as patch:
+            patch.setattr(reports, "check_lip_p_universal", flipped)
+            rec = reports.verify_instance(desc)
+        assert not rec["state_consistency"], name
+        assert rec["replay_disagreements"] == ["Lip_2"], name
 
 
 def test_time_budget_skips_instances():
@@ -158,7 +191,7 @@ def test_time_budget_skips_instances():
     for jobs, least in ((1, 9), (2, 1)):
         cfg = SearchConfig(kind="catalog", catalog=["cyclic-3"],
                            random_actions=10, seed=3, time_budget=1e-9,
-                           jobs=jobs, state_samples=1)
+                           jobs=jobs)
         rep = run_catalog_verification(cfg)
         assert rep.timing["skipped_by_budget"] >= least, jobs
         assert rep.timing["skipped_by_budget"] + rep.timing["instances"] == 11
@@ -244,7 +277,7 @@ def test_envelope_without_a_hopf_ideal_does_not_stop_a_search(monkeypatch):
     monkeypatch.setattr(reports, "build_instance", lambda desc: action
                         if desc.get("name") == "cyclic-3" else real(desc))
     rep = run_catalog_verification(SearchConfig(
-        kind="catalog", catalog=["cyclic-3", "cyclic-4"], state_samples=2))
+        kind="catalog", catalog=["cyclic-3", "cyclic-4"]))
     assert [r["name"] for r in rep.instances] == ["cyclic-3", "cyclic-4"]
     rec = rep.instances[0]
     assert "no Hopf ideal" in rec["envelope"]["error"]

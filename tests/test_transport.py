@@ -1190,66 +1190,6 @@ def test_dual_vertices_match_reference_search():
     assert kinds == {F, float}
 
 
-def _trees_fit(space, q, trees):
-    """Whether every tree of `trees` is feasible for d^q, in Fractions: the
-    potentials propagated from g_{n-1} = 0 over the tree's own edges, then
-    f_a + g_b <= d(a, b)^q for every pair."""
-    n = space.n
-    cost = [[F(v) ** q for v in row] for row in space.dist]
-    for _, pedge in trees:
-        edges = [k for k in pedge if k >= 0]
-        val = {2 * n - 1: F(0)}
-        while len(val) < 2 * n:
-            for k in edges:
-                a, b = k // n, n + k % n
-                if (a in val) != (b in val):
-                    known, other = (a, b) if a in val else (b, a)
-                    val[other] = cost[a][b - n] - val[known]
-        if any(val[a] + val[n + b] > cost[a][b]
-               for a in range(n) for b in range(n)):
-            return False
-    return True
-
-
-def test_fitting_trees_give_the_searched_vertices():
-    """`_tree_vertices` accepts the trees of one p's search for another q
-    exactly when every tree is feasible for d^q (checked in Fractions),
-    and then returns the vertex set of `_dual_vertex_search(space, q)`:
-    over the catalog spaces, the n-cycles 3-7 and seeded rational spaces
-    with n <= 6, for p, q in {1, 2, 3}.  Every search visits one tree per
-    cell, and a space's own trees always fit.  Float spaces and p = 1.5
-    give no trees, nor is one reused for q = 1.5."""
-    from math import comb
-
-    from qiso.catalog import CATALOG, catalog_action
-    spaces = [catalog_action(name).space for name in CATALOG] + \
-        [cycle_metric(n) for n in range(3, 8)] + \
-        [random_metric_space(n, 60 + n + 7 * k) for n in range(3, 7)
-         for k in range(3)]
-    verdicts = []
-    for sp in spaces:
-        searches = {p: transport._dual_vertex_search(sp, p) for p in (1, 2, 3)}
-        for p, (_, _, trees) in searches.items():
-            assert len(trees) == comb(2 * sp.n - 2, sp.n - 1)
-            assert transport._tree_vertices(sp, 1.5, trees) is None
-            for q, (vertices, scale, _) in searches.items():
-                found = transport._tree_vertices(sp, q, trees)
-                assert (found is not None) == _trees_fit(sp, q, trees), \
-                    (sp.dist, p, q)
-                if found is not None:
-                    assert found[1] == scale
-                    assert set(found[0]) == set(vertices) and \
-                        len(found[0]) == len(vertices), (sp.dist, p, q)
-                verdicts.append(found is not None)
-                if p == q:
-                    assert found is not None
-    assert any(not v for v in verdicts)
-    for sp in (random_metric_space(5, 3, mode="float"), cycle_metric(4)):
-        assert transport._dual_vertex_search(sp, 1.5)[2] is None
-    assert transport._dual_vertex_search(
-        random_metric_space(5, 3, mode="float"), 2)[2] is None
-
-
 def test_restricted_dual_vertices_match_spanning_tree_oracle():
     """On a rows x cols restriction (m, n <= 4, overlapping or not) the
     pivot search finds exactly the potentials of the feasible spanning
