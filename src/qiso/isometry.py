@@ -20,13 +20,14 @@ Lip_p check reports the first pair in that order whose residual or
 margin is within 1e-12 (relative to the largest residual, or times max
 d) of the worst, so pairs that tie up to rounding give one witness.
 
-The per-state Lip_p check solves one transport problem per pair, by the
-simplex for finite p and by max-flow for p = inf.  It shares no step
-with the universal checks below, which find their states through dual
-vertices and eigenvectors, so a universal verdict replayed on its own
-state (`reports.verify_instance`) is decided a second time: a failing
-verdict's witness state, and a holding verdict's state at its largest
-margin or residual on a block of size > 1.
+The per-state Lip_p check solves one transport problem per pair
+(`_pair_margins`), by the simplex for finite p and by max-flow for
+p = inf.  It shares no step with the universal checks below, which find
+their states through dual vertices and eigenvectors, so a universal
+verdict replayed on its own state (`reports.verify_instance`) is decided
+a second time: a failing verdict's witness state at its witness pair
+alone, the one pair it claims, and a holding verdict's state at its
+largest margin or residual on a block of size > 1 at every pair.
 
 Universal quantification over states is resolved exactly, block by
 block: the sup of psi(a) over states of a block is its largest
@@ -261,18 +262,12 @@ def check_D_state(action: CoAction, psi: StateFunctional) -> IsometryVerdict:
                            action.space)
 
 
-def check_lip_p_state(action: CoAction, psi: StateFunctional, p) -> IsometryVerdict:
-    """W_p(x <| psi, y <| psi) <= d(x,y) for every pair of `_state_pairs`,
-    one transport problem per pair: `wasserstein_p` (the simplex on the
-    float d^p of the float masses) for finite p >= 1, `wasserstein_inf`
-    for p = inf.  Every x <| psi comes from one `act_on_points` call,
-    which validates it within the space's tol.
-
-    The margins W_p - d(x,y) scale with the metric, so the space's tol is
-    taken relative to the largest distance, as for (D).  A failure's
-    witness is the first pair whose margin is within 1e-12 x max d of the
-    largest."""
-    space = action.space
+def _pair_margins(space, images: np.ndarray, p, pairs):
+    """(W_p(x <| psi, y <| psi), W_p - d(x, y)) for each pair (x, y) of
+    `pairs`, from one state's (n, n) images (row x is x <| psi): one
+    transport problem per pair, `wasserstein_p` (the simplex on the float
+    d^p of the float masses) for finite p >= 1, `wasserstein_inf` for
+    p = inf."""
     if p == float("inf") or p == "inf":
         def distance(mu, nu):
             return float(wasserstein_inf(space, mu, nu).r)
@@ -281,11 +276,28 @@ def check_lip_p_state(action: CoAction, psi: StateFunctional, p) -> IsometryVerd
     else:
         def distance(mu, nu):
             return float(wasserstein_p(space, mu, nu, p))
-    images = [ProbVector(tuple(row))
-              for row in act_on_points(action, [psi])[0].tolist()]
+    mass = [ProbVector(tuple(row)) for row in images.tolist()]
+    out = []
+    for x, y in pairs:
+        w = distance(mass[x], mass[y])
+        out.append((w, w - float(space.dist[x][y])))
+    return out
+
+
+def check_lip_p_state(action: CoAction, psi: StateFunctional, p) -> IsometryVerdict:
+    """W_p(x <| psi, y <| psi) <= d(x,y) for every pair of `_state_pairs`,
+    one transport problem per pair (`_pair_margins`).  Every x <| psi
+    comes from one `act_on_points` call, which validates it within the
+    space's tol.
+
+    The margins W_p - d(x,y) scale with the metric, so the space's tol is
+    taken relative to the largest distance, as for (D).  A failure's
+    witness is the first pair whose margin is within 1e-12 x max d of the
+    largest."""
+    space = action.space
     pairs = _state_pairs(space)
-    w = [distance(images[x], images[y]) for x, y in pairs]
-    margins = [wxy - float(space.dist[x][y]) for wxy, (x, y) in zip(w, pairs)]
+    replayed = _pair_margins(space, act_on_points(action, [psi])[0], p, pairs)
+    margins = [margin for _, margin in replayed]
     scale = float(space.max_distance)
     worst = max(margins, default=0.0)
     tag = f"Lip_{p}(state)"
@@ -293,7 +305,7 @@ def check_lip_p_state(action: CoAction, psi: StateFunctional, p) -> IsometryVerd
         return IsometryVerdict(tag, True, certificate={"max_margin": worst})
     i = next(i for i, m in enumerate(margins) if m >= worst - 1e-12 * scale)
     return IsometryVerdict(tag, False, witness={
-        "pair": pairs[i], "wasserstein": w[i], "margin": margins[i]})
+        "pair": pairs[i], "wasserstein": replayed[i][0], "margin": margins[i]})
 
 
 # ---------------------------------------------------------------------------

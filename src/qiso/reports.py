@@ -26,13 +26,13 @@ import numpy as np
 
 from .catalog import (CATALOG, catalog_action, random_permutation_action,
                       random_quantum_action)
-from .coaction import CoAction, verify_coaction
+from .coaction import CoAction, act_on_points, verify_coaction
 from .envelope import envelope
 from .errors import QisoError
-from .fileio import coaction_to_dict
-from .isometry import (IsometryVerdict, check_injectivity, check_lip_p_state,
-                       check_lip_p_universal, check_support_universal,
-                       defect_blocks)
+from .fileio import coaction_to_dict, state_to_dict
+from .isometry import (IsometryVerdict, _pair_margins, _state_pairs,
+                       check_injectivity, check_lip_p_universal,
+                       check_support_universal, defect_blocks)
 from .metric import METRIC_MODELS, random_metric_space
 from .quantum_group import verify_quantum_group
 
@@ -166,25 +166,48 @@ def _condition_flags(verdicts: Dict[str, IsometryVerdict],
     return {"D": not cut, **{name: bool(v.holds) for name, v in verdicts.items()}}
 
 
+def _state_of(verdict: IsometryVerdict):
+    """The state a verdict is replayed on: a failure's witness state, or a
+    hold's state at its largest margin or residual on a larger block;
+    None for a hold that only characters decide."""
+    return ((verdict.certificate if verdict.holds else verdict.witness)
+            or {}).get("state")
+
+
+def _replays(action: CoAction, p_list,
+             verdicts: Dict[str, IsometryVerdict]) -> Dict[str, list]:
+    """Each verdict Lip_p, p in p_list, that has a state (`_state_of`),
+    replayed on it by the per-state check's transport solves: its name ->
+    the (W_p, margin) of `isometry._pair_margins` at a failure's witness
+    pair, or at every pair of `_state_pairs` for a hold.  x <| psi for
+    every replayed state comes from one `act_on_points` call."""
+    named = [(p, f"Lip_{p}") for p in p_list
+             if _state_of(verdicts[f"Lip_{p}"]) is not None]
+    images = act_on_points(action, [_state_of(verdicts[name]) for _, name in named])
+    every = _state_pairs(action.space)
+    out = {}
+    for (p, name), image in zip(named, images):
+        verdict = verdicts[name]
+        pairs = every if verdict.holds else [verdict.witness["pair"]]
+        out[name] = _pair_margins(action.space, image, p, pairs)
+    return out
+
+
 def _replay_disagreements(action: CoAction, p_list,
                           verdicts: Dict[str, IsometryVerdict]) -> List[str]:
     """The conditions Lip_p, p in p_list, whose universal verdict the
-    per-state check contradicts on the verdict's own state: the witness
-    state of a failure, which must fail (W_p^p >= lambda_max > d_top^p by
-    weak duality), or a hold's state at its largest margin or residual on
-    a larger block, which must hold.  A verdict with no state, a hold that
-    only characters decide, is a comparison of distance ranks and has
-    nothing to replay."""
-    out = []
-    for p in p_list:
-        name = f"Lip_{p}"
-        verdict = verdicts[name]
-        state = ((verdict.certificate if verdict.holds else verdict.witness)
-                 or {}).get("state")
-        if state is not None and \
-                check_lip_p_state(action, state, p).holds != verdict.holds:
-            out.append(name)
-    return out
+    per-state check contradicts on the verdict's own state (`_replays`).
+    A failure claims one pair, its witness pair, where W_p^p >= lambda_max
+    > d_top^p by weak duality (a character's witness sends x and y to Dirac
+    masses farther apart, a Lip_inf witness puts mass off the sublevel
+    set): it disagrees unless its margin there exceeds tol x max d.  A
+    hold disagrees if its margin at any pair does.  A verdict with no
+    state, a hold that only characters decide, is a comparison of distance
+    ranks and has nothing to replay."""
+    limit = action.space.tol * float(action.space.max_distance)
+    return [name for name, replayed in _replays(action, p_list, verdicts).items()
+            if (max(margin for _, margin in replayed) > limit)
+            == verdicts[name].holds]
 
 
 def verify_instance(desc: dict, p_list=(1, 2, 3, "inf")) -> dict:
@@ -256,12 +279,26 @@ def implication_tallies(instances: List[dict]) -> Dict[str, dict]:
 # the run kinds
 
 
+def _dossier_replays(action: CoAction, p_list) -> List[dict]:
+    """Each failing Lip_p verdict of p_list, decided again, with its
+    witness pair, its witness state as a state file (`fileio.state_to_dict`)
+    and the W_p replayed there, so that `qiso check --state` replays it
+    with no universal check."""
+    verdicts = _universal_verdicts(action, p_list)
+    failing = [p for p in p_list if not verdicts[f"Lip_{p}"].holds]
+    return [{"condition": name, "pair": list(verdicts[name].witness["pair"]),
+             "state": state_to_dict(verdicts[name].witness["state"]),
+             "wasserstein": replayed[0][0]}
+            for name, replayed in _replays(action, failing, verdicts).items()]
+
+
 def run_catalog_verification(config: SearchConfig) -> RunReport:
     """Verify every descriptor's instance, in order; once the time budget
     is spent, skip (cancel, with jobs > 1) those not yet started.  Every
     instance that breaks an implication of the tower gets a dossier, built
     here rather than in the workers: its verdicts, the (stronger, weaker)
-    pairs it breaks and the coaction inline, which replays them."""
+    pairs it breaks, its failing Lip_p verdicts replayed at their witness
+    pairs (`_dossier_replays`) and the coaction inline, which replays them."""
     worker = functools.partial(verify_instance, p_list=tuple(config.p_list))
     report = RunReport(kind=config.kind, config=asdict(config))
     descs = instance_descriptors(config)
@@ -286,12 +323,14 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
     for rec in report.instances:
         violated = _violated(rec["conditions"])
         if violated:
+            action = build_instance(rec["descriptor"])
             report.dossiers.append({
                 "descriptor": rec["descriptor"], "name": rec["name"],
                 "conditions": rec["conditions"],
                 "violations": [{"stronger": strong, "weaker": weak}
                                for strong, weak in violated],
-                "coaction": coaction_to_dict(build_instance(rec["descriptor"]))})
+                "replays": _dossier_replays(action, config.p_list),
+                "coaction": coaction_to_dict(action)})
     report.timing["seconds"] = time.perf_counter() - t0
     report.timing["instances"] = len(report.instances)
     report.timing["skipped_by_budget"] = skipped

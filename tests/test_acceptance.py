@@ -21,8 +21,8 @@ from qiso.isometry import (check_D, check_injectivity,
                            check_winf_universal)
 from qiso.metric import PairSet, random_metric_space
 from qiso.quantum_group import verify_quantum_group
-from qiso.reports import (SearchConfig, _replay_disagreements, build_instance,
-                          instance_descriptors)
+from qiso import reports
+from qiso.reports import SearchConfig, build_instance, instance_descriptors
 from qiso.transport import (ProbVector, feasible_coupling_on, kantorovich_w1,
                             prob_vector, solve_transport,
                             transport_with_power, wasserstein_inf)
@@ -196,10 +196,19 @@ def population_flags():
     entry-by-entry (U d - d U)_xy of tests/oracles.py, independent of the
     defect tensor of `check_D`.  Every universal Lip_p verdict (p = 1, 2,
     3, inf) that carries a state is replayed on it by the per-state check,
-    as the catalog run replays it, and must agree."""
+    as the catalog run replays it, and must agree: 664 failures, each at
+    its witness pair, and 105 holds, each at every pair, with the 83 holds
+    that characters alone decide skipped.  The replays are counted where
+    they solve, so that none is skipped silently."""
     config = SearchConfig(catalog=None, random_actions=200, n_range=(3, 4),
                           seed=777)
     forest_vertices = {}
+    counts = {"failure": 0, "hold": 0, "skipped": 0, "replayed": 0}
+    pair_margins = reports._pair_margins
+
+    def counted(*args):
+        counts["replayed"] += 1
+        return pair_margins(*args)
 
     def forest(space, p):
         # mode and tol too: Fraction(1) == 1.0, so the distances alone
@@ -219,8 +228,13 @@ def population_flags():
         verdicts = {f"Lip_{p}": check_lip_p_universal(action, p)
                     for p in (1, 2, 3)}
         verdicts["Lip_inf"] = check_winf_universal(action)
-        assert not _replay_disagreements(action, (1, 2, 3, "inf"), verdicts), \
-            desc
+        with mock.patch.object(reports, "_pair_margins", counted):
+            assert not reports._replay_disagreements(
+                action, (1, 2, 3, "inf"), verdicts), desc
+        for verdict in verdicts.values():
+            counts["failure" if not verdict.holds else
+                   "hold" if verdict.certificate.get("state") is not None
+                   else "skipped"] += 1
         flags = {
             "name": desc.get("name", str(desc.get("seed"))),
             "D": check_D(action).holds,
@@ -230,6 +244,8 @@ def population_flags():
                 action, action.space.tol).holds,
         }
         rows.append(flags)
+    assert counts == {"failure": 664, "hold": 105, "skipped": 83,
+                      "replayed": 664 + 105}
     return rows
 
 

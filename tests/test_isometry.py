@@ -47,7 +47,7 @@ def test_verdicts_take_no_tolerance_argument():
     tol of its own."""
     names = {"qiso.isometry": (
                  "check_D", "check_D_state",
-                 "check_lip_p_state",
+                 "check_lip_p_state", "_pair_margins",
                  "check_lip_p_universal", "check_lip1_universal",
                  "check_winf_universal", "check_theorem_main",
                  "check_level_coupling_state", "check_injectivity",
@@ -59,7 +59,8 @@ def test_verdicts_take_no_tolerance_argument():
              "qiso.quantum_group": ("haar_state", "require_kac"),
              "oracles": ("verify_universal_property", "check_orthogonality"),
              "qiso.reports": ("verify_instance", "_universal_verdicts",
-                              "_replay_disagreements")}
+                              "_replays", "_replay_disagreements",
+                              "_dossier_replays")}
     for module, funcs in names.items():
         module = importlib.import_module(module)
         for name in funcs:
@@ -983,8 +984,8 @@ def test_unordered_sweep_matches_ordered_sweep():
 def test_verify_instance_computes_each_image_once(monkeypatch):
     """One verify_instance call computes x <| psi once per point and
     replayed state: on dual-d4-asymmetric, whose four Lip_p verdicts
-    (p = 1, 2, 3, inf) fail, four act_on_points calls of one state each,
-    and every replay agrees with its verdict."""
+    (p = 1, 2, 3, inf) fail, one act_on_points call for the four replay
+    states, and every replay agrees with its verdict."""
     from qiso.reports import verify_instance
     batches = []
 
@@ -993,10 +994,57 @@ def test_verify_instance_computes_each_image_once(monkeypatch):
         return act_on_points(action, states, *args, **kwargs)
 
     monkeypatch.setattr(isometry, "act_on_points", batched)
+    monkeypatch.setattr(reports, "act_on_points", batched)
     rec = verify_instance({"source": "catalog", "name": "dual-d4-asymmetric"})
     assert not any(rec["conditions"][f"Lip_{p}"] for p in (1, 2, 3, "inf"))
     assert rec["replay_disagreements"] == [] and rec["state_consistency"]
-    assert batches == [1, 1, 1, 1]
+    assert batches == [4]
+
+
+def _replay_solves(monkeypatch, name):
+    """The transport solves that verify_instance's replays make on catalog
+    entry `name`, (wasserstein_p calls, wasserstein_inf calls), with the
+    record."""
+    calls = {"p": 0, "inf": 0}
+
+    def counted(key, solve):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return solve(*args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(isometry, "wasserstein_p", counted("p", wasserstein_p))
+        patch.setattr(isometry, "wasserstein_inf",
+                      counted("inf", wasserstein_inf))
+        rec = reports.verify_instance({"source": "catalog", "name": name})
+    return (calls["p"], calls["inf"]), rec
+
+
+def test_a_failing_replay_solves_at_its_witness_pair_alone(monkeypatch):
+    """A failing universal verdict claims its witness pair, so its replay
+    makes one transport solve: on z4-broken-diagonal and
+    dual-d4-asymmetric, where Lip_1, Lip_2, Lip_3 and Lip_inf fail, three
+    wasserstein_p calls and one wasserstein_inf call, against 4 x 6 for a
+    replay at every pair, and every replay agrees."""
+    for name in ("z4-broken-diagonal", "dual-d4-asymmetric"):
+        solves, rec = _replay_solves(monkeypatch, name)
+        assert not any(rec["conditions"][f"Lip_{p}"] for p in (1, 2, 3, "inf"))
+        assert rec["replay_disagreements"] == [], name
+        assert solves == (3, 1), name
+
+
+def test_a_holding_replay_solves_at_every_pair(monkeypatch):
+    """A hold claims every pair, so its replay makes one transport solve
+    per pair of `_state_pairs`: on dual-d4-blocks, whose Lip_1, Lip_2 and
+    Lip_3 hold with a state on the 2x2 block and whose Lip_inf hold is
+    decided on characters alone (no replay), 3 x 6 wasserstein_p calls."""
+    solves, rec = _replay_solves(monkeypatch, "dual-d4-blocks")
+    action = build_instance({"source": "catalog", "name": "dual-d4-blocks"})
+    assert all(rec["conditions"][f"Lip_{p}"] for p in (1, 2, 3, "inf"))
+    assert rec["replay_disagreements"] == []
+    assert len(isometry._state_pairs(action.space)) == 6
+    assert solves == (3 * 6, 0)
 
 
 def _images_by_act_on_point(action, states):

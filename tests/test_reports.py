@@ -1,6 +1,7 @@
 """Run determinism, emission round trips, no-silent-downgrade markers."""
 
 import json
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -155,9 +156,10 @@ def test_a_replay_that_disagrees_breaks_state_consistency(monkeypatch):
     whose holds are decided on its 2x2 block, and on dual-d4-asymmetric,
     where every Lip_p fails.  With universal Lip_2 patched to the opposite
     verdict on the same state (a failure witnessed by the hold's tightest
-    state, or a hold certified by the failure's witness state), that
-    replay disagrees: state_consistency is false, and Lip_2 alone is
-    named in replay_disagreements."""
+    state, at a pair where it holds as it holds at every pair, or a hold
+    certified by the failure's witness state), that replay disagrees:
+    state_consistency is false, and Lip_2 alone is named in
+    replay_disagreements."""
     from qiso import reports
     from qiso.isometry import IsometryVerdict
     real = reports.check_lip_p_universal
@@ -168,7 +170,7 @@ def test_a_replay_that_disagrees_breaks_state_consistency(monkeypatch):
             return verdict
         if verdict.holds:
             return IsometryVerdict(verdict.condition, False, witness={
-                "state": verdict.certificate["state"]})
+                "pair": (0, 1), "state": verdict.certificate["state"]})
         return IsometryVerdict(verdict.condition, True, certificate={
             "state": verdict.witness["state"]})
 
@@ -181,6 +183,82 @@ def test_a_replay_that_disagrees_breaks_state_consistency(monkeypatch):
             rec = reports.verify_instance(desc)
         assert not rec["state_consistency"], name
         assert rec["replay_disagreements"] == ["Lip_2"], name
+
+
+def test_a_failure_replays_at_its_own_witness_pair(monkeypatch):
+    """A failing universal verdict claims its witness pair, and its replay
+    decides that pair alone.  Universal Lip_1 on dual-d4-asymmetric fails
+    on a character at (0, 2), where its witness state gives W_1 = 3 > 2;
+    moved to a pair where W_1 of that state, computed by wasserstein_p
+    directly, is within d, the failure keeps its state, yet its replay
+    disagrees and Lip_1 alone is named."""
+    from qiso import reports
+    from qiso.coaction import act_on_point
+    from qiso.isometry import IsometryVerdict, _state_pairs
+    from qiso.transport import wasserstein_p
+    desc = {"source": "catalog", "name": "dual-d4-asymmetric"}
+    action = reports.build_instance(desc)
+    check = reports.check_lip_p_universal
+    real = check(action, 1)
+    assert not real.holds and real.witness["pair"] == (0, 2)
+    state = real.witness["state"]
+    images = [act_on_point(action, x, state) for x in range(action.n)]
+    held = [(x, y) for x, y in _state_pairs(action.space)
+            if float(wasserstein_p(action.space, images[x], images[y], 1))
+            <= float(action.space.dist[x][y])]
+    assert held and (0, 2) not in held
+    moved = IsometryVerdict(real.condition, False,
+                            witness=dict(real.witness, pair=held[0]))
+    monkeypatch.setattr(reports, "check_lip_p_universal",
+                        lambda action, p: moved if p == 1 else check(action, p))
+    rec = reports.verify_instance(desc)
+    assert not rec["conditions"]["Lip_1"]
+    assert rec["replay_disagreements"] == ["Lip_1"]
+    assert not rec["state_consistency"]
+
+
+def test_a_dossier_replays_each_failure_at_its_witness_pair(monkeypatch,
+                                                            tmp_path, capsys):
+    """With universal Lip_2 flipped to a hold on dual-d4-asymmetric (its
+    failure's witness state as the certificate), the catalog run writes
+    one dossier, for the violation (Lip_2, Lip_1).  Its replays name every
+    failing Lip_p, each with its witness pair, its witness state as a
+    state file and the W_p there; Lip_1's, read back from the emitted JSON
+    with the dossier's coaction, fails under `qiso check --state` at the
+    same pair with the same W_1, above d(pair)."""
+    from qiso import reports
+    from qiso.cli import main
+    from qiso.isometry import IsometryVerdict
+    real = reports.check_lip_p_universal
+
+    def flipped(action, p):
+        verdict = real(action, p)
+        if p != 2:
+            return verdict
+        return IsometryVerdict(verdict.condition, True, certificate={
+            "state": verdict.witness["state"]})
+
+    monkeypatch.setattr(reports, "check_lip_p_universal", flipped)
+    cfg = SearchConfig(kind="catalog", catalog=["dual-d4-asymmetric"])
+    doc = json.loads(emit_report(run_catalog_verification(cfg)))
+    dossier, = doc["dossiers"]
+    assert dossier["violations"] == [{"stronger": "Lip_2", "weaker": "Lip_1"}]
+    replays = {r["condition"]: r for r in dossier["replays"]}
+    assert list(replays) == ["Lip_1", "Lip_3", "Lip_inf"]
+    assert all(set(r) == {"condition", "pair", "state", "wasserstein"}
+               for r in replays.values())
+    lip_1 = replays["Lip_1"]
+    act, state = tmp_path / "act.json", tmp_path / "state.json"
+    act.write_text(json.dumps(dossier["coaction"]))
+    state.write_text(json.dumps(lip_1["state"]))
+    code = main(["check", str(act), "--condition", "lip", "--p", "1",
+                 "--state", str(state)])
+    out = json.loads(capsys.readouterr().out)
+    x, y = lip_1["pair"]
+    d_xy = float(F(dossier["coaction"]["space"]["dist"][x][y]))
+    assert code == 3 and not out["holds"]
+    assert out["witness"]["pair"] == lip_1["pair"]
+    assert out["witness"]["wasserstein"] == lip_1["wasserstein"] > d_xy
 
 
 def test_time_budget_skips_instances():
