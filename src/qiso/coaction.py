@@ -24,6 +24,7 @@ from .algebra import AlgElement, StateFunctional, element_norms, max_operator_no
 from .errors import QisoError, ShapeMismatch
 from .metric import FiniteMetricSpace
 from .quantum_group import QGReport, QuantumGroup
+from .scalars import integer_scale
 from .transport import ProbVector
 
 
@@ -86,6 +87,15 @@ class CoAction:
         supports[k, x, place[k, x, j]] = j
         return supports
 
+    @cached_property
+    def kappa_coeffs(self) -> np.ndarray:
+        """kappa(u_ij) over the matrix-unit basis, U kappa^T on coefficients:
+        a read-only (n, n, dim) tensor formed on first read, which the
+        defects of (D) and the exact forms of kappa(u) both read."""
+        kappa_u = self.coeffs @ self.group.kappa.T
+        kappa_u.flags.writeable = False
+        return kappa_u
+
     def exact_block(self, k: int, antipode: bool = False
                     ) -> Optional[Tuple[np.ndarray, int]]:
         """(R, q) with R[i, j] the real form [[Re, -Im], [Im, Re]] of u_ij
@@ -99,7 +109,7 @@ class CoAction:
         exact decision of (D) reads beside u's."""
         if (k, antipode) not in self._exact_forms:
             stacks = self.group.algebra.split(
-                self.coeffs @ self.group.kappa.T) if antipode else self.stacks
+                self.kappa_coeffs) if antipode else self.stacks
             self._exact_forms[k, antipode] = exact_form(stacks[k])
         return self._exact_forms[k, antipode]
 
@@ -115,10 +125,8 @@ def exact_form(stack: np.ndarray) -> Optional[Tuple[np.ndarray, int]]:
         if f is None or float(f) != v:
             return None
         fracs.append(f)
-    q = math.lcm(*(f.denominator for f in fracs))
-    ints = np.array([f.numerator * (q // f.denominator) for f in fracs],
-                    dtype=object)
-    re, im = ints[inverse.reshape(parts.shape)]
+    ints, q = integer_scale(fracs)
+    re, im = np.array(ints, dtype=object)[inverse.reshape(parts.shape)]
     return np.concatenate([np.concatenate([re, -im], axis=-1),
                            np.concatenate([im, re], axis=-1)], axis=-2), q
 

@@ -137,10 +137,10 @@ def _state_pairs(space):
 def commutator_defects(action: CoAction) -> np.ndarray:
     """The defect elements c_xy = sum_j d(y,j) u_xj - sum_j d(x,j) kappa(u_yj)
     as an (n, n, dim) tensor of coefficient vectors; all zero exactly when
-    condition (D) holds.  kappa(u_yj) is U kappa^T on coefficients."""
+    condition (D) holds.  kappa(u_yj) is the action's `kappa_coeffs`."""
     d = np.array(action.space.dist, dtype=float)
     return np.einsum("yj,xja->xya", d, action.coeffs) - \
-        np.einsum("xj,yja->xya", d, action.coeffs @ action.group.kappa.T)
+        np.einsum("xj,yja->xya", d, action.kappa_coeffs)
 
 
 def _defect_verdict(tag: str, residuals: np.ndarray, space,

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from .errors import DimensionMismatch, QisoError
-from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, Scalar, is_rational
+from .scalars import DEFAULT_TOL, FLOAT, RATIONAL, Scalar, integer_scale, is_rational
 
 
 class MetricError(QisoError):
@@ -105,11 +105,9 @@ class FiniteMetricSpace:
         transport all run on these ints instead of on Fractions."""
         if self.mode != RATIONAL:
             raise ValueError("only a rational space has an integer form")
-        denominators = {v.denominator for row in self.dist for v in row}
-        scale = math.lcm(*denominators)
-        factor = {q: scale // q for q in denominators}
-        return (tuple(tuple(v.numerator * factor[v.denominator] for v in row)
-                      for row in self.dist), scale)
+        n = self.n
+        ints, scale = integer_scale([v for row in self.dist for v in row])
+        return tuple(tuple(ints[i * n:(i + 1) * n]) for i in range(n)), scale
 
     @cached_property
     def _distance_keys(self):

@@ -15,10 +15,10 @@ conjectures; they tally evidence and dossier any would-be counterexample.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
@@ -36,8 +36,13 @@ from .isometry import (IsometryVerdict, _pair_margins, _state_pairs,
 from .metric import METRIC_MODELS, random_metric_space
 from .quantum_group import verify_quantum_group
 
-# strongest first; every earlier condition must imply every later one
-CONDITION_ORDER = ["D", "main", "Lip_inf", "Lip_3", "Lip_2", "Lip_1"]
+# the tower of isometries, strongest first (every earlier condition must
+# imply every later one): each condition's name -> its p, for a Lip_p
+TOWER = {"D": None, "main": None, "Lip_inf": "inf", "Lip_3": 3, "Lip_2": 2,
+         "Lip_1": 1}
+CONDITION_ORDER = list(TOWER)
+# the Lip_p conditions, (name, p), in the order they are decided and replayed
+LIP_P = [(name, p) for name, p in reversed(TOWER.items()) if p is not None]
 
 
 @dataclass
@@ -47,7 +52,6 @@ class SearchConfig:
     metric_model: str = "shortest-path-graph"
     catalog: Optional[List[str]] = None   # entry names; None = all
     random_actions: int = 0
-    p_list: Sequence = (1, 2, 3, "inf")
     seed: int = 0
     time_budget: Optional[float] = None   # seconds; soft, between instances
     jobs: int = 1
@@ -77,9 +81,9 @@ _CONFIG_CHECKS = {
     "kind": lambda v: isinstance(v, str) and v in RUN_KINDS,
     "n_range": lambda v: bool(v) and _is_list(v, lambda n: _is_number(n, 2, int)),
     "metric_model": lambda v: isinstance(v, str) and v in METRIC_MODELS,
-    "catalog": lambda v: v is None or _is_list(v, lambda s: isinstance(s, str)),
+    "catalog": lambda v: v is None or _is_list(
+        v, lambda s: isinstance(s, str) and s in CATALOG),
     "random_actions": lambda v: _is_number(v, 0, int),
-    "p_list": lambda v: _is_list(v, lambda p: p == "inf" or _is_number(p, 1)),
     "seed": lambda v: _is_number(v, 0, int),
     "time_budget": lambda v: v is None or _is_number(v, 0),
     "jobs": lambda v: _is_number(v, 1, int),
@@ -146,15 +150,14 @@ def build_instance(desc: dict) -> CoAction:
 # per-instance verification
 
 
-def _universal_verdicts(action: CoAction, p_list) -> Dict[str, IsometryVerdict]:
+def _universal_verdicts(action: CoAction) -> Dict[str, IsometryVerdict]:
     """The universal verdict of every condition but (D), keyed by its name
-    in CONDITION_ORDER: main and Lip_inf from one sweep, then Lip_p for
-    each finite p of p_list."""
+    in TOWER: main and Lip_inf from one sweep, then each finite Lip_p."""
     main, lip_inf = check_support_universal(action)
     verdicts = {"main": main, "Lip_inf": lip_inf}
-    for p in p_list:
-        if p not in ("inf", float("inf")):
-            verdicts[f"Lip_{p}"] = check_lip_p_universal(action, p)
+    for name, p in LIP_P:
+        if p != "inf":
+            verdicts[name] = check_lip_p_universal(action, p)
     return verdicts
 
 
@@ -174,29 +177,29 @@ def _state_of(verdict: IsometryVerdict):
             or {}).get("state")
 
 
-def _replays(action: CoAction, p_list,
+def _replays(action: CoAction,
              verdicts: Dict[str, IsometryVerdict]) -> Dict[str, list]:
-    """Each verdict Lip_p, p in p_list, that has a state (`_state_of`),
-    replayed on it by the per-state check's transport solves: its name ->
-    the (W_p, margin) of `isometry._pair_margins` at a failure's witness
-    pair, or at every pair of `_state_pairs` for a hold.  x <| psi for
-    every replayed state comes from one `act_on_points` call."""
-    named = [(p, f"Lip_{p}") for p in p_list
-             if _state_of(verdicts[f"Lip_{p}"]) is not None]
-    images = act_on_points(action, [_state_of(verdicts[name]) for _, name in named])
+    """Each Lip_p verdict of `verdicts` that has a state (`_state_of`),
+    replayed on it by the per-state check's transport solves, in LIP_P
+    order: its name -> the (W_p, margin) of `isometry._pair_margins` at a
+    failure's witness pair, or at every pair of `_state_pairs` for a hold.
+    x <| psi for every replayed state comes from one `act_on_points` call."""
+    named = [(name, p) for name, p in LIP_P
+             if name in verdicts and _state_of(verdicts[name]) is not None]
+    images = act_on_points(action, [_state_of(verdicts[name]) for name, _ in named])
     every = _state_pairs(action.space)
     out = {}
-    for (p, name), image in zip(named, images):
+    for (name, p), image in zip(named, images):
         verdict = verdicts[name]
         pairs = every if verdict.holds else [verdict.witness["pair"]]
         out[name] = _pair_margins(action.space, image, p, pairs)
     return out
 
 
-def _replay_disagreements(action: CoAction, p_list,
+def _replay_disagreements(action: CoAction,
                           verdicts: Dict[str, IsometryVerdict]) -> List[str]:
-    """The conditions Lip_p, p in p_list, whose universal verdict the
-    per-state check contradicts on the verdict's own state (`_replays`).
+    """The conditions Lip_p whose universal verdict the per-state check
+    contradicts on the verdict's own state (`_replays`).
     A failure claims one pair, its witness pair, where W_p^p >= lambda_max
     > d_top^p by weak duality (a character's witness sends x and y to Dirac
     masses farther apart, a Lip_inf witness puts mass off the sublevel
@@ -205,12 +208,12 @@ def _replay_disagreements(action: CoAction, p_list,
     state, a hold that only characters decide, is a comparison of distance
     ranks and has nothing to replay."""
     limit = action.space.tol * float(action.space.max_distance)
-    return [name for name, replayed in _replays(action, p_list, verdicts).items()
+    return [name for name, replayed in _replays(action, verdicts).items()
             if (max(margin for _, margin in replayed) > limit)
             == verdicts[name].holds]
 
 
-def verify_instance(desc: dict, p_list=(1, 2, 3, "inf")) -> dict:
+def verify_instance(desc: dict) -> dict:
     """Everything the verification run records about one action."""
     t0 = time.perf_counter()
     action = build_instance(desc)
@@ -227,11 +230,11 @@ def verify_instance(desc: dict, p_list=(1, 2, 3, "inf")) -> dict:
     except QisoError as exc:
         cut = defect_blocks(action).blocks
         env_rec = {"error": str(exc)}
-    verdicts = _universal_verdicts(action, p_list)
+    verdicts = _universal_verdicts(action)
     rec["conditions"] = _condition_flags(verdicts, cut)
     rec["injective"] = bool(check_injectivity(action))
     rec["envelope"] = env_rec
-    rec["replay_disagreements"] = _replay_disagreements(action, p_list, verdicts)
+    rec["replay_disagreements"] = _replay_disagreements(action, verdicts)
     rec["state_consistency"] = not rec["replay_disagreements"]
     rec["seconds"] = time.perf_counter() - t0
     return rec
@@ -242,54 +245,40 @@ def _violated(flags: dict) -> List[tuple]:
     condition holds and the weaker fails: the tower's implications that
     these verdicts break."""
     return [(strong, weak) for i, strong in enumerate(CONDITION_ORDER)
-            for weak in CONDITION_ORDER[i + 1:]
-            if flags.get(strong) is True and flags.get(weak) is False]
+            for weak in CONDITION_ORDER[i + 1:] if flags[strong] and not flags[weak]]
 
 
 def implication_tallies(instances: List[dict]) -> Dict[str, dict]:
-    """Counts per condition and per ordered implication; 'violations' lists
-    (instance, stronger, weaker) triples where the tower failed."""
-    held = {c: 0 for c in CONDITION_ORDER}
-    failed = {c: 0 for c in CONDITION_ORDER}
-    undecided = {c: 0 for c in CONDITION_ORDER}
-    violations = []
-    pattern_counts: Dict[str, int] = {}
-    for rec in instances:
-        flags = rec.get("conditions", {})
-        pat = "".join("T" if flags.get(c) is True else
-                      "F" if flags.get(c) is False else "?"
-                      for c in CONDITION_ORDER)
-        pattern_counts[pat] = pattern_counts.get(pat, 0) + 1
-        for c in CONDITION_ORDER:
-            v = flags.get(c)
-            if v is True:
-                held[c] += 1
-            elif v is False:
-                failed[c] += 1
-            else:
-                undecided[c] += 1
-        for strong, weak in _violated(flags):
-            violations.append({"instance": rec.get("name", "?"),
-                               "stronger": strong, "weaker": weak})
-    return {"held": held, "failed": failed, "undecided": undecided,
-            "patterns": pattern_counts, "violations": violations}
+    """Counts per condition and per verdict pattern (a T or F for each
+    condition of CONDITION_ORDER); 'violations' lists (instance, stronger,
+    weaker) triples where the tower failed."""
+    flags = [rec["conditions"] for rec in instances]
+    held = {c: sum(f[c] for f in flags) for c in CONDITION_ORDER}
+    patterns = Counter("".join("T" if f[c] else "F" for c in CONDITION_ORDER)
+                       for f in flags)
+    return {"held": held,
+            "failed": {c: len(flags) - held[c] for c in CONDITION_ORDER},
+            "patterns": dict(patterns),
+            "violations": [{"instance": rec["name"], "stronger": strong, "weaker": weak}
+                           for rec in instances
+                           for strong, weak in _violated(rec["conditions"])]}
 
 
 # ---------------------------------------------------------------------------
 # the run kinds
 
 
-def _dossier_replays(action: CoAction, p_list) -> List[dict]:
-    """Each failing Lip_p verdict of p_list, decided again, with its
-    witness pair, its witness state as a state file (`fileio.state_to_dict`)
-    and the W_p replayed there, so that `qiso check --state` replays it
-    with no universal check."""
-    verdicts = _universal_verdicts(action, p_list)
-    failing = [p for p in p_list if not verdicts[f"Lip_{p}"].holds]
-    return [{"condition": name, "pair": list(verdicts[name].witness["pair"]),
-             "state": state_to_dict(verdicts[name].witness["state"]),
+def _dossier_replays(action: CoAction) -> List[dict]:
+    """Each failing Lip_p verdict, decided again, with its witness pair,
+    its witness state as a state file (`fileio.state_to_dict`) and the W_p
+    replayed there, so that `qiso check --state` replays it with no
+    universal check."""
+    failing = {name: v for name, v in _universal_verdicts(action).items()
+               if not v.holds}
+    return [{"condition": name, "pair": list(failing[name].witness["pair"]),
+             "state": state_to_dict(failing[name].witness["state"]),
              "wasserstein": replayed[0][0]}
-            for name, replayed in _replays(action, failing, verdicts).items()]
+            for name, replayed in _replays(action, failing).items()]
 
 
 def run_catalog_verification(config: SearchConfig) -> RunReport:
@@ -299,7 +288,6 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
     here rather than in the workers: its verdicts, the (stronger, weaker)
     pairs it breaks, its failing Lip_p verdicts replayed at their witness
     pairs (`_dossier_replays`) and the coaction inline, which replays them."""
-    worker = functools.partial(verify_instance, p_list=tuple(config.p_list))
     report = RunReport(kind=config.kind, config=asdict(config))
     descs = instance_descriptors(config)
     t0 = time.perf_counter()
@@ -308,7 +296,7 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
     if config.jobs > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(worker, desc) for desc in descs]
+            futures = [pool.submit(verify_instance, desc) for desc in descs]
             for fut in futures:
                 if time.perf_counter() > deadline:
                     skipped += sum(f.cancel() for f in futures if not f.done())
@@ -319,7 +307,7 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
             if time.perf_counter() > deadline:
                 skipped += 1
                 continue
-            report.instances.append(worker(desc))
+            report.instances.append(verify_instance(desc))
     for rec in report.instances:
         violated = _violated(rec["conditions"])
         if violated:
@@ -329,7 +317,7 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
                 "conditions": rec["conditions"],
                 "violations": [{"stronger": strong, "weaker": weak}
                                for strong, weak in violated],
-                "replays": _dossier_replays(action, config.p_list),
+                "replays": _dossier_replays(action),
                 "coaction": coaction_to_dict(action)})
     report.timing["seconds"] = time.perf_counter() - t0
     report.timing["instances"] = len(report.instances)
@@ -401,11 +389,10 @@ def _emit_markdown(report: RunReport) -> str:
         m = report.implication_matrix
         lines.append("## Condition tallies")
         lines.append("")
-        lines.append("| condition | held | failed | undecided |")
-        lines.append("|---|---|---|---|")
+        lines.append("| condition | held | failed |")
+        lines.append("|---|---|---|")
         for c in CONDITION_ORDER:
-            lines.append(f"| {c} | {m['held'][c]} | {m['failed'][c]} "
-                         f"| {m['undecided'][c]} |")
+            lines.append(f"| {c} | {m['held'][c]} | {m['failed'][c]} |")
         lines.append("")
         lines.append("## Verdict patterns (" + ", ".join(CONDITION_ORDER) + ")")
         lines.append("")

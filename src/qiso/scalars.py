@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import List, Tuple, Union
 
 Scalar = Union[Fraction, float, int]
 
@@ -52,6 +52,13 @@ def parse_scalar(value, mode: str = RATIONAL) -> Scalar:
         return float(value)
     except OverflowError:
         raise ValueError(f"scalar beyond the float range: {value!r}") from None
+
+
+def integer_scale(values) -> Tuple[List[int], int]:
+    """Ints k and the least scale s > 0 with values[i] == k[i] / s, for
+    rational (int or Fraction) values."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def format_scalar(x: Scalar):

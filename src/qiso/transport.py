@@ -41,7 +41,8 @@ from typing import List, Optional, Tuple
 
 from .errors import DimensionMismatch, QisoError
 from .metric import FiniteMetricSpace, PairSet
-from .scalars import DEFAULT_TOL, RATIONAL, Scalar, is_rational, tol_for
+from .scalars import (DEFAULT_TOL, RATIONAL, Scalar, integer_scale, is_rational,
+                      tol_for)
 
 
 class InfeasibleMarginals(QisoError):
@@ -134,13 +135,6 @@ class TransportResult:
 # network simplex core
 
 _MAX_PIVOTS = 200_000
-
-
-def _integer_scale(values) -> Tuple[List[int], int]:
-    """Integers k and the least s > 0 with values[i] == k[i] / s, for
-    rational (int or Fraction) values."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _greedy_tree(num_nodes: int, tail, head, cost, demand):
@@ -399,7 +393,7 @@ def solve_transport(mu: ProbVector, nu: ProbVector, cost) -> TransportResult:
         raise DimensionMismatch("marginals and cost must share one size n")
     flat = [c for row in cost for c in row]
     if _mode_of(mu.mass, nu.mass, flat) == RATIONAL:
-        return _transport(mu, nu, *_integer_scale(flat))
+        return _transport(mu, nu, *integer_scale(flat))
     return _transport(mu, nu, flat, None)
 
 
@@ -415,7 +409,7 @@ def _transport(mu: ProbVector, nu: ProbVector, cost,
     end, as is each nonzero flow."""
     n = mu.n
     if scale is not None:
-        mass, ms = _integer_scale(mu.mass + nu.mass)
+        mass, ms = integer_scale(mu.mass + nu.mass)
     else:
         cost = [float(c) for c in cost]
         mass = [float(m) for m in mu.mass + nu.mass]
@@ -482,7 +476,7 @@ def kantorovich_w1(space: FiniteMetricSpace, mu: ProbVector, nu: ProbVector):
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     if space.mode == RATIONAL and _mode_of(mu.mass, nu.mass) == RATIONAL:
         dist, scale = space.integer_form
-        mass, ms = _integer_scale(mu.mass + nu.mass)
+        mass, ms = integer_scale(mu.mass + nu.mass)
         demand = [mass[n + i] - mass[i] for i in range(n)]
         cost = [dist[i][j] for i, j in pairs]
     else:
@@ -537,7 +531,7 @@ class _FlowNetwork:
         self.n = n
         self.rational = _mode_of(mu.mass, nu.mass) == RATIONAL
         if self.rational:
-            self.mass, self.scale = _integer_scale(mu.mass + nu.mass)
+            self.mass, self.scale = integer_scale(mu.mass + nu.mass)
             # ints, so that the loops compare ints only
             self.eps = self.slack = 0
             unbalanced = sum(self.mass[:n]) != sum(self.mass[n:])

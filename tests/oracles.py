@@ -224,11 +224,12 @@ from qiso.quantum_group import (InconsistentIrreps, NotAGroup, Permutation,
                                 QGReport, QuantumGroup, close_generators,
                                 compose, function_algebra_of_group,
                                 group_algebra)
-from qiso.scalars import RATIONAL, Scalar, format_scalar, is_rational, tol_for
+from qiso.scalars import (RATIONAL, Scalar, format_scalar, integer_scale, is_rational,
+                          tol_for)
 from qiso.transport import (_MAX_PIVOTS, Coupling, CouplingFeasibility,
                             DualPotentials, InfeasibleMarginals, ProbVector,
                             UnboundedFlow, WInfResult, _dual_vertex_search,
-                            _integer_scale, _mode_of, enumerate_dual_vertices,
+                            _mode_of, enumerate_dual_vertices,
                             feasible_coupling_on, prob_vector,
                             transport_with_power)
 
@@ -792,7 +793,7 @@ def enumerate_boxed_dual_vertices(space: FiniteMetricSpace, p,
         # Rescale to plain integers: the enumeration only adds, subtracts
         # and compares, so scaling by the common denominator is exact and
         # an order of magnitude faster than Fraction arithmetic.
-        flat, scale = _integer_scale([v for row in cost for v in row])
+        flat, scale = integer_scale([v for row in cost for v in row])
         work = [flat[i * n:(i + 1) * n] for i in range(n)]
         eps = 0
     else:
@@ -2068,7 +2069,7 @@ def feasible_coupling_reference(mu: ProbVector, nu: ProbVector, Y: PairSet,
 
     rational = mode == RATIONAL
     if rational:
-        mass, scale = _integer_scale(mu.mass + nu.mass)
+        mass, scale = integer_scale(mu.mass + nu.mass)
         eps = 0  # an int, so that the loop compares ints only
     else:
         mass, scale = list(mu.mass + nu.mass), 1

@@ -643,6 +643,54 @@ def test_cli_search_rejects_unknown_config_key(tmp_path, capsys):
         assert code == 2 and not out and key in err
 
 
+def test_cli_search_rejects_the_retired_p_list(tmp_path, capsys):
+    """The search decides every Lip_p of the tower, p = 1, 2, 3 and inf,
+    so "p_list" is an unknown key naming itself: its default was the only
+    value that gave the tower's six flags ([1.0, 2, 3, "inf"] decided a
+    "Lip_1.0" and left Lip_1 undecided)."""
+    cfg = tmp_path / "cfg.json"
+    for value in ([1, 2, 3, "inf"], [1.0, 2, 3, "inf"], [1.5]):
+        cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
+                                   "p_list": value}))
+        code = main(["search", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "p_list" in err, value
+
+
+def test_cli_search_rejects_an_unknown_catalog_entry(tmp_path, capsys):
+    """A catalog entry that `catalog.CATALOG` lacks is invalid input naming
+    the field, not a run that drops it ("cylic-3" ran 0 instances and
+    exited 0)."""
+    cfg = tmp_path / "cfg.json"
+    for names in (["cylic-3"], ["cyclic-3", "cylic-3"]):
+        cfg.write_text(json.dumps({"kind": "catalog", "catalog": names}))
+        code = main(["search", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "'catalog'" in err, names
+        assert "cylic-3" in err, names
+
+
+def test_readme_commands_parse():
+    """Every `qiso ...` line of README.md's shell blocks parses with the
+    CLI's own parser, so the README shows no retired flag or subcommand.
+    A trailing `# ...` comment is not part of the command."""
+    import pathlib
+    import re
+    import shlex
+    from qiso.cli import build_parser
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    lines = [line.split("#")[0] for block in blocks
+             for line in block.splitlines() if line.startswith("qiso ")]
+    assert len(lines) >= 11, lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
 def test_cli_search_rejects_mistyped_config_value(tmp_path, capsys):
     """A config value of the wrong type is invalid input naming the field,
     not a TypeError traceback from deep in the run."""

@@ -187,6 +187,32 @@ def test_exact_blocks_reproduce_the_stacks():
     assert missing == [("dual-d3-blocks", 2)]
 
 
+def test_kappa_u_is_one_tensor_that_both_of_its_readers_share():
+    """kappa(u) is formed once per action, read-only: the defects of (D)
+    and the exact forms of kappa(u) read that tensor and not the group's
+    kappa.  On dual-d4-blocks, whose 2x2 block has an exact form, both
+    are unchanged after the group is swapped for a copy whose kappa is
+    NaN once the tensor has been read, and equal those of a fresh action."""
+    import dataclasses
+    fresh = catalog_action("dual-d4-blocks")
+    blocks = range(len(fresh.stacks))
+    want = [fresh.exact_block(k, antipode=True) for k in blocks]
+    assert any(form is not None for form in want)
+    action = catalog_action("dual-d4-blocks")
+    defects = commutator_defects(action)
+    assert action.kappa_coeffs is action.kappa_coeffs
+    assert not action.kappa_coeffs.flags.writeable
+    action.group = dataclasses.replace(
+        action.group, kappa=np.full_like(action.group.kappa, np.nan))
+    assert np.array_equal(commutator_defects(action), defects)
+    assert np.array_equal(defects, commutator_defects(fresh))
+    for k, form in zip(blocks, want):
+        got = action.exact_block(k, antipode=True)
+        assert (got is None) == (form is None), k
+        if form is not None:
+            assert got[1] == form[1] and (got[0] == form[0]).all(), k
+
+
 def test_generation_deficit_matches_entry_reference():
     """Span saturation on coefficient vectors gives the deficits of the
     per-entry Gram-Schmidt: on the c07 population (catalog + 200 random

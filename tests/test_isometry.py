@@ -74,7 +74,7 @@ def _flags(action, cut=None):
     if cut is None:
         cut = isometry.defect_blocks(action).blocks
     return reports._condition_flags(
-        reports._universal_verdicts(action, (1, 2, 3, "inf")), cut)
+        reports._universal_verdicts(action), cut)
 
 
 def classical_isometries(action):

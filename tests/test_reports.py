@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qiso.reports import (RUN_KINDS, RunReport, SearchConfig, emit_report,
-                          implication_tallies, instance_descriptors,
+from qiso.reports import (CONDITION_ORDER, RUN_KINDS, RunReport, SearchConfig,
+                          emit_report, implication_tallies, instance_descriptors,
                           run_catalog_verification, run_search)
 
 from oracles import classical_group
@@ -32,6 +32,8 @@ def test_catalog_run_shape():
     for r in rep.instances:
         assert r["state_consistency"]
         assert r["quantum_group_residual"] < 1e-9
+        # every record decides the whole tower, so no flag is undecided
+        assert set(r["conditions"]) == set(CONDITION_ORDER), r["conditions"]
 
 
 def test_build_instance_builds_only_the_named_entry(monkeypatch):
@@ -96,7 +98,7 @@ def test_emit_csv_row_count():
 def test_emit_markdown_has_matrix():
     rep = run_catalog_verification(SMALL)
     text = emit_report(rep, "markdown")
-    assert "| condition | held | failed | undecided |" in text
+    assert "| condition | held | failed |" in text
     assert "tower violations: 0" in text
 
 
@@ -108,10 +110,16 @@ def test_empty_report_emits_valid_documents():
 
 
 def test_implication_tallies_flag_violations():
-    fake = [{"name": "x", "conditions": {"D": True, "Lip_1": False}}]
+    """A record that holds (D) and fails main, and holds the rest, breaks
+    one implication of the tower, (D) => main."""
+    flags = dict.fromkeys(CONDITION_ORDER, True)
+    fake = [{"name": "x", "conditions": dict(flags, main=False)}]
     t = implication_tallies(fake)
     assert len(t["violations"]) == 1
     assert t["violations"][0]["stronger"] == "D"
+    assert t["violations"][0]["weaker"] == "main"
+    assert t["patterns"] == {"TFTTTT": 1}
+    assert t["failed"] == dict(dict.fromkeys(CONDITION_ORDER, 0), main=1)
 
 
 def test_catalog_run_dossiers_each_tower_violation(monkeypatch):
@@ -146,7 +154,7 @@ def test_catalog_run_dossiers_each_tower_violation(monkeypatch):
         == ["cyclic-3"] * 5
     action = coaction_from_dict(dossier["coaction"])
     assert reports._condition_flags(
-        reports._universal_verdicts(action, cfg.p_list),
+        reports._universal_verdicts(action),
         defect_blocks(action).blocks) == dossier["conditions"]
 
 
