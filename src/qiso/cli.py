@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "against the tower of isometries; dossier its violations",
                        parents=[common])
     s.add_argument("--config", help="SearchConfig JSON file")
-    s.add_argument("--kind", help="run kind, checked with the config")
+    s.add_argument("--kind", choices=["catalog"],
+                   help="the run kind; catalog is the only one")
     s.add_argument("--random", type=int, help="number of random actions")
     s.add_argument("--format", choices=["json", "csv", "markdown"],
                    default="json")
@@ -212,18 +213,19 @@ def _dispatch(args) -> int:
         return _catalog(args)
 
     if args.command == "search":
-        from .reports import SearchConfig, emit_report, run_search
-        if args.tol != DEFAULT_TOL:
-            raise ValueError(f"--tol {args.tol} is not accepted by search, which "
-                             f"builds every instance at the default tolerance "
-                             f"{DEFAULT_TOL}")
+        from .reports import SearchConfig, emit_report, run_catalog_verification
+        for flag, value, default in (("--tol", args.tol, DEFAULT_TOL),
+                                     ("--mode", args.mode, RATIONAL)):
+            if value != default:
+                raise ValueError(f"{flag} {value} is not accepted by search, which "
+                                 f"builds every instance at {flag} {default}")
         doc = fileio.read_json_object(args.config) if args.config else {}
         # the flags given replace the file's values and are checked with them
-        flags = {"kind": args.kind, "random_actions": args.random,
-                 "seed": args.seed, "jobs": args.jobs}
+        flags = {"random_actions": args.random, "seed": args.seed,
+                 "jobs": args.jobs}
         config = SearchConfig.from_dict(
             {**doc, **{k: v for k, v in flags.items() if v is not None}})
-        report = run_search(config)
+        report = run_catalog_verification(config)
         _emit(args, emit_report(report, fmt=args.format))
         return EXIT_OK
 
@@ -337,7 +339,7 @@ def _catalog(args) -> int:
         _emit(args, {"entries": [
             {"name": name, "dim": qg.dim, "blocks": list(qg.algebra.blocks),
              "qg_residual": verify_quantum_group(qg).worst(),
-             "haar_reduced": haar_state(qg).reduced} for name, qg in named]})
+             "haar_residual": haar_state(qg).residual} for name, qg in named]})
         return EXIT_OK
     rows = [{"name": e.name, "points": e.action.n, "dim": e.action.group.dim,
              "blocks": list(e.action.group.algebra.blocks)}

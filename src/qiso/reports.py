@@ -1,11 +1,12 @@
-"""Batch verification over the catalog, and its reports.
+"""The catalog run, the one run `qiso search` makes, and its reports.
 
 The paper conjectures that its tower of isometries, (D) down to Lip_1,
 is one condition.  For a magic-unitary coaction on a finite space, (D),
 main and Lip_inf are one condition, so the open part there is the gap
 between Lip_inf and Lip_p: the catalog run's `patterns` tally counts
 every gap pattern, and every instance on which a stronger condition holds
-and a weaker one fails gets a dossier.
+and a weaker one fails gets a dossier, built from the verdicts and
+replays that decided it.  The report is a dict of JSON types.
 Runs are pure functions of (config, catalog): every random draw is seeded
 from the config seed, and every dossier carries the instance files inline
 so a violation can be replayed.  Searches never assert the open
@@ -19,10 +20,8 @@ import io
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence
-
-import numpy as np
 
 from .catalog import (CATALOG, catalog_action, random_permutation_action,
                       random_quantum_action)
@@ -47,7 +46,6 @@ LIP_P = [(name, p) for name, p in reversed(TOWER.items()) if p is not None]
 
 @dataclass
 class SearchConfig:
-    kind: str = "catalog"            # a key of RUN_KINDS
     n_range: Sequence[int] = (3, 4)
     metric_model: str = "shortest-path-graph"
     catalog: Optional[List[str]] = None   # entry names; None = all
@@ -78,7 +76,6 @@ def _is_list(v, item) -> bool:
 
 # each SearchConfig field -> whether a value read from a config file is one
 _CONFIG_CHECKS = {
-    "kind": lambda v: isinstance(v, str) and v in RUN_KINDS,
     "n_range": lambda v: bool(v) and _is_list(v, lambda n: _is_number(n, 2, int)),
     "metric_model": lambda v: isinstance(v, str) and v in METRIC_MODELS,
     "catalog": lambda v: v is None or _is_list(
@@ -88,29 +85,6 @@ _CONFIG_CHECKS = {
     "time_budget": lambda v: v is None or _is_number(v, 0),
     "jobs": lambda v: _is_number(v, 1, int),
 }
-
-
-@dataclass
-class RunReport:
-    kind: str
-    config: dict
-    instances: List[dict] = field(default_factory=list)
-    implication_matrix: Dict[str, dict] = field(default_factory=dict)
-    dossiers: List[dict] = field(default_factory=list)
-    timing: Dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "config": self.config,
-                "instances": self.instances,
-                "implication_matrix": self.implication_matrix,
-                "dossiers": self.dossiers, "timing": self.timing}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "RunReport":
-        return RunReport(kind=doc["kind"], config=doc["config"],
-                         instances=doc["instances"],
-                         implication_matrix=doc["implication_matrix"],
-                         dossiers=doc["dossiers"], timing=doc["timing"])
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +171,11 @@ def _replays(action: CoAction,
 
 
 def _replay_disagreements(action: CoAction,
-                          verdicts: Dict[str, IsometryVerdict]) -> List[str]:
+                          verdicts: Dict[str, IsometryVerdict],
+                          replays: Dict[str, list]) -> List[str]:
     """The conditions Lip_p whose universal verdict the per-state check
-    contradicts on the verdict's own state (`_replays`).
+    contradicts on the verdict's own state, read off `replays`, those of
+    `_replays(action, verdicts)`.
     A failure claims one pair, its witness pair, where W_p^p >= lambda_max
     > d_top^p by weak duality (a character's witness sends x and y to Dirac
     masses farther apart, a Lip_inf witness puts mass off the sublevel
@@ -208,13 +184,19 @@ def _replay_disagreements(action: CoAction,
     state, a hold that only characters decide, is a comparison of distance
     ranks and has nothing to replay."""
     limit = action.space.tol * float(action.space.max_distance)
-    return [name for name, replayed in _replays(action, verdicts).items()
+    return [name for name, replayed in replays.items()
             if (max(margin for _, margin in replayed) > limit)
             == verdicts[name].holds]
 
 
 def verify_instance(desc: dict) -> dict:
-    """Everything the verification run records about one action."""
+    """Everything the verification run records about one action.  An
+    action that breaks an implication of the tower also gets a `dossier`:
+    its conditions, the (stronger, weaker) pairs it breaks, each failing
+    Lip_p with its witness pair, its witness state as a state file
+    (`fileio.state_to_dict`) and the W_p replayed there, so that `qiso
+    check --state` replays it with no universal check, and the coaction
+    inline, which replays them all."""
     t0 = time.perf_counter()
     action = build_instance(desc)
     rec: dict = {"descriptor": desc,
@@ -234,8 +216,22 @@ def verify_instance(desc: dict) -> dict:
     rec["conditions"] = _condition_flags(verdicts, cut)
     rec["injective"] = bool(check_injectivity(action))
     rec["envelope"] = env_rec
-    rec["replay_disagreements"] = _replay_disagreements(action, verdicts)
+    replays = _replays(action, verdicts)
+    rec["replay_disagreements"] = _replay_disagreements(action, verdicts, replays)
     rec["state_consistency"] = not rec["replay_disagreements"]
+    violated = _violated(rec["conditions"])
+    if violated:
+        rec["dossier"] = {
+            "descriptor": desc, "name": rec["name"], "conditions": rec["conditions"],
+            "violations": [{"stronger": strong, "weaker": weak}
+                           for strong, weak in violated],
+            "replays": [{"condition": name,
+                         "pair": list(verdicts[name].witness["pair"]),
+                         "state": state_to_dict(verdicts[name].witness["state"]),
+                         "wasserstein": replayed[0][0]}
+                        for name, replayed in replays.items()
+                        if not verdicts[name].holds],
+            "coaction": coaction_to_dict(action)}
     rec["seconds"] = time.perf_counter() - t0
     return rec
 
@@ -265,34 +261,20 @@ def implication_tallies(instances: List[dict]) -> Dict[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# the run kinds
+# the catalog run
 
 
-def _dossier_replays(action: CoAction) -> List[dict]:
-    """Each failing Lip_p verdict, decided again, with its witness pair,
-    its witness state as a state file (`fileio.state_to_dict`) and the W_p
-    replayed there, so that `qiso check --state` replays it with no
-    universal check."""
-    failing = {name: v for name, v in _universal_verdicts(action).items()
-               if not v.holds}
-    return [{"condition": name, "pair": list(failing[name].witness["pair"]),
-             "state": state_to_dict(failing[name].witness["state"]),
-             "wasserstein": replayed[0][0]}
-            for name, replayed in _replays(action, failing).items()]
-
-
-def run_catalog_verification(config: SearchConfig) -> RunReport:
+def run_catalog_verification(config: SearchConfig) -> dict:
     """Verify every descriptor's instance, in order; once the time budget
-    is spent, skip (cancel, with jobs > 1) those not yet started.  Every
-    instance that breaks an implication of the tower gets a dossier, built
-    here rather than in the workers: its verdicts, the (stronger, weaker)
-    pairs it breaks, its failing Lip_p verdicts replayed at their witness
-    pairs (`_dossier_replays`) and the coaction inline, which replays them."""
-    report = RunReport(kind=config.kind, config=asdict(config))
+    is spent, skip (cancel, with jobs > 1) those not yet started.  The
+    report is a dict of JSON types, as `emit_report` writes it; each
+    instance's dossier (`verify_instance`) moves from its record into
+    `dossiers`."""
     descs = instance_descriptors(config)
     t0 = time.perf_counter()
     deadline = t0 + (config.time_budget or float("inf"))
     skipped = 0
+    instances = []
     if config.jobs > 1:
         import concurrent.futures as cf
         with cf.ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -301,48 +283,28 @@ def run_catalog_verification(config: SearchConfig) -> RunReport:
                 if time.perf_counter() > deadline:
                     skipped += sum(f.cancel() for f in futures if not f.done())
                 if not fut.cancelled():
-                    report.instances.append(fut.result())
+                    instances.append(fut.result())
     else:
         for desc in descs:
             if time.perf_counter() > deadline:
                 skipped += 1
                 continue
-            report.instances.append(verify_instance(desc))
-    for rec in report.instances:
-        violated = _violated(rec["conditions"])
-        if violated:
-            action = build_instance(rec["descriptor"])
-            report.dossiers.append({
-                "descriptor": rec["descriptor"], "name": rec["name"],
-                "conditions": rec["conditions"],
-                "violations": [{"stronger": strong, "weaker": weak}
-                               for strong, weak in violated],
-                "replays": _dossier_replays(action),
-                "coaction": coaction_to_dict(action)})
-    report.timing["seconds"] = time.perf_counter() - t0
-    report.timing["instances"] = len(report.instances)
-    report.timing["skipped_by_budget"] = skipped
-    report.implication_matrix = implication_tallies(report.instances)
-    return report
-
-
-# each run kind -> its run function
-RUN_KINDS = {"catalog": run_catalog_verification}
-
-
-def run_search(config: SearchConfig) -> RunReport:
-    if config.kind not in RUN_KINDS:
-        raise ValueError(f"unknown search kind {config.kind!r}")
-    return RUN_KINDS[config.kind](config)
+            instances.append(verify_instance(desc))
+    dossiers = [rec.pop("dossier") for rec in instances if "dossier" in rec]
+    return {"config": asdict(config), "instances": instances,
+            "implication_matrix": implication_tallies(instances),
+            "dossiers": dossiers,
+            "timing": {"seconds": time.perf_counter() - t0,
+                       "instances": len(instances), "skipped_by_budget": skipped}}
 
 
 # ---------------------------------------------------------------------------
 # report emission
 
 
-def emit_report(report: RunReport, fmt: str = "json") -> str:
+def emit_report(report: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=1, default=_json_default)
+        return json.dumps(report, indent=1)
     if fmt == "csv":
         return _emit_csv(report)
     if fmt == "markdown":
@@ -350,60 +312,33 @@ def emit_report(report: RunReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _emit_csv(report: RunReport) -> str:
-    buf = io.StringIO()
-    rows = report.instances
+def _emit_csv(report: dict) -> str:
+    rows = report["instances"]
     cols = ["name"]
     for r in rows:
-        for key in r:
-            if key not in cols and not isinstance(r[key], (dict, list)):
-                cols.append(key)
-    for c in CONDITION_ORDER:
-        cols.append(f"cond_{c}")
+        cols += [key for key in r
+                 if key not in cols and not isinstance(r[key], (dict, list))]
+    buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(cols)
+    writer.writerow(cols + [f"cond_{c}" for c in CONDITION_ORDER])
     for r in rows:
-        row = []
-        for c in cols:
-            if c.startswith("cond_"):
-                row.append(r.get("conditions", {}).get(c[5:], ""))
-            else:
-                row.append(r.get(c, ""))
-        writer.writerow(row)
+        writer.writerow([r.get(c, "") for c in cols]
+                        + [r.get("conditions", {}).get(c, "") for c in CONDITION_ORDER])
     return buf.getvalue()
 
 
-def _emit_markdown(report: RunReport) -> str:
-    lines = [f"# {report.kind} run", "",
-             f"instances: {len(report.instances)}  "
-             f"time: {report.timing.get('seconds', 0):.1f}s", ""]
-    if "patterns" in report.implication_matrix:
-        m = report.implication_matrix
-        lines.append("## Condition tallies")
-        lines.append("")
-        lines.append("| condition | held | failed |")
-        lines.append("|---|---|---|")
-        for c in CONDITION_ORDER:
-            lines.append(f"| {c} | {m['held'][c]} | {m['failed'][c]} |")
-        lines.append("")
-        lines.append("## Verdict patterns (" + ", ".join(CONDITION_ORDER) + ")")
-        lines.append("")
-        lines.append("| pattern | count |")
-        lines.append("|---|---|")
-        for pat, cnt in sorted(m["patterns"].items()):
-            lines.append(f"| `{pat}` | {cnt} |")
-        lines.append("")
-        lines.append(f"tower violations: {len(m['violations'])}")
-    if report.dossiers:
-        lines.append("")
-        lines.append(f"## Dossiers: {len(report.dossiers)}")
-    lines.append("")
-    return "\n".join(lines)
+def _emit_markdown(report: dict) -> str:
+    m = report["implication_matrix"]
+    lines = ["# catalog run", "",
+             f"instances: {len(report['instances'])}  "
+             f"time: {report['timing']['seconds']:.1f}s", "",
+             "## Condition tallies", "",
+             "| condition | held | failed |", "|---|---|---|",
+             *(f"| {c} | {m['held'][c]} | {m['failed'][c]} |" for c in CONDITION_ORDER),
+             "", "## Verdict patterns (" + ", ".join(CONDITION_ORDER) + ")", "",
+             "| pattern | count |", "|---|---|",
+             *(f"| `{pat}` | {cnt} |" for pat, cnt in sorted(m["patterns"].items())),
+             "", f"tower violations: {len(m['violations'])}"]
+    if report["dossiers"]:
+        lines += ["", f"## Dossiers: {len(report['dossiers'])}"]
+    return "\n".join(lines + [""])

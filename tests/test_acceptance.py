@@ -229,7 +229,8 @@ def population_flags():
                     for p in (1, 2, 3)}
         verdicts["Lip_inf"] = check_winf_universal(action)
         with mock.patch.object(reports, "_pair_margins", counted):
-            assert not reports._replay_disagreements(action, verdicts), desc
+            assert not reports._replay_disagreements(
+                action, verdicts, reports._replays(action, verdicts)), desc
         for verdict in verdicts.values():
             counts["failure" if not verdict.holds else
                    "hold" if verdict.certificate.get("state") is not None

@@ -596,12 +596,22 @@ def test_cli_catalog_and_emit(tmp_path, capsys):
 
 def test_cli_search(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "catalog",
-                               "catalog": ["trivial-3", "s3-isosceles"]}))
+    cfg.write_text(json.dumps({"catalog": ["trivial-3", "s3-isosceles"]}))
     code, doc = run_cli(capsys, "search", "--config", str(cfg))
     assert code == 0
     assert len(doc["instances"]) == 2
     assert doc["implication_matrix"]["violations"] == []
+
+
+def test_cli_catalog_verify_prints_each_haar_residual(capsys):
+    """`qiso catalog --verify` prints each entry's Haar-state residual, the
+    largest invariance defect of the closed-form Plancherel trace, not its
+    `reduced` flag, which is True by construction."""
+    code, doc = run_cli(capsys, "catalog", "--verify")
+    assert code == 0 and len(doc["entries"]) == 16
+    for entry in doc["entries"]:
+        assert "haar_reduced" not in entry, entry["name"]
+        assert 0 <= entry["haar_residual"] <= 1e-7, entry["name"]
 
 
 def test_cli_catalog_search_leaves_numpy_random_unimported(tmp_path):
@@ -636,7 +646,7 @@ def test_cli_search_rejects_unknown_config_key(tmp_path, capsys):
     verdict on its own state and samples none."""
     cfg = tmp_path / "cfg.json"
     for key, value in (("random_action", 5), ("state_samples", 10)):
-        cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
+        cfg.write_text(json.dumps({"catalog": ["cyclic-3"],
                                    key: value}))
         code = main(["search", "--config", str(cfg)])
         out, err = capsys.readouterr()
@@ -650,7 +660,7 @@ def test_cli_search_rejects_the_retired_p_list(tmp_path, capsys):
     "Lip_1.0" and left Lip_1 undecided)."""
     cfg = tmp_path / "cfg.json"
     for value in ([1, 2, 3, "inf"], [1.0, 2, 3, "inf"], [1.5]):
-        cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
+        cfg.write_text(json.dumps({"catalog": ["cyclic-3"],
                                    "p_list": value}))
         code = main(["search", "--config", str(cfg)])
         out, err = capsys.readouterr()
@@ -663,7 +673,7 @@ def test_cli_search_rejects_an_unknown_catalog_entry(tmp_path, capsys):
     exited 0)."""
     cfg = tmp_path / "cfg.json"
     for names in (["cylic-3"], ["cyclic-3", "cylic-3"]):
-        cfg.write_text(json.dumps({"kind": "catalog", "catalog": names}))
+        cfg.write_text(json.dumps({"catalog": names}))
         code = main(["search", "--config", str(cfg)])
         out, err = capsys.readouterr()
         assert code == 2 and not out and "'catalog'" in err, names
@@ -695,7 +705,7 @@ def test_cli_search_rejects_mistyped_config_value(tmp_path, capsys):
     """A config value of the wrong type is invalid input naming the field,
     not a TypeError traceback from deep in the run."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
+    cfg.write_text(json.dumps({"catalog": ["cyclic-3"],
                                "random_actions": "5"}))
     code = main(["search", "--config", str(cfg)])
     out, err = capsys.readouterr()
@@ -703,16 +713,20 @@ def test_cli_search_rejects_mistyped_config_value(tmp_path, capsys):
 
 
 def test_cli_search_rejects_a_tolerance_it_would_ignore(tmp_path, capsys):
-    """`qiso search` builds every instance at the default tolerance, so a
-    --tol other than the default, before or after the subcommand, is
-    invalid input naming the flag, not a report identical to the default
-    run; the default value itself is accepted."""
+    """`qiso search` builds every instance at the default tolerance in
+    rational mode, so a --tol other than the default or --mode float,
+    before or after the subcommand, is invalid input naming the flag, not
+    a report identical to the default run; the default value itself is
+    accepted."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["trivial-3"]}))
-    for argv in (["--tol", "0.5", "search"], ["search", "--tol", "0.5"]):
+    cfg.write_text(json.dumps({"catalog": ["trivial-3"]}))
+    for argv, flag in ((["--tol", "0.5", "search"], "--tol"),
+                       (["search", "--tol", "0.5"], "--tol"),
+                       (["--mode", "float", "search"], "--mode"),
+                       (["search", "--mode", "float"], "--mode")):
         code = main(argv + ["--config", str(cfg)])
         out, err = capsys.readouterr()
-        assert code == 2 and not out and "--tol" in err, argv
+        assert code == 2 and not out and flag in err, argv
     assert main(["--tol", "1e-9", "search", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["instances"]
 
@@ -724,7 +738,7 @@ def test_cli_search_checks_flag_overrides_as_config_values(tmp_path, capsys):
     inside the state sampler); SearchConfig rejects a negative seed too."""
     from qiso.reports import SearchConfig
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"]}))
+    cfg.write_text(json.dumps({"catalog": ["cyclic-3"]}))
     for flags, field in ((["--random", "-3"], "random_actions"),
                          (["--jobs", "0"], "jobs"),
                          (["--seed", "-1", "--random", "1"], "seed")):
@@ -739,9 +753,10 @@ def test_cli_search_rejects_unknown_kind_and_metric_model(tmp_path, capsys):
     """A run kind or metric model that no run knows is invalid input naming
     the field, at the config boundary: "metric_model": "nope" passed and
     failed only when the first random instance was built (never, with no
-    random actions), and the retired kinds "sublevel" and "span" are
-    rejected like any other unknown kind, given as --kind or in the config
-    file."""
+    random actions).  The catalog run is the only kind: --kind takes
+    catalog alone, so the retired kinds "sublevel" and "span" exit 2 from
+    the parser, and a config file's "kind" is an unknown key, whatever its
+    value."""
     from qiso.reports import SearchConfig
     for doc, field in (({"metric_model": "nope"}, "metric_model"),
                        ({"metric_model": "nope", "random_actions": 0},
@@ -749,13 +764,16 @@ def test_cli_search_rejects_unknown_kind_and_metric_model(tmp_path, capsys):
                        ({"kind": "nonsense"}, "kind")):
         with pytest.raises(ValueError, match=repr(field)):
             SearchConfig.from_dict(doc)
-    for kind in ("sublevel", "span"):
+    for kind in ("sublevel", "span", "catalog"):
         cfg = tmp_path / f"{kind}.json"
         cfg.write_text(json.dumps({"kind": kind, "catalog": ["cyclic-3"]}))
-        for argv in (["search", "--kind", kind], ["search", "--config", str(cfg)]):
-            code = main(argv)
-            out, err = capsys.readouterr()
-            assert code == 2 and not out and "'kind'" in err, argv
+        code = main(["search", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and "'kind'" in err, kind
+        if kind != "catalog":
+            with pytest.raises(SystemExit) as exit_:
+                main(["search", "--kind", kind])
+            assert exit_.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_search_seed_and_jobs_override_config_only_when_given(
@@ -764,10 +782,10 @@ def test_cli_search_seed_and_jobs_override_config_only_when_given(
     or after the subcommand, --seed 0 included; otherwise the file's stand."""
     from dataclasses import asdict
     from qiso import reports
-    monkeypatch.setattr(reports, "run_search", lambda config: reports.RunReport(
-        kind=config.kind, config=asdict(config)))
+    monkeypatch.setattr(reports, "run_catalog_verification",
+                        lambda config: {"config": asdict(config)})
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": "catalog", "catalog": ["cyclic-3"],
+    cfg.write_text(json.dumps({"catalog": ["cyclic-3"],
                                "seed": 5, "jobs": 2}))
     for argv, seed, jobs in (
             (["search", "--config", str(cfg)], 5, 2),

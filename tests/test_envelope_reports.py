@@ -125,7 +125,7 @@ def test_verify_instance_verifies_each_instance_once(monkeypatch):
                             counting(calls, "quantum_group", verify_quantum_group))
         monkeypatch.setattr(module, "verify_coaction",
                             counting(calls, "coaction", verify_coaction))
-    config = SearchConfig(kind="catalog", random_actions=3, seed=4)
+    config = SearchConfig(random_actions=3, seed=4)
     descriptors = instance_descriptors(config)
     assert len(descriptors) > 13
     for desc in descriptors:

@@ -59,8 +59,7 @@ def test_verdicts_take_no_tolerance_argument():
              "qiso.quantum_group": ("haar_state", "require_kac"),
              "oracles": ("verify_universal_property", "check_orthogonality"),
              "qiso.reports": ("verify_instance", "_universal_verdicts",
-                              "_replays", "_replay_disagreements",
-                              "_dossier_replays")}
+                              "_replays", "_replay_disagreements")}
     for module, funcs in names.items():
         module = importlib.import_module(module)
         for name in funcs:

@@ -65,10 +65,10 @@ def test_haar_invariance_hundred_random_states():
 
 
 def test_search_with_process_pool_matches_sequential():
-    from qiso.reports import run_search
-    base = dict(kind="catalog", catalog=["cyclic-3", "s3-isosceles"], seed=9)
-    seq = run_search(SearchConfig(**base)).to_dict()
-    par = run_search(SearchConfig(**base, jobs=2)).to_dict()
+    from qiso.reports import run_catalog_verification
+    base = dict(catalog=["cyclic-3", "s3-isosceles"], seed=9)
+    seq = run_catalog_verification(SearchConfig(**base))
+    par = run_catalog_verification(SearchConfig(**base, jobs=2))
     for doc in (seq, par):
         doc["timing"] = {}
         doc["config"] = {}

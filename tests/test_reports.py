@@ -6,30 +6,28 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qiso.reports import (CONDITION_ORDER, RUN_KINDS, RunReport, SearchConfig,
-                          emit_report, implication_tallies, instance_descriptors,
-                          run_catalog_verification, run_search)
+from qiso.reports import (CONDITION_ORDER, SearchConfig, emit_report,
+                          implication_tallies, instance_descriptors,
+                          run_catalog_verification)
 
 from oracles import classical_group
 
 
-SMALL = SearchConfig(kind="catalog", catalog=["trivial-3", "s3-isosceles",
-                                              "cyclic-3"])
+SMALL = SearchConfig(catalog=["trivial-3", "s3-isosceles", "cyclic-3"])
 
 
 def test_catalog_run_shape():
-    cfg = SearchConfig(kind="catalog",
-                       catalog=["trivial-3", "s3-isosceles", "cyclic-3",
+    cfg = SearchConfig(catalog=["trivial-3", "s3-isosceles", "cyclic-3",
                                 "dual-d4-asymmetric"])
     rep = run_catalog_verification(cfg)
-    assert len(rep.instances) == 4
-    assert rep.implication_matrix["violations"] == []
-    names = {r["name"] for r in rep.instances}
+    assert len(rep["instances"]) == 4
+    assert rep["implication_matrix"]["violations"] == []
+    names = {r["name"] for r in rep["instances"]}
     assert "dual-d4-asymmetric" in names
-    quantum = next(r for r in rep.instances if r["name"] == "dual-d4-asymmetric")
+    quantum = next(r for r in rep["instances"] if r["name"] == "dual-d4-asymmetric")
     assert quantum["conditions"]["D"] is False
     assert quantum["envelope"]["dimension"] == 2
-    for r in rep.instances:
+    for r in rep["instances"]:
         assert r["state_consistency"]
         assert r["quantum_group_residual"] < 1e-9
         # every record decides the whole tower, so no flag is undecided
@@ -62,10 +60,10 @@ def test_build_instance_builds_only_the_named_entry(monkeypatch):
 
 
 def test_determinism():
-    cfg = SearchConfig(kind="catalog", catalog=["cyclic-3"],
+    cfg = SearchConfig(catalog=["cyclic-3"],
                        random_actions=4, seed=11)
-    a = run_catalog_verification(cfg).to_dict()
-    b = run_catalog_verification(cfg).to_dict()
+    a = run_catalog_verification(cfg)
+    b = run_catalog_verification(cfg)
     a["timing"] = b["timing"] = {}
     for r in a["instances"] + b["instances"]:
         r.pop("seconds", None)
@@ -83,16 +81,16 @@ def test_descriptor_mix():
 def test_emit_json_roundtrip():
     rep = run_catalog_verification(SMALL)
     text = emit_report(rep, "json")
-    back = RunReport.from_dict(json.loads(text))
-    assert back.to_dict() == json.loads(text)
-    assert json.loads(emit_report(back, "json")) == json.loads(text)
+    assert emit_report(json.loads(text), "json") == text
+    assert list(json.loads(text)) == ["config", "instances",
+                                      "implication_matrix", "dossiers", "timing"]
 
 
 def test_emit_csv_row_count():
     rep = run_catalog_verification(SMALL)
     text = emit_report(rep, "csv")
     rows = [r for r in text.strip().splitlines() if r]
-    assert len(rows) == 1 + len(rep.instances)
+    assert len(rows) == 1 + len(rep["instances"])
 
 
 def test_emit_markdown_has_matrix():
@@ -103,7 +101,7 @@ def test_emit_markdown_has_matrix():
 
 
 def test_empty_report_emits_valid_documents():
-    rep = RunReport(kind="catalog", config={})
+    rep = run_catalog_verification(SearchConfig(catalog=[]))
     assert json.loads(emit_report(rep, "json"))["instances"] == []
     assert emit_report(rep, "csv").strip() != ""
     assert emit_report(rep, "markdown").startswith("# catalog run")
@@ -132,8 +130,8 @@ def test_catalog_run_dossiers_each_tower_violation(monkeypatch):
     from qiso import reports
     from qiso.fileio import coaction_from_dict
     from qiso.isometry import IsometryVerdict, defect_blocks
-    cfg = SearchConfig(kind="catalog", catalog=["cyclic-3", "cyclic-4"])
-    assert run_catalog_verification(cfg).dossiers == []
+    cfg = SearchConfig(catalog=["cyclic-3", "cyclic-4"])
+    assert run_catalog_verification(cfg)["dossiers"] == []
     real = reports.check_lip_p_universal
 
     def patched(action, p):
@@ -225,6 +223,28 @@ def test_a_failure_replays_at_its_own_witness_pair(monkeypatch):
     assert not rec["state_consistency"]
 
 
+def _hold_lip_2(monkeypatch) -> list:
+    """Patch universal Lip_2 in `reports` to a hold wherever it fails, with
+    its failure's witness state as the certificate, so that dual-d4-asymmetric
+    breaks the tower's (Lip_2, Lip_1); return the list that records the
+    (action, p) of every universal Lip_p call."""
+    from qiso import reports
+    from qiso.isometry import IsometryVerdict
+    real = reports.check_lip_p_universal
+    calls = []
+
+    def flipped(action, p):
+        calls.append((action.name, p))
+        verdict = real(action, p)
+        if p != 2 or verdict.holds:
+            return verdict
+        return IsometryVerdict(verdict.condition, True, certificate={
+            "state": verdict.witness["state"]})
+
+    monkeypatch.setattr(reports, "check_lip_p_universal", flipped)
+    return calls
+
+
 def test_a_dossier_replays_each_failure_at_its_witness_pair(monkeypatch,
                                                             tmp_path, capsys):
     """With universal Lip_2 flipped to a hold on dual-d4-asymmetric (its
@@ -234,20 +254,9 @@ def test_a_dossier_replays_each_failure_at_its_witness_pair(monkeypatch,
     state file and the W_p there; Lip_1's, read back from the emitted JSON
     with the dossier's coaction, fails under `qiso check --state` at the
     same pair with the same W_1, above d(pair)."""
-    from qiso import reports
     from qiso.cli import main
-    from qiso.isometry import IsometryVerdict
-    real = reports.check_lip_p_universal
-
-    def flipped(action, p):
-        verdict = real(action, p)
-        if p != 2:
-            return verdict
-        return IsometryVerdict(verdict.condition, True, certificate={
-            "state": verdict.witness["state"]})
-
-    monkeypatch.setattr(reports, "check_lip_p_universal", flipped)
-    cfg = SearchConfig(kind="catalog", catalog=["dual-d4-asymmetric"])
+    _hold_lip_2(monkeypatch)
+    cfg = SearchConfig(catalog=["dual-d4-asymmetric"])
     doc = json.loads(emit_report(run_catalog_verification(cfg)))
     dossier, = doc["dossiers"]
     assert dossier["violations"] == [{"stronger": "Lip_2", "weaker": "Lip_1"}]
@@ -269,34 +278,51 @@ def test_a_dossier_replays_each_failure_at_its_witness_pair(monkeypatch,
     assert out["witness"]["wasserstein"] == lip_1["wasserstein"] > d_xy
 
 
+def test_each_instance_is_decided_once(monkeypatch):
+    """A run decides each instance's universal Lip_p once, p = 1, 2 and 3
+    (Lip_inf comes from the support sweep): its dossier is built from
+    those verdicts and their replays, not from verdicts decided again."""
+    calls = _hold_lip_2(monkeypatch)
+    rep = run_catalog_verification(
+        SearchConfig(catalog=["dual-d4-asymmetric", "cyclic-3"]))
+    assert [d["name"] for d in rep["dossiers"]] == ["dual-d4-asymmetric"]
+    assert sorted(calls) == sorted((name, p) for name in
+                                   ("dual-d4-asymmetric", "cyclic-3")
+                                   for p in (1, 2, 3))
+
+
+def test_dossiers_cross_the_process_pool(monkeypatch):
+    """With two workers, the patched verdicts reach the workers through
+    fork, and the run writes the report of one worker, dossier included,
+    apart from its timings and its jobs."""
+    import multiprocessing
+    assert multiprocessing.get_start_method() == "fork"
+    _hold_lip_2(monkeypatch)
+    docs = []
+    for jobs in (1, 2):
+        cfg = SearchConfig(catalog=["dual-d4-asymmetric", "cyclic-3"], jobs=jobs)
+        doc = json.loads(emit_report(run_catalog_verification(cfg)))
+        assert doc.pop("config")["jobs"] == jobs
+        del doc["timing"]
+        for rec in doc["instances"]:
+            del rec["seconds"]
+        docs.append(doc)
+    assert len(docs[0]["dossiers"]) == 1
+    assert docs[0] == docs[1]
+
+
 def test_time_budget_skips_instances():
     """A spent budget skips the instances not yet started, of 11, serially
     and with two workers.  The pool starts some (usually 1, at most 4 in
     15 runs) before the first check cancels the rest, so with jobs = 2
     only a skip at all is asserted."""
     for jobs, least in ((1, 9), (2, 1)):
-        cfg = SearchConfig(kind="catalog", catalog=["cyclic-3"],
+        cfg = SearchConfig(catalog=["cyclic-3"],
                            random_actions=10, seed=3, time_budget=1e-9,
                            jobs=jobs)
         rep = run_catalog_verification(cfg)
-        assert rep.timing["skipped_by_budget"] >= least, jobs
-        assert rep.timing["skipped_by_budget"] + rep.timing["instances"] == 11
-
-
-def test_run_search_dispatch():
-    assert run_search(SMALL).kind == "catalog"
-    with pytest.raises(ValueError):
-        run_search(SearchConfig(kind="nonsense"))
-
-
-def test_readme_names_only_run_kinds_that_exist():
-    """Every `--kind X` in README.md names a key of `RUN_KINDS`, so the
-    README shows no command that exits 2 as an unknown kind."""
-    import pathlib
-    import re
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    kinds = re.findall(r"--kind[ =]([\w-]+)", readme.read_text())
-    assert kinds and set(kinds) <= set(RUN_KINDS), kinds
+        assert rep["timing"]["skipped_by_budget"] >= least, jobs
+        assert rep["timing"]["skipped_by_budget"] + rep["timing"]["instances"] == 11
 
 
 def test_span_counterexample_exact_arithmetic():
@@ -363,9 +389,9 @@ def test_envelope_without_a_hopf_ideal_does_not_stop_a_search(monkeypatch):
     monkeypatch.setattr(reports, "build_instance", lambda desc: action
                         if desc.get("name") == "cyclic-3" else real(desc))
     rep = run_catalog_verification(SearchConfig(
-        kind="catalog", catalog=["cyclic-3", "cyclic-4"]))
-    assert [r["name"] for r in rep.instances] == ["cyclic-3", "cyclic-4"]
-    rec = rep.instances[0]
+        catalog=["cyclic-3", "cyclic-4"]))
+    assert [r["name"] for r in rep["instances"]] == ["cyclic-3", "cyclic-4"]
+    rec = rep["instances"][0]
     assert "no Hopf ideal" in rec["envelope"]["error"]
     assert not any(rec["conditions"][c] for c in ("D", "main", "Lip_inf", "Lip_1"))
-    assert rep.instances[1]["envelope"] == {"dimension": 4, "killed_blocks": []}
+    assert rep["instances"][1]["envelope"] == {"dimension": 4, "killed_blocks": []}
